@@ -4,23 +4,18 @@
 //! cargo run --release -p bench --bin figures -- all
 //! cargo run --release -p bench --bin figures -- fig1 table1 fig5 fig6 fig7 profile tiers cache
 //! cargo run --release -p bench --bin figures -- check     # perf-regression gate
-//! cargo run --release -p bench --bin figures -- bless     # re-measure wall baselines
 //! cargo run --release -p bench --bin figures -- overhead  # always-on telemetry cost
 //! ```
 //!
 //! `all` (or no argument) additionally writes `BENCH_figures.json` at the
 //! workspace root: a machine-readable snapshot of every figure. Modeled
 //! time is deterministic, so the snapshot is stable across hosts and is
-//! committed for drift tracking. The snapshot's `baselines` section is
-//! the one exception — committed min-of-N wall times — and is carried
-//! over verbatim on regeneration; `bless` re-measures it on this host.
+//! committed for drift tracking.
 //!
 //! `check` is the perf-regression gate (run in CI): it recomputes every
-//! deterministic section and compares it exactly against the committed
-//! snapshot, then re-measures the wall baselines and applies each one's
-//! tolerance factor. Exits non-zero on any regression.
-//! `TIRAMISU_PERF_GATE=0` skips the wall-clock half (the deterministic
-//! half always runs).
+//! section and compares it exactly against the committed snapshot. Exits
+//! non-zero on any drift. Wall-clock regressions are gated by
+//! `benchmark/` (see `BENCHMARK.json`), not here.
 //!
 //! `profile` runs the Figure 1 sgemm Tiramisu schedule under the
 //! bytecode profiler and prints the telemetry report; its deterministic
@@ -28,25 +23,8 @@
 //! the snapshot. With `TIRAMISU_PROFILE` set it additionally writes the
 //! Chrome trace (`TIRAMISU_PROFILE_OUT` or `figures.trace.json`).
 
+use bench::json::jstr;
 use bench::{default_img, fig1_cpu, fig1_gpu, fig5, fig6, fig7, normalized, render_table, table1};
-use std::time::Instant;
-
-/// Minimal JSON string escape (quotes/backslashes/control chars) — the
-/// vendored serde is a stub, so the snapshot is written by hand.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 fn jnum(v: f64) -> String {
     if v.is_finite() {
@@ -84,10 +62,9 @@ fn snapshot_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_figures.json")
 }
 
-/// Builds (and prints) every deterministic section selected by `want`,
-/// returning the snapshot members as `  "key": value` lines. Wall-clock
-/// baselines are handled separately — everything here is modeled or
-/// counted, identical on every host.
+/// Builds (and prints) every section selected by `want`, returning the
+/// snapshot members as `  "key": value` lines. Everything here is modeled
+/// or counted, identical on every host.
 fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
     let mut sections: Vec<String> = Vec::new();
 
@@ -364,132 +341,17 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             st.compiles, st.memory_hits, st.disk_hits, st.dedup_waits, st.busy_rejections, st.corrupt_artifacts
         ));
         let _ = std::fs::remove_dir_all(&dir);
-
-        // The per-machine bytecode LRU sits in front of the service: run
-        // the sgemm program twice on one machine and show the capacity,
-        // occupancy, and hit/miss/eviction counters (the same numbers the
-        // `vm.bc_cache.*` metrics aggregate process-wide).
-        let (lf, _, _) = kernels::sgemm::layer1(1.0, 1.0);
-        let module = tiramisu::compile_cpu(
-            &lf,
-            &[("N", 32)],
-            tiramisu::CpuOptions { check_legality: false, ..Default::default() },
-        )
-        .expect("sgemm compile");
-        let mut m = module.machine();
-        m.run(&module.program).expect("run 1");
-        m.run(&module.program).expect("run 2");
-        let cs = m.cache_stats();
-        println!(
-            "  machine bc-cache: capacity={} occupancy={} hits={} misses={} evictions={}\n",
-            m.cache_capacity(),
-            m.cache_len(),
-            cs.hits,
-            cs.misses,
-            cs.evictions
-        );
     }
 
     sections
 }
 
 // ---------------------------------------------------------------------------
-// Wall-clock baselines
-// ---------------------------------------------------------------------------
-
-/// Runs measured for each baseline (min is taken; one extra warmup run).
-const BASELINE_RUNS: usize = 5;
-
-/// Allowed slowdown factor written by `bless`. Generous on purpose: the
-/// gate exists to catch cliffs (a tier silently degrading, an accidental
-/// quadratic), not CI-runner jitter.
-const DEFAULT_TOLERANCE: f64 = 5.0;
-
-fn min_wall_us(runs: usize, mut f: impl FnMut() -> f64) -> f64 {
-    let _warmup = f();
-    (0..runs).map(|_| f()).fold(f64::INFINITY, f64::min)
-}
-
-/// Measures every wall-clock baseline (name, min-of-N microseconds).
-/// Small shapes, single-digit-millisecond runs: the gate has to be cheap
-/// enough to run on every CI build.
-fn measure_baselines() -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-
-    // Figure 1 sgemm hot path (the default executor ladder end-to-end).
-    let prep = kernels::sgemm::tiramisu_best(96, 32).expect("sgemm compile");
-    out.push((
-        "sgemm_wall_us".to_string(),
-        min_wall_us(BASELINE_RUNS, || {
-            prep.run_wall().expect("sgemm run").0.as_secs_f64() * 1e6
-        }),
-    ));
-
-    // A DNN kernel with a different loop structure (conv).
-    let conv = kernels::dnn::conv_tiramisu(kernels::dnn::ConvSize::small()).expect("conv compile");
-    out.push((
-        "conv_wall_us".to_string(),
-        min_wall_us(BASELINE_RUNS, || {
-            conv.run_wall().expect("conv run").0.as_secs_f64() * 1e6
-        }),
-    ));
-
-    // An image-pipeline kernel (fusion + tiling path).
-    let img = kernels::image::tiramisu_cpu("conv2D", kernels::image::ImgSize::small())
-        .expect("conv2D compile");
-    out.push((
-        "conv2d_wall_us".to_string(),
-        min_wall_us(BASELINE_RUNS, || {
-            img.run_wall().expect("conv2D run").0.as_secs_f64() * 1e6
-        }),
-    ));
-
-    // The GPU simulator end-to-end (bytecode warp executor).
-    let module = kernels::sgemm::gpu_tiled(64, 8).expect("gpu sgemm compile");
-    out.push((
-        "gpu_sgemm_wall_us".to_string(),
-        min_wall_us(BASELINE_RUNS, || {
-            let t0 = Instant::now();
-            kernels::image_gpu::run_gpu(&module).expect("gpu run");
-            t0.elapsed().as_secs_f64() * 1e6
-        }),
-    ));
-
-    // Backend compile latency (scheduling + lowering, no service cache).
-    let (f, _, _) = kernels::sgemm::layer1(1.0, 1.0);
-    out.push((
-        "compile_cpu_us".to_string(),
-        min_wall_us(BASELINE_RUNS, || {
-            let t0 = Instant::now();
-            tiramisu::compile_cpu(
-                &f,
-                &[("N", 32)],
-                tiramisu::CpuOptions { check_legality: false, ..Default::default() },
-            )
-            .expect("compile");
-            t0.elapsed().as_secs_f64() * 1e6
-        }),
-    ));
-
-    out
-}
-
-fn baselines_json(measured: &[(String, f64)]) -> String {
-    let members: Vec<String> = measured
-        .iter()
-        .map(|(n, v)| {
-            format!("{}: {{\"value\": {}, \"tolerance\": {}}}", jstr(n), jnum(*v), DEFAULT_TOLERANCE)
-        })
-        .collect();
-    format!("{{{}}}", members.join(", "))
-}
-
-// ---------------------------------------------------------------------------
 // Subcommands
 // ---------------------------------------------------------------------------
 
-/// The perf-regression gate: deterministic sections strict, wall
-/// baselines tolerance-gated. Returns the process exit code.
+/// The perf-regression gate: every section must match the committed
+/// snapshot exactly. Returns the process exit code.
 fn run_check() -> i32 {
     let path = snapshot_path();
     let src = match std::fs::read_to_string(&path) {
@@ -511,43 +373,12 @@ fn run_check() -> i32 {
     let fresh_src = format!("{{\n{}\n}}\n", sections.join(",\n"));
     let fresh = bench::json::parse(&fresh_src).expect("fresh snapshot serializes");
 
-    let mut failures = bench::gate::compare_deterministic(&committed, &fresh, &["baselines"]);
-    let det_failures = failures.len();
-
-    let wall_gate = std::env::var("TIRAMISU_PERF_GATE").map_or(true, |v| v != "0");
-    if wall_gate {
-        match committed.get("baselines") {
-            None => failures.push(
-                "no `baselines` section in committed snapshot (regenerate with `figures -- bless`)"
-                    .to_string(),
-            ),
-            Some(b) => match bench::gate::parse_baselines(b) {
-                Err(errs) => failures.extend(errs),
-                Ok(specs) => {
-                    let measured = measure_baselines();
-                    for (n, v) in &measured {
-                        println!("perf gate: measured {n} = {v:.1}us");
-                    }
-                    failures.extend(bench::gate::gate_baselines(&specs, &measured));
-                }
-            },
-        }
-    } else {
-        println!("perf gate: TIRAMISU_PERF_GATE=0, skipping wall-clock baselines");
-    }
-
+    let failures = bench::gate::compare_deterministic(&committed, &fresh);
     if failures.is_empty() {
-        println!(
-            "perf gate: OK (deterministic sections match{})",
-            if wall_gate { ", wall baselines within tolerance" } else { "" }
-        );
+        println!("perf gate: OK (deterministic sections match)");
         0
     } else {
-        eprintln!(
-            "perf gate: FAILED — {} deterministic drift(s), {} total failure(s):",
-            det_failures,
-            failures.len()
-        );
+        eprintln!("perf gate: FAILED — {} deterministic drift(s):", failures.len());
         for f in &failures {
             eprintln!("  - {f}");
         }
@@ -591,13 +422,8 @@ fn main() {
         return;
     }
 
-    let bless = args.iter().any(|a| a == "bless");
-    let want = |k: &str| {
-        args.is_empty() || bless || args.iter().any(|a| a == k || a == "all")
-    };
-    let emit_json = args.is_empty() || bless || args.iter().any(|a| a == "all");
-
-    let mut sections = build_sections(&want);
+    let all = args.is_empty() || args.iter().any(|a| a == "all");
+    let sections = build_sections(&|k: &str| all || args.iter().any(|a| a == k));
 
     // Global compile-service counters for this invocation. With
     // `TIRAMISU_CACHE_DIR` set, a second identical run reports its
@@ -608,23 +434,7 @@ fn main() {
         st.compiles, st.memory_hits, st.disk_hits, st.dedup_waits, st.busy_rejections
     );
 
-    if emit_json {
-        // Wall-clock baselines: host-dependent, so regeneration carries
-        // the committed section over byte-for-byte (keeping the CI
-        // staleness diff clean); `bless` — or a missing section —
-        // re-measures on this host.
-        let committed_raw = std::fs::read_to_string(snapshot_path())
-            .ok()
-            .and_then(|src| bench::gate::extract_raw_member(&src, "baselines"));
-        let baselines = match (bless, committed_raw) {
-            (false, Some(raw)) => raw,
-            _ => {
-                eprintln!("measuring wall-clock baselines on this host...");
-                baselines_json(&measure_baselines())
-            }
-        };
-        sections.push(format!("  \"baselines\": {baselines}"));
-
+    if all {
         let json = format!("{{\n{}\n}}\n", sections.join(",\n"));
         let path = snapshot_path();
         std::fs::write(&path, json).expect("write BENCH_figures.json");

@@ -18,7 +18,9 @@
 //! measured values for each figure.
 
 pub mod gate;
-pub mod json;
+/// The workspace JSON reader ([`telemetry::json`]), under the path the
+/// snapshot gate and the benchmark driver use.
+pub use telemetry::json;
 
 use kernels::image::ImgSize;
 

@@ -43,17 +43,15 @@ impl Default for CpuOptions {
 /// A compiled CPU module: a `loopvm` program plus the buffer name map.
 #[derive(Debug)]
 pub struct CpuModule {
-    /// The generated program (run it with [`loopvm::Machine`]).
+    /// The generated program (run it with [`loopvm::Machine`]). It owns
+    /// the module's executable code — the bytecode and native code the
+    /// `optimize` pass built are its [`loopvm::Program::compiled`] form,
+    /// and clones of it (e.g. `kernels::Prepared`) share that code.
     pub program: Program,
     buffer_map: HashMap<String, VmBuf>,
     /// The parameter bindings the module was compiled for.
     pub param_values: Vec<(String, i64)>,
     trace: Option<CompileTrace>,
-    bytecode: Option<loopvm::BcProgram>,
-    /// Native code compiled from `bytecode` by the `optimize` pass when
-    /// the JIT tier is available. Never serialized: artifacts carry the
-    /// portable bytecode and reconstruction recompiles for the host.
-    jit: Option<std::sync::Arc<loopvm::jit::JitProgram>>,
 }
 
 impl CpuModule {
@@ -73,42 +71,44 @@ impl CpuModule {
         self.trace.as_ref()
     }
 
-    /// The register bytecode produced by the `optimize` pass. Run it with
-    /// [`loopvm::Machine::run_bytecode`] to amortize bytecode compilation
-    /// across runs ([`loopvm::Machine::run`] recompiles per call).
+    /// The register bytecode produced by the `optimize` pass — the code
+    /// [`loopvm::Machine::run`] executes for [`CpuModule::program`].
+    /// [`loopvm::Machine::run_bytecode`] runs it on the interpreter
+    /// regardless of the machine's mode.
     pub fn bytecode(&self) -> Option<&loopvm::BcProgram> {
-        self.bytecode.as_ref()
+        self.program.compiled().ok().map(loopvm::Compiled::bytecode)
     }
 
     /// The native x86-64 entry compiled from the bytecode by the
     /// `optimize` pass — `None` on targets without the JIT tier or for
-    /// programs the JIT declines. Run it with
-    /// [`loopvm::Machine::run_jit`] to skip both bytecode and JIT
-    /// compilation per run.
+    /// programs the JIT declines. [`loopvm::Machine::run`] uses it in
+    /// [`loopvm::ExecMode::Jit`]; [`loopvm::Machine::run_jit`] runs it
+    /// directly.
     pub fn jit(&self) -> Option<&loopvm::jit::JitProgram> {
-        self.jit.as_deref()
+        self.program.compiled().ok().and_then(loopvm::Compiled::jit)
     }
 
     /// Disassembles the optimized bytecode (see `DESIGN.md` §10 for the
     /// format).
     pub fn disasm(&self) -> Option<String> {
-        self.bytecode.as_ref().map(|bc| bc.disasm(&self.program))
+        self.bytecode().map(|bc| bc.disasm(&self.program))
     }
 
     /// Rebuilds a module from decoded artifact parts ([`crate::service`]):
-    /// the pass pipeline does not run. Reconstructed modules carry no
+    /// the pass pipeline does not run. `program` arrives with the decoded
+    /// bytecode installed as its compiled form; artifacts never carry
+    /// native code, so it is compiled for this host here, where a fresh
+    /// compile pays for it too. Reconstructed modules carry no
     /// [`CompileTrace`] — the trace travels as rendered text in the
     /// artifact instead.
     pub(crate) fn from_parts(
         program: Program,
         buffer_map: HashMap<String, VmBuf>,
         param_values: Vec<(String, i64)>,
-        bytecode: Option<loopvm::BcProgram>,
     ) -> CpuModule {
-        // Artifacts never carry native code; recompile for this host.
-        let jit =
-            bytecode.as_ref().and_then(loopvm::jit::compile).map(std::sync::Arc::new);
-        CpuModule { program, buffer_map, param_values, trace: None, bytecode, jit }
+        let module = CpuModule { program, buffer_map, param_values, trace: None };
+        module.jit();
+        module
     }
 
     /// The Tiramisu-name → VM-buffer map (for the artifact codec).
@@ -222,8 +222,6 @@ impl EmitTarget for CpuTarget {
             buffer_map: std::mem::take(&mut lm.buffer_map),
             param_values: lm.param_vals.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             trace: None,
-            bytecode: None,
-            jit: None,
         })
     }
 
@@ -232,16 +230,18 @@ impl EmitTarget for CpuTarget {
     }
 
     fn optimize(&mut self, module: &mut CpuModule) -> Result<Option<(loopvm::OptStats, String)>> {
-        let bc = loopvm::opt::compile_program(&module.program)
+        let code = module
+            .program
+            .compiled()
             .map_err(|e| Error::Backend(format!("bytecode optimization: {e}")))?;
+        let bc = code.bytecode();
         let stats = bc.stats();
         let ir = if pipeline::trace::disasm_enabled() {
             bc.disasm(&module.program)
         } else {
             stats.summary()
         };
-        module.jit = loopvm::jit::compile(&bc).map(std::sync::Arc::new);
-        module.bytecode = Some(bc);
+        code.jit();
         Ok(Some((stats, ir)))
     }
 }

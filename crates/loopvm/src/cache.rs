@@ -1,13 +1,11 @@
 //! A small bounded LRU map with hit/miss/eviction counters.
 //!
-//! Used in two places: [`crate::Machine`]'s compiled-bytecode cache
-//! (keyed by [`crate::Program::fingerprint`]) and the compile service's
-//! in-memory module tier (keyed by the service's artifact key). Both
-//! caches hold a handful of heavyweight values, so the implementation
-//! favours simplicity: a `Vec` ordered least→most recently used, with
-//! O(len) lookup — at the capacities involved (≤ a few dozen) that is
-//! faster than hashing would be, and eviction order falls out of the
-//! ordering for free.
+//! Used by the compile service's in-memory module tier (keyed by the
+//! service's artifact key). The cache holds a handful of heavyweight
+//! values, so the implementation favours simplicity: a `Vec` ordered
+//! least→most recently used, with O(len) lookup — at the capacities
+//! involved (≤ a few dozen) that is faster than hashing would be, and
+//! eviction order falls out of the ordering for free.
 
 /// Monotonic counters describing a cache's lifetime behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -85,22 +83,6 @@ impl<K: PartialEq, V> Lru<K, V> {
         }
     }
 
-    /// Removes and returns `key`'s value, counting the lookup as a
-    /// hit/miss like [`Lru::get`]. The take-run-reinsert pattern lets a
-    /// caller use the value while mutably borrowing the rest of `self`.
-    pub fn take(&mut self, key: &K) -> Option<V> {
-        match self.entries.iter().position(|(k, _)| k == key) {
-            Some(i) => {
-                self.stats.hits += 1;
-                Some(self.entries.remove(i).1)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
     /// Inserts (or replaces) `key`, marking it most recently used and
     /// evicting the least recently used entry when over capacity.
     pub fn insert(&mut self, key: K, value: V) {
@@ -169,15 +151,5 @@ mod tests {
         c.insert(1, 1);
         assert!(c.is_empty());
         assert_eq!(c.get(&1), None);
-    }
-
-    #[test]
-    fn take_then_reinsert() {
-        let mut c: Lru<u32, String> = Lru::new(2);
-        c.insert(5, "x".to_string());
-        let v = c.take(&5).unwrap();
-        assert!(c.is_empty());
-        c.insert(5, v);
-        assert_eq!(c.get(&5).map(String::as_str), Some("x"));
     }
 }

@@ -12,11 +12,10 @@
 //! [`WireError`](artifacts::WireError)
 //! instead of handing the trusting executor an out-of-range index.
 //!
-//! [`decode_program`] rebuilds the program through the ordinary builders
-//! ([`Program::buffer`], [`Program::var`], [`Program::set_body`]), so the
-//! decoded program's [`Program::fingerprint`] is identical to the
-//! original's — cache keys derived from fingerprints stay stable across
-//! a serialize/deserialize round trip.
+//! A program's memoised compiled form ([`Program::compiled`]) is not part
+//! of its encoding: bytecode travels as its own [`encode_bc`] record, and
+//! [`decode_bc_into`] is the one way to put decoded bytecode back into a
+//! program's slot.
 
 use crate::bytecode::{BCode, BcProgram, BcStmt, Inst, OptStats};
 use crate::expr::{BinOp, Expr, Ty, UnOp, Var};
@@ -45,9 +44,7 @@ pub fn encode_program(p: &Program, w: &mut Writer) {
     encode_stmts(p.body(), w);
 }
 
-/// Deserializes a program built by [`encode_program`]. The declaration
-/// tables are replayed through the builders so the fingerprint matches
-/// the encoded program's.
+/// Deserializes a program built by [`encode_program`].
 pub fn decode_program(r: &mut Reader<'_>) -> Result<Program> {
     let mut p = Program::new();
     let n_bufs = r.len(2)?;
@@ -378,6 +375,15 @@ pub fn decode_bc(r: &mut Reader<'_>, p: &Program) -> Result<BcProgram> {
     let prologue = decode_insts(r, &lim)?;
     let body = decode_bc_block(r, &lim)?;
     Ok(BcProgram { prologue, body, n_iregs, n_fregs, n_vars, var_names, stats })
+}
+
+/// [`decode_bc`], installing the validated bytecode as `p`'s compiled form
+/// so running `p` does not recompile it (native code is host-specific and
+/// never travels; [`crate::Compiled::jit`] rebuilds it from the bytecode).
+pub fn decode_bc_into(r: &mut Reader<'_>, p: &mut Program) -> Result<()> {
+    let bc = decode_bc(r, p)?;
+    p.install_bytecode(bc);
+    Ok(())
 }
 
 /// Bounds the decoded bytecode must respect.
@@ -726,14 +732,28 @@ mod tests {
     }
 
     #[test]
-    fn program_roundtrip_preserves_fingerprint_and_structure() {
+    fn program_roundtrip_preserves_structure() {
         let p = sample();
         let mut w = Writer::new();
         encode_program(&p, &mut w);
         let buf = w.into_vec();
         let q = decode_program(&mut Reader::new(&buf)).unwrap();
         assert_eq!(p, q);
-        assert_eq!(p.fingerprint(), q.fingerprint());
+    }
+
+    #[test]
+    fn decoded_bytecode_becomes_the_compiled_form() {
+        let p = sample();
+        let mut w = Writer::new();
+        encode_program(&p, &mut w);
+        encode_bc(p.compiled().unwrap().bytecode(), &mut w);
+        let buf = w.into_vec();
+        let mut r = Reader::new(&buf);
+        let mut q = decode_program(&mut r).unwrap();
+        decode_bc_into(&mut r, &mut q).unwrap();
+        let (code, built) = q.compiled_or_build();
+        assert!(!built, "the installed bytecode is the compiled form");
+        assert_eq!(code.unwrap().bytecode().disasm(&q), p.compiled().unwrap().bytecode().disasm(&p));
     }
 
     #[test]
@@ -800,6 +820,9 @@ mod tests {
         encode_program(&p, &mut w);
         let buf = w.into_vec();
         let q = decode_program(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(p.fingerprint(), q.fingerprint());
+        // NaN never compares equal, so compare the re-encoding bit for bit.
+        let mut w = Writer::new();
+        encode_program(&q, &mut w);
+        assert_eq!(w.into_vec(), buf);
     }
 }

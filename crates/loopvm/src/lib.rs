@@ -60,12 +60,9 @@ pub use bytecode::{BcProgram, InstClassCounts, OptStats};
 pub use cache::{CacheStats, Lru};
 pub use cost::{CacheCfg, CacheSim, CostModel};
 pub use expr::{BinOp, Expr, Ty, UnOp, Var};
-pub use program::{BufId, LoopKind, Program, Stmt};
+pub use program::{BufId, Compiled, LoopKind, Program, Stmt};
 pub use simt::{exec_warp, exec_warp_profiled, WarpHost};
-pub use vm::{
-    compile, eval_scalar, Code, ExecMode, Machine, Op, RunStats, ScalarThunk,
-    DEFAULT_BC_CACHE_CAPACITY,
-};
+pub use vm::{compile, eval_scalar, Code, ExecMode, Machine, Op, RunStats, ScalarThunk};
 
 /// Errors produced when compiling or executing a program.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,7 +1,10 @@
 //! Program structure: buffers, statements, loop annotations.
 
+use crate::bytecode::BcProgram;
 use crate::expr::{Expr, Var};
-use std::hash::{Hash, Hasher};
+use crate::jit::JitProgram;
+use crate::Result;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a flat `f32` buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -101,130 +104,75 @@ impl Stmt {
     }
 }
 
+/// The executable form of a [`Program`]: the optimized register bytecode
+/// and, once requested, the native code compiled from it. Obtained from
+/// [`Program::compiled`]; there is exactly one per program value (and its
+/// clones), so the code a backend produced is the code that runs.
+#[derive(Debug)]
+pub struct Compiled {
+    bc: BcProgram,
+    /// `Some(None)` records that the JIT declined (or does not exist on
+    /// this target), so an unsupported program is not retried per run.
+    jit: OnceLock<Option<JitProgram>>,
+}
+
+impl Compiled {
+    fn new(bc: BcProgram) -> Compiled {
+        Compiled { bc, jit: OnceLock::new() }
+    }
+
+    /// The optimized bytecode ([`crate::opt::compile_program`]'s output).
+    pub fn bytecode(&self) -> &BcProgram {
+        &self.bc
+    }
+
+    /// The native code, compiled from the bytecode on the first call —
+    /// the one place JIT compilation happens outside explicit
+    /// [`crate::jit::compile`] calls, hence where `vm.jit.*` is recorded.
+    /// `None` on targets without the JIT tier and for programs it
+    /// declines.
+    pub fn jit(&self) -> Option<&JitProgram> {
+        self.jit
+            .get_or_init(|| {
+                let m = crate::vm::vm_metrics();
+                let t0 = std::time::Instant::now();
+                let j = crate::jit::compile(&self.bc);
+                match j {
+                    Some(_) => m.jit_compiles.inc(),
+                    None => m.jit_fallbacks.inc(),
+                }
+                m.jit_compile_us.record_duration(t0.elapsed());
+                j
+            })
+            .as_ref()
+    }
+}
+
 /// A complete VM program: buffer table, variable slots, statement list.
 ///
 /// `PartialEq` is structural (and bitwise on `f32` constants apart from
-/// NaN, which never compares equal). Every construction path
-/// ([`Program::push`], [`Program::set_body`], the declaration builders)
-/// also folds the added structure into a 64-bit [`Program::fingerprint`],
-/// so [`crate::Machine`] can key its compiled-bytecode cache with one
-/// integer comparison instead of an O(program) structural walk.
+/// NaN, which never compares equal).
+///
+/// Compilation is a memoised pure function of the IR: a program lazily
+/// holds its [`Compiled`] form ([`Program::compiled`]). Clones share it,
+/// equality and the codec ignore it, and every `&mut` builder
+/// ([`Program::buffer`], [`Program::var`], [`Program::push`],
+/// [`Program::set_body`]) drops it, so stale code can never run.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     pub(crate) buffers: Vec<(String, usize)>,
     pub(crate) vars: Vec<String>,
     /// Top-level statements, executed in order. Mutations go through
-    /// [`Program::push`] / [`Program::set_body`] so the fingerprint stays
-    /// in sync.
+    /// [`Program::push`] / [`Program::set_body`] so the memo is dropped.
     pub(crate) body: Vec<Stmt>,
-    /// Running hash of the buffer table. Kept separate from `fp_vars` so
-    /// the fingerprint is truly structural: interleaving `buffer()` and
-    /// `var()` calls differently (as codec replay does) must not change
-    /// the fingerprint of a structurally equal program.
-    fp_bufs: u64,
-    /// Running hash of the variable table.
-    fp_vars: u64,
-    /// Running hash of the statement list.
-    fp_body: u64,
+    /// The memoised compile outcome — a compile error is an outcome too.
+    code: Arc<OnceLock<Result<Compiled>>>,
 }
 
 impl PartialEq for Program {
     fn eq(&self, other: &Program) -> bool {
-        // Structural equality only; the fingerprints are derived state.
+        // Structural equality only; the compiled form is derived state.
         self.buffers == other.buffers && self.vars == other.vars && self.body == other.body
-    }
-}
-
-/// Deterministic 64-bit fold (FNV-style mixing of SipHash'd items): the
-/// fingerprint must be stable for a given construction sequence within a
-/// process, and incremental so builders stay O(added structure).
-fn fp_mix(acc: u64, item: u64) -> u64 {
-    (acc ^ item).wrapping_mul(0x100_0000_01b3).rotate_left(29)
-}
-
-fn fp_item(f: impl FnOnce(&mut std::collections::hash_map::DefaultHasher)) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    f(&mut h);
-    h.finish()
-}
-
-fn hash_expr(e: &Expr, h: &mut impl Hasher) {
-    std::mem::discriminant(e).hash(h);
-    match e {
-        // f32 constants hash by bit pattern (NaN payloads included), like
-        // the bytecode compiler's constant table.
-        Expr::ConstF(v) => v.to_bits().hash(h),
-        Expr::ConstI(v) => v.hash(h),
-        Expr::Var(v) => v.0.hash(h),
-        Expr::Load(b, i) => {
-            b.0.hash(h);
-            hash_expr(i, h);
-        }
-        Expr::Bin(op, a, b) => {
-            op.hash(h);
-            hash_expr(a, h);
-            hash_expr(b, h);
-        }
-        Expr::Un(op, a) => {
-            op.hash(h);
-            hash_expr(a, h);
-        }
-        Expr::Select(c, a, b) => {
-            hash_expr(c, h);
-            hash_expr(a, h);
-            hash_expr(b, h);
-        }
-        Expr::Cast(t, a) => {
-            t.hash(h);
-            hash_expr(a, h);
-        }
-    }
-}
-
-fn hash_stmt(s: &Stmt, h: &mut impl Hasher) {
-    std::mem::discriminant(s).hash(h);
-    match s {
-        Stmt::For { var, lower, upper, kind, body } => {
-            var.0.hash(h);
-            hash_expr(lower, h);
-            hash_expr(upper, h);
-            match kind {
-                LoopKind::Serial => 0u8.hash(h),
-                LoopKind::Parallel => 1u8.hash(h),
-                LoopKind::Vectorize(w) => {
-                    2u8.hash(h);
-                    w.hash(h);
-                }
-                LoopKind::Unroll(w) => {
-                    3u8.hash(h);
-                    w.hash(h);
-                }
-            }
-            body.len().hash(h);
-            for s in body {
-                hash_stmt(s, h);
-            }
-        }
-        Stmt::If { cond, then, else_ } => {
-            hash_expr(cond, h);
-            then.len().hash(h);
-            for s in then {
-                hash_stmt(s, h);
-            }
-            else_.len().hash(h);
-            for s in else_ {
-                hash_stmt(s, h);
-            }
-        }
-        Stmt::Store { buf, index, value } => {
-            buf.0.hash(h);
-            hash_expr(index, h);
-            hash_expr(value, h);
-        }
-        Stmt::Let { var, value } => {
-            var.0.hash(h);
-            hash_expr(value, h);
-        }
     }
 }
 
@@ -236,34 +184,21 @@ impl Program {
 
     /// Declares a buffer of `size` `f32` elements.
     pub fn buffer(&mut self, name: &str, size: usize) -> BufId {
+        self.invalidate();
         self.buffers.push((name.to_string(), size));
-        self.fp_bufs = fp_mix(
-            self.fp_bufs,
-            fp_item(|h| {
-                b"buf".hash(h);
-                name.hash(h);
-                size.hash(h);
-            }),
-        );
         BufId((self.buffers.len() - 1) as u32)
     }
 
     /// Declares a scalar variable slot.
     pub fn var(&mut self, name: &str) -> Var {
+        self.invalidate();
         self.vars.push(name.to_string());
-        self.fp_vars = fp_mix(
-            self.fp_vars,
-            fp_item(|h| {
-                b"var".hash(h);
-                name.hash(h);
-            }),
-        );
         Var((self.vars.len() - 1) as u32)
     }
 
     /// Appends a top-level statement.
     pub fn push(&mut self, s: Stmt) {
-        self.fp_body = fp_mix(self.fp_body, fp_item(|h| hash_stmt(&s, h)));
+        self.invalidate();
         self.body.push(s);
     }
 
@@ -273,23 +208,44 @@ impl Program {
     }
 
     /// Replaces the whole statement list (lowering pipelines build bodies
-    /// out-of-line). The fingerprint is recomputed from the new body.
+    /// out-of-line).
     pub fn set_body(&mut self, body: Vec<Stmt>) {
-        self.fp_body = 0;
-        for s in &body {
-            self.fp_body = fp_mix(self.fp_body, fp_item(|h| hash_stmt(s, h)));
-        }
+        self.invalidate();
         self.body = body;
     }
 
-    /// A 64-bit structural fingerprint of the program (declarations and
-    /// statements, `f32` constants by bit pattern), maintained
-    /// incrementally by the builders. Two structurally equal programs
-    /// always have equal fingerprints; [`crate::Machine::run`] keys its
-    /// compiled-bytecode cache on this value, making the repeated-run
-    /// cache hit O(1) instead of an O(program) equality walk.
-    pub fn fingerprint(&self) -> u64 {
-        fp_mix(fp_mix(fp_mix(0x7472_616d_6973_7531, self.fp_bufs), self.fp_vars), self.fp_body)
+    /// Drops the memoised compiled form before a mutation. The old slot
+    /// stays with the clones that share it (they are unchanged).
+    fn invalidate(&mut self) {
+        self.code = Arc::default();
+    }
+
+    /// The program's compiled form, built by [`crate::opt::compile_program`]
+    /// on the first call and shared with every clone.
+    ///
+    /// # Errors
+    ///
+    /// The compile error, memoised like a success: every call returns an
+    /// equal [`crate::Error`].
+    pub fn compiled(&self) -> Result<&Compiled> {
+        self.compiled_or_build().0
+    }
+
+    /// [`Program::compiled`], also reporting whether this call had to
+    /// build the form (the `vm.bc_cache.*` distinction).
+    pub(crate) fn compiled_or_build(&self) -> (Result<&Compiled>, bool) {
+        let mut built = false;
+        let outcome = self.code.get_or_init(|| {
+            built = true;
+            crate::opt::compile_program(self).map(Compiled::new)
+        });
+        (outcome.as_ref().map_err(Clone::clone), built)
+    }
+
+    /// Installs bytecode decoded and validated against this program as
+    /// its compiled form ([`crate::codec::decode_bc_into`]).
+    pub(crate) fn install_bytecode(&mut self, bc: BcProgram) {
+        self.code = Arc::new(OnceLock::from(Ok(Compiled::new(bc))));
     }
 
     /// Number of declared buffers.
@@ -475,41 +431,69 @@ mod tests {
         assert_ne!(i, j);
     }
 
+    fn fill(c: f32) -> Program {
+        let mut p = Program::new();
+        let a = p.buffer("A", 10);
+        let i = p.var("i");
+        p.push(Stmt::serial(
+            i,
+            Expr::i64(0),
+            Expr::i64(10),
+            vec![Stmt::store(a, Expr::var(i), Expr::f32(c))],
+        ));
+        p
+    }
+
     #[test]
-    fn fingerprint_tracks_structure() {
-        let build = |c: f32| {
-            let mut p = Program::new();
-            let a = p.buffer("A", 10);
-            let i = p.var("i");
-            p.push(Stmt::serial(
-                i,
-                Expr::i64(0),
-                Expr::i64(10),
-                vec![Stmt::store(a, Expr::var(i), Expr::f32(c))],
-            ));
-            p
-        };
-        // Equal structure => equal fingerprint (the cache-hit direction).
-        assert_eq!(build(1.0), build(1.0));
-        assert_eq!(build(1.0).fingerprint(), build(1.0).fingerprint());
-        // Different constants, names, or bodies => different fingerprints.
-        assert_ne!(build(1.0).fingerprint(), build(2.0).fingerprint());
-        let mut renamed = Program::new();
-        renamed.buffer("B", 10);
-        renamed.var("i");
-        assert_ne!(
-            build(1.0).fingerprint(),
-            {
-                renamed.push(build(1.0).body()[0].clone());
-                renamed.fingerprint()
-            }
-        );
-        // set_body keeps the fingerprint in sync with the new statements.
-        let mut p = build(1.0);
-        let q = build(2.0);
-        p.set_body(q.body().to_vec());
-        assert_eq!(p.fingerprint(), q.fingerprint());
-        assert_ne!(p.fingerprint(), build(1.0).fingerprint());
+    fn equality_is_structural_and_ignores_the_compiled_form() {
+        let p = fill(1.0);
+        p.compiled().unwrap();
+        assert_eq!(p, fill(1.0));
+        assert_ne!(p, fill(2.0));
+    }
+
+    #[test]
+    fn clones_share_the_compiled_form_and_builders_drop_it() {
+        let p = fill(1.0);
+        let q = p.clone();
+        // Compiling through either handle fills the one shared slot.
+        let code: *const Compiled = q.compiled().unwrap();
+        assert!(std::ptr::eq(code, p.compiled().unwrap()));
+        assert!(!p.compiled_or_build().1, "second call must not rebuild");
+
+        // Each `&mut` builder detaches the mutated program and leaves the
+        // clone's code alone.
+        let muts: [fn(&mut Program); 4] = [
+            |p| {
+                p.buffer("B", 1);
+            },
+            |p| {
+                p.var("j");
+            },
+            |p| p.push(Stmt::let_(Var(0), Expr::i64(0))),
+            |p| p.set_body(fill(2.0).body().to_vec()),
+        ];
+        for m in muts {
+            let mut r = p.clone();
+            m(&mut r);
+            assert!(r.compiled_or_build().1, "mutated program must recompile");
+            assert!(std::ptr::eq(code, p.compiled().unwrap()));
+        }
+    }
+
+    #[test]
+    fn compile_errors_are_memoised() {
+        let mut p = Program::new();
+        let a = p.buffer("A", 1);
+        // An i64 value stored into an f32 buffer.
+        p.push(Stmt::store(a, Expr::i64(0), Expr::i64(1)));
+        let (first, built) = p.compiled_or_build();
+        let first = first.unwrap_err();
+        assert!(built && matches!(first, crate::Error::Type(_)));
+        let q = p.clone();
+        let (again, built) = q.compiled_or_build();
+        assert_eq!(again.unwrap_err(), first);
+        assert!(!built, "the error is the memoised outcome, not a retry");
     }
 
     #[test]

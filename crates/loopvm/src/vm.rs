@@ -397,61 +397,28 @@ pub struct Machine {
     cost: CostModel,
     bases: Vec<u64>,
     mode: ExecMode,
-    /// Compiled-bytecode LRU keyed by [`Program::fingerprint`]: repeated
-    /// `run()` calls on structurally identical programs (the
-    /// benchmark/driver pattern) hit in O(1) instead of re-optimizing,
-    /// and a driver alternating between a few programs (e.g. the
-    /// differential harness's per-backend variants) keeps all of them
-    /// warm. Bounded — see [`Machine::set_cache_capacity`].
-    bc_cache: crate::cache::Lru<u64, CachedProgram>,
 }
 
-/// One [`Machine`] cache entry: the bytecode plus its native compilation
-/// state. JIT compilation is lazy (first `run` in [`ExecMode::Jit`]) and
-/// attempted once — an unsupported program stays on the interpreter
-/// without retrying per run.
-struct CachedProgram {
-    bc: BcProgram,
-    jit: JitSlot,
-}
-
-enum JitSlot {
-    /// No JIT compile attempted yet (fresh entry, or only interpreted).
-    NotTried,
-    /// The JIT declined this program; run the bytecode interpreter.
-    Unsupported,
-    /// Compiled native code, shared so `run` can release the cache borrow.
-    Ready(std::sync::Arc<crate::jit::JitProgram>),
-}
-
-/// Default [`Machine`] bytecode-cache capacity (entries). Big enough to
-/// keep every program a typical driver alternates between; small enough
-/// that abandoned programs don't accumulate.
-pub const DEFAULT_BC_CACHE_CAPACITY: usize = 16;
-
-/// Always-on process-wide VM metrics: bytecode-cache traffic summed over
-/// every [`Machine`] (per-machine counts stay on [`Machine::cache_stats`];
-/// the globals are derived from the same [`crate::cache::CacheStats`]
-/// deltas, never counted independently), JIT compile outcomes, and
-/// per-tier run latency histograms.
-struct VmMetrics {
+/// Always-on process-wide VM metrics: whether [`Machine::run`] found a
+/// program's compiled form or had to build it (`vm.bc_cache.*`), JIT
+/// compile outcomes (recorded by [`crate::Compiled::jit`]), and per-tier
+/// run latency histograms.
+pub(crate) struct VmMetrics {
     bc_cache_hits: std::sync::Arc<telemetry::metrics::Counter>,
     bc_cache_misses: std::sync::Arc<telemetry::metrics::Counter>,
-    bc_cache_evictions: std::sync::Arc<telemetry::metrics::Counter>,
-    jit_compiles: std::sync::Arc<telemetry::metrics::Counter>,
-    jit_fallbacks: std::sync::Arc<telemetry::metrics::Counter>,
-    jit_compile_us: std::sync::Arc<telemetry::metrics::Histogram>,
+    pub(crate) jit_compiles: std::sync::Arc<telemetry::metrics::Counter>,
+    pub(crate) jit_fallbacks: std::sync::Arc<telemetry::metrics::Counter>,
+    pub(crate) jit_compile_us: std::sync::Arc<telemetry::metrics::Histogram>,
     run_jit_us: std::sync::Arc<telemetry::metrics::Histogram>,
     run_bytecode_us: std::sync::Arc<telemetry::metrics::Histogram>,
     run_tree_walk_us: std::sync::Arc<telemetry::metrics::Histogram>,
 }
 
-fn vm_metrics() -> &'static VmMetrics {
+pub(crate) fn vm_metrics() -> &'static VmMetrics {
     static M: std::sync::OnceLock<VmMetrics> = std::sync::OnceLock::new();
     M.get_or_init(|| VmMetrics {
         bc_cache_hits: telemetry::metrics::counter("vm.bc_cache.hits"),
         bc_cache_misses: telemetry::metrics::counter("vm.bc_cache.misses"),
-        bc_cache_evictions: telemetry::metrics::counter("vm.bc_cache.evictions"),
         jit_compiles: telemetry::metrics::counter("vm.jit.compiles"),
         jit_fallbacks: telemetry::metrics::counter("vm.jit.fallbacks"),
         jit_compile_us: telemetry::metrics::histogram("vm.jit.compile_us"),
@@ -501,32 +468,7 @@ impl Machine {
             cost: CostModel::default(),
             bases,
             mode: default_exec_mode(),
-            bc_cache: crate::cache::Lru::new(DEFAULT_BC_CACHE_CAPACITY),
         }
-    }
-
-    /// Re-bounds the compiled-bytecode cache used by [`Machine::run`],
-    /// evicting least-recently-used entries if it shrinks. A capacity of
-    /// `0` disables caching entirely (every `run()` recompiles).
-    pub fn set_cache_capacity(&mut self, capacity: usize) {
-        self.bc_cache.set_capacity(capacity);
-    }
-
-    /// The compiled-bytecode cache's capacity bound.
-    pub fn cache_capacity(&self) -> usize {
-        self.bc_cache.capacity()
-    }
-
-    /// Entries currently resident in the compiled-bytecode cache.
-    pub fn cache_len(&self) -> usize {
-        self.bc_cache.len()
-    }
-
-    /// Hit/miss/eviction counters of the compiled-bytecode cache. Only
-    /// [`Machine::run`] in bytecode mode touches the cache, so tree-walk
-    /// runs and explicit [`Machine::run_bytecode`] calls don't move these.
-    pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.bc_cache.stats()
     }
 
     /// Sets the cost model used by [`Machine::run_with_stats`].
@@ -578,75 +520,37 @@ impl Machine {
     }
 
     /// Runs the program with the configured evaluator (by default the
-    /// optimized register bytecode; see [`Machine::set_exec_mode`]).
+    /// native tier where it exists, else the optimized register bytecode;
+    /// see [`Machine::set_exec_mode`]).
     ///
-    /// The compiled bytecode of the most recent program is cached keyed
-    /// on [`Program::fingerprint`] (a hash maintained incrementally at
-    /// construction): repeated `run()` calls on a structurally identical
-    /// [`Program`] hit the cache in O(1) instead of re-optimizing
-    /// (running a different program — or the same program after
-    /// [`Program::set_body`] — recompiles). To manage compilation
-    /// explicitly, use [`crate::opt::compile_program`] +
-    /// [`Machine::run_bytecode`].
+    /// The code that runs is the program's own [`Program::compiled`] form:
+    /// built on the first run of a bare program, already present when a
+    /// compiler produced the program (`optimize`, artifact decode), and
+    /// dropped by any mutation, so a changed program recompiles.
     ///
     /// # Errors
     ///
     /// Type errors at bytecode compilation and out-of-bounds accesses at
     /// runtime.
     pub fn run(&mut self, p: &Program) -> Result<()> {
-        match self.mode {
-            ExecMode::Bytecode | ExecMode::Jit => {
-                // Take (not borrow) the cached program so `run_bytecode`
-                // can borrow `self` mutably, then put it back as MRU.
-                let fp = p.fingerprint();
-                let before = self.bc_cache.stats();
-                let mut entry = match self.bc_cache.take(&fp) {
-                    Some(e) => e,
-                    None => CachedProgram {
-                        bc: crate::opt::compile_program(p)?,
-                        jit: JitSlot::NotTried,
-                    },
-                };
-                // The bytecode profiler lives in the interpreter, so
-                // profiled runs stay on bytecode even in Jit mode.
-                let want_jit = self.mode == ExecMode::Jit && !telemetry::profile_enabled();
-                if want_jit && matches!(entry.jit, JitSlot::NotTried) {
-                    let m = vm_metrics();
-                    let t0 = std::time::Instant::now();
-                    entry.jit = match crate::jit::compile(&entry.bc) {
-                        Some(j) => {
-                            m.jit_compiles.inc();
-                            JitSlot::Ready(std::sync::Arc::new(j))
-                        }
-                        None => {
-                            m.jit_fallbacks.inc();
-                            JitSlot::Unsupported
-                        }
-                    };
-                    m.jit_compile_us.record_duration(t0.elapsed());
-                }
-                let r = match (&entry.jit, want_jit) {
-                    (JitSlot::Ready(j), true) => {
-                        let j = std::sync::Arc::clone(j);
-                        self.run_jit(&j)
-                    }
-                    _ => self.run_bytecode(&entry.bc),
-                };
-                self.bc_cache.insert(fp, entry);
-                let after = self.bc_cache.stats();
-                let m = vm_metrics();
-                m.bc_cache_hits.add(after.hits - before.hits);
-                m.bc_cache_misses.add(after.misses - before.misses);
-                m.bc_cache_evictions.add(after.evictions - before.evictions);
-                self.mirror_cache_counters();
-                r
-            }
-            ExecMode::TreeWalk => {
-                let t0 = std::time::Instant::now();
-                let r = self.run_inner::<false>(p).map(|_| ());
-                vm_metrics().run_tree_walk_us.record_duration(t0.elapsed());
-                r
-            }
+        if self.mode == ExecMode::TreeWalk {
+            return self.run_tree_walk(p);
+        }
+        let (code, built) = p.compiled_or_build();
+        let m = vm_metrics();
+        let traffic = if built { &m.bc_cache_misses } else { &m.bc_cache_hits };
+        traffic.inc();
+        let code = code?;
+        // The bytecode profiler lives in the interpreter, so profiled
+        // runs stay on bytecode even in Jit mode.
+        let jit = if self.mode == ExecMode::Jit && !telemetry::profile_enabled() {
+            code.jit()
+        } else {
+            None
+        };
+        match jit {
+            Some(j) => self.run_jit(j),
+            None => self.run_bytecode(code.bytecode()),
         }
     }
 
@@ -667,18 +571,6 @@ impl Machine {
         r
     }
 
-    /// Samples the bytecode cache's cumulative hit/miss/eviction counters
-    /// into the telemetry timeline (next to the `service` cache tiers).
-    /// No-op when profiling is off.
-    fn mirror_cache_counters(&self) {
-        if telemetry::profile_enabled() {
-            let s = self.bc_cache.stats();
-            telemetry::counter("vm", "bc-cache hits", s.hits as f64);
-            telemetry::counter("vm", "bc-cache misses", s.misses as f64);
-            telemetry::counter("vm", "bc-cache evictions", s.evictions as f64);
-        }
-    }
-
     /// Runs the program with the reference tree-walk evaluator regardless
     /// of the configured mode (differential baseline).
     ///
@@ -686,13 +578,15 @@ impl Machine {
     ///
     /// Same as [`Machine::run`].
     pub fn run_tree_walk(&mut self, p: &Program) -> Result<()> {
-        self.run_inner::<false>(p).map(|_| ())
+        let t0 = std::time::Instant::now();
+        let r = self.run_body_inner::<false>(p, p.body()).map(|_| ());
+        vm_metrics().run_tree_walk_us.record_duration(t0.elapsed());
+        r
     }
 
     /// Runs a precompiled bytecode program (see
-    /// [`crate::opt::compile_program`]); [`Machine::run`] compiles and
-    /// runs in one step, this entry point amortizes compilation across
-    /// runs.
+    /// [`crate::opt::compile_program`]) for callers that manage
+    /// compilation themselves.
     ///
     /// The program must have been compiled from the same [`Program`] this
     /// machine was built for (buffer and variable spaces must match).
@@ -701,27 +595,7 @@ impl Machine {
     ///
     /// Out-of-bounds accesses at runtime.
     pub fn run_bytecode(&mut self, bc: &BcProgram) -> Result<()> {
-        let _sp = telemetry::span("vm", "run_bytecode");
-        let t0 = std::time::Instant::now();
-        let mut ctx = BcCtx {
-            bufs: &self.bufs,
-            threads: self.threads,
-            frame: vec![0i64; bc.n_vars],
-            ir: vec![0i64; bc.n_iregs as usize],
-            fr: vec![0f32; bc.n_fregs as usize],
-            vir: vec![[0i64; LANES]; bc.n_iregs as usize],
-            vfr: vec![[0f32; LANES]; bc.n_fregs as usize],
-            vset: vec![false; bc.n_iregs as usize],
-            vfset: vec![false; bc.n_fregs as usize],
-            prof: telemetry::profile_enabled().then(Box::<BcProf>::default),
-        };
-        let r = bc_run_insts(&bc.prologue, &mut ctx)
-            .and_then(|()| bc_exec_block(&bc.body, &mut ctx));
-        vm_metrics().run_bytecode_us.record_duration(t0.elapsed());
-        if let Some(p) = ctx.prof.take() {
-            p.emit(&bc.var_names);
-        }
-        r
+        self.run_bytecode_with_frame(bc, &[])
     }
 
     /// Like [`Machine::run_bytecode`], but seeds the variable frame with
@@ -731,7 +605,7 @@ impl Machine {
     /// variable, instead of baking the rank into the program and
     /// compiling per rank.
     ///
-    /// Unbound variables start at `0`, matching [`Machine::run_bytecode`].
+    /// Unbound variables start at `0`.
     ///
     /// # Errors
     ///
@@ -775,7 +649,7 @@ impl Machine {
     ///
     /// Same as [`Machine::run`].
     pub fn run_with_stats(&mut self, p: &Program) -> Result<RunStats> {
-        self.run_inner::<true>(p)
+        self.run_body_inner::<true>(p, p.body())
     }
 
     /// Runs an arbitrary statement list against this machine's storage
@@ -800,27 +674,6 @@ impl Machine {
 
     fn run_body_inner<const STATS: bool>(&mut self, p: &Program, body: &[Stmt]) -> Result<RunStats> {
         let compiled: Vec<CStmt> = body.iter().map(compile_stmt).collect::<Result<_>>()?;
-        let mut ctx = ExecCtx {
-            bufs: &self.bufs,
-            bases: &self.bases,
-            threads: self.threads,
-            frame: vec![0i64; p.n_vars()],
-            istack: Vec::with_capacity(16),
-            fstack: Vec::with_capacity(16),
-            vistack: Vec::with_capacity(16),
-            vfstack: Vec::with_capacity(16),
-            stats: RunStats::default(),
-            cache: CacheSim::new(self.cost),
-            parallel_depth: 0,
-        };
-        exec_block::<STATS>(&compiled, &mut ctx)?;
-        ctx.stats.l1_misses = ctx.cache.l1_misses;
-        ctx.stats.l2_misses = ctx.cache.l2_misses;
-        Ok(ctx.stats)
-    }
-
-    fn run_inner<const STATS: bool>(&mut self, p: &Program) -> Result<RunStats> {
-        let compiled: Vec<CStmt> = p.body.iter().map(compile_stmt).collect::<Result<_>>()?;
         let mut ctx = ExecCtx {
             bufs: &self.bufs,
             bases: &self.bases,
@@ -1389,59 +1242,25 @@ fn veval<const STATS: bool>(
 
 /// Evaluates a load-free integer expression with the given variable
 /// bindings (used by runtimes to evaluate message sizes, ranks and
-/// offsets).
+/// offsets): [`ScalarThunk::compile`] then [`ScalarThunk::eval`] in one
+/// step. Unbound variables read as `0`.
 ///
 /// # Errors
 ///
 /// [`Error::Type`] for non-integer expressions and
-/// [`Error::Structure`] when the expression loads from a buffer.
-pub fn eval_scalar(p: &Program, e: &Expr, bindings: &[(crate::expr::Var, i64)]) -> Result<i64> {
-    let code = compile(e)?;
-    if code.ty != Ty::I64 {
-        return Err(Error::Type("eval_scalar needs an integer expression".into()));
-    }
-    let mut frame = vec![0i64; p.n_vars()];
-    for (v, val) in bindings {
-        frame[v.index()] = *val;
-    }
-    let mut istack: Vec<i64> = Vec::new();
-    let mut fstack: Vec<f32> = Vec::new();
-    for op in &code.ops {
-        match *op {
-            Op::PushF(v) => fstack.push(v),
-            Op::PushI(v) => istack.push(v),
-            Op::LoadVar(v) => istack.push(frame[v as usize]),
-            Op::Load(_) => {
-                return Err(Error::Structure("eval_scalar cannot load buffers".into()))
-            }
-            Op::BinI(op) => {
-                let b = istack.pop().unwrap();
-                let a = istack.pop().unwrap();
-                istack.push(apply_i(op, a, b));
-            }
-            Op::CmpI(op) => {
-                let b = istack.pop().unwrap();
-                let a = istack.pop().unwrap();
-                istack.push(cmp_i(op, a, b));
-            }
-            Op::UnI(op) => {
-                let a = istack.pop().unwrap();
-                istack.push(apply_un_i(op, a));
-            }
-            Op::SelI => {
-                let b = istack.pop().unwrap();
-                let a = istack.pop().unwrap();
-                let c = istack.pop().unwrap();
-                istack.push(if c != 0 { a } else { b });
-            }
-            _ => return Err(Error::Type("eval_scalar needs a pure integer expression".into())),
-        }
-    }
-    Ok(istack.pop().unwrap())
+/// [`Error::Structure`] when the expression loads from a buffer — both
+/// found by validating the whole expression first, so they are reported
+/// even when a division by zero precedes them in evaluation order.
+///
+/// # Panics
+///
+/// Division/remainder by zero.
+pub fn eval_scalar(e: &Expr, bindings: &[(crate::expr::Var, i64)]) -> Result<i64> {
+    Ok(ScalarThunk::compile(e)?.eval(bindings))
 }
 
-/// A pre-compiled load-free integer expression: [`eval_scalar`] split
-/// into a compile-once / evaluate-many pair.
+/// A pre-compiled load-free integer expression: the compile-once /
+/// evaluate-many form of [`eval_scalar`].
 ///
 /// Runtimes that evaluate the same address expressions repeatedly (the
 /// distributed simulator re-derives send/recv destination, offset and
@@ -1458,7 +1277,6 @@ impl ScalarThunk {
     ///
     /// # Errors
     ///
-    /// The same errors, with the same messages, as [`eval_scalar`]:
     /// [`Error::Type`] for non-integer expressions and
     /// [`Error::Structure`] when the expression loads from a buffer.
     pub fn compile(e: &Expr) -> Result<ScalarThunk> {
@@ -1466,9 +1284,8 @@ impl ScalarThunk {
         if code.ty != Ty::I64 {
             return Err(Error::Type("eval_scalar needs an integer expression".into()));
         }
-        // Validate eagerly, in evaluation order, so `compile` rejects
-        // exactly the expressions `eval_scalar` would reject (stack code
-        // is straight-line: every op always executes).
+        // Stack code is straight-line (every op always executes), so
+        // validating once here lets `eval` assume integer ops only.
         for op in &code.ops {
             match op {
                 Op::PushI(_) | Op::LoadVar(_) | Op::BinI(_) | Op::CmpI(_) | Op::UnI(_)
@@ -1487,11 +1304,11 @@ impl ScalarThunk {
     }
 
     /// Evaluates the thunk. Variables not present in `bindings` read as
-    /// `0`, matching [`eval_scalar`]'s zero-initialized frame.
+    /// `0`.
     ///
     /// # Panics
     ///
-    /// Division/remainder by zero panics, exactly as [`eval_scalar`] does.
+    /// Division/remainder by zero.
     #[must_use]
     pub fn eval(&self, bindings: &[(crate::expr::Var, i64)]) -> i64 {
         let mut istack: Vec<i64> = Vec::with_capacity(8);
@@ -2117,40 +1934,40 @@ mod tests {
     }
 
     #[test]
-    fn run_caches_bytecode_with_lru_eviction() {
-        // Two structurally different programs over the same declarations.
-        let (p1, _, _) = saxpy_program(LoopKind::Serial, 10);
-        let (p2, _, _) = saxpy_program(LoopKind::Unroll(2), 10);
-        let mut m = Machine::new(&p1);
-        // Pin a cache-using mode so LOOPVM_TREEWALK in the environment
-        // can't reroute `run` around the LRU under test.
-        m.set_exec_mode(ExecMode::Bytecode);
-        assert_eq!(m.cache_capacity(), DEFAULT_BC_CACHE_CAPACITY);
+    fn run_tree_walk_records_its_histogram_like_run_in_tree_walk_mode() {
+        let (p, _, _) = saxpy_program(LoopKind::Serial, 4);
+        let mut m = Machine::new(&p);
+        let h = &vm_metrics().run_tree_walk_us;
+        // Other tests record concurrently: each call adds at least one.
+        let before = h.snapshot().count;
+        m.run_tree_walk(&p).unwrap();
+        let direct = h.snapshot().count;
+        assert!(direct > before, "run_tree_walk skipped vm.run.tree_walk_us");
+        m.set_exec_mode(ExecMode::TreeWalk);
+        m.run(&p).unwrap();
+        assert!(h.snapshot().count > direct);
+    }
 
-        m.run(&p1).unwrap(); // miss, compiles
-        m.run(&p1).unwrap(); // hit
-        m.run(&p2).unwrap(); // miss
-        m.run(&p1).unwrap(); // hit — both stay warm under the default bound
-        let s = m.cache_stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (2, 2, 0));
-
-        // Shrink to one entry: the LRU program (p2) is evicted.
-        m.set_cache_capacity(1);
-        assert_eq!(m.cache_stats().evictions, 1);
-        m.run(&p1).unwrap(); // still cached (MRU survived)
-        assert_eq!(m.cache_stats().hits, 3);
-        m.run(&p2).unwrap(); // recompile, evicts p1
-        m.run(&p1).unwrap(); // recompile again
-        let s = m.cache_stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (3, 4, 3));
-
-        // Capacity 0 disables caching entirely.
-        m.set_cache_capacity(0);
-        m.run(&p1).unwrap();
-        m.run(&p1).unwrap();
-        let s = m.cache_stats();
-        assert_eq!(s.hits, 3);
-        assert_eq!(s.misses, 6);
+    #[test]
+    fn eval_scalar_validates_before_it_evaluates() {
+        let mut p = Program::new();
+        let b = p.buffer("b", 1);
+        let boom = || Expr::i64(1) / Expr::i64(0);
+        // A type or structure error after a `/0` in evaluation order is
+        // reported instead of the panic (validation walks the whole
+        // expression first) ...
+        let float_cmp = boom() + Expr::lt(Expr::f32(1.0), Expr::f32(2.0));
+        assert!(matches!(eval_scalar(&float_cmp, &[]), Err(Error::Type(_))));
+        let load = boom() + Expr::to_i64(Expr::load(b, Expr::i64(0)));
+        assert!(matches!(eval_scalar(&load, &[]), Err(Error::Structure(_))));
+        // ... and a valid expression still panics on the division itself.
+        let r = std::panic::catch_unwind(|| eval_scalar(&boom(), &[]));
+        assert!(r.is_err(), "1/0 must panic");
+        // Bound and unbound variables.
+        let v = p.var("v");
+        let w = p.var("w");
+        let e = Expr::var(v) * Expr::i64(3) + Expr::var(w);
+        assert_eq!(eval_scalar(&e, &[(v, 5)]), Ok(15));
     }
 
     #[test]

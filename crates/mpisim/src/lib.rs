@@ -831,7 +831,7 @@ fn run_rank(
                 };
             }
         }
-        eval_scalar(&dist.program, e, &bindings)
+        eval_scalar(e, &bindings)
     };
 
     // Iterative interpretation via an explicit work list of (slice, pos).

@@ -105,7 +105,7 @@ fn walk_rank(
             DistStmt::Compute(_) => {}
             DistStmt::Barrier => events.barriers += 1,
             DistStmt::If { cond, body: inner } => {
-                match eval_scalar(&dist.program, cond, &bindings) {
+                match eval_scalar(cond, &bindings) {
                     Ok(c) => {
                         if c != 0 {
                             frames.push((inner, 0));
@@ -115,7 +115,7 @@ fn walk_rank(
                 }
             }
             DistStmt::Send { dest, .. } => {
-                match eval_scalar(&dist.program, dest, &bindings) {
+                match eval_scalar(dest, &bindings) {
                     Ok(d) => {
                         // Out-of-range destinations are skipped at runtime
                         // (guarded edge-of-rank-space sends); mirror that.
@@ -127,7 +127,7 @@ fn walk_rank(
                 }
             }
             DistStmt::Recv { src, .. } => {
-                match eval_scalar(&dist.program, src, &bindings) {
+                match eval_scalar(src, &bindings) {
                     Ok(s) => {
                         if s >= 0 && (s as usize) < n_ranks {
                             *events.recvs.entry((s as usize, rank)).or_insert(0) += 1;

@@ -1,21 +1,47 @@
-//! A minimal JSON reader for the benchmark snapshot.
+//! The workspace's one JSON reader and its string-escape routine.
 //!
-//! The vendored serde is a stub, so `BENCH_figures.json` is both written
-//! (by the `figures` binary, hand-formatted) and read (by the
-//! perf-regression gate, via this module) without external crates. The
-//! parser covers exactly the JSON the snapshot uses — objects, arrays,
-//! strings with basic escapes, finite numbers, `true`/`false`/`null` —
-//! and keeps object members in file order so diffs read naturally.
+//! The vendored serde is a stub, so every JSON document the workspace
+//! emits (Chrome traces, metrics snapshots, flight dumps,
+//! `BENCH_figures.json`, benchmark result lines) is hand-formatted with
+//! [`jstr`], and everything that reads one back (the `figures -- check`
+//! gate, the benchmark driver, the export tests) goes through [`parse`].
+//! The parser covers objects, arrays, strings with the standard escapes,
+//! finite numbers and `true`/`false`/`null`, and keeps object members in
+//! file order so diffs read naturally.
+
+use std::fmt::Write as _;
+
+/// JSON string literal with escaping.
+#[must_use]
+pub fn jstr(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// A parsed JSON value. Object members preserve insertion order (the
-/// snapshot is small; linear lookup is fine).
+/// documents are small; linear lookup is fine).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (the snapshot only writes finite doubles and integers).
+    /// Any number (the writers only emit finite doubles and integers).
     Num(f64),
     /// A string (escapes decoded).
     Str(String),
@@ -104,7 +130,8 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_num(b, pos),
+        Some(b'-' | b'0'..=b'9') => parse_num(b, pos),
+        Some(_) => Err(format!("unexpected byte at {pos}", pos = *pos)),
     }
 }
 
@@ -157,7 +184,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                             .ok_or("truncated \\u escape")?;
                         let cp = u32::from_str_radix(hex, 16)
                             .map_err(|e| format!("bad \\u escape `{hex}`: {e}"))?;
-                        // The snapshot never writes surrogate pairs;
+                        // The writers never emit surrogate pairs;
                         // unpaired surrogates map to the replacement char.
                         out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
                         *pos += 4;
@@ -165,6 +192,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
                 }
                 *pos += 1;
+            }
+            Some(0x00..=0x1f) => {
+                return Err(format!("unescaped control byte at {pos}", pos = *pos))
             }
             Some(&c) => {
                 // Multi-byte UTF-8 sequences pass through byte-wise.
@@ -269,6 +299,15 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("[1 2]").is_err());
         assert!(parse("{}x").is_err());
+        assert!(parse("\"a\nb\"").is_err(), "raw control byte in a string");
+        assert!(parse("+1").is_err());
+    }
+
+    #[test]
+    fn escaped_strings_read_back() {
+        let s = "a\"b\\c\nd\te\u{1}";
+        assert_eq!(jstr("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(parse(&jstr(s)).unwrap().as_str(), Some(s));
     }
 
     #[test]

@@ -58,7 +58,10 @@
 //! aggregate table ([`Timeline::report`]).
 
 pub mod flight;
+pub mod json;
 pub mod metrics;
+
+pub(crate) use json::jstr;
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
@@ -513,28 +516,6 @@ pub fn export_if_enabled(default_path: &str) -> Option<std::path::PathBuf> {
     }
 }
 
-/// JSON string literal with escaping (the workspace hand-rolls JSON; the
-/// vendored serde is a stub).
-pub(crate) fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Finite-number JSON rendering (integers render without a fraction).
 fn jnum(v: f64) -> String {
     if !v.is_finite() {
@@ -650,8 +631,7 @@ mod tests {
     }
 
     #[test]
-    fn escapes_json_strings() {
-        assert_eq!(jstr("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+    fn renders_json_numbers() {
         assert_eq!(jnum(3.0), "3");
         assert_eq!(jnum(3.5), "3.5");
     }

@@ -55,9 +55,8 @@ fn identical_concurrent_requests_compile_once() {
         })
         .collect();
     let modules: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let fp = modules[0].program.fingerprint();
     for m in &modules {
-        assert_eq!(m.program.fingerprint(), fp, "all callers must see the same module");
+        assert_eq!(m.program, modules[0].program, "all callers must see the same module");
     }
     let st = svc.stats();
     assert_eq!(st.compiles, 1, "identical requests must be single-flighted: {st:?}");

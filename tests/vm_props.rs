@@ -504,11 +504,12 @@ fn folded_out_loads_still_trap() {
     assert_eq!(fast_r, reference.run(&p));
 }
 
-/// `Machine::run` caches compiled bytecode keyed by the program's
-/// precomputed fingerprint: a cache hit reuses it, a mutated program
-/// (rebuilt via `set_body`, which rehashes) recompiles.
+/// A program carries its compiled form: repeated runs reuse it, clones
+/// share it, and a program rebuilt via `set_body` recompiles — it must
+/// never replay the code of the body it used to have, on the machine
+/// that ran the old body or on any other.
 #[test]
-fn bytecode_cache_tracks_program_identity() {
+fn set_body_recompiles_and_never_replays_stale_code() {
     let mut p = Program::new();
     let out = p.buffer("out", 2);
     let i = p.var("i");
@@ -520,17 +521,23 @@ fn bytecode_cache_tracks_program_identity() {
     ));
     let mut m = Machine::new(&p);
     m.run(&p).unwrap();
-    m.run(&p).unwrap(); // second run hits the cache
+    m.run(&p).unwrap(); // reuses the compiled form
     assert_eq!(m.buffer(out), &[1.0, 1.0]);
-    // Same machine, structurally different program: must recompile, not
-    // replay the stale cache entry.
+    let ones = p.clone(); // shares the compiled `1.0` body
+    let old_code: *const loopvm::Compiled = p.compiled().unwrap();
+
     let mut body = p.body().to_vec();
     if let Stmt::For { body: inner, .. } = &mut body[0] {
         inner[0] = Stmt::store(out, V::var(i), V::f32(2.0));
     }
     p.set_body(body);
+    assert!(!std::ptr::eq(old_code, p.compiled().unwrap()), "set_body kept the old code");
     m.run(&p).unwrap();
     assert_eq!(m.buffer(out), &[2.0, 2.0]);
+    // The clone taken before the mutation still runs the old body.
+    assert!(std::ptr::eq(old_code, ones.compiled().unwrap()));
+    m.run(&ones).unwrap();
+    assert_eq!(m.buffer(out), &[1.0, 1.0]);
 }
 
 /// An accumulator update drawn for the loop-carried proptest below.
