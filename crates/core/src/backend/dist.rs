@@ -39,14 +39,10 @@ impl Default for DistOptions {
 /// A compiled distributed module.
 #[derive(Debug)]
 pub struct DistModule {
-    /// The rank program (run it with [`mpisim::run`]).
+    /// The rank program (run it with [`mpisim::run`]); its compute chunks
+    /// own the bytecode the `optimize` pass compiled, which every rank runs.
     pub dist: DistProgram,
     buffer_map: HashMap<String, loopvm::BufId>,
-    /// Per-chunk bytecode compiled by the `optimize` pass (chunk 0 is the
-    /// preamble, then each compute chunk in program order). The runtime
-    /// memoizes its own copies per rank-chunk shape; this set backs
-    /// [`DistModule::disasm`] and inspection.
-    chunk_bytecode: Option<Vec<loopvm::BcProgram>>,
     trace: Option<CompileTrace>,
 }
 
@@ -61,19 +57,18 @@ impl DistModule {
         self.trace.as_ref()
     }
 
-    /// The chunk bytecode the `optimize` pass compiled (chunk 0 is the
-    /// preamble, then one program per compute chunk), if any.
-    pub fn bytecode(&self) -> Option<&[loopvm::BcProgram]> {
-        self.chunk_bytecode.as_deref()
+    /// The bytecode of each compute chunk in program order (each starts
+    /// with the preamble `let`s); `None` when a chunk does not compile.
+    pub fn bytecode(&self) -> Option<Vec<&loopvm::BcProgram>> {
+        self.dist.chunks().iter().map(|c| c.compiled().ok().map(|c| c.bytecode())).collect()
     }
 
-    /// Disassembles the stored chunk bytecode.
+    /// Disassembles the chunk bytecode.
     pub fn disasm(&self) -> Option<String> {
-        let chunks = self.chunk_bytecode.as_ref()?;
         let mut out = String::new();
-        for (k, bc) in chunks.iter().enumerate() {
+        for (k, bc) in self.bytecode()?.iter().enumerate() {
             out.push_str(&format!("// chunk {k}\n"));
-            out.push_str(&bc.disasm(&self.dist.program));
+            out.push_str(&bc.disasm(self.dist.program()));
         }
         Some(out)
     }
@@ -92,9 +87,8 @@ impl DistModule {
     pub(crate) fn from_parts(
         dist: DistProgram,
         buffer_map: HashMap<String, loopvm::BufId>,
-        chunk_bytecode: Option<Vec<loopvm::BcProgram>>,
     ) -> DistModule {
-        DistModule { dist, buffer_map, chunk_bytecode, trace: None }
+        DistModule { dist, buffer_map, trace: None }
     }
 
     /// The Tiramisu-name → VM-buffer map (for the artifact codec).
@@ -173,49 +167,34 @@ impl EmitTarget for DistTarget {
         let rank_var = lm.program.var("rank");
         self.rank_var = Some(rank_var);
         let preamble = lm.param_lets();
-        let body = layer4::interleave_comm(lm, self, roots, rank_var)?;
+        let (chunks, body) = layer4::interleave_comm(lm, self, roots, rank_var)?;
         let program = std::mem::take(&mut lm.program);
         Ok(DistModule {
-            dist: DistProgram { program, rank_var, body, preamble },
+            dist: DistProgram::new(program, rank_var, preamble, chunks, body),
             buffer_map: std::mem::take(&mut lm.buffer_map),
-            chunk_bytecode: None,
             trace: None,
         })
     }
 
     fn module_stats(&self, module: &DistModule) -> (usize, String) {
-        (layer4::count_dist_stmts(&module.dist.body), module.dist.pretty())
+        (layer4::count_dist_stmts(&module.dist, module.dist.body()), module.dist.pretty())
     }
 
-    // Compiles the preamble and each compute chunk to bytecode and stores
-    // the programs on the module (the runtime memoizes equivalent copies
-    // lazily per rank-chunk shape; these back `DistModule::disasm`).
+    // Fills each compute chunk's compiled slot: the bytecode built here is
+    // what every rank of every run executes.
     fn optimize(&mut self, module: &mut DistModule) -> Result<Option<(loopvm::OptStats, String)>> {
-        fn chunks<'a>(body: &'a [mpisim::DistStmt], out: &mut Vec<&'a [Stmt]>) {
-            for s in body {
-                match s {
-                    mpisim::DistStmt::Compute(stmts) => out.push(stmts),
-                    mpisim::DistStmt::If { body, .. } => chunks(body, out),
-                    _ => {}
-                }
-            }
-        }
         let disasm = pipeline::trace::disasm_enabled();
         let mut stats = loopvm::OptStats::default();
         let mut ir = String::new();
-        let mut bodies: Vec<&[Stmt]> = vec![&module.dist.preamble];
-        chunks(&module.dist.body, &mut bodies);
-        let mut compiled = Vec::with_capacity(bodies.len());
-        for (k, body) in bodies.iter().enumerate() {
-            let bc = loopvm::opt::compile_body(&module.dist.program, body)
+        for (k, chunk) in module.dist.chunks().iter().enumerate() {
+            let code = chunk
+                .compiled()
                 .map_err(|e| Error::Backend(format!("bytecode optimization (chunk {k}): {e}")))?;
-            stats.merge(&bc.stats());
+            stats.merge(&code.bytecode().stats());
             if disasm {
-                ir.push_str(&format!("// chunk {k}\n{}", bc.disasm(&module.dist.program)));
+                ir.push_str(&format!("// chunk {k}\n{}", code.bytecode().disasm(chunk)));
             }
-            compiled.push(bc);
         }
-        module.chunk_bytecode = Some(compiled);
         if !disasm {
             ir = stats.summary();
         }
@@ -383,7 +362,7 @@ mod tests {
         let bar = f.barrier();
         f.comm_before(bar, c);
         let m = compile(&f, &[("N", 3)], DistOptions::default()).unwrap();
-        assert!(matches!(m.dist.body[0], DistStmt::Barrier));
+        assert!(matches!(m.dist.body()[0], DistStmt::Barrier));
         let stats = m.run(3, &CommModel::default(), false).unwrap();
         assert_eq!(stats.compute.len(), 3);
     }

@@ -218,17 +218,17 @@ pub fn validate_comm(f: &Function, params: &HashMap<String, i64>) -> Result<()> 
     Ok(())
 }
 
-/// Builds the rank-program body: Layer IV ops interleaved with the
-/// computation roots at their scheduled anchors. Unanchored ops run
-/// first (declaration order); an op anchored `before` a computation is
-/// emitted ahead of the top-level loop nest containing it (the paper's
-/// `s.before(bx, root)`).
+/// Builds the rank program's compute chunks and body: Layer IV ops
+/// interleaved with the computation roots (one chunk each) at their
+/// scheduled anchors. Unanchored ops run first (declaration order); an op
+/// anchored `before` a computation is emitted ahead of the top-level loop
+/// nest containing it (the paper's `s.before(bx, root)`).
 pub(crate) fn interleave_comm<T: crate::backend::lowered::EmitTarget + ?Sized>(
     lm: &mut crate::backend::lowered::LoweredModule<'_>,
     target: &mut T,
     roots: &[crate::backend::lowered::LoopNode],
     rank_var: loopvm::Var,
-) -> Result<Vec<mpisim::DistStmt>> {
+) -> Result<(Vec<Vec<loopvm::Stmt>>, Vec<mpisim::DistStmt>)> {
     use crate::backend::lowered::comps_in;
     use mpisim::DistStmt;
     let mut unanchored: Vec<&CommOp> = Vec::new();
@@ -239,6 +239,7 @@ pub(crate) fn interleave_comm<T: crate::backend::lowered::EmitTarget + ?Sized>(
             None => unanchored.push(op),
         }
     }
+    let mut chunks = Vec::new();
     let mut body: Vec<DistStmt> = Vec::new();
     for op in &unanchored {
         body.push(lower_comm(lm, op, rank_var)?);
@@ -251,10 +252,10 @@ pub(crate) fn interleave_comm<T: crate::backend::lowered::EmitTarget + ?Sized>(
                 }
             }
         }
-        let stmts = lm.convert_nodes(std::slice::from_ref(node), target)?;
-        body.push(DistStmt::Compute(stmts));
+        body.push(DistStmt::Compute(chunks.len()));
+        chunks.push(lm.convert_nodes(std::slice::from_ref(node), target)?);
     }
-    Ok(body)
+    Ok((chunks, body))
 }
 
 /// Converts a `distribute()`-tagged loop into a rank conditional
@@ -287,12 +288,12 @@ pub(crate) fn rank_conditional<T: crate::backend::lowered::EmitTarget + ?Sized>(
 }
 
 /// VM statements under the rank-program body (comm ops count as one).
-pub(crate) fn count_dist_stmts(body: &[mpisim::DistStmt]) -> usize {
+pub(crate) fn count_dist_stmts(dist: &mpisim::DistProgram, body: &[mpisim::DistStmt]) -> usize {
     use mpisim::DistStmt;
     body.iter()
         .map(|s| match s {
-            DistStmt::Compute(stmts) => crate::backend::lowered::count_vm_stmts(stmts),
-            DistStmt::If { body, .. } => 1 + count_dist_stmts(body),
+            DistStmt::Compute(k) => crate::backend::lowered::count_vm_stmts(dist.chunk_stmts(*k)),
+            DistStmt::If { body, .. } => 1 + count_dist_stmts(dist, body),
             DistStmt::Send { .. } | DistStmt::Recv { .. } | DistStmt::Barrier => 1,
         })
         .sum()

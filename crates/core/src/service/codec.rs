@@ -113,7 +113,7 @@ pub(crate) fn encode_cpu(m: &CpuModule) -> Vec<u8> {
 /// Deserializes a CPU module (see [`encode_cpu`]).
 pub(crate) fn decode_cpu(bytes: &[u8]) -> Result<CpuModule> {
     let mut r = Reader::new(bytes);
-    let mut program = vmc::decode_program(&mut r)?;
+    let program = vmc::decode_program(&mut r)?;
     let buffer_map = decode_buffer_map(&mut r, &program)?;
     let n = r.len(9)?;
     let mut param_values = Vec::with_capacity(n);
@@ -121,7 +121,7 @@ pub(crate) fn decode_cpu(bytes: &[u8]) -> Result<CpuModule> {
         param_values.push((r.str()?, r.i64()?));
     }
     if r.bool()? {
-        vmc::decode_bc_into(&mut r, &mut program)?;
+        vmc::decode_bc_into(&mut r, &program)?;
     }
     if !r.is_empty() {
         return Err(malformed("trailing bytes after CPU module"));
@@ -279,9 +279,9 @@ fn encode_dist_stmts(body: &[DistStmt], w: &mut Writer) {
     w.usize(body.len());
     for s in body {
         match s {
-            DistStmt::Compute(stmts) => {
+            DistStmt::Compute(k) => {
                 w.u8(0);
-                vmc::encode_stmts(stmts, w);
+                w.usize(*k);
             }
             DistStmt::Send { dest, buf, offset, count, asynchronous } => {
                 w.u8(1);
@@ -308,12 +308,18 @@ fn encode_dist_stmts(body: &[DistStmt], w: &mut Writer) {
     }
 }
 
-fn decode_dist_stmts(r: &mut Reader<'_>, p: &Program) -> Result<Vec<DistStmt>> {
+fn decode_dist_stmts(r: &mut Reader<'_>, p: &Program, n_chunks: usize) -> Result<Vec<DistStmt>> {
     let n = r.len(1)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(match r.u8()? {
-            0 => DistStmt::Compute(vmc::decode_stmts(r, p)?),
+            0 => {
+                let k = r.usize()?;
+                if k >= n_chunks {
+                    return Err(malformed(format!("compute chunk {k} out of range ({n_chunks})")));
+                }
+                DistStmt::Compute(k)
+            }
             1 => DistStmt::Send {
                 dest: vmc::decode_expr(r, p)?,
                 buf: decode_buf(r, p)?,
@@ -329,7 +335,7 @@ fn decode_dist_stmts(r: &mut Reader<'_>, p: &Program) -> Result<Vec<DistStmt>> {
             },
             3 => DistStmt::If {
                 cond: vmc::decode_expr(r, p)?,
-                body: decode_dist_stmts(r, p)?,
+                body: decode_dist_stmts(r, p, n_chunks)?,
             },
             4 => DistStmt::Barrier,
             t => return Err(malformed(format!("unknown DistStmt tag {t}"))),
@@ -338,53 +344,58 @@ fn decode_dist_stmts(r: &mut Reader<'_>, p: &Program) -> Result<Vec<DistStmt>> {
     Ok(out)
 }
 
-/// Serializes a distributed module into the artifact "module" section.
+/// Serializes a distributed module into the artifact "module" section:
+/// declarations, rank variable, preamble, each chunk's own statements,
+/// the rank body, the buffer map, then each chunk's bytecode.
 pub(crate) fn encode_dist(m: &DistModule) -> Vec<u8> {
+    let d = &m.dist;
     let mut w = Writer::new();
-    vmc::encode_program(&m.dist.program, &mut w);
-    vmc::encode_var(m.dist.rank_var, &mut w);
-    vmc::encode_stmts(&m.dist.preamble, &mut w);
-    encode_dist_stmts(&m.dist.body, &mut w);
+    vmc::encode_program(d.program(), &mut w);
+    vmc::encode_var(d.rank_var(), &mut w);
+    vmc::encode_stmts(d.preamble(), &mut w);
+    w.usize(d.chunks().len());
+    for k in 0..d.chunks().len() {
+        vmc::encode_stmts(d.chunk_stmts(k), &mut w);
+    }
+    encode_dist_stmts(d.body(), &mut w);
     encode_buffer_map(m.buffer_map(), &mut w);
-    match m.bytecode() {
-        Some(chunks) => {
-            w.bool(true);
-            w.usize(chunks.len());
-            for bc in chunks {
-                vmc::encode_bc(bc, &mut w);
+    for c in d.chunks() {
+        match c.compiled() {
+            Ok(code) => {
+                w.bool(true);
+                vmc::encode_bc(code.bytecode(), &mut w);
             }
+            Err(_) => w.bool(false),
         }
-        None => w.bool(false),
     }
     w.into_vec()
 }
 
-/// Deserializes a distributed module (see [`encode_dist`]).
+/// Deserializes a distributed module (see [`encode_dist`]). Each chunk's
+/// bytecode is validated against and installed on its chunk program, so
+/// the module's first run compiles nothing.
 pub(crate) fn decode_dist(bytes: &[u8]) -> Result<DistModule> {
     let mut r = Reader::new(bytes);
     let program = vmc::decode_program(&mut r)?;
     let rank_var = vmc::decode_var(&mut r, &program)?;
     let preamble = vmc::decode_stmts(&mut r, &program)?;
-    let body = decode_dist_stmts(&mut r, &program)?;
+    let n_chunks = r.len(1)?;
+    let mut chunks = Vec::with_capacity(n_chunks);
+    for _ in 0..n_chunks {
+        chunks.push(vmc::decode_stmts(&mut r, &program)?);
+    }
+    let body = decode_dist_stmts(&mut r, &program, n_chunks)?;
     let buffer_map = decode_buffer_map(&mut r, &program)?;
-    let chunk_bytecode = if r.bool()? {
-        let n = r.len(1)?;
-        let mut chunks = Vec::with_capacity(n);
-        for _ in 0..n {
-            chunks.push(vmc::decode_bc(&mut r, &program)?);
+    let dist = DistProgram::new(program, rank_var, preamble, chunks, body);
+    for c in dist.chunks() {
+        if r.bool()? {
+            vmc::decode_bc_into(&mut r, c)?;
         }
-        Some(chunks)
-    } else {
-        None
-    };
+    }
     if !r.is_empty() {
         return Err(malformed("trailing bytes after dist module"));
     }
-    Ok(DistModule::from_parts(
-        DistProgram { program, rank_var, body, preamble },
-        buffer_map,
-        chunk_bytecode,
-    ))
+    Ok(DistModule::from_parts(dist, buffer_map))
 }
 
 #[cfg(test)]

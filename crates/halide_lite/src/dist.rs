@@ -109,6 +109,11 @@ pub fn compile_dist(
     let rank_var = local.program.var("rank");
     let send_count = halo_rows * row_elems;
 
+    let mut chunks: Vec<Vec<Stmt>> = Vec::new();
+    let mut compute = |stmts: Vec<Stmt>| {
+        chunks.push(stmts);
+        DistStmt::Compute(chunks.len() - 1)
+    };
     let mut body: Vec<DistStmt> = Vec::new();
     let (stage, pack_stmts, unpack_stmts, send_buf, send_off): (
         Option<loopvm::BufId>,
@@ -149,7 +154,7 @@ pub fn compile_dist(
         if !pack_stmts.is_empty() {
             body.push(DistStmt::If {
                 cond: VExpr::le(VExpr::i64(1), VExpr::var(rank_var)),
-                body: vec![DistStmt::Compute(pack_stmts)],
+                body: vec![compute(pack_stmts)],
             });
         }
         body.push(DistStmt::If {
@@ -180,18 +185,13 @@ pub fn compile_dist(
         if !unpack_stmts.is_empty() {
             body.push(DistStmt::If {
                 cond: VExpr::lt(VExpr::var(rank_var), VExpr::i64(ranks - 1)),
-                body: vec![DistStmt::Compute(unpack_stmts)],
+                body: vec![compute(unpack_stmts)],
             });
         }
     }
-    body.push(DistStmt::Compute(local.program.body().to_vec()));
+    body.push(compute(local.program.body().to_vec()));
 
-    let dist = DistProgram {
-        program: local.program.clone(),
-        rank_var,
-        body,
-        preamble: Vec::new(),
-    };
+    let dist = DistProgram::new(local.program.clone(), rank_var, Vec::new(), chunks, body);
     Ok(DistCompiled { dist, local, rows_per_rank, halo_rows, stage })
 }
 

@@ -31,13 +31,12 @@ pub struct DistPrep {
 }
 
 impl DistPrep {
-    /// The per-chunk bytecode the pipeline's optimize pass stored on the
-    /// module (chunk 0 is the preamble).
-    pub fn bytecode(&self) -> Option<&[loopvm::BcProgram]> {
+    /// The bytecode of each compute chunk — the code every rank runs.
+    pub fn bytecode(&self) -> Option<Vec<&loopvm::BcProgram>> {
         self.module.bytecode()
     }
 
-    /// Disassembly of the stored rank-chunk bytecode.
+    /// Disassembly of the rank-chunk bytecode.
     pub fn disasm(&self) -> Option<String> {
         self.module.disasm()
     }
@@ -54,23 +53,8 @@ impl DistPrep {
     ///
     /// Runtime errors from any rank.
     pub fn run(&self, stats_mode: bool) -> tiramisu::Result<DistStats> {
-        let bufs: Vec<_> = self
-            .inputs
-            .iter()
-            .map(|n| self.module.vm_buffer(n).expect("input buffer"))
-            .collect();
-        mpisim::run_with_init(
-            &self.module.dist,
-            self.ranks,
-            &CommModel::default(),
-            stats_mode,
-            |_rank, machine| {
-                for (k, b) in bufs.iter().enumerate() {
-                    crate::fill_buffer(machine.buffer_mut(*b), 0x5EED + k as u64);
-                }
-            },
-        )
-        .map_err(|e| tiramisu::Error::Backend(e.to_string()))
+        let opts = mpisim::RunOptions { stats_mode, ..Default::default() };
+        self.run_with_opts(&opts, |_, _| {}).map_err(|e| tiramisu::Error::Backend(e.to_string()))
     }
 
     /// Runs on the simulated cluster under full [`mpisim::RunOptions`]

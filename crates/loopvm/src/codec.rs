@@ -380,7 +380,7 @@ pub fn decode_bc(r: &mut Reader<'_>, p: &Program) -> Result<BcProgram> {
 /// [`decode_bc`], installing the validated bytecode as `p`'s compiled form
 /// so running `p` does not recompile it (native code is host-specific and
 /// never travels; [`crate::Compiled::jit`] rebuilds it from the bytecode).
-pub fn decode_bc_into(r: &mut Reader<'_>, p: &mut Program) -> Result<()> {
+pub fn decode_bc_into(r: &mut Reader<'_>, p: &Program) -> Result<()> {
     let bc = decode_bc(r, p)?;
     p.install_bytecode(bc);
     Ok(())
@@ -749,8 +749,8 @@ mod tests {
         encode_bc(p.compiled().unwrap().bytecode(), &mut w);
         let buf = w.into_vec();
         let mut r = Reader::new(&buf);
-        let mut q = decode_program(&mut r).unwrap();
-        decode_bc_into(&mut r, &mut q).unwrap();
+        let q = decode_program(&mut r).unwrap();
+        decode_bc_into(&mut r, &q).unwrap();
         let (code, built) = q.compiled_or_build();
         assert!(!built, "the installed bytecode is the compiled form");
         assert_eq!(code.unwrap().bytecode().disasm(&q), p.compiled().unwrap().bytecode().disasm(&p));

@@ -285,9 +285,12 @@ impl Collect {
         for s in body {
             match s {
                 BcStmt::For { lower, upper, kind, preamble, body, .. } => {
+                    // Both bounds are read after both bound blocks ran
+                    // (as `compile.rs` emits them), so the lower bound
+                    // stays live across the upper bound's instructions.
                     self.insts(&lower.insts, false);
-                    self.use_at(File::I, lower.reg, self.pos);
                     self.insts(&upper.insts, false);
+                    self.use_at(File::I, lower.reg, self.pos);
                     self.use_at(File::I, upper.reg, self.pos);
                     if *kind == LoopKind::Parallel {
                         // Body belongs to a separate native function; the

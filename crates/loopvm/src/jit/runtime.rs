@@ -428,8 +428,8 @@ impl JitProgram {
         out
     }
 
-    /// Runs the program against `bufs`, seeding the variable frame like
-    /// [`crate::Machine::run_bytecode_with_frame`].
+    /// Runs the program against `bufs`, seeding the variable frame with
+    /// the machine's [`crate::Machine::bind`]ings.
     pub(crate) fn run(
         &self,
         bufs: &[SharedBuf],

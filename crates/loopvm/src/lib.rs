@@ -62,7 +62,7 @@ pub use cost::{CacheCfg, CacheSim, CostModel};
 pub use expr::{BinOp, Expr, Ty, UnOp, Var};
 pub use program::{BufId, Compiled, LoopKind, Program, Stmt};
 pub use simt::{exec_warp, exec_warp_profiled, WarpHost};
-pub use vm::{compile, eval_scalar, Code, ExecMode, Machine, Op, RunStats, ScalarThunk};
+pub use vm::{compile, eval_scalar, Code, ExecMode, Machine, Op, RunStats};
 
 /// Errors produced when compiling or executing a program.
 #[derive(Debug, Clone, PartialEq)]

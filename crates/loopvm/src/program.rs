@@ -243,9 +243,11 @@ impl Program {
     }
 
     /// Installs bytecode decoded and validated against this program as
-    /// its compiled form ([`crate::codec::decode_bc_into`]).
-    pub(crate) fn install_bytecode(&mut self, bc: BcProgram) {
-        self.code = Arc::new(OnceLock::from(Ok(Compiled::new(bc))));
+    /// its compiled form ([`crate::codec::decode_bc_into`]). Like
+    /// [`Program::compiled`] this fills the shared slot through `&self`; a
+    /// program that already compiled itself keeps that code.
+    pub(crate) fn install_bytecode(&self, bc: BcProgram) {
+        let _ = self.code.set(Ok(Compiled::new(bc)));
     }
 
     /// Number of declared buffers.

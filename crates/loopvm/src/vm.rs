@@ -46,7 +46,8 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    fn add(&mut self, o: &RunStats) {
+    /// Field-wise accumulation (e.g. a rank's total over its chunks).
+    pub fn add(&mut self, o: &RunStats) {
         self.stores += o.stores;
         self.loads += o.loads;
         self.flops += o.flops;
@@ -397,6 +398,8 @@ pub struct Machine {
     cost: CostModel,
     bases: Vec<u64>,
     mode: ExecMode,
+    /// Values [`Machine::bind`] put into every run's variable frame.
+    bindings: Vec<(crate::expr::Var, i64)>,
 }
 
 /// Always-on process-wide VM metrics: whether [`Machine::run`] found a
@@ -468,7 +471,27 @@ impl Machine {
             cost: CostModel::default(),
             bases,
             mode: default_exec_mode(),
+            bindings: Vec::new(),
         }
+    }
+
+    /// Binds `var` to `value` at the start of every later run, on every
+    /// evaluator: one compiled program serves many parameterizations (the
+    /// distributed simulator binds each rank's machine to its rank id).
+    /// `var` must be a variable of the programs this machine runs;
+    /// rebinding replaces the value, unbound variables start at `0`.
+    pub fn bind(&mut self, var: crate::expr::Var, value: i64) {
+        self.bindings.retain(|(v, _)| *v != var);
+        self.bindings.push((var, value));
+    }
+
+    /// A zeroed variable frame with the bound values filled in.
+    fn frame(&self, n_vars: usize) -> Vec<i64> {
+        let mut frame = vec![0i64; n_vars];
+        for (v, val) in &self.bindings {
+            frame[v.index()] = *val;
+        }
+        frame
     }
 
     /// Sets the cost model used by [`Machine::run_with_stats`].
@@ -497,9 +520,8 @@ impl Machine {
     }
 
     /// Selects the evaluator used by [`Machine::run`]. The stats-gathering
-    /// paths ([`Machine::run_with_stats`], [`Machine::run_body`]) always
-    /// use the tree-walk evaluator, whose cost accounting is the model's
-    /// reference.
+    /// path ([`Machine::run_with_stats`]) always uses the tree-walk
+    /// evaluator, whose cost accounting is the model's reference.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.mode = mode;
     }
@@ -566,7 +588,7 @@ impl Machine {
     pub fn run_jit(&mut self, j: &crate::jit::JitProgram) -> Result<()> {
         let _sp = telemetry::span("vm", "run_jit");
         let t0 = std::time::Instant::now();
-        let r = j.run(&self.bufs, self.threads, &[]);
+        let r = j.run(&self.bufs, self.threads, &self.bindings);
         vm_metrics().run_jit_us.record_duration(t0.elapsed());
         r
     }
@@ -579,7 +601,7 @@ impl Machine {
     /// Same as [`Machine::run`].
     pub fn run_tree_walk(&mut self, p: &Program) -> Result<()> {
         let t0 = std::time::Instant::now();
-        let r = self.run_body_inner::<false>(p, p.body()).map(|_| ());
+        let r = self.tree_walk::<false>(p).map(|_| ());
         vm_metrics().run_tree_walk_us.record_duration(t0.elapsed());
         r
     }
@@ -595,36 +617,12 @@ impl Machine {
     ///
     /// Out-of-bounds accesses at runtime.
     pub fn run_bytecode(&mut self, bc: &BcProgram) -> Result<()> {
-        self.run_bytecode_with_frame(bc, &[])
-    }
-
-    /// Like [`Machine::run_bytecode`], but seeds the variable frame with
-    /// the given bindings before the prologue runs. This lets one compiled
-    /// program serve many parameterizations — e.g. the distributed
-    /// simulator compiles a rank chunk once and seeds each rank's `rank`
-    /// variable, instead of baking the rank into the program and
-    /// compiling per rank.
-    ///
-    /// Unbound variables start at `0`.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-bounds accesses at runtime.
-    pub fn run_bytecode_with_frame(
-        &mut self,
-        bc: &BcProgram,
-        seed: &[(crate::expr::Var, i64)],
-    ) -> Result<()> {
         let _sp = telemetry::span("vm", "run_bytecode");
         let t0 = std::time::Instant::now();
-        let mut frame = vec![0i64; bc.n_vars];
-        for (v, val) in seed {
-            frame[v.index()] = *val;
-        }
         let mut ctx = BcCtx {
             bufs: &self.bufs,
             threads: self.threads,
-            frame,
+            frame: self.frame(bc.n_vars),
             ir: vec![0i64; bc.n_iregs as usize],
             fr: vec![0f32; bc.n_fregs as usize],
             vir: vec![[0i64; LANES]; bc.n_iregs as usize],
@@ -649,36 +647,16 @@ impl Machine {
     ///
     /// Same as [`Machine::run`].
     pub fn run_with_stats(&mut self, p: &Program) -> Result<RunStats> {
-        self.run_body_inner::<true>(p, p.body())
+        self.tree_walk::<true>(p)
     }
 
-    /// Runs an arbitrary statement list against this machine's storage
-    /// (used by runtimes that interleave computation with other operations,
-    /// e.g. the distributed simulator's send/receive).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Machine::run`].
-    pub fn run_body(&mut self, p: &Program, body: &[Stmt]) -> Result<RunStats> {
-        self.run_body_inner::<false>(p, body)
-    }
-
-    /// [`Machine::run_body`] with statistics gathering.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Machine::run`].
-    pub fn run_body_with_stats(&mut self, p: &Program, body: &[Stmt]) -> Result<RunStats> {
-        self.run_body_inner::<true>(p, body)
-    }
-
-    fn run_body_inner<const STATS: bool>(&mut self, p: &Program, body: &[Stmt]) -> Result<RunStats> {
-        let compiled: Vec<CStmt> = body.iter().map(compile_stmt).collect::<Result<_>>()?;
+    fn tree_walk<const STATS: bool>(&mut self, p: &Program) -> Result<RunStats> {
+        let compiled: Vec<CStmt> = p.body().iter().map(compile_stmt).collect::<Result<_>>()?;
         let mut ctx = ExecCtx {
             bufs: &self.bufs,
             bases: &self.bases,
             threads: self.threads,
-            frame: vec![0i64; p.n_vars()],
+            frame: self.frame(p.n_vars()),
             istack: Vec::with_capacity(16),
             fstack: Vec::with_capacity(16),
             vistack: Vec::with_capacity(16),
@@ -929,7 +907,7 @@ fn exec_stmt<const STATS: bool>(s: &CStmt, ctx: &mut ExecCtx<'_>) -> Result<()> 
                     Ok(())
                 }
                 LoopKind::Parallel if ctx.threads > 1 && hi - lo > 1 => {
-                    exec_parallel::<STATS>(*var, lo, hi, body, ctx)
+                    exec_parallel(*var, lo, hi, body, ctx)
                 }
                 LoopKind::Vectorize(_) if body_vectorizable(body) => {
                     exec_vector::<STATS>(*var, lo, hi, body, ctx)
@@ -953,7 +931,10 @@ fn exec_stmt<const STATS: bool>(s: &CStmt, ctx: &mut ExecCtx<'_>) -> Result<()> 
 // Parallel execution
 // ---------------------------------------------------------------------------
 
-fn exec_parallel<const STATS: bool>(
+/// Runs a parallel loop on worker threads. The stats evaluator never gets
+/// here: it prices parallel loops serially (`exec_stmt`), so workers
+/// gather nothing.
+fn exec_parallel(
     var: u32,
     lo: i64,
     hi: i64,
@@ -967,7 +948,6 @@ fn exec_parallel<const STATS: bool>(
     let bases = ctx.bases;
     let model = *ctx.cache.model();
     let frame_proto = ctx.frame.clone();
-    let threads = ctx.threads;
     let results = crossbeam::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
@@ -977,7 +957,7 @@ fn exec_parallel<const STATS: bool>(
                 continue;
             }
             let frame = frame_proto.clone();
-            handles.push(scope.spawn(move |_| -> Result<RunStats> {
+            handles.push(scope.spawn(move |_| -> Result<()> {
                 let mut sub = ExecCtx {
                     bufs,
                     bases,
@@ -992,27 +972,17 @@ fn exec_parallel<const STATS: bool>(
                     cache: CacheSim::new(model),
                     parallel_depth: 1,
                 };
-                let _ = threads;
                 for v in start..end {
                     sub.frame[var as usize] = v;
-                    if STATS {
-                        sub.stats.iterations += 1;
-                    }
-                    exec_block::<STATS>(body, &mut sub)?;
+                    exec_block::<false>(body, &mut sub)?;
                 }
-                Ok(sub.stats)
+                Ok(())
             }));
         }
         handles.into_iter().map(|h| h.join().expect("worker panicked")).collect::<Vec<_>>()
     })
     .expect("thread scope failed");
-    for r in results {
-        let s = r?;
-        if STATS {
-            ctx.stats.add(&s);
-        }
-    }
-    Ok(())
+    results.into_iter().collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1242,8 +1212,7 @@ fn veval<const STATS: bool>(
 
 /// Evaluates a load-free integer expression with the given variable
 /// bindings (used by runtimes to evaluate message sizes, ranks and
-/// offsets): [`ScalarThunk::compile`] then [`ScalarThunk::eval`] in one
-/// step. Unbound variables read as `0`.
+/// offsets). Unbound variables read as `0`.
 ///
 /// # Errors
 ///
@@ -1256,97 +1225,60 @@ fn veval<const STATS: bool>(
 ///
 /// Division/remainder by zero.
 pub fn eval_scalar(e: &Expr, bindings: &[(crate::expr::Var, i64)]) -> Result<i64> {
-    Ok(ScalarThunk::compile(e)?.eval(bindings))
-}
-
-/// A pre-compiled load-free integer expression: the compile-once /
-/// evaluate-many form of [`eval_scalar`].
-///
-/// Runtimes that evaluate the same address expressions repeatedly (the
-/// distributed simulator re-derives send/recv destination, offset and
-/// count per message) compile the expression once with
-/// [`ScalarThunk::compile`] and then call [`ScalarThunk::eval`] per use,
-/// skipping the per-call expression walk and validation.
-#[derive(Debug, Clone)]
-pub struct ScalarThunk {
-    ops: Vec<Op>,
-}
-
-impl ScalarThunk {
-    /// Compiles a load-free integer expression into a reusable thunk.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Type`] for non-integer expressions and
-    /// [`Error::Structure`] when the expression loads from a buffer.
-    pub fn compile(e: &Expr) -> Result<ScalarThunk> {
-        let code = compile(e)?;
-        if code.ty != Ty::I64 {
-            return Err(Error::Type("eval_scalar needs an integer expression".into()));
-        }
-        // Stack code is straight-line (every op always executes), so
-        // validating once here lets `eval` assume integer ops only.
-        for op in &code.ops {
-            match op {
-                Op::PushI(_) | Op::LoadVar(_) | Op::BinI(_) | Op::CmpI(_) | Op::UnI(_)
-                | Op::SelI => {}
-                Op::Load(_) => {
-                    return Err(Error::Structure("eval_scalar cannot load buffers".into()))
-                }
-                _ => {
-                    return Err(Error::Type(
-                        "eval_scalar needs a pure integer expression".into(),
-                    ))
-                }
+    let code = compile(e)?;
+    if code.ty != Ty::I64 {
+        return Err(Error::Type("eval_scalar needs an integer expression".into()));
+    }
+    // Stack code is straight-line (every op always executes), so
+    // validating it first lets the evaluation below assume integer ops.
+    for op in &code.ops {
+        match op {
+            Op::PushI(_) | Op::LoadVar(_) | Op::BinI(_) | Op::CmpI(_) | Op::UnI(_)
+            | Op::SelI => {}
+            Op::Load(_) => {
+                return Err(Error::Structure("eval_scalar cannot load buffers".into()))
+            }
+            _ => {
+                return Err(Error::Type(
+                    "eval_scalar needs a pure integer expression".into(),
+                ))
             }
         }
-        Ok(ScalarThunk { ops: code.ops })
     }
-
-    /// Evaluates the thunk. Variables not present in `bindings` read as
-    /// `0`.
-    ///
-    /// # Panics
-    ///
-    /// Division/remainder by zero.
-    #[must_use]
-    pub fn eval(&self, bindings: &[(crate::expr::Var, i64)]) -> i64 {
-        let mut istack: Vec<i64> = Vec::with_capacity(8);
-        for op in &self.ops {
-            match *op {
-                Op::PushI(v) => istack.push(v),
-                Op::LoadVar(v) => istack.push(
-                    bindings
-                        .iter()
-                        .find(|(var, _)| var.0 == v)
-                        .map_or(0, |(_, val)| *val),
-                ),
-                Op::BinI(op) => {
-                    let b = istack.pop().unwrap();
-                    let a = istack.pop().unwrap();
-                    istack.push(apply_i(op, a, b));
-                }
-                Op::CmpI(op) => {
-                    let b = istack.pop().unwrap();
-                    let a = istack.pop().unwrap();
-                    istack.push(cmp_i(op, a, b));
-                }
-                Op::UnI(op) => {
-                    let a = istack.pop().unwrap();
-                    istack.push(apply_un_i(op, a));
-                }
-                Op::SelI => {
-                    let b = istack.pop().unwrap();
-                    let a = istack.pop().unwrap();
-                    let c = istack.pop().unwrap();
-                    istack.push(if c != 0 { a } else { b });
-                }
-                // `compile` admits only the ops above.
-                _ => unreachable!("ScalarThunk::compile admits integer ops only"),
+    let mut istack: Vec<i64> = Vec::with_capacity(8);
+    for op in &code.ops {
+        match *op {
+            Op::PushI(v) => istack.push(v),
+            Op::LoadVar(v) => istack.push(
+                bindings
+                    .iter()
+                    .find(|(var, _)| var.0 == v)
+                    .map_or(0, |(_, val)| *val),
+            ),
+            Op::BinI(op) => {
+                let b = istack.pop().unwrap();
+                let a = istack.pop().unwrap();
+                istack.push(apply_i(op, a, b));
             }
+            Op::CmpI(op) => {
+                let b = istack.pop().unwrap();
+                let a = istack.pop().unwrap();
+                istack.push(cmp_i(op, a, b));
+            }
+            Op::UnI(op) => {
+                let a = istack.pop().unwrap();
+                istack.push(apply_un_i(op, a));
+            }
+            Op::SelI => {
+                let b = istack.pop().unwrap();
+                let a = istack.pop().unwrap();
+                let c = istack.pop().unwrap();
+                istack.push(if c != 0 { a } else { b });
+            }
+            _ => unreachable!("validated above: integer ops only"),
         }
-        istack.pop().unwrap()
     }
+    Ok(istack.pop().unwrap())
 }
 
 // ---------------------------------------------------------------------------
@@ -2195,5 +2127,53 @@ mod tests {
         let mut m = Machine::new(&p);
         m.run(&p).unwrap();
         assert_eq!(m.buffer(a), &[0.0, 1.0, 2.0, 3.0, 100.0, 101.0, 102.0, 103.0]);
+    }
+
+    #[test]
+    fn bound_variable_seeds_every_evaluator() {
+        // A[i] = r * 100 + i for i in 0..r+2: `r` is never assigned, so it
+        // reads whatever the machine binds (0 when unbound), in a loop
+        // bound, in address math and across a parallel boundary.
+        let mut p = Program::new();
+        let a = p.buffer("A", 8);
+        let r = p.var("r");
+        let i = p.var("i");
+        p.push(Stmt::for_(
+            i,
+            Expr::i64(0),
+            Expr::var(r) + Expr::i64(2),
+            LoopKind::Parallel,
+            vec![Stmt::store(
+                a,
+                Expr::var(i),
+                Expr::to_f32(Expr::var(r) * Expr::i64(100) + Expr::var(i)),
+            )],
+        ));
+        type Evaluator<'a> = &'a dyn Fn(&mut Machine);
+        let evaluators: [(&str, Evaluator<'_>); 4] = [
+            ("tree-walk", &|m| m.run_tree_walk(&p).unwrap()),
+            ("stats", &|m| assert!(m.run_with_stats(&p).is_ok())),
+            ("bytecode", &|m| m.run_bytecode(p.compiled().unwrap().bytecode()).unwrap()),
+            ("jit", &|m| {
+                m.set_exec_mode(ExecMode::Jit);
+                m.run(&p).unwrap();
+            }),
+        ];
+        for (name, how) in evaluators {
+            for (bound, want) in [
+                (Some(3), [300.0f32, 301.0, 302.0, 303.0, 304.0, 0.0, 0.0, 0.0]),
+                (None, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+            ] {
+                let mut m = Machine::new(&p);
+                m.set_threads(2);
+                if let Some(v) = bound {
+                    m.bind(r, 7);
+                    m.bind(r, v); // rebinding replaces
+                }
+                how(&mut m);
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                assert_eq!(bits(m.buffer(a)), bits(&want), "{name}, r = {bound:?}");
+            }
+        }
     }
 }

@@ -21,7 +21,10 @@
 //! The Tiramisu distributed backend lowers `distribute()`-tagged loops to
 //! rank conditionals (paper §V-A: "each distributed loop is converted into
 //! a conditional based on the MPI rank") and `send()`/`receive()`
-//! operations to [`DistStmt::Send`]/[`DistStmt::Recv`].
+//! operations to [`DistStmt::Send`]/[`DistStmt::Recv`]. The compute
+//! chunks between those are [`loopvm::Program`]s that own their compiled
+//! form ([`DistProgram::chunks`]): the runtime compiles and caches nothing
+//! itself — a rank binds its id ([`loopvm::Machine::bind`]) and runs them.
 //!
 //! # Fault tolerance
 //!
@@ -60,12 +63,12 @@
 //!   [`DistError::CommMismatch`] diagnostics.
 
 use bytes::{Bytes, BytesMut};
-use loopvm::{eval_scalar, BcProgram, BufId, Expr, Machine, Program, RunStats, ScalarThunk, Stmt, Var};
+use loopvm::{eval_scalar, BufId, Expr, Machine, Program, RunStats, Stmt, Var};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod barrier;
@@ -98,8 +101,9 @@ impl Default for CommModel {
 /// One statement of a rank program.
 #[derive(Debug, Clone)]
 pub enum DistStmt {
-    /// Run VM statements on this rank's private machine.
-    Compute(Vec<Stmt>),
+    /// Run compute chunk `k` ([`DistProgram::chunks`]) on this rank's
+    /// private machine.
+    Compute(usize),
     /// Send `count` elements of `buf` starting at `offset` to rank `dest`.
     /// All three are integer expressions over the program's variables
     /// (including the rank variable). A negative or out-of-range `dest`
@@ -141,24 +145,95 @@ pub enum DistStmt {
     Barrier,
 }
 
-/// A complete distributed program: one `loopvm` program template
+/// A complete distributed program: one set of `loopvm` declarations
 /// instantiated per rank (each rank gets private storage), a designated
-/// rank variable, and the statement sequence.
+/// rank variable, the compute chunks and the statement sequence.
+///
+/// Every compute chunk is a [`Program`] of its own — the declarations with
+/// body `preamble ++ chunk statements` — and so owns its compiled form
+/// ([`Program::compiled`]), which every rank of every run executes with
+/// its rank id bound ([`Machine::bind`]). [`DistProgram::new`] seals the
+/// fields so that code cannot go stale.
 #[derive(Debug, Clone)]
 pub struct DistProgram {
-    /// Buffer and variable declarations (per-rank instance).
-    pub program: Program,
-    /// Variable receiving the rank id.
-    pub rank_var: Var,
-    /// Statements executed by every rank (rank-dependent behaviour via
-    /// [`DistStmt::If`] and the rank variable).
-    pub body: Vec<DistStmt>,
-    /// Statements re-run before every `Compute` chunk (parameter `let`s —
-    /// VM frames do not persist across chunks).
-    pub preamble: Vec<Stmt>,
+    program: Program,
+    rank_var: Var,
+    preamble: Vec<Stmt>,
+    chunks: Vec<Program>,
+    body: Vec<DistStmt>,
 }
 
 impl DistProgram {
+    /// Seals a rank program. `decls` declares the buffers and variables
+    /// (its own body is not executed), `preamble` is re-run before every
+    /// chunk (parameter `let`s — VM frames do not persist across chunks),
+    /// `chunks[k]` holds the statements of [`DistStmt::Compute`]`(k)`, and
+    /// `body` is what every rank executes (rank-dependent behaviour via
+    /// [`DistStmt::If`] and `rank_var`).
+    ///
+    /// # Panics
+    ///
+    /// When `body` names a chunk that does not exist.
+    pub fn new(
+        decls: Program,
+        rank_var: Var,
+        preamble: Vec<Stmt>,
+        chunks: Vec<Vec<Stmt>>,
+        body: Vec<DistStmt>,
+    ) -> DistProgram {
+        fn check(body: &[DistStmt], n_chunks: usize) {
+            for s in body {
+                match s {
+                    DistStmt::Compute(k) => assert!(*k < n_chunks, "no compute chunk {k}"),
+                    DistStmt::If { body, .. } => check(body, n_chunks),
+                    _ => {}
+                }
+            }
+        }
+        check(&body, chunks.len());
+        let chunks = chunks
+            .into_iter()
+            .map(|stmts| {
+                let mut p = decls.clone();
+                p.set_body(preamble.iter().cloned().chain(stmts).collect());
+                p
+            })
+            .collect();
+        DistProgram { program: decls, rank_var, preamble, chunks, body }
+    }
+
+    /// The buffer and variable declarations (per-rank instance).
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// Variable receiving the rank id.
+    pub fn rank_var(&self) -> Var {
+        self.rank_var
+    }
+
+    /// Statements re-run before every compute chunk.
+    pub fn preamble(&self) -> &[Stmt] {
+        &self.preamble
+    }
+
+    /// The compute chunks in program order; [`DistStmt::Compute`] indexes
+    /// them. Each program's body is the preamble, then
+    /// [`DistProgram::chunk_stmts`].
+    pub fn chunks(&self) -> &[Program] {
+        &self.chunks
+    }
+
+    /// Chunk `k`'s own statements (what its program runs after the preamble).
+    pub fn chunk_stmts(&self, k: usize) -> &[Stmt] {
+        &self.chunks[k].body()[self.preamble.len()..]
+    }
+
+    /// Statements executed by every rank.
+    pub fn body(&self) -> &[DistStmt] {
+        &self.body
+    }
+
     /// Pretty-prints the rank program as pseudo-C (for golden tests and
     /// compile-trace snapshots): the preamble, then every statement with
     /// sends/receives/barriers rendered in MPI-flavoured pseudo-code.
@@ -177,8 +252,8 @@ impl DistProgram {
     fn pretty_dist_stmt(&self, s: &DistStmt, indent: usize, out: &mut String) {
         let pad = "  ".repeat(indent);
         match s {
-            DistStmt::Compute(stmts) => {
-                out.push_str(&self.program.pretty_stmts(stmts, indent));
+            DistStmt::Compute(k) => {
+                out.push_str(&self.program.pretty_stmts(self.chunk_stmts(*k), indent));
             }
             DistStmt::Send { dest, buf, offset, count, asynchronous } => {
                 let kind = if *asynchronous { "isend" } else { "send" };
@@ -555,10 +630,6 @@ pub fn run_with_opts(
     let inboxes = Arc::new(inboxes);
     let barrier = Arc::new(PoisonBarrier::new(n_ranks));
     let error_flag = Arc::new(AtomicU64::new(0));
-    // Shared compile memo: chunk bytecode and comm-expression thunks are
-    // compiled at most once per shape, by whichever rank gets there first.
-    let bc_cache = build_bc_cache(dist);
-    let bc_cache = &bc_cache;
 
     let _sp = telemetry::span("dist", "cluster run");
     let start = Instant::now();
@@ -572,8 +643,8 @@ pub fn run_with_opts(
             handles.push(scope.spawn(move |_| {
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     run_rank(
-                        dist, rank, n_ranks, comm, opts, bc_cache, &senders, &inboxes,
-                        &barrier, &error_flag, init, finish,
+                        dist, rank, n_ranks, comm, opts, &senders, &inboxes, &barrier,
+                        &error_flag, init, finish,
                     )
                 }))
                 .unwrap_or_else(|payload| {
@@ -680,73 +751,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One memoized compute chunk: the statements a rank executes for one
-/// [`DistStmt::Compute`] (preamble + chunk; the rank `let` is replaced
-/// by frame seeding so a single compile serves every rank), compiled
-/// lazily on first execution.
-struct ChunkEntry {
-    body: Vec<Stmt>,
-    cell: OnceLock<loopvm::Result<BcProgram>>,
-}
-
-/// Compilation memoized across rank threads: one optimized [`BcProgram`]
-/// per compute-chunk shape and one [`ScalarThunk`] per comm/conditional
-/// expression (send dest/offset/count, recv src/offset/count, `if`
-/// conditions). Keys are the addresses of the borrowed nodes inside the
-/// [`DistProgram`] — stable for the run's lifetime. Compilation is lazy
-/// (`OnceLock::get_or_init`, first rank to reach a site compiles), so a
-/// chunk no rank executes is never compiled and error timing matches the
-/// tree-walk path.
-struct BcCache {
-    chunks: HashMap<usize, ChunkEntry>,
-    exprs: HashMap<usize, OnceLock<loopvm::Result<ScalarThunk>>>,
-}
-
-fn addr_key<T>(t: &T) -> usize {
-    t as *const T as usize
-}
-
-fn build_bc_cache(dist: &DistProgram) -> BcCache {
-    fn walk(
-        body: &[DistStmt],
-        dist: &DistProgram,
-        chunks: &mut HashMap<usize, ChunkEntry>,
-        exprs: &mut HashMap<usize, OnceLock<loopvm::Result<ScalarThunk>>>,
-    ) {
-        for s in body {
-            match s {
-                DistStmt::Compute(stmts) => {
-                    let mut b = dist.preamble.clone();
-                    b.extend_from_slice(stmts);
-                    chunks.insert(
-                        addr_key(stmts),
-                        ChunkEntry { body: b, cell: OnceLock::new() },
-                    );
-                }
-                DistStmt::If { cond, body } => {
-                    exprs.insert(addr_key(cond), OnceLock::new());
-                    walk(body, dist, chunks, exprs);
-                }
-                DistStmt::Send { dest, offset, count, .. } => {
-                    exprs.insert(addr_key(dest), OnceLock::new());
-                    exprs.insert(addr_key(offset), OnceLock::new());
-                    exprs.insert(addr_key(count), OnceLock::new());
-                }
-                DistStmt::Recv { src, offset, count, .. } => {
-                    exprs.insert(addr_key(src), OnceLock::new());
-                    exprs.insert(addr_key(offset), OnceLock::new());
-                    exprs.insert(addr_key(count), OnceLock::new());
-                }
-                DistStmt::Barrier => {}
-            }
-        }
-    }
-    let mut chunks = HashMap::new();
-    let mut exprs = HashMap::new();
-    walk(&dist.body, dist, &mut chunks, &mut exprs);
-    BcCache { chunks, exprs }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_rank(
     dist: &DistProgram,
@@ -754,7 +758,6 @@ fn run_rank(
     n_ranks: usize,
     comm: &CommModel,
     opts: &RunOptions,
-    cache: &BcCache,
     senders: &[crossbeam::channel::Sender<Message>],
     inboxes: &[Mutex<Inbox>],
     barrier: &PoisonBarrier,
@@ -772,67 +775,23 @@ fn run_rank(
     }
     let mut machine = Machine::new(&dist.program);
     init(rank, &mut machine);
-    // The per-rank machine's exec mode (set by default policy or the
-    // `init` hook) selects the chunk executor: memoized optimized
-    // bytecode shared across ranks, or the tree-walk reference. Stats
-    // gathering needs the tree-walk's cost accounting.
-    let use_bc = machine.exec_mode() != loopvm::ExecMode::TreeWalk && !opts.stats_mode;
+    // Tier policy: chunks run on the bytecode interpreter even where the
+    // machine defaults to `Jit`. JIT-compiling a rank program's chunks
+    // costs 0.2-2.2 ms against a 0.3-0.9 ms whole-cluster run (Fig. 6
+    // kernels, 64x96/2 ranks and 48x64/4 ranks): an eager JIT would double
+    // `compile_ms` of every cold dist request. `TreeWalk` (set by `init` or
+    // `LOOPVM_TREEWALK`) still selects the reference evaluator.
+    if machine.exec_mode() == loopvm::ExecMode::Jit {
+        machine.set_exec_mode(loopvm::ExecMode::Bytecode);
+    }
+    machine.bind(dist.rank_var, rank as i64);
     let mut compute = RunStats::default();
     let mut counters = RankCounters::default();
     let bindings = [(dist.rank_var, rank as i64)];
     let crash_step = opts.faults.as_ref().and_then(|p| p.crash_step(rank));
     let mut seqs: HashMap<usize, u64> = HashMap::new();
     let vm = |e: loopvm::Error| DistError::Vm { rank, source: e };
-
-    let exec = |machine: &mut Machine,
-                compute: &mut RunStats,
-                stmts: &Vec<Stmt>|
-     -> loopvm::Result<()> {
-        if use_bc {
-            if let Some(entry) = cache.chunks.get(&addr_key(stmts)) {
-                // One compile per chunk shape, shared read-only across
-                // rank threads; the rank enters via the seeded frame.
-                let bc = entry
-                    .cell
-                    .get_or_init(|| loopvm::opt::compile_body(&dist.program, &entry.body));
-                return match bc {
-                    Ok(bc) => machine.run_bytecode_with_frame(bc, &bindings),
-                    Err(e) => Err(e.clone()),
-                };
-            }
-        }
-        let mut body: Vec<Stmt> =
-            vec![Stmt::let_(dist.rank_var, Expr::i64(rank as i64))];
-        body.extend_from_slice(&dist.preamble);
-        body.extend_from_slice(stmts);
-        let s = if opts.stats_mode {
-            machine.run_body_with_stats(&dist.program, &body)?
-        } else {
-            machine.run_body(&dist.program, &body)?
-        };
-        compute.stores += s.stores;
-        compute.loads += s.loads;
-        compute.flops += s.flops;
-        compute.iterations += s.iterations;
-        compute.cycles += s.cycles;
-        compute.l1_misses += s.l1_misses;
-        compute.l2_misses += s.l2_misses;
-        Ok(())
-    };
-
-    // Comm/conditional expressions: compiled once to integer thunks and
-    // reused per message in bytecode mode, tree-walked otherwise.
-    let scalar = |e: &Expr| -> loopvm::Result<i64> {
-        if use_bc {
-            if let Some(cell) = cache.exprs.get(&addr_key(e)) {
-                return match cell.get_or_init(|| ScalarThunk::compile(e)) {
-                    Ok(t) => Ok(t.eval(&bindings)),
-                    Err(err) => Err(err.clone()),
-                };
-            }
-        }
-        eval_scalar(e, &bindings)
-    };
+    let scalar = |e: &Expr| eval_scalar(e, &bindings).map_err(vm);
 
     // Iterative interpretation via an explicit work list of (slice, pos).
     let mut step = 0u64;
@@ -853,13 +812,18 @@ fn run_rank(
         frames.push((body, pos + 1));
         step += 1;
         match &body[pos] {
-            DistStmt::Compute(stmts) => {
+            DistStmt::Compute(k) => {
                 let _sp = prof.then(|| telemetry::span("dist", "compute"));
-                exec(&mut machine, &mut compute, stmts).map_err(vm)?;
+                let chunk = &dist.chunks[*k];
+                // Stats gathering needs the tree-walk's cost accounting.
+                if opts.stats_mode {
+                    compute.add(&machine.run_with_stats(chunk).map_err(vm)?);
+                } else {
+                    machine.run(chunk).map_err(vm)?;
+                }
             }
             DistStmt::If { cond, body: inner } => {
-                let c = scalar(cond).map_err(vm)?;
-                if c != 0 {
+                if scalar(cond)? != 0 {
                     frames.push((inner, 0));
                 }
             }
@@ -884,13 +848,13 @@ fn run_rank(
             }
             DistStmt::Send { dest, buf, offset, count, asynchronous } => {
                 let _sp = prof.then(|| telemetry::span("dist", "send"));
-                let d = scalar(dest).map_err(vm)?;
+                let d = scalar(dest)?;
                 if d < 0 || d as usize >= n_ranks {
                     continue;
                 }
                 let d = d as usize;
-                let off = scalar(offset).map_err(vm)?;
-                let cnt = scalar(count).map_err(vm)?;
+                let off = scalar(offset)?;
+                let cnt = scalar(count)?;
                 let data = machine.buffer(*buf);
                 let lo = off.max(0) as usize;
                 let hi = ((off + cnt).max(0) as usize).min(data.len());
@@ -912,12 +876,12 @@ fn run_rank(
             }
             DistStmt::Recv { src, buf, offset, count } => {
                 let _sp = prof.then(|| telemetry::span("dist", "recv"));
-                let s = scalar(src).map_err(vm)?;
+                let s = scalar(src)?;
                 if s < 0 || s as usize >= n_ranks {
                     continue;
                 }
-                let off = scalar(offset).map_err(vm)?;
-                let cnt = scalar(count).map_err(vm)?;
+                let off = scalar(offset)?;
+                let cnt = scalar(count)?;
                 let deadline = Instant::now() + opts.watchdog;
                 let msg = inboxes[rank]
                     .lock()
@@ -1079,8 +1043,8 @@ mod tests {
     use loopvm::LoopKind;
 
     /// Each rank fills its chunk with its rank id, then sends its first
-    /// element to the left neighbour's halo slot.
-    fn ring_program(n: usize) -> DistProgram {
+    /// `count` elements towards the left neighbour's halo slot.
+    fn ring_program(n: usize, count: i64) -> DistProgram {
         let mut p = Program::new();
         let data = p.buffer("data", n + 1); // n owned + 1 halo
         let rank = p.var("rank");
@@ -1092,19 +1056,20 @@ mod tests {
             LoopKind::Serial,
             vec![Stmt::store(data, Expr::var(i), Expr::to_f32(Expr::var(rank)))],
         );
-        DistProgram {
-            program: p,
-            rank_var: rank,
-            preamble: vec![],
-            body: vec![
-                DistStmt::Compute(vec![fill]),
+        DistProgram::new(
+            p,
+            rank,
+            vec![],
+            vec![vec![fill]],
+            vec![
+                DistStmt::Compute(0),
                 DistStmt::Barrier,
-                // send data[0..1] to rank-1; receive from rank+1 into halo.
+                // send data[0..count] to rank-1; receive from rank+1 into halo.
                 DistStmt::Send {
                     dest: Expr::var(rank) - Expr::i64(1),
                     buf: data,
                     offset: Expr::i64(0),
-                    count: Expr::i64(1),
+                    count: Expr::i64(count),
                     asynchronous: true,
                 },
                 DistStmt::Recv {
@@ -1114,14 +1079,14 @@ mod tests {
                     count: Expr::i64(1),
                 },
             ],
-        }
+        )
     }
 
     #[test]
     fn bytecode_chunks_match_tree_walk_bit_exact() {
         // Same program, both executors, gathered outputs bit-compared.
         let gather = |tree_walk: bool| -> Vec<u32> {
-            let prog = ring_program(4);
+            let prog = ring_program(4, 1);
             let out = Mutex::new(vec![vec![]; 4]);
             run_with_opts(
                 &prog,
@@ -1134,7 +1099,7 @@ mod tests {
                     }
                 },
                 |rank, machine: &Machine| {
-                    let data = machine.buffer(prog.program.nth_buffer(0));
+                    let data = machine.buffer(prog.program().nth_buffer(0));
                     out.lock()[rank] = data.iter().map(|v| v.to_bits()).collect();
                 },
             )
@@ -1146,21 +1111,8 @@ mod tests {
     }
 
     #[test]
-    fn bytecode_chunk_compiles_once_per_shape() {
-        // The memo map has exactly one entry per Compute chunk and one
-        // per comm expression; a 4-rank run forces each to compile at
-        // most once (shared read-only afterwards).
-        let prog = ring_program(4);
-        let cache = build_bc_cache(&prog);
-        assert_eq!(cache.chunks.len(), 1);
-        // send dest/offset/count + recv src/offset/count
-        assert_eq!(cache.exprs.len(), 6);
-        run(&prog, 4, &CommModel::default(), false).unwrap();
-    }
-
-    #[test]
     fn halo_exchange_moves_data() {
-        let prog = ring_program(4);
+        let prog = ring_program(4, 1);
         let stats = run(&prog, 4, &CommModel::default(), false).unwrap();
         // Ranks 1..3 send 4 bytes each; rank 3 receives nothing (no rank 4).
         assert_eq!(stats.bytes_sent, vec![0, 4, 4, 4]);
@@ -1172,7 +1124,7 @@ mod tests {
 
     #[test]
     fn stats_mode_counts_compute() {
-        let prog = ring_program(8);
+        let prog = ring_program(8, 1);
         let stats = run(&prog, 2, &CommModel::default(), true).unwrap();
         assert_eq!(stats.compute.len(), 2);
         assert_eq!(stats.compute[0].stores, 8);
@@ -1187,16 +1139,17 @@ mod tests {
         let mut p = Program::new();
         let b = p.buffer("b", 2);
         let rank = p.var("rank");
-        let prog = DistProgram {
-            program: p,
-            rank_var: rank,
-            preamble: vec![],
-            body: vec![
-                DistStmt::Compute(vec![Stmt::store(
-                    b,
-                    Expr::i64(0),
-                    Expr::to_f32(Expr::var(rank) + Expr::i64(7)),
-                )]),
+        let prog = DistProgram::new(
+            p,
+            rank,
+            vec![],
+            vec![vec![Stmt::store(
+                b,
+                Expr::i64(0),
+                Expr::to_f32(Expr::var(rank) + Expr::i64(7)),
+            )]],
+            vec![
+                DistStmt::Compute(0),
                 DistStmt::If {
                     cond: Expr::eq(Expr::var(rank), Expr::i64(0)),
                     body: vec![DistStmt::Send {
@@ -1217,7 +1170,7 @@ mod tests {
                     }],
                 },
             ],
-        };
+        );
         let stats = run(&prog, 2, &CommModel::default(), false).unwrap();
         assert_eq!(stats.messages[0], 1);
         assert_eq!(stats.messages[1], 0);
@@ -1225,12 +1178,8 @@ mod tests {
 
     #[test]
     fn comm_cost_scales_with_volume() {
-        let small = ring_program(4);
-        let mut big = ring_program(4);
-        // Send 4 elements instead of 1.
-        if let DistStmt::Send { count, .. } = &mut big.body[2] {
-            *count = Expr::i64(4);
-        }
+        let small = ring_program(4, 1);
+        let big = ring_program(4, 4);
         let s_small = run(&small, 4, &CommModel::default(), false).unwrap();
         let s_big = run(&big, 4, &CommModel::default(), false).unwrap();
         assert!(s_big.bytes_sent.iter().sum::<u64>() > s_small.bytes_sent.iter().sum::<u64>());
@@ -1246,19 +1195,16 @@ mod tests {
         let mut p = Program::new();
         let b = p.buffer("b", 1);
         let rank = p.var("rank");
-        let prog = DistProgram {
-            program: p,
-            rank_var: rank,
-            preamble: vec![],
-            body: vec![DistStmt::If {
+        let prog = DistProgram::new(
+            p,
+            rank,
+            vec![],
+            vec![vec![Stmt::store(b, Expr::i64(0), Expr::f32(42.0))]],
+            vec![DistStmt::If {
                 cond: Expr::eq(Expr::var(rank), Expr::i64(2)),
-                body: vec![DistStmt::Compute(vec![Stmt::store(
-                    b,
-                    Expr::i64(0),
-                    Expr::f32(42.0),
-                )])],
+                body: vec![DistStmt::Compute(0)],
             }],
-        };
+        );
         let stats = run(&prog, 4, &CommModel::default(), true).unwrap();
         // Only rank 2 executed the store.
         let stores: Vec<u64> = stats.compute.iter().map(|c| c.stores).collect();
@@ -1280,11 +1226,12 @@ mod tests {
         let mut p = Program::new();
         let b = p.buffer("b", 4);
         let rank = p.var("rank");
-        DistProgram {
-            program: p,
-            rank_var: rank,
-            preamble: vec![],
-            body: vec![DistStmt::If {
+        DistProgram::new(
+            p,
+            rank,
+            vec![],
+            vec![],
+            vec![DistStmt::If {
                 cond: Expr::eq(Expr::var(rank), Expr::i64(0)),
                 body: vec![DistStmt::Recv {
                     src: Expr::i64(1),
@@ -1293,7 +1240,7 @@ mod tests {
                     count: Expr::i64(1),
                 }],
             }],
-        }
+        )
     }
 
     #[test]
@@ -1324,15 +1271,16 @@ mod tests {
         let mut p = Program::new();
         let _b = p.buffer("b", 1);
         let rank = p.var("rank");
-        let prog = DistProgram {
-            program: p,
-            rank_var: rank,
-            preamble: vec![],
-            body: vec![DistStmt::If {
+        let prog = DistProgram::new(
+            p,
+            rank,
+            vec![],
+            vec![],
+            vec![DistStmt::If {
                 cond: Expr::eq(Expr::var(rank), Expr::i64(0)),
                 body: vec![DistStmt::Barrier],
             }],
-        };
+        );
         let err = run(&prog, 2, &CommModel::default(), false).unwrap_err();
         assert!(
             matches!(err, DistError::CommMismatch { .. }),
@@ -1345,15 +1293,16 @@ mod tests {
         let mut p = Program::new();
         let _b = p.buffer("b", 1);
         let rank = p.var("rank");
-        let prog = DistProgram {
-            program: p,
-            rank_var: rank,
-            preamble: vec![],
-            body: vec![DistStmt::If {
+        let prog = DistProgram::new(
+            p,
+            rank,
+            vec![],
+            vec![],
+            vec![DistStmt::If {
                 cond: Expr::eq(Expr::var(rank), Expr::i64(0)),
                 body: vec![DistStmt::Barrier],
             }],
-        };
+        );
         let opts = RunOptions { validate: false, ..fast_watchdog() };
         let err = run_with_opts(&prog, 2, &CommModel::default(), &opts, |_, _| {}, |_, _| {})
             .unwrap_err();
@@ -1368,7 +1317,7 @@ mod tests {
 
     #[test]
     fn drops_are_retried_transparently() {
-        let prog = ring_program(4);
+        let prog = ring_program(4, 1);
         let baseline = run(&prog, 4, &CommModel::default(), false).unwrap();
         let opts = RunOptions {
             faults: Some(FaultPlan::new(1).with_drop(0.5)),
@@ -1390,7 +1339,7 @@ mod tests {
 
     #[test]
     fn corruption_detected_and_retransmitted() {
-        let prog = ring_program(4);
+        let prog = ring_program(4, 1);
         let opts = RunOptions {
             faults: Some(FaultPlan::new(3).with_corrupt(0.5)),
             ..fast_watchdog()
@@ -1426,12 +1375,13 @@ mod tests {
             offset: Expr::i64(idx),
             count: Expr::i64(1),
         };
-        let prog = DistProgram {
-            program: p,
-            rank_var: rank,
-            preamble: vec![],
-            body: vec![
-                DistStmt::Compute(vec![Stmt::store(b, Expr::i64(0), Expr::f32(1.5))]),
+        let prog = DistProgram::new(
+            p,
+            rank,
+            vec![],
+            vec![vec![Stmt::store(b, Expr::i64(0), Expr::f32(1.5))]],
+            vec![
+                DistStmt::Compute(0),
                 DistStmt::If {
                     cond: Expr::eq(Expr::var(rank), Expr::i64(0)),
                     body: vec![send(0), send(1)],
@@ -1441,7 +1391,7 @@ mod tests {
                     body: vec![recv(2), recv(3)],
                 },
             ],
-        };
+        );
         let opts = RunOptions {
             faults: Some(FaultPlan::new(17).with_duplicate(1.0)),
             ..fast_watchdog()
@@ -1461,7 +1411,7 @@ mod tests {
 
     #[test]
     fn hundred_percent_drop_exhausts_retries() {
-        let prog = ring_program(4);
+        let prog = ring_program(4, 1);
         let opts = RunOptions {
             faults: Some(FaultPlan::new(1).with_drop(1.0)),
             ..fast_watchdog()
@@ -1487,7 +1437,7 @@ mod tests {
 
     #[test]
     fn injected_crash_reported_with_step() {
-        let prog = ring_program(4);
+        let prog = ring_program(4, 1);
         // Kill rank 2 before its barrier (step 1): peers deadlock at the
         // barrier and are cancelled; the crash is the root cause.
         let opts = RunOptions {
@@ -1516,7 +1466,7 @@ mod tests {
 
     #[test]
     fn rank_panic_is_captured_not_propagated() {
-        let prog = ring_program(4);
+        let prog = ring_program(4, 1);
         let opts = fast_watchdog();
         let err = run_with_opts(
             &prog,
@@ -1547,8 +1497,8 @@ mod tests {
     #[test]
     fn faulty_run_produces_identical_output() {
         // Bit-identical halo contents under heavy injected faults.
-        let prog = ring_program(6);
-        let data = prog.program.buffer_by_name("data").unwrap();
+        let prog = ring_program(6, 1);
+        let data = prog.program().buffer_by_name("data").unwrap();
         let capture = |opts: &RunOptions| -> (DistStats, Vec<Vec<f32>>) {
             let out = Mutex::new(vec![Vec::new(); 4]);
             let stats = run_with_opts(

@@ -239,7 +239,8 @@ static DUMPS_WRITTEN: AtomicU64 = AtomicU64::new(0);
 /// a full [`crate::metrics::snapshot_json`]. Returns the path written.
 ///
 /// No-ops (returning `None`) when the recorder is disabled, when no dump
-/// directory is configured, or after [`MAX_DUMPS`] dumps this process.
+/// directory is configured, or once this process has written its cap of dumps
+/// (`MAX_DUMPS`).
 pub fn dump(reason: &str) -> Option<PathBuf> {
     if !enabled() {
         return None;

@@ -52,7 +52,7 @@ fn run(
     module: &DistModule,
     opts: &RunOptions,
 ) -> Result<(mpisim::DistStats, Vec<Vec<u32>>), mpisim::DistError> {
-    let prog = &module.dist.program;
+    let prog = &module.dist.program();
     let lin = prog.buffer_by_name("lin").expect("input buffer");
     let snaps = Mutex::new(vec![Vec::new(); NODES as usize]);
     let stats = mpisim::run_with_opts(

@@ -21,6 +21,10 @@ const CHUNK: i64 = 8;
 /// the right. `with_send: false` drops the send, leaving receives that
 /// can never complete.
 fn build_blur(with_send: bool, check_comm: bool) -> tiramisu::Result<DistModule> {
+    compile(check_comm, &blur(with_send))
+}
+
+fn blur(with_send: bool) -> Function {
     let mut f = Function::new("dblur", &["Nodes", "CHUNK"]);
     let r = f.var("r", 0, Expr::param("Nodes"));
     let i = f.var("i", 0, Expr::param("CHUNK"));
@@ -58,15 +62,13 @@ fn build_blur(with_send: bool, check_comm: bool) -> tiramisu::Result<DistModule>
         Expr::iter("ir") + Expr::i64(1),
     );
     f.comm_before(rv, bx);
-    compile(check_comm, &f)
+    f
 }
 
+const PARAMS: [(&str, i64); 2] = [("Nodes", NODES), ("CHUNK", CHUNK)];
+
 fn compile(check_comm: bool, f: &Function) -> tiramisu::Result<DistModule> {
-    compile_dist(
-        f,
-        &[("Nodes", NODES), ("CHUNK", CHUNK)],
-        DistOptions { check_comm, ..DistOptions::default() },
-    )
+    compile_dist(f, &PARAMS, DistOptions { check_comm, ..DistOptions::default() })
 }
 
 /// Runs `module` and snapshots every buffer of every rank on success.
@@ -75,7 +77,7 @@ fn run_snapshot(
     module: &DistModule,
     opts: &RunOptions,
 ) -> Result<(mpisim::DistStats, Vec<Vec<u32>>), DistError> {
-    let prog = &module.dist.program;
+    let prog = &module.dist.program();
     let lin = prog.buffer_by_name("lin").expect("input buffer");
     let snaps = Mutex::new(vec![Vec::new(); NODES as usize]);
     let stats = mpisim::run_with_opts(
@@ -158,27 +160,42 @@ proptest! {
 
 #[test]
 fn injected_drops_recover_bit_identically_with_costed_retries() {
-    let module = build_blur(true, true).unwrap();
+    // The freshly compiled module, and the same module served from a disk
+    // artifact (its chunks run the bytecode the decode installed).
+    let dir = std::env::temp_dir().join(format!("tiramisu-dist-faults-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = tiramisu::ServiceConfig { cache_dir: Some(dir.clone()), ..Default::default() };
+    let svc = tiramisu::CompileService::new(config);
+    svc.compile_dist(&blur(true), &PARAMS, DistOptions::default()).unwrap();
+    svc.clear_memory();
+    let served = svc.compile_dist(&blur(true), &PARAMS, DistOptions::default()).unwrap();
+    assert_eq!(svc.stats().disk_hits, 1);
     let (ref_stats, ref_snaps) = reference();
-    // Fault decisions are a pure function of the seed; scan for a seed
-    // that injects drops yet stays within the retry budget.
-    let healed = (0..64u64).find_map(|seed| {
-        let plan = FaultPlan::new(seed).with_drop(0.5);
-        let opts = RunOptions { faults: Some(plan), ..RunOptions::default() };
-        match run_snapshot(&module, &opts) {
-            Ok((stats, snaps)) if stats.total_drops() > 0 => Some((stats, snaps)),
-            _ => None,
-        }
-    });
-    let (stats, snaps) = healed.expect("some seed in 0..64 should heal through drops");
-    assert_eq!(snaps, ref_snaps, "healed run must be bit-identical");
-    assert!(stats.total_retries() > 0, "drops must cost retransmissions");
-    let faulty: f64 = stats.comm_cycles.iter().sum();
-    let clean: f64 = ref_stats.comm_cycles.iter().sum();
-    assert!(
-        faulty > clean,
-        "retries must show up in modeled comm cycles ({faulty} vs {clean})"
-    );
+    for module in [&build_blur(true, true).unwrap(), &*served] {
+        // Fault decisions are a pure function of the seed; scan for a seed
+        // that injects drops and duplicates yet stays within the retry
+        // budget.
+        let healed = (0..64u64).find_map(|seed| {
+            let plan = FaultPlan::new(seed).with_drop(0.5).with_duplicate(0.3);
+            let opts = RunOptions { faults: Some(plan), ..RunOptions::default() };
+            let (stats, snaps) = run_snapshot(module, &opts).ok()?;
+            // One logical message per neighbour pair: every wire copy
+            // beyond those and the retransmissions is a duplicate.
+            let wire: u64 = stats.messages.iter().sum();
+            (stats.total_drops() > 0 && wire > NODES as u64 - 1 + stats.total_retries())
+                .then_some((stats, snaps))
+        });
+        let (stats, snaps) = healed.expect("some seed in 0..64 should heal through drops");
+        assert_eq!(snaps, ref_snaps, "healed run must be bit-identical");
+        assert!(stats.total_retries() > 0, "drops must cost retransmissions");
+        let faulty: f64 = stats.comm_cycles.iter().sum();
+        let clean: f64 = ref_stats.comm_cycles.iter().sum();
+        assert!(
+            faulty > clean,
+            "retries must show up in modeled comm cycles ({faulty} vs {clean})"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -236,14 +253,14 @@ fn kernels_fault_api_heals_gaussian_halo_exchange() {
     use kernels::image::ImgSize;
     use kernels::image_dist::tiramisu_dist;
     let prep = tiramisu_dist("gaussian", ImgSize::small(), 4).unwrap();
-    let n_bufs = prep.module.dist.program.n_buffers();
+    let n_bufs = prep.module.dist.program().n_buffers();
     let snapshot = |opts: &RunOptions| {
         let snaps = Mutex::new(vec![Vec::new(); 4]);
         let stats = prep
             .run_with_opts(opts, |rank, m| {
                 let snap: Vec<u32> = (0..n_bufs)
                     .flat_map(|b| {
-                        m.buffer(prep.module.dist.program.nth_buffer(b))
+                        m.buffer(prep.module.dist.program().nth_buffer(b))
                             .iter()
                             .map(|x| x.to_bits())
                     })
@@ -265,7 +282,7 @@ fn kernels_fault_api_heals_gaussian_halo_exchange() {
                 .run_with_opts(&opts, |rank, m| {
                     let snap: Vec<u32> = (0..n_bufs)
                         .flat_map(|b| {
-                            m.buffer(prep.module.dist.program.nth_buffer(b))
+                            m.buffer(prep.module.dist.program().nth_buffer(b))
                                 .iter()
                                 .map(|x| x.to_bits())
                         })

@@ -167,11 +167,12 @@ fn orphan_recv_program() -> DistProgram {
     let mut p = Program::new();
     let b = p.buffer("b", 4);
     let rank = p.var("rank");
-    DistProgram {
-        program: p,
-        rank_var: rank,
-        preamble: vec![],
-        body: vec![DistStmt::If {
+    DistProgram::new(
+        p,
+        rank,
+        vec![],
+        vec![],
+        vec![DistStmt::If {
             cond: Expr::eq(Expr::var(rank), Expr::i64(0)),
             body: vec![DistStmt::Recv {
                 src: Expr::i64(1),
@@ -180,7 +181,7 @@ fn orphan_recv_program() -> DistProgram {
                 count: Expr::i64(1),
             }],
         }],
-    }
+    )
 }
 
 #[test]

@@ -1,12 +1,15 @@
 //! A program is compiled once: the code a backend built (or decoded from
 //! an artifact) is the code `Machine::run` executes, clones share it, and
-//! only a mutation recompiles. Observed through the process-wide
+//! only a mutation recompiles. A rank program's compute chunks are such
+//! programs, shared by every rank of every run. Observed through the
+//! process-wide
 //! `vm.bc_cache.*` ("`Machine::run` found a compiled form / had to build
 //! one") and `vm.jit.*` counters.
 
 use loopvm::{ExecMode, Expr as V, Machine, Program, Stmt};
+use mpisim::{CommModel, DistError, DistProgram, DistStmt, RunOptions};
 use std::sync::{Barrier, Mutex, MutexGuard};
-use tiramisu::{CompileService, ServiceConfig};
+use tiramisu::{CompileService, DistOptions, Expr as E, Function, ServiceConfig};
 
 /// The counters are process-wide; every test here reads deltas.
 static COUNTERS: Mutex<()> = Mutex::new(());
@@ -140,4 +143,108 @@ fn type_error_is_compiled_once_and_returned_unchanged() {
     assert_eq!(jit_machine(&q).run(&q), Err(first.clone()));
     assert_eq!(jit_machine(&p).run(&p), Err(first));
     assert_eq!(delta(before), (2, 1, 0));
+}
+
+// ---------------------------------------------------------------------------
+// Rank programs: a compute chunk is a program, shared by every rank and run
+// ---------------------------------------------------------------------------
+
+/// `out[i] = 4 * in[i]`, block-distributed over two ranks: one chunk.
+fn dist_scaled() -> Function {
+    let mut f = Function::new("scaled", &["N"]);
+    let i = f.var("i", 0, E::param("N"));
+    let input = f.input("in", std::slice::from_ref(&i)).unwrap();
+    let c = f.computation("out", &[i], f.access(input, &[E::iter("i")]) * E::f32(4.0)).unwrap();
+    f.split(c, "i", 8, "i0", "i1").unwrap();
+    f.distribute(c, "i0").unwrap();
+    f
+}
+
+/// Runs `dist` on rank machines that all ask for the top tier and enter
+/// their programs together; returns every rank's buffers as bit patterns.
+fn run_cluster(dist: &DistProgram, ranks: usize) -> Result<Vec<Vec<u32>>, DistError> {
+    let p = dist.program();
+    let start = Barrier::new(ranks);
+    let snaps = Mutex::new(vec![Vec::new(); ranks]);
+    mpisim::run_with_opts(
+        dist,
+        ranks,
+        &CommModel::default(),
+        &RunOptions::default(),
+        |rank, m| {
+            m.set_exec_mode(ExecMode::Jit);
+            for b in 0..p.n_buffers() {
+                kernels::fill_buffer(m.buffer_mut(p.nth_buffer(b)), (rank * 16 + b) as u64);
+            }
+            start.wait();
+        },
+        |rank, m| {
+            snaps.lock().unwrap()[rank] = (0..p.n_buffers())
+                .flat_map(|b| m.buffer(p.nth_buffer(b)).iter().map(|x| x.to_bits()))
+                .collect();
+        },
+    )?;
+    Ok(snaps.into_inner().unwrap())
+}
+
+#[test]
+fn dist_runs_execute_the_code_the_module_holds() {
+    let _g = locked();
+    let dir = std::env::temp_dir().join(format!("tiramisu-one-compile-dist-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let svc = CompileService::new(ServiceConfig { cache_dir: Some(dir.clone()), ..Default::default() });
+    let (f, params) = (dist_scaled(), [("N", 16)]);
+    let fresh = svc.compile_dist(&f, &params, DistOptions::default()).expect("cold compile");
+    svc.clear_memory();
+    let served = svc.compile_dist(&f, &params, DistOptions::default()).expect("disk hit");
+    assert_eq!((svc.stats().disk_hits, served.dist.chunks().len()), (1, 1));
+    assert_eq!(served.dist.program(), fresh.dist.program());
+    assert_eq!(served.disasm(), fresh.disasm());
+    // Both the bytecode `optimize` built and the bytecode an artifact
+    // decode installed are found by every chunk execution (2 ranks x 1
+    // chunk x 2 runs) of the module's first runs: nothing compiles, and
+    // rank chunks stay on the interpreter even when asked for JIT.
+    let outs = [&fresh, &served].map(|module| {
+        let before = counters();
+        let out = run_cluster(&module.dist, 2).expect("run");
+        assert_eq!(run_cluster(&module.dist, 2).expect("run again"), out);
+        assert_eq!(delta(before), (4, 0, 0));
+        out
+    });
+    assert_eq!(outs[0], outs[1], "the decoded code computes the same bits");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bare_rank_programs_compile_each_chunk_once_even_to_an_error() {
+    let _g = locked();
+    // No `optimize` pass ran: pack (ranks 1..3), unpack (ranks 0..2) and
+    // the pipeline chunk (all ranks) compile on their first execution,
+    // once each however the four rank threads race.
+    let (dist, ranks) =
+        kernels::image_dist::halide_dist("conv2D", kernels::image::ImgSize::small(), 4)
+            .expect("halide dist");
+    assert_eq!((dist.chunks().len(), ranks), (3, 4));
+    let before = counters();
+    let first = run_cluster(&dist, ranks).expect("run");
+    assert_eq!(delta(before), (7, 3, 0), "10 chunk executions, 3 builds");
+    let before = counters();
+    assert_eq!(run_cluster(&dist, ranks).expect("run again"), first);
+    assert_eq!(delta(before), (10, 0, 0));
+
+    // A chunk that does not compile (an i64 stored into an f32 buffer)
+    // is built once too, and fails identically on every run.
+    let mut p = Program::new();
+    let out = p.buffer("out", 1);
+    let rank = p.var("rank");
+    let chunk = vec![Stmt::store(out, V::i64(0), V::i64(1))];
+    let dist = DistProgram::new(p, rank, vec![], vec![chunk], vec![DistStmt::Compute(0)]);
+    let before = counters();
+    let first = run_cluster(&dist, 1).expect_err("type error");
+    assert!(
+        matches!(first, DistError::Vm { rank: 0, source: loopvm::Error::Type(_) }),
+        "{first:?}"
+    );
+    assert_eq!(run_cluster(&dist, 1), Err(first));
+    assert_eq!(delta(before), (1, 1, 0));
 }

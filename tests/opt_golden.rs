@@ -187,10 +187,12 @@ fn gpu_kernel_bytecode_disassembly_is_pinned() {
 }
 
 #[test]
-fn dist_rank_chunk_bytecode_disassembly_is_pinned() {
+fn dist_rank_chunk_disassembly_is_pinned() {
     // The paper's Figure 3(c) distributed blur with halo exchange (same
-    // Layer I as `crates/core`'s dist tests): the rank program has a
-    // parameter preamble (chunk 0) and one compute chunk.
+    // Layer I as `crates/core`'s dist tests): the rank program has one
+    // compute chunk. A chunk is a program of its own, so its bytecode
+    // starts with the preamble's parameter lets (they used to be pinned
+    // as a separate "chunk 0" that never ran).
     let mut f = Function::new("dblur", &["Nodes", "CHUNK"]);
     let r = f.var("r", 0, E::param("Nodes"));
     let i = f.var("i", 0, E::param("CHUNK"));
@@ -214,12 +216,15 @@ fn dist_rank_chunk_bytecode_disassembly_is_pinned() {
     f.comm_before(rv, bx);
     let module =
         compile_dist(&f, &[("Nodes", 4), ("CHUNK", 8)], DistOptions::default()).unwrap();
-    let chunks = module.bytecode().expect("dist modules carry chunk bytecode");
-    assert!(chunks.len() >= 2, "expected preamble + compute chunk, got {}", chunks.len());
-    assert_golden(
-        "dist_blur_bytecode",
-        &module.disasm().expect("dist modules carry chunk bytecode"),
-    );
+    let disasm = module.disasm().expect("dist modules carry chunk bytecode");
+    // The pinned code is the executed code: the text is exactly what the
+    // chunk programs — which `mpisim` runs — hold as their compiled form.
+    let executed: String = (module.dist.chunks().iter().enumerate())
+        .map(|(k, c)| format!("// chunk {k}\n{}", c.compiled().unwrap().bytecode().disasm(c)))
+        .collect();
+    assert_eq!(module.dist.chunks().len(), 1);
+    assert_eq!(disasm, executed);
+    assert_golden("dist_blur_bytecode", &disasm);
 }
 
 /// The disassembly itself must stay faithful: running the pinned bytecode

@@ -155,16 +155,13 @@ fn receives_match_by_source_despite_arrival_order() {
     let mut p = Program::new();
     let b = p.buffer("b", 4);
     let rank = p.var("rank");
-    let prog = DistProgram {
-        program: p,
-        rank_var: rank,
-        preamble: vec![],
-        body: vec![
-            DistStmt::Compute(vec![Stmt::store(
-                b,
-                V::i64(0),
-                V::to_f32(V::var(rank) + V::i64(10)),
-            )]),
+    let prog = DistProgram::new(
+        p,
+        rank,
+        vec![],
+        vec![vec![Stmt::store(b, V::i64(0), V::to_f32(V::var(rank) + V::i64(10)))]],
+        vec![
+            DistStmt::Compute(0),
             // Ranks 0 and 1 send their marker to rank 2.
             DistStmt::If {
                 cond: V::lt(V::var(rank), V::i64(2)),
@@ -185,7 +182,7 @@ fn receives_match_by_source_despite_arrival_order() {
                 ],
             },
         ],
-    };
+    );
     for _ in 0..16 {
         // Repeat to exercise both arrival orders.
         let stats = mpisim::run(&prog, 3, &CommModel::default(), false).unwrap();
