@@ -1,9 +1,10 @@
 //! A minimal hand-rolled x86-64 instruction encoder.
 //!
-//! Emits machine code into a byte buffer and, in parallel, a textual
-//! listing of every instruction. The listing *is* the disassembly pinned
-//! by `tests/opt_golden.rs` — since text and bytes are produced by the
-//! same call, the golden file cannot drift from what actually executes.
+//! Emits machine code into a byte buffer and, when constructed
+//! [`Asm::with_listing`], a textual listing of every instruction. The
+//! listing *is* the disassembly pinned by `tests/opt_golden.rs` — text and
+//! bytes are produced by the same call, so the golden file cannot drift
+//! from what actually executes; a plain [`Asm::new`] formats nothing.
 //!
 //! Only the instructions the bytecode compiler needs are provided; all
 //! jumps use rel32 displacements patched through [`Label`]s, so the
@@ -149,10 +150,12 @@ impl Label {
     pub(super) const INVALID: Label = Label(usize::MAX);
 }
 
-/// The encoder: machine bytes plus a line-per-instruction listing.
+/// The encoder: machine bytes plus an optional line-per-instruction
+/// listing.
 pub(super) struct Asm {
     pub code: Vec<u8>,
-    text: Vec<String>,
+    /// Listing lines; `None` when only the bytes are wanted.
+    text: Option<Vec<String>>,
     /// Bound labels: label index -> code offset.
     labels: Vec<Option<usize>>,
     /// Pending rel32 patches: (offset of the 4 displacement bytes, target).
@@ -161,29 +164,39 @@ pub(super) struct Asm {
 
 impl Asm {
     pub fn new() -> Asm {
-        Asm { code: Vec::new(), text: Vec::new(), labels: Vec::new(), fixups: Vec::new() }
+        Asm { code: Vec::new(), text: None, labels: Vec::new(), fixups: Vec::new() }
     }
 
-    pub fn listing(&self) -> String {
+    /// An encoder that also records the listing.
+    pub fn with_listing() -> Asm {
+        Asm { text: Some(Vec::new()), ..Asm::new() }
+    }
+
+    /// The recorded listing (`None` unless built [`Asm::with_listing`]).
+    pub fn listing(&self) -> Option<String> {
+        let text = self.text.as_ref()?;
         let mut out = String::new();
-        for l in &self.text {
+        for l in text {
             out.push_str(l);
             out.push('\n');
         }
-        out
+        Some(out)
     }
 
     pub fn here(&self) -> usize {
         self.code.len()
     }
 
-    fn line(&mut self, s: String) {
-        self.text.push(format!("  {s}"));
+    /// Records one instruction's text; `f` runs only when listing.
+    fn line(&mut self, f: impl FnOnce() -> String) {
+        if let Some(text) = &mut self.text {
+            text.push(format!("  {}", f()));
+        }
     }
 
     /// Emits a comment-only listing line (no code bytes).
-    pub fn comment(&mut self, s: &str) {
-        self.text.push(format!("  ; {s}"));
+    pub fn comment(&mut self, f: impl FnOnce() -> String) {
+        self.line(|| format!("; {}", f()));
     }
 
     pub fn new_label(&mut self) -> Label {
@@ -194,7 +207,9 @@ impl Asm {
     pub fn bind(&mut self, l: Label) {
         assert!(self.labels[l.0].is_none(), "label bound twice");
         self.labels[l.0] = Some(self.code.len());
-        self.text.push(format!("L{}:", l.0));
+        if let Some(text) = &mut self.text {
+            text.push(format!("L{}:", l.0));
+        }
     }
 
     /// Resolves every pending jump; call once after all code is emitted.
@@ -299,17 +314,17 @@ impl Asm {
 
     pub fn mov_rr(&mut self, dst: Gpr, src: Gpr) {
         self.op_rr(None, true, &[0x89], src.idx(), dst.idx());
-        self.line(format!("mov {}, {}", dst.name(), src.name()));
+        self.line(|| format!("mov {}, {}", dst.name(), src.name()));
     }
 
     pub fn mov_rm(&mut self, dst: Gpr, m: Mem) {
         self.op_rm(None, true, &[0x8B], dst.idx(), m);
-        self.line(format!("mov {}, {}", dst.name(), m.text()));
+        self.line(|| format!("mov {}, {}", dst.name(), m.text()));
     }
 
     pub fn mov_mr(&mut self, m: Mem, src: Gpr) {
         self.op_rm(None, true, &[0x89], src.idx(), m);
-        self.line(format!("mov {}, {}", m.text(), src.name()));
+        self.line(|| format!("mov {}, {}", m.text(), src.name()));
     }
 
     pub fn mov_ri(&mut self, dst: Gpr, v: i64) {
@@ -325,7 +340,7 @@ impl Asm {
             self.b(0xB8 + (dst.idx() & 7));
             self.code.extend_from_slice(&v.to_le_bytes());
         }
-        self.line(format!("mov {}, {v:#x}", dst.name()));
+        self.line(|| format!("mov {}, {v:#x}", dst.name()));
     }
 
     /// `mov r32, imm32` (zero-extends; used to build f32 bit patterns).
@@ -333,7 +348,7 @@ impl Asm {
         self.rex(false, 0, 0, dst.idx());
         self.b(0xB8 + (dst.idx() & 7));
         self.code.extend_from_slice(&bits.to_le_bytes());
-        self.line(format!("mov {}d, {bits:#x}", dst.name()));
+        self.line(|| format!("mov {}d, {bits:#x}", dst.name()));
     }
 
     /// `movabs` of a host function address, listed symbolically so the
@@ -342,14 +357,14 @@ impl Asm {
         self.rex(true, 0, 0, dst.idx());
         self.b(0xB8 + (dst.idx() & 7));
         self.code.extend_from_slice(&v.to_le_bytes());
-        self.line(format!("mov {}, <{sym}>", dst.name()));
+        self.line(|| format!("mov {}, <{sym}>", dst.name()));
     }
 
     // -- GPR arithmetic ------------------------------------------------------
 
     fn alu_rr(&mut self, opcode: u8, mnem: &str, dst: Gpr, src: Gpr) {
         self.op_rr(None, true, &[opcode], src.idx(), dst.idx());
-        self.line(format!("{mnem} {}, {}", dst.name(), src.name()));
+        self.line(|| format!("{mnem} {}, {}", dst.name(), src.name()));
     }
 
     pub fn add_rr(&mut self, dst: Gpr, src: Gpr) {
@@ -378,12 +393,12 @@ impl Asm {
 
     pub fn test_rr(&mut self, a: Gpr, b: Gpr) {
         self.op_rr(None, true, &[0x85], b.idx(), a.idx());
-        self.line(format!("test {}, {}", a.name(), b.name()));
+        self.line(|| format!("test {}, {}", a.name(), b.name()));
     }
 
     pub fn imul_rr(&mut self, dst: Gpr, src: Gpr) {
         self.op_rr(None, true, &[0x0F, 0xAF], dst.idx(), src.idx());
-        self.line(format!("imul {}, {}", dst.name(), src.name()));
+        self.line(|| format!("imul {}, {}", dst.name(), src.name()));
     }
 
     pub fn add_ri(&mut self, dst: Gpr, v: i32) {
@@ -397,7 +412,7 @@ impl Asm {
             self.modrm(3, 0, dst.idx());
             self.d32(v);
         }
-        self.line(format!("add {}, {v:#x}", dst.name()));
+        self.line(|| format!("add {}, {v:#x}", dst.name()));
     }
 
     pub fn sub_ri(&mut self, dst: Gpr, v: i32) {
@@ -411,7 +426,7 @@ impl Asm {
             self.modrm(3, 5, dst.idx());
             self.d32(v);
         }
-        self.line(format!("sub {}, {v:#x}", dst.name()));
+        self.line(|| format!("sub {}, {v:#x}", dst.name()));
     }
 
     pub fn cmp_ri(&mut self, a: Gpr, v: i32) {
@@ -425,12 +440,12 @@ impl Asm {
             self.modrm(3, 7, a.idx());
             self.d32(v);
         }
-        self.line(format!("cmp {}, {v:#x}", a.name()));
+        self.line(|| format!("cmp {}, {v:#x}", a.name()));
     }
 
     pub fn neg_r(&mut self, r: Gpr) {
         self.op_rr(None, true, &[0xF7], 3, r.idx());
-        self.line(format!("neg {}", r.name()));
+        self.line(|| format!("neg {}", r.name()));
     }
 
     pub fn sar_ri(&mut self, r: Gpr, bits: u8) {
@@ -438,23 +453,23 @@ impl Asm {
         self.b(0xC1);
         self.modrm(3, 7, r.idx());
         self.b(bits);
-        self.line(format!("sar {}, {bits}", r.name()));
+        self.line(|| format!("sar {}, {bits}", r.name()));
     }
 
     pub fn cqo(&mut self) {
         self.b(0x48);
         self.b(0x99);
-        self.line("cqo".to_string());
+        self.line(|| "cqo".to_string());
     }
 
     pub fn idiv_r(&mut self, r: Gpr) {
         self.op_rr(None, true, &[0xF7], 7, r.idx());
-        self.line(format!("idiv {}", r.name()));
+        self.line(|| format!("idiv {}", r.name()));
     }
 
     pub fn cmov_rr(&mut self, cc: Cc, dst: Gpr, src: Gpr) {
         self.op_rr(None, true, &[0x0F, 0x40 | cc as u8], dst.idx(), src.idx());
-        self.line(format!("cmov{} {}, {}", cc.name(), dst.name(), src.name()));
+        self.line(|| format!("cmov{} {}, {}", cc.name(), dst.name(), src.name()));
     }
 
     /// `setcc` on a register's low byte (restricted to rax/rcx/rdx so no
@@ -465,7 +480,7 @@ impl Asm {
         self.b(0x90 | cc as u8);
         self.modrm(3, 0, r.idx());
         const BYTE: [&str; 3] = ["al", "cl", "dl"];
-        self.line(format!("set{} {}", cc.name(), BYTE[r.idx() as usize]));
+        self.line(|| format!("set{} {}", cc.name(), BYTE[r.idx() as usize]));
     }
 
     /// `movzx r64, r8` (again scratch-only).
@@ -479,7 +494,7 @@ impl Asm {
         self.b(0xB6);
         self.modrm(3, dst.idx(), src.idx());
         const BYTE: [&str; 3] = ["al", "cl", "dl"];
-        self.line(format!("movzx {}, {}", dst.name(), BYTE[src.idx() as usize]));
+        self.line(|| format!("movzx {}, {}", dst.name(), BYTE[src.idx() as usize]));
     }
 
     // -- stack & calls -------------------------------------------------------
@@ -487,25 +502,25 @@ impl Asm {
     pub fn push_r(&mut self, r: Gpr) {
         self.rex(false, 0, 0, r.idx());
         self.b(0x50 + (r.idx() & 7));
-        self.line(format!("push {}", r.name()));
+        self.line(|| format!("push {}", r.name()));
     }
 
     pub fn pop_r(&mut self, r: Gpr) {
         self.rex(false, 0, 0, r.idx());
         self.b(0x58 + (r.idx() & 7));
-        self.line(format!("pop {}", r.name()));
+        self.line(|| format!("pop {}", r.name()));
     }
 
     pub fn call_r(&mut self, r: Gpr) {
         self.rex(false, 0, 0, r.idx());
         self.b(0xFF);
         self.modrm(3, 2, r.idx());
-        self.line(format!("call {}", r.name()));
+        self.line(|| format!("call {}", r.name()));
     }
 
     pub fn ret(&mut self) {
         self.b(0xC3);
-        self.line("ret".to_string());
+        self.line(|| "ret".to_string());
     }
 
     // -- jumps ---------------------------------------------------------------
@@ -515,7 +530,7 @@ impl Asm {
         let at = self.code.len();
         self.d32(0);
         self.fixups.push((at, l));
-        self.line(format!("jmp L{}", l.0));
+        self.line(|| format!("jmp L{}", l.0));
     }
 
     pub fn jcc(&mut self, cc: Cc, l: Label) {
@@ -524,64 +539,105 @@ impl Asm {
         let at = self.code.len();
         self.d32(0);
         self.fixups.push((at, l));
-        self.line(format!("j{} L{}", cc.name(), l.0));
+        self.line(|| format!("j{} L{}", cc.name(), l.0));
     }
 
     // -- SSE scalar f32 ------------------------------------------------------
 
     pub fn movss_xm(&mut self, dst: Xmm, m: Mem) {
         self.op_rm(Some(0xF3), false, &[0x0F, 0x10], dst.0, m);
-        self.line(format!("movss {}, {}", dst.name(), m.text()));
+        self.line(|| format!("movss {}, {}", dst.name(), m.text()));
     }
 
     pub fn movss_mx(&mut self, m: Mem, src: Xmm) {
         self.op_rm(Some(0xF3), false, &[0x0F, 0x11], src.0, m);
-        self.line(format!("movss {}, {}", m.text(), src.name()));
+        self.line(|| format!("movss {}, {}", m.text(), src.name()));
     }
 
     pub fn movss_xx(&mut self, dst: Xmm, src: Xmm) {
         self.op_rr(Some(0xF3), false, &[0x0F, 0x10], dst.0, src.0);
-        self.line(format!("movss {}, {}", dst.name(), src.name()));
+        self.line(|| format!("movss {}, {}", dst.name(), src.name()));
     }
 
-    fn sse_op(&mut self, opcode: u8, mnem: &str, dst: Xmm, src: Xmm) {
-        self.op_rr(Some(0xF3), false, &[0x0F, opcode], dst.0, src.0);
-        self.line(format!("{mnem} {}, {}", dst.name(), src.name()));
+    /// `F3 0F op` (scalar `…ss`) or bare `0F op` (packed `…ps`).
+    fn sse_op(&mut self, prefix: Option<u8>, opcode: u8, mnem: &str, dst: Xmm, src: Xmm) {
+        self.op_rr(prefix, false, &[0x0F, opcode], dst.0, src.0);
+        self.line(|| format!("{mnem} {}, {}", dst.name(), src.name()));
     }
 
     pub fn addss(&mut self, dst: Xmm, src: Xmm) {
-        self.sse_op(0x58, "addss", dst, src);
+        self.sse_op(Some(0xF3), 0x58, "addss", dst, src);
     }
 
     pub fn subss(&mut self, dst: Xmm, src: Xmm) {
-        self.sse_op(0x5C, "subss", dst, src);
+        self.sse_op(Some(0xF3), 0x5C, "subss", dst, src);
     }
 
     pub fn mulss(&mut self, dst: Xmm, src: Xmm) {
-        self.sse_op(0x59, "mulss", dst, src);
+        self.sse_op(Some(0xF3), 0x59, "mulss", dst, src);
     }
 
     pub fn divss(&mut self, dst: Xmm, src: Xmm) {
-        self.sse_op(0x5E, "divss", dst, src);
+        self.sse_op(Some(0xF3), 0x5E, "divss", dst, src);
     }
 
     pub fn sqrtss(&mut self, dst: Xmm, src: Xmm) {
-        self.sse_op(0x51, "sqrtss", dst, src);
+        self.sse_op(Some(0xF3), 0x51, "sqrtss", dst, src);
+    }
+
+    // -- SSE packed f32 (four lanes; per lane IEEE-identical to `…ss`) -------
+
+    pub fn movups_xm(&mut self, dst: Xmm, m: Mem) {
+        self.op_rm(None, false, &[0x0F, 0x10], dst.0, m);
+        self.line(|| format!("movups {}, {}", dst.name(), m.text()));
+    }
+
+    pub fn movups_mx(&mut self, m: Mem, src: Xmm) {
+        self.op_rm(None, false, &[0x0F, 0x11], src.0, m);
+        self.line(|| format!("movups {}, {}", m.text(), src.name()));
+    }
+
+    pub fn addps(&mut self, dst: Xmm, src: Xmm) {
+        self.sse_op(None, 0x58, "addps", dst, src);
+    }
+
+    pub fn subps(&mut self, dst: Xmm, src: Xmm) {
+        self.sse_op(None, 0x5C, "subps", dst, src);
+    }
+
+    pub fn mulps(&mut self, dst: Xmm, src: Xmm) {
+        self.sse_op(None, 0x59, "mulps", dst, src);
+    }
+
+    pub fn divps(&mut self, dst: Xmm, src: Xmm) {
+        self.sse_op(None, 0x5E, "divps", dst, src);
+    }
+
+    pub fn sqrtps(&mut self, dst: Xmm, src: Xmm) {
+        self.sse_op(None, 0x51, "sqrtps", dst, src);
+    }
+
+    /// `shufps dst, src, imm8` (`imm8 = 0` with `dst == src` broadcasts
+    /// lane 0).
+    pub fn shufps(&mut self, dst: Xmm, src: Xmm, imm: u8) {
+        self.op_rr(None, false, &[0x0F, 0xC6], dst.0, src.0);
+        self.b(imm);
+        self.line(|| format!("shufps {}, {}, {imm:#x}", dst.name(), src.name()));
     }
 
     pub fn ucomiss(&mut self, a: Xmm, b: Xmm) {
         self.op_rr(None, false, &[0x0F, 0x2E], a.0, b.0);
-        self.line(format!("ucomiss {}, {}", a.name(), b.name()));
+        self.line(|| format!("ucomiss {}, {}", a.name(), b.name()));
     }
 
     pub fn xorps(&mut self, dst: Xmm, src: Xmm) {
         self.op_rr(None, false, &[0x0F, 0x57], dst.0, src.0);
-        self.line(format!("xorps {}, {}", dst.name(), src.name()));
+        self.line(|| format!("xorps {}, {}", dst.name(), src.name()));
     }
 
     pub fn andps(&mut self, dst: Xmm, src: Xmm) {
         self.op_rr(None, false, &[0x0F, 0x54], dst.0, src.0);
-        self.line(format!("andps {}, {}", dst.name(), src.name()));
+        self.line(|| format!("andps {}, {}", dst.name(), src.name()));
     }
 
     /// `cvtsi2ss xmm, r64` (i64 -> f32, rounds per MXCSR: nearest-even,
@@ -592,7 +648,7 @@ impl Asm {
         self.b(0x0F);
         self.b(0x2A);
         self.modrm(3, dst.0, src.idx());
-        self.line(format!("cvtsi2ss {}, {}", dst.name(), src.name()));
+        self.line(|| format!("cvtsi2ss {}, {}", dst.name(), src.name()));
     }
 
     /// `movd xmm, r32`.
@@ -602,7 +658,7 @@ impl Asm {
         self.b(0x0F);
         self.b(0x6E);
         self.modrm(3, dst.0, src.idx());
-        self.line(format!("movd {}, {}d", dst.name(), src.name()));
+        self.line(|| format!("movd {}, {}d", dst.name(), src.name()));
     }
 }
 
@@ -666,6 +722,65 @@ mod tests {
         let mut a = Asm::new();
         a.mov_ri(Gpr::Rdx, 5);
         assert_eq!(a.code, [0x48, 0xC7, 0xC2, 0x05, 0x00, 0x00, 0x00]);
+
+        // Packed SSE (GNU as, `.intel_syntax noprefix`).
+        let mut a = Asm::new();
+        a.movups_xm(Xmm(0), Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0));
+        a.movups_xm(Xmm(1), Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 16));
+        assert_eq!(a.code, [0x0F, 0x10, 0x04, 0x81, 0x0F, 0x10, 0x4C, 0x81, 0x10]);
+
+        let mut a = Asm::new();
+        a.movups_xm(Xmm(8), Mem::sib(Gpr::R13, Gpr::R9, 4, 0x200));
+        assert_eq!(a.code, [0x47, 0x0F, 0x10, 0x84, 0x8D, 0x00, 0x02, 0x00, 0x00]);
+
+        let mut a = Asm::new();
+        a.movups_mx(Mem::base(Gpr::Rsp, 0x120), Xmm(9));
+        a.movups_mx(Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 16), Xmm(1));
+        assert_eq!(
+            a.code,
+            [0x44, 0x0F, 0x11, 0x8C, 0x24, 0x20, 0x01, 0x00, 0x00, 0x0F, 0x11, 0x4C, 0x81, 0x10]
+        );
+
+        let mut a = Asm::new();
+        a.addps(Xmm(0), Xmm(1));
+        a.subps(Xmm(0), Xmm(1));
+        a.mulps(Xmm(0), Xmm(8));
+        a.divps(Xmm(0), Xmm(1));
+        a.sqrtps(Xmm(9), Xmm(1));
+        assert_eq!(
+            a.code,
+            [
+                0x0F, 0x58, 0xC1, 0x0F, 0x5C, 0xC1, 0x41, 0x0F, 0x59, 0xC0, 0x0F, 0x5E, 0xC1,
+                0x44, 0x0F, 0x51, 0xC9
+            ]
+        );
+
+        let mut a = Asm::new();
+        a.shufps(Xmm(0), Xmm(0), 0);
+        a.shufps(Xmm(8), Xmm(8), 0);
+        a.shufps(Xmm(1), Xmm(2), 0x1B);
+        assert_eq!(
+            a.code,
+            [0x0F, 0xC6, 0xC0, 0x00, 0x45, 0x0F, 0xC6, 0xC0, 0x00, 0x0F, 0xC6, 0xCA, 0x1B]
+        );
+    }
+
+    #[test]
+    fn text_is_recorded_only_when_listing() {
+        let emit = |mut a: Asm| {
+            let l = a.new_label();
+            a.comment(|| "c".to_string());
+            a.bind(l);
+            a.mov_rr(Gpr::Rax, Gpr::Rcx);
+            a.jmp(l);
+            a.finish();
+            (a.code.clone(), a.listing())
+        };
+        let (plain, none) = emit(Asm::new());
+        let (listed, text) = emit(Asm::with_listing());
+        assert_eq!(none, None);
+        assert_eq!(text.as_deref(), Some("  ; c\nL0:\n  mov rax, rcx\n  jmp L0\n"));
+        assert_eq!(plain, listed);
     }
 
     #[test]

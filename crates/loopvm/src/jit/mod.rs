@@ -29,7 +29,7 @@ mod regalloc;
 mod runtime;
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-pub use compile::compile;
+pub use compile::{compile, listing};
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub use runtime::JitProgram;
 
@@ -112,11 +112,6 @@ mod stub {
     }
 
     impl JitProgram {
-        /// The generated-code listing (unreachable: cannot be constructed).
-        pub fn listing(&self) -> &str {
-            match self.never {}
-        }
-
         /// Bytes of generated machine code (unreachable).
         pub fn code_len(&self) -> usize {
             match self.never {}
@@ -152,7 +147,12 @@ mod stub {
     pub fn compile(_bc: &BcProgram) -> Option<JitProgram> {
         None
     }
+
+    /// Always `None`: there is no generated code to list.
+    pub fn listing(_bc: &BcProgram) -> Option<String> {
+        None
+    }
 }
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-pub use stub::{compile, JitProgram};
+pub use stub::{compile, listing, JitProgram};

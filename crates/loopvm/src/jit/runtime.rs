@@ -354,7 +354,6 @@ pub struct JitProgram {
     /// order.
     par_fns: Vec<(usize, u32)>,
     deopts: Vec<Deopt>,
-    listing: String,
     n_vars: usize,
     n_iregs: usize,
     n_fregs: usize,
@@ -371,10 +370,8 @@ impl std::fmt::Debug for JitProgram {
 }
 
 impl JitProgram {
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
         code: Vec<u8>,
-        listing: String,
         main_off: usize,
         par_fns: Vec<(usize, u32)>,
         deopts: Vec<Deopt>,
@@ -389,17 +386,10 @@ impl JitProgram {
             main_off,
             par_fns,
             deopts,
-            listing,
             n_vars,
             n_iregs,
             n_fregs,
         })
-    }
-
-    /// The per-instruction textual listing of the generated code (also the
-    /// golden-test disassembly format).
-    pub fn listing(&self) -> &str {
-        &self.listing
     }
 
     /// Bytes of generated machine code.

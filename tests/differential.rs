@@ -403,16 +403,25 @@ proptest! {
 
 // ----------------------------------------------------- trap differential --
 
-/// Runs `p` under `mode` and reduces the observable outcome to a string:
-/// `ok`, the runtime `Error`'s display text, or the panic payload text.
-/// The JIT deopts to the interpreter's scalar helpers on every trapping
-/// instruction, so all three executors must produce the *same* string.
-fn trap_outcome(p: &loopvm::Program, mode: loopvm::ExecMode) -> String {
+/// Runs `p` under `mode` from a deterministic non-zero fill of every
+/// buffer and reduces the observable outcome to a string — `ok`, the
+/// runtime `Error`'s display text, or the panic payload text — plus every
+/// buffer's bits after the run. The JIT deopts to the interpreter's scalar
+/// helpers on every trapping instruction, so all three executors must
+/// produce the *same* string, and a failed run must leave the same partial
+/// results behind.
+fn trap_outcome_and_buffers(
+    p: &loopvm::Program,
+    mode: loopvm::ExecMode,
+) -> (String, Vec<Vec<u32>>) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let mut m = loopvm::Machine::new(p);
     m.set_threads(2);
     m.set_exec_mode(mode);
-    match catch_unwind(AssertUnwindSafe(|| m.run(p))) {
+    for b in 0..p.n_buffers() {
+        fill(m.buffer_mut(p.nth_buffer(b)), 11 + b as u64);
+    }
+    let outcome = match catch_unwind(AssertUnwindSafe(|| m.run(p))) {
         Ok(Ok(())) => "ok".to_string(),
         Ok(Err(e)) => format!("err: {e}"),
         Err(payload) => {
@@ -423,7 +432,15 @@ fn trap_outcome(p: &loopvm::Program, mode: loopvm::ExecMode) -> String {
                 .unwrap_or_else(|| "<non-string panic>".to_string());
             format!("panic: {text}")
         }
-    }
+    };
+    let bufs = (0..p.n_buffers())
+        .map(|b| m.buffer(p.nth_buffer(b)).iter().map(|v| v.to_bits()).collect())
+        .collect();
+    (outcome, bufs)
+}
+
+fn trap_outcome(p: &loopvm::Program, mode: loopvm::ExecMode) -> String {
+    trap_outcome_and_buffers(p, mode).0
 }
 
 /// Traps (out-of-bounds accesses, division by zero) must produce the
@@ -528,4 +545,97 @@ fn traps_agree_across_executors() {
 
     std::panic::set_hook(prev_hook);
     assert!(failures.is_empty(), "trap outcomes diverged:\n{}", failures.join("\n"));
+}
+
+/// The JIT guards a contiguous (or strided) vector access once for all
+/// eight lanes and computes uniform values once; whichever lane is the
+/// first out of bounds, the error, its index and the lanes stored before
+/// it must be exactly the interpreters'.
+#[test]
+fn vector_lane_traps_agree() {
+    use loopvm::{Expr, LoopKind, Program, Stmt};
+
+    // Two chunks over `i in 0..16`; `a_len` places the first failing lane.
+    let program = |a_len: usize, body: &dyn Fn(loopvm::BufId, loopvm::BufId, Expr) -> Stmt| {
+        let mut p = Program::new();
+        let a = p.buffer("A", a_len);
+        let b = p.buffer("B", 16);
+        let i = p.var("i");
+        let stmt = body(a, b, Expr::var(i));
+        p.push(Stmt::for_(i, Expr::i64(0), Expr::i64(16), LoopKind::Vectorize(8), vec![stmt]));
+        p
+    };
+    let mut cases: Vec<(String, Program, String)> = Vec::new();
+    for lane in 0..8usize {
+        // Lane `lane` of the second chunk reads/writes A[8 + lane + 2].
+        let len = 8 + lane + 2;
+        let oob = format!("err: out of bounds: A[{len}] (size {len})");
+        cases.push((
+            format!("load, lane {lane}"),
+            program(len, &|a, b, i| Stmt::store(b, i.clone(), Expr::load(a, i + Expr::i64(2)))),
+            oob.clone(),
+        ));
+        cases.push((
+            format!("store, lane {lane}"),
+            program(len, &|a, b, i| Stmt::store(a, i.clone() + Expr::i64(2), Expr::load(b, i))),
+            oob,
+        ));
+        // Stride 3: lane `lane` of the second chunk reads A[3·(8 + lane) + 1].
+        let len = 3 * (8 + lane) + 1;
+        cases.push((
+            format!("strided load, lane {lane}"),
+            program(len, &|a, b, i| {
+                Stmt::store(b, i.clone(), Expr::load(a, i * Expr::i64(3) + Expr::i64(1)))
+            }),
+            format!("err: out of bounds: A[{len}] (size {len})"),
+        ));
+    }
+    cases.push((
+        "negative lane 0, load".to_string(),
+        program(32, &|a, b, i| Stmt::store(b, i.clone(), Expr::load(a, i - Expr::i64(3)))),
+        "err: out of bounds: A[-3] (size 32)".to_string(),
+    ));
+    cases.push((
+        "negative lane 0, store".to_string(),
+        program(32, &|a, b, i| Stmt::store(a, i.clone() - Expr::i64(3), Expr::load(b, i))),
+        "err: out of bounds: A[-3] (size 32)".to_string(),
+    ));
+    cases.push((
+        "uniform-index load".to_string(),
+        program(5, &|a, b, i| Stmt::store(b, i, Expr::load(a, Expr::i64(5)))),
+        "err: out of bounds: A[5] (size 5)".to_string(),
+    ));
+    // In place, shifting left: a chunk loads all eight lanes before it
+    // stores any, and the second chunk's last load is past the end.
+    cases.push((
+        "in-place shift".to_string(),
+        program(16, &|a, _, i| Stmt::store(a, i.clone(), Expr::load(a, i + Expr::i64(1)))),
+        "err: out of bounds: A[16] (size 16)".to_string(),
+    ));
+    cases.push((
+        "in-place shift, in bounds".to_string(),
+        program(17, &|a, _, i| Stmt::store(a, i.clone(), Expr::load(a, i + Expr::i64(1)))),
+        "ok".to_string(),
+    ));
+
+    let mut failures = Vec::new();
+    for (name, p, expected) in &cases {
+        // The native tier must be what runs, not a silent fallback.
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        assert!(p.compiled().unwrap().jit().is_some(), "{name}: no native code");
+        let (bc, bc_bufs) = trap_outcome_and_buffers(p, loopvm::ExecMode::Bytecode);
+        if bc != *expected {
+            failures.push(format!("{name}: bytecode produced {bc:?}, expected {expected:?}"));
+        }
+        for mode in [loopvm::ExecMode::Jit, loopvm::ExecMode::TreeWalk] {
+            let (out, bufs) = trap_outcome_and_buffers(p, mode);
+            if out != bc {
+                failures.push(format!("{name}: {mode:?} produced {out:?}, bytecode {bc:?}"));
+            }
+            if bufs != bc_bufs {
+                failures.push(format!("{name}: {mode:?} left different buffers than bytecode"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "vector trap outcomes diverged:\n{}", failures.join("\n"));
 }

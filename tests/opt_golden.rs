@@ -132,11 +132,63 @@ fn gemm_jit_x86_64_listing_is_pinned() {
     )
     .unwrap();
     let jit = module.jit().expect("gemm must be JIT-compilable on x86-64");
-    assert_golden("gemm_jit_x86_64", jit.listing());
+    let bc = module.bytecode().expect("CPU modules carry optimized bytecode");
+    let listing = loopvm::jit::listing(bc).expect("the listing exists wherever the code does");
+    assert_golden("gemm_jit_x86_64", &listing);
     // Sanity on the shape: one main function, real code, and deopt stubs
     // for every trapping load/store in the inner loop.
     assert!(jit.code_len() > 0, "empty code buffer");
     assert!(jit.n_deopts() > 0, "gemm's loads/stores should carry deopt stubs");
+}
+
+/// [`blur`] with `vectorize(j, 8)` on both stages: the kernel whose
+/// native code has vector chunks (gemm's has none).
+fn blur_vectorized() -> Function {
+    let mut f = blur();
+    for name in ["bx", "by"] {
+        let c = f.comp_by_name(name).unwrap();
+        f.vectorize(c, "j", 8).unwrap();
+    }
+    f
+}
+
+/// Packed chunk emission is pinned here: one range guard per contiguous
+/// access, `movups`/`addps`/`divps` halves, the per-lane paths out of line
+/// behind `ret`. N x M = 10 x 20 gives each row two chunks and a scalar
+/// remainder.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[test]
+fn blur_jit_x86_64_listing_is_pinned() {
+    let f = blur_vectorized();
+    let module = compile_cpu(&f, &[("N", 10), ("M", 20)], CpuOptions::default()).unwrap();
+    let bc = module.bytecode().expect("CPU modules carry optimized bytecode");
+    let listing = loopvm::jit::listing(bc).expect("blur must be JIT-compilable on x86-64");
+    assert_golden("blur_jit_x86_64", &listing);
+    for packed in ["movups", "addps", "divps"] {
+        assert!(listing.contains(packed), "no `{packed}` in the vectorized blur");
+    }
+}
+
+/// The Fig. 1 schedule is the kernel the lane-shape analysis exists for:
+/// its packed-panel index `j % 32` must be proved contiguous, so the
+/// update chunk is all packed and nothing in the program divides.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[test]
+fn sgemm_native_code_is_packed_and_division_free() {
+    let prep = kernels::sgemm::tiramisu_best(192, 32).unwrap();
+    let code = prep.program.compiled().unwrap();
+    let jit = code.jit().expect("sgemm must be JIT-compilable on x86-64");
+    let listing = loopvm::jit::listing(code.bytecode()).unwrap();
+    assert!(listing.contains("mulps") && listing.contains("addps"), "scalar update chunk");
+    assert!(!listing.contains("idiv"), "a power-of-two divisor reached idiv");
+    let reasons = jit.deopt_reasons();
+    let at = |r: loopvm::jit::DeoptReason| reasons[r.index()];
+    assert_eq!(at(loopvm::jit::DeoptReason::DivZero), 0);
+    assert_eq!(at(loopvm::jit::DeoptReason::RemZero), 0);
+    // 16 contiguous vector accesses keep 8 per-lane stubs each behind
+    // their one range guard, the 4 uniform `A[..]` loads of the update
+    // chunks one each, the scalar loops 22 (262 before lane shapes).
+    assert!(jit.n_deopts() <= 154, "{} deopt stubs", jit.n_deopts());
 }
 
 #[test]
@@ -227,22 +279,25 @@ fn dist_rank_chunk_disassembly_is_pinned() {
     assert_golden("dist_blur_bytecode", &disasm);
 }
 
-/// The disassembly itself must stay faithful: running the pinned bytecode
-/// produces the same values as the reference tree-walk.
+/// The disassembly itself must stay faithful: running the pinned native
+/// code and the pinned bytecode produces the same values as the reference
+/// tree-walk.
 #[test]
 fn pinned_kernels_execute_identically_in_both_modes() {
-    for (f, params) in [(gemm(), vec![("N", 8)]), (blur(), vec![("N", 10), ("M", 12)])] {
+    for (f, params) in [
+        (gemm(), vec![("N", 8)]),
+        (blur(), vec![("N", 10), ("M", 12)]),
+        (blur_vectorized(), vec![("N", 10), ("M", 20)]),
+    ] {
         let module = compile_cpu(
             &f,
             &params,
             CpuOptions { check_legality: false, ..Default::default() },
         )
         .unwrap();
-        let run = |tree_walk: bool| {
+        let run = |mode: loopvm::ExecMode| {
             let mut m = module.machine();
-            if tree_walk {
-                m.set_exec_mode(loopvm::ExecMode::TreeWalk);
-            }
+            m.set_exec_mode(mode);
             for b in 0..module.program.n_buffers() {
                 let id = module.program.nth_buffer(b);
                 for (k, v) in m.buffer_mut(id).iter_mut().enumerate() {
@@ -253,6 +308,8 @@ fn pinned_kernels_execute_identically_in_both_modes() {
             let out = module.program.nth_buffer(module.program.n_buffers() - 1);
             m.buffer(out).iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
         };
-        assert_eq!(run(false), run(true), "{} diverged", f.name);
+        let reference = run(loopvm::ExecMode::TreeWalk);
+        assert_eq!(run(loopvm::ExecMode::Bytecode), reference, "{} bytecode diverged", f.name);
+        assert_eq!(run(loopvm::ExecMode::Jit), reference, "{} jit diverged", f.name);
     }
 }

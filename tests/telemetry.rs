@@ -147,33 +147,42 @@ fn profiling_off_materializes_nothing_and_costs_under_two_percent() {
         "profiling-off run materialized telemetry records"
     );
 
-    // Overhead bound: two interleaved batches of identical off-path runs
-    // must agree on their minimum wall time within 2% — the off path is
+    // Overhead bound: two interleaved series of identical off-path runs
+    // must agree on their median wall time within 2% — the off path is
     // a single relaxed atomic check, not a measurable cost. A run is
-    // ~1.5 ms of nothing but instrumented execution (the program arrives
+    // ~0.3 ms of nothing but instrumented execution (the program arrives
     // compiled; one warm machine, one thread, so worker start-up stays
     // out of the interval), and single runs vary by tens of percent on a
-    // small shared host: only the minimum of a long batch is stable.
-    let batch = 100;
-    let mut min_a = Duration::MAX;
-    let mut min_b = Duration::MAX;
+    // small shared host. The packed code reaches its floor only in rare
+    // quiet moments, so minima do not converge (two series of 2000 runs
+    // were seen 5% apart); the medians of 1000 interleaved pairs agree
+    // to a few tenths of a percent. Where there is no native tier a run
+    // is ~75 ms of steadier interpretation, and 100 pairs do.
     let mut m = prep.machine();
     m.set_threads(1);
     m.run(&prep.program).expect("warmup");
-    for _ in 0..batch {
+    let t = Instant::now();
+    m.run(&prep.program).expect("sizing run");
+    let pairs = if t.elapsed() < Duration::from_millis(5) { 1000 } else { 100 };
+    let mut a = Vec::with_capacity(pairs);
+    let mut b = Vec::with_capacity(pairs);
+    for _ in 0..pairs {
         let t = Instant::now();
-        m.run(&prep.program).expect("batch a");
-        min_a = min_a.min(t.elapsed());
+        m.run(&prep.program).expect("series a");
+        a.push(t.elapsed());
         let t = Instant::now();
-        m.run(&prep.program).expect("batch b");
-        min_b = min_b.min(t.elapsed());
+        m.run(&prep.program).expect("series b");
+        b.push(t.elapsed());
     }
     set_profiling(None);
-    let (lo, hi) = if min_a < min_b { (min_a, min_b) } else { (min_b, min_a) };
+    a.sort();
+    b.sort();
+    let (med_a, med_b) = (a[pairs / 2], b[pairs / 2]);
+    let (lo, hi) = if med_a < med_b { (med_a, med_b) } else { (med_b, med_a) };
     let delta = (hi - lo).as_secs_f64() / lo.as_secs_f64();
     assert!(
         delta < 0.02,
-        "off-path wall times diverge by {:.2}% (min_a {min_a:?}, min_b {min_b:?})",
+        "off-path wall times diverge by {:.2}% (median_a {med_a:?}, median_b {med_b:?})",
         delta * 100.0
     );
 }

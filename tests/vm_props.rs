@@ -736,3 +736,168 @@ proptest! {
         prop_assert_eq!(build(true), build(false));
     }
 }
+
+// ---------------------------------------------------------------------------
+// Lane-shape soundness: the JIT computes a vector chunk's index math once
+// per *shape* (uniform / linear / varying) instead of once per lane. An
+// over-eager `Linear` or `Uniform` — a `% 2^k` kept linear across a wrap,
+// a base assumed aligned — shows up as a wrong element, a wrong index in
+// an error, or a differing buffer against the bytecode interpreter.
+// ---------------------------------------------------------------------------
+
+/// A random index expression over the vector variable `i`, an outer loop
+/// variable `o` and constants. Divisors are nonzero constants: no panics.
+#[derive(Debug, Clone)]
+enum LExpr {
+    I,
+    O,
+    Const(i64),
+    Add(Box<LExpr>, Box<LExpr>),
+    Sub(Box<LExpr>, Box<LExpr>),
+    MulC(Box<LExpr>, i64),
+    RemC(Box<LExpr>, i64),
+    DivC(Box<LExpr>, i64),
+    MinMax(Box<LExpr>, Box<LExpr>, bool),
+}
+
+fn lexpr() -> impl Strategy<Value = LExpr> {
+    let leaf = prop_oneof![
+        Just(LExpr::I),
+        Just(LExpr::I),
+        Just(LExpr::O),
+        (-40i64..=40).prop_map(LExpr::Const),
+        prop_oneof![Just(8i64), Just(16), Just(32), Just(-64), Just(i64::MAX)]
+            .prop_map(LExpr::Const),
+    ];
+    // Mostly powers of two (the linear-preserving case), plus the `% n`
+    // and negative divisors that must fall back to per-lane code.
+    let divisor = || {
+        prop_oneof![
+            Just(2i64), Just(4), Just(8), Just(8), Just(16), Just(32), Just(64),
+            Just(1i64 << 40), Just(3), Just(24), Just(-8), Just(1),
+        ]
+    };
+    leaf.prop_recursive(4, 24, 2, move |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| LExpr::Add(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| LExpr::Sub(Box::new(a), Box::new(b))),
+            (inner.clone(), -3i64..=8).prop_map(|(a, c)| LExpr::MulC(Box::new(a), c)),
+            (inner.clone(), divisor()).prop_map(|(a, d)| LExpr::RemC(Box::new(a), d)),
+            (inner.clone(), divisor()).prop_map(|(a, d)| LExpr::DivC(Box::new(a), d)),
+            (inner.clone(), inner, any::<bool>())
+                .prop_map(|(a, b, m)| LExpr::MinMax(Box::new(a), Box::new(b), m)),
+        ]
+    })
+}
+
+fn to_lvexpr(e: &LExpr, i: loopvm::Var, o: loopvm::Var) -> V {
+    let bin = |a: &LExpr, b: &LExpr| (to_lvexpr(a, i, o), to_lvexpr(b, i, o));
+    match e {
+        LExpr::I => V::var(i),
+        LExpr::O => V::var(o),
+        LExpr::Const(c) => V::i64(*c),
+        LExpr::Add(a, b) => {
+            let (a, b) = bin(a, b);
+            a + b
+        }
+        LExpr::Sub(a, b) => {
+            let (a, b) = bin(a, b);
+            a - b
+        }
+        LExpr::MulC(a, c) => to_lvexpr(a, i, o) * V::i64(*c),
+        LExpr::RemC(a, d) => to_lvexpr(a, i, o) % V::i64(*d),
+        LExpr::DivC(a, d) => to_lvexpr(a, i, o) / V::i64(*d),
+        LExpr::MinMax(a, b, min) => {
+            let (a, b) = bin(a, b);
+            if *min {
+                V::min(a, b)
+            } else {
+                V::max(a, b)
+            }
+        }
+    }
+}
+
+/// How the random index reaches the input buffer.
+#[derive(Debug, Clone, Copy)]
+enum Wrap {
+    /// `in[e % 64]`: in bounds, and linear whenever `e` provably is.
+    Pow2,
+    /// `in[e % 61]`: in bounds, always per-lane.
+    Odd,
+    /// `in[e]`: usually an out-of-bounds error whose index must agree.
+    Raw,
+}
+
+const LANE_IN: usize = 64 + 8;
+
+/// `for o in 0..3 { for i in lo..lo+n vectorize(8) { out[..] = .. } }`
+/// with a contiguous store, a load through `e`, and `e`'s low bits added
+/// in so every lane's value of `e` is observable even when loads agree.
+fn lane_program(e: &LExpr, wrap: Wrap, lo: i64, n: i64) -> Program {
+    let mut p = Program::new();
+    let input = p.buffer("in", LANE_IN);
+    let out = p.buffer("out", (3 * n) as usize);
+    let (o, i) = (p.var("o"), p.var("i"));
+    let ev = || to_lvexpr(e, i, o);
+    let at = match wrap {
+        Wrap::Pow2 => ev() % V::i64(64),
+        Wrap::Odd => ev() % V::i64(61),
+        Wrap::Raw => ev(),
+    };
+    let value = V::load(input, at) + V::to_f32(ev() % V::i64(4096));
+    let slot = V::var(i) - V::i64(lo) + V::var(o) * V::i64(n);
+    p.push(Stmt::serial(
+        o,
+        V::i64(0),
+        V::i64(3),
+        vec![Stmt::for_(
+            i,
+            V::i64(lo),
+            V::i64(lo + n),
+            LoopKind::Vectorize(8),
+            vec![Stmt::store(out, slot, value)],
+        )],
+    ));
+    p
+}
+
+fn lane_outcome(p: &Program, mode: loopvm::ExecMode) -> (String, Vec<Vec<u32>>) {
+    let mut m = Machine::new(p);
+    m.set_exec_mode(mode);
+    for (k, v) in m.buffer_mut(p.nth_buffer(0)).iter_mut().enumerate() {
+        *v = (k * k) as f32 + 0.25;
+    }
+    let outcome = match m.run(p) {
+        Ok(()) => "ok".to_string(),
+        Err(e) => format!("err: {e}"),
+    };
+    let bufs = (0..p.n_buffers())
+        .map(|b| m.buffer(p.nth_buffer(b)).iter().map(|v| v.to_bits()).collect())
+        .collect();
+    (outcome, bufs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// JIT and bytecode agree on every buffer bit, or on the error, for
+    /// random index math under random (unaligned, negative) lower bounds.
+    #[test]
+    fn vector_lane_shapes_are_sound(
+        e in lexpr(),
+        wrap in prop_oneof![Just(Wrap::Pow2), Just(Wrap::Pow2), Just(Wrap::Odd), Just(Wrap::Raw)],
+        lo in prop_oneof![Just(0i64), Just(8), Just(-16), -20i64..=20],
+        n in 8i64..=27,
+    ) {
+        let p = lane_program(&e, wrap, lo, n);
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        prop_assert!(p.compiled().unwrap().jit().is_some(), "no native code for {:?}", e);
+        let reference = lane_outcome(&p, loopvm::ExecMode::Bytecode);
+        let jit = lane_outcome(&p, loopvm::ExecMode::Jit);
+        prop_assert_eq!(&jit, &reference, "jit vs bytecode: {:?} {:?} lo {} n {}", e, wrap, lo, n);
+        let tree = lane_outcome(&p, loopvm::ExecMode::TreeWalk);
+        prop_assert_eq!(&tree.0, &reference.0, "tree-walk vs bytecode: {:?}", e);
+        prop_assert_eq!(&tree.1, &reference.1, "tree-walk vs bytecode: {:?}", e);
+    }
+}
