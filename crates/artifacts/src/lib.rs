@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Bumped whenever the on-disk layout or any module codec changes shape.
 /// Old files then read back as misses and are overwritten on the next
 /// compile — there is no migration machinery by design.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// File magic: `TIRART` + format version, little-endian.
 const MAGIC: &[u8; 6] = b"TIRART";

@@ -24,32 +24,6 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
 
-    // Executor ablation on the best Tiramisu schedule: the optimizing
-    // register-bytecode path vs the reference tree-walk evaluator
-    // (numbers recorded in EXPERIMENTS.md). Bytecode is compiled once,
-    // outside the timed region, as `CpuModule` consumers do.
-    let mut g = c.benchmark_group("fig1_sgemm_execmode");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(300));
-    g.measurement_time(std::time::Duration::from_millis(800));
-    let prep = kernels::sgemm::tiramisu_best(n, tile).unwrap();
-    let bc = loopvm::opt::compile_program(&prep.program).unwrap();
-    let mut machine = prep.machine();
-    // The native tier, compiled once outside the timed region like the
-    // bytecode; the row only exists where the JIT backend does.
-    if let Some(jit) = loopvm::jit::compile(&bc) {
-        g.bench_function("jit", |b| {
-            b.iter(|| machine.run_jit(&jit).unwrap());
-        });
-    }
-    g.bench_function("bytecode", |b| {
-        b.iter(|| machine.run_bytecode(&bc).unwrap());
-    });
-    g.bench_function("tree-walk", |b| {
-        b.iter(|| machine.run_tree_walk(&prep.program).unwrap());
-    });
-    g.finish();
-
     let mut g = c.benchmark_group("fig1_sgemm_gpu");
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(300));
@@ -63,28 +37,6 @@ fn bench(c: &mut Criterion) {
             b.iter(|| module.run(&mut bufs, &gpusim::GpuModel::default()).unwrap());
         });
     }
-    g.finish();
-
-    // Executor ablation on the tiled GPU sgemm: the warp-bytecode path
-    // (default `GpuModule::run`, phase bytecode compiled once by the
-    // pipeline) vs the tree-walk SIMT reference (numbers recorded in
-    // EXPERIMENTS.md).
-    let mut g = c.benchmark_group("fig1_sgemm_gpu_execmode");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(300));
-    g.measurement_time(std::time::Duration::from_millis(800));
-    let module = kernels::sgemm::gpu_tiled(n, 8).unwrap();
-    let mut bufs = module.alloc_buffers();
-    g.bench_function("bytecode", |b| {
-        b.iter(|| module.run(&mut bufs, &gpusim::GpuModel::default()).unwrap());
-    });
-    g.bench_function("tree-walk", |b| {
-        b.iter(|| {
-            for k in &module.kernels {
-                gpusim::launch_tree_walk(k, &mut bufs, &gpusim::GpuModel::default()).unwrap();
-            }
-        });
-    });
     g.finish();
 }
 

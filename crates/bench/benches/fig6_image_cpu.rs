@@ -29,31 +29,6 @@ fn bench(c: &mut Criterion) {
         });
     }
     g.finish();
-
-    // Executor ablation: register bytecode vs the reference tree-walk on
-    // each Tiramisu image kernel (numbers recorded in EXPERIMENTS.md).
-    let mut g = c.benchmark_group("fig6_cpu_execmode");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(300));
-    g.measurement_time(std::time::Duration::from_millis(800));
-    for name in IMAGE_BENCHMARKS {
-        let t = tiramisu_cpu(name, s).unwrap();
-        let bc = loopvm::opt::compile_program(&t.program).unwrap();
-        let mut m = t.machine();
-        // Native tier row, present wherever the JIT backend is.
-        if let Some(jit) = loopvm::jit::compile(&bc) {
-            g.bench_function(format!("{name}/jit"), |b| {
-                b.iter(|| m.run_jit(&jit).unwrap())
-            });
-        }
-        g.bench_function(format!("{name}/bytecode"), |b| {
-            b.iter(|| m.run_bytecode(&bc).unwrap())
-        });
-        g.bench_function(format!("{name}/tree-walk"), |b| {
-            b.iter(|| m.run_tree_walk(&t.program).unwrap())
-        });
-    }
-    g.finish();
 }
 
 criterion_group!(benches, bench);

@@ -3,53 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kernels::image::{ImgSize, IMAGE_BENCHMARKS};
-use tiramisu::{DistOptions, Expr as E, Function, Var};
-
-/// The paper's Figure 3(c) distributed blur (`examples/blur_distributed.rs`),
-/// compiled for the executor ablation below.
-fn fig3c_blur(rows: i64, cols: i64, nodes: i64) -> tiramisu::DistModule {
-    let chunk = rows / nodes;
-    let mut f = Function::new("dblur", &["N", "M", "Nodes"]);
-    let i = f.var("i", 0, E::param("N") - E::i64(2));
-    let j = f.var("j", 0, E::param("M") - E::i64(2));
-    let lin = f
-        .input("lin", &[f.var("i", 0, E::param("N")), f.var("j", 0, E::param("M"))])
-        .unwrap();
-    let at = |di: i64, dj: i64| {
-        E::Access(lin, vec![E::iter("i") + E::i64(di), E::iter("j") + E::i64(dj)])
-    };
-    let bx = f
-        .computation("bx", &[i, j], (at(0, 0) + at(1, 0) + at(0, 1)) / E::f32(3.0))
-        .unwrap();
-    f.split(bx, "i", chunk, "i0", "i1").unwrap();
-    f.parallelize(bx, "i1").unwrap();
-    f.distribute(bx, "i0").unwrap();
-    let is = Var::new("is", E::i64(1), E::param("Nodes"));
-    let ir = Var::new("ir", E::i64(0), E::param("Nodes") - E::i64(1));
-    let s = f.send(
-        is,
-        "lin",
-        E::iter("is") * E::i64(chunk) * E::param("M"),
-        E::i64(2) * E::param("M"),
-        E::iter("is") - E::i64(1),
-        true,
-    );
-    let r = f.receive(
-        ir,
-        "lin",
-        (E::iter("ir") + E::i64(1)) * E::i64(chunk) * E::param("M"),
-        E::i64(2) * E::param("M"),
-        E::iter("ir") + E::i64(1),
-    );
-    f.comm_before(s, bx);
-    f.comm_before(r, bx);
-    tiramisu::compile_dist(
-        &f,
-        &[("N", rows), ("M", cols), ("Nodes", nodes)],
-        DistOptions::default(),
-    )
-    .unwrap()
-}
 
 fn bench(c: &mut Criterion) {
     let s = ImgSize::small();
@@ -71,51 +24,6 @@ fn bench(c: &mut Criterion) {
             });
         }
     }
-    g.finish();
-
-    // Executor ablation on the distributed conv2D: memoized rank-chunk
-    // bytecode (default) vs every rank forced onto the tree-walk
-    // evaluator via the init hook (numbers recorded in EXPERIMENTS.md).
-    let mut g = c.benchmark_group("fig6_dist_execmode");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(300));
-    g.measurement_time(std::time::Duration::from_millis(800));
-    let t = kernels::image_dist::tiramisu_dist("conv2D", s, ranks).unwrap();
-    let run = |tree_walk: bool| {
-        mpisim::run_with_opts(
-            &t.module.dist,
-            t.ranks,
-            &mpisim::CommModel::default(),
-            &mpisim::RunOptions::default(),
-            |_rank, machine| {
-                if tree_walk {
-                    machine.set_exec_mode(loopvm::ExecMode::TreeWalk);
-                }
-            },
-            |_rank, _machine| {},
-        )
-        .unwrap()
-    };
-    g.bench_function("conv2D/bytecode", |b| b.iter(|| run(false)));
-    g.bench_function("conv2D/tree-walk", |b| b.iter(|| run(true)));
-    let blur = fig3c_blur(64, 48, ranks);
-    let run_blur = |tree_walk: bool| {
-        mpisim::run_with_opts(
-            &blur.dist,
-            ranks as usize,
-            &mpisim::CommModel::default(),
-            &mpisim::RunOptions::default(),
-            |_rank, machine| {
-                if tree_walk {
-                    machine.set_exec_mode(loopvm::ExecMode::TreeWalk);
-                }
-            },
-            |_rank, _machine| {},
-        )
-        .unwrap()
-    };
-    g.bench_function("blur (Fig 3c)/bytecode", |b| b.iter(|| run_blur(false)));
-    g.bench_function("blur (Fig 3c)/tree-walk", |b| b.iter(|| run_blur(true)));
     g.finish();
 }
 

@@ -53,9 +53,6 @@ pub struct GpuModule {
     pub h2d: Vec<(String, usize)>,
     /// Buffers copied device→host after execution (name, bytes).
     pub d2h: Vec<(String, usize)>,
-    /// Per-kernel, per-phase warp bytecode compiled by the `optimize`
-    /// pass; [`GpuModule::run`] launches these instead of recompiling.
-    kernel_bytecode: Option<Vec<Vec<loopvm::BcProgram>>>,
     trace: Option<CompileTrace>,
 }
 
@@ -88,20 +85,21 @@ impl GpuModule {
         self.trace.as_ref()
     }
 
-    /// The phase bytecode the `optimize` pass compiled for kernel `k`
-    /// (one [`loopvm::BcProgram`] per barrier-delimited phase), if any.
-    pub fn bytecode(&self, k: usize) -> Option<&[loopvm::BcProgram]> {
-        self.kernel_bytecode.as_ref().and_then(|ks| ks.get(k)).map(Vec::as_slice)
+    /// The bytecode of each barrier-delimited phase of kernel `k` — what
+    /// [`GpuModule::run`] executes; `None` when there is no such kernel or
+    /// a phase does not compile.
+    pub fn bytecode(&self, k: usize) -> Option<Vec<&loopvm::BcProgram>> {
+        let phases = self.kernels.get(k)?.phases().iter();
+        phases.map(|p| p.compiled().ok().map(|c| c.bytecode())).collect()
     }
 
-    /// Disassembles the stored kernel bytecode (all kernels, all phases).
+    /// Disassembles the kernel bytecode (all kernels, all phases).
     pub fn disasm(&self) -> Option<String> {
-        let ks = self.kernel_bytecode.as_ref()?;
         let mut out = String::new();
-        for (k, (phases, ker)) in ks.iter().zip(&self.kernels).enumerate() {
-            for (p, bc) in phases.iter().enumerate() {
+        for (k, ker) in self.kernels.iter().enumerate() {
+            for (p, bc) in self.bytecode(k)?.iter().enumerate() {
                 out.push_str(&format!("// kernel {k} phase {p}\n"));
-                out.push_str(&bc.disasm(&ker.program));
+                out.push_str(&bc.disasm(ker.program()));
             }
         }
         Some(out)
@@ -111,26 +109,19 @@ impl GpuModule {
     /// the pass pipeline does not run. Reconstructed modules carry no
     /// [`CompileTrace`] — the trace travels as rendered text in the
     /// artifact instead.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         kernels: Vec<Kernel>,
         program: loopvm::Program,
         buffer_map: HashMap<String, loopvm::BufId>,
         h2d: Vec<(String, usize)>,
         d2h: Vec<(String, usize)>,
-        kernel_bytecode: Option<Vec<Vec<loopvm::BcProgram>>>,
     ) -> GpuModule {
-        GpuModule { kernels, program, buffer_map, h2d, d2h, kernel_bytecode, trace: None }
+        GpuModule { kernels, program, buffer_map, h2d, d2h, trace: None }
     }
 
     /// The Tiramisu-name → VM-buffer map (for the artifact codec).
     pub(crate) fn buffer_map(&self) -> &HashMap<String, loopvm::BufId> {
         &self.buffer_map
-    }
-
-    /// All per-kernel phase bytecode (for the artifact codec).
-    pub(crate) fn kernel_bytecode(&self) -> Option<&[Vec<loopvm::BcProgram>]> {
-        self.kernel_bytecode.as_deref()
     }
 
     /// Runs all kernels in order on the modeled device.
@@ -143,14 +134,9 @@ impl GpuModule {
         for (_, bytes) in self.h2d.iter().chain(self.d2h.iter()) {
             out.copy_cycles += gpusim::exec::copy_cost(model, *bytes);
         }
-        for (i, k) in self.kernels.iter().enumerate() {
-            // Prefer the phase bytecode compiled once by the optimize
-            // pass; `launch_precompiled` still honors GPUSIM_TREEWALK.
-            let stats = match self.kernel_bytecode.as_ref().and_then(|ks| ks.get(i)) {
-                Some(phases) => gpusim::launch_precompiled(k, buffers, model, phases),
-                None => gpusim::launch(k, buffers, model),
-            }
-            .map_err(|e| Error::Backend(e.to_string()))?;
+        for k in &self.kernels {
+            let stats =
+                gpusim::launch(k, buffers, model).map_err(|e| Error::Backend(e.to_string()))?;
             out.total_cycles += stats.cycles;
             out.kernels.push(stats);
         }
@@ -263,7 +249,6 @@ impl EmitTarget for GpuTarget {
             buffer_map: std::mem::take(&mut lm.buffer_map),
             h2d,
             d2h,
-            kernel_bytecode: None,
             trace: None,
         })
     }
@@ -272,12 +257,12 @@ impl EmitTarget for GpuTarget {
         let mut nodes = 0;
         let mut out = String::new();
         for (k, ker) in module.kernels.iter().enumerate() {
-            nodes += count_vm_stmts(ker.program.body());
+            nodes += ker.phases().iter().map(|p| count_vm_stmts(p.body())).sum::<usize>();
             out.push_str(&format!(
                 "// kernel {k}: grid [{}, {}] block [{}, {}]\n",
                 ker.grid[0], ker.grid[1], ker.block[0], ker.block[1]
             ));
-            out.push_str(&ker.program.pretty_stmts(ker.program.body(), 0));
+            out.push_str(&ker.pretty());
         }
         for (n, b) in &module.h2d {
             out.push_str(&format!("// h2d {n}: {b} bytes\n"));
@@ -288,26 +273,27 @@ impl EmitTarget for GpuTarget {
         (nodes, out)
     }
 
-    // Compiles each kernel to per-phase warp bytecode and stores it on the
-    // module: `GpuModule::run` launches these programs through the SIMT
-    // warp executor (one compile, many launches).
+    // Compiles every phase of every kernel; the code stays with the phase
+    // programs, where `GpuModule::run`'s launches find it (one compile,
+    // many launches).
     fn optimize(&mut self, module: &mut GpuModule) -> Result<Option<(loopvm::OptStats, String)>> {
         let disasm = pipeline::trace::disasm_enabled();
         let mut stats = loopvm::OptStats::default();
         let mut ir = String::new();
-        let mut all_phases = Vec::with_capacity(module.kernels.len());
         for (k, ker) in module.kernels.iter().enumerate() {
-            let phases = gpusim::compile_phases(ker)
-                .map_err(|e| Error::Backend(format!("bytecode optimization (kernel {k}): {e}")))?;
-            for (p, bc) in phases.iter().enumerate() {
-                stats.merge(&bc.stats());
+            for (p, phase) in ker.phases().iter().enumerate() {
+                let code = phase.compiled().map_err(|e| {
+                    Error::Backend(format!("bytecode optimization (kernel {k}): {e}"))
+                })?;
+                stats.merge(&code.bytecode().stats());
                 if disasm {
-                    ir.push_str(&format!("// kernel {k} phase {p}\n{}", bc.disasm(&ker.program)));
+                    ir.push_str(&format!(
+                        "// kernel {k} phase {p}\n{}",
+                        code.bytecode().disasm(phase)
+                    ));
                 }
             }
-            all_phases.push(phases);
         }
-        module.kernel_bytecode = Some(all_phases);
         if !disasm {
             ir = stats.summary();
         }
@@ -532,7 +518,7 @@ mod tests {
             plain.kernels[0].global_transactions
         );
         // ...and the kernel has a barrier between copy and compute phases.
-        assert!(!module.kernels[0].barriers.is_empty(), "no barrier phase");
+        assert!(module.kernels[0].phases().len() > 1, "no barrier phase");
     }
 
     #[test]

@@ -157,13 +157,15 @@ pub(crate) fn try_extract_kernel<T: EmitTarget + ?Sized>(
         }
     }
 
-    // Assemble the kernel body: one top-level statement per phase, with a
-    // barrier after each (cooperative phases synchronize block-wide).
-    let mut body: Vec<Stmt> = param_lets.to_vec();
-    body.extend(index_lets);
-    let mut barriers = Vec::new();
+    // Assemble the kernel: one phase per child, a block-level barrier
+    // between consecutive phases (cooperative phases synchronize
+    // block-wide). The parameter and block-index bindings open phase 0;
+    // variable frames persist across phases.
+    let mut prefix: Vec<Stmt> = param_lets.to_vec();
+    prefix.extend(index_lets);
+    let mut phase_stmts: Vec<Vec<Stmt>> = Vec::with_capacity(phases.len());
     for ph in phases {
-        let mut stmts: Vec<Stmt> = Vec::new();
+        let mut stmts = std::mem::take(&mut prefix);
         let mut guards: Vec<VExpr> = block_guards.clone();
         for (d, ax) in ph.axes.iter().enumerate() {
             let raw = thread_vars[d].expect("axis var allocated");
@@ -185,27 +187,16 @@ pub(crate) fn try_extract_kernel<T: EmitTarget + ?Sized>(
                 }
             }
         }
-        let inner = if guards.is_empty() {
-            ph.body
-        } else {
-            let cond = guards.into_iter().reduce(VExpr::and).unwrap();
-            vec![Stmt::if_then(cond, ph.body)]
-        };
-        body.extend(stmts);
-        body.extend(inner);
-        // Barrier indices refer to top-level body statements; the
-        // preamble offsets are already included via body.len().
-        barriers.push(body.len() - 1);
+        match guards.into_iter().reduce(VExpr::and) {
+            Some(cond) => stmts.push(Stmt::if_then(cond, ph.body)),
+            None => stmts.extend(ph.body),
+        }
+        phase_stmts.push(stmts);
     }
-    // No barrier needed after the last phase.
-    barriers.pop();
 
-    let mut program = lm.program.clone();
-    program.set_body(body);
-    let mut kernel = Kernel::new(program, grid, block);
+    let mut kernel = Kernel::phased(lm.program.clone(), phase_stmts, grid, block);
     kernel.block_vars = block_vars;
     kernel.thread_vars = thread_vars;
-    kernel.barriers = barriers;
     Ok(Some(kernel))
 }
 

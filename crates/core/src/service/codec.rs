@@ -86,6 +86,26 @@ fn decode_copy_plan(r: &mut Reader<'_>) -> Result<Vec<(String, usize)>> {
     Ok(out)
 }
 
+/// A program's compiled bytecode: `bool` (does it compile?) + the code.
+fn encode_compiled(p: &Program, w: &mut Writer) {
+    match p.compiled() {
+        Ok(code) => {
+            w.bool(true);
+            vmc::encode_bc(code.bytecode(), w);
+        }
+        Err(_) => w.bool(false),
+    }
+}
+
+/// Validates the bytecode [`encode_compiled`] wrote against `p` and
+/// installs it as `p`'s compiled form, so running `p` compiles nothing.
+fn decode_compiled(r: &mut Reader<'_>, p: &Program) -> Result<()> {
+    if r.bool()? {
+        vmc::decode_bc_into(r, p)?;
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // CPU
 // ---------------------------------------------------------------------------
@@ -100,13 +120,7 @@ pub(crate) fn encode_cpu(m: &CpuModule) -> Vec<u8> {
         w.str(k);
         w.i64(*v);
     }
-    match m.bytecode() {
-        Some(bc) => {
-            w.bool(true);
-            vmc::encode_bc(bc, &mut w);
-        }
-        None => w.bool(false),
-    }
+    encode_compiled(&m.program, &mut w);
     w.into_vec()
 }
 
@@ -120,9 +134,7 @@ pub(crate) fn decode_cpu(bytes: &[u8]) -> Result<CpuModule> {
     for _ in 0..n {
         param_values.push((r.str()?, r.i64()?));
     }
-    if r.bool()? {
-        vmc::decode_bc_into(&mut r, &program)?;
-    }
+    decode_compiled(&mut r, &program)?;
     if !r.is_empty() {
         return Err(malformed("trailing bytes after CPU module"));
     }
@@ -152,8 +164,14 @@ fn decode_space(r: &mut Reader<'_>) -> Result<MemSpace> {
     })
 }
 
+/// One kernel: the declarations once, each phase's statements, geometry,
+/// index variables, buffer spaces, then each phase's bytecode.
 fn encode_kernel(k: &Kernel, w: &mut Writer) {
-    vmc::encode_program(&k.program, w);
+    vmc::encode_decls(k.program(), w);
+    w.usize(k.phases().len());
+    for p in k.phases() {
+        vmc::encode_stmts(p.body(), w);
+    }
     for v in k.grid.iter().chain(&k.block) {
         w.i64(*v);
     }
@@ -170,20 +188,26 @@ fn encode_kernel(k: &Kernel, w: &mut Writer) {
     for s in &k.spaces {
         w.u8(space_tag(*s));
     }
-    w.usize(k.barriers.len());
-    for b in &k.barriers {
-        w.usize(*b);
+    for p in k.phases() {
+        encode_compiled(p, w);
     }
 }
 
+/// Each phase's bytecode is validated against and installed on its phase
+/// program, so the kernel's first launch compiles nothing.
 fn decode_kernel(r: &mut Reader<'_>) -> Result<Kernel> {
-    let program = vmc::decode_program(r)?;
+    let decls = vmc::decode_decls(r)?;
+    let n_phases = r.len(1)?;
+    let mut phases = Vec::with_capacity(n_phases);
+    for _ in 0..n_phases {
+        phases.push(vmc::decode_stmts(r, &decls)?);
+    }
     let grid = [r.i64()?, r.i64()?];
     let block = [r.i64()?, r.i64()?];
     let mut vars = [None, None, None, None];
     for v in &mut vars {
         if r.bool()? {
-            *v = Some(vmc::decode_var(r, &program)?);
+            *v = Some(vmc::decode_var(r, &decls)?);
         }
     }
     let n_spaces = r.len(1)?;
@@ -191,16 +215,13 @@ fn decode_kernel(r: &mut Reader<'_>) -> Result<Kernel> {
     for _ in 0..n_spaces {
         spaces.push(decode_space(r)?);
     }
-    let n_barriers = r.len(8)?;
-    let mut barriers = Vec::with_capacity(n_barriers);
-    for _ in 0..n_barriers {
-        barriers.push(r.usize()?);
-    }
-    let mut k = Kernel::new(program, grid, block);
+    let mut k = Kernel::phased(decls, phases, grid, block);
     k.block_vars = [vars[0], vars[1]];
     k.thread_vars = [vars[2], vars[3]];
     k.spaces = spaces;
-    k.barriers = barriers;
+    for p in k.phases() {
+        decode_compiled(r, p)?;
+    }
     Ok(k)
 }
 
@@ -215,24 +236,10 @@ pub(crate) fn encode_gpu(m: &GpuModule) -> Vec<u8> {
     for k in &m.kernels {
         encode_kernel(k, &mut w);
     }
-    match m.kernel_bytecode() {
-        Some(per_kernel) => {
-            w.bool(true);
-            w.usize(per_kernel.len());
-            for phases in per_kernel {
-                w.usize(phases.len());
-                for bc in phases {
-                    vmc::encode_bc(bc, &mut w);
-                }
-            }
-        }
-        None => w.bool(false),
-    }
     w.into_vec()
 }
 
-/// Deserializes a GPU module (see [`encode_gpu`]). Kernel bytecode is
-/// validated against its own kernel's program.
+/// Deserializes a GPU module (see [`encode_gpu`]).
 pub(crate) fn decode_gpu(bytes: &[u8]) -> Result<GpuModule> {
     let mut r = Reader::new(bytes);
     let program = vmc::decode_program(&mut r)?;
@@ -244,31 +251,10 @@ pub(crate) fn decode_gpu(bytes: &[u8]) -> Result<GpuModule> {
     for _ in 0..n_kernels {
         kernels.push(decode_kernel(&mut r)?);
     }
-    let kernel_bytecode = if r.bool()? {
-        let n = r.len(1)?;
-        if n != kernels.len() {
-            return Err(malformed(format!(
-                "bytecode for {n} kernels but {} kernels present",
-                kernels.len()
-            )));
-        }
-        let mut per_kernel = Vec::with_capacity(n);
-        for k in &kernels {
-            let n_phases = r.len(1)?;
-            let mut phases = Vec::with_capacity(n_phases);
-            for _ in 0..n_phases {
-                phases.push(vmc::decode_bc(&mut r, &k.program)?);
-            }
-            per_kernel.push(phases);
-        }
-        Some(per_kernel)
-    } else {
-        None
-    };
     if !r.is_empty() {
         return Err(malformed("trailing bytes after GPU module"));
     }
-    Ok(GpuModule::from_parts(kernels, program, buffer_map, h2d, d2h, kernel_bytecode))
+    Ok(GpuModule::from_parts(kernels, program, buffer_map, h2d, d2h))
 }
 
 // ---------------------------------------------------------------------------
@@ -360,13 +346,7 @@ pub(crate) fn encode_dist(m: &DistModule) -> Vec<u8> {
     encode_dist_stmts(d.body(), &mut w);
     encode_buffer_map(m.buffer_map(), &mut w);
     for c in d.chunks() {
-        match c.compiled() {
-            Ok(code) => {
-                w.bool(true);
-                vmc::encode_bc(code.bytecode(), &mut w);
-            }
-            Err(_) => w.bool(false),
-        }
+        encode_compiled(c, &mut w);
     }
     w.into_vec()
 }
@@ -388,9 +368,7 @@ pub(crate) fn decode_dist(bytes: &[u8]) -> Result<DistModule> {
     let buffer_map = decode_buffer_map(&mut r, &program)?;
     let dist = DistProgram::new(program, rank_var, preamble, chunks, body);
     for c in dist.chunks() {
-        if r.bool()? {
-            vmc::decode_bc_into(&mut r, c)?;
-        }
+        decode_compiled(&mut r, c)?;
     }
     if !r.is_empty() {
         return Err(malformed("trailing bytes after dist module"));

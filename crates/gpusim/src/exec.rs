@@ -1,16 +1,15 @@
 //! The SIMT executor: lockstep warp execution with masks, a memory model
 //! and a per-SM scheduler.
 //!
-//! Two execution paths share the block/warp scheduler and the memory
-//! model: the default compiles each barrier-delimited kernel phase once
-//! to optimized register bytecode (`loopvm::opt`) and executes it with
-//! the warp-level masked executor ([`loopvm::simt`]), so per-warp work is
-//! O(instructions); the original tree-walk path (O(tree nodes) per warp)
-//! remains as the differential reference, selectable process-wide with
-//! `GPUSIM_TREEWALK=1` or explicitly via [`launch_tree_walk`].
+//! Two executors share the block/warp scheduler and the memory model.
+//! [`launch`] runs the optimized register bytecode each kernel phase owns
+//! ([`loopvm::Program::compiled`]) with the warp-level masked executor
+//! ([`loopvm::simt`]), so per-warp work is O(instructions).
+//! [`launch_tree_walk`] is the original stack evaluator (O(tree nodes) per
+//! warp), kept as the differential reference.
 
 use crate::{GpuModel, Kernel, MemSpace};
-use loopvm::{compile, BcProgram, Code, Error, LoopKind, Op, Result, Stmt, WarpHost};
+use loopvm::{compile, BcProgram, Code, Error, LoopKind, Op, Result, Stmt, Ty, WarpHost};
 use loopvm::vm::{apply_f, apply_i, apply_un_f, apply_un_i, cmp_f, cmp_i};
 
 /// Warp width (lanes executing in lockstep).
@@ -83,12 +82,8 @@ impl std::fmt::Display for LaunchStats {
 
 /// Allocates zeroed storage for every buffer of a kernel's program.
 pub fn alloc_buffers(kernel: &Kernel) -> Vec<Vec<f32>> {
-    (0..kernel.program.n_buffers())
-        .map(|b| {
-            let (_, size) = kernel.program.buffer_info(kernel.program.nth_buffer(b));
-            vec![0.0f32; size]
-        })
-        .collect()
+    let p = kernel.program();
+    (0..p.n_buffers()).map(|b| vec![0.0f32; p.buffer_info(p.nth_buffer(b)).1]).collect()
 }
 
 /// Modeled cost of a host↔device copy of `bytes` bytes.
@@ -122,75 +117,44 @@ fn compile_stmt(s: &Stmt) -> Result<GStmt> {
             then: then.iter().map(compile_stmt).collect::<Result<_>>()?,
             else_: else_.iter().map(compile_stmt).collect::<Result<_>>()?,
         },
-        Stmt::Store { buf, index, value } => GStmt::Store {
-            buf: buf.index() as u32,
-            index: compile(index)?,
-            value: compile(value)?,
-        },
+        // The same checks, with the same messages, as the bytecode compiler:
+        // the evaluator pops each operand from the stack of its type.
+        Stmt::Store { buf, index, value } => {
+            let (index, value) = (compile(index)?, compile(value)?);
+            if index.ty != Ty::I64 {
+                return Err(Error::Type("store index must be i64".into()));
+            }
+            if value.ty != Ty::F32 {
+                return Err(Error::Type("store value must be f32".into()));
+            }
+            GStmt::Store { buf: buf.index() as u32, index, value }
+        }
         Stmt::Let { var, value } => {
-            GStmt::Let { var: var.index() as u32, value: compile(value)? }
+            let value = compile(value)?;
+            if value.ty != Ty::I64 {
+                return Err(Error::Type("let binds i64 values".into()));
+            }
+            GStmt::Let { var: var.index() as u32, value }
         }
     })
 }
 
-struct WarpCtx<'a> {
-    model: &'a GpuModel,
-    spaces: &'a [MemSpace],
-    buffers: &'a mut [Vec<f32>],
-    buffer_names: Vec<String>,
-    vars: Vec<[i64; WARP]>,
+struct WarpCtx<'a, 'm> {
+    mem: &'a mut WarpMem<'m>,
+    vars: &'a mut [[i64; WARP]],
     vistack: Vec<[i64; WARP]>,
     vfstack: Vec<[f32; WARP]>,
-    stats: LaunchStats,
-    cycles: f64,
 }
 
-/// Splits a kernel body of `len` statements into barrier-delimited phase
-/// ranges. Shared by the tree-walk and bytecode paths so both execute
-/// the exact same phase structure.
-fn phase_ranges(len: usize, barriers: &[usize]) -> Vec<std::ops::Range<usize>> {
-    let mut ranges = Vec::new();
-    let mut start = 0usize;
-    let mut cuts: Vec<usize> = barriers.to_vec();
-    cuts.sort_unstable();
-    cuts.dedup();
-    for cut in cuts {
-        let end = (cut + 1).min(len);
-        if end > start {
-            ranges.push(start..end);
-        }
-        start = end;
-    }
-    if start < len {
-        ranges.push(start..len);
-    }
-    if ranges.is_empty() {
-        ranges.push(0..len);
-    }
-    ranges
-}
-
-/// Compiles each barrier-delimited phase of a kernel to optimized
-/// register bytecode (one [`BcProgram`] per phase, against the kernel
-/// program's buffer/variable space). [`launch`] does this internally;
-/// this entry point lets a driver compile once and launch many times via
-/// [`launch_bytecode`].
+/// Compiles every phase of a kernel to optimized register bytecode from
+/// scratch, bypassing the phases' memoised compiled forms (what [`launch`]
+/// runs): for measuring and inspecting the compile itself.
 ///
 /// # Errors
 ///
 /// Type errors at bytecode compilation.
 pub fn compile_phases(kernel: &Kernel) -> Result<Vec<BcProgram>> {
-    let body = kernel.program.body();
-    phase_ranges(body.len(), &kernel.barriers)
-        .into_iter()
-        .map(|r| loopvm::opt::compile_body(&kernel.program, &body[r]))
-        .collect()
-}
-
-fn tree_walk_forced() -> bool {
-    // Consolidated executor-mode parsing; the warp executor has no native
-    // tier, so the only outcomes here are TreeWalk and Bytecode.
-    loopvm::ExecMode::from_env("GPUSIM_TREEWALK", false) == loopvm::ExecMode::TreeWalk
+    kernel.phases().iter().map(loopvm::opt::compile_program).collect()
 }
 
 /// Seeds per-warp variable frames and active masks for one block.
@@ -202,7 +166,7 @@ fn seed_warps(
     by: i64,
 ) -> (Vec<Vec<[i64; WARP]>>, Vec<[bool; WARP]>) {
     let mut warp_vars: Vec<Vec<[i64; WARP]>> =
-        vec![vec![[0i64; WARP]; kernel.program.n_vars()]; n_warps];
+        vec![vec![[0i64; WARP]; kernel.program().n_vars()]; n_warps];
     let mut warp_masks: Vec<[bool; WARP]> = vec![[false; WARP]; n_warps];
     for (w, (vars, mask)) in warp_vars.iter_mut().zip(&mut warp_masks).enumerate() {
         let warp_start = w * WARP;
@@ -229,21 +193,89 @@ fn seed_warps(
     (warp_vars, warp_masks)
 }
 
-fn buffer_names(kernel: &Kernel) -> Vec<String> {
-    (0..kernel.program.n_buffers())
-        .map(|b| kernel.program.buffer_info(kernel.program.nth_buffer(b)).0.to_string())
-        .collect()
+/// The warp-level memory context both executors price accesses through:
+/// the simulator's memory model over the launch's buffers, accumulating
+/// one warp's statistics and cycles.
+struct WarpMem<'a> {
+    model: &'a GpuModel,
+    spaces: &'a [MemSpace],
+    buffers: &'a mut [Vec<f32>],
+    buffer_names: &'a [String],
+    stats: LaunchStats,
+    cycles: f64,
 }
 
-/// Launches a kernel on the modeled device. `buffers` must match the
-/// kernel program's buffer declarations (see [`alloc_buffers`]); global
-/// and constant buffers persist across blocks, shared buffers are cleared
-/// at each block start.
-///
-/// By default each kernel phase is compiled once to optimized register
-/// bytecode and executed warp-level ([`compile_phases`] +
-/// [`launch_bytecode`]); setting `GPUSIM_TREEWALK=1` forces the original
-/// tree-walk reference executor ([`launch_tree_walk`]).
+/// The block/warp/phase loop both executors share: blocks in order
+/// (shared and local memory cleared at each block start), every warp of a
+/// block through phase `k` before any warp starts phase `k + 1`, per-warp
+/// variable frames persisting across phases, blocks scheduled round-robin
+/// over the SMs. `exec_warp(phase, vars, mask, mem)` executes one phase
+/// for one warp.
+fn launch_with<F>(
+    kernel: &Kernel,
+    buffers: &mut [Vec<f32>],
+    model: &GpuModel,
+    mut exec_warp: F,
+) -> Result<LaunchStats>
+where
+    F: FnMut(usize, &mut [[i64; WARP]], &[bool; WARP], &mut WarpMem<'_>) -> Result<()>,
+{
+    let program = kernel.program();
+    assert_eq!(buffers.len(), program.n_buffers(), "buffer count mismatch");
+    let buffer_names: Vec<String> = (0..program.n_buffers())
+        .map(|b| program.buffer_info(program.nth_buffer(b)).0.to_string())
+        .collect();
+
+    let threads = kernel.threads_per_block();
+    let mut sm_cycles = vec![0.0f64; model.sms.max(1)];
+    let mut total = LaunchStats::default();
+
+    let n_warps = threads.div_ceil(WARP);
+    for block_id in 0..kernel.n_blocks() {
+        let bx = block_id as i64 % kernel.grid[0];
+        let by = block_id as i64 / kernel.grid[0];
+        // Shared memory is per-block: clear it.
+        for (b, space) in kernel.spaces.iter().enumerate() {
+            if *space == MemSpace::Shared || *space == MemSpace::Local {
+                buffers[b].iter_mut().for_each(|v| *v = 0.0);
+            }
+        }
+        let mut block_cycles = 0.0f64;
+        // Per-warp variable frames persist across phases (registers).
+        let (mut warp_vars, warp_masks) = seed_warps(kernel, threads, n_warps, bx, by);
+        // Barrier semantics: every warp finishes phase k before any warp
+        // starts phase k+1.
+        for phase in 0..kernel.phases().len() {
+            for (vars, mask) in warp_vars.iter_mut().zip(&warp_masks) {
+                let mut mem = WarpMem {
+                    model,
+                    spaces: &kernel.spaces,
+                    buffers,
+                    buffer_names: &buffer_names,
+                    stats: LaunchStats::default(),
+                    cycles: 0.0,
+                };
+                exec_warp(phase, vars, mask, &mut mem)?;
+                block_cycles += mem.cycles;
+                total.add(&mem.stats);
+            }
+        }
+        total.warps += n_warps as u64;
+        // Round-robin block scheduling over SMs.
+        let sm = block_id % sm_cycles.len();
+        sm_cycles[sm] += block_cycles;
+    }
+    total.cycles = sm_cycles.iter().cloned().fold(0.0, f64::max);
+    record_launch_metrics(&total);
+    Ok(total)
+}
+
+/// Launches a kernel on the modeled device, executing the bytecode each
+/// phase owns (compiled on first use, or left there by a backend's
+/// `optimize` pass or an artifact decode) with the warp-level masked
+/// executor. `buffers` must match the kernel program's buffer
+/// declarations (see [`alloc_buffers`]); global and constant buffers
+/// persist across blocks, shared buffers are cleared at each block start.
 ///
 /// # Errors
 ///
@@ -253,33 +285,30 @@ pub fn launch(
     buffers: &mut [Vec<f32>],
     model: &GpuModel,
 ) -> Result<LaunchStats> {
-    if tree_walk_forced() {
-        launch_tree_walk(kernel, buffers, model)
-    } else {
-        let phases = compile_phases(kernel)?;
-        launch_bytecode(kernel, buffers, model, &phases)
-    }
-}
+    let phases: Vec<&BcProgram> = (kernel.phases().iter())
+        .map(|p| p.compiled().map(|c| c.bytecode()))
+        .collect::<Result<_>>()?;
 
-/// Like [`launch`], but reuses phase bytecode compiled earlier with
-/// [`compile_phases`] (the driver pattern: compile once at module
-/// optimization, launch many times). Still honors `GPUSIM_TREEWALK=1`,
-/// falling back to the tree-walk reference and ignoring `phases`.
-///
-/// # Errors
-///
-/// Same as [`launch`].
-pub fn launch_precompiled(
-    kernel: &Kernel,
-    buffers: &mut [Vec<f32>],
-    model: &GpuModel,
-    phases: &[BcProgram],
-) -> Result<LaunchStats> {
-    if tree_walk_forced() {
-        launch_tree_walk(kernel, buffers, model)
-    } else {
-        launch_bytecode(kernel, buffers, model, phases)
+    // Per-kernel-phase profile, aggregated across blocks and warps.
+    // Allocated only under `TIRAMISU_PROFILE`.
+    let _sp = telemetry::span("gpu", "launch");
+    let mut prof: Option<Vec<PhaseProf>> = telemetry::profile_enabled()
+        .then(|| vec![PhaseProf::default(); phases.len()]);
+
+    let total = launch_with(kernel, buffers, model, |pi, vars, mask, mem| {
+        let Some(pp) = prof.as_deref_mut() else {
+            return loopvm::exec_warp(phases[pi], vars, mask, mem);
+        };
+        let t0 = std::time::Instant::now();
+        loopvm::exec_warp_profiled(phases[pi], vars, mask, mem, &mut pp[pi].classes)?;
+        pp[pi].wall += t0.elapsed();
+        pp[pi].stats.add(&mem.stats);
+        Ok(())
+    })?;
+    if let Some(pp) = prof {
+        emit_phase_prof(&pp);
     }
+    Ok(total)
 }
 
 /// Always-on launch metrics, accumulated across every launch in the
@@ -302,8 +331,10 @@ fn record_launch_metrics(total: &LaunchStats) {
     m.bank_conflicts.add(total.bank_conflict_degree);
 }
 
-/// Launches a kernel with the tree-walk reference executor regardless of
-/// the `GPUSIM_TREEWALK` setting (the differential baseline).
+/// Launches a kernel with the tree-walk reference executor (the
+/// differential baseline): block/warp scheduling, barrier semantics and
+/// the memory model are [`launch`]'s; only per-warp instruction issue
+/// differs.
 ///
 /// # Errors
 ///
@@ -313,78 +344,24 @@ pub fn launch_tree_walk(
     buffers: &mut [Vec<f32>],
     model: &GpuModel,
 ) -> Result<LaunchStats> {
-    assert_eq!(buffers.len(), kernel.program.n_buffers(), "buffer count mismatch");
-    let body: Vec<GStmt> =
-        kernel.program.body().iter().map(compile_stmt).collect::<Result<_>>()?;
-    let buffer_names = buffer_names(kernel);
-
-    let threads = kernel.threads_per_block();
-    let mut sm_cycles = vec![0.0f64; model.sms.max(1)];
-    let mut total = LaunchStats::default();
-
-    // Split the body into phases at the block-level barriers.
-    let phases: Vec<&[GStmt]> = phase_ranges(body.len(), &kernel.barriers)
-        .into_iter()
-        .map(|r| &body[r])
-        .collect();
-
-    let n_warps = threads.div_ceil(WARP);
-    for block_id in 0..kernel.n_blocks() {
-        let bx = block_id as i64 % kernel.grid[0];
-        let by = block_id as i64 / kernel.grid[0];
-        // Shared memory is per-block: clear it.
-        for (b, space) in kernel.spaces.iter().enumerate() {
-            if *space == MemSpace::Shared || *space == MemSpace::Local {
-                buffers[b].iter_mut().for_each(|v| *v = 0.0);
-            }
-        }
-        let mut block_cycles = 0.0f64;
-        // Per-warp variable frames persist across phases (registers).
-        let (mut warp_vars, warp_masks) = seed_warps(kernel, threads, n_warps, bx, by);
-        // Barrier semantics: every warp finishes phase k before any warp
-        // starts phase k+1.
-        for phase in &phases {
-            for w in 0..n_warps {
-                let mut ctx = WarpCtx {
-                    model,
-                    spaces: &kernel.spaces,
-                    buffers,
-                    buffer_names: buffer_names.clone(),
-                    vars: std::mem::take(&mut warp_vars[w]),
-                    vistack: Vec::with_capacity(16),
-                    vfstack: Vec::with_capacity(16),
-                    stats: LaunchStats::default(),
-                    cycles: 0.0,
-                };
-                exec_block(phase, &mut ctx, warp_masks[w])?;
-                block_cycles += ctx.cycles;
-                total.add(&ctx.stats);
-                warp_vars[w] = ctx.vars;
-            }
-        }
-        total.warps += n_warps as u64;
-        // Round-robin block scheduling over SMs.
-        let sm = block_id % sm_cycles.len();
-        sm_cycles[sm] += block_cycles;
-    }
-    total.cycles = sm_cycles.iter().cloned().fold(0.0, f64::max);
-    record_launch_metrics(&total);
-    Ok(total)
+    let phases: Vec<Vec<GStmt>> = (kernel.phases().iter())
+        .map(|p| p.body().iter().map(compile_stmt).collect())
+        .collect::<Result<_>>()?;
+    launch_with(kernel, buffers, model, |pi, vars, mask, mem| {
+        let mut ctx = WarpCtx {
+            mem,
+            vars,
+            vistack: Vec::with_capacity(16),
+            vfstack: Vec::with_capacity(16),
+        };
+        exec_block(&phases[pi], &mut ctx, *mask)
+    })
 }
 
-/// Host adapter pricing warp bytecode execution with the simulator's
-/// memory model: per-instruction issue cost, coalescing/bank-conflict/
-/// broadcast pricing on loads and stores, divergence counting.
-struct BcHost<'a> {
-    model: &'a GpuModel,
-    spaces: &'a [MemSpace],
-    buffers: &'a mut [Vec<f32>],
-    buffer_names: &'a [String],
-    stats: LaunchStats,
-    cycles: f64,
-}
-
-impl WarpHost<WARP> for BcHost<'_> {
+/// Prices warp bytecode execution with the simulator's memory model:
+/// per-instruction issue cost, coalescing/bank-conflict/broadcast pricing
+/// on loads and stores, divergence counting.
+impl WarpHost<WARP> for WarpMem<'_> {
     fn issue(&mut self) {
         self.stats.warp_instructions += 1;
         self.cycles += self.model.alu;
@@ -440,96 +417,6 @@ impl WarpHost<WARP> for BcHost<'_> {
     }
 }
 
-/// Launches a kernel executing precompiled per-phase bytecode (see
-/// [`compile_phases`]) with the warp-level masked executor. Block/warp
-/// scheduling, barrier semantics and the memory model are identical to
-/// [`launch_tree_walk`]; only per-warp instruction issue differs
-/// (O(insts) instead of O(tree nodes)).
-///
-/// # Errors
-///
-/// Out-of-bounds accesses at runtime.
-pub fn launch_bytecode(
-    kernel: &Kernel,
-    buffers: &mut [Vec<f32>],
-    model: &GpuModel,
-    phases: &[BcProgram],
-) -> Result<LaunchStats> {
-    assert_eq!(buffers.len(), kernel.program.n_buffers(), "buffer count mismatch");
-    let buffer_names = buffer_names(kernel);
-
-    let threads = kernel.threads_per_block();
-    let mut sm_cycles = vec![0.0f64; model.sms.max(1)];
-    let mut total = LaunchStats::default();
-
-    // Per-kernel-phase profile, aggregated across blocks and warps
-    // (the launch iterates blocks outermost). Allocated only under
-    // `TIRAMISU_PROFILE`.
-    let _sp = telemetry::span("gpu", "launch");
-    let mut prof: Option<Vec<PhaseProf>> = telemetry::profile_enabled()
-        .then(|| vec![PhaseProf::default(); phases.len()]);
-
-    let n_warps = threads.div_ceil(WARP);
-    for block_id in 0..kernel.n_blocks() {
-        let bx = block_id as i64 % kernel.grid[0];
-        let by = block_id as i64 / kernel.grid[0];
-        // Shared memory is per-block: clear it.
-        for (b, space) in kernel.spaces.iter().enumerate() {
-            if *space == MemSpace::Shared || *space == MemSpace::Local {
-                buffers[b].iter_mut().for_each(|v| *v = 0.0);
-            }
-        }
-        let mut block_cycles = 0.0f64;
-        // Per-warp variable frames persist across phases (registers).
-        let (mut warp_vars, warp_masks) = seed_warps(kernel, threads, n_warps, bx, by);
-        // Barrier semantics: every warp finishes phase k before any warp
-        // starts phase k+1.
-        for (pi, phase) in phases.iter().enumerate() {
-            let phase_t0 = prof.is_some().then(std::time::Instant::now);
-            for w in 0..n_warps {
-                let mut host = BcHost {
-                    model,
-                    spaces: &kernel.spaces,
-                    buffers,
-                    buffer_names: &buffer_names,
-                    stats: LaunchStats::default(),
-                    cycles: 0.0,
-                };
-                match prof.as_deref_mut() {
-                    Some(pp) => loopvm::exec_warp_profiled(
-                        phase,
-                        &mut warp_vars[w],
-                        &warp_masks[w],
-                        &mut host,
-                        &mut pp[pi].classes,
-                    )?,
-                    None => {
-                        loopvm::exec_warp(phase, &mut warp_vars[w], &warp_masks[w], &mut host)?;
-                    }
-                }
-                if let Some(pp) = prof.as_deref_mut() {
-                    pp[pi].stats.add(&host.stats);
-                }
-                block_cycles += host.cycles;
-                total.add(&host.stats);
-            }
-            if let (Some(t0), Some(pp)) = (phase_t0, prof.as_deref_mut()) {
-                pp[pi].wall += t0.elapsed();
-            }
-        }
-        total.warps += n_warps as u64;
-        // Round-robin block scheduling over SMs.
-        let sm = block_id % sm_cycles.len();
-        sm_cycles[sm] += block_cycles;
-    }
-    total.cycles = sm_cycles.iter().cloned().fold(0.0, f64::max);
-    if let Some(pp) = prof {
-        emit_phase_prof(&pp);
-    }
-    record_launch_metrics(&total);
-    Ok(total)
-}
-
 /// Per-phase profile accumulated by the profiling launch path: wall time
 /// across all blocks, divergence/coalescing statistics and
 /// instruction-class totals.
@@ -565,14 +452,14 @@ fn emit_phase_prof(phases: &[PhaseProf]) {
     }
 }
 
-fn exec_block(body: &[GStmt], ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<()> {
+fn exec_block(body: &[GStmt], ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result<()> {
     for s in body {
         exec_stmt(s, ctx, mask)?;
     }
     Ok(())
 }
 
-fn exec_stmt(s: &GStmt, ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<()> {
+fn exec_stmt(s: &GStmt, ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result<()> {
     if !mask.iter().any(|&m| m) {
         return Ok(());
     }
@@ -590,13 +477,13 @@ fn exec_stmt(s: &GStmt, ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<()>
             let idx = eval_i(index, ctx, mask)?;
             let val = eval_f(value, ctx, mask)?;
             ctx.mem_access(*buf, &idx, mask)?;
-            let b = &mut ctx.buffers[*buf as usize];
+            let b = &mut ctx.mem.buffers[*buf as usize];
             for l in 0..WARP {
                 if mask[l] {
                     let i = idx[l];
                     if i < 0 || i as usize >= b.len() {
                         return Err(Error::OutOfBounds {
-                            buffer: ctx.buffer_names[*buf as usize].clone(),
+                            buffer: ctx.mem.buffer_names[*buf as usize].clone(),
                             index: i,
                             size: b.len(),
                         });
@@ -622,7 +509,7 @@ fn exec_stmt(s: &GStmt, ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<()>
             let any_then = then_mask.iter().any(|&m| m);
             let any_else = else_mask.iter().any(|&m| m);
             if any_then && any_else {
-                ctx.stats.divergent_branches += 1;
+                ctx.mem.stats.divergent_branches += 1;
             }
             if any_then {
                 exec_block(then, ctx, then_mask)?;
@@ -650,7 +537,7 @@ fn exec_stmt(s: &GStmt, ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<()>
                 }
             }
             if !uniform {
-                ctx.stats.divergent_branches += 1;
+                ctx.mem.stats.divergent_branches += 1;
             }
             let mut v = glo;
             while v < ghi {
@@ -669,22 +556,22 @@ fn exec_stmt(s: &GStmt, ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<()>
     }
 }
 
-fn eval_i(code: &Code, ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<[i64; WARP]> {
+fn eval_i(code: &Code, ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result<[i64; WARP]> {
     eval(code, ctx, mask)?;
     Ok(ctx.vistack.pop().unwrap())
 }
 
-fn eval_f(code: &Code, ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<[f32; WARP]> {
+fn eval_f(code: &Code, ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result<[f32; WARP]> {
     eval(code, ctx, mask)?;
     Ok(ctx.vfstack.pop().unwrap())
 }
 
-fn eval(code: &Code, ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<()> {
+fn eval(code: &Code, ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result<()> {
     ctx.vistack.clear();
     ctx.vfstack.clear();
     for op in &code.ops {
-        ctx.stats.warp_instructions += 1;
-        ctx.cycles += ctx.model.alu;
+        ctx.mem.stats.warp_instructions += 1;
+        ctx.mem.cycles += ctx.mem.model.alu;
         match *op {
             Op::PushF(v) => ctx.vfstack.push([v; WARP]),
             Op::PushI(v) => ctx.vistack.push([v; WARP]),
@@ -692,14 +579,14 @@ fn eval(code: &Code, ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<()> {
             Op::Load(b) => {
                 let idx = ctx.vistack.pop().unwrap();
                 ctx.mem_access(b, &idx, mask)?;
-                let buf = &ctx.buffers[b as usize];
+                let buf = &ctx.mem.buffers[b as usize];
                 let mut out = [0f32; WARP];
                 for l in 0..WARP {
                     if mask[l] {
                         let i = idx[l];
                         if i < 0 || i as usize >= buf.len() {
                             return Err(Error::OutOfBounds {
-                                buffer: ctx.buffer_names[b as usize].clone(),
+                                buffer: ctx.mem.buffer_names[b as usize].clone(),
                                 index: i,
                                 size: buf.len(),
                             });
@@ -796,11 +683,12 @@ fn eval(code: &Code, ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<()> {
     Ok(())
 }
 
-impl WarpCtx<'_> {
+impl WarpCtx<'_, '_> {
     /// Prices one warp memory access to buffer `b` at per-lane element
     /// indices `idx` (4-byte elements).
     fn mem_access(&mut self, b: u32, idx: &[i64; WARP], mask: [bool; WARP]) -> Result<()> {
-        mem_access(self.model, self.spaces, &mut self.stats, &mut self.cycles, b, idx, mask);
+        let m = &mut *self.mem;
+        mem_access(m.model, m.spaces, &mut m.stats, &mut m.cycles, b, idx, mask);
         Ok(())
     }
 }
@@ -1080,9 +968,11 @@ mod tests {
         let y = p.buffer("y", 64);
         let (bx, tx, j) = (p.var("bx"), p.var("tx"), p.var("j"));
         let gid = p.var("gid");
-        p.push(Stmt::let_(gid, Expr::var(bx) * Expr::i64(32) + Expr::var(tx)));
-        p.push(Stmt::store(sh, Expr::var(tx), Expr::load(x, Expr::var(gid))));
-        p.push(Stmt::serial(
+        let stage = vec![
+            Stmt::let_(gid, Expr::var(bx) * Expr::i64(32) + Expr::var(tx)),
+            Stmt::store(sh, Expr::var(tx), Expr::load(x, Expr::var(gid))),
+        ];
+        let consume = vec![Stmt::serial(
             j,
             Expr::i64(0),
             Expr::i64(4),
@@ -1093,12 +983,11 @@ mod tests {
                     + Expr::load(sh, Expr::var(tx)) * Expr::f32(0.5)
                     + Expr::load(sh, Expr::var(tx)) * Expr::f32(0.5),
             )],
-        ));
-        let mut k = Kernel::new(p, [2, 1], [32, 1]);
+        )];
+        let mut k = Kernel::phased(p, vec![stage, consume], [2, 1], [32, 1]);
         k.block_vars[0] = Some(bx);
         k.thread_vars[0] = Some(tx);
         k.spaces[1] = MemSpace::Shared;
-        k.barriers = vec![1];
         k
     }
 
@@ -1111,8 +1000,7 @@ mod tests {
             *v = (i as f32).sin();
         }
         b_tw[0].clone_from(&b_bc[0]);
-        let phases = compile_phases(&k).unwrap();
-        let s_bc = launch_bytecode(&k, &mut b_bc, &GpuModel::default(), &phases).unwrap();
+        let s_bc = launch(&k, &mut b_bc, &GpuModel::default()).unwrap();
         let s_tw = launch_tree_walk(&k, &mut b_tw, &GpuModel::default()).unwrap();
         for (a, b) in b_bc[2].iter().zip(&b_tw[2]) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1147,10 +1035,9 @@ mod tests {
         let mut k = Kernel::new(p, [2, 1], [32, 1]);
         k.block_vars[0] = Some(bx);
         k.thread_vars[0] = Some(tx);
-        let phases = compile_phases(&k).unwrap();
         let mut b1 = alloc_buffers(&k);
         let mut b2 = alloc_buffers(&k);
-        let e_bc = launch_bytecode(&k, &mut b1, &GpuModel::default(), &phases).unwrap_err();
+        let e_bc = launch(&k, &mut b1, &GpuModel::default()).unwrap_err();
         let e_tw = launch_tree_walk(&k, &mut b2, &GpuModel::default()).unwrap_err();
         assert_eq!(e_bc, e_tw);
     }

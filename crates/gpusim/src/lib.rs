@@ -21,16 +21,18 @@
 //!   bytes/bandwidth.
 //!
 //! Kernels reuse the `loopvm` program representation (statements,
-//! expressions, bytecode): block/thread index variables are designated in
-//! the [`Kernel`], and each buffer carries a [`MemSpace`].
+//! expressions, bytecode): a [`Kernel`] is a sequence of barrier-delimited
+//! phases, each a `loopvm` [`Program`] that owns its compiled bytecode;
+//! block/thread index variables are designated in the kernel, and each
+//! buffer carries a [`MemSpace`]. [`launch`] executes the phases' bytecode
+//! warp by warp; [`launch_tree_walk`] is the stack-evaluator reference the
+//! differential tests compare it against.
 
 pub mod exec;
 
-pub use exec::{
-    compile_phases, launch, launch_bytecode, launch_precompiled, launch_tree_walk, LaunchStats,
-};
+pub use exec::{launch, launch_tree_walk, LaunchStats};
 
-use loopvm::{Program, Var};
+use loopvm::{Program, Stmt, Var};
 
 /// GPU memory spaces for kernel buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -87,12 +89,19 @@ impl Default for GpuModel {
     }
 }
 
-/// A kernel: a `loopvm` program body executed per thread, plus the launch
-/// geometry and buffer space tags.
+/// A kernel: barrier-delimited phases executed per thread, plus the
+/// launch geometry and buffer space tags.
+///
+/// Each phase is a [`Program`] of its own — the kernel's declarations with
+/// that phase's statements as body — and so owns its compiled form
+/// ([`Program::compiled`]), which [`launch`] executes. Every warp of a
+/// block finishes phase `k` before any starts phase `k + 1`
+/// (`__syncthreads` — used by `cache_shared_at`'s cooperative copy);
+/// variable frames persist across phases. The phases are sealed behind
+/// [`Kernel::phases`] so that code cannot go stale.
 #[derive(Debug, Clone)]
 pub struct Kernel {
-    /// Declares buffers/vars; `program.body` is the per-thread body.
-    pub program: Program,
+    phases: Vec<Program>,
     /// Grid dimensions (blocks in x, y).
     pub grid: [i64; 2],
     /// Block dimensions (threads in x, y).
@@ -104,26 +113,60 @@ pub struct Kernel {
     /// Memory space per program buffer (parallel to buffer declaration
     /// order; missing entries default to global).
     pub spaces: Vec<MemSpace>,
-    /// Block-level barriers: after executing top-level body statement `i`
-    /// (0-based) for **all** warps of a block, execution of statement
-    /// `i+1` begins (`__syncthreads` between kernel phases — used by
-    /// `cache_shared_at`'s cooperative copy).
-    pub barriers: Vec<usize>,
 }
 
 impl Kernel {
-    /// Creates a kernel over a program with the given geometry.
+    /// Creates a barrier-free kernel: `program` is its one phase.
     pub fn new(program: Program, grid: [i64; 2], block: [i64; 2]) -> Kernel {
         let n = program.n_buffers();
         Kernel {
-            program,
+            phases: vec![program],
             grid,
             block,
             block_vars: [None, None],
             thread_vars: [None, None],
             spaces: vec![MemSpace::Global; n],
-            barriers: Vec::new(),
         }
+    }
+
+    /// Creates a kernel with a block-level barrier between consecutive
+    /// `phases`. `decls` declares the buffers and variables (its own body
+    /// is not executed). A phase without statements has nothing to
+    /// synchronize and is dropped; a kernel without statements keeps one
+    /// empty phase.
+    pub fn phased(
+        decls: Program,
+        phases: Vec<Vec<Stmt>>,
+        grid: [i64; 2],
+        block: [i64; 2],
+    ) -> Kernel {
+        let phase = |stmts: Vec<Stmt>| {
+            let mut p = decls.clone();
+            p.set_body(stmts);
+            p
+        };
+        let mut rest = phases.into_iter().filter(|stmts| !stmts.is_empty()).map(phase);
+        let first = rest.next().unwrap_or_else(|| phase(Vec::new()));
+        let mut kernel = Kernel::new(first, grid, block);
+        kernel.phases.extend(rest);
+        kernel
+    }
+
+    /// The phases in execution order (at least one). All share the same
+    /// buffer and variable declarations.
+    pub fn phases(&self) -> &[Program] {
+        &self.phases
+    }
+
+    /// The buffer and variable declarations every phase shares (the first
+    /// phase's program; its body is that phase's statements only).
+    pub fn program(&self) -> &Program {
+        &self.phases[0]
+    }
+
+    /// Pretty-prints the statements of every phase in order as pseudo-C.
+    pub fn pretty(&self) -> String {
+        self.phases.iter().map(Program::pretty).collect()
     }
 
     /// Total threads per block.

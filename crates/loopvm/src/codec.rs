@@ -31,6 +31,21 @@ pub type Result<T> = std::result::Result<T, artifacts::WireError>;
 
 /// Serializes a program: declaration tables, then the body.
 pub fn encode_program(p: &Program, w: &mut Writer) {
+    encode_decls(p, w);
+    encode_stmts(p.body(), w);
+}
+
+/// Deserializes a program built by [`encode_program`].
+pub fn decode_program(r: &mut Reader<'_>) -> Result<Program> {
+    let mut p = decode_decls(r)?;
+    let body = decode_stmts(r, &p)?;
+    p.set_body(body);
+    Ok(p)
+}
+
+/// Serializes a program's buffer and variable tables without its body
+/// (GPU kernel phases share one set of declarations).
+pub fn encode_decls(p: &Program, w: &mut Writer) {
     w.usize(p.n_buffers());
     for i in 0..p.n_buffers() {
         let (name, size) = p.buffer_info(p.nth_buffer(i));
@@ -41,11 +56,11 @@ pub fn encode_program(p: &Program, w: &mut Writer) {
     for name in &p.vars {
         w.str(name);
     }
-    encode_stmts(p.body(), w);
 }
 
-/// Deserializes a program built by [`encode_program`].
-pub fn decode_program(r: &mut Reader<'_>) -> Result<Program> {
+/// Deserializes the declarations [`encode_decls`] wrote into a program
+/// with an empty body.
+pub fn decode_decls(r: &mut Reader<'_>) -> Result<Program> {
     let mut p = Program::new();
     let n_bufs = r.len(2)?;
     for _ in 0..n_bufs {
@@ -58,8 +73,6 @@ pub fn decode_program(r: &mut Reader<'_>) -> Result<Program> {
         let name = r.str()?;
         p.var(&name);
     }
-    let body = decode_stmts(r, &p)?;
-    p.set_body(body);
     Ok(p)
 }
 
@@ -348,9 +361,11 @@ pub fn encode_bc(bc: &BcProgram, w: &mut Writer) {
 
 /// Deserializes a bytecode program, re-establishing the executor's trust
 /// invariants: every register operand is checked against the declared
-/// file sizes, every frame slot against `n_vars`, and every buffer id
-/// against `p`'s buffer table. `p` must be the program the machine that
-/// will run the bytecode was built for.
+/// file sizes, every frame slot against `n_vars`, every buffer id against
+/// `p`'s buffer table, and every register has one static definition (the
+/// optimizer emits SSA; value numbering, the JIT's register allocation and
+/// its lane-shape facts rely on it). `p` must be the program the machine
+/// that will run the bytecode was built for.
 pub fn decode_bc(r: &mut Reader<'_>, p: &Program) -> Result<BcProgram> {
     let n_iregs = r.u16()?;
     let n_fregs = r.u16()?;
@@ -371,9 +386,16 @@ pub fn decode_bc(r: &mut Reader<'_>, p: &Program) -> Result<BcProgram> {
     ] {
         *f = r.usize()?;
     }
-    let lim = Limits { n_iregs, n_fregs, n_vars, n_bufs: p.n_buffers() };
-    let prologue = decode_insts(r, &lim)?;
-    let body = decode_bc_block(r, &lim)?;
+    let mut lim = Limits {
+        n_iregs,
+        n_fregs,
+        n_vars,
+        n_bufs: p.n_buffers(),
+        defined_i: vec![false; n_iregs as usize],
+        defined_f: vec![false; n_fregs as usize],
+    };
+    let prologue = decode_insts(r, &mut lim)?;
+    let body = decode_bc_block(r, &mut lim)?;
     Ok(BcProgram { prologue, body, n_iregs, n_fregs, n_vars, var_names, stats })
 }
 
@@ -392,10 +414,13 @@ struct Limits {
     n_fregs: u16,
     n_vars: usize,
     n_bufs: usize,
+    /// Registers already defined by a decoded instruction, per file.
+    defined_i: Vec<bool>,
+    defined_f: Vec<bool>,
 }
 
 impl Limits {
-    fn check_inst(&self, inst: &Inst) -> Result<()> {
+    fn check_inst(&mut self, inst: &Inst) -> Result<()> {
         let check_reg = |(file, reg): (crate::bytecode::File, u16)| {
             let bound = match file {
                 crate::bytecode::File::I => self.n_iregs,
@@ -410,6 +435,14 @@ impl Limits {
         check_reg(inst.dst())?;
         for src in inst.srcs().into_iter().flatten() {
             check_reg(src)?;
+        }
+        let (file, dst) = inst.dst();
+        let defined = match file {
+            crate::bytecode::File::I => &mut self.defined_i,
+            crate::bytecode::File::F => &mut self.defined_f,
+        };
+        if std::mem::replace(&mut defined[dst as usize], true) {
+            return Err(malformed(format!("register {dst} defined twice (bytecode must be SSA)")));
         }
         match *inst {
             Inst::ReadVar { var, .. } => self.check_var(var)?,
@@ -459,7 +492,7 @@ fn encode_insts(insts: &[Inst], w: &mut Writer) {
     }
 }
 
-fn decode_insts(r: &mut Reader<'_>, lim: &Limits) -> Result<Vec<Inst>> {
+fn decode_insts(r: &mut Reader<'_>, lim: &mut Limits) -> Result<Vec<Inst>> {
     let n = r.len(2)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
@@ -585,7 +618,7 @@ fn encode_bcode(c: &BCode, w: &mut Writer) {
     w.u16(c.reg);
 }
 
-fn decode_bcode(r: &mut Reader<'_>, lim: &Limits) -> Result<BCode> {
+fn decode_bcode(r: &mut Reader<'_>, lim: &mut Limits) -> Result<BCode> {
     let insts = decode_insts(r, lim)?;
     let reg = r.u16()?;
     lim.check_ireg(reg)?;
@@ -599,7 +632,7 @@ fn encode_bc_block(body: &[BcStmt], w: &mut Writer) {
     }
 }
 
-fn decode_bc_block(r: &mut Reader<'_>, lim: &Limits) -> Result<Vec<BcStmt>> {
+fn decode_bc_block(r: &mut Reader<'_>, lim: &mut Limits) -> Result<Vec<BcStmt>> {
     let n = r.len(1)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
@@ -642,7 +675,7 @@ fn encode_bc_stmt(s: &BcStmt, w: &mut Writer) {
     }
 }
 
-fn decode_bc_stmt(r: &mut Reader<'_>, lim: &Limits) -> Result<BcStmt> {
+fn decode_bc_stmt(r: &mut Reader<'_>, lim: &mut Limits) -> Result<BcStmt> {
     Ok(match r.u8()? {
         0 => {
             let var = r.u32()?;
@@ -788,6 +821,31 @@ mod tests {
         // must be rejected.
         let empty = Program::new();
         assert!(decode_bc(&mut Reader::new(&buf), &empty).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_a_register_defined_twice() {
+        let p = sample();
+        let mut bc = crate::opt::compile_program(&p).unwrap();
+        let dup = *bc.prologue.iter().find(|i| matches!(i, Inst::ConstI { .. })).unwrap();
+        bc.prologue.push(dup);
+        let mut w = Writer::new();
+        encode_bc(&bc, &mut w);
+        let buf = w.into_vec();
+        assert!(decode_bc(&mut Reader::new(&buf), &p).is_err());
+        // Nothing is installed: the program compiles itself and runs as
+        // if no artifact had been there.
+        let q = sample();
+        assert!(decode_bc_into(&mut Reader::new(&buf), &q).is_err());
+        assert!(q.compiled_or_build().1, "rejected bytecode reached the program's slot");
+        let run = |p: &Program| {
+            let mut m = Machine::new(p);
+            let a = p.buffer_by_name("A").unwrap();
+            m.buffer_mut(a).iter_mut().enumerate().for_each(|(k, v)| *v = k as f32);
+            m.run(p).unwrap();
+            m.buffer(p.buffer_by_name("B").unwrap()).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(run(&q), run(&p));
     }
 
     #[test]

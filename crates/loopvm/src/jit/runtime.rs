@@ -247,12 +247,12 @@ pub(super) extern "C" fn jit_f2i(a: f32) -> i64 {
 /// Mirrors the interpreter's `bc_exec_parallel` exactly: serial on one
 /// thread or ≤ 1 iterations (sharing the caller's context, so frame writes
 /// land in the parent like the interpreter's serial fallback), otherwise
-/// scoped workers over `div_ceil` chunks, each with private frame/pin
-/// copies and `threads = 1` (nested parallel loops run serially). Worker
-/// deopts are replayed on the worker thread; the first error in spawn
-/// order wins and panics propagate with the interpreter's own
-/// `expect("worker panicked")` shape. All unwinding is caught here — never
-/// across a native frame — and converted to status 1/2.
+/// the same static split (`crate::par::chunks`), each worker with private
+/// frame/pin copies and `threads = 1` (nested parallel loops run
+/// serially). Worker deopts are replayed on the worker thread; the first
+/// error in spawn order wins and panics propagate with the interpreter's
+/// own `expect("worker panicked")` shape. All unwinding is caught here —
+/// never across a native frame — and converted to status 1/2.
 pub(super) extern "C" fn jit_par_dispatch(ctx: *mut JitCtx, loop_id: u64, lo: i64, hi: i64) -> u64 {
     // SAFETY: called only from generated code with the ctx built by
     // `JitProgram::run` (or a worker's private copy below); all pointers
@@ -269,61 +269,35 @@ pub(super) extern "C" fn jit_par_dispatch(ctx: *mut JitCtx, loop_id: u64, lo: i6
             // already in this ctx.
             return f(ctx, lo, hi);
         }
-        let n = (hi - lo) as usize;
-        let workers = (c.threads as usize).min(n.max(1));
-        let chunk = n.div_ceil(workers);
-        let frame_proto = std::slice::from_raw_parts(c.frame, prog.n_vars).to_vec();
-        let ipin_proto = std::slice::from_raw_parts(c.ipin, prog.n_iregs).to_vec();
-        let fpin_proto = std::slice::from_raw_parts(c.fpin, prog.n_fregs).to_vec();
+        let frame_proto = std::slice::from_raw_parts(c.frame, prog.n_vars);
+        let ipin_proto = std::slice::from_raw_parts(c.ipin, prog.n_iregs);
+        let fpin_proto = std::slice::from_raw_parts(c.fpin, prog.n_fregs);
         let bufs = std::slice::from_raw_parts(host.bufs, host.n_bufs);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let frame_proto = &frame_proto;
-            let ipin_proto = &ipin_proto;
-            let fpin_proto = &fpin_proto;
-            let results = crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for w in 0..workers {
-                    let start = lo + (w * chunk) as i64;
-                    let end = (lo + ((w + 1) * chunk) as i64).min(hi);
-                    if start >= end {
-                        continue;
-                    }
-                    handles.push(scope.spawn(move |_| -> Result<()> {
-                        let mut frame = frame_proto.clone();
-                        let mut ipin = ipin_proto.clone();
-                        let mut fpin = fpin_proto.clone();
-                        let descs: Vec<BufDesc> = bufs
-                            .iter()
-                            .map(|b| BufDesc { ptr: b.data_ptr(), len: b.len() as u64 })
-                            .collect();
-                        let mut sub = JitCtx {
-                            frame: frame.as_mut_ptr(),
-                            bufs: descs.as_ptr(),
-                            ipin: ipin.as_mut_ptr(),
-                            fpin: fpin.as_mut_ptr(),
-                            deopt_a: 0,
-                            deopt_b: 0,
-                            threads: 1,
-                            host: host as *const RunHost,
-                        };
-                        match f(&mut sub, start, end) {
-                            0 => Ok(()),
-                            code => prog.replay(
-                                (code - 3) as usize,
-                                sub.deopt_a,
-                                sub.deopt_b,
-                                bufs,
-                            ),
-                        }
-                    }));
+            let results = crate::par::chunks(c.threads as usize, lo, hi, |start, end| {
+                let mut frame = frame_proto.to_vec();
+                let mut ipin = ipin_proto.to_vec();
+                let mut fpin = fpin_proto.to_vec();
+                let descs: Vec<BufDesc> = bufs
+                    .iter()
+                    .map(|b| BufDesc { ptr: b.data_ptr(), len: b.len() as u64 })
+                    .collect();
+                let mut sub = JitCtx {
+                    frame: frame.as_mut_ptr(),
+                    bufs: descs.as_ptr(),
+                    ipin: ipin.as_mut_ptr(),
+                    fpin: fpin.as_mut_ptr(),
+                    deopt_a: 0,
+                    deopt_b: 0,
+                    threads: 1,
+                    host: host as *const RunHost,
+                };
+                match f(&mut sub, start, end) {
+                    0 => Ok(()),
+                    code => prog.replay((code - 3) as usize, sub.deopt_a, sub.deopt_b, bufs),
                 }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect::<Vec<_>>()
-            })
-            .expect("thread scope failed");
-            results.into_iter().find_map(|r| r.err())
+            });
+            results.into_iter().find_map(|r: Result<()>| r.err())
         }));
         match outcome {
             Ok(None) => 0,

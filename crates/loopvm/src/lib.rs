@@ -52,6 +52,7 @@ pub mod cost;
 pub mod expr;
 pub mod jit;
 pub mod opt;
+mod par;
 pub mod program;
 pub mod simt;
 pub mod vm;

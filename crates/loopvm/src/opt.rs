@@ -61,17 +61,7 @@ const LOCAL: u16 = u16::MAX;
 /// rejects, [`Error::Structure`] if a program exhausts the 16-bit
 /// register file.
 pub fn compile_program(p: &Program) -> Result<BcProgram> {
-    compile_body(p, &p.body)
-}
-
-/// Compiles an arbitrary statement list against `p`'s variable and buffer
-/// space (used to analyze distributed compute chunks and GPU kernel
-/// bodies).
-///
-/// # Errors
-///
-/// Same as [`compile_program`].
-pub fn compile_body(p: &Program, body: &[Stmt]) -> Result<BcProgram> {
+    let body = p.body();
     let mut em = Emitter {
         sinks: vec![Vec::new()],
         vn: HashMap::new(),

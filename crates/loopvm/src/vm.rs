@@ -371,11 +371,10 @@ impl ExecMode {
     /// (all per [`telemetry::env_flag`] semantics).
     ///
     /// `treewalk_var` names the caller's tree-walk override
-    /// (`LOOPVM_TREEWALK` for [`Machine`], `GPUSIM_TREEWALK` for the GPU
-    /// simulator) and wins when set. Otherwise, when the caller supports
-    /// the native tier (`allow_jit`) and the target does, `Jit` is
-    /// selected unless `LOOPVM_JIT` is set to an off value (`0` or
-    /// empty); everything else resolves to `Bytecode`.
+    /// (`LOOPVM_TREEWALK` for [`Machine`]) and wins when set. Otherwise,
+    /// when the caller supports the native tier (`allow_jit`) and the
+    /// target does, `Jit` is selected unless `LOOPVM_JIT` is set to an off
+    /// value (`0` or empty); everything else resolves to `Bytecode`.
     #[must_use]
     pub fn from_env(treewalk_var: &str, allow_jit: bool) -> ExecMode {
         if telemetry::env_flag(treewalk_var) {
@@ -941,47 +940,31 @@ fn exec_parallel(
     body: &[CStmt],
     ctx: &mut ExecCtx<'_>,
 ) -> Result<()> {
-    let n = (hi - lo) as usize;
-    let workers = ctx.threads.min(n.max(1));
-    let chunk = n.div_ceil(workers);
     let bufs = ctx.bufs;
     let bases = ctx.bases;
     let model = *ctx.cache.model();
-    let frame_proto = ctx.frame.clone();
-    let results = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let start = lo + (w * chunk) as i64;
-            let end = (lo + ((w + 1) * chunk) as i64).min(hi);
-            if start >= end {
-                continue;
-            }
-            let frame = frame_proto.clone();
-            handles.push(scope.spawn(move |_| -> Result<()> {
-                let mut sub = ExecCtx {
-                    bufs,
-                    bases,
-                    // Nested parallel loops run serially inside a worker.
-                    threads: 1,
-                    frame,
-                    istack: Vec::with_capacity(16),
-                    fstack: Vec::with_capacity(16),
-                    vistack: Vec::with_capacity(16),
-                    vfstack: Vec::with_capacity(16),
-                    stats: RunStats::default(),
-                    cache: CacheSim::new(model),
-                    parallel_depth: 1,
-                };
-                for v in start..end {
-                    sub.frame[var as usize] = v;
-                    exec_block::<false>(body, &mut sub)?;
-                }
-                Ok(())
-            }));
+    let frame_proto = &ctx.frame;
+    let results = crate::par::chunks(ctx.threads, lo, hi, |start, end| -> Result<()> {
+        let mut sub = ExecCtx {
+            bufs,
+            bases,
+            // Nested parallel loops run serially inside a worker.
+            threads: 1,
+            frame: frame_proto.clone(),
+            istack: Vec::with_capacity(16),
+            fstack: Vec::with_capacity(16),
+            vistack: Vec::with_capacity(16),
+            vfstack: Vec::with_capacity(16),
+            stats: RunStats::default(),
+            cache: CacheSim::new(model),
+            parallel_depth: 1,
+        };
+        for v in start..end {
+            sub.frame[var as usize] = v;
+            exec_block::<false>(body, &mut sub)?;
         }
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect::<Vec<_>>()
-    })
-    .expect("thread scope failed");
+        Ok(())
+    });
     results.into_iter().collect()
 }
 
@@ -1500,9 +1483,6 @@ fn bc_exec_parallel(
     body: &[BcStmt],
     ctx: &mut BcCtx<'_>,
 ) -> Result<()> {
-    let n = (hi - lo) as usize;
-    let workers = ctx.threads.min(n.max(1));
-    let chunk = n.div_ceil(workers);
     let bufs = ctx.bufs;
     // Workers snapshot the scalar state (registers computed in outer
     // preambles / the prologue stay readable) and run their range with a
@@ -1512,46 +1492,34 @@ fn bc_exec_parallel(
     let ir_proto = &ctx.ir;
     let fr_proto = &ctx.fr;
     let profiled = ctx.prof.is_some();
-    let results = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let start = lo + (w * chunk) as i64;
-            let end = (lo + ((w + 1) * chunk) as i64).min(hi);
-            if start >= end {
-                continue;
+    let results = crate::par::chunks(ctx.threads, lo, hi, |start, end| {
+        let mut sub = BcCtx {
+            bufs,
+            // Nested parallel loops run serially inside a worker.
+            threads: 1,
+            frame: frame_proto.clone(),
+            ir: ir_proto.clone(),
+            fr: fr_proto.clone(),
+            vir: vec![[0i64; LANES]; ir_proto.len()],
+            vfr: vec![[0f32; LANES]; fr_proto.len()],
+            vset: vec![false; ir_proto.len()],
+            vfset: vec![false; fr_proto.len()],
+            // Workers profile into a private state merged into the
+            // parent after the join.
+            prof: profiled.then(Box::<BcProf>::default),
+        };
+        let mut r = Ok(());
+        for v in start..end {
+            sub.frame[var as usize] = v;
+            if let Err(e) = bc_run_insts(preamble, &mut sub)
+                .and_then(|()| bc_exec_block(body, &mut sub))
+            {
+                r = Err(e);
+                break;
             }
-            handles.push(scope.spawn(move |_| -> (Result<()>, Option<Box<BcProf>>) {
-                let mut sub = BcCtx {
-                    bufs,
-                    // Nested parallel loops run serially inside a worker.
-                    threads: 1,
-                    frame: frame_proto.clone(),
-                    ir: ir_proto.clone(),
-                    fr: fr_proto.clone(),
-                    vir: vec![[0i64; LANES]; ir_proto.len()],
-                    vfr: vec![[0f32; LANES]; fr_proto.len()],
-                    vset: vec![false; ir_proto.len()],
-                    vfset: vec![false; fr_proto.len()],
-                    // Workers profile into a private state merged into the
-                    // parent after the join.
-                    prof: profiled.then(Box::<BcProf>::default),
-                };
-                let mut r = Ok(());
-                for v in start..end {
-                    sub.frame[var as usize] = v;
-                    if let Err(e) = bc_run_insts(preamble, &mut sub)
-                        .and_then(|()| bc_exec_block(body, &mut sub))
-                    {
-                        r = Err(e);
-                        break;
-                    }
-                }
-                (r, sub.prof.take())
-            }));
         }
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect::<Vec<_>>()
-    })
-    .expect("thread scope failed");
+        (r, sub.prof.take())
+    });
     let mut first_err = None;
     for (r, p) in results {
         if let (Some(dst), Some(src)) = (ctx.prof.as_deref_mut(), p) {

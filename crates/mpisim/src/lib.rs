@@ -776,11 +776,14 @@ fn run_rank(
     let mut machine = Machine::new(&dist.program);
     init(rank, &mut machine);
     // Tier policy: chunks run on the bytecode interpreter even where the
-    // machine defaults to `Jit`. JIT-compiling a rank program's chunks
-    // costs 0.2-2.2 ms against a 0.3-0.9 ms whole-cluster run (Fig. 6
-    // kernels, 64x96/2 ranks and 48x64/4 ranks): an eager JIT would double
-    // `compile_ms` of every cold dist request. `TreeWalk` (set by `init` or
-    // `LOOPVM_TREEWALK`) still selects the reference evaluator.
+    // machine defaults to `Jit`. Re-measured in PR 16 (EXPERIMENTS.md
+    // "Rank-chunk tier line"): a chunk JIT-compiles in 0.03 ms and runs a
+    // warm cluster 2.1-2.3x faster natively, but without this line
+    // `request_ms_p95` and `run_ms` @ `figures_modeled` were 5-8 % worse in
+    // ten interleaved pairs (0/10, 2/10 wins) — on `stats_mode` requests
+    // that never reach it, i.e. a code-layout effect. It stays until that
+    // is understood. `TreeWalk` (set by `init` or `LOOPVM_TREEWALK`) still
+    // selects the reference evaluator.
     if machine.exec_mode() == loopvm::ExecMode::Jit {
         machine.set_exec_mode(loopvm::ExecMode::Bytecode);
     }

@@ -213,6 +213,16 @@ fn diff_service() -> &'static tiramisu::CompileService {
     })
 }
 
+/// `loopvm::opt` emits SSA: the artifact decoder, which rejects a register
+/// defined twice, must accept the bytecode of every generated program (the
+/// CPU lane goes through a real disk artifact below; GPU phases and rank
+/// chunks go through here).
+fn bytecode_roundtrips(p: &loopvm::Program) -> bool {
+    let mut w = artifacts::wire::Writer::new();
+    loopvm::codec::encode_bc(p.compiled().unwrap().bytecode(), &mut w);
+    loopvm::codec::decode_bc(&mut artifacts::wire::Reader::new(&w.into_vec()), p).is_ok()
+}
+
 fn run_cpu(module: &tiramisu::CpuModule, mode: loopvm::ExecMode) -> Vec<Vec<u32>> {
     let mut m = module.machine();
     m.set_threads(2);
@@ -307,6 +317,9 @@ proptest! {
             fg.tile_gpu(byg, "i", "j", 4, 4).unwrap();
         }
         let gm = compile_gpu(&fg, &[("N", N), ("M", M)], GpuOptions::default()).unwrap();
+        for phase in gm.kernels.iter().flat_map(|k| k.phases()) {
+            prop_assert!(bytecode_roundtrips(phase), "GPU phase is not SSA: {:?}", &alg);
+        }
         let mut bufs = gm.alloc_buffers();
         fill(&mut bufs[gm.buffer_index("in").unwrap()], 7);
         gm.run(&mut bufs, &gpusim::GpuModel::default()).unwrap();
@@ -343,6 +356,9 @@ proptest! {
         fd.split(dist_comp, "i", chunk, "i0", "i1").unwrap();
         fd.distribute(dist_comp, "i0").unwrap();
         let dm = compile_dist(&fd, &[("N", N), ("M", M)], DistOptions::default()).unwrap();
+        for chunk in dm.dist.chunks() {
+            prop_assert!(bytecode_roundtrips(chunk), "rank chunk is not SSA: {:?}", &alg);
+        }
         let out_buf = dm.vm_buffer(out_name).unwrap();
         let row_len = M as usize;
         let gathered = Mutex::new(vec![0u32; (chunk as usize) * RANKS * row_len]);

@@ -1,15 +1,16 @@
 //! A program is compiled once: the code a backend built (or decoded from
 //! an artifact) is the code `Machine::run` executes, clones share it, and
 //! only a mutation recompiles. A rank program's compute chunks are such
-//! programs, shared by every rank of every run. Observed through the
-//! process-wide
+//! programs, shared by every rank of every run, and a GPU kernel's
+//! barrier-delimited phases are such programs, found by every launch.
+//! Observed through the process-wide
 //! `vm.bc_cache.*` ("`Machine::run` found a compiled form / had to build
 //! one") and `vm.jit.*` counters.
 
 use loopvm::{ExecMode, Expr as V, Machine, Program, Stmt};
 use mpisim::{CommModel, DistError, DistProgram, DistStmt, RunOptions};
 use std::sync::{Barrier, Mutex, MutexGuard};
-use tiramisu::{CompileService, DistOptions, Expr as E, Function, ServiceConfig};
+use tiramisu::{CompileService, DistOptions, Expr as E, Function, GpuOptions, ServiceConfig};
 
 /// The counters are process-wide; every test here reads deltas.
 static COUNTERS: Mutex<()> = Mutex::new(());
@@ -247,4 +248,112 @@ fn bare_rank_programs_compile_each_chunk_once_even_to_an_error() {
     );
     assert_eq!(run_cluster(&dist, 1), Err(first));
     assert_eq!(delta(before), (1, 1, 0));
+}
+
+// ---------------------------------------------------------------------------
+// GPU kernels: a barrier-delimited phase is a program, found by every launch
+// ---------------------------------------------------------------------------
+
+/// A 3-tap blur tiled to 8x8 thread blocks with the input tile staged
+/// through shared memory (what `kernels::image_gpu::blur_shared_cache`
+/// builds): one kernel, two phases — cooperative copy, barrier, compute.
+fn gpu_blur() -> Function {
+    let mut f = Function::new("blurc", &["N"]);
+    let i = f.var("i", 0, E::param("N"));
+    let j = f.var("j", 0, E::param("N"));
+    let padded = [f.var("i", 0, E::param("N")), f.var("j", 0, E::param("N") + E::i64(2))];
+    let input = f.input("in", &padded).unwrap();
+    let at = |dj: i64| E::Access(input, vec![E::iter("i"), E::iter("j") + E::i64(dj)]);
+    let out = f.computation("out", &[i, j], (at(0) + at(1) + at(2)) / E::f32(3.0)).unwrap();
+    f.tile_gpu(out, "i", "j", 8, 8).unwrap();
+    f.cache_shared_at(input, out, "jB").unwrap();
+    f
+}
+
+fn phase_code(k: &gpusim::Kernel) -> Vec<*const loopvm::BcProgram> {
+    k.phases().iter().map(|p| std::ptr::from_ref(p.compiled().unwrap().bytecode())).collect()
+}
+
+#[test]
+fn gpu_runs_execute_the_code_the_module_holds() {
+    let dir = std::env::temp_dir().join(format!("tiramisu-one-compile-gpu-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let svc = CompileService::new(ServiceConfig { cache_dir: Some(dir.clone()), ..Default::default() });
+    let (f, params) = (gpu_blur(), [("N", 32)]);
+    let fresh = svc.compile_gpu(&f, &params, GpuOptions::default()).expect("cold compile");
+    svc.clear_memory();
+    let served = svc.compile_gpu(&f, &params, GpuOptions::default()).expect("disk hit");
+    assert_eq!(svc.stats().disk_hits, 1);
+    let runs = [&fresh, &served].map(|module| {
+        assert_eq!((module.kernels.len(), module.kernels[0].phases().len()), (1, 2));
+        // The code `optimize` built, or an artifact decode installed, is
+        // what every launch executes: the phases hand out the same
+        // `BcProgram` before and after the runs, and so does a clone.
+        let code = phase_code(&module.kernels[0]);
+        let run = || {
+            let mut bufs = module.alloc_buffers();
+            kernels::fill_buffer(&mut bufs[module.buffer_index("in").unwrap()], 7);
+            let stats = module.run(&mut bufs, &gpusim::GpuModel::default()).expect("run").kernels;
+            let bits: Vec<Vec<u32>> =
+                bufs.iter().map(|b| b.iter().map(|v| v.to_bits()).collect()).collect();
+            (bits, stats)
+        };
+        let first = run();
+        assert_eq!(run(), first);
+        assert_eq!(phase_code(&module.kernels[0]), code);
+        assert_eq!(phase_code(&module.kernels[0].clone()), code);
+        first
+    });
+    assert_eq!(runs[0], runs[1], "the decoded code computes the same bits and counters");
+    let disasm = |m: &tiramisu::GpuModule| -> Vec<String> {
+        let phases = m.kernels[0].phases().iter();
+        phases.map(|p| p.compiled().unwrap().bytecode().disasm(p)).collect()
+    };
+    assert_eq!(disasm(&served), disasm(&fresh));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_phase_that_does_not_compile_fails_every_launch_identically() {
+    use gpusim::exec::{alloc_buffers, compile_phases, launch_tree_walk};
+    // Phase 1 stores an i64 into an f32 buffer.
+    let mut p = Program::new();
+    let out = p.buffer("out", 32);
+    let t = p.var("t");
+    let ok = vec![Stmt::store(out, V::var(t), V::f32(1.0))];
+    let bad = vec![Stmt::store(out, V::var(t), V::i64(1))];
+    let mut k = gpusim::Kernel::phased(p, vec![ok, bad], [1, 1], [32, 1]);
+    k.thread_vars[0] = Some(t);
+    let model = gpusim::GpuModel::default();
+    let mut bufs = alloc_buffers(&k);
+    let first = gpusim::launch(&k, &mut bufs, &model).expect_err("type error");
+    assert!(matches!(first, loopvm::Error::Type(_)), "{first:?}");
+    assert_eq!(gpusim::launch(&k, &mut bufs, &model), Err(first.clone()));
+    assert_eq!(compile_phases(&k).map(|_| ()), Err(first.clone()));
+    // Like the reference executor, nothing runs before every phase is
+    // known to compile: phase 0 left no trace in either.
+    let mut reference = alloc_buffers(&k);
+    assert_eq!(launch_tree_walk(&k, &mut reference, &model), Err(first));
+    assert_eq!(bufs, reference);
+    assert!(bufs[0].iter().all(|&v| v == 0.0));
+}
+
+#[test]
+fn phases_without_statements_are_not_created() {
+    let mut p = Program::new();
+    let out = p.buffer("out", 1);
+    let s = || vec![Stmt::store(out, V::i64(0), V::f32(1.0))];
+    let phases = |stmts: Vec<Vec<Stmt>>| -> Vec<usize> {
+        let k = gpusim::Kernel::phased(p.clone(), stmts, [1, 1], [1, 1]);
+        k.phases().iter().map(|p| p.body().len()).collect()
+    };
+    // No statements at all: one empty phase, the same kernel `new` makes
+    // of an empty program.
+    assert_eq!(phases(vec![]), [0]);
+    assert_eq!(phases(vec![vec![], vec![]]), [0]);
+    assert_eq!(gpusim::Kernel::new(p.clone(), [1, 1], [1, 1]).phases().len(), 1);
+    // A trailing (or any other) empty phase would be a barrier nothing
+    // waits behind.
+    assert_eq!(phases(vec![s(), vec![]]), [1]);
+    assert_eq!(phases(vec![s(), vec![], [s(), s()].concat()]), [1, 2]);
 }

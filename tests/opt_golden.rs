@@ -229,10 +229,18 @@ fn gpu_kernel_bytecode_disassembly_is_pinned() {
     let module = compile_gpu(&f, &[("N", 32)], GpuOptions::default()).unwrap();
     let phases = module.bytecode(0).expect("GPU modules carry phase bytecode");
     assert_eq!(phases.len(), 2, "barrier should split the kernel into two phases");
-    assert_golden(
-        "gpu_blur_bytecode",
-        &module.disasm().expect("GPU modules carry phase bytecode"),
-    );
+    let disasm = module.disasm().expect("GPU modules carry phase bytecode");
+    // The pinned code is the executed code: the text is exactly what the
+    // phase programs — which `gpusim::launch` runs — hold as their
+    // compiled form.
+    let executed: String = (module.kernels[0].phases().iter().enumerate())
+        .map(|(p, ph)| {
+            format!("// kernel 0 phase {p}\n{}", ph.compiled().unwrap().bytecode().disasm(ph))
+        })
+        .collect();
+    assert_eq!(module.kernels.len(), 1);
+    assert_eq!(disasm, executed);
+    assert_golden("gpu_blur_bytecode", &disasm);
     // The compute phase re-reads overlapping shared-memory taps; CSE must
     // collapse the repeated address math.
     assert!(phases[1].stats().cse_hits > 0, "{}", phases[1].stats().summary());

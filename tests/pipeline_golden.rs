@@ -123,7 +123,7 @@ fn gemm_gpu() -> (String, Vec<f32>) {
             "// kernel {ki}: grid [{}, {}] block [{}, {}]\n",
             k.grid[0], k.grid[1], k.block[0], k.block[1]
         ));
-        text.push_str(&k.program.pretty_stmts(k.program.body(), 0));
+        text.push_str(&k.pretty());
     }
     let mut bufs = module.alloc_buffers();
     for (name, seed) in [("A", 1u64), ("B", 2), ("Cin", 3)] {
@@ -275,7 +275,7 @@ fn blur_gpu() -> (String, Vec<f32>) {
             "// kernel {ki}: grid [{}, {}] block [{}, {}]\n",
             k.grid[0], k.grid[1], k.block[0], k.block[1]
         ));
-        text.push_str(&k.program.pretty_stmts(k.program.body(), 0));
+        text.push_str(&k.pretty());
     }
     let mut bufs = module.alloc_buffers();
     fill(&mut bufs[module.buffer_index("in").unwrap()], 7);

@@ -204,16 +204,16 @@ fn barrier_phases_order_cross_warp_communication() {
     let sh = p.buffer("sh", 64);
     let out = p.buffer("out", 64);
     let t = p.var("t");
-    p.push(Stmt::store(sh, V::var(t), V::to_f32(V::var(t)) + V::f32(1.0)));
-    p.push(Stmt::store(
+    let write = Stmt::store(sh, V::var(t), V::to_f32(V::var(t)) + V::f32(1.0));
+    let read = Stmt::store(
         out,
         V::var(t),
         V::load(sh, V::i64(63) - V::var(t)),
-    ));
-    let mut k = Kernel::new(p, [1, 1], [64, 1]);
+    );
+    // Two phases: a barrier between the two stores.
+    let mut k = Kernel::phased(p, vec![vec![write], vec![read]], [1, 1], [64, 1]);
     k.thread_vars[0] = Some(t);
     k.spaces[0] = MemSpace::Shared;
-    k.barriers = vec![0]; // barrier between the two stores
     let mut bufs = vec![vec![0f32; 64], vec![0f32; 64]];
     gpusim::launch(&k, &mut bufs, &GpuModel::default()).unwrap();
     for (i, v) in bufs[1].iter().enumerate() {

@@ -6,6 +6,19 @@
 use loopvm::{Expr as V, LoopKind, Machine, Program, Stmt};
 use proptest::prelude::*;
 
+/// `loopvm::opt` emits SSA: the artifact decoder, which rejects a register
+/// defined twice, must accept the bytecode of every generated program.
+/// Called from the run helpers, so every generator below goes through it.
+fn assert_bytecode_roundtrips(p: &Program) {
+    let Ok(code) = p.compiled() else { return };
+    let mut w = artifacts::wire::Writer::new();
+    loopvm::codec::encode_bc(code.bytecode(), &mut w);
+    let bytes = w.into_vec();
+    let back = loopvm::codec::decode_bc(&mut artifacts::wire::Reader::new(&bytes), p)
+        .unwrap_or_else(|e| panic!("compiled bytecode does not decode: {e:?}\n{}", p.pretty()));
+    assert_eq!(back.disasm(p), code.bytecode().disasm(p));
+}
+
 /// A random elementwise expression over `x[i]`, `y[i]` and `i`.
 #[derive(Debug, Clone)]
 enum RExpr {
@@ -88,6 +101,7 @@ fn run_kind(e: &RExpr, kind: LoopKind, n: usize) -> Vec<f32> {
         kind,
         vec![Stmt::store(out, V::var(i), to_vexpr(e, x, y, i))],
     ));
+    assert_bytecode_roundtrips(&p);
     let mut m = Machine::new(&p);
     for (k, v) in m.buffer_mut(x).iter_mut().enumerate() {
         *v = (k as f32 * 0.5) - 3.0;
@@ -318,6 +332,7 @@ fn to_fvexpr(e: &FExpr, input: loopvm::BufId, i: loopvm::Var) -> V {
 }
 
 fn run_mode(p: &Program, seed_in: Option<loopvm::BufId>, tree_walk: bool) -> Vec<u32> {
+    assert_bytecode_roundtrips(p);
     let mut m = Machine::new(p);
     m.set_threads(2);
     if let Some(b) = seed_in {
@@ -391,6 +406,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 fn run_program(p: &Program, out: loopvm::BufId, tree_walk: bool, threads: usize) -> Vec<f32> {
+    assert_bytecode_roundtrips(p);
     let mut m = Machine::new(p);
     m.set_threads(threads);
     if tree_walk {
@@ -725,6 +741,7 @@ proptest! {
             }
             let module =
                 tiramisu::compile_cpu(&f, &[("N", n)], CpuOptions::default()).unwrap();
+            assert_bytecode_roundtrips(&module.program);
             let mut machine = module.machine();
             let in_buf = module.vm_buffer("in").unwrap();
             for (k, v) in machine.buffer_mut(in_buf).iter_mut().enumerate() {
@@ -863,6 +880,7 @@ fn lane_program(e: &LExpr, wrap: Wrap, lo: i64, n: i64) -> Program {
 }
 
 fn lane_outcome(p: &Program, mode: loopvm::ExecMode) -> (String, Vec<Vec<u32>>) {
+    assert_bytecode_roundtrips(p);
     let mut m = Machine::new(p);
     m.set_exec_mode(mode);
     for (k, v) in m.buffer_mut(p.nth_buffer(0)).iter_mut().enumerate() {
