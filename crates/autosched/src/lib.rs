@@ -107,6 +107,10 @@ pub struct Report {
 /// failures are handled internally by reverting the attempted command.
 pub fn auto_schedule(f: &mut Function, opts: &AutoOptions) -> tiramisu::Result<Report> {
     let mut report = Report::default();
+    // The search below changes schedules only; the flow dependences are a
+    // property of Layer I and hold for every candidate.
+    let deps = legality::flow_deps(f)?;
+    let legal = |f: &Function| Ok::<_, tiramisu::Error>(legality::check_deps(f, &deps)?.is_empty());
     let comps: Vec<CompId> = (0..f.comps.len() as u32)
         .map(CompId::from_raw)
         .filter(|&c| f.comp(c).kind == CompKind::Computation && !f.comp(c).inlined)
@@ -129,12 +133,12 @@ pub fn auto_schedule(f: &mut Function, opts: &AutoOptions) -> tiramisu::Result<R
                         return Ok(true);
                     }
                     let lvl = f.comp(cur).dyn_names[0].clone();
-                    legality::parallel_ok(f, cur, &lvl)
+                    legality::parallel_ok_deps(f, &deps, cur, &lvl)
                 };
                 // Plain fusion.
                 let snapshot = f.clone();
                 if f.fuse_after(cur, prev, &level).is_ok()
-                    && legality::check(f)?.is_empty()
+                    && legal(f)?
                     && outer_ok(f)?
                 {
                     report.fused.push((
@@ -151,7 +155,7 @@ pub fn auto_schedule(f: &mut Function, opts: &AutoOptions) -> tiramisu::Result<R
                     let cur_level = f.comp(cur).dyn_names[d - 1].clone();
                     if f.fuse_after(cur, prev, &level).is_ok()
                         && f.shift(cur, &cur_level, s).is_ok()
-                        && legality::check(f)?.is_empty()
+                        && legal(f)?
                         && outer_ok(f)?
                     {
                         report.fused.push((
@@ -173,7 +177,7 @@ pub fn auto_schedule(f: &mut Function, opts: &AutoOptions) -> tiramisu::Result<R
                     let b = f.comp(cur).dyn_names[1].clone();
                     if f.interchange(cur, &a, &b).is_ok()
                         && f.fuse_after(cur, prev, &level).is_ok()
-                        && legality::check(f)?.is_empty()
+                        && legal(f)?
                         && outer_ok(f)?
                     {
                         report.interchanged.push(f.comp(cur).name.clone());
@@ -194,7 +198,7 @@ pub fn auto_schedule(f: &mut Function, opts: &AutoOptions) -> tiramisu::Result<R
     if opts.parallelize {
         for &c in &comps {
             let level = f.comp(c).dyn_names[0].clone();
-            if legality::parallel_ok(f, c, &level)? {
+            if legality::parallel_ok_deps(f, &deps, c, &level)? {
                 f.parallelize(c, &level)?;
                 report.parallelized.push((f.comp(c).name.clone(), level));
             }
@@ -217,7 +221,7 @@ pub fn auto_schedule(f: &mut Function, opts: &AutoOptions) -> tiramisu::Result<R
                 format!("{j}_t"),
             );
             if f.tile(c, &i, &j, t1, t2, (&names.0, &names.1, &names.2, &names.3)).is_ok()
-                && legality::check(f)?.is_empty()
+                && legal(f)?
             {
                 // Re-point the parallel tag (it was attached to the old
                 // outermost name).

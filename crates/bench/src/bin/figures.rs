@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin figures -- all
-//! cargo run --release -p bench --bin figures -- fig1 table1 fig5 fig6 fig7 profile tiers cache
+//! cargo run --release -p bench --bin figures -- fig1 table1 fig5 fig6 fig7 profile tiers oracle cache
 //! cargo run --release -p bench --bin figures -- check     # perf-regression gate
 //! cargo run --release -p bench --bin figures -- overhead  # always-on telemetry cost
 //! ```
@@ -238,14 +238,10 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
         // exists (x86-64 Linux) the JIT's code size, function count, and
         // deopt-stub counts, broken down by reason. No timing, so the
         // snapshot is host-stable.
-        let mut progs: Vec<(String, loopvm::Program)> = Vec::new();
-        let prep = kernels::sgemm::tiramisu_best(48, 16).expect("sgemm compile");
-        progs.push(("sgemm".to_string(), prep.program.clone()));
-        for name in kernels::image::IMAGE_BENCHMARKS {
-            let t = kernels::image::tiramisu_cpu(name, kernels::image::ImgSize::small())
-                .expect("image compile");
-            progs.push((name.to_string(), t.program.clone()));
-        }
+        let progs: Vec<(String, loopvm::Program)> = bench::fig_kernels()
+            .into_iter()
+            .map(|(name, build)| (name, build().expect("kernel compiles").program.clone()))
+            .collect();
         let mut rows: Vec<Vec<String>> = Vec::new();
         let mut cells: Vec<String> = Vec::new();
         for (name, p) in &progs {
@@ -311,6 +307,47 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             )
         );
         sections.push(format!("  \"exec_tiers\": {{{}}}", cells.join(", ")));
+    }
+
+    if want("oracle") {
+        // What the emptiness oracle did for one cold CPU compile of each
+        // kernel: Omega-test queries, how many the pre-solves settled, and
+        // the solves spent on integer bounds. Exact counts, so the gate
+        // fails on any of them moving without a re-bless.
+        let counts = bench::oracle_counts();
+        let rows: Vec<Vec<String>> = counts
+            .iter()
+            .map(|(name, c)| {
+                vec![
+                    name.clone(),
+                    c.solves.to_string(),
+                    c.presolved.to_string(),
+                    c.bound_solves.to_string(),
+                    c.exhausted.to_string(),
+                ]
+            })
+            .collect();
+        print!(
+            "{}",
+            render_table(
+                "Emptiness oracle: one cold CPU compile per kernel",
+                &["kernel", "solves", "presolved", "bound solves", "exhausted"],
+                &rows
+            )
+        );
+        let cells: Vec<String> = counts
+            .iter()
+            .map(|(name, c)| {
+                format!(
+                    "{}: {{\"solves\": {}, \"presolved\": {}, \"bound_solves\": {}}}",
+                    jstr(name),
+                    c.solves,
+                    c.presolved,
+                    c.bound_solves
+                )
+            })
+            .collect();
+        sections.push(format!("  \"oracle\": {{{}}}", cells.join(", ")));
     }
 
     if want("cache") {

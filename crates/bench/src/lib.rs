@@ -80,6 +80,41 @@ pub fn default_img() -> ImgSize {
     ImgSize { h: 48, w: 64 }
 }
 
+/// A named constructor of one CPU kernel.
+pub type KernelBuild = (String, Box<dyn Fn() -> tiramisu::Result<kernels::Prepared>>);
+
+/// The Figure 1 sgemm schedule and every Figure 6 image kernel at the
+/// sizes the per-kernel cross-sections of the snapshot (`exec_tiers`,
+/// `oracle`) use.
+pub fn fig_kernels() -> Vec<KernelBuild> {
+    let mut v: Vec<KernelBuild> =
+        vec![("sgemm".into(), Box::new(|| kernels::sgemm::tiramisu_best(48, 16)))];
+    for name in kernels::image::IMAGE_BENCHMARKS {
+        v.push((
+            name.to_string(),
+            Box::new(move || kernels::image::tiramisu_cpu(name, ImgSize::small())),
+        ));
+    }
+    v
+}
+
+/// What the emptiness oracle did for one cold CPU compile of each
+/// [`fig_kernels`] entry (constructor plus pipeline, memory tier emptied
+/// first). Exact counts; a disk tier (`TIRAMISU_CACHE_DIR`) would answer
+/// without compiling and must be off.
+pub fn oracle_counts() -> Vec<(String, polyhedral::solve::OracleCounters)> {
+    use polyhedral::solve::counters;
+    fig_kernels()
+        .into_iter()
+        .map(|(name, build)| {
+            tiramisu::service::global().clear_memory();
+            let before = counters();
+            build().expect("kernel compiles");
+            (name, counters().since(before))
+        })
+        .collect()
+}
+
 /// Figure 1 (left): sgemm on CPU, normalized to Intel MKL.
 pub fn fig1_cpu(n: i64, tile: i64) -> Vec<Bar> {
     let mut bars = vec![Bar {

@@ -14,6 +14,7 @@ use crate::function::{CompKind, Error, Function, Result};
 use crate::lowering::full_schedule;
 use crate::schedule::access_map;
 use polyhedral::{deps, BasicMap, Map};
+use std::borrow::Cow;
 
 /// One violated (or checked) dependence.
 #[derive(Debug, Clone)]
@@ -84,51 +85,35 @@ pub fn flow_deps(f: &Function) -> Result<Vec<FlowDep>> {
 ///
 /// Propagates polyhedral space errors.
 pub fn check(f: &Function) -> Result<Vec<FlowDep>> {
-    let depth = f
-        .comps
-        .iter()
-        .filter(|c| c.kind == CompKind::Computation && !c.inlined)
-        .map(|c| c.dyn_names.len())
-        .max()
-        .unwrap_or(1);
-    let deps_list = flow_deps(f)?;
+    check_deps(f, &flow_deps(f)?)
+}
+
+/// [`check`] against dependences already derived by [`flow_deps`]. They
+/// depend on Layer I only, so a search over schedules of one algorithm
+/// derives them once.
+///
+/// # Errors
+///
+/// Propagates polyhedral space errors.
+pub fn check_deps(f: &Function, deps_list: &[FlowDep]) -> Result<Vec<FlowDep>> {
     let mut violated = Vec::new();
-    let mut sched_cache: std::collections::HashMap<u32, BasicMap> = Default::default();
+    let mut scheds = Schedules::new(f);
     for d in deps_list {
-        // `compute_at` makes the producer's schedule a genuine relation
-        // (each instance may execute several times — overlapped tiling).
-        // The pairwise check below would conservatively reject those even
-        // though compute_at places the needed region before its consumer
-        // by construction, so they are skipped.
-        if f.comp(d.producer).redundant || f.comp(d.consumer).redundant {
-            continue;
-        }
-        let sp = sched_of(f, d.producer, depth, &mut sched_cache)?;
-        let sc = sched_of(f, d.consumer, depth, &mut sched_cache)?;
-        // Self-dependences where producer instance == consumer instance
-        // (e.g. a computation reading itself at the same point) are
-        // excluded by construction: identical schedules at equal points
-        // compare equal and would always "violate"; reading your own value
-        // at the same iteration is not a real dependence.
-        let dep = deps::Dependence {
-            kind: deps::DependenceKind::Flow,
-            src: f.comp(d.producer).name.clone(),
-            dst: f.comp(d.consumer).name.clone(),
-            buffer: String::new(),
-            relation: if d.producer == d.consumer {
-                remove_identity(&d.relation)?
-            } else {
-                d.relation.clone()
-            },
-        };
-        if dep.relation.is_empty() {
-            continue;
-        }
-        if !deps::is_respected(&dep, &sp, &sc).map_err(Error::from)? {
-            violated.push(d);
+        let Some((rel, sp, sc)) = scheds.ordered(d)? else { continue };
+        if !deps::is_respected(&rel, sp, sc) {
+            violated.push(d.clone());
         }
     }
     Ok(violated)
+}
+
+/// The error a violated dependence is reported as.
+pub(crate) fn illegal(f: &Function, d: &FlowDep) -> Error {
+    Error::Illegal(format!(
+        "schedule violates the flow dependence {} -> {}",
+        f.comp(d.producer).name,
+        f.comp(d.consumer).name
+    ))
 }
 
 /// Convenience: returns an error when any dependence is violated.
@@ -137,15 +122,10 @@ pub fn check(f: &Function) -> Result<Vec<FlowDep>> {
 ///
 /// [`Error::Illegal`] naming the first violated dependence.
 pub fn assert_legal(f: &Function) -> Result<()> {
-    let v = check(f)?;
-    if let Some(d) = v.first() {
-        return Err(Error::Illegal(format!(
-            "schedule violates the flow dependence {} -> {}",
-            f.comp(d.producer).name,
-            f.comp(d.consumer).name
-        )));
+    match check(f)?.first() {
+        Some(d) => Err(illegal(f, d)),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Checks whether loop level `level_name` of `comp` can be run in
@@ -158,111 +138,91 @@ pub fn assert_legal(f: &Function) -> Result<()> {
 ///
 /// [`Error::UnknownLevel`] and polyhedral space errors.
 pub fn parallel_ok(f: &Function, comp: CompId, level_name: &str) -> Result<bool> {
-    let c = f.comp(comp);
-    let level = c
+    parallel_ok_deps(f, &flow_deps(f)?, comp, level_name)
+}
+
+/// [`parallel_ok`] against dependences already derived by [`flow_deps`].
+///
+/// # Errors
+///
+/// [`Error::UnknownLevel`] and polyhedral space errors.
+pub fn parallel_ok_deps(
+    f: &Function,
+    deps_list: &[FlowDep],
+    comp: CompId,
+    level_name: &str,
+) -> Result<bool> {
+    let level = f
+        .comp(comp)
         .level_of(level_name)
         .ok_or_else(|| Error::UnknownLevel(level_name.to_string()))?;
     let pos = 2 * level + 1; // dynamic time position
-    let depth = f
-        .comps
-        .iter()
-        .filter(|c| c.kind == CompKind::Computation && !c.inlined)
-        .map(|c| c.dyn_names.len())
-        .max()
-        .unwrap_or(1);
-    let deps_list = flow_deps(f)?;
-    let mut cache: std::collections::HashMap<u32, BasicMap> = Default::default();
+    let mut scheds = Schedules::new(f);
     for d in deps_list {
-        if f.comp(d.producer).redundant || f.comp(d.consumer).redundant {
-            continue;
-        }
-        let sp = sched_of(f, d.producer, depth, &mut cache)?;
-        let sc = sched_of(f, d.consumer, depth, &mut cache)?;
-        let rel = if d.producer == d.consumer {
-            remove_identity(&d.relation)?
-        } else {
-            d.relation.clone()
-        };
-        for bm in rel.basics() {
-            if carried_at(bm, &sp, &sc, pos)? {
-                return Ok(false);
-            }
+        let Some((rel, sp, sc)) = scheds.ordered(d)? else { continue };
+        if rel.basics().iter().any(|bm| deps::is_carried(bm, sp, sc, pos)) {
+            return Ok(false);
         }
     }
     Ok(true)
 }
 
-/// True when some pair of the dependence has equal time prefix before
-/// `pos` but different values at `pos` (the dependence is carried by that
-/// loop).
-fn carried_at(
-    bm: &polyhedral::BasicMap,
-    sp: &BasicMap,
-    sc: &BasicMap,
-    pos: usize,
-) -> Result<bool> {
-    use polyhedral::{Aff, Constraint};
-    let m = sp.space().n_out();
-    let n_a = bm.space().n_in();
-    let n_b = bm.space().n_out();
-    let n_p = bm.space().in_space().params().len();
-    let total = n_a + n_b + 2 * m + n_p + 1;
-    let ts = |t: usize| n_a + n_b + t;
-    let td = |t: usize| n_a + n_b + m + t;
-    let mut base: Vec<Constraint> = Vec::new();
-    for c in bm.constraints() {
-        base.push(Constraint { aff: c.aff.insert_cols(n_a + n_b, 2 * m), kind: c.kind });
-    }
-    for c in sp.constraints() {
-        base.push(Constraint {
-            aff: c.aff.insert_cols(n_a + m, m).insert_cols(n_a, n_b),
-            kind: c.kind,
-        });
-    }
-    for c in sc.constraints() {
-        base.push(Constraint {
-            aff: c.aff.insert_cols(n_b, m).insert_cols(0, n_a),
-            kind: c.kind,
-        });
-    }
-    for t in 0..pos {
-        base.push(Constraint::eq(
-            Aff::var(total, td(t)).sub(&Aff::var(total, ts(t))),
-        ));
-    }
-    let space = polyhedral::Space::from_names(
-        "carried".to_string(),
-        (0..n_a + n_b + 2 * m).map(|i| format!("x{i}")).collect(),
-        bm.space().in_space().params().to_vec(),
-    );
-    // Different at pos: strictly less or strictly greater.
-    for sign in [1i64, -1] {
-        let mut cons = base.clone();
-        cons.push(Constraint::ineq(
-            Aff::var(total, td(pos))
-                .sub(&Aff::var(total, ts(pos)))
-                .scale(sign)
-                .add(&Aff::constant(total, -1)),
-        ));
-        if !polyhedral::BasicSet::from_constraints(space.clone(), cons).is_empty() {
-            return Ok(true);
-        }
-    }
-    Ok(false)
+/// The full `2d+1` schedules of one function state, built on first use.
+struct Schedules<'f> {
+    f: &'f Function,
+    depth: usize,
+    built: std::collections::HashMap<u32, BasicMap>,
 }
 
-fn sched_of(
-    f: &Function,
-    id: CompId,
-    depth: usize,
-    cache: &mut std::collections::HashMap<u32, BasicMap>,
-) -> Result<BasicMap> {
-    if let Some(s) = cache.get(&id.0) {
-        return Ok(s.clone());
+impl<'f> Schedules<'f> {
+    fn new(f: &'f Function) -> Self {
+        let depth = f
+            .comps
+            .iter()
+            .filter(|c| c.kind == CompKind::Computation && !c.inlined)
+            .map(|c| c.dyn_names.len())
+            .max()
+            .unwrap_or(1);
+        Schedules { f, depth, built: Default::default() }
     }
-    let s = full_schedule(f, id, depth)?;
-    cache.insert(id.0, s.clone());
-    Ok(s)
+
+    /// The pairs of `d` that a schedule must order, with the producer's
+    /// and the consumer's schedule; `None` when there is nothing to check.
+    fn ordered<'d>(
+        &mut self,
+        d: &'d FlowDep,
+    ) -> Result<Option<(Cow<'d, Map>, &BasicMap, &BasicMap)>> {
+        let f = self.f;
+        // `compute_at` makes the producer's schedule a genuine relation
+        // (each instance may execute several times — overlapped tiling).
+        // A pairwise check would conservatively reject those even though
+        // compute_at places the needed region before its consumer by
+        // construction, so they are skipped.
+        if f.comp(d.producer).redundant || f.comp(d.consumer).redundant {
+            return Ok(None);
+        }
+        // Self-dependences where producer instance == consumer instance
+        // (e.g. a computation reading itself at the same point) are
+        // excluded by construction: identical schedules at equal points
+        // compare equal and would always "violate"; reading your own value
+        // at the same iteration is not a real dependence.
+        let rel = if d.producer == d.consumer {
+            Cow::Owned(remove_identity(&d.relation)?)
+        } else {
+            Cow::Borrowed(&d.relation)
+        };
+        // `flow_deps` keeps non-empty relations and subtraction non-empty
+        // pieces, so no piece is left exactly when nothing is.
+        if rel.basics().is_empty() {
+            return Ok(None);
+        }
+        for id in [d.producer, d.consumer] {
+            if !self.built.contains_key(&id.0) {
+                self.built.insert(id.0, full_schedule(f, id, self.depth)?);
+            }
+        }
+        Ok(Some((rel, &self.built[&d.producer.0], &self.built[&d.consumer.0])))
+    }
 }
 
 /// Removes the identity pairs `i → i` from a self-dependence relation.

@@ -196,6 +196,14 @@ impl Pass for LowerPass {
 struct LegalityPass<'t, T: EmitTarget> {
     check: bool,
     target: &'t T,
+    /// The flow dependences, derived once for the check and the trace.
+    deps: std::cell::OnceCell<Result<Vec<legality::FlowDep>>>,
+}
+
+impl<T: EmitTarget> LegalityPass<'_, T> {
+    fn deps(&self, f: &Function) -> &Result<Vec<legality::FlowDep>> {
+        self.deps.get_or_init(|| legality::flow_deps(f))
+    }
 }
 
 impl<T: EmitTarget> Pass for LegalityPass<'_, T> {
@@ -205,13 +213,16 @@ impl<T: EmitTarget> Pass for LegalityPass<'_, T> {
 
     fn run(&mut self, state: &mut PipelineState<'_>) -> Result<()> {
         if self.check {
-            legality::assert_legal(state.f)?;
+            let deps = self.deps(state.f).as_ref().map_err(Clone::clone)?;
+            if let Some(d) = legality::check_deps(state.f, deps)?.first() {
+                return Err(legality::illegal(state.f, d));
+            }
         }
         self.target.validate(state.f, &state.param_vals)
     }
 
     fn stats(&self, state: &PipelineState<'_>) -> (usize, usize) {
-        let deps = legality::flow_deps(state.f).map(|d| d.len()).unwrap_or(0);
+        let deps = self.deps(state.f).as_ref().map_or(0, Vec::len);
         (state.lowered().stmts.len(), deps)
     }
 
@@ -220,9 +231,9 @@ impl<T: EmitTarget> Pass for LegalityPass<'_, T> {
         if !self.check {
             out.push_str("(schedule check skipped)\n");
         }
-        match legality::flow_deps(state.f) {
+        match self.deps(state.f) {
             Ok(deps) => {
-                for d in &deps {
+                for d in deps {
                     out.push_str(&format!(
                         "{} -> {}: {}\n",
                         state.f.comp(d.producer).name,
@@ -287,6 +298,43 @@ impl Pass for TagResolvePass {
     }
 }
 
+/// Adds what `polyhedral::solve` has counted since the last call to the
+/// `poly.omega.{solves,presolved,exhausted}` metrics. The oracle's own
+/// counters are process-wide, so the difference is taken under a lock and
+/// concurrent compiles are neither lost nor counted twice. `exhausted`
+/// above zero means some verdict was the conservative "feasible" of a
+/// spent budget: a schedule may have been rejected, or a bound widened,
+/// for no better reason.
+fn mirror_oracle_counters() {
+    use polyhedral::solve::{counters, OracleCounters};
+    use std::sync::{Arc, Mutex, OnceLock};
+    use telemetry::metrics::{counter, Counter};
+    struct Mirror {
+        seen: OracleCounters,
+        solves: Arc<Counter>,
+        presolved: Arc<Counter>,
+        exhausted: Arc<Counter>,
+    }
+    static MIRROR: OnceLock<Mutex<Mirror>> = OnceLock::new();
+    let mut m = MIRROR
+        .get_or_init(|| {
+            Mutex::new(Mirror {
+                seen: OracleCounters::default(),
+                solves: counter("poly.omega.solves"),
+                presolved: counter("poly.omega.presolved"),
+                exhausted: counter("poly.omega.exhausted"),
+            })
+        })
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let now = counters();
+    let spent = now.since(m.seen);
+    m.seen = now;
+    m.solves.add(spent.solves);
+    m.presolved.add(spent.presolved);
+    m.exhausted.add(spent.exhausted);
+}
+
 /// Compiles `f` through the five-pass pipeline for an arbitrary
 /// [`EmitTarget`], returning the target's module and (when enabled) the
 /// compile trace.
@@ -306,9 +354,11 @@ pub fn compile_with<T: EmitTarget>(
     let mut pm = PassManager::new(target.name(), &f.name, trace_opt);
     pm.run(&mut LowerPass, &mut state)?;
     {
-        let mut p = LegalityPass { check: check_legality, target: &*target };
+        let mut p =
+            LegalityPass { check: check_legality, target: &*target, deps: Default::default() };
         pm.run(&mut p, &mut state)?;
     }
+    mirror_oracle_counters();
     pm.run(&mut AstGenPass, &mut state)?;
     pm.run(&mut TagResolvePass, &mut state)?;
 
@@ -319,6 +369,7 @@ pub fn compile_with<T: EmitTarget>(
     let tree = std::mem::take(&mut state.tree);
     let mut module = target.emit(&mut lm, &tree)?;
     pm.record_step("emit", t0.elapsed(), n_stmts, || target.module_stats(&module));
+    mirror_oracle_counters();
 
     let t0 = Instant::now();
     if let Some((stats, ir)) = target.optimize(&mut module)? {

@@ -20,6 +20,7 @@
 use crate::aff::{Aff, Constraint};
 use crate::map::{BasicMap, Map};
 use crate::set::BasicSet;
+use crate::solve::Reduced;
 use crate::space::MapSpace;
 use crate::Result;
 
@@ -77,6 +78,69 @@ pub struct Dependence {
     pub relation: Map,
 }
 
+/// The system `[i, j, mid, ts, td, params, 1]` that orders the instance
+/// pairs of a relation in time: the relation's own constraints, `ts` bound
+/// to the source schedule's image of `i` and `td` to the destination
+/// schedule's image of `j`. Schedules are embedded as constraint systems
+/// (they may involve integer-division structure, e.g. tiling, and thus not
+/// be expressible as affine output functions).
+struct TimeSystem {
+    cons: Vec<Constraint>,
+    n_vars: usize,
+    /// First `ts` column; `td` starts `m` columns later.
+    ts: usize,
+    /// Time dimensions per statement.
+    m: usize,
+}
+
+impl TimeSystem {
+    /// `pairs` is over `[i (n_a), j (n_b), mid (n_mid), params, 1]`; `src`
+    /// schedules `i`, `dst` schedules `j`, into one time-space.
+    fn new(
+        pairs: &[Constraint],
+        (n_a, n_b, n_mid): (usize, usize, usize),
+        src: &BasicMap,
+        dst: &BasicMap,
+    ) -> TimeSystem {
+        let m = src.space().n_out();
+        assert_eq!(m, dst.space().n_out(), "schedules must share the time-space");
+        let ts = n_a + n_b + n_mid;
+        let n_cols = pairs.first().map_or(ts + src.space().n_params() + 1, |c| c.aff.n_cols());
+        let total = n_cols + 2 * m;
+        let mut cons = Vec::with_capacity(
+            pairs.len() + src.constraints().len() + dst.constraints().len(),
+        );
+        cons.extend(pairs.iter().map(|c| place(c, &[(0, ts, 0)], total)));
+        // The schedules are over [i, ts, params, 1] and [j, td, params, 1].
+        cons.extend(src.constraints().iter().map(|c| place(c, &[(0, n_a, 0), (n_a, m, ts)], total)));
+        cons.extend(
+            dst.constraints().iter().map(|c| place(c, &[(0, n_b, n_a), (n_b, m, ts + m)], total)),
+        );
+        TimeSystem { cons, n_vars: total - 1, ts, m }
+    }
+
+    /// The pairs of columns whose differences `ts(k) - td(k)` compare the
+    /// two time vectors.
+    fn time_diffs(&self) -> Vec<(usize, usize)> {
+        (0..self.m).map(|k| (self.ts + k, self.ts + self.m + k)).collect()
+    }
+}
+
+/// Re-lays a constraint out over `total` columns: each `(from, len, to)`
+/// moves a group of variable columns; the parameters and the constant,
+/// which follow the last group, stay at the end.
+fn place(c: &Constraint, groups: &[(usize, usize, usize)], total: usize) -> Constraint {
+    let src = c.aff.coeffs();
+    let mut row = vec![0i64; total];
+    let mut tail = 0;
+    for &(from, len, to) in groups {
+        row[to..to + len].copy_from_slice(&src[from..from + len]);
+        tail = from + len;
+    }
+    row[total - (src.len() - tail)..].copy_from_slice(&src[tail..]);
+    Constraint { aff: Aff::from_coeffs(row), kind: c.kind }
+}
+
 /// Builds the raw (ordered, same-element) relation between accesses `a`
 /// (source) and `b` (destination). Returns `None` when the relation is
 /// empty.
@@ -97,83 +161,43 @@ pub fn access_pair_relation(a: &Access, b: &Access) -> Result<Option<Map>> {
         b.access.space().n_out(),
         "accesses to one buffer must agree on its dimensionality"
     );
-    let m = a.schedule.space().n_out();
-    assert_eq!(m, b.schedule.space().n_out(), "schedules must share the time-space");
 
-    // Working columns: [i (n_a), j (n_b), e (n_buf), ts (m), td (m), params, 1].
-    // Schedules are embedded as constraint systems (they may involve
-    // integer-division structure, e.g. tiling, and thus not be expressible
-    // as affine output functions).
-    let aux = n_buf + 2 * m;
-    let mut cons: Vec<Constraint> = Vec::new();
-    // Domain of a over i: [i, params, 1] -> insert (n_b + aux) after i.
-    for c in a.domain.constraints() {
-        cons.push(Constraint { aff: c.aff.insert_cols(n_a, n_b + aux), kind: c.kind });
-    }
-    // Domain of b over j.
-    for c in b.domain.constraints() {
-        cons.push(Constraint {
-            aff: c.aff.insert_cols(n_b, aux).insert_cols(0, n_a),
-            kind: c.kind,
-        });
-    }
-    // a's access relates (i, e): [i, e, params, 1] -> j before e, ts/td after e.
-    for c in a.access.constraints() {
-        cons.push(Constraint {
-            aff: c.aff.insert_cols(n_a + n_buf, 2 * m).insert_cols(n_a, n_b),
-            kind: c.kind,
-        });
-    }
-    // b's access relates (j, e).
-    for c in b.access.constraints() {
-        cons.push(Constraint {
-            aff: c.aff.insert_cols(n_b + n_buf, 2 * m).insert_cols(0, n_a),
-            kind: c.kind,
-        });
-    }
-    // a's schedule relates (i, ts): [i, ts, params, 1].
-    for c in a.schedule.constraints() {
-        cons.push(Constraint {
-            aff: c.aff.insert_cols(n_a + m, m).insert_cols(n_a, n_b + n_buf),
-            kind: c.kind,
-        });
-    }
-    // b's schedule relates (j, td): [j, td, params, 1].
-    for c in b.schedule.constraints() {
-        cons.push(Constraint {
-            aff: c
-                .aff
-                .insert_cols(n_b, n_buf + m)
-                .insert_cols(0, n_a),
-            kind: c.kind,
-        });
-    }
-    let total = n_a + n_b + aux + n_p + 1;
-    debug_assert!(cons.iter().all(|c| c.aff.n_cols() == total));
-    let ts = |t: usize| n_a + n_b + n_buf + t;
-    let td = |t: usize| n_a + n_b + n_buf + m + t;
+    // Pairs touching one element: [i, j, e, params, 1].
+    let width = n_a + n_b + n_buf + n_p + 1;
+    let mut pairs: Vec<Constraint> = Vec::new();
+    pairs.extend(a.domain.constraints().iter().map(|c| place(c, &[(0, n_a, 0)], width)));
+    pairs.extend(b.domain.constraints().iter().map(|c| place(c, &[(0, n_b, n_a)], width)));
+    pairs.extend(
+        a.access.constraints().iter().map(|c| place(c, &[(0, n_a, 0), (n_a, n_buf, n_a + n_b)], width)),
+    );
+    pairs.extend(
+        b.access
+            .constraints()
+            .iter()
+            .map(|c| place(c, &[(0, n_b, n_a), (n_b, n_buf, n_a + n_b)], width)),
+    );
+    let sys = TimeSystem::new(&pairs, (n_a, n_b, n_buf), &a.schedule, &b.schedule);
+    let total = sys.n_vars + 1;
 
     // For each depth k, one disjunct: ts prefix equal to td, strictly less
     // at k. Project out [e, ts, td] to get the (i, j) relation.
     let pair_space = MapSpace::new(a.domain.space().clone(), b.domain.space().clone());
     let mut result = Map::empty(pair_space.clone());
-    for k in 0..m {
-        let mut disjunct = cons.clone();
-        for t in 0..k {
-            let aff = Aff::var(total, td(t)).sub(&Aff::var(total, ts(t)));
-            disjunct.push(Constraint::eq(aff));
+    let diffs = sys.time_diffs();
+    for k in 0..sys.m {
+        let mut rows = sys.cons.clone();
+        for &(ts, td) in &diffs[..k] {
+            rows.push(Constraint::eq(Aff::var(total, td).sub(&Aff::var(total, ts))));
         }
-        let aff = Aff::var(total, td(k))
-            .sub(&Aff::var(total, ts(k)))
-            .add(&Aff::constant(total, -1));
-        disjunct.push(Constraint::ineq(aff));
+        let (ts, td) = diffs[k];
+        rows.push(Constraint::ineq(
+            Aff::var(total, td).sub(&Aff::var(total, ts)).add(&Aff::constant(total, -1)),
+        ));
         // Project out the auxiliary columns (buffer element + both time
         // vectors). Inexact projections only widen the relation, which is
         // sound (conservative) for dependence analysis.
-        let mut rows = disjunct;
-        for col in (n_a + n_b..n_a + n_b + aux).rev() {
-            let e = crate::fm::eliminate_col(&rows, col);
-            rows = e.cons;
+        for col in (n_a + n_b..sys.ts + 2 * sys.m).rev() {
+            rows = crate::fm::eliminate_col(&rows, col).cons;
         }
         let bm = BasicMap::from_constraints(pair_space.clone(), rows);
         if !bm.is_empty() {
@@ -288,85 +312,69 @@ pub fn compute_flow(writes: &[Access], reads: &[Access]) -> Result<Vec<Dependenc
     Ok(out)
 }
 
-/// Checks whether a dependence is respected by a *new* pair of schedules:
+/// Checks whether a dependence relation is respected by a *new* pair of
+/// schedules:
 /// the violation set `{ (i,j) ∈ D : σ'_dst(j) ⪯ σ'_src(i) }` must be
 /// empty.
 ///
-/// # Errors
+/// The violation is a union over the depth `k` of the first strict time
+/// dimension — `ts(t) = td(t)` for `t < k`, `ts(k) > td(k)` — plus the
+/// all-equal case. Each piece's system is built and reduced once; the
+/// disjuncts are then walked on it, each adding one equality to the last.
+/// A dimension whose difference `ts(k) - td(k)` the equalities have fixed
+/// (every static dimension between statements of one nest) is decided
+/// without a solve: at `0` its strict part is impossible and its equality
+/// free; anywhere else no deeper disjunct can hold.
 ///
-/// Propagates space mismatches from the underlying set operations.
-pub fn is_respected(
-    dep: &Dependence,
-    new_sched_src: &BasicMap,
-    new_sched_dst: &BasicMap,
-) -> Result<bool> {
-    let m = new_sched_src.space().n_out();
-    assert_eq!(m, new_sched_dst.space().n_out());
-    let n_a = dep.relation.space().n_in();
-    let n_b = dep.relation.space().n_out();
-    let n_p = dep.relation.space().n_params();
-    let total = n_a + n_b + 2 * m + n_p + 1;
-    let ts = |t: usize| n_a + n_b + t;
-    let td = |t: usize| n_a + n_b + m + t;
-
-    for bm in dep.relation.basics() {
-        // Base system over [i, j, ts, td, params, 1].
-        let mut base: Vec<Constraint> = Vec::new();
-        for c in bm.constraints() {
-            base.push(Constraint { aff: c.aff.insert_cols(n_a + n_b, 2 * m), kind: c.kind });
-        }
-        for c in new_sched_src.constraints() {
-            base.push(Constraint {
-                aff: c.aff.insert_cols(n_a + m, m).insert_cols(n_a, n_b),
-                kind: c.kind,
-            });
-        }
-        for c in new_sched_dst.constraints() {
-            base.push(Constraint {
-                aff: c.aff.insert_cols(n_b, m).insert_cols(0, n_a),
-                kind: c.kind,
-            });
-        }
-        debug_assert!(base.iter().all(|c| c.aff.n_cols() == total));
-
-        // Violation: td lexicographically at-or-before ts. Expand as a
-        // union over the depth of the first strict dimension, plus the
-        // all-equal disjunct.
-        let mut disjuncts: Vec<Vec<Constraint>> = Vec::new();
-        for k in 0..m {
-            let mut cons = base.clone();
-            for t in 0..k {
-                cons.push(Constraint::eq(
-                    Aff::var(total, td(t)).sub(&Aff::var(total, ts(t))),
-                ));
+pub fn is_respected(relation: &Map, new_sched_src: &BasicMap, new_sched_dst: &BasicMap) -> bool {
+    let n_a = relation.space().n_in();
+    let n_b = relation.space().n_out();
+    'pieces: for bm in relation.basics() {
+        let sys = TimeSystem::new(bm.constraints(), (n_a, n_b, 0), new_sched_src, new_sched_dst);
+        let mut walk = Reduced::new(&sys.cons, sys.n_vars, &sys.time_diffs());
+        for k in 0..sys.m {
+            match walk.constant(k) {
+                Some(0) => {}
+                Some(c) => {
+                    if c > 0 && walk.feasible() {
+                        return false;
+                    }
+                    continue 'pieces;
+                }
+                None => {
+                    if walk.feasible_beyond(k, 1) {
+                        return false;
+                    }
+                    walk.pin(k);
+                }
             }
-            cons.push(Constraint::ineq(
-                Aff::var(total, ts(k))
-                    .sub(&Aff::var(total, td(k)))
-                    .add(&Aff::constant(total, -1)),
-            ));
-            disjuncts.push(cons);
         }
-        let mut cons = base.clone();
-        for t in 0..m {
-            cons.push(Constraint::eq(
-                Aff::var(total, td(t)).sub(&Aff::var(total, ts(t))),
-            ));
-        }
-        disjuncts.push(cons);
-
-        let space = crate::space::Space::from_names(
-            "violation".to_string(),
-            (0..n_a + n_b + 2 * m).map(|i| format!("x{i}")).collect(),
-            bm.space().in_space().params().to_vec(),
-        );
-        for cons in disjuncts {
-            if !BasicSet::from_constraints(space.clone(), cons).is_empty() {
-                return Ok(false);
-            }
+        if walk.feasible() {
+            return false;
         }
     }
-    Ok(true)
+    true
+}
+
+/// Whether some pair of the dependence piece `bm` has equal time prefix
+/// before dimension `pos` but different values at `pos` under the given
+/// schedules: the dependence is *carried* by that loop.
+pub fn is_carried(bm: &BasicMap, sched_src: &BasicMap, sched_dst: &BasicMap, pos: usize) -> bool {
+    let dims = (bm.space().n_in(), bm.space().n_out(), 0);
+    let sys = TimeSystem::new(bm.constraints(), dims, sched_src, sched_dst);
+    let mut walk = Reduced::new(&sys.cons, sys.n_vars, &sys.time_diffs());
+    for t in 0..pos {
+        match walk.constant(t) {
+            Some(0) => {}
+            Some(_) => return false,
+            None => walk.pin(t),
+        }
+    }
+    match walk.constant(pos) {
+        Some(0) => false,
+        Some(_) => walk.feasible(),
+        None => walk.feasible_beyond(pos, 1) || walk.feasible_beyond(pos, -1),
+    }
 }
 
 #[cfg(test)]
@@ -506,7 +514,7 @@ mod tests {
             &sched,
             &[Aff::constant(n, 1), Aff::var(n, 0)],
         );
-        assert!(is_respected(flow, &s_bx, &s_by).unwrap());
+        assert!(is_respected(&flow.relation, &s_bx, &s_by));
         // Illegal: run by first.
         let s_bx_late = BasicMap::from_output_affs(
             &dom_bx,
@@ -518,7 +526,7 @@ mod tests {
             &sched,
             &[Aff::constant(n, 0), Aff::var(n, 0)],
         );
-        assert!(!is_respected(flow, &s_bx_late, &s_by_early).unwrap());
+        assert!(!is_respected(&flow.relation, &s_bx_late, &s_by_early));
     }
 
     #[test]

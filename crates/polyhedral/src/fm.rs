@@ -123,22 +123,18 @@ pub fn normalize_in_place(cons: &mut Vec<Constraint>) {
         Some(c) => c.aff.n_cols(),
         None => return,
     };
-    let drained: Vec<Constraint> = std::mem::take(cons);
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::with_capacity(drained.len());
-    for mut c in drained {
-        if !c.normalize() {
-            *cons = vec![contradiction(n_cols)];
-            return;
-        }
-        if c.is_trivial() {
-            continue;
-        }
-        if seen.insert((c.kind, c.aff.coeffs().to_vec())) {
-            out.push(c);
-        }
+    if !cons.iter_mut().all(Constraint::normalize) {
+        *cons = vec![contradiction(n_cols)];
+        return;
     }
-    *cons = out;
+    // First occurrences stay, in order; the set borrows the rows it keys.
+    let mut seen = std::collections::HashSet::with_capacity(cons.len());
+    let keep: Vec<bool> = cons
+        .iter()
+        .map(|c| !c.is_trivial() && seen.insert((c.kind, c.aff.coeffs())))
+        .collect();
+    let mut keep = keep.iter();
+    cons.retain(|_| *keep.next().expect("one flag per constraint"));
 }
 
 /// The canonical unsatisfiable constraint `-1 >= 0` over `n_cols` columns.

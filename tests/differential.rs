@@ -17,6 +17,9 @@
 //! CI runs a fixed sequence; `TIRAMISU_DIFF_CASES` overrides the case
 //! count (e.g. to shrink the suite under a tight timeout).
 
+mod common;
+
+use common::diff_cases;
 use mpisim::{CommModel, RunOptions};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -28,13 +31,6 @@ use tiramisu::{
 const N: i64 = 8; // stage-1 rows
 const M: i64 = 8; // columns
 const RANKS: usize = 2;
-
-fn diff_cases() -> u32 {
-    std::env::var("TIRAMISU_DIFF_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256)
-}
 
 /// Deterministic pseudo-random fill (same as `tests/pipeline_golden.rs`),
 /// identical on every backend and rank.
