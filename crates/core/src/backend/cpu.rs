@@ -12,7 +12,7 @@
 //! only contributes the CPU-specific pieces: the tag→loop-kind mapping
 //! and the full/partial tile separation.
 
-use crate::backend::lowered::{count_vm_stmts, simplify, EmitTarget, LoopNode, LoweredModule};
+use crate::backend::lowered::{self, count_vm_stmts, simplify, EmitTarget, LoopNode, LoweredModule};
 use crate::function::{Error, Function, Result, Tag};
 use crate::pipeline::{self, CompileTrace};
 use loopvm::{BufId as VmBuf, Expr as VExpr, LoopKind, Program, Stmt};
@@ -91,7 +91,12 @@ impl CpuModule {
     /// Disassembles the optimized bytecode (see `DESIGN.md` §10 for the
     /// format).
     pub fn disasm(&self) -> Option<String> {
-        self.bytecode().map(|bc| bc.disasm(&self.program))
+        lowered::disasm(&self.programs())
+    }
+
+    /// The one program, unlabelled in the listing.
+    pub(crate) fn programs(&self) -> Vec<(String, &Program)> {
+        vec![(String::new(), &self.program)]
     }
 
     /// Rebuilds a module from decoded artifact parts ([`crate::service`]):
@@ -99,8 +104,7 @@ impl CpuModule {
     /// bytecode installed as its compiled form; artifacts never carry
     /// native code, so it is compiled for this host here, where a fresh
     /// compile pays for it too. Reconstructed modules carry no
-    /// [`CompileTrace`] — the trace travels as rendered text in the
-    /// artifact instead.
+    /// [`CompileTrace`]: an artifact holds the module and nothing else.
     pub(crate) fn from_parts(
         program: Program,
         buffer_map: HashMap<String, VmBuf>,
@@ -229,20 +233,12 @@ impl EmitTarget for CpuTarget {
         (count_vm_stmts(module.program.body()), module.program.pretty())
     }
 
-    fn optimize(&mut self, module: &mut CpuModule) -> Result<Option<(loopvm::OptStats, String)>> {
-        let code = module
-            .program
-            .compiled()
-            .map_err(|e| Error::Backend(format!("bytecode optimization: {e}")))?;
-        let bc = code.bytecode();
-        let stats = bc.stats();
-        let ir = if pipeline::trace::disasm_enabled() {
-            bc.disasm(&module.program)
-        } else {
-            stats.summary()
-        };
-        code.jit();
-        Ok(Some((stats, ir)))
+    fn programs<'m>(&self, module: &'m CpuModule) -> Vec<(String, &'m Program)> {
+        module.programs()
+    }
+
+    fn eager_jit(&self) -> bool {
+        true
     }
 }
 

@@ -8,7 +8,7 @@
 //! and the Layer IV op lowering in [`crate::layer4`]; this module is the
 //! thin [`EmitTarget`] binding.
 
-use crate::backend::lowered::{EmitTarget, LoopNode, LoweredModule};
+use crate::backend::lowered::{self, EmitTarget, LoopNode, LoweredModule};
 use crate::function::{Error, Function, Result, Tag};
 use crate::layer4;
 use crate::pipeline::{self, CompileTrace};
@@ -65,12 +65,13 @@ impl DistModule {
 
     /// Disassembles the chunk bytecode.
     pub fn disasm(&self) -> Option<String> {
-        let mut out = String::new();
-        for (k, bc) in self.bytecode()?.iter().enumerate() {
-            out.push_str(&format!("// chunk {k}\n"));
-            out.push_str(&bc.disasm(self.dist.program()));
-        }
-        Some(out)
+        lowered::disasm(&self.programs())
+    }
+
+    /// The compute chunks in program order.
+    pub(crate) fn programs(&self) -> Vec<(String, &loopvm::Program)> {
+        let chunks = self.dist.chunks().iter().enumerate();
+        chunks.map(|(k, c)| (format!("// chunk {k}"), c)).collect()
     }
 
     /// Runs the module on `n_ranks` simulated nodes; VM errors from any
@@ -82,8 +83,7 @@ impl DistModule {
 
     /// Rebuilds a module from decoded artifact parts ([`crate::service`]):
     /// the pass pipeline does not run. Reconstructed modules carry no
-    /// [`CompileTrace`] — the trace travels as rendered text in the
-    /// artifact instead.
+    /// [`CompileTrace`]: an artifact holds the module and nothing else.
     pub(crate) fn from_parts(
         dist: DistProgram,
         buffer_map: HashMap<String, loopvm::BufId>,
@@ -180,25 +180,8 @@ impl EmitTarget for DistTarget {
         (layer4::count_dist_stmts(&module.dist, module.dist.body()), module.dist.pretty())
     }
 
-    // Fills each compute chunk's compiled slot: the bytecode built here is
-    // what every rank of every run executes.
-    fn optimize(&mut self, module: &mut DistModule) -> Result<Option<(loopvm::OptStats, String)>> {
-        let disasm = pipeline::trace::disasm_enabled();
-        let mut stats = loopvm::OptStats::default();
-        let mut ir = String::new();
-        for (k, chunk) in module.dist.chunks().iter().enumerate() {
-            let code = chunk
-                .compiled()
-                .map_err(|e| Error::Backend(format!("bytecode optimization (chunk {k}): {e}")))?;
-            stats.merge(&code.bytecode().stats());
-            if disasm {
-                ir.push_str(&format!("// chunk {k}\n{}", code.bytecode().disasm(chunk)));
-            }
-        }
-        if !disasm {
-            ir = stats.summary();
-        }
-        Ok(Some((stats, ir)))
+    fn programs<'m>(&self, module: &'m DistModule) -> Vec<(String, &'m loopvm::Program)> {
+        module.programs()
     }
 }
 

@@ -15,7 +15,7 @@
 //! to serial inside kernels), the copy plan, and the module assembly.
 
 use crate::backend::gpu_extract::{subtree_has_gpu_tag, try_extract_kernel};
-use crate::backend::lowered::{count_vm_stmts, EmitTarget, LoopNode, LoweredModule};
+use crate::backend::lowered::{self, count_vm_stmts, EmitTarget, LoopNode, LoweredModule};
 use crate::expr::CompId;
 use crate::function::{CompKind, Error, Function, MemSpace as TMemSpace, Result, Tag};
 use crate::pipeline::{self, CompileTrace};
@@ -95,20 +95,23 @@ impl GpuModule {
 
     /// Disassembles the kernel bytecode (all kernels, all phases).
     pub fn disasm(&self) -> Option<String> {
-        let mut out = String::new();
+        lowered::disasm(&self.programs())
+    }
+
+    /// Every barrier-delimited phase of every kernel, in launch order.
+    pub(crate) fn programs(&self) -> Vec<(String, &loopvm::Program)> {
+        let mut out = Vec::new();
         for (k, ker) in self.kernels.iter().enumerate() {
-            for (p, bc) in self.bytecode(k)?.iter().enumerate() {
-                out.push_str(&format!("// kernel {k} phase {p}\n"));
-                out.push_str(&bc.disasm(ker.program()));
+            for (p, phase) in ker.phases().iter().enumerate() {
+                out.push((format!("// kernel {k} phase {p}"), phase));
             }
         }
-        Some(out)
+        out
     }
 
     /// Rebuilds a module from decoded artifact parts ([`crate::service`]):
     /// the pass pipeline does not run. Reconstructed modules carry no
-    /// [`CompileTrace`] — the trace travels as rendered text in the
-    /// artifact instead.
+    /// [`CompileTrace`]: an artifact holds the module and nothing else.
     pub(crate) fn from_parts(
         kernels: Vec<Kernel>,
         program: loopvm::Program,
@@ -273,31 +276,8 @@ impl EmitTarget for GpuTarget {
         (nodes, out)
     }
 
-    // Compiles every phase of every kernel; the code stays with the phase
-    // programs, where `GpuModule::run`'s launches find it (one compile,
-    // many launches).
-    fn optimize(&mut self, module: &mut GpuModule) -> Result<Option<(loopvm::OptStats, String)>> {
-        let disasm = pipeline::trace::disasm_enabled();
-        let mut stats = loopvm::OptStats::default();
-        let mut ir = String::new();
-        for (k, ker) in module.kernels.iter().enumerate() {
-            for (p, phase) in ker.phases().iter().enumerate() {
-                let code = phase.compiled().map_err(|e| {
-                    Error::Backend(format!("bytecode optimization (kernel {k}): {e}"))
-                })?;
-                stats.merge(&code.bytecode().stats());
-                if disasm {
-                    ir.push_str(&format!(
-                        "// kernel {k} phase {p}\n{}",
-                        code.bytecode().disasm(phase)
-                    ));
-                }
-            }
-        }
-        if !disasm {
-            ir = stats.summary();
-        }
-        Ok(Some((stats, ir)))
+    fn programs<'m>(&self, module: &'m GpuModule) -> Vec<(String, &'m loopvm::Program)> {
+        module.programs()
     }
 }
 

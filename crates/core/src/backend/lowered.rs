@@ -158,7 +158,9 @@ pub(crate) fn comps_in(node: &LoopNode, lowered: &Lowered) -> Vec<u32> {
 ///   loops the target emits specially (tile separation, rank
 ///   conditionals); returning `Ok(None)` falls back to the shared path;
 /// - [`emit`](EmitTarget::emit) — assembles the final module from the
-///   resolved tree, typically via [`LoweredModule::convert_nodes`].
+///   resolved tree, typically via [`LoweredModule::convert_nodes`];
+/// - [`programs`](EmitTarget::programs) — which `loopvm` programs that
+///   module executes, so the shared `optimize` step can compile them.
 ///
 /// Adding a fourth backend is implementing this trait in one file.
 pub trait EmitTarget {
@@ -220,24 +222,58 @@ pub trait EmitTarget {
     /// compile trace's `emit` entry. Only called when tracing.
     fn module_stats(&self, module: &Self::Module) -> (usize, String);
 
-    /// The `optimize` pass: lowers the emitted module's expression trees
-    /// to register bytecode (see [`loopvm::opt`]). Returns
-    /// `Some((stats, ir))` when the target produced bytecode; `ir` is the
-    /// stats summary, or the full disassembly when the `TIRAMISU_DISASM`
-    /// environment variable is set (any non-empty value other than `0`).
-    ///
-    /// The CPU target stores the compiled bytecode in its module so
-    /// execution amortizes compilation; the GPU and distributed targets
-    /// run the optimizer analysis-only (their simulators execute through
-    /// the reference evaluator's cost accounting).
-    ///
-    /// # Errors
-    ///
-    /// Bytecode compilation failures (malformed emitted programs).
-    fn optimize(&mut self, module: &mut Self::Module) -> Result<Option<(loopvm::OptStats, String)>> {
-        let _ = module;
-        Ok(None)
+    /// The programs `module` executes, each under the label its listing
+    /// shows (`""` for the one CPU program, `// kernel k phase p`,
+    /// `// chunk k`): what the shared `optimize` step compiles.
+    fn programs<'m>(&self, module: &'m Self::Module) -> Vec<(String, &'m Program)>;
+
+    /// Whether the `optimize` step also builds native code for those
+    /// programs. Only the CPU target's runtime executes native code
+    /// (kernel phases run on `loopvm::simt`, rank chunks on the bytecode
+    /// interpreter), and there a compile pays for it rather than the
+    /// first run.
+    fn eager_jit(&self) -> bool {
+        false
     }
+}
+
+/// The `optimize` step, once for every backend: lowers each program's
+/// expression trees to register bytecode (constant folding, CSE,
+/// loop-invariant hoisting; see [`loopvm::opt`]) and sums what the
+/// optimizer did. The code stays in the program that will run it
+/// ([`Program::compiled`]), so nothing is handed back but the counters.
+///
+/// # Errors
+///
+/// Bytecode compilation failures (malformed emitted programs).
+pub(crate) fn optimize(programs: &[(String, &Program)], jit: bool) -> Result<loopvm::OptStats> {
+    let mut stats = loopvm::OptStats::default();
+    for (label, p) in programs {
+        let code = p.compiled().map_err(|e| {
+            let at = label.strip_prefix("// ").map(|l| format!(" ({l})")).unwrap_or_default();
+            Error::Backend(format!("bytecode optimization{at}: {e}"))
+        })?;
+        stats.merge(&code.bytecode().stats());
+        if jit {
+            code.jit();
+        }
+    }
+    Ok(stats)
+}
+
+/// The bytecode listing of a module's programs (see `DESIGN.md` §10 for
+/// the format): each labelled program's disassembly under its label, in
+/// order. `None` when a program does not compile.
+pub(crate) fn disasm(programs: &[(String, &Program)]) -> Option<String> {
+    let mut out = String::new();
+    for (label, p) in programs {
+        if !label.is_empty() {
+            out.push_str(label);
+            out.push('\n');
+        }
+        out.push_str(&p.compiled().ok()?.bytecode().disasm(p));
+    }
+    Some(out)
 }
 
 /// Destination-buffer info of one computation.
@@ -322,8 +358,7 @@ impl<'f> LoweredModule<'f> {
             explicit.push((b.name.clone(), extents));
         }
         for (name, extents) in &explicit {
-            let size: i64 = extents.iter().product::<i64>().max(1);
-            let id = self.program.buffer(name, size as usize);
+            let id = self.program.buffer(name, buffer_len(name, extents)?);
             self.buffer_map.insert(name.clone(), id);
         }
         // Per-computation destinations.
@@ -360,8 +395,7 @@ impl<'f> LoweredModule<'f> {
                         }
                         extents.push(hi + 1);
                     }
-                    let size: i64 = extents.iter().product::<i64>().max(1);
-                    let id = self.program.buffer(&c.name, size as usize);
+                    let id = self.program.buffer(&c.name, buffer_len(&c.name, &extents)?);
                     self.buffer_map.insert(c.name.clone(), id);
                     (id, extents)
                 }
@@ -728,6 +762,14 @@ impl<'f> LoweredModule<'f> {
     }
 }
 
+/// Element count of a buffer with the given extents (at least one).
+fn buffer_len(name: &str, extents: &[i64]) -> Result<usize> {
+    let len = extents.iter().try_fold(1i64, |n, &e| n.checked_mul(e));
+    len.and_then(|n| usize::try_from(n.max(1)).ok()).ok_or_else(|| {
+        Error::Backend(format!("buffer {name}: extents {extents:?} overflow the element count"))
+    })
+}
+
 /// Peephole simplification of generated VM expressions: constant folding
 /// and algebraic identities (`x*1`, `x+0`, `x*0`, nested constants). The
 /// polyhedral layers generate expressions like `(1 * A[i]) + 0` and
@@ -750,11 +792,10 @@ pub fn simplify(e: VExpr) -> VExpr {
                     e.clone()
                 }
                 (B::Sub, e, VExpr::ConstI(0)) => e.clone(),
-                (B::Add, VExpr::ConstI(x), VExpr::ConstI(y)) => VExpr::i64(x + y),
-                (B::Sub, VExpr::ConstI(x), VExpr::ConstI(y)) => VExpr::i64(x - y),
-                (B::Mul, VExpr::ConstI(x), VExpr::ConstI(y)) => VExpr::i64(x * y),
-                (B::Min, VExpr::ConstI(x), VExpr::ConstI(y)) => VExpr::i64(*x.min(y)),
-                (B::Max, VExpr::ConstI(x), VExpr::ConstI(y)) => VExpr::i64(*x.max(y)),
+                // Folded with the executors' own (wrapping) arithmetic.
+                (B::Add | B::Sub | B::Mul | B::Min | B::Max, &VExpr::ConstI(x), &VExpr::ConstI(y)) => {
+                    VExpr::i64(loopvm::vm::apply_i(op, x, y))
+                }
                 (B::Div, e, VExpr::ConstI(1)) => e.clone(),
                 _ => VExpr::Bin(op, Box::new(a), Box::new(b)),
             }

@@ -30,14 +30,6 @@ pub(crate) fn enabled(opt: bool) -> bool {
     opt || telemetry::env_flag("TIRAMISU_TRACE")
 }
 
-/// Whether the `optimize` pass records a full bytecode disassembly in its
-/// trace snapshot instead of the one-line stats summary. Off by default;
-/// enabled by the `TIRAMISU_DISASM` environment variable (per
-/// [`telemetry::env_flag`] semantics).
-pub(crate) fn disasm_enabled() -> bool {
-    telemetry::env_flag("TIRAMISU_DISASM")
-}
-
 /// One pipeline pass as observed by the trace.
 #[derive(Debug, Clone)]
 pub struct PassTrace {

@@ -4,7 +4,7 @@
 //!
 //! Lookup order for every request:
 //!
-//! 1. **Memory tier** — an [`Lru`] of recently compiled modules keyed by
+//! 1. **Memory tier** — an LRU of recently compiled modules keyed by
 //!    [`ArtifactKey`] (program fingerprint + backend/options hash).
 //! 2. **Disk tier** — the content-addressed [`ArtifactStore`]
 //!    (persistent across processes; enabled by `TIRAMISU_CACHE_DIR` or
@@ -27,13 +27,14 @@
 //! triggers a flight-recorder dump ([`telemetry::flight::dump`]).
 
 mod codec;
+mod lru;
 
 use crate::backend::cpu::{self, CpuModule, CpuOptions};
 use crate::backend::dist::{self, DistModule, DistOptions};
 use crate::backend::gpu::{self, GpuModule, GpuOptions};
 use crate::function::{Error, Function, Result};
 use artifacts::{fnv64, Artifact, ArtifactKey, ArtifactStore};
-use loopvm::Lru;
+use lru::Lru;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -42,12 +43,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use telemetry::metrics::{Counter, Gauge, Histogram};
 
-/// Artifact section holding the serialized module.
+/// The one artifact section: the serialized module.
 const SEC_MODULE: &str = "module";
-/// Artifact section holding the bytecode disassembly (text, optional).
-const SEC_DISASM: &str = "disasm";
-/// Artifact section holding the rendered compile trace (text, optional).
-const SEC_TRACE: &str = "trace";
 
 // ---------------------------------------------------------------------------
 // Requests and keys
@@ -261,7 +258,7 @@ impl Shared {
     /// Refreshes the eviction gauge from the memory LRU (called with the
     /// state lock held, after any insert that may have evicted).
     fn sync_evictions(&self, st: &State) {
-        self.metrics.evictions.set(st.memory.stats().evictions);
+        self.metrics.evictions.set(st.memory.evictions());
     }
 }
 
@@ -361,9 +358,9 @@ impl CompileService {
 
     /// Compiles for the CPU backend through the cache tiers.
     ///
-    /// Modules served from cache report `compile_trace() == None`; the
-    /// rendered trace of the original compile is stored alongside the
-    /// artifact instead.
+    /// Only the request that ran the pipeline can see a compile trace:
+    /// modules decoded from a disk artifact report
+    /// `compile_trace() == None` (an artifact holds the module alone).
     pub fn compile_cpu(
         &self,
         f: &Function,
@@ -406,7 +403,7 @@ impl CompileService {
     /// second copy is maintained anywhere).
     pub fn stats(&self) -> ServiceStats {
         let m = &self.shared.metrics;
-        let evictions = self.shared.state.lock().unwrap().memory.stats().evictions;
+        let evictions = self.shared.state.lock().unwrap().memory.evictions();
         ServiceStats {
             memory_hits: m.memory_hits.get(),
             disk_hits: m.disk_hits.get(),
@@ -576,22 +573,36 @@ fn run_job(shared: &Shared, job: Job) {
         telemetry::span("service", format!("compile:{}:{}", job.req.backend(), job.f.name));
     let params: Vec<(&str, i64)> = job.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     shared.metrics.bump(&shared.metrics.compiles, "compiles");
-    let t0 = Instant::now();
-    let result = match &job.req {
-        Request::Cpu(o) => {
-            cpu::compile(&job.f, &params, o.clone()).map(|m| CachedModule::Cpu(Arc::new(m)))
+    // A compile that panics must still answer: an unfilled slot blocks the
+    // requester and every dedup waiter forever, and the unwinding worker
+    // would be gone from the pool.
+    let compiled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let t0 = Instant::now();
+        let result = match &job.req {
+            Request::Cpu(o) => {
+                cpu::compile(&job.f, &params, o.clone()).map(|m| CachedModule::Cpu(Arc::new(m)))
+            }
+            Request::Gpu(o) => {
+                gpu::compile(&job.f, &params, o.clone()).map(|m| CachedModule::Gpu(Arc::new(m)))
+            }
+            Request::Dist(o) => {
+                dist::compile(&job.f, &params, o.clone()).map(|m| CachedModule::Dist(Arc::new(m)))
+            }
+        };
+        shared.metrics.compile_us.record_duration(t0.elapsed());
+        if let Ok(m) = &result {
+            persist(shared, job.key, m);
         }
-        Request::Gpu(o) => {
-            gpu::compile(&job.f, &params, o.clone()).map(|m| CachedModule::Gpu(Arc::new(m)))
-        }
-        Request::Dist(o) => {
-            dist::compile(&job.f, &params, o.clone()).map(|m| CachedModule::Dist(Arc::new(m)))
-        }
-    };
-    shared.metrics.compile_us.record_duration(t0.elapsed());
-    if let Ok(m) = &result {
-        persist(shared, job.key, &encode_for_store(m));
-    }
+        result
+    }));
+    let result = compiled.unwrap_or_else(|payload| {
+        let what = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        Err(Error::Backend(format!("compile panicked: {what}")))
+    });
     let mut st = shared.state.lock().unwrap();
     if let Ok(m) = &result {
         st.memory.insert(job.key, m.clone());
@@ -602,38 +613,18 @@ fn run_job(shared: &Shared, job: Job) {
     job.slot.fill(result);
 }
 
-/// Renders a compiled module into artifact sections: the binary module,
-/// plus human-readable disassembly and compile-trace text when present.
-fn encode_for_store(m: &CachedModule) -> Vec<(&'static str, Vec<u8>)> {
-    let mut sections = Vec::with_capacity(3);
-    let (module, disasm, trace) = match m {
-        CachedModule::Cpu(m) => {
-            (codec::encode_cpu(m), m.disasm(), m.compile_trace().map(|t| t.report()))
-        }
-        CachedModule::Gpu(m) => {
-            (codec::encode_gpu(m), m.disasm(), m.compile_trace().map(|t| t.report()))
-        }
-        CachedModule::Dist(m) => {
-            (codec::encode_dist(m), m.disasm(), m.compile_trace().map(|t| t.report()))
-        }
-    };
-    sections.push((SEC_MODULE, module));
-    if let Some(d) = disasm {
-        sections.push((SEC_DISASM, d.into_bytes()));
-    }
-    if let Some(t) = trace {
-        sections.push((SEC_TRACE, t.into_bytes()));
-    }
-    sections
-}
-
-fn persist(shared: &Shared, key: ArtifactKey, sections: &[(&'static str, Vec<u8>)]) {
+/// Writes the module to the disk tier (when there is one) as the
+/// artifact's single section.
+fn persist(shared: &Shared, key: ArtifactKey, m: &CachedModule) {
     if let Some(store) = &shared.store {
-        let refs: Vec<(&str, &[u8])> =
-            sections.iter().map(|(n, b)| (*n, b.as_slice())).collect();
+        let module = match m {
+            CachedModule::Cpu(m) => codec::encode_cpu(m),
+            CachedModule::Gpu(m) => codec::encode_gpu(m),
+            CachedModule::Dist(m) => codec::encode_dist(m),
+        };
         // Disk-tier write failures (full disk, permissions) only cost
         // future disk hits; the compile itself already succeeded.
-        let _ = store.put(key, &refs);
+        let _ = store.put(key, &[(SEC_MODULE, &module)]);
     }
 }
 
@@ -738,6 +729,36 @@ mod tests {
         svc.compile_cpu(&f, &[("N", 16)], CpuOptions::default()).unwrap();
         let st = svc.stats();
         assert_eq!((st.compiles, st.disk_hits), (0, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cold compile writes the module and nothing else (no rendered
+    /// text nobody reads), traced or not, and that one section is enough
+    /// to serve the module after a restart.
+    #[test]
+    fn an_artifact_is_exactly_its_module_section() {
+        let dir = std::env::temp_dir().join(format!("tirasvc-onesec-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config =
+            ServiceConfig { cache_dir: Some(dir.clone()), ..ServiceConfig::default() };
+        let f = sample("s5", 3.0);
+        let traced = CpuOptions { trace: true, ..CpuOptions::default() };
+        let key = artifact_key(&f, &[("N", 16)], &Request::Cpu(traced.clone()));
+        let cold = {
+            let svc = CompileService::new(config.clone());
+            svc.compile_cpu(&f, &[("N", 16)], traced.clone()).unwrap()
+        };
+        assert!(cold.compile_trace().is_some());
+
+        let svc = CompileService::new(config);
+        let art = svc.shared.store.as_ref().unwrap().get(key).expect("artifact on disk");
+        assert_eq!(art.section_names().collect::<Vec<_>>(), [SEC_MODULE]);
+        let warm = svc.compile_cpu(&f, &[("N", 16)], traced).unwrap();
+        let st = svc.stats();
+        assert_eq!((st.compiles, st.disk_hits), (0, 1));
+        assert_eq!(warm.program, cold.program);
+        assert_eq!(warm.disasm(), cold.disasm());
+        assert!(warm.compile_trace().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

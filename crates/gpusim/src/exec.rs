@@ -297,10 +297,10 @@ pub fn launch(
 
     let total = launch_with(kernel, buffers, model, |pi, vars, mask, mem| {
         let Some(pp) = prof.as_deref_mut() else {
-            return loopvm::exec_warp(phases[pi], vars, mask, mem);
+            return loopvm::exec_warp(phases[pi], vars, mask, mem, None);
         };
         let t0 = std::time::Instant::now();
-        loopvm::exec_warp_profiled(phases[pi], vars, mask, mem, &mut pp[pi].classes)?;
+        loopvm::exec_warp(phases[pi], vars, mask, mem, Some(&mut pp[pi].classes))?;
         pp[pi].wall += t0.elapsed();
         pp[pi].stats.add(&mem.stats);
         Ok(())

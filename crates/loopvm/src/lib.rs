@@ -46,7 +46,6 @@
 //! ```
 
 pub mod bytecode;
-pub mod cache;
 pub mod codec;
 pub mod cost;
 pub mod expr;
@@ -58,11 +57,10 @@ pub mod simt;
 pub mod vm;
 
 pub use bytecode::{BcProgram, InstClassCounts, OptStats};
-pub use cache::{CacheStats, Lru};
 pub use cost::{CacheCfg, CacheSim, CostModel};
 pub use expr::{BinOp, Expr, Ty, UnOp, Var};
 pub use program::{BufId, Compiled, LoopKind, Program, Stmt};
-pub use simt::{exec_warp, exec_warp_profiled, WarpHost};
+pub use simt::{exec_warp, WarpHost};
 pub use vm::{compile, eval_scalar, Code, ExecMode, Machine, Op, RunStats};
 
 /// Errors produced when compiling or executing a program.

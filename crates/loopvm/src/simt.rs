@@ -82,8 +82,8 @@ struct WarpCtx<'a, const W: usize, H: WarpHost<W>> {
     fr: Vec<[f32; W]>,
     vars: &'a mut [[i64; W]],
     host: &'a mut H,
-    /// Instruction-class profile, present only on the
-    /// [`exec_warp_profiled`] entry point (one count per warp dispatch).
+    /// Instruction-class profile, when [`exec_warp`] was handed one (one
+    /// count per warp dispatch).
     classes: Option<&'a mut InstClassCounts>,
 }
 
@@ -164,7 +164,10 @@ fn un_lanes<T: Copy, const W: usize>(
 /// program variable); it persists across calls so multi-phase kernels
 /// keep loop-variable state between barrier-delimited phases, exactly
 /// like the tree-walk reference. `mask` is the warp's entry mask (lanes
-/// beyond the launch extent are inactive).
+/// beyond the launch extent are inactive). With `classes`, every
+/// dispatched instruction is additionally tallied by class (one count per
+/// warp dispatch, the same granularity as [`WarpHost::issue`]); the GPU
+/// simulator passes it when `TIRAMISU_PROFILE` is on.
 ///
 /// # Errors
 ///
@@ -180,40 +183,14 @@ pub fn exec_warp<const W: usize, H: WarpHost<W>>(
     vars: &mut [[i64; W]],
     mask: &[bool; W],
     host: &mut H,
+    classes: Option<&mut InstClassCounts>,
 ) -> Result<()> {
     let mut ctx = WarpCtx {
         ir: vec![[0i64; W]; bc.n_iregs as usize],
         fr: vec![[0f32; W]; bc.n_fregs as usize],
         vars,
         host,
-        classes: None,
-    };
-    run_insts(&bc.prologue, mask, &mut ctx)?;
-    exec_block(&bc.body, mask, &mut ctx)
-}
-
-/// [`exec_warp`] with per-instruction-class profiling: every dispatched
-/// instruction is additionally tallied into `classes` (one count per warp
-/// dispatch, the same granularity as [`WarpHost::issue`]). The GPU
-/// simulator uses this entry point when `TIRAMISU_PROFILE` is on; the
-/// unprofiled path is untouched.
-///
-/// # Errors
-///
-/// Same as [`exec_warp`].
-pub fn exec_warp_profiled<const W: usize, H: WarpHost<W>>(
-    bc: &BcProgram,
-    vars: &mut [[i64; W]],
-    mask: &[bool; W],
-    host: &mut H,
-    classes: &mut InstClassCounts,
-) -> Result<()> {
-    let mut ctx = WarpCtx {
-        ir: vec![[0i64; W]; bc.n_iregs as usize],
-        fr: vec![[0f32; W]; bc.n_fregs as usize],
-        vars,
-        host,
-        classes: Some(classes),
+        classes,
     };
     run_insts(&bc.prologue, mask, &mut ctx)?;
     exec_block(&bc.body, mask, &mut ctx)

@@ -1,16 +1,34 @@
-//! The virtual machine: bytecode compilation and execution.
+//! The [`Machine`]: buffers, the variable frame, and the evaluators that
+//! run a [`Program`] on them.
 //!
-//! Expressions are compiled once into a stack bytecode; loops interpret it.
-//! Three execution paths give the substrate its performance texture:
+//! [`Machine::run`] executes a program's own compiled form
+//! ([`Program::compiled`]) on the configured [`ExecMode`] tier of the
+//! ladder:
 //!
-//! - **serial**: straightforward interpretation,
-//! - **parallel** ([`LoopKind::Parallel`]): the iteration range is split
-//!   across OS threads (crossbeam scoped threads) — buffers are shared;
-//!   legality (no cross-iteration dependences) is the *compiler's*
-//!   responsibility, exactly as with real parallel codegen,
-//! - **vector** ([`LoopKind::Vectorize`]): the body is evaluated over
-//!   lanes of [`LANES`] iterations at once, amortizing interpreter dispatch
-//!   the way SIMD amortizes instruction issue.
+//! - **native** ([`ExecMode::Jit`], the default where `crate::jit` has a
+//!   backend): the x86-64 code compiled from the register bytecode, with
+//!   guard-and-replay deoptimization back to the interpreter;
+//! - **register bytecode** ([`ExecMode::Bytecode`],
+//!   [`Machine::run_bytecode`]): the interpreter over
+//!   [`crate::bytecode::BcProgram`] — `crate::opt`'s folded, CSE'd,
+//!   hoisted instruction stream — which also hosts the sampled profiler;
+//! - **stack tree-walk** ([`ExecMode::TreeWalk`],
+//!   [`Machine::run_tree_walk`]): the seed's evaluator, expressions
+//!   compiled one by one to a stack code ([`compile`], [`Op`]) and
+//!   interpreted under the statement tree. It is the differential
+//!   reference and, const-generic over `STATS`, the only producer of
+//!   [`RunStats`] ([`Machine::run_with_stats`]): every modeled cycle count
+//!   is priced here.
+//!
+//! Both interpreters have the same three loop shapes: **serial**;
+//! **parallel** ([`LoopKind::Parallel`]), the iteration range split
+//! statically across scoped threads by `crate::par::chunks` — buffers are
+//! shared, and legality (no cross-iteration dependences) is the
+//! *compiler's* responsibility, exactly as with real parallel codegen; and
+//! **vector** ([`LoopKind::Vectorize`]), the body evaluated over lanes of
+//! [`LANES`] iterations at once, amortizing interpreter dispatch the way
+//! SIMD amortizes instruction issue. The scalar semantics every tier must
+//! reproduce bit for bit are the `apply_*`/`cmp_*` functions below.
 
 use crate::bytecode::{BCode, BcProgram, BcStmt, Inst, InstClassCounts};
 use crate::cost::{CacheSim, CostModel};

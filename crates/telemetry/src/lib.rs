@@ -75,9 +75,9 @@ use std::time::{Duration, Instant};
 // ---------------------------------------------------------------------------
 
 /// The one boolean environment-flag rule shared by every knob in the
-/// workspace (`TIRAMISU_TRACE`, `TIRAMISU_DISASM`, `TIRAMISU_PROFILE`,
-/// `LOOPVM_TREEWALK`): the flag is **on** iff the variable is set to a
-/// non-empty value other than `"0"`. In particular
+/// workspace (`TIRAMISU_TRACE`, `TIRAMISU_PROFILE`, `LOOPVM_TREEWALK`):
+/// the flag is **on** iff the variable is set to a non-empty value other
+/// than `"0"`. In particular
 /// `""` and `"0"` are both off, so `FLAG=0` reliably disables a flag a
 /// wrapper script exported.
 #[must_use]

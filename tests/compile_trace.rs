@@ -1,16 +1,21 @@
 //! CompileTrace coverage: pass order, per-pass counts, report content,
 //! and the zero-allocation guarantee when tracing is disabled.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use tiramisu::pipeline::trace::snapshot_renders;
 use tiramisu::{
     compile_cpu, compile_dist, compile_gpu, CompId, CpuOptions, DistOptions, Expr as E,
     Function, GpuOptions,
 };
 
-/// Tests that read or advance the global `snapshot_renders` counter (or
-/// the `TIRAMISU_TRACE` environment variable) serialize on this.
+/// Every test here reads or advances the global `snapshot_renders`
+/// counter (or sets the `TIRAMISU_TRACE` environment variable), so they
+/// all serialize on this.
 static TRACE_COUNTER: Mutex<()> = Mutex::new(());
+
+fn serialized() -> MutexGuard<'static, ()> {
+    TRACE_COUNTER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Two-stage 2-D blur (bx then by consuming bx): has flow dependences,
 /// fused nests, and loop tags — every pass has real work to report.
@@ -44,6 +49,34 @@ fn blur2() -> Function {
     f
 }
 
+/// [`blur2`] with both stages tiled onto the GPU: two kernels.
+fn blur2_gpu() -> Function {
+    let mut f = blur2();
+    f.tile_gpu(CompId::from_raw(1), "i", "j", 4, 4).unwrap();
+    f.tile_gpu(CompId::from_raw(2), "i", "j", 4, 4).unwrap();
+    f
+}
+
+/// [`blur2`] with the second stage's rows distributed over ranks.
+fn blur2_dist() -> Function {
+    let mut f = blur2();
+    f.distribute(CompId::from_raw(2), "i").unwrap();
+    f
+}
+
+/// `blur2` compiled with tracing on for each backend, at `N = 8`.
+fn traced_blur2s() -> (tiramisu::CpuModule, tiramisu::GpuModule, tiramisu::DistModule) {
+    let n = [("N", 8)];
+    let cpu = CpuOptions { trace: true, ..Default::default() };
+    let gpu = GpuOptions { trace: true, ..Default::default() };
+    let dist = DistOptions { trace: true, ..Default::default() };
+    (
+        compile_cpu(&blur2(), &n, cpu).unwrap(),
+        compile_gpu(&blur2_gpu(), &n, gpu).unwrap(),
+        compile_dist(&blur2_dist(), &n, dist).unwrap(),
+    )
+}
+
 /// The gemm shape from the golden tests: init + k-contracted update.
 fn gemm() -> Function {
     let mut f = Function::new("gemm", &["N"]);
@@ -69,8 +102,61 @@ fn gemm() -> Function {
 
 const PASSES: [&str; 6] = ["lower", "legality", "astgen", "tag-resolve", "emit", "optimize"];
 
+/// `CompileTrace::report()` without its wall-clock column: pass names,
+/// `stmts`/`nodes` counts and every IR snapshot, which are deterministic.
+fn report_without_times(trace: &tiramisu::pipeline::CompileTrace) -> String {
+    let report = trace.report();
+    let (table, snapshots) = report.split_once("\n\n").expect("table, blank line, snapshots");
+    let mut out = String::new();
+    for (n, line) in table.lines().enumerate() {
+        if n == 0 {
+            out.push_str(line);
+        } else {
+            // `{:<12} {:>12}` then the counts: drop characters 12..25.
+            let cells: Vec<char> = line.chars().collect();
+            let name: String = cells[..12].iter().collect();
+            let counts: String = cells[25..].iter().collect();
+            out.push_str(format!("{name}{counts}").trim_end());
+        }
+        out.push('\n');
+    }
+    out.push('\n');
+    out.push_str(snapshots);
+    out
+}
+
+fn assert_golden(name: &str, text: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{name}.txt"));
+    if std::env::var("TIRAMISU_BLESS").is_ok() {
+        std::fs::write(&path, text).unwrap();
+        return;
+    }
+    let expect = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
+    assert_eq!(
+        text, expect,
+        "compile trace `{name}` drifted from the golden snapshot \
+         (re-bless with TIRAMISU_BLESS=1 only if the change is intentional)"
+    );
+}
+
+/// The whole report (minus wall times) of `blur2` on every backend: the
+/// six pass names in order, the `stmts`/`nodes` columns and all six IR
+/// snapshots. Regenerate with `TIRAMISU_BLESS=1 cargo test --test compile_trace`.
+#[test]
+fn blur2_trace_report_is_pinned_on_every_backend() {
+    let _guard = serialized();
+    let (cpu, gpu, dist) = traced_blur2s();
+    assert_golden("trace_blur2_cpu", &report_without_times(cpu.compile_trace().unwrap()));
+    assert_golden("trace_blur2_gpu", &report_without_times(gpu.compile_trace().unwrap()));
+    assert_golden("trace_blur2_dist", &report_without_times(dist.compile_trace().unwrap()));
+}
+
 #[test]
 fn trace_records_passes_in_pipeline_order() {
+    let _guard = serialized();
     let f = blur2();
     let module = compile_cpu(
         &f,
@@ -86,6 +172,7 @@ fn trace_records_passes_in_pipeline_order() {
 
 #[test]
 fn every_pass_reports_nonzero_counts_on_nontrivial_kernel() {
+    let _guard = serialized();
     let f = blur2();
     let module = compile_cpu(
         &f,
@@ -109,6 +196,7 @@ fn every_pass_reports_nonzero_counts_on_nontrivial_kernel() {
 
 #[test]
 fn gemm_trace_reports_six_timed_passes() {
+    let _guard = serialized();
     let f = gemm();
     let module = compile_cpu(
         &f,
@@ -134,6 +222,7 @@ fn gemm_trace_reports_six_timed_passes() {
 
 #[test]
 fn gpu_and_dist_modules_carry_traces_too() {
+    let _guard = serialized();
     let mut f = Function::new("scale", &["N"]);
     let i = f.var("i", 0, E::param("N"));
     let j = f.var("j", 0, E::param("N"));
@@ -173,6 +262,7 @@ fn gpu_and_dist_modules_carry_traces_too() {
 
 #[test]
 fn optimize_pass_runs_last_and_reports_instruction_counts() {
+    let _guard = serialized();
     let f = blur2();
     let module = compile_cpu(
         &f,
@@ -198,28 +288,48 @@ fn optimize_pass_runs_last_and_reports_instruction_counts() {
     assert_eq!(bc.stats().tree_nodes, opt.stmts);
 }
 
+/// The `optimize` snapshot is always the one-line stats summary; the
+/// listing is `module.disasm()`, which for every backend is each
+/// program's disassembly under the label the module gives it.
 #[test]
-fn disassembly_is_off_by_default_and_env_gated() {
-    let _guard = TRACE_COUNTER.lock().unwrap();
-    std::env::remove_var("TIRAMISU_DISASM");
-    let f = blur2();
-    let opts = || CpuOptions { trace: true, ..Default::default() };
-    let module = compile_cpu(&f, &[("N", 8)], opts()).unwrap();
-    let summary = &module.compile_trace().unwrap().passes.last().unwrap().ir;
-    assert!(summary.contains("tree nodes ->"), "{summary}");
-    assert!(!summary.contains("store"), "default snapshot leaks disassembly:\n{summary}");
+fn optimize_snapshot_is_the_summary_and_disasm_is_the_labelled_listing() {
+    let _guard = serialized();
+    let summary_of = |trace: &tiramisu::pipeline::CompileTrace| {
+        let ir = trace.passes.last().unwrap().ir.clone();
+        assert!(ir.contains("tree nodes ->"), "{ir}");
+        assert_eq!(ir.lines().count(), 1, "optimize snapshot is not one line:\n{ir}");
+        ir
+    };
 
-    std::env::set_var("TIRAMISU_DISASM", "1");
-    let module = compile_cpu(&f, &[("N", 8)], opts()).unwrap();
-    std::env::remove_var("TIRAMISU_DISASM");
-    let dis = &module.compile_trace().unwrap().passes.last().unwrap().ir;
-    assert!(dis.contains("store"), "TIRAMISU_DISASM=1 snapshot has no stores:\n{dis}");
-    assert_eq!(dis, &module.disasm().unwrap());
+    let (cpu, gpu, dist) = traced_blur2s();
+    let bc = cpu.bytecode().unwrap();
+    assert_eq!(summary_of(cpu.compile_trace().unwrap()), bc.stats().summary());
+    let listing = cpu.disasm().unwrap();
+    assert!(listing.contains("store"), "{listing}");
+    assert_eq!(listing, bc.disasm(&cpu.program));
+
+    summary_of(gpu.compile_trace().unwrap());
+    let mut expect = String::new();
+    for (k, ker) in gpu.kernels.iter().enumerate() {
+        for (p, bc) in gpu.bytecode(k).unwrap().iter().enumerate() {
+            expect += &format!("// kernel {k} phase {p}\n{}", bc.disasm(&ker.phases()[p]));
+        }
+    }
+    assert!(expect.contains("// kernel 1 phase 0\n"), "{expect}");
+    assert_eq!(gpu.disasm().unwrap(), expect);
+
+    summary_of(dist.compile_trace().unwrap());
+    let mut expect = String::new();
+    for (k, bc) in dist.bytecode().unwrap().iter().enumerate() {
+        expect += &format!("// chunk {k}\n{}", bc.disasm(&dist.dist.chunks()[k]));
+    }
+    assert!(expect.contains("// chunk 0\n"), "{expect}");
+    assert_eq!(dist.disasm().unwrap(), expect);
 }
 
 #[test]
 fn disabled_tracing_materializes_nothing() {
-    let _guard = TRACE_COUNTER.lock().unwrap();
+    let _guard = serialized();
     std::env::remove_var("TIRAMISU_TRACE");
     let before = snapshot_renders();
     for _ in 0..3 {
@@ -236,7 +346,7 @@ fn disabled_tracing_materializes_nothing() {
 
 #[test]
 fn env_var_enables_tracing_globally() {
-    let _guard = TRACE_COUNTER.lock().unwrap();
+    let _guard = serialized();
     std::env::set_var("TIRAMISU_TRACE", "1");
     let f = blur2();
     let module = compile_cpu(&f, &[("N", 8)], CpuOptions::default()).unwrap();

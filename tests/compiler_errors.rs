@@ -125,3 +125,44 @@ fn halide_lite_error_messages_name_the_failure() {
     let msg = err.to_string();
     assert!(msg.contains("img") && msg.contains("bounds"), "got: {msg}");
 }
+
+/// The emit path folds integer constants with the executors' own wrapping
+/// arithmetic: `i64::MAX + 1` used to panic the compiler in debug builds
+/// ("attempt to add with overflow") and wrap in release. Both profiles
+/// now fold it to `i64::MIN`, which is what every executor computes.
+#[test]
+fn emit_time_constant_folding_wraps_like_the_executors() {
+    use loopvm::Expr as V;
+    use tiramisu::pipeline::simplify;
+    assert_eq!(simplify(V::i64(i64::MAX) + V::i64(1)), V::i64(i64::MIN));
+    assert_eq!(simplify(V::i64(i64::MIN) - V::i64(1)), V::i64(i64::MAX));
+    assert_eq!(simplify(V::i64(i64::MAX) * V::i64(2)), V::i64(-2));
+
+    let mut f = Function::new("wrap", &["N"]);
+    let i = f.var("i", 0, E::param("N"));
+    let sum = E::i64(i64::MAX) + E::i64(1);
+    f.computation("out", &[i], E::CastF32(Box::new(sum))).unwrap();
+    let m = tiramisu::compile_cpu(&f, &[("N", 4)], CpuOptions::default()).unwrap();
+    let out = m.vm_buffer("out").unwrap();
+    for mode in [loopvm::ExecMode::TreeWalk, loopvm::ExecMode::Bytecode, loopvm::ExecMode::Jit] {
+        let mut machine = m.machine();
+        machine.set_exec_mode(mode);
+        machine.run(&m.program).unwrap();
+        assert_eq!(machine.buffer(out), [i64::MIN as f32; 4], "{mode:?}");
+    }
+}
+
+/// A buffer whose element count overflows is a compile error in every
+/// build profile: the unchecked product used to panic in debug builds and,
+/// in release, wrap to 0 and silently allocate a one-element buffer.
+#[test]
+fn buffer_element_count_overflow_is_a_compile_error() {
+    let mut f = Function::new("huge", &["N"]);
+    let i = f.var("i", 0, 4);
+    let c = f.computation("c", &[i], E::f32(1.0)).unwrap();
+    let b = f.buffer("b", &[E::param("N"), E::param("N")]);
+    f.store_in(c, b, &[E::iter("i"), E::i64(0)]);
+    let err = tiramisu::compile_cpu(&f, &[("N", 1 << 32)], CpuOptions::default()).unwrap_err();
+    assert!(matches!(err, tiramisu::Error::Backend(_)), "{err:?}");
+    assert!(err.to_string().contains("buffer b"), "{err}");
+}

@@ -1,9 +1,10 @@
 //! Integration tests for the compile service: single-flight dedup under
 //! concurrency, bit-exactness of cache-served modules against direct
 //! compiles, persistence across service restarts,
-//! corruption fallback, and queue back-pressure.
+//! corruption fallback, queue back-pressure, and a compile that panics.
 
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 use tiramisu::{
     CompileService, CpuOptions, Error, Expr as E, Function, GpuOptions, ServiceConfig,
 };
@@ -273,4 +274,60 @@ fn back_pressure_rejects_with_busy() {
     assert_eq!(st.compiles, ok, "every accepted request compiles exactly once: {st:?}");
     assert_eq!(st.busy_rejections, busy, "{st:?}");
     assert!(busy > 0, "16 simultaneous requests against a 1-slot queue must reject some");
+}
+
+/// A compile that panics on its worker thread (here: a buffer extent
+/// `4 * N` that overflows affine evaluation at emit time) used to leave
+/// the job slot unfilled and the key in flight: the requester and every
+/// piggybacked waiter blocked forever, and the worker was gone. Now all
+/// of them get an error and the pool keeps compiling. Runs under a
+/// watchdog, since the failure mode is a hang.
+#[test]
+fn a_panicking_compile_answers_every_waiter_and_keeps_its_worker() {
+    let (done, watchdog) = mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let svc =
+            Arc::new(CompileService::new(ServiceConfig { workers: 1, ..Default::default() }));
+        // Two identical requests leave a barrier together; repeat (with a
+        // fresh key) until the second one is seen to piggyback.
+        let mut piggybacked = false;
+        for attempt in 0..32 {
+            let mut f = scaled(attempt as f32);
+            f.buffer("b", &[E::param("N") * E::i64(4)]);
+            let dedup_before = svc.stats().dedup_waits;
+            let barrier = Arc::new(Barrier::new(2));
+            let pair: Vec<_> = (0..2)
+                .map(|_| {
+                    let (svc, f, barrier) = (Arc::clone(&svc), f.clone(), Arc::clone(&barrier));
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        svc.compile_cpu(&f, &[("N", i64::MAX / 2)], CpuOptions::default())
+                    })
+                })
+                .collect();
+            for h in pair {
+                match h.join().unwrap() {
+                    Err(Error::Backend(msg)) => {
+                        assert!(msg.starts_with("compile panicked: "), "{msg}")
+                    }
+                    Err(e) => panic!("expected the panic as a Backend error, got {e}"),
+                    Ok(_) => panic!("an overflowing extent compiled"),
+                }
+            }
+            if svc.stats().dedup_waits > dedup_before {
+                piggybacked = true;
+                break;
+            }
+        }
+        assert!(piggybacked, "no request ever piggybacked on the panicking job");
+        // The only worker is still there, and the failed keys are not
+        // stuck in flight.
+        let m = svc.compile_cpu(&scaled(7.0), &[("N", 16)], CpuOptions::default()).unwrap();
+        done.send(run_cpu_bits(&m).len()).unwrap();
+    });
+    let outputs = watchdog
+        .recv_timeout(Duration::from_secs(120))
+        .expect("a request hung (or an assertion failed) after a compile panicked");
+    assert_eq!(outputs, 16);
+    client.join().unwrap();
 }
