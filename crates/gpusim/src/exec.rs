@@ -1,15 +1,17 @@
 //! The SIMT executor: lockstep warp execution with masks, a memory model
 //! and a per-SM scheduler.
 //!
-//! Two executors share the block/warp scheduler and the memory model.
-//! [`launch`] runs the optimized register bytecode each kernel phase owns
-//! ([`loopvm::Program::compiled`]) with the warp-level masked executor
-//! ([`loopvm::simt`]), so per-warp work is O(instructions).
-//! [`launch_tree_walk`] is the original stack evaluator (O(tree nodes) per
-//! warp), kept as the differential reference.
+//! Two executors share the block/warp scheduler and one memory side: both
+//! issue, load, store and diverge through `WarpMem`'s
+//! [`loopvm::WarpHost`] implementation, which prices every access and
+//! bounds-checks its active lanes. [`launch`] runs the optimized register
+//! bytecode each kernel phase owns ([`loopvm::Program::compiled`]) with
+//! the lane executor ([`loopvm::simt`]), so per-warp work is
+//! O(instructions). [`launch_tree_walk`] is the original stack evaluator
+//! (O(tree nodes) per warp), kept as the differential reference.
 
 use crate::{GpuModel, Kernel, MemSpace};
-use loopvm::{compile, BcProgram, Code, Error, LoopKind, Op, Result, Stmt, Ty, WarpHost};
+use loopvm::{compile, BcProgram, Code, Error, LoopKind, Op, Result, Stmt, Ty, UnOp, WarpHost};
 use loopvm::vm::{apply_f, apply_i, apply_un_f, apply_un_i, cmp_f, cmp_i};
 
 /// Warp width (lanes executing in lockstep).
@@ -193,9 +195,9 @@ fn seed_warps(
     (warp_vars, warp_masks)
 }
 
-/// The warp-level memory context both executors price accesses through:
-/// the simulator's memory model over the launch's buffers, accumulating
-/// one warp's statistics and cycles.
+/// The warp-level memory context both executors run through: the
+/// simulator's memory model over the launch's buffers, accumulating one
+/// warp's statistics and cycles.
 struct WarpMem<'a> {
     model: &'a GpuModel,
     spaces: &'a [MemSpace],
@@ -295,12 +297,15 @@ pub fn launch(
     let mut prof: Option<Vec<PhaseProf>> = telemetry::profile_enabled()
         .then(|| vec![PhaseProf::default(); phases.len()]);
 
+    // Lane register files, shared by every warp and phase of the launch.
+    let (mut ir, mut fr) = (Vec::new(), Vec::new());
     let total = launch_with(kernel, buffers, model, |pi, vars, mask, mem| {
         let Some(pp) = prof.as_deref_mut() else {
-            return loopvm::exec_warp(phases[pi], vars, mask, mem, None);
+            return loopvm::exec_warp(phases[pi], &mut ir, &mut fr, vars, mask, mem, None);
         };
         let t0 = std::time::Instant::now();
-        loopvm::exec_warp(phases[pi], vars, mask, mem, Some(&mut pp[pi].classes))?;
+        let classes = Some(&mut pp[pi].classes);
+        loopvm::exec_warp(phases[pi], &mut ir, &mut fr, vars, mask, mem, classes)?;
         pp[pi].wall += t0.elapsed();
         pp[pi].stats.add(&mem.stats);
         Ok(())
@@ -358,9 +363,10 @@ pub fn launch_tree_walk(
     })
 }
 
-/// Prices warp bytecode execution with the simulator's memory model:
-/// per-instruction issue cost, coalescing/bank-conflict/broadcast pricing
-/// on loads and stores, divergence counting.
+/// Prices warp execution with the simulator's memory model and checks
+/// its accesses, for both executors: per-instruction issue cost,
+/// coalescing/bank-conflict/broadcast pricing and bounds checks on loads
+/// and stores, divergence counting.
 impl WarpHost<WARP> for WarpMem<'_> {
     fn issue(&mut self) {
         self.stats.warp_instructions += 1;
@@ -368,7 +374,7 @@ impl WarpHost<WARP> for WarpMem<'_> {
     }
 
     fn load(&mut self, buf: u32, idx: &[i64; WARP], mask: &[bool; WARP]) -> Result<[f32; WARP]> {
-        mem_access(self.model, self.spaces, &mut self.stats, &mut self.cycles, buf, idx, *mask);
+        self.price(buf, idx, mask);
         let b = &self.buffers[buf as usize];
         let mut out = [0f32; WARP];
         for l in 0..WARP {
@@ -394,7 +400,7 @@ impl WarpHost<WARP> for WarpMem<'_> {
         val: &[f32; WARP],
         mask: &[bool; WARP],
     ) -> Result<()> {
-        mem_access(self.model, self.spaces, &mut self.stats, &mut self.cycles, buf, idx, *mask);
+        self.price(buf, idx, mask);
         let b = &mut self.buffers[buf as usize];
         for l in 0..WARP {
             if mask[l] {
@@ -476,22 +482,7 @@ fn exec_stmt(s: &GStmt, ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result
         GStmt::Store { buf, index, value } => {
             let idx = eval_i(index, ctx, mask)?;
             let val = eval_f(value, ctx, mask)?;
-            ctx.mem_access(*buf, &idx, mask)?;
-            let b = &mut ctx.mem.buffers[*buf as usize];
-            for l in 0..WARP {
-                if mask[l] {
-                    let i = idx[l];
-                    if i < 0 || i as usize >= b.len() {
-                        return Err(Error::OutOfBounds {
-                            buffer: ctx.mem.buffer_names[*buf as usize].clone(),
-                            index: i,
-                            size: b.len(),
-                        });
-                    }
-                    b[i as usize] = val[l];
-                }
-            }
-            Ok(())
+            ctx.mem.store(*buf, &idx, &val, &mask)
         }
         GStmt::If { cond, then, else_ } => {
             let c = eval_i(cond, ctx, mask)?;
@@ -509,7 +500,7 @@ fn exec_stmt(s: &GStmt, ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result
             let any_then = then_mask.iter().any(|&m| m);
             let any_else = else_mask.iter().any(|&m| m);
             if any_then && any_else {
-                ctx.mem.stats.divergent_branches += 1;
+                ctx.mem.divergence();
             }
             if any_then {
                 exec_block(then, ctx, then_mask)?;
@@ -537,7 +528,7 @@ fn exec_stmt(s: &GStmt, ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result
                 }
             }
             if !uniform {
-                ctx.mem.stats.divergent_branches += 1;
+                ctx.mem.divergence();
             }
             let mut v = glo;
             while v < ghi {
@@ -570,30 +561,14 @@ fn eval(code: &Code, ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result<()
     ctx.vistack.clear();
     ctx.vfstack.clear();
     for op in &code.ops {
-        ctx.mem.stats.warp_instructions += 1;
-        ctx.mem.cycles += ctx.mem.model.alu;
+        ctx.mem.issue();
         match *op {
             Op::PushF(v) => ctx.vfstack.push([v; WARP]),
             Op::PushI(v) => ctx.vistack.push([v; WARP]),
             Op::LoadVar(v) => ctx.vistack.push(ctx.vars[v as usize]),
             Op::Load(b) => {
                 let idx = ctx.vistack.pop().unwrap();
-                ctx.mem_access(b, &idx, mask)?;
-                let buf = &ctx.mem.buffers[b as usize];
-                let mut out = [0f32; WARP];
-                for l in 0..WARP {
-                    if mask[l] {
-                        let i = idx[l];
-                        if i < 0 || i as usize >= buf.len() {
-                            return Err(Error::OutOfBounds {
-                                buffer: ctx.mem.buffer_names[b as usize].clone(),
-                                index: i,
-                                size: buf.len(),
-                            });
-                        }
-                        out[l] = buf[i as usize];
-                    }
-                }
+                let out = ctx.mem.load(b, &idx, &mask)?;
                 ctx.vfstack.push(out);
             }
             Op::BinF(op) => {
@@ -637,9 +612,15 @@ fn eval(code: &Code, ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result<()
                 }
             }
             Op::UnI(op) => {
+                // `neg`/`abs` overflow on i64::MIN: like `BinI`, they run
+                // on active lanes only, so an inactive lane's garbage
+                // never traps (the masking contract `loopvm::simt` keeps).
+                let trapping = matches!(op, UnOp::Neg | UnOp::Abs);
                 let a = ctx.vistack.last_mut().unwrap();
-                for x in a.iter_mut() {
-                    *x = apply_un_i(op, *x);
+                for l in 0..WARP {
+                    if mask[l] || !trapping {
+                        a[l] = apply_un_i(op, a[l]);
+                    }
                 }
             }
             Op::SelF => {
@@ -683,85 +664,69 @@ fn eval(code: &Code, ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result<()
     Ok(())
 }
 
-impl WarpCtx<'_, '_> {
+impl WarpMem<'_> {
     /// Prices one warp memory access to buffer `b` at per-lane element
-    /// indices `idx` (4-byte elements).
-    fn mem_access(&mut self, b: u32, idx: &[i64; WARP], mask: [bool; WARP]) -> Result<()> {
-        let m = &mut *self.mem;
-        mem_access(m.model, m.spaces, &mut m.stats, &mut m.cycles, b, idx, mask);
-        Ok(())
-    }
-}
-
-/// Prices one warp memory access (4-byte elements): coalescing for
-/// global, bank conflicts for shared, broadcast/serialization for
-/// constant, flat cost for local. Shared by the tree-walk and bytecode
-/// executors so both paths count transactions identically.
-fn mem_access(
-    model: &GpuModel,
-    spaces: &[MemSpace],
-    stats: &mut LaunchStats,
-    cycles: &mut f64,
-    b: u32,
-    idx: &[i64; WARP],
-    mask: [bool; WARP],
-) {
-    let space = spaces.get(b as usize).copied().unwrap_or_default();
-    match space {
-        MemSpace::Global => {
-            // Coalescing: distinct 128-byte segments among active lanes
-            // (at most WARP of them — a stack scratch avoids per-access
-            // allocation on this very hot path).
-            let mut segs = [0i64; WARP];
-            let mut n_segs = 0usize;
-            for l in 0..WARP {
-                if mask[l] {
-                    let seg = (idx[l] * 4).div_euclid(128);
-                    if !segs[..n_segs].contains(&seg) {
-                        segs[n_segs] = seg;
-                        n_segs += 1;
+    /// indices `idx` (4-byte elements): coalescing for global, bank
+    /// conflicts for shared, broadcast/serialization for constant, flat
+    /// cost for local.
+    fn price(&mut self, b: u32, idx: &[i64; WARP], mask: &[bool; WARP]) {
+        let model = self.model;
+        match self.spaces.get(b as usize).copied().unwrap_or_default() {
+            MemSpace::Global => {
+                // Coalescing: distinct 128-byte segments among active lanes
+                // (at most WARP of them — a stack scratch avoids per-access
+                // allocation on this very hot path).
+                let mut segs = [0i64; WARP];
+                let mut n_segs = 0usize;
+                for l in 0..WARP {
+                    if mask[l] {
+                        let seg = (idx[l] * 4).div_euclid(128);
+                        if !segs[..n_segs].contains(&seg) {
+                            segs[n_segs] = seg;
+                            n_segs += 1;
+                        }
                     }
                 }
+                self.stats.global_transactions += n_segs as u64;
+                self.cycles += n_segs as f64 * model.global_segment;
             }
-            stats.global_transactions += n_segs as u64;
-            *cycles += n_segs as f64 * model.global_segment;
-        }
-        MemSpace::Shared => {
-            // Bank conflicts: 32 banks of 4 bytes; conflict degree =
-            // max distinct-address count per bank.
-            let mut per_bank = [0u32; 32];
-            let mut seen = [0i64; WARP];
-            let mut n_seen = 0usize;
-            for l in 0..WARP {
-                if mask[l] && !seen[..n_seen].contains(&idx[l]) {
-                    seen[n_seen] = idx[l];
-                    n_seen += 1;
-                    per_bank[(idx[l].rem_euclid(32)) as usize] += 1;
+            MemSpace::Shared => {
+                // Bank conflicts: 32 banks of 4 bytes; conflict degree =
+                // max distinct-address count per bank.
+                let mut per_bank = [0u32; 32];
+                let mut seen = [0i64; WARP];
+                let mut n_seen = 0usize;
+                for l in 0..WARP {
+                    if mask[l] && !seen[..n_seen].contains(&idx[l]) {
+                        seen[n_seen] = idx[l];
+                        n_seen += 1;
+                        per_bank[(idx[l].rem_euclid(32)) as usize] += 1;
+                    }
+                }
+                let degree = per_bank.iter().copied().max().unwrap_or(1).max(1);
+                self.stats.shared_accesses += 1;
+                self.stats.bank_conflict_degree += (degree - 1) as u64;
+                self.cycles += degree as f64 * model.shared_access;
+            }
+            MemSpace::Constant => {
+                let mut distinct = [0i64; WARP];
+                let mut n_distinct = 0usize;
+                for l in 0..WARP {
+                    if mask[l] && !distinct[..n_distinct].contains(&idx[l]) {
+                        distinct[n_distinct] = idx[l];
+                        n_distinct += 1;
+                    }
+                }
+                if n_distinct <= 1 {
+                    self.stats.constant_broadcasts += 1;
+                    self.cycles += model.constant_broadcast;
+                } else {
+                    self.cycles += n_distinct as f64 * model.constant_serial;
                 }
             }
-            let degree = per_bank.iter().copied().max().unwrap_or(1).max(1);
-            stats.shared_accesses += 1;
-            stats.bank_conflict_degree += (degree - 1) as u64;
-            *cycles += degree as f64 * model.shared_access;
-        }
-        MemSpace::Constant => {
-            let mut distinct = [0i64; WARP];
-            let mut n_distinct = 0usize;
-            for l in 0..WARP {
-                if mask[l] && !distinct[..n_distinct].contains(&idx[l]) {
-                    distinct[n_distinct] = idx[l];
-                    n_distinct += 1;
-                }
+            MemSpace::Local => {
+                self.cycles += model.local_access;
             }
-            if n_distinct <= 1 {
-                stats.constant_broadcasts += 1;
-                *cycles += model.constant_broadcast;
-            } else {
-                *cycles += n_distinct as f64 * model.constant_serial;
-            }
-        }
-        MemSpace::Local => {
-            *cycles += model.local_access;
         }
     }
 }
@@ -1040,5 +1005,34 @@ mod tests {
         let e_bc = launch(&k, &mut b1, &GpuModel::default()).unwrap_err();
         let e_tw = launch_tree_walk(&k, &mut b2, &GpuModel::default()).unwrap_err();
         assert_eq!(e_bc, e_tw);
+    }
+
+    #[test]
+    fn inactive_lanes_never_trap_on_either_executor() {
+        // if 1 <= tx { y[tx] = f32(abs(select(tx == 0, i64::MIN, tx)) % 1000) }:
+        // lane 0 is inactive but holds i64::MIN, whose `abs` overflows
+        // (a panic under overflow checks) unless it is masked.
+        let mut p = Program::new();
+        let y = p.buffer("y", 32);
+        let tx = p.var("tx");
+        let v = Expr::abs(Expr::select(
+            Expr::eq(Expr::var(tx), Expr::i64(0)),
+            Expr::i64(i64::MIN),
+            Expr::var(tx),
+        ));
+        p.push(Stmt::if_then(
+            Expr::le(Expr::i64(1), Expr::var(tx)),
+            vec![Stmt::store(y, Expr::var(tx), Expr::to_f32(v % Expr::i64(1000)))],
+        ));
+        let mut k = Kernel::new(p, [1, 1], [32, 1]);
+        k.thread_vars[0] = Some(tx);
+        let mut b_bc = alloc_buffers(&k);
+        let mut b_tw = alloc_buffers(&k);
+        launch(&k, &mut b_bc, &GpuModel::default()).unwrap();
+        launch_tree_walk(&k, &mut b_tw, &GpuModel::default()).unwrap();
+        let bits = |b: &[f32]| b.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&b_bc[0]), bits(&b_tw[0]));
+        assert_eq!(b_bc[0][0], 0.0);
+        assert_eq!(b_bc[0][31], 31.0);
     }
 }

@@ -181,7 +181,8 @@ struct Lanes {
     redefined: Vec<bool>,
     /// Shape per register defined so far in the current chunk; `None` for
     /// registers defined outside it (the static mirror of the
-    /// interpreter's `vset` flags — chunks are straight-line).
+    /// interpreter's per-chunk broadcast of outside registers — chunks
+    /// are straight-line).
     i: Vec<Option<Shape>>,
     f: Vec<Option<Shape>>,
     /// The trailing-zero bound of lane 0, per i-register defined so far in

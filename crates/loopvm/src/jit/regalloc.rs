@@ -410,8 +410,8 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, pins: &Pins) -> Option
 
     // Registers defined inside a vectorized chunk but read outside the
     // chunk context read their *scalar* home, which chunk code never
-    // writes; the interpreter has the same split (vector register file vs
-    // scalar file) and resolves it dynamically via `vset`. Supporting
+    // writes; the interpreter has the same split (lane register files vs
+    // scalar file) and resolves it per chunk. Supporting
     // that would need per-use context tracking — fall back instead. Uses
     // *inside* the loop (including the scalar remainder) are fine: the
     // remainder writes scalar homes.

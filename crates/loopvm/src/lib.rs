@@ -57,7 +57,7 @@ pub mod simt;
 pub mod vm;
 
 pub use bytecode::{BcProgram, InstClassCounts, OptStats};
-pub use cost::{CacheCfg, CacheSim, CostModel};
+pub use cost::CostModel;
 pub use expr::{BinOp, Expr, Ty, UnOp, Var};
 pub use program::{BufId, Compiled, LoopKind, Program, Stmt};
 pub use simt::{exec_warp, WarpHost};

@@ -1,15 +1,32 @@
-//! Warp-level (SIMT) execution of the optimized register bytecode.
+//! Lane execution of the optimized register bytecode: GPU warps and CPU
+//! `Vectorize` chunks.
 //!
-//! The GPU simulator executes one statement stream for a whole warp of
-//! lanes at once: every value is a lane vector (`[i64; W]` / `[f32; W]`)
-//! and an *active mask* says which lanes a statement applies to. This
-//! module runs a [`BcProgram`] under those semantics so the GPU path gets
-//! the same const-folding/CSE/LICM wins as the CPU path — per-warp work
-//! drops from O(tree nodes) to O(instructions) — while memory pricing,
-//! bounds checking and divergence accounting stay with the simulator,
-//! behind the [`WarpHost`] trait.
+//! A lane group executes one statement stream for `W` lanes at once:
+//! every value is a lane vector (`[i64; W]` / `[f32; W]`) and an *active
+//! mask* says which lanes a statement applies to. This module is the only
+//! lane executor of a [`BcProgram`]. The GPU simulator runs each warp
+//! through [`exec_warp`] (`W = 32`, per-warp masks), so kernels get the
+//! same const-folding/CSE/LICM wins as the CPU path — per-warp work drops
+//! from O(tree nodes) to O(instructions). The CPU interpreter
+//! (`crate::vm`) runs each full 8-lane chunk of a `Vectorize` loop —
+//! its preamble and flat store/let body — through `run_insts` and
+//! `exec_block` at full mask. Memory, bounds checking, pricing and
+//! divergence accounting stay with the caller, behind the [`WarpHost`]
+//! trait.
+//!
+//! Register files and the variable frame belong to the caller, which
+//! keeps them across calls; whatever a previous warp or chunk left in
+//! them is never observable, because active lanes write a register before
+//! they read it and inactive lanes are never stored.
 //!
 //! # Masking rules (differential contract with the tree-walk reference)
+//!
+//! At full mask — every CPU chunk, and every warp away from boundary
+//! blocks and divergent branches — the rules below reduce to "every
+//! instruction runs on every lane, in lane order", which is what the
+//! scalar interpreter's per-iteration semantics need: the first lane
+//! whose access fails reports the error, and lanes before it have
+//! already been stored.
 //!
 //! The tree-walk executor in `gpusim` evaluates most operations on *all*
 //! lanes and masks only the points where garbage could become observable:
@@ -77,14 +94,18 @@ pub trait WarpHost<const W: usize> {
     fn divergence(&mut self);
 }
 
-struct WarpCtx<'a, const W: usize, H: WarpHost<W>> {
-    ir: Vec<[i64; W]>,
-    fr: Vec<[f32; W]>,
-    vars: &'a mut [[i64; W]],
-    host: &'a mut H,
-    /// Instruction-class profile, when [`exec_warp`] was handed one (one
-    /// count per warp dispatch).
-    classes: Option<&'a mut InstClassCounts>,
+/// One lane group's execution state. Every file is borrowed from the
+/// caller, which keeps it across warps, phases and chunks.
+pub(crate) struct WarpCtx<'a, const W: usize, H: WarpHost<W>> {
+    /// Lane register files, at least `n_iregs`/`n_fregs` long.
+    pub(crate) ir: &'a mut [[i64; W]],
+    pub(crate) fr: &'a mut [[f32; W]],
+    /// Lane variable frame: `ReadVar` reads it, `let` and `for` write it.
+    pub(crate) vars: &'a mut [[i64; W]],
+    pub(crate) host: &'a mut H,
+    /// Instruction-class profile, when the caller keeps one (one count per
+    /// lane-group dispatch).
+    pub(crate) classes: Option<&'a mut InstClassCounts>,
 }
 
 /// `regs[dst][l] = f(regs[a][l], regs[b][l])` for every lane, without
@@ -92,7 +113,7 @@ struct WarpCtx<'a, const W: usize, H: WarpHost<W>> {
 /// loop of the warp executor).
 ///
 /// SAFETY invariants, asserted below: all three indices are in bounds
-/// (the bytecode compiler allocates registers densely and `exec_warp`
+/// (the bytecode compiler allocates registers densely and every caller
 /// sizes the files from `n_iregs`/`n_fregs`). `dst` may alias `a`/`b`:
 /// each lane reads both sources before writing the destination lane, so
 /// the aliased case degrades to an in-place update, never a torn read.
@@ -160,14 +181,18 @@ fn un_lanes<T: Copy, const W: usize>(
 
 /// Executes an optimized program for one warp.
 ///
-/// `vars` is the caller-owned variable frame (one lane vector per
-/// program variable); it persists across calls so multi-phase kernels
-/// keep loop-variable state between barrier-delimited phases, exactly
-/// like the tree-walk reference. `mask` is the warp's entry mask (lanes
-/// beyond the launch extent are inactive). With `classes`, every
-/// dispatched instruction is additionally tallied by class (one count per
-/// warp dispatch, the same granularity as [`WarpHost::issue`]); the GPU
-/// simulator passes it when `TIRAMISU_PROFILE` is on.
+/// `ir`/`fr` are the caller's lane register files, reused from call to
+/// call: they only grow, to the largest program they have served, so a
+/// caller that keeps them across warps and phases allocates them once.
+/// `vars` is the caller-owned variable frame (one
+/// lane vector per program variable); it persists across calls so
+/// multi-phase kernels keep loop-variable state between barrier-delimited
+/// phases, exactly like the tree-walk reference. `mask` is the warp's
+/// entry mask (lanes beyond the launch extent are inactive). With
+/// `classes`, every dispatched instruction is additionally tallied by
+/// class (one count per warp dispatch, the same granularity as
+/// [`WarpHost::issue`]); the GPU simulator passes it when
+/// `TIRAMISU_PROFILE` is on.
 ///
 /// # Errors
 ///
@@ -180,23 +205,27 @@ fn un_lanes<T: Copy, const W: usize>(
 /// an *active* lane panics, exactly as the tree-walk reference does.
 pub fn exec_warp<const W: usize, H: WarpHost<W>>(
     bc: &BcProgram,
+    ir: &mut Vec<[i64; W]>,
+    fr: &mut Vec<[f32; W]>,
     vars: &mut [[i64; W]],
     mask: &[bool; W],
     host: &mut H,
     classes: Option<&mut InstClassCounts>,
 ) -> Result<()> {
-    let mut ctx = WarpCtx {
-        ir: vec![[0i64; W]; bc.n_iregs as usize],
-        fr: vec![[0f32; W]; bc.n_fregs as usize],
-        vars,
-        host,
-        classes,
-    };
+    if ir.len() < bc.n_iregs as usize {
+        ir.resize(bc.n_iregs as usize, [0; W]);
+    }
+    if fr.len() < bc.n_fregs as usize {
+        fr.resize(bc.n_fregs as usize, [0.0; W]);
+    }
+    let mut ctx = WarpCtx { ir, fr, vars, host, classes };
     run_insts(&bc.prologue, mask, &mut ctx)?;
     exec_block(&bc.body, mask, &mut ctx)
 }
 
-fn run_insts<const W: usize, H: WarpHost<W>>(
+/// Runs straight-line instructions under `mask` (a prologue, preamble,
+/// bound or statement block).
+pub(crate) fn run_insts<const W: usize, H: WarpHost<W>>(
     insts: &[Inst],
     mask: &[bool; W],
     ctx: &mut WarpCtx<'_, W, H>,
@@ -220,18 +249,18 @@ fn run_insts<const W: usize, H: WarpHost<W>>(
             Inst::BinI { dst, op, a, b } => {
                 let (dst, a, b) = (dst as usize, a as usize, b as usize);
                 if full {
-                    bin_lanes(&mut ctx.ir, dst, a, b, |x, y| apply_i(op, x, y));
+                    bin_lanes(ctx.ir, dst, a, b, |x, y| apply_i(op, x, y));
                 } else {
-                    bin_lanes_masked(&mut ctx.ir, dst, a, b, mask, |x, y| apply_i(op, x, y));
+                    bin_lanes_masked(ctx.ir, dst, a, b, mask, |x, y| apply_i(op, x, y));
                 }
             }
             Inst::BinF { dst, op, a, b } => {
-                bin_lanes(&mut ctx.fr, dst as usize, a as usize, b as usize, |x, y| {
+                bin_lanes(ctx.fr, dst as usize, a as usize, b as usize, |x, y| {
                     apply_f(op, x, y)
                 });
             }
             Inst::CmpI { dst, op, a, b } => {
-                bin_lanes(&mut ctx.ir, dst as usize, a as usize, b as usize, |x, y| {
+                bin_lanes(ctx.ir, dst as usize, a as usize, b as usize, |x, y| {
                     cmp_i(op, x, y)
                 });
             }
@@ -248,15 +277,15 @@ fn run_insts<const W: usize, H: WarpHost<W>>(
                 // active lanes so garbage in inactive lanes never traps.
                 let trapping = matches!(op, UnOp::Neg | UnOp::Abs);
                 if full || !trapping {
-                    un_lanes(&mut ctx.ir, dst as usize, a as usize, |x| apply_un_i(op, x));
+                    un_lanes(ctx.ir, dst as usize, a as usize, |x| apply_un_i(op, x));
                 } else {
-                    bin_lanes_masked(&mut ctx.ir, dst as usize, a as usize, a as usize, mask, |x, _| {
+                    bin_lanes_masked(ctx.ir, dst as usize, a as usize, a as usize, mask, |x, _| {
                         apply_un_i(op, x)
                     });
                 }
             }
             Inst::UnF { dst, op, a } => {
-                un_lanes(&mut ctx.fr, dst as usize, a as usize, |x| apply_un_f(op, x));
+                un_lanes(ctx.fr, dst as usize, a as usize, |x| apply_un_f(op, x));
             }
             Inst::SelI { dst, c, a, b } => {
                 // Selects are rare (boundary clamps), so a copy-based
@@ -300,7 +329,8 @@ fn run_insts<const W: usize, H: WarpHost<W>>(
     Ok(())
 }
 
-fn exec_block<const W: usize, H: WarpHost<W>>(
+/// Runs a statement block under `mask`.
+pub(crate) fn exec_block<const W: usize, H: WarpHost<W>>(
     body: &[BcStmt],
     mask: &[bool; W],
     ctx: &mut WarpCtx<'_, W, H>,

@@ -27,13 +27,17 @@
 //! *compiler's* responsibility, exactly as with real parallel codegen; and
 //! **vector** ([`LoopKind::Vectorize`]), the body evaluated over lanes of
 //! [`LANES`] iterations at once, amortizing interpreter dispatch the way
-//! SIMD amortizes instruction issue. The scalar semantics every tier must
-//! reproduce bit for bit are the `apply_*`/`cmp_*` functions below.
+//! SIMD amortizes instruction issue. The tree-walk evaluates its lanes
+//! itself, because it prices them; the bytecode interpreter hands each
+//! chunk to [`crate::simt`], the lane executor GPU warps run on, at full
+//! mask. The scalar semantics every tier must reproduce bit for bit are
+//! the `apply_*`/`cmp_*` functions below.
 
-use crate::bytecode::{BCode, BcProgram, BcStmt, Inst, InstClassCounts};
+use crate::bytecode::{BCode, BcProgram, BcStmt, File, Inst, InstClassCounts, Reg};
 use crate::cost::{CacheSim, CostModel};
 use crate::expr::{BinOp, Expr, Ty, UnOp};
 use crate::program::{BufId, LoopKind, Program, Stmt};
+use crate::simt::{self, WarpHost};
 use crate::{Error, Result};
 use std::cell::UnsafeCell;
 
@@ -52,7 +56,7 @@ pub struct RunStats {
     pub flops: u64,
     /// Loop iterations entered (all levels).
     pub iterations: u64,
-    /// Modeled execution cycles under the machine's [`CostModel`]:
+    /// Modeled execution cycles under the default [`CostModel`]:
     /// arithmetic dispatch + cache-simulated memory costs, with `parallel`
     /// loop bodies divided by the modeled core count and vector operations
     /// amortized per lane group.
@@ -412,7 +416,6 @@ impl ExecMode {
 pub struct Machine {
     bufs: Vec<SharedBuf>,
     threads: usize,
-    cost: CostModel,
     bases: Vec<u64>,
     mode: ExecMode,
     /// Values [`Machine::bind`] put into every run's variable frame.
@@ -485,7 +488,6 @@ impl Machine {
         Machine {
             bufs,
             threads: default_threads(),
-            cost: CostModel::default(),
             bases,
             mode: default_exec_mode(),
             bindings: Vec::new(),
@@ -509,16 +511,6 @@ impl Machine {
             frame[v.index()] = *val;
         }
         frame
-    }
-
-    /// Sets the cost model used by [`Machine::run_with_stats`].
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = cost;
-    }
-
-    /// The current cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     /// Overrides the worker thread count used by parallel loops.
@@ -642,10 +634,7 @@ impl Machine {
             frame: self.frame(bc.n_vars),
             ir: vec![0i64; bc.n_iregs as usize],
             fr: vec![0f32; bc.n_fregs as usize],
-            vir: vec![[0i64; LANES]; bc.n_iregs as usize],
-            vfr: vec![[0f32; LANES]; bc.n_fregs as usize],
-            vset: vec![false; bc.n_iregs as usize],
-            vfset: vec![false; bc.n_fregs as usize],
+            lanes: Lanes::new(bc.n_iregs as usize, bc.n_fregs as usize, bc.n_vars),
             prof: telemetry::profile_enabled().then(Box::<BcProf>::default),
         };
         let r = bc_run_insts(&bc.prologue, &mut ctx)
@@ -679,7 +668,7 @@ impl Machine {
             vistack: Vec::with_capacity(16),
             vfstack: Vec::with_capacity(16),
             stats: RunStats::default(),
-            cache: CacheSim::new(self.cost),
+            cache: CacheSim::new(CostModel::default()),
             parallel_depth: 0,
         };
         exec_block::<STATS>(&compiled, &mut ctx)?;
@@ -1286,20 +1275,15 @@ pub fn eval_scalar(e: &Expr, bindings: &[(crate::expr::Var, i64)]) -> Result<i64
 // Register-bytecode execution (the optimized fast path)
 // ---------------------------------------------------------------------------
 
-/// Execution context for the register bytecode: two scalar register
-/// files, a lane-vector shadow of each (used inside vectorized loops),
-/// and the variable frame.
+/// Execution context for the register bytecode: the variable frame, two
+/// scalar register files, and the lane state vectorized loops run on.
 struct BcCtx<'a> {
     bufs: &'a [SharedBuf],
     threads: usize,
     frame: Vec<i64>,
     ir: Vec<i64>,
     fr: Vec<f32>,
-    /// Lane-vector shadows: `vir[r]` is meaningful iff `vset[r]`.
-    vir: Vec<[i64; LANES]>,
-    vfr: Vec<[f32; LANES]>,
-    vset: Vec<bool>,
-    vfset: Vec<bool>,
+    lanes: Lanes,
     /// Bytecode profile, present only under `TIRAMISU_PROFILE` — the off
     /// path pays one `Option` check per statement block, never an
     /// allocation.
@@ -1472,7 +1456,7 @@ fn bc_exec_stmt(s: &BcStmt, ctx: &mut BcCtx<'_>) -> Result<()> {
                     bc_exec_parallel(*var, lo, hi, preamble, body, ctx)
                 }
                 LoopKind::Vectorize(_) if bc_body_vectorizable(body) => {
-                    bc_exec_vector(*var, lo, hi, preamble, body, ctx)
+                    bc_exec_vector(s, lo, hi, ctx)
                 }
                 _ => {
                     for v in lo..hi {
@@ -1518,10 +1502,7 @@ fn bc_exec_parallel(
             frame: frame_proto.clone(),
             ir: ir_proto.clone(),
             fr: fr_proto.clone(),
-            vir: vec![[0i64; LANES]; ir_proto.len()],
-            vfr: vec![[0f32; LANES]; fr_proto.len()],
-            vset: vec![false; ir_proto.len()],
-            vfset: vec![false; fr_proto.len()],
+            lanes: Lanes::new(ir_proto.len(), fr_proto.len(), frame_proto.len()),
             // Workers profile into a private state merged into the
             // parent after the join.
             prof: profiled.then(Box::<BcProf>::default),
@@ -1560,22 +1541,23 @@ pub(crate) fn bc_body_vectorizable(body: &[BcStmt]) -> bool {
     body.iter().all(|s| matches!(s, BcStmt::Store { .. } | BcStmt::Let { .. }))
 }
 
-fn bc_exec_vector(
-    var: u32,
-    lo: i64,
-    hi: i64,
-    preamble: &[Inst],
-    body: &[BcStmt],
-    ctx: &mut BcCtx<'_>,
-) -> Result<()> {
+/// Runs a vectorizable `For` over `lo..hi`: full lane groups through
+/// [`simt`], then the scalar remainder.
+fn bc_exec_vector(s: &BcStmt, lo: i64, hi: i64, ctx: &mut BcCtx<'_>) -> Result<()> {
+    let BcStmt::For { var, preamble, body, .. } = s else {
+        unreachable!("called on vectorizable loops")
+    };
     let mut v = lo;
-    while v + (LANES as i64) <= hi {
-        bc_exec_vector_chunk(var, v, preamble, body, ctx)?;
-        v += LANES as i64;
+    if v + (LANES as i64) <= hi {
+        let reads = ctx.lanes.reads_of(s, preamble, body);
+        while v + (LANES as i64) <= hi {
+            bc_exec_chunk(*var, v, reads, preamble, body, ctx)?;
+            v += LANES as i64;
+        }
     }
     // Scalar remainder (writes the frame, like the tree-walk remainder).
     while v < hi {
-        ctx.frame[var as usize] = v;
+        ctx.frame[*var as usize] = v;
         bc_run_insts(preamble, ctx)?;
         bc_exec_block(body, ctx)?;
         v += 1;
@@ -1583,207 +1565,162 @@ fn bc_exec_vector(
     Ok(())
 }
 
-/// Runs one lane group: the preamble and the flat store/let body evaluate
-/// lane-wise; registers written here are lane-vectors (`vset`), registers
-/// from outer scopes broadcast their scalar value. Like the tree-walk's
-/// overlay, lets do not write the scalar frame.
-fn bc_exec_vector_chunk(
+/// The active mask of a CPU chunk: every lane.
+const FULL: [bool; LANES] = [true; LANES];
+
+/// Runs one lane group — the iterations `base..base + LANES` — through
+/// [`simt`] at full mask, after broadcasting what the chunk reads from
+/// outside itself (`Lanes::reads[reads]`) and writing the loop variable's
+/// lanes. Chunks write only lanes: like the tree-walk's overlay, lets
+/// never reach the scalar frame, so they carry neither into the next
+/// chunk nor into the scalar remainder.
+fn bc_exec_chunk(
     var: u32,
     base: i64,
+    reads: usize,
     preamble: &[Inst],
     body: &[BcStmt],
     ctx: &mut BcCtx<'_>,
 ) -> Result<()> {
-    for f in ctx.vset.iter_mut() {
-        *f = false;
+    let BcCtx { bufs, frame, ir, fr, lanes, prof, .. } = ctx;
+    let Lanes { ir: lane_ir, fr: lane_fr, vars, reads: all_reads } = lanes;
+    let reads = &all_reads[reads];
+    for &(file, r) in &reads.regs {
+        let r = r as usize;
+        match file {
+            File::I => lane_ir[r] = [ir[r]; LANES],
+            File::F => lane_fr[r] = [fr[r]; LANES],
+        }
     }
-    for f in ctx.vfset.iter_mut() {
-        *f = false;
+    for &v in &reads.vars {
+        vars[v as usize] = [frame[v as usize]; LANES];
     }
-    bc_run_vector_insts(preamble, var, base, ctx)?;
-    for s in body {
-        match s {
-            BcStmt::Let { code, .. } => {
-                bc_run_vector_insts(code, var, base, ctx)?;
-                // Reads of the let variable resolve to its register at
-                // compile time; the scalar frame is left untouched.
+    vars[var as usize] = std::array::from_fn(|l| base + l as i64);
+    let mut host = CpuHost { bufs };
+    let mut w = simt::WarpCtx {
+        ir: lane_ir,
+        fr: lane_fr,
+        vars,
+        host: &mut host,
+        classes: prof.as_deref_mut().map(|p| &mut p.classes),
+    };
+    simt::run_insts(preamble, &FULL, &mut w)?;
+    simt::exec_block(body, &FULL, &mut w)
+}
+
+/// The lane state CPU chunks run on: lane register files, a lane
+/// variable frame and each vectorized loop's [`ChunkReads`], allocated
+/// once per run (once per parallel worker), never per chunk.
+struct Lanes {
+    ir: Vec<[i64; LANES]>,
+    fr: Vec<[f32; LANES]>,
+    vars: Vec<[i64; LANES]>,
+    reads: Vec<ChunkReads>,
+}
+
+/// What one vectorized loop's chunks read from outside themselves: the
+/// values every chunk starts by broadcasting from the scalar state.
+struct ChunkReads {
+    /// The loop statement (the key: one run executes one program).
+    at: *const BcStmt,
+    /// Registers a chunk reads before it defines them — values from
+    /// outside the chunk, which never writes them.
+    regs: Vec<(File, Reg)>,
+    /// Frame slots a chunk reads. `let` targets are among them, so every
+    /// chunk reads their pre-loop value: lets never carry between chunks.
+    vars: Vec<u32>,
+}
+
+impl Lanes {
+    fn new(n_iregs: usize, n_fregs: usize, n_vars: usize) -> Lanes {
+        Lanes {
+            ir: vec![[0; LANES]; n_iregs],
+            fr: vec![[0.0; LANES]; n_fregs],
+            vars: vec![[0; LANES]; n_vars],
+            reads: Vec::new(),
+        }
+    }
+
+    /// The index of loop `s`'s [`ChunkReads`], found by one walk of its
+    /// chunk code in execution order the first time this run needs it.
+    fn reads_of(&mut self, s: &BcStmt, preamble: &[Inst], body: &[BcStmt]) -> usize {
+        if let Some(k) = self.reads.iter().position(|c| std::ptr::eq(c.at, s)) {
+            return k;
+        }
+        let n_iregs = self.ir.len();
+        let (mut regs, mut vars) = (Vec::new(), Vec::new());
+        // Whether a register has appeared yet (`i` file, then `f` file):
+        // one whose first appearance is a read comes from outside.
+        let mut seen = vec![false; n_iregs + self.fr.len()];
+        let mut appear = |(file, r): (File, Reg), read: bool| {
+            let k = r as usize + if file == File::F { n_iregs } else { 0 };
+            if !std::mem::replace(&mut seen[k], true) && read {
+                regs.push((file, r));
             }
-            BcStmt::Store { code, buf, idx, val } => {
-                bc_run_vector_insts(code, var, base, ctx)?;
-                let idxs = read_vi(ctx, *idx);
-                let vals = read_vf(ctx, *val);
-                let b = &ctx.bufs[*buf as usize];
-                for l in 0..LANES {
-                    b.set(idxs[l], vals[l])?;
-                }
+        };
+        let stmts = body.iter().map(|s| match s {
+            BcStmt::Store { code, idx, val, .. } => {
+                (&code[..], [Some((File::I, *idx)), Some((File::F, *val))])
             }
+            BcStmt::Let { code, reg, .. } => (&code[..], [Some((File::I, *reg)), None]),
             _ => unreachable!("checked by bc_body_vectorizable"),
-        }
-    }
-    Ok(())
-}
-
-fn read_vi(ctx: &BcCtx<'_>, r: u16) -> [i64; LANES] {
-    if ctx.vset[r as usize] {
-        ctx.vir[r as usize]
-    } else {
-        [ctx.ir[r as usize]; LANES]
-    }
-}
-
-fn read_vf(ctx: &BcCtx<'_>, r: u16) -> [f32; LANES] {
-    if ctx.vfset[r as usize] {
-        ctx.vfr[r as usize]
-    } else {
-        [ctx.fr[r as usize]; LANES]
-    }
-}
-
-fn bc_run_vector_insts(
-    insts: &[Inst],
-    loop_var: u32,
-    base: i64,
-    ctx: &mut BcCtx<'_>,
-) -> Result<()> {
-    // One count per lane-group dispatch, mirroring how the vector path
-    // amortizes interpretation.
-    if let Some(p) = ctx.prof.as_deref_mut() {
-        p.classes.count(insts);
-    }
-    for inst in insts {
-        match *inst {
-            Inst::ConstI { dst, v } => {
-                ctx.vir[dst as usize] = [v; LANES];
-                ctx.vset[dst as usize] = true;
-            }
-            Inst::ConstF { dst, v } => {
-                ctx.vfr[dst as usize] = [v; LANES];
-                ctx.vfset[dst as usize] = true;
-            }
-            Inst::ReadVar { dst, var } => {
-                let out = if var == loop_var {
-                    let mut lanes = [0i64; LANES];
-                    for (l, lane) in lanes.iter_mut().enumerate() {
-                        *lane = base + l as i64;
+        });
+        for (code, stmt_reads) in std::iter::once((preamble, [None, None])).chain(stmts) {
+            for inst in code {
+                for src in inst.srcs().into_iter().flatten() {
+                    appear(src, true);
+                }
+                appear(inst.dst(), false);
+                if let Inst::ReadVar { var, .. } = *inst {
+                    if !vars.contains(&var) {
+                        vars.push(var);
                     }
-                    lanes
-                } else {
-                    [ctx.frame[var as usize]; LANES]
-                };
-                ctx.vir[dst as usize] = out;
-                ctx.vset[dst as usize] = true;
-            }
-            Inst::Load { dst, buf, idx } => {
-                let idxs = read_vi(ctx, idx);
-                let mut out = [0f32; LANES];
-                let b = &ctx.bufs[buf as usize];
-                for l in 0..LANES {
-                    out[l] = b.get(idxs[l])?;
                 }
-                ctx.vfr[dst as usize] = out;
-                ctx.vfset[dst as usize] = true;
             }
-            Inst::BinI { dst, op, a, b } => {
-                let x = read_vi(ctx, a);
-                let y = read_vi(ctx, b);
-                let mut out = [0i64; LANES];
-                for l in 0..LANES {
-                    out[l] = apply_i(op, x[l], y[l]);
-                }
-                ctx.vir[dst as usize] = out;
-                ctx.vset[dst as usize] = true;
-            }
-            Inst::BinF { dst, op, a, b } => {
-                let x = read_vf(ctx, a);
-                let y = read_vf(ctx, b);
-                let mut out = [0f32; LANES];
-                for l in 0..LANES {
-                    out[l] = apply_f(op, x[l], y[l]);
-                }
-                ctx.vfr[dst as usize] = out;
-                ctx.vfset[dst as usize] = true;
-            }
-            Inst::CmpI { dst, op, a, b } => {
-                let x = read_vi(ctx, a);
-                let y = read_vi(ctx, b);
-                let mut out = [0i64; LANES];
-                for l in 0..LANES {
-                    out[l] = cmp_i(op, x[l], y[l]);
-                }
-                ctx.vir[dst as usize] = out;
-                ctx.vset[dst as usize] = true;
-            }
-            Inst::CmpF { dst, op, a, b } => {
-                let x = read_vf(ctx, a);
-                let y = read_vf(ctx, b);
-                let mut out = [0i64; LANES];
-                for l in 0..LANES {
-                    out[l] = cmp_f(op, x[l], y[l]);
-                }
-                ctx.vir[dst as usize] = out;
-                ctx.vset[dst as usize] = true;
-            }
-            Inst::UnI { dst, op, a } => {
-                let x = read_vi(ctx, a);
-                let mut out = [0i64; LANES];
-                for l in 0..LANES {
-                    out[l] = apply_un_i(op, x[l]);
-                }
-                ctx.vir[dst as usize] = out;
-                ctx.vset[dst as usize] = true;
-            }
-            Inst::UnF { dst, op, a } => {
-                let x = read_vf(ctx, a);
-                let mut out = [0f32; LANES];
-                for l in 0..LANES {
-                    out[l] = apply_un_f(op, x[l]);
-                }
-                ctx.vfr[dst as usize] = out;
-                ctx.vfset[dst as usize] = true;
-            }
-            Inst::SelI { dst, c, a, b } => {
-                let cs = read_vi(ctx, c);
-                let x = read_vi(ctx, a);
-                let y = read_vi(ctx, b);
-                let mut out = [0i64; LANES];
-                for l in 0..LANES {
-                    out[l] = if cs[l] != 0 { x[l] } else { y[l] };
-                }
-                ctx.vir[dst as usize] = out;
-                ctx.vset[dst as usize] = true;
-            }
-            Inst::SelF { dst, c, a, b } => {
-                let cs = read_vi(ctx, c);
-                let x = read_vf(ctx, a);
-                let y = read_vf(ctx, b);
-                let mut out = [0f32; LANES];
-                for l in 0..LANES {
-                    out[l] = if cs[l] != 0 { x[l] } else { y[l] };
-                }
-                ctx.vfr[dst as usize] = out;
-                ctx.vfset[dst as usize] = true;
-            }
-            Inst::CastIF { dst, a } => {
-                let x = read_vi(ctx, a);
-                let mut out = [0f32; LANES];
-                for l in 0..LANES {
-                    out[l] = x[l] as f32;
-                }
-                ctx.vfr[dst as usize] = out;
-                ctx.vfset[dst as usize] = true;
-            }
-            Inst::CastFI { dst, a } => {
-                let x = read_vf(ctx, a);
-                let mut out = [0i64; LANES];
-                for l in 0..LANES {
-                    out[l] = x[l] as i64;
-                }
-                ctx.vir[dst as usize] = out;
-                ctx.vset[dst as usize] = true;
+            for src in stmt_reads.into_iter().flatten() {
+                appear(src, true);
             }
         }
+        self.reads.push(ChunkReads { at: s, regs, vars });
+        self.reads.len() - 1
     }
-    Ok(())
+}
+
+/// The CPU's [`WarpHost`]: a chunk's loads and stores go lane by lane to
+/// the machine's buffers, so the first failing lane reports the error and
+/// the lanes before it stay stored, exactly as the scalar iterations
+/// would; issue and divergence cost nothing.
+struct CpuHost<'a> {
+    bufs: &'a [SharedBuf],
+}
+
+impl WarpHost<LANES> for CpuHost<'_> {
+    fn issue(&mut self) {}
+
+    fn load(&mut self, buf: u32, idx: &[i64; LANES], mask: &[bool; LANES]) -> Result<[f32; LANES]> {
+        let b = &self.bufs[buf as usize];
+        let mut out = [0.0; LANES];
+        for l in (0..LANES).filter(|&l| mask[l]) {
+            out[l] = b.get(idx[l])?;
+        }
+        Ok(out)
+    }
+
+    fn store(
+        &mut self,
+        buf: u32,
+        idx: &[i64; LANES],
+        val: &[f32; LANES],
+        mask: &[bool; LANES],
+    ) -> Result<()> {
+        let b = &self.bufs[buf as usize];
+        for l in (0..LANES).filter(|&l| mask[l]) {
+            b.set(idx[l], val[l])?;
+        }
+        Ok(())
+    }
+
+    fn divergence(&mut self) {}
 }
 
 /// Modeled cost of a vector memory operation: lane addresses go through

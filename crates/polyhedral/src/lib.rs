@@ -14,7 +14,8 @@
 //! - map algebra: application, composition, inversion, domain/range,
 //! - lexicographic-order relations (used to order computations in Layer II
 //!   and to check transformation legality),
-//! - polyhedral dependence analysis ([`deps`]),
+//! - dependence tests under a schedule ([`deps`]: is every pair still
+//!   ordered, does a loop carry one),
 //! - Cloog-style AST generation ([`astgen`]): scanning a union of scheduled
 //!   domains with nested loops, once and only once, in lexicographic order.
 //!
@@ -42,9 +43,7 @@ pub mod space;
 
 pub use aff::{Aff, Constraint, ConstraintKind};
 pub use astgen::{build_ast, interpret, AstBuild, AstExpr, AstNode, QAff, ScheduledStmt};
-pub use deps::{
-    compute_dependences, compute_flow, is_respected, Access, Dependence, DependenceKind,
-};
+pub use deps::is_respected;
 pub use map::{BasicMap, Map};
 pub use set::{BasicSet, Set};
 pub use space::{MapSpace, Space};

@@ -22,7 +22,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicI8, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default events retained per thread (~64 bytes each).
+/// Events retained per thread (~64 bytes each) unless a test overrides it
+/// with [`set_ring_capacity`].
 pub const DEFAULT_RING_CAPACITY: usize = 256;
 
 /// Total dump files one process may write (guards against a failure
@@ -67,26 +68,16 @@ pub fn set_flight(on: Option<bool>) {
 // Per-thread rings
 // ---------------------------------------------------------------------------
 
-/// Capacity for rings created after this point; 0 = not yet resolved
-/// (first ring reads `TIRAMISU_FLIGHT_CAPACITY` or the default).
-static CAPACITY: AtomicUsize = AtomicUsize::new(0);
+/// Capacity for rings created after this point.
+static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 
 fn ring_capacity() -> usize {
-    let c = CAPACITY.load(Ordering::Relaxed);
-    if c != 0 {
-        return c;
-    }
-    let c = std::env::var("TIRAMISU_FLIGHT_CAPACITY")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(DEFAULT_RING_CAPACITY);
-    CAPACITY.store(c, Ordering::Relaxed);
-    c
+    CAPACITY.load(Ordering::Relaxed)
 }
 
 /// Overrides the capacity of rings created from now on (existing rings
-/// keep theirs). Test hook; production uses `TIRAMISU_FLIGHT_CAPACITY`.
+/// keep theirs; `0` clamps to `1`). A test hook: every ring otherwise
+/// holds [`DEFAULT_RING_CAPACITY`] events.
 pub fn set_ring_capacity(n: usize) {
     CAPACITY.store(n.max(1), Ordering::Relaxed);
 }

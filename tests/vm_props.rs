@@ -3,7 +3,7 @@
 //! programs, and the compiler's generated code must agree with a direct
 //! interpreter of random scheduled computations.
 
-use loopvm::{Expr as V, LoopKind, Machine, Program, Stmt};
+use loopvm::{ExecMode, Expr as V, LoopKind, Machine, Program, Stmt};
 use proptest::prelude::*;
 
 /// `loopvm::opt` emits SSA: the artifact decoder, which rejects a register
@@ -405,13 +405,15 @@ proptest! {
 // such reads through the frame, not a stale outer register.
 // ---------------------------------------------------------------------------
 
-fn run_program(p: &Program, out: loopvm::BufId, tree_walk: bool, threads: usize) -> Vec<f32> {
+/// Every tier, named explicitly: the machine's default depends on the
+/// host (`Jit` on x86-64), and the bytecode interpreter must run here too.
+const TIERS: [ExecMode; 3] = [ExecMode::TreeWalk, ExecMode::Bytecode, ExecMode::Jit];
+
+fn run_program(p: &Program, out: loopvm::BufId, mode: ExecMode, threads: usize) -> Vec<f32> {
     assert_bytecode_roundtrips(p);
     let mut m = Machine::new(p);
     m.set_threads(threads);
-    if tree_walk {
-        m.set_exec_mode(loopvm::ExecMode::TreeWalk);
-    }
+    m.set_exec_mode(mode);
     m.run(p).unwrap();
     m.buffer(out).to_vec()
 }
@@ -435,8 +437,9 @@ fn loop_carried_let_reads_previous_iteration() {
         ],
     ));
     let expect = vec![6.0, 7.0, 8.0, 9.0];
-    assert_eq!(run_program(&p, out, true, 1), expect, "tree-walk");
-    assert_eq!(run_program(&p, out, false, 1), expect, "bytecode");
+    for mode in TIERS {
+        assert_eq!(run_program(&p, out, mode, 1), expect, "{mode:?}");
+    }
 }
 
 /// Loop-carried rebinding through an `if` arm, and through a nested inner
@@ -462,8 +465,9 @@ fn loop_carried_let_through_if_and_nested_loop() {
         ],
     ));
     let expect = vec![0.0, 0.0, 2.0, 2.0, 6.0, 6.0];
-    assert_eq!(run_program(&p, out, true, 1), expect, "tree-walk");
-    assert_eq!(run_program(&p, out, false, 1), expect, "bytecode");
+    for mode in TIERS {
+        assert_eq!(run_program(&p, out, mode, 1), expect, "{mode:?}");
+    }
 
     // let s = 0; for i in 0..3 { for j in 0..2 { let s = s + (i*2 + j) } }
     // out[0] = s   — the accumulated value is read *after* both loops.
@@ -485,8 +489,9 @@ fn loop_carried_let_through_if_and_nested_loop() {
         )],
     ));
     p.push(Stmt::store(out, V::i64(0), V::to_f32(V::var(s))));
-    assert_eq!(run_program(&p, out, true, 1), vec![15.0], "tree-walk");
-    assert_eq!(run_program(&p, out, false, 1), vec![15.0], "bytecode");
+    for mode in TIERS {
+        assert_eq!(run_program(&p, out, mode, 1), vec![15.0], "{mode:?}");
+    }
 }
 
 /// A fold that discards an expression (here: a constant-condition select
@@ -600,15 +605,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random chains of loop-carried `let` updates agree with a direct
-    /// Rust evaluation under the serial bytecode path, and bytecode
-    /// agrees with the tree-walk under every loop kind (parallel workers
-    /// snapshot the frame at loop entry in both evaluators, so their
-    /// shared semantics are compared mode-vs-mode, not against serial).
+    /// Rust evaluation on every tier of a serial loop, and the bytecode
+    /// and native tiers agree with the tree-walk under every loop kind
+    /// (parallel workers snapshot the frame at loop entry, and vector
+    /// chunks compute every lane from the pre-loop value, so those shared
+    /// semantics are compared tier-vs-tier, not against serial). `n` runs
+    /// past several 8-lane chunks, so a let carried from one chunk into
+    /// the next — or into the scalar remainder — shows up.
     #[test]
     fn loop_carried_let_chains_agree(
         init in -4i64..=4,
         ops in proptest::collection::vec((accop(), -3i64..=3), 1..4),
-        n in 1i64..12,
+        n in 1i64..=40,
     ) {
         let build = |kind: LoopKind| {
             let mut p = Program::new();
@@ -640,10 +648,11 @@ proptest! {
             }
             expect.push(acc.rem_euclid(65536) as f32);
         }
-        prop_assert_eq!(run_program(&p, out, false, 1), expect.clone(), "bytecode vs rust");
-        prop_assert_eq!(run_program(&p, out, true, 1), expect, "tree-walk vs rust");
+        for mode in TIERS {
+            prop_assert_eq!(run_program(&p, out, mode, 1), expect.clone(), "{:?} vs rust", mode);
+        }
 
-        // Mode agreement under every loop kind.
+        // Tier agreement under every loop kind.
         for kind in [
             LoopKind::Serial,
             LoopKind::Parallel,
@@ -651,11 +660,14 @@ proptest! {
             LoopKind::Unroll(2),
         ] {
             let (p, out) = build(kind);
-            prop_assert_eq!(
-                run_program(&p, out, false, 2),
-                run_program(&p, out, true, 2),
-                "bytecode vs tree-walk under {:?}", kind
-            );
+            let reference = run_program(&p, out, ExecMode::TreeWalk, 2);
+            for mode in [ExecMode::Bytecode, ExecMode::Jit] {
+                prop_assert_eq!(
+                    run_program(&p, out, mode, 2),
+                    reference.clone(),
+                    "{:?} vs tree-walk under {:?}", mode, kind
+                );
+            }
         }
     }
 }
