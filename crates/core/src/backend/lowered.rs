@@ -10,7 +10,7 @@
 //! steps (loop-kind mapping, tile separation, kernel extraction, rank
 //! decomposition).
 
-use crate::expr::{CompId, Expr as TExpr, Op, UnOp};
+use crate::expr::{BinOp, CompId, Expr as TExpr, UnOp};
 use crate::function::{Error, Function, Result, Tag};
 use crate::lowering::Lowered;
 use loopvm::{BufId as VmBuf, Expr as VExpr, LoopKind, Program, Stmt, Var as VmVar};
@@ -641,22 +641,22 @@ impl<'f> LoweredModule<'f> {
                     (coerce_f32(va, ta), coerce_f32(vb, tb), VTy::F32)
                 };
                 let out_ty = match op {
-                    Op::Lt | Op::Le | Op::Eq | Op::And | Op::Or => VTy::I64,
+                    BinOp::Lt | BinOp::Le | BinOp::Eq | BinOp::And | BinOp::Or => VTy::I64,
                     _ => ty,
                 };
                 let vop = match op {
-                    Op::Add => loopvm::BinOp::Add,
-                    Op::Sub => loopvm::BinOp::Sub,
-                    Op::Mul => loopvm::BinOp::Mul,
-                    Op::Div => loopvm::BinOp::Div,
-                    Op::Rem => loopvm::BinOp::Rem,
-                    Op::Min => loopvm::BinOp::Min,
-                    Op::Max => loopvm::BinOp::Max,
-                    Op::Lt => loopvm::BinOp::Lt,
-                    Op::Le => loopvm::BinOp::Le,
-                    Op::Eq => loopvm::BinOp::EqCmp,
-                    Op::And => loopvm::BinOp::And,
-                    Op::Or => loopvm::BinOp::Or,
+                    BinOp::Add => loopvm::BinOp::Add,
+                    BinOp::Sub => loopvm::BinOp::Sub,
+                    BinOp::Mul => loopvm::BinOp::Mul,
+                    BinOp::Div => loopvm::BinOp::Div,
+                    BinOp::Rem => loopvm::BinOp::Rem,
+                    BinOp::Min => loopvm::BinOp::Min,
+                    BinOp::Max => loopvm::BinOp::Max,
+                    BinOp::Lt => loopvm::BinOp::Lt,
+                    BinOp::Le => loopvm::BinOp::Le,
+                    BinOp::Eq => loopvm::BinOp::EqCmp,
+                    BinOp::And => loopvm::BinOp::And,
+                    BinOp::Or => loopvm::BinOp::Or,
                 };
                 (VExpr::Bin(vop, Box::new(va), Box::new(vb)), out_ty)
             }

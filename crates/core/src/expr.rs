@@ -34,7 +34,7 @@ impl CompId {
 
 /// Binary operators of the expression language.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Op {
+pub enum BinOp {
     /// Addition.
     Add,
     /// Subtraction.
@@ -91,7 +91,7 @@ pub enum Expr {
     /// input) at the given coordinates.
     Access(CompId, Vec<Expr>),
     /// Binary operation.
-    Bin(Op, Box<Expr>, Box<Expr>),
+    Bin(BinOp, Box<Expr>, Box<Expr>),
     /// Unary operation.
     Un(UnOp, Box<Expr>),
     /// `select(cond, a, b)`.
@@ -125,12 +125,12 @@ impl Expr {
 
     /// Minimum.
     pub fn min(a: Expr, b: Expr) -> Expr {
-        Expr::Bin(Op::Min, Box::new(a), Box::new(b))
+        Expr::Bin(BinOp::Min, Box::new(a), Box::new(b))
     }
 
     /// Maximum.
     pub fn max(a: Expr, b: Expr) -> Expr {
-        Expr::Bin(Op::Max, Box::new(a), Box::new(b))
+        Expr::Bin(BinOp::Max, Box::new(a), Box::new(b))
     }
 
     /// `clamp(x, lo, hi)` — the boundary-handling idiom (non-affine).
@@ -140,27 +140,27 @@ impl Expr {
 
     /// `a < b`.
     pub fn lt(a: Expr, b: Expr) -> Expr {
-        Expr::Bin(Op::Lt, Box::new(a), Box::new(b))
+        Expr::Bin(BinOp::Lt, Box::new(a), Box::new(b))
     }
 
     /// `a <= b`.
     pub fn le(a: Expr, b: Expr) -> Expr {
-        Expr::Bin(Op::Le, Box::new(a), Box::new(b))
+        Expr::Bin(BinOp::Le, Box::new(a), Box::new(b))
     }
 
     /// `a == b`.
     pub fn eq(a: Expr, b: Expr) -> Expr {
-        Expr::Bin(Op::Eq, Box::new(a), Box::new(b))
+        Expr::Bin(BinOp::Eq, Box::new(a), Box::new(b))
     }
 
     /// Logical and.
     pub fn and(a: Expr, b: Expr) -> Expr {
-        Expr::Bin(Op::And, Box::new(a), Box::new(b))
+        Expr::Bin(BinOp::And, Box::new(a), Box::new(b))
     }
 
     /// Logical or.
     pub fn or(a: Expr, b: Expr) -> Expr {
-        Expr::Bin(Op::Or, Box::new(a), Box::new(b))
+        Expr::Bin(BinOp::Or, Box::new(a), Box::new(b))
     }
 
     /// Ternary select.
@@ -199,13 +199,13 @@ impl Expr {
                 let p = params.iter().position(|x| x == name)?;
                 Some(Aff::var(n, iters.len() + p))
             }
-            Expr::Bin(Op::Add, a, b) => {
+            Expr::Bin(BinOp::Add, a, b) => {
                 Some(a.as_affine(iters, params)?.add(&b.as_affine(iters, params)?))
             }
-            Expr::Bin(Op::Sub, a, b) => {
+            Expr::Bin(BinOp::Sub, a, b) => {
                 Some(a.as_affine(iters, params)?.sub(&b.as_affine(iters, params)?))
             }
-            Expr::Bin(Op::Mul, a, b) => {
+            Expr::Bin(BinOp::Mul, a, b) => {
                 let fa = a.as_affine(iters, params);
                 let fb = b.as_affine(iters, params);
                 match (fa, fb) {
@@ -311,11 +311,11 @@ macro_rules! impl_expr_op {
     };
 }
 
-impl_expr_op!(Add, add, Op::Add);
-impl_expr_op!(Sub, sub, Op::Sub);
-impl_expr_op!(Mul, mul, Op::Mul);
-impl_expr_op!(Div, div, Op::Div);
-impl_expr_op!(Rem, rem, Op::Rem);
+impl_expr_op!(Add, add, BinOp::Add);
+impl_expr_op!(Sub, sub, BinOp::Sub);
+impl_expr_op!(Mul, mul, BinOp::Mul);
+impl_expr_op!(Div, div, BinOp::Div);
+impl_expr_op!(Rem, rem, BinOp::Rem);
 
 impl std::ops::Neg for Expr {
     type Output = Expr;

@@ -9,7 +9,7 @@
 //! computations with [`Function::comm_before`] (the paper's
 //! `s.before(r, root)`).
 
-use crate::expr::{CompId, Expr, Op};
+use crate::expr::{BinOp, CompId, Expr};
 use crate::function::{Error, Function, Result, Var};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -370,18 +370,18 @@ fn conv_comm_expr(
             let va = conv_comm_expr(lm, a, iter_name, rank_var)?;
             let vb = conv_comm_expr(lm, b, iter_name, rank_var)?;
             let vop = match op {
-                Op::Add => loopvm::BinOp::Add,
-                Op::Sub => loopvm::BinOp::Sub,
-                Op::Mul => loopvm::BinOp::Mul,
-                Op::Div => loopvm::BinOp::Div,
-                Op::Rem => loopvm::BinOp::Rem,
-                Op::Min => loopvm::BinOp::Min,
-                Op::Max => loopvm::BinOp::Max,
-                Op::Lt => loopvm::BinOp::Lt,
-                Op::Le => loopvm::BinOp::Le,
-                Op::Eq => loopvm::BinOp::EqCmp,
-                Op::And => loopvm::BinOp::And,
-                Op::Or => loopvm::BinOp::Or,
+                BinOp::Add => loopvm::BinOp::Add,
+                BinOp::Sub => loopvm::BinOp::Sub,
+                BinOp::Mul => loopvm::BinOp::Mul,
+                BinOp::Div => loopvm::BinOp::Div,
+                BinOp::Rem => loopvm::BinOp::Rem,
+                BinOp::Min => loopvm::BinOp::Min,
+                BinOp::Max => loopvm::BinOp::Max,
+                BinOp::Lt => loopvm::BinOp::Lt,
+                BinOp::Le => loopvm::BinOp::Le,
+                BinOp::Eq => loopvm::BinOp::EqCmp,
+                BinOp::And => loopvm::BinOp::And,
+                BinOp::Or => loopvm::BinOp::Or,
             };
             VExpr::Bin(vop, Box::new(va), Box::new(vb))
         }
@@ -394,8 +394,10 @@ fn conv_comm_expr(
 }
 
 /// Evaluates a Layer IV expression with the op iterator bound to
-/// `iter_val` and parameters bound to `params`. `None` means "not
-/// statically evaluable" (foreign iterators, accesses, floats).
+/// `iter_val` and parameters bound to `params`, dividing like the
+/// executors the lowered expression runs on (Euclidean `/` and `%`).
+/// `None` means "not statically evaluable" (foreign iterators, accesses,
+/// floats, overflow, a zero divisor).
 fn eval_comm_expr(
     e: &Expr,
     iter_name: &str,
@@ -410,18 +412,18 @@ fn eval_comm_expr(
         Expr::Bin(op, a, b) => {
             let (a, b) = (ev(a)?, ev(b)?);
             Some(match op {
-                Op::Add => a.checked_add(b)?,
-                Op::Sub => a.checked_sub(b)?,
-                Op::Mul => a.checked_mul(b)?,
-                Op::Div => a.checked_div(b)?,
-                Op::Rem => a.checked_rem(b)?,
-                Op::Min => a.min(b),
-                Op::Max => a.max(b),
-                Op::Lt => i64::from(a < b),
-                Op::Le => i64::from(a <= b),
-                Op::Eq => i64::from(a == b),
-                Op::And => i64::from(a != 0 && b != 0),
-                Op::Or => i64::from(a != 0 || b != 0),
+                BinOp::Add => a.checked_add(b)?,
+                BinOp::Sub => a.checked_sub(b)?,
+                BinOp::Mul => a.checked_mul(b)?,
+                BinOp::Div => a.checked_div_euclid(b)?,
+                BinOp::Rem => a.checked_rem_euclid(b)?,
+                BinOp::Min => a.min(b),
+                BinOp::Max => a.max(b),
+                BinOp::Lt => i64::from(a < b),
+                BinOp::Le => i64::from(a <= b),
+                BinOp::Eq => i64::from(a == b),
+                BinOp::And => i64::from(a != 0 && b != 0),
+                BinOp::Or => i64::from(a != 0 || b != 0),
             })
         }
         Expr::Un(crate::expr::UnOp::Neg, a) => ev(a)?.checked_neg(),
@@ -487,6 +489,39 @@ mod tests {
         ring(&mut f, false);
         // No bindings: bounds do not evaluate, so the check abstains.
         assert!(validate_comm(&f, &HashMap::new()).is_ok());
+    }
+
+    /// A periodic ring: rank `r` sends to `(r - 1) % Nodes` and receives
+    /// from `(r + 1) % Nodes`. The remainder is Euclidean, as in the rank
+    /// program, so rank 0 sends to rank 3: the static check must see that
+    /// edge, not drop it as a send to rank -1.
+    #[test]
+    fn periodic_ring_divides_like_the_runtime() {
+        use crate::backend::dist::{compile, DistOptions};
+        let mut f = Function::new("ring", &["Nodes", "CHUNK"]);
+        let r = f.var("r", 0, Expr::param("Nodes"));
+        let i = f.var("i", 0, Expr::param("CHUNK"));
+        let lin = f
+            .input("lin", &[f.var("i", 0, Expr::param("CHUNK") + Expr::i64(1))])
+            .unwrap();
+        let bx = f.computation("bx", &[r, i], f.access(lin, &[Expr::iter("i")])).unwrap();
+        f.distribute(bx, "r").unwrap();
+        let nodes = || Expr::param("Nodes");
+        let is = Var::new("is", Expr::i64(0), nodes());
+        let left = (Expr::iter("is") - Expr::i64(1)) % nodes();
+        let s = f.send(is, "lin", Expr::i64(0), Expr::i64(1), left, true);
+        let ir = Var::new("ir", Expr::i64(0), nodes());
+        let right = (Expr::iter("ir") + Expr::i64(1)) % nodes();
+        let rc = f.receive(ir, "lin", Expr::param("CHUNK"), Expr::i64(1), right);
+        f.comm_before(s, bx);
+        f.comm_before(rc, bx);
+        let mut p = params(4);
+        p.insert("CHUNK".into(), 4);
+        assert!(validate_comm(&f, &p).is_ok());
+        let m = compile(&f, &[("Nodes", 4), ("CHUNK", 4)], DistOptions::default()).unwrap();
+        assert!(mpisim::validate_comm(&m.dist, 4).is_ok());
+        let stats = m.run(4, &mpisim::CommModel::default(), false).unwrap();
+        assert_eq!(stats.messages, [1; 4]);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod pipeline;
 pub mod schedule;
 pub mod service;
 
-pub use expr::{CompId, Expr, Op, UnOp};
+pub use expr::{BinOp, CompId, Expr, UnOp};
 pub use function::{
     BufId, Buffer, CompKind, Computation, Error, Function, MemSpace, Result, Tag, Var,
 };

@@ -1,18 +1,18 @@
 //! The SIMT executor: lockstep warp execution with masks, a memory model
 //! and a per-SM scheduler.
 //!
-//! Two executors share the block/warp scheduler and one memory side: both
-//! issue, load, store and diverge through `WarpMem`'s
-//! [`loopvm::WarpHost`] implementation, which prices every access and
-//! bounds-checks its active lanes. [`launch`] runs the optimized register
-//! bytecode each kernel phase owns ([`loopvm::Program::compiled`]) with
-//! the lane executor ([`loopvm::simt`]), so per-warp work is
-//! O(instructions). [`launch_tree_walk`] is the original stack evaluator
-//! (O(tree nodes) per warp), kept as the differential reference.
+//! Both launches run every warp through the lane executor
+//! ([`loopvm::simt`]) under one block/warp scheduler, and issue, load,
+//! store and diverge through `WarpMem`'s [`loopvm::WarpHost`]
+//! implementation, which prices every access and bounds-checks its active
+//! lanes. They differ only in the code: [`launch`] runs the optimized
+//! register bytecode each kernel phase owns
+//! ([`loopvm::Program::compiled`]); [`launch_tree_walk`], the
+//! differential reference, runs each phase's plain lowering
+//! ([`loopvm::opt::compile_plain`]: one instruction per source node).
 
 use crate::{GpuModel, Kernel, MemSpace};
-use loopvm::{compile, BcProgram, Code, Error, LoopKind, Op, Result, Stmt, Ty, UnOp, WarpHost};
-use loopvm::vm::{apply_f, apply_i, apply_un_f, apply_un_i, cmp_f, cmp_i};
+use loopvm::{BcProgram, Error, Result, WarpHost};
 
 /// Warp width (lanes executing in lockstep).
 pub const WARP: usize = 32;
@@ -93,61 +93,6 @@ pub fn copy_cost(model: &GpuModel, bytes: usize) -> f64 {
     model.copy_latency + model.copy_per_byte * bytes as f64
 }
 
-#[derive(Debug, Clone)]
-enum GStmt {
-    For { var: u32, lower: Code, upper: Code, body: Vec<GStmt> },
-    If { cond: Code, then: Vec<GStmt>, else_: Vec<GStmt> },
-    Store { buf: u32, index: Code, value: Code },
-    Let { var: u32, value: Code },
-}
-
-fn compile_stmt(s: &Stmt) -> Result<GStmt> {
-    Ok(match s {
-        Stmt::For { var, lower, upper, kind, body } => {
-            // Loop kinds are irrelevant inside a kernel (each thread runs
-            // the body); they are accepted and executed serially per warp.
-            let _ = matches!(kind, LoopKind::Serial);
-            GStmt::For {
-                var: var.index() as u32,
-                lower: compile(lower)?,
-                upper: compile(upper)?,
-                body: body.iter().map(compile_stmt).collect::<Result<_>>()?,
-            }
-        }
-        Stmt::If { cond, then, else_ } => GStmt::If {
-            cond: compile(cond)?,
-            then: then.iter().map(compile_stmt).collect::<Result<_>>()?,
-            else_: else_.iter().map(compile_stmt).collect::<Result<_>>()?,
-        },
-        // The same checks, with the same messages, as the bytecode compiler:
-        // the evaluator pops each operand from the stack of its type.
-        Stmt::Store { buf, index, value } => {
-            let (index, value) = (compile(index)?, compile(value)?);
-            if index.ty != Ty::I64 {
-                return Err(Error::Type("store index must be i64".into()));
-            }
-            if value.ty != Ty::F32 {
-                return Err(Error::Type("store value must be f32".into()));
-            }
-            GStmt::Store { buf: buf.index() as u32, index, value }
-        }
-        Stmt::Let { var, value } => {
-            let value = compile(value)?;
-            if value.ty != Ty::I64 {
-                return Err(Error::Type("let binds i64 values".into()));
-            }
-            GStmt::Let { var: var.index() as u32, value }
-        }
-    })
-}
-
-struct WarpCtx<'a, 'm> {
-    mem: &'a mut WarpMem<'m>,
-    vars: &'a mut [[i64; WARP]],
-    vistack: Vec<[i64; WARP]>,
-    vfstack: Vec<[f32; WARP]>,
-}
-
 /// Compiles every phase of a kernel to optimized register bytecode from
 /// scratch, bypassing the phases' memoised compiled forms (what [`launch`]
 /// runs): for measuring and inspecting the compile itself.
@@ -195,7 +140,7 @@ fn seed_warps(
     (warp_vars, warp_masks)
 }
 
-/// The warp-level memory context both executors run through: the
+/// The warp-level memory context both launches run through: the
 /// simulator's memory model over the launch's buffers, accumulating one
 /// warp's statistics and cycles.
 struct WarpMem<'a> {
@@ -207,7 +152,7 @@ struct WarpMem<'a> {
     cycles: f64,
 }
 
-/// The block/warp/phase loop both executors share: blocks in order
+/// The block/warp/phase loop both launches share: blocks in order
 /// (shared and local memory cleared at each block start), every warp of a
 /// block through phase `k` before any warp starts phase `k + 1`, per-warp
 /// variable frames persisting across phases, blocks scheduled round-robin
@@ -317,7 +262,7 @@ pub fn launch(
 }
 
 /// Always-on launch metrics, accumulated across every launch in the
-/// process by both executors (the per-launch numbers stay on the
+/// process by both launches (the per-launch numbers stay on the
 /// returned [`LaunchStats`]).
 fn record_launch_metrics(total: &LaunchStats) {
     struct GpuMetrics {
@@ -336,10 +281,11 @@ fn record_launch_metrics(total: &LaunchStats) {
     m.bank_conflicts.add(total.bank_conflict_degree);
 }
 
-/// Launches a kernel with the tree-walk reference executor (the
-/// differential baseline): block/warp scheduling, barrier semantics and
-/// the memory model are [`launch`]'s; only per-warp instruction issue
-/// differs.
+/// Launches a kernel on its phases' plain lowerings
+/// ([`loopvm::opt::compile_plain`], built for this launch): the
+/// differential reference. Block/warp scheduling, barrier semantics, the
+/// lane executor and the memory model are [`launch`]'s; only the code
+/// differs, one instruction issued per source expression node.
 ///
 /// # Errors
 ///
@@ -349,22 +295,16 @@ pub fn launch_tree_walk(
     buffers: &mut [Vec<f32>],
     model: &GpuModel,
 ) -> Result<LaunchStats> {
-    let phases: Vec<Vec<GStmt>> = (kernel.phases().iter())
-        .map(|p| p.body().iter().map(compile_stmt).collect())
-        .collect::<Result<_>>()?;
+    let phases: Vec<BcProgram> =
+        kernel.phases().iter().map(loopvm::opt::compile_plain).collect::<Result<_>>()?;
+    let (mut ir, mut fr) = (Vec::new(), Vec::new());
     launch_with(kernel, buffers, model, |pi, vars, mask, mem| {
-        let mut ctx = WarpCtx {
-            mem,
-            vars,
-            vistack: Vec::with_capacity(16),
-            vfstack: Vec::with_capacity(16),
-        };
-        exec_block(&phases[pi], &mut ctx, *mask)
+        loopvm::exec_warp(&phases[pi], &mut ir, &mut fr, vars, mask, mem, None)
     })
 }
 
 /// Prices warp execution with the simulator's memory model and checks
-/// its accesses, for both executors: per-instruction issue cost,
+/// its accesses, for both launches: per-instruction issue cost,
 /// coalescing/bank-conflict/broadcast pricing and bounds checks on loads
 /// and stores, divergence counting.
 impl WarpHost<WARP> for WarpMem<'_> {
@@ -456,212 +396,6 @@ fn emit_phase_prof(phases: &[PhaseProf]) {
             }
         }
     }
-}
-
-fn exec_block(body: &[GStmt], ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result<()> {
-    for s in body {
-        exec_stmt(s, ctx, mask)?;
-    }
-    Ok(())
-}
-
-fn exec_stmt(s: &GStmt, ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result<()> {
-    if !mask.iter().any(|&m| m) {
-        return Ok(());
-    }
-    match s {
-        GStmt::Let { var, value } => {
-            let v = eval_i(value, ctx, mask)?;
-            for l in 0..WARP {
-                if mask[l] {
-                    ctx.vars[*var as usize][l] = v[l];
-                }
-            }
-            Ok(())
-        }
-        GStmt::Store { buf, index, value } => {
-            let idx = eval_i(index, ctx, mask)?;
-            let val = eval_f(value, ctx, mask)?;
-            ctx.mem.store(*buf, &idx, &val, &mask)
-        }
-        GStmt::If { cond, then, else_ } => {
-            let c = eval_i(cond, ctx, mask)?;
-            let mut then_mask = [false; WARP];
-            let mut else_mask = [false; WARP];
-            for l in 0..WARP {
-                if mask[l] {
-                    if c[l] != 0 {
-                        then_mask[l] = true;
-                    } else {
-                        else_mask[l] = true;
-                    }
-                }
-            }
-            let any_then = then_mask.iter().any(|&m| m);
-            let any_else = else_mask.iter().any(|&m| m);
-            if any_then && any_else {
-                ctx.mem.divergence();
-            }
-            if any_then {
-                exec_block(then, ctx, then_mask)?;
-            }
-            if any_else {
-                exec_block(else_, ctx, else_mask)?;
-            }
-            Ok(())
-        }
-        GStmt::For { var, lower, upper, body } => {
-            let lo = eval_i(lower, ctx, mask)?;
-            let hi = eval_i(upper, ctx, mask)?;
-            let mut glo = i64::MAX;
-            let mut ghi = i64::MIN;
-            let mut uniform = true;
-            let mut first: Option<(i64, i64)> = None;
-            for l in 0..WARP {
-                if mask[l] {
-                    glo = glo.min(lo[l]);
-                    ghi = ghi.max(hi[l]);
-                    match first {
-                        None => first = Some((lo[l], hi[l])),
-                        Some(f) => uniform &= f == (lo[l], hi[l]),
-                    }
-                }
-            }
-            if !uniform {
-                ctx.mem.divergence();
-            }
-            let mut v = glo;
-            while v < ghi {
-                let mut iter_mask = [false; WARP];
-                for l in 0..WARP {
-                    iter_mask[l] = mask[l] && lo[l] <= v && v < hi[l];
-                    if iter_mask[l] {
-                        ctx.vars[*var as usize][l] = v;
-                    }
-                }
-                exec_block(body, ctx, iter_mask)?;
-                v += 1;
-            }
-            Ok(())
-        }
-    }
-}
-
-fn eval_i(code: &Code, ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result<[i64; WARP]> {
-    eval(code, ctx, mask)?;
-    Ok(ctx.vistack.pop().unwrap())
-}
-
-fn eval_f(code: &Code, ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result<[f32; WARP]> {
-    eval(code, ctx, mask)?;
-    Ok(ctx.vfstack.pop().unwrap())
-}
-
-fn eval(code: &Code, ctx: &mut WarpCtx<'_, '_>, mask: [bool; WARP]) -> Result<()> {
-    ctx.vistack.clear();
-    ctx.vfstack.clear();
-    for op in &code.ops {
-        ctx.mem.issue();
-        match *op {
-            Op::PushF(v) => ctx.vfstack.push([v; WARP]),
-            Op::PushI(v) => ctx.vistack.push([v; WARP]),
-            Op::LoadVar(v) => ctx.vistack.push(ctx.vars[v as usize]),
-            Op::Load(b) => {
-                let idx = ctx.vistack.pop().unwrap();
-                let out = ctx.mem.load(b, &idx, &mask)?;
-                ctx.vfstack.push(out);
-            }
-            Op::BinF(op) => {
-                let b = ctx.vfstack.pop().unwrap();
-                let a = ctx.vfstack.last_mut().unwrap();
-                for l in 0..WARP {
-                    a[l] = apply_f(op, a[l], b[l]);
-                }
-            }
-            Op::BinI(op) => {
-                let b = ctx.vistack.pop().unwrap();
-                let a = ctx.vistack.last_mut().unwrap();
-                for l in 0..WARP {
-                    if mask[l] {
-                        a[l] = apply_i(op, a[l], b[l]);
-                    }
-                }
-            }
-            Op::CmpF(op) => {
-                let b = ctx.vfstack.pop().unwrap();
-                let a = ctx.vfstack.pop().unwrap();
-                let mut out = [0i64; WARP];
-                for l in 0..WARP {
-                    out[l] = cmp_f(op, a[l], b[l]);
-                }
-                ctx.vistack.push(out);
-            }
-            Op::CmpI(op) => {
-                let b = ctx.vistack.pop().unwrap();
-                let a = ctx.vistack.pop().unwrap();
-                let mut out = [0i64; WARP];
-                for l in 0..WARP {
-                    out[l] = cmp_i(op, a[l], b[l]);
-                }
-                ctx.vistack.push(out);
-            }
-            Op::UnF(op) => {
-                let a = ctx.vfstack.last_mut().unwrap();
-                for x in a.iter_mut() {
-                    *x = apply_un_f(op, *x);
-                }
-            }
-            Op::UnI(op) => {
-                // `neg`/`abs` overflow on i64::MIN: like `BinI`, they run
-                // on active lanes only, so an inactive lane's garbage
-                // never traps (the masking contract `loopvm::simt` keeps).
-                let trapping = matches!(op, UnOp::Neg | UnOp::Abs);
-                let a = ctx.vistack.last_mut().unwrap();
-                for l in 0..WARP {
-                    if mask[l] || !trapping {
-                        a[l] = apply_un_i(op, a[l]);
-                    }
-                }
-            }
-            Op::SelF => {
-                let b = ctx.vfstack.pop().unwrap();
-                let a = ctx.vfstack.pop().unwrap();
-                let c = ctx.vistack.pop().unwrap();
-                let mut out = [0f32; WARP];
-                for l in 0..WARP {
-                    out[l] = if c[l] != 0 { a[l] } else { b[l] };
-                }
-                ctx.vfstack.push(out);
-            }
-            Op::SelI => {
-                let b = ctx.vistack.pop().unwrap();
-                let a = ctx.vistack.pop().unwrap();
-                let c = ctx.vistack.pop().unwrap();
-                let mut out = [0i64; WARP];
-                for l in 0..WARP {
-                    out[l] = if c[l] != 0 { a[l] } else { b[l] };
-                }
-                ctx.vistack.push(out);
-            }
-            Op::CastIF => {
-                let a = ctx.vistack.pop().unwrap();
-                let mut out = [0f32; WARP];
-                for l in 0..WARP {
-                    out[l] = a[l] as f32;
-                }
-                ctx.vfstack.push(out);
-            }
-            Op::CastFI => {
-                let a = ctx.vfstack.pop().unwrap();
-                let mut out = [0i64; WARP];
-                for l in 0..WARP {
-                    out[l] = a[l] as i64;
-                }
-                ctx.vistack.push(out);
-            }
-        }
-    }
-    Ok(())
 }
 
 impl WarpMem<'_> {

@@ -25,8 +25,8 @@
 //! phases, each a `loopvm` [`Program`] that owns its compiled bytecode;
 //! block/thread index variables are designated in the kernel, and each
 //! buffer carries a [`MemSpace`]. [`launch`] executes the phases' bytecode
-//! warp by warp; [`launch_tree_walk`] is the stack-evaluator reference the
-//! differential tests compare it against.
+//! warp by warp; [`launch_tree_walk`] runs the phases' plain lowering the
+//! same way, the reference the differential tests compare it against.
 
 pub mod exec;
 

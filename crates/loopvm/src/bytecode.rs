@@ -86,7 +86,7 @@ impl Inst {
     /// be out of bounds, `div`/`rem` can hit a zero divisor or
     /// `i64::MIN / -1`, and `neg`/`abs` of `i64::MIN` overflow. Dead-code
     /// elimination must never drop these — the bytecode traps exactly
-    /// where the tree-walk reference would.
+    /// where the plain lowering would.
     pub(crate) fn can_trap(&self) -> bool {
         matches!(
             *self,

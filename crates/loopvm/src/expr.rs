@@ -242,7 +242,10 @@ impl Expr {
                 }
                 Ok(ta)
             }
-            Expr::Cast(t, _) => Ok(*t),
+            Expr::Cast(t, a) => {
+                a.ty()?;
+                Ok(*t)
+            }
         }
     }
 
@@ -341,5 +344,7 @@ mod tests {
     fn sqrt_needs_f32() {
         assert!(Expr::sqrt(Expr::i64(4)).ty().is_err());
         assert!(Expr::sqrt(Expr::f32(4.0)).ty().is_ok());
+        // A cast's operand is checked too.
+        assert!(Expr::to_i64(Expr::sqrt(Expr::i64(4))).ty().is_err());
     }
 }

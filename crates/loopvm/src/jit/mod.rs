@@ -1,14 +1,14 @@
 //! Native JIT tier: compiles [`crate::bytecode::BcProgram`] to executable
 //! x86-64 machine code.
 //!
-//! This is the top rung of the executor ladder (tree-walk → register
-//! bytecode → native). The compiler is deliberately small: linear-scan
+//! This is the top rung of the executor ladder (plain-lowering reference →
+//! register bytecode → native). The compiler is deliberately small: linear-scan
 //! register allocation over the host GPR/XMM files with stack spill slots
 //! (`regalloc`), a hand-rolled instruction encoder (`asm`), and
 //! straight-line code with loop back-edges chained as direct jumps
 //! (`compile`). Trapping instructions keep their guards and deopt to the
 //! interpreter's scalar helpers, so observable error semantics are
-//! bit-identical to the bytecode and tree-walk tiers (`runtime`).
+//! bit-identical to the interpreter's (`runtime`).
 //!
 //! The tier is x86-64-Linux-only by construction. Everywhere else this
 //! module still compiles but [`supported`] is `false` and [`compile`]

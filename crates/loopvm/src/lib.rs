@@ -6,10 +6,10 @@
 //! Every compiler in the evaluation (the Tiramisu port, the interval-based
 //! Halide stand-in, the Pluto-like auto-scheduler and the hand-tuned
 //! "vendor" kernels) lowers to the same [`Program`] representation: nested
-//! loops over flat `f32` buffers with expressions compiled to a stack
-//! bytecode. Because all systems share the substrate, *relative*
-//! performance between schedules — the quantity the paper's figures report
-//! — is produced by the schedules themselves:
+//! loops over flat `f32` buffers, executed as register bytecode. Because
+//! all systems share the substrate, *relative* performance between
+//! schedules — the quantity the paper's figures report — is produced by
+//! the schedules themselves:
 //!
 //! - `parallel` loops run on real OS threads (work split across cores),
 //! - `vectorize` loops evaluate bytecode over lanes of 8, amortizing
@@ -61,7 +61,7 @@ pub use cost::CostModel;
 pub use expr::{BinOp, Expr, Ty, UnOp, Var};
 pub use program::{BufId, Compiled, LoopKind, Program, Stmt};
 pub use simt::{exec_warp, WarpHost};
-pub use vm::{compile, eval_scalar, Code, ExecMode, Machine, Op, RunStats};
+pub use vm::{eval_scalar, ExecMode, Machine, RunStats};
 
 /// Errors produced when compiling or executing a program.
 #[derive(Debug, Clone, PartialEq)]

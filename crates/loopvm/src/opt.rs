@@ -9,7 +9,7 @@
 //!   ([`crate::vm::apply_i`] wrapping arithmetic / Euclidean division,
 //!   [`crate::vm::apply_f`] IEEE `f32`). Divisions that would trap at
 //!   runtime (zero divisor, `i64::MIN / -1`) are *not* folded — the
-//!   runtime instruction stays where the tree-walk would have trapped.
+//!   runtime instruction stays where the plain lowering would have trapped.
 //! - **algebraic simplification** — `x+0`, `x*1`, `x*0`, `x-0`, `x-x`,
 //!   `x/1`, `x%1`, `min(x,x)`/`max(x,x)` collapse for `i64`; for `f32`
 //!   only bit-exact rewrites apply (`x*1.0`, `min/max` of one register,
@@ -33,14 +33,19 @@
 //! - a variable re-bound by a `let` inside a loop body is **loop-carried**
 //!   — its binding is demoted to a frame read for the whole body before
 //!   compilation, so iteration N observes iteration N-1's value exactly
-//!   like the tree-walk (a stale outer register would repeat iteration
+//!   like the plain lowering (a stale outer register would repeat iteration
 //!   0's value forever);
 //! - the dead-code sweep never removes an instruction that can trap
-//!   (`Inst::can_trap`): a fault stays exactly where the tree-walk
-//!   reference — which evaluates every operand, including discarded
-//!   select arms — would have faulted.
+//!   (`Inst::can_trap`): a fault stays exactly where the plain lowering
+//!   — which evaluates every operand, including discarded select arms —
+//!   would have faulted.
 //!
 //! The legality argument for all of this is spelled out in `DESIGN.md` §10.
+//!
+//! [`compile_plain`] is the other lowering into the same format: no
+//! transformation at all, one instruction per expression node. It is the
+//! reference the optimized stream is tested against and the stream the
+//! cost model prices.
 
 use crate::bytecode::{BCode, BcProgram, BcStmt, File, Inst, OptStats, Reg};
 use crate::expr::{BinOp, Expr, Ty, UnOp};
@@ -57,9 +62,9 @@ const LOCAL: u16 = u16::MAX;
 ///
 /// # Errors
 ///
-/// [`Error::Type`] on the same operand mismatches the stack compiler
-/// rejects, [`Error::Structure`] if a program exhausts the 16-bit
-/// register file.
+/// [`Error::Type`] on operand mismatches (as [`crate::Expr::ty`] reports
+/// them) and on ill-typed statements, [`Error::Structure`] if a program
+/// exhausts the 16-bit register file.
 pub fn compile_program(p: &Program) -> Result<BcProgram> {
     let body = p.body();
     let mut em = Emitter {
@@ -85,6 +90,197 @@ pub fn compile_program(p: &Program) -> Result<BcProgram> {
     dce(&mut bc);
     bc.stats.insts = bc.n_insts();
     Ok(bc)
+}
+
+/// Compiles a program to its *plain lowering*: one register instruction
+/// per expression node (identity casts have none), emitted in the order
+/// the node is evaluated, with nothing folded, shared or hoisted — so the
+/// prologue and every preamble are empty. Each statement's code starts
+/// again at register 0, so the register files are as large as the largest
+/// statement, not the whole program.
+///
+/// This is the reference form of a program: `Machine::run_tree_walk`,
+/// `Machine::run_with_stats` and the GPU simulator's reference launch
+/// interpret it on the same executors as the optimized code. Because its
+/// instructions are the source's operations, the cost model prices what
+/// the program says, whatever [`compile_program`] makes of it.
+///
+/// # Errors
+///
+/// The same [`Error::Type`] and [`Error::Structure`], in the same order,
+/// as [`compile_program`].
+pub fn compile_plain(p: &Program) -> Result<BcProgram> {
+    let mut pl = Plain { code: Vec::new(), next: [0; 2], size: [0; 2] };
+    let body = pl.block(p.body())?;
+    Ok(BcProgram {
+        prologue: Vec::new(),
+        body,
+        n_iregs: pl.size[0],
+        n_fregs: pl.size[1],
+        n_vars: p.n_vars(),
+        var_names: p.vars.clone(),
+        stats: OptStats::default(),
+    })
+}
+
+/// The plain lowering's state: the statement code being emitted and the
+/// register counters (`i` file first, then `f`).
+struct Plain {
+    code: Vec<Inst>,
+    /// Next free register of the current statement.
+    next: [Reg; 2],
+    /// Register file sizes: the most any statement used.
+    size: [Reg; 2],
+}
+
+impl Plain {
+    fn reg(&mut self, file: File) -> Result<Reg> {
+        let k = match file {
+            File::I => 0,
+            File::F => 1,
+        };
+        let r = self.next[k];
+        if r == u16::MAX {
+            return Err(Error::Structure("bytecode register file overflow".into()));
+        }
+        self.next[k] = r + 1;
+        self.size[k] = self.size[k].max(r + 1);
+        Ok(r)
+    }
+
+    /// Emits `make(dst)` into a fresh register of `file`.
+    fn push(&mut self, file: File, make: impl FnOnce(Reg) -> Inst) -> Result<Reg> {
+        let dst = self.reg(file)?;
+        self.code.push(make(dst));
+        Ok(dst)
+    }
+
+    fn expr(&mut self, e: &Expr) -> Result<(Reg, Ty)> {
+        Ok(match e {
+            Expr::ConstF(v) => (self.push(File::F, |dst| Inst::ConstF { dst, v: *v })?, Ty::F32),
+            Expr::ConstI(v) => (self.push(File::I, |dst| Inst::ConstI { dst, v: *v })?, Ty::I64),
+            Expr::Var(v) => (self.push(File::I, |dst| Inst::ReadVar { dst, var: v.0 })?, Ty::I64),
+            Expr::Load(b, idx) => {
+                let (idx, ti) = self.expr(idx)?;
+                if ti != Ty::I64 {
+                    return Err(Error::Type("load index must be i64".into()));
+                }
+                (self.push(File::F, |dst| Inst::Load { dst, buf: b.0, idx })?, Ty::F32)
+            }
+            Expr::Bin(op, a, b) => {
+                let op = *op;
+                let (a, ta) = self.expr(a)?;
+                let (b, tb) = self.expr(b)?;
+                if ta != tb {
+                    return Err(Error::Type(format!("operands of {op:?} disagree")));
+                }
+                match (op, ta) {
+                    (BinOp::Lt | BinOp::Le | BinOp::EqCmp, Ty::F32) => {
+                        (self.push(File::I, |dst| Inst::CmpF { dst, op, a, b })?, Ty::I64)
+                    }
+                    (BinOp::Lt | BinOp::Le | BinOp::EqCmp, Ty::I64) => {
+                        (self.push(File::I, |dst| Inst::CmpI { dst, op, a, b })?, Ty::I64)
+                    }
+                    (BinOp::And | BinOp::Or, Ty::F32) => {
+                        return Err(Error::Type("logical ops need i64".into()))
+                    }
+                    (_, Ty::F32) => (self.push(File::F, |dst| Inst::BinF { dst, op, a, b })?, ta),
+                    (_, Ty::I64) => (self.push(File::I, |dst| Inst::BinI { dst, op, a, b })?, ta),
+                }
+            }
+            Expr::Un(op, a) => {
+                let op = *op;
+                let (a, ta) = self.expr(a)?;
+                match (op, ta) {
+                    (UnOp::Sqrt | UnOp::Exp, Ty::I64) => {
+                        return Err(Error::Type(format!("{op:?} needs f32")))
+                    }
+                    (UnOp::Not, Ty::F32) => return Err(Error::Type("not needs i64".into())),
+                    (_, Ty::F32) => (self.push(File::F, |dst| Inst::UnF { dst, op, a })?, ta),
+                    (_, Ty::I64) => (self.push(File::I, |dst| Inst::UnI { dst, op, a })?, ta),
+                }
+            }
+            Expr::Select(c, a, b) => {
+                let (c, tc) = self.expr(c)?;
+                if tc != Ty::I64 {
+                    return Err(Error::Type("select condition must be i64".into()));
+                }
+                let (a, ta) = self.expr(a)?;
+                let (b, tb) = self.expr(b)?;
+                if ta != tb {
+                    return Err(Error::Type("select arms disagree".into()));
+                }
+                match ta {
+                    Ty::I64 => (self.push(File::I, |dst| Inst::SelI { dst, c, a, b })?, ta),
+                    Ty::F32 => (self.push(File::F, |dst| Inst::SelF { dst, c, a, b })?, ta),
+                }
+            }
+            Expr::Cast(t, a) => {
+                let (a, ta) = self.expr(a)?;
+                match (ta, *t) {
+                    (Ty::I64, Ty::F32) => (self.push(File::F, |dst| Inst::CastIF { dst, a })?, *t),
+                    (Ty::F32, Ty::I64) => (self.push(File::I, |dst| Inst::CastFI { dst, a })?, *t),
+                    _ => (a, ta),
+                }
+            }
+        })
+    }
+
+    /// The code emitted since the last call.
+    fn take(&mut self) -> Vec<Inst> {
+        std::mem::take(&mut self.code)
+    }
+
+    fn block(&mut self, body: &[Stmt]) -> Result<Vec<BcStmt>> {
+        body.iter().map(|s| self.stmt(s)).collect()
+    }
+
+    /// Lowers one statement with the same checks, in the same order, as
+    /// `Emitter::emit_stmt`. A statement's registers are dead once it has
+    /// read them (a loop's bounds before its body, a condition before its
+    /// branches), so the next statement reuses them.
+    fn stmt(&mut self, s: &Stmt) -> Result<BcStmt> {
+        self.next = [0; 2];
+        Ok(match s {
+            Stmt::Let { var, value } => {
+                let (reg, ty) = self.expr(value)?;
+                if ty != Ty::I64 {
+                    return Err(Error::Type("let binds i64 values".into()));
+                }
+                BcStmt::Let { code: self.take(), var: var.0, reg }
+            }
+            Stmt::Store { buf, index, value } => {
+                let (idx, ti) = self.expr(index)?;
+                if ti != Ty::I64 {
+                    return Err(Error::Type("store index must be i64".into()));
+                }
+                let (val, tv) = self.expr(value)?;
+                if tv != Ty::F32 {
+                    return Err(Error::Type("store value must be f32".into()));
+                }
+                BcStmt::Store { code: self.take(), buf: buf.0, idx, val }
+            }
+            Stmt::If { cond, then, else_ } => {
+                let (cond, tc) = self.expr(cond)?;
+                if tc != Ty::I64 {
+                    return Err(Error::Type("if condition must be i64".into()));
+                }
+                let code = self.take();
+                BcStmt::If { code, cond, then: self.block(then)?, else_: self.block(else_)? }
+            }
+            Stmt::For { var, lower, upper, kind, body } => {
+                let (lo, tlo) = self.expr(lower)?;
+                let lower = BCode { insts: self.take(), reg: lo };
+                let (hi, thi) = self.expr(upper)?;
+                let upper = BCode { insts: self.take(), reg: hi };
+                if tlo != Ty::I64 || thi != Ty::I64 {
+                    return Err(Error::Type("loop bounds must be i64".into()));
+                }
+                let body = self.block(body)?;
+                BcStmt::For { var: var.0, lower, upper, kind: *kind, preamble: Vec::new(), body }
+            }
+        })
+    }
 }
 
 fn count_expr_nodes(e: &Expr) -> usize {
@@ -285,7 +481,7 @@ impl Emitter {
                 let buf = b.0;
                 // Loads are pinned: buffer contents can change between
                 // iterations, and a hoisted load could fault where the
-                // tree-walk would not.
+                // plain lowering would not.
                 let r = self.emit(Key::Load(buf, ri), LOCAL, File::F, local, |dst| {
                     Inst::Load { dst, buf, idx: ri }
                 })?;
@@ -446,7 +642,7 @@ impl Emitter {
             return Ok((r, Ty::I64, lvl));
         }
         // A division only hoists when its constant divisor provably cannot
-        // trap; otherwise it stays at the statement, like the tree-walk.
+        // trap; otherwise it stays at the statement, like the plain lowering.
         let level = match op {
             BinOp::Div | BinOp::Rem => match cb {
                 Some(d) if d != 0 && d != -1 => la.max(lb),
@@ -525,7 +721,7 @@ impl Emitter {
             (_, Ty::I64) => {
                 if let Some(v) = self.as_const_i(ra) {
                     // Neg/Abs of i64::MIN trap in debug builds: leave the
-                    // instruction in place like the tree-walk would.
+                    // instruction in place like the plain lowering would.
                     if v != i64::MIN || op == UnOp::Not {
                         self.stats.folded += 1;
                         return Ok((self.const_i(apply_un_i(op, v))?, Ty::I64, 0));
@@ -675,7 +871,7 @@ fn diff(old: &[Bind], new: &[Bind]) -> Vec<usize> {
 /// index/value, let values, conditions, bounds) keep their transitive
 /// operand chains; everything else is dropped — *except* instructions
 /// that can trap (loads, divisions, `neg`/`abs`), which stay even when a
-/// fold made their value dead. The tree-walk reference evaluates every
+/// fold made their value dead. The plain lowering evaluates every
 /// operand (both select arms, both sides of `x*0`), so an out-of-bounds
 /// load or zero divisor discarded by a fold must still fault here too.
 fn dce(bc: &mut BcProgram) {

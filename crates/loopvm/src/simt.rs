@@ -1,15 +1,15 @@
-//! Lane execution of the optimized register bytecode: GPU warps and CPU
-//! `Vectorize` chunks.
+//! Lane execution of register bytecode: GPU warps and CPU `Vectorize`
+//! chunks.
 //!
 //! A lane group executes one statement stream for `W` lanes at once:
 //! every value is a lane vector (`[i64; W]` / `[f32; W]`) and an *active
 //! mask* says which lanes a statement applies to. This module is the only
-//! lane executor of a [`BcProgram`]. The GPU simulator runs each warp
-//! through [`exec_warp`] (`W = 32`, per-warp masks), so kernels get the
-//! same const-folding/CSE/LICM wins as the CPU path — per-warp work drops
-//! from O(tree nodes) to O(instructions). The CPU interpreter
-//! (`crate::vm`) runs each full 8-lane chunk of a `Vectorize` loop —
-//! its preamble and flat store/let body — through `run_insts` and
+//! lane executor of a [`BcProgram`], optimized or plain
+//! (`crate::opt::compile_plain`). The GPU simulator runs each warp
+//! through [`exec_warp`] (`W = 32`, per-warp masks): its launches run the
+//! optimized code, its reference launches the plain lowering. The CPU
+//! interpreter (`crate::vm`) runs each full 8-lane chunk of a `Vectorize`
+//! loop — its preamble and flat store/let body — through `run_insts` and
 //! `exec_block` at full mask. Memory, bounds checking, pricing and
 //! divergence accounting stay with the caller, behind the [`WarpHost`]
 //! trait.
@@ -19,7 +19,7 @@
 //! them is never observable, because active lanes write a register before
 //! they read it and inactive lanes are never stored.
 //!
-//! # Masking rules (differential contract with the tree-walk reference)
+//! # Masking rules
 //!
 //! At full mask — every CPU chunk, and every warp away from boundary
 //! blocks and divergent branches — the rules below reduce to "every
@@ -28,19 +28,19 @@
 //! whose access fails reports the error, and lanes before it have
 //! already been stored.
 //!
-//! The tree-walk executor in `gpusim` evaluates most operations on *all*
-//! lanes and masks only the points where garbage could become observable:
-//! buffer loads/stores, integer binary ops (whose `div`/`rem` can trap),
-//! and writes to loop variables and `let` slots. The bytecode executor
-//! mirrors that:
+//! Otherwise most operations run on *all* lanes, and only the points
+//! where garbage could become observable are masked: buffer
+//! loads/stores, integer binary ops (whose `div`/`rem` can trap), and
+//! writes to loop variables and `let` slots:
 //!
 //! - constants, variable reads, float arithmetic, comparisons, selects
 //!   and casts execute on all lanes (none of these can trap, and inactive
 //!   lanes are never stored);
 //! - integer binary ops and integer `neg`/`abs` execute only on active
 //!   lanes — the optimizer pins every *trapping* instruction into
-//!   statement-local code (see `crate::opt`), so these always run under
-//!   the exact statement mask the tree-walk reference would use;
+//!   statement-local code (see `crate::opt`), and the plain lowering has
+//!   nothing but statement-local code, so these always run under the
+//!   exact mask of the statement they came from;
 //! - loads and stores go through the host, which prices the access,
 //!   bounds-checks active lanes only, and fills inactive load lanes
 //!   with `0.0`;
@@ -68,6 +68,11 @@ pub trait WarpHost<const W: usize> {
     /// Called once per executed instruction (prologue, preamble, bounds
     /// and statement-local alike) — the per-issue cost hook.
     fn issue(&mut self);
+
+    /// Called, after [`WarpHost::issue`], for every integer (`float ==
+    /// false`, `and`/`or` included) or float binary op — the hook for a
+    /// host that prices arithmetic by kind. Nothing by default.
+    fn binop(&mut self, _float: bool) {}
 
     /// Loads `buf[idx[l]]` for every active lane. The host prices the
     /// (coalesced/banked/broadcast) access over the active lanes, bounds
@@ -179,7 +184,7 @@ fn un_lanes<T: Copy, const W: usize>(
     }
 }
 
-/// Executes an optimized program for one warp.
+/// Executes a program for one warp.
 ///
 /// `ir`/`fr` are the caller's lane register files, reused from call to
 /// call: they only grow, to the largest program they have served, so a
@@ -187,7 +192,7 @@ fn un_lanes<T: Copy, const W: usize>(
 /// `vars` is the caller-owned variable frame (one
 /// lane vector per program variable); it persists across calls so
 /// multi-phase kernels keep loop-variable state between barrier-delimited
-/// phases, exactly like the tree-walk reference. `mask` is the warp's
+/// phases. `mask` is the warp's
 /// entry mask (lanes beyond the launch extent are inactive). With
 /// `classes`, every dispatched instruction is additionally tallied by
 /// class (one count per warp dispatch, the same granularity as
@@ -202,7 +207,7 @@ fn un_lanes<T: Copy, const W: usize>(
 /// # Panics
 ///
 /// Integer division/remainder by zero (or `i64::MIN` overflow cases) in
-/// an *active* lane panics, exactly as the tree-walk reference does.
+/// an *active* lane panics, exactly as the scalar interpreter does.
 pub fn exec_warp<const W: usize, H: WarpHost<W>>(
     bc: &BcProgram,
     ir: &mut Vec<[i64; W]>,
@@ -247,6 +252,7 @@ pub(crate) fn run_insts<const W: usize, H: WarpHost<W>>(
                 ctx.fr[dst as usize] = v;
             }
             Inst::BinI { dst, op, a, b } => {
+                ctx.host.binop(false);
                 let (dst, a, b) = (dst as usize, a as usize, b as usize);
                 if full {
                     bin_lanes(ctx.ir, dst, a, b, |x, y| apply_i(op, x, y));
@@ -255,6 +261,7 @@ pub(crate) fn run_insts<const W: usize, H: WarpHost<W>>(
                 }
             }
             Inst::BinF { dst, op, a, b } => {
+                ctx.host.binop(true);
                 bin_lanes(ctx.fr, dst as usize, a as usize, b as usize, |x, y| {
                     apply_f(op, x, y)
                 });

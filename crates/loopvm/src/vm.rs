@@ -1,5 +1,5 @@
-//! The [`Machine`]: buffers, the variable frame, and the evaluators that
-//! run a [`Program`] on them.
+//! The [`Machine`]: buffers, the variable frame, and the one interpreter
+//! that runs register bytecode on them.
 //!
 //! [`Machine::run`] executes a program's own compiled form
 //! ([`Program::compiled`]) on the configured [`ExecMode`] tier of the
@@ -12,31 +12,34 @@
 //!   [`Machine::run_bytecode`]): the interpreter over
 //!   [`crate::bytecode::BcProgram`] — `crate::opt`'s folded, CSE'd,
 //!   hoisted instruction stream — which also hosts the sampled profiler;
-//! - **stack tree-walk** ([`ExecMode::TreeWalk`],
-//!   [`Machine::run_tree_walk`]): the seed's evaluator, expressions
-//!   compiled one by one to a stack code ([`compile`], [`Op`]) and
-//!   interpreted under the statement tree. It is the differential
-//!   reference and, const-generic over `STATS`, the only producer of
-//!   [`RunStats`] ([`Machine::run_with_stats`]): every modeled cycle count
-//!   is priced here.
+//! - **reference** ([`ExecMode::TreeWalk`], [`Machine::run_tree_walk`]):
+//!   the same interpreter over the program's *plain lowering*
+//!   ([`crate::opt::compile_plain`]: one instruction per expression node,
+//!   nothing folded, shared or hoisted), built afresh for the run and
+//!   never kept.
 //!
-//! Both interpreters have the same three loop shapes: **serial**;
-//! **parallel** ([`LoopKind::Parallel`]), the iteration range split
-//! statically across scoped threads by `crate::par::chunks` — buffers are
-//! shared, and legality (no cross-iteration dependences) is the
-//! *compiler's* responsibility, exactly as with real parallel codegen; and
+//! [`Machine::run_with_stats`] also runs the plain lowering, with a cost
+//! hook (`Meter`) on the interpreter: every modeled cycle count of
+//! [`RunStats`] is charged there, per source operation. An unpriced run is
+//! generic over `()`, whose hook compiles away.
+//!
+//! The interpreter has three loop shapes: **serial**; **parallel**
+//! ([`LoopKind::Parallel`]), the iteration range split statically across
+//! scoped threads by `crate::par::chunks` — buffers are shared, and
+//! legality (no cross-iteration dependences) is the *compiler's*
+//! responsibility, exactly as with real parallel codegen (priced runs keep
+//! these loops serial and credit the modeled core count instead); and
 //! **vector** ([`LoopKind::Vectorize`]), the body evaluated over lanes of
 //! [`LANES`] iterations at once, amortizing interpreter dispatch the way
-//! SIMD amortizes instruction issue. The tree-walk evaluates its lanes
-//! itself, because it prices them; the bytecode interpreter hands each
-//! chunk to [`crate::simt`], the lane executor GPU warps run on, at full
-//! mask. The scalar semantics every tier must reproduce bit for bit are
-//! the `apply_*`/`cmp_*` functions below.
+//! SIMD amortizes instruction issue: each chunk goes to [`crate::simt`],
+//! the lane executor GPU warps run on, at full mask. The scalar semantics
+//! every tier must reproduce bit for bit are the `apply_*`/`cmp_*`
+//! functions below.
 
 use crate::bytecode::{BCode, BcProgram, BcStmt, File, Inst, InstClassCounts, Reg};
 use crate::cost::{CacheSim, CostModel};
 use crate::expr::{BinOp, Expr, Ty, UnOp};
-use crate::program::{BufId, LoopKind, Program, Stmt};
+use crate::program::{BufId, LoopKind, Program};
 use crate::simt::{self, WarpHost};
 use crate::{Error, Result};
 use std::cell::UnsafeCell;
@@ -113,196 +116,6 @@ impl std::fmt::Display for RunStats {
 }
 
 // ---------------------------------------------------------------------------
-// Bytecode
-// ---------------------------------------------------------------------------
-
-/// One bytecode operation (public so device simulators building on the
-/// same expression language — e.g. the GPU SIMT simulator — can interpret
-/// compiled expressions with their own execution semantics).
-#[derive(Debug, Clone, Copy)]
-pub enum Op {
-    /// Push an `f32` constant.
-    PushF(f32),
-    /// Push an `i64` constant.
-    PushI(i64),
-    /// Push the value of a variable slot.
-    LoadVar(u32),
-    /// Pop an index, push `buffer[index]`.
-    Load(u32),
-    /// `f32` binary operation.
-    BinF(BinOp),
-    /// `i64` binary operation.
-    BinI(BinOp),
-    /// `f32` comparison (pushes `i64` 0/1).
-    CmpF(BinOp),
-    /// `i64` comparison (pushes `i64` 0/1).
-    CmpI(BinOp),
-    /// `f32` unary operation.
-    UnF(UnOp),
-    /// `i64` unary operation.
-    UnI(UnOp),
-    /// `f32` select (pops b, a, cond).
-    SelF,
-    /// `i64` select.
-    SelI,
-    /// Cast `i64` → `f32`.
-    CastIF,
-    /// Cast `f32` → `i64`.
-    CastFI,
-}
-
-/// A compiled expression: a flat operation sequence plus its result type.
-#[derive(Debug, Clone)]
-pub struct Code {
-    /// The operations, in evaluation order.
-    pub ops: Vec<Op>,
-    /// Result type.
-    pub ty: Ty,
-}
-
-/// Compiles an expression tree into stack bytecode.
-///
-/// # Errors
-///
-/// [`Error::Type`] on operand mismatches.
-pub fn compile(e: &Expr) -> Result<Code> {
-    let mut ops = Vec::new();
-    let ty = compile_into(e, &mut ops)?;
-    Ok(Code { ops, ty })
-}
-
-fn compile_into(e: &Expr, ops: &mut Vec<Op>) -> Result<Ty> {
-    match e {
-        Expr::ConstF(v) => {
-            ops.push(Op::PushF(*v));
-            Ok(Ty::F32)
-        }
-        Expr::ConstI(v) => {
-            ops.push(Op::PushI(*v));
-            Ok(Ty::I64)
-        }
-        Expr::Var(v) => {
-            ops.push(Op::LoadVar(v.0));
-            Ok(Ty::I64)
-        }
-        Expr::Load(b, idx) => {
-            let t = compile_into(idx, ops)?;
-            if t != Ty::I64 {
-                return Err(Error::Type("load index must be i64".into()));
-            }
-            ops.push(Op::Load(b.0));
-            Ok(Ty::F32)
-        }
-        Expr::Bin(op, a, b) => {
-            let ta = compile_into(a, ops)?;
-            let tb = compile_into(b, ops)?;
-            if ta != tb {
-                return Err(Error::Type(format!("operands of {op:?} disagree")));
-            }
-            match op {
-                BinOp::Lt | BinOp::Le | BinOp::EqCmp => {
-                    ops.push(if ta == Ty::F32 { Op::CmpF(*op) } else { Op::CmpI(*op) });
-                    Ok(Ty::I64)
-                }
-                BinOp::And | BinOp::Or => {
-                    if ta != Ty::I64 {
-                        return Err(Error::Type("logical ops need i64".into()));
-                    }
-                    ops.push(Op::BinI(*op));
-                    Ok(Ty::I64)
-                }
-                _ => {
-                    ops.push(if ta == Ty::F32 { Op::BinF(*op) } else { Op::BinI(*op) });
-                    Ok(ta)
-                }
-            }
-        }
-        Expr::Un(op, a) => {
-            let t = compile_into(a, ops)?;
-            match (op, t) {
-                (UnOp::Sqrt | UnOp::Exp, Ty::I64) => {
-                    Err(Error::Type(format!("{op:?} needs f32")))
-                }
-                (UnOp::Not, Ty::F32) => Err(Error::Type("not needs i64".into())),
-                (_, Ty::F32) => {
-                    ops.push(Op::UnF(*op));
-                    Ok(Ty::F32)
-                }
-                (_, Ty::I64) => {
-                    ops.push(Op::UnI(*op));
-                    Ok(Ty::I64)
-                }
-            }
-        }
-        Expr::Select(c, a, b) => {
-            let tc = compile_into(c, ops)?;
-            if tc != Ty::I64 {
-                return Err(Error::Type("select condition must be i64".into()));
-            }
-            let ta = compile_into(a, ops)?;
-            let tb = compile_into(b, ops)?;
-            if ta != tb {
-                return Err(Error::Type("select arms disagree".into()));
-            }
-            ops.push(if ta == Ty::F32 { Op::SelF } else { Op::SelI });
-            Ok(ta)
-        }
-        Expr::Cast(t, a) => {
-            let ta = compile_into(a, ops)?;
-            match (ta, t) {
-                (Ty::I64, Ty::F32) => ops.push(Op::CastIF),
-                (Ty::F32, Ty::I64) => ops.push(Op::CastFI),
-                _ => {}
-            }
-            Ok(*t)
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-enum CStmt {
-    For { var: u32, lower: Code, upper: Code, kind: LoopKind, body: Vec<CStmt> },
-    If { cond: Code, then: Vec<CStmt>, else_: Vec<CStmt> },
-    Store { buf: u32, index: Code, value: Code },
-    Let { var: u32, value: Code },
-}
-
-fn compile_stmt(s: &Stmt) -> Result<CStmt> {
-    Ok(match s {
-        Stmt::For { var, lower, upper, kind, body } => CStmt::For {
-            var: var.0,
-            lower: compile(lower)?,
-            upper: compile(upper)?,
-            kind: *kind,
-            body: body.iter().map(compile_stmt).collect::<Result<_>>()?,
-        },
-        Stmt::If { cond, then, else_ } => CStmt::If {
-            cond: compile(cond)?,
-            then: then.iter().map(compile_stmt).collect::<Result<_>>()?,
-            else_: else_.iter().map(compile_stmt).collect::<Result<_>>()?,
-        },
-        Stmt::Store { buf, index, value } => {
-            let index = compile(index)?;
-            let value = compile(value)?;
-            if index.ty != Ty::I64 {
-                return Err(Error::Type("store index must be i64".into()));
-            }
-            if value.ty != Ty::F32 {
-                return Err(Error::Type("store value must be f32".into()));
-            }
-            CStmt::Store { buf: buf.0, index, value }
-        }
-        Stmt::Let { var, value } => {
-            let value = compile(value)?;
-            if value.ty != Ty::I64 {
-                return Err(Error::Type("let binds i64 values".into()));
-            }
-            CStmt::Let { var: var.0, value }
-        }
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Buffers (shared across worker threads)
 // ---------------------------------------------------------------------------
 
@@ -376,9 +189,11 @@ pub enum ExecMode {
     /// path.
     #[default]
     Bytecode,
-    /// The original stack-walking evaluator: the reference semantics the
-    /// bytecode is differentially tested against. Also selectable
-    /// process-wide with the `LOOPVM_TREEWALK` environment variable.
+    /// The reference: the program's plain lowering
+    /// ([`crate::opt::compile_plain`]) on the bytecode interpreter, so the
+    /// optimizer's output is differentially tested against the source's
+    /// own operations. Also selectable process-wide with the
+    /// `LOOPVM_TREEWALK` environment variable.
     TreeWalk,
     /// Native x86-64 code generated by [`crate::jit`]: the default on
     /// supported targets (opt out with `LOOPVM_JIT=0`). Programs the JIT
@@ -451,22 +266,6 @@ pub(crate) fn vm_metrics() -> &'static VmMetrics {
     })
 }
 
-struct ExecCtx<'a> {
-    bufs: &'a [SharedBuf],
-    bases: &'a [u64],
-    threads: usize,
-    frame: Vec<i64>,
-    istack: Vec<i64>,
-    fstack: Vec<f32>,
-    vistack: Vec<[i64; LANES]>,
-    vfstack: Vec<[f32; LANES]>,
-    stats: RunStats,
-    cache: CacheSim,
-    /// Depth of enclosing parallel loops (cycles are divided by the
-    /// modeled core count only at the outermost one).
-    parallel_depth: u32,
-}
-
 impl Machine {
     /// Allocates zero-initialized storage for every buffer of `p`.
     pub fn new(p: &Program) -> Machine {
@@ -529,8 +328,8 @@ impl Machine {
     }
 
     /// Selects the evaluator used by [`Machine::run`]. The stats-gathering
-    /// path ([`Machine::run_with_stats`]) always uses the tree-walk
-    /// evaluator, whose cost accounting is the model's reference.
+    /// path ([`Machine::run_with_stats`]) always prices the plain lowering,
+    /// whatever the mode.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.mode = mode;
     }
@@ -602,15 +401,17 @@ impl Machine {
         r
     }
 
-    /// Runs the program with the reference tree-walk evaluator regardless
-    /// of the configured mode (differential baseline).
+    /// Runs the program's plain lowering ([`crate::opt::compile_plain`])
+    /// on the interpreter regardless of the configured mode: the
+    /// differential reference. The lowering is built for this run and
+    /// dropped after it.
     ///
     /// # Errors
     ///
     /// Same as [`Machine::run`].
     pub fn run_tree_walk(&mut self, p: &Program) -> Result<()> {
         let t0 = std::time::Instant::now();
-        let r = self.tree_walk::<false>(p).map(|_| ());
+        let r = crate::opt::compile_plain(p).and_then(|bc| bc_run(&bc, &mut self.bc_ctx(&bc, ())));
         vm_metrics().run_tree_walk_us.record_duration(t0.elapsed());
         r
     }
@@ -628,17 +429,9 @@ impl Machine {
     pub fn run_bytecode(&mut self, bc: &BcProgram) -> Result<()> {
         let _sp = telemetry::span("vm", "run_bytecode");
         let t0 = std::time::Instant::now();
-        let mut ctx = BcCtx {
-            bufs: &self.bufs,
-            threads: self.threads,
-            frame: self.frame(bc.n_vars),
-            ir: vec![0i64; bc.n_iregs as usize],
-            fr: vec![0f32; bc.n_fregs as usize],
-            lanes: Lanes::new(bc.n_iregs as usize, bc.n_fregs as usize, bc.n_vars),
-            prof: telemetry::profile_enabled().then(Box::<BcProf>::default),
-        };
-        let r = bc_run_insts(&bc.prologue, &mut ctx)
-            .and_then(|()| bc_exec_block(&bc.body, &mut ctx));
+        let mut ctx = self.bc_ctx(bc, ());
+        ctx.prof = telemetry::profile_enabled().then(Box::<BcProf>::default);
+        let r = bc_run(bc, &mut ctx);
         vm_metrics().run_bytecode_us.record_duration(t0.elapsed());
         if let Some(p) = ctx.prof.take() {
             p.emit(&bc.var_names);
@@ -646,35 +439,34 @@ impl Machine {
         r
     }
 
-    /// Runs the program, gathering [`RunStats`] (slower; for tests, cost
-    /// models and the benchmark harness's operation counts).
+    /// Runs the program's plain lowering under the default [`CostModel`],
+    /// gathering [`RunStats`] (slower; for tests, cost models and the
+    /// benchmark harness's operation counts). Parallel loops run serially
+    /// here: the model credits their modeled cores instead.
     ///
     /// # Errors
     ///
     /// Same as [`Machine::run`].
     pub fn run_with_stats(&mut self, p: &Program) -> Result<RunStats> {
-        self.tree_walk::<true>(p)
+        let bc = crate::opt::compile_plain(p)?;
+        let mut ctx = self.bc_ctx(&bc, Pricing::new(&self.bases));
+        ctx.threads = 1;
+        bc_run(&bc, &mut ctx)?;
+        Ok(ctx.meter.finish())
     }
 
-    fn tree_walk<const STATS: bool>(&mut self, p: &Program) -> Result<RunStats> {
-        let compiled: Vec<CStmt> = p.body().iter().map(compile_stmt).collect::<Result<_>>()?;
-        let mut ctx = ExecCtx {
+    /// A fresh interpreter context for `bc` on this machine's buffers.
+    fn bc_ctx<M: Meter>(&self, bc: &BcProgram, meter: M) -> BcCtx<'_, M> {
+        BcCtx {
             bufs: &self.bufs,
-            bases: &self.bases,
             threads: self.threads,
-            frame: self.frame(p.n_vars()),
-            istack: Vec::with_capacity(16),
-            fstack: Vec::with_capacity(16),
-            vistack: Vec::with_capacity(16),
-            vfstack: Vec::with_capacity(16),
-            stats: RunStats::default(),
-            cache: CacheSim::new(CostModel::default()),
-            parallel_depth: 0,
-        };
-        exec_block::<STATS>(&compiled, &mut ctx)?;
-        ctx.stats.l1_misses = ctx.cache.l1_misses;
-        ctx.stats.l2_misses = ctx.cache.l2_misses;
-        Ok(ctx.stats)
+            frame: self.frame(bc.n_vars),
+            ir: vec![0i64; bc.n_iregs as usize],
+            fr: vec![0f32; bc.n_fregs as usize],
+            lanes: Lanes::new(bc.n_iregs as usize, bc.n_fregs as usize, bc.n_vars),
+            prof: None,
+            meter,
+        }
     }
 }
 
@@ -684,94 +476,6 @@ fn default_threads() -> usize {
 
 fn default_exec_mode() -> ExecMode {
     ExecMode::from_env("LOOPVM_TREEWALK", true)
-}
-
-// ---------------------------------------------------------------------------
-// Scalar execution
-// ---------------------------------------------------------------------------
-
-#[inline]
-fn eval<const STATS: bool>(code: &Code, ctx: &mut ExecCtx<'_>) -> Result<()> {
-    ctx.istack.clear();
-    ctx.fstack.clear();
-    eval_keep::<STATS>(code, ctx)
-}
-
-/// Evaluates without clearing the stacks (caller manages stack discipline).
-fn eval_keep<const STATS: bool>(code: &Code, ctx: &mut ExecCtx<'_>) -> Result<()> {
-    for op in &code.ops {
-        match *op {
-            Op::PushF(v) => ctx.fstack.push(v),
-            Op::PushI(v) => ctx.istack.push(v),
-            Op::LoadVar(v) => ctx.istack.push(ctx.frame[v as usize]),
-            Op::Load(b) => {
-                let idx = ctx.istack.pop().unwrap();
-                let v = ctx.bufs[b as usize].get(idx)?;
-                if STATS {
-                    ctx.stats.loads += 1;
-                    let addr = ctx.bases[b as usize] + (idx as u64) * 4;
-                    ctx.stats.cycles += ctx.cache.access(addr);
-                }
-                ctx.fstack.push(v);
-            }
-            Op::BinF(op) => {
-                let b = ctx.fstack.pop().unwrap();
-                let a = ctx.fstack.pop().unwrap();
-                if STATS {
-                    ctx.stats.flops += 1;
-                    ctx.stats.cycles += ctx.cache.model().alu;
-                }
-                ctx.fstack.push(apply_f(op, a, b));
-            }
-            Op::BinI(op) => {
-                let b = ctx.istack.pop().unwrap();
-                let a = ctx.istack.pop().unwrap();
-                if STATS {
-                    ctx.stats.cycles += ctx.cache.model().alu;
-                }
-                ctx.istack.push(apply_i(op, a, b));
-            }
-            Op::CmpF(op) => {
-                let b = ctx.fstack.pop().unwrap();
-                let a = ctx.fstack.pop().unwrap();
-                ctx.istack.push(cmp_f(op, a, b));
-            }
-            Op::CmpI(op) => {
-                let b = ctx.istack.pop().unwrap();
-                let a = ctx.istack.pop().unwrap();
-                ctx.istack.push(cmp_i(op, a, b));
-            }
-            Op::UnF(op) => {
-                let a = ctx.fstack.pop().unwrap();
-                ctx.fstack.push(apply_un_f(op, a));
-            }
-            Op::UnI(op) => {
-                let a = ctx.istack.pop().unwrap();
-                ctx.istack.push(apply_un_i(op, a));
-            }
-            Op::SelF => {
-                let b = ctx.fstack.pop().unwrap();
-                let a = ctx.fstack.pop().unwrap();
-                let c = ctx.istack.pop().unwrap();
-                ctx.fstack.push(if c != 0 { a } else { b });
-            }
-            Op::SelI => {
-                let b = ctx.istack.pop().unwrap();
-                let a = ctx.istack.pop().unwrap();
-                let c = ctx.istack.pop().unwrap();
-                ctx.istack.push(if c != 0 { a } else { b });
-            }
-            Op::CastIF => {
-                let a = ctx.istack.pop().unwrap();
-                ctx.fstack.push(a as f32);
-            }
-            Op::CastFI => {
-                let a = ctx.fstack.pop().unwrap();
-                ctx.istack.push(a as i64);
-            }
-        }
-    }
-    Ok(())
 }
 
 #[inline(always)]
@@ -851,354 +555,6 @@ pub fn apply_un_i(op: UnOp, a: i64) -> i64 {
     }
 }
 
-fn exec_block<const STATS: bool>(body: &[CStmt], ctx: &mut ExecCtx<'_>) -> Result<()> {
-    for s in body {
-        exec_stmt::<STATS>(s, ctx)?;
-    }
-    Ok(())
-}
-
-fn eval_i64<const STATS: bool>(code: &Code, ctx: &mut ExecCtx<'_>) -> Result<i64> {
-    eval::<STATS>(code, ctx)?;
-    Ok(ctx.istack.pop().unwrap())
-}
-
-fn exec_stmt<const STATS: bool>(s: &CStmt, ctx: &mut ExecCtx<'_>) -> Result<()> {
-    match s {
-        CStmt::Let { var, value } => {
-            let v = eval_i64::<STATS>(value, ctx)?;
-            ctx.frame[*var as usize] = v;
-            Ok(())
-        }
-        CStmt::Store { buf, index, value } => {
-            let idx = eval_i64::<STATS>(index, ctx)?;
-            eval::<STATS>(value, ctx)?;
-            let v = ctx.fstack.pop().unwrap();
-            if STATS {
-                ctx.stats.stores += 1;
-                let addr = ctx.bases[*buf as usize] + (idx as u64) * 4;
-                ctx.stats.cycles += ctx.cache.access(addr);
-            }
-            ctx.bufs[*buf as usize].set(idx, v)
-        }
-        CStmt::If { cond, then, else_ } => {
-            let c = eval_i64::<STATS>(cond, ctx)?;
-            if c != 0 {
-                exec_block::<STATS>(then, ctx)
-            } else {
-                exec_block::<STATS>(else_, ctx)
-            }
-        }
-        CStmt::For { var, lower, upper, kind, body } => {
-            let lo = eval_i64::<STATS>(lower, ctx)?;
-            let hi = eval_i64::<STATS>(upper, ctx)?;
-            match kind {
-                LoopKind::Parallel if STATS => {
-                    // Stats path: run serially (deterministic cache
-                    // simulation), then credit the modeled core count to
-                    // the outermost parallel loop's body cycles.
-                    let before = ctx.stats.cycles;
-                    ctx.parallel_depth += 1;
-                    for v in lo..hi {
-                        ctx.frame[*var as usize] = v;
-                        ctx.stats.iterations += 1;
-                        exec_block::<STATS>(body, ctx)?;
-                    }
-                    ctx.parallel_depth -= 1;
-                    if ctx.parallel_depth == 0 {
-                        let d = (ctx.cache.model().cores as i64).min((hi - lo).max(1)) as f64;
-                        let region = ctx.stats.cycles - before;
-                        ctx.stats.cycles = before + region / d;
-                    }
-                    Ok(())
-                }
-                LoopKind::Parallel if ctx.threads > 1 && hi - lo > 1 => {
-                    exec_parallel(*var, lo, hi, body, ctx)
-                }
-                LoopKind::Vectorize(_) if body_vectorizable(body) => {
-                    exec_vector::<STATS>(*var, lo, hi, body, ctx)
-                }
-                _ => {
-                    for v in lo..hi {
-                        ctx.frame[*var as usize] = v;
-                        if STATS {
-                            ctx.stats.iterations += 1;
-                        }
-                        exec_block::<STATS>(body, ctx)?;
-                    }
-                    Ok(())
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel execution
-// ---------------------------------------------------------------------------
-
-/// Runs a parallel loop on worker threads. The stats evaluator never gets
-/// here: it prices parallel loops serially (`exec_stmt`), so workers
-/// gather nothing.
-fn exec_parallel(
-    var: u32,
-    lo: i64,
-    hi: i64,
-    body: &[CStmt],
-    ctx: &mut ExecCtx<'_>,
-) -> Result<()> {
-    let bufs = ctx.bufs;
-    let bases = ctx.bases;
-    let model = *ctx.cache.model();
-    let frame_proto = &ctx.frame;
-    let results = crate::par::chunks(ctx.threads, lo, hi, |start, end| -> Result<()> {
-        let mut sub = ExecCtx {
-            bufs,
-            bases,
-            // Nested parallel loops run serially inside a worker.
-            threads: 1,
-            frame: frame_proto.clone(),
-            istack: Vec::with_capacity(16),
-            fstack: Vec::with_capacity(16),
-            vistack: Vec::with_capacity(16),
-            vfstack: Vec::with_capacity(16),
-            stats: RunStats::default(),
-            cache: CacheSim::new(model),
-            parallel_depth: 1,
-        };
-        for v in start..end {
-            sub.frame[var as usize] = v;
-            exec_block::<false>(body, &mut sub)?;
-        }
-        Ok(())
-    });
-    results.into_iter().collect()
-}
-
-// ---------------------------------------------------------------------------
-// Vector execution
-// ---------------------------------------------------------------------------
-
-/// A body is lane-executable when it contains only stores and lets (the
-/// shape produced by vectorizing an innermost loop).
-fn body_vectorizable(body: &[CStmt]) -> bool {
-    body.iter().all(|s| matches!(s, CStmt::Store { .. } | CStmt::Let { .. }))
-}
-
-fn exec_vector<const STATS: bool>(
-    var: u32,
-    lo: i64,
-    hi: i64,
-    body: &[CStmt],
-    ctx: &mut ExecCtx<'_>,
-) -> Result<()> {
-    let mut v = lo;
-    while v + (LANES as i64) <= hi {
-        if STATS {
-            ctx.stats.iterations += LANES as u64;
-        }
-        exec_vector_chunk::<STATS>(var, v, body, ctx)?;
-        v += LANES as i64;
-    }
-    // Scalar remainder.
-    while v < hi {
-        ctx.frame[var as usize] = v;
-        if STATS {
-            ctx.stats.iterations += 1;
-        }
-        exec_block::<STATS>(body, ctx)?;
-        v += 1;
-    }
-    Ok(())
-}
-
-/// Per-lane variable overlays: the vector frame is the scalar frame plus a
-/// lane-varying overlay for the vector var and vector lets.
-fn exec_vector_chunk<const STATS: bool>(
-    var: u32,
-    base: i64,
-    body: &[CStmt],
-    ctx: &mut ExecCtx<'_>,
-) -> Result<()> {
-    // Lane-varying slots: map var slot -> [i64; LANES].
-    let mut overlay: Vec<(u32, [i64; LANES])> = Vec::with_capacity(4);
-    let mut lanes = [0i64; LANES];
-    for (l, lane) in lanes.iter_mut().enumerate() {
-        *lane = base + l as i64;
-    }
-    overlay.push((var, lanes));
-    for s in body {
-        match s {
-            CStmt::Let { var, value } => {
-                let mut out = [0i64; LANES];
-                veval_i::<STATS>(value, ctx, &overlay, &mut out)?;
-                overlay.retain(|(v, _)| v != var);
-                overlay.push((*var, out));
-            }
-            CStmt::Store { buf, index, value } => {
-                let mut idx = [0i64; LANES];
-                veval_i::<STATS>(index, ctx, &overlay, &mut idx)?;
-                let mut val = [0f32; LANES];
-                veval_f::<STATS>(value, ctx, &overlay, &mut val)?;
-                if STATS {
-                    ctx.stats.stores += LANES as u64;
-                    ctx.stats.cycles += vector_mem_cost(ctx, *buf, &idx);
-                }
-                let b = &ctx.bufs[*buf as usize];
-                for l in 0..LANES {
-                    b.set(idx[l], val[l])?;
-                }
-            }
-            _ => unreachable!("checked by body_vectorizable"),
-        }
-    }
-    Ok(())
-}
-
-fn veval_i<const STATS: bool>(
-    code: &Code,
-    ctx: &mut ExecCtx<'_>,
-    overlay: &[(u32, [i64; LANES])],
-    out: &mut [i64; LANES],
-) -> Result<()> {
-    veval::<STATS>(code, ctx, overlay)?;
-    *out = ctx.vistack.pop().unwrap();
-    Ok(())
-}
-
-fn veval_f<const STATS: bool>(
-    code: &Code,
-    ctx: &mut ExecCtx<'_>,
-    overlay: &[(u32, [i64; LANES])],
-    out: &mut [f32; LANES],
-) -> Result<()> {
-    veval::<STATS>(code, ctx, overlay)?;
-    *out = ctx.vfstack.pop().unwrap();
-    Ok(())
-}
-
-fn veval<const STATS: bool>(
-    code: &Code,
-    ctx: &mut ExecCtx<'_>,
-    overlay: &[(u32, [i64; LANES])],
-) -> Result<()> {
-    ctx.vistack.clear();
-    ctx.vfstack.clear();
-    for op in &code.ops {
-        match *op {
-            Op::PushF(v) => ctx.vfstack.push([v; LANES]),
-            Op::PushI(v) => ctx.vistack.push([v; LANES]),
-            Op::LoadVar(v) => {
-                if let Some((_, lanes)) = overlay.iter().rev().find(|(ov, _)| *ov == v) {
-                    ctx.vistack.push(*lanes);
-                } else {
-                    ctx.vistack.push([ctx.frame[v as usize]; LANES]);
-                }
-            }
-            Op::Load(b) => {
-                let idx = ctx.vistack.pop().unwrap();
-                let mut out = [0f32; LANES];
-                let buf = &ctx.bufs[b as usize];
-                for l in 0..LANES {
-                    out[l] = buf.get(idx[l])?;
-                }
-                if STATS {
-                    ctx.stats.loads += LANES as u64;
-                    ctx.stats.cycles += vector_mem_cost(ctx, b, &idx);
-                }
-                ctx.vfstack.push(out);
-            }
-            Op::BinF(op) => {
-                let b = ctx.vfstack.pop().unwrap();
-                let a = ctx.vfstack.last_mut().unwrap();
-                if STATS {
-                    ctx.stats.flops += LANES as u64;
-                    ctx.stats.cycles += ctx.cache.model().alu;
-                }
-                for l in 0..LANES {
-                    a[l] = apply_f(op, a[l], b[l]);
-                }
-            }
-            Op::BinI(op) => {
-                let b = ctx.vistack.pop().unwrap();
-                let a = ctx.vistack.last_mut().unwrap();
-                if STATS {
-                    ctx.stats.cycles += ctx.cache.model().alu;
-                }
-                for l in 0..LANES {
-                    a[l] = apply_i(op, a[l], b[l]);
-                }
-            }
-            Op::CmpF(op) => {
-                let b = ctx.vfstack.pop().unwrap();
-                let a = ctx.vfstack.pop().unwrap();
-                let mut out = [0i64; LANES];
-                for l in 0..LANES {
-                    out[l] = cmp_f(op, a[l], b[l]);
-                }
-                ctx.vistack.push(out);
-            }
-            Op::CmpI(op) => {
-                let b = ctx.vistack.pop().unwrap();
-                let a = ctx.vistack.pop().unwrap();
-                let mut out = [0i64; LANES];
-                for l in 0..LANES {
-                    out[l] = cmp_i(op, a[l], b[l]);
-                }
-                ctx.vistack.push(out);
-            }
-            Op::UnF(op) => {
-                let a = ctx.vfstack.last_mut().unwrap();
-                for x in a.iter_mut() {
-                    *x = apply_un_f(op, *x);
-                }
-            }
-            Op::UnI(op) => {
-                let a = ctx.vistack.last_mut().unwrap();
-                for x in a.iter_mut() {
-                    *x = apply_un_i(op, *x);
-                }
-            }
-            Op::SelF => {
-                let b = ctx.vfstack.pop().unwrap();
-                let a = ctx.vfstack.pop().unwrap();
-                let c = ctx.vistack.pop().unwrap();
-                let mut out = [0f32; LANES];
-                for l in 0..LANES {
-                    out[l] = if c[l] != 0 { a[l] } else { b[l] };
-                }
-                ctx.vfstack.push(out);
-            }
-            Op::SelI => {
-                let b = ctx.vistack.pop().unwrap();
-                let a = ctx.vistack.pop().unwrap();
-                let c = ctx.vistack.pop().unwrap();
-                let mut out = [0i64; LANES];
-                for l in 0..LANES {
-                    out[l] = if c[l] != 0 { a[l] } else { b[l] };
-                }
-                ctx.vistack.push(out);
-            }
-            Op::CastIF => {
-                let a = ctx.vistack.pop().unwrap();
-                let mut out = [0f32; LANES];
-                for l in 0..LANES {
-                    out[l] = a[l] as f32;
-                }
-                ctx.vfstack.push(out);
-            }
-            Op::CastFI => {
-                let a = ctx.vfstack.pop().unwrap();
-                let mut out = [0i64; LANES];
-                for l in 0..LANES {
-                    out[l] = a[l] as i64;
-                }
-                ctx.vistack.push(out);
-            }
-        }
-    }
-    Ok(())
-}
 
 /// Evaluates a load-free integer expression with the given variable
 /// bindings (used by runtimes to evaluate message sizes, ranks and
@@ -1215,69 +571,180 @@ fn veval<const STATS: bool>(
 ///
 /// Division/remainder by zero.
 pub fn eval_scalar(e: &Expr, bindings: &[(crate::expr::Var, i64)]) -> Result<i64> {
-    let code = compile(e)?;
-    if code.ty != Ty::I64 {
+    if e.ty()? != Ty::I64 {
         return Err(Error::Type("eval_scalar needs an integer expression".into()));
     }
-    // Stack code is straight-line (every op always executes), so
-    // validating it first lets the evaluation below assume integer ops.
-    for op in &code.ops {
-        match op {
-            Op::PushI(_) | Op::LoadVar(_) | Op::BinI(_) | Op::CmpI(_) | Op::UnI(_)
-            | Op::SelI => {}
-            Op::Load(_) => {
-                return Err(Error::Structure("eval_scalar cannot load buffers".into()))
-            }
-            _ => {
-                return Err(Error::Type(
-                    "eval_scalar needs a pure integer expression".into(),
-                ))
+    pure_int(e)?;
+    Ok(eval_int(e, bindings))
+}
+
+/// Checks, in evaluation order, that a well-typed `i64` expression uses
+/// integer operations only: the first float constant, load or
+/// type-changing cast is the error. Every float operator of a well-typed
+/// tree has one of those below it, so they are all this needs to see.
+fn pure_int(e: &Expr) -> Result<()> {
+    let float = || Err(Error::Type("eval_scalar needs a pure integer expression".into()));
+    match e {
+        Expr::ConstI(_) | Expr::Var(_) => Ok(()),
+        Expr::ConstF(_) => float(),
+        Expr::Load(_, idx) => {
+            pure_int(idx)?;
+            Err(Error::Structure("eval_scalar cannot load buffers".into()))
+        }
+        Expr::Bin(_, a, b) => pure_int(a).and_then(|()| pure_int(b)),
+        Expr::Un(_, a) => pure_int(a),
+        Expr::Select(c, a, b) => pure_int(c).and_then(|()| pure_int(a)).and_then(|()| pure_int(b)),
+        // A pure operand is `i64`: only the cast to `f32` changes type.
+        Expr::Cast(t, a) => pure_int(a).and_then(|()| if *t == Ty::I64 { Ok(()) } else { float() }),
+    }
+}
+
+/// Evaluates an expression [`pure_int`] accepted, operands left to right
+/// (both arms of a select included), with the interpreter's semantics.
+fn eval_int(e: &Expr, bindings: &[(crate::expr::Var, i64)]) -> i64 {
+    let ev = |x: &Expr| eval_int(x, bindings);
+    match e {
+        Expr::ConstI(v) => *v,
+        Expr::Var(v) => bindings.iter().find(|(var, _)| var == v).map_or(0, |(_, val)| *val),
+        Expr::Bin(op @ (BinOp::Lt | BinOp::Le | BinOp::EqCmp), a, b) => cmp_i(*op, ev(a), ev(b)),
+        Expr::Bin(op, a, b) => apply_i(*op, ev(a), ev(b)),
+        Expr::Un(op, a) => apply_un_i(*op, ev(a)),
+        Expr::Select(c, a, b) => {
+            let (c, a, b) = (ev(c), ev(a), ev(b));
+            if c != 0 {
+                a
+            } else {
+                b
             }
         }
+        Expr::Cast(_, a) => ev(a),
+        Expr::ConstF(_) | Expr::Load(..) => unreachable!("rejected by pure_int"),
     }
-    let mut istack: Vec<i64> = Vec::with_capacity(8);
-    for op in &code.ops {
-        match *op {
-            Op::PushI(v) => istack.push(v),
-            Op::LoadVar(v) => istack.push(
-                bindings
-                    .iter()
-                    .find(|(var, _)| var.0 == v)
-                    .map_or(0, |(_, val)| *val),
-            ),
-            Op::BinI(op) => {
-                let b = istack.pop().unwrap();
-                let a = istack.pop().unwrap();
-                istack.push(apply_i(op, a, b));
-            }
-            Op::CmpI(op) => {
-                let b = istack.pop().unwrap();
-                let a = istack.pop().unwrap();
-                istack.push(cmp_i(op, a, b));
-            }
-            Op::UnI(op) => {
-                let a = istack.pop().unwrap();
-                istack.push(apply_un_i(op, a));
-            }
-            Op::SelI => {
-                let b = istack.pop().unwrap();
-                let a = istack.pop().unwrap();
-                let c = istack.pop().unwrap();
-                istack.push(if c != 0 { a } else { b });
-            }
-            _ => unreachable!("validated above: integer ops only"),
-        }
-    }
-    Ok(istack.pop().unwrap())
 }
 
 // ---------------------------------------------------------------------------
-// Register-bytecode execution (the optimized fast path)
+// The cost hook
+// ---------------------------------------------------------------------------
+
+/// The interpreter's cost hook: a run is generic over its meter, and every
+/// site that can cost something asks it for the [`Pricing`] to charge.
+/// `()` answers `None` at compile time, so an unpriced run compiles to
+/// the interpreter without the hook.
+trait Meter {
+    fn pricing(&mut self) -> Option<&mut Pricing>;
+}
+
+impl Meter for () {
+    #[inline(always)]
+    fn pricing(&mut self) -> Option<&mut Pricing> {
+        None
+    }
+}
+
+impl Meter for Pricing {
+    #[inline(always)]
+    fn pricing(&mut self) -> Option<&mut Pricing> {
+        Some(self)
+    }
+}
+
+/// The cost model's state in a priced run: what [`RunStats`] reports, the
+/// cache simulator, each buffer's modeled base address, and how many
+/// `Parallel` loops enclose the current point.
+///
+/// Charges, in execution order: a load or store one cache access (after it
+/// succeeded, so the address is never negative) and a `loads`/`stores`
+/// count; a binary op one ALU dispatch, plus a flop when it is a float op;
+/// every loop iteration one `iterations`. A lane group pays per dispatch:
+/// one ALU dispatch per binary op (and a flop per lane), and
+/// [`Pricing::lanes_access`] per memory op.
+struct Pricing {
+    stats: RunStats,
+    cache: CacheSim,
+    bases: Vec<u64>,
+    parallel_depth: u32,
+}
+
+impl Pricing {
+    fn new(bases: &[u64]) -> Pricing {
+        Pricing {
+            stats: RunStats::default(),
+            cache: CacheSim::new(CostModel::default()),
+            bases: bases.to_vec(),
+            parallel_depth: 0,
+        }
+    }
+
+    /// Cache cost of an access to `buf[idx]`, `idx` in bounds.
+    fn access(&mut self, buf: u32, idx: i64) -> f64 {
+        self.cache.access(self.bases[buf as usize] + (idx as u64) * 4)
+    }
+
+    fn load(&mut self, buf: u32, idx: i64) {
+        self.stats.loads += 1;
+        self.stats.cycles += self.access(buf, idx);
+    }
+
+    fn store(&mut self, buf: u32, idx: i64) {
+        self.stats.stores += 1;
+        self.stats.cycles += self.access(buf, idx);
+    }
+
+    /// A binary op over `lanes` lanes.
+    fn bin(&mut self, float: bool, lanes: u64) {
+        if float {
+            self.stats.flops += lanes;
+        }
+        self.stats.cycles += self.cache.model().alu;
+    }
+
+    /// Modeled cost of a lane group's memory op: every lane's address goes
+    /// through the cache; contiguous lanes amortize to one dispatch,
+    /// gathers pay the model's gather penalty.
+    fn lanes_access(&mut self, buf: u32, idx: &[i64; LANES]) -> f64 {
+        let contiguous = idx.windows(2).all(|w| w[1] == w[0] + 1);
+        let mut total = 0.0;
+        for &i in idx {
+            total += self.access(buf, i);
+        }
+        if contiguous {
+            total / LANES as f64
+        } else {
+            total * self.cache.model().gather_penalty / LANES as f64
+        }
+    }
+
+    /// Enters a `Parallel` loop, returning the cycles before it.
+    fn enter_parallel(&mut self) -> f64 {
+        self.parallel_depth += 1;
+        self.stats.cycles
+    }
+
+    /// Leaves a `Parallel` loop of `trips` iterations entered at
+    /// `before` cycles: the outermost one divides its region's cycles by
+    /// `min(cores, trips)`.
+    fn leave_parallel(&mut self, before: f64, trips: i64) {
+        self.parallel_depth -= 1;
+        if self.parallel_depth == 0 {
+            let d = (self.cache.model().cores as i64).min(trips.max(1)) as f64;
+            let region = self.stats.cycles - before;
+            self.stats.cycles = before + region / d;
+        }
+    }
+
+    fn finish(self) -> RunStats {
+        RunStats { l1_misses: self.cache.l1_misses, l2_misses: self.cache.l2_misses, ..self.stats }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The interpreter
 // ---------------------------------------------------------------------------
 
 /// Execution context for the register bytecode: the variable frame, two
-/// scalar register files, and the lane state vectorized loops run on.
-struct BcCtx<'a> {
+/// scalar register files, the lane state vectorized loops run on, and the
+/// run's cost hook.
+struct BcCtx<'a, M> {
     bufs: &'a [SharedBuf],
     threads: usize,
     frame: Vec<i64>,
@@ -1288,6 +755,7 @@ struct BcCtx<'a> {
     /// path pays one `Option` check per statement block, never an
     /// allocation.
     prof: Option<Box<BcProf>>,
+    meter: M,
 }
 
 /// Every how many entries of a given loop statement one execution is
@@ -1352,7 +820,12 @@ impl BcProf {
     }
 }
 
-fn bc_run_insts(insts: &[Inst], ctx: &mut BcCtx<'_>) -> Result<()> {
+/// Runs a whole program: its prologue, then its body.
+fn bc_run<M: Meter>(bc: &BcProgram, ctx: &mut BcCtx<'_, M>) -> Result<()> {
+    bc_run_insts(&bc.prologue, ctx).and_then(|()| bc_exec_block(&bc.body, ctx))
+}
+
+fn bc_run_insts<M: Meter>(insts: &[Inst], ctx: &mut BcCtx<'_, M>) -> Result<()> {
     if let Some(p) = ctx.prof.as_deref_mut() {
         p.classes.count(insts);
     }
@@ -1364,11 +837,20 @@ fn bc_run_insts(insts: &[Inst], ctx: &mut BcCtx<'_>) -> Result<()> {
             Inst::Load { dst, buf, idx } => {
                 let i = ctx.ir[idx as usize];
                 ctx.fr[dst as usize] = ctx.bufs[buf as usize].get(i)?;
+                if let Some(c) = ctx.meter.pricing() {
+                    c.load(buf, i);
+                }
             }
             Inst::BinI { dst, op, a, b } => {
+                if let Some(c) = ctx.meter.pricing() {
+                    c.bin(false, 1);
+                }
                 ctx.ir[dst as usize] = apply_i(op, ctx.ir[a as usize], ctx.ir[b as usize]);
             }
             Inst::BinF { dst, op, a, b } => {
+                if let Some(c) = ctx.meter.pricing() {
+                    c.bin(true, 1);
+                }
                 ctx.fr[dst as usize] = apply_f(op, ctx.fr[a as usize], ctx.fr[b as usize]);
             }
             Inst::CmpI { dst, op, a, b } => {
@@ -1404,19 +886,19 @@ fn bc_run_insts(insts: &[Inst], ctx: &mut BcCtx<'_>) -> Result<()> {
     Ok(())
 }
 
-fn bc_exec_block(body: &[BcStmt], ctx: &mut BcCtx<'_>) -> Result<()> {
+fn bc_exec_block<M: Meter>(body: &[BcStmt], ctx: &mut BcCtx<'_, M>) -> Result<()> {
     for s in body {
         bc_exec_stmt(s, ctx)?;
     }
     Ok(())
 }
 
-fn bc_eval_bound(code: &BCode, ctx: &mut BcCtx<'_>) -> Result<i64> {
+fn bc_eval_bound<M: Meter>(code: &BCode, ctx: &mut BcCtx<'_, M>) -> Result<i64> {
     bc_run_insts(&code.insts, ctx)?;
     Ok(ctx.ir[code.reg as usize])
 }
 
-fn bc_exec_stmt(s: &BcStmt, ctx: &mut BcCtx<'_>) -> Result<()> {
+fn bc_exec_stmt<M: Meter>(s: &BcStmt, ctx: &mut BcCtx<'_, M>) -> Result<()> {
     match s {
         BcStmt::Let { code, var, reg } => {
             bc_run_insts(code, ctx)?;
@@ -1427,7 +909,11 @@ fn bc_exec_stmt(s: &BcStmt, ctx: &mut BcCtx<'_>) -> Result<()> {
             bc_run_insts(code, ctx)?;
             let i = ctx.ir[*idx as usize];
             let v = ctx.fr[*val as usize];
-            ctx.bufs[*buf as usize].set(i, v)
+            ctx.bufs[*buf as usize].set(i, v)?;
+            if let Some(c) = ctx.meter.pricing() {
+                c.store(*buf, i);
+            }
+            Ok(())
         }
         BcStmt::If { code, cond, then, else_ } => {
             bc_run_insts(code, ctx)?;
@@ -1459,10 +945,20 @@ fn bc_exec_stmt(s: &BcStmt, ctx: &mut BcCtx<'_>) -> Result<()> {
                     bc_exec_vector(s, lo, hi, ctx)
                 }
                 _ => {
+                    let parallel = match ctx.meter.pricing() {
+                        Some(c) if *kind == LoopKind::Parallel => Some(c.enter_parallel()),
+                        _ => None,
+                    };
                     for v in lo..hi {
                         ctx.frame[*var as usize] = v;
+                        if let Some(c) = ctx.meter.pricing() {
+                            c.stats.iterations += 1;
+                        }
                         bc_run_insts(preamble, ctx)?;
                         bc_exec_block(body, ctx)?;
+                    }
+                    if let (Some(before), Some(c)) = (parallel, ctx.meter.pricing()) {
+                        c.leave_parallel(before, hi - lo);
                     }
                     Ok(())
                 }
@@ -1477,19 +973,20 @@ fn bc_exec_stmt(s: &BcStmt, ctx: &mut BcCtx<'_>) -> Result<()> {
     }
 }
 
-fn bc_exec_parallel(
+/// Runs a `Parallel` loop on worker threads. Priced runs never get here
+/// (they run with one thread), so workers charge nothing.
+fn bc_exec_parallel<M: Meter>(
     var: u32,
     lo: i64,
     hi: i64,
     preamble: &[Inst],
     body: &[BcStmt],
-    ctx: &mut BcCtx<'_>,
+    ctx: &mut BcCtx<'_, M>,
 ) -> Result<()> {
     let bufs = ctx.bufs;
     // Workers snapshot the scalar state (registers computed in outer
     // preambles / the prologue stay readable) and run their range with a
-    // private context; buffers are the only shared state, as in the
-    // tree-walk parallel path.
+    // private context; buffers are the only shared state.
     let frame_proto = &ctx.frame;
     let ir_proto = &ctx.ir;
     let fr_proto = &ctx.fr;
@@ -1506,6 +1003,7 @@ fn bc_exec_parallel(
             // Workers profile into a private state merged into the
             // parent after the join.
             prof: profiled.then(Box::<BcProf>::default),
+            meter: (),
         };
         let mut r = Ok(());
         for v in start..end {
@@ -1534,16 +1032,17 @@ fn bc_exec_parallel(
     }
 }
 
-/// Mirror of [`body_vectorizable`] for the optimized format. Also the
-/// JIT's criterion for lane-grouped `Vectorize` loops, so both tiers
-/// vectorize exactly the same loops.
+/// A body is lane-executable when it contains only stores and lets (the
+/// shape produced by vectorizing an innermost loop). Also the JIT's
+/// criterion for lane-grouped `Vectorize` loops, so both tiers vectorize
+/// exactly the same loops.
 pub(crate) fn bc_body_vectorizable(body: &[BcStmt]) -> bool {
     body.iter().all(|s| matches!(s, BcStmt::Store { .. } | BcStmt::Let { .. }))
 }
 
 /// Runs a vectorizable `For` over `lo..hi`: full lane groups through
 /// [`simt`], then the scalar remainder.
-fn bc_exec_vector(s: &BcStmt, lo: i64, hi: i64, ctx: &mut BcCtx<'_>) -> Result<()> {
+fn bc_exec_vector<M: Meter>(s: &BcStmt, lo: i64, hi: i64, ctx: &mut BcCtx<'_, M>) -> Result<()> {
     let BcStmt::For { var, preamble, body, .. } = s else {
         unreachable!("called on vectorizable loops")
     };
@@ -1551,13 +1050,19 @@ fn bc_exec_vector(s: &BcStmt, lo: i64, hi: i64, ctx: &mut BcCtx<'_>) -> Result<(
     if v + (LANES as i64) <= hi {
         let reads = ctx.lanes.reads_of(s, preamble, body);
         while v + (LANES as i64) <= hi {
+            if let Some(c) = ctx.meter.pricing() {
+                c.stats.iterations += LANES as u64;
+            }
             bc_exec_chunk(*var, v, reads, preamble, body, ctx)?;
             v += LANES as i64;
         }
     }
-    // Scalar remainder (writes the frame, like the tree-walk remainder).
+    // Scalar remainder (writes the frame, unlike the chunks).
     while v < hi {
         ctx.frame[*var as usize] = v;
+        if let Some(c) = ctx.meter.pricing() {
+            c.stats.iterations += 1;
+        }
         bc_run_insts(preamble, ctx)?;
         bc_exec_block(body, ctx)?;
         v += 1;
@@ -1571,18 +1076,17 @@ const FULL: [bool; LANES] = [true; LANES];
 /// Runs one lane group — the iterations `base..base + LANES` — through
 /// [`simt`] at full mask, after broadcasting what the chunk reads from
 /// outside itself (`Lanes::reads[reads]`) and writing the loop variable's
-/// lanes. Chunks write only lanes: like the tree-walk's overlay, lets
-/// never reach the scalar frame, so they carry neither into the next
-/// chunk nor into the scalar remainder.
-fn bc_exec_chunk(
+/// lanes. Chunks write only lanes: lets never reach the scalar frame, so
+/// they carry neither into the next chunk nor into the scalar remainder.
+fn bc_exec_chunk<M: Meter>(
     var: u32,
     base: i64,
     reads: usize,
     preamble: &[Inst],
     body: &[BcStmt],
-    ctx: &mut BcCtx<'_>,
+    ctx: &mut BcCtx<'_, M>,
 ) -> Result<()> {
-    let BcCtx { bufs, frame, ir, fr, lanes, prof, .. } = ctx;
+    let BcCtx { bufs, frame, ir, fr, lanes, prof, meter, .. } = ctx;
     let Lanes { ir: lane_ir, fr: lane_fr, vars, reads: all_reads } = lanes;
     let reads = &all_reads[reads];
     for &(file, r) in &reads.regs {
@@ -1596,7 +1100,7 @@ fn bc_exec_chunk(
         vars[v as usize] = [frame[v as usize]; LANES];
     }
     vars[var as usize] = std::array::from_fn(|l| base + l as i64);
-    let mut host = CpuHost { bufs };
+    let mut host = CpuHost { bufs, meter };
     let mut w = simt::WarpCtx {
         ir: lane_ir,
         fr: lane_fr,
@@ -1689,19 +1193,31 @@ impl Lanes {
 /// The CPU's [`WarpHost`]: a chunk's loads and stores go lane by lane to
 /// the machine's buffers, so the first failing lane reports the error and
 /// the lanes before it stay stored, exactly as the scalar iterations
-/// would; issue and divergence cost nothing.
-struct CpuHost<'a> {
+/// would. Issue and divergence cost nothing; binary ops and (successful)
+/// memory ops are charged to the run's meter per lane group.
+struct CpuHost<'a, M> {
     bufs: &'a [SharedBuf],
+    meter: &'a mut M,
 }
 
-impl WarpHost<LANES> for CpuHost<'_> {
+impl<M: Meter> WarpHost<LANES> for CpuHost<'_, M> {
     fn issue(&mut self) {}
+
+    fn binop(&mut self, float: bool) {
+        if let Some(c) = self.meter.pricing() {
+            c.bin(float, LANES as u64);
+        }
+    }
 
     fn load(&mut self, buf: u32, idx: &[i64; LANES], mask: &[bool; LANES]) -> Result<[f32; LANES]> {
         let b = &self.bufs[buf as usize];
         let mut out = [0.0; LANES];
         for l in (0..LANES).filter(|&l| mask[l]) {
             out[l] = b.get(idx[l])?;
+        }
+        if let Some(c) = self.meter.pricing() {
+            c.stats.loads += LANES as u64;
+            c.stats.cycles += c.lanes_access(buf, idx);
         }
         Ok(out)
     }
@@ -1717,27 +1233,14 @@ impl WarpHost<LANES> for CpuHost<'_> {
         for l in (0..LANES).filter(|&l| mask[l]) {
             b.set(idx[l], val[l])?;
         }
+        if let Some(c) = self.meter.pricing() {
+            c.stats.stores += LANES as u64;
+            c.stats.cycles += c.lanes_access(buf, idx);
+        }
         Ok(())
     }
 
     fn divergence(&mut self) {}
-}
-
-/// Modeled cost of a vector memory operation: lane addresses go through
-/// the cache; contiguous lanes amortize to one dispatch, gathers pay the
-/// model's gather penalty.
-fn vector_mem_cost(ctx: &mut ExecCtx<'_>, buf: u32, idx: &[i64; LANES]) -> f64 {
-    let base = ctx.bases[buf as usize];
-    let contiguous = idx.windows(2).all(|w| w[1] == w[0] + 1);
-    let mut total = 0.0;
-    for &i in idx {
-        total += ctx.cache.access(base + (i as u64) * 4);
-    }
-    if contiguous {
-        total / LANES as f64
-    } else {
-        total * ctx.cache.model().gather_penalty / LANES as f64
-    }
 }
 
 #[cfg(test)]
@@ -1801,6 +1304,17 @@ mod tests {
         m.set_exec_mode(ExecMode::TreeWalk);
         m.run(&p).unwrap();
         assert!(h.snapshot().count > direct);
+    }
+
+    #[test]
+    fn reference_and_priced_runs_keep_their_code_to_themselves() {
+        let (p, _, _) = saxpy_program(LoopKind::Vectorize(8), 20);
+        let mut m = Machine::new(&p);
+        m.run_tree_walk(&p).unwrap();
+        let stats = m.run_with_stats(&p).unwrap();
+        assert_eq!((stats.iterations, stats.loads, stats.flops), (20, 40, 40));
+        // Neither run stored its plain lowering as the program's code.
+        assert!(p.compiled_or_build().1, "the program already held compiled code");
     }
 
     #[test]

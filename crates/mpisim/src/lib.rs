@@ -783,7 +783,7 @@ fn run_rank(
     // ten interleaved pairs (0/10, 2/10 wins) — on `stats_mode` requests
     // that never reach it, i.e. a code-layout effect. It stays until that
     // is understood. `TreeWalk` (set by `init` or `LOOPVM_TREEWALK`) still
-    // selects the reference evaluator.
+    // selects the reference.
     if machine.exec_mode() == loopvm::ExecMode::Jit {
         machine.set_exec_mode(loopvm::ExecMode::Bytecode);
     }
@@ -818,7 +818,7 @@ fn run_rank(
             DistStmt::Compute(k) => {
                 let _sp = prof.then(|| telemetry::span("dist", "compute"));
                 let chunk = &dist.chunks[*k];
-                // Stats gathering needs the tree-walk's cost accounting.
+                // Stats gathering prices the chunk's plain lowering.
                 if opts.stats_mode {
                     compute.add(&machine.run_with_stats(chunk).map_err(vm)?);
                 } else {

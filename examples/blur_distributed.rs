@@ -81,8 +81,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("cluster modeled time: {:.0} cycles", stats.modeled_cycles);
     // With TIRAMISU_PROFILE=1 the compile passes, per-rank comm spans and
     // bytecode hot-loop counters all land in one Chrome trace. The stats
-    // run above tree-walks its compute chunks (that's what the cost model
-    // needs), so add one fast-path run to profile the rank bytecode too.
+    // run above prices its compute chunks' plain lowering, which the
+    // profiler never sees, so add one fast-path run to profile the rank
+    // bytecode too.
     if telemetry::profile_enabled() {
         mpisim::run_with_init(
             &module.dist,

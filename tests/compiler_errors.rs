@@ -152,6 +152,41 @@ fn emit_time_constant_folding_wraps_like_the_executors() {
     }
 }
 
+/// An `f32` `if` condition or loop bound is the same type error on every
+/// executor. The reference paths (`TreeWalk`, `run_with_stats`,
+/// `launch_tree_walk`) used to skip these checks and panic on an empty
+/// operand stack instead.
+#[test]
+fn f32_conditions_and_loop_bounds_are_the_same_type_error_everywhere() {
+    use loopvm::{ExecMode, Expr as V, Machine, Program, Stmt};
+    let mut p = Program::new();
+    let y = p.buffer("y", 1);
+    let i = p.var("i");
+    let store = || vec![Stmt::store(y, V::i64(0), V::f32(1.0))];
+    let cases = [
+        (Stmt::if_then(V::f32(1.0), store()), "if condition must be i64"),
+        (Stmt::if_then(V::f32(1.0), vec![]), "if condition must be i64"),
+        (Stmt::serial(i, V::i64(0), V::f32(2.0), store()), "loop bounds must be i64"),
+    ];
+    let model = gpusim::GpuModel::default();
+    for (stmt, msg) in cases {
+        let mut p = p.clone();
+        p.set_body(vec![stmt]);
+        let want = Err(loopvm::Error::Type(msg.into()));
+        for mode in [ExecMode::TreeWalk, ExecMode::Bytecode, ExecMode::Jit] {
+            let mut m = Machine::new(&p);
+            m.set_exec_mode(mode);
+            assert_eq!(m.run(&p), want, "{mode:?}: {msg}");
+        }
+        assert_eq!(Machine::new(&p).run_with_stats(&p).map(|_| ()), want, "stats: {msg}");
+        let k = gpusim::Kernel::new(p, [1, 1], [32, 1]);
+        let mut bufs = gpusim::exec::alloc_buffers(&k);
+        assert_eq!(gpusim::launch(&k, &mut bufs, &model).map(|_| ()), want, "launch: {msg}");
+        let tree_walk = gpusim::launch_tree_walk(&k, &mut bufs, &model);
+        assert_eq!(tree_walk.map(|_| ()), want, "launch_tree_walk: {msg}");
+    }
+}
+
 /// A buffer whose element count overflows is a compile error in every
 /// build profile: the unchecked product used to panic in debug builds and,
 /// in release, wrap to 0 and silently allocate a one-element buffer.

@@ -5,7 +5,10 @@
 //! sequences, then compiled and executed every way the repo can:
 //!
 //! - CPU bytecode (the optimizing register-VM path, `Machine::run`),
-//! - CPU tree-walk (the reference evaluator, `Machine::run_tree_walk`),
+//! - CPU reference (the plain lowering on the same interpreter,
+//!   `Machine::run_tree_walk`),
+//! - the test-side walker (`tests/common/walker.rs`), which shares
+//!   nothing with the executors but the scalar semantics,
 //! - the GPU backend (`tile_gpu` + SIMT simulator),
 //! - the distributed backend (`split` + `distribute` over 2 ranks).
 //!
@@ -18,6 +21,8 @@
 //! count (e.g. to shrink the suite under a tight timeout).
 
 mod common;
+#[path = "common/walker.rs"]
+mod walker;
 
 use common::diff_cases;
 use mpisim::{CommModel, RunOptions};
@@ -219,6 +224,19 @@ fn bytecode_roundtrips(p: &loopvm::Program) -> bool {
     loopvm::codec::decode_bc(&mut artifacts::wire::Reader::new(&w.into_vec()), p).is_ok()
 }
 
+fn bits(bufs: &[Vec<f32>]) -> Vec<Vec<u32>> {
+    bufs.iter().map(|b| b.iter().map(|v| v.to_bits()).collect()).collect()
+}
+
+/// [`run_cpu`] on the walker.
+fn walk_cpu(module: &tiramisu::CpuModule) -> Vec<Vec<u32>> {
+    let p = &module.program;
+    let mut bufs = walker::buffers(p);
+    fill(&mut bufs[module.vm_buffer("in").unwrap().index()], 7);
+    walker::run(p, &mut bufs).unwrap();
+    bits(&bufs)
+}
+
 fn run_cpu(module: &tiramisu::CpuModule, mode: loopvm::ExecMode) -> Vec<Vec<u32>> {
     let mut m = module.machine();
     m.set_threads(2);
@@ -268,6 +286,7 @@ proptest! {
         let fast = run_cpu(&module, loopvm::ExecMode::Bytecode);
         let reference = run_cpu(&module, loopvm::ExecMode::TreeWalk);
         prop_assert_eq!(&fast, &reference, "bytecode vs tree-walk: {:?}", &alg);
+        prop_assert_eq!(&fast, &walk_cpu(&module), "bytecode vs walker: {:?}", &alg);
         // The native tier must agree bit-for-bit too. Off x86-64/Linux
         // Jit mode falls back to the interpreter, so this lane still
         // passes (trivially) with zero changes.
@@ -415,25 +434,11 @@ proptest! {
 
 // ----------------------------------------------------- trap differential --
 
-/// Runs `p` under `mode` from a deterministic non-zero fill of every
-/// buffer and reduces the observable outcome to a string — `ok`, the
-/// runtime `Error`'s display text, or the panic payload text — plus every
-/// buffer's bits after the run. The JIT deopts to the interpreter's scalar
-/// helpers on every trapping instruction, so all three executors must
-/// produce the *same* string, and a failed run must leave the same partial
-/// results behind.
-fn trap_outcome_and_buffers(
-    p: &loopvm::Program,
-    mode: loopvm::ExecMode,
-) -> (String, Vec<Vec<u32>>) {
+/// Reduces a run's observable outcome to a string: `ok`, the runtime
+/// `Error`'s display text, or the panic payload text.
+fn outcome_of(run: impl FnOnce() -> Result<(), loopvm::Error>) -> String {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    let mut m = loopvm::Machine::new(p);
-    m.set_threads(2);
-    m.set_exec_mode(mode);
-    for b in 0..p.n_buffers() {
-        fill(m.buffer_mut(p.nth_buffer(b)), 11 + b as u64);
-    }
-    let outcome = match catch_unwind(AssertUnwindSafe(|| m.run(p))) {
+    match catch_unwind(AssertUnwindSafe(run)) {
         Ok(Ok(())) => "ok".to_string(),
         Ok(Err(e)) => format!("err: {e}"),
         Err(payload) => {
@@ -444,11 +449,40 @@ fn trap_outcome_and_buffers(
                 .unwrap_or_else(|| "<non-string panic>".to_string());
             format!("panic: {text}")
         }
-    };
+    }
+}
+
+/// Runs `p` under `mode` from a deterministic non-zero fill of every
+/// buffer: the [`outcome_of`] string plus every buffer's bits after the
+/// run. The JIT deopts to the interpreter's scalar helpers on every
+/// trapping instruction, so all three executors — and the walker — must
+/// produce the *same* string, and a failed run must leave the same
+/// partial results behind.
+fn trap_outcome_and_buffers(
+    p: &loopvm::Program,
+    mode: loopvm::ExecMode,
+) -> (String, Vec<Vec<u32>>) {
+    let mut m = loopvm::Machine::new(p);
+    m.set_threads(2);
+    m.set_exec_mode(mode);
+    for b in 0..p.n_buffers() {
+        fill(m.buffer_mut(p.nth_buffer(b)), 11 + b as u64);
+    }
+    let outcome = outcome_of(|| m.run(p));
     let bufs = (0..p.n_buffers())
         .map(|b| m.buffer(p.nth_buffer(b)).iter().map(|v| v.to_bits()).collect())
         .collect();
     (outcome, bufs)
+}
+
+/// [`trap_outcome_and_buffers`] on the walker.
+fn walker_outcome_and_buffers(p: &loopvm::Program) -> (String, Vec<Vec<u32>>) {
+    let mut bufs = walker::buffers(p);
+    for (b, buf) in bufs.iter_mut().enumerate() {
+        fill(buf, 11 + b as u64);
+    }
+    let outcome = outcome_of(|| walker::run(p, &mut bufs));
+    (outcome, bits(&bufs))
 }
 
 fn trap_outcome(p: &loopvm::Program, mode: loopvm::ExecMode) -> String {
@@ -456,8 +490,9 @@ fn trap_outcome(p: &loopvm::Program, mode: loopvm::ExecMode) -> String {
 }
 
 /// Traps (out-of-bounds accesses, division by zero) must produce the
-/// identical error or panic on the JIT, bytecode, and tree-walk tiers —
-/// values agreeing is not enough, the failure paths must agree too.
+/// identical error or panic on the JIT, bytecode and reference tiers and
+/// the walker — values agreeing is not enough, the failure paths must
+/// agree too.
 #[test]
 fn traps_agree_across_executors() {
     use loopvm::{Expr, LoopKind, Program, Stmt};
@@ -544,6 +579,7 @@ fn traps_agree_across_executors() {
         let jit = trap_outcome(p, loopvm::ExecMode::Jit);
         let bc = trap_outcome(p, loopvm::ExecMode::Bytecode);
         let tw = trap_outcome(p, loopvm::ExecMode::TreeWalk);
+        let walked = walker_outcome_and_buffers(p).0;
         if bc != *expected {
             failures.push(format!("{name}: bytecode produced {bc:?}, expected {expected:?}"));
         }
@@ -552,6 +588,9 @@ fn traps_agree_across_executors() {
         }
         if tw != bc {
             failures.push(format!("{name}: tree-walk produced {tw:?}, bytecode {bc:?}"));
+        }
+        if walked != bc {
+            failures.push(format!("{name}: walker produced {walked:?}, bytecode {bc:?}"));
         }
     }
 
@@ -639,13 +678,15 @@ fn vector_lane_traps_agree() {
         if bc != *expected {
             failures.push(format!("{name}: bytecode produced {bc:?}, expected {expected:?}"));
         }
-        for mode in [loopvm::ExecMode::Jit, loopvm::ExecMode::TreeWalk] {
-            let (out, bufs) = trap_outcome_and_buffers(p, mode);
+        let runs = [loopvm::ExecMode::Jit, loopvm::ExecMode::TreeWalk]
+            .map(|mode| (format!("{mode:?}"), trap_outcome_and_buffers(p, mode)));
+        let walked = ("walker".to_string(), walker_outcome_and_buffers(p));
+        for (who, (out, bufs)) in runs.into_iter().chain([walked]) {
             if out != bc {
-                failures.push(format!("{name}: {mode:?} produced {out:?}, bytecode {bc:?}"));
+                failures.push(format!("{name}: {who} produced {out:?}, bytecode {bc:?}"));
             }
             if bufs != bc_bufs {
-                failures.push(format!("{name}: {mode:?} left different buffers than bytecode"));
+                failures.push(format!("{name}: {who} left different buffers than bytecode"));
             }
         }
     }

@@ -3,6 +3,9 @@
 //! programs, and the compiler's generated code must agree with a direct
 //! interpreter of random scheduled computations.
 
+#[path = "common/walker.rs"]
+mod walker;
+
 use loopvm::{ExecMode, Expr as V, LoopKind, Machine, Program, Stmt};
 use proptest::prelude::*;
 
@@ -418,6 +421,13 @@ fn run_program(p: &Program, out: loopvm::BufId, mode: ExecMode, threads: usize) 
     m.buffer(out).to_vec()
 }
 
+/// Runs `p` on the test-side walker, returning `out`.
+fn walk(p: &Program, out: loopvm::BufId) -> Vec<f32> {
+    let mut bufs = walker::buffers(p);
+    walker::run(p, &mut bufs).unwrap();
+    bufs.swap_remove(out.index())
+}
+
 /// The review repro: `let t = 5; for i in 0..4 { let t = t + 1; out[i] = t }`
 /// must give [6, 7, 8, 9] — a stale register binding repeats 6 forever.
 #[test]
@@ -609,9 +619,11 @@ proptest! {
     /// and native tiers agree with the tree-walk under every loop kind
     /// (parallel workers snapshot the frame at loop entry, and vector
     /// chunks compute every lane from the pre-loop value, so those shared
-    /// semantics are compared tier-vs-tier, not against serial). `n` runs
-    /// past several 8-lane chunks, so a let carried from one chunk into
-    /// the next — or into the scalar remainder — shows up.
+    /// semantics are compared tier-vs-tier, not against serial). On one
+    /// thread every tier must also agree with the walker, which runs
+    /// `Parallel` loops sequentially and keeps chunk lets in their lanes.
+    /// `n` runs past several 8-lane chunks, so a let carried from one
+    /// chunk into the next — or into the scalar remainder — shows up.
     #[test]
     fn loop_carried_let_chains_agree(
         init in -4i64..=4,
@@ -651,6 +663,7 @@ proptest! {
         for mode in TIERS {
             prop_assert_eq!(run_program(&p, out, mode, 1), expect.clone(), "{:?} vs rust", mode);
         }
+        prop_assert_eq!(walk(&p, out), expect, "walker vs rust");
 
         // Tier agreement under every loop kind.
         for kind in [
@@ -666,6 +679,14 @@ proptest! {
                     run_program(&p, out, mode, 2),
                     reference.clone(),
                     "{:?} vs tree-walk under {:?}", mode, kind
+                );
+            }
+            let walked = walk(&p, out);
+            for mode in TIERS {
+                prop_assert_eq!(
+                    run_program(&p, out, mode, 1),
+                    walked.clone(),
+                    "{:?} vs walker under {:?}", mode, kind
                 );
             }
         }
