@@ -4,7 +4,6 @@
 //! cargo run --release -p bench --bin figures -- all
 //! cargo run --release -p bench --bin figures -- fig1 table1 fig5 fig6 fig7 profile tiers oracle cache
 //! cargo run --release -p bench --bin figures -- check     # perf-regression gate
-//! cargo run --release -p bench --bin figures -- overhead  # always-on telemetry cost
 //! ```
 //!
 //! `all` (or no argument) additionally writes `BENCH_figures.json` at the
@@ -17,11 +16,13 @@
 //! non-zero on any drift. Wall-clock regressions are gated by
 //! `benchmark/` (see `BENCHMARK.json`), not here.
 //!
-//! `profile` runs the Figure 1 sgemm Tiramisu schedule under the
-//! bytecode profiler and prints the telemetry report; its deterministic
+//! `profile` compiles and runs the Figure 1 sgemm Tiramisu schedule
+//! under the profiler and prints the telemetry report; its deterministic
 //! counters (loop trip counts, instruction-class totals) are folded into
 //! the snapshot. With `TIRAMISU_PROFILE` set it additionally writes the
-//! Chrome trace (`TIRAMISU_PROFILE_OUT` or `figures.trace.json`).
+//! Chrome trace (`TIRAMISU_PROFILE_OUT` or `figures.trace.json`): every
+//! thread's events, including the compile passes that ran on the global
+//! compile service's workers.
 
 use bench::json::jstr;
 use bench::{default_img, fig1_cpu, fig1_gpu, fig5, fig6, fig7, normalized, render_table, table1};
@@ -423,40 +424,11 @@ fn run_check() -> i32 {
     }
 }
 
-/// Measures the cost of the always-on observability layer (flight
-/// recorder rings + metrics) on the Figure 1 sgemm hot path: interleaved
-/// min-of-N with the recorder forced off vs on. Prints the numbers
-/// recorded in EXPERIMENTS.md.
-fn run_overhead() {
-    const RUNS: usize = 40;
-    let prep = kernels::sgemm::tiramisu_best(96, 32).expect("sgemm compile");
-    prep.run_wall().expect("warmup");
-    let mut off = f64::INFINITY;
-    let mut on = f64::INFINITY;
-    // Interleave so frequency scaling / cache state hits both arms alike.
-    for _ in 0..RUNS {
-        telemetry::flight::set_flight(Some(false));
-        off = off.min(prep.run_wall().expect("run").0.as_secs_f64() * 1e6);
-        telemetry::flight::set_flight(Some(true));
-        on = on.min(prep.run_wall().expect("run").0.as_secs_f64() * 1e6);
-    }
-    telemetry::flight::set_flight(None);
-    let delta = (on - off) / off * 100.0;
-    println!("overhead: sgemm(96,32) hot path, min of {RUNS} interleaved runs");
-    println!("  flight recorder off: {off:.1}us");
-    println!("  flight recorder on:  {on:.1}us");
-    println!("  overhead: {delta:+.2}%");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
     if args.iter().any(|a| a == "check") {
         std::process::exit(run_check());
-    }
-    if args.iter().any(|a| a == "overhead") {
-        run_overhead();
-        return;
     }
 
     let all = args.is_empty() || args.iter().any(|a| a == "all");

@@ -21,9 +21,9 @@ use std::collections::HashMap;
 pub struct DistOptions {
     /// Verify the schedule before code generation (on by default).
     pub check_legality: bool,
-    /// Statically validate the Layer IV communication structure when the
-    /// rank graph is computable (on by default); see
-    /// [`crate::layer4::validate_comm`].
+    /// Statically validate the emitted rank program's send/receive
+    /// matching ([`mpisim::validate_comm`]) when the rank graph is
+    /// computable (on by default).
     pub check_comm: bool,
     /// Record a [`CompileTrace`] ([`DistModule::compile_trace`]); the
     /// `TIRAMISU_TRACE` environment variable enables this globally.
@@ -127,13 +127,6 @@ impl EmitTarget for DistTarget {
         "dist"
     }
 
-    fn validate(&self, f: &Function, param_vals: &HashMap<String, i64>) -> Result<()> {
-        if !self.check_comm {
-            return Ok(());
-        }
-        layer4::validate_comm(f, param_vals)
-    }
-
     // Rank programs keep their bounds in the raw scheduled form.
     fn fold_bound(&self, e: VExpr) -> VExpr {
         e
@@ -169,11 +162,15 @@ impl EmitTarget for DistTarget {
         let preamble = lm.param_lets();
         let (chunks, body) = layer4::interleave_comm(lm, self, roots, rank_var)?;
         let program = std::mem::take(&mut lm.program);
-        Ok(DistModule {
-            dist: DistProgram::new(program, rank_var, preamble, chunks, body),
-            buffer_map: std::mem::take(&mut lm.buffer_map),
-            trace: None,
-        })
+        let dist = DistProgram::new(program, rank_var, preamble, chunks, body);
+        // A send/receive mismatch is the classic way a hand-scheduled
+        // Layer IV program deadlocks: report it here, not as a hang.
+        if self.check_comm {
+            if let Some(n_ranks) = layer4::static_ranks(lm, rank_var) {
+                mpisim::validate_comm(&dist, n_ranks).map_err(|e| Error::Illegal(e.to_string()))?;
+            }
+        }
+        Ok(DistModule { dist, buffer_map: std::mem::take(&mut lm.buffer_map), trace: None })
     }
 
     fn module_stats(&self, module: &DistModule) -> (usize, String) {

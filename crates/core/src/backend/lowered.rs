@@ -199,18 +199,6 @@ pub trait EmitTarget {
         simplify(e)
     }
 
-    /// Target-specific validation, run by the legality pass (after the
-    /// schedule check). The distributed target checks Layer IV
-    /// communication structure here.
-    ///
-    /// # Errors
-    ///
-    /// Target-defined validation failures.
-    fn validate(&self, f: &Function, param_vals: &HashMap<String, i64>) -> Result<()> {
-        let _ = (f, param_vals);
-        Ok(())
-    }
-
     /// Assembles the compiled module from the resolved tree.
     ///
     /// # Errors

@@ -11,7 +11,6 @@
 
 use crate::expr::{BinOp, CompId, Expr};
 use crate::function::{Error, Function, Result, Var};
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 
 /// Identifier of a communication operation.
@@ -126,96 +125,33 @@ impl Function {
 /// analyzable" rather than burning compile time.
 const MAX_STATIC_RANKS: i64 = 4096;
 
-/// Statically validates the Layer IV communication structure of `f` with
-/// all parameters bound.
-///
-/// The rank space is inferred from the communication ops themselves (the
-/// maximum upper bound of any send/receive rank iterator; barriers are
-/// global and excluded). For every rank in every op's domain the partner
-/// expression is evaluated, yielding the full point-to-point graph without
-/// lowering or running anything; each directed pair must then post as many
-/// receives as it is sent messages. A mismatch is the classic way a
-/// hand-scheduled Layer IV program deadlocks at runtime — reporting it
-/// here turns a hang into a compile-time legality error.
-///
-/// Programs whose bounds or partners do not evaluate statically (or with
-/// rank spaces beyond `MAX_STATIC_RANKS`) pass: enforcement falls back
-/// to the runtime's own validation and progress watchdog.
-///
-/// # Errors
-///
-/// [`Error::Illegal`] naming the first mismatched directed pair.
-pub fn validate_comm(f: &Function, params: &HashMap<String, i64>) -> Result<()> {
-    struct Edge {
-        sends: u64,
-        recvs: u64,
-        buffer: String,
-    }
-    // Resolve every op's rank domain first; any dynamic bound disables the
-    // whole check (a partial graph would produce false mismatches).
-    let mut domains: Vec<(usize, i64, i64)> = Vec::new();
-    let mut n_ranks: i64 = 0;
-    for (idx, op) in f.comm.iter().enumerate() {
-        if matches!(op.kind, CommKind::Barrier) {
-            // Barriers are global in this reproduction (every rank executes
-            // each one exactly once), so arity is uniform by construction.
-            continue;
-        }
-        let (Some(lo), Some(hi)) = (
-            eval_comm_expr(&op.iter.lo, &op.iter.name, 0, params),
-            eval_comm_expr(&op.iter.hi, &op.iter.name, 0, params),
-        ) else {
-            return Ok(());
-        };
-        domains.push((idx, lo.max(0), hi));
-        n_ranks = n_ranks.max(hi);
-    }
-    if domains.is_empty() || n_ranks > MAX_STATIC_RANKS {
-        return Ok(());
-    }
-
-    let mut edges: BTreeMap<(i64, i64), Edge> = BTreeMap::new();
-    for (idx, lo, hi) in domains {
-        let op = &f.comm[idx];
-        for r in lo..hi {
-            let partner = match &op.kind {
-                CommKind::Send { dest, .. } => dest,
-                CommKind::Recv { src } => src,
-                CommKind::Barrier => unreachable!(),
-            };
-            let Some(p) = eval_comm_expr(partner, &op.iter.name, r, params) else {
-                return Ok(());
-            };
-            // Out-of-range partners are skipped by the runtime (guarded
-            // edge-of-rank-space ops); mirror that.
-            if p < 0 || p >= n_ranks {
-                continue;
-            }
-            let key = match op.kind {
-                CommKind::Send { .. } => (r, p),
-                _ => (p, r),
-            };
-            let e = edges.entry(key).or_insert_with(|| Edge {
-                sends: 0,
-                recvs: 0,
-                buffer: op.buffer.clone(),
-            });
-            match op.kind {
-                CommKind::Send { .. } => e.sends += 1,
-                _ => e.recvs += 1,
+/// The rank count the Layer IV ops span, for the static communication
+/// check (`mpisim::validate_comm`): the largest send/receive rank-domain
+/// upper bound (barriers are global and excluded), evaluated with the op
+/// iterator at 0. `None` — the check abstains — when a bound does not
+/// evaluate statically or exceeds `MAX_STATIC_RANKS`.
+pub(crate) fn static_ranks(
+    lm: &crate::backend::lowered::LoweredModule<'_>,
+    rank_var: loopvm::Var,
+) -> Option<usize> {
+    /// `eval_scalar` where it cannot panic: `None` where a division in
+    /// `e` traps. Converted comm expressions are constants, the rank
+    /// variable and binary operations.
+    fn eval(e: &loopvm::Expr) -> Option<i64> {
+        if let loopvm::Expr::Bin(op, a, b) = e {
+            let (a, b) = (eval(a)?, eval(b)?);
+            if matches!(op, loopvm::BinOp::Div | loopvm::BinOp::Rem) {
+                a.checked_rem_euclid(b)?;
             }
         }
+        loopvm::eval_scalar(e, &[]).ok()
     }
-    for ((src, dst), e) in &edges {
-        if e.sends != e.recvs {
-            return Err(Error::Illegal(format!(
-                "communication mismatch on buffer '{}': rank {src} sends {} \
-                 message(s) to rank {dst}, which posts {} matching receive(s)",
-                e.buffer, e.sends, e.recvs
-            )));
-        }
+    let mut n_ranks = 0;
+    for op in lm.f.comm.iter().filter(|op| !matches!(op.kind, CommKind::Barrier)) {
+        let hi = conv_comm_expr(lm, &op.iter.hi, &op.iter.name, rank_var).ok()?;
+        n_ranks = n_ranks.max(eval(&hi)?);
     }
-    Ok(())
+    (n_ranks <= MAX_STATIC_RANKS).then_some(n_ranks as usize)
 }
 
 /// Builds the rank program's compute chunks and body: Layer IV ops
@@ -393,88 +329,52 @@ fn conv_comm_expr(
     })
 }
 
-/// Evaluates a Layer IV expression with the op iterator bound to
-/// `iter_val` and parameters bound to `params`, dividing like the
-/// executors the lowered expression runs on (Euclidean `/` and `%`).
-/// `None` means "not statically evaluable" (foreign iterators, accesses,
-/// floats, overflow, a zero divisor).
-fn eval_comm_expr(
-    e: &Expr,
-    iter_name: &str,
-    iter_val: i64,
-    params: &HashMap<String, i64>,
-) -> Option<i64> {
-    let ev = |x: &Expr| eval_comm_expr(x, iter_name, iter_val, params);
-    match e {
-        Expr::I64(v) => Some(*v),
-        Expr::Iter(n) if n == iter_name => Some(iter_val),
-        Expr::Param(p) => params.get(p).copied(),
-        Expr::Bin(op, a, b) => {
-            let (a, b) = (ev(a)?, ev(b)?);
-            Some(match op {
-                BinOp::Add => a.checked_add(b)?,
-                BinOp::Sub => a.checked_sub(b)?,
-                BinOp::Mul => a.checked_mul(b)?,
-                BinOp::Div => a.checked_div_euclid(b)?,
-                BinOp::Rem => a.checked_rem_euclid(b)?,
-                BinOp::Min => a.min(b),
-                BinOp::Max => a.max(b),
-                BinOp::Lt => i64::from(a < b),
-                BinOp::Le => i64::from(a <= b),
-                BinOp::Eq => i64::from(a == b),
-                BinOp::And => i64::from(a != 0 && b != 0),
-                BinOp::Or => i64::from(a != 0 || b != 0),
-            })
-        }
-        Expr::Un(crate::expr::UnOp::Neg, a) => ev(a)?.checked_neg(),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::dist::{compile, DistModule, DistOptions};
 
-    fn params(n: i64) -> HashMap<String, i64> {
-        HashMap::from([("Nodes".to_string(), n)])
+    /// `Nodes` ranks, each owning one element of `buf`; `comm` adds the
+    /// Layer IV ops, all before the computation.
+    fn compile_ring(comm: impl FnOnce(&mut Function) -> Vec<CommId>) -> Result<DistModule> {
+        let mut f = Function::new("ring", &["Nodes"]);
+        let r = f.var("r", 0, Expr::param("Nodes"));
+        let buf = f.computation("buf", &[r], Expr::f32(1.0)).unwrap();
+        f.distribute(buf, "r").unwrap();
+        for op in comm(&mut f) {
+            f.comm_before(op, buf);
+        }
+        compile(&f, &[("Nodes", 4)], DistOptions::default())
     }
 
-    fn ring(f: &mut Function, with_recv: bool) {
+    /// Ranks `1..Nodes` send to their left neighbour; with `with_recv`,
+    /// ranks `0..Nodes-1` receive from their right one.
+    fn ring(f: &mut Function, with_recv: bool) -> Vec<CommId> {
         let is = Var::new("is", Expr::i64(1), Expr::param("Nodes"));
-        f.send(
-            is,
-            "buf",
-            Expr::i64(0),
-            Expr::i64(1),
-            Expr::iter("is") - Expr::i64(1),
-            true,
-        );
+        let left = Expr::iter("is") - Expr::i64(1);
+        let mut ops = vec![f.send(is, "buf", Expr::i64(0), Expr::i64(1), left, true)];
         if with_recv {
             let ir = Var::new("ir", Expr::i64(0), Expr::param("Nodes") - Expr::i64(1));
-            f.receive(
-                ir,
-                "buf",
-                Expr::i64(0),
-                Expr::i64(1),
-                Expr::iter("ir") + Expr::i64(1),
-            );
+            let right = Expr::iter("ir") + Expr::i64(1);
+            ops.push(f.receive(ir, "buf", Expr::i64(0), Expr::i64(1), right));
         }
+        ops
     }
 
     #[test]
     fn matched_ring_passes() {
-        let mut f = Function::new("ok", &["Nodes"]);
-        ring(&mut f, true);
-        f.barrier();
-        assert!(validate_comm(&f, &params(4)).is_ok());
+        let m = compile_ring(|f| {
+            let mut ops = ring(f, true);
+            ops.push(f.barrier());
+            ops
+        })
+        .unwrap();
+        assert!(m.run(4, &mpisim::CommModel::default(), false).is_ok());
     }
 
     #[test]
     fn missing_receive_is_illegal() {
-        let mut f = Function::new("bad", &["Nodes"]);
-        ring(&mut f, false);
-        let err = validate_comm(&f, &params(4)).unwrap_err();
-        match err {
+        match compile_ring(|f| ring(f, false)).unwrap_err() {
             Error::Illegal(msg) => {
                 assert!(msg.contains("buffer 'buf'"), "{msg}");
                 assert!(msg.contains("0 matching receive"), "{msg}");
@@ -483,51 +383,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn unbound_param_bails_out_conservatively() {
-        let mut f = Function::new("dyn", &["Nodes"]);
-        ring(&mut f, false);
-        // No bindings: bounds do not evaluate, so the check abstains.
-        assert!(validate_comm(&f, &HashMap::new()).is_ok());
-    }
-
     /// A periodic ring: rank `r` sends to `(r - 1) % Nodes` and receives
     /// from `(r + 1) % Nodes`. The remainder is Euclidean, as in the rank
     /// program, so rank 0 sends to rank 3: the static check must see that
     /// edge, not drop it as a send to rank -1.
     #[test]
     fn periodic_ring_divides_like_the_runtime() {
-        use crate::backend::dist::{compile, DistOptions};
-        let mut f = Function::new("ring", &["Nodes", "CHUNK"]);
-        let r = f.var("r", 0, Expr::param("Nodes"));
-        let i = f.var("i", 0, Expr::param("CHUNK"));
-        let lin = f
-            .input("lin", &[f.var("i", 0, Expr::param("CHUNK") + Expr::i64(1))])
-            .unwrap();
-        let bx = f.computation("bx", &[r, i], f.access(lin, &[Expr::iter("i")])).unwrap();
-        f.distribute(bx, "r").unwrap();
-        let nodes = || Expr::param("Nodes");
-        let is = Var::new("is", Expr::i64(0), nodes());
-        let left = (Expr::iter("is") - Expr::i64(1)) % nodes();
-        let s = f.send(is, "lin", Expr::i64(0), Expr::i64(1), left, true);
-        let ir = Var::new("ir", Expr::i64(0), nodes());
-        let right = (Expr::iter("ir") + Expr::i64(1)) % nodes();
-        let rc = f.receive(ir, "lin", Expr::param("CHUNK"), Expr::i64(1), right);
-        f.comm_before(s, bx);
-        f.comm_before(rc, bx);
-        let mut p = params(4);
-        p.insert("CHUNK".into(), 4);
-        assert!(validate_comm(&f, &p).is_ok());
-        let m = compile(&f, &[("Nodes", 4), ("CHUNK", 4)], DistOptions::default()).unwrap();
-        assert!(mpisim::validate_comm(&m.dist, 4).is_ok());
+        let m = compile_ring(|f| {
+            let nodes = || Expr::param("Nodes");
+            let is = Var::new("is", Expr::i64(0), nodes());
+            let left = (Expr::iter("is") - Expr::i64(1)) % nodes();
+            let ir = Var::new("ir", Expr::i64(0), nodes());
+            let right = (Expr::iter("ir") + Expr::i64(1)) % nodes();
+            vec![
+                f.send(is, "buf", Expr::i64(0), Expr::i64(1), left, true),
+                f.receive(ir, "buf", Expr::i64(0), Expr::i64(1), right),
+            ]
+        })
+        .unwrap();
         let stats = m.run(4, &mpisim::CommModel::default(), false).unwrap();
         assert_eq!(stats.messages, [1; 4]);
     }
 
     #[test]
     fn comm_free_program_passes() {
-        let mut f = Function::new("quiet", &["Nodes"]);
-        f.barrier();
-        assert!(validate_comm(&f, &params(3)).is_ok());
+        assert!(compile_ring(|f| vec![f.barrier()]).is_ok());
+    }
+
+    /// Rank 0 divides by zero in its partner expression, where the runtime
+    /// traps: the static check abstains instead of panicking the compile,
+    /// as it does for a rank-domain bound that divides by zero.
+    #[test]
+    fn a_trapping_comm_expression_abstains() {
+        assert!(compile_ring(|f| {
+            let is = Var::new("is", Expr::i64(0), Expr::param("Nodes"));
+            let dest = Expr::i64(4) / Expr::iter("is");
+            vec![f.send(is, "buf", Expr::i64(0), Expr::i64(1), dest, true)]
+        })
+        .is_ok());
+        assert!(compile_ring(|f| {
+            let hi = Expr::param("Nodes") / (Expr::param("Nodes") - Expr::i64(4));
+            let is = Var::new("is", Expr::i64(0), hi);
+            vec![f.send(is, "buf", Expr::i64(0), Expr::i64(1), Expr::i64(0), true)]
+        })
+        .is_ok());
     }
 }

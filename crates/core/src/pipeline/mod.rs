@@ -4,15 +4,15 @@
 //!    time space and specialize parameters
 //!    ([`crate::lowering::lower`]);
 //! 2. **legality** — verify the schedule against the flow dependences
-//!    (when enabled) and run target-specific validation (the distributed
-//!    target checks Layer IV communication structure here);
+//!    (when enabled);
 //! 3. **astgen** — generate the Cloog-style loop AST
 //!    ([`polyhedral::build_ast`]);
 //! 4. **tag-resolve** — annotate every loop with its conflict-checked
 //!    hardware tag through the single [`crate::lowering::Lowered::tag_of_node`]
 //!    path, producing the backend-neutral [`LoopNode`] tree;
 //! 5. **emit** — bind buffers, declare variables, and hand the tree to
-//!    the backend's [`EmitTarget`] implementation;
+//!    the backend's [`EmitTarget`] implementation (the distributed target
+//!    also checks the rank program's send/receive matching here);
 //! 6. **optimize** — lower the expression trees of every program the
 //!    emitted module holds ([`EmitTarget::programs`]) to register bytecode
 //!    (constant folding, CSE, loop-invariant hoisting; see
@@ -175,7 +175,6 @@ pub fn compile_with<T: EmitTarget>(
             return Err(legality::illegal(f, d));
         }
     }
-    target.validate(f, &param_vals)?;
     finish_pass(&mut trace, "legality", t0, || {
         // An unchecked compile derives the dependences for the trace only.
         let deps = deps.map_or_else(|| legality::flow_deps(f), Ok);

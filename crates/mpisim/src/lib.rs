@@ -765,14 +765,9 @@ fn run_rank(
     init: &(impl Fn(usize, &mut Machine) + Sync),
     finish: &(impl Fn(usize, &Machine) + Sync),
 ) -> Result<RankOutcome, DistError> {
-    // Read enablement once per rank: statement arms are hot, and the
-    // guard keeps the off path to a single bool test per statement. The
-    // flight recorder counts as enabled — its rings need the per-rank
-    // spans so failure dumps show each rank's lead-up.
-    let prof = telemetry::profile_enabled() || telemetry::flight::enabled();
-    if prof {
-        telemetry::set_thread_name(format!("rank {rank}"));
-    }
+    // The flight rings keep every rank's spans, so failure dumps show each
+    // rank's lead-up.
+    telemetry::set_thread_name(format!("rank {rank}"));
     let mut machine = Machine::new(&dist.program);
     init(rank, &mut machine);
     // Tier policy: chunks run on the bytecode interpreter even where the
@@ -816,7 +811,7 @@ fn run_rank(
         step += 1;
         match &body[pos] {
             DistStmt::Compute(k) => {
-                let _sp = prof.then(|| telemetry::span("dist", "compute"));
+                let _sp = telemetry::span("dist", "compute");
                 let chunk = &dist.chunks[*k];
                 // Stats gathering prices the chunk's plain lowering.
                 if opts.stats_mode {
@@ -831,7 +826,7 @@ fn run_rank(
                 }
             }
             DistStmt::Barrier => {
-                let _sp = prof.then(|| telemetry::span("dist", "barrier"));
+                let _sp = telemetry::span("dist", "barrier");
                 let t0 = Instant::now();
                 let wait = barrier.wait(opts.watchdog);
                 dist_metrics().barrier_wait_us.record_duration(t0.elapsed());
@@ -850,7 +845,7 @@ fn run_rank(
                 }
             }
             DistStmt::Send { dest, buf, offset, count, asynchronous } => {
-                let _sp = prof.then(|| telemetry::span("dist", "send"));
+                let _sp = telemetry::span("dist", "send");
                 let d = scalar(dest)?;
                 if d < 0 || d as usize >= n_ranks {
                     continue;
@@ -866,9 +861,7 @@ fn run_rank(
                     payload.extend_from_slice(&v.to_le_bytes());
                 }
                 let payload = payload.freeze();
-                if prof {
-                    telemetry::counter("dist", "send bytes", payload.len() as f64);
-                }
+                telemetry::counter("dist", "send bytes", payload.len() as f64);
                 let seq_slot = seqs.entry(d).or_insert(0);
                 let seq = *seq_slot;
                 *seq_slot += 1;
@@ -878,7 +871,7 @@ fn run_rank(
                 )?;
             }
             DistStmt::Recv { src, buf, offset, count } => {
-                let _sp = prof.then(|| telemetry::span("dist", "recv"));
+                let _sp = telemetry::span("dist", "recv");
                 let s = scalar(src)?;
                 if s < 0 || s as usize >= n_ranks {
                     continue;

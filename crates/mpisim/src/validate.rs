@@ -13,20 +13,16 @@
 //!
 //! Violations are the classic ways a hand-scheduled Layer-IV program hangs
 //! at runtime; catching them here turns a hang into a compile-time-style
-//! diagnostic. Programs whose partners or guards depend on runtime data
-//! are not rejected: the walk bails out conservatively (`Ok`) on the first
-//! expression it cannot evaluate, leaving enforcement to the runtime
-//! watchdog.
+//! diagnostic (the distributed backend runs this check at compile time).
+//! Programs whose partners or guards depend on runtime data are not
+//! rejected: the walk bails out conservatively (`Ok`) on the first
+//! expression it cannot evaluate — including one that divides by zero
+//! for some rank, where the runtime traps — leaving enforcement to the
+//! runtime watchdog.
 
 use crate::{DistError, DistProgram, DistStmt};
-use loopvm::eval_scalar;
+use loopvm::{eval_scalar, BinOp, BufId, Expr, Var};
 use std::collections::BTreeMap;
-
-/// Outcome of walking one rank: its emitted events, or "not static".
-enum Walk {
-    Static,
-    Dynamic,
-}
 
 #[derive(Default)]
 struct RankEvents {
@@ -34,6 +30,8 @@ struct RankEvents {
     sends: BTreeMap<(usize, usize), u64>,
     /// recvs[(src, dst)] = number of receives posted on that edge.
     recvs: BTreeMap<(usize, usize), u64>,
+    /// The buffer of the first send or receive walked on each edge.
+    buffers: BTreeMap<(usize, usize), BufId>,
     barriers: u64,
 }
 
@@ -50,10 +48,10 @@ pub fn validate_comm(dist: &DistProgram, n_ranks: usize) -> Result<(), DistError
     let mut barrier_counts = Vec::with_capacity(n_ranks);
     for rank in 0..n_ranks {
         events.barriers = 0;
-        match walk_rank(dist, rank, n_ranks, &mut events) {
-            Walk::Dynamic => return Ok(()),
-            Walk::Static => barrier_counts.push(events.barriers),
+        if walk_rank(dist, rank, n_ranks, &mut events).is_none() {
+            return Ok(());
         }
+        barrier_counts.push(events.barriers);
     }
 
     if let (Some(min), Some(max)) =
@@ -71,16 +69,15 @@ pub fn validate_comm(dist: &DistProgram, n_ranks: usize) -> Result<(), DistError
         }
     }
 
-    let edges: std::collections::BTreeSet<(usize, usize)> =
-        events.sends.keys().chain(events.recvs.keys()).copied().collect();
-    for (src, dst) in edges {
+    for (&(src, dst), &buf) in &events.buffers {
         let s = events.sends.get(&(src, dst)).copied().unwrap_or(0);
         let r = events.recvs.get(&(src, dst)).copied().unwrap_or(0);
         if s != r {
+            let name = dist.program.buffer_info(buf).0;
             return Err(DistError::CommMismatch {
                 detail: format!(
-                    "rank {src} sends {s} message(s) to rank {dst}, which posts {r} \
-                     matching receive(s)"
+                    "rank {src} sends {s} message(s) of buffer '{name}' to rank {dst}, \
+                     which posts {r} matching receive(s)"
                 ),
             });
         }
@@ -88,55 +85,75 @@ pub fn validate_comm(dist: &DistProgram, n_ranks: usize) -> Result<(), DistError
     Ok(())
 }
 
+/// Walks one rank's statements, adding its messages to `events`; `None`
+/// when an expression on the way is not static.
 fn walk_rank(
     dist: &DistProgram,
     rank: usize,
     n_ranks: usize,
     events: &mut RankEvents,
-) -> Walk {
+) -> Option<()> {
     let bindings = [(dist.rank_var, rank as i64)];
+    // Out-of-range partners are skipped at runtime (guarded
+    // edge-of-rank-space ops); mirror that.
+    let partner = |e: &Expr| {
+        let p = eval_static(e, &bindings)?;
+        Some((0..n_ranks as i64).contains(&p).then_some(p as usize))
+    };
     let mut frames: Vec<(&[DistStmt], usize)> = vec![(&dist.body, 0)];
     while let Some((body, pos)) = frames.pop() {
         if pos >= body.len() {
             continue;
         }
         frames.push((body, pos + 1));
-        match &body[pos] {
-            DistStmt::Compute(_) => {}
-            DistStmt::Barrier => events.barriers += 1,
+        let (edge, buf, counts) = match &body[pos] {
+            DistStmt::Compute(_) => continue,
+            DistStmt::Barrier => {
+                events.barriers += 1;
+                continue;
+            }
             DistStmt::If { cond, body: inner } => {
-                match eval_scalar(cond, &bindings) {
-                    Ok(c) => {
-                        if c != 0 {
-                            frames.push((inner, 0));
-                        }
-                    }
-                    Err(_) => return Walk::Dynamic,
+                if eval_static(cond, &bindings)? != 0 {
+                    frames.push((inner, 0));
                 }
+                continue;
             }
-            DistStmt::Send { dest, .. } => {
-                match eval_scalar(dest, &bindings) {
-                    Ok(d) => {
-                        // Out-of-range destinations are skipped at runtime
-                        // (guarded edge-of-rank-space sends); mirror that.
-                        if d >= 0 && (d as usize) < n_ranks {
-                            *events.sends.entry((rank, d as usize)).or_insert(0) += 1;
-                        }
-                    }
-                    Err(_) => return Walk::Dynamic,
-                }
-            }
-            DistStmt::Recv { src, .. } => {
-                match eval_scalar(src, &bindings) {
-                    Ok(s) => {
-                        if s >= 0 && (s as usize) < n_ranks {
-                            *events.recvs.entry((s as usize, rank)).or_insert(0) += 1;
-                        }
-                    }
-                    Err(_) => return Walk::Dynamic,
-                }
-            }
-        }
+            DistStmt::Send { dest, buf, .. } => match partner(dest)? {
+                Some(d) => ((rank, d), buf, &mut events.sends),
+                None => continue,
+            },
+            DistStmt::Recv { src, buf, .. } => match partner(src)? {
+                Some(s) => ((s, rank), buf, &mut events.recvs),
+                None => continue,
+            },
+        };
+        *counts.entry(edge).or_insert(0) += 1;
+        events.buffers.entry(edge).or_insert(*buf);
     }
-    Walk::Static
+    Some(())
+}
+
+/// [`eval_scalar`] where it cannot panic: `None` where it errs, and where
+/// a division or remainder by zero (or of `i64::MIN` by `-1`) would trap.
+fn eval_static(e: &Expr, bindings: &[(Var, i64)]) -> Option<i64> {
+    (!traps(e, bindings)).then(|| eval_scalar(e, bindings).ok()).flatten()
+}
+
+/// Whether evaluating `e` reaches a division that traps. Only the
+/// operands of divisions are evaluated, each after its own check.
+fn traps(e: &Expr, bindings: &[(Var, i64)]) -> bool {
+    match e {
+        Expr::Bin(op, a, b) => {
+            traps(a, bindings)
+                || traps(b, bindings)
+                || matches!(op, BinOp::Div | BinOp::Rem)
+                    && matches!(
+                        (eval_scalar(a, bindings), eval_scalar(b, bindings)),
+                        (Ok(a), Ok(b)) if a.checked_rem_euclid(b).is_none()
+                    )
+        }
+        Expr::Un(_, a) | Expr::Cast(_, a) | Expr::Load(_, a) => traps(a, bindings),
+        Expr::Select(c, a, b) => traps(c, bindings) || traps(a, bindings) || traps(b, bindings),
+        Expr::ConstF(_) | Expr::ConstI(_) | Expr::Var(_) => false,
+    }
 }

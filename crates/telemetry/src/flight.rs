@@ -1,28 +1,30 @@
-//! Always-on flight recorder: a fixed-size per-thread ring buffer of the
-//! most recent telemetry events, dumped to disk on failure.
+//! The one event store: a per-thread ring of recent telemetry events,
+//! read by [`crate::drain`] and dumped to disk on failure.
 //!
-//! Even with profiling off, every [`crate::span`] / [`crate::instant`] /
-//! [`crate::counter`] call is also copied into the calling thread's ring
-//! (bounded memory, overwrite-oldest), so when something goes wrong the
+//! Every [`crate::span`] / [`crate::instant`] / [`crate::counter`] call
+//! lands once, in the calling thread's ring. With profiling off the ring
+//! is bounded (overwrite-oldest), so when something goes wrong the
 //! process still has the last ~[`DEFAULT_RING_CAPACITY`] events per
-//! thread. Failure sites — a `DistError::Deadlock`, a rank panic, a JIT
-//! deopt replay that errs, a corrupt disk artifact — call [`dump`],
-//! which merges every thread's ring into one Chrome-trace JSON file
-//! (plus a [`crate::metrics`] snapshot) under `TIRAMISU_DUMP_DIR`,
-//! turning "it hung once" into an attachable artifact.
+//! thread. An event recorded with profiling on is also marked for the
+//! next [`crate::drain`], and the ring keeps it beside those
+//! `capacity` events until a drain has returned it. Every ring is registered when its thread first
+//! records, so a drain reads running, parked and exited threads alike.
 //!
-//! The recorder is on by default; `TIRAMISU_FLIGHT=0` disables it (and
-//! [`set_flight`] overrides programmatically, for tests and overhead
-//! measurement). Ring writes never touch [`crate::records_materialized`]
-//! — that counter keeps meaning "timeline events stored", and the
-//! profiling-off guarantee it pins stays intact.
+//! Failure sites — a `DistError::Deadlock`, a rank panic, a JIT deopt
+//! replay that errs, a corrupt disk artifact — call [`dump`], which
+//! merges every thread's ring into one Chrome-trace JSON file (plus a
+//! [`crate::metrics`] snapshot) under `TIRAMISU_DUMP_DIR`, turning "it
+//! hung once" into an attachable artifact. A drain does not empty the
+//! rings, so a dump after a drain still holds each thread's recent past.
 
-use crate::{jstr, Event, Timeline};
+use crate::{jstr, Event, EventKind, Timeline};
+use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicI8, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Events retained per thread (~64 bytes each) unless a test overrides it
+/// Events retained per thread (~80 bytes each) unless a test overrides it
 /// with [`set_ring_capacity`].
 pub const DEFAULT_RING_CAPACITY: usize = 256;
 
@@ -33,36 +35,9 @@ const MAX_DUMPS: u64 = 32;
 
 /// Registered rings kept after their threads die; beyond this the oldest
 /// dead rings are pruned so short-lived worker threads (ranks, parallel
-/// loop workers) can't grow memory without bound.
+/// loop workers) can't grow memory without bound. A ring still holding
+/// events no drain has returned is never pruned.
 const MAX_DEAD_RINGS: usize = 64;
-
-// ---------------------------------------------------------------------------
-// Enablement
-// ---------------------------------------------------------------------------
-
-/// -1 = follow the environment, 0 = forced off, 1 = forced on.
-static OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-
-/// Whether the flight recorder is active: the [`set_flight`] override if
-/// one is in force, otherwise **on unless** `TIRAMISU_FLIGHT=0` (the
-/// recorder is opt-out, unlike profiling). The environment is read once
-/// and cached — this sits on the span hot path.
-#[must_use]
-pub fn enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    match OVERRIDE.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => *ENV.get_or_init(|| std::env::var("TIRAMISU_FLIGHT").map_or(true, |v| v != "0")),
-    }
-}
-
-/// Programmatically overrides the recorder: `Some(false)` disables ring
-/// writes (for overhead A/B measurement), `Some(true)` forces them on,
-/// `None` returns control to `TIRAMISU_FLIGHT`.
-pub fn set_flight(on: Option<bool>) {
-    OVERRIDE.store(match on { Some(false) => 0, Some(true) => 1, None => -1 }, Ordering::Relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Per-thread rings
@@ -70,10 +45,6 @@ pub fn set_flight(on: Option<bool>) {
 
 /// Capacity for rings created after this point.
 static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
-
-fn ring_capacity() -> usize {
-    CAPACITY.load(Ordering::Relaxed)
-}
 
 /// Overrides the capacity of rings created from now on (existing rings
 /// keep theirs; `0` clamps to `1`). A test hook: every ring otherwise
@@ -83,80 +54,92 @@ pub fn set_ring_capacity(n: usize) {
 }
 
 struct RingBuf {
-    buf: Vec<Event>,
-    /// Next slot to overwrite once the buffer is full.
-    next: usize,
+    /// Oldest first. The flag marks an event recorded under profiling
+    /// that no drain has returned yet.
+    events: VecDeque<(Event, bool)>,
+    /// Flagged events in `events`.
+    undrained: usize,
     cap: usize,
     /// Events ever recorded (so tests can prove overwrite happened).
     total: u64,
 }
 
 impl RingBuf {
-    fn push(&mut self, e: Event) {
+    fn push(&mut self, e: Event, undrained: bool) {
         self.total += 1;
-        if self.buf.len() < self.cap {
-            self.buf.push(e);
-        } else {
-            self.buf[self.next] = e;
-            self.next = (self.next + 1) % self.cap;
+        self.undrained += usize::from(undrained);
+        self.events.push_back((e, undrained));
+        // Beyond `cap` unflagged events, evict the oldest one. That is the
+        // front unless profiling was switched off with events undrained;
+        // then the search walks past those.
+        if self.events.len() - self.undrained > self.cap {
+            let i = self.events.iter().position(|(_, u)| !u).expect("an unflagged event");
+            self.events.remove(i);
         }
     }
 
-    /// Events oldest-first.
-    fn in_order(&self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.next..]);
-        out.extend_from_slice(&self.buf[..self.next]);
-        out
+    /// Copies the flagged events into `out`, unflags them, and trims the
+    /// ring back to capacity.
+    fn drain_into(&mut self, out: &mut Vec<Event>) {
+        if self.undrained > 0 {
+            for (e, u) in &mut self.events {
+                if *u {
+                    out.push(e.clone());
+                    *u = false;
+                }
+            }
+            self.undrained = 0;
+        }
+        let excess = self.events.len().saturating_sub(self.cap);
+        self.events.drain(..excess);
     }
 }
 
 struct ThreadRing {
+    /// Session-unique id of the owning thread: one thread is one `tid` in
+    /// every export.
+    tid: u64,
     ring: Mutex<RingBuf>,
 }
 
 impl ThreadRing {
-    fn lock(&self) -> std::sync::MutexGuard<'_, RingBuf> {
-        self.ring.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, RingBuf> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-fn rings() -> &'static Mutex<Vec<Arc<ThreadRing>>> {
-    static RINGS: OnceLock<Mutex<Vec<Arc<ThreadRing>>>> = OnceLock::new();
-    RINGS.get_or_init(|| Mutex::new(Vec::new()))
-}
+static RINGS: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
 
-fn rings_locked() -> std::sync::MutexGuard<'static, Vec<Arc<ThreadRing>>> {
-    rings().lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+fn rings() -> MutexGuard<'static, Vec<Arc<ThreadRing>>> {
+    RINGS.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn register(ring: &Arc<ThreadRing>) {
-    let mut v = rings_locked();
+    let mut v = rings();
     v.push(Arc::clone(ring));
-    // Prune: a ring whose only owner is the registry belongs to a dead
-    // thread. Keep the newest MAX_DEAD_RINGS of those (their last events
-    // are still wanted in dumps), drop older ones.
-    let dead = v.iter().filter(|r| Arc::strong_count(r) == 1).count();
-    if dead > MAX_DEAD_RINGS {
-        let mut to_drop = dead - MAX_DEAD_RINGS;
-        v.retain(|r| {
-            if to_drop > 0 && Arc::strong_count(r) == 1 {
-                to_drop -= 1;
-                false
-            } else {
-                true
-            }
-        });
-    }
+    // A ring whose only owner is the registry belongs to a dead thread.
+    // Keep the newest MAX_DEAD_RINGS of those (their last events are
+    // still wanted in dumps) and any a drain has yet to read; drop older
+    // ones.
+    let dead = |r: &Arc<ThreadRing>| Arc::strong_count(r) == 1;
+    let mut excess = v.iter().filter(|r| dead(r)).count().saturating_sub(MAX_DEAD_RINGS);
+    v.retain(|r| {
+        let prune = excess > 0 && dead(r) && r.lock().undrained == 0;
+        excess -= usize::from(prune);
+        !prune
+    });
 }
+
+static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     static MY_RING: Arc<ThreadRing> = {
         let ring = Arc::new(ThreadRing {
+            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
             ring: Mutex::new(RingBuf {
-                buf: Vec::new(),
-                next: 0,
-                cap: ring_capacity(),
+                events: VecDeque::new(),
+                undrained: 0,
+                cap: CAPACITY.load(Ordering::Relaxed),
                 total: 0,
             }),
         });
@@ -165,31 +148,48 @@ thread_local! {
     };
 }
 
-/// Appends an event to the calling thread's ring (overwriting the oldest
-/// once full). Called by the `crate` entry points when [`enabled`].
-pub(crate) fn record(e: Event) {
+/// Appends an event to the calling thread's ring, flagged for the next
+/// drain when `undrained` (recorded under profiling).
+pub(crate) fn record(
+    cat: &'static str,
+    name: Cow<'static, str>,
+    ts_us: u64,
+    kind: EventKind,
+    undrained: bool,
+) {
     // A thread_local access can fail during thread teardown; losing the
-    // final events of a dying thread is acceptable for a flight recorder.
-    let _ = MY_RING.try_with(|r| r.lock().push(e));
+    // final events of a dying thread is acceptable.
+    let _ = MY_RING.try_with(|r| {
+        r.lock().push(Event { cat, name, ts_us, tid: r.tid, kind }, undrained);
+    });
+}
+
+/// Every registered ring's events recorded under profiling since the
+/// previous drain, sorted by `(ts_us, tid)`. The rings keep them for
+/// dumps.
+pub(crate) fn drain() -> Vec<Event> {
+    let mut events = Vec::new();
+    for r in rings().iter() {
+        r.lock().drain_into(&mut events);
+    }
+    events.sort_by_key(|e| (e.ts_us, e.tid));
+    events
 }
 
 /// `(resident, total_recorded)` for the calling thread's ring — lets
 /// tests prove the overwrite-oldest bound without reaching into internals.
 #[must_use]
 pub fn current_thread_ring_stats() -> (usize, u64) {
-    MY_RING.try_with(|r| { let g = r.lock(); (g.buf.len(), g.total) }).unwrap_or((0, 0))
+    MY_RING.try_with(|r| { let g = r.lock(); (g.events.len(), g.total) }).unwrap_or((0, 0))
 }
 
-/// A merged copy of every thread's ring, oldest-first per thread, sorted
-/// like [`crate::drain`] by `(ts_us, tid)`.
-#[must_use]
-pub fn snapshot_events() -> Vec<Event> {
-    let v = rings_locked();
+/// A merged copy of every thread's ring, sorted like [`crate::drain`] by
+/// `(ts_us, tid)`.
+fn snapshot_events() -> Vec<Event> {
     let mut events = Vec::new();
-    for r in v.iter() {
-        events.extend(r.lock().in_order());
+    for r in rings().iter() {
+        events.extend(r.lock().events.iter().map(|(e, _)| e.clone()));
     }
-    drop(v);
     events.sort_by_key(|e| (e.ts_us, e.tid));
     events
 }
@@ -199,7 +199,7 @@ pub fn snapshot_events() -> Vec<Event> {
 // ---------------------------------------------------------------------------
 
 /// Environment variable naming the dump directory. Unset → no dumps.
-pub const DUMP_DIR_ENV: &str = "TIRAMISU_DUMP_DIR";
+const DUMP_DIR_ENV: &str = "TIRAMISU_DUMP_DIR";
 
 /// `Some(Some(dir))` = forced dir, `Some(None)` = forced off,
 /// `None` = follow the environment.
@@ -210,13 +210,11 @@ static DUMP_DIR_OVERRIDE: Mutex<Option<Option<PathBuf>>> = Mutex::new(None);
 /// control to `TIRAMISU_DUMP_DIR`. Tests use this instead of racing on
 /// environment variables.
 pub fn set_dump_dir(dir: Option<Option<PathBuf>>) {
-    *DUMP_DIR_OVERRIDE.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = dir;
+    *DUMP_DIR_OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner) = dir;
 }
 
 fn resolve_dump_dir() -> Option<PathBuf> {
-    if let Some(o) =
-        DUMP_DIR_OVERRIDE.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
-    {
+    if let Some(o) = DUMP_DIR_OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner).clone() {
         return o;
     }
     std::env::var(DUMP_DIR_ENV).ok().filter(|v| !v.is_empty()).map(PathBuf::from)
@@ -229,13 +227,9 @@ static DUMPS_WRITTEN: AtomicU64 = AtomicU64::new(0);
 /// extra top-level keys are ignored there) with the failure `reason` and
 /// a full [`crate::metrics::snapshot_json`]. Returns the path written.
 ///
-/// No-ops (returning `None`) when the recorder is disabled, when no dump
-/// directory is configured, or once this process has written its cap of dumps
-/// (`MAX_DUMPS`).
+/// No-ops (returning `None`) when no dump directory is configured, or
+/// once this process has written its cap of dumps (`MAX_DUMPS`).
 pub fn dump(reason: &str) -> Option<PathBuf> {
-    if !enabled() {
-        return None;
-    }
     let dir = resolve_dump_dir()?;
     let seq = DUMPS_WRITTEN.fetch_add(1, Ordering::Relaxed);
     if seq >= MAX_DUMPS {
@@ -263,5 +257,57 @@ pub fn dump(reason: &str) -> Option<PathBuf> {
             eprintln!("telemetry: flight dump to {} failed: {e}", path.display());
             None
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ring(cap: usize) -> RingBuf {
+        RingBuf { events: VecDeque::new(), undrained: 0, cap, total: 0 }
+    }
+
+    fn ev(ts_us: u64) -> Event {
+        Event { cat: "t", name: "e".into(), ts_us, tid: 1, kind: EventKind::Instant }
+    }
+
+    fn stamps(r: &RingBuf) -> Vec<u64> {
+        r.events.iter().map(|(e, _)| e.ts_us).collect()
+    }
+
+    #[test]
+    fn undrained_events_outlive_capacity_until_a_drain() {
+        let mut r = ring(2);
+        for t in 0..5 {
+            r.push(ev(t), true);
+        }
+        assert_eq!(stamps(&r), [0, 1, 2, 3, 4], "nothing undrained is evicted");
+        let mut out = Vec::new();
+        r.drain_into(&mut out);
+        assert_eq!(out.len(), 5);
+        assert_eq!(stamps(&r), [3, 4], "a drain trims to capacity, newest kept");
+        r.drain_into(&mut out);
+        assert_eq!(out.len(), 5, "drained events are returned once");
+        assert_eq!(r.total, 5);
+    }
+
+    #[test]
+    fn unprofiled_events_stay_bounded_behind_undrained_ones() {
+        let mut r = ring(2);
+        r.push(ev(0), true);
+        r.push(ev(1), true);
+        for t in 2..6 {
+            r.push(ev(t), false);
+        }
+        // The undrained events stay beside the newest `cap` unprofiled ones.
+        assert_eq!(stamps(&r), [0, 1, 4, 5]);
+        let mut out = Vec::new();
+        r.drain_into(&mut out);
+        assert_eq!(out.iter().map(|e| e.ts_us).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(stamps(&r), [4, 5]);
+        r.push(ev(6), false);
+        r.push(ev(7), false);
+        assert_eq!(stamps(&r), [6, 7]);
     }
 }

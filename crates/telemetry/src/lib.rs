@@ -7,28 +7,23 @@
 //!
 //! # Design
 //!
-//! The recorder is **thread-aware and lock-free on the record path**:
-//! every thread appends events to a thread-local buffer (no
-//! synchronization per event). A global mutex is touched only when a
-//! thread retires (its buffer is moved to a retirement list) and when the
-//! timeline is [`drain`]ed — both cold operations. Worker threads spawned
-//! by parallel loops and distributed ranks therefore record at
-//! `Vec::push` cost.
+//! There is one event store: the per-thread rings of [`flight`]. Every
+//! entry point appends its event once, to the calling thread's ring,
+//! under that ring's own (uncontended) lock; no global lock is on the
+//! record path. An event recorded while profiling is on is marked for
+//! the next [`drain`], which reads every registered ring — running,
+//! parked or exited threads alike — and returns the marked events.
 //!
 //! # Overhead guarantee
 //!
-//! When profiling is off (no `TIRAMISU_PROFILE`, no
-//! [`set_profiling`] override), no timeline event is materialized: the
-//! global [`records_materialized`] counter moves only when an event is
-//! actually stored in the timeline, so tests can assert the off path
-//! stayed silent, exactly like the compile pipeline's
-//! `snapshot_renders()` guarantee. When the always-on [`flight`]
-//! recorder is also disabled, every entry point returns after two
-//! relaxed checks — no event, no allocation, no clock read. With the
-//! flight recorder on (the default), events are additionally copied
-//! into a bounded per-thread ring; that never touches
-//! [`records_materialized`] and its cost on the fig1 sgemm hot path is
-//! measured at <2% (EXPERIMENTS.md).
+//! When profiling is off (no `TIRAMISU_PROFILE`, no [`set_profiling`]
+//! override), no event is materialized: the global
+//! [`records_materialized`] counter moves only for events recorded while
+//! profiling is on, so tests can assert the off path stayed silent,
+//! exactly like the compile pipeline's `snapshot_renders()` guarantee.
+//! The off path still writes the bounded ring — the always-on flight
+//! recorder — whose cost on the fig1 sgemm hot path was measured below
+//! the noise (EXPERIMENTS.md).
 //!
 //! # Always-on observability
 //!
@@ -37,9 +32,10 @@
 //! - [`metrics`] — a process-wide registry of counters/gauges/
 //!   log2-bucketed histograms (hit rates, queue waits, per-tier run
 //!   latencies, deopt reasons), lock-free on the hot path;
-//! - [`flight`] — the flight recorder: fixed-size per-thread rings of
-//!   recent events, dumped (Chrome trace + metrics snapshot) to
-//!   `TIRAMISU_DUMP_DIR` by failure sites via [`flight::dump`].
+//! - [`flight`] — the event store itself, read as a flight recorder:
+//!   bounded per-thread rings of recent events, dumped (Chrome trace +
+//!   metrics snapshot) to `TIRAMISU_DUMP_DIR` by failure sites via
+//!   [`flight::dump`].
 //!
 //! # Event model
 //!
@@ -52,10 +48,11 @@
 //!   instruction-class totals, bytes sent),
 //! - **instants** (`ph:"i"`): a point event (fault injections, retries).
 //!
-//! [`drain`] collects everything recorded so far into a [`Timeline`],
-//! which renders as Chrome trace-event JSON ([`Timeline::to_chrome_json`],
-//! loadable in Perfetto / `chrome://tracing`) or as a human-readable
-//! aggregate table ([`Timeline::report`]).
+//! [`drain`] collects everything profiled since the last drain into a
+//! [`Timeline`], which renders as Chrome trace-event JSON
+//! ([`Timeline::to_chrome_json`], loadable in Perfetto /
+//! `chrome://tracing`) or as a human-readable aggregate table
+//! ([`Timeline::report`]).
 
 pub mod flight;
 pub mod json;
@@ -64,10 +61,9 @@ pub mod metrics;
 pub(crate) use json::jstr;
 
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI8, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -94,13 +90,15 @@ static OVERRIDE: AtomicI8 = AtomicI8::new(-1);
 
 /// Whether profiling is currently enabled: the [`set_profiling`]
 /// override if one is in force, otherwise the `TIRAMISU_PROFILE`
-/// environment flag (per [`env_flag`] semantics).
+/// environment flag (per [`env_flag`] semantics). The environment is
+/// read once and cached — this sits on every record path.
 #[must_use]
 pub fn profile_enabled() -> bool {
+    static ENV: OnceLock<bool> = OnceLock::new();
     match OVERRIDE.load(Ordering::Relaxed) {
         0 => false,
         1 => true,
-        _ => env_flag("TIRAMISU_PROFILE"),
+        _ => *ENV.get_or_init(|| env_flag("TIRAMISU_PROFILE")),
     }
 }
 
@@ -117,64 +115,17 @@ pub fn set_profiling(on: Option<bool>) {
 // Recorder internals
 // ---------------------------------------------------------------------------
 
-/// Events stored since process start (never reset): the observability
-/// analogue of the pipeline's `snapshot_renders()`. Tests assert it does
-/// not move across a profiling-off run.
+/// Events recorded under profiling since process start (never reset):
+/// the observability analogue of the pipeline's `snapshot_renders()`.
+/// Tests assert it does not move across a profiling-off run.
 static MATERIALIZED: AtomicU64 = AtomicU64::new(0);
 
-/// Number of telemetry records materialized since process start. Only
-/// moves when an event is actually stored, i.e. never while profiling is
-/// off — the zero-overhead-when-off guarantee, in testable form.
+/// Number of telemetry events recorded with profiling on since process
+/// start — the events a [`drain`] returns. Never moves while profiling is
+/// off: the zero-overhead-when-off guarantee, in testable form.
 #[must_use]
 pub fn records_materialized() -> u64 {
     MATERIALIZED.load(Ordering::Relaxed)
-}
-
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// Lazily assigned session-unique thread id, shared by the timeline
-    /// buffer and the flight-recorder ring so one thread is one `tid` in
-    /// every export.
-    static TID: Cell<u64> = const { Cell::new(0) };
-}
-
-fn thread_tid() -> u64 {
-    TID.with(|t| {
-        let v = t.get();
-        if v != 0 {
-            return v;
-        }
-        let v = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-        t.set(v);
-        v
-    })
-}
-
-static RETIRED: Mutex<Vec<Event>> = Mutex::new(Vec::new());
-
-fn retired() -> std::sync::MutexGuard<'static, Vec<Event>> {
-    RETIRED.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-struct LocalBuf {
-    tid: u64,
-    events: Vec<Event>,
-}
-
-impl Drop for LocalBuf {
-    fn drop(&mut self) {
-        if !self.events.is_empty() {
-            retired().append(&mut self.events);
-        }
-    }
-}
-
-thread_local! {
-    static LOCAL: RefCell<LocalBuf> = RefCell::new(LocalBuf {
-        tid: thread_tid(),
-        events: Vec::new(),
-    });
 }
 
 /// Session epoch: all timestamps are microseconds since the first
@@ -189,27 +140,15 @@ fn now_us() -> u64 {
     epoch().elapsed().as_micros() as u64
 }
 
-fn push(cat: &'static str, name: Cow<'static, str>, ts_us: u64, kind: EventKind) {
-    MATERIALIZED.fetch_add(1, Ordering::Relaxed);
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        let tid = l.tid;
-        l.events.push(Event { cat, name, ts_us, tid, kind });
-    });
-}
-
-/// Routes one event to its sinks: the timeline when profiling is on
-/// (moving [`records_materialized`]), the flight-recorder ring when the
-/// recorder is on (never moving it).
-fn emit(cat: &'static str, name: Cow<'static, str>, ts_us: u64, kind: EventKind, profile: bool, fl: bool) {
-    if profile {
-        if fl {
-            flight::record(Event { cat, name: name.clone(), ts_us, tid: thread_tid(), kind });
-        }
-        push(cat, name, ts_us, kind);
-    } else if fl {
-        flight::record(Event { cat, name, ts_us, tid: thread_tid(), kind });
+/// Stores one event in the calling thread's ring, marked for the next
+/// [`drain`] (and counted by [`records_materialized`]) when profiling is
+/// on.
+fn record(cat: &'static str, name: Cow<'static, str>, ts_us: u64, kind: EventKind) {
+    let profiled = profile_enabled();
+    if profiled {
+        MATERIALIZED.fetch_add(1, Ordering::Relaxed);
     }
+    flight::record(cat, name, ts_us, kind, profiled);
 }
 
 // ---------------------------------------------------------------------------
@@ -256,95 +195,58 @@ pub struct Event {
 // ---------------------------------------------------------------------------
 
 /// An RAII span guard: records a [`EventKind::Span`] from construction
-/// ([`span`]) to drop. The span goes to the timeline when profiling is
-/// on, and to the flight-recorder ring when the recorder is on; with
-/// both off the guard is inert and records nothing.
+/// ([`span`]) to drop.
 #[must_use = "a span measures until dropped; binding it to `_` drops it immediately"]
 pub struct Span {
-    open: Option<(u64, &'static str, Cow<'static, str>)>,
-    profile: bool,
-    flight: bool,
+    start: u64,
+    cat: &'static str,
+    name: Cow<'static, str>,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((start, cat, name)) = self.open.take() {
-            let dur = now_us().saturating_sub(start);
-            emit(cat, name, start, EventKind::Span { dur_us: dur }, self.profile, self.flight);
-        }
+        let dur = now_us().saturating_sub(self.start);
+        record(self.cat, std::mem::take(&mut self.name), self.start, EventKind::Span { dur_us: dur });
     }
 }
 
 /// Opens a span on the current thread; the span closes (and is recorded)
-/// when the returned guard drops. Inert when both profiling and the
-/// flight recorder are off.
+/// when the returned guard drops.
 pub fn span(cat: &'static str, name: impl Into<Cow<'static, str>>) -> Span {
-    let profile = profile_enabled();
-    let fl = flight::enabled();
-    if !profile && !fl {
-        return Span { open: None, profile, flight: fl };
-    }
-    Span { open: Some((now_us(), cat, name.into())), profile, flight: fl }
+    Span { start: now_us(), cat, name: name.into() }
 }
 
 /// Records a span that ends now and lasted `wall` — for call sites that
 /// already measured a duration (e.g. the compile pipeline's per-pass
-/// timing). Inert when both profiling and the flight recorder are off.
+/// timing).
 pub fn span_with_wall(cat: &'static str, name: impl Into<Cow<'static, str>>, wall: Duration) {
-    let profile = profile_enabled();
-    let fl = flight::enabled();
-    if !profile && !fl {
-        return;
-    }
     let dur = wall.as_micros() as u64;
     let start = now_us().saturating_sub(dur);
-    emit(cat, name.into(), start, EventKind::Span { dur_us: dur }, profile, fl);
+    record(cat, name.into(), start, EventKind::Span { dur_us: dur });
 }
 
-/// Records a counter sample. Inert when both profiling and the flight
-/// recorder are off.
+/// Records a counter sample.
 pub fn counter(cat: &'static str, name: impl Into<Cow<'static, str>>, value: f64) {
-    let profile = profile_enabled();
-    let fl = flight::enabled();
-    if !profile && !fl {
-        return;
-    }
-    emit(cat, name.into(), now_us(), EventKind::Counter { value }, profile, fl);
+    record(cat, name.into(), now_us(), EventKind::Counter { value });
 }
 
-/// Records an instant (point) event. Inert when both profiling and the
-/// flight recorder are off.
+/// Records an instant (point) event.
 pub fn instant(cat: &'static str, name: impl Into<Cow<'static, str>>) {
-    let profile = profile_enabled();
-    let fl = flight::enabled();
-    if !profile && !fl {
-        return;
-    }
-    emit(cat, name.into(), now_us(), EventKind::Instant, profile, fl);
+    record(cat, name.into(), now_us(), EventKind::Instant);
 }
 
 /// Labels the current thread in the exported timeline (e.g. `"rank 3"`).
-/// Inert when both profiling and the flight recorder are off.
 pub fn set_thread_name(name: impl Into<Cow<'static, str>>) {
-    let profile = profile_enabled();
-    let fl = flight::enabled();
-    if !profile && !fl {
-        return;
-    }
-    emit("meta", name.into(), now_us(), EventKind::ThreadName, profile, fl);
+    record("meta", name.into(), now_us(), EventKind::ThreadName);
 }
 
-/// Collects every event recorded so far — the retirement list plus the
-/// calling thread's buffer — into a [`Timeline`], clearing them. Events
-/// of worker threads that are still alive stay in their local buffers;
-/// in this workspace every executor joins its workers before returning,
-/// so draining after a run observes the complete timeline.
+/// Collects every event recorded with profiling on since the previous
+/// drain, on every thread — running, parked or exited — into a
+/// [`Timeline`]. The events stay in their threads' rings for
+/// [`flight::dump`]; a later drain does not return them again.
 #[must_use]
 pub fn drain() -> Timeline {
-    let mut events = std::mem::take(&mut *retired());
-    LOCAL.with(|l| events.append(&mut l.borrow_mut().events));
-    events.sort_by_key(|e| (e.ts_us, e.tid));
-    Timeline { events }
+    Timeline { events: flight::drain() }
 }
 
 // ---------------------------------------------------------------------------
@@ -386,8 +288,7 @@ impl Timeline {
     /// The comma-joined body of the `traceEvents` array, without the
     /// wrapping object — shared by [`Timeline::to_chrome_json`] and the
     /// flight recorder's dump format (which adds its own top-level keys).
-    #[must_use]
-    pub fn chrome_trace_events(&self) -> String {
+    pub(crate) fn chrome_trace_events(&self) -> String {
         let mut parts: Vec<String> = Vec::with_capacity(self.events.len());
         for e in self.events.iter().filter(|e| e.kind == EventKind::ThreadName) {
             parts.push(format!(
@@ -531,6 +432,7 @@ fn jnum(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// Tests here toggle the process-wide override; serialize them.
     static LOCK: Mutex<()> = Mutex::new(());
@@ -598,7 +500,6 @@ mod tests {
     fn flight_records_without_materializing() {
         let _g = locked();
         set_profiling(Some(false));
-        flight::set_flight(Some(true));
         let before = records_materialized();
         let (_, t0) = flight::current_thread_ring_stats();
         {
@@ -608,7 +509,6 @@ mod tests {
         let (_, t1) = flight::current_thread_ring_stats();
         assert_eq!(records_materialized(), before, "flight writes must not materialize");
         assert!(t1 >= t0 + 2, "ring should have recorded the span and instant");
-        flight::set_flight(None);
         set_profiling(None);
     }
 

@@ -2,7 +2,8 @@
 //! ring bounds, and the failure-dump path — a forced distributed
 //! deadlock must leave a loadable Chrome-trace dump with a metrics
 //! snapshot in the dump directory, with profiling **off** the whole
-//! time (the layer under test is the one that is on in production).
+//! time (the layer under test is the one that is on in production) —
+//! and a dump taken after a profiling drain keeps the drained events.
 
 use loopvm::{Expr, Program};
 use mpisim::{CommModel, DistError, DistProgram, DistStmt, RunOptions, WaitingOn};
@@ -10,7 +11,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 use telemetry::metrics::{bucket_bounds, bucket_index, Histogram, HIST_BUCKETS};
 
-/// Flight overrides (enable, capacity, dump dir) are process-global;
+/// Recorder overrides (profiling, capacity, dump dir) are process-global;
 /// serialize the tests that touch them.
 static FLIGHT_LOCK: Mutex<()> = Mutex::new(());
 
@@ -118,11 +119,11 @@ fn registry_snapshot_includes_registered_metrics() {
 #[test]
 fn flight_ring_overwrites_oldest_within_bound() {
     let _g = locked();
-    telemetry::flight::set_flight(Some(true));
+    // The layer under test is the profiling-off one.
+    telemetry::set_profiling(Some(false));
     telemetry::flight::set_ring_capacity(8);
     // A fresh thread gets a fresh ring at the configured capacity.
     let (resident, total) = std::thread::spawn(|| {
-        assert!(!telemetry::profile_enabled(), "layer under test is the profiling-off one");
         for i in 0..20 {
             telemetry::instant("flight-test", format!("event {i}"));
         }
@@ -131,7 +132,7 @@ fn flight_ring_overwrites_oldest_within_bound() {
     .join()
     .unwrap();
     telemetry::flight::set_ring_capacity(telemetry::flight::DEFAULT_RING_CAPACITY);
-    telemetry::flight::set_flight(None);
+    telemetry::set_profiling(None);
     assert_eq!(total, 20, "every event recorded");
     assert_eq!(resident, 8, "memory bounded at ring capacity");
 }
@@ -139,7 +140,7 @@ fn flight_ring_overwrites_oldest_within_bound() {
 #[test]
 fn flight_recording_never_materializes_timeline_events() {
     let _g = locked();
-    telemetry::flight::set_flight(Some(true));
+    telemetry::set_profiling(Some(false));
     let before = telemetry::records_materialized();
     std::thread::spawn(|| {
         for _ in 0..100 {
@@ -148,7 +149,7 @@ fn flight_recording_never_materializes_timeline_events() {
     })
     .join()
     .unwrap();
-    telemetry::flight::set_flight(None);
+    telemetry::set_profiling(None);
     assert_eq!(
         telemetry::records_materialized(),
         before,
@@ -189,7 +190,6 @@ fn deadlock_dumps_loadable_trace_and_metrics() {
     let _g = locked();
     let dir = std::env::temp_dir().join(format!("tiramisu-obs-dump-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    telemetry::flight::set_flight(Some(true));
     telemetry::flight::set_dump_dir(Some(Some(dir.clone())));
 
     let prog = orphan_recv_program();
@@ -210,7 +210,6 @@ fn deadlock_dumps_loadable_trace_and_metrics() {
     .unwrap_err();
 
     telemetry::flight::set_dump_dir(None);
-    telemetry::flight::set_flight(None);
 
     assert!(
         matches!(
@@ -247,4 +246,31 @@ fn deadlock_dumps_loadable_trace_and_metrics() {
     assert!(metrics.as_obj().is_some());
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A drain marks what it read without emptying the rings: a dump taken
+/// after the drain still holds the drained events.
+#[test]
+fn dump_after_drain_keeps_the_drained_events() {
+    let _g = locked();
+    let dir = std::env::temp_dir().join(format!("tiramisu-obs-drained-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    telemetry::set_profiling(Some(true));
+    let _ = telemetry::drain();
+    telemetry::instant("flight-test", "drained then dumped");
+    let tl = telemetry::drain();
+    telemetry::set_profiling(None);
+    assert!(tl.events.iter().any(|e| e.name == "drained then dumped"), "the drain returned it");
+
+    telemetry::flight::set_dump_dir(Some(Some(dir.clone())));
+    let path = telemetry::flight::dump("after-drain");
+    telemetry::flight::set_dump_dir(None);
+    let body = std::fs::read_to_string(path.expect("dump written")).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let j = bench::json::parse(&body).expect("dump is valid JSON");
+    let events = j.get("traceEvents").and_then(|e| e.as_arr()).expect("traceEvents array");
+    assert!(
+        events.iter().any(|e| e.get("name").and_then(|n| n.as_str()) == Some("drained then dumped")),
+        "the dump lost a drained event"
+    );
 }

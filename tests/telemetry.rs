@@ -1,8 +1,8 @@
-//! Telemetry coverage: span nesting, thread interleaving, the Chrome
-//! trace-event export shape, and the zero-overhead-when-off guarantee on
-//! the Figure 1 sgemm path.
+//! Telemetry coverage: span nesting, thread interleaving, draining
+//! threads that are still alive, the Chrome trace-event export shape,
+//! and the zero-overhead-when-off guarantee on the Figure 1 sgemm path.
 
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 use telemetry::{
     drain, records_materialized, set_profiling, set_thread_name, span, EventKind,
@@ -72,8 +72,6 @@ fn threads_interleave_with_distinct_tids() {
                 })
             })
             .collect();
-        // A worker's buffer retires in its thread-local destructor. Only
-        // an explicit join waits for that; the scope's own wait does not.
         for h in handles {
             h.join().expect("worker");
         }
@@ -94,8 +92,7 @@ fn threads_interleave_with_distinct_tids() {
     assert_eq!(span_tids.len(), workers, "each worker records under its own tid");
     names.sort();
     assert_eq!(names, ["worker 0", "worker 1", "worker 2"]);
-    // Joined workers' buffers retire into the global list, so the drain
-    // on this (fourth) thread observed all of them.
+    // The drain on this (fourth) thread read every worker's ring.
     for e in &tl.events {
         if let EventKind::ThreadName = e.kind {
             let work = tl.events.iter().find(|o| {
@@ -104,6 +101,61 @@ fn threads_interleave_with_distinct_tids() {
             assert!(work.is_some(), "thread {} has a name but no span", e.tid);
         }
     }
+}
+
+#[test]
+fn drain_sees_a_parked_thread() {
+    let _g = locked();
+    set_profiling(Some(true));
+    let _ = drain();
+    let (recorded_tx, recorded_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let worker = std::thread::spawn(move || {
+        drop(span("t", "before parking"));
+        recorded_tx.send(()).unwrap();
+        release_rx.recv().unwrap();
+    });
+    recorded_rx.recv().unwrap();
+    // The worker is parked on the channel, alive, while this drains.
+    let tl = drain();
+    release_tx.send(()).unwrap();
+    worker.join().unwrap();
+    set_profiling(None);
+    assert!(
+        tl.events.iter().any(|e| e.name == "before parking"),
+        "a live thread's span is missing from the drain"
+    );
+}
+
+#[test]
+fn drain_sees_a_live_compile_service_worker() {
+    let _g = locked();
+    set_profiling(Some(true));
+    let _ = drain();
+    // One worker: by answering the second request it has closed the
+    // first job's span, so the drain cannot race that span. The worker
+    // stays alive, parked on its queue, across the drain.
+    let svc = tiramisu::CompileService::new(tiramisu::ServiceConfig {
+        workers: 1,
+        ..tiramisu::ServiceConfig::default()
+    });
+    let (f, _, _) = kernels::sgemm::layer1(1.0, 1.0);
+    for n in [16, 8] {
+        svc.compile_cpu(&f, &[("N", n)], tiramisu::CpuOptions::default()).expect("compile");
+    }
+    let events = drain().events;
+    set_profiling(None);
+    let spans = |cat: &str| -> Vec<String> {
+        let of_cat = events.iter().filter(|e| e.cat == cat);
+        of_cat.filter(|e| matches!(e.kind, EventKind::Span { .. })).map(|e| e.name.to_string()).collect()
+    };
+    let passes = spans("compile");
+    for pass in ["lower", "legality", "astgen", "tag-resolve", "emit", "optimize"] {
+        assert!(passes.iter().any(|p| p == pass), "no compile/{pass} span in {passes:?}");
+    }
+    let job = format!("compile:cpu:{}", f.name);
+    assert!(spans("service").contains(&job), "no {job} span");
+    drop(svc);
 }
 
 #[test]
