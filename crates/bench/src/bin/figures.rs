@@ -236,9 +236,10 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
         // Executor-tier cross-section: for the Figure 1 sgemm schedule and
         // every Figure 6 image kernel, the deterministic footprint of each
         // tier — bytecode instruction count, and where the native backend
-        // exists (x86-64 Linux) the JIT's code size, function count, and
-        // deopt-stub counts, broken down by reason. No timing, so the
-        // snapshot is host-stable.
+        // exists (x86-64 Linux) the JIT's code size, the instructions of
+        // its packed-chunk fast paths and how many of them touch the stack,
+        // function count, and deopt-stub counts, broken down by reason. No
+        // timing, so the snapshot is host-stable.
         let progs: Vec<(String, loopvm::Program)> = bench::fig_kernels()
             .into_iter()
             .map(|(name, build)| (name, build().expect("kernel compiles").program.clone()))
@@ -249,9 +250,10 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             let bc = loopvm::opt::compile_program(p).expect("bytecode compile");
             let insts = bc.stats().insts;
             let jit = loopvm::jit::compile(&bc);
-            let (code, fns, deopts, reasons) = match &jit {
+            let (code, chunk_insts, chunk_refs, fns, deopts, reasons) = match &jit {
                 Some(j) => {
                     let by = j.deopt_reasons();
+                    let chunk = j.chunk_cost();
                     // Compact per-reason listing, only non-zero reasons.
                     let listing: Vec<String> = loopvm::jit::DeoptReason::ALL
                         .iter()
@@ -260,17 +262,24 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                         .collect();
                     (
                         j.code_len().to_string(),
+                        chunk.insts.to_string(),
+                        chunk.stack_refs.to_string(),
                         j.n_fns().to_string(),
                         j.n_deopts().to_string(),
                         if listing.is_empty() { "-".to_string() } else { listing.join(" ") },
                     )
                 }
-                None => ("-".to_string(), "-".to_string(), "-".to_string(), "-".to_string()),
+                None => {
+                    let none = || "-".to_string();
+                    (none(), none(), none(), none(), none(), none())
+                }
             };
             rows.push(vec![
                 name.clone(),
                 insts.to_string(),
                 code.clone(),
+                chunk_insts.clone(),
+                chunk_refs.clone(),
                 fns.clone(),
                 deopts.clone(),
                 reasons,
@@ -290,10 +299,12 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 None => "null".to_string(),
             };
             cells.push(format!(
-                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}}}",
+                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}}}",
                 jstr(name),
                 insts,
                 jfield(&code),
+                jfield(&chunk_insts),
+                jfield(&chunk_refs),
                 jfield(&fns),
                 jfield(&deopts),
                 jreasons
@@ -303,7 +314,16 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             "{}",
             render_table(
                 "Executor tiers: bytecode and native footprint per kernel",
-                &["kernel", "bc insts", "jit bytes", "jit fns", "jit deopts", "deopt reasons"],
+                &[
+                    "kernel",
+                    "bc insts",
+                    "jit bytes",
+                    "chunk insts",
+                    "chunk rsp refs",
+                    "jit fns",
+                    "jit deopts",
+                    "deopt reasons"
+                ],
                 &rows
             )
         );

@@ -9,6 +9,12 @@
 //! Only the instructions the bytecode compiler needs are provided; all
 //! jumps use rel32 displacements patched through [`Label`]s, so the
 //! encoder never has to re-layout code.
+//!
+//! While the emitter has [`Asm::count_chunk`] on, the encoder also counts
+//! what it emits — instructions, and those with an `[rsp+…]` operand —
+//! into the program's [`ChunkCost`].
+
+use super::ChunkCost;
 
 /// A host general-purpose register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,11 +166,21 @@ pub(super) struct Asm {
     labels: Vec<Option<usize>>,
     /// Pending rel32 patches: (offset of the 4 displacement bytes, target).
     fixups: Vec<(usize, Label)>,
+    /// Whether emitted instructions are added to `chunk`.
+    counting: bool,
+    pub chunk: ChunkCost,
 }
 
 impl Asm {
     pub fn new() -> Asm {
-        Asm { code: Vec::new(), text: None, labels: Vec::new(), fixups: Vec::new() }
+        Asm {
+            code: Vec::new(),
+            text: None,
+            labels: Vec::new(),
+            fixups: Vec::new(),
+            counting: false,
+            chunk: ChunkCost::default(),
+        }
     }
 
     /// An encoder that also records the listing.
@@ -187,8 +203,10 @@ impl Asm {
         self.code.len()
     }
 
-    /// Records one instruction's text; `f` runs only when listing.
+    /// Records one instruction (every encoder calls this once); `f` runs
+    /// only when listing.
     fn line(&mut self, f: impl FnOnce() -> String) {
+        self.chunk.insts += usize::from(self.counting);
         if let Some(text) = &mut self.text {
             text.push(format!("  {}", f()));
         }
@@ -196,7 +214,15 @@ impl Asm {
 
     /// Emits a comment-only listing line (no code bytes).
     pub fn comment(&mut self, f: impl FnOnce() -> String) {
-        self.line(|| format!("; {}", f()));
+        if let Some(text) = &mut self.text {
+            text.push(format!("  ; {}", f()));
+        }
+    }
+
+    /// Counts what is emitted from here on as packed-chunk fast-path code
+    /// (`true`) or stops counting (`false`).
+    pub fn count_chunk(&mut self, on: bool) {
+        self.counting = on;
     }
 
     pub fn new_label(&mut self) -> Label {
@@ -264,6 +290,7 @@ impl Asm {
 
     /// Emits opcode bytes then a reg-mem ModRM (+SIB, +disp).
     fn op_rm(&mut self, prefix: Option<u8>, w: bool, opcode: &[u8], reg: u8, m: Mem) {
+        self.chunk.stack_refs += usize::from(self.counting && m.base == Gpr::Rsp);
         if let Some(p) = prefix {
             self.b(p);
         }
@@ -554,11 +581,6 @@ impl Asm {
         self.line(|| format!("movss {}, {}", m.text(), src.name()));
     }
 
-    pub fn movss_xx(&mut self, dst: Xmm, src: Xmm) {
-        self.op_rr(Some(0xF3), false, &[0x0F, 0x10], dst.0, src.0);
-        self.line(|| format!("movss {}, {}", dst.name(), src.name()));
-    }
-
     /// `F3 0F op` (scalar `…ss`) or bare `0F op` (packed `…ps`).
     fn sse_op(&mut self, prefix: Option<u8>, opcode: u8, mnem: &str, dst: Xmm, src: Xmm) {
         self.op_rr(prefix, false, &[0x0F, opcode], dst.0, src.0);
@@ -595,6 +617,12 @@ impl Asm {
     pub fn movups_mx(&mut self, m: Mem, src: Xmm) {
         self.op_rm(None, false, &[0x0F, 0x11], src.0, m);
         self.line(|| format!("movups {}, {}", m.text(), src.name()));
+    }
+
+    /// `movaps xmm, xmm`: a whole-register copy (no merge with the old
+    /// value of `dst`, unlike `movss`).
+    pub fn movaps_xx(&mut self, dst: Xmm, src: Xmm) {
+        self.sse_op(None, 0x28, "movaps", dst, src);
     }
 
     pub fn addps(&mut self, dst: Xmm, src: Xmm) {
@@ -763,6 +791,52 @@ mod tests {
             a.code,
             [0x0F, 0xC6, 0xC0, 0x00, 0x45, 0x0F, 0xC6, 0xC0, 0x00, 0x0F, 0xC6, 0xCA, 0x1B]
         );
+
+        let mut a = Asm::new();
+        a.movaps_xx(Xmm(0), Xmm(1));
+        a.movaps_xx(Xmm(2), Xmm(9));
+        a.movaps_xx(Xmm(8), Xmm(0));
+        a.movaps_xx(Xmm(15), Xmm(14));
+        assert_eq!(
+            a.code,
+            [
+                0x0F, 0x28, 0xC1, 0x41, 0x0F, 0x28, 0xD1, 0x44, 0x0F, 0x28, 0xC0, 0x45, 0x0F, 0x28,
+                0xFE
+            ]
+        );
+
+        // Packed code in place on high XMM pairs: the operand forms above
+        // with REX.R / REX.B set.
+        let mut a = Asm::new();
+        a.movups_xm(Xmm(15), Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0));
+        a.movups_mx(Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 16), Xmm(12));
+        a.movups_mx(Mem::base(Gpr::Rsp, 0x188), Xmm(12));
+        a.mulps(Xmm(10), Xmm(12));
+        a.shufps(Xmm(10), Xmm(10), 0);
+        a.sqrtps(Xmm(9), Xmm(14));
+        assert_eq!(
+            a.code,
+            [
+                0x44, 0x0F, 0x10, 0x3C, 0x81, 0x44, 0x0F, 0x11, 0x64, 0x81, 0x10, 0x44, 0x0F,
+                0x11, 0xA4, 0x24, 0x88, 0x01, 0x00, 0x00, 0x45, 0x0F, 0x59, 0xD4, 0x45, 0x0F,
+                0xC6, 0xD2, 0x00, 0x45, 0x0F, 0x51, 0xCE
+            ]
+        );
+    }
+
+    #[test]
+    fn chunk_cost_counts_only_while_on() {
+        let mut a = Asm::with_listing();
+        a.mov_rm(Gpr::Rax, Mem::base(Gpr::Rsp, 8));
+        a.count_chunk(true);
+        a.comment(|| "not an instruction".to_string());
+        a.mov_rm(Gpr::Rax, Mem::base(Gpr::Rsp, 8));
+        a.movups_mx(Mem::base(Gpr::Rsp, 0x20), Xmm(3));
+        a.movups_xm(Xmm(3), Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0));
+        a.addps(Xmm(3), Xmm(4));
+        a.count_chunk(false);
+        a.movss_mx(Mem::base(Gpr::Rsp, 0), Xmm(0));
+        assert_eq!(a.chunk, ChunkCost { insts: 4, stack_refs: 2 });
     }
 
     #[test]

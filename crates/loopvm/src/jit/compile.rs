@@ -19,15 +19,21 @@
 //!   scalar helpers, so error payloads and panic messages are identical
 //!   to bytecode execution by construction.
 //! - Vectorized loops are compiled chunk by chunk (8 lanes), inst-major
-//!   like the interpreter, with per-register stack arrays standing in for
-//!   its vector register file. Each chunk instruction is emitted once per
+//!   like the interpreter. Each chunk instruction is emitted once per
 //!   *lane shape* (see [`Shape`]), not once per lane: uniform and linear
-//!   results are computed for lane 0 only, varying `f32` arithmetic is two
-//!   packed SSE halves, and a load/store whose index is linear takes one
-//!   range guard for all eight lanes. Per-lane code remains for varying
-//!   integer values, gathers and the helper-call operations, and — out of
-//!   line behind the function's `ret` — as the path a failing range guard
-//!   jumps to, which finds the first failing lane exactly as before. The
+//!   results are computed for lane 0 only, in the register's scalar home;
+//!   a varying `f32` value lives in an XMM pair and its arithmetic is two
+//!   packed SSE operations in place on the pairs; a load/store whose
+//!   index is linear takes one range guard for all eight lanes and moves
+//!   a pair's halves directly. Per-lane code remains for varying integer
+//!   values (kept in 8-lane stack arrays), gathers and the helper-call
+//!   operations, and — out of line behind the function's `ret` — as the
+//!   path a failing range guard jumps to, which finds the first failing
+//!   lane exactly as before. Per-lane code reads and writes `f32` lanes
+//!   through the register's lane array: a pair is written back to it
+//!   before the first per-lane read in a chunk (or on the way into a
+//!   store's slow path) and reloaded from it after per-lane code defined
+//!   it. A varying register without a pair lives in its array. The
 //!   scalar remainder loop is emitted separately and is the only part
 //!   that writes the loop variable's frame slot.
 //!
@@ -45,7 +51,7 @@
 //! never carries out of the bits the mask keeps and the shift drops.
 
 use super::asm::{Asm, Cc, Gpr, Label, Mem, Xmm};
-use super::regalloc::{allocate, compute_pins, FnAlloc, FnCode, Home};
+use super::regalloc::{allocate, compute_pins, FnAlloc, FnCode, Home, Varying};
 use super::runtime::{
     self, Deopt, JitProgram, CTX_BUFS, CTX_DEOPT_A, CTX_DEOPT_B, CTX_FRAME, CTX_IPIN,
 };
@@ -59,15 +65,7 @@ use crate::vm::{bc_body_vectorizable, LANES};
 /// caller falls back to the bytecode interpreter).
 pub fn compile(bc: &BcProgram) -> Option<JitProgram> {
     let e = emit(bc, Asm::new())?;
-    JitProgram::new(
-        e.a.code,
-        e.main_off,
-        e.par_fns,
-        e.deopts,
-        bc.n_vars,
-        bc.n_iregs as usize,
-        bc.n_fregs as usize,
-    )
+    JitProgram::new(e.a.code, e.main_off, e.par_fns, e.deopts, e.a.chunk, bc)
 }
 
 /// The per-instruction x86-64 listing of the code [`compile`] generates
@@ -89,8 +87,10 @@ struct Emitted {
 
 fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
     let pins = compute_pins(bc);
+    let mut lanes = Lanes::new(bc);
+    let varying = lanes.varying(bc);
     let main_alloc =
-        allocate(bc, &FnCode::Main { prologue: &bc.prologue, body: &bc.body }, &pins)?;
+        allocate(bc, &FnCode::Main { prologue: &bc.prologue, body: &bc.body }, &pins, &varying)?;
     let mut e = Emit {
         a,
         bc,
@@ -104,7 +104,8 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
         next_par_id: 0,
         lane: None,
         chunk: None,
-        lanes: Lanes::new(bc),
+        synced: vec![false; bc.n_fregs as usize],
+        lanes,
     };
     let main_off = e.a.here();
     e.emit_fn(None);
@@ -112,7 +113,12 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
     let mut i = 0;
     while i < e.pending.len() {
         let w = e.pending[i];
-        let alloc = allocate(bc, &FnCode::ParBody { preamble: w.preamble, body: w.body }, &pins)?;
+        let alloc = allocate(
+            bc,
+            &FnCode::ParBody { preamble: w.preamble, body: w.body },
+            &pins,
+            &varying,
+        )?;
         e.alloc = alloc;
         let off = e.a.here();
         e.emit_fn(Some((i, w)));
@@ -143,9 +149,10 @@ struct ChunkCtx {
 }
 
 /// How the eight lane values of a register defined inside a vectorized
-/// chunk relate. Registers defined outside the chunk are uniform and live
-/// in their scalar home; uniform and linear chunk registers keep lane 0 in
-/// slot 0 of their lane array, varying ones fill all eight slots.
+/// chunk relate. Registers defined outside the chunk are uniform; they and
+/// the uniform and linear chunk registers keep lane 0 in their scalar
+/// home (a pinned chunk register in slot 0 of its lane array). Varying
+/// ones fill an XMM pair (`f32`) or all eight slots of their lane array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Shape {
     /// All lanes equal.
@@ -243,6 +250,47 @@ impl Lanes {
             }
         });
         l
+    }
+
+    /// Which registers the vectorized chunks of `bc` define with the
+    /// `Varying` shape — what the allocator gives pairs and lane arrays.
+    /// The same forward walk as [`Emit::emit_chunk`]'s, so the emitter
+    /// meets exactly these shapes again.
+    fn varying(&mut self, bc: &BcProgram) -> Varying {
+        fn block(l: &mut Lanes, body: &[BcStmt], v: &mut Varying) {
+            for s in body {
+                match s {
+                    BcStmt::For { var, lower, kind, preamble, body, .. }
+                        if matches!(kind, LoopKind::Vectorize(_)) && bc_body_vectorizable(body) =>
+                    {
+                        let c = ChunkCtx { var: *var, v_slot: 0, lo: lower.reg };
+                        let code = body.iter().flat_map(|s| match s {
+                            BcStmt::Let { code, .. } | BcStmt::Store { code, .. } => code.iter(),
+                            _ => unreachable!("checked by bc_body_vectorizable"),
+                        });
+                        l.reset_chunk();
+                        for inst in preamble.iter().chain(code) {
+                            if l.define(inst, c) == Shape::Varying {
+                                match inst.dst() {
+                                    (File::I, dst) => v.i[dst as usize] = true,
+                                    (File::F, dst) => v.f[dst as usize] = true,
+                                }
+                            }
+                        }
+                        l.reset_chunk();
+                    }
+                    BcStmt::For { body, .. } => block(l, body, v),
+                    BcStmt::If { then, else_, .. } => {
+                        block(l, then, v);
+                        block(l, else_, v);
+                    }
+                    BcStmt::Store { .. } | BcStmt::Let { .. } => {}
+                }
+            }
+        }
+        let mut v = Varying { i: vec![false; self.i.len()], f: vec![false; self.f.len()] };
+        block(self, &bc.body, &mut v);
+        v
     }
 
     /// The bound on `r` in force where the emitter stands: lane 0's inside
@@ -364,6 +412,9 @@ struct SlowPath {
     /// path is emitted).
     idx_shape: Shape,
     val_shape: Option<Shape>,
+    /// The stored value's pair is not yet in its lane array, where the
+    /// per-lane stores read it.
+    write_back: bool,
 }
 
 #[derive(Clone, Copy)]
@@ -404,6 +455,10 @@ struct Emit<'a> {
     /// once-per-chunk uniform/linear result); `None` outside chunks.
     lane: Option<usize>,
     chunk: Option<ChunkCtx>,
+    /// Per f-register: its pair has been written to (or loaded from) its
+    /// lane array in the current chunk, so the two agree until the chunk
+    /// ends (registers are defined once per chunk).
+    synced: Vec<bool>,
     lanes: Lanes,
 }
 
@@ -473,13 +528,20 @@ impl<'a> Emit<'a> {
                 Shape::Uniform => (0, 0),
                 Shape::Linear(s) => (0, l as i32 * s),
             };
-            let off = self.alloc.lanes_i[r as usize] + (slot * 8) as i32;
-            self.a.mov_rm(dst, Mem::base(Gpr::Rsp, off));
+            match self.alloc.lanes_i[r as usize] {
+                -1 => self.read_i_home(dst, r),
+                arr => self.a.mov_rm(dst, Mem::base(Gpr::Rsp, arr + (slot * 8) as i32)),
+            }
             if add != 0 {
                 self.a.add_ri(dst, add);
             }
             return;
         }
+        self.read_i_home(dst, r);
+    }
+
+    /// Reads i-register `r`'s scalar home into `dst`.
+    fn read_i_home(&mut self, dst: Gpr, r: Reg) {
         match self.alloc.homes_i[r as usize] {
             Home::Gpr(g) => self.a.mov_rr(dst, g),
             Home::Stack(off) => self.a.mov_rm(dst, Mem::base(Gpr::Rsp, off)),
@@ -492,15 +554,16 @@ impl<'a> Emit<'a> {
                     self.a.mov_rm(dst, Mem::base(dst, r as i32 * 8));
                 }
             },
-            Home::Xmm(_) | Home::Unused => unreachable!("i-reg read from {:?}", r),
+            Home::Xmm(_) | Home::Pair(..) | Home::Unused => unreachable!("i-reg read from {:?}", r),
         }
     }
 
-    /// Writes rax to i-register `r` (clobbers rcx for ctx homes).
+    /// Writes rax to i-register `r` — in a chunk, its value in the current
+    /// lane (lane 0 of a uniform or linear register) — (clobbers rcx for
+    /// ctx homes).
     fn write_i(&mut self, r: Reg) {
-        if let Some(l) = self.lane {
-            let off = self.alloc.lanes_i[r as usize] + (l * 8) as i32;
-            self.a.mov_mr(Mem::base(Gpr::Rsp, off), Gpr::Rax);
+        if let (Some(l), arr @ 0..) = (self.lane, self.alloc.lanes_i[r as usize]) {
+            self.a.mov_mr(Mem::base(Gpr::Rsp, arr + (l * 8) as i32), Gpr::Rax);
             return;
         }
         match self.alloc.homes_i[r as usize] {
@@ -510,20 +573,25 @@ impl<'a> Emit<'a> {
                 self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R15, CTX_IPIN));
                 self.a.mov_mr(Mem::base(Gpr::Rcx, r as i32 * 8), Gpr::Rax);
             }
-            Home::Xmm(_) | Home::Unused => unreachable!("i-reg write to {:?}", r),
+            Home::Xmm(_) | Home::Pair(..) | Home::Unused => {
+                unreachable!("i-reg write to {:?}", r)
+            }
         }
     }
 
-    /// Reads f-register `r` into `dst` (clobbers rdx for ctx homes).
+    /// Reads f-register `r` — in a chunk, its value in the current lane,
+    /// which per-lane code finds in the lane array of a varying register —
+    /// into `dst` (clobbers rdx for ctx homes).
     fn read_f(&mut self, dst: Xmm, r: Reg) {
-        if let (Some(l), Some(shape)) = (self.lane, self.lanes.f[r as usize]) {
+        if let (Some(l), Some(shape), arr @ 0..) =
+            (self.lane, self.lanes.f[r as usize], self.alloc.lanes_f[r as usize])
+        {
             let slot = if shape == Shape::Varying { l } else { 0 };
-            let off = self.alloc.lanes_f[r as usize] + (slot * 4) as i32;
-            self.a.movss_xm(dst, Mem::base(Gpr::Rsp, off));
+            self.a.movss_xm(dst, Mem::base(Gpr::Rsp, arr + (slot * 4) as i32));
             return;
         }
         match self.alloc.homes_f[r as usize] {
-            Home::Xmm(x) => self.a.movss_xx(dst, x),
+            Home::Xmm(x) | Home::Pair(x, _) => self.a.movaps_xx(dst, x),
             Home::Stack(off) => self.a.movss_xm(dst, Mem::base(Gpr::Rsp, off)),
             Home::Ctx => {
                 self.a.mov_rm(Gpr::Rdx, Mem::base(Gpr::R15, runtime::CTX_FPIN));
@@ -533,15 +601,16 @@ impl<'a> Emit<'a> {
         }
     }
 
-    /// Writes xmm0 to f-register `r` (clobbers rdx for ctx homes).
+    /// Writes xmm0 to f-register `r` — in a chunk, to the current lane's
+    /// slot of its lane array if it has one, else (lane 0 of a uniform
+    /// register) to its scalar home — (clobbers rdx for ctx homes).
     fn write_f(&mut self, r: Reg) {
-        if let Some(l) = self.lane {
-            let off = self.alloc.lanes_f[r as usize] + (l * 4) as i32;
-            self.a.movss_mx(Mem::base(Gpr::Rsp, off), Xmm(0));
+        if let (Some(l), arr @ 0..) = (self.lane, self.alloc.lanes_f[r as usize]) {
+            self.a.movss_mx(Mem::base(Gpr::Rsp, arr + (l * 4) as i32), Xmm(0));
             return;
         }
         match self.alloc.homes_f[r as usize] {
-            Home::Xmm(x) => self.a.movss_xx(x, Xmm(0)),
+            Home::Xmm(x) | Home::Pair(x, _) => self.a.movaps_xx(x, Xmm(0)),
             Home::Stack(off) => self.a.movss_mx(Mem::base(Gpr::Rsp, off), Xmm(0)),
             Home::Ctx => {
                 self.a.mov_rm(Gpr::Rdx, Mem::base(Gpr::R15, runtime::CTX_FPIN));
@@ -673,6 +742,7 @@ impl<'a> Emit<'a> {
         self.a.comment(|| format!("vector loop v{var}"));
         let chk = self.a.new_label();
         let rem = self.a.new_label();
+        self.a.count_chunk(true);
         self.a.bind(chk);
         self.a.mov_rm(Gpr::Rax, Mem::base(Gpr::Rsp, vs));
         self.a.add_ri(Gpr::Rax, LANES as i32);
@@ -684,15 +754,19 @@ impl<'a> Emit<'a> {
         self.a.add_ri(Gpr::Rax, LANES as i32);
         self.a.mov_mr(Mem::base(Gpr::Rsp, vs), Gpr::Rax);
         self.a.jmp(chk);
+        self.a.count_chunk(false);
         self.a.bind(rem);
         self.emit_counted_loop(vs, hs, var, preamble, body);
     }
 
     /// One lane group, inst-major: each instruction once per lane shape,
-    /// each store once per statement. Lets do not write the frame;
-    /// nothing here touches scalar register homes.
+    /// each store once per statement. Lets do not write the frame. Scalar
+    /// homes of chunk registers hold lane 0 here and are the remainder
+    /// loop's again after it: every use of a chunk register follows its
+    /// definition in the same chunk or iteration.
     fn emit_chunk(&mut self, c: ChunkCtx, preamble: &'a [Inst], body: &'a [BcStmt]) {
         self.lanes.reset_chunk();
+        self.synced.iter_mut().for_each(|s| *s = false);
         self.chunk = Some(c);
         for inst in preamble {
             self.emit_chunk_inst(inst, c);
@@ -739,16 +813,23 @@ impl<'a> Emit<'a> {
             Inst::BinF { dst, op, a, b }
                 if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div) =>
             {
-                for half in 0..2 {
-                    self.read_f_half(Xmm(0), a, half);
-                    self.read_f_half(Xmm(1), b, half);
+                // A uniform right operand is broadcast once for both
+                // halves; xmm1 stays free for a spilled one otherwise.
+                let b_uniform = self.lanes.shape_f(b) != Shape::Varying;
+                if b_uniform {
+                    self.broadcast(Xmm(1), b);
+                }
+                for h in 0..2 {
+                    let t = self.half_target(dst, h);
+                    self.half_into(t, a, h);
+                    let src = if b_uniform { Xmm(1) } else { self.half(b, h, Xmm(1)) };
                     match op {
-                        BinOp::Add => self.a.addps(Xmm(0), Xmm(1)),
-                        BinOp::Sub => self.a.subps(Xmm(0), Xmm(1)),
-                        BinOp::Mul => self.a.mulps(Xmm(0), Xmm(1)),
-                        _ => self.a.divps(Xmm(0), Xmm(1)),
+                        BinOp::Add => self.a.addps(t, src),
+                        BinOp::Sub => self.a.subps(t, src),
+                        BinOp::Mul => self.a.mulps(t, src),
+                        _ => self.a.divps(t, src),
                     }
-                    self.write_f_half(dst, half);
+                    self.half_done(dst, h);
                 }
             }
             Inst::UnF { dst, op, a } if matches!(op, UnOp::Neg | UnOp::Abs | UnOp::Sqrt) => {
@@ -758,42 +839,122 @@ impl<'a> Emit<'a> {
                     self.a.movd_xr(Xmm(1), Gpr::Rax);
                     self.a.shufps(Xmm(1), Xmm(1), 0);
                 }
-                for half in 0..2 {
-                    self.read_f_half(Xmm(0), a, half);
+                // `a` is varying: a uniform one would make `dst` uniform.
+                for h in 0..2 {
+                    let t = self.half_target(dst, h);
                     match op {
-                        UnOp::Neg => self.a.xorps(Xmm(0), Xmm(1)),
-                        UnOp::Abs => self.a.andps(Xmm(0), Xmm(1)),
-                        _ => self.a.sqrtps(Xmm(0), Xmm(0)),
+                        UnOp::Neg | UnOp::Abs => {
+                            self.half_into(t, a, h);
+                            if op == UnOp::Neg {
+                                self.a.xorps(t, Xmm(1));
+                            } else {
+                                self.a.andps(t, Xmm(1));
+                            }
+                        }
+                        _ => {
+                            let src = self.half(a, h, t);
+                            self.a.sqrtps(t, src);
+                        }
                     }
-                    self.write_f_half(dst, half);
+                    self.half_done(dst, h);
                 }
             }
             _ => self.emit_per_lane(inst),
         }
     }
 
+    /// The instruction lane by lane. Its `f32` operands are read from
+    /// their lane arrays, so pairs are written back first; a varying
+    /// `f32` result is assembled in its lane array and loaded into its
+    /// pair after.
     fn emit_per_lane(&mut self, inst: &Inst) {
+        for (file, r) in inst.srcs().into_iter().flatten() {
+            if file == File::F {
+                self.sync(r);
+            }
+        }
         for l in 0..LANES {
             self.in_lane(l, |e| e.emit_inst(inst));
         }
-    }
-
-    /// Lanes `4·half ..` of f-register `r` into `dst`: the stored lanes of
-    /// a varying register, a broadcast of anything else.
-    fn read_f_half(&mut self, dst: Xmm, r: Reg, half: usize) {
-        if self.lanes.f[r as usize] == Some(Shape::Varying) {
-            let off = self.alloc.lanes_f[r as usize] + (half * 16) as i32;
-            self.a.movups_xm(dst, Mem::base(Gpr::Rsp, off));
-        } else {
-            self.in_lane(0, |e| e.read_f(dst, r));
-            self.a.shufps(dst, dst, 0);
+        if let (File::F, dst) = inst.dst() {
+            self.reload(dst);
         }
     }
 
-    /// xmm0 to lanes `4·half ..` of the chunk-defined f-register `r`.
-    fn write_f_half(&mut self, r: Reg, half: usize) {
-        let off = self.alloc.lanes_f[r as usize] + (half * 16) as i32;
-        self.a.movups_mx(Mem::base(Gpr::Rsp, off), Xmm(0));
+    /// The pair of a varying chunk f-register (`None`: it lives in its
+    /// lane array).
+    fn pair(&self, r: Reg) -> Option<[Xmm; 2]> {
+        match (self.lanes.f[r as usize], self.alloc.homes_f[r as usize]) {
+            (Some(Shape::Varying), Home::Pair(x, y)) => Some([x, y]),
+            _ => None,
+        }
+    }
+
+    /// The lane array bytes of half `h` of f-register `r`.
+    fn lane_half(&self, r: Reg, h: usize) -> Mem {
+        Mem::base(Gpr::Rsp, self.alloc.lanes_f[r as usize] + (h * 16) as i32)
+    }
+
+    /// Writes `r`'s pair to its lane array unless this chunk already did.
+    fn sync(&mut self, r: Reg) {
+        if let (Some(p), false) = (self.pair(r), self.synced[r as usize]) {
+            for (h, x) in p.into_iter().enumerate() {
+                self.a.movups_mx(self.lane_half(r, h), x);
+            }
+            self.synced[r as usize] = true;
+        }
+    }
+
+    /// Loads `r`'s pair from its lane array, which per-lane code filled.
+    fn reload(&mut self, r: Reg) {
+        if let Some(p) = self.pair(r) {
+            for (h, x) in p.into_iter().enumerate() {
+                self.a.movups_xm(x, self.lane_half(r, h));
+            }
+            self.synced[r as usize] = true;
+        }
+    }
+
+    /// Lane 0 of the uniform f-register `r` in all four lanes of `dst`.
+    fn broadcast(&mut self, dst: Xmm, r: Reg) {
+        self.in_lane(0, |e| e.read_f(dst, r));
+        self.a.shufps(dst, dst, 0);
+    }
+
+    /// Lanes `4h ..` of f-register `r` in an SSE register: its pair's half
+    /// as is; otherwise loaded (or, for a uniform register, broadcast)
+    /// into `scratch`.
+    fn half(&mut self, r: Reg, h: usize, scratch: Xmm) -> Xmm {
+        if let Some(p) = self.pair(r) {
+            return p[h];
+        }
+        if self.lanes.shape_f(r) == Shape::Varying {
+            self.a.movups_xm(scratch, self.lane_half(r, h));
+        } else {
+            self.broadcast(scratch, r);
+        }
+        scratch
+    }
+
+    /// [`Self::half`] into `dst` itself.
+    fn half_into(&mut self, dst: Xmm, r: Reg, h: usize) {
+        let src = self.half(r, h, dst);
+        if src != dst {
+            self.a.movaps_xx(dst, src);
+        }
+    }
+
+    /// Where packed code computes half `h` of the varying f-register `r`:
+    /// its pair's half, or xmm0 for [`Self::half_done`] to store.
+    fn half_target(&self, r: Reg, h: usize) -> Xmm {
+        self.pair(r).map_or(Xmm(0), |p| p[h])
+    }
+
+    /// Completes half `h` of `r` computed at [`Self::half_target`].
+    fn half_done(&mut self, r: Reg, h: usize) {
+        if self.pair(r).is_none() {
+            self.a.movups_mx(self.lane_half(r, h), Xmm(0));
+        }
     }
 
     /// The one bounds check of an access whose index is `Linear(s)`:
@@ -811,6 +972,7 @@ impl<'a> Emit<'a> {
             op,
             idx_shape: Shape::Linear(s),
             val_shape: val.and_then(|v| self.lanes.f[v as usize]),
+            write_back: val.is_some_and(|v| self.pair(v).is_some() && !self.synced[v as usize]),
         });
         self.in_lane(0, |e| e.read_i(Gpr::Rax, idx));
         self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16 + 8));
@@ -826,20 +988,22 @@ impl<'a> Emit<'a> {
 
     /// `f[dst] = buf[i[idx]]` for all lanes, `idx` being `Linear(s)`,
     /// `s > 0`: two `movups` when contiguous, else eight `movss` at static
-    /// displacements.
+    /// displacements into the lane array.
     fn emit_linear_load(&mut self, dst: Reg, buf: u32, idx: Reg, s: i32) {
         let cont = self.range_guard(MemOp::Load { dst, buf, idx }, s);
-        let out = self.alloc.lanes_f[dst as usize];
         if s == 1 {
-            for half in 0..2 {
-                self.a.movups_xm(Xmm(0), Mem::sib(Gpr::Rcx, Gpr::Rax, 4, half * 16));
-                self.write_f_half(dst, half as usize);
+            for h in 0..2 {
+                let t = self.half_target(dst, h);
+                self.a.movups_xm(t, Mem::sib(Gpr::Rcx, Gpr::Rax, 4, h as i32 * 16));
+                self.half_done(dst, h);
             }
         } else {
+            let out = self.alloc.lanes_f[dst as usize];
             for l in 0..LANES as i32 {
                 self.a.movss_xm(Xmm(0), Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 4 * l * s));
                 self.a.movss_mx(Mem::base(Gpr::Rsp, out + 4 * l), Xmm(0));
             }
+            self.reload(dst);
         }
         self.a.bind(cont);
     }
@@ -848,15 +1012,20 @@ impl<'a> Emit<'a> {
     /// guard when the index is contiguous, else lane by lane.
     fn emit_chunk_store(&mut self, buf: u32, idx: Reg, val: Reg) {
         if self.lanes.i[idx as usize] != Some(Shape::Linear(1)) {
+            self.sync(val);
             for l in 0..LANES {
                 self.in_lane(l, |e| e.emit_store(buf, idx, val));
             }
             return;
         }
         let cont = self.range_guard(MemOp::Store { buf, idx, val }, 1);
-        for half in 0..2 {
-            self.read_f_half(Xmm(0), val, half as usize);
-            self.a.movups_mx(Mem::sib(Gpr::Rcx, Gpr::Rax, 4, half * 16), Xmm(0));
+        let uniform = self.lanes.shape_f(val) != Shape::Varying;
+        if uniform {
+            self.broadcast(Xmm(0), val);
+        }
+        for h in 0..2 {
+            let src = if uniform { Xmm(0) } else { self.half(val, h, Xmm(0)) };
+            self.a.movups_mx(Mem::sib(Gpr::Rcx, Gpr::Rax, 4, h as i32 * 16), src);
         }
         self.a.bind(cont);
     }
@@ -866,12 +1035,21 @@ impl<'a> Emit<'a> {
     /// failing lane traps with its own index after the lanes before it
     /// took effect — `Error::OutOfBounds` payloads and partial buffer
     /// contents match the interpreter by construction.
+    ///
+    /// The pair of a stored value is written back on the way in; a loaded
+    /// pair is reloaded on the way out (a guard that fails always leaves
+    /// a lane that traps, but the path does not rely on it).
     fn emit_slow_path(&mut self, sp: SlowPath) {
         self.a.bind(sp.entry);
-        let (_, idx, val) = sp.op.parts();
-        self.lanes.i[idx as usize] = Some(sp.idx_shape);
-        if let Some(val) = val {
-            self.lanes.f[val as usize] = sp.val_shape;
+        // The shapes and the (not yet) synced state the access saw.
+        self.lanes.i[sp.op.parts().1 as usize] = Some(sp.idx_shape);
+        match sp.op {
+            MemOp::Load { dst, .. } => self.lanes.f[dst as usize] = Some(Shape::Varying),
+            MemOp::Store { val, .. } => {
+                self.lanes.f[val as usize] = sp.val_shape;
+                self.synced[val as usize] = !sp.write_back;
+                self.sync(val);
+            }
         }
         for l in 0..LANES {
             self.in_lane(l, |e| match sp.op {
@@ -879,10 +1057,10 @@ impl<'a> Emit<'a> {
                 MemOp::Store { buf, idx, val } => e.emit_store(buf, idx, val),
             });
         }
-        self.lanes.i[idx as usize] = None;
-        if let Some(val) = val {
-            self.lanes.f[val as usize] = None;
+        if let MemOp::Load { dst, .. } = sp.op {
+            self.reload(dst);
         }
+        self.lanes.reset_chunk();
         self.a.jmp(sp.cont);
     }
 
@@ -1090,7 +1268,7 @@ impl<'a> Emit<'a> {
                 self.a.test_rr(Gpr::Rax, Gpr::Rax);
                 let keep = self.a.new_label();
                 self.a.jcc(Cc::Ne, keep);
-                self.a.movss_xx(Xmm(0), Xmm(1));
+                self.a.movaps_xx(Xmm(0), Xmm(1));
                 self.a.bind(keep);
                 self.write_f(dst);
             }

@@ -3,7 +3,8 @@
 //!
 //! This is the top rung of the executor ladder (plain-lowering reference →
 //! register bytecode → native). The compiler is deliberately small: linear-scan
-//! register allocation over the host GPR/XMM files with stack spill slots
+//! register allocation over the host GPR/XMM files — XMM pairs for the
+//! varying `f32` values of vector chunks — with stack spill slots
 //! (`regalloc`), a hand-rolled instruction encoder (`asm`), and
 //! straight-line code with loop back-edges chained as direct jumps
 //! (`compile`). Trapping instructions keep their guards and deopt to the
@@ -36,6 +37,20 @@ pub use runtime::JitProgram;
 /// Whether the JIT backend exists for the current target.
 pub fn supported() -> bool {
     cfg!(all(target_arch = "x86_64", target_os = "linux"))
+}
+
+/// What the fast paths of a program's packed `Vectorize(8)` chunks cost,
+/// counted by the encoder as it emits them — from the chunk loop's head
+/// to its back edge, without the out-of-line per-lane paths and deopt
+/// stubs. A deterministic proxy for how much chunk work stays in
+/// registers (`figures -- tiers` records it per kernel).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChunkCost {
+    /// Instructions.
+    pub insts: usize,
+    /// Instructions with an `[rsp+…]` operand: the loop counter, spill
+    /// slots and lane-array traffic.
+    pub stack_refs: usize,
 }
 
 /// Why a deopt stub exists (and, when it fires, why execution left
@@ -129,6 +144,11 @@ mod stub {
 
         /// Deopt-stub counts per [`super::DeoptReason`] (unreachable).
         pub fn deopt_reasons(&self) -> [usize; 5] {
+            match self.never {}
+        }
+
+        /// Packed-chunk fast-path cost (unreachable).
+        pub fn chunk_cost(&self) -> super::ChunkCost {
             match self.never {}
         }
 

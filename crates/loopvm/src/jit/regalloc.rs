@@ -13,9 +13,21 @@
 //!    (values defined before a loop and read inside it must survive the
 //!    back edge).
 //! 3. **Scan**: intervals sorted by start are assigned host registers from
-//!    two pools (GPRs for the `i64` file, XMMs for the `f32` file).
-//!    Intervals crossing a helper call get callee-saved GPRs or spill;
-//!    everything that doesn't fit lives in a stack slot.
+//!    two pools (GPRs for the `i64` file, XMMs for the `f32` file). A
+//!    `Varying` `f32` register of a vector chunk asks for a *pair* of
+//!    XMMs (lanes 0–3 and 4–7); the scalar-remainder loop, disjoint code
+//!    over the same interval, uses the first one's low lane. Intervals
+//!    crossing a helper call get callee-saved GPRs or spill. When the
+//!    pool is short, the active intervals that end last give up their
+//!    registers if they end after the incoming one (Poletto & Sarkar's
+//!    furthest-end rule), so in a deep nest the outer-loop values spill
+//!    and the innermost ones stay in registers; otherwise the incoming
+//!    interval lives in a stack slot.
+//!
+//! Chunk registers of the other shapes keep lane 0 in their scalar home.
+//! Only `Varying` ones get an 8-lane stack array: the home of `i64`
+//! lanes, and for `f32` the spill area of a register without a pair and
+//! the sync area per-lane code reads a pair's lanes through.
 //!
 //! Registers read inside a `Parallel` loop but defined outside it are
 //! *pinned*: they live in the `JitCtx` spill arrays so worker threads (a
@@ -24,6 +36,7 @@
 
 use super::asm::{Gpr, Xmm};
 use crate::bytecode::{BcProgram, BcStmt, File, Inst, Reg};
+use crate::expr::BinOp;
 use crate::program::LoopKind;
 use crate::vm::bc_body_vectorizable;
 
@@ -34,6 +47,9 @@ pub(super) enum Home {
     Gpr(Gpr),
     /// A host SSE register (f32 file).
     Xmm(Xmm),
+    /// Lanes 0–3 and 4–7 of a `Varying` chunk `f32` register; the first
+    /// register's low lane is its scalar home in the remainder loop.
+    Pair(Xmm, Xmm),
     /// An `[rsp + off]` spill slot in the owning function's frame.
     Stack(i32),
     /// Slot `reg` of the `JitCtx` pin array for its file (shared with
@@ -49,9 +65,9 @@ pub(super) struct FnAlloc {
     pub homes_i: Vec<Home>,
     /// Home per `f32` register.
     pub homes_f: Vec<Home>,
-    /// Stack offset of the 8-lane spill array for registers defined inside
-    /// vectorizable `Vectorize` bodies (`-1` = none). `i64` lanes are 8
-    /// bytes, `f32` lanes 4.
+    /// Stack offset of the 8-lane array of a `Varying` chunk register, or
+    /// of any pinned chunk register (chunk code never writes the ctx pin
+    /// arrays), `-1` = none. `i64` lanes are 8 bytes, `f32` lanes 4.
     pub lanes_i: Vec<i32>,
     pub lanes_f: Vec<i32>,
     /// `(v, hi)` stack-slot offsets per non-parallel loop, in walk order.
@@ -63,6 +79,14 @@ pub(super) struct FnAlloc {
 /// Which registers must live in the `JitCtx` pin arrays, computed over the
 /// *whole* program (pins cross function boundaries).
 pub(super) struct Pins {
+    pub i: Vec<bool>,
+    pub f: Vec<bool>,
+}
+
+/// The registers some vector chunk defines with the `Varying` lane shape
+/// (the emitter's analysis, run over the whole program before
+/// allocation), per file.
+pub(super) struct Varying {
     pub i: Vec<bool>,
     pub f: Vec<bool>,
 }
@@ -200,7 +224,7 @@ struct Collect {
     used: Vec<bool>,
     loops: Vec<(u64, u64)>,
     calls: Vec<u64>,
-    /// Needs an 8-lane stack array (defined inside a vectorized chunk).
+    /// Defined inside a vectorized chunk.
     lane: Vec<bool>,
     /// Non-parallel loop count (slot pairs).
     n_loop_slots: usize,
@@ -209,6 +233,10 @@ struct Collect {
     bail: bool,
     n_iregs: usize,
     pinned: Vec<bool>,
+    /// [`Varying`], flattened like the other per-register vectors.
+    varying: Vec<bool>,
+    /// Read by per-lane code between helper calls (see `insts`).
+    reread_across_calls: Vec<bool>,
     /// Active scope ids (one per enclosing loop / `If` branch).
     scopes: Vec<u32>,
     scope_counter: u32,
@@ -268,6 +296,16 @@ impl Collect {
             }
             if in_chunk {
                 self.lane[k] = true;
+                // A helper with one `Varying` operand runs per lane, and
+                // reads the other operand's home once per lane, across the
+                // calls of the lanes before: that operand must survive the
+                // calls like a value live across them.
+                if let Inst::BinF { op: BinOp::Rem | BinOp::Min | BinOp::Max, a, b, .. } = *inst {
+                    let (a, b) = (self.flat(File::F, a), self.flat(File::F, b));
+                    if self.varying[a] != self.varying[b] {
+                        self.reread_across_calls[if self.varying[a] { b } else { a }] = true;
+                    }
+                }
             }
             if inst_calls(inst) {
                 self.calls.push(self.pos);
@@ -359,6 +397,7 @@ impl Collect {
     }
 }
 
+
 // ---------------------------------------------------------------------------
 // Linear scan
 // ---------------------------------------------------------------------------
@@ -370,12 +409,163 @@ const GPR_POOL: [Gpr; 9] =
     [Gpr::Rsi, Gpr::Rdi, Gpr::R8, Gpr::R9, Gpr::R10, Gpr::R11, Gpr::Rbx, Gpr::Rbp, Gpr::R12];
 const GPR_CALLEE_SAVED: [Gpr; 3] = [Gpr::Rbx, Gpr::Rbp, Gpr::R12];
 
-pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, pins: &Pins) -> Option<FnAlloc> {
+/// What an interval asks of the scan.
+#[derive(Clone, Copy)]
+enum Want {
+    /// One GPR; a callee-saved one if the interval crosses a call.
+    Gpr { callee_saved: bool },
+    Xmm,
+    Pair,
+}
+
+impl Want {
+    fn count(self) -> usize {
+        if let Want::Pair = self {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// How many of the registers of `h` would serve this want.
+    fn served_by(self, h: Home) -> usize {
+        match (self, h) {
+            (Want::Gpr { callee_saved }, Home::Gpr(g)) => {
+                usize::from(!callee_saved || GPR_CALLEE_SAVED.contains(&g))
+            }
+            (Want::Xmm | Want::Pair, Home::Xmm(_)) => 1,
+            (Want::Xmm | Want::Pair, Home::Pair(..)) => 2,
+            _ => 0,
+        }
+    }
+}
+
+struct Scan {
+    free_gpr: Vec<Gpr>,
+    free_xmm: Vec<Xmm>,
+    /// `(end, flat)` of every interval holding registers.
+    active: Vec<(u64, usize)>,
+    homes: Vec<Home>,
+    /// Stack-homed intervals, in the order their slots are laid out.
+    spilled: Vec<usize>,
+}
+
+impl Scan {
+    fn release(&mut self, h: Home) {
+        match h {
+            Home::Gpr(g) => self.free_gpr.push(g),
+            Home::Xmm(x) => self.free_xmm.push(x),
+            Home::Pair(x, y) => self.free_xmm.extend([x, y]),
+            _ => {}
+        }
+    }
+
+    fn spill(&mut self, k: usize) {
+        self.homes[k] = Home::Stack(0); // offset patched by the frame layout
+        self.spilled.push(k);
+    }
+
+    /// Frees the registers of the intervals that end before `start`.
+    fn expire(&mut self, start: u64) {
+        let mut i = 0;
+        while i < self.active.len() {
+            let (e, a) = self.active[i];
+            if e < start {
+                self.active.remove(i);
+                self.release(self.homes[a]);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Gives interval `k`, live until `end`, the registers it wants. When
+    /// too few are free, the active intervals that end last and after
+    /// `end` are spilled to make room, as many as it takes; if they cannot
+    /// make enough room, `k` is spilled instead.
+    fn place(&mut self, k: usize, end: u64, want: Want) {
+        let free = match want {
+            Want::Gpr { .. } => {
+                self.free_gpr.iter().filter(|&&g| want.served_by(Home::Gpr(g)) > 0).count()
+            }
+            Want::Xmm | Want::Pair => self.free_xmm.len(),
+        };
+        if free < want.count() {
+            let mut victims: Vec<(u64, usize)> = self
+                .active
+                .iter()
+                .copied()
+                .filter(|&(e, a)| e > end && want.served_by(self.homes[a]) > 0)
+                .collect();
+            victims.sort_unstable_by(|x, y| y.cmp(x));
+            let (mut room, mut n) = (free, 0);
+            while room < want.count() && n < victims.len() {
+                room += want.served_by(self.homes[victims[n].1]);
+                n += 1;
+            }
+            if room < want.count() {
+                return self.spill(k);
+            }
+            for &(_, a) in &victims[..n] {
+                self.active.retain(|&(_, x)| x != a);
+                self.release(self.homes[a]);
+                self.spill(a);
+            }
+        }
+        self.homes[k] = match want {
+            Want::Gpr { callee_saved: false } => Home::Gpr(self.free_gpr.pop().expect("counted")),
+            Want::Gpr { callee_saved: true } => {
+                let i = self.free_gpr.iter().rposition(|g| GPR_CALLEE_SAVED.contains(g));
+                Home::Gpr(self.free_gpr.remove(i.expect("counted")))
+            }
+            Want::Xmm => Home::Xmm(self.free_xmm.pop().expect("counted")),
+            Want::Pair => {
+                let x = self.free_xmm.pop().expect("counted");
+                Home::Pair(x, self.free_xmm.pop().expect("counted"))
+            }
+        };
+        self.active.push((end, k));
+    }
+}
+
+/// The post-allocation home check (debug builds): two intervals that
+/// overlap never share a GPR or an XMM, either half of a pair counting,
+/// and a pair's halves differ.
+fn check_homes(homes: &[Home], start: &[u64], end: &[u64]) {
+    let regs = |h: Home| -> Vec<(bool, u8)> {
+        match h {
+            Home::Gpr(g) => vec![(false, g as u8)],
+            Home::Xmm(x) => vec![(true, x.0)],
+            Home::Pair(x, y) => {
+                assert_ne!(x, y, "a pair's halves are one register");
+                vec![(true, x.0), (true, y.0)]
+            }
+            _ => Vec::new(),
+        }
+    };
+    let placed: Vec<(usize, Vec<(bool, u8)>)> =
+        (0..homes.len()).map(|k| (k, regs(homes[k]))).filter(|(_, r)| !r.is_empty()).collect();
+    for (i, (a, ra)) in placed.iter().enumerate() {
+        for (b, rb) in &placed[i + 1..] {
+            let overlap = start[*a] <= end[*b] && start[*b] <= end[*a];
+            assert!(
+                !overlap || ra.iter().all(|r| !rb.contains(r)),
+                "overlapping intervals share a register: {:?} and {:?}",
+                homes[*a],
+                homes[*b]
+            );
+        }
+    }
+}
+
+pub(super) fn allocate(
+    bc: &BcProgram,
+    code: &FnCode<'_>,
+    pins: &Pins,
+    varying: &Varying,
+) -> Option<FnAlloc> {
     let n_i = bc.n_iregs as usize;
     let n_f = bc.n_fregs as usize;
-    let mut pinned = Vec::with_capacity(n_i + n_f);
-    pinned.extend_from_slice(&pins.i);
-    pinned.extend_from_slice(&pins.f);
     let mut c = Collect {
         pos: 0,
         def: vec![None; n_i + n_f],
@@ -389,7 +579,9 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, pins: &Pins) -> Option
         n_loop_slots: usize::from(matches!(code, FnCode::ParBody { .. })),
         bail: false,
         n_iregs: n_i,
-        pinned,
+        pinned: [&pins.i[..], &pins.f[..]].concat(),
+        varying: [&varying.i[..], &varying.f[..]].concat(),
+        reread_across_calls: vec![false; n_i + n_f],
         scopes: Vec::new(),
         scope_counter: 0,
         def_scope: vec![Vec::new(); n_i + n_f],
@@ -457,58 +649,31 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, pins: &Pins) -> Option
     // Linear scan.
     let mut order: Vec<usize> = (0..n_i + n_f).filter(|&k| c.used[k] && !c.pinned[k]).collect();
     order.sort_by_key(|&k| (start[k], k));
-    let mut free_gpr: Vec<Gpr> = GPR_POOL.to_vec();
-    let mut free_xmm: Vec<Xmm> = (2..16).map(Xmm).collect();
-    let mut active: Vec<(u64, usize, Home)> = Vec::new(); // (end, flat, home)
-    let mut homes: Vec<Home> = vec![Home::Unused; n_i + n_f];
-    let mut spilled: Vec<usize> = Vec::new();
+    let mut scan = Scan {
+        free_gpr: GPR_POOL.to_vec(),
+        free_xmm: (2..16).map(Xmm).collect(),
+        active: Vec::new(),
+        homes: vec![Home::Unused; n_i + n_f],
+        spilled: Vec::new(),
+    };
     for k in order {
-        active.retain(|&(e, _, h)| {
-            if e < start[k] {
-                match h {
-                    Home::Gpr(g) => free_gpr.push(g),
-                    Home::Xmm(x) => free_xmm.push(x),
-                    _ => {}
-                }
-                false
-            } else {
-                true
-            }
-        });
-        let crosses_call =
-            c.calls.iter().any(|&cp| start[k] < cp && end[k] > cp);
-        let home = if k < n_i {
-            let pick = if crosses_call {
-                // Only callee-saved GPRs survive helper calls.
-                let idx = free_gpr.iter().rposition(|g| GPR_CALLEE_SAVED.contains(g));
-                idx.map(|i| free_gpr.remove(i))
-            } else {
-                free_gpr.pop()
-            };
-            match pick {
-                Some(g) => Home::Gpr(g),
-                None => {
-                    spilled.push(k);
-                    Home::Stack(0) // offset patched below
-                }
-            }
+        scan.expire(start[k]);
+        let crosses_call = c.reread_across_calls[k]
+            || c.calls.iter().any(|&cp| start[k] < cp && end[k] > cp);
+        if k < n_i {
+            // Only callee-saved GPRs survive helper calls.
+            scan.place(k, end[k], Want::Gpr { callee_saved: crosses_call });
         } else if crosses_call {
             // XMMs are all caller-saved; call-crossing floats spill.
-            spilled.push(k);
-            Home::Stack(0)
+            scan.spill(k);
         } else {
-            match free_xmm.pop() {
-                Some(x) => Home::Xmm(x),
-                None => {
-                    spilled.push(k);
-                    Home::Stack(0)
-                }
-            }
-        };
-        if let Home::Gpr(_) | Home::Xmm(_) = home {
-            active.push((end[k], k, home));
+            let want = if c.lane[k] && c.varying[k] { Want::Pair } else { Want::Xmm };
+            scan.place(k, end[k], want);
         }
-        homes[k] = home;
+    }
+    let mut homes = scan.homes;
+    if cfg!(debug_assertions) {
+        check_homes(&homes, &start, &end);
     }
 
     // Frame layout: loop slots, spill slots, lane arrays; call-aligned.
@@ -518,14 +683,14 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, pins: &Pins) -> Option
         loop_slots.push((off, off + 8));
         off += 16;
     }
-    for &k in &spilled {
+    for &k in &scan.spilled {
         homes[k] = Home::Stack(off);
         off += 8;
     }
     let mut lanes_i = vec![-1i32; n_i];
     let mut lanes_f = vec![-1i32; n_f];
-    for (k, lane) in c.lane.iter().enumerate() {
-        if !lane {
+    for k in 0..n_i + n_f {
+        if !c.lane[k] || !(c.varying[k] || c.pinned[k]) {
             continue;
         }
         if k < n_i {

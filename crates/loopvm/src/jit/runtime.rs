@@ -328,6 +328,7 @@ pub struct JitProgram {
     /// order.
     par_fns: Vec<(usize, u32)>,
     deopts: Vec<Deopt>,
+    chunk: super::ChunkCost,
     n_vars: usize,
     n_iregs: usize,
     n_fregs: usize,
@@ -349,9 +350,8 @@ impl JitProgram {
         main_off: usize,
         par_fns: Vec<(usize, u32)>,
         deopts: Vec<Deopt>,
-        n_vars: usize,
-        n_iregs: usize,
-        n_fregs: usize,
+        chunk: super::ChunkCost,
+        bc: &crate::bytecode::BcProgram,
     ) -> Option<JitProgram> {
         let code_len = code.len();
         Some(JitProgram {
@@ -360,9 +360,10 @@ impl JitProgram {
             main_off,
             par_fns,
             deopts,
-            n_vars,
-            n_iregs,
-            n_fregs,
+            chunk,
+            n_vars: bc.n_vars,
+            n_iregs: bc.n_iregs as usize,
+            n_fregs: bc.n_fregs as usize,
         })
     }
 
@@ -390,6 +391,12 @@ impl JitProgram {
             out[d.reason().index()] += 1;
         }
         out
+    }
+
+    /// What the fast paths of the program's packed chunks cost (see
+    /// [`super::ChunkCost`]).
+    pub fn chunk_cost(&self) -> super::ChunkCost {
+        self.chunk
     }
 
     /// Runs the program against `bufs`, seeding the variable frame with

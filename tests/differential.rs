@@ -629,6 +629,24 @@ fn vector_lane_traps_agree() {
         cases.push((
             format!("store, lane {lane}"),
             program(len, &|a, b, i| Stmt::store(a, i.clone() + Expr::i64(2), Expr::load(b, i))),
+            oob.clone(),
+        ));
+        // The stored value and the loaded one are held in XMM pairs by
+        // packed arithmetic; the per-lane path reads or refills them.
+        cases.push((
+            format!("packed store, lane {lane}"),
+            program(len, &|a, b, i| {
+                let v = Expr::load(b, i.clone());
+                Stmt::store(a, i + Expr::i64(2), v.clone() * v + Expr::f32(0.5))
+            }),
+            oob.clone(),
+        ));
+        cases.push((
+            format!("packed load, lane {lane}"),
+            program(len, &|a, b, i| {
+                let v = Expr::load(a, i.clone() + Expr::i64(2)) * Expr::f32(2.0);
+                Stmt::store(b, i.clone(), v + Expr::load(b, i))
+            }),
             oob,
         ));
         // Stride 3: lane `lane` of the second chunk reads A[3·(8 + lane) + 1].

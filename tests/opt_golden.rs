@@ -171,7 +171,9 @@ fn blur_jit_x86_64_listing_is_pinned() {
 
 /// The Fig. 1 schedule is the kernel the lane-shape analysis exists for:
 /// its packed-panel index `j % 32` must be proved contiguous, so the
-/// update chunk is all packed and nothing in the program divides.
+/// update chunk is all packed and nothing in the program divides. Its
+/// values stay in registers: the update chunk's fast path touches the
+/// stack for the loop counter and a few outer-loop values only.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[test]
 fn sgemm_native_code_is_packed_and_division_free() {
@@ -181,6 +183,27 @@ fn sgemm_native_code_is_packed_and_division_free() {
     let listing = loopvm::jit::listing(code.bytecode()).unwrap();
     assert!(listing.contains("mulps") && listing.contains("addps"), "scalar update chunk");
     assert!(!listing.contains("idiv"), "a power-of-two divisor reached idiv");
+    // Each fast path runs from its `; vector loop` comment to the scalar
+    // remainder's `; loop` comment; the update chunks are the ones with a
+    // multiply (4 of them: two panels, each with a remainder tile).
+    let mut updates = 0;
+    for chunk in listing.split("; vector loop").skip(1) {
+        let fast = chunk.split("; loop").next().unwrap();
+        if !fast.contains("mulps") {
+            continue;
+        }
+        updates += 1;
+        let insts: Vec<&str> = (fast.lines().skip(1))
+            .filter(|l| l.starts_with("  ") && !l.trim().is_empty())
+            .collect();
+        let refs = insts.iter().filter(|l| l.contains("[rsp")).count();
+        let stores = (insts.iter())
+            .filter(|l| l.split_whitespace().nth(1).is_some_and(|dst| dst.starts_with("[rsp")))
+            .count();
+        assert!(!fast.contains("movups [rsp"), "a lane array in the update chunk:\n{fast}");
+        assert!(refs <= 12 && stores <= 2, "{refs} stack operands, {stores} stores:\n{fast}");
+    }
+    assert_eq!(updates, 4, "update chunks");
     let reasons = jit.deopt_reasons();
     let at = |r: loopvm::jit::DeoptReason| reasons[r.index()];
     assert_eq!(at(loopvm::jit::DeoptReason::DivZero), 0);

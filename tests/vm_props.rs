@@ -3,6 +3,7 @@
 //! programs, and the compiler's generated code must agree with a direct
 //! interpreter of random scheduled computations.
 
+mod common;
 #[path = "common/walker.rs"]
 mod walker;
 
@@ -950,5 +951,177 @@ proptest! {
         let tree = lane_outcome(&p, loopvm::ExecMode::TreeWalk);
         prop_assert_eq!(&tree.0, &reference.0, "tree-walk vs bytecode: {:?}", e);
         prop_assert_eq!(&tree.1, &reference.1, "tree-walk vs bytecode: {:?}", e);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Register pressure in packed chunks: a varying `f32` value lives in an XMM
+// pair, and goes through its lane array only when it is spilled (more live
+// values than pairs, or live across a per-lane helper call), when per-lane
+// code reads or defines it, and when a store's range guard fails. Any value
+// read from a stale lane array, or a pair clobbered by a call, shows up as
+// a differing bit or error against the bytecode interpreter and the walker.
+// ---------------------------------------------------------------------------
+
+/// A value of a pressure chain.
+#[derive(Debug, Clone, Copy)]
+enum PLeaf {
+    /// `in[i + off]`: contiguous, one range-guarded load into a pair.
+    Contig(u8),
+    /// `in[(i·m) % 61]`: a gather, assembled lane by lane.
+    Gather(u8),
+    /// `in[k]`: uniform across the lanes.
+    Uniform(u8),
+}
+
+/// How a chain step combines its leaf `l` with the rest of the chain `e`.
+#[derive(Debug, Clone, Copy)]
+enum PStep {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    /// `sqrt(|l|) - e`
+    Sqrt,
+    Min,
+    Max,
+    Rem,
+    /// `l + exp(e · 0.01)`
+    Exp,
+    /// `l - to_f32(to_i64(e) % 4096)`
+    Cast,
+    /// `select(l < e, e, l)`
+    Select,
+}
+
+fn pleaf() -> impl Strategy<Value = PLeaf> {
+    let contig = || (0u8..8).prop_map(PLeaf::Contig);
+    prop_oneof![
+        contig(),
+        contig(),
+        contig(),
+        contig(),
+        (2u8..9).prop_map(PLeaf::Gather),
+        (0u8..80).prop_map(PLeaf::Uniform),
+    ]
+}
+
+fn pstep() -> impl Strategy<Value = PStep> {
+    use PStep::*;
+    prop_oneof![
+        Just(Add), Just(Sub), Just(Mul), Just(Add), Just(Mul), Just(Div), Just(Sqrt),
+        Just(Min), Just(Max), Just(Rem), Just(Exp), Just(Cast), Just(Select),
+    ]
+}
+
+const PRESSURE_IN: usize = 80;
+
+/// `for i in lo..lo+n vectorize(8) { out[(i - lo)·stride] = chain }`, the
+/// chain right-nested — `s₀(l₀, s₁(l₁, … l_k))` — so every leaf is
+/// computed before the first step and stays live until its own: more live
+/// varying values than the fourteen XMMs hold as pairs. `out` has `len`
+/// elements, so a short one fails a store at some lane of a chunk or the
+/// remainder; stride 1 is a range-guarded packed store, stride 2 a
+/// per-lane one.
+fn pressure_program(
+    leaves: &[PLeaf],
+    steps: &[PStep],
+    (lo, n, stride): (i64, i64, i64),
+    len: usize,
+) -> Program {
+    let mut p = Program::new();
+    let input = p.buffer("in", PRESSURE_IN);
+    let out = p.buffer("out", len);
+    let i = p.var("i");
+    let leaf = |l: PLeaf| match l {
+        PLeaf::Contig(off) => V::load(input, V::var(i) + V::i64(off as i64)),
+        PLeaf::Gather(m) => V::load(input, (V::var(i) * V::i64(m as i64)) % V::i64(61)),
+        PLeaf::Uniform(k) => V::load(input, V::i64(k as i64)),
+    };
+    let mut e = leaf(leaves[steps.len()]);
+    for (k, step) in steps.iter().enumerate().rev() {
+        let l = leaf(leaves[k]);
+        e = match step {
+            PStep::Add => l + e,
+            PStep::Sub => l - e,
+            PStep::Mul => l * e,
+            PStep::Div => l / e,
+            PStep::Sqrt => V::sqrt(V::abs(l)) - e,
+            PStep::Min => V::min(l, e),
+            PStep::Max => V::max(e, l),
+            PStep::Rem => l % e,
+            PStep::Exp => l + V::Un(loopvm::UnOp::Exp, Box::new(e * V::f32(0.01))),
+            PStep::Cast => l - V::to_f32(V::to_i64(e) % V::i64(4096)),
+            PStep::Select => V::select(V::lt(l.clone(), e.clone()), e, l),
+        };
+    }
+    p.push(Stmt::for_(
+        i,
+        V::i64(lo),
+        V::i64(lo + n),
+        LoopKind::Vectorize(8),
+        vec![Stmt::store(out, (V::var(i) - V::i64(lo)) * V::i64(stride), e)],
+    ));
+    p
+}
+
+/// The outcome and every buffer bit of `p` on `mode`, or on the walker.
+fn pressure_outcome(p: &Program, mode: Option<ExecMode>) -> (String, Vec<Vec<u32>>) {
+    let seed = |buf: &mut [f32]| {
+        for (k, v) in buf.iter_mut().enumerate() {
+            *v = if k % 13 == 5 { 0.0 } else { (k * 37 % 23) as f32 * 0.37 - 3.0 };
+        }
+    };
+    let (outcome, bufs) = match mode {
+        Some(mode) => {
+            assert_bytecode_roundtrips(p);
+            let mut m = Machine::new(p);
+            m.set_exec_mode(mode);
+            seed(m.buffer_mut(p.nth_buffer(0)));
+            let r = m.run(p);
+            (r, (0..p.n_buffers()).map(|b| m.buffer(p.nth_buffer(b)).to_vec()).collect())
+        }
+        None => {
+            let mut bufs = walker::buffers(p);
+            seed(&mut bufs[0]);
+            (walker::run(p, &mut bufs), bufs)
+        }
+    };
+    let outcome = match outcome {
+        Ok(()) => "ok".to_string(),
+        Err(e) => format!("err: {e}"),
+    };
+    (outcome, bufs.iter().map(|b| b.iter().map(|v| v.to_bits()).collect()).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::diff_cases()))]
+
+    /// Chains of 9–16 live values (seven pairs fit) with helper calls,
+    /// per-lane consumers and producers, and out-of-bounds stores between
+    /// a value's definition and its last use: the JIT agrees with the
+    /// bytecode interpreter, the plain-lowering reference and the walker
+    /// on the outcome and every buffer bit.
+    #[test]
+    fn packed_values_survive_pressure_calls_and_slow_paths(
+        leaves in proptest::collection::vec(pleaf(), 9..=16),
+        steps in proptest::collection::vec(pstep(), 15),
+        lo in prop_oneof![Just(0i64), Just(1), Just(5)],
+        n in 8i64..=27,
+        stride in 1i64..=2,
+        cut in 0usize..=10,
+    ) {
+        let steps = &steps[..leaves.len() - 1];
+        let len = ((n * stride) as usize + 1).saturating_sub(cut * stride as usize).max(1);
+        let p = pressure_program(&leaves, steps, (lo, n, stride), len);
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        prop_assert!(p.compiled().unwrap().jit().is_some(), "no native code");
+        let reference = pressure_outcome(&p, Some(ExecMode::Bytecode));
+        let case = format!("{leaves:?} {steps:?} lo {lo} n {n} stride {stride} len {len}");
+        for mode in [Some(ExecMode::Jit), Some(ExecMode::TreeWalk), None] {
+            let got = pressure_outcome(&p, mode);
+            prop_assert_eq!(&got.0, &reference.0, "{:?} outcome: {}", mode, case);
+            prop_assert!(got.1 == reference.1, "{:?} buffers: {}", mode, case);
+        }
     }
 }
