@@ -238,8 +238,10 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
         // tier — bytecode instruction count, and where the native backend
         // exists (x86-64 Linux) the JIT's code size, the instructions of
         // its packed-chunk fast paths and how many of them touch the stack,
-        // function count, and deopt-stub counts, broken down by reason. No
-        // timing, so the snapshot is host-stable.
+        // function count, deopt-stub counts broken down by reason, and per
+        // load/store which bounds stage proved it or that it kept its
+        // guard. No timing, so the snapshot is host-stable, and a guard
+        // that comes back fails `check`.
         let progs: Vec<(String, loopvm::Program)> = bench::fig_kernels()
             .into_iter()
             .map(|(name, build)| (name, build().expect("kernel compiles").program.clone()))
@@ -250,10 +252,11 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             let bc = loopvm::opt::compile_program(p).expect("bytecode compile");
             let insts = bc.stats().insts;
             let jit = loopvm::jit::compile(&bc);
-            let (code, chunk_insts, chunk_refs, fns, deopts, reasons) = match &jit {
+            let (code, chunk_insts, chunk_refs, fns, deopts, reasons, guards) = match &jit {
                 Some(j) => {
                     let by = j.deopt_reasons();
                     let chunk = j.chunk_cost();
+                    let g = j.guards();
                     // Compact per-reason listing, only non-zero reasons.
                     let listing: Vec<String> = loopvm::jit::DeoptReason::ALL
                         .iter()
@@ -267,11 +270,12 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                         j.n_fns().to_string(),
                         j.n_deopts().to_string(),
                         if listing.is_empty() { "-".to_string() } else { listing.join(" ") },
+                        format!("{}/{}/{}", g.interval, g.oracle, g.kept),
                     )
                 }
                 None => {
                     let none = || "-".to_string();
-                    (none(), none(), none(), none(), none(), none())
+                    (none(), none(), none(), none(), none(), none(), none())
                 }
             };
             rows.push(vec![
@@ -283,9 +287,20 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 fns.clone(),
                 deopts.clone(),
                 reasons,
+                guards,
             ]);
             let jfield = |v: &str| {
                 if v == "-" { "null".to_string() } else { v.to_string() }
+            };
+            let jguards = match &jit {
+                Some(j) => {
+                    let g = j.guards();
+                    format!(
+                        "{{\"interval\": {}, \"oracle\": {}, \"kept\": {}}}",
+                        g.interval, g.oracle, g.kept
+                    )
+                }
+                None => "null".to_string(),
             };
             let jreasons = match &jit {
                 Some(j) => {
@@ -299,7 +314,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 None => "null".to_string(),
             };
             cells.push(format!(
-                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}}}",
+                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}}}",
                 jstr(name),
                 insts,
                 jfield(&code),
@@ -307,7 +322,8 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 jfield(&chunk_refs),
                 jfield(&fns),
                 jfield(&deopts),
-                jreasons
+                jreasons,
+                jguards
             ));
         }
         print!(
@@ -322,7 +338,8 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                     "chunk rsp refs",
                     "jit fns",
                     "jit deopts",
-                    "deopt reasons"
+                    "deopt reasons",
+                    "guards interval/oracle/kept"
                 ],
                 &rows
             )

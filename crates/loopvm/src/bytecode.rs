@@ -300,11 +300,40 @@ pub struct BcProgram {
     /// Source variable names (by frame slot), carried so the profiler can
     /// label hot loops with their schedule-level names.
     pub(crate) var_names: Vec<String>,
+    /// The element count of every buffer, as declared by the [`Program`]
+    /// this code was compiled or decoded against (never encoded). The
+    /// JIT's bounds proofs assume them, and its code refuses to run over
+    /// buffers of other lengths.
+    pub(crate) buf_sizes: Vec<usize>,
     /// What the optimizer did.
     pub(crate) stats: OptStats,
 }
 
 impl BcProgram {
+    /// Calls `f` on every instruction of the program, in program order.
+    pub(crate) fn for_each_inst(&self, f: &mut impl FnMut(&Inst)) {
+        fn block(body: &[BcStmt], f: &mut impl FnMut(&Inst)) {
+            for s in body {
+                match s {
+                    BcStmt::For { lower, upper, preamble, body, .. } => {
+                        lower.insts.iter().chain(&upper.insts).chain(preamble).for_each(&mut *f);
+                        block(body, f);
+                    }
+                    BcStmt::If { code, then, else_, .. } => {
+                        code.iter().for_each(&mut *f);
+                        block(then, f);
+                        block(else_, f);
+                    }
+                    BcStmt::Store { code, .. } | BcStmt::Let { code, .. } => {
+                        code.iter().for_each(&mut *f);
+                    }
+                }
+            }
+        }
+        self.prologue.iter().for_each(&mut *f);
+        block(&self.body, f);
+    }
+
     /// Optimizer counters for this program.
     pub fn stats(&self) -> OptStats {
         self.stats

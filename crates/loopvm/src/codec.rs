@@ -396,7 +396,8 @@ pub fn decode_bc(r: &mut Reader<'_>, p: &Program) -> Result<BcProgram> {
     };
     let prologue = decode_insts(r, &mut lim)?;
     let body = decode_bc_block(r, &mut lim)?;
-    Ok(BcProgram { prologue, body, n_iregs, n_fregs, n_vars, var_names, stats })
+    let buf_sizes = p.buf_sizes();
+    Ok(BcProgram { prologue, body, n_iregs, n_fregs, n_vars, var_names, buf_sizes, stats })
 }
 
 /// [`decode_bc`], installing the validated bytecode as `p`'s compiled form

@@ -12,12 +12,14 @@
 //!   scratch. Everything else is allocated by [`super::regalloc`].
 //! - Every function returns a `u64` status: `0` ok, `1`/`2` error/panic
 //!   already recorded in the host, `id + 3` for deopt stub `id`.
-//! - Trapping instructions (loads/stores, `div`/`rem`, checked `neg`/
-//!   `abs`) compare inline and jump to an out-of-line stub that writes the
-//!   operand values into the ctx deopt slots and returns the stub's code;
-//!   the host then *replays* the operation through the interpreter's own
-//!   scalar helpers, so error payloads and panic messages are identical
-//!   to bytecode execution by construction.
+//! - Loads and stores that [`super::bounds`] proves in range are plain
+//!   moves. The other trapping instructions (unproven loads/stores,
+//!   `div`/`rem`, checked `neg`/`abs`) compare inline and jump to an
+//!   out-of-line stub that writes the operand values into the ctx deopt
+//!   slots and returns the stub's code; the host then *replays* the
+//!   operation through the interpreter's own scalar helpers, so error
+//!   payloads and panic messages are identical to bytecode execution by
+//!   construction. The listing names why each kept bounds guard stayed.
 //! - Vectorized loops are compiled chunk by chunk (8 lanes), inst-major
 //!   like the interpreter. Each chunk instruction is emitted once per
 //!   *lane shape* (see [`Shape`]), not once per lane: uniform and linear
@@ -29,8 +31,9 @@
 //!   values (kept in 8-lane stack arrays), gathers and the helper-call
 //!   operations, and — out of line behind the function's `ret` — as the
 //!   path a failing range guard jumps to, which finds the first failing
-//!   lane exactly as before. Per-lane code reads and writes `f32` lanes
-//!   through the register's lane array: a pair is written back to it
+//!   lane exactly as before (a proven access has neither guard nor path).
+//!   Per-lane code reads and writes `f32` lanes through the register's
+//!   lane array: a pair is written back to it
 //!   before the first per-lane read in a chunk (or on the way into a
 //!   store's slow path) and reloaded from it after per-lane code defined
 //!   it. A varying register without a pair lives in its array. The
@@ -51,6 +54,7 @@
 //! never carries out of the bits the mask keeps and the shift drops.
 
 use super::asm::{Asm, Cc, Gpr, Label, Mem, Xmm};
+use super::bounds::{self, Kept, Proofs};
 use super::regalloc::{allocate, compute_pins, FnAlloc, FnCode, Home, Varying};
 use super::runtime::{
     self, Deopt, JitProgram, CTX_BUFS, CTX_DEOPT_A, CTX_DEOPT_B, CTX_FRAME, CTX_IPIN,
@@ -65,7 +69,7 @@ use crate::vm::{bc_body_vectorizable, LANES};
 /// caller falls back to the bytecode interpreter).
 pub fn compile(bc: &BcProgram) -> Option<JitProgram> {
     let e = emit(bc, Asm::new())?;
-    JitProgram::new(e.a.code, e.main_off, e.par_fns, e.deopts, e.a.chunk, bc)
+    JitProgram::new(e.a.code, e.main_off, e.par_fns, e.deopts, e.a.chunk, e.guards, bc)
 }
 
 /// The per-instruction x86-64 listing of the code [`compile`] generates
@@ -83,9 +87,11 @@ struct Emitted {
     main_off: usize,
     par_fns: Vec<(usize, u32)>,
     deopts: Vec<Deopt>,
+    guards: super::GuardCounts,
 }
 
 fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
+    let proofs = bounds::prove(bc);
     let pins = compute_pins(bc);
     let mut lanes = Lanes::new(bc);
     let varying = lanes.varying(bc);
@@ -106,6 +112,7 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
         chunk: None,
         synced: vec![false; bc.n_fregs as usize],
         lanes,
+        proofs,
     };
     let main_off = e.a.here();
     e.emit_fn(None);
@@ -126,7 +133,7 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
         i += 1;
     }
     e.a.finish();
-    Some(Emitted { a: e.a, main_off, par_fns, deopts: e.deopts })
+    Some(Emitted { a: e.a, main_off, par_fns, deopts: e.deopts, guards: e.proofs.guards })
 }
 
 /// A `Parallel` loop queued for emission as its own function.
@@ -198,37 +205,13 @@ struct Lanes {
     lane0_tz: Vec<Option<u8>>,
 }
 
-/// Calls `f` on every instruction of the program.
-fn for_each_inst(bc: &BcProgram, f: &mut impl FnMut(&Inst)) {
-    fn block(body: &[BcStmt], f: &mut impl FnMut(&Inst)) {
-        for s in body {
-            match s {
-                BcStmt::For { lower, upper, preamble, body, .. } => {
-                    lower.insts.iter().chain(&upper.insts).chain(preamble).for_each(&mut *f);
-                    block(body, f);
-                }
-                BcStmt::If { code, then, else_, .. } => {
-                    code.iter().for_each(&mut *f);
-                    block(then, f);
-                    block(else_, f);
-                }
-                BcStmt::Store { code, .. } | BcStmt::Let { code, .. } => {
-                    code.iter().for_each(&mut *f);
-                }
-            }
-        }
-    }
-    bc.prologue.iter().for_each(&mut *f);
-    block(&bc.body, f);
-}
-
 impl Lanes {
     /// Two forward passes over the whole program: count definitions, then
     /// derive the facts of the registers that have one.
     fn new(bc: &BcProgram) -> Lanes {
         let (n_i, n_f) = (bc.n_iregs as usize, bc.n_fregs as usize);
         let mut defs = vec![0u8; n_i];
-        for_each_inst(bc, &mut |inst| {
+        bc.for_each_inst(&mut |inst| {
             if let (File::I, dst) = inst.dst() {
                 defs[dst as usize] = defs[dst as usize].saturating_add(1);
             }
@@ -241,7 +224,7 @@ impl Lanes {
             f: vec![None; n_f],
             lane0_tz: vec![None; n_i],
         };
-        for_each_inst(bc, &mut |inst| {
+        bc.for_each_inst(&mut |inst| {
             if let (File::I, dst) = inst.dst() {
                 if let (Inst::ConstI { v, .. }, false) = (*inst, l.redefined[dst as usize]) {
                     l.consts[dst as usize] = Some(v);
@@ -415,6 +398,8 @@ struct SlowPath {
     /// The stored value's pair is not yet in its lane array, where the
     /// per-lane stores read it.
     write_back: bool,
+    /// Why the access is guarded.
+    why: Kept,
 }
 
 #[derive(Clone, Copy)]
@@ -460,6 +445,8 @@ struct Emit<'a> {
     /// ends (registers are defined once per chunk).
     synced: Vec<bool>,
     lanes: Lanes,
+    /// Which accesses carry no bounds guard.
+    proofs: Proofs,
 }
 
 const SAVED: [Gpr; 6] = [Gpr::Rbx, Gpr::Rbp, Gpr::R12, Gpr::R13, Gpr::R14, Gpr::R15];
@@ -652,7 +639,7 @@ impl<'a> Emit<'a> {
             }
             BcStmt::Store { code, buf, idx, val } => {
                 self.emit_insts(code);
-                self.emit_store(*buf, *idx, *val);
+                self.emit_store(*buf, *idx, *val, self.proofs.store(s));
             }
             BcStmt::If { code, cond, then, else_ } => {
                 self.emit_insts(code);
@@ -782,7 +769,7 @@ impl<'a> Emit<'a> {
                     for inst in code {
                         self.emit_chunk_inst(inst, c);
                     }
-                    self.emit_chunk_store(*buf, *idx, *val);
+                    self.emit_chunk_store(*buf, *idx, *val, self.proofs.store(s));
                 }
                 _ => unreachable!("checked by bc_body_vectorizable"),
             }
@@ -807,7 +794,9 @@ impl<'a> Emit<'a> {
         }
         match *inst {
             Inst::Load { dst, buf, idx } => match self.lanes.shape_i(idx) {
-                Shape::Linear(s) if s > 0 => self.emit_linear_load(dst, buf, idx, s),
+                Shape::Linear(s) if s > 0 => {
+                    self.emit_linear_load(dst, buf, idx, s, self.proofs.load(inst))
+                }
                 _ => self.emit_per_lane(inst),
             },
             Inst::BinF { dst, op, a, b }
@@ -957,31 +946,37 @@ impl<'a> Emit<'a> {
         }
     }
 
-    /// The one bounds check of an access whose index is `Linear(s)`:
-    /// `idx0 <u len ∧ idx0 + 7·s <u len` puts every lane in range (`len`
-    /// is far below `2^63`, so neither end wraps). Falls through with
-    /// lane 0's index in rax and the data pointer in rcx; otherwise some
-    /// lane is out of bounds and the queued per-lane path finds the first.
-    /// The caller binds the returned label after the access.
-    fn range_guard(&mut self, op: MemOp, s: i32) -> Label {
+    /// Lane 0's index in rax and the data pointer in rcx for an access
+    /// whose index is `Linear(s)`, behind its one bounds check unless the
+    /// access is proven: `idx0 <u len ∧ idx0 + 7·s <u len` puts every lane
+    /// in range (`len` is far below `2^63`, so neither end wraps). When
+    /// the check fails some lane is out of bounds and the queued per-lane
+    /// path finds the first; the caller binds the returned label after the
+    /// access.
+    fn range_guard(&mut self, op: MemOp, s: i32, guard: Option<Kept>) -> Option<Label> {
         let (buf, idx, val) = op.parts();
-        let (entry, cont) = (self.a.new_label(), self.a.new_label());
-        self.slow.push(SlowPath {
-            entry,
-            cont,
-            op,
-            idx_shape: Shape::Linear(s),
-            val_shape: val.and_then(|v| self.lanes.f[v as usize]),
-            write_back: val.is_some_and(|v| self.pair(v).is_some() && !self.synced[v as usize]),
-        });
         self.in_lane(0, |e| e.read_i(Gpr::Rax, idx));
-        self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16 + 8));
-        self.a.cmp_rr(Gpr::Rax, Gpr::Rcx);
-        self.a.jcc(Cc::Ae, entry);
-        self.a.mov_rr(Gpr::Rdx, Gpr::Rax);
-        self.a.add_ri(Gpr::Rdx, (LANES as i32 - 1) * s);
-        self.a.cmp_rr(Gpr::Rdx, Gpr::Rcx);
-        self.a.jcc(Cc::Ae, entry);
+        let cont = guard.map(|why| {
+            let (entry, cont) = (self.a.new_label(), self.a.new_label());
+            self.slow.push(SlowPath {
+                entry,
+                cont,
+                op,
+                idx_shape: Shape::Linear(s),
+                val_shape: val.and_then(|v| self.lanes.f[v as usize]),
+                write_back: val.is_some_and(|v| self.pair(v).is_some() && !self.synced[v as usize]),
+                why,
+            });
+            self.a.comment(|| format!("guard: {}", why.why()));
+            self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16 + 8));
+            self.a.cmp_rr(Gpr::Rax, Gpr::Rcx);
+            self.a.jcc(Cc::Ae, entry);
+            self.a.mov_rr(Gpr::Rdx, Gpr::Rax);
+            self.a.add_ri(Gpr::Rdx, (LANES as i32 - 1) * s);
+            self.a.cmp_rr(Gpr::Rdx, Gpr::Rcx);
+            self.a.jcc(Cc::Ae, entry);
+            cont
+        });
         self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
         cont
     }
@@ -989,8 +984,8 @@ impl<'a> Emit<'a> {
     /// `f[dst] = buf[i[idx]]` for all lanes, `idx` being `Linear(s)`,
     /// `s > 0`: two `movups` when contiguous, else eight `movss` at static
     /// displacements into the lane array.
-    fn emit_linear_load(&mut self, dst: Reg, buf: u32, idx: Reg, s: i32) {
-        let cont = self.range_guard(MemOp::Load { dst, buf, idx }, s);
+    fn emit_linear_load(&mut self, dst: Reg, buf: u32, idx: Reg, s: i32, guard: Option<Kept>) {
+        let cont = self.range_guard(MemOp::Load { dst, buf, idx }, s, guard);
         if s == 1 {
             for h in 0..2 {
                 let t = self.half_target(dst, h);
@@ -1005,20 +1000,22 @@ impl<'a> Emit<'a> {
             }
             self.reload(dst);
         }
-        self.a.bind(cont);
+        if let Some(cont) = cont {
+            self.a.bind(cont);
+        }
     }
 
-    /// The store of one chunk statement: two `movups` behind one range
-    /// guard when the index is contiguous, else lane by lane.
-    fn emit_chunk_store(&mut self, buf: u32, idx: Reg, val: Reg) {
+    /// The store of one chunk statement: two `movups` behind at most one
+    /// range guard when the index is contiguous, else lane by lane.
+    fn emit_chunk_store(&mut self, buf: u32, idx: Reg, val: Reg, guard: Option<Kept>) {
         if self.lanes.i[idx as usize] != Some(Shape::Linear(1)) {
             self.sync(val);
             for l in 0..LANES {
-                self.in_lane(l, |e| e.emit_store(buf, idx, val));
+                self.in_lane(l, |e| e.emit_store(buf, idx, val, guard));
             }
             return;
         }
-        let cont = self.range_guard(MemOp::Store { buf, idx, val }, 1);
+        let cont = self.range_guard(MemOp::Store { buf, idx, val }, 1, guard);
         let uniform = self.lanes.shape_f(val) != Shape::Varying;
         if uniform {
             self.broadcast(Xmm(0), val);
@@ -1027,7 +1024,9 @@ impl<'a> Emit<'a> {
             let src = if uniform { Xmm(0) } else { self.half(val, h, Xmm(0)) };
             self.a.movups_mx(Mem::sib(Gpr::Rcx, Gpr::Rax, 4, h as i32 * 16), src);
         }
-        self.a.bind(cont);
+        if let Some(cont) = cont {
+            self.a.bind(cont);
+        }
     }
 
     /// The out-of-line target of a failed range guard: the access lane by
@@ -1053,8 +1052,8 @@ impl<'a> Emit<'a> {
         }
         for l in 0..LANES {
             self.in_lane(l, |e| match sp.op {
-                MemOp::Load { dst, buf, idx } => e.emit_load(dst, buf, idx),
-                MemOp::Store { buf, idx, val } => e.emit_store(buf, idx, val),
+                MemOp::Load { dst, buf, idx } => e.emit_load(dst, buf, idx, Some(sp.why)),
+                MemOp::Store { buf, idx, val } => e.emit_store(buf, idx, val, Some(sp.why)),
             });
         }
         if let MemOp::Load { dst, .. } = sp.op {
@@ -1064,30 +1063,35 @@ impl<'a> Emit<'a> {
         self.a.jmp(sp.cont);
     }
 
-    /// `f[dst] = buf[i[idx]]` with the bounds check jumping to a deopt
-    /// stub (idx in rax at the guard).
-    fn emit_load(&mut self, dst: Reg, buf: u32, idx: Reg) {
+    /// `f[dst] = buf[i[idx]]`, behind a bounds check jumping to a deopt
+    /// stub unless proven.
+    fn emit_load(&mut self, dst: Reg, buf: u32, idx: Reg, guard: Option<Kept>) {
         self.read_i(Gpr::Rax, idx);
-        self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16 + 8));
-        self.a.cmp_rr(Gpr::Rax, Gpr::Rcx);
-        let stub = self.trap(Deopt::LoadOob { buf });
-        self.a.jcc(Cc::Ae, stub);
+        self.bounds_check(Deopt::LoadOob { buf }, buf, guard);
         self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
         self.a.movss_xm(Xmm(0), Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0));
         self.write_f(dst);
     }
 
-    /// `buf[i[idx]] = f[val]` with the bounds check jumping to a deopt
-    /// stub (idx in rax at the guard).
-    fn emit_store(&mut self, buf: u32, idx: Reg, val: Reg) {
+    /// `buf[i[idx]] = f[val]`, behind a bounds check jumping to a deopt
+    /// stub unless proven.
+    fn emit_store(&mut self, buf: u32, idx: Reg, val: Reg, guard: Option<Kept>) {
         self.read_i(Gpr::Rax, idx);
-        self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16 + 8));
-        self.a.cmp_rr(Gpr::Rax, Gpr::Rcx);
-        let stub = self.trap(Deopt::StoreOob { buf });
-        self.a.jcc(Cc::Ae, stub);
+        self.bounds_check(Deopt::StoreOob { buf }, buf, guard);
         self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
         self.read_f(Xmm(0), val);
         self.a.movss_mx(Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0), Xmm(0));
+    }
+
+    /// `rax <u len(buf)` or deopt, for an access kept guarded (`guard`
+    /// says why); nothing for a proven one.
+    fn bounds_check(&mut self, d: Deopt, buf: u32, guard: Option<Kept>) {
+        let Some(why) = guard else { return };
+        self.a.comment(|| format!("guard: {}", why.why()));
+        self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16 + 8));
+        self.a.cmp_rr(Gpr::Rax, Gpr::Rcx);
+        let stub = self.trap(d);
+        self.a.jcc(Cc::Ae, stub);
     }
 
     /// Evaluates bounds into arg registers and calls the parallel
@@ -1147,7 +1151,7 @@ impl<'a> Emit<'a> {
                 }
                 self.write_i(dst);
             }
-            Inst::Load { dst, buf, idx } => self.emit_load(dst, buf, idx),
+            Inst::Load { dst, buf, idx } => self.emit_load(dst, buf, idx, self.proofs.load(inst)),
             Inst::BinI { dst, op, a, b } => {
                 self.emit_bin_i(dst, op, a, b);
             }
@@ -1444,6 +1448,7 @@ mod tests {
             n_fregs: 0,
             n_vars: 4,
             var_names: vec![],
+            buf_sizes: vec![],
             stats: OptStats::default(),
         };
         let mut lanes = Lanes::new(&bc);
@@ -1608,7 +1613,7 @@ mod tests {
         ));
         let mut bc = crate::opt::compile_program(&p).unwrap();
         let mut divisor = None;
-        for_each_inst(&bc, &mut |inst| {
+        bc.for_each_inst(&mut |inst| {
             if let Inst::BinI { op: BinOp::Rem, b, .. } = *inst {
                 divisor = Some(b);
             }

@@ -7,9 +7,10 @@
 //! varying `f32` values of vector chunks — with stack spill slots
 //! (`regalloc`), a hand-rolled instruction encoder (`asm`), and
 //! straight-line code with loop back-edges chained as direct jumps
-//! (`compile`). Trapping instructions keep their guards and deopt to the
-//! interpreter's scalar helpers, so observable error semantics are
-//! bit-identical to the interpreter's (`runtime`).
+//! (`compile`). Loads and stores that the loop bounds prove in range carry
+//! no guard (`bounds`); every other trapping instruction keeps its guard
+//! and deopts to the interpreter's scalar helpers, so observable error
+//! semantics are bit-identical to the interpreter's (`runtime`).
 //!
 //! The tier is x86-64-Linux-only by construction. Everywhere else this
 //! module still compiles but [`supported`] is `false` and [`compile`]
@@ -22,6 +23,8 @@
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod asm;
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+mod bounds;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod compile;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -51,6 +54,21 @@ pub struct ChunkCost {
     /// Instructions with an `[rsp+…]` operand: the loop counter, spill
     /// slots and lane-array traffic.
     pub stack_refs: usize,
+}
+
+/// What the bounds prover decided about a program's loads and stores,
+/// counted once per access in the bytecode (not per emitted copy): how
+/// many the loop-bound intervals proved in range (accesses in dead code
+/// included), how many the Omega test proved, and how many kept their
+/// guard. `figures -- tiers` records it per kernel.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GuardCounts {
+    /// Proven by the interval stage.
+    pub interval: usize,
+    /// Proven by the oracle stage.
+    pub oracle: usize,
+    /// Still guarded.
+    pub kept: usize,
 }
 
 /// Why a deopt stub exists (and, when it fires, why execution left
@@ -149,6 +167,15 @@ mod stub {
 
         /// Packed-chunk fast-path cost (unreachable).
         pub fn chunk_cost(&self) -> super::ChunkCost {
+            match self.never {}
+        }
+
+        /// Bounds-proof counts (unreachable).
+        pub fn guards(&self) -> super::GuardCounts {
+            match self.never {}
+        }
+
+        pub(crate) fn fits(&self, _bufs: &[SharedBuf]) -> bool {
             match self.never {}
         }
 

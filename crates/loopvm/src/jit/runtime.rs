@@ -329,6 +329,9 @@ pub struct JitProgram {
     par_fns: Vec<(usize, u32)>,
     deopts: Vec<Deopt>,
     chunk: super::ChunkCost,
+    guards: super::GuardCounts,
+    /// The buffer lengths the bounds proofs assumed.
+    buf_sizes: Vec<usize>,
     n_vars: usize,
     n_iregs: usize,
     n_fregs: usize,
@@ -351,6 +354,7 @@ impl JitProgram {
         par_fns: Vec<(usize, u32)>,
         deopts: Vec<Deopt>,
         chunk: super::ChunkCost,
+        guards: super::GuardCounts,
         bc: &crate::bytecode::BcProgram,
     ) -> Option<JitProgram> {
         let code_len = code.len();
@@ -361,6 +365,8 @@ impl JitProgram {
             par_fns,
             deopts,
             chunk,
+            guards,
+            buf_sizes: bc.buf_sizes.clone(),
             n_vars: bc.n_vars,
             n_iregs: bc.n_iregs as usize,
             n_fregs: bc.n_fregs as usize,
@@ -399,14 +405,40 @@ impl JitProgram {
         self.chunk
     }
 
+    /// How many of the program's loads and stores were proven in bounds,
+    /// and by which stage (see [`super::GuardCounts`]).
+    pub fn guards(&self) -> super::GuardCounts {
+        self.guards
+    }
+
+    /// Whether `bufs` have exactly the lengths the code's bounds proofs
+    /// assumed — the only buffers it may run over.
+    pub(crate) fn fits(&self, bufs: &[SharedBuf]) -> bool {
+        bufs.len() == self.buf_sizes.len()
+            && bufs.iter().zip(&self.buf_sizes).all(|(b, &n)| b.len() == n)
+    }
+
     /// Runs the program against `bufs`, seeding the variable frame with
     /// the machine's [`crate::Machine::bind`]ings.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Structure`] without running anything when the buffers'
+    /// lengths are not the ones the program was compiled for (its unguarded
+    /// accesses are proven for those only); otherwise the interpreter's.
     pub(crate) fn run(
         &self,
         bufs: &[SharedBuf],
         threads: usize,
         seed: &[(Var, i64)],
     ) -> Result<()> {
+        if !self.fits(bufs) {
+            let lens: Vec<usize> = bufs.iter().map(SharedBuf::len).collect();
+            return Err(Error::Structure(format!(
+                "native code compiled for buffer lengths {:?} run over {lens:?}",
+                self.buf_sizes
+            )));
+        }
         let mut frame = vec![0i64; self.n_vars];
         for (v, val) in seed {
             frame[v.index()] = *val;

@@ -85,6 +85,7 @@ pub fn compile_program(p: &Program) -> Result<BcProgram> {
         n_fregs: em.n_fregs,
         n_vars: p.n_vars(),
         var_names: p.vars.clone(),
+        buf_sizes: p.buf_sizes(),
         stats: em.stats,
     };
     dce(&mut bc);
@@ -119,6 +120,7 @@ pub fn compile_plain(p: &Program) -> Result<BcProgram> {
         n_fregs: pl.size[1],
         n_vars: p.n_vars(),
         var_names: p.vars.clone(),
+        buf_sizes: p.buf_sizes(),
         stats: OptStats::default(),
     })
 }

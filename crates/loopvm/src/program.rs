@@ -255,6 +255,11 @@ impl Program {
         self.buffers.len()
     }
 
+    /// Every buffer's element count, in declaration order.
+    pub(crate) fn buf_sizes(&self) -> Vec<usize> {
+        self.buffers.iter().map(|&(_, size)| size).collect()
+    }
+
     /// Number of declared scalar slots.
     pub fn n_vars(&self) -> usize {
         self.vars.len()

@@ -372,9 +372,10 @@ impl Machine {
         traffic.inc();
         let code = code?;
         // The bytecode profiler lives in the interpreter, so profiled
-        // runs stay on bytecode even in Jit mode.
+        // runs stay on bytecode even in Jit mode. Native code whose
+        // bounds proofs assumed other buffer lengths never runs here.
         let jit = if self.mode == ExecMode::Jit && !telemetry::profile_enabled() {
-            code.jit()
+            code.jit().filter(|j| j.fits(&self.bufs))
         } else {
             None
         };
@@ -392,7 +393,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Out-of-bounds accesses at runtime, identical to the interpreter's.
+    /// Out-of-bounds accesses at runtime, identical to the interpreter's;
+    /// [`crate::Error::Structure`], before anything runs, when this
+    /// machine's buffer lengths are not the ones the code was compiled for.
     pub fn run_jit(&mut self, j: &crate::jit::JitProgram) -> Result<()> {
         let _sp = telemetry::span("vm", "run_jit");
         let t0 = std::time::Instant::now();

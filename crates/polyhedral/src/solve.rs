@@ -193,6 +193,8 @@ struct Tableau {
     lo: Vec<Option<i128>>,
     hi: Vec<Option<i128>>,
     hat: Vec<i128>,
+    /// Row-index scratch of [`Tableau::drop_parallel`].
+    order: Vec<usize>,
 }
 
 thread_local! {
@@ -572,6 +574,7 @@ impl Tableau {
             }
         }
         self.remove_col(v);
+        self.drop_parallel();
     }
 
     /// Pushes a frame holding a shadow of the current one along `v`.
@@ -585,6 +588,45 @@ impl Tableau {
             }
         }
         self.push_shadow(p0..p1, v, tighten);
+        self.drop_parallel();
+    }
+
+    /// Of the inequalities of the top frame that share a coefficient
+    /// vector, keeps only the tightest (the smallest constant), which
+    /// implies the others: the interval fold generalized from one variable
+    /// to every direction. Fourier–Motzkin combinations are often parallel
+    /// once normalized, and without this they multiply at every further
+    /// step. A contradiction found while normalizing is left for the
+    /// caller's next pre-solve.
+    fn drop_parallel(&mut self) {
+        if !self.normalize_all() {
+            return;
+        }
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend((self.row0..self.kind.len()).filter(|&r| self.kind[r] == Kind::Ineq));
+        let t: &Tableau = self;
+        let coeffs = |r: usize| t.live[t.col0..].iter().map(move |&c| t.at(r, c));
+        order.sort_unstable_by(|&x, &y| {
+            let cst = t.stride - 1;
+            coeffs(x).cmp(coeffs(y)).then(t.at(x, cst).cmp(&t.at(y, cst)))
+        });
+        // Keep the first of each run of equal vectors; collect the rest.
+        let mut n = 0;
+        for k in 1..order.len() {
+            if coeffs(order[k - 1]).eq(coeffs(order[k])) {
+                order[n] = order[k];
+                n += 1;
+            }
+        }
+        order.truncate(n);
+        // `remove_row` moves the last row into the hole, so go from the
+        // highest index down: every row it moves is one to keep.
+        order.sort_unstable_by(|x, y| y.cmp(x));
+        for &r in &order {
+            self.remove_row(r);
+        }
+        self.order = order;
     }
 
     /// Decides the top frame, consuming its rows. `Some(true)` feasible,
@@ -690,11 +732,10 @@ impl Tableau {
         }
     }
 
-    /// Answers one query on the top frame (consuming its rows), counting
-    /// it. In debug builds the verdict is checked against a run without
-    /// the interval pre-solve.
-    fn solve(&mut self) -> bool {
-        SOLVES.fetch_add(1, Relaxed);
+    /// Decides the top frame (consuming its rows): `None` when the budget
+    /// ran out. In debug builds the verdict is checked against a run
+    /// without the interval pre-solve.
+    fn verdict(&mut self) -> Option<bool> {
         let plain = cfg!(debug_assertions).then(|| {
             self.push_copy();
             let v = self.decide(0, false);
@@ -706,7 +747,14 @@ impl Tableau {
         if let (Some(Some(p)), Some(v)) = (plain, verdict) {
             debug_assert_eq!(p, v, "pre-solve verdict differs from the plain Omega test");
         }
-        match verdict {
+        verdict
+    }
+
+    /// Answers one query on the top frame (consuming its rows), counting
+    /// it.
+    fn solve(&mut self) -> bool {
+        SOLVES.fetch_add(1, Relaxed);
+        match self.verdict() {
             Some(v) => {
                 if self.steps == 0 {
                     PRESOLVED.fetch_add(1, Relaxed);
@@ -798,18 +846,38 @@ impl Tableau {
 /// is empty for **every** parameter value, i.e. feasibility means "some
 /// parameter valuation makes it non-empty".
 pub fn rows_feasible(rows: &[Row], n_vars: usize) -> Feasibility {
+    with_rows(rows, n_vars, |t| Feasibility::from(t.solve()))
+}
+
+/// [`rows_feasible`] for a caller that keeps its own books — the JIT's
+/// bounds prover: the query is not counted in [`counters`] (whose totals
+/// are the scheduling analysis's), and a spent budget is `None` rather
+/// than a conservative "feasible", so the caller can say why it kept a
+/// guard.
+pub fn rows_decide(rows: &[Row], n_vars: usize) -> Option<Feasibility> {
+    with_rows(rows, n_vars, |t| t.verdict().map(Feasibility::from))
+}
+
+/// Runs `f` on the scratch tableau loaded with `rows`.
+fn with_rows<R>(rows: &[Row], n_vars: usize, f: impl FnOnce(&mut Tableau) -> R) -> R {
     with_tableau(|t| {
         t.reset(n_vars);
         for r in rows {
             debug_assert_eq!(r.c.len(), n_vars + 1);
             t.push_row(if r.eq { Kind::Eq } else { Kind::Ineq }, r.c.iter().copied());
         }
-        if t.solve() {
+        f(t)
+    })
+}
+
+impl From<bool> for Feasibility {
+    fn from(feasible: bool) -> Feasibility {
+        if feasible {
             Feasibility::Feasible
         } else {
             Feasibility::Infeasible
         }
-    })
+    }
 }
 
 /// Integer feasibility of a conjunction of [`Constraint`]s over `n_vars`
@@ -1183,11 +1251,39 @@ mod tests {
 
     #[test]
     fn a_spent_budget_is_counted_never_silent() {
+        // Fourteen dense rows over five unknowns, coefficients of both
+        // signs: no elimination is exact and few combinations are
+        // parallel, so the real shadows outgrow `MAX_ROWS` before anything
+        // is decided. The origin satisfies every row, so "feasible" is
+        // also the truth; what matters is that the spent budget shows.
+        let mut seed = 0x2545_f491_u64;
+        let mut coeff = || {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            ((seed >> 33) % 9) as i128 - 4
+        };
+        let rows: Vec<Row> = (0..14)
+            .map(|_| {
+                let mut c: Vec<i128> = (0..5).map(|_| coeff()).collect();
+                c.push(50);
+                ineq(&c)
+            })
+            .collect();
+        let before = counters();
+        assert_eq!(rows_feasible(&rows, 5), Feasibility::Feasible);
+        assert!(counters().exhausted > before.exhausted, "the probe no longer spends the budget");
+        // The uncounted entry says so instead of guessing.
+        let before = counters();
+        assert_eq!(rows_decide(&rows, 5), None);
+        assert_eq!(counters().since(before).solves, 0);
+    }
+
+    #[test]
+    fn parallel_rows_are_pruned_after_each_elimination() {
         // Found by the brute-force properties at 2048 cases: a probe
         // `obj <= -2^40` over five boxed unknowns with a non-unit equality
-        // and the 11x + 13y / 7x - 9y strips. It is infeasible, but
-        // Fourier–Motzkin outgrows `MAX_ROWS` first; the conservative
-        // "feasible" must then show in the counters.
+        // and the 11x + 13y / 7x - 9y strips. It is infeasible, and before
+        // parallel combinations were pruned Fourier–Motzkin outgrew
+        // `MAX_ROWS` on the way to saying so.
         let rows = vec![
             ineq(&[1, 0, 0, 0, 0, 0, 3]),
             ineq(&[-1, 0, 0, 0, 0, 0, 3]),
@@ -1210,9 +1306,7 @@ mod tests {
             eq(&[-2, 2, 1, -2, 1, 1, 4]),
             ineq(&[0, 0, 0, 0, 0, -1, -(SEARCH_BOUND as i128)]),
         ];
-        let before = counters().exhausted;
-        let verdict = rows_feasible(&rows, 6);
-        assert!(verdict == Feasibility::Infeasible || counters().exhausted > before);
+        assert_eq!(rows_decide(&rows, 6), Some(Feasibility::Infeasible));
     }
 
     #[test]

@@ -686,6 +686,13 @@ fn vector_lane_traps_agree() {
         program(17, &|a, _, i| Stmt::store(a, i.clone(), Expr::load(a, i + Expr::i64(1)))),
         "ok".to_string(),
     ));
+    // One element short: the loop bounds put the store in range on every
+    // lane but the last of the last chunk, so its guard must stay.
+    cases.push((
+        "store out of bounds on lane 7 only".to_string(),
+        program(15, &|a, b, i| Stmt::store(a, i.clone(), Expr::load(b, i) + Expr::f32(1.0))),
+        "err: out of bounds: A[15] (size 15)".to_string(),
+    ));
 
     let mut failures = Vec::new();
     for (name, p, expected) in &cases {
@@ -709,4 +716,87 @@ fn vector_lane_traps_agree() {
         }
     }
     assert!(failures.is_empty(), "vector trap outcomes diverged:\n{}", failures.join("\n"));
+}
+
+/// The unguarded accesses of native code are proven for the buffer
+/// lengths of the program it was compiled from, and run over no others. A
+/// machine built for a program with a shorter buffer runs the longer
+/// program's code on the checked interpreter (`Machine::run`: the
+/// interpreter's error payload and partial results, bit for bit), or not
+/// at all (`Machine::run_jit`: a clean `Err`, every buffer untouched).
+#[test]
+fn proven_code_never_runs_over_other_buffer_lengths() {
+    use loopvm::{Expr, ExecMode, LoopKind, Machine, Program, Stmt};
+
+    let program = |len: usize| {
+        let mut p = Program::new();
+        let a = p.buffer("A", len);
+        let b = p.buffer("B", 16);
+        let i = p.var("i");
+        let body = vec![Stmt::store(a, Expr::var(i), Expr::load(b, Expr::var(i)) + Expr::f32(1.0))];
+        p.push(Stmt::for_(i, Expr::i64(0), Expr::i64(16), LoopKind::Vectorize(8), body.clone()));
+        p.push(Stmt::serial(i, Expr::i64(0), Expr::i64(16), body));
+        p
+    };
+    let (long, short) = (program(16), program(11));
+    let machine = |mode: ExecMode| {
+        let mut m = Machine::new(&short);
+        m.set_threads(2);
+        m.set_exec_mode(mode);
+        for b in 0..short.n_buffers() {
+            fill(m.buffer_mut(short.nth_buffer(b)), 11 + b as u64);
+        }
+        m
+    };
+    let contents = |m: &Machine| -> Vec<Vec<u32>> {
+        (0..short.n_buffers())
+            .map(|b| m.buffer(short.nth_buffer(b)).iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+
+    let mut reference = machine(ExecMode::Bytecode);
+    let want = outcome_of(|| reference.run(&long));
+    assert_eq!(want, "err: out of bounds: A[11] (size 11)");
+    let mut m = machine(ExecMode::Jit);
+    assert_eq!(outcome_of(|| m.run(&long)), want);
+    assert_eq!(contents(&m), contents(&reference), "different partial results");
+
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    {
+        let jit = long.compiled().unwrap().jit().expect("native code");
+        assert_eq!((jit.n_deopts(), jit.guards().kept), (0, 0), "proven for 16 elements");
+        let mut m = machine(ExecMode::Jit);
+        let before = contents(&m);
+        let err = m.run_jit(jit).unwrap_err();
+        assert!(matches!(err, loopvm::Error::Structure(_)), "{err}");
+        assert_eq!(contents(&m), before, "run_jit touched a buffer");
+    }
+}
+
+/// A value from `Machine::bind` has no fact: an index it drives keeps
+/// its guard, and traps exactly like the interpreter.
+#[test]
+fn a_bound_variable_index_keeps_its_guard() {
+    use loopvm::{Expr, ExecMode, Machine, Program, Stmt};
+
+    let mut p = Program::new();
+    let a = p.buffer("A", 4);
+    let x = p.var("x");
+    p.push(Stmt::store(a, Expr::var(x), Expr::f32(1.0)));
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    {
+        let jit = p.compiled().unwrap().jit().expect("native code");
+        assert_eq!((jit.guards().kept, jit.n_deopts()), (1, 1));
+    }
+    for (value, want) in [(2, "ok"), (4, "err: out of bounds: A[4] (size 4)"), (-1, "err: out of bounds: A[-1] (size 4)")] {
+        let outcomes = [ExecMode::Jit, ExecMode::Bytecode].map(|mode| {
+            let mut m = Machine::new(&p);
+            m.set_exec_mode(mode);
+            m.bind(x, value);
+            let out = outcome_of(|| m.run(&p));
+            (out, m.buffer(a).iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        });
+        assert_eq!(outcomes[0].0, want, "x = {value}");
+        assert_eq!(outcomes[0], outcomes[1], "x = {value}");
+    }
 }

@@ -135,10 +135,11 @@ fn gemm_jit_x86_64_listing_is_pinned() {
     let bc = module.bytecode().expect("CPU modules carry optimized bytecode");
     let listing = loopvm::jit::listing(bc).expect("the listing exists wherever the code does");
     assert_golden("gemm_jit_x86_64", &listing);
-    // Sanity on the shape: one main function, real code, and deopt stubs
-    // for every trapping load/store in the inner loop.
+    // Sanity on the shape: real code, and no guard on any load or store —
+    // the loop bounds prove every gemm access in range.
     assert!(jit.code_len() > 0, "empty code buffer");
-    assert!(jit.n_deopts() > 0, "gemm's loads/stores should carry deopt stubs");
+    assert_eq!(jit.n_deopts(), 0, "a gemm access kept its guard:\n{listing}");
+    assert_eq!(jit.guards().kept, 0);
 }
 
 /// [`blur`] with `vectorize(j, 8)` on both stages: the kernel whose
@@ -202,16 +203,11 @@ fn sgemm_native_code_is_packed_and_division_free() {
             .count();
         assert!(!fast.contains("movups [rsp"), "a lane array in the update chunk:\n{fast}");
         assert!(refs <= 12 && stores <= 2, "{refs} stack operands, {stores} stores:\n{fast}");
+        assert!(!fast.contains("jae"), "a bounds guard in the update chunk:\n{fast}");
     }
     assert_eq!(updates, 4, "update chunks");
-    let reasons = jit.deopt_reasons();
-    let at = |r: loopvm::jit::DeoptReason| reasons[r.index()];
-    assert_eq!(at(loopvm::jit::DeoptReason::DivZero), 0);
-    assert_eq!(at(loopvm::jit::DeoptReason::RemZero), 0);
-    // 16 contiguous vector accesses keep 8 per-lane stubs each behind
-    // their one range guard, the 4 uniform `A[..]` loads of the update
-    // chunks one each, the scalar loops 22 (262 before lane shapes).
-    assert!(jit.n_deopts() <= 154, "{} deopt stubs", jit.n_deopts());
+    // The loop bounds prove every access in range: no guard, no stub.
+    assert_eq!(jit.n_deopts(), 0, "{:?}", jit.deopt_reasons());
 }
 
 #[test]

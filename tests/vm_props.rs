@@ -1125,3 +1125,216 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Bounds proofs. The JIT emits a load or store with no guard when the loop
+// bounds prove its index in range, here only relationally: a tile
+// remainder `k < min(T, n - T·t)`, a `max` lower bound, the arm of a live
+// `If`, a dead `If` arm. Each shape also comes off by one — a widened loop
+// bound, an index shifted by one — so some access leaves its buffer by
+// exactly one element on the first or last iteration, and the loop-carried
+// `let`, the `let` under an `If` and the `let` in a loop that may not run
+// give slots whose facts must be forgotten or joined. Whatever the prover decides, the JIT must agree with
+// the fully checked plain lowering on the outcome and every buffer bit.
+// ---------------------------------------------------------------------------
+
+/// Where the relational access sits.
+#[derive(Debug, Clone, Copy)]
+enum RelShape {
+    /// `for t { for k in 0..min(T, n - T·t) { j = T·t + k } }`.
+    Tile,
+    /// `for t { for k in max(0, s - T·t)..min(T, n - T·t) { j = T·t + k - s } }`.
+    Shifted,
+    /// `for j { if j < m { out[j] } else { out[j - m] = in[n - 1 - j] } }`.
+    Branch,
+    /// A tile nest whose `if t < tiles` is always true; the dead `else`
+    /// stores far out of range.
+    DeadArm,
+    /// `let s = 0; for i { out[s] = in[i]; let s = s + 1 }`.
+    Carried,
+    /// `for j { let x = n + 3; if j < m { let x = j }; out[x] = in[j] }`.
+    LetUnderIf,
+    /// `for t in 0..2 { let x = s; for k in 0..t·n { let x = k }; out[x] = in[x] }`:
+    /// the inner loop runs no iteration when `t = 0`, and `s` may be `n`.
+    AfterLoop,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct RelCase {
+    shape: RelShape,
+    n: i64,
+    tile: i64,
+    /// The shift of `Shifted`, the split point `m` of `Branch`/`LetUnderIf`.
+    s: i64,
+    /// Added to the store's and the load's index.
+    off: (i64, i64),
+    /// Widens the inner loop by one iteration (the lower bound for
+    /// `Shifted`, the upper one elsewhere).
+    bump: i64,
+    vector: bool,
+    parallel: bool,
+}
+
+impl RelCase {
+    /// Every access is in range by the loop bounds and conditions, so
+    /// every one must be proven. (A loop-carried slot has no fact, and the
+    /// `let` under an `If` or before a loop may leave its slot out of range.)
+    fn in_range(&self) -> bool {
+        self.off == (0, 0)
+            && self.bump == 0
+            && !matches!(self.shape, RelShape::Carried | RelShape::LetUnderIf | RelShape::AfterLoop)
+    }
+}
+
+fn rel_case() -> impl Strategy<Value = RelCase> {
+    let shape = prop_oneof![
+        Just(RelShape::Tile),
+        Just(RelShape::Shifted),
+        Just(RelShape::Branch),
+        Just(RelShape::DeadArm),
+        Just(RelShape::Carried),
+        Just(RelShape::LetUnderIf),
+        Just(RelShape::AfterLoop),
+    ];
+    let off = prop_oneof![Just(0i64), Just(0), Just(0), Just(-1), Just(1)];
+    let bump = prop_oneof![Just(0i64), Just(0), Just(1)];
+    (
+        (shape, 1i64..=40, 1i64..=9, 0i64..=40),
+        ((off.clone(), off), bump, any::<bool>(), any::<bool>()),
+    )
+        .prop_map(|((shape, n, tile, s), (off, bump, vector, parallel))| RelCase {
+            shape,
+            n,
+            tile,
+            s: match shape {
+                RelShape::Shifted => s % 4,
+                _ => s % (n + 1),
+            },
+            off,
+            bump,
+            vector,
+            parallel,
+        })
+}
+
+fn rel_program(c: &RelCase) -> Program {
+    let mut p = Program::new();
+    let input = p.buffer("in", c.n as usize);
+    let out = p.buffer("out", c.n as usize);
+    let (t, k, x) = (p.var("t"), p.var("k"), p.var("x"));
+    let (n, tile) = (V::i64(c.n), V::i64(c.tile));
+    let inner = if c.vector { LoopKind::Vectorize(8) } else { LoopKind::Serial };
+    let outer = if c.parallel { LoopKind::Parallel } else { LoopKind::Serial };
+    let access = |j: V| {
+        let value = V::load(input, j.clone() + V::i64(c.off.1)) * V::f32(2.0) + V::f32(1.0);
+        Stmt::store(out, j + V::i64(c.off.0), value)
+    };
+    let tiles = V::i64((c.n + c.tile - 1) / c.tile);
+    let base = || V::var(t) * tile.clone();
+    let tile_nest = |body: Vec<Stmt>| {
+        let upper = V::min(tile.clone(), n.clone() - base()) + V::i64(c.bump);
+        vec![Stmt::for_(k, V::i64(0), upper, inner, body)]
+    };
+    let body = match c.shape {
+        RelShape::Tile => vec![Stmt::for_(t, V::i64(0), tiles, outer, tile_nest(vec![access(base() + V::var(k))]))],
+        RelShape::Shifted => {
+            let lower = V::max(V::i64(0), V::i64(c.s) - base()) - V::i64(c.bump);
+            let upper = V::min(tile.clone(), n.clone() - base());
+            let j = base() + V::var(k) - V::i64(c.s);
+            vec![Stmt::for_(t, V::i64(0), tiles, outer, vec![Stmt::for_(k, lower, upper, inner, vec![access(j)])])]
+        }
+        RelShape::Branch => {
+            let j = || V::var(k);
+            let far = V::load(input, n.clone() - V::i64(1) - j() + V::i64(c.off.1));
+            let split = Stmt::If {
+                cond: V::lt(j(), V::i64(c.s)),
+                then: vec![access(j())],
+                else_: vec![Stmt::store(out, j() - V::i64(c.s) + V::i64(c.off.0), far)],
+            };
+            // Serial: the two arms write overlapping elements.
+            vec![Stmt::serial(k, V::i64(0), n.clone() + V::i64(c.bump), vec![split])]
+        }
+        RelShape::DeadArm => {
+            let arm = Stmt::If {
+                cond: V::lt(V::var(t), tiles.clone()),
+                then: tile_nest(vec![access(base() + V::var(k))]),
+                else_: vec![Stmt::store(out, n.clone() + V::i64(7), V::f32(0.0))],
+            };
+            vec![Stmt::for_(t, V::i64(0), tiles, outer, vec![arm])]
+        }
+        RelShape::Carried => vec![
+            Stmt::let_(x, V::i64(0)),
+            Stmt::for_(
+                k,
+                V::i64(0),
+                n.clone() + V::i64(c.bump),
+                if c.vector { LoopKind::Unroll(4) } else { LoopKind::Serial },
+                vec![access(V::var(x)), Stmt::let_(x, V::var(x) + V::i64(1))],
+            ),
+        ],
+        RelShape::LetUnderIf => {
+            let pick = Stmt::if_then(V::lt(V::var(k), V::i64(c.s)), vec![Stmt::let_(x, V::var(k))]);
+            let store = Stmt::store(out, V::var(x) + V::i64(c.off.0), V::load(input, V::var(k)));
+            vec![Stmt::for_(
+                k,
+                V::i64(0),
+                n.clone() + V::i64(c.bump),
+                LoopKind::Serial,
+                vec![Stmt::let_(x, n.clone() + V::i64(3)), pick, store],
+            )]
+        }
+        RelShape::AfterLoop => {
+            let runs = V::var(t) * (n.clone() + V::i64(c.bump));
+            let last = Stmt::serial(k, V::i64(0), runs, vec![Stmt::let_(x, V::var(k))]);
+            let body = vec![Stmt::let_(x, V::i64(c.s)), last, access(V::var(x))];
+            vec![Stmt::serial(t, V::i64(0), V::i64(2), body)]
+        }
+    };
+    p.set_body(body);
+    p
+}
+
+/// The outcome and every buffer bit of `p` on `mode`.
+fn rel_outcome(p: &Program, mode: ExecMode) -> (String, Vec<Vec<u32>>) {
+    let mut m = Machine::new(p);
+    m.set_threads(2);
+    m.set_exec_mode(mode);
+    for (b, seed) in [(0, 3u64), (1, 7)] {
+        for (i, v) in m.buffer_mut(p.nth_buffer(b)).iter_mut().enumerate() {
+            *v = ((i as u64 * 2654435761 + seed) % 1000) as f32 * 0.125;
+        }
+    }
+    let outcome = match m.run(p) {
+        Ok(()) => "ok".to_string(),
+        Err(e) => format!("err: {e}"),
+    };
+    let bufs = (0..p.n_buffers())
+        .map(|b| m.buffer(p.nth_buffer(b)).iter().map(|v| v.to_bits()).collect())
+        .collect();
+    (outcome, bufs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::diff_cases()))]
+
+    /// Native code with proven accesses unguarded agrees with the fully
+    /// checked plain lowering on the outcome, the error payload and every
+    /// buffer bit; in-range cases are proven whole.
+    #[test]
+    fn proven_accesses_agree_with_the_checked_lowering(c in rel_case()) {
+        let p = rel_program(&c);
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        {
+            let code = p.compiled().unwrap();
+            let jit = code.jit();
+            prop_assert!(jit.is_some(), "no native code: {:?}", c);
+            if c.in_range() {
+                prop_assert_eq!(jit.unwrap().guards().kept, 0, "unproven: {:?}\n{}", c, p.pretty());
+            }
+        }
+        let reference = rel_outcome(&p, ExecMode::TreeWalk);
+        let jit = rel_outcome(&p, ExecMode::Jit);
+        prop_assert_eq!(&jit.0, &reference.0, "outcome: {:?}\n{}", c, p.pretty());
+        prop_assert!(jit.1 == reference.1, "buffers: {:?}\n{}", c, p.pretty());
+    }
+}
