@@ -238,10 +238,12 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
         // tier — bytecode instruction count, and where the native backend
         // exists (x86-64 Linux) the JIT's code size, the instructions of
         // its packed-chunk fast paths and how many of them touch the stack,
-        // function count, deopt-stub counts broken down by reason, and per
-        // load/store which bounds stage proved it or that it kept its
-        // guard. No timing, so the snapshot is host-stable, and a guard
-        // that comes back fails `check`.
+        // the same for the steady copies of chunks whose clamps it tests
+        // (count, instructions, stack operands), function count,
+        // deopt-stub counts broken down by reason, and per load/store
+        // which bounds stage proved it or that it kept its guard. No
+        // timing, so the snapshot is host-stable, and a guard that comes
+        // back fails `check`.
         let progs: Vec<(String, loopvm::Program)> = bench::fig_kernels()
             .into_iter()
             .map(|(name, build)| (name, build().expect("kernel compiles").program.clone()))
@@ -252,10 +254,11 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             let bc = loopvm::opt::compile_program(p).expect("bytecode compile");
             let insts = bc.stats().insts;
             let jit = loopvm::jit::compile(&bc);
-            let (code, chunk_insts, chunk_refs, fns, deopts, reasons, guards) = match &jit {
+            let (code, chunk_insts, chunk_refs, steady, fns, deopts, reasons, guards) = match &jit {
                 Some(j) => {
                     let by = j.deopt_reasons();
                     let chunk = j.chunk_cost();
+                    let st = j.steady_cost();
                     let g = j.guards();
                     // Compact per-reason listing, only non-zero reasons.
                     let listing: Vec<String> = loopvm::jit::DeoptReason::ALL
@@ -267,6 +270,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                         j.code_len().to_string(),
                         chunk.insts.to_string(),
                         chunk.stack_refs.to_string(),
+                        [st.chunks, st.cost.insts, st.cost.stack_refs].map(|v| v.to_string()),
                         j.n_fns().to_string(),
                         j.n_deopts().to_string(),
                         if listing.is_empty() { "-".to_string() } else { listing.join(" ") },
@@ -275,7 +279,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 }
                 None => {
                     let none = || "-".to_string();
-                    (none(), none(), none(), none(), none(), none(), none())
+                    (none(), none(), none(), [none(), none(), none()], none(), none(), none(), none())
                 }
             };
             rows.push(vec![
@@ -284,6 +288,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 code.clone(),
                 chunk_insts.clone(),
                 chunk_refs.clone(),
+                steady.join("/"),
                 fns.clone(),
                 deopts.clone(),
                 reasons,
@@ -314,12 +319,15 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 None => "null".to_string(),
             };
             cells.push(format!(
-                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}}}",
+                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_steady_chunks\": {}, \"jit_steady_chunk_insts\": {}, \"jit_steady_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}}}",
                 jstr(name),
                 insts,
                 jfield(&code),
                 jfield(&chunk_insts),
                 jfield(&chunk_refs),
+                jfield(&steady[0]),
+                jfield(&steady[1]),
+                jfield(&steady[2]),
                 jfield(&fns),
                 jfield(&deopts),
                 jreasons,
@@ -336,6 +344,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                     "jit bytes",
                     "chunk insts",
                     "chunk rsp refs",
+                    "steady chunks/insts/rsp refs",
                     "jit fns",
                     "jit deopts",
                     "deopt reasons",

@@ -12,7 +12,8 @@
 //!
 //! While the emitter has [`Asm::count_chunk`] on, the encoder also counts
 //! what it emits — instructions, and those with an `[rsp+…]` operand —
-//! into the program's [`ChunkCost`].
+//! into the program's [`ChunkCost`] of general chunk copies, of steady
+//! ones, or both (the loop head and back edge both copies run).
 
 use super::ChunkCost;
 
@@ -92,6 +93,8 @@ pub(super) enum Cc {
     Le = 0xE,
     /// Greater (signed `>`).
     G = 0xF,
+    /// Overflow (signed).
+    O = 0x0,
 }
 
 impl Cc {
@@ -110,6 +113,7 @@ impl Cc {
             Cc::Ge => "ge",
             Cc::Le => "le",
             Cc::G => "g",
+            Cc::O => "o",
         }
     }
 }
@@ -166,9 +170,12 @@ pub(super) struct Asm {
     labels: Vec<Option<usize>>,
     /// Pending rel32 patches: (offset of the 4 displacement bytes, target).
     fixups: Vec<(usize, Label)>,
-    /// Whether emitted instructions are added to `chunk`.
-    counting: bool,
+    /// Whether emitted instructions are added to `chunk` and `steady`.
+    counting: (bool, bool),
+    /// What the general copies of vector chunks cost.
     pub chunk: ChunkCost,
+    /// What the steady copies cost (see `compile`'s "Steady chunks").
+    pub steady: ChunkCost,
 }
 
 impl Asm {
@@ -178,8 +185,9 @@ impl Asm {
             text: None,
             labels: Vec::new(),
             fixups: Vec::new(),
-            counting: false,
+            counting: (false, false),
             chunk: ChunkCost::default(),
+            steady: ChunkCost::default(),
         }
     }
 
@@ -206,7 +214,7 @@ impl Asm {
     /// Records one instruction (every encoder calls this once); `f` runs
     /// only when listing.
     fn line(&mut self, f: impl FnOnce() -> String) {
-        self.chunk.insts += usize::from(self.counting);
+        self.tally(|c| c.insts += 1);
         if let Some(text) = &mut self.text {
             text.push(format!("  {}", f()));
         }
@@ -219,10 +227,20 @@ impl Asm {
         }
     }
 
-    /// Counts what is emitted from here on as packed-chunk fast-path code
-    /// (`true`) or stops counting (`false`).
-    pub fn count_chunk(&mut self, on: bool) {
-        self.counting = on;
+    /// Counts what is emitted from here on as fast-path code of general
+    /// chunk copies, of steady ones, both or neither.
+    pub fn count_chunk(&mut self, general: bool, steady: bool) {
+        self.counting = (general, steady);
+    }
+
+    /// Adds to the costs being counted.
+    fn tally(&mut self, f: impl Fn(&mut ChunkCost)) {
+        if self.counting.0 {
+            f(&mut self.chunk);
+        }
+        if self.counting.1 {
+            f(&mut self.steady);
+        }
     }
 
     pub fn new_label(&mut self) -> Label {
@@ -290,7 +308,9 @@ impl Asm {
 
     /// Emits opcode bytes then a reg-mem ModRM (+SIB, +disp).
     fn op_rm(&mut self, prefix: Option<u8>, w: bool, opcode: &[u8], reg: u8, m: Mem) {
-        self.chunk.stack_refs += usize::from(self.counting && m.base == Gpr::Rsp);
+        if m.base == Gpr::Rsp {
+            self.tally(|c| c.stack_refs += 1);
+        }
         if let Some(p) = prefix {
             self.b(p);
         }
@@ -827,16 +847,22 @@ mod tests {
     #[test]
     fn chunk_cost_counts_only_while_on() {
         let mut a = Asm::with_listing();
+        let l = a.new_label();
+        a.bind(l);
         a.mov_rm(Gpr::Rax, Mem::base(Gpr::Rsp, 8));
-        a.count_chunk(true);
+        a.count_chunk(true, true);
         a.comment(|| "not an instruction".to_string());
         a.mov_rm(Gpr::Rax, Mem::base(Gpr::Rsp, 8));
+        a.count_chunk(true, false);
         a.movups_mx(Mem::base(Gpr::Rsp, 0x20), Xmm(3));
         a.movups_xm(Xmm(3), Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0));
         a.addps(Xmm(3), Xmm(4));
-        a.count_chunk(false);
+        a.count_chunk(false, true);
+        a.jcc(Cc::O, l);
+        a.count_chunk(false, false);
         a.movss_mx(Mem::base(Gpr::Rsp, 0), Xmm(0));
         assert_eq!(a.chunk, ChunkCost { insts: 4, stack_refs: 2 });
+        assert_eq!(a.steady, ChunkCost { insts: 2, stack_refs: 1 });
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! it leaves the definition's block. A register read before its
 //! definition (last iteration's value, or the initial zero) has none.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use polyhedral::solve::{rows_decide, Feasibility, Row};
 
@@ -87,6 +87,9 @@ pub(super) struct Proofs {
     /// Keyed by the address of the `Inst::Load` or `BcStmt::Store`; `None`
     /// is proven.
     sites: HashMap<usize, Option<Kept>>,
+    /// The addresses of the lane-grouped `For`s whose bounds are both
+    /// within [`SANE`]: their chunk test `v + 8 ≤ hi` cannot wrap.
+    wrap_free: HashSet<usize>,
     pub(super) guards: GuardCounts,
 }
 
@@ -99,6 +102,12 @@ impl Proofs {
     /// Why the store `s` keeps its guard (`None`: proven in bounds).
     pub(super) fn store(&self, s: &BcStmt) -> Option<Kept> {
         self.site(s as *const BcStmt as usize)
+    }
+
+    /// Whether the lane-grouped loop `s` needs no overflow check on its
+    /// chunk test.
+    pub(super) fn wrap_free(&self, s: &BcStmt) -> bool {
+        self.wrap_free.contains(&(s as *const BcStmt as usize))
     }
 
     fn site(&self, key: usize) -> Option<Kept> {
@@ -134,7 +143,11 @@ pub(super) fn prove(bc: &BcProgram) -> Proofs {
         ctx_version: 0,
         scopes: vec![Vec::new()],
         asked: HashMap::new(),
-        proofs: Proofs { sites: HashMap::new(), guards: GuardCounts::default() },
+        proofs: Proofs {
+            sites: HashMap::new(),
+            wrap_free: HashSet::new(),
+            guards: GuardCounts::default(),
+        },
     };
     p.insts(&bc.prologue, false);
     p.block(&bc.body, false, false);
@@ -375,6 +388,9 @@ impl<'a> Prover<'a> {
                 self.env[*var as usize] = Slot { ivl, iter: Some(id) };
                 self.enter(Ctx::Loop(id));
                 let chunk = matches!(kind, LoopKind::Vectorize(_)) && bc_body_vectorizable(body);
+                if chunk && sane {
+                    self.proofs.wrap_free.insert(s as *const BcStmt as usize);
+                }
                 self.insts(preamble, dead || empty);
                 self.block(body, dead || empty, chunk);
                 self.leave();

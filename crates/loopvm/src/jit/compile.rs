@@ -52,6 +52,19 @@
 //! only when the eight lanes share everything above the low bits: lane 0
 //! has `t` proved trailing zeros and `7·s < 2^min(t, k)`, so adding `l·s`
 //! never carries out of the bits the mask keeps and the shift drops.
+//!
+//! # Steady chunks
+//!
+//! A `min`/`max` of a linear value and a uniform one (a [`Clamp`]) is
+//! varying, and so is every access it indexes, although a clamp like
+//! conv2D's `clamp(j + kx, 0, W − 1)` binds only at the ends of a row. A
+//! chunk with a clamp before its first store is emitted twice: a *steady*
+//! copy, in which each such clamp keeps its linear operand's shape behind
+//! a test that no lane wraps and that lane 0 and lane 7 lie on the side
+//! of the bound the result ignores, and the *general* copy above. A
+//! failing test jumps to the general copy's start; the steady copy ran
+//! no store before it and computed what the general copy computes, so the
+//! restart is exact. DESIGN.md §14 has the argument in full.
 
 use super::asm::{Asm, Cc, Gpr, Label, Mem, Xmm};
 use super::bounds::{self, Kept, Proofs};
@@ -69,7 +82,8 @@ use crate::vm::{bc_body_vectorizable, LANES};
 /// caller falls back to the bytecode interpreter).
 pub fn compile(bc: &BcProgram) -> Option<JitProgram> {
     let e = emit(bc, Asm::new())?;
-    JitProgram::new(e.a.code, e.main_off, e.par_fns, e.deopts, e.a.chunk, e.guards, bc)
+    let steady = super::SteadyCost { chunks: e.steady_chunks, cost: e.a.steady };
+    JitProgram::new(e.a.code, e.main_off, e.par_fns, e.deopts, (e.a.chunk, steady), e.guards, bc)
 }
 
 /// The per-instruction x86-64 listing of the code [`compile`] generates
@@ -88,6 +102,8 @@ struct Emitted {
     par_fns: Vec<(usize, u32)>,
     deopts: Vec<Deopt>,
     guards: super::GuardCounts,
+    /// Vector chunks emitted with a steady copy.
+    steady_chunks: usize,
 }
 
 fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
@@ -110,6 +126,8 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
         next_par_id: 0,
         lane: None,
         chunk: None,
+        restart: None,
+        steady_chunks: 0,
         synced: vec![false; bc.n_fregs as usize],
         lanes,
         proofs,
@@ -133,7 +151,14 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
         i += 1;
     }
     e.a.finish();
-    Some(Emitted { a: e.a, main_off, par_fns, deopts: e.deopts, guards: e.proofs.guards })
+    Some(Emitted {
+        a: e.a,
+        main_off,
+        par_fns,
+        deopts: e.deopts,
+        guards: e.proofs.guards,
+        steady_chunks: e.steady_chunks,
+    })
 }
 
 /// A `Parallel` loop queued for emission as its own function.
@@ -203,6 +228,37 @@ struct Lanes {
     /// the current chunk. Chunk bases are aligned, the iterations of the
     /// scalar remainder loop are not, so these never enter `tz`.
     lane0_tz: Vec<Option<u8>>,
+    /// Shapes are those of a steady copy: a [`Clamp`] is linear.
+    steady: bool,
+    /// The current chunk has passed a store: no later `min`/`max` is a
+    /// [`Clamp`].
+    stored: bool,
+}
+
+/// A `min`/`max` of a `Linear(s)` value `x` and a uniform value `u` that
+/// no store of the chunk precedes. Where lanes 0 and 7 of `x` lie on the
+/// same side of `u` and `x`'s lanes do not wrap, the result is `x` in
+/// every lane: the steady copy gives it `x`'s shape behind that test.
+#[derive(Debug, Clone, Copy)]
+struct Clamp {
+    dst: Reg,
+    op: BinOp,
+    x: Reg,
+    u: Reg,
+    s: i32,
+}
+
+impl Clamp {
+    /// Lane 7's offset from lane 0.
+    fn lane7(self) -> i32 {
+        (LANES as i32 - 1) * self.s
+    }
+
+    /// Whether the test compares lane 7 with `u` (else lane 0): the lowest
+    /// lane for a `max`, the highest for a `min`.
+    fn tests_lane7(self) -> bool {
+        (self.op == BinOp::Min) == (self.s > 0)
+    }
 }
 
 impl Lanes {
@@ -223,6 +279,8 @@ impl Lanes {
             i: vec![None; n_i],
             f: vec![None; n_f],
             lane0_tz: vec![None; n_i],
+            steady: false,
+            stored: false,
         };
         bc.for_each_inst(&mut |inst| {
             if let (File::I, dst) = inst.dst() {
@@ -302,6 +360,47 @@ impl Lanes {
         self.i.iter_mut().for_each(|s| *s = None);
         self.f.iter_mut().for_each(|s| *s = None);
         self.lane0_tz.iter_mut().for_each(|t| *t = None);
+        self.stored = false;
+    }
+
+    /// `inst` as a [`Clamp`], given the shapes defined so far.
+    fn clamp(&self, inst: &Inst) -> Option<Clamp> {
+        let Inst::BinI { dst, op: op @ (BinOp::Min | BinOp::Max), a, b } = *inst else {
+            return None;
+        };
+        match (self.stored, self.shape_i(a), self.shape_i(b)) {
+            (false, Shape::Linear(s), Shape::Uniform) => Some(Clamp { dst, op, x: a, u: b, s }),
+            (false, Shape::Uniform, Shape::Linear(s)) => Some(Clamp { dst, op, x: b, u: a, s }),
+            _ => None,
+        }
+    }
+
+    /// The clamps a steady copy of the chunk of loop `c` would test, in
+    /// order (none: the chunk gets no steady copy).
+    fn steady_clamps(&mut self, c: ChunkCtx, preamble: &[Inst], body: &[BcStmt]) -> Vec<Clamp> {
+        self.reset_chunk();
+        self.steady = true;
+        let mut found = Vec::new();
+        let mut visit = |l: &mut Lanes, insts: &[Inst]| {
+            for inst in insts {
+                found.extend(l.clamp(inst));
+                l.define(inst, c);
+            }
+        };
+        visit(self, preamble);
+        // Up to the first store: no later min/max is a clamp.
+        for s in body {
+            let (BcStmt::Let { code, .. } | BcStmt::Store { code, .. }) = s else {
+                unreachable!("checked by bc_body_vectorizable")
+            };
+            visit(self, code);
+            if matches!(s, BcStmt::Store { .. }) {
+                break;
+            }
+        }
+        self.steady = false;
+        self.reset_chunk();
+        found
     }
 
     fn shape_i(&self, r: Reg) -> Shape {
@@ -310,6 +409,38 @@ impl Lanes {
 
     fn shape_f(&self, r: Reg) -> Shape {
         self.f[r as usize].unwrap_or(Shape::Uniform)
+    }
+
+    /// What a steady copy assumes, for the listing: per chain of nested
+    /// clamps, the register its result equals and the tests that make it
+    /// so, e.g. `i19 = i17 while i17 ≥ 0 ∧ i17+7 ≤ 47` for
+    /// `i19 = min(max(i17, 0), 47)` with `i17` of stride 1.
+    fn assumptions(&self, clamps: &[Clamp]) -> Vec<String> {
+        // `(result, root, tests)`: a clamp of an earlier result extends
+        // that chain, whose root its operand equals where the tests hold.
+        let mut chains: Vec<(Reg, Reg, Vec<String>)> = Vec::new();
+        for k in clamps {
+            let (root, mut tests) = match chains.iter().position(|ch| ch.0 == k.x) {
+                Some(at) => {
+                    let (_, root, tests) = chains.remove(at);
+                    (root, tests)
+                }
+                None => (k.x, Vec::new()),
+            };
+            let end = if k.tests_lane7() {
+                format!("i{root}{:+}", k.lane7())
+            } else {
+                format!("i{root}")
+            };
+            let rel = if k.op == BinOp::Max { '≥' } else { '≤' };
+            let u = self.consts[k.u as usize].map_or(format!("i{}", k.u), |v| v.to_string());
+            tests.push(format!("{end} {rel} {u}"));
+            chains.push((k.dst, root, tests));
+        }
+        let line = |(dst, root, tests): &(Reg, Reg, Vec<String>)| {
+            format!("i{dst} = i{root} while {}", tests.join(" ∧ "))
+        };
+        chains.iter().map(line).collect()
     }
 
     /// Records and returns the shape of `inst`'s destination inside the
@@ -324,11 +455,15 @@ impl Lanes {
                 }
         });
         let loop_var = matches!(*inst, Inst::ReadVar { var, .. } if var == c.var);
+        let clamp = if self.steady { self.clamp(inst) } else { None };
         let shape = match *inst {
             _ if loop_var => Shape::Linear(1),
             // Includes constants, other variables and uniform-index loads.
             _ if uniform_srcs => Shape::Uniform,
-            Inst::BinI { op, a, b, .. } => self.linear(op, a, b).unwrap_or(Shape::Varying),
+            // A clamp is linear in a steady copy, which tests it.
+            Inst::BinI { op, a, b, .. } => (clamp.map(|k| Shape::Linear(k.s)))
+                .or_else(|| self.linear(op, a, b))
+                .unwrap_or(Shape::Varying),
             _ => Shape::Varying,
         };
         match inst.dst() {
@@ -440,6 +575,11 @@ struct Emit<'a> {
     /// once-per-chunk uniform/linear result); `None` outside chunks.
     lane: Option<usize>,
     chunk: Option<ChunkCtx>,
+    /// While a steady copy is emitted: the general copy of the same chunk,
+    /// where a failing clamp test restarts.
+    restart: Option<Label>,
+    /// Vector chunks emitted with a steady copy so far.
+    steady_chunks: usize,
     /// Per f-register: its pair has been written to (or loaded from) its
     /// lane array in the current chunk, so the two agree until the chunk
     /// ends (registers are defined once per chunk).
@@ -515,9 +655,9 @@ impl<'a> Emit<'a> {
                 Shape::Uniform => (0, 0),
                 Shape::Linear(s) => (0, l as i32 * s),
             };
-            match self.alloc.lanes_i[r as usize] {
-                -1 => self.read_i_home(dst, r),
-                arr => self.a.mov_rm(dst, Mem::base(Gpr::Rsp, arr + (slot * 8) as i32)),
+            match self.lane_array_i(r) {
+                None => self.read_i_home(dst, r),
+                Some(arr) => self.a.mov_rm(dst, Mem::base(Gpr::Rsp, arr + (slot * 8) as i32)),
             }
             if add != 0 {
                 self.a.add_ri(dst, add);
@@ -525,6 +665,16 @@ impl<'a> Emit<'a> {
             return;
         }
         self.read_i_home(dst, r);
+    }
+
+    /// The lane array chunk code keeps i-register `r` in: all eight lanes
+    /// of a varying value, lane 0 of a pinned one. Otherwise lane 0 is in
+    /// the scalar home — also for a register the steady copy of a chunk
+    /// makes linear, which has a lane array for the general copy.
+    fn lane_array_i(&self, r: Reg) -> Option<i32> {
+        let arr = self.alloc.lanes_i[r as usize];
+        let varying = self.lanes.i[r as usize] == Some(Shape::Varying);
+        (arr >= 0 && (varying || self.alloc.homes_i[r as usize] == Home::Ctx)).then_some(arr)
     }
 
     /// Reads i-register `r`'s scalar home into `dst`.
@@ -549,7 +699,7 @@ impl<'a> Emit<'a> {
     /// lane (lane 0 of a uniform or linear register) — (clobbers rcx for
     /// ctx homes).
     fn write_i(&mut self, r: Reg) {
-        if let (Some(l), arr @ 0..) = (self.lane, self.alloc.lanes_i[r as usize]) {
+        if let (Some(l), Some(arr)) = (self.lane, self.lane_array_i(r)) {
             self.a.mov_mr(Mem::base(Gpr::Rsp, arr + (l * 8) as i32), Gpr::Rax);
             return;
         }
@@ -675,7 +825,8 @@ impl<'a> Emit<'a> {
                 self.read_i(Gpr::Rax, upper.reg);
                 self.a.mov_mr(Mem::base(Gpr::Rsp, hs), Gpr::Rax);
                 if matches!(kind, LoopKind::Vectorize(_)) && bc_body_vectorizable(body) {
-                    self.emit_vector_loop(vs, hs, *var, lower.reg, preamble, body);
+                    let c = ChunkCtx { var: *var, v_slot: vs, lo: lower.reg };
+                    self.emit_vector_loop(c, hs, self.proofs.wrap_free(s), preamble, body);
                 } else {
                     self.emit_counted_loop(vs, hs, *var, preamble, body);
                 }
@@ -716,32 +867,60 @@ impl<'a> Emit<'a> {
 
     /// Lane groups of [`LANES`] while `v + LANES <= hi`, then the scalar
     /// remainder (which alone writes the frame slot, like the
-    /// interpreter's vector path).
+    /// interpreter's vector path). The sum is checked for overflow unless
+    /// the bounds prover put both bounds far from the ends of `i64`
+    /// (`wrap_free`): near `i64::MAX` it would wrap below `hi`.
+    ///
+    /// A chunk with [`Clamp`]s is emitted twice: the steady copy, where
+    /// the loop head falls through, and the general one, where a failing
+    /// clamp test restarts the chunk. Both end at the back edge.
     fn emit_vector_loop(
         &mut self,
-        vs: i32,
+        c: ChunkCtx,
         hs: i32,
-        var: u32,
-        lo: Reg,
+        wrap_free: bool,
         preamble: &'a [Inst],
         body: &'a [BcStmt],
     ) {
+        let (vs, var) = (c.v_slot, c.var);
         self.a.comment(|| format!("vector loop v{var}"));
+        let clamps = self.lanes.steady_clamps(c, preamble, body);
+        let steady = !clamps.is_empty();
         let chk = self.a.new_label();
         let rem = self.a.new_label();
-        self.a.count_chunk(true);
+        self.a.count_chunk(true, steady);
         self.a.bind(chk);
         self.a.mov_rm(Gpr::Rax, Mem::base(Gpr::Rsp, vs));
         self.a.add_ri(Gpr::Rax, LANES as i32);
+        if !wrap_free {
+            self.a.jcc(Cc::O, rem);
+        }
         self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::Rsp, hs));
         self.a.cmp_rr(Gpr::Rax, Gpr::Rcx);
         self.a.jcc(Cc::G, rem);
-        self.emit_chunk(ChunkCtx { var, v_slot: vs, lo }, preamble, body);
+        if steady {
+            self.steady_chunks += 1;
+            let (general, next) = (self.a.new_label(), self.a.new_label());
+            for line in self.lanes.assumptions(&clamps) {
+                self.a.comment(|| format!("steady: {line}"));
+            }
+            self.a.count_chunk(false, true);
+            self.emit_chunk(c, preamble, body, Some(general));
+            self.a.jmp(next);
+            self.a.count_chunk(true, false);
+            self.a.bind(general);
+            self.a.comment(|| "general".to_string());
+            self.emit_chunk(c, preamble, body, None);
+            self.a.count_chunk(true, true);
+            self.a.bind(next);
+        } else {
+            self.emit_chunk(c, preamble, body, None);
+        }
         self.a.mov_rm(Gpr::Rax, Mem::base(Gpr::Rsp, vs));
         self.a.add_ri(Gpr::Rax, LANES as i32);
         self.a.mov_mr(Mem::base(Gpr::Rsp, vs), Gpr::Rax);
         self.a.jmp(chk);
-        self.a.count_chunk(false);
+        self.a.count_chunk(false, false);
         self.a.bind(rem);
         self.emit_counted_loop(vs, hs, var, preamble, body);
     }
@@ -751,8 +930,19 @@ impl<'a> Emit<'a> {
     /// homes of chunk registers hold lane 0 here and are the remainder
     /// loop's again after it: every use of a chunk register follows its
     /// definition in the same chunk or iteration.
-    fn emit_chunk(&mut self, c: ChunkCtx, preamble: &'a [Inst], body: &'a [BcStmt]) {
+    ///
+    /// With `restart`, this is the steady copy: each [`Clamp`] tests its
+    /// operands and jumps to `restart`, the general copy, if it may bind.
+    fn emit_chunk(
+        &mut self,
+        c: ChunkCtx,
+        preamble: &'a [Inst],
+        body: &'a [BcStmt],
+        restart: Option<Label>,
+    ) {
         self.lanes.reset_chunk();
+        self.lanes.steady = restart.is_some();
+        self.restart = restart;
         self.synced.iter_mut().for_each(|s| *s = false);
         self.chunk = Some(c);
         for inst in preamble {
@@ -770,12 +960,36 @@ impl<'a> Emit<'a> {
                         self.emit_chunk_inst(inst, c);
                     }
                     self.emit_chunk_store(*buf, *idx, *val, self.proofs.store(s));
+                    self.lanes.stored = true;
                 }
                 _ => unreachable!("checked by bc_body_vectorizable"),
             }
         }
+        self.lanes.steady = false;
+        self.restart = None;
         self.lanes.reset_chunk();
         self.chunk = None;
+    }
+
+    /// A [`Clamp`] in the steady copy: its result is `x` in every lane if
+    /// `x`'s lanes do not wrap (`x₀ + 7s` does not overflow) and its lane
+    /// nearest `u` — lane 0 or lane 7 — is on the right side of it; else
+    /// the chunk restarts in the general copy. Nothing the steady copy ran
+    /// before this stored anything, and it computed what the general copy
+    /// computes, so the restart is exact.
+    fn emit_steady_clamp(&mut self, k: Clamp) {
+        let general = self.restart.expect("clamps are tested in steady copies");
+        self.in_lane(0, |e| {
+            e.read_i(Gpr::Rax, k.x);
+            e.a.mov_rr(Gpr::Rdx, Gpr::Rax);
+            e.a.add_ri(Gpr::Rdx, k.lane7());
+            e.a.jcc(Cc::O, general);
+            e.read_i(Gpr::Rcx, k.u);
+            let end = if k.tests_lane7() { Gpr::Rdx } else { Gpr::Rax };
+            e.a.cmp_rr(end, Gpr::Rcx);
+            e.a.jcc(if k.op == BinOp::Max { Cc::L } else { Cc::G }, general);
+            e.write_i(k.dst);
+        });
     }
 
     /// `f` emitting lane `l`'s code of the current chunk.
@@ -786,7 +1000,11 @@ impl<'a> Emit<'a> {
     }
 
     fn emit_chunk_inst(&mut self, inst: &Inst, c: ChunkCtx) {
+        let clamp = if self.lanes.steady { self.lanes.clamp(inst) } else { None };
         let shape = self.lanes.define(inst, c);
+        if let Some(k) = clamp {
+            return self.emit_steady_clamp(k);
+        }
         if shape != Shape::Varying {
             // Lane 0 stands for all eight (guard included: it would trap
             // first, with the payload any lane would carry).

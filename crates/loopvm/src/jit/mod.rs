@@ -56,6 +56,19 @@ pub struct ChunkCost {
     pub stack_refs: usize,
 }
 
+/// What the steady copies of a program's `Vectorize(8)` chunks cost: how
+/// many chunks have one (a copy compiled on the assumption that none of
+/// its leading clamps binds), and their fast paths counted like
+/// [`ChunkCost`]'s — the loop head and back edge included, which both
+/// copies run. [`ChunkCost`] keeps counting the general copies.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SteadyCost {
+    /// Chunks with a steady copy.
+    pub chunks: usize,
+    /// Their steady fast paths.
+    pub cost: ChunkCost,
+}
+
 /// What the bounds prover decided about a program's loads and stores,
 /// counted once per access in the bytecode (not per emitted copy): how
 /// many the loop-bound intervals proved in range (accesses in dead code
@@ -167,6 +180,11 @@ mod stub {
 
         /// Packed-chunk fast-path cost (unreachable).
         pub fn chunk_cost(&self) -> super::ChunkCost {
+            match self.never {}
+        }
+
+        /// Steady-copy cost (unreachable).
+        pub fn steady_cost(&self) -> super::SteadyCost {
             match self.never {}
         }
 

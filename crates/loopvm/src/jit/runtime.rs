@@ -329,6 +329,7 @@ pub struct JitProgram {
     par_fns: Vec<(usize, u32)>,
     deopts: Vec<Deopt>,
     chunk: super::ChunkCost,
+    steady: super::SteadyCost,
     guards: super::GuardCounts,
     /// The buffer lengths the bounds proofs assumed.
     buf_sizes: Vec<usize>,
@@ -353,7 +354,7 @@ impl JitProgram {
         main_off: usize,
         par_fns: Vec<(usize, u32)>,
         deopts: Vec<Deopt>,
-        chunk: super::ChunkCost,
+        (chunk, steady): (super::ChunkCost, super::SteadyCost),
         guards: super::GuardCounts,
         bc: &crate::bytecode::BcProgram,
     ) -> Option<JitProgram> {
@@ -365,6 +366,7 @@ impl JitProgram {
             par_fns,
             deopts,
             chunk,
+            steady,
             guards,
             buf_sizes: bc.buf_sizes.clone(),
             n_vars: bc.n_vars,
@@ -403,6 +405,12 @@ impl JitProgram {
     /// [`super::ChunkCost`]).
     pub fn chunk_cost(&self) -> super::ChunkCost {
         self.chunk
+    }
+
+    /// What the steady copies of the program's chunks cost (see
+    /// [`super::SteadyCost`]).
+    pub fn steady_cost(&self) -> super::SteadyCost {
+        self.steady
     }
 
     /// How many of the program's loads and stores were proven in bounds,

@@ -1049,10 +1049,13 @@ fn bc_exec_vector<M: Meter>(s: &BcStmt, lo: i64, hi: i64, ctx: &mut BcCtx<'_, M>
     let BcStmt::For { var, preamble, body, .. } = s else {
         unreachable!("called on vectorizable loops")
     };
+    // `v + LANES <= hi` without wrapping: near `i64::MAX` the sum would
+    // wrap below `hi` and run a chunk past the end of the loop.
+    let full = |v: i64| v.checked_add(LANES as i64).is_some_and(|end| end <= hi);
     let mut v = lo;
-    if v + (LANES as i64) <= hi {
+    if full(v) {
         let reads = ctx.lanes.reads_of(s, preamble, body);
-        while v + (LANES as i64) <= hi {
+        while full(v) {
             if let Some(c) = ctx.meter.pricing() {
                 c.stats.iterations += LANES as u64;
             }

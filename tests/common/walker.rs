@@ -169,7 +169,7 @@ impl Walk<'_> {
                         .iter()
                         .all(|s| matches!(s, Stmt::Store { .. } | Stmt::Let { .. }));
                 let mut v = lo;
-                while lanes && v + LANES as i64 <= hi {
+                while lanes && v.checked_add(LANES as i64).is_some_and(|end| end <= hi) {
                     self.chunk(var.index(), v, body, frame)?;
                     v += LANES as i64;
                 }

@@ -1,7 +1,8 @@
 //! Golden tests for the bytecode optimizer: the disassembly emitted for
-//! the gemm and blur kernels is pinned under `tests/golden/`, so any
-//! change to constant folding, CSE, hoisting, or register allocation
-//! shows up as a readable diff rather than a silent perf/semantics shift.
+//! the gemm and blur kernels (and conv2D's native code) is pinned under
+//! `tests/golden/`, so any change to constant folding, CSE, hoisting, or
+//! register allocation shows up as a readable diff rather than a silent
+//! perf/semantics shift.
 //!
 //! Regenerate with `TIRAMISU_BLESS=1 cargo test --test opt_golden`.
 
@@ -168,6 +169,29 @@ fn blur_jit_x86_64_listing_is_pinned() {
     for packed in ["movups", "addps", "divps"] {
         assert!(listing.contains(packed), "no `{packed}` in the vectorized blur");
     }
+}
+
+/// conv2D's nine taps read `img[clamp(i + ky, 0, H − 1), clamp(j + kx, 0,
+/// W − 1)]`. The clamps make the general copy of its chunk gather lane by
+/// lane; the steady copy, which runs wherever no clamp binds, loads every
+/// tap with packed moves and keeps no per-lane load.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[test]
+fn conv2d_jit_x86_64_listing_is_pinned() {
+    let prep = kernels::image::tiramisu_cpu("conv2D", kernels::image::ImgSize::small()).unwrap();
+    let code = prep.program.compiled().unwrap();
+    let listing = loopvm::jit::listing(code.bytecode()).expect("conv2D must be JIT-compilable");
+    assert_golden("conv2d_jit_x86_64", &listing);
+    let jit = code.jit().unwrap();
+    let (steady, general) = (jit.steady_cost(), jit.chunk_cost());
+    assert_eq!(steady.chunks, 1, "conv2D lost its steady copy");
+    assert!(steady.cost.stack_refs * 4 <= general.stack_refs, "{steady:?} vs {general:?}");
+    // From the assumptions to the general copy: nine taps of two packed
+    // halves each, and no value assembled in a lane array.
+    let start = listing.find("; steady:").unwrap();
+    let copy = listing[start..].split("; general").next().unwrap();
+    assert_eq!(copy.matches("movups xmm").count(), 18, "{copy}");
+    assert!(!copy.contains("movss [rsp") && !copy.contains("movss xmm0, [rsp"), "{copy}");
 }
 
 /// The Fig. 1 schedule is the kernel the lane-shape analysis exists for:

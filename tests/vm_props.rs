@@ -1338,3 +1338,233 @@ proptest! {
         prop_assert!(jit.1 == reference.1, "buffers: {:?}\n{}", c, p.pretty());
     }
 }
+
+// ---------------------------------------------------------------------------
+// Steady chunks: a vector chunk whose leading `min`/`max` clamps a linear
+// index against a uniform bound runs a steady copy where every such clamp
+// is tested on lane 0 and lane 7 and restarts the general copy when it may
+// bind. Bounds here bind at every lane position, the clamped index may wrap
+// near either end of `i64`, and a clamp can follow a store (its bound is
+// loaded, so the optimizer leaves it in the statement): a wrong test or a
+// restart that replays a store shows up as a differing bit or error.
+// ---------------------------------------------------------------------------
+
+/// Where a clamp's bound comes from.
+#[derive(Debug, Clone, Copy)]
+enum BoundKind {
+    /// A constant, in the chunk preamble.
+    Const,
+    /// The outer loop's variable plus a constant, in the preamble.
+    Outer,
+    /// A loaded zero plus a constant, in the statement's code.
+    Loaded,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct SteadyClamp {
+    min: bool,
+    /// `min(u, x)` rather than `min(x, u)`.
+    bound_first: bool,
+    kind: BoundKind,
+    /// The bound is the index at iteration `lo + at`, plus `nudge`.
+    at: i64,
+    nudge: i64,
+}
+
+#[derive(Debug, Clone)]
+struct SteadyCase {
+    /// The clamped index is `i·s + origin` (wrapping).
+    s: i64,
+    origin: i64,
+    lo: i64,
+    /// Iterations (`lo > hi` when negative).
+    n: i64,
+    /// Innermost first.
+    clamps: Vec<SteadyClamp>,
+    /// A store before the clamps' statement: `acc[i − lo] += 1`.
+    store_first: bool,
+    /// Added to the clamped index's offset from `origin` to address `in`
+    /// and `hit` (below 160 some lanes fall out of bounds).
+    shift: i64,
+}
+
+/// The length of `in` and `hit`.
+const STEADY_LEN: usize = 400;
+
+fn steady_case() -> impl Strategy<Value = SteadyCase> {
+    let stride = prop_oneof![Just(1i64), Just(-1), Just(2), Just(-2), Just(3), Just(-3)];
+    let origin = prop_oneof![
+        Just(0i64),
+        Just(0),
+        (0i64..24).prop_map(|k| i64::MAX - k),
+        (0i64..24).prop_map(|k| i64::MIN + k),
+    ];
+    let kind = prop_oneof![Just(BoundKind::Const), Just(BoundKind::Outer), Just(BoundKind::Loaded)];
+    let clamp = (any::<bool>(), any::<bool>(), kind, -2i64..=32, -1i64..=1).prop_map(
+        |(min, bound_first, kind, at, nudge)| SteadyClamp { min, bound_first, kind, at, nudge },
+    );
+    (
+        (stride, origin),
+        -20i64..=20,
+        prop_oneof![Just(-3i64), 0i64..=30, 8i64..=30],
+        proptest::collection::vec(clamp, 1..=3),
+        any::<bool>(),
+        prop_oneof![Just(200i64), Just(200), Just(150)],
+    )
+        .prop_map(|((s, origin), lo, n, clamps, store_first, shift)| SteadyCase {
+            s,
+            origin,
+            lo,
+            n,
+            clamps,
+            store_first,
+            shift,
+        })
+}
+
+/// `for o in 0..2 { for i in lo..lo+n vectorize(8) { [acc[i−lo] += 1;]
+/// out[i−lo] = in[r − origin + shift] + f32(r − origin);
+/// hit[r − origin + shift] = f32(r) } }` with `r` the clamp chain of
+/// `i·s + origin`.
+fn steady_program(c: &SteadyCase) -> Program {
+    let mut p = Program::new();
+    let input = p.buffer("in", STEADY_LEN);
+    let zeros = p.buffer("zeros", 2);
+    let acc = p.buffer("acc", c.n.max(0) as usize);
+    let out = p.buffer("out", c.n.max(0) as usize);
+    let hit = p.buffer("hit", STEADY_LEN);
+    let (o, i) = (p.var("o"), p.var("i"));
+    let index = |at: i64| at.wrapping_mul(c.s).wrapping_add(c.origin);
+    let mut r = V::var(i) * V::i64(c.s) + V::i64(c.origin);
+    for k in &c.clamps {
+        let value = index(c.lo + k.at).wrapping_add(k.nudge);
+        let u = match k.kind {
+            BoundKind::Const => V::i64(value),
+            BoundKind::Outer => V::var(o) + V::i64(value),
+            BoundKind::Loaded => V::to_i64(V::load(zeros, V::var(o))) + V::i64(value),
+        };
+        let (a, b) = if k.bound_first { (u, r) } else { (r, u) };
+        r = if k.min { V::min(a, b) } else { V::max(a, b) };
+    }
+    let off = || r.clone() - V::i64(c.origin);
+    let slot = || V::var(i) - V::i64(c.lo);
+    let mut body = Vec::new();
+    if c.store_first {
+        body.push(Stmt::store(acc, slot(), V::load(acc, slot()) + V::f32(1.0)));
+    }
+    body.push(Stmt::store(
+        out,
+        slot(),
+        V::load(input, off() + V::i64(c.shift)) + V::to_f32(off()),
+    ));
+    body.push(Stmt::store(hit, off() + V::i64(c.shift), V::to_f32(r.clone())));
+    p.push(Stmt::serial(
+        o,
+        V::i64(0),
+        V::i64(2),
+        vec![Stmt::for_(i, V::i64(c.lo), V::i64(c.lo + c.n), LoopKind::Vectorize(8), body)],
+    ));
+    p
+}
+
+/// The seed of buffer `b`'s element `k`.
+fn steady_seed(b: usize, k: usize) -> f32 {
+    match b {
+        0 => (k * 7 % 1000) as f32 + 0.5,
+        1 => 0.0,
+        _ => -1.0,
+    }
+}
+
+fn steady_outcome(p: &Program, mode: Option<ExecMode>) -> (String, Vec<Vec<u32>>) {
+    let (r, bufs) = match mode {
+        Some(mode) => {
+            let mut m = Machine::new(p);
+            m.set_exec_mode(mode);
+            for b in 0..p.n_buffers() {
+                for (k, v) in m.buffer_mut(p.nth_buffer(b)).iter_mut().enumerate() {
+                    *v = steady_seed(b, k);
+                }
+            }
+            let r = m.run(p);
+            (r, (0..p.n_buffers()).map(|b| m.buffer(p.nth_buffer(b)).to_vec()).collect())
+        }
+        None => {
+            let mut bufs = walker::buffers(p);
+            for (b, buf) in bufs.iter_mut().enumerate() {
+                for (k, v) in buf.iter_mut().enumerate() {
+                    *v = steady_seed(b, k);
+                }
+            }
+            (walker::run(p, &mut bufs), bufs)
+        }
+    };
+    let outcome = match r {
+        Ok(()) => "ok".to_string(),
+        Err(e) => format!("err: {e}"),
+    };
+    (outcome, bufs.iter().map(|b| b.iter().map(|v| v.to_bits()).collect()).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::diff_cases()))]
+
+    /// Native code with steady chunk copies agrees with the plain lowering
+    /// and the walker on the outcome, the error payload and every buffer
+    /// bit; a chunk whose first clamp precedes every store has a steady
+    /// copy.
+    #[test]
+    fn steady_chunks_agree_with_the_checked_lowering(c in steady_case()) {
+        let p = steady_program(&c);
+        let reference = steady_outcome(&p, Some(ExecMode::TreeWalk));
+        let walked = steady_outcome(&p, None);
+        prop_assert!(walked == reference, "walker vs plain lowering: {:?}\n{}", c, p.pretty());
+        let jit = steady_outcome(&p, Some(ExecMode::Jit));
+        prop_assert_eq!(&jit.0, &reference.0, "outcome: {:?}\n{}", c, p.pretty());
+        prop_assert!(jit.1 == reference.1, "buffers: {:?}\n{}", c, p.pretty());
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        {
+            let code = p.compiled().unwrap();
+            let jit = code.jit();
+            prop_assert!(jit.is_some(), "no native code: {:?}", c);
+            let leading = !(c.store_first && matches!(c.clamps[0].kind, BoundKind::Loaded));
+            prop_assert_eq!(jit.unwrap().steady_cost().chunks > 0, leading, "{:?}", c);
+        }
+    }
+}
+
+/// A lane group runs only while `v + 8 ≤ hi` holds without wrapping: near
+/// `i64::MAX` the wrapped sum is below `hi`, and the loop used to run a
+/// whole chunk past its end on every tier. Both ends of the range, against
+/// the serial loop and the walker.
+#[test]
+fn vectorized_loops_stop_at_both_ends_of_i64() {
+    let ranges = [
+        (i64::MAX - 3, i64::MAX),
+        (i64::MAX - 7, i64::MAX),
+        (i64::MAX - 8, i64::MAX),
+        (i64::MAX - 20, i64::MAX - 1),
+        (i64::MIN, i64::MIN + 3),
+        (i64::MIN, i64::MIN + 20),
+    ];
+    for (lo, hi) in ranges {
+        let len = (hi - lo) as usize;
+        let program = |kind: LoopKind| {
+            let mut p = Program::new();
+            let out = p.buffer("out", len);
+            let i = p.var("i");
+            let at = V::var(i) - V::i64(lo);
+            let body = vec![Stmt::store(out, at.clone(), V::to_f32(at) + V::f32(1.0))];
+            p.push(Stmt::for_(i, V::i64(lo), V::i64(hi), kind, body));
+            (p, out)
+        };
+        let (serial, out) = program(LoopKind::Serial);
+        let want = walk(&serial, out);
+        assert_eq!(want, (1..=len).map(|k| k as f32).collect::<Vec<_>>());
+        let (p, out) = program(LoopKind::Vectorize(8));
+        assert_eq!(walk(&p, out), want, "walker, {lo}..{hi}");
+        for mode in TIERS {
+            assert_eq!(run_program(&p, out, mode, 1), want, "{mode:?}, {lo}..{hi}");
+        }
+    }
+}
