@@ -310,28 +310,19 @@ pub struct BcProgram {
 }
 
 impl BcProgram {
-    /// Calls `f` on every instruction of the program, in program order.
-    pub(crate) fn for_each_inst(&self, f: &mut impl FnMut(&Inst)) {
-        fn block(body: &[BcStmt], f: &mut impl FnMut(&Inst)) {
-            for s in body {
-                match s {
-                    BcStmt::For { lower, upper, preamble, body, .. } => {
-                        lower.insts.iter().chain(&upper.insts).chain(preamble).for_each(&mut *f);
-                        block(body, f);
-                    }
-                    BcStmt::If { code, then, else_, .. } => {
-                        code.iter().for_each(&mut *f);
-                        block(then, f);
-                        block(else_, f);
-                    }
-                    BcStmt::Store { code, .. } | BcStmt::Let { code, .. } => {
-                        code.iter().for_each(&mut *f);
-                    }
-                }
-            }
-        }
-        self.prologue.iter().for_each(&mut *f);
-        block(&self.body, f);
+    /// Checks that the program is strict SSA: every register has one
+    /// definition, and that definition dominates every read — one in a
+    /// `For` preamble or body, or in an `If` arm, reaches only the rest of
+    /// that block. The optimizer emits nothing else, the decoder refuses
+    /// anything else, and the JIT derives one fact record per register on
+    /// the strength of it; the plain lowering reuses registers per
+    /// statement and is not SSA. `Err` names the first register that
+    /// breaks it. Register indices must be in range.
+    pub(crate) fn check_ssa(&self) -> std::result::Result<(), String> {
+        let never = |n: u16| vec![Seen::Never; n as usize];
+        let mut s = Ssa { seen: [never(self.n_iregs), never(self.n_fregs)], open: Vec::new() };
+        s.insts(&self.prologue)?;
+        s.block(&self.body)
     }
 
     /// Optimizer counters for this program.
@@ -378,6 +369,103 @@ impl BcProgram {
         }
         disasm_block(&self.body, p, 0, &mut out);
         out
+    }
+}
+
+/// Where [`BcProgram::check_ssa`] stands with one register.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seen {
+    /// Not defined yet.
+    Never,
+    /// Defined in a block that is still open.
+    Live,
+    /// Defined in a block that has closed.
+    Closed,
+}
+
+/// The walk of [`BcProgram::check_ssa`].
+struct Ssa {
+    /// Per file (`File as usize`), per register.
+    seen: [Vec<Seen>; 2],
+    /// Registers defined in the open blocks, innermost last.
+    open: Vec<(File, Reg)>,
+}
+
+type SsaResult = std::result::Result<(), String>;
+
+impl Ssa {
+    /// `i5`, `f3`: the register as the disassembly names it.
+    fn name(file: File, r: Reg) -> String {
+        format!("{}{r}", if file == File::I { 'i' } else { 'f' })
+    }
+
+    fn read(&self, file: File, r: Reg) -> SsaResult {
+        match self.seen[file as usize][r as usize] {
+            Seen::Live => Ok(()),
+            Seen::Never => Err(format!("{} is read before its definition", Ssa::name(file, r))),
+            Seen::Closed => {
+                Err(format!("{} is read outside the block that defines it", Ssa::name(file, r)))
+            }
+        }
+    }
+
+    fn insts(&mut self, insts: &[Inst]) -> SsaResult {
+        for inst in insts {
+            for (file, r) in inst.srcs().into_iter().flatten() {
+                self.read(file, r)?;
+            }
+            let (file, r) = inst.dst();
+            let seen = &mut self.seen[file as usize][r as usize];
+            if *seen != Seen::Never {
+                return Err(format!("{} is defined twice", Ssa::name(file, r)));
+            }
+            *seen = Seen::Live;
+            self.open.push((file, r));
+        }
+        Ok(())
+    }
+
+    /// `f` walking a block of its own: its definitions reach no further.
+    fn scoped(&mut self, f: impl FnOnce(&mut Self) -> SsaResult) -> SsaResult {
+        let mark = self.open.len();
+        f(self)?;
+        for (file, r) in self.open.drain(mark..) {
+            self.seen[file as usize][r as usize] = Seen::Closed;
+        }
+        Ok(())
+    }
+
+    fn block(&mut self, body: &[BcStmt]) -> SsaResult {
+        for s in body {
+            match s {
+                BcStmt::For { lower, upper, preamble, body, .. } => {
+                    self.insts(&lower.insts)?;
+                    self.insts(&upper.insts)?;
+                    self.read(File::I, lower.reg)?;
+                    self.read(File::I, upper.reg)?;
+                    self.scoped(|s| {
+                        s.insts(preamble)?;
+                        s.block(body)
+                    })?;
+                }
+                BcStmt::If { code, cond, then, else_ } => {
+                    self.insts(code)?;
+                    self.read(File::I, *cond)?;
+                    self.scoped(|s| s.block(then))?;
+                    self.scoped(|s| s.block(else_))?;
+                }
+                BcStmt::Store { code, idx, val, .. } => {
+                    self.insts(code)?;
+                    self.read(File::I, *idx)?;
+                    self.read(File::F, *val)?;
+                }
+                BcStmt::Let { code, reg, .. } => {
+                    self.insts(code)?;
+                    self.read(File::I, *reg)?;
+                }
+            }
+        }
+        Ok(())
     }
 }
 

@@ -361,15 +361,20 @@ pub fn encode_bc(bc: &BcProgram, w: &mut Writer) {
 
 /// Deserializes a bytecode program, re-establishing the executor's trust
 /// invariants: every register operand is checked against the declared
-/// file sizes, every frame slot against `n_vars`, every buffer id against
-/// `p`'s buffer table, and every register has one static definition (the
-/// optimizer emits SSA; value numbering, the JIT's register allocation and
-/// its lane-shape facts rely on it). `p` must be the program the machine
-/// that will run the bytecode was built for.
+/// file sizes, the frame against `p`'s variables, every buffer id against
+/// `p`'s buffer table, and the program is strict SSA — one definition per
+/// register, dominating every read (`BcProgram::check_ssa`; the
+/// optimizer emits nothing else and the JIT's register facts rely on it).
+/// A program that breaks any of these is a [`WireError`](artifacts::WireError)
+/// naming the offence. `p` must be the program the machine that will run
+/// the bytecode was built for.
 pub fn decode_bc(r: &mut Reader<'_>, p: &Program) -> Result<BcProgram> {
     let n_iregs = r.u16()?;
     let n_fregs = r.u16()?;
     let n_vars = r.usize()?;
+    if n_vars != p.n_vars() {
+        return Err(malformed(format!("{n_vars} frame slots for {} variables", p.n_vars())));
+    }
     let n_names = r.len(2)?;
     let mut var_names = Vec::with_capacity(n_names);
     for _ in 0..n_names {
@@ -386,18 +391,13 @@ pub fn decode_bc(r: &mut Reader<'_>, p: &Program) -> Result<BcProgram> {
     ] {
         *f = r.usize()?;
     }
-    let mut lim = Limits {
-        n_iregs,
-        n_fregs,
-        n_vars,
-        n_bufs: p.n_buffers(),
-        defined_i: vec![false; n_iregs as usize],
-        defined_f: vec![false; n_fregs as usize],
-    };
-    let prologue = decode_insts(r, &mut lim)?;
-    let body = decode_bc_block(r, &mut lim)?;
+    let lim = Limits { n_iregs, n_fregs, n_vars, n_bufs: p.n_buffers() };
+    let prologue = decode_insts(r, &lim)?;
+    let body = decode_bc_block(r, &lim)?;
     let buf_sizes = p.buf_sizes();
-    Ok(BcProgram { prologue, body, n_iregs, n_fregs, n_vars, var_names, buf_sizes, stats })
+    let bc = BcProgram { prologue, body, n_iregs, n_fregs, n_vars, var_names, buf_sizes, stats };
+    bc.check_ssa().map_err(|e| malformed(format!("{e} (bytecode must be strict SSA)")))?;
+    Ok(bc)
 }
 
 /// [`decode_bc`], installing the validated bytecode as `p`'s compiled form
@@ -415,13 +415,10 @@ struct Limits {
     n_fregs: u16,
     n_vars: usize,
     n_bufs: usize,
-    /// Registers already defined by a decoded instruction, per file.
-    defined_i: Vec<bool>,
-    defined_f: Vec<bool>,
 }
 
 impl Limits {
-    fn check_inst(&mut self, inst: &Inst) -> Result<()> {
+    fn check_inst(&self, inst: &Inst) -> Result<()> {
         let check_reg = |(file, reg): (crate::bytecode::File, u16)| {
             let bound = match file {
                 crate::bytecode::File::I => self.n_iregs,
@@ -437,13 +434,18 @@ impl Limits {
         for src in inst.srcs().into_iter().flatten() {
             check_reg(src)?;
         }
-        let (file, dst) = inst.dst();
-        let defined = match file {
-            crate::bytecode::File::I => &mut self.defined_i,
-            crate::bytecode::File::F => &mut self.defined_f,
+        // The operators each instruction's executors implement.
+        let cmp = |op| matches!(op, BinOp::Lt | BinOp::Le | BinOp::EqCmp);
+        let op_fits = match *inst {
+            Inst::BinI { op, .. } => !cmp(op),
+            Inst::BinF { op, .. } => !cmp(op) && !matches!(op, BinOp::And | BinOp::Or),
+            Inst::CmpI { op, .. } | Inst::CmpF { op, .. } => cmp(op),
+            Inst::UnI { op, .. } => !matches!(op, UnOp::Sqrt | UnOp::Exp),
+            Inst::UnF { op, .. } => op != UnOp::Not,
+            _ => true,
         };
-        if std::mem::replace(&mut defined[dst as usize], true) {
-            return Err(malformed(format!("register {dst} defined twice (bytecode must be SSA)")));
+        if !op_fits {
+            return Err(malformed(format!("no such instruction: {inst:?}")));
         }
         match *inst {
             Inst::ReadVar { var, .. } => self.check_var(var)?,
@@ -493,7 +495,7 @@ fn encode_insts(insts: &[Inst], w: &mut Writer) {
     }
 }
 
-fn decode_insts(r: &mut Reader<'_>, lim: &mut Limits) -> Result<Vec<Inst>> {
+fn decode_insts(r: &mut Reader<'_>, lim: &Limits) -> Result<Vec<Inst>> {
     let n = r.len(2)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
@@ -619,7 +621,7 @@ fn encode_bcode(c: &BCode, w: &mut Writer) {
     w.u16(c.reg);
 }
 
-fn decode_bcode(r: &mut Reader<'_>, lim: &mut Limits) -> Result<BCode> {
+fn decode_bcode(r: &mut Reader<'_>, lim: &Limits) -> Result<BCode> {
     let insts = decode_insts(r, lim)?;
     let reg = r.u16()?;
     lim.check_ireg(reg)?;
@@ -633,7 +635,7 @@ fn encode_bc_block(body: &[BcStmt], w: &mut Writer) {
     }
 }
 
-fn decode_bc_block(r: &mut Reader<'_>, lim: &mut Limits) -> Result<Vec<BcStmt>> {
+fn decode_bc_block(r: &mut Reader<'_>, lim: &Limits) -> Result<Vec<BcStmt>> {
     let n = r.len(1)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
@@ -676,7 +678,7 @@ fn encode_bc_stmt(s: &BcStmt, w: &mut Writer) {
     }
 }
 
-fn decode_bc_stmt(r: &mut Reader<'_>, lim: &mut Limits) -> Result<BcStmt> {
+fn decode_bc_stmt(r: &mut Reader<'_>, lim: &Limits) -> Result<BcStmt> {
     Ok(match r.u8()? {
         0 => {
             let var = r.u32()?;
@@ -726,6 +728,7 @@ fn decode_bc_stmt(r: &mut Reader<'_>, lim: &mut Limits) -> Result<BcStmt> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::Reg;
     use crate::Machine;
 
     /// A small but representative program: nested loops, a let, a
@@ -847,6 +850,100 @@ mod tests {
             m.buffer(p.buffer_by_name("B").unwrap()).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
         assert_eq!(run(&q), run(&p));
+    }
+
+    /// Encodes hand-built bytecode for [`sample`] (`A` is buffer 0, `i`
+    /// frame slot 0) and decodes it.
+    fn decode_built(prologue: Vec<Inst>, body: Vec<BcStmt>) -> Result<BcProgram> {
+        let p = sample();
+        let bc = BcProgram {
+            prologue,
+            body,
+            n_iregs: 8,
+            n_fregs: 4,
+            n_vars: p.n_vars(),
+            var_names: Vec::new(),
+            buf_sizes: p.buf_sizes(),
+            stats: OptStats::default(),
+        };
+        let mut w = Writer::new();
+        encode_bc(&bc, &mut w);
+        decode_bc(&mut Reader::new(&w.into_vec()), &p)
+    }
+
+    /// `decode_built`'s error text, which must name the offence.
+    fn refusal(prologue: Vec<Inst>, body: Vec<BcStmt>, offence: &str) {
+        match decode_built(prologue, body) {
+            Ok(_) => panic!("decoded, but {offence}"),
+            Err(e) => assert!(e.to_string().contains(offence), "{e} does not say {offence:?}"),
+        }
+    }
+
+    fn let_i(code: Vec<Inst>, reg: Reg) -> BcStmt {
+        BcStmt::Let { code, var: 0, reg }
+    }
+
+    fn serial(kind: LoopKind, preamble: Vec<Inst>, body: Vec<BcStmt>) -> BcStmt {
+        let bound = |reg| BCode { insts: Vec::new(), reg };
+        BcStmt::For { var: 0, lower: bound(0), upper: bound(1), kind, preamble, body }
+    }
+
+    /// Strict SSA at the trust boundary: a read its definition does not
+    /// dominate is refused like a second definition, naming the register.
+    #[test]
+    fn decode_refuses_reads_their_definition_does_not_reach() {
+        let bounds = || vec![Inst::ConstI { dst: 0, v: 0 }, Inst::ConstI { dst: 1, v: 4 }];
+        let one = |dst| Inst::ConstI { dst, v: 1 };
+        // Defined in an `If` arm, read after the `If`.
+        let arm = |then| BcStmt::If { code: vec![], cond: 0, then, else_: vec![] };
+        let in_arm = arm(vec![let_i(vec![one(2)], 2)]);
+        refusal(bounds(), vec![in_arm, let_i(vec![], 2)], "i2 is read outside the block");
+        // Defined in a loop body, read after the loop (which may not run).
+        let lp = serial(LoopKind::Serial, vec![], vec![let_i(vec![one(2)], 2)]);
+        refusal(bounds(), vec![lp, let_i(vec![], 2)], "i2 is read outside the block");
+        // Read before its definition in the same block.
+        let add = Inst::BinI { dst: 2, op: BinOp::Add, a: 3, b: 3 };
+        refusal(bounds(), vec![let_i(vec![add, one(3)], 2)], "i3 is read before its definition");
+        // A chunk register read after its vector loop.
+        let store = |code, idx, val| BcStmt::Store { code, buf: 0, idx, val };
+        let chunk = vec![store(vec![Inst::ConstF { dst: 0, v: 1.0 }], 0, 0)];
+        let lp = serial(LoopKind::Vectorize(8), vec![Inst::ReadVar { dst: 2, var: 0 }], chunk);
+        refusal(bounds(), vec![lp, store(vec![], 1, 0)], "f0 is read outside the block");
+        // A second definition.
+        refusal(bounds(), vec![let_i(vec![one(1)], 1)], "i1 is defined twice");
+        // A read in the defining block or a block nested in it is fine.
+        let sum = Inst::BinI { dst: 2, op: BinOp::Add, a: 3, b: 0 };
+        let body = vec![arm(vec![let_i(vec![sum], 2)]), let_i(vec![], 3)];
+        let lp = serial(LoopKind::Serial, vec![one(3)], body);
+        assert!(decode_built(bounds(), vec![lp, let_i(vec![], 1)]).is_ok());
+    }
+
+    /// Mutated artifacts found these: an operator the instruction has no
+    /// executor for, and a frame sized for another program, are refused
+    /// rather than met by an `unreachable!` or a huge allocation.
+    #[test]
+    fn decode_refuses_what_no_executor_runs() {
+        let cmp_add = Inst::CmpI { dst: 1, op: BinOp::Add, a: 0, b: 0 };
+        for inst in [
+            cmp_add,
+            Inst::BinI { dst: 1, op: BinOp::Lt, a: 0, b: 0 },
+            Inst::UnI { dst: 1, op: UnOp::Sqrt, a: 0 },
+            Inst::BinF { dst: 1, op: BinOp::And, a: 0, b: 0 },
+            Inst::UnF { dst: 1, op: UnOp::Not, a: 0 },
+        ] {
+            let zero = match inst.dst().0 {
+                crate::bytecode::File::I => Inst::ConstI { dst: 0, v: 0 },
+                crate::bytecode::File::F => Inst::ConstF { dst: 0, v: 0.0 },
+            };
+            refusal(vec![zero, inst], vec![], "no such instruction");
+        }
+        let p = sample();
+        let mut bc = crate::opt::compile_program(&p).unwrap();
+        bc.n_vars += 1 << 40;
+        let mut w = Writer::new();
+        encode_bc(&bc, &mut w);
+        let e = decode_bc(&mut Reader::new(&w.into_vec()), &p).unwrap_err();
+        assert!(e.to_string().contains("frame slots for 3 variables"), "{e}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   scratch. Everything else is allocated by [`super::regalloc`].
 //! - Every function returns a `u64` status: `0` ok, `1`/`2` error/panic
 //!   already recorded in the host, `id + 3` for deopt stub `id`.
-//! - Loads and stores that [`super::bounds`] proves in range are plain
+//! - Loads and stores that [`super::facts`] proves in range are plain
 //!   moves. The other trapping instructions (unproven loads/stores,
 //!   `div`/`rem`, checked `neg`/`abs`) compare inline and jump to an
 //!   out-of-line stub that writes the operand values into the ctx deopt
@@ -40,35 +40,24 @@
 //!   scalar remainder loop is emitted separately and is the only part
 //!   that writes the loop variable's frame slot.
 //!
-//! # Lane shapes
+//! # Lane shapes and steady chunks
 //!
-//! Why emitting once per shape is exact (DESIGN.md §14 has the long form):
-//! the interpreter runs a chunk inst-major, so the eight lanes of one
-//! instruction execute back to back; when their operands are equal, lane
-//! 0 traps first with the payload any lane would carry, so a *uniform*
-//! result (and its guard) is computed once. `apply_i` wraps, so `+`, `-`
-//! and `· const` are ring homomorphisms on `i64` and a *linear* value
-//! `lane 0 + l·s` stays linear under them. `% 2^k` and `/ 2^k` keep that
-//! only when the eight lanes share everything above the low bits: lane 0
-//! has `t` proved trailing zeros and `7·s < 2^min(t, k)`, so adding `l·s`
-//! never carries out of the bits the mask keeps and the shift drops.
-//!
-//! # Steady chunks
-//!
-//! A `min`/`max` of a linear value and a uniform one (a [`Clamp`]) is
-//! varying, and so is every access it indexes, although a clamp like
-//! conv2D's `clamp(j + kx, 0, W − 1)` binds only at the ends of a row. A
-//! chunk with a clamp before its first store is emitted twice: a *steady*
-//! copy, in which each such clamp keeps its linear operand's shape behind
-//! a test that no lane wraps and that lane 0 and lane 7 lie on the side
-//! of the bound the result ignores, and the *general* copy above. A
-//! failing test jumps to the general copy's start; the steady copy ran
-//! no store before it and computed what the general copy computes, so the
-//! restart is exact. DESIGN.md §14 has the argument in full.
+//! [`super::facts`] gives every chunk register its [`Shape`] and says
+//! why emitting once per shape is exact. A `min`/`max` of a linear value
+//! and a uniform one (a [`Clamp`]) is varying, and so is every access it
+//! indexes, although a clamp like conv2D's `clamp(j + kx, 0, W − 1)`
+//! binds only at the ends of a row. A chunk with a clamp before its first
+//! store is emitted twice: a *steady* copy, in which each such clamp
+//! keeps its linear operand's shape behind a test that no lane wraps and
+//! that lane 0 and lane 7 lie on the side of the bound the result
+//! ignores, and the *general* copy above. A failing test jumps to the
+//! general copy's start; the steady copy ran no store before it and
+//! computed what the general copy computes, so the restart is exact.
+//! DESIGN.md §14 has the argument in full.
 
 use super::asm::{Asm, Cc, Gpr, Label, Mem, Xmm};
-use super::bounds::{self, Kept, Proofs};
-use super::regalloc::{allocate, compute_pins, FnAlloc, FnCode, Home, Varying};
+use super::facts::{self, pow2, Clamp, Facts, Kept, Shape};
+use super::regalloc::{allocate, FnAlloc, FnCode, Home};
 use super::runtime::{
     self, Deopt, JitProgram, CTX_BUFS, CTX_DEOPT_A, CTX_DEOPT_B, CTX_FRAME, CTX_IPIN,
 };
@@ -77,9 +66,10 @@ use crate::expr::{BinOp, UnOp};
 use crate::program::LoopKind;
 use crate::vm::{bc_body_vectorizable, LANES};
 
-/// Compiles a bytecode program to native code. Returns `None` when the
-/// program uses a register pattern the allocator does not model (the
-/// caller falls back to the bytecode interpreter).
+/// Compiles a bytecode program to native code. The program must be
+/// strict SSA, as the optimizer's output and every decoded artifact are;
+/// any other program (the plain lowering) returns `None` and stays with
+/// the bytecode interpreter, and a debug build asserts.
 pub fn compile(bc: &BcProgram) -> Option<JitProgram> {
     let e = emit(bc, Asm::new())?;
     let steady = super::SteadyCost { chunks: e.steady_chunks, cost: e.a.steady };
@@ -107,12 +97,11 @@ struct Emitted {
 }
 
 fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
-    let proofs = bounds::prove(bc);
-    let pins = compute_pins(bc);
-    let mut lanes = Lanes::new(bc);
-    let varying = lanes.varying(bc);
-    let main_alloc =
-        allocate(bc, &FnCode::Main { prologue: &bc.prologue, body: &bc.body }, &pins, &varying)?;
+    let ssa = bc.check_ssa();
+    debug_assert!(ssa.is_ok(), "the JIT compiles strict SSA only: {ssa:?}");
+    ssa.ok()?;
+    let facts = facts::derive(bc);
+    let main_alloc = allocate(bc, &FnCode::Main { prologue: &bc.prologue, body: &bc.body }, &facts);
     let mut e = Emit {
         a,
         bc,
@@ -126,11 +115,11 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
         next_par_id: 0,
         lane: None,
         chunk: None,
+        steady: false,
         restart: None,
         steady_chunks: 0,
         synced: vec![false; bc.n_fregs as usize],
-        lanes,
-        proofs,
+        facts,
     };
     let main_off = e.a.here();
     e.emit_fn(None);
@@ -138,13 +127,7 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
     let mut i = 0;
     while i < e.pending.len() {
         let w = e.pending[i];
-        let alloc = allocate(
-            bc,
-            &FnCode::ParBody { preamble: w.preamble, body: w.body },
-            &pins,
-            &varying,
-        )?;
-        e.alloc = alloc;
+        e.alloc = allocate(bc, &FnCode::ParBody { preamble: w.preamble, body: w.body }, &e.facts);
         let off = e.a.here();
         e.emit_fn(Some((i, w)));
         par_fns.push((off, w.var));
@@ -156,7 +139,7 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
         main_off,
         par_fns,
         deopts: e.deopts,
-        guards: e.proofs.guards,
+        guards: e.facts.guards,
         steady_chunks: e.steady_chunks,
     })
 }
@@ -176,348 +159,38 @@ struct ChunkCtx {
     var: u32,
     /// Stack slot holding the chunk's base iteration value.
     v_slot: i32,
-    /// Register holding the loop's lower bound (chunk bases are `lo + 8n`).
-    lo: Reg,
 }
 
-/// How the eight lane values of a register defined inside a vectorized
-/// chunk relate. Registers defined outside the chunk are uniform; they and
-/// the uniform and linear chunk registers keep lane 0 in their scalar
-/// home (a pinned chunk register in slot 0 of its lane array). Varying
-/// ones fill an XMM pair (`f32`) or all eight slots of their lane array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Shape {
-    /// All lanes equal.
-    Uniform,
-    /// Lane `l` = lane 0 + `l·s` (wrapping), `0 < |s| <= MAX_STRIDE`.
-    Linear(i32),
-    /// No known relation (every `f32` result that is not uniform).
-    Varying,
-}
-
-/// Largest `|s|` of a [`Shape::Linear`]: keeps the per-lane index offsets
-/// `l·s` and byte displacements `4·l·s` (`l < 8`) inside an `imm32`.
-const MAX_STRIDE: i64 = i32::MAX as i64 / (4 * (LANES as i64 - 1));
-
-/// `k` when `c == 2^k` with `k >= 1`: the divisors for which
-/// `a.rem_euclid(c) == a & (c - 1)` and `a.div_euclid(c) == a >> k` hold
-/// for every `i64`.
-fn pow2(c: i64) -> Option<u32> {
-    (c > 1 && c & (c - 1) == 0).then(|| c.trailing_zeros())
-}
-
-/// What the emitter knows about register values: program-wide facts
-/// about single-assignment registers and, on top of them, the lane shapes
-/// and lane-0 facts of the chunk being emitted.
-struct Lanes {
-    /// The value of every i-register whose one definition is a `ConstI`.
-    consts: Vec<Option<i64>>,
-    /// A lower bound on each i-register's trailing zero bits, proved for
-    /// every value the register takes. The optimizer emits SSA, a decoded
-    /// artifact need not be: a register defined twice keeps no fact.
-    tz: Vec<u8>,
-    /// i-registers with more than one definition.
-    redefined: Vec<bool>,
-    /// Shape per register defined so far in the current chunk; `None` for
-    /// registers defined outside it (the static mirror of the
-    /// interpreter's per-chunk broadcast of outside registers — chunks
-    /// are straight-line).
-    i: Vec<Option<Shape>>,
-    f: Vec<Option<Shape>>,
-    /// The trailing-zero bound of lane 0, per i-register defined so far in
-    /// the current chunk. Chunk bases are aligned, the iterations of the
-    /// scalar remainder loop are not, so these never enter `tz`.
-    lane0_tz: Vec<Option<u8>>,
-    /// Shapes are those of a steady copy: a [`Clamp`] is linear.
-    steady: bool,
-    /// The current chunk has passed a store: no later `min`/`max` is a
-    /// [`Clamp`].
-    stored: bool,
-}
-
-/// A `min`/`max` of a `Linear(s)` value `x` and a uniform value `u` that
-/// no store of the chunk precedes. Where lanes 0 and 7 of `x` lie on the
-/// same side of `u` and `x`'s lanes do not wrap, the result is `x` in
-/// every lane: the steady copy gives it `x`'s shape behind that test.
-#[derive(Debug, Clone, Copy)]
-struct Clamp {
-    dst: Reg,
-    op: BinOp,
-    x: Reg,
-    u: Reg,
-    s: i32,
-}
-
-impl Clamp {
-    /// Lane 7's offset from lane 0.
-    fn lane7(self) -> i32 {
-        (LANES as i32 - 1) * self.s
-    }
-
-    /// Whether the test compares lane 7 with `u` (else lane 0): the lowest
-    /// lane for a `max`, the highest for a `min`.
-    fn tests_lane7(self) -> bool {
-        (self.op == BinOp::Min) == (self.s > 0)
-    }
-}
-
-impl Lanes {
-    /// Two forward passes over the whole program: count definitions, then
-    /// derive the facts of the registers that have one.
-    fn new(bc: &BcProgram) -> Lanes {
-        let (n_i, n_f) = (bc.n_iregs as usize, bc.n_fregs as usize);
-        let mut defs = vec![0u8; n_i];
-        bc.for_each_inst(&mut |inst| {
-            if let (File::I, dst) = inst.dst() {
-                defs[dst as usize] = defs[dst as usize].saturating_add(1);
+/// What a steady copy assumes, for the listing: per chain of nested
+/// clamps, the register its result equals and the tests that make it so,
+/// e.g. `i19 = i17 while i17 ≥ 0 ∧ i17+7 ≤ 47` for
+/// `i19 = min(max(i17, 0), 47)` with `i17` of stride 1.
+fn assumptions(clamps: &[Clamp], facts: &Facts) -> Vec<String> {
+    // `(result, root, tests)`: a clamp of an earlier result extends that
+    // chain, whose root its operand equals where the tests hold.
+    let mut chains: Vec<(Reg, Reg, Vec<String>)> = Vec::new();
+    for k in clamps {
+        let (root, mut tests) = match chains.iter().position(|ch| ch.0 == k.x) {
+            Some(at) => {
+                let (_, root, tests) = chains.remove(at);
+                (root, tests)
             }
-        });
-        let mut l = Lanes {
-            consts: vec![None; n_i],
-            tz: vec![0; n_i],
-            redefined: defs.iter().map(|&n| n > 1).collect(),
-            i: vec![None; n_i],
-            f: vec![None; n_f],
-            lane0_tz: vec![None; n_i],
-            steady: false,
-            stored: false,
+            None => (k.x, Vec::new()),
         };
-        bc.for_each_inst(&mut |inst| {
-            if let (File::I, dst) = inst.dst() {
-                if let (Inst::ConstI { v, .. }, false) = (*inst, l.redefined[dst as usize]) {
-                    l.consts[dst as usize] = Some(v);
-                }
-                l.tz[dst as usize] = l.result_tz(inst);
-            }
-        });
-        l
-    }
-
-    /// Which registers the vectorized chunks of `bc` define with the
-    /// `Varying` shape — what the allocator gives pairs and lane arrays.
-    /// The same forward walk as [`Emit::emit_chunk`]'s, so the emitter
-    /// meets exactly these shapes again.
-    fn varying(&mut self, bc: &BcProgram) -> Varying {
-        fn block(l: &mut Lanes, body: &[BcStmt], v: &mut Varying) {
-            for s in body {
-                match s {
-                    BcStmt::For { var, lower, kind, preamble, body, .. }
-                        if matches!(kind, LoopKind::Vectorize(_)) && bc_body_vectorizable(body) =>
-                    {
-                        let c = ChunkCtx { var: *var, v_slot: 0, lo: lower.reg };
-                        let code = body.iter().flat_map(|s| match s {
-                            BcStmt::Let { code, .. } | BcStmt::Store { code, .. } => code.iter(),
-                            _ => unreachable!("checked by bc_body_vectorizable"),
-                        });
-                        l.reset_chunk();
-                        for inst in preamble.iter().chain(code) {
-                            if l.define(inst, c) == Shape::Varying {
-                                match inst.dst() {
-                                    (File::I, dst) => v.i[dst as usize] = true,
-                                    (File::F, dst) => v.f[dst as usize] = true,
-                                }
-                            }
-                        }
-                        l.reset_chunk();
-                    }
-                    BcStmt::For { body, .. } => block(l, body, v),
-                    BcStmt::If { then, else_, .. } => {
-                        block(l, then, v);
-                        block(l, else_, v);
-                    }
-                    BcStmt::Store { .. } | BcStmt::Let { .. } => {}
-                }
-            }
-        }
-        let mut v = Varying { i: vec![false; self.i.len()], f: vec![false; self.f.len()] };
-        block(self, &bc.body, &mut v);
-        v
-    }
-
-    /// The bound on `r` in force where the emitter stands: lane 0's inside
-    /// a chunk that defined `r`, else the program-wide one.
-    fn tz(&self, r: Reg) -> u8 {
-        self.lane0_tz[r as usize].unwrap_or(self.tz[r as usize])
-    }
-
-    /// Transfer function of the trailing-zero bound (wrapping arithmetic:
-    /// a sum is divisible by the smaller power of two, a product by their
-    /// product).
-    fn result_tz(&self, inst: &Inst) -> u8 {
-        match *inst {
-            Inst::ConstI { dst, .. } | Inst::BinI { dst, .. } if self.redefined[dst as usize] => 0,
-            Inst::ConstI { v: 0, .. } => 63,
-            Inst::ConstI { v, .. } => v.trailing_zeros() as u8,
-            Inst::BinI { op: BinOp::Add | BinOp::Sub, a, b, .. } => self.tz(a).min(self.tz(b)),
-            Inst::BinI { op: BinOp::Mul, a, b, .. } => (self.tz(a) + self.tz(b)).min(63),
-            _ => 0,
-        }
-    }
-
-    /// Forgets the chunk: every register is uniform again and no lane-0
-    /// fact outlives the code it was proved for.
-    fn reset_chunk(&mut self) {
-        self.i.iter_mut().for_each(|s| *s = None);
-        self.f.iter_mut().for_each(|s| *s = None);
-        self.lane0_tz.iter_mut().for_each(|t| *t = None);
-        self.stored = false;
-    }
-
-    /// `inst` as a [`Clamp`], given the shapes defined so far.
-    fn clamp(&self, inst: &Inst) -> Option<Clamp> {
-        let Inst::BinI { dst, op: op @ (BinOp::Min | BinOp::Max), a, b } = *inst else {
-            return None;
+        let end = if k.tests_lane7() {
+            format!("i{root}{:+}", k.lane7())
+        } else {
+            format!("i{root}")
         };
-        match (self.stored, self.shape_i(a), self.shape_i(b)) {
-            (false, Shape::Linear(s), Shape::Uniform) => Some(Clamp { dst, op, x: a, u: b, s }),
-            (false, Shape::Uniform, Shape::Linear(s)) => Some(Clamp { dst, op, x: b, u: a, s }),
-            _ => None,
-        }
+        let rel = if k.op == BinOp::Max { '≥' } else { '≤' };
+        let u = facts.i[k.u as usize].konst.map_or(format!("i{}", k.u), |v| v.to_string());
+        tests.push(format!("{end} {rel} {u}"));
+        chains.push((k.dst, root, tests));
     }
-
-    /// The clamps a steady copy of the chunk of loop `c` would test, in
-    /// order (none: the chunk gets no steady copy).
-    fn steady_clamps(&mut self, c: ChunkCtx, preamble: &[Inst], body: &[BcStmt]) -> Vec<Clamp> {
-        self.reset_chunk();
-        self.steady = true;
-        let mut found = Vec::new();
-        let mut visit = |l: &mut Lanes, insts: &[Inst]| {
-            for inst in insts {
-                found.extend(l.clamp(inst));
-                l.define(inst, c);
-            }
-        };
-        visit(self, preamble);
-        // Up to the first store: no later min/max is a clamp.
-        for s in body {
-            let (BcStmt::Let { code, .. } | BcStmt::Store { code, .. }) = s else {
-                unreachable!("checked by bc_body_vectorizable")
-            };
-            visit(self, code);
-            if matches!(s, BcStmt::Store { .. }) {
-                break;
-            }
-        }
-        self.steady = false;
-        self.reset_chunk();
-        found
-    }
-
-    fn shape_i(&self, r: Reg) -> Shape {
-        self.i[r as usize].unwrap_or(Shape::Uniform)
-    }
-
-    fn shape_f(&self, r: Reg) -> Shape {
-        self.f[r as usize].unwrap_or(Shape::Uniform)
-    }
-
-    /// What a steady copy assumes, for the listing: per chain of nested
-    /// clamps, the register its result equals and the tests that make it
-    /// so, e.g. `i19 = i17 while i17 ≥ 0 ∧ i17+7 ≤ 47` for
-    /// `i19 = min(max(i17, 0), 47)` with `i17` of stride 1.
-    fn assumptions(&self, clamps: &[Clamp]) -> Vec<String> {
-        // `(result, root, tests)`: a clamp of an earlier result extends
-        // that chain, whose root its operand equals where the tests hold.
-        let mut chains: Vec<(Reg, Reg, Vec<String>)> = Vec::new();
-        for k in clamps {
-            let (root, mut tests) = match chains.iter().position(|ch| ch.0 == k.x) {
-                Some(at) => {
-                    let (_, root, tests) = chains.remove(at);
-                    (root, tests)
-                }
-                None => (k.x, Vec::new()),
-            };
-            let end = if k.tests_lane7() {
-                format!("i{root}{:+}", k.lane7())
-            } else {
-                format!("i{root}")
-            };
-            let rel = if k.op == BinOp::Max { '≥' } else { '≤' };
-            let u = self.consts[k.u as usize].map_or(format!("i{}", k.u), |v| v.to_string());
-            tests.push(format!("{end} {rel} {u}"));
-            chains.push((k.dst, root, tests));
-        }
-        let line = |(dst, root, tests): &(Reg, Reg, Vec<String>)| {
-            format!("i{dst} = i{root} while {}", tests.join(" ∧ "))
-        };
-        chains.iter().map(line).collect()
-    }
-
-    /// Records and returns the shape of `inst`'s destination inside the
-    /// chunk of loop `c` (forward over preamble + statement code, so every
-    /// operand's shape is already known).
-    fn define(&mut self, inst: &Inst, c: ChunkCtx) -> Shape {
-        let uniform_srcs = inst.srcs().into_iter().flatten().all(|(file, r)| {
-            Shape::Uniform
-                == match file {
-                    File::I => self.shape_i(r),
-                    File::F => self.shape_f(r),
-                }
-        });
-        let loop_var = matches!(*inst, Inst::ReadVar { var, .. } if var == c.var);
-        let clamp = if self.steady { self.clamp(inst) } else { None };
-        let shape = match *inst {
-            _ if loop_var => Shape::Linear(1),
-            // Includes constants, other variables and uniform-index loads.
-            _ if uniform_srcs => Shape::Uniform,
-            // A clamp is linear in a steady copy, which tests it.
-            Inst::BinI { op, a, b, .. } => (clamp.map(|k| Shape::Linear(k.s)))
-                .or_else(|| self.linear(op, a, b))
-                .unwrap_or(Shape::Varying),
-            _ => Shape::Varying,
-        };
-        match inst.dst() {
-            (File::I, dst) => {
-                self.i[dst as usize] = Some(shape);
-                // Lane 0 of the loop variable is the chunk base `lo + 8n`.
-                let tz = if loop_var { self.tz(c.lo).min(3) } else { self.result_tz(inst) };
-                self.lane0_tz[dst as usize] = Some(tz);
-            }
-            (File::F, dst) => self.f[dst as usize] = Some(shape),
-        }
-        shape
-    }
-
-    /// The shape of `op(a, b)` when it is a compile-time-linear function
-    /// of the lane index.
-    fn linear(&self, op: BinOp, a: Reg, b: Reg) -> Option<Shape> {
-        let stride = |r: Reg| match self.shape_i(r) {
-            Shape::Uniform => Some(0i64),
-            Shape::Linear(s) => Some(s as i64),
-            Shape::Varying => None,
-        };
-        let (sa, sb) = (stride(a)?, stride(b)?);
-        let s = match op {
-            BinOp::Add => sa + sb,
-            BinOp::Sub => sa - sb,
-            BinOp::Mul => match (sa, sb) {
-                (s, 0) => s.checked_mul(self.consts[b as usize]?)?,
-                (0, s) => s.checked_mul(self.consts[a as usize]?)?,
-                _ => return None,
-            },
-            BinOp::Div | BinOp::Rem => {
-                // Lane 0 has `t` trailing zeros and `7·s < 2^t`, `t <= k`:
-                // adding `l·s` never carries out of the low `t` bits, which
-                // `% 2^k` keeps verbatim and `/ 2^k` drops.
-                let k = pow2(self.consts[b as usize]?)?;
-                let t = k.min(self.tz(a) as u32);
-                if sb != 0 || sa <= 0 || (LANES as i64 - 1) * sa >= 1i64 << t {
-                    return None;
-                }
-                if op == BinOp::Rem {
-                    sa
-                } else {
-                    0
-                }
-            }
-            _ => return None,
-        };
-        match s {
-            0 => Some(Shape::Uniform),
-            s if s.unsigned_abs() <= MAX_STRIDE as u64 => Some(Shape::Linear(s as i32)),
-            _ => None,
-        }
-    }
+    let line = |(dst, root, tests): &(Reg, Reg, Vec<String>)| {
+        format!("i{dst} = i{root} while {}", tests.join(" ∧ "))
+    };
+    chains.iter().map(line).collect()
 }
 
 /// A load/store with a linear index: the per-lane sequence a failing
@@ -526,10 +199,8 @@ struct SlowPath {
     entry: Label,
     cont: Label,
     op: MemOp,
-    /// The shapes the access saw (the table has moved on by the time the
-    /// path is emitted).
-    idx_shape: Shape,
-    val_shape: Option<Shape>,
+    /// The access is in a steady copy, whose shapes the path reads.
+    steady: bool,
     /// The stored value's pair is not yet in its lane array, where the
     /// per-lane stores read it.
     write_back: bool,
@@ -575,18 +246,21 @@ struct Emit<'a> {
     /// once-per-chunk uniform/linear result); `None` outside chunks.
     lane: Option<usize>,
     chunk: Option<ChunkCtx>,
+    /// Lane shapes are the steady copy's: one is emitted, or the slow
+    /// path of one of its accesses.
+    steady: bool,
     /// While a steady copy is emitted: the general copy of the same chunk,
-    /// where a failing clamp test restarts.
-    restart: Option<Label>,
+    /// where a failing clamp test restarts, and the clamps it tests.
+    restart: Option<(Label, Vec<Clamp>)>,
     /// Vector chunks emitted with a steady copy so far.
     steady_chunks: usize,
     /// Per f-register: its pair has been written to (or loaded from) its
     /// lane array in the current chunk, so the two agree until the chunk
     /// ends (registers are defined once per chunk).
     synced: Vec<bool>,
-    lanes: Lanes,
-    /// Which accesses carry no bounds guard.
-    proofs: Proofs,
+    /// Every register's record, every access's verdict, every chunk's
+    /// clamps.
+    facts: Facts,
 }
 
 const SAVED: [Gpr; 6] = [Gpr::Rbx, Gpr::Rbp, Gpr::R12, Gpr::R13, Gpr::R14, Gpr::R15];
@@ -645,11 +319,27 @@ impl<'a> Emit<'a> {
 
     // -- operand access ------------------------------------------------------
 
+    /// The lane shape of register `r` in the chunk copy being emitted
+    /// (`None`: defined outside every chunk).
+    fn chunk_shape(&self, file: File, r: Reg) -> Option<Shape> {
+        let f = self.facts.reg(file, r);
+        if self.steady {
+            f.steady
+        } else {
+            f.general
+        }
+    }
+
+    /// [`Self::chunk_shape`], a register from outside the chunk uniform.
+    fn shape(&self, file: File, r: Reg) -> Shape {
+        self.chunk_shape(file, r).unwrap_or(Shape::Uniform)
+    }
+
     /// Reads i-register `r` — in a chunk, its value in the current lane —
     /// into `dst` (uses `dst` itself for the ctx pin-array indirection, so
     /// any scratch register works).
     fn read_i(&mut self, dst: Gpr, r: Reg) {
-        if let (Some(l), Some(shape)) = (self.lane, self.lanes.i[r as usize]) {
+        if let (Some(l), Some(shape)) = (self.lane, self.chunk_shape(File::I, r)) {
             let (slot, add) = match shape {
                 Shape::Varying => (l, 0),
                 Shape::Uniform => (0, 0),
@@ -667,14 +357,13 @@ impl<'a> Emit<'a> {
         self.read_i_home(dst, r);
     }
 
-    /// The lane array chunk code keeps i-register `r` in: all eight lanes
-    /// of a varying value, lane 0 of a pinned one. Otherwise lane 0 is in
-    /// the scalar home — also for a register the steady copy of a chunk
-    /// makes linear, which has a lane array for the general copy.
+    /// The lane array chunk code keeps the eight lanes of a varying
+    /// i-register `r` in. Otherwise lane 0 is in the scalar home — also
+    /// for a register the steady copy of a chunk makes linear, which has a
+    /// lane array for the general copy.
     fn lane_array_i(&self, r: Reg) -> Option<i32> {
         let arr = self.alloc.lanes_i[r as usize];
-        let varying = self.lanes.i[r as usize] == Some(Shape::Varying);
-        (arr >= 0 && (varying || self.alloc.homes_i[r as usize] == Home::Ctx)).then_some(arr)
+        (arr >= 0 && self.shape(File::I, r) == Shape::Varying).then_some(arr)
     }
 
     /// Reads i-register `r`'s scalar home into `dst`.
@@ -684,7 +373,7 @@ impl<'a> Emit<'a> {
             Home::Stack(off) => self.a.mov_rm(dst, Mem::base(Gpr::Rsp, off)),
             // A pinned constant is rematerialized, not chased through the
             // ctx pin array.
-            Home::Ctx => match self.lanes.consts[r as usize] {
+            Home::Ctx => match self.facts.i[r as usize].konst {
                 Some(v) => self.a.mov_ri(dst, v),
                 None => {
                     self.a.mov_rm(dst, Mem::base(Gpr::R15, CTX_IPIN));
@@ -721,7 +410,7 @@ impl<'a> Emit<'a> {
     /// into `dst` (clobbers rdx for ctx homes).
     fn read_f(&mut self, dst: Xmm, r: Reg) {
         if let (Some(l), Some(shape), arr @ 0..) =
-            (self.lane, self.lanes.f[r as usize], self.alloc.lanes_f[r as usize])
+            (self.lane, self.chunk_shape(File::F, r), self.alloc.lanes_f[r as usize])
         {
             let slot = if shape == Shape::Varying { l } else { 0 };
             self.a.movss_xm(dst, Mem::base(Gpr::Rsp, arr + (slot * 4) as i32));
@@ -789,7 +478,7 @@ impl<'a> Emit<'a> {
             }
             BcStmt::Store { code, buf, idx, val } => {
                 self.emit_insts(code);
-                self.emit_store(*buf, *idx, *val, self.proofs.store(s));
+                self.emit_store(*buf, *idx, *val, self.facts.store(s));
             }
             BcStmt::If { code, cond, then, else_ } => {
                 self.emit_insts(code);
@@ -825,8 +514,8 @@ impl<'a> Emit<'a> {
                 self.read_i(Gpr::Rax, upper.reg);
                 self.a.mov_mr(Mem::base(Gpr::Rsp, hs), Gpr::Rax);
                 if matches!(kind, LoopKind::Vectorize(_)) && bc_body_vectorizable(body) {
-                    let c = ChunkCtx { var: *var, v_slot: vs, lo: lower.reg };
-                    self.emit_vector_loop(c, hs, self.proofs.wrap_free(s), preamble, body);
+                    let c = ChunkCtx { var: *var, v_slot: vs };
+                    self.emit_vector_loop(c, hs, s, preamble, body);
                 } else {
                     self.emit_counted_loop(vs, hs, *var, preamble, body);
                 }
@@ -868,8 +557,8 @@ impl<'a> Emit<'a> {
     /// Lane groups of [`LANES`] while `v + LANES <= hi`, then the scalar
     /// remainder (which alone writes the frame slot, like the
     /// interpreter's vector path). The sum is checked for overflow unless
-    /// the bounds prover put both bounds far from the ends of `i64`
-    /// (`wrap_free`): near `i64::MAX` it would wrap below `hi`.
+    /// the facts put both bounds far from the ends of `i64` (`wrap_free`):
+    /// near `i64::MAX` it would wrap below `hi`.
     ///
     /// A chunk with [`Clamp`]s is emitted twice: the steady copy, where
     /// the loop head falls through, and the general one, where a failing
@@ -878,13 +567,14 @@ impl<'a> Emit<'a> {
         &mut self,
         c: ChunkCtx,
         hs: i32,
-        wrap_free: bool,
+        s: &'a BcStmt,
         preamble: &'a [Inst],
         body: &'a [BcStmt],
     ) {
         let (vs, var) = (c.v_slot, c.var);
         self.a.comment(|| format!("vector loop v{var}"));
-        let clamps = self.lanes.steady_clamps(c, preamble, body);
+        let chunk = self.facts.chunk(s);
+        let (wrap_free, clamps) = (chunk.wrap_free, chunk.clamps.clone());
         let steady = !clamps.is_empty();
         let chk = self.a.new_label();
         let rem = self.a.new_label();
@@ -901,11 +591,11 @@ impl<'a> Emit<'a> {
         if steady {
             self.steady_chunks += 1;
             let (general, next) = (self.a.new_label(), self.a.new_label());
-            for line in self.lanes.assumptions(&clamps) {
+            for line in assumptions(&clamps, &self.facts) {
                 self.a.comment(|| format!("steady: {line}"));
             }
             self.a.count_chunk(false, true);
-            self.emit_chunk(c, preamble, body, Some(general));
+            self.emit_chunk(c, preamble, body, Some((general, clamps)));
             self.a.jmp(next);
             self.a.count_chunk(true, false);
             self.a.bind(general);
@@ -938,36 +628,33 @@ impl<'a> Emit<'a> {
         c: ChunkCtx,
         preamble: &'a [Inst],
         body: &'a [BcStmt],
-        restart: Option<Label>,
+        restart: Option<(Label, Vec<Clamp>)>,
     ) {
-        self.lanes.reset_chunk();
-        self.lanes.steady = restart.is_some();
+        self.steady = restart.is_some();
         self.restart = restart;
         self.synced.iter_mut().for_each(|s| *s = false);
         self.chunk = Some(c);
         for inst in preamble {
-            self.emit_chunk_inst(inst, c);
+            self.emit_chunk_inst(inst);
         }
         for s in body {
             match s {
                 BcStmt::Let { code, .. } => {
                     for inst in code {
-                        self.emit_chunk_inst(inst, c);
+                        self.emit_chunk_inst(inst);
                     }
                 }
                 BcStmt::Store { code, buf, idx, val } => {
                     for inst in code {
-                        self.emit_chunk_inst(inst, c);
+                        self.emit_chunk_inst(inst);
                     }
-                    self.emit_chunk_store(*buf, *idx, *val, self.proofs.store(s));
-                    self.lanes.stored = true;
+                    self.emit_chunk_store(*buf, *idx, *val, self.facts.store(s));
                 }
                 _ => unreachable!("checked by bc_body_vectorizable"),
             }
         }
-        self.lanes.steady = false;
+        self.steady = false;
         self.restart = None;
-        self.lanes.reset_chunk();
         self.chunk = None;
     }
 
@@ -978,7 +665,7 @@ impl<'a> Emit<'a> {
     /// before this stored anything, and it computed what the general copy
     /// computes, so the restart is exact.
     fn emit_steady_clamp(&mut self, k: Clamp) {
-        let general = self.restart.expect("clamps are tested in steady copies");
+        let general = self.restart.as_ref().expect("clamps are tested in steady copies").0;
         self.in_lane(0, |e| {
             e.read_i(Gpr::Rax, k.x);
             e.a.mov_rr(Gpr::Rdx, Gpr::Rax);
@@ -999,21 +686,22 @@ impl<'a> Emit<'a> {
         self.lane = outer;
     }
 
-    fn emit_chunk_inst(&mut self, inst: &Inst, c: ChunkCtx) {
-        let clamp = if self.lanes.steady { self.lanes.clamp(inst) } else { None };
-        let shape = self.lanes.define(inst, c);
+    fn emit_chunk_inst(&mut self, inst: &Inst) {
+        let (file, dst) = inst.dst();
+        let clamp = (self.restart.as_ref())
+            .and_then(|(_, ks)| ks.iter().find(|k| file == File::I && k.dst == dst).copied());
         if let Some(k) = clamp {
             return self.emit_steady_clamp(k);
         }
-        if shape != Shape::Varying {
+        if self.shape(file, dst) != Shape::Varying {
             // Lane 0 stands for all eight (guard included: it would trap
             // first, with the payload any lane would carry).
             return self.in_lane(0, |e| e.emit_inst(inst));
         }
         match *inst {
-            Inst::Load { dst, buf, idx } => match self.lanes.shape_i(idx) {
+            Inst::Load { dst, buf, idx } => match self.shape(File::I, idx) {
                 Shape::Linear(s) if s > 0 => {
-                    self.emit_linear_load(dst, buf, idx, s, self.proofs.load(inst))
+                    self.emit_linear_load(dst, buf, idx, s, self.facts.load(inst))
                 }
                 _ => self.emit_per_lane(inst),
             },
@@ -1022,7 +710,7 @@ impl<'a> Emit<'a> {
             {
                 // A uniform right operand is broadcast once for both
                 // halves; xmm1 stays free for a spilled one otherwise.
-                let b_uniform = self.lanes.shape_f(b) != Shape::Varying;
+                let b_uniform = self.shape(File::F, b) != Shape::Varying;
                 if b_uniform {
                     self.broadcast(Xmm(1), b);
                 }
@@ -1091,7 +779,7 @@ impl<'a> Emit<'a> {
     /// The pair of a varying chunk f-register (`None`: it lives in its
     /// lane array).
     fn pair(&self, r: Reg) -> Option<[Xmm; 2]> {
-        match (self.lanes.f[r as usize], self.alloc.homes_f[r as usize]) {
+        match (self.chunk_shape(File::F, r), self.alloc.homes_f[r as usize]) {
             (Some(Shape::Varying), Home::Pair(x, y)) => Some([x, y]),
             _ => None,
         }
@@ -1135,7 +823,7 @@ impl<'a> Emit<'a> {
         if let Some(p) = self.pair(r) {
             return p[h];
         }
-        if self.lanes.shape_f(r) == Shape::Varying {
+        if self.shape(File::F, r) == Shape::Varying {
             self.a.movups_xm(scratch, self.lane_half(r, h));
         } else {
             self.broadcast(scratch, r);
@@ -1180,8 +868,7 @@ impl<'a> Emit<'a> {
                 entry,
                 cont,
                 op,
-                idx_shape: Shape::Linear(s),
-                val_shape: val.and_then(|v| self.lanes.f[v as usize]),
+                steady: self.steady,
                 write_back: val.is_some_and(|v| self.pair(v).is_some() && !self.synced[v as usize]),
                 why,
             });
@@ -1226,7 +913,7 @@ impl<'a> Emit<'a> {
     /// The store of one chunk statement: two `movups` behind at most one
     /// range guard when the index is contiguous, else lane by lane.
     fn emit_chunk_store(&mut self, buf: u32, idx: Reg, val: Reg, guard: Option<Kept>) {
-        if self.lanes.i[idx as usize] != Some(Shape::Linear(1)) {
+        if self.shape(File::I, idx) != Shape::Linear(1) {
             self.sync(val);
             for l in 0..LANES {
                 self.in_lane(l, |e| e.emit_store(buf, idx, val, guard));
@@ -1234,7 +921,7 @@ impl<'a> Emit<'a> {
             return;
         }
         let cont = self.range_guard(MemOp::Store { buf, idx, val }, 1, guard);
-        let uniform = self.lanes.shape_f(val) != Shape::Varying;
+        let uniform = self.shape(File::F, val) != Shape::Varying;
         if uniform {
             self.broadcast(Xmm(0), val);
         }
@@ -1259,14 +946,10 @@ impl<'a> Emit<'a> {
     fn emit_slow_path(&mut self, sp: SlowPath) {
         self.a.bind(sp.entry);
         // The shapes and the (not yet) synced state the access saw.
-        self.lanes.i[sp.op.parts().1 as usize] = Some(sp.idx_shape);
-        match sp.op {
-            MemOp::Load { dst, .. } => self.lanes.f[dst as usize] = Some(Shape::Varying),
-            MemOp::Store { val, .. } => {
-                self.lanes.f[val as usize] = sp.val_shape;
-                self.synced[val as usize] = !sp.write_back;
-                self.sync(val);
-            }
+        self.steady = sp.steady;
+        if let MemOp::Store { val, .. } = sp.op {
+            self.synced[val as usize] = !sp.write_back;
+            self.sync(val);
         }
         for l in 0..LANES {
             self.in_lane(l, |e| match sp.op {
@@ -1277,7 +960,7 @@ impl<'a> Emit<'a> {
         if let MemOp::Load { dst, .. } = sp.op {
             self.reload(dst);
         }
-        self.lanes.reset_chunk();
+        self.steady = false;
         self.a.jmp(sp.cont);
     }
 
@@ -1369,7 +1052,7 @@ impl<'a> Emit<'a> {
                 }
                 self.write_i(dst);
             }
-            Inst::Load { dst, buf, idx } => self.emit_load(dst, buf, idx, self.proofs.load(inst)),
+            Inst::Load { dst, buf, idx } => self.emit_load(dst, buf, idx, self.facts.load(inst)),
             Inst::BinI { dst, op, a, b } => {
                 self.emit_bin_i(dst, op, a, b);
             }
@@ -1522,7 +1205,7 @@ impl<'a> Emit<'a> {
     fn emit_bin_i(&mut self, dst: Reg, op: BinOp, a: Reg, b: Reg) {
         self.read_i(Gpr::Rax, a);
         let divisor = match op {
-            BinOp::Div | BinOp::Rem => self.lanes.consts[b as usize],
+            BinOp::Div | BinOp::Rem => self.facts.i[b as usize].konst,
             _ => None,
         };
         if let Some(k) = divisor.and_then(pow2) {
@@ -1615,134 +1298,9 @@ impl<'a> Emit<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{BCode, OptStats};
     use crate::expr::Expr;
     use crate::program::{Program, Stmt};
     use crate::vm::{apply_i, Machine};
-
-    /// The index chain of the sgemm update chunk,
-    /// `j = 32·c1 + 8·c11 + c13; … packB[(j % 32) + 32·k]`, parameterized
-    /// on what the soundness condition depends on. Register map: i0 = lower
-    /// bound, i1 = 32, i2 = 8, i3 = divisor, i4 = lane-stride factor;
-    /// i5..i9 are defined by enclosing loops, i10.. by the chunk. Returns
-    /// the shapes of `[c13·factor, j, j % d, j / d]`.
-    fn chain(lower: i64, factor: i64, divisor: Option<i64>) -> [Shape; 4] {
-        use BinOp::{Add, Div, Mul, Rem};
-        let mut prologue = vec![
-            Inst::ConstI { dst: 0, v: lower },
-            Inst::ConstI { dst: 1, v: 32 },
-            Inst::ConstI { dst: 2, v: 8 },
-            Inst::ConstI { dst: 4, v: factor },
-        ];
-        prologue.push(match divisor {
-            Some(v) => Inst::ConstI { dst: 3, v },
-            None => Inst::ReadVar { dst: 3, var: 0 },
-        });
-        let outer = [
-            Inst::ReadVar { dst: 5, var: 1 },
-            Inst::BinI { dst: 6, op: Mul, a: 1, b: 5 },
-            Inst::ReadVar { dst: 7, var: 2 },
-            Inst::BinI { dst: 8, op: Mul, a: 2, b: 7 },
-            Inst::BinI { dst: 9, op: Add, a: 6, b: 8 },
-        ];
-        let chunk = [
-            Inst::ReadVar { dst: 10, var: 3 },
-            Inst::BinI { dst: 11, op: Mul, a: 10, b: 4 },
-            Inst::BinI { dst: 12, op: Add, a: 9, b: 11 },
-            Inst::BinI { dst: 13, op: Rem, a: 12, b: 3 },
-            Inst::BinI { dst: 14, op: Div, a: 12, b: 3 },
-        ];
-        let bc = BcProgram {
-            prologue,
-            body: vec![BcStmt::For {
-                var: 3,
-                lower: BCode { insts: vec![], reg: 0 },
-                upper: BCode { insts: vec![], reg: 1 },
-                kind: LoopKind::Vectorize(8),
-                preamble: outer.iter().chain(&chunk).copied().collect(),
-                body: vec![],
-            }],
-            n_iregs: 15,
-            n_fregs: 0,
-            n_vars: 4,
-            var_names: vec![],
-            buf_sizes: vec![],
-            stats: OptStats::default(),
-        };
-        let mut lanes = Lanes::new(&bc);
-        lanes.reset_chunk();
-        let c = ChunkCtx { var: 3, v_slot: 0, lo: 0 };
-        let shapes: Vec<Shape> = chunk.iter().map(|inst| lanes.define(inst, c)).collect();
-        assert_eq!(shapes[0], Shape::Linear(1), "the loop variable");
-        // Lane 0 is aligned, the scalar remainder iterations are not: the
-        // lane-0 bound lives and dies with the chunk.
-        let base_tz = lower.trailing_zeros().min(3) as u8;
-        assert_eq!((lanes.tz(10), lanes.tz[10]), (base_tz, 0));
-        lanes.reset_chunk();
-        assert_eq!(lanes.tz(10), 0);
-        [shapes[1], shapes[2], shapes[3], shapes[4]]
-    }
-
-    #[test]
-    fn sgemm_index_chain_is_linear_through_rem_32() {
-        use Shape::{Linear, Uniform, Varying};
-        // Bases are 32·c1 + 8·c11 + (0 + 8n): three proved trailing zeros,
-        // 7 < 8, so `% 32` keeps the lanes consecutive and `/ 32` equal.
-        assert_eq!(chain(0, 1, Some(32)), [Linear(1), Linear(1), Linear(1), Uniform]);
-        assert_eq!(chain(16, 1, Some(8)), [Linear(1), Linear(1), Linear(1), Uniform]);
-        // Lower bound 4: two trailing zeros, lanes 4..11 straddle a multiple.
-        assert_eq!(chain(4, 1, Some(32)), [Linear(1), Linear(1), Varying, Varying]);
-        // Stride 2 against `% 8`: 7·2 >= 8.
-        assert_eq!(chain(0, 2, Some(8)), [Linear(2), Linear(2), Varying, Varying]);
-        assert_eq!(chain(0, 2, Some(16)), [Linear(2), Linear(2), Varying, Varying]);
-        // The divisor caps the alignment that counts: `% 4` of 8 lanes wraps.
-        assert_eq!(chain(0, 1, Some(4)), [Linear(1), Linear(1), Varying, Varying]);
-        // Not a power of two, not positive, not a constant.
-        for d in [Some(24), Some(-32), Some(1), Some(0), None] {
-            assert_eq!(chain(0, 1, d), [Linear(1), Linear(1), Varying, Varying], "{d:?}");
-        }
-        // Negative strides never satisfy the condition; zero is uniform.
-        assert_eq!(chain(0, -1, Some(32)), [Linear(-1), Linear(-1), Varying, Varying]);
-        assert_eq!(chain(0, 0, Some(32)), [Uniform; 4]);
-        // A stride whose lane offsets would leave imm32 is not linear.
-        assert_eq!(chain(0, MAX_STRIDE, Some(32))[0], Linear(MAX_STRIDE as i32));
-        assert_eq!(chain(0, MAX_STRIDE + 1, Some(32))[0], Varying);
-        assert_eq!(chain(0, i64::MAX, Some(32))[0], Varying);
-        assert_eq!(chain(0, i64::MIN, Some(32))[0], Varying);
-    }
-
-    #[test]
-    fn trailing_zero_facts_follow_wrapping_arithmetic() {
-        let mut p = Program::new();
-        let out = p.buffer("out", 1);
-        let x = p.var("x");
-        let e = (Expr::var(x) * Expr::i64(48) + Expr::i64(i64::MIN)) * Expr::i64(6)
-            - Expr::var(x) * Expr::i64(0);
-        p.push(Stmt::store(out, e, Expr::f32(0.0)));
-        let bc = crate::opt::compile_program(&p).unwrap();
-        let lanes = Lanes::new(&bc);
-        // Every proved bound must hold for the values the program computes.
-        for xv in [0, 1, 3, -7, i64::MAX, i64::MIN] {
-            let mut ir = vec![0i64; bc.n_iregs as usize];
-            let BcStmt::Store { code, .. } = &bc.body[0] else { panic!("one store") };
-            for inst in bc.prologue.iter().chain(code) {
-                match *inst {
-                    Inst::ConstI { dst, v } => ir[dst as usize] = v,
-                    Inst::ReadVar { dst, .. } => ir[dst as usize] = xv,
-                    Inst::BinI { dst, op, a, b } => {
-                        ir[dst as usize] = apply_i(op, ir[a as usize], ir[b as usize]);
-                    }
-                    Inst::ConstF { .. } => continue,
-                    other => panic!("unexpected {other:?}"),
-                }
-                let (_, dst) = inst.dst();
-                let v = ir[dst as usize];
-                let tz = lanes.tz[dst as usize];
-                assert!(v == 0 || v.trailing_zeros() >= tz as u32, "{inst:?}: {v} vs tz {tz}");
-            }
-        }
-        assert!(lanes.tz.iter().any(|&t| t >= 4), "48·x should prove four zeros");
-    }
 
     /// `a % 2^k` and `a / 2^k` compile to a mask and a shift; both must be
     /// the Euclidean results for every `i64`, the edges included.
@@ -1808,41 +1366,6 @@ mod tests {
         let mut p = Program::new();
         let y = p.var("y");
         assert_eq!(guards(Expr::var(y)), 2);
-    }
-
-    /// Facts hold for single-assignment registers only. The optimizer
-    /// emits nothing else and the allocator turns down a second definition
-    /// of a register it places, but not of one pinned in the ctx arrays,
-    /// and a decoded artifact is checked for register ranges, not for SSA:
-    /// a constant divisor redefined to 0 must meet its guard, not a bare
-    /// `idiv`.
-    #[test]
-    fn a_redefined_register_keeps_no_fact() {
-        let mut p = Program::new();
-        let out = p.buffer("out", 4);
-        let (x, i) = (p.var("x"), p.var("i"));
-        let rem = (Expr::var(x) + Expr::var(i)) % Expr::i64(24);
-        p.push(Stmt::for_(
-            i,
-            Expr::i64(0),
-            Expr::i64(4),
-            LoopKind::Parallel,
-            vec![Stmt::store(out, Expr::var(i), Expr::to_f32(rem))],
-        ));
-        let mut bc = crate::opt::compile_program(&p).unwrap();
-        let mut divisor = None;
-        bc.for_each_inst(&mut |inst| {
-            if let Inst::BinI { op: BinOp::Rem, b, .. } = *inst {
-                divisor = Some(b);
-            }
-        });
-        let divisor = divisor.expect("the remainder");
-        assert_eq!(Lanes::new(&bc).consts[divisor as usize], Some(24));
-        assert_eq!(compile(&bc).unwrap().deopt_reasons()[3], 0);
-        bc.prologue.push(Inst::ConstI { dst: divisor, v: 0 });
-        let lanes = Lanes::new(&bc);
-        assert_eq!((lanes.consts[divisor as usize], lanes.tz(divisor)), (None, 0));
-        assert_eq!(compile(&bc).expect("pinned, so placed").deopt_reasons()[3], 2);
     }
 
     /// The golden listings cannot drift from what executes: the listing

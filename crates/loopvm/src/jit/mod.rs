@@ -7,26 +7,27 @@
 //! varying `f32` values of vector chunks — with stack spill slots
 //! (`regalloc`), a hand-rolled instruction encoder (`asm`), and
 //! straight-line code with loop back-edges chained as direct jumps
-//! (`compile`). Loads and stores that the loop bounds prove in range carry
-//! no guard (`bounds`); every other trapping instruction keeps its guard
-//! and deopts to the interpreter's scalar helpers, so observable error
-//! semantics are bit-identical to the interpreter's (`runtime`).
+//! (`compile`). One forward walk gives every register one fact record
+//! (`facts`): constants, intervals, lane shapes, pins. Loads and stores
+//! that the loop bounds prove in range carry no guard; every other
+//! trapping instruction keeps its guard and deopts to the interpreter's
+//! scalar helpers, so observable error semantics are bit-identical to the
+//! interpreter's (`runtime`).
 //!
 //! The tier is x86-64-Linux-only by construction. Everywhere else this
 //! module still compiles but [`supported`] is `false` and [`compile`]
 //! returns `None`, and callers (the [`crate::Machine`] dispatch, tests,
 //! benches) fall back to the bytecode interpreter — the fallback matrix is
-//! documented in DESIGN.md §14. [`compile`] also returns `None` for
-//! programs whose register use the allocator does not model (e.g. reads of
-//! registers conditionally defined under an `If`), which likewise fall
-//! back per-program.
+//! documented in DESIGN.md §14. [`compile`] takes strict SSA only — what
+//! the optimizer emits and the decoder admits — and returns `None` for
+//! anything else (the plain lowering), which likewise falls back.
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod asm;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-mod bounds;
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod compile;
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+mod facts;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod regalloc;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -69,7 +70,7 @@ pub struct SteadyCost {
     pub cost: ChunkCost,
 }
 
-/// What the bounds prover decided about a program's loads and stores,
+/// What the bounds proofs decided about a program's loads and stores,
 /// counted once per access in the bytecode (not per emitted copy): how
 /// many the loop-bound intervals proved in range (accesses in dead code
 /// included), how many the Omega test proved, and how many kept their

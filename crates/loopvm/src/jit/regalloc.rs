@@ -7,8 +7,8 @@
 //! 1. **Linearize**: walk the function's instruction tree in emission
 //!    order, assigning every instruction a position and recording loop
 //!    regions and helper-call sites.
-//! 2. **Intervals**: every bytecode register has a single static def site
-//!    (the optimizer emits SSA destinations), so its interval is
+//! 2. **Intervals**: the program is strict SSA — one def site per
+//!    register, dominating every use — so a register's interval is
 //!    `[def, last_use]`, extended to the end of any loop it is live into
 //!    (values defined before a loop and read inside it must survive the
 //!    back edge).
@@ -33,12 +33,15 @@
 //! *pinned*: they live in the `JitCtx` spill arrays so worker threads (a
 //! different native frame) can snapshot them, mirroring how the
 //! interpreter's workers clone the register files.
+//!
+//! Shapes and pins are register facts ([`super::facts`]); this module
+//! only linearizes and scans.
 
 use super::asm::{Gpr, Xmm};
+use super::facts::{Fact, Facts, Shape};
 use crate::bytecode::{BcProgram, BcStmt, File, Inst, Reg};
 use crate::expr::BinOp;
 use crate::program::LoopKind;
-use crate::vm::bc_body_vectorizable;
 
 /// Where a bytecode register lives in native code.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,9 +68,8 @@ pub(super) struct FnAlloc {
     pub homes_i: Vec<Home>,
     /// Home per `f32` register.
     pub homes_f: Vec<Home>,
-    /// Stack offset of the 8-lane array of a `Varying` chunk register, or
-    /// of any pinned chunk register (chunk code never writes the ctx pin
-    /// arrays), `-1` = none. `i64` lanes are 8 bytes, `f32` lanes 4.
+    /// Stack offset of the 8-lane array of a `Varying` chunk register,
+    /// `-1` = none. `i64` lanes are 8 bytes, `f32` lanes 4.
     pub lanes_i: Vec<i32>,
     pub lanes_f: Vec<i32>,
     /// `(v, hi)` stack-slot offsets per non-parallel loop, in walk order.
@@ -76,128 +78,11 @@ pub(super) struct FnAlloc {
     pub frame_size: i32,
 }
 
-/// Which registers must live in the `JitCtx` pin arrays, computed over the
-/// *whole* program (pins cross function boundaries).
-pub(super) struct Pins {
-    pub i: Vec<bool>,
-    pub f: Vec<bool>,
-}
-
-/// The registers some vector chunk defines with the `Varying` lane shape
-/// (the emitter's analysis, run over the whole program before
-/// allocation), per file.
-pub(super) struct Varying {
-    pub i: Vec<bool>,
-    pub f: Vec<bool>,
-}
-
 /// One function's code to allocate/emit: either the whole program or the
 /// body of one `Parallel` loop.
 pub(super) enum FnCode<'a> {
     Main { prologue: &'a [Inst], body: &'a [BcStmt] },
     ParBody { preamble: &'a [Inst], body: &'a [BcStmt] },
-}
-
-// ---------------------------------------------------------------------------
-// Global pin analysis
-// ---------------------------------------------------------------------------
-
-struct PinWalk {
-    pos: u64,
-    def: Vec<Option<u64>>,
-    pins: Vec<bool>,
-    /// Start positions of the enclosing `Parallel` regions.
-    par_stack: Vec<u64>,
-    n_iregs: usize,
-}
-
-impl PinWalk {
-    fn flat(&self, file: File, r: Reg) -> usize {
-        match file {
-            File::I => r as usize,
-            File::F => self.n_iregs + r as usize,
-        }
-    }
-
-    fn insts(&mut self, insts: &[Inst]) {
-        for inst in insts {
-            for src in inst.srcs().into_iter().flatten() {
-                let k = self.flat(src.0, src.1);
-                if let Some(d) = self.def[k] {
-                    if self.par_stack.iter().any(|&s| d < s) {
-                        self.pins[k] = true;
-                    }
-                }
-            }
-            let (file, dst) = inst.dst();
-            let k = self.flat(file, dst);
-            if self.def[k].is_none() {
-                self.def[k] = Some(self.pos);
-            }
-            self.pos += 1;
-        }
-    }
-
-    fn reg_use(&mut self, file: File, r: Reg) {
-        let k = self.flat(file, r);
-        if let Some(d) = self.def[k] {
-            if self.par_stack.iter().any(|&s| d < s) {
-                self.pins[k] = true;
-            }
-        }
-    }
-
-    fn block(&mut self, body: &[BcStmt]) {
-        for s in body {
-            match s {
-                BcStmt::For { lower, upper, kind, preamble, body, .. } => {
-                    self.insts(&lower.insts);
-                    self.reg_use(File::I, lower.reg);
-                    self.insts(&upper.insts);
-                    self.reg_use(File::I, upper.reg);
-                    let par = *kind == LoopKind::Parallel;
-                    if par {
-                        self.par_stack.push(self.pos);
-                    }
-                    self.insts(preamble);
-                    self.block(body);
-                    if par {
-                        self.par_stack.pop();
-                    }
-                }
-                BcStmt::If { code, cond, then, else_ } => {
-                    self.insts(code);
-                    self.reg_use(File::I, *cond);
-                    self.block(then);
-                    self.block(else_);
-                }
-                BcStmt::Store { code, idx, val, .. } => {
-                    self.insts(code);
-                    self.reg_use(File::I, *idx);
-                    self.reg_use(File::F, *val);
-                }
-                BcStmt::Let { code, reg, .. } => {
-                    self.insts(code);
-                    self.reg_use(File::I, *reg);
-                }
-            }
-        }
-    }
-}
-
-pub(super) fn compute_pins(bc: &BcProgram) -> Pins {
-    let n_i = bc.n_iregs as usize;
-    let n_f = bc.n_fregs as usize;
-    let mut w = PinWalk {
-        pos: 0,
-        def: vec![None; n_i + n_f],
-        pins: vec![false; n_i + n_f],
-        par_stack: Vec::new(),
-        n_iregs: n_i,
-    };
-    w.insts(&bc.prologue);
-    w.block(&bc.body);
-    Pins { i: w.pins[..n_i].to_vec(), f: w.pins[n_i..].to_vec() }
 }
 
 // ---------------------------------------------------------------------------
@@ -217,37 +102,22 @@ fn inst_calls(inst: &Inst) -> bool {
     )
 }
 
-struct Collect {
+struct Collect<'f> {
     pos: u64,
     def: Vec<Option<u64>>,
     last_use: Vec<u64>,
     used: Vec<bool>,
     loops: Vec<(u64, u64)>,
     calls: Vec<u64>,
-    /// Defined inside a vectorized chunk.
-    lane: Vec<bool>,
     /// Non-parallel loop count (slot pairs).
     n_loop_slots: usize,
-    /// `true` once an unsupported pattern is seen (fall back to the
-    /// interpreter rather than guess).
-    bail: bool,
     n_iregs: usize,
-    pinned: Vec<bool>,
-    /// [`Varying`], flattened like the other per-register vectors.
-    varying: Vec<bool>,
+    facts: &'f Facts,
     /// Read by per-lane code between helper calls (see `insts`).
     reread_across_calls: Vec<bool>,
-    /// Active scope ids (one per enclosing loop / `If` branch).
-    scopes: Vec<u32>,
-    scope_counter: u32,
-    /// Scope stack captured at each register's def site. A use whose scope
-    /// stack doesn't extend the def's would read a value the interpreter
-    /// resolves through its persistent, zero-initialized register file
-    /// (conditional def, zero-trip loop) — those programs stay interpreted.
-    def_scope: Vec<Vec<u32>>,
 }
 
-impl Collect {
+impl Collect<'_> {
     fn flat(&self, file: File, r: Reg) -> usize {
         match file {
             File::I => r as usize,
@@ -255,56 +125,49 @@ impl Collect {
         }
     }
 
+    /// The facts of the register at flat index `k`.
+    fn fact(&self, k: usize) -> &Fact {
+        match k.checked_sub(self.n_iregs) {
+            None => &self.facts.i[k],
+            Some(r) => &self.facts.f[r],
+        }
+    }
+
+    /// Whether flat register `k` is `Varying` in its chunk.
+    fn varying(&self, k: usize) -> bool {
+        self.fact(k).general == Some(Shape::Varying)
+    }
+
     fn use_at(&mut self, file: File, r: Reg, pos: u64) {
         let k = self.flat(file, r);
-        if self.pinned[k] {
-            return;
-        }
-        if self.def[k].is_none() {
-            // Use before def: either a cross-function read (defined in a
-            // different native frame) or a stale-register pattern the
-            // interpreter resolves dynamically. Fall back.
-            self.bail = true;
-            return;
-        }
-        let ds = &self.def_scope[k];
-        if ds.len() > self.scopes.len() || self.scopes[..ds.len()] != ds[..] {
-            self.bail = true;
+        if self.fact(k).pinned {
             return;
         }
         self.last_use[k] = self.last_use[k].max(pos);
         self.used[k] = true;
     }
 
-    fn insts(&mut self, insts: &[Inst], in_chunk: bool) {
+    fn insts(&mut self, insts: &[Inst]) {
         for inst in insts {
             for src in inst.srcs().into_iter().flatten() {
                 self.use_at(src.0, src.1, self.pos);
             }
             let (file, dst) = inst.dst();
             let k = self.flat(file, dst);
-            if !self.pinned[k] {
-                if self.def[k].is_some() {
-                    // Two static def sites would break single-interval
-                    // allocation; the optimizer never emits this.
-                    self.bail = true;
-                }
+            if !self.fact(k).pinned {
                 self.def[k] = Some(self.pos);
-                self.def_scope[k] = self.scopes.clone();
                 self.last_use[k] = self.pos;
                 self.used[k] = true;
             }
-            if in_chunk {
-                self.lane[k] = true;
-                // A helper with one `Varying` operand runs per lane, and
-                // reads the other operand's home once per lane, across the
-                // calls of the lanes before: that operand must survive the
-                // calls like a value live across them.
-                if let Inst::BinF { op: BinOp::Rem | BinOp::Min | BinOp::Max, a, b, .. } = *inst {
-                    let (a, b) = (self.flat(File::F, a), self.flat(File::F, b));
-                    if self.varying[a] != self.varying[b] {
-                        self.reread_across_calls[if self.varying[a] { b } else { a }] = true;
-                    }
+            // A helper with one `Varying` operand runs per lane, and reads
+            // the other operand's home once per lane, across the calls of
+            // the lanes before: that operand must survive the calls like a
+            // value live across them.
+            if let Inst::BinF { op: BinOp::Rem | BinOp::Min | BinOp::Max, a, b, .. } = *inst {
+                let (a, b) = (self.flat(File::F, a), self.flat(File::F, b));
+                let (va, vb) = (self.varying(a), self.varying(b));
+                if va != vb {
+                    self.reread_across_calls[if va { b } else { a }] = true;
                 }
             }
             if inst_calls(inst) {
@@ -314,11 +177,6 @@ impl Collect {
         }
     }
 
-    fn push_scope(&mut self) {
-        self.scope_counter += 1;
-        self.scopes.push(self.scope_counter);
-    }
-
     fn block(&mut self, body: &[BcStmt]) {
         for s in body {
             match s {
@@ -326,8 +184,8 @@ impl Collect {
                     // Both bounds are read after both bound blocks ran
                     // (as `compile.rs` emits them), so the lower bound
                     // stays live across the upper bound's instructions.
-                    self.insts(&lower.insts, false);
-                    self.insts(&upper.insts, false);
+                    self.insts(&lower.insts);
+                    self.insts(&upper.insts);
                     self.use_at(File::I, lower.reg, self.pos);
                     self.use_at(File::I, upper.reg, self.pos);
                     if *kind == LoopKind::Parallel {
@@ -340,63 +198,31 @@ impl Collect {
                     }
                     self.n_loop_slots += 1;
                     let start = self.pos;
-                    let vector = matches!(kind, LoopKind::Vectorize(_))
-                        && bc_body_vectorizable(body);
-                    self.push_scope();
-                    self.insts(preamble, vector);
-                    self.block_vec(body, vector);
-                    self.scopes.pop();
+                    self.insts(preamble);
+                    self.block(body);
                     self.loops.push((start, self.pos));
                 }
                 BcStmt::If { code, cond, then, else_ } => {
-                    self.insts(code, false);
+                    self.insts(code);
                     self.use_at(File::I, *cond, self.pos);
-                    self.push_scope();
                     self.block(then);
-                    self.scopes.pop();
-                    self.push_scope();
                     self.block(else_);
-                    self.scopes.pop();
                 }
                 BcStmt::Store { code, idx, val, .. } => {
-                    self.insts(code, false);
+                    self.insts(code);
                     self.use_at(File::I, *idx, self.pos);
                     self.use_at(File::F, *val, self.pos);
                     self.pos += 1;
                 }
                 BcStmt::Let { code, reg, .. } => {
-                    self.insts(code, false);
+                    self.insts(code);
                     self.use_at(File::I, *reg, self.pos);
                     self.pos += 1;
                 }
-            }
-        }
-    }
-
-    fn block_vec(&mut self, body: &[BcStmt], in_chunk: bool) {
-        if !in_chunk {
-            self.block(body);
-            return;
-        }
-        for s in body {
-            match s {
-                BcStmt::Store { code, idx, val, .. } => {
-                    self.insts(code, true);
-                    self.use_at(File::I, *idx, self.pos);
-                    self.use_at(File::F, *val, self.pos);
-                    self.pos += 1;
-                }
-                BcStmt::Let { code, reg, .. } => {
-                    self.insts(code, true);
-                    self.use_at(File::I, *reg, self.pos);
-                    self.pos += 1;
-                }
-                _ => unreachable!("checked by bc_body_vectorizable"),
             }
         }
     }
 }
-
 
 // ---------------------------------------------------------------------------
 // Linear scan
@@ -558,12 +384,7 @@ fn check_homes(homes: &[Home], start: &[u64], end: &[u64]) {
     }
 }
 
-pub(super) fn allocate(
-    bc: &BcProgram,
-    code: &FnCode<'_>,
-    pins: &Pins,
-    varying: &Varying,
-) -> Option<FnAlloc> {
+pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAlloc {
     let n_i = bc.n_iregs as usize;
     let n_f = bc.n_fregs as usize;
     let mut c = Collect {
@@ -573,54 +394,16 @@ pub(super) fn allocate(
         used: vec![false; n_i + n_f],
         loops: Vec::new(),
         calls: Vec::new(),
-        lane: vec![false; n_i + n_f],
         // A parallel-body function's own iteration loop (bounds arrive as
         // arguments) gets the reserved slot pair 0.
         n_loop_slots: usize::from(matches!(code, FnCode::ParBody { .. })),
-        bail: false,
         n_iregs: n_i,
-        pinned: [&pins.i[..], &pins.f[..]].concat(),
-        varying: [&varying.i[..], &varying.f[..]].concat(),
+        facts,
         reread_across_calls: vec![false; n_i + n_f],
-        scopes: Vec::new(),
-        scope_counter: 0,
-        def_scope: vec![Vec::new(); n_i + n_f],
     };
-    match code {
-        FnCode::Main { prologue, body } => {
-            c.insts(prologue, false);
-            c.block(body);
-        }
-        FnCode::ParBody { preamble, body } => {
-            c.insts(preamble, false);
-            c.block(body);
-        }
-    }
-    if c.bail {
-        return None;
-    }
-
-    // Registers defined inside a vectorized chunk but read outside the
-    // chunk context read their *scalar* home, which chunk code never
-    // writes; the interpreter has the same split (lane register files vs
-    // scalar file) and resolves it per chunk. Supporting
-    // that would need per-use context tracking — fall back instead. Uses
-    // *inside* the loop (including the scalar remainder) are fine: the
-    // remainder writes scalar homes.
-    // A lane register's scalar def/uses all sit inside its loop region by
-    // construction; verify that.
-    for k in 0..n_i + n_f {
-        if c.lane[k] && c.used[k] {
-            let d = c.def[k].unwrap();
-            let inside = c
-                .loops
-                .iter()
-                .any(|&(s, e)| d >= s && d < e && c.last_use[k] < e);
-            if !inside {
-                return None;
-            }
-        }
-    }
+    let (FnCode::Main { prologue: first, body } | FnCode::ParBody { preamble: first, body }) = code;
+    c.insts(first);
+    c.block(body);
 
     // Extend intervals over loops they are live into (value must survive
     // the back edge). Fixpoint: extension into an inner loop can make an
@@ -647,7 +430,7 @@ pub(super) fn allocate(
     }
 
     // Linear scan.
-    let mut order: Vec<usize> = (0..n_i + n_f).filter(|&k| c.used[k] && !c.pinned[k]).collect();
+    let mut order: Vec<usize> = (0..n_i + n_f).filter(|&k| c.used[k]).collect();
     order.sort_by_key(|&k| (start[k], k));
     let mut scan = Scan {
         free_gpr: GPR_POOL.to_vec(),
@@ -667,7 +450,7 @@ pub(super) fn allocate(
             // XMMs are all caller-saved; call-crossing floats spill.
             scan.spill(k);
         } else {
-            let want = if c.lane[k] && c.varying[k] { Want::Pair } else { Want::Xmm };
+            let want = if c.varying(k) { Want::Pair } else { Want::Xmm };
             scan.place(k, end[k], want);
         }
     }
@@ -690,7 +473,8 @@ pub(super) fn allocate(
     let mut lanes_i = vec![-1i32; n_i];
     let mut lanes_f = vec![-1i32; n_f];
     for k in 0..n_i + n_f {
-        if !c.lane[k] || !(c.varying[k] || c.pinned[k]) {
+        // Chunk registers of other functions have no place here.
+        if c.def[k].is_none() || !c.varying(k) {
             continue;
         }
         if k < n_i {
@@ -702,18 +486,18 @@ pub(super) fn allocate(
         }
     }
     for (k, h) in homes.iter_mut().enumerate() {
-        if c.pinned[k] {
+        if c.fact(k).pinned {
             *h = Home::Ctx;
         }
     }
     // Six pushes leave rsp ≡ 8 (mod 16); the frame restores alignment.
     let frame_size = (off + 8 + 15) / 16 * 16 - 8;
-    Some(FnAlloc {
+    FnAlloc {
         homes_i: homes[..n_i].to_vec(),
         homes_f: homes[n_i..].to_vec(),
         lanes_i,
         lanes_f,
         loop_slots,
         frame_size,
-    })
+    }
 }

@@ -90,6 +90,7 @@ pub fn compile_program(p: &Program) -> Result<BcProgram> {
     };
     dce(&mut bc);
     bc.stats.insts = bc.n_insts();
+    debug_assert_eq!(bc.check_ssa(), Ok(()), "the optimizer emits strict SSA");
     Ok(bc)
 }
 

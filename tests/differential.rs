@@ -214,10 +214,12 @@ fn diff_service() -> &'static tiramisu::CompileService {
     })
 }
 
-/// `loopvm::opt` emits SSA: the artifact decoder, which rejects a register
-/// defined twice, must accept the bytecode of every generated program (the
-/// CPU lane goes through a real disk artifact below; GPU phases and rank
-/// chunks go through here).
+/// `loopvm::opt` emits strict SSA: the artifact decoder, which rejects a
+/// register defined twice or read where its definition does not reach,
+/// must accept the bytecode of every generated program — so every case
+/// proves the optimizer's output passes the dominance check (the CPU lane
+/// goes through a real disk artifact below; GPU phases and rank chunks go
+/// through here).
 fn bytecode_roundtrips(p: &loopvm::Program) -> bool {
     let mut w = artifacts::wire::Writer::new();
     loopvm::codec::encode_bc(p.compiled().unwrap().bytecode(), &mut w);
@@ -429,6 +431,60 @@ proptest! {
             &dist_out, &dist_tw_out,
             "dist bytecode vs tree-walk: {:?}", &alg
         );
+    }
+}
+
+/// One edit of an encoded stream, offsets taken modulo its length: kind 0
+/// flips the bits `v` of byte `a`, kind 1 keeps the first `a` bytes, kind
+/// 2 copies up to 16 bytes from offset `b` over offset `a`.
+fn mutate(bytes: &mut Vec<u8>, (kind, a, b, v): (u8, usize, usize, u8)) {
+    let n = bytes.len();
+    if n == 0 {
+        return;
+    }
+    let (a, b) = (a % n, b % n);
+    match kind {
+        0 => bytes[a] ^= v.max(1),
+        1 => bytes.truncate(a),
+        _ => {
+            let len = (v as usize % 16 + 1).min(n - a).min(n - b);
+            let src = bytes[b..b + len].to_vec();
+            bytes[a..a + len].copy_from_slice(&src);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(diff_cases()))]
+
+    /// The bytecode decoder is a trust boundary: the encoded bytecode of a
+    /// generated program with bytes flipped, cut off or spliced decodes to
+    /// `Ok` or `Err`, never a panic, and whatever decodes compiles to
+    /// native code without one.
+    #[test]
+    fn mutated_bytecode_decodes_or_errs(
+        alg in ralg(),
+        sched in rsched(),
+        edits in proptest::collection::vec(
+            (0u8..3, any::<usize>(), any::<usize>(), any::<u8>()),
+            1..5,
+        ),
+    ) {
+        let (mut f, bx, _) = build(&alg);
+        apply_sched(&mut f, bx, &sched);
+        let module = compile_cpu(&f, &[("N", N), ("M", M)], CpuOptions::default()).unwrap();
+        let p = &module.program;
+        let mut w = artifacts::wire::Writer::new();
+        loopvm::codec::encode_bc(p.compiled().unwrap().bytecode(), &mut w);
+        let mut bytes = w.into_vec();
+        for &e in &edits {
+            mutate(&mut bytes, e);
+        }
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let bc = loopvm::codec::decode_bc(&mut artifacts::wire::Reader::new(&bytes), p).ok()?;
+            loopvm::jit::compile(&bc).map(|j| j.code_len())
+        }));
+        prop_assert!(run.is_ok(), "decode or compile panicked: {:?} after {:?}", &alg, &edits);
     }
 }
 

@@ -10,9 +10,11 @@ mod walker;
 use loopvm::{ExecMode, Expr as V, LoopKind, Machine, Program, Stmt};
 use proptest::prelude::*;
 
-/// `loopvm::opt` emits SSA: the artifact decoder, which rejects a register
-/// defined twice, must accept the bytecode of every generated program.
-/// Called from the run helpers, so every generator below goes through it.
+/// `loopvm::opt` emits strict SSA: the artifact decoder, which rejects a
+/// register defined twice or read where its definition does not reach,
+/// must accept the bytecode of every generated program. Called from the
+/// run helpers, so every generator below proves the optimizer's output
+/// passes the dominance check.
 fn assert_bytecode_roundtrips(p: &Program) {
     let Ok(code) = p.compiled() else { return };
     let mut w = artifacts::wire::Writer::new();
