@@ -237,7 +237,8 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
         // every Figure 6 image kernel, the deterministic footprint of each
         // tier — bytecode instruction count, and where the native backend
         // exists (x86-64 Linux) the JIT's code size, the instructions of
-        // its packed-chunk fast paths and how many of them touch the stack,
+        // its packed-chunk fast paths, how many of them touch the stack and
+        // how many call a helper,
         // the same for the steady copies of chunks whose clamps it tests
         // (count, instructions, stack operands), function count,
         // deopt-stub counts broken down by reason, and per load/store
@@ -254,40 +255,44 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             let bc = loopvm::opt::compile_program(p).expect("bytecode compile");
             let insts = bc.stats().insts;
             let jit = loopvm::jit::compile(&bc);
-            let (code, chunk_insts, chunk_refs, steady, fns, deopts, reasons, guards) = match &jit {
-                Some(j) => {
-                    let by = j.deopt_reasons();
-                    let chunk = j.chunk_cost();
-                    let st = j.steady_cost();
-                    let g = j.guards();
-                    // Compact per-reason listing, only non-zero reasons.
-                    let listing: Vec<String> = loopvm::jit::DeoptReason::ALL
-                        .iter()
-                        .filter(|r| by[r.index()] > 0)
-                        .map(|r| format!("{}={}", r.name(), by[r.index()]))
-                        .collect();
-                    (
-                        j.code_len().to_string(),
-                        chunk.insts.to_string(),
-                        chunk.stack_refs.to_string(),
-                        [st.chunks, st.cost.insts, st.cost.stack_refs].map(|v| v.to_string()),
-                        j.n_fns().to_string(),
-                        j.n_deopts().to_string(),
-                        if listing.is_empty() { "-".to_string() } else { listing.join(" ") },
-                        format!("{}/{}/{}", g.interval, g.oracle, g.kept),
-                    )
-                }
-                None => {
-                    let none = || "-".to_string();
-                    (none(), none(), none(), [none(), none(), none()], none(), none(), none(), none())
-                }
-            };
+            let (code, chunk_insts, chunk_refs, chunk_calls, steady, fns, deopts, reasons, guards) =
+                match &jit {
+                    Some(j) => {
+                        let by = j.deopt_reasons();
+                        let chunk = j.chunk_cost();
+                        let st = j.steady_cost();
+                        let g = j.guards();
+                        // Compact per-reason listing, only non-zero reasons.
+                        let listing: Vec<String> = loopvm::jit::DeoptReason::ALL
+                            .iter()
+                            .filter(|r| by[r.index()] > 0)
+                            .map(|r| format!("{}={}", r.name(), by[r.index()]))
+                            .collect();
+                        (
+                            j.code_len().to_string(),
+                            chunk.insts.to_string(),
+                            chunk.stack_refs.to_string(),
+                            chunk.calls.to_string(),
+                            [st.chunks, st.cost.insts, st.cost.stack_refs].map(|v| v.to_string()),
+                            j.n_fns().to_string(),
+                            j.n_deopts().to_string(),
+                            if listing.is_empty() { "-".to_string() } else { listing.join(" ") },
+                            format!("{}/{}/{}", g.interval, g.oracle, g.kept),
+                        )
+                    }
+                    None => {
+                        let none = || "-".to_string();
+                        let steady = [none(), none(), none()];
+                        (none(), none(), none(), none(), steady, none(), none(), none(), none())
+                    }
+                };
             rows.push(vec![
                 name.clone(),
                 insts.to_string(),
                 code.clone(),
                 chunk_insts.clone(),
                 chunk_refs.clone(),
+                chunk_calls.clone(),
                 steady.join("/"),
                 fns.clone(),
                 deopts.clone(),
@@ -319,12 +324,13 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 None => "null".to_string(),
             };
             cells.push(format!(
-                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_steady_chunks\": {}, \"jit_steady_chunk_insts\": {}, \"jit_steady_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}}}",
+                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_chunk_calls\": {}, \"jit_steady_chunks\": {}, \"jit_steady_chunk_insts\": {}, \"jit_steady_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}}}",
                 jstr(name),
                 insts,
                 jfield(&code),
                 jfield(&chunk_insts),
                 jfield(&chunk_refs),
+                jfield(&chunk_calls),
                 jfield(&steady[0]),
                 jfield(&steady[1]),
                 jfield(&steady[2]),
@@ -344,6 +350,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                     "jit bytes",
                     "chunk insts",
                     "chunk rsp refs",
+                    "chunk calls",
                     "steady chunks/insts/rsp refs",
                     "jit fns",
                     "jit deopts",

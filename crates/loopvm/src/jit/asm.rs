@@ -11,7 +11,8 @@
 //! encoder never has to re-layout code.
 //!
 //! While the emitter has [`Asm::count_chunk`] on, the encoder also counts
-//! what it emits — instructions, and those with an `[rsp+…]` operand —
+//! what it emits — instructions, those with an `[rsp+…]` operand, and
+//! calls —
 //! into the program's [`ChunkCost`] of general chunk copies, of steady
 //! ones, or both (the loop head and back edge both copies run).
 
@@ -559,6 +560,7 @@ impl Asm {
     }
 
     pub fn call_r(&mut self, r: Gpr) {
+        self.tally(|c| c.calls += 1);
         self.rex(false, 0, 0, r.idx());
         self.b(0xFF);
         self.modrm(3, 2, r.idx());
@@ -708,6 +710,109 @@ impl Asm {
         self.modrm(3, dst.0, src.idx());
         self.line(|| format!("movd {}, {}d", dst.name(), src.name()));
     }
+
+    /// `cvttss2si r64, xmm`: truncates toward zero; `i64::MIN` for NaN
+    /// and out-of-range values.
+    pub fn cvttss2si(&mut self, dst: Gpr, src: Xmm) {
+        self.op_rr(Some(0xF3), true, &[0x0F, 0x2C], dst.idx(), src.0);
+        self.line(|| format!("cvttss2si {}, {}", dst.name(), src.name()));
+    }
+
+    /// `movsxd r64, m32`: a sign-extending dword load.
+    pub fn movsxd_rm(&mut self, dst: Gpr, m: Mem) {
+        self.op_rm(None, true, &[0x63], dst.idx(), m);
+        self.line(|| format!("movsxd {}, {}", dst.name(), m.text()));
+    }
+
+    // -- SSE4.1 packed dwords (four lanes) ------------------------------------
+
+    /// `66 0F …` packed-integer operation, `dst op= src`.
+    fn pd_op(&mut self, opcode: &[u8], mnem: &str, dst: Xmm, src: Xmm) {
+        self.op_rr(Some(0x66), false, opcode, dst.0, src.0);
+        self.line(|| format!("{mnem} {}, {}", dst.name(), src.name()));
+    }
+
+    pub fn paddd(&mut self, dst: Xmm, src: Xmm) {
+        self.pd_op(&[0x0F, 0xFE], "paddd", dst, src);
+    }
+
+    pub fn psubd(&mut self, dst: Xmm, src: Xmm) {
+        self.pd_op(&[0x0F, 0xFA], "psubd", dst, src);
+    }
+
+    pub fn pmulld(&mut self, dst: Xmm, src: Xmm) {
+        self.pd_op(&[0x0F, 0x38, 0x40], "pmulld", dst, src);
+    }
+
+    pub fn pminsd(&mut self, dst: Xmm, src: Xmm) {
+        self.pd_op(&[0x0F, 0x38, 0x39], "pminsd", dst, src);
+    }
+
+    pub fn pmaxsd(&mut self, dst: Xmm, src: Xmm) {
+        self.pd_op(&[0x0F, 0x38, 0x3D], "pmaxsd", dst, src);
+    }
+
+    /// `paddd xmm, [rip + l]`: adds the four dwords [`Asm::dwords`] put
+    /// at `l` (which must be 16-byte aligned).
+    pub fn paddd_rip(&mut self, dst: Xmm, l: Label) {
+        self.b(0x66);
+        self.rex(false, dst.0, 0, 0);
+        self.code.extend_from_slice(&[0x0F, 0xFE]);
+        self.modrm(0, dst.0, 5);
+        // The displacement ends the instruction, as a jump's does.
+        let at = self.code.len();
+        self.d32(0);
+        self.fixups.push((at, l));
+        self.line(|| format!("paddd {}, [rip+L{}]", dst.name(), l.0));
+    }
+
+    /// Pads with `int3` to a multiple of 16 bytes.
+    pub fn align16(&mut self) {
+        while !self.code.len().is_multiple_of(16) {
+            self.b(0xCC);
+        }
+    }
+
+    /// Four dwords of data (not an instruction).
+    pub fn dwords(&mut self, v: [i32; 4]) {
+        for d in v {
+            self.d32(d);
+        }
+        if let Some(text) = &mut self.text {
+            text.push(format!("  .long {}, {}, {}, {}", v[0], v[1], v[2], v[3]));
+        }
+    }
+
+    /// `cvttps2dq`: four `f32` truncated toward zero to `i32`.
+    pub fn cvttps2dq(&mut self, dst: Xmm, src: Xmm) {
+        self.sse_op(Some(0xF3), 0x5B, "cvttps2dq", dst, src);
+    }
+
+    /// `cvtdq2ps`: four `i32` to `f32`, rounded per MXCSR like `cvtsi2ss`.
+    pub fn cvtdq2ps(&mut self, dst: Xmm, src: Xmm) {
+        self.sse_op(None, 0x5B, "cvtdq2ps", dst, src);
+    }
+
+    /// `pextrd r32, xmm, lane` (zero-extends into the 64-bit register).
+    pub fn pextrd(&mut self, dst: Gpr, src: Xmm, lane: u8) {
+        self.op_rr(Some(0x66), false, &[0x0F, 0x3A, 0x16], src.0, dst.idx());
+        self.b(lane);
+        self.line(|| format!("pextrd {}d, {}, {lane}", dst.name(), src.name()));
+    }
+
+    /// `insertps xmm, m32, lane << 4`: loads one `f32` into `lane`.
+    pub fn insertps_xm(&mut self, dst: Xmm, m: Mem, lane: u8) {
+        self.op_rm(Some(0x66), false, &[0x0F, 0x3A, 0x21], dst.0, m);
+        self.b(lane << 4);
+        self.line(|| format!("insertps {}, {}, {:#x}", dst.name(), m.text(), lane << 4));
+    }
+
+    /// `extractps m32, xmm, lane`: stores one `f32` lane.
+    pub fn extractps_mx(&mut self, m: Mem, src: Xmm, lane: u8) {
+        self.op_rm(Some(0x66), false, &[0x0F, 0x3A, 0x17], src.0, m);
+        self.b(lane);
+        self.line(|| format!("extractps {}, {}, {lane}", m.text(), src.name()));
+    }
 }
 
 #[cfg(test)]
@@ -845,6 +950,72 @@ mod tests {
     }
 
     #[test]
+    fn packed_dword_encodings_match_reference_bytes() {
+        // GNU as, `.intel_syntax noprefix`.
+        let mut a = Asm::new();
+        a.paddd(Xmm(0), Xmm(1));
+        a.paddd(Xmm(10), Xmm(3));
+        a.psubd(Xmm(2), Xmm(9));
+        a.pmulld(Xmm(0), Xmm(1));
+        a.pmulld(Xmm(12), Xmm(13));
+        a.pminsd(Xmm(3), Xmm(1));
+        a.pmaxsd(Xmm(3), Xmm(11));
+        a.cvttps2dq(Xmm(0), Xmm(9));
+        a.cvtdq2ps(Xmm(10), Xmm(1));
+        assert_eq!(
+            a.code,
+            [
+                0x66, 0x0F, 0xFE, 0xC1, 0x66, 0x44, 0x0F, 0xFE, 0xD3, 0x66, 0x41, 0x0F, 0xFA,
+                0xD1, 0x66, 0x0F, 0x38, 0x40, 0xC1, 0x66, 0x45, 0x0F, 0x38, 0x40, 0xE5, 0x66,
+                0x0F, 0x38, 0x39, 0xD9, 0x66, 0x41, 0x0F, 0x38, 0x3D, 0xDB, 0xF3, 0x41, 0x0F,
+                0x5B, 0xC1, 0x44, 0x0F, 0x5B, 0xD1
+            ]
+        );
+
+        let mut a = Asm::new();
+        a.pextrd(Gpr::Rax, Xmm(0), 1);
+        a.pextrd(Gpr::Rax, Xmm(12), 3);
+        a.insertps_xm(Xmm(0), Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0), 1);
+        a.insertps_xm(Xmm(13), Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0), 3);
+        a.extractps_mx(Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0), Xmm(0), 1);
+        a.extractps_mx(Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0), Xmm(14), 3);
+        assert_eq!(
+            a.code,
+            [
+                0x66, 0x0F, 0x3A, 0x16, 0xC0, 0x01, 0x66, 0x44, 0x0F, 0x3A, 0x16, 0xE0, 0x03,
+                0x66, 0x0F, 0x3A, 0x21, 0x04, 0x81, 0x10, 0x66, 0x44, 0x0F, 0x3A, 0x21, 0x2C,
+                0x81, 0x30, 0x66, 0x0F, 0x3A, 0x17, 0x04, 0x81, 0x01, 0x66, 0x44, 0x0F, 0x3A,
+                0x17, 0x34, 0x81, 0x03
+            ]
+        );
+
+        // `paddd xmm9, [rip+0x10]` from its own end, which is at 9.
+        let mut a = Asm::new();
+        let l = a.new_label();
+        a.paddd_rip(Xmm(9), l);
+        a.align16();
+        a.bind(l);
+        a.dwords([0, 1, 2, 3]);
+        a.finish();
+        assert_eq!(a.code[..9], [0x66, 0x44, 0x0F, 0xFE, 0x0D, 0x07, 0x00, 0x00, 0x00]);
+        assert_eq!(a.code[9..16], [0xCC; 7]);
+        assert_eq!(a.code[16..], [0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0]);
+
+        let mut a = Asm::new();
+        a.movsxd_rm(Gpr::Rax, Mem::base(Gpr::Rsp, 0x40));
+        a.movsxd_rm(Gpr::Rcx, Mem::base(Gpr::Rsp, 0x1C));
+        a.cvttss2si(Gpr::Rax, Xmm(0));
+        a.cvttss2si(Gpr::Rax, Xmm(9));
+        assert_eq!(
+            a.code,
+            [
+                0x48, 0x63, 0x44, 0x24, 0x40, 0x48, 0x63, 0x4C, 0x24, 0x1C, 0xF3, 0x48, 0x0F,
+                0x2C, 0xC0, 0xF3, 0x49, 0x0F, 0x2C, 0xC1
+            ]
+        );
+    }
+
+    #[test]
     fn chunk_cost_counts_only_while_on() {
         let mut a = Asm::with_listing();
         let l = a.new_label();
@@ -859,10 +1030,12 @@ mod tests {
         a.addps(Xmm(3), Xmm(4));
         a.count_chunk(false, true);
         a.jcc(Cc::O, l);
+        a.call_r(Gpr::Rax);
         a.count_chunk(false, false);
         a.movss_mx(Mem::base(Gpr::Rsp, 0), Xmm(0));
-        assert_eq!(a.chunk, ChunkCost { insts: 4, stack_refs: 2 });
-        assert_eq!(a.steady, ChunkCost { insts: 2, stack_refs: 1 });
+        a.call_r(Gpr::Rax);
+        assert_eq!(a.chunk, ChunkCost { insts: 4, stack_refs: 2, calls: 0 });
+        assert_eq!(a.steady, ChunkCost { insts: 3, stack_refs: 1, calls: 1 });
     }
 
     #[test]

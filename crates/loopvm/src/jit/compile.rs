@@ -27,18 +27,27 @@
 //!   a varying `f32` value lives in an XMM pair and its arithmetic is two
 //!   packed SSE operations in place on the pairs; a load/store whose
 //!   index is linear takes one range guard for all eight lanes and moves
-//!   a pair's halves directly. Per-lane code remains for varying integer
-//!   values (kept in 8-lane stack arrays), gathers and the helper-call
-//!   operations, and — out of line behind the function's `ret` — as the
-//!   path a failing range guard jumps to, which finds the first failing
-//!   lane exactly as before (a proven access has neither guard nor path).
-//!   Per-lane code reads and writes `f32` lanes through the register's
-//!   lane array: a pair is written back to it
-//!   before the first per-lane read in a chunk (or on the way into a
-//!   store's slow path) and reloaded from it after per-lane code defined
-//!   it. A varying register without a pair lives in its array. The
-//!   scalar remainder loop is emitted separately and is the only part
-//!   that writes the loop variable's frame slot.
+//!   a pair's halves directly. A *narrow* `i64` value (one whose
+//!   interval fits `i32`, see [`super::facts`]) is a pair of packed
+//!   dwords: `paddd`/`psubd`/`pmulld`/`pminsd`/`pmaxsd`, `cvttps2dq` and
+//!   `cvtdq2ps` for the casts, and proven loads and stores it indexes
+//!   gather and scatter with `pextrd` + `insertps`/`extractps`. Per-lane
+//!   code remains for the other varying integer values (kept in 8-lane
+//!   stack arrays), the other gathers and the helper-call operations, and
+//!   — out of line behind the function's `ret` — as the path a failing
+//!   range guard jumps to, which finds the first failing lane exactly as
+//!   before (a proven access has neither guard nor path). Per-lane code
+//!   reads and writes `f32` lanes, and reads narrow lanes (sign-extending
+//!   each dword), through the register's lane array: a pair is written
+//!   back to it before the first per-lane read in a chunk (or on the way
+//!   into a store's slow path), and an `f32` pair is reloaded from it
+//!   after per-lane code defined it. A varying register without a pair
+//!   lives in its array. The scalar remainder loop is emitted separately
+//!   and is the only part that writes the loop variable's frame slot.
+//! - `f2i` is `cvttss2si`; the `i64::MIN` it returns for NaN and values
+//!   out of range jumps to an out-of-line fix-up that gives Rust's
+//!   saturating result. No instruction calls a helper but `f32`
+//!   `min`/`max`/`%`/`exp` and the parallel dispatch.
 //!
 //! # Lane shapes and steady chunks
 //!
@@ -71,6 +80,9 @@ use crate::vm::{bc_body_vectorizable, LANES};
 /// any other program (the plain lowering) returns `None` and stays with
 /// the bytecode interpreter, and a debug build asserts.
 pub fn compile(bc: &BcProgram) -> Option<JitProgram> {
+    if !super::supported() {
+        return None;
+    }
     let e = emit(bc, Asm::new())?;
     let steady = super::SteadyCost { chunks: e.steady_chunks, cost: e.a.steady };
     JitProgram::new(e.a.code, e.main_off, e.par_fns, e.deopts, (e.a.chunk, steady), e.guards, bc)
@@ -110,6 +122,8 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
         exit: Label::INVALID,
         stubs: Vec::new(),
         slow: Vec::new(),
+        fixups: Vec::new(),
+        steps: Vec::new(),
         deopts: Vec::new(),
         pending: Vec::new(),
         next_par_id: 0,
@@ -118,7 +132,7 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
         steady: false,
         restart: None,
         steady_chunks: 0,
-        synced: vec![false; bc.n_fregs as usize],
+        synced: [vec![false; bc.n_iregs as usize], vec![false; bc.n_fregs as usize]],
         facts,
     };
     let main_off = e.a.here();
@@ -132,6 +146,16 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
         e.emit_fn(Some((i, w)));
         par_fns.push((off, w.var));
         i += 1;
+    }
+    // After the code, 16-byte aligned as `paddd`'s memory operand must be.
+    if !e.steps.is_empty() {
+        e.a.align16();
+    }
+    for (s, l) in std::mem::take(&mut e.steps) {
+        for (h, l) in l.into_iter().enumerate() {
+            e.a.bind(l);
+            e.a.dwords(std::array::from_fn(|k| (4 * h + k) as i32 * s));
+        }
     }
     e.a.finish();
     Some(Emitted {
@@ -237,6 +261,12 @@ struct Emit<'a> {
     stubs: Vec<(Label, usize)>,
     /// Per-lane paths of range-guarded accesses, emitted before the stubs.
     slow: Vec<SlowPath>,
+    /// `(entry, continuation)` of every `f2i` fix-up, emitted after the
+    /// slow paths.
+    fixups: Vec<(Label, Label)>,
+    /// Per stride `s` of a linear register some packed code reads as
+    /// dwords, where the lane offsets `l·s` of each half are.
+    steps: Vec<(i32, [Label; 2])>,
     /// Program-wide deopt table (ids are stub return code − 3).
     deopts: Vec<Deopt>,
     /// Parallel loops discovered so far, in dispatch-id order.
@@ -254,10 +284,11 @@ struct Emit<'a> {
     restart: Option<(Label, Vec<Clamp>)>,
     /// Vector chunks emitted with a steady copy so far.
     steady_chunks: usize,
-    /// Per f-register: its pair has been written to (or loaded from) its
-    /// lane array in the current chunk, so the two agree until the chunk
-    /// ends (registers are defined once per chunk).
-    synced: Vec<bool>,
+    /// Per file (`File as usize`), per register: its pair has been
+    /// written to (or loaded from) its lane array in the current chunk, so
+    /// the two agree until the chunk ends (registers are defined once per
+    /// chunk).
+    synced: [Vec<bool>; 2],
     /// Every register's record, every access's verdict, every chunk's
     /// clamps.
     facts: Facts,
@@ -308,6 +339,9 @@ impl<'a> Emit<'a> {
         for sp in std::mem::take(&mut self.slow) {
             self.emit_slow_path(sp);
         }
+        for (fix, cont) in std::mem::take(&mut self.fixups) {
+            self.emit_f2i_fixup(fix, cont);
+        }
         for (label, id) in std::mem::take(&mut self.stubs) {
             self.a.bind(label);
             self.a.mov_mr(Mem::base(Gpr::R15, CTX_DEOPT_A), Gpr::Rax);
@@ -347,6 +381,10 @@ impl<'a> Emit<'a> {
             };
             match self.lane_array_i(r) {
                 None => self.read_i_home(dst, r),
+                // A narrow register's lanes are dwords (see `sync`).
+                Some(arr) if self.facts.i[r as usize].narrow => {
+                    self.a.movsxd_rm(dst, Mem::base(Gpr::Rsp, arr + (slot * 4) as i32))
+                }
                 Some(arr) => self.a.mov_rm(dst, Mem::base(Gpr::Rsp, arr + (slot * 8) as i32)),
             }
             if add != 0 {
@@ -389,6 +427,7 @@ impl<'a> Emit<'a> {
     /// ctx homes).
     fn write_i(&mut self, r: Reg) {
         if let (Some(l), Some(arr)) = (self.lane, self.lane_array_i(r)) {
+            debug_assert!(!self.facts.i[r as usize].narrow, "narrow i{r} is defined packed");
             self.a.mov_mr(Mem::base(Gpr::Rsp, arr + (l * 8) as i32), Gpr::Rax);
             return;
         }
@@ -632,7 +671,7 @@ impl<'a> Emit<'a> {
     ) {
         self.steady = restart.is_some();
         self.restart = restart;
-        self.synced.iter_mut().for_each(|s| *s = false);
+        self.synced.iter_mut().flatten().for_each(|s| *s = false);
         self.chunk = Some(c);
         for inst in preamble {
             self.emit_chunk_inst(inst);
@@ -703,28 +742,49 @@ impl<'a> Emit<'a> {
                 Shape::Linear(s) if s > 0 => {
                     self.emit_linear_load(dst, buf, idx, s, self.facts.load(inst))
                 }
+                Shape::Varying if self.dwords(idx) && self.facts.load(inst).is_none() => {
+                    self.emit_gather(dst, buf, idx)
+                }
                 _ => self.emit_per_lane(inst),
             },
             Inst::BinF { dst, op, a, b }
                 if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div) =>
             {
-                // A uniform right operand is broadcast once for both
-                // halves; xmm1 stays free for a spilled one otherwise.
-                let b_uniform = self.shape(File::F, b) != Shape::Varying;
-                if b_uniform {
-                    self.broadcast(Xmm(1), b);
-                }
+                self.emit_packed(File::F, dst, a, b, |asm, t, src| match op {
+                    BinOp::Add => asm.addps(t, src),
+                    BinOp::Sub => asm.subps(t, src),
+                    BinOp::Mul => asm.mulps(t, src),
+                    _ => asm.divps(t, src),
+                });
+            }
+            Inst::BinI { dst, op, a, b } if self.facts.i[dst as usize].narrow => {
+                // `min`/`max`/`+`/`×` commute: a varying operand goes left,
+                // where it is computed in place.
+                let varying = |r| self.shape(File::I, r) == Shape::Varying;
+                let swap = op != BinOp::Sub && !varying(a) && varying(b);
+                let (a, b) = if swap { (b, a) } else { (a, b) };
+                self.emit_packed(File::I, dst, a, b, |asm, t, src| match op {
+                    BinOp::Add => asm.paddd(t, src),
+                    BinOp::Sub => asm.psubd(t, src),
+                    BinOp::Mul => asm.pmulld(t, src),
+                    BinOp::Min => asm.pminsd(t, src),
+                    _ => asm.pmaxsd(t, src),
+                });
+            }
+            Inst::CastFI { dst, a } if self.facts.i[dst as usize].narrow => {
                 for h in 0..2 {
-                    let t = self.half_target(dst, h);
-                    self.half_into(t, a, h);
-                    let src = if b_uniform { Xmm(1) } else { self.half(b, h, Xmm(1)) };
-                    match op {
-                        BinOp::Add => self.a.addps(t, src),
-                        BinOp::Sub => self.a.subps(t, src),
-                        BinOp::Mul => self.a.mulps(t, src),
-                        _ => self.a.divps(t, src),
-                    }
-                    self.half_done(dst, h);
+                    let t = self.half_target(File::I, dst, h);
+                    let src = self.half(File::F, a, h, t);
+                    self.a.cvttps2dq(t, src);
+                    self.half_done(File::I, dst, h);
+                }
+            }
+            Inst::CastIF { dst, a } if self.dwords(a) => {
+                for h in 0..2 {
+                    let t = self.half_target(File::F, dst, h);
+                    let src = self.half(File::I, a, h, t);
+                    self.a.cvtdq2ps(t, src);
+                    self.half_done(File::F, dst, h);
                 }
             }
             Inst::UnF { dst, op, a } if matches!(op, UnOp::Neg | UnOp::Abs | UnOp::Sqrt) => {
@@ -736,10 +796,10 @@ impl<'a> Emit<'a> {
                 }
                 // `a` is varying: a uniform one would make `dst` uniform.
                 for h in 0..2 {
-                    let t = self.half_target(dst, h);
+                    let t = self.half_target(File::F, dst, h);
                     match op {
                         UnOp::Neg | UnOp::Abs => {
-                            self.half_into(t, a, h);
+                            self.half_into(File::F, t, a, h);
                             if op == UnOp::Neg {
                                 self.a.xorps(t, Xmm(1));
                             } else {
@@ -747,26 +807,75 @@ impl<'a> Emit<'a> {
                             }
                         }
                         _ => {
-                            let src = self.half(a, h, t);
+                            let src = self.half(File::F, a, h, t);
                             self.a.sqrtps(t, src);
                         }
                     }
-                    self.half_done(dst, h);
+                    self.half_done(File::F, dst, h);
                 }
             }
             _ => self.emit_per_lane(inst),
         }
     }
 
-    /// The instruction lane by lane. Its `f32` operands are read from
-    /// their lane arrays, so pairs are written back first; a varying
+    /// `dst = op(a, b)` half by half, in place in `dst`'s half: `a`'s
+    /// half is moved there, then `op` applies `b`'s. A uniform `b` is
+    /// broadcast once for both halves; xmm1 stays free for a spilled one
+    /// otherwise. `i64` operands are dword lanes ([`Self::dwords`]).
+    fn emit_packed(
+        &mut self,
+        file: File,
+        dst: Reg,
+        a: Reg,
+        b: Reg,
+        op: impl Fn(&mut Asm, Xmm, Xmm),
+    ) {
+        let dwords = file == File::F || (self.dwords(a) && self.dwords(b));
+        debug_assert!(dwords, "i{dst}: wide operands");
+        let b_uniform = self.shape(file, b) == Shape::Uniform;
+        if b_uniform {
+            self.broadcast(file, Xmm(1), b);
+        }
+        for h in 0..2 {
+            let t = self.half_target(file, dst, h);
+            self.half_into(file, t, a, h);
+            let src = if b_uniform { Xmm(1) } else { self.half(file, b, h, Xmm(1)) };
+            op(&mut self.a, t, src);
+            self.half_done(file, dst, h);
+        }
+    }
+
+    /// `f[dst] = buf[i[idx]]` for all lanes, `idx` being narrow and the
+    /// access proven: each lane's dword index is extracted and its element
+    /// inserted into `dst`'s half.
+    fn emit_gather(&mut self, dst: Reg, buf: u32, idx: Reg) {
+        self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
+        for h in 0..2 {
+            let ix = self.half(File::I, idx, h, Xmm(1));
+            let t = self.half_target(File::F, dst, h);
+            for k in 0..4 {
+                // A proven index is non-negative: the zero-extension is
+                // its value.
+                self.a.pextrd(Gpr::Rax, ix, k);
+                let at = Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0);
+                if k == 0 {
+                    self.a.movss_xm(t, at);
+                } else {
+                    self.a.insertps_xm(t, at, k);
+                }
+            }
+            self.half_done(File::F, dst, h);
+        }
+    }
+
+    /// The instruction lane by lane. Its varying operands are read from
+    /// their lane arrays, so pairs are written back first (a narrow
+    /// register's dwords, which each lane's read sign-extends); a varying
     /// `f32` result is assembled in its lane array and loaded into its
     /// pair after.
     fn emit_per_lane(&mut self, inst: &Inst) {
         for (file, r) in inst.srcs().into_iter().flatten() {
-            if file == File::F {
-                self.sync(r);
-            }
+            self.sync(file, r);
         }
         for l in 0..LANES {
             self.in_lane(l, |e| e.emit_inst(inst));
@@ -776,79 +885,125 @@ impl<'a> Emit<'a> {
         }
     }
 
-    /// The pair of a varying chunk f-register (`None`: it lives in its
-    /// lane array).
-    fn pair(&self, r: Reg) -> Option<[Xmm; 2]> {
-        match (self.chunk_shape(File::F, r), self.alloc.homes_f[r as usize]) {
-            (Some(Shape::Varying), Home::Pair(x, y)) => Some([x, y]),
-            _ => None,
+    /// The pair of a varying chunk register — an `f32` one, or a narrow
+    /// `i64` one's dwords — (`None`: it lives in its lane array).
+    fn pair(&self, file: File, r: Reg) -> Option<[Xmm; 2]> {
+        if self.chunk_shape(file, r) != Some(Shape::Varying) {
+            return None;
+        }
+        match file {
+            File::F => match self.alloc.homes_f[r as usize] {
+                Home::Pair(x, y) => Some([x, y]),
+                _ => None,
+            },
+            File::I => self.alloc.pairs_i[r as usize],
         }
     }
 
-    /// The lane array bytes of half `h` of f-register `r`.
-    fn lane_half(&self, r: Reg, h: usize) -> Mem {
-        Mem::base(Gpr::Rsp, self.alloc.lanes_f[r as usize] + (h * 16) as i32)
+    /// The lane array bytes of half `h` of a varying `f32` or narrow
+    /// register.
+    fn lane_half(&self, file: File, r: Reg, h: usize) -> Mem {
+        let arr = match file {
+            File::F => self.alloc.lanes_f[r as usize],
+            File::I => self.alloc.lanes_i[r as usize],
+        };
+        Mem::base(Gpr::Rsp, arr + (h * 16) as i32)
     }
 
     /// Writes `r`'s pair to its lane array unless this chunk already did.
-    fn sync(&mut self, r: Reg) {
-        if let (Some(p), false) = (self.pair(r), self.synced[r as usize]) {
+    fn sync(&mut self, file: File, r: Reg) {
+        if let (Some(p), false) = (self.pair(file, r), self.synced[file as usize][r as usize]) {
             for (h, x) in p.into_iter().enumerate() {
-                self.a.movups_mx(self.lane_half(r, h), x);
+                self.a.movups_mx(self.lane_half(file, r, h), x);
             }
-            self.synced[r as usize] = true;
+            self.synced[file as usize][r as usize] = true;
         }
     }
 
-    /// Loads `r`'s pair from its lane array, which per-lane code filled.
+    /// Loads f-register `r`'s pair from its lane array, which per-lane
+    /// code filled.
     fn reload(&mut self, r: Reg) {
-        if let Some(p) = self.pair(r) {
+        if let Some(p) = self.pair(File::F, r) {
             for (h, x) in p.into_iter().enumerate() {
-                self.a.movups_xm(x, self.lane_half(r, h));
+                self.a.movups_xm(x, self.lane_half(File::F, r, h));
             }
-            self.synced[r as usize] = true;
+            self.synced[File::F as usize][r as usize] = true;
         }
     }
 
-    /// Lane 0 of the uniform f-register `r` in all four lanes of `dst`.
-    fn broadcast(&mut self, dst: Xmm, r: Reg) {
-        self.in_lane(0, |e| e.read_f(dst, r));
+    /// Lane 0 of register `r` in all four lanes of `dst` (an i-register's
+    /// as a dword).
+    fn broadcast(&mut self, file: File, dst: Xmm, r: Reg) {
+        match file {
+            File::F => self.in_lane(0, |e| e.read_f(dst, r)),
+            File::I if self.facts.i[r as usize].konst == Some(0) => return self.a.xorps(dst, dst),
+            File::I => {
+                self.in_lane(0, |e| e.read_i(Gpr::Rax, r));
+                self.a.movd_xr(dst, Gpr::Rax);
+            }
+        }
         self.a.shufps(dst, dst, 0);
     }
 
-    /// Lanes `4h ..` of f-register `r` in an SSE register: its pair's half
-    /// as is; otherwise loaded (or, for a uniform register, broadcast)
-    /// into `scratch`.
-    fn half(&mut self, r: Reg, h: usize, scratch: Xmm) -> Xmm {
-        if let Some(p) = self.pair(r) {
+    /// Whether i-register `r` has dword lanes in the chunk copy being
+    /// emitted: it is narrow, or it is uniform or linear and fits `i32`.
+    fn dwords(&self, r: Reg) -> bool {
+        let f = &self.facts.i[r as usize];
+        match self.shape(File::I, r) {
+            Shape::Varying => f.narrow,
+            Shape::Uniform | Shape::Linear(_) => f.fits_i32(),
+        }
+    }
+
+    /// Lanes `4h ..` of register `r` in an SSE register: its pair's half
+    /// as is; otherwise loaded from its lane array, broadcast from a
+    /// uniform register or counted up from a linear one's lane 0 in
+    /// `scratch`. An i-register's lanes are dwords ([`Self::dwords`]).
+    fn half(&mut self, file: File, r: Reg, h: usize, scratch: Xmm) -> Xmm {
+        if let Some(p) = self.pair(file, r) {
             return p[h];
         }
-        if self.shape(File::F, r) == Shape::Varying {
-            self.a.movups_xm(scratch, self.lane_half(r, h));
-        } else {
-            self.broadcast(scratch, r);
+        match self.shape(file, r) {
+            Shape::Varying => self.a.movups_xm(scratch, self.lane_half(file, r, h)),
+            Shape::Uniform => self.broadcast(file, scratch, r),
+            Shape::Linear(s) => {
+                self.broadcast(File::I, scratch, r);
+                let steps = self.steps(s)[h];
+                self.a.paddd_rip(scratch, steps);
+            }
         }
         scratch
     }
 
+    /// The constants `l·s` for the lanes `l` of each half, emitted after
+    /// the code.
+    fn steps(&mut self, s: i32) -> [Label; 2] {
+        if let Some(&(_, l)) = self.steps.iter().find(|(t, _)| *t == s) {
+            return l;
+        }
+        let l = [self.a.new_label(), self.a.new_label()];
+        self.steps.push((s, l));
+        l
+    }
+
     /// [`Self::half`] into `dst` itself.
-    fn half_into(&mut self, dst: Xmm, r: Reg, h: usize) {
-        let src = self.half(r, h, dst);
+    fn half_into(&mut self, file: File, dst: Xmm, r: Reg, h: usize) {
+        let src = self.half(file, r, h, dst);
         if src != dst {
             self.a.movaps_xx(dst, src);
         }
     }
 
-    /// Where packed code computes half `h` of the varying f-register `r`:
+    /// Where packed code computes half `h` of the varying register `r`:
     /// its pair's half, or xmm0 for [`Self::half_done`] to store.
-    fn half_target(&self, r: Reg, h: usize) -> Xmm {
-        self.pair(r).map_or(Xmm(0), |p| p[h])
+    fn half_target(&self, file: File, r: Reg, h: usize) -> Xmm {
+        self.pair(file, r).map_or(Xmm(0), |p| p[h])
     }
 
     /// Completes half `h` of `r` computed at [`Self::half_target`].
-    fn half_done(&mut self, r: Reg, h: usize) {
-        if self.pair(r).is_none() {
-            self.a.movups_mx(self.lane_half(r, h), Xmm(0));
+    fn half_done(&mut self, file: File, r: Reg, h: usize) {
+        if self.pair(file, r).is_none() {
+            self.a.movups_mx(self.lane_half(file, r, h), Xmm(0));
         }
     }
 
@@ -869,7 +1024,9 @@ impl<'a> Emit<'a> {
                 cont,
                 op,
                 steady: self.steady,
-                write_back: val.is_some_and(|v| self.pair(v).is_some() && !self.synced[v as usize]),
+                write_back: val.is_some_and(|v| {
+                    self.pair(File::F, v).is_some() && !self.synced[File::F as usize][v as usize]
+                }),
                 why,
             });
             self.a.comment(|| format!("guard: {}", why.why()));
@@ -893,9 +1050,9 @@ impl<'a> Emit<'a> {
         let cont = self.range_guard(MemOp::Load { dst, buf, idx }, s, guard);
         if s == 1 {
             for h in 0..2 {
-                let t = self.half_target(dst, h);
+                let t = self.half_target(File::F, dst, h);
                 self.a.movups_xm(t, Mem::sib(Gpr::Rcx, Gpr::Rax, 4, h as i32 * 16));
-                self.half_done(dst, h);
+                self.half_done(File::F, dst, h);
             }
         } else {
             let out = self.alloc.lanes_f[dst as usize];
@@ -911,10 +1068,26 @@ impl<'a> Emit<'a> {
     }
 
     /// The store of one chunk statement: two `movups` behind at most one
-    /// range guard when the index is contiguous, else lane by lane.
+    /// range guard when the index is contiguous, a lane-by-lane scatter of
+    /// extracted dword indices when it is narrow and the store proven,
+    /// else per-lane code.
     fn emit_chunk_store(&mut self, buf: u32, idx: Reg, val: Reg, guard: Option<Kept>) {
-        if self.shape(File::I, idx) != Shape::Linear(1) {
-            self.sync(val);
+        let shape = self.shape(File::I, idx);
+        if shape == Shape::Varying && self.dwords(idx) && guard.is_none() {
+            self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
+            for h in 0..2 {
+                let ix = self.half(File::I, idx, h, Xmm(1));
+                let v = self.half(File::F, val, h, Xmm(0));
+                for k in 0..4 {
+                    self.a.pextrd(Gpr::Rax, ix, k);
+                    self.a.extractps_mx(Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0), v, k);
+                }
+            }
+            return;
+        }
+        if shape != Shape::Linear(1) {
+            self.sync(File::I, idx);
+            self.sync(File::F, val);
             for l in 0..LANES {
                 self.in_lane(l, |e| e.emit_store(buf, idx, val, guard));
             }
@@ -923,10 +1096,10 @@ impl<'a> Emit<'a> {
         let cont = self.range_guard(MemOp::Store { buf, idx, val }, 1, guard);
         let uniform = self.shape(File::F, val) != Shape::Varying;
         if uniform {
-            self.broadcast(Xmm(0), val);
+            self.broadcast(File::F, Xmm(0), val);
         }
         for h in 0..2 {
-            let src = if uniform { Xmm(0) } else { self.half(val, h, Xmm(0)) };
+            let src = if uniform { Xmm(0) } else { self.half(File::F, val, h, Xmm(0)) };
             self.a.movups_mx(Mem::sib(Gpr::Rcx, Gpr::Rax, 4, h as i32 * 16), src);
         }
         if let Some(cont) = cont {
@@ -948,8 +1121,8 @@ impl<'a> Emit<'a> {
         // The shapes and the (not yet) synced state the access saw.
         self.steady = sp.steady;
         if let MemOp::Store { val, .. } = sp.op {
-            self.synced[val as usize] = !sp.write_back;
-            self.sync(val);
+            self.synced[File::F as usize][val as usize] = !sp.write_back;
+            self.sync(File::F, val);
         }
         for l in 0..LANES {
             self.in_lane(l, |e| match sp.op {
@@ -1183,12 +1356,34 @@ impl<'a> Emit<'a> {
                 self.write_f(dst);
             }
             Inst::CastFI { dst, a } => {
-                // Rust's saturating `f32 as i64` through a helper.
+                // Rust's saturating `f32 as i64`: `cvttss2si` truncates
+                // alike, except that NaN and every value out of range give
+                // `i64::MIN`. Only that value (`rax − 1` overflows) leaves
+                // for the out-of-line fix-up.
                 self.read_f(Xmm(0), a);
-                self.call_helper(runtime::jit_f2i as *const () as usize as u64, "jit_f2i");
+                self.a.cvttss2si(Gpr::Rax, Xmm(0));
+                self.a.cmp_ri(Gpr::Rax, 1);
+                let (fix, cont) = (self.a.new_label(), self.a.new_label());
+                self.a.jcc(Cc::O, fix);
+                self.fixups.push((fix, cont));
+                self.a.bind(cont);
                 self.write_i(dst);
             }
         }
+    }
+
+    /// The fix-up of a `cvttss2si` that returned `i64::MIN` for xmm0:
+    /// NaN becomes 0, a positive value `i64::MAX`, and a negative one
+    /// (`-2^63` itself included) stays `i64::MIN`.
+    fn emit_f2i_fixup(&mut self, fix: Label, cont: Label) {
+        self.a.bind(fix);
+        self.a.xorps(Xmm(1), Xmm(1));
+        self.a.ucomiss(Xmm(0), Xmm(1));
+        self.a.mov_ri(Gpr::Rcx, i64::MAX);
+        self.a.cmov_rr(Cc::A, Gpr::Rax, Gpr::Rcx);
+        self.a.mov_ri(Gpr::Rcx, 0);
+        self.a.cmov_rr(Cc::P, Gpr::Rax, Gpr::Rcx);
+        self.a.jmp(cont);
     }
 
     /// Deopts when rax == i64::MIN — only in builds where the
@@ -1300,7 +1495,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::program::{Program, Stmt};
-    use crate::vm::{apply_i, Machine};
+    use crate::vm::{apply_i, ExecMode, Machine};
 
     /// `a % 2^k` and `a / 2^k` compile to a mask and a shift; both must be
     /// the Euclidean results for every `i64`, the edges included.
@@ -1366,6 +1561,75 @@ mod tests {
         let mut p = Program::new();
         let y = p.var("y");
         assert_eq!(guards(Expr::var(y)), 2);
+    }
+
+    /// `f2i` is inline `cvttss2si`, whose `i64::MIN` sentinel for NaN and
+    /// out-of-range values leaves for a fix-up. Rust's saturating `as i64`
+    /// must come out at every edge, in scalar code and lane by lane in a
+    /// chunk (a loaded value has no interval, so its cast is not narrow).
+    #[test]
+    fn f2i_matches_the_interpreter_at_every_edge() {
+        let two63 = 9_223_372_036_854_775_808f32;
+        let values = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            two63,
+            -two63,
+            two63.next_down(),
+            (-two63).next_up(),
+            two63.next_up(),
+            f32::MAX,
+            f32::MIN,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE.next_down(),
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+        ];
+        let n = values.len();
+        for kind in [LoopKind::Vectorize(8), LoopKind::Serial] {
+            let mut p = Program::new();
+            let (inp, out) = (p.buffer("in", n), p.buffer("out", 4 * n));
+            let i = p.var("i");
+            // Each result as four exactly-representable 16-bit chunks.
+            let body = (0..4)
+                .map(|c| {
+                    let v = Expr::to_i64(Expr::load(inp, Expr::var(i)));
+                    let piece = (v / Expr::i64(1 << (16 * c))) % Expr::i64(65536);
+                    let at = Expr::var(i) * Expr::i64(4) + Expr::i64(c);
+                    Stmt::store(out, at, Expr::to_f32(piece))
+                })
+                .collect();
+            p.push(Stmt::for_(i, Expr::i64(0), Expr::i64(n as i64), kind, body));
+            let bc = crate::opt::compile_program(&p).unwrap();
+            let text = listing(&bc).unwrap();
+            assert!(text.contains("cvttss2si") && !text.contains("call"), "{text}");
+            let run = |mode: Option<ExecMode>| {
+                let mut m = Machine::new(&p);
+                m.buffer_mut(inp).copy_from_slice(&values);
+                match mode {
+                    Some(mode) => {
+                        m.set_exec_mode(mode);
+                        m.run(&p).unwrap();
+                    }
+                    None => m.run_jit(&compile(&bc).unwrap()).unwrap(),
+                }
+                m.buffer(out).to_vec()
+            };
+            let (native, interpreted) = (run(None), run(Some(ExecMode::Bytecode)));
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&native), bits(&interpreted), "{kind:?}");
+            for (k, v) in values.iter().enumerate() {
+                let have = (0..4).fold(0i64, |acc, c| acc | (native[4 * k + c] as i64) << (16 * c));
+                assert_eq!(have, *v as i64, "{kind:?}: {v:e}");
+            }
+        }
     }
 
     /// The golden listings cannot drift from what executes: the listing

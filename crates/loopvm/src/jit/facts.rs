@@ -43,6 +43,24 @@
 //!
 //! Frame slots are not SSA: their facts follow the walk (`env`).
 //!
+//! # Float intervals
+//!
+//! An `f32` register gets an interval too ([`FIvl`]), from constants,
+//! `i2f`, `+ − ×`, `min`/`max` and `neg`/`abs`. A rule evaluates its
+//! operation on the operands' ends in `f64`, where these operations are
+//! exact or nearly so, and rounds the result outward by one `f32` ulp: the
+//! `f32` the interpreter computes is the real result rounded once, which
+//! may lie half an ulp outside the real ends. Loads, and any rule whose
+//! ends are not finite, give no fact, so a register with a fact is never
+//! NaN. `f2i` of `[lo, hi]` is `[lo as i64, hi as i64]`, because `as` is
+//! monotone.
+//!
+//! A varying chunk `i64` register is *narrow* when its interval lies in
+//! `i32` and it is `f2i` of a varying `f32`, or `+ − ×`/`min`/`max` of
+//! narrow registers and of uniform or linear ones whose intervals fit
+//! `i32` too: no lane of it or of its operands leaves `i32`, so the
+//! emitter computes it on packed dwords, bit-identical to `i64`.
+//!
 //! # Lane shapes
 //!
 //! Why emitting a chunk instruction once per [`Shape`] is exact (DESIGN.md
@@ -155,8 +173,8 @@ impl Clamp {
 }
 
 /// Everything the walk learned about one register. The value facts
-/// (`konst` to `iter_of`) concern `i64` registers only; an `f32`
-/// register's stay empty.
+/// `konst` to `iter_of` and `narrow` concern `i64` registers only, `fivl`
+/// `f32` ones only; the others stay empty.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Fact {
     /// The one definition (for a register no instruction defines, a
@@ -181,6 +199,11 @@ pub(super) struct Fact {
     /// The enclosing loop whose current iteration value the register
     /// holds.
     iter_of: Option<usize>,
+    /// Every value an `f32` register takes lies in it.
+    fivl: FIvl,
+    /// A varying chunk register whose lanes are packed dwords (see the
+    /// module docs).
+    pub(super) narrow: bool,
     /// `Parallel` loops around the definition.
     par: u32,
     /// Read inside a `Parallel` loop its definition is outside of: it
@@ -202,9 +225,16 @@ impl Fact {
             general: None,
             steady: None,
             iter_of: None,
+            fivl: FIvl::TOP,
+            narrow: false,
             par: 0,
             pinned: false,
         }
+    }
+
+    /// Every value of the `i64` register is an `i32`.
+    pub(super) fn fits_i32(&self) -> bool {
+        self.ivl.fits_i32()
     }
 
     /// The trailing-zero bound lane 0 of a chunk has.
@@ -339,6 +369,83 @@ impl Ivl {
 
     fn constant(self) -> Option<i64> {
         (self.lo == self.hi).then_some(self.lo)
+    }
+
+    /// Every value is an `i32`.
+    fn fits_i32(self) -> bool {
+        i32::try_from(self.lo).is_ok() && i32::try_from(self.hi).is_ok()
+    }
+}
+
+/// A closed interval holding every value of an `f32` register, never NaN;
+/// [`FIvl::TOP`] is no fact.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct FIvl {
+    lo: f64,
+    hi: f64,
+}
+
+impl FIvl {
+    const TOP: FIvl = FIvl { lo: f64::NEG_INFINITY, hi: f64::INFINITY };
+
+    /// The interval of the constant `v` (no fact for a non-finite one).
+    fn point(v: f32) -> FIvl {
+        if v.is_finite() {
+            FIvl { lo: v as f64, hi: v as f64 }
+        } else {
+            FIvl::TOP
+        }
+    }
+
+    /// The real interval `[lo, hi]` rounded outward by one `f32` ulp, so
+    /// that it holds the `f32` rounding of every real in it; no fact when
+    /// an end is not finite (or is NaN).
+    fn outward(lo: f64, hi: f64) -> FIvl {
+        let (lo, hi) = ((lo as f32).next_down(), (hi as f32).next_up());
+        if lo.is_finite() && hi.is_finite() {
+            FIvl { lo: lo as f64, hi: hi as f64 }
+        } else {
+            FIvl::TOP
+        }
+    }
+
+    /// `i2f` of every value of `a`.
+    fn of_int(a: Ivl) -> FIvl {
+        FIvl::outward(a.lo as f64, a.hi as f64)
+    }
+
+    /// `f2i` of every value: `as` is monotone (and saturating, so `TOP`
+    /// maps to [`Ivl::TOP`]).
+    fn to_int(self) -> Ivl {
+        Ivl { lo: self.lo as i64, hi: self.hi as i64 }
+    }
+}
+
+/// `op(a, b)` over float intervals (no fact for the other operators).
+fn fbin(op: BinOp, a: FIvl, b: FIvl) -> FIvl {
+    match op {
+        BinOp::Add => FIvl::outward(a.lo + b.lo, a.hi + b.hi),
+        BinOp::Sub => FIvl::outward(a.lo - b.hi, a.hi - b.lo),
+        BinOp::Mul => {
+            let c = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi];
+            let lo = c.into_iter().fold(f64::INFINITY, f64::min);
+            FIvl::outward(lo, c.into_iter().fold(f64::NEG_INFINITY, f64::max))
+        }
+        // Neither operand is NaN, so `f32::min`/`max` is the plain one.
+        BinOp::Min => FIvl::outward(a.lo.min(b.lo), a.hi.min(b.hi)),
+        BinOp::Max => FIvl::outward(a.lo.max(b.lo), a.hi.max(b.hi)),
+        _ => FIvl::TOP,
+    }
+}
+
+/// `op(a)` over a float interval.
+fn fun(op: UnOp, a: FIvl) -> FIvl {
+    match op {
+        UnOp::Neg => FIvl::outward(-a.hi, -a.lo),
+        UnOp::Abs if a.lo >= 0.0 => FIvl::outward(a.lo, a.hi),
+        UnOp::Abs if a.hi <= 0.0 => FIvl::outward(-a.hi, -a.lo),
+        UnOp::Abs => FIvl::outward(0.0, a.hi.max(-a.lo)),
+        _ => FIvl::TOP,
     }
 }
 
@@ -638,8 +745,41 @@ impl Walk<'_> {
                 Inst::ReadVar { var, .. } => self.env[var as usize].iter,
                 _ => None,
             };
+            f.narrow = f.general == Some(Shape::Varying) && f.ivl.fits_i32() && self.narrows(inst);
+        } else {
+            f.fivl = self.feval(inst);
         }
         *self.facts.reg_mut(file, dst) = f;
+    }
+
+    /// Whether the varying `inst`, whose result fits `i32`, runs on packed
+    /// dwords: `f2i` of a varying `f32`, or `+ − ×`/`min`/`max` of narrow
+    /// registers and of uniform or linear ones that fit `i32`.
+    fn narrows(&self, inst: &Inst) -> bool {
+        let i = |r: Reg| &self.facts.i[r as usize];
+        let varying = |f: &Fact| f.general == Some(Shape::Varying);
+        let dwords = |r: Reg| i(r).narrow || (!varying(i(r)) && i(r).ivl.fits_i32());
+        match *inst {
+            Inst::CastFI { a, .. } => varying(&self.facts.f[a as usize]),
+            Inst::BinI { op, a, b, .. } => {
+                matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Min | BinOp::Max)
+                    && dwords(a)
+                    && dwords(b)
+            }
+            _ => false,
+        }
+    }
+
+    /// The interval of `inst`'s f-register result.
+    fn feval(&self, inst: &Inst) -> FIvl {
+        let f = |r: Reg| self.facts.f[r as usize].fivl;
+        match *inst {
+            Inst::ConstF { v, .. } => FIvl::point(v),
+            Inst::CastIF { a, .. } => FIvl::of_int(self.facts.i[a as usize].ivl),
+            Inst::BinF { op, a, b, .. } => fbin(op, f(a), f(b)),
+            Inst::UnF { op, a, .. } => fun(op, f(a)),
+            _ => FIvl::TOP,
+        }
     }
 
     /// The shape of register `r` of `file` in a chunk's general or steady
@@ -726,6 +866,7 @@ impl Walk<'_> {
             Inst::BinI { op, a, b, .. } => bin(op, i(a), i(b)).unwrap_or(Ivl::TOP),
             Inst::CmpI { op, a, b, .. } => cmp(op, i(a), i(b)),
             Inst::CmpF { .. } => Ivl::BOOL,
+            Inst::CastFI { a, .. } => self.facts.f[a as usize].fivl.to_int(),
             Inst::UnI { op, a, .. } => {
                 let a = i(a);
                 match op {
@@ -1195,5 +1336,126 @@ mod tests {
         assert_eq!(bin(Add, near_max, Ivl::point(1)), None);
         assert_eq!(bin(Mul, near_max, Ivl::point(2)), None);
         assert_eq!(bin(Div, Ivl::point(7), Ivl { lo: 0, hi: 3 }), None, "a zero divisor");
+    }
+
+    /// A xorshift generator: the draws below need no distribution beyond
+    /// "many, and repeatable".
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// An endpoint: ±0, an integer near ±2^24 or ±2^31, a small one,
+        /// or any finite `f32`.
+        fn end(&mut self) -> f32 {
+            let sign: f32 = if self.next() & 1 == 0 { 1.0 } else { -1.0 };
+            let near = |base: f64, r: &mut Rng| sign as f64 * (base + r.below(9) as f64 - 4.0);
+            match self.below(6) {
+                0 => sign * 0.0,
+                1 => near(16_777_216.0, self) as f32,
+                2 => near(2_147_483_648.0, self) as f32,
+                3 => sign * (self.below(1 << 12) as f32 / 64.0),
+                _ => loop {
+                    let v = f32::from_bits(self.next() as u32);
+                    if v.is_finite() {
+                        break v;
+                    }
+                },
+            }
+        }
+
+        /// An integer endpoint: near ±2^24, ±2^31 or ±2^53, small, or any
+        /// `i64`.
+        fn int_end(&mut self) -> i64 {
+            let sign = if self.next() & 1 == 0 { 1 } else { -1 };
+            let off = self.below(17) as i64 - 8;
+            match self.below(5) {
+                0 => sign * (1 << 24) + off,
+                1 => sign * (1 << 31) + off,
+                2 => sign * (1 << 53) + off,
+                3 => off,
+                _ => self.next() as i64,
+            }
+        }
+
+        /// `[lo, hi]` from two endpoints, sometimes a point.
+        fn ivl(&mut self) -> (f32, f32) {
+            let (a, b) = (self.end(), self.end());
+            match self.below(4) {
+                0 => (a, a),
+                _ => (a.min(b), a.max(b)),
+            }
+        }
+
+        /// Values of `[lo, hi]` to try: the ends, their neighbours inside,
+        /// and interior points.
+        fn points(&mut self, (lo, hi): (f32, f32)) -> Vec<f32> {
+            let mut out = vec![lo, hi, lo.next_up().min(hi), hi.next_down().max(lo)];
+            for _ in 0..4 {
+                let t = self.below(1 << 20) as f64 / (1u64 << 20) as f64;
+                out.push(((lo as f64) + t * (hi as f64 - lo as f64)) as f32);
+            }
+            out
+        }
+    }
+
+    /// Every float rule holds every `f32` its operation computes on values
+    /// of its operands' intervals, rounding included: ties, ±0, integers
+    /// around 2^24 (where `f32` stops holding every integer), 2^31 and
+    /// 2^53, and arbitrary finite values. A rule with no fact gives `TOP`.
+    #[test]
+    fn float_interval_rules_contain_every_result() {
+        use crate::vm::{apply_f, apply_un_f};
+        let within = |r: FIvl, v: f32, what: &dyn Fn() -> String| {
+            if r != FIvl::TOP {
+                assert!(r.lo <= v as f64 && v as f64 <= r.hi, "{} = {v:e} outside {r:?}", what());
+            }
+        };
+        let fivl = |(lo, hi): (f32, f32)| FIvl { lo: lo as f64, hi: hi as f64 };
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        for _ in 0..20_000 {
+            let (a, b) = (rng.ivl(), rng.ivl());
+            let (xs, ys) = (rng.points(a), rng.points(b));
+            for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Min, BinOp::Max] {
+                let r = fbin(op, fivl(a), fivl(b));
+                for (&x, &y) in xs.iter().flat_map(|x| ys.iter().map(move |y| (x, y))) {
+                    within(r, apply_f(op, x, y), &|| format!("{x:e} {op:?} {y:e}"));
+                }
+            }
+            for op in [UnOp::Neg, UnOp::Abs] {
+                let r = fun(op, fivl(a));
+                for &x in &xs {
+                    within(r, apply_un_f(op, x), &|| format!("{op:?} {x:e}"));
+                }
+            }
+            for &x in &xs {
+                within(FIvl::point(x), x, &|| format!("const {x:e}"));
+                let i = fivl(a).to_int();
+                assert!(i.lo <= x as i64 && x as i64 <= i.hi, "f2i {x:e} outside {i:?}");
+            }
+            // `i2f` of an integer interval, its ends near the same places.
+            let (p, q) = (rng.int_end(), rng.int_end());
+            let (lo, hi) = (p.min(q), p.max(q));
+            let r = FIvl::of_int(Ivl { lo, hi });
+            let t = rng.below(1 << 20) as i128;
+            let mid = (lo as i128 + (hi as i128 - lo as i128) * t / (1 << 20)) as i64;
+            for n in [lo, hi, lo.saturating_add(1).min(hi), hi.saturating_sub(1).max(lo), mid] {
+                within(r, n as f32, &|| format!("i2f {n}"));
+            }
+        }
+        // What has no fact.
+        assert_eq!(FIvl::point(f32::NAN), FIvl::TOP);
+        assert_eq!(fbin(BinOp::Mul, FIvl::point(f32::MAX), FIvl::point(2.0)), FIvl::TOP);
+        assert_eq!(fbin(BinOp::Div, FIvl::point(1.0), FIvl::point(2.0)), FIvl::TOP);
+        assert_eq!(FIvl::TOP.to_int(), Ivl::TOP);
     }
 }

@@ -4,7 +4,8 @@
 //! This is the top rung of the executor ladder (plain-lowering reference →
 //! register bytecode → native). The compiler is deliberately small: linear-scan
 //! register allocation over the host GPR/XMM files — XMM pairs for the
-//! varying `f32` values of vector chunks — with stack spill slots
+//! varying `f32` values of vector chunks and for their `i64` values the
+//! facts prove fit `i32` — with stack spill slots
 //! (`regalloc`), a hand-rolled instruction encoder (`asm`), and
 //! straight-line code with loop back-edges chained as direct jumps
 //! (`compile`). One forward walk gives every register one fact record
@@ -14,10 +15,11 @@
 //! scalar helpers, so observable error semantics are bit-identical to the
 //! interpreter's (`runtime`).
 //!
-//! The tier is x86-64-Linux-only by construction. Everywhere else this
-//! module still compiles but [`supported`] is `false` and [`compile`]
-//! returns `None`, and callers (the [`crate::Machine`] dispatch, tests,
-//! benches) fall back to the bytecode interpreter — the fallback matrix is
+//! The tier is x86-64-Linux-only by construction, and needs SSE4.1.
+//! Everywhere else this module still compiles but [`supported`] is
+//! `false` and [`compile`] returns `None`, and callers (the
+//! [`crate::Machine`] dispatch, tests, benches) fall back to the bytecode
+//! interpreter; [`listing`] checks no CPU feature. The fallback matrix is
 //! documented in DESIGN.md §14. [`compile`] takes strict SSA only — what
 //! the optimizer emits and the decoder admits — and returns `None` for
 //! anything else (the plain lowering), which likewise falls back.
@@ -38,9 +40,13 @@ pub use compile::{compile, listing};
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub use runtime::JitProgram;
 
-/// Whether the JIT backend exists for the current target.
+/// Whether the JIT backend exists for the current target and host: x86-64
+/// Linux with SSE4.1, which the packed dword code of vector chunks uses.
 pub fn supported() -> bool {
-    cfg!(all(target_arch = "x86_64", target_os = "linux"))
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    return std::arch::is_x86_feature_detected!("sse4.1");
+    #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+    false
 }
 
 /// What the fast paths of a program's packed `Vectorize(8)` chunks cost,
@@ -55,6 +61,8 @@ pub struct ChunkCost {
     /// Instructions with an `[rsp+…]` operand: the loop counter, spill
     /// slots and lane-array traffic.
     pub stack_refs: usize,
+    /// Helper calls.
+    pub calls: usize,
 }
 
 /// What the steady copies of a program's `Vectorize(8)` chunks cost: how

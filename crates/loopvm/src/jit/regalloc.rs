@@ -23,11 +23,19 @@
 //!    furthest-end rule), so in a deep nest the outer-loop values spill
 //!    and the innermost ones stay in registers; otherwise the incoming
 //!    interval lives in a stack slot.
+//! 4. **Narrow pairs**: a narrow `i64` chunk register (its lanes are
+//!    packed dwords, see [`super::facts`]) keeps the GPR or slot the scan
+//!    gave it for the scalar code, and asks a second scan, after the
+//!    first, for a pair: XMMs that no overlapping interval of the first
+//!    scan holds, with the same furthest-end rule among narrow intervals.
+//!    The first scan's homes, and so the code of every chunk without
+//!    narrow registers, do not depend on them.
 //!
 //! Chunk registers of the other shapes keep lane 0 in their scalar home.
 //! Only `Varying` ones get an 8-lane stack array: the home of `i64`
-//! lanes, and for `f32` the spill area of a register without a pair and
-//! the sync area per-lane code reads a pair's lanes through.
+//! lanes (dwords for a narrow register), and for `f32` and narrow
+//! registers the spill area of a register without a pair and the sync
+//! area per-lane code reads a pair's lanes through.
 //!
 //! Registers read inside a `Parallel` loop but defined outside it are
 //! *pinned*: they live in the `JitCtx` spill arrays so worker threads (a
@@ -68,8 +76,11 @@ pub(super) struct FnAlloc {
     pub homes_i: Vec<Home>,
     /// Home per `f32` register.
     pub homes_f: Vec<Home>,
+    /// The pair of a narrow `i64` register (lanes 0–3 and 4–7 as dwords),
+    /// beside its scalar home.
+    pub pairs_i: Vec<Option<[Xmm; 2]>>,
     /// Stack offset of the 8-lane array of a `Varying` chunk register,
-    /// `-1` = none. `i64` lanes are 8 bytes, `f32` lanes 4.
+    /// `-1` = none. `i64` lanes are 8 bytes, narrow and `f32` lanes 4.
     pub lanes_i: Vec<i32>,
     pub lanes_f: Vec<i32>,
     /// `(v, hi)` stack-slot offsets per non-parallel loop, in walk order.
@@ -89,16 +100,15 @@ pub(super) enum FnCode<'a> {
 // Per-function collection
 // ---------------------------------------------------------------------------
 
-/// Whether a straight-line instruction sequence contains a helper call
-/// (f32 rem/min/max/exp and the f32->i64 cast go through Rust helpers to
-/// stay bit-identical with the interpreter).
+/// Whether an instruction calls a helper (f32 rem/min/max/exp go through
+/// Rust helpers to stay bit-identical with the interpreter; the f32->i64
+/// cast is inline `cvttss2si`).
 fn inst_calls(inst: &Inst) -> bool {
     use crate::expr::{BinOp, UnOp};
     matches!(
         inst,
         Inst::BinF { op: BinOp::Rem | BinOp::Min | BinOp::Max, .. }
             | Inst::UnF { op: UnOp::Exp, .. }
-            | Inst::CastFI { .. }
     )
 }
 
@@ -356,8 +366,9 @@ impl Scan {
 
 /// The post-allocation home check (debug builds): two intervals that
 /// overlap never share a GPR or an XMM, either half of a pair counting,
-/// and a pair's halves differ.
-fn check_homes(homes: &[Home], start: &[u64], end: &[u64]) {
+/// and a pair's halves differ. `placed` holds every home with its
+/// interval, a narrow register's pair beside its scalar home.
+fn check_homes(placed: &[(Home, u64, u64)]) {
     let regs = |h: Home| -> Vec<(bool, u8)> {
         match h {
             Home::Gpr(g) => vec![(false, g as u8)],
@@ -369,16 +380,12 @@ fn check_homes(homes: &[Home], start: &[u64], end: &[u64]) {
             _ => Vec::new(),
         }
     };
-    let placed: Vec<(usize, Vec<(bool, u8)>)> =
-        (0..homes.len()).map(|k| (k, regs(homes[k]))).filter(|(_, r)| !r.is_empty()).collect();
-    for (i, (a, ra)) in placed.iter().enumerate() {
-        for (b, rb) in &placed[i + 1..] {
-            let overlap = start[*a] <= end[*b] && start[*b] <= end[*a];
+    for (i, &(a, sa, ea)) in placed.iter().enumerate() {
+        for &(b, sb, eb) in &placed[i + 1..] {
+            let overlap = sa <= eb && sb <= ea;
             assert!(
-                !overlap || ra.iter().all(|r| !rb.contains(r)),
-                "overlapping intervals share a register: {:?} and {:?}",
-                homes[*a],
-                homes[*b]
+                !overlap || regs(a).iter().all(|r| !regs(b).contains(r)),
+                "overlapping intervals share a register: {a:?} and {b:?}"
             );
         }
     }
@@ -439,14 +446,15 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
         homes: vec![Home::Unused; n_i + n_f],
         spilled: Vec::new(),
     };
-    for k in order {
+    let crosses_call = |k: usize| {
+        c.reread_across_calls[k] || c.calls.iter().any(|&cp| start[k] < cp && end[k] > cp)
+    };
+    for &k in &order {
         scan.expire(start[k]);
-        let crosses_call = c.reread_across_calls[k]
-            || c.calls.iter().any(|&cp| start[k] < cp && end[k] > cp);
         if k < n_i {
             // Only callee-saved GPRs survive helper calls.
-            scan.place(k, end[k], Want::Gpr { callee_saved: crosses_call });
-        } else if crosses_call {
+            scan.place(k, end[k], Want::Gpr { callee_saved: crosses_call(k) });
+        } else if crosses_call(k) {
             // XMMs are all caller-saved; call-crossing floats spill.
             scan.spill(k);
         } else {
@@ -455,8 +463,52 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
         }
     }
     let mut homes = scan.homes;
+
+    // Narrow registers keep the scalar home the scan gave them and get a
+    // pair for their packed dwords in a second scan over the XMMs that no
+    // overlapping interval of the first holds, with the same furthest-end
+    // rule among themselves: the first scan's homes do not depend on them.
+    // One without a pair lives in its lane array.
+    let xmms = |k: usize| match homes[k] {
+        Home::Xmm(x) => vec![x],
+        Home::Pair(x, y) => vec![x, y],
+        _ => Vec::new(),
+    };
+    let (start, end) = (&start, &end);
+    let held: Vec<(Xmm, u64, u64)> = (0..n_i + n_f)
+        .flat_map(|k| xmms(k).into_iter().map(move |x| (x, start[k], end[k])))
+        .collect();
+    let mut pairs_i: Vec<Option<[Xmm; 2]>> = vec![None; n_i];
+    let mut active: Vec<usize> = Vec::new();
+    for &k in order.iter().filter(|&&k| k < n_i && c.facts.i[k].narrow && !crosses_call(k)) {
+        active.retain(|&a| end[a] >= start[k] && pairs_i[a].is_some());
+        let taken: Vec<Xmm> = active.iter().flat_map(|&a| pairs_i[a].unwrap()).collect();
+        let mut free: Vec<Xmm> = (2..16)
+            .rev()
+            .map(Xmm)
+            .filter(|x| !taken.contains(x))
+            .filter(|&x| held.iter().all(|&(y, s, e)| y != x || e < start[k] || end[k] < s))
+            .collect();
+        // An active interval that ends after this one contains it, so its
+        // pair is free of the first scan's homes here too.
+        let mut victims: Vec<usize> = active.iter().copied().filter(|&a| end[a] > end[k]).collect();
+        victims.sort_unstable_by_key(|&a| std::cmp::Reverse((end[a], a)));
+        for v in victims {
+            if free.len() >= 2 {
+                break;
+            }
+            free.extend(pairs_i[v].take().expect("active intervals hold a pair"));
+        }
+        if let [x, y, ..] = free[..] {
+            pairs_i[k] = Some([x, y]);
+            active.push(k);
+        }
+    }
     if cfg!(debug_assertions) {
-        check_homes(&homes, &start, &end);
+        let pair = |k: usize| Some((pairs_i[k].map(|[x, y]| Home::Pair(x, y))?, start[k], end[k]));
+        let homes = (0..n_i + n_f).map(|k| (homes[k], start[k], end[k]));
+        let placed: Vec<_> = homes.chain((0..n_i).filter_map(pair)).collect();
+        check_homes(&placed);
     }
 
     // Frame layout: loop slots, spill slots, lane arrays; call-aligned.
@@ -479,7 +531,7 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
         }
         if k < n_i {
             lanes_i[k] = off;
-            off += 8 * crate::vm::LANES as i32;
+            off += if c.facts.i[k].narrow { 4 } else { 8 } * crate::vm::LANES as i32;
         } else {
             lanes_f[k - n_i] = off;
             off += 4 * crate::vm::LANES as i32;
@@ -495,6 +547,7 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
     FnAlloc {
         homes_i: homes[..n_i].to_vec(),
         homes_f: homes[n_i..].to_vec(),
+        pairs_i,
         lanes_i,
         lanes_f,
         loop_slots,

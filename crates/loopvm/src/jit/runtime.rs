@@ -214,7 +214,7 @@ fn jit_metrics() -> &'static JitMetrics {
     })
 }
 
-// -- float/cast helpers (called from generated code) ------------------------
+// -- float helpers (called from generated code) -----------------------------
 
 // No `#[no_mangle]` needed: the emitter embeds the function addresses as
 // 64-bit immediates. All helpers are panic-free, so no unwind can cross
@@ -234,10 +234,6 @@ pub(super) extern "C" fn jit_fmodf(a: f32, b: f32) -> f32 {
 
 pub(super) extern "C" fn jit_expf(a: f32) -> f32 {
     a.exp()
-}
-
-pub(super) extern "C" fn jit_f2i(a: f32) -> i64 {
-    a as i64
 }
 
 // -- parallel dispatch ------------------------------------------------------

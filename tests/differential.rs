@@ -703,6 +703,20 @@ fn vector_lane_traps_agree() {
                 let v = Expr::load(a, i.clone() + Expr::i64(2)) * Expr::f32(2.0);
                 Stmt::store(b, i.clone(), v + Expr::load(b, i))
             }),
+            oob.clone(),
+        ));
+        // The same index through `f2i`: its interval fits `i32`, so it is
+        // a narrow register, computed on packed dwords, and the unproven
+        // access reads its lanes from the dword array per lane.
+        let narrow = |i: Expr| Expr::to_i64(Expr::to_f32(i) + Expr::f32(2.0));
+        cases.push((
+            format!("narrow load, lane {lane}"),
+            program(len, &|a, b, i| Stmt::store(b, i.clone(), Expr::load(a, narrow(i)))),
+            oob.clone(),
+        ));
+        cases.push((
+            format!("narrow store, lane {lane}"),
+            program(len, &|a, b, i| Stmt::store(a, narrow(i.clone()), Expr::load(b, i))),
             oob,
         ));
         // Stride 3: lane `lane` of the second chunk reads A[3·(8 + lane) + 1].
@@ -754,7 +768,12 @@ fn vector_lane_traps_agree() {
     for (name, p, expected) in &cases {
         // The native tier must be what runs, not a silent fallback.
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-        assert!(p.compiled().unwrap().jit().is_some(), "{name}: no native code");
+        {
+            let code = p.compiled().unwrap();
+            assert!(code.jit().is_some(), "{name}: no native code");
+            let listing = loopvm::jit::listing(code.bytecode()).unwrap();
+            assert!(!name.starts_with("narrow") || listing.contains("cvttps2dq"), "{name}: wide");
+        }
         let (bc, bc_bufs) = trap_outcome_and_buffers(p, loopvm::ExecMode::Bytecode);
         if bc != *expected {
             failures.push(format!("{name}: bytecode produced {bc:?}, expected {expected:?}"));

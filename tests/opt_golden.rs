@@ -1,5 +1,6 @@
 //! Golden tests for the bytecode optimizer: the disassembly emitted for
-//! the gemm and blur kernels (and conv2D's native code) is pinned under
+//! the gemm and blur kernels (and conv2D's and warpAffine's native code)
+//! is pinned under
 //! `tests/golden/`, so any change to constant folding, CSE, hoisting, or
 //! register allocation shows up as a readable diff rather than a silent
 //! perf/semantics shift.
@@ -172,9 +173,10 @@ fn blur_jit_x86_64_listing_is_pinned() {
 }
 
 /// conv2D's nine taps read `img[clamp(i + ky, 0, H − 1), clamp(j + kx, 0,
-/// W − 1)]`. The clamps make the general copy of its chunk gather lane by
-/// lane; the steady copy, which runs wherever no clamp binds, loads every
-/// tap with packed moves and keeps no per-lane load.
+/// W − 1)]`. The steady copy of its chunk, which runs wherever no clamp
+/// binds, loads every tap with packed moves and keeps no per-lane load.
+/// The clamps make the general copy gather; their results fit `i32`, so it
+/// computes the indices on packed dwords and gathers with `pextrd`.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[test]
 fn conv2d_jit_x86_64_listing_is_pinned() {
@@ -185,13 +187,46 @@ fn conv2d_jit_x86_64_listing_is_pinned() {
     let jit = code.jit().unwrap();
     let (steady, general) = (jit.steady_cost(), jit.chunk_cost());
     assert_eq!(steady.chunks, 1, "conv2D lost its steady copy");
-    assert!(steady.cost.stack_refs * 4 <= general.stack_refs, "{steady:?} vs {general:?}");
+    assert!(steady.cost.insts < general.insts, "{steady:?} vs {general:?}");
     // From the assumptions to the general copy: nine taps of two packed
     // halves each, and no value assembled in a lane array.
     let start = listing.find("; steady:").unwrap();
-    let copy = listing[start..].split("; general").next().unwrap();
+    let (copy, general) = listing[start..].split_once("; general").unwrap();
     assert_eq!(copy.matches("movups xmm").count(), 18, "{copy}");
     assert!(!copy.contains("movss [rsp") && !copy.contains("movss xmm0, [rsp"), "{copy}");
+    // The general copy: nine gathers of eight dword lanes, and no lane
+    // read or written on the stack.
+    let general = general.split("; loop").next().unwrap();
+    assert_eq!(general.matches("pextrd").count(), 9 * 8, "{general}");
+    assert!(!general.contains("movsxd") && !general.contains("movss [rsp"), "{general}");
+}
+
+/// warpAffine samples `img[clamp(f2i(sy) + dy, 0, H − 1), clamp(f2i(sx) +
+/// dx, 0, W − 1)]` at affine-warped coordinates. The float intervals
+/// prove every `f2i` index chain fits in `i32`, so the chunk computes
+/// those indices on packed dwords and gathers with `pextrd`: no helper
+/// call, and nothing read or written lane by lane on the stack.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[test]
+fn warp_jit_x86_64_listing_is_pinned() {
+    let prep =
+        kernels::image::tiramisu_cpu("warpAffine", kernels::image::ImgSize::small()).unwrap();
+    let code = prep.program.compiled().unwrap();
+    let listing = loopvm::jit::listing(code.bytecode()).expect("warpAffine must be JIT-compilable");
+    assert_golden("warp_jit_x86_64", &listing);
+    let cost = code.jit().unwrap().chunk_cost();
+    // A third of the instructions and a fifth of the stack operands of the
+    // helper-calling, lane-array chunk it replaces (986 and 460).
+    assert_eq!(cost.calls, 0, "{cost:?}");
+    assert!(cost.insts * 3 <= 986 && cost.stack_refs * 5 <= 460, "{cost:?}");
+    let start = listing.find("; vector loop").unwrap();
+    let chunk = listing[start..].split("; loop").next().unwrap();
+    assert_eq!(chunk.matches("pextrd").count(), 4 * 8, "four gathers:\n{chunk}");
+    // The one store to the stack is the loop counter's.
+    assert_eq!(chunk.matches("], rax").count(), 1, "{chunk}");
+    for per_lane in ["call", "movsxd", "cvttss2si", "cvtsi2ss", "movss [rsp"] {
+        assert!(!chunk.contains(per_lane), "`{per_lane}` in the chunk:\n{chunk}");
+    }
 }
 
 /// The Fig. 1 schedule is the kernel the lane-shape analysis exists for:

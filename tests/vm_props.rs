@@ -1570,3 +1570,187 @@ fn vectorized_loops_stop_at_both_ends_of_i64() {
         }
     }
 }
+
+/// One step of a narrow-lane chain `y = step(y)`.
+#[derive(Debug, Clone, Copy)]
+enum NStep {
+    AddC(i64),
+    MulC(i64),
+    MinC(i64),
+    MaxC(i64),
+    /// `c − y`.
+    SubFrom(i64),
+    /// `y + i` (the loop variable: linear).
+    AddI,
+    /// `max(y, i)`.
+    MaxI,
+    /// `y + x₂`, the second cast.
+    AddX2,
+    /// `min(y, k) + i32::MAX`: reaches `i32::MAX + k` (`k` ∈ {0, 1}),
+    /// the last value a narrow register may take, or the first it may not.
+    UpTo(i64),
+    /// `max(y, k) + i32::MIN`, the same at the other end (`k` ∈ {0, −1}).
+    DownTo(i64),
+}
+
+#[derive(Debug, Clone)]
+struct NarrowCase {
+    /// `x = f2i(cf·f32(i) + co)` and `x₂ = f2i(cf2·f32(i) + co2)`.
+    cf: f32,
+    co: f32,
+    cf2: f32,
+    co2: f32,
+    lo: i64,
+    /// Iterations (`lo > hi` when negative).
+    n: i64,
+    steps: Vec<NStep>,
+    /// The gather reads `in[y]` unclamped, a guarded access that may fail
+    /// at any lane.
+    raw: bool,
+}
+
+/// The length of `in` and `hit`.
+const NARROW_LEN: usize = 64;
+
+fn narrow_case() -> impl Strategy<Value = NarrowCase> {
+    // Slopes and offsets that keep the casts well inside `i32`, put them
+    // across ±2^31, or far outside it.
+    let cf = prop_oneof![
+        Just(0.5f32),
+        Just(-0.75),
+        Just(1.5),
+        Just(3.0),
+        Just(1.0e6),
+        Just(-2.5e7),
+        Just(1.5e8),
+        Just(4.0e8),
+    ];
+    let co = prop_oneof![
+        Just(0.0f32),
+        Just(0.5),
+        Just(-3.25),
+        Just(20.5),
+        Just(1000.5),
+        Just(2_147_483_520.0),
+        Just(-2_147_483_648.0),
+        Just(2_147_483_648.0),
+        Just(3.0e9),
+        Just(-3.0e9),
+        Just(1.0e12),
+    ];
+    let c = prop_oneof![
+        Just(0i64),
+        Just(1),
+        Just(-1),
+        Just(5),
+        Just(47),
+        Just(-100),
+        Just(i32::MAX as i64),
+        Just(i32::MIN as i64),
+    ];
+    let step = prop_oneof![
+        c.clone().prop_map(NStep::AddC),
+        prop_oneof![Just(3i64), Just(-2), Just(48), Just(1 << 20)].prop_map(NStep::MulC),
+        c.clone().prop_map(NStep::MinC),
+        c.clone().prop_map(NStep::MaxC),
+        c.prop_map(NStep::SubFrom),
+        Just(NStep::AddI),
+        Just(NStep::MaxI),
+        Just(NStep::AddX2),
+        prop_oneof![Just(0i64), Just(1)].prop_map(NStep::UpTo),
+        prop_oneof![Just(0i64), Just(-1)].prop_map(NStep::DownTo),
+    ];
+    (
+        (cf.clone(), co.clone(), cf, co),
+        -20i64..=20,
+        prop_oneof![Just(-3i64), 0i64..=30, 8i64..=30],
+        proptest::collection::vec(step, 0..=4),
+        any::<bool>(),
+    )
+        .prop_map(|((cf, co, cf2, co2), lo, n, steps, raw)| NarrowCase {
+            cf,
+            co,
+            cf2,
+            co2,
+            lo,
+            n,
+            steps,
+            raw,
+        })
+}
+
+/// `for o in 0..2 { for i in lo..lo+n vectorize(8) { out[i−lo] = f32(y);
+/// got[i−lo] = in[clamp(y, 0, 63)] (or in[y]); hit[clamp(y·3 − o, 0, 63)]
+/// = f32(i) } }` with `y` the chain of steps applied to `x`.
+fn narrow_program(c: &NarrowCase) -> Program {
+    let mut p = Program::new();
+    let input = p.buffer("in", NARROW_LEN);
+    let _zeros = p.buffer("zeros", 2);
+    let len = c.n.max(0) as usize;
+    let out = p.buffer("out", len);
+    let got = p.buffer("got", len);
+    let hit = p.buffer("hit", NARROW_LEN);
+    let (o, i) = (p.var("o"), p.var("i"));
+    let cast = |f: f32, k: f32| V::to_i64(V::f32(f) * V::to_f32(V::var(i)) + V::f32(k));
+    let mut y = cast(c.cf, c.co);
+    for s in &c.steps {
+        y = match *s {
+            NStep::AddC(k) => y + V::i64(k),
+            NStep::MulC(k) => y * V::i64(k),
+            NStep::MinC(k) => V::min(y, V::i64(k)),
+            NStep::MaxC(k) => V::max(V::i64(k), y),
+            NStep::SubFrom(k) => V::i64(k) - y,
+            NStep::AddI => y + V::var(i),
+            NStep::MaxI => V::max(y, V::var(i)),
+            NStep::AddX2 => y + cast(c.cf2, c.co2),
+            NStep::UpTo(k) => V::min(y, V::i64(k)) + V::i64(i32::MAX as i64),
+            NStep::DownTo(k) => V::max(y, V::i64(k)) + V::i64(i32::MIN as i64),
+        };
+    }
+    let clamp = |e: V| V::min(V::max(e, V::i64(0)), V::i64(NARROW_LEN as i64 - 1));
+    let at = if c.raw { y.clone() } else { clamp(y.clone()) };
+    let slot = || V::var(i) - V::i64(c.lo);
+    let body = vec![
+        Stmt::store(out, slot(), V::to_f32(y.clone())),
+        Stmt::store(got, slot(), V::load(input, at)),
+        Stmt::store(hit, clamp(y * V::i64(3) - V::var(o)), V::to_f32(V::var(i))),
+    ];
+    p.push(Stmt::serial(
+        o,
+        V::i64(0),
+        V::i64(2),
+        vec![Stmt::for_(i, V::i64(c.lo), V::i64(c.lo + c.n), LoopKind::Vectorize(8), body)],
+    ));
+    p
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::diff_cases()))]
+
+    /// Chunks whose `f2i` index chains run on packed dwords agree with the
+    /// plain lowering and the walker on the outcome, the error payload and
+    /// every buffer bit: casts on both sides of ±2^31, clamps, `+ c` that
+    /// wraps in `i32` but not in `i64` (by one at either end), `× c`,
+    /// linear and second-cast operands, gathers and scatters, `i2f` back.
+    /// A cast the intervals put well inside `i32` is narrow.
+    #[test]
+    fn narrow_lanes_agree_with_the_checked_lowering(c in narrow_case()) {
+        let p = narrow_program(&c);
+        let reference = steady_outcome(&p, Some(ExecMode::TreeWalk));
+        let walked = steady_outcome(&p, None);
+        prop_assert!(walked == reference, "walker vs plain lowering: {:?}\n{}", c, p.pretty());
+        let jit = steady_outcome(&p, Some(ExecMode::Jit));
+        prop_assert_eq!(&jit.0, &reference.0, "outcome: {:?}\n{}", c, p.pretty());
+        prop_assert!(jit.1 == reference.1, "buffers: {:?}\n{}", c, p.pretty());
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        {
+            let code = p.compiled().unwrap();
+            prop_assert!(code.jit().is_some(), "no native code: {:?}", c);
+            let reach = |f: f32, k: f32| f.abs() * 50.0 + k.abs();
+            if c.n >= 8 && reach(c.cf, c.co) < 1.0e9 {
+                let listing = loopvm::jit::listing(code.bytecode()).unwrap();
+                prop_assert!(listing.contains("cvttps2dq"), "a wide cast: {:?}", c);
+            }
+        }
+    }
+}
