@@ -946,13 +946,9 @@ impl<'a> Emit<'a> {
     }
 
     /// Whether i-register `r` has dword lanes in the chunk copy being
-    /// emitted: it is narrow, or it is uniform or linear and fits `i32`.
+    /// emitted (the record's rule, [`facts::Fact::dwords`]).
     fn dwords(&self, r: Reg) -> bool {
-        let f = &self.facts.i[r as usize];
-        match self.shape(File::I, r) {
-            Shape::Varying => f.narrow,
-            Shape::Uniform | Shape::Linear(_) => f.fits_i32(),
-        }
+        self.facts.i[r as usize].dwords(self.steady)
     }
 
     /// Lanes `4h ..` of register `r` in an SSE register: its pair's half

@@ -50,9 +50,10 @@
 //! operation on the operands' ends in `f64`, where these operations are
 //! exact or nearly so, and rounds the result outward by one `f32` ulp: the
 //! `f32` the interpreter computes is the real result rounded once, which
-//! may lie half an ulp outside the real ends. Loads, and any rule whose
-//! ends are not finite, give no fact, so a register with a fact is never
-//! NaN. `f2i` of `[lo, hi]` is `[lo as i64, hi as i64]`, because `as` is
+//! may lie half an ulp outside the real ends. Loads, any rule with an
+//! operand that has no fact (`0 × ∞` is NaN), and any rule whose ends are
+//! not finite give no fact, so a register with a fact is never NaN.
+//! `f2i` of `[lo, hi]` is `[lo as i64, hi as i64]`, because `as` is
 //! monotone.
 //!
 //! A varying chunk `i64` register is *narrow* when its interval lies in
@@ -232,9 +233,14 @@ impl Fact {
         }
     }
 
-    /// Every value of the `i64` register is an `i32`.
-    pub(super) fn fits_i32(&self) -> bool {
-        self.ivl.fits_i32()
+    /// Whether the `i64` register has dword lanes in a chunk's general or
+    /// `steady` copy: it is varying there and narrow, or uniform or linear
+    /// there and every value is an `i32`. Packed dword code reads it so.
+    pub(super) fn dwords(&self, steady: bool) -> bool {
+        match if steady { self.steady } else { self.general } {
+            Some(Shape::Varying) => self.narrow,
+            _ => self.ivl.fits_i32(),
+        }
     }
 
     /// The trailing-zero bound lane 0 of a chunk has.
@@ -421,8 +427,13 @@ impl FIvl {
     }
 }
 
-/// `op(a, b)` over float intervals (no fact for the other operators).
+/// `op(a, b)` over float intervals (no fact for the other operators). An
+/// operand with no fact may be NaN or infinite, and so may the result
+/// (`0 × ∞` is NaN).
 fn fbin(op: BinOp, a: FIvl, b: FIvl) -> FIvl {
+    if a == FIvl::TOP || b == FIvl::TOP {
+        return FIvl::TOP;
+    }
     match op {
         BinOp::Add => FIvl::outward(a.lo + b.lo, a.hi + b.hi),
         BinOp::Sub => FIvl::outward(a.lo - b.hi, a.hi - b.lo),
@@ -756,11 +767,9 @@ impl Walk<'_> {
     /// dwords: `f2i` of a varying `f32`, or `+ − ×`/`min`/`max` of narrow
     /// registers and of uniform or linear ones that fit `i32`.
     fn narrows(&self, inst: &Inst) -> bool {
-        let i = |r: Reg| &self.facts.i[r as usize];
-        let varying = |f: &Fact| f.general == Some(Shape::Varying);
-        let dwords = |r: Reg| i(r).narrow || (!varying(i(r)) && i(r).ivl.fits_i32());
+        let dwords = |r: Reg| self.facts.i[r as usize].dwords(false);
         match *inst {
-            Inst::CastFI { a, .. } => varying(&self.facts.f[a as usize]),
+            Inst::CastFI { a, .. } => self.facts.f[a as usize].general == Some(Shape::Varying),
             Inst::BinI { op, a, b, .. } => {
                 matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Min | BinOp::Max)
                     && dwords(a)
@@ -1387,18 +1396,26 @@ mod tests {
             }
         }
 
-        /// `[lo, hi]` from two endpoints, sometimes a point.
+        /// `[lo, hi]` from two endpoints, sometimes a point, sometimes no
+        /// fact (`[−∞, ∞]`).
         fn ivl(&mut self) -> (f32, f32) {
             let (a, b) = (self.end(), self.end());
-            match self.below(4) {
-                0 => (a, a),
+            match self.below(8) {
+                0 => (f32::NEG_INFINITY, f32::INFINITY),
+                1 | 2 => (a, a),
                 _ => (a.min(b), a.max(b)),
             }
         }
 
         /// Values of `[lo, hi]` to try: the ends, their neighbours inside,
-        /// and interior points.
+        /// and interior points. With no fact: NaN, ±∞, ±0, the largest
+        /// finite values and endpoint draws.
         fn points(&mut self, (lo, hi): (f32, f32)) -> Vec<f32> {
+            if lo == f32::NEG_INFINITY {
+                let mut out = vec![f32::NAN, lo, hi, 0.0, -0.0, f32::MAX, f32::MIN];
+                out.extend((0..4).map(|_| self.end()));
+                return out;
+            }
             let mut out = vec![lo, hi, lo.next_up().min(hi), hi.next_down().max(lo)];
             for _ in 0..4 {
                 let t = self.below(1 << 20) as f64 / (1u64 << 20) as f64;
@@ -1411,7 +1428,9 @@ mod tests {
     /// Every float rule holds every `f32` its operation computes on values
     /// of its operands' intervals, rounding included: ties, ±0, integers
     /// around 2^24 (where `f32` stops holding every integer), 2^31 and
-    /// 2^53, and arbitrary finite values. A rule with no fact gives `TOP`.
+    /// 2^53, and arbitrary finite values. An operand with no fact may be
+    /// anything, NaN and ±∞ included (`0 × ∞` is NaN). A rule with no fact
+    /// gives `TOP`; any other result is never NaN.
     #[test]
     fn float_interval_rules_contain_every_result() {
         use crate::vm::{apply_f, apply_un_f};
@@ -1457,5 +1476,9 @@ mod tests {
         assert_eq!(fbin(BinOp::Mul, FIvl::point(f32::MAX), FIvl::point(2.0)), FIvl::TOP);
         assert_eq!(fbin(BinOp::Div, FIvl::point(1.0), FIvl::point(2.0)), FIvl::TOP);
         assert_eq!(FIvl::TOP.to_int(), Ivl::TOP);
+        for z in [0.0, -0.0] {
+            assert_eq!(fbin(BinOp::Mul, FIvl::TOP, FIvl::point(z)), FIvl::TOP);
+            assert_eq!(fbin(BinOp::Mul, FIvl::point(z), FIvl::TOP), FIvl::TOP);
+        }
     }
 }

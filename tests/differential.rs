@@ -729,6 +729,33 @@ fn vector_lane_traps_agree() {
             format!("err: out of bounds: A[{len}] (size {len})"),
         ));
     }
+    // `f2i(max(min(v·0, 5), −3) + 20)` with `v` a value the facts know
+    // nothing of: `v·0` may be NaN (`v` infinite), so no interval holds
+    // it and the index keeps its guard. Loaded `v` is finite: every lane
+    // is A[20]. `v = 1/(i − 8 − lane)` is +∞ at that lane of the second
+    // chunk: `min(NaN, 5)` is 5, so that lane alone is A[25].
+    let clamped = |v: Expr| {
+        let c = Expr::max(Expr::min(v * Expr::f32(0.0), Expr::f32(5.0)), Expr::f32(-3.0));
+        Expr::to_i64(c + Expr::f32(20.0))
+    };
+    cases.push((
+        "no-fact float index, load".to_string(),
+        program(18, &|a, b, i| Stmt::store(b, i.clone(), Expr::load(a, clamped(Expr::load(b, i))))),
+        "err: out of bounds: A[20] (size 18)".to_string(),
+    ));
+    cases.push((
+        "no-fact float index, store".to_string(),
+        program(18, &|a, b, i| Stmt::store(a, clamped(Expr::load(b, i.clone())), Expr::load(b, i))),
+        "err: out of bounds: A[20] (size 18)".to_string(),
+    ));
+    for lane in [0, 3, 7] {
+        let inf_at = |i: Expr| Expr::f32(1.0) / (Expr::to_f32(i) - Expr::f32((8 + lane) as f32));
+        cases.push((
+            format!("no-fact float index, +inf at lane {lane}"),
+            program(24, &|a, b, i| Stmt::store(b, i.clone(), Expr::load(a, clamped(inf_at(i))))),
+            "err: out of bounds: A[25] (size 24)".to_string(),
+        ));
+    }
     cases.push((
         "negative lane 0, load".to_string(),
         program(32, &|a, b, i| Stmt::store(b, i.clone(), Expr::load(a, i - Expr::i64(3)))),
