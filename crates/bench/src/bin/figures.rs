@@ -239,6 +239,8 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
         // exists (x86-64 Linux) the JIT's code size, the instructions of
         // its packed-chunk fast paths, how many of them touch the stack and
         // how many call a helper,
+        // the instructions and stack operands of one iteration of the
+        // innermost loops around chunks,
         // the same for the steady copies of chunks whose clamps it tests
         // (count, instructions, stack operands), function count,
         // deopt-stub counts broken down by reason, and per load/store
@@ -255,12 +257,13 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             let bc = loopvm::opt::compile_program(p).expect("bytecode compile");
             let insts = bc.stats().insts;
             let jit = loopvm::jit::compile(&bc);
-            let (code, chunk_insts, chunk_refs, chunk_calls, steady, fns, deopts, reasons, guards) =
+            let (code, chunk_insts, chunk_refs, chunk_calls, lp, steady, fns, deopts, reasons, guards) =
                 match &jit {
                     Some(j) => {
                         let by = j.deopt_reasons();
                         let chunk = j.chunk_cost();
                         let st = j.steady_cost();
+                        let lp = j.loop_cost();
                         let g = j.guards();
                         // Compact per-reason listing, only non-zero reasons.
                         let listing: Vec<String> = loopvm::jit::DeoptReason::ALL
@@ -273,6 +276,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                             chunk.insts.to_string(),
                             chunk.stack_refs.to_string(),
                             chunk.calls.to_string(),
+                            [lp.insts, lp.stack_refs].map(|v| v.to_string()),
                             [st.chunks, st.cost.insts, st.cost.stack_refs].map(|v| v.to_string()),
                             j.n_fns().to_string(),
                             j.n_deopts().to_string(),
@@ -283,7 +287,8 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                     None => {
                         let none = || "-".to_string();
                         let steady = [none(), none(), none()];
-                        (none(), none(), none(), none(), steady, none(), none(), none(), none())
+                        let lp = [none(), none()];
+                        (none(), none(), none(), none(), lp, steady, none(), none(), none(), none())
                     }
                 };
             rows.push(vec![
@@ -293,6 +298,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 chunk_insts.clone(),
                 chunk_refs.clone(),
                 chunk_calls.clone(),
+                lp.join("/"),
                 steady.join("/"),
                 fns.clone(),
                 deopts.clone(),
@@ -324,13 +330,15 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 None => "null".to_string(),
             };
             cells.push(format!(
-                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_chunk_calls\": {}, \"jit_steady_chunks\": {}, \"jit_steady_chunk_insts\": {}, \"jit_steady_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}}}",
+                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_chunk_calls\": {}, \"jit_loop_insts\": {}, \"jit_loop_stack_refs\": {}, \"jit_steady_chunks\": {}, \"jit_steady_chunk_insts\": {}, \"jit_steady_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}}}",
                 jstr(name),
                 insts,
                 jfield(&code),
                 jfield(&chunk_insts),
                 jfield(&chunk_refs),
                 jfield(&chunk_calls),
+                jfield(&lp[0]),
+                jfield(&lp[1]),
                 jfield(&steady[0]),
                 jfield(&steady[1]),
                 jfield(&steady[2]),
@@ -351,6 +359,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                     "chunk insts",
                     "chunk rsp refs",
                     "chunk calls",
+                    "loop insts/rsp refs",
                     "steady chunks/insts/rsp refs",
                     "jit fns",
                     "jit deopts",

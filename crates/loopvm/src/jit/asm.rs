@@ -14,7 +14,9 @@
 //! what it emits — instructions, those with an `[rsp+…]` operand, and
 //! calls —
 //! into the program's [`ChunkCost`] of general chunk copies, of steady
-//! ones, or both (the loop head and back edge both copies run).
+//! ones, or both (the loop head and back edge both copies run); while
+//! [`Asm::count_loop`] is on, into the cost of the innermost loops around
+//! chunks.
 
 use super::ChunkCost;
 
@@ -51,6 +53,41 @@ impl Gpr {
             "r12", "r13", "r14", "r15",
         ];
         NAMES[self as usize]
+    }
+
+    /// The name of the register's low 32 bits.
+    fn name32(self) -> &'static str {
+        const NAMES: [&str; 16] = [
+            "eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi", "r8d", "r9d", "r10d", "r11d",
+            "r12d", "r13d", "r14d", "r15d",
+        ];
+        NAMES[self as usize]
+    }
+}
+
+/// The classic two-operand integer operations, by the `/digit` of their
+/// `r/m, imm` forms (`83 /d ib`, `81 /d id`); `8·d + 1` is the `r/m, r`
+/// opcode and `8·d + 3` the `r, r/m` one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Alu {
+    Add = 0,
+    Or = 1,
+    And = 4,
+    Sub = 5,
+    Xor = 6,
+    Cmp = 7,
+}
+
+impl Alu {
+    fn name(self) -> &'static str {
+        match self {
+            Alu::Add => "add",
+            Alu::Or => "or",
+            Alu::And => "and",
+            Alu::Sub => "sub",
+            Alu::Xor => "xor",
+            Alu::Cmp => "cmp",
+        }
     }
 }
 
@@ -120,7 +157,7 @@ impl Cc {
 }
 
 /// A memory operand: `[base + index*scale + disp]`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct Mem {
     pub base: Gpr,
     pub index: Option<(Gpr, u8)>,
@@ -173,10 +210,15 @@ pub(super) struct Asm {
     fixups: Vec<(usize, Label)>,
     /// Whether emitted instructions are added to `chunk` and `steady`.
     counting: (bool, bool),
+    /// Whether emitted instructions are added to `loops`.
+    counting_loop: bool,
     /// What the general copies of vector chunks cost.
     pub chunk: ChunkCost,
     /// What the steady copies cost (see `compile`'s "Steady chunks").
     pub steady: ChunkCost,
+    /// What the innermost loops around chunks cost (see
+    /// `JitProgram::loop_cost`).
+    pub loops: ChunkCost,
 }
 
 impl Asm {
@@ -187,8 +229,10 @@ impl Asm {
             labels: Vec::new(),
             fixups: Vec::new(),
             counting: (false, false),
+            counting_loop: false,
             chunk: ChunkCost::default(),
             steady: ChunkCost::default(),
+            loops: ChunkCost::default(),
         }
     }
 
@@ -234,6 +278,12 @@ impl Asm {
         self.counting = (general, steady);
     }
 
+    /// Counts what is emitted from here on as a loop's fast path, or not;
+    /// returns the previous setting.
+    pub fn count_loop(&mut self, on: bool) -> bool {
+        std::mem::replace(&mut self.counting_loop, on)
+    }
+
     /// Adds to the costs being counted.
     fn tally(&mut self, f: impl Fn(&mut ChunkCost)) {
         if self.counting.0 {
@@ -241,6 +291,9 @@ impl Asm {
         }
         if self.counting.1 {
             f(&mut self.steady);
+        }
+        if self.counting_loop {
+            f(&mut self.loops);
         }
     }
 
@@ -396,7 +449,7 @@ impl Asm {
         self.rex(false, 0, 0, dst.idx());
         self.b(0xB8 + (dst.idx() & 7));
         self.code.extend_from_slice(&bits.to_le_bytes());
-        self.line(|| format!("mov {}d, {bits:#x}", dst.name()));
+        self.line(|| format!("mov {}, {bits:#x}", dst.name32()));
     }
 
     /// `movabs` of a host function address, listed symbolically so the
@@ -410,33 +463,55 @@ impl Asm {
 
     // -- GPR arithmetic ------------------------------------------------------
 
-    fn alu_rr(&mut self, opcode: u8, mnem: &str, dst: Gpr, src: Gpr) {
-        self.op_rr(None, true, &[opcode], src.idx(), dst.idx());
-        self.line(|| format!("{mnem} {}, {}", dst.name(), src.name()));
+    /// `op dst, src`.
+    pub fn alu_rr(&mut self, op: Alu, dst: Gpr, src: Gpr) {
+        self.op_rr(None, true, &[(op as u8) << 3 | 1], src.idx(), dst.idx());
+        self.line(|| format!("{} {}, {}", op.name(), dst.name(), src.name()));
+    }
+
+    /// `op dst, imm` (sign-extended to 64 bits; `ib` when it fits).
+    pub fn alu_ri(&mut self, op: Alu, dst: Gpr, v: i32) {
+        self.rex(true, 0, 0, dst.idx());
+        if let Ok(v8) = i8::try_from(v) {
+            self.b(0x83);
+            self.modrm(3, op as u8, dst.idx());
+            self.b(v8 as u8);
+        } else {
+            self.b(0x81);
+            self.modrm(3, op as u8, dst.idx());
+            self.d32(v);
+        }
+        self.line(|| format!("{} {}, {v:#x}", op.name(), dst.name()));
+    }
+
+    /// `op dst, [m]`.
+    pub fn alu_rm(&mut self, op: Alu, dst: Gpr, m: Mem) {
+        self.op_rm(None, true, &[(op as u8) << 3 | 3], dst.idx(), m);
+        self.line(|| format!("{} {}, {}", op.name(), dst.name(), m.text()));
     }
 
     pub fn add_rr(&mut self, dst: Gpr, src: Gpr) {
-        self.alu_rr(0x01, "add", dst, src);
+        self.alu_rr(Alu::Add, dst, src);
     }
 
     pub fn sub_rr(&mut self, dst: Gpr, src: Gpr) {
-        self.alu_rr(0x29, "sub", dst, src);
+        self.alu_rr(Alu::Sub, dst, src);
     }
 
     pub fn and_rr(&mut self, dst: Gpr, src: Gpr) {
-        self.alu_rr(0x21, "and", dst, src);
+        self.alu_rr(Alu::And, dst, src);
     }
 
     pub fn or_rr(&mut self, dst: Gpr, src: Gpr) {
-        self.alu_rr(0x09, "or", dst, src);
+        self.alu_rr(Alu::Or, dst, src);
     }
 
     pub fn xor_rr(&mut self, dst: Gpr, src: Gpr) {
-        self.alu_rr(0x31, "xor", dst, src);
+        self.alu_rr(Alu::Xor, dst, src);
     }
 
     pub fn cmp_rr(&mut self, a: Gpr, b: Gpr) {
-        self.alu_rr(0x39, "cmp", a, b);
+        self.alu_rr(Alu::Cmp, a, b);
     }
 
     pub fn test_rr(&mut self, a: Gpr, b: Gpr) {
@@ -449,46 +524,34 @@ impl Asm {
         self.line(|| format!("imul {}, {}", dst.name(), src.name()));
     }
 
-    pub fn add_ri(&mut self, dst: Gpr, v: i32) {
-        self.rex(true, 0, 0, dst.idx());
-        if i8::try_from(v).is_ok() {
-            self.b(0x83);
-            self.modrm(3, 0, dst.idx());
+    /// `imul dst, [m]`.
+    pub fn imul_rm(&mut self, dst: Gpr, m: Mem) {
+        self.op_rm(None, true, &[0x0F, 0xAF], dst.idx(), m);
+        self.line(|| format!("imul {}, {}", dst.name(), m.text()));
+    }
+
+    /// `imul dst, src, imm` (sign-extended; `ib` when it fits).
+    pub fn imul_rri(&mut self, dst: Gpr, src: Gpr, v: i32) {
+        let short = i8::try_from(v).is_ok();
+        self.op_rr(None, true, &[if short { 0x6B } else { 0x69 }], dst.idx(), src.idx());
+        if short {
             self.b(v as i8 as u8);
         } else {
-            self.b(0x81);
-            self.modrm(3, 0, dst.idx());
             self.d32(v);
         }
-        self.line(|| format!("add {}, {v:#x}", dst.name()));
+        self.line(|| format!("imul {}, {}, {v:#x}", dst.name(), src.name()));
+    }
+
+    pub fn add_ri(&mut self, dst: Gpr, v: i32) {
+        self.alu_ri(Alu::Add, dst, v);
     }
 
     pub fn sub_ri(&mut self, dst: Gpr, v: i32) {
-        self.rex(true, 0, 0, dst.idx());
-        if i8::try_from(v).is_ok() {
-            self.b(0x83);
-            self.modrm(3, 5, dst.idx());
-            self.b(v as i8 as u8);
-        } else {
-            self.b(0x81);
-            self.modrm(3, 5, dst.idx());
-            self.d32(v);
-        }
-        self.line(|| format!("sub {}, {v:#x}", dst.name()));
+        self.alu_ri(Alu::Sub, dst, v);
     }
 
     pub fn cmp_ri(&mut self, a: Gpr, v: i32) {
-        self.rex(true, 0, 0, a.idx());
-        if i8::try_from(v).is_ok() {
-            self.b(0x83);
-            self.modrm(3, 7, a.idx());
-            self.b(v as i8 as u8);
-        } else {
-            self.b(0x81);
-            self.modrm(3, 7, a.idx());
-            self.d32(v);
-        }
-        self.line(|| format!("cmp {}, {v:#x}", a.name()));
+        self.alu_ri(Alu::Cmp, a, v);
     }
 
     pub fn neg_r(&mut self, r: Gpr) {
@@ -708,7 +771,7 @@ impl Asm {
         self.b(0x0F);
         self.b(0x6E);
         self.modrm(3, dst.0, src.idx());
-        self.line(|| format!("movd {}, {}d", dst.name(), src.name()));
+        self.line(|| format!("movd {}, {}", dst.name(), src.name32()));
     }
 
     /// `cvttss2si r64, xmm`: truncates toward zero; `i64::MIN` for NaN
@@ -797,7 +860,7 @@ impl Asm {
     pub fn pextrd(&mut self, dst: Gpr, src: Xmm, lane: u8) {
         self.op_rr(Some(0x66), false, &[0x0F, 0x3A, 0x16], src.0, dst.idx());
         self.b(lane);
-        self.line(|| format!("pextrd {}d, {}, {lane}", dst.name(), src.name()));
+        self.line(|| format!("pextrd {}, {}, {lane}", dst.name32(), src.name()));
     }
 
     /// `insertps xmm, m32, lane << 4`: loads one `f32` into `lane`.
@@ -1013,6 +1076,98 @@ mod tests {
                 0x2C, 0xC0, 0xF3, 0x49, 0x0F, 0x2C, 0xC1
             ]
         );
+    }
+
+    #[test]
+    fn two_address_encodings_match_reference_bytes() {
+        // GNU as, `.intel_syntax noprefix`. `r, imm` forms, `ib` and `id`.
+        let mut a = Asm::new();
+        a.alu_ri(Alu::Add, Gpr::Rax, 0x7f);
+        a.alu_ri(Alu::Add, Gpr::R12, -0x80);
+        a.alu_ri(Alu::Add, Gpr::R9, 0x12345);
+        a.alu_ri(Alu::Sub, Gpr::Rsi, 1);
+        a.alu_ri(Alu::And, Gpr::R8, 0x1f);
+        a.alu_ri(Alu::And, Gpr::R8, 0xffff);
+        a.alu_ri(Alu::Cmp, Gpr::R11, 4);
+        a.alu_ri(Alu::Cmp, Gpr::Rdi, -1);
+        a.alu_ri(Alu::Or, Gpr::Rbx, 2);
+        a.alu_ri(Alu::Xor, Gpr::R15, 0x100);
+        a.alu_ri(Alu::Sub, Gpr::Rbp, 0x1000);
+        assert_eq!(
+            a.code,
+            [
+                0x48, 0x83, 0xC0, 0x7F, 0x49, 0x83, 0xC4, 0x80, 0x49, 0x81, 0xC1, 0x45, 0x23,
+                0x01, 0x00, 0x48, 0x83, 0xEE, 0x01, 0x49, 0x83, 0xE0, 0x1F, 0x49, 0x81, 0xE0,
+                0xFF, 0xFF, 0x00, 0x00, 0x49, 0x83, 0xFB, 0x04, 0x48, 0x83, 0xFF, 0xFF, 0x48,
+                0x83, 0xCB, 0x02, 0x49, 0x81, 0xF7, 0x00, 0x01, 0x00, 0x00, 0x48, 0x81, 0xED,
+                0x00, 0x10, 0x00, 0x00
+            ]
+        );
+
+        // `imul r, r, imm`, `ib` and `id`.
+        let mut a = Asm::new();
+        a.imul_rri(Gpr::Rdi, Gpr::R10, 8);
+        a.imul_rri(Gpr::R12, Gpr::R12, 0x90);
+        a.imul_rri(Gpr::Rax, Gpr::Rbx, -3);
+        assert_eq!(
+            a.code,
+            [
+                0x49, 0x6B, 0xFA, 0x08, 0x4D, 0x69, 0xE4, 0x90, 0x00, 0x00, 0x00, 0x48, 0x6B,
+                0xC3, 0xFD
+            ]
+        );
+
+        // `r, [m]` forms and `r, r` ones.
+        let mut a = Asm::new();
+        a.alu_rm(Alu::Add, Gpr::R12, Mem::base(Gpr::Rsp, 0x30));
+        a.alu_rm(Alu::Sub, Gpr::Rax, Mem::base(Gpr::Rsp, 8));
+        a.alu_rm(Alu::Cmp, Gpr::R10, Mem::base(Gpr::Rsp, 0));
+        a.alu_rm(Alu::And, Gpr::Rdi, Mem::base(Gpr::R13, 0x10));
+        a.imul_rm(Gpr::R9, Mem::base(Gpr::Rsp, 0x18));
+        a.alu_rr(Alu::Add, Gpr::Rsi, Gpr::R11);
+        a.alu_rr(Alu::Cmp, Gpr::R12, Gpr::Rax);
+        assert_eq!(
+            a.code,
+            [
+                0x4C, 0x03, 0x64, 0x24, 0x30, 0x48, 0x2B, 0x44, 0x24, 0x08, 0x4C, 0x3B, 0x14,
+                0x24, 0x49, 0x23, 0x7D, 0x10, 0x4C, 0x0F, 0xAF, 0x4C, 0x24, 0x18, 0x4C, 0x01,
+                0xDE, 0x49, 0x39, 0xC4
+            ]
+        );
+
+        // An `r8`–`r15` home as the index of an element access.
+        let mut a = Asm::new();
+        a.movss_xm(Xmm(0), Mem::sib(Gpr::Rcx, Gpr::R12, 4, 0));
+        a.movups_xm(Xmm(15), Mem::sib(Gpr::Rcx, Gpr::R9, 4, 0x10));
+        a.movups_mx(Mem::sib(Gpr::Rcx, Gpr::R14, 4, 0), Xmm(3));
+        a.movss_mx(Mem::sib(Gpr::Rcx, Gpr::R8, 4, 0), Xmm(0));
+        assert_eq!(
+            a.code,
+            [
+                0xF3, 0x42, 0x0F, 0x10, 0x04, 0xA1, 0x46, 0x0F, 0x10, 0x7C, 0x89, 0x10, 0x42,
+                0x0F, 0x11, 0x1C, 0xB1, 0xF3, 0x42, 0x0F, 0x11, 0x04, 0x81
+            ]
+        );
+    }
+
+    /// 32-bit operands are listed by the names an assembler accepts.
+    #[test]
+    fn listings_name_32_bit_registers() {
+        let mut a = Asm::with_listing();
+        a.mov_ri32(Gpr::Rax, 0x3f80_0000);
+        a.mov_ri32(Gpr::R9, 0x7fff_ffff);
+        a.movd_xr(Xmm(1), Gpr::R8);
+        a.pextrd(Gpr::R10, Xmm(3), 2);
+        assert_eq!(
+            a.code,
+            [
+                0xB8, 0x00, 0x00, 0x80, 0x3F, 0x41, 0xB9, 0xFF, 0xFF, 0xFF, 0x7F, 0x66, 0x41,
+                0x0F, 0x6E, 0xC8, 0x66, 0x41, 0x0F, 0x3A, 0x16, 0xDA, 0x02
+            ]
+        );
+        let text = "  mov eax, 0x3f800000\n  mov r9d, 0x7fffffff\n  movd xmm1, r8d\n  \
+                    pextrd r10d, xmm3, 2\n";
+        assert_eq!(a.listing().unwrap(), text);
     }
 
     #[test]

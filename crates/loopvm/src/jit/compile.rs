@@ -9,7 +9,13 @@
 //!
 //! - `r15` = `JitCtx` pointer, `r14` = variable frame, `r13` = buffer
 //!   descriptor table; `rax`/`rcx`/`rdx` and `xmm0`/`xmm1` are statement
-//!   scratch. Everything else is allocated by [`super::regalloc`].
+//!   scratch. Everything else is allocated by [`super::regalloc`], loop
+//!   counters included.
+//! - Integer operations are two-address code on their homes (`mov d, a;
+//!   op d, b`, a constant `b` that fits `i32` an immediate); see
+//!   [`Emit::emit_bin_i`]. A `ReadVar` of an open loop's variable reads
+//!   its counter; the frame slot of a variable is written only where some
+//!   `ReadVar` reads the frame ([`Facts::frame_read`]).
 //! - Every function returns a `u64` status: `0` ok, `1`/`2` error/panic
 //!   already recorded in the host, `id + 3` for deopt stub `id`.
 //! - Loads and stores that [`super::facts`] proves in range are plain
@@ -64,8 +70,8 @@
 //! computed what the general copy computes, so the restart is exact.
 //! DESIGN.md §14 has the argument in full.
 
-use super::asm::{Asm, Cc, Gpr, Label, Mem, Xmm};
-use super::facts::{self, pow2, Clamp, Facts, Kept, Shape};
+use super::asm::{Alu, Asm, Cc, Gpr, Label, Mem, Xmm};
+use super::facts::{self, lane_grouped, pow2, Clamp, Facts, Kept, Shape};
 use super::regalloc::{allocate, FnAlloc, FnCode, Home};
 use super::runtime::{
     self, Deopt, JitProgram, CTX_BUFS, CTX_DEOPT_A, CTX_DEOPT_B, CTX_FRAME, CTX_IPIN,
@@ -85,7 +91,8 @@ pub fn compile(bc: &BcProgram) -> Option<JitProgram> {
     }
     let e = emit(bc, Asm::new())?;
     let steady = super::SteadyCost { chunks: e.steady_chunks, cost: e.a.steady };
-    JitProgram::new(e.a.code, e.main_off, e.par_fns, e.deopts, (e.a.chunk, steady), e.guards, bc)
+    let costs = (e.a.chunk, steady, e.a.loops);
+    JitProgram::new(e.a.code, e.main_off, e.par_fns, e.deopts, costs, e.guards, bc)
 }
 
 /// The per-instruction x86-64 listing of the code [`compile`] generates
@@ -118,7 +125,7 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
         a,
         bc,
         alloc: main_alloc,
-        next_slot: 0,
+        open: Vec::new(),
         exit: Label::INVALID,
         stubs: Vec::new(),
         slow: Vec::new(),
@@ -141,7 +148,7 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
     let mut i = 0;
     while i < e.pending.len() {
         let w = e.pending[i];
-        e.alloc = allocate(bc, &FnCode::ParBody { preamble: w.preamble, body: w.body }, &e.facts);
+        e.alloc = allocate(bc, &FnCode::ParBody(w.stmt), &e.facts);
         let off = e.a.here();
         e.emit_fn(Some((i, w)));
         par_fns.push((off, w.var));
@@ -171,6 +178,8 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
 /// A `Parallel` loop queued for emission as its own function.
 #[derive(Clone, Copy)]
 struct ParWork<'a> {
+    /// The `For` itself.
+    stmt: &'a BcStmt,
     var: u32,
     preamble: &'a [Inst],
     body: &'a [BcStmt],
@@ -181,8 +190,93 @@ struct ParWork<'a> {
 struct ChunkCtx {
     /// Loop variable of the vectorized loop.
     var: u32,
-    /// Stack slot holding the chunk's base iteration value.
-    v_slot: i32,
+    /// The chunk's base iteration value (lane 0 of the variable).
+    base: Base,
+}
+
+/// Where a chunk's base iteration value is.
+#[derive(Clone, Copy)]
+enum Base {
+    /// The one chunk of a loop of eight constant iterations starts here.
+    Imm(i64),
+    /// In the loop's counter.
+    Ctr(Home),
+}
+
+/// Where two-address code reads an `i64` operand from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Src {
+    Reg(Gpr),
+    Imm(i32),
+    Mem(Mem),
+}
+
+/// The bound a loop counter is compared with at the back edge.
+#[derive(Clone, Copy)]
+enum Bound {
+    /// A constant.
+    Imm(i64),
+    /// The home of an upper-bound register that is not one.
+    Reg(Reg),
+    /// A parallel body's upper bound.
+    Home(Home),
+}
+
+/// What a counted loop is to [`super::JitProgram::loop_cost`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// The innermost loop around a chunk: its fast path is counted.
+    Innermost,
+    /// The scalar remainder of a lane-grouped loop: not counted.
+    Remainder,
+    /// Counted as part of an enclosing innermost loop, if any.
+    Other,
+}
+
+impl Role {
+    /// The role of a loop with `body`: innermost when a lane-grouped loop
+    /// is in it and none is inside a nested loop of another kind (the body
+    /// of a nested `Parallel` loop is a function of its own).
+    fn of(body: &[BcStmt]) -> Role {
+        /// `(a chunk is in body, one is inside a nested loop)`.
+        fn scan(body: &[BcStmt]) -> (bool, bool) {
+            let (mut any, mut nested) = (false, false);
+            for s in body {
+                let (a, n) = match s {
+                    BcStmt::For { kind: LoopKind::Vectorize(_), body, .. }
+                        if bc_body_vectorizable(body) =>
+                    {
+                        (true, false)
+                    }
+                    BcStmt::For { body, .. } => {
+                        let a = scan(body).0;
+                        (a, a)
+                    }
+                    BcStmt::If { then, else_, .. } => {
+                        let (t, e) = (scan(then), scan(else_));
+                        (t.0 || e.0, t.1 || e.1)
+                    }
+                    _ => (false, false),
+                };
+                any |= a;
+                nested |= n;
+            }
+            (any, nested)
+        }
+        match scan(body) {
+            (true, false) => Role::Innermost,
+            _ => Role::Other,
+        }
+    }
+
+    /// Whether the loop's body is counted (`None`: as around it).
+    fn counts(self) -> Option<bool> {
+        match self {
+            Role::Innermost => Some(true),
+            Role::Remainder => Some(false),
+            Role::Other => None,
+        }
+    }
 }
 
 /// What a steady copy assumes, for the listing: per chain of nested
@@ -253,8 +347,10 @@ struct Emit<'a> {
     bc: &'a BcProgram,
     /// Allocation of the function currently being emitted.
     alloc: FnAlloc,
-    /// Next `loop_slots` pair to hand out (walk order, matches regalloc).
-    next_slot: usize,
+    /// The variable and counter home of every loop open in the function
+    /// being emitted, innermost last (a loop whose variable is constant
+    /// in its one chunk has none).
+    open: Vec<(u32, Home)>,
     /// The current function's shared epilogue (expects the status in rax).
     exit: Label,
     /// Deopt stubs to emit after the current function's `ret`.
@@ -302,7 +398,6 @@ impl<'a> Emit<'a> {
             None => self.a.comment(|| "fn main(ctx)".to_string()),
             Some((id, _)) => self.a.comment(|| format!("fn par{id}(ctx, lo, hi)")),
         }
-        self.next_slot = 0;
         for r in SAVED {
             self.a.push_r(r);
         }
@@ -320,13 +415,15 @@ impl<'a> Emit<'a> {
                 self.emit_block(body);
             }
             Some((_, w)) => {
-                // Bounds arrive in rsi/rdx; iterate like the interpreter's
-                // per-worker range loop.
-                let (vs, hs) = self.alloc.loop_slots[0];
-                self.next_slot = 1;
-                self.a.mov_mr(Mem::base(Gpr::Rsp, vs), Gpr::Rsi);
-                self.a.mov_mr(Mem::base(Gpr::Rsp, hs), Gpr::Rdx);
-                self.emit_counted_loop(vs, hs, w.var, w.preamble, w.body);
+                // Bounds arrive in rsi/rdx (neither is a home the counter
+                // could take before rdx is read); iterate like the
+                // interpreter's per-worker range loop.
+                let ctr = self.counter(w.stmt);
+                let hi = self.alloc.par_hi;
+                self.set_home(ctr, Src::Reg(Gpr::Rsi));
+                self.set_home(hi, Src::Reg(Gpr::Rdx));
+                let role = Role::of(w.body);
+                self.emit_counted_loop(w.var, ctr, Bound::Home(hi), true, w.preamble, w.body, role);
             }
         }
         self.a.xor_rr(Gpr::Rax, Gpr::Rax);
@@ -406,6 +503,9 @@ impl<'a> Emit<'a> {
 
     /// Reads i-register `r`'s scalar home into `dst`.
     fn read_i_home(&mut self, dst: Gpr, r: Reg) {
+        if let Some(v) = self.facts.i[r as usize].imm() {
+            return self.a.mov_ri(dst, v.into());
+        }
         match self.alloc.homes_i[r as usize] {
             Home::Gpr(g) => self.a.mov_rr(dst, g),
             Home::Stack(off) => self.a.mov_rm(dst, Mem::base(Gpr::Rsp, off)),
@@ -485,6 +585,174 @@ impl<'a> Emit<'a> {
         }
     }
 
+    // -- two-address operands ------------------------------------------------
+
+    /// Where two-address code finds i-register `r`'s value (in a chunk,
+    /// lane 0's, which its scalar home holds unless `r` is varying): a
+    /// constant that fits `i32` is an immediate, a GPR or stack home is
+    /// read in place. `None`: [`Self::read_i`] must fetch it (a pinned
+    /// register, or another lane).
+    fn src_i(&self, r: Reg) -> Option<Src> {
+        if let (Some(l), Some(shape)) = (self.lane, self.chunk_shape(File::I, r)) {
+            match shape {
+                Shape::Varying => return None,
+                Shape::Linear(_) if l > 0 => return None,
+                _ => {}
+            }
+        }
+        if let Some(v) = self.facts.i[r as usize].imm() {
+            return Some(Src::Imm(v));
+        }
+        Self::home_src(self.alloc.homes_i[r as usize])
+    }
+
+    /// A GPR or stack home as an operand.
+    fn home_src(h: Home) -> Option<Src> {
+        match h {
+            Home::Gpr(g) => Some(Src::Reg(g)),
+            Home::Stack(off) => Some(Src::Mem(Mem::base(Gpr::Rsp, off))),
+            _ => None,
+        }
+    }
+
+    /// The GPR two-address code computes i-register `r` in: its home, or
+    /// `None` for rax and [`Self::write_i`] (a stack, pinned or lane-array
+    /// destination).
+    fn dst_i(&self, r: Reg) -> Option<Gpr> {
+        if self.lane.is_some() && self.lane_array_i(r).is_some() {
+            return None;
+        }
+        match self.alloc.homes_i[r as usize] {
+            Home::Gpr(g) => Some(g),
+            _ => None,
+        }
+    }
+
+    /// `d = s`.
+    fn load(&mut self, d: Gpr, s: Src) {
+        match s {
+            Src::Reg(g) if g == d => {}
+            Src::Reg(g) => self.a.mov_rr(d, g),
+            Src::Imm(v) => self.a.mov_ri(d, v.into()),
+            Src::Mem(m) => self.a.mov_rm(d, m),
+        }
+    }
+
+    /// `r`'s value as an operand, fetched into `scratch` if it has to be.
+    fn opnd_i(&mut self, r: Reg, scratch: Gpr) -> Src {
+        match self.src_i(r) {
+            Some(s) => s,
+            None => {
+                self.read_i(scratch, r);
+                Src::Reg(scratch)
+            }
+        }
+    }
+
+    /// `d = r`.
+    fn load_i(&mut self, d: Gpr, r: Reg) {
+        let s = self.opnd_i(r, d);
+        self.load(d, s);
+    }
+
+    /// A GPR holding `r`'s value: its home, or `scratch` loaded with it.
+    fn reg_i(&mut self, r: Reg, scratch: Gpr) -> Gpr {
+        match self.opnd_i(r, scratch) {
+            Src::Reg(g) => g,
+            s => {
+                self.load(scratch, s);
+                scratch
+            }
+        }
+    }
+
+    /// `op d, s`.
+    fn alu(&mut self, op: Alu, d: Gpr, s: Src) {
+        match s {
+            Src::Reg(g) => self.a.alu_rr(op, d, g),
+            Src::Imm(v) => self.a.alu_ri(op, d, v),
+            Src::Mem(m) => self.a.alu_rm(op, d, m),
+        }
+    }
+
+    /// Completes two-address code that computed i-register `r` in `d`.
+    fn finish_i(&mut self, d: Gpr, r: Reg) {
+        if d == Gpr::Rax {
+            self.write_i(r);
+        }
+    }
+
+    // -- loop counters -------------------------------------------------------
+
+    /// The counter home of loop `s`.
+    fn counter(&self, s: &BcStmt) -> Home {
+        self.alloc.counters[&(s as *const BcStmt as usize)]
+    }
+
+    /// Writes `s` to a counter or bound home.
+    fn set_home(&mut self, h: Home, s: Src) {
+        match h {
+            Home::Gpr(g) => self.load(g, s),
+            Home::Stack(off) => {
+                let x = match s {
+                    Src::Reg(g) => g,
+                    _ => {
+                        self.load(Gpr::Rax, s);
+                        Gpr::Rax
+                    }
+                };
+                self.a.mov_mr(Mem::base(Gpr::Rsp, off), x);
+            }
+            _ => unreachable!("a counter lives in a GPR or a stack slot: {h:?}"),
+        }
+    }
+
+    /// A GPR holding counter `h`'s value (rax for a spilled one).
+    fn counter_reg(&mut self, h: Home) -> Gpr {
+        match h {
+            Home::Gpr(g) => g,
+            Home::Stack(off) => {
+                self.a.mov_rm(Gpr::Rax, Mem::base(Gpr::Rsp, off));
+                Gpr::Rax
+            }
+            _ => unreachable!("a counter lives in a GPR or a stack slot: {h:?}"),
+        }
+    }
+
+    /// `h += step`, leaving the new value in the returned GPR.
+    fn bump(&mut self, h: Home, step: i32) -> Gpr {
+        let x = self.counter_reg(h);
+        self.a.add_ri(x, step);
+        if let Home::Stack(off) = h {
+            self.a.mov_mr(Mem::base(Gpr::Rsp, off), x);
+        }
+        x
+    }
+
+    /// The bound of a loop whose upper-bound register is `upper`.
+    fn bound(&self, upper: Reg) -> Bound {
+        match self.facts.i[upper as usize].konst {
+            Some(v) => Bound::Imm(v),
+            None => Bound::Reg(upper),
+        }
+    }
+
+    /// `cmp x, bound`.
+    fn cmp_bound(&mut self, x: Gpr, b: Bound) {
+        let s = match b {
+            Bound::Imm(v) => match i32::try_from(v) {
+                Ok(v) => Src::Imm(v),
+                Err(_) => {
+                    self.a.mov_ri(Gpr::Rcx, v);
+                    Src::Reg(Gpr::Rcx)
+                }
+            },
+            Bound::Reg(r) => self.opnd_i(r, Gpr::Rcx),
+            Bound::Home(h) => Self::home_src(h).expect("a bound lives in a GPR or a stack slot"),
+        };
+        self.alu(Alu::Cmp, x, s);
+    }
+
     /// Registers a deopt stub; guards jump to the returned label with the
     /// first operand in rax and (when meaningful) the second in rcx.
     fn trap(&mut self, d: Deopt) -> Label {
@@ -512,8 +780,10 @@ impl<'a> Emit<'a> {
         match s {
             BcStmt::Let { code, var, reg } => {
                 self.emit_insts(code);
-                self.read_i(Gpr::Rax, *reg);
-                self.a.mov_mr(Mem::base(Gpr::R14, *var as i32 * 8), Gpr::Rax);
+                if self.facts.frame_read[*var as usize] {
+                    let x = self.reg_i(*reg, Gpr::Rax);
+                    self.a.mov_mr(Mem::base(Gpr::R14, *var as i32 * 8), x);
+                }
             }
             BcStmt::Store { code, buf, idx, val } => {
                 self.emit_insts(code);
@@ -521,8 +791,8 @@ impl<'a> Emit<'a> {
             }
             BcStmt::If { code, cond, then, else_ } => {
                 self.emit_insts(code);
-                self.read_i(Gpr::Rax, *cond);
-                self.a.test_rr(Gpr::Rax, Gpr::Rax);
+                let x = self.reg_i(*cond, Gpr::Rax);
+                self.a.test_rr(x, x);
                 if else_.is_empty() {
                     let end = self.a.new_label();
                     self.a.jcc(Cc::E, end);
@@ -543,115 +813,196 @@ impl<'a> Emit<'a> {
                 self.emit_insts(&lower.insts);
                 self.emit_insts(&upper.insts);
                 if *kind == LoopKind::Parallel {
-                    self.emit_par_call(*var, lower.reg, upper.reg, preamble, body);
+                    self.emit_par_call(s, lower.reg, upper.reg);
                     return;
                 }
-                let (vs, hs) = self.alloc.loop_slots[self.next_slot];
-                self.next_slot += 1;
-                self.read_i(Gpr::Rax, lower.reg);
-                self.a.mov_mr(Mem::base(Gpr::Rsp, vs), Gpr::Rax);
-                self.read_i(Gpr::Rax, upper.reg);
-                self.a.mov_mr(Mem::base(Gpr::Rsp, hs), Gpr::Rax);
-                if matches!(kind, LoopKind::Vectorize(_)) && bc_body_vectorizable(body) {
-                    let c = ChunkCtx { var: *var, v_slot: vs };
-                    self.emit_vector_loop(c, hs, s, preamble, body);
-                } else {
-                    self.emit_counted_loop(vs, hs, *var, preamble, body);
+                if lane_grouped(*kind, body) {
+                    return self.emit_vector_loop(s, *var, lower.reg, upper.reg, preamble, body);
                 }
+                let ctr = self.counter(s);
+                let lo = self.opnd_i(lower.reg, Gpr::Rax);
+                self.set_home(ctr, lo);
+                // Constant bounds with iterations need no test at the head.
+                let checked = self.facts.trips(lower.reg, upper.reg).is_none();
+                let (bound, role) = (self.bound(upper.reg), Role::of(body));
+                self.emit_counted_loop(*var, ctr, bound, checked, preamble, body, role);
             }
         }
     }
 
-    /// `while [vs] < [hs]: frame[var] = [vs]; preamble; body; [vs] += 1`
-    /// with the back edge as a direct conditional jump.
+    /// `[test ctr < hi;] do { frame[var] = ctr; preamble; body; ctr += 1 }
+    /// while ctr < hi`, with the back edge as a direct conditional jump.
+    /// `checked`: the loop may run no iteration. The frame slot is written
+    /// only where some `ReadVar` reads it ([`Facts::frame_read`]).
+    #[allow(clippy::too_many_arguments)]
     fn emit_counted_loop(
         &mut self,
-        vs: i32,
-        hs: i32,
         var: u32,
+        ctr: Home,
+        hi: Bound,
+        checked: bool,
         preamble: &'a [Inst],
         body: &'a [BcStmt],
+        role: Role,
     ) {
-        self.a.comment(|| format!("loop v{var}"));
         let top = self.a.new_label();
         let done = self.a.new_label();
-        self.a.mov_rm(Gpr::Rax, Mem::base(Gpr::Rsp, vs));
-        self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::Rsp, hs));
-        self.a.cmp_rr(Gpr::Rax, Gpr::Rcx);
-        self.a.jcc(Cc::Ge, done);
+        if checked {
+            let x = self.counter_reg(ctr);
+            self.cmp_bound(x, hi);
+            self.a.jcc(Cc::Ge, done);
+        }
+        // The listing marks each iteration's code, from here to `end`.
+        match role {
+            Role::Innermost => self.a.comment(|| format!("innermost loop v{var}")),
+            Role::Remainder => self.a.comment(|| format!("remainder v{var}")),
+            Role::Other => self.a.comment(|| format!("loop v{var}")),
+        }
         self.a.bind(top);
-        self.a.mov_rm(Gpr::Rax, Mem::base(Gpr::Rsp, vs));
-        self.a.mov_mr(Mem::base(Gpr::R14, var as i32 * 8), Gpr::Rax);
+        let outer = role.counts().map(|on| self.a.count_loop(on));
+        if self.facts.frame_read[var as usize] {
+            let x = self.counter_reg(ctr);
+            self.a.mov_mr(Mem::base(Gpr::R14, var as i32 * 8), x);
+        }
+        self.open.push((var, ctr));
         self.emit_insts(preamble);
         self.emit_block(body);
-        self.a.mov_rm(Gpr::Rax, Mem::base(Gpr::Rsp, vs));
-        self.a.add_ri(Gpr::Rax, 1);
-        self.a.mov_mr(Mem::base(Gpr::Rsp, vs), Gpr::Rax);
-        self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::Rsp, hs));
-        self.a.cmp_rr(Gpr::Rax, Gpr::Rcx);
+        self.open.pop();
+        let x = self.bump(ctr, 1);
+        self.cmp_bound(x, hi);
         self.a.jcc(Cc::L, top);
+        if let Some(on) = outer {
+            self.a.count_loop(on);
+        }
+        self.a.comment(|| format!("end v{var}"));
         self.a.bind(done);
     }
 
-    /// Lane groups of [`LANES`] while `v + LANES <= hi`, then the scalar
-    /// remainder (which alone writes the frame slot, like the
-    /// interpreter's vector path). The sum is checked for overflow unless
-    /// the facts put both bounds far from the ends of `i64` (`wrap_free`):
-    /// near `i64::MAX` it would wrap below `hi`.
+    /// Lane groups of [`LANES`], then the scalar remainder (which alone
+    /// writes the frame slot, like the interpreter's vector path).
     ///
-    /// A chunk with [`Clamp`]s is emitted twice: the steady copy, where
-    /// the loop head falls through, and the general one, where a failing
-    /// clamp test restarts the chunk. Both end at the back edge.
+    /// With constant bounds and at least eight iterations, the lane groups
+    /// and the remainder are counted at compile time: eight iterations are
+    /// one straight-line chunk whose loop variable is a constant, a
+    /// multiple of eight is a chunk loop with no remainder, and only the
+    /// other trip counts have one. Else
+    /// the chunk loop runs while `v + LANES <= hi`; the sum is checked for
+    /// overflow unless the facts put both bounds far from the ends of
+    /// `i64` (`wrap_free`): near `i64::MAX` it would wrap below `hi`.
     fn emit_vector_loop(
         &mut self,
-        c: ChunkCtx,
-        hs: i32,
         s: &'a BcStmt,
+        var: u32,
+        lower: Reg,
+        upper: Reg,
         preamble: &'a [Inst],
         body: &'a [BcStmt],
     ) {
-        let (vs, var) = (c.v_slot, c.var);
         self.a.comment(|| format!("vector loop v{var}"));
-        let chunk = self.facts.chunk(s);
-        let (wrap_free, clamps) = (chunk.wrap_free, chunk.clamps.clone());
-        let steady = !clamps.is_empty();
+        let lanes = LANES as i32;
+        let hi = self.bound(upper);
+        // The loop head and back edge count for both copies of a chunk.
+        let steady = !self.facts.chunk(s).clamps.is_empty();
+        // Fewer than eight constant iterations keep their chunk code behind
+        // the head test like unknown bounds: every lane-grouped loop has
+        // its chunk copies.
+        if let Some(n) = self.facts.trips(lower, upper).filter(|&n| n >= LANES as u64) {
+            let lo = self.facts.i[lower as usize].konst.expect("constant bounds");
+            let (chunks, rem) = (n / LANES as u64, n % LANES as u64);
+            let ctr = self.facts.has_counter(s).then(|| self.counter(s));
+            // The first iteration past the chunks: every value up to `hi`
+            // fits `i64`.
+            let end = lo + (chunks * LANES as u64) as i64;
+            if chunks == 1 {
+                self.a.count_chunk(true, steady);
+                self.emit_chunk_copies(s, ChunkCtx { var, base: Base::Imm(lo) }, preamble, body);
+                self.a.count_chunk(false, false);
+            } else {
+                let ctr = ctr.expect("a chunk loop keeps a counter");
+                self.set_home_i64(ctr, lo);
+                let top = self.a.new_label();
+                self.a.count_chunk(true, steady);
+                self.a.bind(top);
+                self.emit_chunk_copies(s, ChunkCtx { var, base: Base::Ctr(ctr) }, preamble, body);
+                let x = self.bump(ctr, lanes);
+                self.cmp_bound(x, Bound::Imm(end));
+                self.a.jcc(Cc::L, top);
+                self.a.count_chunk(false, false);
+            }
+            if rem > 0 {
+                let ctr = ctr.expect("a remainder keeps a counter");
+                if chunks == 1 {
+                    self.set_home_i64(ctr, end);
+                }
+                self.emit_counted_loop(var, ctr, hi, false, preamble, body, Role::Remainder);
+            }
+            return;
+        }
+        let wrap_free = self.facts.chunk(s).wrap_free;
+        let ctr = self.counter(s);
+        let lo = self.opnd_i(lower, Gpr::Rax);
+        self.set_home(ctr, lo);
         let chk = self.a.new_label();
         let rem = self.a.new_label();
         self.a.count_chunk(true, steady);
         self.a.bind(chk);
-        self.a.mov_rm(Gpr::Rax, Mem::base(Gpr::Rsp, vs));
-        self.a.add_ri(Gpr::Rax, LANES as i32);
+        let x = self.counter_reg(ctr);
+        if x != Gpr::Rax {
+            self.a.mov_rr(Gpr::Rax, x);
+        }
+        self.a.add_ri(Gpr::Rax, lanes);
         if !wrap_free {
             self.a.jcc(Cc::O, rem);
         }
-        self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::Rsp, hs));
-        self.a.cmp_rr(Gpr::Rax, Gpr::Rcx);
+        self.cmp_bound(Gpr::Rax, hi);
         self.a.jcc(Cc::G, rem);
-        if steady {
-            self.steady_chunks += 1;
-            let (general, next) = (self.a.new_label(), self.a.new_label());
-            for line in assumptions(&clamps, &self.facts) {
-                self.a.comment(|| format!("steady: {line}"));
-            }
-            self.a.count_chunk(false, true);
-            self.emit_chunk(c, preamble, body, Some((general, clamps)));
-            self.a.jmp(next);
-            self.a.count_chunk(true, false);
-            self.a.bind(general);
-            self.a.comment(|| "general".to_string());
-            self.emit_chunk(c, preamble, body, None);
-            self.a.count_chunk(true, true);
-            self.a.bind(next);
-        } else {
-            self.emit_chunk(c, preamble, body, None);
-        }
-        self.a.mov_rm(Gpr::Rax, Mem::base(Gpr::Rsp, vs));
-        self.a.add_ri(Gpr::Rax, LANES as i32);
-        self.a.mov_mr(Mem::base(Gpr::Rsp, vs), Gpr::Rax);
+        self.emit_chunk_copies(s, ChunkCtx { var, base: Base::Ctr(ctr) }, preamble, body);
+        self.bump(ctr, lanes);
         self.a.jmp(chk);
         self.a.count_chunk(false, false);
         self.a.bind(rem);
-        self.emit_counted_loop(vs, hs, var, preamble, body);
+        self.emit_counted_loop(var, ctr, hi, true, preamble, body, Role::Remainder);
+    }
+
+    /// `h = v` for any `i64`.
+    fn set_home_i64(&mut self, h: Home, v: i64) {
+        let x = if let Home::Gpr(g) = h { g } else { Gpr::Rax };
+        self.a.mov_ri(x, v);
+        self.set_home(h, Src::Reg(x));
+    }
+
+    /// One chunk of the lane-grouped loop `s`. A chunk with [`Clamp`]s is
+    /// emitted twice: the steady copy, which runs first, and the general
+    /// one, where a failing clamp test restarts the chunk. Both end where
+    /// the chunk does. Counts the copies' costs, the general copy's in the
+    /// enclosing loop's too.
+    fn emit_chunk_copies(
+        &mut self,
+        s: &'a BcStmt,
+        c: ChunkCtx,
+        preamble: &'a [Inst],
+        body: &'a [BcStmt],
+    ) {
+        let clamps = self.facts.chunk(s).clamps.clone();
+        if clamps.is_empty() {
+            return self.emit_chunk(c, preamble, body, None);
+        }
+        self.steady_chunks += 1;
+        let (general, next) = (self.a.new_label(), self.a.new_label());
+        for line in assumptions(&clamps, &self.facts) {
+            self.a.comment(|| format!("steady: {line}"));
+        }
+        self.a.count_chunk(false, true);
+        let outer = self.a.count_loop(false);
+        self.emit_chunk(c, preamble, body, Some((general, clamps)));
+        self.a.jmp(next);
+        self.a.count_loop(outer);
+        self.a.count_chunk(true, false);
+        self.a.bind(general);
+        self.a.comment(|| "general".to_string());
+        self.emit_chunk(c, preamble, body, None);
+        self.a.count_chunk(true, true);
+        self.a.bind(next);
     }
 
     /// One lane group, inst-major: each instruction once per lane shape,
@@ -719,10 +1070,11 @@ impl<'a> Emit<'a> {
     }
 
     /// `f` emitting lane `l`'s code of the current chunk.
-    fn in_lane(&mut self, l: usize, f: impl FnOnce(&mut Self)) {
+    fn in_lane<T>(&mut self, l: usize, f: impl FnOnce(&mut Self) -> T) -> T {
         let outer = self.lane.replace(l);
-        f(self);
+        let v = f(self);
         self.lane = outer;
+        v
     }
 
     fn emit_chunk_inst(&mut self, inst: &Inst) {
@@ -938,8 +1290,8 @@ impl<'a> Emit<'a> {
             File::F => self.in_lane(0, |e| e.read_f(dst, r)),
             File::I if self.facts.i[r as usize].konst == Some(0) => return self.a.xorps(dst, dst),
             File::I => {
-                self.in_lane(0, |e| e.read_i(Gpr::Rax, r));
-                self.a.movd_xr(dst, Gpr::Rax);
+                let x = self.in_lane(0, |e| e.reg_i(r, Gpr::Rax));
+                self.a.movd_xr(dst, x);
             }
         }
         self.a.shufps(dst, dst, 0);
@@ -1003,16 +1355,16 @@ impl<'a> Emit<'a> {
         }
     }
 
-    /// Lane 0's index in rax and the data pointer in rcx for an access
-    /// whose index is `Linear(s)`, behind its one bounds check unless the
-    /// access is proven: `idx0 <u len ∧ idx0 + 7·s <u len` puts every lane
-    /// in range (`len` is far below `2^63`, so neither end wraps). When
-    /// the check fails some lane is out of bounds and the queued per-lane
-    /// path finds the first; the caller binds the returned label after the
-    /// access.
-    fn range_guard(&mut self, op: MemOp, s: i32, guard: Option<Kept>) -> Option<Label> {
+    /// Lane 0's index in the returned GPR (its home, or rax) and the data
+    /// pointer in rcx for an access whose index is `Linear(s)`, behind its
+    /// one bounds check unless the access is proven: `idx0 <u len ∧
+    /// idx0 + 7·s <u len` puts every lane in range (`len` is far below
+    /// `2^63`, so neither end wraps). When the check fails some lane is
+    /// out of bounds and the queued per-lane path finds the first; the
+    /// caller binds the returned label after the access.
+    fn range_guard(&mut self, op: MemOp, s: i32, guard: Option<Kept>) -> (Gpr, Option<Label>) {
         let (buf, idx, val) = op.parts();
-        self.in_lane(0, |e| e.read_i(Gpr::Rax, idx));
+        let ix = self.in_lane(0, |e| e.index(idx, guard));
         let cont = guard.map(|why| {
             let (entry, cont) = (self.a.new_label(), self.a.new_label());
             self.slow.push(SlowPath {
@@ -1036,24 +1388,24 @@ impl<'a> Emit<'a> {
             cont
         });
         self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
-        cont
+        (ix, cont)
     }
 
     /// `f[dst] = buf[i[idx]]` for all lanes, `idx` being `Linear(s)`,
     /// `s > 0`: two `movups` when contiguous, else eight `movss` at static
     /// displacements into the lane array.
     fn emit_linear_load(&mut self, dst: Reg, buf: u32, idx: Reg, s: i32, guard: Option<Kept>) {
-        let cont = self.range_guard(MemOp::Load { dst, buf, idx }, s, guard);
+        let (ix, cont) = self.range_guard(MemOp::Load { dst, buf, idx }, s, guard);
         if s == 1 {
             for h in 0..2 {
                 let t = self.half_target(File::F, dst, h);
-                self.a.movups_xm(t, Mem::sib(Gpr::Rcx, Gpr::Rax, 4, h as i32 * 16));
+                self.a.movups_xm(t, Mem::sib(Gpr::Rcx, ix, 4, h as i32 * 16));
                 self.half_done(File::F, dst, h);
             }
         } else {
             let out = self.alloc.lanes_f[dst as usize];
             for l in 0..LANES as i32 {
-                self.a.movss_xm(Xmm(0), Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 4 * l * s));
+                self.a.movss_xm(Xmm(0), Mem::sib(Gpr::Rcx, ix, 4, 4 * l * s));
                 self.a.movss_mx(Mem::base(Gpr::Rsp, out + 4 * l), Xmm(0));
             }
             self.reload(dst);
@@ -1089,14 +1441,14 @@ impl<'a> Emit<'a> {
             }
             return;
         }
-        let cont = self.range_guard(MemOp::Store { buf, idx, val }, 1, guard);
+        let (ix, cont) = self.range_guard(MemOp::Store { buf, idx, val }, 1, guard);
         let uniform = self.shape(File::F, val) != Shape::Varying;
         if uniform {
             self.broadcast(File::F, Xmm(0), val);
         }
         for h in 0..2 {
             let src = if uniform { Xmm(0) } else { self.half(File::F, val, h, Xmm(0)) };
-            self.a.movups_mx(Mem::sib(Gpr::Rcx, Gpr::Rax, 4, h as i32 * 16), src);
+            self.a.movups_mx(Mem::sib(Gpr::Rcx, ix, 4, h as i32 * 16), src);
         }
         if let Some(cont) = cont {
             self.a.bind(cont);
@@ -1136,21 +1488,33 @@ impl<'a> Emit<'a> {
     /// `f[dst] = buf[i[idx]]`, behind a bounds check jumping to a deopt
     /// stub unless proven.
     fn emit_load(&mut self, dst: Reg, buf: u32, idx: Reg, guard: Option<Kept>) {
-        self.read_i(Gpr::Rax, idx);
+        let ix = self.index(idx, guard);
         self.bounds_check(Deopt::LoadOob { buf }, buf, guard);
         self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
-        self.a.movss_xm(Xmm(0), Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0));
+        self.a.movss_xm(Xmm(0), Mem::sib(Gpr::Rcx, ix, 4, 0));
         self.write_f(dst);
+    }
+
+    /// The GPR an access indexes with: the index's home for a proven
+    /// access, else rax, where a guard's deopt stub expects it.
+    fn index(&mut self, idx: Reg, guard: Option<Kept>) -> Gpr {
+        match guard {
+            None => self.reg_i(idx, Gpr::Rax),
+            Some(_) => {
+                self.read_i(Gpr::Rax, idx);
+                Gpr::Rax
+            }
+        }
     }
 
     /// `buf[i[idx]] = f[val]`, behind a bounds check jumping to a deopt
     /// stub unless proven.
     fn emit_store(&mut self, buf: u32, idx: Reg, val: Reg, guard: Option<Kept>) {
-        self.read_i(Gpr::Rax, idx);
+        let ix = self.index(idx, guard);
         self.bounds_check(Deopt::StoreOob { buf }, buf, guard);
         self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
         self.read_f(Xmm(0), val);
-        self.a.movss_mx(Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0), Xmm(0));
+        self.a.movss_mx(Mem::sib(Gpr::Rcx, ix, 4, 0), Xmm(0));
     }
 
     /// `rax <u len(buf)` or deopt, for an access kept guarded (`guard`
@@ -1166,17 +1530,12 @@ impl<'a> Emit<'a> {
 
     /// Evaluates bounds into arg registers and calls the parallel
     /// dispatch trampoline; a nonzero status propagates to the epilogue.
-    fn emit_par_call(
-        &mut self,
-        var: u32,
-        lo_reg: Reg,
-        hi_reg: Reg,
-        preamble: &'a [Inst],
-        body: &'a [BcStmt],
-    ) {
+    fn emit_par_call(&mut self, stmt: &'a BcStmt, lo_reg: Reg, hi_reg: Reg) {
+        let BcStmt::For { var, preamble, body, .. } = stmt else { unreachable!("a loop") };
+        let var = *var;
         let id = self.next_par_id;
         self.next_par_id += 1;
-        self.pending.push(ParWork { var, preamble, body });
+        self.pending.push(ParWork { stmt, var, preamble, body });
         self.a.comment(|| format!("parallel v{var} -> par{id}"));
         self.read_i(Gpr::Rax, lo_reg);
         self.read_i(Gpr::Rcx, hi_reg);
@@ -1198,9 +1557,12 @@ impl<'a> Emit<'a> {
 
     fn emit_inst(&mut self, inst: &Inst) {
         match *inst {
+            // An `imm32` is read as one where it is used.
+            Inst::ConstI { dst, .. } if self.facts.i[dst as usize].imm().is_some() => {}
             Inst::ConstI { dst, v } => {
-                self.a.mov_ri(Gpr::Rax, v);
-                self.write_i(dst);
+                let d = self.dst_i(dst).unwrap_or(Gpr::Rax);
+                self.a.mov_ri(d, v);
+                self.finish_i(d, dst);
             }
             Inst::ConstF { dst, v } => {
                 self.a.mov_ri32(Gpr::Rax, v.to_bits());
@@ -1208,18 +1570,28 @@ impl<'a> Emit<'a> {
                 self.write_f(dst);
             }
             Inst::ReadVar { dst, var } => {
+                let d = self.dst_i(dst).unwrap_or(Gpr::Rax);
                 match (self.lane, self.chunk) {
-                    (Some(l), Some(c)) if c.var == var => {
-                        // The vectorized loop variable: lane value is the
-                        // chunk base plus the lane index.
-                        self.a.mov_rm(Gpr::Rax, Mem::base(Gpr::Rsp, c.v_slot));
-                        if l > 0 {
-                            self.a.add_ri(Gpr::Rax, l as i32);
+                    // The vectorized loop variable: lane value is the chunk
+                    // base plus the lane index.
+                    (Some(l), Some(c)) if c.var == var => match c.base {
+                        Base::Imm(lo) => self.a.mov_ri(d, lo + l as i64),
+                        Base::Ctr(h) => {
+                            self.load(d, Self::home_src(h).expect("a counter home"));
+                            if l > 0 {
+                                self.a.add_ri(d, l as i32);
+                            }
                         }
+                    },
+                    _ if self.facts.reads_counter(inst) => {
+                        let (_, h) = *(self.open.iter().rev())
+                            .find(|(v, _)| *v == var)
+                            .expect("a counter read is in its loop");
+                        self.load(d, Self::home_src(h).expect("a counter home"));
                     }
-                    _ => self.a.mov_rm(Gpr::Rax, Mem::base(Gpr::R14, var as i32 * 8)),
+                    _ => self.a.mov_rm(d, Mem::base(Gpr::R14, var as i32 * 8)),
                 }
-                self.write_i(dst);
+                self.finish_i(d, dst);
             }
             Inst::Load { dst, buf, idx } => self.emit_load(dst, buf, idx, self.facts.load(inst)),
             Inst::BinI { dst, op, a, b } => {
@@ -1242,9 +1614,11 @@ impl<'a> Emit<'a> {
                 self.write_f(dst);
             }
             Inst::CmpI { dst, op, a, b } => {
-                self.read_i(Gpr::Rax, a);
-                self.read_i(Gpr::Rcx, b);
-                self.a.cmp_rr(Gpr::Rax, Gpr::Rcx);
+                // Both operands are read before `dst` is written.
+                let d = self.dst_i(dst).unwrap_or(Gpr::Rax);
+                let x = self.reg_i(a, Gpr::Rax);
+                let y = self.opnd_i(b, Gpr::Rcx);
+                self.alu(Alu::Cmp, x, y);
                 let cc = match op {
                     BinOp::Lt => Cc::L,
                     BinOp::Le => Cc::Le,
@@ -1252,8 +1626,8 @@ impl<'a> Emit<'a> {
                     _ => unreachable!(),
                 };
                 self.a.setcc_r8(cc, Gpr::Rax);
-                self.a.movzx_r64_r8(Gpr::Rax, Gpr::Rax);
-                self.write_i(dst);
+                self.a.movzx_r64_r8(d, Gpr::Rax);
+                self.finish_i(d, dst);
             }
             Inst::CmpF { dst, op, a, b } => {
                 match op {
@@ -1327,14 +1701,7 @@ impl<'a> Emit<'a> {
                 }
                 self.write_f(dst);
             }
-            Inst::SelI { dst, c, a, b } => {
-                self.read_i(Gpr::Rax, a);
-                self.read_i(Gpr::Rcx, b);
-                self.read_i(Gpr::Rdx, c);
-                self.a.test_rr(Gpr::Rdx, Gpr::Rdx);
-                self.a.cmov_rr(Cc::E, Gpr::Rax, Gpr::Rcx);
-                self.write_i(dst);
-            }
+            Inst::SelI { dst, c, a, b } => self.emit_sel_i(dst, c, a, b),
             Inst::SelF { dst, c, a, b } => {
                 self.read_f(Xmm(0), a);
                 self.read_f(Xmm(1), b);
@@ -1393,8 +1760,35 @@ impl<'a> Emit<'a> {
         }
     }
 
+    /// `dst = c ? a : b`. The condition is tested first; the moves that
+    /// follow keep the flags, so `dst` may share any operand's home.
+    fn emit_sel_i(&mut self, dst: Reg, c: Reg, a: Reg, b: Reg) {
+        let d = self.dst_i(dst).unwrap_or(Gpr::Rax);
+        let (sa, sb) = (self.src_i(a), self.src_i(b));
+        if sb == Some(Src::Reg(d)) && sa != sb {
+            // `dst` holds `b` already: keep it unless `c` is set.
+            let x = self.reg_i(a, Gpr::Rax);
+            let t = self.reg_i(c, Gpr::Rdx);
+            self.a.test_rr(t, t);
+            self.a.cmov_rr(Cc::Ne, d, x);
+        } else {
+            let y = self.reg_i(b, Gpr::Rcx);
+            // A read that computes (another lane of a linear value) would
+            // disturb the flags: it goes to rax before the test.
+            let x = self.opnd_i(a, Gpr::Rax);
+            let t = self.reg_i(c, Gpr::Rdx);
+            self.a.test_rr(t, t);
+            self.load(d, x);
+            self.a.cmov_rr(Cc::E, d, y);
+        }
+        self.finish_i(d, dst);
+    }
+
+    /// `dst = op(a, b)`. `+ − × min max`, and `/ %` by `2^k`, are
+    /// two-address code on the homes: `mov d, a; op d, b`, a constant `b`
+    /// that fits `i32` as an immediate. When `d` is `b`'s home, `+ × min
+    /// max` swap their operands and `−` goes through rax.
     fn emit_bin_i(&mut self, dst: Reg, op: BinOp, a: Reg, b: Reg) {
-        self.read_i(Gpr::Rax, a);
         let divisor = match op {
             BinOp::Div | BinOp::Rem => self.facts.i[b as usize].konst,
             _ => None,
@@ -1402,27 +1796,27 @@ impl<'a> Emit<'a> {
         if let Some(k) = divisor.and_then(pow2) {
             // Euclidean `/ 2^k` and `% 2^k` are an arithmetic shift and a
             // mask for every i64, negative ones included: nothing traps.
+            let d = self.dst_i(dst).unwrap_or(Gpr::Rax);
+            self.load_i(d, a);
             if op == BinOp::Div {
-                self.a.sar_ri(Gpr::Rax, k as u8);
+                self.a.sar_ri(d, k as u8);
             } else {
-                self.a.mov_ri(Gpr::Rcx, (1i64 << k) - 1);
-                self.a.and_rr(Gpr::Rax, Gpr::Rcx);
+                match i32::try_from((1i64 << k) - 1) {
+                    Ok(mask) => self.a.alu_ri(Alu::And, d, mask),
+                    Err(_) => {
+                        self.a.mov_ri(Gpr::Rcx, (1i64 << k) - 1);
+                        self.a.and_rr(d, Gpr::Rcx);
+                    }
+                }
             }
-            return self.write_i(dst);
+            return self.finish_i(d, dst);
         }
+        if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Min | BinOp::Max) {
+            return self.emit_two_address(dst, op, a, b);
+        }
+        self.read_i(Gpr::Rax, a);
         self.read_i(Gpr::Rcx, b);
         match op {
-            BinOp::Add => self.a.add_rr(Gpr::Rax, Gpr::Rcx),
-            BinOp::Sub => self.a.sub_rr(Gpr::Rax, Gpr::Rcx),
-            BinOp::Mul => self.a.imul_rr(Gpr::Rax, Gpr::Rcx),
-            BinOp::Min => {
-                self.a.cmp_rr(Gpr::Rax, Gpr::Rcx);
-                self.a.cmov_rr(Cc::G, Gpr::Rax, Gpr::Rcx);
-            }
-            BinOp::Max => {
-                self.a.cmp_rr(Gpr::Rax, Gpr::Rcx);
-                self.a.cmov_rr(Cc::L, Gpr::Rax, Gpr::Rcx);
-            }
             BinOp::And | BinOp::Or => {
                 self.a.test_rr(Gpr::Rax, Gpr::Rax);
                 self.a.setcc_r8(Cc::Ne, Gpr::Rax);
@@ -1480,9 +1874,56 @@ impl<'a> Emit<'a> {
                     self.a.mov_rr(Gpr::Rax, Gpr::Rdx);
                 }
             }
-            BinOp::Lt | BinOp::Le | BinOp::EqCmp => unreachable!("comparison is CmpI"),
+            _ => unreachable!("{op:?} is two-address code or a comparison"),
         }
         self.write_i(dst);
+    }
+
+    /// [`Self::emit_bin_i`] for `+ − × min max`.
+    fn emit_two_address(&mut self, dst: Reg, op: BinOp, mut a: Reg, mut b: Reg) {
+        let d = self.dst_i(dst).unwrap_or(Gpr::Rax);
+        let (sa, sb) = (self.src_i(a), self.src_i(b));
+        let imm = |s: Option<Src>| matches!(s, Some(Src::Imm(_)));
+        let in_d = |s: Option<Src>| s == Some(Src::Reg(d));
+        // A constant goes right, and so does `d`'s own register.
+        if op != BinOp::Sub && ((imm(sa) && !imm(sb)) || (in_d(sb) && !in_d(sa))) {
+            std::mem::swap(&mut a, &mut b);
+        } else if in_d(sb) && !in_d(sa) {
+            // `d − x` into `d`, `d` holding `x`: in rax, then moved.
+            self.load_i(Gpr::Rax, a);
+            self.a.sub_rr(Gpr::Rax, d);
+            self.a.mov_rr(d, Gpr::Rax);
+            return;
+        }
+        match op {
+            BinOp::Mul => match self.opnd_i(b, Gpr::Rcx) {
+                Src::Imm(v) => {
+                    let x = self.reg_i(a, d);
+                    self.a.imul_rri(d, x, v);
+                }
+                y => {
+                    self.load_i(d, a);
+                    match y {
+                        Src::Reg(g) => self.a.imul_rr(d, g),
+                        Src::Mem(m) => self.a.imul_rm(d, m),
+                        Src::Imm(_) => unreachable!(),
+                    }
+                }
+            },
+            BinOp::Add | BinOp::Sub => {
+                let y = self.opnd_i(b, Gpr::Rcx);
+                self.load_i(d, a);
+                self.alu(if op == BinOp::Add { Alu::Add } else { Alu::Sub }, d, y);
+            }
+            _ => {
+                // `cmov` takes no immediate.
+                let y = self.reg_i(b, Gpr::Rcx);
+                self.load_i(d, a);
+                self.a.cmp_rr(d, y);
+                self.a.cmov_rr(if op == BinOp::Min { Cc::G } else { Cc::L }, d, y);
+            }
+        }
+        self.finish_i(d, dst);
     }
 }
 

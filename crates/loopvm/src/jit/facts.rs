@@ -77,7 +77,7 @@
 //! mask keeps and the shift drops. In a chunk's steady copy a [`Clamp`]
 //! keeps its linear operand's shape; the emitter tests that it may.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use polyhedral::solve::{rows_decide, Feasibility, Row};
 
@@ -243,6 +243,12 @@ impl Fact {
         }
     }
 
+    /// A constant that fits `i32`. Every read of it is an immediate, or
+    /// a `mov` of one: it has no home, and its `ConstI` emits nothing.
+    pub(super) fn imm(&self) -> Option<i32> {
+        self.konst.and_then(|v| i32::try_from(v).ok())
+    }
+
     /// The trailing-zero bound lane 0 of a chunk has.
     fn lane0(&self) -> u8 {
         self.lane0_tz.unwrap_or(self.tz)
@@ -269,6 +275,12 @@ pub(super) struct Facts {
     sites: HashMap<usize, Option<Kept>>,
     /// Keyed by the address of the lane-grouped `For`.
     chunks: HashMap<usize, Chunk>,
+    /// The `ReadVar`s, by address, that read a loop counter (see
+    /// [`Walk::reads_counter`]).
+    counter_reads: HashSet<usize>,
+    /// Per variable: some `ReadVar` reads it through the frame, so the
+    /// loops and lets that set it write the frame slot.
+    pub(super) frame_read: Vec<bool>,
     pub(super) guards: GuardCounts,
 }
 
@@ -306,6 +318,41 @@ impl Facts {
     pub(super) fn chunk(&self, s: &BcStmt) -> &Chunk {
         &self.chunks[&(s as *const BcStmt as usize)]
     }
+
+    /// The trip count of a loop whose bounds are both constants and that
+    /// runs at least once. An empty loop is compiled like one whose bounds
+    /// are not known: its code exists, and the test at its head skips it.
+    pub(super) fn trips(&self, lower: Reg, upper: Reg) -> Option<u64> {
+        let (lo, hi) = (self.i[lower as usize].konst?, self.i[upper as usize].konst?);
+        u64::try_from(i128::from(hi) - i128::from(lo)).ok().filter(|&n| n > 0)
+    }
+
+    /// Whether a lane-grouped loop runs whole chunks only: its constant
+    /// bounds give a multiple of eight iterations, so it has no scalar
+    /// remainder.
+    pub(super) fn chunks_only(&self, lower: Reg, upper: Reg) -> bool {
+        self.trips(lower, upper).is_some_and(|n| n % LANES as u64 == 0)
+    }
+
+    /// Whether the native code of the non-parallel loop `s` keeps an
+    /// iteration counter: every one does but a lane-grouped loop of exactly
+    /// one chunk, whose lanes are constants.
+    pub(super) fn has_counter(&self, s: &BcStmt) -> bool {
+        let BcStmt::For { lower, upper, kind, body, .. } = s else { return false };
+        let one_chunk = self.trips(lower.reg, upper.reg) == Some(LANES as u64);
+        *kind != LoopKind::Parallel && !(one_chunk && lane_grouped(*kind, body))
+    }
+
+    /// Whether the `ReadVar` `inst` reads the counter of a loop open in
+    /// the same native function, not the variable frame.
+    pub(super) fn reads_counter(&self, inst: &Inst) -> bool {
+        self.counter_reads.contains(&(inst as *const Inst as usize))
+    }
+}
+
+/// Whether a loop is compiled chunk by chunk.
+pub(super) fn lane_grouped(kind: LoopKind, body: &[BcStmt]) -> bool {
+    matches!(kind, LoopKind::Vectorize(_)) && bc_body_vectorizable(body)
 }
 
 /// Derives the facts of `bc`, which must be strict SSA.
@@ -318,6 +365,8 @@ pub(super) fn derive(bc: &BcProgram) -> Facts {
             f: blank(File::F, bc.n_fregs),
             sites: HashMap::new(),
             chunks: HashMap::new(),
+            counter_reads: HashSet::new(),
+            frame_read: vec![false; bc.n_vars],
             guards: GuardCounts::default(),
         },
         env: vec![Slot::TOP; bc.n_vars],
@@ -540,6 +589,12 @@ impl Slot {
 
 /// A loop the walk met.
 struct Loop {
+    var: u32,
+    /// A `Parallel` loop: its body is a native function of its own.
+    par: bool,
+    /// Its body writes no frame slot of its variable, so every read of
+    /// the variable in its body sees the current iteration.
+    stable: bool,
     lower: Reg,
     upper: Reg,
     /// The variable's interval (`TOP` for bounds that are not sane).
@@ -670,11 +725,19 @@ impl Walk<'_> {
                     self.env[w] = Slot::TOP;
                 }
                 let id = self.loops.len();
-                self.loops.push(Loop { lower: lower.reg, upper: upper.reg, ivl, sane });
+                self.loops.push(Loop {
+                    var: *var,
+                    par: *kind == LoopKind::Parallel,
+                    stable: !written.contains(&(*var as usize)),
+                    lower: lower.reg,
+                    upper: upper.reg,
+                    ivl,
+                    sane,
+                });
                 self.env[*var as usize] = Slot { ivl, iter: Some(id) };
                 let par = u32::from(*kind == LoopKind::Parallel);
                 self.par += par;
-                if matches!(kind, LoopKind::Vectorize(_)) && bc_body_vectorizable(body) {
+                if lane_grouped(*kind, body) {
                     let (var, lo) = (*var, lower.reg);
                     self.chunk = Some(ChunkWalk { var, lo, stored: false, clamps: Vec::new() });
                 }
@@ -704,6 +767,26 @@ impl Walk<'_> {
         self.ctx_version += 1;
     }
 
+    /// Whether a `ReadVar` of `var` here reads a loop counter: `var` is
+    /// the variable of the innermost loop of the current native function
+    /// (whose outermost loop may be a `Parallel` one) that has it, and
+    /// that loop's body writes no slot of it. Every other read goes
+    /// through the frame.
+    fn reads_counter(&self, var: u32) -> bool {
+        for c in self.ctx.iter().rev() {
+            if let Ctx::Loop(id) = *c {
+                let l = &self.loops[id];
+                if l.var == var {
+                    return l.stable;
+                }
+                if l.par {
+                    return false;
+                }
+            }
+        }
+        false
+    }
+
     /// A read of register `r` where the walk stands.
     fn read(&mut self, file: File, r: Reg) {
         let par = self.par;
@@ -716,8 +799,15 @@ impl Walk<'_> {
             for (file, r) in inst.srcs().into_iter().flatten() {
                 self.read(file, r);
             }
-            if let Inst::Load { buf, idx, .. } = *inst {
-                self.access(inst as *const Inst as usize, buf, idx, dead);
+            match *inst {
+                Inst::Load { buf, idx, .. } => {
+                    self.access(inst as *const Inst as usize, buf, idx, dead)
+                }
+                Inst::ReadVar { var, .. } if self.reads_counter(var) => {
+                    self.facts.counter_reads.insert(inst as *const Inst as usize);
+                }
+                Inst::ReadVar { var, .. } => self.facts.frame_read[var as usize] = true,
+                _ => {}
             }
             self.define(inst);
         }

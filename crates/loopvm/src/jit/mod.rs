@@ -54,6 +54,12 @@ pub fn supported() -> bool {
 /// to its back edge, without the out-of-line per-lane paths and deopt
 /// stubs. A deterministic proxy for how much chunk work stays in
 /// registers (`figures -- tiers` records it per kernel).
+///
+/// The same count over the innermost loops around chunks
+/// ([`JitProgram::loop_cost`]) runs from such a loop's head to its back
+/// edge: the integer scaffolding around the chunk and the general copy of
+/// the chunk itself, without scalar remainder loops, steady copies and
+/// out-of-line paths.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChunkCost {
     /// Instructions.
@@ -194,6 +200,11 @@ mod stub {
 
         /// Steady-copy cost (unreachable).
         pub fn steady_cost(&self) -> super::SteadyCost {
+            match self.never {}
+        }
+
+        /// Innermost-loop fast-path cost (unreachable).
+        pub fn loop_cost(&self) -> super::ChunkCost {
             match self.never {}
         }
 

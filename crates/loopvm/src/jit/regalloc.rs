@@ -18,18 +18,36 @@
 //!    XMMs (lanes 0–3 and 4–7); the scalar-remainder loop, disjoint code
 //!    over the same interval, uses the first one's low lane. Intervals
 //!    crossing a helper call get callee-saved GPRs or spill. When the
-//!    pool is short, the active intervals that end last give up their
-//!    registers if they end after the incoming one (Poletto & Sarkar's
-//!    furthest-end rule), so in a deep nest the outer-loop values spill
-//!    and the innermost ones stay in registers; otherwise the incoming
-//!    interval lives in a stack slot.
+//!    pool is short, the active intervals that weigh less than the
+//!    incoming one give up their registers, lightest first and among
+//!    equals those that end last (Poletto & Sarkar's furthest-end rule);
+//!    otherwise the incoming interval lives in a stack slot. Every
+//!    definition and read weighs [`HEAT`] to the power of its depth in
+//!    loops that keep a counter, so in a deep nest the outer loops'
+//!    values and counters spill and the innermost ones stay in registers.
 //! 4. **Narrow pairs**: a narrow `i64` chunk register (its lanes are
 //!    packed dwords, see [`super::facts`]) keeps the GPR or slot the scan
 //!    gave it for the scalar code, and asks a second scan, after the
 //!    first, for a pair: XMMs that no overlapping interval of the first
-//!    scan holds, with the same furthest-end rule among narrow intervals.
+//!    scan holds, with the furthest-end rule among narrow intervals.
 //!    The first scan's homes, and so the code of every chunk without
 //!    narrow registers, do not depend on them.
+//!
+//! Every non-parallel loop the emitter keeps a counter for
+//! ([`Facts::has_counter`]) has an interval of its own, from the loop
+//! head to its back edge, scanned like a register's. A bound that is not
+//! a constant is read at the back edge, so its register's interval spans
+//! the loop too; a parallel body's upper bound, an argument, gets an
+//! interval like a counter's. Some registers get no interval: a pinned
+//! one, a constant that fits `i32` (read as an immediate), a `let`'s
+//! value whose frame slot nothing reads, and an `i64` register varying
+//! in both copies of a chunk with no scalar remainder (it lives in its
+//! pair or lane array).
+//!
+//! A GPR interval that ends where another starts may hand it its
+//! register: the instruction reads its operands before it writes its
+//! result, and the emitter orders two-address code so that holds (an
+//! XMM pair is written half by half, so XMM intervals stay apart).
 //!
 //! Chunk registers of the other shapes keep lane 0 in their scalar home.
 //! Only `Varying` ones get an 8-lane stack array: the home of `i64`
@@ -45,8 +63,10 @@
 //! Shapes and pins are register facts ([`super::facts`]); this module
 //! only linearizes and scans.
 
+use std::collections::HashMap;
+
 use super::asm::{Gpr, Xmm};
-use super::facts::{Fact, Facts, Shape};
+use super::facts::{lane_grouped, Fact, Facts, Shape};
 use crate::bytecode::{BcProgram, BcStmt, File, Inst, Reg};
 use crate::expr::BinOp;
 use crate::program::LoopKind;
@@ -83,17 +103,21 @@ pub(super) struct FnAlloc {
     /// `-1` = none. `i64` lanes are 8 bytes, narrow and `f32` lanes 4.
     pub lanes_i: Vec<i32>,
     pub lanes_f: Vec<i32>,
-    /// `(v, hi)` stack-slot offsets per non-parallel loop, in walk order.
-    pub loop_slots: Vec<(i32, i32)>,
+    /// The counter's home (a GPR or a stack slot) per loop that keeps
+    /// one, keyed by the address of its `For` (a parallel body's own
+    /// iteration loop included).
+    pub counters: HashMap<usize, Home>,
+    /// A parallel body's upper bound, which arrives as an argument.
+    pub par_hi: Home,
     /// Total `sub rsp, _` size (keeps calls 16-byte aligned).
     pub frame_size: i32,
 }
 
 /// One function's code to allocate/emit: either the whole program or the
-/// body of one `Parallel` loop.
+/// body of one `Parallel` loop (the `For` itself).
 pub(super) enum FnCode<'a> {
     Main { prologue: &'a [Inst], body: &'a [BcStmt] },
-    ParBody { preamble: &'a [Inst], body: &'a [BcStmt] },
+    ParBody(&'a BcStmt),
 }
 
 // ---------------------------------------------------------------------------
@@ -119,13 +143,33 @@ struct Collect<'f> {
     used: Vec<bool>,
     loops: Vec<(u64, u64)>,
     calls: Vec<u64>,
-    /// Non-parallel loop count (slot pairs).
-    n_loop_slots: usize,
+    /// Flat index of the interval of each loop counter, keyed like
+    /// [`FnAlloc::counters`]; these come after the registers'.
+    counters: Vec<(usize, usize)>,
     n_iregs: usize,
+    /// Registers of both files: flat indices from here on are counters
+    /// and the parallel body's bound.
+    n_regs: usize,
     facts: &'f Facts,
     /// Read by per-lane code between helper calls (see `insts`).
     reread_across_calls: Vec<bool>,
+    /// The walk is in the chunk of a loop with no scalar remainder.
+    chunks_only: bool,
+    /// An `i64` register varying in both copies of such a chunk: chunk
+    /// code keeps it in its lane array or pair, and no scalar code reads
+    /// it, so it needs no GPR or slot.
+    lanes_only: Vec<bool>,
+    /// How many loops that keep a counter enclose the walk's position.
+    depth: u32,
+    /// The variable and counter interval of each of those loops.
+    open: Vec<(u32, usize)>,
+    /// Per interval: how often its home is touched, every definition and
+    /// read weighing [`HEAT`] to the power of its loop depth.
+    weight: Vec<u64>,
 }
+
+/// How much more often code one loop deeper runs, for spill weights.
+const HEAT: u64 = 8;
 
 impl Collect<'_> {
     fn flat(&self, file: File, r: Reg) -> usize {
@@ -145,16 +189,74 @@ impl Collect<'_> {
 
     /// Whether flat register `k` is `Varying` in its chunk.
     fn varying(&self, k: usize) -> bool {
-        self.fact(k).general == Some(Shape::Varying)
+        k < self.n_regs && self.fact(k).general == Some(Shape::Varying)
+    }
+
+    /// Whether flat register `k` has no interval: a pinned one lives in
+    /// the ctx, an `imm32` constant nowhere.
+    fn homeless(&self, k: usize) -> bool {
+        let f = self.fact(k);
+        f.pinned || (k < self.n_iregs && f.imm().is_some())
     }
 
     fn use_at(&mut self, file: File, r: Reg, pos: u64) {
         let k = self.flat(file, r);
-        if self.fact(k).pinned {
-            return;
+        if !self.homeless(k) {
+            self.use_flat(k, pos);
         }
+    }
+
+    fn use_flat(&mut self, k: usize, pos: u64) {
         self.last_use[k] = self.last_use[k].max(pos);
         self.used[k] = true;
+        self.touch(k);
+    }
+
+    /// Adds one touch at the current depth to `k`'s weight.
+    fn touch(&mut self, k: usize) {
+        self.weight[k] = self.weight[k].saturating_add(HEAT.saturating_pow(self.depth));
+    }
+
+    /// A new interval (a counter or a bound) defined at `pos`.
+    fn fresh(&mut self, pos: u64) -> usize {
+        self.def.push(Some(pos));
+        self.last_use.push(pos);
+        self.used.push(true);
+        self.reread_across_calls.push(false);
+        self.weight.push(0);
+        let k = self.def.len() - 1;
+        self.touch(k);
+        k
+    }
+
+    /// A counted loop of `var`: its counter `ctr` (defined at the head,
+    /// before `pos`), then the preamble and body, then the back edge,
+    /// which reads the counter and, unless it is a constant `i32`, the
+    /// bound `hi`.
+    fn counted(
+        &mut self,
+        var: u32,
+        ctr: Option<usize>,
+        hi: Option<usize>,
+        preamble: &[Inst],
+        body: &[BcStmt],
+    ) {
+        let start = self.pos;
+        if let Some(k) = ctr {
+            self.open.push((var, k));
+            self.depth += 1;
+        }
+        self.insts(preamble);
+        self.block(body);
+        for k in ctr.into_iter().chain(hi) {
+            self.use_flat(k, self.pos);
+        }
+        if ctr.is_some() {
+            self.open.pop();
+            self.depth -= 1;
+        }
+        self.loops.push((start, self.pos));
+        self.pos += 1;
     }
 
     fn insts(&mut self, insts: &[Inst]) {
@@ -164,11 +266,22 @@ impl Collect<'_> {
             }
             let (file, dst) = inst.dst();
             let k = self.flat(file, dst);
-            if !self.fact(k).pinned {
+            if !self.homeless(k) {
                 self.def[k] = Some(self.pos);
                 self.last_use[k] = self.pos;
                 self.used[k] = true;
+                self.touch(k);
             }
+            if let Inst::ReadVar { var, .. } = *inst {
+                let open = self.open.iter().rev().find(|o| o.0 == var);
+                if let (true, Some(&(_, ctr))) = (self.facts.reads_counter(inst), open) {
+                    self.touch(ctr);
+                }
+            }
+            let f = self.fact(k);
+            let varying = |s: Option<Shape>| s == Some(Shape::Varying);
+            self.lanes_only[k] =
+                self.chunks_only && file == File::I && varying(f.general) && varying(f.steady);
             // A helper with one `Varying` operand runs per lane, and reads
             // the other operand's home once per lane, across the calls of
             // the lanes before: that operand must survive the calls like a
@@ -190,27 +303,36 @@ impl Collect<'_> {
     fn block(&mut self, body: &[BcStmt]) {
         for s in body {
             match s {
-                BcStmt::For { lower, upper, kind, preamble, body, .. } => {
-                    // Both bounds are read after both bound blocks ran
-                    // (as `compile.rs` emits them), so the lower bound
-                    // stays live across the upper bound's instructions.
+                BcStmt::For { var, lower, upper, kind, preamble, body } => {
+                    // Both bounds are read at the loop head, after both
+                    // bound blocks ran (as `compile.rs` emits them), so
+                    // the lower bound stays live across the upper bound's
+                    // instructions.
                     self.insts(&lower.insts);
                     self.insts(&upper.insts);
-                    self.use_at(File::I, lower.reg, self.pos);
-                    self.use_at(File::I, upper.reg, self.pos);
+                    let head = self.pos;
+                    self.use_at(File::I, lower.reg, head);
+                    self.use_at(File::I, upper.reg, head);
+                    self.pos += 1;
                     if *kind == LoopKind::Parallel {
                         // Body belongs to a separate native function; the
                         // parent only evaluates bounds and calls the
                         // dispatch trampoline.
-                        self.calls.push(self.pos);
-                        self.pos += 1;
+                        self.calls.push(head);
                         continue;
                     }
-                    self.n_loop_slots += 1;
-                    let start = self.pos;
-                    self.insts(preamble);
-                    self.block(body);
-                    self.loops.push((start, self.pos));
+                    let ctr = self.facts.has_counter(s).then(|| self.fresh(head));
+                    if let Some(k) = ctr {
+                        self.counters.push((s as *const BcStmt as usize, k));
+                    }
+                    // A constant bound is an immediate at the back edge.
+                    let hi = (self.facts.i[upper.reg as usize].konst.is_none())
+                        .then(|| self.flat(File::I, upper.reg))
+                        .filter(|&k| !self.homeless(k));
+                    self.chunks_only = lane_grouped(*kind, body)
+                        && self.facts.chunks_only(lower.reg, upper.reg);
+                    self.counted(*var, ctr, hi, preamble, body);
+                    self.chunks_only = false;
                 }
                 BcStmt::If { code, cond, then, else_ } => {
                     self.insts(code);
@@ -224,9 +346,12 @@ impl Collect<'_> {
                     self.use_at(File::F, *val, self.pos);
                     self.pos += 1;
                 }
-                BcStmt::Let { code, reg, .. } => {
+                BcStmt::Let { code, reg, var } => {
                     self.insts(code);
-                    self.use_at(File::I, *reg, self.pos);
+                    // Only a frame slot something reads is written.
+                    if self.facts.frame_read[*var as usize] {
+                        self.use_at(File::I, *reg, self.pos);
+                    }
                     self.pos += 1;
                 }
             }
@@ -284,6 +409,8 @@ struct Scan {
     homes: Vec<Home>,
     /// Stack-homed intervals, in the order their slots are laid out.
     spilled: Vec<usize>,
+    /// Spill weight per interval (see `Collect::weight`).
+    weight: Vec<u64>,
 }
 
 impl Scan {
@@ -301,12 +428,14 @@ impl Scan {
         self.spilled.push(k);
     }
 
-    /// Frees the registers of the intervals that end before `start`.
-    fn expire(&mut self, start: u64) {
+    /// Frees the registers of the intervals that end before `start`, and
+    /// for an incoming GPR interval (`gpr`) the GPRs of those that end at
+    /// it: the instruction defining it reads them first.
+    fn expire(&mut self, start: u64, gpr: bool) {
         let mut i = 0;
         while i < self.active.len() {
             let (e, a) = self.active[i];
-            if e < start {
+            if e < start || (gpr && e == start && matches!(self.homes[a], Home::Gpr(_))) {
                 self.active.remove(i);
                 self.release(self.homes[a]);
             } else {
@@ -327,13 +456,14 @@ impl Scan {
             Want::Xmm | Want::Pair => self.free_xmm.len(),
         };
         if free < want.count() {
-            let mut victims: Vec<(u64, usize)> = self
-                .active
-                .iter()
-                .copied()
-                .filter(|&(e, a)| e > end && want.served_by(self.homes[a]) > 0)
+            // Cheapest first: lightest, then ending last.
+            let key = |w: u64, e: u64, a: usize| (w, std::cmp::Reverse((e, a)));
+            let mine = key(self.weight[k], end, k);
+            let mut victims: Vec<(u64, usize)> = (self.active.iter().copied())
+                .filter(|&(_, a)| want.served_by(self.homes[a]) > 0)
+                .filter(|&(e, a)| key(self.weight[a], e, a) < mine)
                 .collect();
-            victims.sort_unstable_by(|x, y| y.cmp(x));
+            victims.sort_unstable_by_key(|&(e, a)| key(self.weight[a], e, a));
             let (mut room, mut n) = (free, 0);
             while room < want.count() && n < victims.len() {
                 room += want.served_by(self.homes[victims[n].1]);
@@ -367,7 +497,9 @@ impl Scan {
 /// The post-allocation home check (debug builds): two intervals that
 /// overlap never share a GPR or an XMM, either half of a pair counting,
 /// and a pair's halves differ. `placed` holds every home with its
-/// interval, a narrow register's pair beside its scalar home.
+/// interval, a narrow register's pair beside its scalar home. GPR
+/// intervals are half-open at their ends: one that ends where another
+/// starts may share its register (see [`Scan::expire`]).
 fn check_homes(placed: &[(Home, u64, u64)]) {
     let regs = |h: Home| -> Vec<(bool, u8)> {
         match h {
@@ -382,7 +514,10 @@ fn check_homes(placed: &[(Home, u64, u64)]) {
     };
     for (i, &(a, sa, ea)) in placed.iter().enumerate() {
         for &(b, sb, eb) in &placed[i + 1..] {
-            let overlap = sa <= eb && sb <= ea;
+            let overlap = match (a, b) {
+                (Home::Gpr(_), Home::Gpr(_)) => sa < eb && sb < ea,
+                _ => sa <= eb && sb <= ea,
+            };
             assert!(
                 !overlap || regs(a).iter().all(|r| !regs(b).contains(r)),
                 "overlapping intervals share a register: {a:?} and {b:?}"
@@ -394,30 +529,52 @@ fn check_homes(placed: &[(Home, u64, u64)]) {
 pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAlloc {
     let n_i = bc.n_iregs as usize;
     let n_f = bc.n_fregs as usize;
+    let n_regs = n_i + n_f;
     let mut c = Collect {
         pos: 0,
-        def: vec![None; n_i + n_f],
-        last_use: vec![0; n_i + n_f],
-        used: vec![false; n_i + n_f],
+        def: vec![None; n_regs],
+        last_use: vec![0; n_regs],
+        used: vec![false; n_regs],
         loops: Vec::new(),
         calls: Vec::new(),
-        // A parallel-body function's own iteration loop (bounds arrive as
-        // arguments) gets the reserved slot pair 0.
-        n_loop_slots: usize::from(matches!(code, FnCode::ParBody { .. })),
+        counters: Vec::new(),
         n_iregs: n_i,
+        n_regs,
         facts,
-        reread_across_calls: vec![false; n_i + n_f],
+        reread_across_calls: vec![false; n_regs],
+        chunks_only: false,
+        lanes_only: vec![false; n_regs],
+        depth: 0,
+        open: Vec::new(),
+        weight: vec![0; n_regs],
     };
-    let (FnCode::Main { prologue: first, body } | FnCode::ParBody { preamble: first, body }) = code;
-    c.insts(first);
-    c.block(body);
+    // A parallel body's own iteration loop: its bounds arrive as
+    // arguments and take homes of their own at the function's entry.
+    let mut par_hi = None;
+    match *code {
+        FnCode::Main { prologue, body } => {
+            c.insts(prologue);
+            c.block(body);
+        }
+        FnCode::ParBody(s) => {
+            let BcStmt::For { var, preamble, body, .. } = s else {
+                unreachable!("a parallel loop")
+            };
+            let (ctr, hi) = (c.fresh(0), c.fresh(0));
+            c.counters.push((s as *const BcStmt as usize, ctr));
+            par_hi = Some(hi);
+            c.pos = 1;
+            c.counted(*var, Some(ctr), Some(hi), preamble, body);
+        }
+    }
+    let n_all = c.def.len();
 
     // Extend intervals over loops they are live into (value must survive
     // the back edge). Fixpoint: extension into an inner loop can make an
     // interval live into the enclosing one.
-    let mut start: Vec<u64> = vec![0; n_i + n_f];
-    let mut end: Vec<u64> = vec![0; n_i + n_f];
-    for k in 0..n_i + n_f {
+    let mut start: Vec<u64> = vec![0; n_all];
+    let mut end: Vec<u64> = vec![0; n_all];
+    for k in 0..n_all {
         if let Some(d) = c.def[k] {
             start[k] = d;
             end[k] = c.last_use[k];
@@ -427,7 +584,7 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
     while changed {
         changed = false;
         for &(s, e) in &c.loops {
-            for k in 0..n_i + n_f {
+            for k in 0..n_all {
                 if c.used[k] && start[k] < s && end[k] >= s && end[k] < e {
                     end[k] = e;
                     changed = true;
@@ -437,21 +594,23 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
     }
 
     // Linear scan.
-    let mut order: Vec<usize> = (0..n_i + n_f).filter(|&k| c.used[k]).collect();
+    let mut order: Vec<usize> = (0..n_all).filter(|&k| c.used[k]).collect();
     order.sort_by_key(|&k| (start[k], k));
     let mut scan = Scan {
         free_gpr: GPR_POOL.to_vec(),
         free_xmm: (2..16).map(Xmm).collect(),
         active: Vec::new(),
-        homes: vec![Home::Unused; n_i + n_f],
+        homes: vec![Home::Unused; n_all],
         spilled: Vec::new(),
+        weight: c.weight.clone(),
     };
     let crosses_call = |k: usize| {
         c.reread_across_calls[k] || c.calls.iter().any(|&cp| start[k] < cp && end[k] > cp)
     };
-    for &k in &order {
-        scan.expire(start[k]);
-        if k < n_i {
+    for &k in order.iter().filter(|&&k| k >= n_regs || !c.lanes_only[k]) {
+        let gpr = k < n_i || k >= n_regs;
+        scan.expire(start[k], gpr);
+        if gpr {
             // Only callee-saved GPRs survive helper calls.
             scan.place(k, end[k], Want::Gpr { callee_saved: crosses_call(k) });
         } else if crosses_call(k) {
@@ -475,7 +634,7 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
         _ => Vec::new(),
     };
     let (start, end) = (&start, &end);
-    let held: Vec<(Xmm, u64, u64)> = (0..n_i + n_f)
+    let held: Vec<(Xmm, u64, u64)> = (0..n_regs)
         .flat_map(|k| xmms(k).into_iter().map(move |x| (x, start[k], end[k])))
         .collect();
     let mut pairs_i: Vec<Option<[Xmm; 2]>> = vec![None; n_i];
@@ -506,25 +665,23 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
     }
     if cfg!(debug_assertions) {
         let pair = |k: usize| Some((pairs_i[k].map(|[x, y]| Home::Pair(x, y))?, start[k], end[k]));
-        let homes = (0..n_i + n_f).map(|k| (homes[k], start[k], end[k]));
+        let homes = (0..n_all).map(|k| (homes[k], start[k], end[k]));
         let placed: Vec<_> = homes.chain((0..n_i).filter_map(pair)).collect();
         check_homes(&placed);
     }
 
-    // Frame layout: loop slots, spill slots, lane arrays; call-aligned.
+    // Frame layout: spill slots, lane arrays; call-aligned. rsp is 16-byte
+    // aligned below the frame, and so is every lane array: the `movups` of
+    // its halves never split a cache line.
     let mut off: i32 = 0;
-    let mut loop_slots = Vec::with_capacity(c.n_loop_slots);
-    for _ in 0..c.n_loop_slots {
-        loop_slots.push((off, off + 8));
-        off += 16;
-    }
     for &k in &scan.spilled {
         homes[k] = Home::Stack(off);
         off += 8;
     }
+    off = (off + 15) / 16 * 16;
     let mut lanes_i = vec![-1i32; n_i];
     let mut lanes_f = vec![-1i32; n_f];
-    for k in 0..n_i + n_f {
+    for k in 0..n_regs {
         // Chunk registers of other functions have no place here.
         if c.def[k].is_none() || !c.varying(k) {
             continue;
@@ -537,7 +694,7 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
             off += 4 * crate::vm::LANES as i32;
         }
     }
-    for (k, h) in homes.iter_mut().enumerate() {
+    for (k, h) in homes.iter_mut().enumerate().take(n_regs) {
         if c.fact(k).pinned {
             *h = Home::Ctx;
         }
@@ -546,11 +703,12 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
     let frame_size = (off + 8 + 15) / 16 * 16 - 8;
     FnAlloc {
         homes_i: homes[..n_i].to_vec(),
-        homes_f: homes[n_i..].to_vec(),
+        homes_f: homes[n_i..n_regs].to_vec(),
         pairs_i,
         lanes_i,
         lanes_f,
-        loop_slots,
+        counters: c.counters.iter().map(|&(key, k)| (key, homes[k])).collect(),
+        par_hi: par_hi.map_or(Home::Unused, |k| homes[k]),
         frame_size,
     }
 }

@@ -326,6 +326,7 @@ pub struct JitProgram {
     deopts: Vec<Deopt>,
     chunk: super::ChunkCost,
     steady: super::SteadyCost,
+    loops: super::ChunkCost,
     guards: super::GuardCounts,
     /// The buffer lengths the bounds proofs assumed.
     buf_sizes: Vec<usize>,
@@ -350,7 +351,7 @@ impl JitProgram {
         main_off: usize,
         par_fns: Vec<(usize, u32)>,
         deopts: Vec<Deopt>,
-        (chunk, steady): (super::ChunkCost, super::SteadyCost),
+        (chunk, steady, loops): (super::ChunkCost, super::SteadyCost, super::ChunkCost),
         guards: super::GuardCounts,
         bc: &crate::bytecode::BcProgram,
     ) -> Option<JitProgram> {
@@ -363,6 +364,7 @@ impl JitProgram {
             deopts,
             chunk,
             steady,
+            loops,
             guards,
             buf_sizes: bc.buf_sizes.clone(),
             n_vars: bc.n_vars,
@@ -407,6 +409,12 @@ impl JitProgram {
     /// [`super::SteadyCost`]).
     pub fn steady_cost(&self) -> super::SteadyCost {
         self.steady
+    }
+
+    /// What one iteration of the innermost loops around the program's
+    /// chunks costs, summed over those loops (see [`super::ChunkCost`]).
+    pub fn loop_cost(&self) -> super::ChunkCost {
+        self.loops
     }
 
     /// How many of the program's loads and stores were proven in bounds,

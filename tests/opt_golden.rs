@@ -196,7 +196,7 @@ fn conv2d_jit_x86_64_listing_is_pinned() {
     assert!(!copy.contains("movss [rsp") && !copy.contains("movss xmm0, [rsp"), "{copy}");
     // The general copy: nine gathers of eight dword lanes, and no lane
     // read or written on the stack.
-    let general = general.split("; loop").next().unwrap();
+    let general = general.split("; end").next().unwrap();
     assert_eq!(general.matches("pextrd").count(), 9 * 8, "{general}");
     assert!(!general.contains("movsxd") && !general.contains("movss [rsp"), "{general}");
 }
@@ -219,11 +219,13 @@ fn warp_jit_x86_64_listing_is_pinned() {
     // helper-calling, lane-array chunk it replaces (986 and 460).
     assert_eq!(cost.calls, 0, "{cost:?}");
     assert!(cost.insts * 3 <= 986 && cost.stack_refs * 5 <= 460, "{cost:?}");
+    // Eight constant iterations: one straight-line chunk, up to the end
+    // of the loop around it.
     let start = listing.find("; vector loop").unwrap();
-    let chunk = listing[start..].split("; loop").next().unwrap();
+    let chunk = listing[start..].split("; end").next().unwrap();
     assert_eq!(chunk.matches("pextrd").count(), 4 * 8, "four gathers:\n{chunk}");
-    // The one store to the stack is the loop counter's.
-    assert_eq!(chunk.matches("], rax").count(), 1, "{chunk}");
+    // No counter and no integer value goes through the stack.
+    assert!(!chunk.contains("  mov [rsp"), "{chunk}");
     for per_lane in ["call", "movsxd", "cvttss2si", "cvtsi2ss", "movss [rsp"] {
         assert!(!chunk.contains(per_lane), "`{per_lane}` in the chunk:\n{chunk}");
     }
@@ -232,8 +234,12 @@ fn warp_jit_x86_64_listing_is_pinned() {
 /// The Fig. 1 schedule is the kernel the lane-shape analysis exists for:
 /// its packed-panel index `j % 32` must be proved contiguous, so the
 /// update chunk is all packed and nothing in the program divides. Its
-/// values stay in registers: the update chunk's fast path touches the
-/// stack for the loop counter and a few outer-loop values only.
+/// loops are lean: the update loop `for c11 = 0..4 { for c13 = 0..8
+/// vectorize(8) }` runs one straight-line chunk per iteration, its integer
+/// ops work on their homes and its counter lives in a register, so one
+/// iteration takes a few dozen instructions and barely touches the stack
+/// (80 and 16 when every operand went through rax and every counter
+/// through the frame).
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[test]
 fn sgemm_native_code_is_packed_and_division_free() {
@@ -243,28 +249,32 @@ fn sgemm_native_code_is_packed_and_division_free() {
     let listing = loopvm::jit::listing(code.bytecode()).unwrap();
     assert!(listing.contains("mulps") && listing.contains("addps"), "scalar update chunk");
     assert!(!listing.contains("idiv"), "a power-of-two divisor reached idiv");
-    // Each fast path runs from its `; vector loop` comment to the scalar
-    // remainder's `; loop` comment; the update chunks are the ones with a
-    // multiply (4 of them: two panels, each with a remainder tile).
-    let mut updates = 0;
-    for chunk in listing.split("; vector loop").skip(1) {
-        let fast = chunk.split("; loop").next().unwrap();
-        if !fast.contains("mulps") {
+    // Each innermost loop around a chunk runs from its `; innermost loop`
+    // marker to its `; end`; the update loops are the ones with a multiply
+    // (4 of them: two panels, each with a remainder tile).
+    let (mut updates, mut all_insts, mut all_refs) = (0, 0, 0);
+    for lp in listing.split("; innermost loop v").skip(1) {
+        let var = lp.split_whitespace().next().unwrap();
+        let body = lp.split(&format!("; end v{var}\n")).next().unwrap();
+        assert!(!body.contains("; remainder"), "a remainder of a constant-bound loop:\n{body}");
+        let insts: Vec<&str> = (body.lines().skip(1))
+            .filter(|l| l.starts_with("  ") && !l.trim().is_empty() && !l.trim().starts_with(';'))
+            .collect();
+        let refs = insts.iter().filter(|l| l.contains("[rsp")).count();
+        (all_insts, all_refs) = (all_insts + insts.len(), all_refs + refs);
+        if !body.contains("mulps") {
             continue;
         }
         updates += 1;
-        let insts: Vec<&str> = (fast.lines().skip(1))
-            .filter(|l| l.starts_with("  ") && !l.trim().is_empty())
-            .collect();
-        let refs = insts.iter().filter(|l| l.contains("[rsp")).count();
-        let stores = (insts.iter())
-            .filter(|l| l.split_whitespace().nth(1).is_some_and(|dst| dst.starts_with("[rsp")))
-            .count();
-        assert!(!fast.contains("movups [rsp"), "a lane array in the update chunk:\n{fast}");
-        assert!(refs <= 12 && stores <= 2, "{refs} stack operands, {stores} stores:\n{fast}");
-        assert!(!fast.contains("jae"), "a bounds guard in the update chunk:\n{fast}");
+        assert!(!body.contains("movups [rsp"), "a lane array in the update loop:\n{body}");
+        let n = insts.len();
+        assert!(n <= 48 && refs <= 8, "{n} insts, {refs} stack operands:\n{body}");
+        assert!(!body.contains("jae"), "a bounds guard in the update loop:\n{body}");
     }
-    assert_eq!(updates, 4, "update chunks");
+    assert_eq!(updates, 4, "update loops");
+    // The encoder counted the same instructions.
+    let cost = jit.loop_cost();
+    assert_eq!((all_insts, all_refs), (cost.insts, cost.stack_refs), "{cost:?}");
     // The loop bounds prove every access in range: no guard, no stub.
     assert_eq!(jit.n_deopts(), 0, "{:?}", jit.deopt_reasons());
 }

@@ -1754,3 +1754,231 @@ proptest! {
         }
     }
 }
+
+/// Constants at the edges of `i32` and a few beyond: the two-address code
+/// takes an operand that fits `i32` as an immediate, and must not take
+/// one that does not.
+const LEAN_K: [i64; 10] = [
+    i32::MIN as i64,
+    i32::MAX as i64,
+    1 << 31,
+    -(1 << 31) - 1,
+    -1,
+    0,
+    3,
+    -7,
+    1 << 40,
+    i64::MIN,
+];
+
+/// An operand of a [`LeanStep`]: an earlier value (counted back from the
+/// newest), a constant of [`LEAN_K`], or the nest's base value.
+#[derive(Debug, Clone, Copy)]
+enum LeanOpnd {
+    Back(usize),
+    K(usize),
+    X,
+}
+
+/// One integer operation of a lean-scaffolding chain.
+#[derive(Debug, Clone, Copy)]
+enum LeanOp {
+    Add,
+    Sub,
+    Mul,
+    Min,
+    Max,
+    /// `/ 2^k` and `% 2^k`.
+    DivP(u32),
+    RemP(u32),
+}
+
+#[derive(Debug, Clone)]
+struct LeanStep {
+    op: LeanOp,
+    a: LeanOpnd,
+    b: LeanOpnd,
+    /// The value is stored; otherwise it dies at its last operand use.
+    keep: bool,
+}
+
+/// A nest of `depth` serial loops (the inner three of two iterations, the
+/// others of one, every counter read in the innermost body), around an
+/// integer chain, an optional `let` read by a nested `Parallel` body, and
+/// a lane-grouped loop of `n` constant iterations from `lo`.
+#[derive(Debug, Clone)]
+struct LeanCase {
+    depth: usize,
+    steps: Vec<LeanStep>,
+    n: i64,
+    lo: i64,
+    par: bool,
+}
+
+fn lean_case() -> impl Strategy<Value = LeanCase> {
+    let opnd = prop_oneof![
+        (0usize..4).prop_map(LeanOpnd::Back),
+        (0usize..2).prop_map(LeanOpnd::Back),
+        (0..LEAN_K.len()).prop_map(LeanOpnd::K),
+        Just(LeanOpnd::X),
+    ];
+    let op = prop_oneof![
+        Just(LeanOp::Add),
+        Just(LeanOp::Sub),
+        Just(LeanOp::Sub),
+        Just(LeanOp::Mul),
+        Just(LeanOp::Min),
+        Just(LeanOp::Max),
+        prop_oneof![Just(1u32), Just(5), Just(31), Just(32), Just(40)].prop_map(LeanOp::DivP),
+        prop_oneof![Just(1u32), Just(5), Just(31), Just(32), Just(40)].prop_map(LeanOp::RemP),
+    ];
+    let step = (op, opnd.clone(), opnd, any::<bool>())
+        .prop_map(|(op, a, b, keep)| LeanStep { op, a, b, keep });
+    let n = prop_oneof![Just(0i64), Just(1), Just(7), Just(8), Just(9), Just(16), Just(17)];
+    // The lower bound: small, negative, or so that `lo + n` is within
+    // 0..=5 of `i64::MAX`.
+    let lo = prop_oneof![-20i64..=20, Just(-9), (0i64..=5).prop_map(|d| -d - 1)];
+    let steps = proptest::collection::vec(step, 0..=8);
+    (prop_oneof![1usize..=3, Just(10)], steps, n, lo, any::<bool>())
+        .prop_map(|(depth, steps, n, lo, par)| LeanCase { depth, steps, n, lo, par })
+}
+
+fn lean_program(c: &LeanCase) -> Program {
+    // A negative `lo` selector below −1 means "near `i64::MAX`".
+    let lo = if c.lo < -1 && c.lo >= -6 { i64::MAX - c.n + c.lo + 1 } else { c.lo };
+    let mut p = Program::new();
+    let cells = 8usize;
+    let n_vals = c.steps.len() + 1;
+    let out = p.buffer("out", cells * n_vals * 4);
+    let lanes = p.buffer("lanes", cells * c.n.max(1) as usize * 4);
+    let par = p.buffer("par", cells * 3 * 4);
+    let after = p.buffer("after", cells * 4);
+    let vars: Vec<loopvm::Var> = (0..c.depth).map(|k| p.var(&format!("d{k}"))).collect();
+    let (j, q, t) = (p.var("j"), p.var("q"), p.var("t"));
+    // Loop `k` runs from `3k + 1`; the inner three twice, the others once.
+    let first = |k: usize| 3 * k as i64 + 1;
+    let inner = c.depth.saturating_sub(3);
+    let cell = (inner..c.depth).fold(V::i64(0), |acc, k| {
+        acc + (V::var(vars[k]) - V::i64(first(k))) * V::i64(1 << (k - inner))
+    });
+    // Reads every counter, the spilled outer ones included.
+    let x = (vars.iter().enumerate())
+        .fold(V::i64(0), |acc, (k, v)| acc + V::var(*v) * V::i64(k as i64 + 1));
+    // An `i64` exactly, as four 16-bit pieces.
+    let pieces = |buf: loopvm::BufId, at: V, e: V| -> Vec<Stmt> {
+        (0..4i64)
+            .map(|c| {
+                let piece = (e.clone() / V::i64(1 << (16 * c))) % V::i64(65536);
+                Stmt::store(buf, at.clone() * V::i64(4) + V::i64(c), V::to_f32(piece))
+            })
+            .collect()
+    };
+    let mut vals = vec![x.clone()];
+    for s in &c.steps {
+        let pick = |o: LeanOpnd| match o {
+            LeanOpnd::Back(b) => vals[vals.len() - 1 - b.min(vals.len() - 1)].clone(),
+            LeanOpnd::K(k) => V::i64(LEAN_K[k]),
+            LeanOpnd::X => x.clone(),
+        };
+        let (a, b) = (pick(s.a), pick(s.b));
+        vals.push(match s.op {
+            LeanOp::Add => a + b,
+            LeanOp::Sub => a - b,
+            LeanOp::Mul => a * b,
+            LeanOp::Min => V::min(a, b),
+            LeanOp::Max => V::max(a, b),
+            LeanOp::DivP(k) => a / V::i64(1 << k),
+            LeanOp::RemP(k) => a % V::i64(1 << k),
+        });
+    }
+    let mut body = Vec::new();
+    for (k, v) in vals.iter().enumerate() {
+        if k + 1 == vals.len() || c.steps[k.saturating_sub(1)].keep {
+            let at = cell.clone() * V::i64(n_vals as i64) + V::i64(k as i64);
+            body.extend(pieces(out, at, v.clone()));
+        }
+    }
+    let slot = cell.clone() * V::i64(c.n.max(1)) + (V::var(j) - V::i64(lo));
+    body.push(Stmt::for_(
+        j,
+        V::i64(lo),
+        V::i64(lo + c.n),
+        LoopKind::Vectorize(8),
+        pieces(lanes, slot, V::var(j) + x.clone()),
+    ));
+    if c.par {
+        // The body of the `Parallel` loop is a native function of its own.
+        // It reads through the frame `j`, after its loop (the last value
+        // its remainder wrote), and `t`, which the `let` after it sets in
+        // the iteration before; the innermost variable is hoisted out of
+        // it into a pinned register.
+        let last = V::var(vars[c.depth - 1]);
+        let value = V::var(t) + V::var(q) * last + V::var(j);
+        let at = cell.clone() * V::i64(3) + V::var(q);
+        body.push(Stmt::for_(q, V::i64(0), V::i64(3), LoopKind::Parallel, pieces(par, at, value)));
+        body.push(Stmt::let_(t, x.clone() * V::i64(5) + V::i64(LEAN_K[1])));
+    }
+    for k in (0..c.depth).rev() {
+        let trips = if k >= inner { 2 } else { 1 };
+        body = vec![Stmt::serial(vars[k], V::i64(first(k)), V::i64(first(k) + trips), body)];
+        if k == c.depth - 1 {
+            // After their loops, the innermost variable and the lane-grouped
+            // one are read from the frame: the last value a loop head (a
+            // remainder's, for `j`) wrote there.
+            let last = V::var(vars[k]) * V::i64(1000) + V::var(j);
+            body.extend(pieces(after, cell.clone(), last));
+        }
+    }
+    p.set_body(body);
+    p
+}
+
+/// [`steady_outcome`] on two threads, so the `Parallel` body runs on
+/// workers with copies of the frame.
+fn lean_outcome(p: &Program, mode: Option<ExecMode>) -> (String, Vec<Vec<u32>>) {
+    let (r, bufs) = match mode {
+        Some(mode) => {
+            let mut m = Machine::new(p);
+            m.set_threads(2);
+            m.set_exec_mode(mode);
+            let r = m.run(p);
+            (r, (0..p.n_buffers()).map(|b| m.buffer(p.nth_buffer(b)).to_vec()).collect())
+        }
+        None => {
+            let mut bufs = walker::buffers(p);
+            (walker::run(p, &mut bufs), bufs)
+        }
+    };
+    let outcome = match r {
+        Ok(()) => "ok".to_string(),
+        Err(e) => format!("err: {e}"),
+    };
+    (outcome, bufs.iter().map(|b| b.iter().map(|v| v.to_bits()).collect()).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::diff_cases()))]
+
+    /// Lean loop scaffolding agrees with the plain lowering and the walker
+    /// on the outcome and every buffer bit: two-address integer code with
+    /// constants at the `i32` edges on either side, `a − b` where `b` dies
+    /// (so the result may take `b`'s register), `/ 2^k` and `% 2^k` of
+    /// negative values, spilled operands and spilled counters (ten-deep
+    /// nests), lane-grouped loops of 0, 1, 7, 8, 9, 16 and 17 constant
+    /// iterations from negative bounds and up to `i64::MAX`, a nested
+    /// `Parallel` body that reads a loop variable and a `let` variable
+    /// through the frame, and loop variables read from the frame after
+    /// their loops.
+    #[test]
+    fn lean_scaffolding_agrees_with_the_checked_lowering(c in lean_case()) {
+        let p = lean_program(&c);
+        let reference = lean_outcome(&p, Some(ExecMode::TreeWalk));
+        let walked = lean_outcome(&p, None);
+        prop_assert!(walked == reference, "walker vs plain lowering: {:?}\n{}", c, p.pretty());
+        let jit = lean_outcome(&p, Some(ExecMode::Jit));
+        prop_assert_eq!(&jit.0, &reference.0, "outcome: {:?}\n{}", c, p.pretty());
+        prop_assert!(jit.1 == reference.1, "buffers: {:?}\n{}", c, p.pretty());
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        prop_assert!(p.compiled().unwrap().jit().is_some(), "no native code: {:?}", c);
+    }
+}
