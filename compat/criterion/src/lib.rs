@@ -7,18 +7,8 @@ use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
-/// How many iterations a smoke run performs per benchmark by default;
-/// `CRITERION_SMOKE_ITERS` overrides it (e.g. for stabler ablation
-/// measurements on a noisy machine).
+/// How many iterations a smoke run performs per benchmark.
 const SMOKE_ITERS: u32 = 3;
-
-fn smoke_iters() -> u32 {
-    std::env::var("CRITERION_SMOKE_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(SMOKE_ITERS)
-}
 
 /// Top-level benchmark driver.
 #[derive(Default)]
@@ -93,7 +83,7 @@ pub struct Bencher {
 impl Bencher {
     /// Runs the routine a few times, timing each run.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        for _ in 0..smoke_iters() {
+        for _ in 0..SMOKE_ITERS {
             let start = Instant::now();
             black_box(routine());
             self.elapsed += start.elapsed();

@@ -5,8 +5,8 @@
 //! across thread counts and across tiers because every tier cuts `lo..hi`
 //! into the same contiguous chunks, whatever runs inside them.
 
-/// Runs `work(start, end)` on one scoped worker thread per chunk of
-/// `lo..hi` and returns the results in chunk order.
+/// Runs `work(start, end)` on one `std::thread::scope` worker per chunk
+/// of `lo..hi` and returns the results in chunk order.
 ///
 /// `workers = min(threads, n)` chunks of `ceil(n / workers)` iterations
 /// each; chunks the rounding leaves empty are not spawned. A worker panic
@@ -21,7 +21,7 @@ pub(crate) fn chunks<R: Send>(
     let workers = threads.min(n).max(1);
     let chunk = n.div_ceil(workers);
     let work = &work;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let start = lo + (w * chunk) as i64;
@@ -29,11 +29,10 @@ pub(crate) fn chunks<R: Send>(
             if start >= end {
                 continue;
             }
-            handles.push(scope.spawn(move |_| work(start, end)));
+            handles.push(scope.spawn(move || work(start, end)));
         }
         handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
     })
-    .expect("thread scope failed")
 }
 
 #[cfg(test)]

@@ -62,12 +62,11 @@
 //!   uniform — turning the classic hang-at-runtime bugs into
 //!   [`DistError::CommMismatch`] diagnostics.
 
-use bytes::{Bytes, BytesMut};
 use loopvm::{eval_scalar, BufId, Expr, Machine, Program, RunStats, Stmt, Var};
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -412,9 +411,9 @@ struct Message {
     seq: u64,
     /// FNV-1a of the (uncorrupted) payload.
     checksum: u32,
-    payload: Bytes,
+    payload: Arc<[u8]>,
     /// Present for synchronous sends: the sender blocks until signalled.
-    ack: Option<crossbeam::channel::Sender<()>>,
+    ack: Option<SyncSender<()>>,
 }
 
 /// Why a blocking wait gave up.
@@ -433,7 +432,7 @@ enum Screen {
 }
 
 struct Inbox {
-    rx: crossbeam::channel::Receiver<Message>,
+    rx: Receiver<Message>,
     /// Out-of-order messages waiting for a matching `Recv`.
     stash: VecDeque<Message>,
     /// Next expected sequence number per source rank.
@@ -484,14 +483,20 @@ impl Inbox {
         comm: &CommModel,
         counters: &mut RankCounters,
     ) -> Result<Message, WaitFail> {
-        // Drain matching stash entries first (arrival order preserved).
-        let mut pos = 0;
-        while pos < self.stash.len() {
-            if self.stash[pos].src != src {
-                pos += 1;
-                continue;
-            }
-            let msg = self.stash.remove(pos).unwrap();
+        loop {
+            // Stashed messages from `src` first (arrival order preserved),
+            // then the wire.
+            let msg = match self.stash.iter().position(|m| m.src == src) {
+                Some(pos) => self.stash.remove(pos).unwrap(),
+                None => {
+                    let msg = recv_until(&self.rx, deadline, poll, error_flag)?;
+                    if msg.src != src {
+                        self.stash.push_back(msg);
+                        continue;
+                    }
+                    msg
+                }
+            };
             counters.comm_cycles += comm.latency + comm.per_byte * msg.payload.len() as f64;
             match self.screen(&msg) {
                 Screen::Accept => return Ok(msg),
@@ -499,60 +504,31 @@ impl Inbox {
                 Screen::Redelivery => counters.redeliveries += 1,
             }
         }
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(WaitFail::Timeout);
-            }
-            match self.rx.recv_timeout(remaining.min(poll)) {
-                Ok(msg) => {
-                    if msg.src != src {
-                        self.stash.push_back(msg);
-                        continue;
-                    }
-                    counters.comm_cycles +=
-                        comm.latency + comm.per_byte * msg.payload.len() as f64;
-                    match self.screen(&msg) {
-                        Screen::Accept => return Ok(msg),
-                        Screen::CorruptDrop => counters.corrupt_dropped += 1,
-                        Screen::Redelivery => counters.redeliveries += 1,
-                    }
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    if error_flag.load(Ordering::Relaxed) != 0 {
-                        return Err(WaitFail::Cancelled);
-                    }
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    return Err(WaitFail::Cancelled);
-                }
-            }
-        }
     }
 }
 
-/// Waits for a rendezvous ack with watchdog and cancellation checks.
-fn wait_ack(
-    rx: &crossbeam::channel::Receiver<()>,
+/// The one blocking wait behind receives and rendezvous acks: waits in
+/// `poll` slices until `deadline`, giving up early once a peer has set
+/// the shared error flag or every sender is gone.
+fn recv_until<T>(
+    rx: &Receiver<T>,
     deadline: Instant,
     poll: Duration,
     error_flag: &AtomicU64,
-) -> Result<(), WaitFail> {
+) -> Result<T, WaitFail> {
     loop {
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
             return Err(WaitFail::Timeout);
         }
         match rx.recv_timeout(remaining.min(poll)) {
-            Ok(()) => return Ok(()),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+            Ok(v) => return Ok(v),
+            Err(RecvTimeoutError::Timeout) => {
                 if error_flag.load(Ordering::Relaxed) != 0 {
                     return Err(WaitFail::Cancelled);
                 }
             }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                return Err(WaitFail::Cancelled);
-            }
+            Err(RecvTimeoutError::Disconnected) => return Err(WaitFail::Cancelled),
         }
     }
 }
@@ -615,36 +591,30 @@ pub fn run_with_opts(
     }
     let init = &init;
     let finish = &finish;
+    // The inboxes, and so every receiver, outlive all ranks: a message
+    // still queued for a finished rank keeps its ack sender alive, so a
+    // synchronous send to that rank reports a deadlock, not a disconnect.
     let mut senders = Vec::with_capacity(n_ranks);
     let mut inboxes = Vec::with_capacity(n_ranks);
     for _ in 0..n_ranks {
-        let (tx, rx) = crossbeam::channel::unbounded::<Message>();
+        let (tx, rx) = mpsc::channel::<Message>();
         senders.push(tx);
-        inboxes.push(Mutex::new(Inbox {
-            rx,
-            stash: VecDeque::new(),
-            expected: HashMap::new(),
-        }));
+        inboxes.push(Inbox { rx, stash: VecDeque::new(), expected: HashMap::new() });
     }
-    let senders = Arc::new(senders);
-    let inboxes = Arc::new(inboxes);
-    let barrier = Arc::new(PoisonBarrier::new(n_ranks));
-    let error_flag = Arc::new(AtomicU64::new(0));
+    let senders = &senders;
+    let barrier = &PoisonBarrier::new(n_ranks);
+    let error_flag = &AtomicU64::new(0);
 
     let _sp = telemetry::span("dist", "cluster run");
     let start = Instant::now();
-    let results: Vec<Result<RankOutcome, DistError>> = crossbeam::thread::scope(|scope| {
+    let results: Vec<Result<RankOutcome, DistError>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n_ranks);
-        for rank in 0..n_ranks {
-            let senders = Arc::clone(&senders);
-            let inboxes = Arc::clone(&inboxes);
-            let barrier = Arc::clone(&barrier);
-            let error_flag = Arc::clone(&error_flag);
-            handles.push(scope.spawn(move |_| {
+        for (rank, inbox) in inboxes.iter_mut().enumerate() {
+            handles.push(scope.spawn(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     run_rank(
-                        dist, rank, n_ranks, comm, opts, &senders, &inboxes, &barrier,
-                        &error_flag, init, finish,
+                        dist, rank, n_ranks, comm, opts, senders, inbox, barrier, error_flag,
+                        init, finish,
                     )
                 }))
                 .unwrap_or_else(|payload| {
@@ -669,8 +639,7 @@ pub fn run_with_opts(
                 })
             })
             .collect()
-    })
-    .expect("thread scope failed");
+    });
     let wall = start.elapsed();
 
     let mut failures = Vec::new();
@@ -758,8 +727,8 @@ fn run_rank(
     n_ranks: usize,
     comm: &CommModel,
     opts: &RunOptions,
-    senders: &[crossbeam::channel::Sender<Message>],
-    inboxes: &[Mutex<Inbox>],
+    senders: &[Sender<Message>],
+    inbox: &mut Inbox,
     barrier: &PoisonBarrier,
     error_flag: &AtomicU64,
     init: &(impl Fn(usize, &mut Machine) + Sync),
@@ -856,11 +825,8 @@ fn run_rank(
                 let data = machine.buffer(*buf);
                 let lo = off.max(0) as usize;
                 let hi = ((off + cnt).max(0) as usize).min(data.len());
-                let mut payload = BytesMut::with_capacity((hi - lo) * 4);
-                for &v in &data[lo..hi] {
-                    payload.extend_from_slice(&v.to_le_bytes());
-                }
-                let payload = payload.freeze();
+                let payload: Arc<[u8]> =
+                    data[lo..hi].iter().flat_map(|v| v.to_le_bytes()).collect();
                 telemetry::counter("dist", "send bytes", payload.len() as f64);
                 let seq_slot = seqs.entry(d).or_insert(0);
                 let seq = *seq_slot;
@@ -879,8 +845,7 @@ fn run_rank(
                 let off = scalar(offset)?;
                 let cnt = scalar(count)?;
                 let deadline = Instant::now() + opts.watchdog;
-                let msg = inboxes[rank]
-                    .lock()
+                let msg = inbox
                     .recv_from(s as usize, deadline, opts.poll, error_flag, comm, &mut counters)
                     .map_err(|w| match w {
                         WaitFail::Timeout => DistError::Deadlock {
@@ -918,11 +883,11 @@ fn transmit(
     rank: usize,
     dest: usize,
     seq: u64,
-    payload: &Bytes,
+    payload: &Arc<[u8]>,
     asynchronous: bool,
     comm: &CommModel,
     opts: &RunOptions,
-    senders: &[crossbeam::channel::Sender<Message>],
+    senders: &[Sender<Message>],
     error_flag: &AtomicU64,
     counters: &mut RankCounters,
     step: u64,
@@ -952,8 +917,7 @@ fn transmit(
                 // payload byte) so the receiver's verification genuinely
                 // runs; it will discard and we retransmit.
                 telemetry::instant("fault", "corrupt");
-                let mut bad = BytesMut::with_capacity(nbytes);
-                bad.extend_from_slice(payload);
+                let mut bad = payload.to_vec();
                 if !bad.is_empty() {
                     let idx = (seq as usize).wrapping_add(attempt as usize) % bad.len();
                     bad[idx] ^= 0x2A;
@@ -962,7 +926,7 @@ fn transmit(
                     src: rank,
                     seq,
                     checksum: good_sum,
-                    payload: bad.freeze(),
+                    payload: bad.into(),
                     ack: None,
                 });
                 true
@@ -977,7 +941,7 @@ fn transmit(
                 let (ack_tx, ack_rx) = if asynchronous {
                     (None, None)
                 } else {
-                    let (t, r) = crossbeam::channel::bounded::<()>(1);
+                    let (t, r) = mpsc::sync_channel(1);
                     (Some(t), Some(r))
                 };
                 let _ = senders[dest].send(Message {
@@ -1003,7 +967,7 @@ fn transmit(
                 }
                 if let Some(r) = ack_rx {
                     let deadline = Instant::now() + opts.watchdog;
-                    wait_ack(&r, deadline, opts.poll, error_flag).map_err(|w| match w {
+                    recv_until(&r, deadline, opts.poll, error_flag).map_err(|w| match w {
                         WaitFail::Timeout => DistError::Deadlock {
                             rank,
                             waiting_on: WaitingOn::AckFrom(dest),
@@ -1037,6 +1001,7 @@ fn transmit(
 mod tests {
     use super::*;
     use loopvm::LoopKind;
+    use std::sync::Mutex;
 
     /// Each rank fills its chunk with its rank id, then sends its first
     /// `count` elements towards the left neighbour's halo slot.
@@ -1096,11 +1061,11 @@ mod tests {
                 },
                 |rank, machine: &Machine| {
                     let data = machine.buffer(prog.program().nth_buffer(0));
-                    out.lock()[rank] = data.iter().map(|v| v.to_bits()).collect();
+                    out.lock().unwrap()[rank] = data.iter().map(|v| v.to_bits()).collect();
                 },
             )
             .unwrap();
-            let guard = out.lock();
+            let guard = out.lock().unwrap();
             guard.iter().flatten().copied().collect()
         };
         assert_eq!(gather(false), gather(true));
@@ -1259,6 +1224,40 @@ mod tests {
         assert_eq!(
             err,
             DistError::Deadlock { rank: 0, waiting_on: WaitingOn::RecvFrom(1), step: 1 }
+        );
+    }
+
+    #[test]
+    fn unmatched_synchronous_send_caught_by_watchdog() {
+        // rank 0 makes a rendezvous send that rank 1 never receives. The
+        // message (and its ack sender) stays queued in rank 1's inbox after
+        // rank 1 ends, so rank 0 times out on the ack instead of being
+        // cancelled by a disconnect.
+        let mut p = Program::new();
+        let b = p.buffer("b", 4);
+        let rank = p.var("rank");
+        let prog = DistProgram::new(
+            p,
+            rank,
+            vec![],
+            vec![],
+            vec![DistStmt::If {
+                cond: Expr::eq(Expr::var(rank), Expr::i64(0)),
+                body: vec![DistStmt::Send {
+                    dest: Expr::i64(1),
+                    buf: b,
+                    offset: Expr::i64(0),
+                    count: Expr::i64(1),
+                    asynchronous: false,
+                }],
+            }],
+        );
+        let opts = RunOptions { validate: false, ..fast_watchdog() };
+        let err = run_with_opts(&prog, 2, &CommModel::default(), &opts, |_, _| {}, |_, _| {})
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DistError::Deadlock { rank: 0, waiting_on: WaitingOn::AckFrom(1), step: 1 }
         );
     }
 
@@ -1504,11 +1503,11 @@ mod tests {
                 opts,
                 |_, _| {},
                 |rank, machine| {
-                    out.lock()[rank] = machine.buffer(data).to_vec();
+                    out.lock().unwrap()[rank] = machine.buffer(data).to_vec();
                 },
             )
             .unwrap();
-            (stats, out.into_inner())
+            (stats, out.into_inner().unwrap())
         };
         let (clean_stats, clean) = capture(&RunOptions::default());
         let opts = RunOptions {

@@ -1,6 +1,6 @@
 //! The workspace's one JSON reader and its string-escape routine.
 //!
-//! The vendored serde is a stub, so every JSON document the workspace
+//! The workspace has no serialization crate, so every JSON document it
 //! emits (Chrome traces, metrics snapshots, flight dumps,
 //! `BENCH_figures.json`, benchmark result lines) is hand-formatted with
 //! [`jstr`], and everything that reads one back (the `figures -- check`

@@ -359,7 +359,7 @@ pub fn snapshot() -> Vec<(String, MetricValue)> {
 
 /// Renders [`snapshot`] as one JSON object: counters and gauges as
 /// `{"type": ..., "value": n}`, histograms with count/sum/p50/p95/p99.
-/// Hand-rolled like every exporter in the workspace (serde is a stub).
+/// Hand-rolled like every exporter in the workspace (std only).
 #[must_use]
 pub fn snapshot_json() -> String {
     let mut parts = Vec::new();
