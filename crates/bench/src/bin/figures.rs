@@ -244,9 +244,10 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
         // the same for the steady copies of chunks whose clamps it tests
         // (count, instructions, stack operands), function count,
         // deopt-stub counts broken down by reason, and per load/store
-        // which bounds stage proved it or that it kept its guard. No
-        // timing, so the snapshot is host-stable, and a guard that comes
-        // back fails `check`.
+        // which bounds stage proved it or that it kept its guard, and a
+        // 64-bit FNV-1a hash of the JIT listing, which pins every emitted
+        // instruction. No timing, so the snapshot is host-stable, and a
+        // guard or instruction that comes back fails `check`.
         let progs: Vec<(String, loopvm::Program)> = bench::fig_kernels()
             .into_iter()
             .map(|(name, build)| (name, build().expect("kernel compiles").program.clone()))
@@ -257,6 +258,8 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             let bc = loopvm::opt::compile_program(p).expect("bytecode compile");
             let insts = bc.stats().insts;
             let jit = loopvm::jit::compile(&bc);
+            let fnv = loopvm::jit::listing(&bc)
+                .map(|text| format!("{:016x}", artifacts::fnv64(text.as_bytes())));
             let (code, chunk_insts, chunk_refs, chunk_calls, lp, steady, fns, deopts, reasons, guards) =
                 match &jit {
                     Some(j) => {
@@ -295,6 +298,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 name.clone(),
                 insts.to_string(),
                 code.clone(),
+                fnv.clone().unwrap_or_else(|| "-".to_string()),
                 chunk_insts.clone(),
                 chunk_refs.clone(),
                 chunk_calls.clone(),
@@ -330,10 +334,11 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 None => "null".to_string(),
             };
             cells.push(format!(
-                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_chunk_calls\": {}, \"jit_loop_insts\": {}, \"jit_loop_stack_refs\": {}, \"jit_steady_chunks\": {}, \"jit_steady_chunk_insts\": {}, \"jit_steady_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}}}",
+                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_listing_fnv\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_chunk_calls\": {}, \"jit_loop_insts\": {}, \"jit_loop_stack_refs\": {}, \"jit_steady_chunks\": {}, \"jit_steady_chunk_insts\": {}, \"jit_steady_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}}}",
                 jstr(name),
                 insts,
                 jfield(&code),
+                fnv.as_deref().map_or("null".to_string(), jstr),
                 jfield(&chunk_insts),
                 jfield(&chunk_refs),
                 jfield(&chunk_calls),
@@ -356,6 +361,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                     "kernel",
                     "bc insts",
                     "jit bytes",
+                    "listing fnv",
                     "chunk insts",
                     "chunk rsp refs",
                     "chunk calls",
