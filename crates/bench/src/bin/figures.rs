@@ -260,75 +260,58 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             let jit = loopvm::jit::compile(&bc);
             let fnv = loopvm::jit::listing(&bc)
                 .map(|text| format!("{:016x}", artifacts::fnv64(text.as_bytes())));
-            let (code, chunk_insts, chunk_refs, chunk_calls, lp, steady, fns, deopts, reasons, guards) =
-                match &jit {
-                    Some(j) => {
-                        let by = j.deopt_reasons();
-                        let chunk = j.chunk_cost();
-                        let st = j.steady_cost();
-                        let lp = j.loop_cost();
-                        let g = j.guards();
-                        // Compact per-reason listing, only non-zero reasons.
-                        let listing: Vec<String> = loopvm::jit::DeoptReason::ALL
-                            .iter()
-                            .filter(|r| by[r.index()] > 0)
-                            .map(|r| format!("{}={}", r.name(), by[r.index()]))
-                            .collect();
-                        (
-                            j.code_len().to_string(),
-                            chunk.insts.to_string(),
-                            chunk.stack_refs.to_string(),
-                            chunk.calls.to_string(),
-                            [lp.insts, lp.stack_refs].map(|v| v.to_string()),
-                            [st.chunks, st.cost.insts, st.cost.stack_refs].map(|v| v.to_string()),
-                            j.n_fns().to_string(),
-                            j.n_deopts().to_string(),
-                            if listing.is_empty() { "-".to_string() } else { listing.join(" ") },
-                            format!("{}/{}/{}", g.interval, g.oracle, g.kept),
-                        )
-                    }
-                    None => {
-                        let none = || "-".to_string();
-                        let steady = [none(), none(), none()];
-                        let lp = [none(), none()];
-                        (none(), none(), none(), none(), lp, steady, none(), none(), none(), none())
-                    }
-                };
+            // Each JIT column: `-` in the table and `null` in the snapshot
+            // where there is no JIT.
+            let num = |v: Option<usize>| v.map_or("-".to_string(), |v| v.to_string());
+            let (code, fns, deopts) = (
+                num(jit.as_ref().map(|j| j.code_len())),
+                num(jit.as_ref().map(|j| j.n_fns())),
+                num(jit.as_ref().map(|j| j.n_deopts())),
+            );
+            let f = jit.as_ref().map(|j| j.footprint());
+            let at = |g: fn(&loopvm::jit::Footprint) -> usize| num(f.as_ref().map(g));
+            let chunk = [at(|f| f.chunk.insts), at(|f| f.chunk.stack_refs), at(|f| f.chunk.calls)];
+            let lp = [at(|f| f.loops.insts), at(|f| f.loops.stack_refs)];
+            let steady = [at(|f| f.steady_chunks), at(|f| f.steady.insts), at(|f| f.steady.stack_refs)];
+            let guards =
+                [at(|f| f.proven_by_intervals), at(|f| f.proven_by_oracle), at(|f| f.kept_guards)];
+            let reasons = f.map(|f| {
+                loopvm::jit::DeoptReason::ALL.map(|r| (r.name(), f.deopt_reasons[r.index()]))
+            });
+            // Compact per-reason listing, only non-zero reasons.
+            let listing: Vec<String> = (reasons.iter().flatten())
+                .filter(|r| r.1 > 0)
+                .map(|(name, n)| format!("{name}={n}"))
+                .collect();
             rows.push(vec![
                 name.clone(),
                 insts.to_string(),
                 code.clone(),
                 fnv.clone().unwrap_or_else(|| "-".to_string()),
-                chunk_insts.clone(),
-                chunk_refs.clone(),
-                chunk_calls.clone(),
+                chunk[0].clone(),
+                chunk[1].clone(),
+                chunk[2].clone(),
                 lp.join("/"),
                 steady.join("/"),
                 fns.clone(),
                 deopts.clone(),
-                reasons,
-                guards,
+                if listing.is_empty() { "-".to_string() } else { listing.join(" ") },
+                guards.join("/"),
             ]);
             let jfield = |v: &str| {
                 if v == "-" { "null".to_string() } else { v.to_string() }
             };
-            let jguards = match &jit {
-                Some(j) => {
-                    let g = j.guards();
-                    format!(
-                        "{{\"interval\": {}, \"oracle\": {}, \"kept\": {}}}",
-                        g.interval, g.oracle, g.kept
-                    )
-                }
+            let jguards = match f {
+                Some(_) => format!(
+                    "{{\"interval\": {}, \"oracle\": {}, \"kept\": {}}}",
+                    guards[0], guards[1], guards[2]
+                ),
                 None => "null".to_string(),
             };
-            let jreasons = match &jit {
-                Some(j) => {
-                    let by = j.deopt_reasons();
-                    let members: Vec<String> = loopvm::jit::DeoptReason::ALL
-                        .iter()
-                        .map(|r| format!("{}: {}", jstr(r.name()), by[r.index()]))
-                        .collect();
+            let jreasons = match reasons {
+                Some(rs) => {
+                    let members: Vec<String> =
+                        rs.iter().map(|(name, n)| format!("{}: {n}", jstr(name))).collect();
                     format!("{{{}}}", members.join(", "))
                 }
                 None => "null".to_string(),
@@ -339,9 +322,9 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 insts,
                 jfield(&code),
                 fnv.as_deref().map_or("null".to_string(), jstr),
-                jfield(&chunk_insts),
-                jfield(&chunk_refs),
-                jfield(&chunk_calls),
+                jfield(&chunk[0]),
+                jfield(&chunk[1]),
+                jfield(&chunk[2]),
                 jfield(&lp[0]),
                 jfield(&lp[1]),
                 jfield(&steady[0]),

@@ -214,10 +214,10 @@ pub(super) struct Asm {
     counting_loop: bool,
     /// What the general copies of vector chunks cost.
     pub chunk: ChunkCost,
-    /// What the steady copies cost (see `compile`'s "Steady chunks").
+    /// What the steady copies cost (see `Footprint::steady`).
     pub steady: ChunkCost,
     /// What the innermost loops around chunks cost (see
-    /// `JitProgram::loop_cost`).
+    /// `Footprint::loops`).
     pub loops: ChunkCost,
 }
 

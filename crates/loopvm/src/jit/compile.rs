@@ -4,6 +4,10 @@
 //! one per `Parallel` loop (its per-iteration preamble + body, invoked by
 //! worker threads through [`super::runtime::jit_par_dispatch`]). All
 //! functions share one code buffer; loop back-edges are direct `jmp`s.
+//! The emitter is split at its seams: this file holds the function and
+//! loop scaffolding and the scalar code, [`chunk`] the packed code of
+//! vector chunks with its per-lane fallbacks, and [`cold`] the paths
+//! behind each function's `ret`.
 //!
 //! # Conventions
 //!
@@ -20,66 +24,29 @@
 //!   already recorded in the host, `id + 3` for deopt stub `id`.
 //! - Loads and stores that [`super::facts`] proves in range are plain
 //!   moves. The other trapping instructions (unproven loads/stores,
-//!   `div`/`rem`, checked `neg`/`abs`) compare inline and jump to an
-//!   out-of-line stub that writes the operand values into the ctx deopt
-//!   slots and returns the stub's code; the host then *replays* the
-//!   operation through the interpreter's own scalar helpers, so error
-//!   payloads and panic messages are identical to bytecode execution by
-//!   construction. The listing names why each kept bounds guard stayed.
-//! - Vectorized loops are compiled chunk by chunk (8 lanes), inst-major
-//!   like the interpreter. Each chunk instruction is emitted once per
-//!   *lane shape* (see [`Shape`]), not once per lane: uniform and linear
-//!   results are computed for lane 0 only, in the register's scalar home;
-//!   a varying `f32` value lives in an XMM pair and its arithmetic is two
-//!   packed SSE operations in place on the pairs; a load/store whose
-//!   index is linear takes one range guard for all eight lanes and moves
-//!   a pair's halves directly. A *narrow* `i64` value (one whose
-//!   interval fits `i32`, see [`super::facts`]) is a pair of packed
-//!   dwords: `paddd`/`psubd`/`pmulld`/`pminsd`/`pmaxsd`, `cvttps2dq` and
-//!   `cvtdq2ps` for the casts, and proven loads and stores it indexes
-//!   gather and scatter with `pextrd` + `insertps`/`extractps`. Per-lane
-//!   code remains for the other varying integer values (kept in 8-lane
-//!   stack arrays), the other gathers and the helper-call operations, and
-//!   — out of line behind the function's `ret` — as the path a failing
-//!   range guard jumps to, which finds the first failing lane exactly as
-//!   before (a proven access has neither guard nor path). Per-lane code
-//!   reads and writes `f32` lanes, and reads narrow lanes (sign-extending
-//!   each dword), through the register's lane array: a pair is written
-//!   back to it before the first per-lane read in a chunk (or on the way
-//!   into a store's slow path), and an `f32` pair is reloaded from it
-//!   after per-lane code defined it. A varying register without a pair
-//!   lives in its array. The scalar remainder loop is emitted separately
-//!   and is the only part that writes the loop variable's frame slot.
-//! - `f2i` is `cvttss2si`; the `i64::MIN` it returns for NaN and values
-//!   out of range jumps to an out-of-line fix-up that gives Rust's
-//!   saturating result. No instruction calls a helper but `f32`
-//!   `min`/`max`/`%`/`exp` and the parallel dispatch.
-//!
-//! # Lane shapes and steady chunks
-//!
-//! [`super::facts`] gives every chunk register its [`Shape`] and says
-//! why emitting once per shape is exact. A `min`/`max` of a linear value
-//! and a uniform one (a [`Clamp`]) is varying, and so is every access it
-//! indexes, although a clamp like conv2D's `clamp(j + kx, 0, W − 1)`
-//! binds only at the ends of a row. A chunk with a clamp before its first
-//! store is emitted twice: a *steady* copy, in which each such clamp
-//! keeps its linear operand's shape behind a test that no lane wraps and
-//! that lane 0 and lane 7 lie on the side of the bound the result
-//! ignores, and the *general* copy above. A failing test jumps to the
-//! general copy's start; the steady copy ran no store before it and
-//! computed what the general copy computes, so the restart is exact.
-//! DESIGN.md §14 has the argument in full.
+//!   `div`/`rem`, checked `neg`/`abs`) compare inline and jump to a deopt
+//!   stub ([`cold`]); the host then *replays* the operation through the
+//!   interpreter's own scalar helpers, so error payloads and panic
+//!   messages are identical to bytecode execution by construction. The
+//!   listing names why each kept bounds guard stayed.
+//! - `f2i` is `cvttss2si`, whose `i64::MIN` for NaN and values out of
+//!   range jumps to an out-of-line fix-up ([`cold`]). No instruction calls
+//!   a helper but `f32` `min`/`max`/`%`/`exp` and the parallel dispatch.
 
 use super::asm::{Alu, Asm, Cc, Gpr, Label, Mem, Xmm};
 use super::facts::{self, lane_grouped, pow2, Clamp, Facts, Kept, Shape};
-use super::regalloc::{allocate, FnAlloc, FnCode, Home};
+use super::regalloc::{allocate, FnAlloc, FnCode, Home, Lanes, HALVES};
 use super::runtime::{
-    self, Deopt, JitProgram, CTX_BUFS, CTX_DEOPT_A, CTX_DEOPT_B, CTX_FRAME, CTX_IPIN,
+    self, Deopt, JitProgram, CTX_BUFS, CTX_FRAME, CTX_IPIN,
 };
 use crate::bytecode::{BcProgram, BcStmt, File, Inst, Reg};
 use crate::expr::{BinOp, UnOp};
 use crate::program::LoopKind;
-use crate::vm::{bc_body_vectorizable, LANES};
+use crate::vm::bc_body_vectorizable;
+use cold::SlowPath;
+
+mod chunk;
+mod cold;
 
 /// Compiles a bytecode program to native code. The program must be
 /// strict SSA, as the optimizer's output and every decoded artifact are;
@@ -90,9 +57,7 @@ pub fn compile(bc: &BcProgram) -> Option<JitProgram> {
         return None;
     }
     let e = emit(bc, Asm::new())?;
-    let steady = super::SteadyCost { chunks: e.steady_chunks, cost: e.a.steady };
-    let costs = (e.a.chunk, steady, e.a.loops);
-    JitProgram::new(e.a.code, e.main_off, e.par_fns, e.deopts, costs, e.guards, bc)
+    JitProgram::new(e.a.code, e.main_off, e.par_fns, e.deopts, e.footprint, bc)
 }
 
 /// The per-instruction x86-64 listing of the code [`compile`] generates
@@ -110,9 +75,7 @@ struct Emitted {
     main_off: usize,
     par_fns: Vec<(usize, u32)>,
     deopts: Vec<Deopt>,
-    guards: super::GuardCounts,
-    /// Vector chunks emitted with a steady copy.
-    steady_chunks: usize,
+    footprint: super::Footprint,
 }
 
 fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
@@ -165,14 +128,13 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
         }
     }
     e.a.finish();
-    Some(Emitted {
-        a: e.a,
-        main_off,
-        par_fns,
-        deopts: e.deopts,
-        guards: e.facts.guards,
-        steady_chunks: e.steady_chunks,
-    })
+    let (chunk, steady, loops) = (e.a.chunk, e.a.steady, e.a.loops);
+    let mut footprint =
+        super::Footprint { chunk, steady, loops, steady_chunks: e.steady_chunks, ..e.facts.guards };
+    for d in &e.deopts {
+        footprint.deopt_reasons[d.reason().index()] += 1;
+    }
+    Some(Emitted { a: e.a, main_off, par_fns, deopts: e.deopts, footprint })
 }
 
 /// A `Parallel` loop queued for emission as its own function.
@@ -222,7 +184,7 @@ enum Bound {
     Home(Home),
 }
 
-/// What a counted loop is to [`super::JitProgram::loop_cost`].
+/// What a counted loop is to [`super::Footprint::loops`].
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Role {
     /// The innermost loop around a chunk: its fast path is counted.
@@ -279,69 +241,6 @@ impl Role {
     }
 }
 
-/// What a steady copy assumes, for the listing: per chain of nested
-/// clamps, the register its result equals and the tests that make it so,
-/// e.g. `i19 = i17 while i17 ≥ 0 ∧ i17+7 ≤ 47` for
-/// `i19 = min(max(i17, 0), 47)` with `i17` of stride 1.
-fn assumptions(clamps: &[Clamp], facts: &Facts) -> Vec<String> {
-    // `(result, root, tests)`: a clamp of an earlier result extends that
-    // chain, whose root its operand equals where the tests hold.
-    let mut chains: Vec<(Reg, Reg, Vec<String>)> = Vec::new();
-    for k in clamps {
-        let (root, mut tests) = match chains.iter().position(|ch| ch.0 == k.x) {
-            Some(at) => {
-                let (_, root, tests) = chains.remove(at);
-                (root, tests)
-            }
-            None => (k.x, Vec::new()),
-        };
-        let end = if k.tests_lane7() {
-            format!("i{root}{:+}", k.lane7())
-        } else {
-            format!("i{root}")
-        };
-        let rel = if k.op == BinOp::Max { '≥' } else { '≤' };
-        let u = facts.i[k.u as usize].konst.map_or(format!("i{}", k.u), |v| v.to_string());
-        tests.push(format!("{end} {rel} {u}"));
-        chains.push((k.dst, root, tests));
-    }
-    let line = |(dst, root, tests): &(Reg, Reg, Vec<String>)| {
-        format!("i{dst} = i{root} while {}", tests.join(" ∧ "))
-    };
-    chains.iter().map(line).collect()
-}
-
-/// A load/store with a linear index: the per-lane sequence a failing
-/// range guard jumps to, emitted behind the function's `ret`.
-struct SlowPath {
-    entry: Label,
-    cont: Label,
-    op: MemOp,
-    /// The access is in a steady copy, whose shapes the path reads.
-    steady: bool,
-    /// The stored value's pair is not yet in its lane array, where the
-    /// per-lane stores read it.
-    write_back: bool,
-    /// Why the access is guarded.
-    why: Kept,
-}
-
-#[derive(Clone, Copy)]
-enum MemOp {
-    Load { dst: Reg, buf: u32, idx: Reg },
-    Store { buf: u32, idx: Reg, val: Reg },
-}
-
-impl MemOp {
-    /// `(buffer, index register, stored value register)`.
-    fn parts(self) -> (u32, Reg, Option<Reg>) {
-        match self {
-            MemOp::Load { buf, idx, .. } => (buf, idx, None),
-            MemOp::Store { buf, idx, val } => (buf, idx, Some(val)),
-        }
-    }
-}
-
 struct Emit<'a> {
     a: Asm,
     bc: &'a BcProgram,
@@ -362,7 +261,7 @@ struct Emit<'a> {
     fixups: Vec<(Label, Label)>,
     /// Per stride `s` of a linear register some packed code reads as
     /// dwords, where the lane offsets `l·s` of each half are.
-    steps: Vec<(i32, [Label; 2])>,
+    steps: Vec<(i32, [Label; HALVES])>,
     /// Program-wide deopt table (ids are stub return code − 3).
     deopts: Vec<Deopt>,
     /// Parallel loops discovered so far, in dispatch-id order.
@@ -433,19 +332,7 @@ impl<'a> Emit<'a> {
             self.a.pop_r(*r);
         }
         self.a.ret();
-        for sp in std::mem::take(&mut self.slow) {
-            self.emit_slow_path(sp);
-        }
-        for (fix, cont) in std::mem::take(&mut self.fixups) {
-            self.emit_f2i_fixup(fix, cont);
-        }
-        for (label, id) in std::mem::take(&mut self.stubs) {
-            self.a.bind(label);
-            self.a.mov_mr(Mem::base(Gpr::R15, CTX_DEOPT_A), Gpr::Rax);
-            self.a.mov_mr(Mem::base(Gpr::R15, CTX_DEOPT_B), Gpr::Rcx);
-            self.a.mov_ri(Gpr::Rax, (id + 3) as i64);
-            self.a.jmp(self.exit);
-        }
+        self.emit_cold();
     }
 
     // -- operand access ------------------------------------------------------
@@ -497,8 +384,13 @@ impl<'a> Emit<'a> {
     /// for a register the steady copy of a chunk makes linear, which has a
     /// lane array for the general copy.
     fn lane_array_i(&self, r: Reg) -> Option<i32> {
-        let arr = self.alloc.lanes_i[r as usize];
-        (arr >= 0 && self.shape(File::I, r) == Shape::Varying).then_some(arr)
+        let lanes = self.lanes(File::I, r)?;
+        (self.shape(File::I, r) == Shape::Varying).then_some(lanes.arr)
+    }
+
+    /// Register `r`'s place in the lane file, if it has one here.
+    fn lanes(&self, file: File, r: Reg) -> Option<Lanes> {
+        self.alloc.lanes[file as usize][r as usize]
     }
 
     /// Reads i-register `r`'s scalar home into `dst`.
@@ -518,7 +410,7 @@ impl<'a> Emit<'a> {
                     self.a.mov_rm(dst, Mem::base(dst, r as i32 * 8));
                 }
             },
-            Home::Xmm(_) | Home::Pair(..) | Home::Unused => unreachable!("i-reg read from {:?}", r),
+            _ => unreachable!("i-reg read from {:?}", r),
         }
     }
 
@@ -538,9 +430,7 @@ impl<'a> Emit<'a> {
                 self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R15, CTX_IPIN));
                 self.a.mov_mr(Mem::base(Gpr::Rcx, r as i32 * 8), Gpr::Rax);
             }
-            Home::Xmm(_) | Home::Pair(..) | Home::Unused => {
-                unreachable!("i-reg write to {:?}", r)
-            }
+            _ => unreachable!("i-reg write to {:?}", r),
         }
     }
 
@@ -548,21 +438,21 @@ impl<'a> Emit<'a> {
     /// which per-lane code finds in the lane array of a varying register —
     /// into `dst` (clobbers rdx for ctx homes).
     fn read_f(&mut self, dst: Xmm, r: Reg) {
-        if let (Some(l), Some(shape), arr @ 0..) =
-            (self.lane, self.chunk_shape(File::F, r), self.alloc.lanes_f[r as usize])
+        if let (Some(l), Some(shape), Some(lanes)) =
+            (self.lane, self.chunk_shape(File::F, r), self.lanes(File::F, r))
         {
             let slot = if shape == Shape::Varying { l } else { 0 };
-            self.a.movss_xm(dst, Mem::base(Gpr::Rsp, arr + (slot * 4) as i32));
+            self.a.movss_xm(dst, Mem::base(Gpr::Rsp, lanes.arr + (slot * 4) as i32));
             return;
         }
         match self.alloc.homes_f[r as usize] {
-            Home::Xmm(x) | Home::Pair(x, _) => self.a.movaps_xx(dst, x),
+            Home::Xmm(x) => self.a.movaps_xx(dst, x),
             Home::Stack(off) => self.a.movss_xm(dst, Mem::base(Gpr::Rsp, off)),
             Home::Ctx => {
                 self.a.mov_rm(Gpr::Rdx, Mem::base(Gpr::R15, runtime::CTX_FPIN));
                 self.a.movss_xm(dst, Mem::base(Gpr::Rdx, r as i32 * 4));
             }
-            Home::Gpr(_) | Home::Unused => unreachable!("f-reg read from {:?}", r),
+            _ => unreachable!("f-reg read from {:?}", r),
         }
     }
 
@@ -570,18 +460,18 @@ impl<'a> Emit<'a> {
     /// slot of its lane array if it has one, else (lane 0 of a uniform
     /// register) to its scalar home — (clobbers rdx for ctx homes).
     fn write_f(&mut self, r: Reg) {
-        if let (Some(l), arr @ 0..) = (self.lane, self.alloc.lanes_f[r as usize]) {
-            self.a.movss_mx(Mem::base(Gpr::Rsp, arr + (l * 4) as i32), Xmm(0));
+        if let (Some(l), Some(lanes)) = (self.lane, self.lanes(File::F, r)) {
+            self.a.movss_mx(Mem::base(Gpr::Rsp, lanes.arr + (l * 4) as i32), Xmm(0));
             return;
         }
         match self.alloc.homes_f[r as usize] {
-            Home::Xmm(x) | Home::Pair(x, _) => self.a.movaps_xx(x, Xmm(0)),
+            Home::Xmm(x) => self.a.movaps_xx(x, Xmm(0)),
             Home::Stack(off) => self.a.movss_mx(Mem::base(Gpr::Rsp, off), Xmm(0)),
             Home::Ctx => {
                 self.a.mov_rm(Gpr::Rdx, Mem::base(Gpr::R15, runtime::CTX_FPIN));
                 self.a.movss_mx(Mem::base(Gpr::Rdx, r as i32 * 4), Xmm(0));
             }
-            Home::Gpr(_) | Home::Unused => unreachable!("f-reg write to {:?}", r),
+            _ => unreachable!("f-reg write to {:?}", r),
         }
     }
 
@@ -753,16 +643,6 @@ impl<'a> Emit<'a> {
         self.alu(Alu::Cmp, x, s);
     }
 
-    /// Registers a deopt stub; guards jump to the returned label with the
-    /// first operand in rax and (when meaningful) the second in rcx.
-    fn trap(&mut self, d: Deopt) -> Label {
-        let id = self.deopts.len();
-        self.deopts.push(d);
-        let l = self.a.new_label();
-        self.stubs.push((l, id));
-        l
-    }
-
     fn call_helper(&mut self, addr: u64, sym: &str) {
         self.a.mov_ri_sym(Gpr::Rax, addr, sym);
         self.a.call_r(Gpr::Rax);
@@ -876,613 +756,6 @@ impl<'a> Emit<'a> {
         }
         self.a.comment(|| format!("end v{var}"));
         self.a.bind(done);
-    }
-
-    /// Lane groups of [`LANES`], then the scalar remainder (which alone
-    /// writes the frame slot, like the interpreter's vector path).
-    ///
-    /// With constant bounds and at least eight iterations, the lane groups
-    /// and the remainder are counted at compile time: eight iterations are
-    /// one straight-line chunk whose loop variable is a constant, a
-    /// multiple of eight is a chunk loop with no remainder, and only the
-    /// other trip counts have one. Else
-    /// the chunk loop runs while `v + LANES <= hi`; the sum is checked for
-    /// overflow unless the facts put both bounds far from the ends of
-    /// `i64` (`wrap_free`): near `i64::MAX` it would wrap below `hi`.
-    fn emit_vector_loop(
-        &mut self,
-        s: &'a BcStmt,
-        var: u32,
-        lower: Reg,
-        upper: Reg,
-        preamble: &'a [Inst],
-        body: &'a [BcStmt],
-    ) {
-        self.a.comment(|| format!("vector loop v{var}"));
-        let lanes = LANES as i32;
-        let hi = self.bound(upper);
-        // The loop head and back edge count for both copies of a chunk.
-        let steady = !self.facts.chunk(s).clamps.is_empty();
-        // Fewer than eight constant iterations keep their chunk code behind
-        // the head test like unknown bounds: every lane-grouped loop has
-        // its chunk copies.
-        if let Some(n) = self.facts.trips(lower, upper).filter(|&n| n >= LANES as u64) {
-            let lo = self.facts.i[lower as usize].konst.expect("constant bounds");
-            let (chunks, rem) = (n / LANES as u64, n % LANES as u64);
-            let ctr = self.facts.has_counter(s).then(|| self.counter(s));
-            // The first iteration past the chunks: every value up to `hi`
-            // fits `i64`.
-            let end = lo + (chunks * LANES as u64) as i64;
-            if chunks == 1 {
-                self.a.count_chunk(true, steady);
-                self.emit_chunk_copies(s, ChunkCtx { var, base: Base::Imm(lo) }, preamble, body);
-                self.a.count_chunk(false, false);
-            } else {
-                let ctr = ctr.expect("a chunk loop keeps a counter");
-                self.set_home_i64(ctr, lo);
-                let top = self.a.new_label();
-                self.a.count_chunk(true, steady);
-                self.a.bind(top);
-                self.emit_chunk_copies(s, ChunkCtx { var, base: Base::Ctr(ctr) }, preamble, body);
-                let x = self.bump(ctr, lanes);
-                self.cmp_bound(x, Bound::Imm(end));
-                self.a.jcc(Cc::L, top);
-                self.a.count_chunk(false, false);
-            }
-            if rem > 0 {
-                let ctr = ctr.expect("a remainder keeps a counter");
-                if chunks == 1 {
-                    self.set_home_i64(ctr, end);
-                }
-                self.emit_counted_loop(var, ctr, hi, false, preamble, body, Role::Remainder);
-            }
-            return;
-        }
-        let wrap_free = self.facts.chunk(s).wrap_free;
-        let ctr = self.counter(s);
-        let lo = self.opnd_i(lower, Gpr::Rax);
-        self.set_home(ctr, lo);
-        let chk = self.a.new_label();
-        let rem = self.a.new_label();
-        self.a.count_chunk(true, steady);
-        self.a.bind(chk);
-        let x = self.counter_reg(ctr);
-        if x != Gpr::Rax {
-            self.a.mov_rr(Gpr::Rax, x);
-        }
-        self.a.add_ri(Gpr::Rax, lanes);
-        if !wrap_free {
-            self.a.jcc(Cc::O, rem);
-        }
-        self.cmp_bound(Gpr::Rax, hi);
-        self.a.jcc(Cc::G, rem);
-        self.emit_chunk_copies(s, ChunkCtx { var, base: Base::Ctr(ctr) }, preamble, body);
-        self.bump(ctr, lanes);
-        self.a.jmp(chk);
-        self.a.count_chunk(false, false);
-        self.a.bind(rem);
-        self.emit_counted_loop(var, ctr, hi, true, preamble, body, Role::Remainder);
-    }
-
-    /// `h = v` for any `i64`.
-    fn set_home_i64(&mut self, h: Home, v: i64) {
-        let x = if let Home::Gpr(g) = h { g } else { Gpr::Rax };
-        self.a.mov_ri(x, v);
-        self.set_home(h, Src::Reg(x));
-    }
-
-    /// One chunk of the lane-grouped loop `s`. A chunk with [`Clamp`]s is
-    /// emitted twice: the steady copy, which runs first, and the general
-    /// one, where a failing clamp test restarts the chunk. Both end where
-    /// the chunk does. Counts the copies' costs, the general copy's in the
-    /// enclosing loop's too.
-    fn emit_chunk_copies(
-        &mut self,
-        s: &'a BcStmt,
-        c: ChunkCtx,
-        preamble: &'a [Inst],
-        body: &'a [BcStmt],
-    ) {
-        let clamps = self.facts.chunk(s).clamps.clone();
-        if clamps.is_empty() {
-            return self.emit_chunk(c, preamble, body, None);
-        }
-        self.steady_chunks += 1;
-        let (general, next) = (self.a.new_label(), self.a.new_label());
-        for line in assumptions(&clamps, &self.facts) {
-            self.a.comment(|| format!("steady: {line}"));
-        }
-        self.a.count_chunk(false, true);
-        let outer = self.a.count_loop(false);
-        self.emit_chunk(c, preamble, body, Some((general, clamps)));
-        self.a.jmp(next);
-        self.a.count_loop(outer);
-        self.a.count_chunk(true, false);
-        self.a.bind(general);
-        self.a.comment(|| "general".to_string());
-        self.emit_chunk(c, preamble, body, None);
-        self.a.count_chunk(true, true);
-        self.a.bind(next);
-    }
-
-    /// One lane group, inst-major: each instruction once per lane shape,
-    /// each store once per statement. Lets do not write the frame. Scalar
-    /// homes of chunk registers hold lane 0 here and are the remainder
-    /// loop's again after it: every use of a chunk register follows its
-    /// definition in the same chunk or iteration.
-    ///
-    /// With `restart`, this is the steady copy: each [`Clamp`] tests its
-    /// operands and jumps to `restart`, the general copy, if it may bind.
-    fn emit_chunk(
-        &mut self,
-        c: ChunkCtx,
-        preamble: &'a [Inst],
-        body: &'a [BcStmt],
-        restart: Option<(Label, Vec<Clamp>)>,
-    ) {
-        self.steady = restart.is_some();
-        self.restart = restart;
-        self.synced.iter_mut().flatten().for_each(|s| *s = false);
-        self.chunk = Some(c);
-        for inst in preamble {
-            self.emit_chunk_inst(inst);
-        }
-        for s in body {
-            match s {
-                BcStmt::Let { code, .. } => {
-                    for inst in code {
-                        self.emit_chunk_inst(inst);
-                    }
-                }
-                BcStmt::Store { code, buf, idx, val } => {
-                    for inst in code {
-                        self.emit_chunk_inst(inst);
-                    }
-                    self.emit_chunk_store(*buf, *idx, *val, self.facts.store(s));
-                }
-                _ => unreachable!("checked by bc_body_vectorizable"),
-            }
-        }
-        self.steady = false;
-        self.restart = None;
-        self.chunk = None;
-    }
-
-    /// A [`Clamp`] in the steady copy: its result is `x` in every lane if
-    /// `x`'s lanes do not wrap (`x₀ + 7s` does not overflow) and its lane
-    /// nearest `u` — lane 0 or lane 7 — is on the right side of it; else
-    /// the chunk restarts in the general copy. Nothing the steady copy ran
-    /// before this stored anything, and it computed what the general copy
-    /// computes, so the restart is exact.
-    fn emit_steady_clamp(&mut self, k: Clamp) {
-        let general = self.restart.as_ref().expect("clamps are tested in steady copies").0;
-        self.in_lane(0, |e| {
-            e.read_i(Gpr::Rax, k.x);
-            e.a.mov_rr(Gpr::Rdx, Gpr::Rax);
-            e.a.add_ri(Gpr::Rdx, k.lane7());
-            e.a.jcc(Cc::O, general);
-            e.read_i(Gpr::Rcx, k.u);
-            let end = if k.tests_lane7() { Gpr::Rdx } else { Gpr::Rax };
-            e.a.cmp_rr(end, Gpr::Rcx);
-            e.a.jcc(if k.op == BinOp::Max { Cc::L } else { Cc::G }, general);
-            e.write_i(k.dst);
-        });
-    }
-
-    /// `f` emitting lane `l`'s code of the current chunk.
-    fn in_lane<T>(&mut self, l: usize, f: impl FnOnce(&mut Self) -> T) -> T {
-        let outer = self.lane.replace(l);
-        let v = f(self);
-        self.lane = outer;
-        v
-    }
-
-    fn emit_chunk_inst(&mut self, inst: &Inst) {
-        let (file, dst) = inst.dst();
-        let clamp = (self.restart.as_ref())
-            .and_then(|(_, ks)| ks.iter().find(|k| file == File::I && k.dst == dst).copied());
-        if let Some(k) = clamp {
-            return self.emit_steady_clamp(k);
-        }
-        if self.shape(file, dst) != Shape::Varying {
-            // Lane 0 stands for all eight (guard included: it would trap
-            // first, with the payload any lane would carry).
-            return self.in_lane(0, |e| e.emit_inst(inst));
-        }
-        match *inst {
-            Inst::Load { dst, buf, idx } => match self.shape(File::I, idx) {
-                Shape::Linear(s) if s > 0 => {
-                    self.emit_linear_load(dst, buf, idx, s, self.facts.load(inst))
-                }
-                Shape::Varying if self.dwords(idx) && self.facts.load(inst).is_none() => {
-                    self.emit_gather(dst, buf, idx)
-                }
-                _ => self.emit_per_lane(inst),
-            },
-            Inst::BinF { dst, op, a, b }
-                if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div) =>
-            {
-                self.emit_packed(File::F, dst, a, b, |asm, t, src| match op {
-                    BinOp::Add => asm.addps(t, src),
-                    BinOp::Sub => asm.subps(t, src),
-                    BinOp::Mul => asm.mulps(t, src),
-                    _ => asm.divps(t, src),
-                });
-            }
-            Inst::BinI { dst, op, a, b } if self.facts.i[dst as usize].narrow => {
-                // `min`/`max`/`+`/`×` commute: a varying operand goes left,
-                // where it is computed in place.
-                let varying = |r| self.shape(File::I, r) == Shape::Varying;
-                let swap = op != BinOp::Sub && !varying(a) && varying(b);
-                let (a, b) = if swap { (b, a) } else { (a, b) };
-                self.emit_packed(File::I, dst, a, b, |asm, t, src| match op {
-                    BinOp::Add => asm.paddd(t, src),
-                    BinOp::Sub => asm.psubd(t, src),
-                    BinOp::Mul => asm.pmulld(t, src),
-                    BinOp::Min => asm.pminsd(t, src),
-                    _ => asm.pmaxsd(t, src),
-                });
-            }
-            Inst::CastFI { dst, a } if self.facts.i[dst as usize].narrow => {
-                for h in 0..2 {
-                    let t = self.half_target(File::I, dst, h);
-                    let src = self.half(File::F, a, h, t);
-                    self.a.cvttps2dq(t, src);
-                    self.half_done(File::I, dst, h);
-                }
-            }
-            Inst::CastIF { dst, a } if self.dwords(a) => {
-                for h in 0..2 {
-                    let t = self.half_target(File::F, dst, h);
-                    let src = self.half(File::I, a, h, t);
-                    self.a.cvtdq2ps(t, src);
-                    self.half_done(File::F, dst, h);
-                }
-            }
-            Inst::UnF { dst, op, a } if matches!(op, UnOp::Neg | UnOp::Abs | UnOp::Sqrt) => {
-                if op != UnOp::Sqrt {
-                    let mask = if op == UnOp::Neg { 0x8000_0000 } else { 0x7FFF_FFFF };
-                    self.a.mov_ri32(Gpr::Rax, mask);
-                    self.a.movd_xr(Xmm(1), Gpr::Rax);
-                    self.a.shufps(Xmm(1), Xmm(1), 0);
-                }
-                // `a` is varying: a uniform one would make `dst` uniform.
-                for h in 0..2 {
-                    let t = self.half_target(File::F, dst, h);
-                    match op {
-                        UnOp::Neg | UnOp::Abs => {
-                            self.half_into(File::F, t, a, h);
-                            if op == UnOp::Neg {
-                                self.a.xorps(t, Xmm(1));
-                            } else {
-                                self.a.andps(t, Xmm(1));
-                            }
-                        }
-                        _ => {
-                            let src = self.half(File::F, a, h, t);
-                            self.a.sqrtps(t, src);
-                        }
-                    }
-                    self.half_done(File::F, dst, h);
-                }
-            }
-            _ => self.emit_per_lane(inst),
-        }
-    }
-
-    /// `dst = op(a, b)` half by half, in place in `dst`'s half: `a`'s
-    /// half is moved there, then `op` applies `b`'s. A uniform `b` is
-    /// broadcast once for both halves; xmm1 stays free for a spilled one
-    /// otherwise. `i64` operands are dword lanes ([`Self::dwords`]).
-    fn emit_packed(
-        &mut self,
-        file: File,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-        op: impl Fn(&mut Asm, Xmm, Xmm),
-    ) {
-        let dwords = file == File::F || (self.dwords(a) && self.dwords(b));
-        debug_assert!(dwords, "i{dst}: wide operands");
-        let b_uniform = self.shape(file, b) == Shape::Uniform;
-        if b_uniform {
-            self.broadcast(file, Xmm(1), b);
-        }
-        for h in 0..2 {
-            let t = self.half_target(file, dst, h);
-            self.half_into(file, t, a, h);
-            let src = if b_uniform { Xmm(1) } else { self.half(file, b, h, Xmm(1)) };
-            op(&mut self.a, t, src);
-            self.half_done(file, dst, h);
-        }
-    }
-
-    /// `f[dst] = buf[i[idx]]` for all lanes, `idx` being narrow and the
-    /// access proven: each lane's dword index is extracted and its element
-    /// inserted into `dst`'s half.
-    fn emit_gather(&mut self, dst: Reg, buf: u32, idx: Reg) {
-        self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
-        for h in 0..2 {
-            let ix = self.half(File::I, idx, h, Xmm(1));
-            let t = self.half_target(File::F, dst, h);
-            for k in 0..4 {
-                // A proven index is non-negative: the zero-extension is
-                // its value.
-                self.a.pextrd(Gpr::Rax, ix, k);
-                let at = Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0);
-                if k == 0 {
-                    self.a.movss_xm(t, at);
-                } else {
-                    self.a.insertps_xm(t, at, k);
-                }
-            }
-            self.half_done(File::F, dst, h);
-        }
-    }
-
-    /// The instruction lane by lane. Its varying operands are read from
-    /// their lane arrays, so pairs are written back first (a narrow
-    /// register's dwords, which each lane's read sign-extends); a varying
-    /// `f32` result is assembled in its lane array and loaded into its
-    /// pair after.
-    fn emit_per_lane(&mut self, inst: &Inst) {
-        for (file, r) in inst.srcs().into_iter().flatten() {
-            self.sync(file, r);
-        }
-        for l in 0..LANES {
-            self.in_lane(l, |e| e.emit_inst(inst));
-        }
-        if let (File::F, dst) = inst.dst() {
-            self.reload(dst);
-        }
-    }
-
-    /// The pair of a varying chunk register — an `f32` one, or a narrow
-    /// `i64` one's dwords — (`None`: it lives in its lane array).
-    fn pair(&self, file: File, r: Reg) -> Option<[Xmm; 2]> {
-        if self.chunk_shape(file, r) != Some(Shape::Varying) {
-            return None;
-        }
-        match file {
-            File::F => match self.alloc.homes_f[r as usize] {
-                Home::Pair(x, y) => Some([x, y]),
-                _ => None,
-            },
-            File::I => self.alloc.pairs_i[r as usize],
-        }
-    }
-
-    /// The lane array bytes of half `h` of a varying `f32` or narrow
-    /// register.
-    fn lane_half(&self, file: File, r: Reg, h: usize) -> Mem {
-        let arr = match file {
-            File::F => self.alloc.lanes_f[r as usize],
-            File::I => self.alloc.lanes_i[r as usize],
-        };
-        Mem::base(Gpr::Rsp, arr + (h * 16) as i32)
-    }
-
-    /// Writes `r`'s pair to its lane array unless this chunk already did.
-    fn sync(&mut self, file: File, r: Reg) {
-        if let (Some(p), false) = (self.pair(file, r), self.synced[file as usize][r as usize]) {
-            for (h, x) in p.into_iter().enumerate() {
-                self.a.movups_mx(self.lane_half(file, r, h), x);
-            }
-            self.synced[file as usize][r as usize] = true;
-        }
-    }
-
-    /// Loads f-register `r`'s pair from its lane array, which per-lane
-    /// code filled.
-    fn reload(&mut self, r: Reg) {
-        if let Some(p) = self.pair(File::F, r) {
-            for (h, x) in p.into_iter().enumerate() {
-                self.a.movups_xm(x, self.lane_half(File::F, r, h));
-            }
-            self.synced[File::F as usize][r as usize] = true;
-        }
-    }
-
-    /// Lane 0 of register `r` in all four lanes of `dst` (an i-register's
-    /// as a dword).
-    fn broadcast(&mut self, file: File, dst: Xmm, r: Reg) {
-        match file {
-            File::F => self.in_lane(0, |e| e.read_f(dst, r)),
-            File::I if self.facts.i[r as usize].konst == Some(0) => return self.a.xorps(dst, dst),
-            File::I => {
-                let x = self.in_lane(0, |e| e.reg_i(r, Gpr::Rax));
-                self.a.movd_xr(dst, x);
-            }
-        }
-        self.a.shufps(dst, dst, 0);
-    }
-
-    /// Whether i-register `r` has dword lanes in the chunk copy being
-    /// emitted (the record's rule, [`facts::Fact::dwords`]).
-    fn dwords(&self, r: Reg) -> bool {
-        self.facts.i[r as usize].dwords(self.steady)
-    }
-
-    /// Lanes `4h ..` of register `r` in an SSE register: its pair's half
-    /// as is; otherwise loaded from its lane array, broadcast from a
-    /// uniform register or counted up from a linear one's lane 0 in
-    /// `scratch`. An i-register's lanes are dwords ([`Self::dwords`]).
-    fn half(&mut self, file: File, r: Reg, h: usize, scratch: Xmm) -> Xmm {
-        if let Some(p) = self.pair(file, r) {
-            return p[h];
-        }
-        match self.shape(file, r) {
-            Shape::Varying => self.a.movups_xm(scratch, self.lane_half(file, r, h)),
-            Shape::Uniform => self.broadcast(file, scratch, r),
-            Shape::Linear(s) => {
-                self.broadcast(File::I, scratch, r);
-                let steps = self.steps(s)[h];
-                self.a.paddd_rip(scratch, steps);
-            }
-        }
-        scratch
-    }
-
-    /// The constants `l·s` for the lanes `l` of each half, emitted after
-    /// the code.
-    fn steps(&mut self, s: i32) -> [Label; 2] {
-        if let Some(&(_, l)) = self.steps.iter().find(|(t, _)| *t == s) {
-            return l;
-        }
-        let l = [self.a.new_label(), self.a.new_label()];
-        self.steps.push((s, l));
-        l
-    }
-
-    /// [`Self::half`] into `dst` itself.
-    fn half_into(&mut self, file: File, dst: Xmm, r: Reg, h: usize) {
-        let src = self.half(file, r, h, dst);
-        if src != dst {
-            self.a.movaps_xx(dst, src);
-        }
-    }
-
-    /// Where packed code computes half `h` of the varying register `r`:
-    /// its pair's half, or xmm0 for [`Self::half_done`] to store.
-    fn half_target(&self, file: File, r: Reg, h: usize) -> Xmm {
-        self.pair(file, r).map_or(Xmm(0), |p| p[h])
-    }
-
-    /// Completes half `h` of `r` computed at [`Self::half_target`].
-    fn half_done(&mut self, file: File, r: Reg, h: usize) {
-        if self.pair(file, r).is_none() {
-            self.a.movups_mx(self.lane_half(file, r, h), Xmm(0));
-        }
-    }
-
-    /// Lane 0's index in the returned GPR (its home, or rax) and the data
-    /// pointer in rcx for an access whose index is `Linear(s)`, behind its
-    /// one bounds check unless the access is proven: `idx0 <u len ∧
-    /// idx0 + 7·s <u len` puts every lane in range (`len` is far below
-    /// `2^63`, so neither end wraps). When the check fails some lane is
-    /// out of bounds and the queued per-lane path finds the first; the
-    /// caller binds the returned label after the access.
-    fn range_guard(&mut self, op: MemOp, s: i32, guard: Option<Kept>) -> (Gpr, Option<Label>) {
-        let (buf, idx, val) = op.parts();
-        let ix = self.in_lane(0, |e| e.index(idx, guard));
-        let cont = guard.map(|why| {
-            let (entry, cont) = (self.a.new_label(), self.a.new_label());
-            self.slow.push(SlowPath {
-                entry,
-                cont,
-                op,
-                steady: self.steady,
-                write_back: val.is_some_and(|v| {
-                    self.pair(File::F, v).is_some() && !self.synced[File::F as usize][v as usize]
-                }),
-                why,
-            });
-            self.a.comment(|| format!("guard: {}", why.why()));
-            self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16 + 8));
-            self.a.cmp_rr(Gpr::Rax, Gpr::Rcx);
-            self.a.jcc(Cc::Ae, entry);
-            self.a.mov_rr(Gpr::Rdx, Gpr::Rax);
-            self.a.add_ri(Gpr::Rdx, (LANES as i32 - 1) * s);
-            self.a.cmp_rr(Gpr::Rdx, Gpr::Rcx);
-            self.a.jcc(Cc::Ae, entry);
-            cont
-        });
-        self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
-        (ix, cont)
-    }
-
-    /// `f[dst] = buf[i[idx]]` for all lanes, `idx` being `Linear(s)`,
-    /// `s > 0`: two `movups` when contiguous, else eight `movss` at static
-    /// displacements into the lane array.
-    fn emit_linear_load(&mut self, dst: Reg, buf: u32, idx: Reg, s: i32, guard: Option<Kept>) {
-        let (ix, cont) = self.range_guard(MemOp::Load { dst, buf, idx }, s, guard);
-        if s == 1 {
-            for h in 0..2 {
-                let t = self.half_target(File::F, dst, h);
-                self.a.movups_xm(t, Mem::sib(Gpr::Rcx, ix, 4, h as i32 * 16));
-                self.half_done(File::F, dst, h);
-            }
-        } else {
-            let out = self.alloc.lanes_f[dst as usize];
-            for l in 0..LANES as i32 {
-                self.a.movss_xm(Xmm(0), Mem::sib(Gpr::Rcx, ix, 4, 4 * l * s));
-                self.a.movss_mx(Mem::base(Gpr::Rsp, out + 4 * l), Xmm(0));
-            }
-            self.reload(dst);
-        }
-        if let Some(cont) = cont {
-            self.a.bind(cont);
-        }
-    }
-
-    /// The store of one chunk statement: two `movups` behind at most one
-    /// range guard when the index is contiguous, a lane-by-lane scatter of
-    /// extracted dword indices when it is narrow and the store proven,
-    /// else per-lane code.
-    fn emit_chunk_store(&mut self, buf: u32, idx: Reg, val: Reg, guard: Option<Kept>) {
-        let shape = self.shape(File::I, idx);
-        if shape == Shape::Varying && self.dwords(idx) && guard.is_none() {
-            self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
-            for h in 0..2 {
-                let ix = self.half(File::I, idx, h, Xmm(1));
-                let v = self.half(File::F, val, h, Xmm(0));
-                for k in 0..4 {
-                    self.a.pextrd(Gpr::Rax, ix, k);
-                    self.a.extractps_mx(Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0), v, k);
-                }
-            }
-            return;
-        }
-        if shape != Shape::Linear(1) {
-            self.sync(File::I, idx);
-            self.sync(File::F, val);
-            for l in 0..LANES {
-                self.in_lane(l, |e| e.emit_store(buf, idx, val, guard));
-            }
-            return;
-        }
-        let (ix, cont) = self.range_guard(MemOp::Store { buf, idx, val }, 1, guard);
-        let uniform = self.shape(File::F, val) != Shape::Varying;
-        if uniform {
-            self.broadcast(File::F, Xmm(0), val);
-        }
-        for h in 0..2 {
-            let src = if uniform { Xmm(0) } else { self.half(File::F, val, h, Xmm(0)) };
-            self.a.movups_mx(Mem::sib(Gpr::Rcx, ix, 4, h as i32 * 16), src);
-        }
-        if let Some(cont) = cont {
-            self.a.bind(cont);
-        }
-    }
-
-    /// The out-of-line target of a failed range guard: the access lane by
-    /// lane, each lane with its own guard and deopt stub, so the first
-    /// failing lane traps with its own index after the lanes before it
-    /// took effect — `Error::OutOfBounds` payloads and partial buffer
-    /// contents match the interpreter by construction.
-    ///
-    /// The pair of a stored value is written back on the way in; a loaded
-    /// pair is reloaded on the way out (a guard that fails always leaves
-    /// a lane that traps, but the path does not rely on it).
-    fn emit_slow_path(&mut self, sp: SlowPath) {
-        self.a.bind(sp.entry);
-        // The shapes and the (not yet) synced state the access saw.
-        self.steady = sp.steady;
-        if let MemOp::Store { val, .. } = sp.op {
-            self.synced[File::F as usize][val as usize] = !sp.write_back;
-            self.sync(File::F, val);
-        }
-        for l in 0..LANES {
-            self.in_lane(l, |e| match sp.op {
-                MemOp::Load { dst, buf, idx } => e.emit_load(dst, buf, idx, Some(sp.why)),
-                MemOp::Store { buf, idx, val } => e.emit_store(buf, idx, val, Some(sp.why)),
-            });
-        }
-        if let MemOp::Load { dst, .. } = sp.op {
-            self.reload(dst);
-        }
-        self.steady = false;
-        self.a.jmp(sp.cont);
     }
 
     /// `f[dst] = buf[i[idx]]`, behind a bounds check jumping to a deopt
@@ -1630,21 +903,19 @@ impl<'a> Emit<'a> {
                 self.finish_i(d, dst);
             }
             Inst::CmpF { dst, op, a, b } => {
+                self.read_f(Xmm(0), a);
+                self.read_f(Xmm(1), b);
                 match op {
                     // `a < b` as `b > a` so unordered (NaN) reads false:
                     // after ucomiss, CF/ZF/PF are all set when unordered
                     // and `a`/`ae` require CF clear.
                     BinOp::Lt | BinOp::Le => {
-                        self.read_f(Xmm(0), a);
-                        self.read_f(Xmm(1), b);
                         self.a.ucomiss(Xmm(1), Xmm(0));
                         let cc = if op == BinOp::Lt { Cc::A } else { Cc::Ae };
                         self.a.setcc_r8(cc, Gpr::Rax);
                         self.a.movzx_r64_r8(Gpr::Rax, Gpr::Rax);
                     }
                     BinOp::EqCmp => {
-                        self.read_f(Xmm(0), a);
-                        self.read_f(Xmm(1), b);
                         self.a.ucomiss(Xmm(0), Xmm(1));
                         // ZF is set for equal *and* unordered; mask with
                         // "ordered" (no parity).
@@ -1733,20 +1004,6 @@ impl<'a> Emit<'a> {
                 self.write_i(dst);
             }
         }
-    }
-
-    /// The fix-up of a `cvttss2si` that returned `i64::MIN` for xmm0:
-    /// NaN becomes 0, a positive value `i64::MAX`, and a negative one
-    /// (`-2^63` itself included) stays `i64::MIN`.
-    fn emit_f2i_fixup(&mut self, fix: Label, cont: Label) {
-        self.a.bind(fix);
-        self.a.xorps(Xmm(1), Xmm(1));
-        self.a.ucomiss(Xmm(0), Xmm(1));
-        self.a.mov_ri(Gpr::Rcx, i64::MAX);
-        self.a.cmov_rr(Cc::A, Gpr::Rax, Gpr::Rcx);
-        self.a.mov_ri(Gpr::Rcx, 0);
-        self.a.cmov_rr(Cc::P, Gpr::Rax, Gpr::Rcx);
-        self.a.jmp(cont);
     }
 
     /// Deopts when rax == i64::MIN — only in builds where the
@@ -1932,7 +1189,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::program::{Program, Stmt};
-    use crate::vm::{apply_i, ExecMode, Machine};
+    use crate::vm::{apply_i, Machine};
 
     /// `a % 2^k` and `a / 2^k` compile to a mask and a shift; both must be
     /// the Euclidean results for every `i64`, the edges included.
@@ -1960,7 +1217,7 @@ mod tests {
             }
             let bc = crate::opt::compile_program(&p).unwrap();
             let jit = compile(&bc).expect("straight-line stores compile");
-            assert_eq!(jit.deopt_reasons()[2..4], [0, 0], "no div/rem guard for 2^{k}");
+            assert_eq!(jit.footprint().deopt_reasons[2..4], [0, 0], "no div/rem guard for 2^{k}");
             let text = listing(&bc).unwrap();
             assert!(!text.contains("idiv"), "2^{k}:\n{text}");
             for a in [i64::MIN, -c - 1, -1, 0, c - 1, i64::MAX] {
@@ -1989,7 +1246,7 @@ mod tests {
             let x = p.var("x");
             p.push(Stmt::store(out, Expr::i64(0), Expr::to_f32(Expr::var(x) % d)));
             let bc = crate::opt::compile_program(&p).unwrap();
-            compile(&bc).unwrap().deopt_reasons()[3]
+            compile(&bc).unwrap().footprint().deopt_reasons[3]
         };
         assert_eq!(guards(Expr::i64(24)), 0);
         assert_eq!(guards(Expr::i64(-7)), 0);
@@ -1998,75 +1255,6 @@ mod tests {
         let mut p = Program::new();
         let y = p.var("y");
         assert_eq!(guards(Expr::var(y)), 2);
-    }
-
-    /// `f2i` is inline `cvttss2si`, whose `i64::MIN` sentinel for NaN and
-    /// out-of-range values leaves for a fix-up. Rust's saturating `as i64`
-    /// must come out at every edge, in scalar code and lane by lane in a
-    /// chunk (a loaded value has no interval, so its cast is not narrow).
-    #[test]
-    fn f2i_matches_the_interpreter_at_every_edge() {
-        let two63 = 9_223_372_036_854_775_808f32;
-        let values = [
-            f32::NAN,
-            -f32::NAN,
-            0.0,
-            -0.0,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            two63,
-            -two63,
-            two63.next_down(),
-            (-two63).next_up(),
-            two63.next_up(),
-            f32::MAX,
-            f32::MIN,
-            f32::from_bits(1),
-            -f32::from_bits(1),
-            f32::MIN_POSITIVE.next_down(),
-            0.5,
-            -0.5,
-            1.5,
-            -1.5,
-        ];
-        let n = values.len();
-        for kind in [LoopKind::Vectorize(8), LoopKind::Serial] {
-            let mut p = Program::new();
-            let (inp, out) = (p.buffer("in", n), p.buffer("out", 4 * n));
-            let i = p.var("i");
-            // Each result as four exactly-representable 16-bit chunks.
-            let body = (0..4)
-                .map(|c| {
-                    let v = Expr::to_i64(Expr::load(inp, Expr::var(i)));
-                    let piece = (v / Expr::i64(1 << (16 * c))) % Expr::i64(65536);
-                    let at = Expr::var(i) * Expr::i64(4) + Expr::i64(c);
-                    Stmt::store(out, at, Expr::to_f32(piece))
-                })
-                .collect();
-            p.push(Stmt::for_(i, Expr::i64(0), Expr::i64(n as i64), kind, body));
-            let bc = crate::opt::compile_program(&p).unwrap();
-            let text = listing(&bc).unwrap();
-            assert!(text.contains("cvttss2si") && !text.contains("call"), "{text}");
-            let run = |mode: Option<ExecMode>| {
-                let mut m = Machine::new(&p);
-                m.buffer_mut(inp).copy_from_slice(&values);
-                match mode {
-                    Some(mode) => {
-                        m.set_exec_mode(mode);
-                        m.run(&p).unwrap();
-                    }
-                    None => m.run_jit(&compile(&bc).unwrap()).unwrap(),
-                }
-                m.buffer(out).to_vec()
-            };
-            let (native, interpreted) = (run(None), run(Some(ExecMode::Bytecode)));
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&native), bits(&interpreted), "{kind:?}");
-            for (k, v) in values.iter().enumerate() {
-                let have = (0..4).fold(0i64, |acc, c| acc | (native[4 * k + c] as i64) << (16 * c));
-                assert_eq!(have, *v as i64, "{kind:?}: {v:e}");
-            }
-        }
     }
 
     /// The golden listings cannot drift from what executes: the listing

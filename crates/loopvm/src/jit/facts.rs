@@ -81,7 +81,7 @@ use std::collections::{HashMap, HashSet};
 
 use polyhedral::solve::{rows_decide, Feasibility, Row};
 
-use super::GuardCounts;
+use super::Footprint;
 use crate::bytecode::{BcProgram, BcStmt, File, Inst, Reg};
 use crate::expr::{BinOp, UnOp};
 use crate::program::LoopKind;
@@ -281,7 +281,8 @@ pub(super) struct Facts {
     /// Per variable: some `ReadVar` reads it through the frame, so the
     /// loops and lets that set it write the frame slot.
     pub(super) frame_read: Vec<bool>,
-    pub(super) guards: GuardCounts,
+    /// The guard counts of the program's [`Footprint`].
+    pub(super) guards: Footprint,
 }
 
 impl Facts {
@@ -367,7 +368,7 @@ pub(super) fn derive(bc: &BcProgram) -> Facts {
             chunks: HashMap::new(),
             counter_reads: HashSet::new(),
             frame_read: vec![false; bc.n_vars],
-            guards: GuardCounts::default(),
+            guards: Footprint::default(),
         },
         env: vec![Slot::TOP; bc.n_vars],
         loops: Vec::new(),
@@ -993,7 +994,7 @@ impl Walk<'_> {
         let i = self.facts.i[idx as usize].ivl;
         let size = self.sizes.get(buf as usize).copied();
         let verdict = if dead || size.is_some_and(|n| i.lo >= 0 && (i.hi as u64) < n as u64) {
-            self.facts.guards.interval += 1;
+            self.facts.guards.proven_by_intervals += 1;
             None
         } else {
             let v = match size {
@@ -1001,8 +1002,8 @@ impl Walk<'_> {
                 None => Some(Kept::MayBeOob),
             };
             match v {
-                None => self.facts.guards.oracle += 1,
-                Some(_) => self.facts.guards.kept += 1,
+                None => self.facts.guards.proven_by_oracle += 1,
+                Some(_) => self.facts.guards.kept_guards += 1,
             }
             v
         };

@@ -28,7 +28,8 @@
 mod asm;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod compile;
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+// Pure analysis, on every target; only the native backend reads it yet.
+#[cfg_attr(not(all(target_arch = "x86_64", target_os = "linux")), allow(dead_code))]
 mod facts;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod regalloc;
@@ -49,17 +50,8 @@ pub fn supported() -> bool {
     false
 }
 
-/// What the fast paths of a program's packed `Vectorize(8)` chunks cost,
-/// counted by the encoder as it emits them — from the chunk loop's head
-/// to its back edge, without the out-of-line per-lane paths and deopt
-/// stubs. A deterministic proxy for how much chunk work stays in
-/// registers (`figures -- tiers` records it per kernel).
-///
-/// The same count over the innermost loops around chunks
-/// ([`JitProgram::loop_cost`]) runs from such a loop's head to its back
-/// edge: the integer scaffolding around the chunk and the general copy of
-/// the chunk itself, without scalar remainder loops, steady copies and
-/// out-of-line paths.
+/// What some fast-path code costs, counted by the encoder as it emits it
+/// (see [`Footprint`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChunkCost {
     /// Instructions.
@@ -71,32 +63,39 @@ pub struct ChunkCost {
     pub calls: usize,
 }
 
-/// What the steady copies of a program's `Vectorize(8)` chunks cost: how
-/// many chunks have one (a copy compiled on the assumption that none of
-/// its leading clamps binds), and their fast paths counted like
-/// [`ChunkCost`]'s — the loop head and back edge included, which both
-/// copies run. [`ChunkCost`] keeps counting the general copies.
+/// What the JIT emitted for a program: a deterministic proxy for how much
+/// of its work stays in registers and runs unguarded, which
+/// `figures -- tiers` records per kernel.
+///
+/// A chunk's fast path runs from the chunk loop's head to its back edge,
+/// without the out-of-line per-lane paths and deopt stubs. A *steady*
+/// copy of a chunk is compiled on the assumption that none of its leading
+/// clamps binds. An innermost loop's fast path runs from its head to its
+/// back edge: the integer scaffolding around the chunk and the chunk's
+/// general copy, without scalar remainder loops, steady copies and
+/// out-of-line paths. Accesses are counted once per access in the
+/// bytecode, not per emitted copy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SteadyCost {
+pub struct Footprint {
+    /// The fast paths of the general copies of `Vectorize(8)` chunks.
+    pub chunk: ChunkCost,
     /// Chunks with a steady copy.
-    pub chunks: usize,
-    /// Their steady fast paths.
-    pub cost: ChunkCost,
-}
-
-/// What the bounds proofs decided about a program's loads and stores,
-/// counted once per access in the bytecode (not per emitted copy): how
-/// many the loop-bound intervals proved in range (accesses in dead code
-/// included), how many the Omega test proved, and how many kept their
-/// guard. `figures -- tiers` records it per kernel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GuardCounts {
-    /// Proven by the interval stage.
-    pub interval: usize,
-    /// Proven by the oracle stage.
-    pub oracle: usize,
-    /// Still guarded.
-    pub kept: usize,
+    pub steady_chunks: usize,
+    /// Their steady fast paths, with the loop head and back edge, which
+    /// both copies run.
+    pub steady: ChunkCost,
+    /// One iteration of each innermost loop around chunks, summed.
+    pub loops: ChunkCost,
+    /// Loads and stores the loop-bound intervals proved in range (those
+    /// in dead code included).
+    pub proven_by_intervals: usize,
+    /// Loads and stores the Omega test proved in range.
+    pub proven_by_oracle: usize,
+    /// Loads and stores that kept their guard.
+    pub kept_guards: usize,
+    /// Deopt stubs emitted per [`DeoptReason`], indexed like
+    /// [`DeoptReason::ALL`] (fired deopts are the `jit.deopt.*` metrics).
+    pub deopt_reasons: [usize; 5],
 }
 
 /// Why a deopt stub exists (and, when it fires, why execution left
@@ -188,28 +187,8 @@ mod stub {
             match self.never {}
         }
 
-        /// Deopt-stub counts per [`super::DeoptReason`] (unreachable).
-        pub fn deopt_reasons(&self) -> [usize; 5] {
-            match self.never {}
-        }
-
-        /// Packed-chunk fast-path cost (unreachable).
-        pub fn chunk_cost(&self) -> super::ChunkCost {
-            match self.never {}
-        }
-
-        /// Steady-copy cost (unreachable).
-        pub fn steady_cost(&self) -> super::SteadyCost {
-            match self.never {}
-        }
-
-        /// Innermost-loop fast-path cost (unreachable).
-        pub fn loop_cost(&self) -> super::ChunkCost {
-            match self.never {}
-        }
-
-        /// Bounds-proof counts (unreachable).
-        pub fn guards(&self) -> super::GuardCounts {
+        /// What was emitted (unreachable).
+        pub fn footprint(&self) -> super::Footprint {
             match self.never {}
         }
 

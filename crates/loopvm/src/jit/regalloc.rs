@@ -15,13 +15,14 @@
 //! 3. **Scan**: intervals sorted by start are assigned host registers from
 //!    two pools (GPRs for the `i64` file, XMMs for the `f32` file). A
 //!    `Varying` `f32` register of a vector chunk asks for a *pair* of
-//!    XMMs (lanes 0–3 and 4–7); the scalar-remainder loop, disjoint code
-//!    over the same interval, uses the first one's low lane. Intervals
-//!    crossing a helper call get callee-saved GPRs or spill. When the
-//!    pool is short, the active intervals that weigh less than the
-//!    incoming one give up their registers, lightest first and among
-//!    equals those that end last (Poletto & Sarkar's furthest-end rule);
-//!    otherwise the incoming interval lives in a stack slot. Every
+//!    XMMs, the halves of its lanes ([`Lanes`]); the scalar-remainder
+//!    loop, disjoint code over the same interval, uses the first one's
+//!    low lane. Intervals crossing a helper call get callee-saved GPRs
+//!    or spill. When the pool is short, the active intervals that weigh
+//!    less than the incoming one give up their registers, lightest first
+//!    and among equals those that end last (Poletto & Sarkar's
+//!    furthest-end rule); otherwise the incoming interval lives in a
+//!    stack slot. Every
 //!    definition and read weighs [`HEAT`] to the power of its depth in
 //!    loops that keep a counter, so in a deep nest the outer loops'
 //!    values and counters spill and the innermost ones stay in registers.
@@ -50,10 +51,9 @@
 //! XMM pair is written half by half, so XMM intervals stay apart).
 //!
 //! Chunk registers of the other shapes keep lane 0 in their scalar home.
-//! Only `Varying` ones get an 8-lane stack array: the home of `i64`
-//! lanes (dwords for a narrow register), and for `f32` and narrow
-//! registers the spill area of a register without a pair and the sync
-//! area per-lane code reads a pair's lanes through.
+//! Only `Varying` ones get a place in the lane file ([`Lanes`]): an
+//! 8-lane stack array, and the pair either scan gave them, recorded the
+//! same way for both register files.
 //!
 //! Registers read inside a `Parallel` loop but defined outside it are
 //! *pinned*: they live in the `JitCtx` spill arrays so worker threads (a
@@ -65,7 +65,7 @@
 
 use std::collections::HashMap;
 
-use super::asm::{Gpr, Xmm};
+use super::asm::{Gpr, Mem, Xmm};
 use super::facts::{lane_grouped, Fact, Facts, Shape};
 use crate::bytecode::{BcProgram, BcStmt, File, Inst, Reg};
 use crate::expr::BinOp;
@@ -78,8 +78,8 @@ pub(super) enum Home {
     Gpr(Gpr),
     /// A host SSE register (f32 file).
     Xmm(Xmm),
-    /// Lanes 0–3 and 4–7 of a `Varying` chunk `f32` register; the first
-    /// register's low lane is its scalar home in the remainder loop.
+    /// The scan's pair for a `Varying` chunk `f32` register: [`FnAlloc`]
+    /// records it in [`Lanes`], and its first XMM as the scalar home.
     Pair(Xmm, Xmm),
     /// An `[rsp + off]` spill slot in the owning function's frame.
     Stack(i32),
@@ -90,19 +90,44 @@ pub(super) enum Home {
     Unused,
 }
 
+/// XMM registers per 8-lane value in the lane file (see [`Lanes`]).
+pub(super) const HALVES: usize = 2;
+
+/// The lane file: where chunk code keeps the eight lanes of a `Varying`
+/// register — a 16-byte aligned stack array of 8-byte lanes for a wide
+/// `i64` register, its only home, and of 4-byte ones for an `f32` or
+/// narrow register, which packed code computes with SSE in its pair, if
+/// any: [`HALVES`] XMMs of four lanes, half `h` at [`Lanes::offset`]`(h)`
+/// in the array and in a contiguous access.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Lanes {
+    /// The pair, half by half.
+    pub regs: Option<[Xmm; HALVES]>,
+    /// Stack offset of the lane array.
+    pub arr: i32,
+}
+
+impl Lanes {
+    /// Bytes from lane 0 to half `h`.
+    pub fn offset(h: usize) -> i32 {
+        h as i32 * 16
+    }
+
+    /// Half `h` of the lane array.
+    pub fn half(self, h: usize) -> Mem {
+        Mem::base(Gpr::Rsp, self.arr + Self::offset(h))
+    }
+}
+
 /// Allocation result for one native function.
 pub(super) struct FnAlloc {
     /// Home per `i64` register.
     pub homes_i: Vec<Home>,
     /// Home per `f32` register.
     pub homes_f: Vec<Home>,
-    /// The pair of a narrow `i64` register (lanes 0–3 and 4–7 as dwords),
-    /// beside its scalar home.
-    pub pairs_i: Vec<Option<[Xmm; 2]>>,
-    /// Stack offset of the 8-lane array of a `Varying` chunk register,
-    /// `-1` = none. `i64` lanes are 8 bytes, narrow and `f32` lanes 4.
-    pub lanes_i: Vec<i32>,
-    pub lanes_f: Vec<i32>,
+    /// Per file (`File as usize`), per register: its place in the lane
+    /// file, for a `Varying` chunk register defined in this function.
+    pub lanes: [Vec<Option<Lanes>>; 2],
     /// The counter's home (a GPR or a stack slot) per loop that keeps
     /// one, keyed by the address of its `For` (a parallel body's own
     /// iteration loop included).
@@ -528,8 +553,7 @@ fn check_homes(placed: &[(Home, u64, u64)]) {
 
 pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAlloc {
     let n_i = bc.n_iregs as usize;
-    let n_f = bc.n_fregs as usize;
-    let n_regs = n_i + n_f;
+    let n_regs = n_i + bc.n_fregs as usize;
     let mut c = Collect {
         pos: 0,
         def: vec![None; n_regs],
@@ -637,11 +661,11 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
     let held: Vec<(Xmm, u64, u64)> = (0..n_regs)
         .flat_map(|k| xmms(k).into_iter().map(move |x| (x, start[k], end[k])))
         .collect();
-    let mut pairs_i: Vec<Option<[Xmm; 2]>> = vec![None; n_i];
+    let mut pairs: Vec<Option<[Xmm; HALVES]>> = vec![None; n_regs];
     let mut active: Vec<usize> = Vec::new();
     for &k in order.iter().filter(|&&k| k < n_i && c.facts.i[k].narrow && !crosses_call(k)) {
-        active.retain(|&a| end[a] >= start[k] && pairs_i[a].is_some());
-        let taken: Vec<Xmm> = active.iter().flat_map(|&a| pairs_i[a].unwrap()).collect();
+        active.retain(|&a| end[a] >= start[k] && pairs[a].is_some());
+        let taken: Vec<Xmm> = active.iter().flat_map(|&a| pairs[a].unwrap()).collect();
         let mut free: Vec<Xmm> = (2..16)
             .rev()
             .map(Xmm)
@@ -656,15 +680,15 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
             if free.len() >= 2 {
                 break;
             }
-            free.extend(pairs_i[v].take().expect("active intervals hold a pair"));
+            free.extend(pairs[v].take().expect("active intervals hold a pair"));
         }
         if let [x, y, ..] = free[..] {
-            pairs_i[k] = Some([x, y]);
+            pairs[k] = Some([x, y]);
             active.push(k);
         }
     }
     if cfg!(debug_assertions) {
-        let pair = |k: usize| Some((pairs_i[k].map(|[x, y]| Home::Pair(x, y))?, start[k], end[k]));
+        let pair = |k: usize| Some((pairs[k].map(|[x, y]| Home::Pair(x, y))?, start[k], end[k]));
         let homes = (0..n_all).map(|k| (homes[k], start[k], end[k]));
         let placed: Vec<_> = homes.chain((0..n_i).filter_map(pair)).collect();
         check_homes(&placed);
@@ -679,20 +703,18 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
         off += 8;
     }
     off = (off + 15) / 16 * 16;
-    let mut lanes_i = vec![-1i32; n_i];
-    let mut lanes_f = vec![-1i32; n_f];
+    let mut lanes = vec![None; n_regs];
     for k in 0..n_regs {
         // Chunk registers of other functions have no place here.
         if c.def[k].is_none() || !c.varying(k) {
             continue;
         }
-        if k < n_i {
-            lanes_i[k] = off;
-            off += if c.facts.i[k].narrow { 4 } else { 8 } * crate::vm::LANES as i32;
-        } else {
-            lanes_f[k - n_i] = off;
-            off += 4 * crate::vm::LANES as i32;
+        if let Home::Pair(x, y) = homes[k] {
+            (homes[k], pairs[k]) = (Home::Xmm(x), Some([x, y]));
         }
+        lanes[k] = Some(Lanes { regs: pairs[k], arr: off });
+        let wide = k < n_i && !c.facts.i[k].narrow;
+        off += if wide { 8 } else { 4 } * crate::vm::LANES as i32;
     }
     for (k, h) in homes.iter_mut().enumerate().take(n_regs) {
         if c.fact(k).pinned {
@@ -704,9 +726,7 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
     FnAlloc {
         homes_i: homes[..n_i].to_vec(),
         homes_f: homes[n_i..n_regs].to_vec(),
-        pairs_i,
-        lanes_i,
-        lanes_f,
+        lanes: [lanes[..n_i].to_vec(), lanes[n_i..].to_vec()],
         counters: c.counters.iter().map(|&(key, k)| (key, homes[k])).collect(),
         par_hi: par_hi.map_or(Home::Unused, |k| homes[k]),
         frame_size,

@@ -187,7 +187,7 @@ pub(super) enum Deopt {
 
 impl Deopt {
     /// The public label for this stub (metric suffix, tiers snapshot).
-    fn reason(self) -> super::DeoptReason {
+    pub(super) fn reason(self) -> super::DeoptReason {
         match self {
             Deopt::LoadOob { .. } => super::DeoptReason::OobLoad,
             Deopt::StoreOob { .. } => super::DeoptReason::OobStore,
@@ -324,10 +324,7 @@ pub struct JitProgram {
     /// order.
     par_fns: Vec<(usize, u32)>,
     deopts: Vec<Deopt>,
-    chunk: super::ChunkCost,
-    steady: super::SteadyCost,
-    loops: super::ChunkCost,
-    guards: super::GuardCounts,
+    footprint: super::Footprint,
     /// The buffer lengths the bounds proofs assumed.
     buf_sizes: Vec<usize>,
     n_vars: usize,
@@ -351,8 +348,7 @@ impl JitProgram {
         main_off: usize,
         par_fns: Vec<(usize, u32)>,
         deopts: Vec<Deopt>,
-        (chunk, steady, loops): (super::ChunkCost, super::SteadyCost, super::ChunkCost),
-        guards: super::GuardCounts,
+        footprint: super::Footprint,
         bc: &crate::bytecode::BcProgram,
     ) -> Option<JitProgram> {
         let code_len = code.len();
@@ -362,10 +358,7 @@ impl JitProgram {
             main_off,
             par_fns,
             deopts,
-            chunk,
-            steady,
-            loops,
-            guards,
+            footprint,
             buf_sizes: bc.buf_sizes.clone(),
             n_vars: bc.n_vars,
             n_iregs: bc.n_iregs as usize,
@@ -388,39 +381,9 @@ impl JitProgram {
         self.deopts.len()
     }
 
-    /// Deopt-stub counts per [`super::DeoptReason`], indexed like
-    /// [`super::DeoptReason::ALL`]. Counts stubs *emitted*, not fired;
-    /// fired deopts are on the `jit.deopt.*` metrics.
-    pub fn deopt_reasons(&self) -> [usize; 5] {
-        let mut out = [0usize; 5];
-        for d in &self.deopts {
-            out[d.reason().index()] += 1;
-        }
-        out
-    }
-
-    /// What the fast paths of the program's packed chunks cost (see
-    /// [`super::ChunkCost`]).
-    pub fn chunk_cost(&self) -> super::ChunkCost {
-        self.chunk
-    }
-
-    /// What the steady copies of the program's chunks cost (see
-    /// [`super::SteadyCost`]).
-    pub fn steady_cost(&self) -> super::SteadyCost {
-        self.steady
-    }
-
-    /// What one iteration of the innermost loops around the program's
-    /// chunks costs, summed over those loops (see [`super::ChunkCost`]).
-    pub fn loop_cost(&self) -> super::ChunkCost {
-        self.loops
-    }
-
-    /// How many of the program's loads and stores were proven in bounds,
-    /// and by which stage (see [`super::GuardCounts`]).
-    pub fn guards(&self) -> super::GuardCounts {
-        self.guards
+    /// What was emitted for the program (see [`super::Footprint`]).
+    pub fn footprint(&self) -> super::Footprint {
+        self.footprint
     }
 
     /// Whether `bufs` have exactly the lengths the code's bounds proofs

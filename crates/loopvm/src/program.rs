@@ -29,8 +29,9 @@ pub enum LoopKind {
     /// Iterations evaluated in lanes (the `vec(s)` tag / `vectorize()`),
     /// with the requested vector width.
     Vectorize(usize),
-    /// Unrolled by the given factor (the `unroll` tag); the VM executes it
-    /// with the loop-overhead-free pre-expanded path when possible.
+    /// Unrolled by the given factor (the `unroll` tag). Every executor
+    /// runs it as a plain serial loop: the factor is recorded, not yet
+    /// expanded.
     Unroll(usize),
 }
 

@@ -160,7 +160,11 @@ impl SharedBuf {
         }
         Ok(())
     }
+}
 
+/// What the JIT's runtime reads of a buffer.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+impl SharedBuf {
     /// Buffer name, as reported in [`Error::OutOfBounds`].
     pub(crate) fn name(&self) -> &str {
         &self.name

@@ -866,7 +866,7 @@ fn proven_code_never_runs_over_other_buffer_lengths() {
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     {
         let jit = long.compiled().unwrap().jit().expect("native code");
-        assert_eq!((jit.n_deopts(), jit.guards().kept), (0, 0), "proven for 16 elements");
+        assert_eq!((jit.n_deopts(), jit.footprint().kept_guards), (0, 0), "proven for 16 elements");
         let mut m = machine(ExecMode::Jit);
         let before = contents(&m);
         let err = m.run_jit(jit).unwrap_err();
@@ -888,7 +888,7 @@ fn a_bound_variable_index_keeps_its_guard() {
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     {
         let jit = p.compiled().unwrap().jit().expect("native code");
-        assert_eq!((jit.guards().kept, jit.n_deopts()), (1, 1));
+        assert_eq!((jit.footprint().kept_guards, jit.n_deopts()), (1, 1));
     }
     for (value, want) in [(2, "ok"), (4, "err: out of bounds: A[4] (size 4)"), (-1, "err: out of bounds: A[-1] (size 4)")] {
         let outcomes = [ExecMode::Jit, ExecMode::Bytecode].map(|mode| {

@@ -141,7 +141,7 @@ fn gemm_jit_x86_64_listing_is_pinned() {
     // the loop bounds prove every gemm access in range.
     assert!(jit.code_len() > 0, "empty code buffer");
     assert_eq!(jit.n_deopts(), 0, "a gemm access kept its guard:\n{listing}");
-    assert_eq!(jit.guards().kept, 0);
+    assert_eq!(jit.footprint().kept_guards, 0);
 }
 
 /// [`blur`] with `vectorize(j, 8)` on both stages: the kernel whose
@@ -185,9 +185,9 @@ fn conv2d_jit_x86_64_listing_is_pinned() {
     let listing = loopvm::jit::listing(code.bytecode()).expect("conv2D must be JIT-compilable");
     assert_golden("conv2d_jit_x86_64", &listing);
     let jit = code.jit().unwrap();
-    let (steady, general) = (jit.steady_cost(), jit.chunk_cost());
-    assert_eq!(steady.chunks, 1, "conv2D lost its steady copy");
-    assert!(steady.cost.insts < general.insts, "{steady:?} vs {general:?}");
+    let f = jit.footprint();
+    assert_eq!(f.steady_chunks, 1, "conv2D lost its steady copy");
+    assert!(f.steady.insts < f.chunk.insts, "{f:?}");
     // From the assumptions to the general copy: nine taps of two packed
     // halves each, and no value assembled in a lane array.
     let start = listing.find("; steady:").unwrap();
@@ -214,7 +214,7 @@ fn warp_jit_x86_64_listing_is_pinned() {
     let code = prep.program.compiled().unwrap();
     let listing = loopvm::jit::listing(code.bytecode()).expect("warpAffine must be JIT-compilable");
     assert_golden("warp_jit_x86_64", &listing);
-    let cost = code.jit().unwrap().chunk_cost();
+    let cost = code.jit().unwrap().footprint().chunk;
     // A third of the instructions and a fifth of the stack operands of the
     // helper-calling, lane-array chunk it replaces (986 and 460).
     assert_eq!(cost.calls, 0, "{cost:?}");
@@ -273,10 +273,10 @@ fn sgemm_native_code_is_packed_and_division_free() {
     }
     assert_eq!(updates, 4, "update loops");
     // The encoder counted the same instructions.
-    let cost = jit.loop_cost();
+    let cost = jit.footprint().loops;
     assert_eq!((all_insts, all_refs), (cost.insts, cost.stack_refs), "{cost:?}");
     // The loop bounds prove every access in range: no guard, no stub.
-    assert_eq!(jit.n_deopts(), 0, "{:?}", jit.deopt_reasons());
+    assert_eq!(jit.n_deopts(), 0, "{:?}", jit.footprint().deopt_reasons);
 }
 
 #[test]
