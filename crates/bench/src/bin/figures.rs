@@ -272,7 +272,8 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             let at = |g: fn(&loopvm::jit::Footprint) -> usize| num(f.as_ref().map(g));
             let chunk = [at(|f| f.chunk.insts), at(|f| f.chunk.stack_refs), at(|f| f.chunk.calls)];
             let lp = [at(|f| f.loops.insts), at(|f| f.loops.stack_refs)];
-            let steady = [at(|f| f.steady_chunks), at(|f| f.steady.insts), at(|f| f.steady.stack_refs)];
+            let steady =
+                [at(|f| f.steady_chunks), at(|f| f.steady.insts), at(|f| f.steady.stack_refs)];
             let guards =
                 [at(|f| f.proven_by_intervals), at(|f| f.proven_by_oracle), at(|f| f.kept_guards)];
             let reasons = f.map(|f| {
