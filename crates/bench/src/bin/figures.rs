@@ -244,17 +244,30 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
         // the same for the steady copies of chunks whose clamps it tests
         // (count, instructions, stack operands), function count,
         // deopt-stub counts broken down by reason, and per load/store
-        // which bounds stage proved it or that it kept its guard, and a
+        // which bounds stage proved it or that it kept its guard, a
         // 64-bit FNV-1a hash of the JIT listing, which pins every emitted
-        // instruction. No timing, so the snapshot is host-stable, and a
-        // guard or instruction that comes back fails `check`.
-        let progs: Vec<(String, loopvm::Program)> = bench::fig_kernels()
+        // instruction, and the `Parallel` dispatches of one run on two
+        // threads (entries of a `Parallel` loop with more than one
+        // iteration, the same on every tier). No timing, so the snapshot
+        // is host-stable, and a guard or instruction that comes back fails
+        // `check`.
+        let preps: Vec<(String, kernels::Prepared)> = bench::fig_kernels()
             .into_iter()
-            .map(|(name, build)| (name, build().expect("kernel compiles").program.clone()))
+            .map(|(name, build)| (name, build().expect("kernel compiles")))
             .collect();
+        let dispatches = telemetry::metrics::counter("vm.par.dispatches");
         let mut rows: Vec<Vec<String>> = Vec::new();
         let mut cells: Vec<String> = Vec::new();
-        for (name, p) in &progs {
+        for (name, prep) in &preps {
+            let p = &prep.program;
+            let par_dispatches = {
+                let mut m = prep.machine();
+                m.set_threads(2);
+                m.set_exec_mode(loopvm::ExecMode::Bytecode);
+                let before = dispatches.get();
+                m.run(p).expect("kernel runs");
+                dispatches.get() - before
+            };
             let bc = loopvm::opt::compile_program(p).expect("bytecode compile");
             let insts = bc.stats().insts;
             let jit = loopvm::jit::compile(&bc);
@@ -298,6 +311,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 deopts.clone(),
                 if listing.is_empty() { "-".to_string() } else { listing.join(" ") },
                 guards.join("/"),
+                par_dispatches.to_string(),
             ]);
             let jfield = |v: &str| {
                 if v == "-" { "null".to_string() } else { v.to_string() }
@@ -318,7 +332,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 None => "null".to_string(),
             };
             cells.push(format!(
-                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_listing_fnv\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_chunk_calls\": {}, \"jit_loop_insts\": {}, \"jit_loop_stack_refs\": {}, \"jit_steady_chunks\": {}, \"jit_steady_chunk_insts\": {}, \"jit_steady_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}}}",
+                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_listing_fnv\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_chunk_calls\": {}, \"jit_loop_insts\": {}, \"jit_loop_stack_refs\": {}, \"jit_steady_chunks\": {}, \"jit_steady_chunk_insts\": {}, \"jit_steady_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}, \"par_dispatches\": {}}}",
                 jstr(name),
                 insts,
                 jfield(&code),
@@ -334,7 +348,8 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 jfield(&fns),
                 jfield(&deopts),
                 jreasons,
-                jguards
+                jguards,
+                par_dispatches
             ));
         }
         print!(
@@ -354,7 +369,8 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                     "jit fns",
                     "jit deopts",
                     "deopt reasons",
-                    "guards interval/oracle/kept"
+                    "guards interval/oracle/kept",
+                    "par dispatches"
                 ],
                 &rows
             )

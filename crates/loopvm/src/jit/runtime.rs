@@ -15,8 +15,8 @@
 //! | code  | meaning                                                     |
 //! |-------|-------------------------------------------------------------|
 //! | 0     | success                                                     |
-//! | 1     | a worker produced an [`Error`]; stored in [`RunHost::err`]  |
-//! | 2     | a worker panicked; payload stored in [`RunHost::panic`]     |
+//! | 1     | a `Parallel` chunk failed with an [`Error`]; in [`RunHost::err`] |
+//! | 2     | a `Parallel` chunk panicked; payload in [`RunHost::panic`]  |
 //! | n ≥ 3 | deopt stub `n - 3` fired; operands in the ctx deopt slots   |
 //!
 //! Deopts are resolved by *replaying* the trapping operation through the
@@ -29,6 +29,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use crate::expr::{BinOp, UnOp, Var};
+use crate::par::{Crew, Job};
 use crate::vm::{apply_i, apply_un_i, SharedBuf};
 use crate::{Error, Result};
 
@@ -57,9 +58,10 @@ struct BufDesc {
 }
 
 /// The execution context passed to every native function in `rdi`. Field
-/// order is ABI: generated code addresses fields by the `CTX_*` offsets.
+/// order is ABI: generated code addresses fields by the `CTX_*` offsets;
+/// the fields after `deopt_b` are the host's alone.
 #[repr(C)]
-pub(super) struct JitCtx {
+pub(super) struct JitCtx<'scope> {
     /// Loop-variable frame (`i64` per program variable), loaded into r14.
     frame: *mut i64,
     /// Buffer descriptor table, loaded into r13.
@@ -72,27 +74,53 @@ pub(super) struct JitCtx {
     deopt_a: i64,
     /// Second operand of the most recent deopt.
     deopt_b: i64,
-    /// Worker threads for `Parallel` loops (1 inside a worker).
-    threads: u64,
     /// Back-pointer to the host state for this run.
     host: *const RunHost,
+    /// The run's crew for `Parallel` loops: `None` on one thread and
+    /// inside a chunk, where nested loops run serially.
+    crew: Option<Crew<'scope, Result<()>>>,
 }
 
-/// Host-side state shared by the main thread and parallel workers for one
-/// `run` call. Reached from native code only through [`jit_par_dispatch`].
+impl<'scope> JitCtx<'scope> {
+    fn new(
+        frame: &mut [i64],
+        ipin: &mut [i64],
+        fpin: &mut [f32],
+        descs: &[BufDesc],
+        host: &RunHost,
+        crew: Option<Crew<'scope, Result<()>>>,
+    ) -> Self {
+        JitCtx {
+            frame: frame.as_mut_ptr(),
+            bufs: descs.as_ptr(),
+            ipin: ipin.as_mut_ptr(),
+            fpin: fpin.as_mut_ptr(),
+            deopt_a: 0,
+            deopt_b: 0,
+            host,
+            crew,
+        }
+    }
+}
+
+/// Host-side state shared by the caller and the crew's workers for one
+/// `run` call, created before the run's scope opens. Reached from native
+/// code only through [`jit_par_dispatch`].
 struct RunHost {
     prog: *const JitProgram,
     bufs: *const SharedBuf,
     n_bufs: usize,
-    /// First worker error (spawn order), surfaced as status 1.
+    /// The error of a failed dispatch (the first failing chunk in chunk
+    /// order), surfaced as status 1.
     err: Mutex<Option<Error>>,
-    /// Worker panic payload, surfaced as status 2 and re-thrown.
+    /// The panic payload of a failed dispatch, surfaced as status 2 and
+    /// re-thrown.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 // SAFETY: the raw pointers reference the `JitProgram` and buffer slice that
-// outlive the `run` call; `SharedBuf` is `Sync` and the mutexes guard the
-// only mutated fields.
+// outlive the `run` call and its scope; `SharedBuf` is `Sync` and the
+// mutexes guard the only mutated fields.
 unsafe impl Sync for RunHost {}
 
 // -- executable memory ------------------------------------------------------
@@ -240,64 +268,64 @@ pub(super) extern "C" fn jit_expf(a: f32) -> f32 {
 
 /// Trampoline the generated code calls for every `Parallel` loop.
 ///
-/// Mirrors the interpreter's `bc_exec_parallel` exactly: serial on one
-/// thread or ≤ 1 iterations (sharing the caller's context, so frame writes
-/// land in the parent like the interpreter's serial fallback), otherwise
-/// the same static split (`crate::par::chunks`), each worker with private
-/// frame/pin copies and `threads = 1` (nested parallel loops run
-/// serially). Worker deopts are replayed on the worker thread; the first
-/// error in spawn order wins and panics propagate with the interpreter's
-/// own `expect("worker panicked")` shape. All unwinding is caught here —
-/// never across a native frame — and converted to status 1/2.
-pub(super) extern "C" fn jit_par_dispatch(ctx: *mut JitCtx, loop_id: u64, lo: i64, hi: i64) -> u64 {
+/// Mirrors the interpreter's `bc_exec_parallel` exactly: serial without a
+/// crew (one thread, or inside a chunk) or on ≤ 1 iterations (sharing the
+/// caller's context, so frame writes land in the parent like the
+/// interpreter's serial fallback), otherwise the same static split on the
+/// run's crew (`crate::par::Crew`), each chunk with private frame/pin
+/// snapshots taken here and no crew (nested parallel loops run serially).
+/// Chunk deopts are replayed where the chunk ran; the first failing chunk
+/// in chunk order decides the dispatch, an error as status 1 and a panic,
+/// with its own payload, as status 2 (`crate::par::settle`). All unwinding
+/// is caught here — never across a native frame.
+pub(super) extern "C" fn jit_par_dispatch(
+    ctx: *mut JitCtx<'_>,
+    loop_id: u64,
+    lo: i64,
+    hi: i64,
+) -> u64 {
     // SAFETY: called only from generated code with the ctx built by
-    // `JitProgram::run` (or a worker's private copy below); all pointers
-    // are live for the duration of the call.
+    // `JitProgram::run` (or a chunk's private one below); all pointers are
+    // live for the duration of the call, and the host, program and buffers
+    // they reach were created before the run's scope opened, so the
+    // chunks' borrows of them outlive every worker.
     unsafe {
         let c = &mut *ctx;
         let host = &*c.host;
         let prog = &*host.prog;
         let (off, _var) = prog.par_fns[loop_id as usize];
         let f: ParFn = std::mem::transmute(prog.buf.ptr.add(off));
-        if c.threads <= 1 || hi - lo <= 1 {
+        let Some(crew) = c.crew.as_mut().filter(|_| hi - lo > 1) else {
             // Serial: run on the caller's own context; a deopt code
             // propagates to the caller's epilogue with the operands
             // already in this ctx.
             return f(ctx, lo, hi);
-        }
-        let frame_proto = std::slice::from_raw_parts(c.frame, prog.n_vars);
-        let ipin_proto = std::slice::from_raw_parts(c.ipin, prog.n_iregs);
-        let fpin_proto = std::slice::from_raw_parts(c.fpin, prog.n_fregs);
+        };
+        let frame = std::slice::from_raw_parts(c.frame, prog.n_vars);
+        let ipin = std::slice::from_raw_parts(c.ipin, prog.n_iregs);
+        let fpin = std::slice::from_raw_parts(c.fpin, prog.n_fregs);
         let bufs = std::slice::from_raw_parts(host.bufs, host.n_bufs);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let results = crate::par::chunks(c.threads as usize, lo, hi, |start, end| {
-                let mut frame = frame_proto.to_vec();
-                let mut ipin = ipin_proto.to_vec();
-                let mut fpin = fpin_proto.to_vec();
-                let descs: Vec<BufDesc> = bufs
-                    .iter()
-                    .map(|b| BufDesc { ptr: b.data_ptr(), len: b.len() as u64 })
-                    .collect();
-                let mut sub = JitCtx {
-                    frame: frame.as_mut_ptr(),
-                    bufs: descs.as_ptr(),
-                    ipin: ipin.as_mut_ptr(),
-                    fpin: fpin.as_mut_ptr(),
-                    deopt_a: 0,
-                    deopt_b: 0,
-                    threads: 1,
-                    host: host as *const RunHost,
-                };
-                match f(&mut sub, start, end) {
-                    0 => Ok(()),
-                    code => prog.replay((code - 3) as usize, sub.deopt_a, sub.deopt_b, bufs),
-                }
+            let outcomes = crew.dispatch(lo, hi, |start, end| -> Job<'_, Result<()>> {
+                let (mut frame, mut ipin, mut fpin) =
+                    (frame.to_vec(), ipin.to_vec(), fpin.to_vec());
+                Box::new(move || {
+                    let descs: Vec<BufDesc> = bufs
+                        .iter()
+                        .map(|b| BufDesc { ptr: b.data_ptr(), len: b.len() as u64 })
+                        .collect();
+                    let mut sub = JitCtx::new(&mut frame, &mut ipin, &mut fpin, &descs, host, None);
+                    match f(&mut sub, start, end) {
+                        0 => Ok(()),
+                        code => prog.replay((code - 3) as usize, sub.deopt_a, sub.deopt_b, bufs),
+                    }
+                })
             });
-            results.into_iter().find_map(|r: Result<()>| r.err())
+            crate::par::settle(outcomes)
         }));
         match outcome {
-            Ok(None) => 0,
-            Ok(Some(e)) => {
+            Ok(Ok(_)) => 0,
+            Ok(Err(e)) => {
                 *host.err.lock().expect("jit error slot poisoned") = Some(e);
                 1
             }
@@ -309,8 +337,8 @@ pub(super) extern "C" fn jit_par_dispatch(ctx: *mut JitCtx, loop_id: u64, lo: i6
     }
 }
 
-type MainFn = extern "C" fn(*mut JitCtx) -> u64;
-type ParFn = extern "C" fn(*mut JitCtx, i64, i64) -> u64;
+type MainFn = extern "C" fn(*mut JitCtx<'_>) -> u64;
+type ParFn = extern "C" fn(*mut JitCtx<'_>, i64, i64) -> u64;
 
 // -- the compiled program ---------------------------------------------------
 
@@ -394,7 +422,9 @@ impl JitProgram {
     }
 
     /// Runs the program against `bufs`, seeding the variable frame with
-    /// the machine's [`crate::Machine::bind`]ings.
+    /// the machine's [`crate::Machine::bind`]ings. On more than one thread
+    /// a program with `Parallel` loops runs inside one `std::thread::scope`
+    /// whose crew its context carries.
     ///
     /// # Errors
     ///
@@ -429,21 +459,13 @@ impl JitProgram {
             err: Mutex::new(None),
             panic: Mutex::new(None),
         };
-        let mut ctx = JitCtx {
-            frame: frame.as_mut_ptr(),
-            bufs: descs.as_ptr(),
-            ipin: ipin.as_mut_ptr(),
-            fpin: fpin.as_mut_ptr(),
-            deopt_a: 0,
-            deopt_b: 0,
-            threads: threads.max(1) as u64,
-            host: &host,
-        };
-        // SAFETY: the entry offset was produced by the emitter for this
-        // exact code buffer; the ctx pointers outlive the call.
-        let code = unsafe {
-            let f: MainFn = std::mem::transmute(self.buf.ptr.add(self.main_off));
-            f(&mut ctx)
+        let (code, deopt_a, deopt_b) = if threads > 1 && !self.par_fns.is_empty() {
+            std::thread::scope(|s| {
+                let crew = Some(Crew::new(s, threads));
+                self.enter(JitCtx::new(&mut frame, &mut ipin, &mut fpin, &descs, &host, crew))
+            })
+        } else {
+            self.enter(JitCtx::new(&mut frame, &mut ipin, &mut fpin, &descs, &host, None))
         };
         match code {
             0 => Ok(()),
@@ -460,8 +482,20 @@ impl JitProgram {
                     .take()
                     .expect("status 2 without a stored panic"),
             ),
-            n => self.replay((n - 3) as usize, ctx.deopt_a, ctx.deopt_b, bufs),
+            n => self.replay((n - 3) as usize, deopt_a, deopt_b, bufs),
         }
+    }
+
+    /// Calls the main function on `ctx`; returns its status and the deopt
+    /// operands. The context, and the crew it carries, drop here.
+    fn enter(&self, mut ctx: JitCtx<'_>) -> (u64, i64, i64) {
+        // SAFETY: the entry offset was produced by the emitter for this
+        // exact code buffer; the ctx pointers outlive the call.
+        let code = unsafe {
+            let f: MainFn = std::mem::transmute(self.buf.ptr.add(self.main_off));
+            f(&mut ctx)
+        };
+        (code, ctx.deopt_a, ctx.deopt_b)
     }
 
     /// Re-executes the operation deopt stub `id` was guarding through the

@@ -24,8 +24,12 @@
 //! generic over `()`, whose hook compiles away.
 //!
 //! The interpreter has three loop shapes: **serial**; **parallel**
-//! ([`LoopKind::Parallel`]), the iteration range split statically across
-//! scoped threads by `crate::par::chunks` — buffers are shared, and
+//! ([`LoopKind::Parallel`]), the iteration range split statically
+//! (`crate::par::chunks`) and run on the run's crew (`crate::par::Crew`):
+//! a run on more than one thread opens one `std::thread::scope`, spawns
+//! its workers at the first dispatch and reuses them for every later one;
+//! the caller runs chunk 0, and the first failing chunk in chunk order
+//! decides a failed dispatch, as in a serial run. Buffers are shared, and
 //! legality (no cross-iteration dependences) is the *compiler's*
 //! responsibility, exactly as with real parallel codegen (priced runs keep
 //! these loops serial and credit the modeled core count instead); and
@@ -39,6 +43,7 @@
 use crate::bytecode::{BCode, BcProgram, BcStmt, File, Inst, InstClassCounts, Reg};
 use crate::cost::{CacheSim, CostModel};
 use crate::expr::{BinOp, Expr, Ty, UnOp};
+use crate::par::{Crew, Job};
 use crate::program::{BufId, LoopKind, Program};
 use crate::simt::{self, WarpHost};
 use crate::{Error, Result};
@@ -243,14 +248,18 @@ pub struct Machine {
 
 /// Always-on process-wide VM metrics: whether [`Machine::run`] found a
 /// program's compiled form or had to build it (`vm.bc_cache.*`), JIT
-/// compile outcomes (recorded by [`crate::Compiled::jit`]), and per-tier
-/// run latency histograms.
+/// compile outcomes (recorded by [`crate::Compiled::jit`]), `Parallel`
+/// dispatches to a crew and the worker threads crews spawned
+/// (`vm.par.*`, recorded by `crate::par`), and per-tier run latency
+/// histograms.
 pub(crate) struct VmMetrics {
     bc_cache_hits: std::sync::Arc<telemetry::metrics::Counter>,
     bc_cache_misses: std::sync::Arc<telemetry::metrics::Counter>,
     pub(crate) jit_compiles: std::sync::Arc<telemetry::metrics::Counter>,
     pub(crate) jit_fallbacks: std::sync::Arc<telemetry::metrics::Counter>,
     pub(crate) jit_compile_us: std::sync::Arc<telemetry::metrics::Histogram>,
+    pub(crate) par_dispatches: std::sync::Arc<telemetry::metrics::Counter>,
+    pub(crate) par_spawns: std::sync::Arc<telemetry::metrics::Counter>,
     run_jit_us: std::sync::Arc<telemetry::metrics::Histogram>,
     run_bytecode_us: std::sync::Arc<telemetry::metrics::Histogram>,
     run_tree_walk_us: std::sync::Arc<telemetry::metrics::Histogram>,
@@ -264,6 +273,8 @@ pub(crate) fn vm_metrics() -> &'static VmMetrics {
         jit_compiles: telemetry::metrics::counter("vm.jit.compiles"),
         jit_fallbacks: telemetry::metrics::counter("vm.jit.fallbacks"),
         jit_compile_us: telemetry::metrics::histogram("vm.jit.compile_us"),
+        par_dispatches: telemetry::metrics::counter("vm.par.dispatches"),
+        par_spawns: telemetry::metrics::counter("vm.par.spawns"),
         run_jit_us: telemetry::metrics::histogram("vm.run.jit_us"),
         run_bytecode_us: telemetry::metrics::histogram("vm.run.bytecode_us"),
         run_tree_walk_us: telemetry::metrics::histogram("vm.run.tree_walk_us"),
@@ -418,7 +429,7 @@ impl Machine {
     /// Same as [`Machine::run`].
     pub fn run_tree_walk(&mut self, p: &Program) -> Result<()> {
         let t0 = std::time::Instant::now();
-        let r = crate::opt::compile_plain(p).and_then(|bc| bc_run(&bc, &mut self.bc_ctx(&bc, ())));
+        let r = crate::opt::compile_plain(p).and_then(|bc| self.run_unpriced(&bc, None).0);
         vm_metrics().run_tree_walk_us.record_duration(t0.elapsed());
         r
     }
@@ -436,11 +447,10 @@ impl Machine {
     pub fn run_bytecode(&mut self, bc: &BcProgram) -> Result<()> {
         let _sp = telemetry::span("vm", "run_bytecode");
         let t0 = std::time::Instant::now();
-        let mut ctx = self.bc_ctx(bc, ());
-        ctx.prof = telemetry::profile_enabled().then(Box::<BcProf>::default);
-        let r = bc_run(bc, &mut ctx);
+        let prof = telemetry::profile_enabled().then(Box::<BcProf>::default);
+        let (r, prof) = self.run_unpriced(bc, prof);
         vm_metrics().run_bytecode_us.record_duration(t0.elapsed());
-        if let Some(p) = ctx.prof.take() {
+        if let Some(p) = prof {
             p.emit(&bc.var_names);
         }
         r
@@ -456,17 +466,50 @@ impl Machine {
     /// Same as [`Machine::run`].
     pub fn run_with_stats(&mut self, p: &Program) -> Result<RunStats> {
         let bc = crate::opt::compile_plain(p)?;
-        let mut ctx = self.bc_ctx(&bc, Pricing::new(&self.bases));
-        ctx.threads = 1;
+        let mut ctx = self.bc_ctx(&bc, Pricing::new(&self.bases), None);
         bc_run(&bc, &mut ctx)?;
         Ok(ctx.meter.finish())
     }
 
-    /// A fresh interpreter context for `bc` on this machine's buffers.
-    fn bc_ctx<M: Meter>(&self, bc: &BcProgram, meter: M) -> BcCtx<'_, M> {
+    /// Runs `bc` unpriced, profiling into `prof` when given; on more than
+    /// one thread inside one `std::thread::scope`, whose crew every
+    /// `Parallel` loop of the run dispatches to. Returns the outcome and
+    /// the profile.
+    fn run_unpriced(
+        &self,
+        bc: &BcProgram,
+        prof: Option<Box<BcProf>>,
+    ) -> (Result<()>, Option<Box<BcProf>>) {
+        fn go<'a>(
+            bc: &'a BcProgram,
+            mut ctx: BcCtx<'a, ()>,
+            prof: Option<Box<BcProf>>,
+        ) -> (Result<()>, Option<Box<BcProf>>) {
+            ctx.prof = prof;
+            let r = bc_run(bc, &mut ctx);
+            (r, ctx.prof)
+        }
+        if self.threads > 1 {
+            std::thread::scope(|s| {
+                let crew = Some(Crew::new(s, self.threads));
+                go(bc, self.bc_ctx(bc, (), crew), prof)
+            })
+        } else {
+            go(bc, self.bc_ctx(bc, (), None), prof)
+        }
+    }
+
+    /// A fresh interpreter context for `bc` on this machine's buffers,
+    /// dispatching `Parallel` loops to `crew` (serial without one).
+    fn bc_ctx<'a, M: Meter>(
+        &'a self,
+        bc: &BcProgram,
+        meter: M,
+        crew: Option<Crew<'a, ChunkOut>>,
+    ) -> BcCtx<'a, M> {
         BcCtx {
             bufs: &self.bufs,
-            threads: self.threads,
+            crew,
             frame: self.frame(bc.n_vars),
             ir: vec![0i64; bc.n_iregs as usize],
             fr: vec![0f32; bc.n_fregs as usize],
@@ -749,11 +792,13 @@ impl Pricing {
 // ---------------------------------------------------------------------------
 
 /// Execution context for the register bytecode: the variable frame, two
-/// scalar register files, the lane state vectorized loops run on, and the
-/// run's cost hook.
+/// scalar register files, the lane state vectorized loops run on, the
+/// run's crew and the run's cost hook.
 struct BcCtx<'a, M> {
     bufs: &'a [SharedBuf],
-    threads: usize,
+    /// The crew `Parallel` loops dispatch to; `None` on one thread, in
+    /// priced runs and inside a chunk, where they run serially.
+    crew: Option<Crew<'a, ChunkOut>>,
     frame: Vec<i64>,
     ir: Vec<i64>,
     fr: Vec<f32>,
@@ -827,8 +872,12 @@ impl BcProf {
     }
 }
 
+/// What a `Parallel` chunk of the interpreter hands back: its profile,
+/// when the run is profiled.
+type ChunkOut = Result<Option<Box<BcProf>>>;
+
 /// Runs a whole program: its prologue, then its body.
-fn bc_run<M: Meter>(bc: &BcProgram, ctx: &mut BcCtx<'_, M>) -> Result<()> {
+fn bc_run<'a, M: Meter>(bc: &'a BcProgram, ctx: &mut BcCtx<'a, M>) -> Result<()> {
     bc_run_insts(&bc.prologue, ctx).and_then(|()| bc_exec_block(&bc.body, ctx))
 }
 
@@ -893,7 +942,7 @@ fn bc_run_insts<M: Meter>(insts: &[Inst], ctx: &mut BcCtx<'_, M>) -> Result<()> 
     Ok(())
 }
 
-fn bc_exec_block<M: Meter>(body: &[BcStmt], ctx: &mut BcCtx<'_, M>) -> Result<()> {
+fn bc_exec_block<'a, M: Meter>(body: &'a [BcStmt], ctx: &mut BcCtx<'a, M>) -> Result<()> {
     for s in body {
         bc_exec_stmt(s, ctx)?;
     }
@@ -905,7 +954,7 @@ fn bc_eval_bound<M: Meter>(code: &BCode, ctx: &mut BcCtx<'_, M>) -> Result<i64> 
     Ok(ctx.ir[code.reg as usize])
 }
 
-fn bc_exec_stmt<M: Meter>(s: &BcStmt, ctx: &mut BcCtx<'_, M>) -> Result<()> {
+fn bc_exec_stmt<'a, M: Meter>(s: &'a BcStmt, ctx: &mut BcCtx<'a, M>) -> Result<()> {
     match s {
         BcStmt::Let { code, var, reg } => {
             bc_run_insts(code, ctx)?;
@@ -945,7 +994,7 @@ fn bc_exec_stmt<M: Meter>(s: &BcStmt, ctx: &mut BcCtx<'_, M>) -> Result<()> {
                 None => None,
             };
             let r = match kind {
-                LoopKind::Parallel if ctx.threads > 1 && hi - lo > 1 => {
+                LoopKind::Parallel if ctx.crew.is_some() && hi - lo > 1 => {
                     bc_exec_parallel(*var, lo, hi, preamble, body, ctx)
                 }
                 LoopKind::Vectorize(_) if bc_body_vectorizable(body) => {
@@ -980,63 +1029,54 @@ fn bc_exec_stmt<M: Meter>(s: &BcStmt, ctx: &mut BcCtx<'_, M>) -> Result<()> {
     }
 }
 
-/// Runs a `Parallel` loop on worker threads. Priced runs never get here
-/// (they run with one thread), so workers charge nothing.
-fn bc_exec_parallel<M: Meter>(
+/// Runs a `Parallel` loop on the run's crew. Priced runs never get here
+/// (they have no crew), so chunks charge nothing.
+fn bc_exec_parallel<'a, M: Meter>(
     var: u32,
     lo: i64,
     hi: i64,
-    preamble: &[Inst],
-    body: &[BcStmt],
-    ctx: &mut BcCtx<'_, M>,
+    preamble: &'a [Inst],
+    body: &'a [BcStmt],
+    ctx: &mut BcCtx<'a, M>,
 ) -> Result<()> {
-    let bufs = ctx.bufs;
-    // Workers snapshot the scalar state (registers computed in outer
-    // preambles / the prologue stay readable) and run their range with a
-    // private context; buffers are the only shared state.
-    let frame_proto = &ctx.frame;
-    let ir_proto = &ctx.ir;
-    let fr_proto = &ctx.fr;
-    let profiled = ctx.prof.is_some();
-    let results = crate::par::chunks(ctx.threads, lo, hi, |start, end| {
-        let mut sub = BcCtx {
-            bufs,
-            // Nested parallel loops run serially inside a worker.
-            threads: 1,
-            frame: frame_proto.clone(),
-            ir: ir_proto.clone(),
-            fr: fr_proto.clone(),
-            lanes: Lanes::new(ir_proto.len(), fr_proto.len(), frame_proto.len()),
-            // Workers profile into a private state merged into the
-            // parent after the join.
-            prof: profiled.then(Box::<BcProf>::default),
-            meter: (),
-        };
-        let mut r = Ok(());
-        for v in start..end {
-            sub.frame[var as usize] = v;
-            if let Err(e) = bc_run_insts(preamble, &mut sub)
-                .and_then(|()| bc_exec_block(body, &mut sub))
-            {
-                r = Err(e);
-                break;
+    let BcCtx { bufs, crew, frame, ir, fr, prof, .. } = ctx;
+    let bufs = *bufs;
+    let profiled = prof.is_some();
+    let crew = crew.as_mut().expect("parallel dispatch without a crew");
+    // Each chunk runs on a private context whose scalar state (registers
+    // computed in outer preambles / the prologue stay readable) is a
+    // snapshot taken here, on the caller; buffers are the only shared
+    // state.
+    let outcomes = crew.dispatch(lo, hi, |start, end| -> Job<'a, ChunkOut> {
+        let (frame, ir, fr) = (frame.clone(), ir.clone(), fr.clone());
+        Box::new(move || {
+            let mut sub = BcCtx {
+                bufs,
+                // Nested parallel loops run serially inside a chunk.
+                crew: None,
+                lanes: Lanes::new(ir.len(), fr.len(), frame.len()),
+                frame,
+                ir,
+                fr,
+                // Chunks profile into a private state merged into the
+                // caller's once the dispatch succeeds.
+                prof: profiled.then(Box::<BcProf>::default),
+                meter: (),
+            };
+            for v in start..end {
+                sub.frame[var as usize] = v;
+                bc_run_insts(preamble, &mut sub)?;
+                bc_exec_block(body, &mut sub)?;
             }
-        }
-        (r, sub.prof.take())
+            Ok(sub.prof)
+        })
     });
-    let mut first_err = None;
-    for (r, p) in results {
-        if let (Some(dst), Some(src)) = (ctx.prof.as_deref_mut(), p) {
-            dst.merge(&src);
-        }
-        if first_err.is_none() {
-            first_err = r.err();
+    for p in crate::par::settle(outcomes)?.into_iter().flatten() {
+        if let Some(dst) = prof.as_deref_mut() {
+            dst.merge(&p);
         }
     }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
 /// A body is lane-executable when it contains only stores and lets (the
@@ -1049,7 +1089,12 @@ pub(crate) fn bc_body_vectorizable(body: &[BcStmt]) -> bool {
 
 /// Runs a vectorizable `For` over `lo..hi`: full lane groups through
 /// [`simt`], then the scalar remainder.
-fn bc_exec_vector<M: Meter>(s: &BcStmt, lo: i64, hi: i64, ctx: &mut BcCtx<'_, M>) -> Result<()> {
+fn bc_exec_vector<'a, M: Meter>(
+    s: &'a BcStmt,
+    lo: i64,
+    hi: i64,
+    ctx: &mut BcCtx<'a, M>,
+) -> Result<()> {
     let BcStmt::For { var, preamble, body, .. } = s else {
         unreachable!("called on vectorizable loops")
     };
@@ -1124,7 +1169,7 @@ fn bc_exec_chunk<M: Meter>(
 
 /// The lane state CPU chunks run on: lane register files, a lane
 /// variable frame and each vectorized loop's [`ChunkReads`], allocated
-/// once per run (once per parallel worker), never per chunk.
+/// once per run (once per `Parallel` chunk), never per lane group.
 struct Lanes {
     ir: Vec<[i64; LANES]>,
     fr: Vec<[f32; LANES]>,

@@ -518,8 +518,17 @@ fn trap_outcome_and_buffers(
     p: &loopvm::Program,
     mode: loopvm::ExecMode,
 ) -> (String, Vec<Vec<u32>>) {
+    trap_outcome_on(p, mode, 2)
+}
+
+/// [`trap_outcome_and_buffers`] on `threads` threads.
+fn trap_outcome_on(
+    p: &loopvm::Program,
+    mode: loopvm::ExecMode,
+    threads: usize,
+) -> (String, Vec<Vec<u32>>) {
     let mut m = loopvm::Machine::new(p);
-    m.set_threads(2);
+    m.set_threads(threads);
     m.set_exec_mode(mode);
     for b in 0..p.n_buffers() {
         fill(m.buffer_mut(p.nth_buffer(b)), 11 + b as u64);
@@ -541,14 +550,15 @@ fn walker_outcome_and_buffers(p: &loopvm::Program) -> (String, Vec<Vec<u32>>) {
     (outcome, bits(&bufs))
 }
 
-fn trap_outcome(p: &loopvm::Program, mode: loopvm::ExecMode) -> String {
-    trap_outcome_and_buffers(p, mode).0
+fn trap_outcome(p: &loopvm::Program, mode: loopvm::ExecMode, threads: usize) -> String {
+    trap_outcome_on(p, mode, threads).0
 }
 
 /// Traps (out-of-bounds accesses, division by zero) must produce the
 /// identical error or panic on the JIT, bytecode and reference tiers and
-/// the walker — values agreeing is not enough, the failure paths must
-/// agree too.
+/// the walker, on 1, 2 and 3 threads — values agreeing is not enough, the
+/// failure paths must agree too. A failed `Parallel` dispatch reports
+/// what a serial run does: the first failing chunk in chunk order.
 #[test]
 fn traps_agree_across_executors() {
     use loopvm::{Expr, LoopKind, Program, Stmt};
@@ -588,7 +598,7 @@ fn traps_agree_across_executors() {
     cases.push(("vector load oob", p, "err: out of bounds: A[8] (size 8)"));
 
     // Store out of bounds inside a parallel loop: the host must surface
-    // the first failing worker's error (spawn order), on every tier.
+    // the first failing chunk's error (chunk order), on every tier.
     let mut p = Program::new();
     let a = p.buffer("A", 4);
     let i = p.var("i");
@@ -600,6 +610,45 @@ fn traps_agree_across_executors() {
         vec![Stmt::store(a, Expr::var(i), Expr::f32(1.0))],
     ));
     cases.push(("parallel store oob", p, "err: out of bounds: A[4] (size 4)"));
+
+    // Division by zero at i = 4, in chunk 1 on 2 threads ([4, 8)) and on
+    // 3 ([3, 6)): the panic keeps its own message on every thread count.
+    let mut p = Program::new();
+    let a = p.buffer("A", 16);
+    let i = p.var("i");
+    p.push(Stmt::for_(
+        i,
+        Expr::i64(0),
+        Expr::i64(8),
+        LoopKind::Parallel,
+        vec![Stmt::store(
+            a,
+            Expr::i64(4) / (Expr::var(i) - Expr::i64(4)) + Expr::i64(4),
+            Expr::f32(1.0),
+        )],
+    ));
+    cases.push(("parallel div by zero", p, "panic: attempt to divide by zero"));
+
+    // B[i + 8] is out of bounds from i = 0 on, in chunk 0; the division
+    // by (i - 3) * (i - 4) is by zero at the first iteration of chunk 1
+    // on 2 and 3 threads. The earlier chunk's error wins over the later
+    // chunk's panic, as in a serial run.
+    let mut p = Program::new();
+    let a = p.buffer("A", 8);
+    let b = p.buffer("B", 8);
+    let i = p.var("i");
+    let zero_at_3_and_4 = (Expr::var(i) - Expr::i64(3)) * (Expr::var(i) - Expr::i64(4));
+    p.push(Stmt::for_(
+        i,
+        Expr::i64(0),
+        Expr::i64(8),
+        LoopKind::Parallel,
+        vec![
+            Stmt::store(a, Expr::i64(4) / zero_at_3_and_4, Expr::f32(1.0)),
+            Stmt::store(b, Expr::var(i) + Expr::i64(8), Expr::f32(2.0)),
+        ],
+    ));
+    cases.push(("parallel err before panic", p, "err: out of bounds: B[8] (size 8)"));
 
     // Integer division by zero panics (4 / i at i = 0), with the exact
     // libcore message on every tier.
@@ -631,10 +680,11 @@ fn traps_agree_across_executors() {
     ));
 
     let mut failures = Vec::new();
-    for (name, p, expected) in &cases {
-        let jit = trap_outcome(p, loopvm::ExecMode::Jit);
-        let bc = trap_outcome(p, loopvm::ExecMode::Bytecode);
-        let tw = trap_outcome(p, loopvm::ExecMode::TreeWalk);
+    for ((name, p, expected), threads) in cases.iter().flat_map(|c| [1, 2, 3].map(|t| (c, t))) {
+        let name = format!("{name} on {threads} threads");
+        let jit = trap_outcome(p, loopvm::ExecMode::Jit, threads);
+        let bc = trap_outcome(p, loopvm::ExecMode::Bytecode, threads);
+        let tw = trap_outcome(p, loopvm::ExecMode::TreeWalk, threads);
         let walked = walker_outcome_and_buffers(p).0;
         if bc != *expected {
             failures.push(format!("{name}: bytecode produced {bc:?}, expected {expected:?}"));
