@@ -248,7 +248,11 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
         // 64-bit FNV-1a hash of the JIT listing, which pins every emitted
         // instruction, and the `Parallel` dispatches of one run on two
         // threads (entries of a `Parallel` loop with more than one
-        // iteration, the same on every tier). No timing, so the snapshot
+        // iteration, the same on every tier), and how many dispatches of
+        // one two-thread run of the same kernel at the benchmark's size
+        // (`bench::fig_kernels_large`) went to the crew, their estimated
+        // work reaching the grain (`par_splits`; the small sizes split
+        // none). No timing, so the snapshot
         // is host-stable, and a guard or instruction that comes back fails
         // `check`.
         let preps: Vec<(String, kernels::Prepared)> = bench::fig_kernels()
@@ -256,18 +260,24 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             .map(|(name, build)| (name, build().expect("kernel compiles")))
             .collect();
         let dispatches = telemetry::metrics::counter("vm.par.dispatches");
+        let splits = telemetry::metrics::counter("vm.par.splits");
+        // Counted on the bytecode tier, which every target has; the JIT
+        // decides alike.
+        let count = |prep: &kernels::Prepared, counter: &telemetry::metrics::Counter| {
+            let mut m = prep.machine();
+            m.set_threads(2);
+            m.set_exec_mode(loopvm::ExecMode::Bytecode);
+            let before = counter.get();
+            m.run(&prep.program).expect("kernel runs");
+            counter.get() - before
+        };
+        let large = bench::fig_kernels_large();
         let mut rows: Vec<Vec<String>> = Vec::new();
         let mut cells: Vec<String> = Vec::new();
-        for (name, prep) in &preps {
+        for ((name, prep), (_, build_large)) in preps.iter().zip(&large) {
             let p = &prep.program;
-            let par_dispatches = {
-                let mut m = prep.machine();
-                m.set_threads(2);
-                m.set_exec_mode(loopvm::ExecMode::Bytecode);
-                let before = dispatches.get();
-                m.run(p).expect("kernel runs");
-                dispatches.get() - before
-            };
+            let par_dispatches = count(prep, &dispatches);
+            let par_splits = count(&build_large().expect("kernel compiles"), &splits);
             let bc = loopvm::opt::compile_program(p).expect("bytecode compile");
             let insts = bc.stats().insts;
             let jit = loopvm::jit::compile(&bc);
@@ -312,6 +322,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 if listing.is_empty() { "-".to_string() } else { listing.join(" ") },
                 guards.join("/"),
                 par_dispatches.to_string(),
+                par_splits.to_string(),
             ]);
             let jfield = |v: &str| {
                 if v == "-" { "null".to_string() } else { v.to_string() }
@@ -332,7 +343,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 None => "null".to_string(),
             };
             cells.push(format!(
-                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_listing_fnv\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_chunk_calls\": {}, \"jit_loop_insts\": {}, \"jit_loop_stack_refs\": {}, \"jit_steady_chunks\": {}, \"jit_steady_chunk_insts\": {}, \"jit_steady_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}, \"par_dispatches\": {}}}",
+                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_listing_fnv\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_chunk_calls\": {}, \"jit_loop_insts\": {}, \"jit_loop_stack_refs\": {}, \"jit_steady_chunks\": {}, \"jit_steady_chunk_insts\": {}, \"jit_steady_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}, \"par_dispatches\": {}, \"par_splits\": {}}}",
                 jstr(name),
                 insts,
                 jfield(&code),
@@ -349,7 +360,8 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 jfield(&deopts),
                 jreasons,
                 jguards,
-                par_dispatches
+                par_dispatches,
+                par_splits
             ));
         }
         print!(
@@ -370,7 +382,8 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                     "jit deopts",
                     "deopt reasons",
                     "guards interval/oracle/kept",
-                    "par dispatches"
+                    "par dispatches",
+                    "par splits (large)"
                 ],
                 &rows
             )

@@ -87,13 +87,22 @@ pub type KernelBuild = (String, Box<dyn Fn() -> tiramisu::Result<kernels::Prepar
 /// sizes the per-kernel cross-sections of the snapshot (`exec_tiers`,
 /// `oracle`) use.
 pub fn fig_kernels() -> Vec<KernelBuild> {
+    fig_kernels_sized((48, 16), ImgSize::small())
+}
+
+/// The same kernels at the sizes the wall-clock benchmark executes
+/// (sgemm n=192/tile 32, images 768×1024), whose `Parallel` dispatches
+/// are large enough to split.
+pub fn fig_kernels_large() -> Vec<KernelBuild> {
+    fig_kernels_sized((192, 32), ImgSize { h: 768, w: 1024 })
+}
+
+/// [`fig_kernels`] with sgemm at `(n, tile)` and the images at `img`.
+fn fig_kernels_sized((n, tile): (i64, i64), img: ImgSize) -> Vec<KernelBuild> {
     let mut v: Vec<KernelBuild> =
-        vec![("sgemm".into(), Box::new(|| kernels::sgemm::tiramisu_best(48, 16)))];
+        vec![("sgemm".into(), Box::new(move || kernels::sgemm::tiramisu_best(n, tile)))];
     for name in kernels::image::IMAGE_BENCHMARKS {
-        v.push((
-            name.to_string(),
-            Box::new(move || kernels::image::tiramisu_cpu(name, ImgSize::small())),
-        ));
+        v.push((name.to_string(), Box::new(move || kernels::image::tiramisu_cpu(name, img))));
     }
     v
 }

@@ -73,7 +73,9 @@ struct Emitted {
     /// The finished encoder (code bytes, and text if it was listing).
     a: Asm,
     main_off: usize,
-    par_fns: Vec<(usize, u32)>,
+    /// Per `Parallel` loop, in dispatch-id order: its code offset and the
+    /// work estimate of one iteration (`Facts::per_iter`).
+    par_fns: Vec<(usize, u64)>,
     deopts: Vec<Deopt>,
     footprint: super::Footprint,
 }
@@ -114,7 +116,7 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
         e.alloc = allocate(bc, &FnCode::ParBody(w.stmt), &e.facts);
         let off = e.a.here();
         e.emit_fn(Some((i, w)));
-        par_fns.push((off, w.var));
+        par_fns.push((off, e.facts.per_iter(w.preamble, w.body)));
         i += 1;
     }
     // After the code, 16-byte aligned as `paddd`'s memory operand must be.
@@ -1289,5 +1291,36 @@ mod tests {
         let text = listed.a.listing().unwrap();
         assert_eq!(listing(&bc).as_deref(), Some(text.as_str()));
         assert!(text.contains("sqrtps") && text.contains("movups"), "{text}");
+    }
+
+    /// The native code records the interpreter's estimate of every
+    /// `Parallel` loop, in dispatch-id order, so both tiers decide every
+    /// dispatch alike.
+    #[test]
+    fn par_fns_record_the_interpreters_estimates() {
+        let mut p = Program::new();
+        let a = p.buffer("A", 4096);
+        let (i, j) = (p.var("i"), p.var("j"));
+        let at = Expr::var(i) * Expr::i64(64) + Expr::var(j);
+        for (n, inner) in [(4, 13), (64, 64)] {
+            p.push(Stmt::for_(
+                i,
+                Expr::i64(0),
+                Expr::i64(n),
+                LoopKind::Parallel,
+                vec![Stmt::serial(
+                    j,
+                    Expr::i64(0),
+                    Expr::i64(inner),
+                    vec![Stmt::store(a, at.clone(), Expr::load(a, at.clone()) + Expr::f32(1.0))],
+                )],
+            ));
+        }
+        let bc = crate::opt::compile_program(&p).unwrap();
+        let want = facts::par_work(&bc);
+        assert_eq!(want.len(), 2);
+        let got: Vec<u64> = emit(&bc, Asm::new()).unwrap().par_fns.iter().map(|f| f.1).collect();
+        assert_eq!(got, want);
+        assert!(want[0] < want[1] && want[1] < u64::MAX, "{want:?}");
     }
 }

@@ -328,6 +328,75 @@ impl Facts {
         u64::try_from(i128::from(hi) - i128::from(lo)).ok().filter(|&n| n > 0)
     }
 
+    /// An upper bound on the iterations of a loop from `lower` to
+    /// `upper`, from the interval stage: `upper.hi − lower.lo`, and `c`
+    /// when `upper` is `lower + c` (through a chain of constant additions
+    /// on either side), whichever is smaller; `None` when a bound has no
+    /// fact.
+    fn trip_bound(&self, lower: Reg, upper: Reg) -> Option<u64> {
+        let (l, u) = (self.i[lower as usize].ivl, self.i[upper as usize].ivl);
+        if ![l.lo, u.hi].iter().all(|v| (-SANE..=SANE).contains(v)) {
+            return None;
+        }
+        let span = (i128::from(u.hi) - i128::from(l.lo)).max(0);
+        let ((lb, lc), (ub, uc)) = (self.offset(lower), self.offset(upper));
+        let c = (lb == ub).then(|| (i128::from(uc) - i128::from(lc)).max(0));
+        u64::try_from(c.map_or(span, |c| c.min(span))).ok()
+    }
+
+    /// `r` as `base + c`, following `+`/`−` of constants to the register
+    /// they start from.
+    fn offset(&self, r: Reg) -> (Reg, i64) {
+        let konst = |r: Reg| self.i[r as usize].konst;
+        let (base, c) = match self.i[r as usize].def {
+            Inst::BinI { op: BinOp::Add, a, b, .. } => match (konst(a), konst(b)) {
+                (_, Some(c)) => (a, c),
+                (Some(c), _) => (b, c),
+                _ => return (r, 0),
+            },
+            Inst::BinI { op: BinOp::Sub, a, b, .. } => match konst(b).and_then(i64::checked_neg) {
+                Some(c) => (a, c),
+                None => return (r, 0),
+            },
+            _ => return (r, 0),
+        };
+        let (base, d) = self.offset(base);
+        d.checked_add(c).map_or((r, 0), |c| (base, c))
+    }
+
+    /// The work of one iteration of a loop with `preamble` and `body`, in
+    /// bytecode instructions (an `Inst`, a `Store` or a `Let`), at most:
+    /// each instruction counts once, times the [`Facts::trip_bound`] of
+    /// every loop around it inside the body, and an `If` counts its
+    /// costlier arm, or its only live one when the intervals decide its
+    /// condition. A loop with no trip bound makes the work unbounded,
+    /// `u64::MAX`; the sums saturate there.
+    pub(super) fn per_iter(&self, preamble: &[Inst], body: &[BcStmt]) -> u64 {
+        (preamble.len() as u64).saturating_add(self.block_work(body))
+    }
+
+    fn block_work(&self, body: &[BcStmt]) -> u64 {
+        body.iter().fold(0u64, |sum, s| {
+            let own = match s {
+                BcStmt::Let { code, .. } | BcStmt::Store { code, .. } => code.len() as u64 + 1,
+                BcStmt::If { code, cond, then, else_ } => {
+                    let arm = match self.i[*cond as usize].ivl.truth() {
+                        Some(true) => self.block_work(then),
+                        Some(false) => self.block_work(else_),
+                        None => self.block_work(then).max(self.block_work(else_)),
+                    };
+                    (code.len() as u64).saturating_add(arm)
+                }
+                BcStmt::For { lower, upper, preamble, body, .. } => {
+                    let bounds = (lower.insts.len() + upper.insts.len()) as u64;
+                    let trips = self.trip_bound(lower.reg, upper.reg).unwrap_or(u64::MAX);
+                    bounds.saturating_add(trips.saturating_mul(self.per_iter(preamble, body)))
+                }
+            };
+            sum.saturating_add(own)
+        })
+    }
+
     /// Whether a lane-grouped loop runs whole chunks only: its constant
     /// bounds give a multiple of eight iterations, so it has no scalar
     /// remainder.
@@ -358,6 +427,30 @@ pub(super) fn lane_grouped(kind: LoopKind, body: &[BcStmt]) -> bool {
 
 /// Derives the facts of `bc`, which must be strict SSA.
 pub(super) fn derive(bc: &BcProgram) -> Facts {
+    walk(bc, true)
+}
+
+/// The work estimate of every `Parallel` loop of `bc`, in program order
+/// (`crate::par::par_loops`): the bytecode instructions one of its
+/// iterations runs at most ([`Facts::per_iter`]). Intervals only: the
+/// oracle decides guards, not trip bounds, so these are the numbers
+/// [`derive`]'s facts give. A program that is not strict SSA (the plain
+/// lowering) has no facts, and none of its loops has an estimate.
+pub(crate) fn par_work(bc: &BcProgram) -> Vec<u64> {
+    if bc.check_ssa().is_err() {
+        return Vec::new();
+    }
+    let facts = walk(bc, false);
+    let per_iter = |s: &BcStmt| match s {
+        BcStmt::For { preamble, body, .. } => facts.per_iter(preamble, body),
+        _ => unreachable!("par_loops returns loops"),
+    };
+    crate::par::par_loops(&bc.body).into_iter().map(per_iter).collect()
+}
+
+/// The walk behind [`derive`]; without the `oracle`, every access the
+/// intervals leave open keeps its guard.
+fn walk(bc: &BcProgram, oracle: bool) -> Facts {
     let blank = |file, n: u16| (0..n).map(|r| Fact::blank(file, r)).collect();
     let mut w = Walk {
         sizes: &bc.buf_sizes,
@@ -377,6 +470,7 @@ pub(super) fn derive(bc: &BcProgram) -> Facts {
         asked: HashMap::new(),
         chunk: None,
         par: 0,
+        oracle,
     };
     w.insts(&bc.prologue, false);
     w.block(&bc.body, false);
@@ -637,6 +731,8 @@ struct Walk<'a> {
     chunk: Option<ChunkWalk>,
     /// `Parallel` loops around the walk's position.
     par: u32,
+    /// Whether accesses the intervals leave open go to the oracle.
+    oracle: bool,
 }
 
 /// The slots a loop body writes: its lets and its loops' variables.
@@ -998,8 +1094,8 @@ impl Walk<'_> {
             None
         } else {
             let v = match size {
-                Some(n) => self.ask(idx, n),
-                None => Some(Kept::MayBeOob),
+                Some(n) if self.oracle => self.ask(idx, n),
+                _ => Some(Kept::MayBeOob),
             };
             match v {
                 None => self.facts.guards.proven_by_oracle += 1,
@@ -1571,5 +1667,188 @@ mod tests {
             assert_eq!(fbin(BinOp::Mul, FIvl::TOP, FIvl::point(z)), FIvl::TOP);
             assert_eq!(fbin(BinOp::Mul, FIvl::point(z), FIvl::TOP), FIvl::TOP);
         }
+    }
+
+    /// A bytecode program around `body`, with registers and variables
+    /// enough for the estimate tests below.
+    fn program(prologue: Vec<Inst>, body: Vec<BcStmt>) -> BcProgram {
+        BcProgram {
+            prologue,
+            body,
+            n_iregs: 32,
+            n_fregs: 4,
+            n_vars: 4,
+            var_names: vec![],
+            buf_sizes: vec![1024],
+            stats: OptStats::default(),
+        }
+    }
+
+    fn bound(reg: Reg) -> BCode {
+        BCode { insts: vec![], reg }
+    }
+
+    /// `store A[idx] = 1.0`: two instructions, the constant and the store.
+    fn store(idx: Reg, f: Reg) -> BcStmt {
+        BcStmt::Store { code: vec![Inst::ConstF { dst: f, v: 1.0 }], buf: 0, idx, val: f }
+    }
+
+    /// `for v0 in lo..hi parallel { pre; body }`, and its estimate.
+    fn par_estimate(prologue: Vec<Inst>, pre: Vec<Inst>, body: Vec<BcStmt>) -> u64 {
+        let par = BcStmt::For {
+            var: 0,
+            lower: bound(0),
+            upper: bound(1),
+            kind: LoopKind::Parallel,
+            preamble: pre,
+            body,
+        };
+        let bc = program(prologue, vec![par]);
+        let work = par_work(&bc);
+        assert_eq!(work.len(), 1, "one parallel loop");
+        let per_iter = work[0];
+        let facts = derive(&bc);
+        let BcStmt::For { preamble, body, .. } = &bc.body[0] else { unreachable!() };
+        assert_eq!(facts.per_iter(preamble, body), per_iter, "the oracle moves no estimate");
+        per_iter
+    }
+
+    /// Hand-counted: every instruction once, times the trip bound of each
+    /// loop around it.
+    #[test]
+    fn nested_constant_loops_multiply_their_trips() {
+        use BinOp::Add;
+        // i0 = 0, i1 = 4, i2 = 3: `for v0 in 0..4 parallel { for v1 in
+        // 0..3 { for v2 in 0..4 { A[v1 + v2] = 1 } } }`.
+        let prologue = vec![
+            Inst::ConstI { dst: 0, v: 0 },
+            Inst::ConstI { dst: 1, v: 4 },
+            Inst::ConstI { dst: 2, v: 3 },
+        ];
+        let innermost = BcStmt::For {
+            var: 2,
+            lower: bound(0),
+            upper: bound(1),
+            kind: LoopKind::Serial,
+            preamble: vec![
+                Inst::ReadVar { dst: 5, var: 2 },
+                Inst::BinI { dst: 6, op: Add, a: 4, b: 5 },
+            ],
+            body: vec![store(6, 0)],
+        };
+        let middle = BcStmt::For {
+            var: 1,
+            lower: bound(0),
+            upper: bound(2),
+            kind: LoopKind::Serial,
+            preamble: vec![Inst::ReadVar { dst: 4, var: 1 }],
+            body: vec![innermost],
+        };
+        let pre = vec![Inst::ReadVar { dst: 3, var: 0 }];
+        // 1 + 3 × (1 + 4 × (2 + 2)).
+        assert_eq!(par_estimate(prologue, pre, vec![middle]), 52);
+    }
+
+    /// An `If` the intervals cannot decide counts its costlier arm; one
+    /// they decide counts its live arm.
+    #[test]
+    fn an_if_counts_its_costlier_arm() {
+        // v1 is never written: a parameter, with no fact.
+        let prologue = vec![
+            Inst::ConstI { dst: 0, v: 0 },
+            Inst::ConstI { dst: 1, v: 4 },
+            Inst::ReadVar { dst: 2, var: 1 },
+        ];
+        let arms = |cond: Reg| BcStmt::If {
+            code: vec![],
+            cond,
+            then: vec![store(3, 0), store(3, 1), store(3, 2)],
+            else_: vec![store(3, 3)],
+        };
+        let pre = || vec![Inst::ReadVar { dst: 3, var: 0 }];
+        // 1 + max(6, 2).
+        assert_eq!(par_estimate(prologue.clone(), pre(), vec![arms(2)]), 7);
+        // `0` is false: the cheap arm is the only live one, 1 + 2.
+        assert_eq!(par_estimate(prologue, pre(), vec![arms(0)]), 3);
+    }
+
+    /// `upper = lower + c` bounds a loop by `c`, through chains of
+    /// constant additions; the intervals alone give `upper.hi − lower.lo`.
+    #[test]
+    fn an_offset_upper_bound_gives_its_constant() {
+        use BinOp::{Add, Mul, Sub};
+        let prologue = vec![
+            Inst::ConstI { dst: 0, v: 0 },
+            Inst::ConstI { dst: 1, v: 4 },
+            Inst::ConstI { dst: 2, v: 8 },
+            Inst::ConstI { dst: 3, v: 3 },
+            Inst::ConstI { dst: 4, v: 5 },
+        ];
+        // lower = 8·v0 in [0, 24]; upper = lower + 3 + 5, or 8·v0 + 8
+        // computed afresh (an interval [8, 32], no offset of lower).
+        let inner = |upper: Reg| BcStmt::For {
+            var: 1,
+            lower: bound(11),
+            upper: bound(upper),
+            kind: LoopKind::Serial,
+            preamble: vec![Inst::ReadVar { dst: 15, var: 1 }],
+            body: vec![store(15, 0)],
+        };
+        let pre = || {
+            vec![
+                Inst::ReadVar { dst: 10, var: 0 },
+                Inst::BinI { dst: 11, op: Mul, a: 2, b: 10 },
+                Inst::BinI { dst: 12, op: Add, a: 11, b: 3 },
+                Inst::BinI { dst: 13, op: Add, a: 4, b: 12 },
+                Inst::BinI { dst: 14, op: Mul, a: 2, b: 10 },
+                Inst::BinI { dst: 16, op: Add, a: 14, b: 2 },
+                Inst::BinI { dst: 17, op: Sub, a: 13, b: 3 },
+            ]
+        };
+        // 7 + 8 × (1 + 2).
+        assert_eq!(par_estimate(prologue.clone(), pre(), vec![inner(13)]), 31);
+        // 7 + 32 × 3: the interval bound.
+        assert_eq!(par_estimate(prologue.clone(), pre(), vec![inner(16)]), 103);
+        // lower + 3 + 5 − 3: 7 + 5 × 3.
+        assert_eq!(par_estimate(prologue, pre(), vec![inner(17)]), 22);
+    }
+
+    /// A loop bound with no fact makes the estimate unbounded, so the
+    /// dispatch splits as it would with no estimate at all.
+    #[test]
+    fn a_bound_with_no_fact_is_unbounded() {
+        let prologue = vec![
+            Inst::ConstI { dst: 0, v: 0 },
+            Inst::ConstI { dst: 1, v: 4 },
+            Inst::ReadVar { dst: 2, var: 1 },
+        ];
+        let inner = BcStmt::For {
+            var: 2,
+            lower: bound(0),
+            upper: bound(2),
+            kind: LoopKind::Serial,
+            preamble: vec![Inst::ReadVar { dst: 3, var: 2 }],
+            body: vec![store(3, 0)],
+        };
+        assert_eq!(par_estimate(prologue, vec![], vec![inner]), u64::MAX);
+        assert!(crate::par::pays(2, 2, u64::MAX));
+    }
+
+    /// The plain lowering reuses registers, so it has no facts and its
+    /// loops no estimate: they split as before.
+    #[test]
+    fn a_program_that_is_not_ssa_has_no_estimate() {
+        let mut p = Program::new();
+        let a = p.buffer("A", 64);
+        let i = p.var("i");
+        let body = vec![
+            Stmt::store(a, Expr::var(i), Expr::f32(1.0)),
+            Stmt::store(a, Expr::var(i) + Expr::i64(1), Expr::f32(2.0)),
+        ];
+        p.push(Stmt::for_(i, Expr::i64(0), Expr::i64(8), LoopKind::Parallel, body));
+        let plain = crate::opt::compile_plain(&p).unwrap();
+        assert!(plain.check_ssa().is_err());
+        assert!(par_work(&plain).is_empty());
+        assert_eq!(par_work(&crate::opt::compile_program(&p).unwrap()).len(), 1);
     }
 }

@@ -28,7 +28,8 @@
 mod asm;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod compile;
-// Pure analysis, on every target; only the native backend reads it yet.
+// Pure analysis, on every target: the native backend reads all of it,
+// the interpreter the work estimate of `Parallel` loops.
 #[cfg_attr(not(all(target_arch = "x86_64", target_os = "linux")), allow(dead_code))]
 mod facts;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -36,6 +37,7 @@ mod regalloc;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod runtime;
 
+pub(crate) use facts::par_work;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub use compile::{compile, listing};
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]

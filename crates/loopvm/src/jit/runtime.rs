@@ -269,9 +269,11 @@ pub(super) extern "C" fn jit_expf(a: f32) -> f32 {
 /// Trampoline the generated code calls for every `Parallel` loop.
 ///
 /// Mirrors the interpreter's `bc_exec_parallel` exactly: serial without a
-/// crew (one thread, or inside a chunk) or on ≤ 1 iterations (sharing the
-/// caller's context, so frame writes land in the parent like the
-/// interpreter's serial fallback), otherwise the same static split on the
+/// crew (one thread, or inside a chunk) or when the crew does not take the
+/// dispatch (≤ 1 iterations, or work below `crate::par::GRAIN`, from the
+/// loop's estimate recorded at compile time), sharing the caller's
+/// context so frame writes land in the parent like the interpreter's
+/// serial fallback; otherwise the same static split on the
 /// run's crew (`crate::par::Crew`), each chunk with private frame/pin
 /// snapshots taken here and no crew (nested parallel loops run serially).
 /// Chunk deopts are replayed where the chunk ran; the first failing chunk
@@ -293,9 +295,9 @@ pub(super) extern "C" fn jit_par_dispatch(
         let c = &mut *ctx;
         let host = &*c.host;
         let prog = &*host.prog;
-        let (off, _var) = prog.par_fns[loop_id as usize];
+        let (off, per_iter) = prog.par_fns[loop_id as usize];
         let f: ParFn = std::mem::transmute(prog.buf.ptr.add(off));
-        let Some(crew) = c.crew.as_mut().filter(|_| hi - lo > 1) else {
+        let Some(crew) = c.crew.as_mut().filter(|crew| crew.takes(lo, hi, per_iter)) else {
             // Serial: run on the caller's own context; a deopt code
             // propagates to the caller's epilogue with the operands
             // already in this ctx.
@@ -348,9 +350,9 @@ pub struct JitProgram {
     buf: ExecBuf,
     code_len: usize,
     main_off: usize,
-    /// `(code offset, loop variable)` per `Parallel` loop, in dispatch-id
-    /// order.
-    par_fns: Vec<(usize, u32)>,
+    /// `(code offset, work estimate of one iteration)` per `Parallel`
+    /// loop, in dispatch-id order.
+    par_fns: Vec<(usize, u64)>,
     deopts: Vec<Deopt>,
     footprint: super::Footprint,
     /// The buffer lengths the bounds proofs assumed.
@@ -374,7 +376,7 @@ impl JitProgram {
     pub(super) fn new(
         code: Vec<u8>,
         main_off: usize,
-        par_fns: Vec<(usize, u32)>,
+        par_fns: Vec<(usize, u64)>,
         deopts: Vec<Deopt>,
         footprint: super::Footprint,
         bc: &crate::bytecode::BcProgram,

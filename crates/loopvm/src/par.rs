@@ -17,7 +17,20 @@
 //! A dispatch fails as a serial run would ([`settle`]): with the failure
 //! of the first failing chunk in chunk order, whether an `Err` or a panic,
 //! and a panic keeps its own payload.
+//!
+//! A dispatch reaches the crew only when its work pays for it ([`pays`]):
+//! its iterations times the static estimate of one iteration's bytecode
+//! instructions ([`Work`]) reach [`GRAIN`]. Below that the loop runs
+//! inline on the caller, as it does on one thread. Every legal `Parallel`
+//! loop gives the same result serially, and a serial run fails at the
+//! first failing iteration, which is in the first failing chunk: the
+//! decision changes neither a legal loop's output nor the failure a run
+//! reports. Every tier decides alike (DESIGN §10).
 
+use std::collections::HashMap;
+
+use crate::bytecode::{BcProgram, BcStmt};
+use crate::program::{LoopKind, Program};
 use crate::vm::vm_metrics;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -49,6 +62,97 @@ pub(crate) fn chunks<R>(
         .filter(|(start, end)| start < end)
         .map(|(start, end)| f(start, end))
         .collect()
+}
+
+/// The work, in estimated bytecode instructions, from which a dispatch
+/// goes to the crew. Calibrated on a 2-core x86-64 host, where a worker
+/// round trip costs 14–18 µs and a run's first spawn 40 µs (DESIGN §10):
+/// it lies above the largest dispatches that ran no faster on two threads
+/// than on one (sgemm n=96/tile 16 panels, 2.0–2.2 M) and below the
+/// smallest 768×1024 image kernel's (5.3 M), which two threads ran at
+/// least as fast.
+pub(crate) const GRAIN: u64 = 3_000_000;
+
+/// Whether a dispatch of `n` iterations of `per_iter` instructions each
+/// goes to the crew of a run on `threads` threads: never on one thread or
+/// one iteration, else when `n × per_iter` reaches [`GRAIN`].
+pub(crate) fn pays(threads: usize, n: u64, per_iter: u64) -> bool {
+    threads > 1 && n > 1 && n.saturating_mul(per_iter) >= GRAIN
+}
+
+/// The work estimate of every `Parallel` loop of one program: the
+/// bytecode instructions one iteration runs at most, from the loop-bound
+/// intervals of `jit::facts` (`crate::jit::par_work`). The JIT records
+/// the same numbers beside its parallel functions, so every tier decides
+/// alike. A loop with no estimate is unbounded and always splits.
+#[derive(Debug, Default)]
+pub(crate) struct Work(HashMap<usize, u64>);
+
+impl Work {
+    /// The estimates of `bc`'s loops; none for a program that is not
+    /// strict SSA.
+    pub(crate) fn of(bc: &BcProgram) -> Work {
+        Work::keyed(bc, crate::jit::par_work(bc))
+    }
+
+    /// The estimates of `p`'s optimized bytecode, paired with the loops of
+    /// `plain`, its plain lowering. Both lowerings keep `p`'s statements
+    /// one for one, so their `Parallel` loops pair up in program order and
+    /// the reference evaluator decides every dispatch as the other tiers
+    /// do. The optimized form is built for this call when `p` has not
+    /// built it; one that does not compile leaves every loop unbounded.
+    pub(crate) fn lowered(p: &Program, plain: &BcProgram) -> Work {
+        let in_order = match p.built() {
+            Some(c) => {
+                let work = c.par_work();
+                par_loops(&c.bytecode().body).into_iter().map(|s| work.per_iter(s)).collect()
+            }
+            None => crate::opt::compile_program(p)
+                .map(|bc| crate::jit::par_work(&bc))
+                .unwrap_or_default(),
+        };
+        Work::keyed(plain, in_order)
+    }
+
+    /// `in_order`, one estimate per `Parallel` loop of `bc` in program
+    /// order, keyed by the loops.
+    fn keyed(bc: &BcProgram, in_order: Vec<u64>) -> Work {
+        Work(par_loops(&bc.body).into_iter().zip(in_order).map(|(s, w)| (key(s), w)).collect())
+    }
+
+    /// The estimate of the `Parallel` loop `s` of the program.
+    pub(crate) fn per_iter(&self, s: &BcStmt) -> u64 {
+        self.0.get(&key(s)).copied().unwrap_or(u64::MAX)
+    }
+}
+
+fn key(s: &BcStmt) -> usize {
+    s as *const BcStmt as usize
+}
+
+/// The `Parallel` loops of `body`, nested ones included, in program
+/// order.
+pub(crate) fn par_loops(body: &[BcStmt]) -> Vec<&BcStmt> {
+    fn walk<'a>(body: &'a [BcStmt], out: &mut Vec<&'a BcStmt>) {
+        for s in body {
+            match s {
+                BcStmt::For { kind, body, .. } => {
+                    if *kind == LoopKind::Parallel {
+                        out.push(s);
+                    }
+                    walk(body, out);
+                }
+                BcStmt::If { then, else_, .. } => {
+                    walk(then, out);
+                    walk(else_, out);
+                }
+                BcStmt::Let { .. } | BcStmt::Store { .. } => {}
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(body, &mut out);
+    out
 }
 
 /// A job with the chunk index it reports under.
@@ -89,6 +193,18 @@ impl<'scope, R: Send + 'scope> Crew<'scope, R> {
         Crew { threads, spawn: Box::new(spawn), queues: Vec::new(), workers: Vec::new(), done }
     }
 
+    /// Whether a `Parallel` loop over `lo..hi` whose iterations cost
+    /// `per_iter` each goes to this crew ([`pays`]); counts it as a
+    /// dispatch (`vm.par.dispatches`) when it has two or more iterations.
+    pub(crate) fn takes(&self, lo: i64, hi: i64, per_iter: u64) -> bool {
+        let n = u64::try_from(i128::from(hi) - i128::from(lo)).unwrap_or(0);
+        if n < 2 {
+            return false;
+        }
+        vm_metrics().par_dispatches.inc();
+        pays(self.threads, n, per_iter)
+    }
+
     /// Runs `job(start, end)` for every chunk of `lo..hi` ([`chunks`]):
     /// chunk 0 on the caller, chunk `w` on worker `w - 1`, spawned by the
     /// first dispatch that needs it. Returns every chunk's outcome in chunk
@@ -99,7 +215,7 @@ impl<'scope, R: Send + 'scope> Crew<'scope, R> {
         hi: i64,
         job: impl FnMut(i64, i64) -> Job<'scope, R>,
     ) -> Vec<Outcome<R>> {
-        vm_metrics().par_dispatches.inc();
+        vm_metrics().par_splits.inc();
         let mut jobs = chunks(self.threads, lo, hi, job).into_iter();
         let first = jobs.next().expect("callers dispatch two or more iterations");
         let mut outcomes = vec![None];
@@ -150,7 +266,7 @@ pub(crate) fn settle<T>(outcomes: Vec<Outcome<crate::Result<T>>>) -> crate::Resu
 
 #[cfg(test)]
 mod tests {
-    use super::{chunks, settle, Crew, Job, Outcome};
+    use super::{chunks, pays, settle, Crew, Job, Outcome, GRAIN};
 
     #[test]
     fn chunks_are_a_contiguous_balanced_cover() {
@@ -195,6 +311,41 @@ mod tests {
         });
         assert_eq!(workers.len(), 2, "the same two workers serve every dispatch");
         assert!(!workers.contains(&caller));
+    }
+
+    #[test]
+    fn the_rule_never_splits_on_one_thread_or_one_iteration() {
+        for per_iter in [0, 1, GRAIN - 1, GRAIN, u64::MAX] {
+            for n in [0, 1, 2, 1 << 20, u64::MAX] {
+                assert!(!pays(1, n, per_iter), "one thread, n={n} per_iter={per_iter}");
+            }
+            for threads in [2, 3, 64] {
+                for n in [0, 1] {
+                    assert!(!pays(threads, n, per_iter), "{threads} threads, n={n}");
+                }
+            }
+        }
+        std::thread::scope(|s| {
+            let crew = Crew::<()>::new(s, 2);
+            assert!(!crew.takes(5, 6, u64::MAX) && !crew.takes(5, 5, u64::MAX));
+            assert!(!crew.takes(i64::MAX, i64::MIN, u64::MAX), "an empty range");
+            assert!(crew.takes(i64::MIN, i64::MAX, 1), "a range wider than i64");
+        });
+    }
+
+    /// More work never turns a split into an inline run: the rule reads
+    /// `n × per_iter` alone, and splits from [`GRAIN`] on.
+    #[test]
+    fn the_rule_is_monotone_in_work() {
+        let per_iters = [0, 1, GRAIN / 4, GRAIN / 2 - 1, GRAIN / 2, GRAIN - 1, GRAIN, u64::MAX];
+        let ns = [2u64, 3, 7, 1 << 20, u64::MAX];
+        for threads in [2, 3, 8] {
+            for (&n, &per_iter) in ns.iter().flat_map(|n| per_iters.iter().map(move |w| (n, w))) {
+                let work = n.saturating_mul(per_iter);
+                assert_eq!(pays(threads, n, per_iter), work >= GRAIN, "n={n} per_iter={per_iter}");
+            }
+        }
+        assert!(!pays(2, 2, GRAIN / 2 - 1) && pays(2, 2, GRAIN / 2));
     }
 
     #[test]

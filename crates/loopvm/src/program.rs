@@ -115,11 +115,21 @@ pub struct Compiled {
     /// `Some(None)` records that the JIT declined (or does not exist on
     /// this target), so an unsupported program is not retried per run.
     jit: OnceLock<Option<JitProgram>>,
+    /// The work estimates of the bytecode's `Parallel` loops, derived on
+    /// the first interpreted run.
+    work: OnceLock<crate::par::Work>,
 }
 
 impl Compiled {
     fn new(bc: BcProgram) -> Compiled {
-        Compiled { bc, jit: OnceLock::new() }
+        Compiled { bc, jit: OnceLock::new(), work: OnceLock::new() }
+    }
+
+    /// The work estimates the interpreter's `Parallel` dispatches decide
+    /// on: the numbers the native code records beside its parallel
+    /// functions.
+    pub(crate) fn par_work(&self) -> &crate::par::Work {
+        self.work.get_or_init(|| crate::par::Work::of(&self.bc))
     }
 
     /// The optimized bytecode ([`crate::opt::compile_program`]'s output).
@@ -241,6 +251,11 @@ impl Program {
             crate::opt::compile_program(self).map(Compiled::new)
         });
         (outcome.as_ref().map_err(Clone::clone), built)
+    }
+
+    /// The compiled form, if this program (or a clone) has built it.
+    pub(crate) fn built(&self) -> Option<&Compiled> {
+        self.code.get().and_then(|r| r.as_ref().ok())
     }
 
     /// Installs bytecode decoded and validated against this program as

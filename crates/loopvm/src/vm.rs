@@ -43,7 +43,7 @@
 use crate::bytecode::{BCode, BcProgram, BcStmt, File, Inst, InstClassCounts, Reg};
 use crate::cost::{CacheSim, CostModel};
 use crate::expr::{BinOp, Expr, Ty, UnOp};
-use crate::par::{Crew, Job};
+use crate::par::{Crew, Job, Work};
 use crate::program::{BufId, LoopKind, Program};
 use crate::simt::{self, WarpHost};
 use crate::{Error, Result};
@@ -249,9 +249,9 @@ pub struct Machine {
 /// Always-on process-wide VM metrics: whether [`Machine::run`] found a
 /// program's compiled form or had to build it (`vm.bc_cache.*`), JIT
 /// compile outcomes (recorded by [`crate::Compiled::jit`]), `Parallel`
-/// dispatches to a crew and the worker threads crews spawned
-/// (`vm.par.*`, recorded by `crate::par`), and per-tier run latency
-/// histograms.
+/// dispatches a crew was asked to take, those that reached it and the
+/// worker threads crews spawned (`vm.par.*`, recorded by `crate::par`),
+/// and per-tier run latency histograms.
 pub(crate) struct VmMetrics {
     bc_cache_hits: std::sync::Arc<telemetry::metrics::Counter>,
     bc_cache_misses: std::sync::Arc<telemetry::metrics::Counter>,
@@ -259,6 +259,7 @@ pub(crate) struct VmMetrics {
     pub(crate) jit_fallbacks: std::sync::Arc<telemetry::metrics::Counter>,
     pub(crate) jit_compile_us: std::sync::Arc<telemetry::metrics::Histogram>,
     pub(crate) par_dispatches: std::sync::Arc<telemetry::metrics::Counter>,
+    pub(crate) par_splits: std::sync::Arc<telemetry::metrics::Counter>,
     pub(crate) par_spawns: std::sync::Arc<telemetry::metrics::Counter>,
     run_jit_us: std::sync::Arc<telemetry::metrics::Histogram>,
     run_bytecode_us: std::sync::Arc<telemetry::metrics::Histogram>,
@@ -274,6 +275,7 @@ pub(crate) fn vm_metrics() -> &'static VmMetrics {
         jit_fallbacks: telemetry::metrics::counter("vm.jit.fallbacks"),
         jit_compile_us: telemetry::metrics::histogram("vm.jit.compile_us"),
         par_dispatches: telemetry::metrics::counter("vm.par.dispatches"),
+        par_splits: telemetry::metrics::counter("vm.par.splits"),
         par_spawns: telemetry::metrics::counter("vm.par.spawns"),
         run_jit_us: telemetry::metrics::histogram("vm.run.jit_us"),
         run_bytecode_us: telemetry::metrics::histogram("vm.run.bytecode_us"),
@@ -396,7 +398,7 @@ impl Machine {
         };
         match jit {
             Some(j) => self.run_jit(j),
-            None => self.run_bytecode(code.bytecode()),
+            None => self.interpret(code.bytecode(), code.par_work()),
         }
     }
 
@@ -429,7 +431,10 @@ impl Machine {
     /// Same as [`Machine::run`].
     pub fn run_tree_walk(&mut self, p: &Program) -> Result<()> {
         let t0 = std::time::Instant::now();
-        let r = crate::opt::compile_plain(p).and_then(|bc| self.run_unpriced(&bc, None).0);
+        // The plain lowering has no facts of its own: its dispatches decide
+        // on the optimized bytecode's estimates.
+        let r = crate::opt::compile_plain(p)
+            .and_then(|bc| self.run_unpriced(&bc, &Work::lowered(p, &bc), None).0);
         vm_metrics().run_tree_walk_us.record_duration(t0.elapsed());
         r
     }
@@ -441,14 +446,23 @@ impl Machine {
     /// The program must have been compiled from the same [`Program`] this
     /// machine was built for (buffer and variable spaces must match).
     ///
+    /// Its `Parallel` loops' work estimates are derived for this run;
+    /// [`Machine::run`] reuses the ones its program's compiled form keeps.
+    ///
     /// # Errors
     ///
     /// Out-of-bounds accesses at runtime.
     pub fn run_bytecode(&mut self, bc: &BcProgram) -> Result<()> {
+        self.interpret(bc, &Work::of(bc))
+    }
+
+    /// Runs `bc` on the interpreter, `work` being its `Parallel` loops'
+    /// estimates.
+    fn interpret(&mut self, bc: &BcProgram, work: &Work) -> Result<()> {
         let _sp = telemetry::span("vm", "run_bytecode");
         let t0 = std::time::Instant::now();
         let prof = telemetry::profile_enabled().then(Box::<BcProf>::default);
-        let (r, prof) = self.run_unpriced(bc, prof);
+        let (r, prof) = self.run_unpriced(bc, work, prof);
         vm_metrics().run_bytecode_us.record_duration(t0.elapsed());
         if let Some(p) = prof {
             p.emit(&bc.var_names);
@@ -466,18 +480,20 @@ impl Machine {
     /// Same as [`Machine::run`].
     pub fn run_with_stats(&mut self, p: &Program) -> Result<RunStats> {
         let bc = crate::opt::compile_plain(p)?;
-        let mut ctx = self.bc_ctx(&bc, Pricing::new(&self.bases), None);
+        let none = Work::default();
+        let mut ctx = self.bc_ctx(&bc, &none, Pricing::new(&self.bases), None);
         bc_run(&bc, &mut ctx)?;
         Ok(ctx.meter.finish())
     }
 
     /// Runs `bc` unpriced, profiling into `prof` when given; on more than
     /// one thread inside one `std::thread::scope`, whose crew every
-    /// `Parallel` loop of the run dispatches to. Returns the outcome and
-    /// the profile.
+    /// `Parallel` loop of the run whose `work` pays for it dispatches to.
+    /// Returns the outcome and the profile.
     fn run_unpriced(
         &self,
         bc: &BcProgram,
+        work: &Work,
         prof: Option<Box<BcProf>>,
     ) -> (Result<()>, Option<Box<BcProf>>) {
         fn go<'a>(
@@ -492,24 +508,27 @@ impl Machine {
         if self.threads > 1 {
             std::thread::scope(|s| {
                 let crew = Some(Crew::new(s, self.threads));
-                go(bc, self.bc_ctx(bc, (), crew), prof)
+                go(bc, self.bc_ctx(bc, work, (), crew), prof)
             })
         } else {
-            go(bc, self.bc_ctx(bc, (), None), prof)
+            go(bc, self.bc_ctx(bc, work, (), None), prof)
         }
     }
 
     /// A fresh interpreter context for `bc` on this machine's buffers,
-    /// dispatching `Parallel` loops to `crew` (serial without one).
+    /// dispatching the `Parallel` loops whose `work` pays for it to `crew`
+    /// (serial without one).
     fn bc_ctx<'a, M: Meter>(
         &'a self,
         bc: &BcProgram,
+        work: &'a Work,
         meter: M,
         crew: Option<Crew<'a, ChunkOut>>,
     ) -> BcCtx<'a, M> {
         BcCtx {
             bufs: &self.bufs,
             crew,
+            work,
             frame: self.frame(bc.n_vars),
             ir: vec![0i64; bc.n_iregs as usize],
             fr: vec![0f32; bc.n_fregs as usize],
@@ -799,6 +818,8 @@ struct BcCtx<'a, M> {
     /// The crew `Parallel` loops dispatch to; `None` on one thread, in
     /// priced runs and inside a chunk, where they run serially.
     crew: Option<Crew<'a, ChunkOut>>,
+    /// The program's `Parallel` loop estimates the crew decides on.
+    work: &'a Work,
     frame: Vec<i64>,
     ir: Vec<i64>,
     fr: Vec<f32>,
@@ -993,10 +1014,10 @@ fn bc_exec_stmt<'a, M: Meter>(s: &'a BcStmt, ctx: &mut BcCtx<'a, M>) -> Result<(
                 }
                 None => None,
             };
+            let split = *kind == LoopKind::Parallel
+                && ctx.crew.as_ref().is_some_and(|c| c.takes(lo, hi, ctx.work.per_iter(s)));
             let r = match kind {
-                LoopKind::Parallel if ctx.crew.is_some() && hi - lo > 1 => {
-                    bc_exec_parallel(*var, lo, hi, preamble, body, ctx)
-                }
+                _ if split => bc_exec_parallel(*var, lo, hi, preamble, body, ctx),
                 LoopKind::Vectorize(_) if bc_body_vectorizable(body) => {
                     bc_exec_vector(s, lo, hi, ctx)
                 }
@@ -1039,8 +1060,8 @@ fn bc_exec_parallel<'a, M: Meter>(
     body: &'a [BcStmt],
     ctx: &mut BcCtx<'a, M>,
 ) -> Result<()> {
-    let BcCtx { bufs, crew, frame, ir, fr, prof, .. } = ctx;
-    let bufs = *bufs;
+    let BcCtx { bufs, crew, work, frame, ir, fr, prof, .. } = ctx;
+    let (bufs, work) = (*bufs, *work);
     let profiled = prof.is_some();
     let crew = crew.as_mut().expect("parallel dispatch without a crew");
     // Each chunk runs on a private context whose scalar state (registers
@@ -1054,6 +1075,7 @@ fn bc_exec_parallel<'a, M: Meter>(
                 bufs,
                 // Nested parallel loops run serially inside a chunk.
                 crew: None,
+                work,
                 lanes: Lanes::new(ir.len(), fr.len(), frame.len()),
                 frame,
                 ir,

@@ -21,6 +21,8 @@
 //! count (e.g. to shrink the suite under a tight timeout).
 
 mod common;
+#[path = "common/traps.rs"]
+mod traps;
 #[path = "common/walker.rs"]
 mod walker;
 
@@ -611,44 +613,15 @@ fn traps_agree_across_executors() {
     ));
     cases.push(("parallel store oob", p, "err: out of bounds: A[4] (size 4)"));
 
-    // Division by zero at i = 4, in chunk 1 on 2 threads ([4, 8)) and on
-    // 3 ([3, 6)): the panic keeps its own message on every thread count.
-    let mut p = Program::new();
-    let a = p.buffer("A", 16);
-    let i = p.var("i");
-    p.push(Stmt::for_(
-        i,
-        Expr::i64(0),
-        Expr::i64(8),
-        LoopKind::Parallel,
-        vec![Stmt::store(
-            a,
-            Expr::i64(4) / (Expr::var(i) - Expr::i64(4)) + Expr::i64(4),
-            Expr::f32(1.0),
-        )],
-    ));
-    cases.push(("parallel div by zero", p, "panic: attempt to divide by zero"));
-
-    // B[i + 8] is out of bounds from i = 0 on, in chunk 0; the division
-    // by (i - 3) * (i - 4) is by zero at the first iteration of chunk 1
-    // on 2 and 3 threads. The earlier chunk's error wins over the later
-    // chunk's panic, as in a serial run.
-    let mut p = Program::new();
-    let a = p.buffer("A", 8);
-    let b = p.buffer("B", 8);
-    let i = p.var("i");
-    let zero_at_3_and_4 = (Expr::var(i) - Expr::i64(3)) * (Expr::var(i) - Expr::i64(4));
-    p.push(Stmt::for_(
-        i,
-        Expr::i64(0),
-        Expr::i64(8),
-        LoopKind::Parallel,
-        vec![
-            Stmt::store(a, Expr::i64(4) / zero_at_3_and_4, Expr::f32(1.0)),
-            Stmt::store(b, Expr::var(i) + Expr::i64(8), Expr::f32(2.0)),
-        ],
-    ));
-    cases.push(("parallel err before panic", p, "err: out of bounds: B[8] (size 8)"));
+    // Division by zero in a chunk after the first, and an earlier chunk's
+    // error before a later chunk's panic; both dispatches go to the crew
+    // on 2 and 3 threads. The inline twin runs on the caller and must
+    // fail the same way.
+    let div = "panic: attempt to divide by zero";
+    cases.push(("parallel div by zero", traps::parallel_div_by_zero(), div));
+    cases.push(("parallel div by zero inline", traps::parallel_div_by_zero_inline(), div));
+    let err = "err: out of bounds: B[8] (size 8)";
+    cases.push(("parallel err before panic", traps::parallel_err_before_panic(), err));
 
     // Integer division by zero panics (4 / i at i = 0), with the exact
     // libcore message on every tier.
