@@ -57,7 +57,7 @@ pub fn compile(bc: &BcProgram) -> Option<JitProgram> {
         return None;
     }
     let e = emit(bc, Asm::new())?;
-    JitProgram::new(e.a.code, e.main_off, e.par_fns, e.deopts, e.footprint, bc)
+    JitProgram::new(e.a.code, e.main_off, e.par_fns, e.may_split, e.deopts, e.footprint, bc)
 }
 
 /// The per-instruction x86-64 listing of the code [`compile`] generates
@@ -74,8 +74,10 @@ struct Emitted {
     a: Asm,
     main_off: usize,
     /// Per `Parallel` loop, in dispatch-id order: its code offset and the
-    /// work estimate of one iteration (`Facts::per_iter`).
+    /// work estimate of one iteration (`Facts::estimate`).
     par_fns: Vec<(usize, u64)>,
+    /// Whether some dispatch can reach a crew (`par::Estimate::may_split`).
+    may_split: bool,
     deopts: Vec<Deopt>,
     footprint: super::Footprint,
 }
@@ -110,13 +112,16 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
     let main_off = e.a.here();
     e.emit_fn(None);
     let mut par_fns = Vec::new();
+    let mut may_split = false;
     let mut i = 0;
     while i < e.pending.len() {
         let w = e.pending[i];
         e.alloc = allocate(bc, &FnCode::ParBody(w.stmt), &e.facts);
         let off = e.a.here();
         e.emit_fn(Some((i, w)));
-        par_fns.push((off, e.facts.per_iter(w.preamble, w.body)));
+        let est = e.facts.estimate(w.stmt);
+        par_fns.push((off, est.per_iter));
+        may_split |= est.may_split();
         i += 1;
     }
     // After the code, 16-byte aligned as `paddd`'s memory operand must be.
@@ -136,7 +141,7 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
     for d in &e.deopts {
         footprint.deopt_reasons[d.reason().index()] += 1;
     }
-    Some(Emitted { a: e.a, main_off, par_fns, deopts: e.deopts, footprint })
+    Some(Emitted { a: e.a, main_off, par_fns, may_split, deopts: e.deopts, footprint })
 }
 
 /// A `Parallel` loop queued for emission as its own function.
@@ -1295,18 +1300,19 @@ mod tests {
 
     /// The native code records the interpreter's estimate of every
     /// `Parallel` loop, in dispatch-id order, so both tiers decide every
-    /// dispatch alike.
+    /// dispatch alike, and opens a crew only for a program some dispatch
+    /// of which can reach it.
     #[test]
     fn par_fns_record_the_interpreters_estimates() {
         let mut p = Program::new();
         let a = p.buffer("A", 4096);
-        let (i, j) = (p.var("i"), p.var("j"));
+        let (i, j, n) = (p.var("i"), p.var("j"), p.var("n"));
         let at = Expr::var(i) * Expr::i64(64) + Expr::var(j);
-        for (n, inner) in [(4, 13), (64, 64)] {
-            p.push(Stmt::for_(
+        let par = |upper: Expr, inner: i64| {
+            Stmt::for_(
                 i,
                 Expr::i64(0),
-                Expr::i64(n),
+                upper,
                 LoopKind::Parallel,
                 vec![Stmt::serial(
                     j,
@@ -1314,13 +1320,24 @@ mod tests {
                     Expr::i64(inner),
                     vec![Stmt::store(a, at.clone(), Expr::load(a, at.clone()) + Expr::f32(1.0))],
                 )],
-            ));
-        }
-        let bc = crate::opt::compile_program(&p).unwrap();
-        let want = facts::par_work(&bc);
-        assert_eq!(want.len(), 2);
-        let got: Vec<u64> = emit(&bc, Asm::new()).unwrap().par_fns.iter().map(|f| f.1).collect();
-        assert_eq!(got, want);
-        assert!(want[0] < want[1] && want[1] < u64::MAX, "{want:?}");
+            )
+        };
+        p.push(par(Expr::i64(4), 13));
+        p.push(par(Expr::i64(64), 64));
+        let check = |p: &Program, may_split: bool| {
+            let bc = crate::opt::compile_program(p).unwrap();
+            let want = facts::par_work(&bc);
+            let emitted = emit(&bc, Asm::new()).unwrap();
+            let got: Vec<u64> = emitted.par_fns.iter().map(|f| f.1).collect();
+            assert_eq!(got, want.iter().map(|e| e.per_iter).collect::<Vec<_>>());
+            assert_eq!(emitted.may_split, may_split, "{want:?}");
+            want
+        };
+        let want = check(&p, false);
+        assert_eq!((want[0].trips, want[1].trips), (4, 64));
+        assert!(want[0].per_iter < want[1].per_iter && want[1].per_iter < u64::MAX, "{want:?}");
+        // A bound with no fact (`n` is a parameter): unbounded, may split.
+        p.push(par(Expr::var(n), 64));
+        assert_eq!(check(&p, true)[2].trips, u64::MAX);
     }
 }

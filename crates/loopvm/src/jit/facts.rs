@@ -83,6 +83,7 @@ use polyhedral::solve::{rows_decide, Feasibility, Row};
 
 use super::Footprint;
 use crate::bytecode::{BcProgram, BcStmt, File, Inst, Reg};
+use crate::par::Estimate;
 use crate::expr::{BinOp, UnOp};
 use crate::program::LoopKind;
 use crate::vm::{bc_body_vectorizable, LANES};
@@ -371,7 +372,7 @@ impl Facts {
     /// costlier arm, or its only live one when the intervals decide its
     /// condition. A loop with no trip bound makes the work unbounded,
     /// `u64::MAX`; the sums saturate there.
-    pub(super) fn per_iter(&self, preamble: &[Inst], body: &[BcStmt]) -> u64 {
+    fn per_iter(&self, preamble: &[Inst], body: &[BcStmt]) -> u64 {
         (preamble.len() as u64).saturating_add(self.block_work(body))
     }
 
@@ -395,6 +396,19 @@ impl Facts {
             };
             sum.saturating_add(own)
         })
+    }
+
+    /// The work estimate of the loop `s`: the [`Facts::per_iter`] of its
+    /// preamble and body, and its [`Facts::trip_bound`], `u64::MAX`
+    /// without one.
+    pub(super) fn estimate(&self, s: &BcStmt) -> Estimate {
+        let BcStmt::For { lower, upper, preamble, body, .. } = s else {
+            unreachable!("only loops have an estimate")
+        };
+        Estimate {
+            per_iter: self.per_iter(preamble, body),
+            trips: self.trip_bound(lower.reg, upper.reg).unwrap_or(u64::MAX),
+        }
     }
 
     /// Whether a lane-grouped loop runs whole chunks only: its constant
@@ -431,21 +445,16 @@ pub(super) fn derive(bc: &BcProgram) -> Facts {
 }
 
 /// The work estimate of every `Parallel` loop of `bc`, in program order
-/// (`crate::par::par_loops`): the bytecode instructions one of its
-/// iterations runs at most ([`Facts::per_iter`]). Intervals only: the
+/// (`crate::par::par_loops`; [`Facts::estimate`]). Intervals only: the
 /// oracle decides guards, not trip bounds, so these are the numbers
 /// [`derive`]'s facts give. A program that is not strict SSA (the plain
 /// lowering) has no facts, and none of its loops has an estimate.
-pub(crate) fn par_work(bc: &BcProgram) -> Vec<u64> {
+pub(crate) fn par_work(bc: &BcProgram) -> Vec<Estimate> {
     if bc.check_ssa().is_err() {
         return Vec::new();
     }
     let facts = walk(bc, false);
-    let per_iter = |s: &BcStmt| match s {
-        BcStmt::For { preamble, body, .. } => facts.per_iter(preamble, body),
-        _ => unreachable!("par_loops returns loops"),
-    };
-    crate::par::par_loops(&bc.body).into_iter().map(per_iter).collect()
+    crate::par::par_loops(&bc.body).into_iter().map(|s| facts.estimate(s)).collect()
 }
 
 /// The walk behind [`derive`]; without the `oracle`, every access the
@@ -1706,11 +1715,9 @@ mod tests {
         let bc = program(prologue, vec![par]);
         let work = par_work(&bc);
         assert_eq!(work.len(), 1, "one parallel loop");
-        let per_iter = work[0];
-        let facts = derive(&bc);
-        let BcStmt::For { preamble, body, .. } = &bc.body[0] else { unreachable!() };
-        assert_eq!(facts.per_iter(preamble, body), per_iter, "the oracle moves no estimate");
-        per_iter
+        assert_eq!(derive(&bc).estimate(&bc.body[0]), work[0], "the oracle moves no estimate");
+        assert_eq!(work[0].trips, 4, "registers 0 and 1 hold the bounds 0 and 4");
+        work[0].per_iter
     }
 
     /// Hand-counted: every instruction once, times the trip bound of each
@@ -1830,8 +1837,21 @@ mod tests {
             preamble: vec![Inst::ReadVar { dst: 3, var: 2 }],
             body: vec![store(3, 0)],
         };
-        assert_eq!(par_estimate(prologue, vec![], vec![inner]), u64::MAX);
+        assert_eq!(par_estimate(prologue.clone(), vec![], vec![inner]), u64::MAX);
         assert!(crate::par::pays(2, 2, u64::MAX));
+        // The parallel loop's own bound with no fact: it has no trip bound,
+        // so the program may split whatever one iteration costs.
+        let par = BcStmt::For {
+            var: 0,
+            lower: bound(0),
+            upper: bound(2),
+            kind: LoopKind::Parallel,
+            preamble: vec![],
+            body: vec![store(0, 0)],
+        };
+        let work = par_work(&program(prologue, vec![par]));
+        assert_eq!(work, [Estimate { per_iter: 2, trips: u64::MAX }]);
+        assert!(work[0].may_split());
     }
 
     /// The plain lowering reuses registers, so it has no facts and its

@@ -76,8 +76,12 @@ pub(super) struct JitCtx<'scope> {
     deopt_b: i64,
     /// Back-pointer to the host state for this run.
     host: *const RunHost,
-    /// The run's crew for `Parallel` loops: `None` on one thread and
-    /// inside a chunk, where nested loops run serially.
+    /// The threads a `Parallel` dispatch here may split over: the run's
+    /// at its top level, 1 inside a chunk, where nested loops run
+    /// serially.
+    threads: usize,
+    /// The run's crew for `Parallel` loops: `None` where `threads` is 1,
+    /// and in a run no dispatch of which can pay for a crew.
     crew: Option<Crew<'scope, Result<()>>>,
 }
 
@@ -88,6 +92,7 @@ impl<'scope> JitCtx<'scope> {
         fpin: &mut [f32],
         descs: &[BufDesc],
         host: &RunHost,
+        threads: usize,
         crew: Option<Crew<'scope, Result<()>>>,
     ) -> Self {
         JitCtx {
@@ -98,6 +103,7 @@ impl<'scope> JitCtx<'scope> {
             deopt_a: 0,
             deopt_b: 0,
             host,
+            threads,
             crew,
         }
     }
@@ -268,12 +274,12 @@ pub(super) extern "C" fn jit_expf(a: f32) -> f32 {
 
 /// Trampoline the generated code calls for every `Parallel` loop.
 ///
-/// Mirrors the interpreter's `bc_exec_parallel` exactly: serial without a
-/// crew (one thread, or inside a chunk) or when the crew does not take the
-/// dispatch (≤ 1 iterations, or work below `crate::par::GRAIN`, from the
-/// loop's estimate recorded at compile time), sharing the caller's
-/// context so frame writes land in the parent like the interpreter's
-/// serial fallback; otherwise the same static split on the
+/// Mirrors the interpreter's `bc_exec_parallel` exactly: serial when the
+/// dispatch does not pay for a crew (`crate::par::takes`: one thread,
+/// inside a chunk, ≤ 1 iterations, or work below `crate::par::GRAIN`,
+/// from the loop's estimate recorded at compile time), sharing the
+/// caller's context so frame writes land in the parent like the
+/// interpreter's serial fallback; otherwise the same static split on the
 /// run's crew (`crate::par::Crew`), each chunk with private frame/pin
 /// snapshots taken here and no crew (nested parallel loops run serially).
 /// Chunk deopts are replayed where the chunk ran; the first failing chunk
@@ -297,7 +303,8 @@ pub(super) extern "C" fn jit_par_dispatch(
         let prog = &*host.prog;
         let (off, per_iter) = prog.par_fns[loop_id as usize];
         let f: ParFn = std::mem::transmute(prog.buf.ptr.add(off));
-        let Some(crew) = c.crew.as_mut().filter(|crew| crew.takes(lo, hi, per_iter)) else {
+        let split = crate::par::takes(c.threads, lo, hi, per_iter);
+        let Some(crew) = c.crew.as_mut().filter(|_| split) else {
             // Serial: run on the caller's own context; a deopt code
             // propagates to the caller's epilogue with the operands
             // already in this ctx.
@@ -316,7 +323,8 @@ pub(super) extern "C" fn jit_par_dispatch(
                         .iter()
                         .map(|b| BufDesc { ptr: b.data_ptr(), len: b.len() as u64 })
                         .collect();
-                    let mut sub = JitCtx::new(&mut frame, &mut ipin, &mut fpin, &descs, host, None);
+                    let mut sub =
+                        JitCtx::new(&mut frame, &mut ipin, &mut fpin, &descs, host, 1, None);
                     match f(&mut sub, start, end) {
                         0 => Ok(()),
                         code => prog.replay((code - 3) as usize, sub.deopt_a, sub.deopt_b, bufs),
@@ -353,6 +361,9 @@ pub struct JitProgram {
     /// `(code offset, work estimate of one iteration)` per `Parallel`
     /// loop, in dispatch-id order.
     par_fns: Vec<(usize, u64)>,
+    /// Whether some dispatch can reach a crew; a run on more than one
+    /// thread opens one only then.
+    may_split: bool,
     deopts: Vec<Deopt>,
     footprint: super::Footprint,
     /// The buffer lengths the bounds proofs assumed.
@@ -377,6 +388,7 @@ impl JitProgram {
         code: Vec<u8>,
         main_off: usize,
         par_fns: Vec<(usize, u64)>,
+        may_split: bool,
         deopts: Vec<Deopt>,
         footprint: super::Footprint,
         bc: &crate::bytecode::BcProgram,
@@ -387,6 +399,7 @@ impl JitProgram {
             code_len,
             main_off,
             par_fns,
+            may_split,
             deopts,
             footprint,
             buf_sizes: bc.buf_sizes.clone(),
@@ -425,8 +438,8 @@ impl JitProgram {
 
     /// Runs the program against `bufs`, seeding the variable frame with
     /// the machine's [`crate::Machine::bind`]ings. On more than one thread
-    /// a program with `Parallel` loops runs inside one `std::thread::scope`
-    /// whose crew its context carries.
+    /// a program some dispatch of which can pay for a crew runs inside one
+    /// `std::thread::scope` whose crew its context carries.
     ///
     /// # Errors
     ///
@@ -461,13 +474,14 @@ impl JitProgram {
             err: Mutex::new(None),
             panic: Mutex::new(None),
         };
-        let (code, deopt_a, deopt_b) = if threads > 1 && !self.par_fns.is_empty() {
+        let (frame, ipin, fpin) = (&mut frame, &mut ipin, &mut fpin);
+        let (code, deopt_a, deopt_b) = if threads > 1 && self.may_split {
             std::thread::scope(|s| {
                 let crew = Some(Crew::new(s, threads));
-                self.enter(JitCtx::new(&mut frame, &mut ipin, &mut fpin, &descs, &host, crew))
+                self.enter(JitCtx::new(frame, ipin, fpin, &descs, &host, threads, crew))
             })
         } else {
-            self.enter(JitCtx::new(&mut frame, &mut ipin, &mut fpin, &descs, &host, None))
+            self.enter(JitCtx::new(frame, ipin, fpin, &descs, &host, threads, None))
         };
         match code {
             0 => Ok(()),

@@ -5,7 +5,8 @@
 //! across thread counts and across tiers because every tier cuts `lo..hi`
 //! into the same contiguous chunks, whatever runs inside them.
 //!
-//! A run with more than one thread opens one `std::thread::scope` and a
+//! A run with more than one thread, some dispatch of which can pay for a
+//! crew ([`Work::may_split`]), opens one `std::thread::scope` and a
 //! [`Crew`] on it. The crew spawns its workers at the first dispatch that
 //! needs them and keeps them for the rest of the run: every dispatch hands
 //! chunks `1..` to the workers over `std::sync::mpsc`, the caller runs
@@ -18,7 +19,7 @@
 //! of the first failing chunk in chunk order, whether an `Err` or a panic,
 //! and a panic keeps its own payload.
 //!
-//! A dispatch reaches the crew only when its work pays for it ([`pays`]):
+//! A dispatch reaches the crew only when its work pays for it ([`takes`]):
 //! its iterations times the static estimate of one iteration's bytecode
 //! instructions ([`Work`]) reach [`GRAIN`]. Below that the loop runs
 //! inline on the caller, as it does on one thread. Every legal `Parallel`
@@ -26,8 +27,6 @@
 //! first failing iteration, which is in the first failing chunk: the
 //! decision changes neither a legal loop's output nor the failure a run
 //! reports. Every tier decides alike (DESIGN §10).
-
-use std::collections::HashMap;
 
 use crate::bytecode::{BcProgram, BcStmt};
 use crate::program::{LoopKind, Program};
@@ -80,15 +79,58 @@ pub(crate) fn pays(threads: usize, n: u64, per_iter: u64) -> bool {
     threads > 1 && n > 1 && n.saturating_mul(per_iter) >= GRAIN
 }
 
-/// The work estimate of every `Parallel` loop of one program: the
-/// bytecode instructions one iteration runs at most, from the loop-bound
-/// intervals of `jit::facts` (`crate::jit::par_work`). The JIT records
+/// Whether a `Parallel` loop over `lo..hi` whose iterations cost
+/// `per_iter` each goes to the crew of a run on `threads` threads
+/// ([`pays`]); counts it as a dispatch (`vm.par.dispatches`) when it has
+/// two or more iterations on more than one thread, whether or not the
+/// run opened a crew.
+pub(crate) fn takes(threads: usize, lo: i64, hi: i64, per_iter: u64) -> bool {
+    let n = u64::try_from(i128::from(hi) - i128::from(lo)).unwrap_or(0);
+    if threads < 2 || n < 2 {
+        return false;
+    }
+    vm_metrics().par_dispatches.inc();
+    pays(threads, n, per_iter)
+}
+
+/// The static work estimate of one `Parallel` loop, from the loop-bound
+/// intervals of `jit::facts` (`crate::jit::par_work`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Estimate {
+    /// The bytecode instructions one iteration runs at most.
+    pub(crate) per_iter: u64,
+    /// The iterations one dispatch has at most.
+    pub(crate) trips: u64,
+}
+
+impl Estimate {
+    /// Whether some dispatch of the loop can reach a crew: [`pays`] grows
+    /// with `n`, and no dispatch has more than `trips` iterations.
+    pub(crate) fn may_split(self) -> bool {
+        pays(2, self.trips, self.per_iter)
+    }
+}
+
+/// The work estimates of one program's `Parallel` loops. The JIT records
 /// the same numbers beside its parallel functions, so every tier decides
 /// alike. A loop with no estimate is unbounded and always splits.
-#[derive(Debug, Default)]
-pub(crate) struct Work(HashMap<usize, u64>);
+#[derive(Debug)]
+pub(crate) struct Work {
+    /// Per `Parallel` loop, in program order: the loop, by address, and
+    /// its estimate.
+    loops: Vec<(usize, Estimate)>,
+    /// Whether some dispatch of the program can reach a crew; a run
+    /// without one opens none.
+    may_split: bool,
+}
 
 impl Work {
+    /// No estimates: every loop is unbounded. For runs on one thread,
+    /// which have no crew to decide for.
+    pub(crate) fn none() -> Work {
+        Work { loops: Vec::new(), may_split: true }
+    }
+
     /// The estimates of `bc`'s loops; none for a program that is not
     /// strict SSA.
     pub(crate) fn of(bc: &BcProgram) -> Work {
@@ -103,10 +145,7 @@ impl Work {
     /// built it; one that does not compile leaves every loop unbounded.
     pub(crate) fn lowered(p: &Program, plain: &BcProgram) -> Work {
         let in_order = match p.built() {
-            Some(c) => {
-                let work = c.par_work();
-                par_loops(&c.bytecode().body).into_iter().map(|s| work.per_iter(s)).collect()
-            }
+            Some(c) => c.par_work().loops.iter().map(|l| l.1).collect(),
             None => crate::opt::compile_program(p)
                 .map(|bc| crate::jit::par_work(&bc))
                 .unwrap_or_default(),
@@ -115,14 +154,23 @@ impl Work {
     }
 
     /// `in_order`, one estimate per `Parallel` loop of `bc` in program
-    /// order, keyed by the loops.
-    fn keyed(bc: &BcProgram, in_order: Vec<u64>) -> Work {
-        Work(par_loops(&bc.body).into_iter().zip(in_order).map(|(s, w)| (key(s), w)).collect())
+    /// order, keyed by the loops; loops past its end have none.
+    fn keyed(bc: &BcProgram, in_order: Vec<Estimate>) -> Work {
+        let loops = par_loops(&bc.body);
+        let may_split = loops.len() > in_order.len() || in_order.iter().any(|e| e.may_split());
+        Work { loops: loops.into_iter().map(key).zip(in_order).collect(), may_split }
     }
 
-    /// The estimate of the `Parallel` loop `s` of the program.
+    /// The estimate of one iteration of the `Parallel` loop `s` of the
+    /// program.
     pub(crate) fn per_iter(&self, s: &BcStmt) -> u64 {
-        self.0.get(&key(s)).copied().unwrap_or(u64::MAX)
+        let k = key(s);
+        self.loops.iter().find(|l| l.0 == k).map_or(u64::MAX, |l| l.1.per_iter)
+    }
+
+    /// Whether some dispatch of the program can reach a crew.
+    pub(crate) fn may_split(&self) -> bool {
+        self.may_split
     }
 }
 
@@ -193,18 +241,6 @@ impl<'scope, R: Send + 'scope> Crew<'scope, R> {
         Crew { threads, spawn: Box::new(spawn), queues: Vec::new(), workers: Vec::new(), done }
     }
 
-    /// Whether a `Parallel` loop over `lo..hi` whose iterations cost
-    /// `per_iter` each goes to this crew ([`pays`]); counts it as a
-    /// dispatch (`vm.par.dispatches`) when it has two or more iterations.
-    pub(crate) fn takes(&self, lo: i64, hi: i64, per_iter: u64) -> bool {
-        let n = u64::try_from(i128::from(hi) - i128::from(lo)).unwrap_or(0);
-        if n < 2 {
-            return false;
-        }
-        vm_metrics().par_dispatches.inc();
-        pays(self.threads, n, per_iter)
-    }
-
     /// Runs `job(start, end)` for every chunk of `lo..hi` ([`chunks`]):
     /// chunk 0 on the caller, chunk `w` on worker `w - 1`, spawned by the
     /// first dispatch that needs it. Returns every chunk's outcome in chunk
@@ -266,7 +302,7 @@ pub(crate) fn settle<T>(outcomes: Vec<Outcome<crate::Result<T>>>) -> crate::Resu
 
 #[cfg(test)]
 mod tests {
-    use super::{chunks, pays, settle, Crew, Job, Outcome, GRAIN};
+    use super::{chunks, pays, settle, takes, Crew, Estimate, Job, LoopKind, Outcome, Work, GRAIN};
 
     #[test]
     fn chunks_are_a_contiguous_balanced_cover() {
@@ -325,12 +361,10 @@ mod tests {
                 }
             }
         }
-        std::thread::scope(|s| {
-            let crew = Crew::<()>::new(s, 2);
-            assert!(!crew.takes(5, 6, u64::MAX) && !crew.takes(5, 5, u64::MAX));
-            assert!(!crew.takes(i64::MAX, i64::MIN, u64::MAX), "an empty range");
-            assert!(crew.takes(i64::MIN, i64::MAX, 1), "a range wider than i64");
-        });
+        assert!(!takes(2, 5, 6, u64::MAX) && !takes(2, 5, 5, u64::MAX));
+        assert!(!takes(2, i64::MAX, i64::MIN, u64::MAX), "an empty range");
+        assert!(takes(2, i64::MIN, i64::MAX, 1), "a range wider than i64");
+        assert!(!takes(1, i64::MIN, i64::MAX, u64::MAX), "one thread");
     }
 
     /// More work never turns a split into an inline run: the rule reads
@@ -346,6 +380,46 @@ mod tests {
             }
         }
         assert!(!pays(2, 2, GRAIN / 2 - 1) && pays(2, 2, GRAIN / 2));
+    }
+
+    /// A loop may reach a crew exactly when its largest dispatch would.
+    #[test]
+    fn a_loop_may_split_when_its_largest_dispatch_pays() {
+        let may = |trips, per_iter| Estimate { per_iter, trips }.may_split();
+        assert!(may(2, GRAIN / 2) && !may(2, GRAIN / 2 - 1));
+        assert!(!may(1, u64::MAX) && !may(0, u64::MAX), "one iteration never splits");
+        assert!(may(u64::MAX, 1) && may(u64::MAX, u64::MAX), "unbounded");
+        assert!(!may(u64::MAX, 0), "no work");
+        for (trips, per_iter) in [(6, 360_776), (768, 6_915), (u64::MAX, 7)] {
+            let n = (2..=trips.min(1 << 12)).chain([trips]);
+            let any = n.into_iter().any(|n| pays(2, n, per_iter));
+            assert_eq!(may(trips, per_iter), any, "trips={trips} per_iter={per_iter}");
+        }
+    }
+
+    /// A run opens a crew only for a program some dispatch of which can
+    /// reach it; a loop with no estimate always can.
+    #[test]
+    fn a_program_may_split_when_some_loop_may() {
+        use crate::expr::Expr;
+        use crate::program::{Program, Stmt};
+        let mut p = Program::new();
+        let a = p.buffer("A", 64);
+        let (i, n) = (p.var("i"), p.var("n"));
+        let store = vec![Stmt::store(a, Expr::var(i), Expr::f32(1.0))];
+        p.push(Stmt::for_(i, Expr::i64(0), Expr::i64(64), LoopKind::Parallel, store.clone()));
+        let may_split =
+            |p: &Program| Work::of(&crate::opt::compile_program(p).unwrap()).may_split();
+        assert!(!may_split(&p), "64 iterations of a store");
+        let plain = crate::opt::compile_plain(&p).unwrap();
+        assert!(!Work::lowered(&p, &plain).may_split(), "the optimized bytecode's estimates");
+        assert!(Work::of(&plain).may_split(), "no facts");
+        assert!(Work::none().may_split());
+        // `n` is a parameter: the second loop has no trip bound.
+        p.push(Stmt::for_(i, Expr::i64(0), Expr::var(n), LoopKind::Parallel, store));
+        assert!(may_split(&p));
+        let plain = crate::opt::compile_plain(&p).unwrap();
+        assert!(Work::lowered(&p, &plain).may_split());
     }
 
     #[test]

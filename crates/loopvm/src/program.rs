@@ -116,7 +116,7 @@ pub struct Compiled {
     /// this target), so an unsupported program is not retried per run.
     jit: OnceLock<Option<JitProgram>>,
     /// The work estimates of the bytecode's `Parallel` loops, derived on
-    /// the first interpreted run.
+    /// the first interpreted run on more than one thread.
     work: OnceLock<crate::par::Work>,
 }
 

@@ -249,9 +249,9 @@ pub struct Machine {
 /// Always-on process-wide VM metrics: whether [`Machine::run`] found a
 /// program's compiled form or had to build it (`vm.bc_cache.*`), JIT
 /// compile outcomes (recorded by [`crate::Compiled::jit`]), `Parallel`
-/// dispatches a crew was asked to take, those that reached it and the
-/// worker threads crews spawned (`vm.par.*`, recorded by `crate::par`),
-/// and per-tier run latency histograms.
+/// dispatches of two or more iterations on more than one thread, those
+/// that reached a crew and the worker threads crews spawned (`vm.par.*`,
+/// recorded by `crate::par`), and per-tier run latency histograms.
 pub(crate) struct VmMetrics {
     bc_cache_hits: std::sync::Arc<telemetry::metrics::Counter>,
     bc_cache_misses: std::sync::Arc<telemetry::metrics::Counter>,
@@ -398,7 +398,8 @@ impl Machine {
         };
         match jit {
             Some(j) => self.run_jit(j),
-            None => self.interpret(code.bytecode(), code.par_work()),
+            None if self.threads > 1 => self.interpret(code.bytecode(), code.par_work()),
+            None => self.interpret(code.bytecode(), &Work::none()),
         }
     }
 
@@ -433,8 +434,10 @@ impl Machine {
         let t0 = std::time::Instant::now();
         // The plain lowering has no facts of its own: its dispatches decide
         // on the optimized bytecode's estimates.
-        let r = crate::opt::compile_plain(p)
-            .and_then(|bc| self.run_unpriced(&bc, &Work::lowered(p, &bc), None).0);
+        let r = crate::opt::compile_plain(p).and_then(|bc| {
+            let work = if self.threads > 1 { Work::lowered(p, &bc) } else { Work::none() };
+            self.run_unpriced(&bc, &work, None).0
+        });
         vm_metrics().run_tree_walk_us.record_duration(t0.elapsed());
         r
     }
@@ -446,14 +449,16 @@ impl Machine {
     /// The program must have been compiled from the same [`Program`] this
     /// machine was built for (buffer and variable spaces must match).
     ///
-    /// Its `Parallel` loops' work estimates are derived for this run;
-    /// [`Machine::run`] reuses the ones its program's compiled form keeps.
+    /// On more than one thread, its `Parallel` loops' work estimates are
+    /// derived for this run; [`Machine::run`] reuses the ones its
+    /// program's compiled form keeps.
     ///
     /// # Errors
     ///
     /// Out-of-bounds accesses at runtime.
     pub fn run_bytecode(&mut self, bc: &BcProgram) -> Result<()> {
-        self.interpret(bc, &Work::of(bc))
+        let work = if self.threads > 1 { Work::of(bc) } else { Work::none() };
+        self.interpret(bc, &work)
     }
 
     /// Runs `bc` on the interpreter, `work` being its `Parallel` loops'
@@ -480,16 +485,17 @@ impl Machine {
     /// Same as [`Machine::run`].
     pub fn run_with_stats(&mut self, p: &Program) -> Result<RunStats> {
         let bc = crate::opt::compile_plain(p)?;
-        let none = Work::default();
-        let mut ctx = self.bc_ctx(&bc, &none, Pricing::new(&self.bases), None);
+        let none = Work::none();
+        let mut ctx = self.bc_ctx(&bc, &none, Pricing::new(&self.bases), 1, None);
         bc_run(&bc, &mut ctx)?;
         Ok(ctx.meter.finish())
     }
 
     /// Runs `bc` unpriced, profiling into `prof` when given; on more than
-    /// one thread inside one `std::thread::scope`, whose crew every
-    /// `Parallel` loop of the run whose `work` pays for it dispatches to.
-    /// Returns the outcome and the profile.
+    /// one thread, when some dispatch can pay for a crew
+    /// ([`Work::may_split`]), inside one `std::thread::scope` whose crew
+    /// every `Parallel` loop of the run whose `work` pays for it dispatches
+    /// to. Returns the outcome and the profile.
     fn run_unpriced(
         &self,
         bc: &BcProgram,
@@ -505,28 +511,30 @@ impl Machine {
             let r = bc_run(bc, &mut ctx);
             (r, ctx.prof)
         }
-        if self.threads > 1 {
+        if self.threads > 1 && work.may_split() {
             std::thread::scope(|s| {
                 let crew = Some(Crew::new(s, self.threads));
-                go(bc, self.bc_ctx(bc, work, (), crew), prof)
+                go(bc, self.bc_ctx(bc, work, (), self.threads, crew), prof)
             })
         } else {
-            go(bc, self.bc_ctx(bc, work, (), None), prof)
+            go(bc, self.bc_ctx(bc, work, (), self.threads, None), prof)
         }
     }
 
     /// A fresh interpreter context for `bc` on this machine's buffers,
-    /// dispatching the `Parallel` loops whose `work` pays for it to `crew`
-    /// (serial without one).
+    /// dispatching the `Parallel` loops whose `work` pays for it on
+    /// `threads` to `crew` (serial without one).
     fn bc_ctx<'a, M: Meter>(
         &'a self,
         bc: &BcProgram,
         work: &'a Work,
         meter: M,
+        threads: usize,
         crew: Option<Crew<'a, ChunkOut>>,
     ) -> BcCtx<'a, M> {
         BcCtx {
             bufs: &self.bufs,
+            threads,
             crew,
             work,
             frame: self.frame(bc.n_vars),
@@ -815,8 +823,12 @@ impl Pricing {
 /// run's crew and the run's cost hook.
 struct BcCtx<'a, M> {
     bufs: &'a [SharedBuf],
-    /// The crew `Parallel` loops dispatch to; `None` on one thread, in
-    /// priced runs and inside a chunk, where they run serially.
+    /// The threads a `Parallel` dispatch here may split over: the run's
+    /// at its top level, 1 in priced runs and inside a chunk, where
+    /// `Parallel` loops run serially.
+    threads: usize,
+    /// The crew `Parallel` loops dispatch to; `None` where `threads` is 1,
+    /// and in a run no dispatch of which can pay for a crew.
     crew: Option<Crew<'a, ChunkOut>>,
     /// The program's `Parallel` loop estimates the crew decides on.
     work: &'a Work,
@@ -1015,7 +1027,8 @@ fn bc_exec_stmt<'a, M: Meter>(s: &'a BcStmt, ctx: &mut BcCtx<'a, M>) -> Result<(
                 None => None,
             };
             let split = *kind == LoopKind::Parallel
-                && ctx.crew.as_ref().is_some_and(|c| c.takes(lo, hi, ctx.work.per_iter(s)));
+                && crate::par::takes(ctx.threads, lo, hi, ctx.work.per_iter(s))
+                && ctx.crew.is_some();
             let r = match kind {
                 _ if split => bc_exec_parallel(*var, lo, hi, preamble, body, ctx),
                 LoopKind::Vectorize(_) if bc_body_vectorizable(body) => {
@@ -1074,6 +1087,7 @@ fn bc_exec_parallel<'a, M: Meter>(
             let mut sub = BcCtx {
                 bufs,
                 // Nested parallel loops run serially inside a chunk.
+                threads: 1,
                 crew: None,
                 work,
                 lanes: Lanes::new(ir.len(), fr.len(), frame.len()),

@@ -1,7 +1,7 @@
 //! A run's `Parallel` traffic, counted: every dispatch the schedule asks
-//! for is offered to the run's crew (`vm.par.dispatches`), the crew takes
-//! those whose estimated work pays for it (`vm.par.splits`), and it
-//! spawns its workers once per run, not once per dispatch
+//! for (`vm.par.dispatches`, whether or not the run opened a crew), those
+//! whose estimated work pays for the run's crew (`vm.par.splits`), and
+//! the crew's workers, spawned once per run, not once per dispatch
 //! (`vm.par.spawns`). Both tiers decide alike. The counters are
 //! process-wide, so this binary holds a single test.
 
