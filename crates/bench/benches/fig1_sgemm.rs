@@ -24,6 +24,22 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
 
+    // The JIT's code for the Tiramisu schedule against the same loop order
+    // compiled by rustc (`bench::roofline`), both on one thread.
+    let mut g = c.benchmark_group("fig1_sgemm_roofline");
+    g.sample_size(10);
+    g.warm_up_time(std::time::Duration::from_millis(300));
+    g.measurement_time(std::time::Duration::from_millis(800));
+    let prep = kernels::sgemm::tiramisu_best(192, 32).unwrap();
+    let mut machine = prep.machine();
+    machine.set_threads(1);
+    let ins: Vec<Vec<f32>> = prep.inputs.iter().map(|&b| machine.buffer(b).to_vec()).collect();
+    g.bench_function("Tiramisu", |b| b.iter(|| machine.run(&prep.program).unwrap()));
+    g.bench_function("rustc", |b| {
+        b.iter(|| bench::roofline::sgemm(192, 32, &ins[0], &ins[1], &ins[2]))
+    });
+    g.finish();
+
     let mut g = c.benchmark_group("fig1_sgemm_gpu");
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(300));

@@ -239,8 +239,9 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
         // exists (x86-64 Linux) the JIT's code size, the instructions of
         // its packed-chunk fast paths, how many of them touch the stack and
         // how many call a helper,
-        // the instructions and stack operands of one iteration of the
-        // innermost loops around chunks,
+        // the instructions, stack operands and context operands (reads of
+        // the buffer table and the pin arrays) of the fast paths and of one
+        // iteration of the innermost loops around chunks,
         // the same for the steady copies of chunks whose clamps it tests
         // (count, instructions, stack operands), function count,
         // deopt-stub counts broken down by reason, and per load/store
@@ -293,8 +294,13 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             );
             let f = jit.as_ref().map(|j| j.footprint());
             let at = |g: fn(&loopvm::jit::Footprint) -> usize| num(f.as_ref().map(g));
-            let chunk = [at(|f| f.chunk.insts), at(|f| f.chunk.stack_refs), at(|f| f.chunk.calls)];
-            let lp = [at(|f| f.loops.insts), at(|f| f.loops.stack_refs)];
+            let chunk = [
+                at(|f| f.chunk.insts),
+                at(|f| f.chunk.stack_refs),
+                at(|f| f.chunk.ctx_refs),
+                at(|f| f.chunk.calls),
+            ];
+            let lp = [at(|f| f.loops.insts), at(|f| f.loops.stack_refs), at(|f| f.loops.ctx_refs)];
             let steady =
                 [at(|f| f.steady_chunks), at(|f| f.steady.insts), at(|f| f.steady.stack_refs)];
             let guards =
@@ -315,6 +321,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 chunk[0].clone(),
                 chunk[1].clone(),
                 chunk[2].clone(),
+                chunk[3].clone(),
                 lp.join("/"),
                 steady.join("/"),
                 fns.clone(),
@@ -343,7 +350,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 None => "null".to_string(),
             };
             cells.push(format!(
-                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_listing_fnv\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_chunk_calls\": {}, \"jit_loop_insts\": {}, \"jit_loop_stack_refs\": {}, \"jit_steady_chunks\": {}, \"jit_steady_chunk_insts\": {}, \"jit_steady_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}, \"par_dispatches\": {}, \"par_splits\": {}}}",
+                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_listing_fnv\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_chunk_ctx_refs\": {}, \"jit_chunk_calls\": {}, \"jit_loop_insts\": {}, \"jit_loop_stack_refs\": {}, \"jit_loop_ctx_refs\": {}, \"jit_steady_chunks\": {}, \"jit_steady_chunk_insts\": {}, \"jit_steady_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}, \"par_dispatches\": {}, \"par_splits\": {}}}",
                 jstr(name),
                 insts,
                 jfield(&code),
@@ -351,8 +358,10 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 jfield(&chunk[0]),
                 jfield(&chunk[1]),
                 jfield(&chunk[2]),
+                jfield(&chunk[3]),
                 jfield(&lp[0]),
                 jfield(&lp[1]),
+                jfield(&lp[2]),
                 jfield(&steady[0]),
                 jfield(&steady[1]),
                 jfield(&steady[2]),
@@ -375,8 +384,9 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                     "listing fnv",
                     "chunk insts",
                     "chunk rsp refs",
+                    "chunk ctx refs",
                     "chunk calls",
-                    "loop insts/rsp refs",
+                    "loop insts/rsp/ctx refs",
                     "steady chunks/insts/rsp refs",
                     "jit fns",
                     "jit deopts",

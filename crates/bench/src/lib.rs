@@ -18,6 +18,7 @@
 //! measured values for each figure.
 
 pub mod gate;
+pub mod roofline;
 /// The workspace JSON reader ([`telemetry::json`]), under the path the
 /// snapshot gate and the benchmark driver use.
 pub use telemetry::json;

@@ -307,9 +307,19 @@ pub struct BcProgram {
     pub(crate) buf_sizes: Vec<usize>,
     /// What the optimizer did.
     pub(crate) stats: OptStats,
+    /// The work estimates of its `Parallel` loops, once a run on more
+    /// than one thread asked for them.
+    pub(crate) work: crate::par::WorkSlot,
 }
 
 impl BcProgram {
+    /// The work estimates the interpreter's `Parallel` dispatches decide
+    /// on — the numbers the native code records beside its parallel
+    /// functions — derived on the first call and kept.
+    pub(crate) fn par_work(&self) -> &crate::par::Work {
+        self.work.get(self)
+    }
+
     /// Checks that the program is strict SSA: every register has one
     /// definition, and that definition dominates every read — one in a
     /// `For` preamble or body, or in an `If` arm, reaches only the rest of

@@ -395,7 +395,9 @@ pub fn decode_bc(r: &mut Reader<'_>, p: &Program) -> Result<BcProgram> {
     let prologue = decode_insts(r, &lim)?;
     let body = decode_bc_block(r, &lim)?;
     let buf_sizes = p.buf_sizes();
-    let bc = BcProgram { prologue, body, n_iregs, n_fregs, n_vars, var_names, buf_sizes, stats };
+    let work = Default::default();
+    let bc =
+        BcProgram { prologue, body, n_iregs, n_fregs, n_vars, var_names, buf_sizes, stats, work };
     bc.check_ssa().map_err(|e| malformed(format!("{e} (bytecode must be strict SSA)")))?;
     Ok(bc)
 }
@@ -865,6 +867,7 @@ mod tests {
             var_names: Vec::new(),
             buf_sizes: p.buf_sizes(),
             stats: OptStats::default(),
+            work: Default::default(),
         };
         let mut w = Writer::new();
         encode_bc(&bc, &mut w);

@@ -11,8 +11,8 @@
 //! encoder never has to re-layout code.
 //!
 //! While the emitter has [`Asm::count_chunk`] on, the encoder also counts
-//! what it emits — instructions, those with an `[rsp+…]` operand, and
-//! calls —
+//! what it emits — instructions, those with an `[rsp+…]` operand, those
+//! with an `[r15+…]` one, and calls —
 //! into the program's [`ChunkCost`] of general chunk copies, of steady
 //! ones, or both (the loop head and back edge both copies run); while
 //! [`Asm::count_loop`] is on, into the cost of the innermost loops around
@@ -362,8 +362,10 @@ impl Asm {
 
     /// Emits opcode bytes then a reg-mem ModRM (+SIB, +disp).
     fn op_rm(&mut self, prefix: Option<u8>, w: bool, opcode: &[u8], reg: u8, m: Mem) {
-        if m.base == Gpr::Rsp {
-            self.tally(|c| c.stack_refs += 1);
+        match m.base {
+            Gpr::Rsp => self.tally(|c| c.stack_refs += 1),
+            Gpr::R15 => self.tally(|c| c.ctx_refs += 1),
+            _ => {}
         }
         if let Some(p) = prefix {
             self.b(p);
@@ -1189,8 +1191,10 @@ mod tests {
         a.count_chunk(false, false);
         a.movss_mx(Mem::base(Gpr::Rsp, 0), Xmm(0));
         a.call_r(Gpr::Rax);
-        assert_eq!(a.chunk, ChunkCost { insts: 4, stack_refs: 2, calls: 0 });
-        assert_eq!(a.steady, ChunkCost { insts: 3, stack_refs: 1, calls: 1 });
+        a.count_chunk(true, false);
+        a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R15, 0x10));
+        assert_eq!(a.chunk, ChunkCost { insts: 5, stack_refs: 2, ctx_refs: 1, calls: 0 });
+        assert_eq!(a.steady, ChunkCost { insts: 3, stack_refs: 1, ctx_refs: 0, calls: 1 });
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //!
 //! # Conventions
 //!
-//! - `r15` = `JitCtx` pointer, `r14` = variable frame, `r13` = buffer
-//!   descriptor table; `rax`/`rcx`/`rdx` and `xmm0`/`xmm1` are statement
+//! - `r15` = `JitCtx` pointer, `r14` = variable frame in a function that
+//!   reads or writes it; `rax`/`rcx`/`rdx` and `xmm0`/`xmm1` are statement
 //!   scratch. Everything else is allocated by [`super::regalloc`], loop
-//!   counters included.
+//!   counters, buffers' data pointers and pins included: the function's
+//!   entry loads each data pointer and pin the scan kept in a register,
+//!   and an access indexes `[data + index·4]`. A pinned register's
+//!   definition also writes its pin slot.
 //! - Integer operations are two-address code on their homes (`mov d, a;
 //!   op d, b`, a constant `b` that fits `i32` an immediate); see
 //!   [`Emit::emit_bin_i`]. A `ReadVar` of an open loop's variable reads
@@ -23,7 +26,8 @@
 //! - Every function returns a `u64` status: `0` ok, `1`/`2` error/panic
 //!   already recorded in the host, `id + 3` for deopt stub `id`.
 //! - Loads and stores that [`super::facts`] proves in range are plain
-//!   moves. The other trapping instructions (unproven loads/stores,
+//!   moves; a guarded one compares its index with the buffer's length as
+//!   an immediate. The other trapping instructions (unproven loads/stores,
 //!   `div`/`rem`, checked `neg`/`abs`) compare inline and jump to a deopt
 //!   stub ([`cold`]); the host then *replays* the operation through the
 //!   interpreter's own scalar helpers, so error payloads and panic
@@ -35,10 +39,8 @@
 
 use super::asm::{Alu, Asm, Cc, Gpr, Label, Mem, Xmm};
 use super::facts::{self, lane_grouped, pow2, Clamp, Facts, Kept, Shape};
-use super::regalloc::{allocate, FnAlloc, FnCode, Home, Lanes, HALVES};
-use super::runtime::{
-    self, Deopt, JitProgram, CTX_BUFS, CTX_FRAME, CTX_IPIN,
-};
+use super::regalloc::{allocate, remat, FnAlloc, FnCode, Home, Lanes, HALVES};
+use super::runtime::{self, Deopt, JitProgram, CTX_BUFS, CTX_FPIN, CTX_FRAME, CTX_IPIN};
 use crate::bytecode::{BcProgram, BcStmt, File, Inst, Reg};
 use crate::expr::{BinOp, UnOp};
 use crate::program::LoopKind;
@@ -310,24 +312,28 @@ impl<'a> Emit<'a> {
         let frame = self.alloc.frame_size;
         self.a.sub_ri(Gpr::Rsp, frame);
         self.a.mov_rr(Gpr::R15, Gpr::Rdi);
-        self.a.mov_rm(Gpr::R14, Mem::base(Gpr::R15, CTX_FRAME));
-        self.a.mov_rm(Gpr::R13, Mem::base(Gpr::R15, CTX_BUFS));
+        if self.alloc.frame {
+            self.a.mov_rm(Gpr::R14, Mem::base(Gpr::R15, CTX_FRAME));
+        }
         self.exit = self.a.new_label();
         match par {
             None => {
                 let prologue = &self.bc.prologue;
                 let body = &self.bc.body;
+                self.load_invariants();
                 self.emit_insts(prologue);
                 self.emit_block(body);
             }
             Some((_, w)) => {
                 // Bounds arrive in rsi/rdx (neither is a home the counter
-                // could take before rdx is read); iterate like the
+                // could take before rdx is read), and reach their homes
+                // before anything else does; iterate like the
                 // interpreter's per-worker range loop.
                 let ctr = self.counter(w.stmt);
                 let hi = self.alloc.par_hi;
                 self.set_home(ctr, Src::Reg(Gpr::Rsi));
                 self.set_home(hi, Src::Reg(Gpr::Rdx));
+                self.load_invariants();
                 let role = Role::of(w.body);
                 self.emit_counted_loop(w.var, ctr, Bound::Home(hi), true, w.preamble, w.body, role);
             }
@@ -340,6 +346,75 @@ impl<'a> Emit<'a> {
         }
         self.a.ret();
         self.emit_cold();
+    }
+
+    /// Loads what the function reads and never writes into the registers
+    /// the scan gave it, once: the data pointer of every buffer it
+    /// accesses, from the buffer table, and every pin an enclosing
+    /// function defined, from the pin arrays (broadcast to all four lanes
+    /// where it is kept so). One the scan spilled stays where it is.
+    fn load_invariants(&mut self) {
+        let bases: Vec<(usize, Gpr)> = (self.alloc.bases.iter().enumerate())
+            .filter_map(|(buf, h)| if let Home::Gpr(g) = *h { Some((buf, g)) } else { None })
+            .collect();
+        if !bases.is_empty() {
+            self.a.mov_rm(Gpr::Rax, Mem::base(Gpr::R15, CTX_BUFS));
+        }
+        for (buf, g) in bases {
+            self.a.comment(|| format!("data of buffer {buf}"));
+            self.a.mov_rm(g, Mem::base(Gpr::Rax, buf as i32 * 8));
+        }
+        let mut arr = None;
+        for (file, r) in std::mem::take(&mut self.alloc.pins) {
+            let home = match file {
+                File::I => self.alloc.homes_i[r as usize],
+                File::F => self.alloc.homes_f[r as usize],
+            };
+            if home == Home::Ctx {
+                continue;
+            }
+            if arr != Some(file) {
+                let at = if file == File::I { CTX_IPIN } else { CTX_FPIN };
+                self.a.mov_rm(Gpr::Rax, Mem::base(Gpr::R15, at));
+                arr = Some(file);
+            }
+            self.a.comment(|| format!("pin {}{r}", if file == File::I { 'i' } else { 'f' }));
+            match home {
+                Home::Gpr(g) => self.a.mov_rm(g, Mem::base(Gpr::Rax, r as i32 * 8)),
+                Home::Xmm(x) => {
+                    self.a.movss_xm(x, Mem::base(Gpr::Rax, r as i32 * 4));
+                    self.set_home_f(r, x);
+                }
+                h => unreachable!("a pin the scan kept lives in a register: {h:?}"),
+            }
+        }
+    }
+
+    /// A GPR holding buffer `buf`'s data pointer: its home, or rcx loaded
+    /// from the buffer table.
+    fn base(&mut self, buf: u32) -> Gpr {
+        match self.alloc.bases[buf as usize] {
+            Home::Gpr(g) => g,
+            Home::Ctx => {
+                self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R15, CTX_BUFS));
+                self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::Rcx, buf as i32 * 8));
+                Gpr::Rcx
+            }
+            h => unreachable!("buffer {buf}'s data pointer lives in {h:?}"),
+        }
+    }
+
+    /// `cmp x, len(buf)`: the length the code was compiled for, which
+    /// `JitProgram::run` checks every buffer has.
+    fn cmp_len(&mut self, x: Gpr, buf: u32) {
+        let len = self.bc.buf_sizes[buf as usize] as i64;
+        match i32::try_from(len) {
+            Ok(v) => self.a.cmp_ri(x, v),
+            Err(_) => {
+                self.a.mov_ri(Gpr::Rcx, len);
+                self.a.cmp_rr(x, Gpr::Rcx);
+            }
+        }
     }
 
     // -- operand access ------------------------------------------------------
@@ -402,28 +477,23 @@ impl<'a> Emit<'a> {
 
     /// Reads i-register `r`'s scalar home into `dst`.
     fn read_i_home(&mut self, dst: Gpr, r: Reg) {
-        if let Some(v) = self.facts.i[r as usize].imm() {
-            return self.a.mov_ri(dst, v.into());
+        if let Some(v) = remat(&self.facts.i[r as usize]) {
+            return self.a.mov_ri(dst, v);
         }
         match self.alloc.homes_i[r as usize] {
             Home::Gpr(g) => self.a.mov_rr(dst, g),
             Home::Stack(off) => self.a.mov_rm(dst, Mem::base(Gpr::Rsp, off)),
-            // A pinned constant is rematerialized, not chased through the
-            // ctx pin array.
-            Home::Ctx => match self.facts.i[r as usize].konst {
-                Some(v) => self.a.mov_ri(dst, v),
-                None => {
-                    self.a.mov_rm(dst, Mem::base(Gpr::R15, CTX_IPIN));
-                    self.a.mov_rm(dst, Mem::base(dst, r as i32 * 8));
-                }
-            },
+            Home::Ctx => {
+                self.a.mov_rm(dst, Mem::base(Gpr::R15, CTX_IPIN));
+                self.a.mov_rm(dst, Mem::base(dst, r as i32 * 8));
+            }
             _ => unreachable!("i-reg read from {:?}", r),
         }
     }
 
     /// Writes rax to i-register `r` — in a chunk, its value in the current
-    /// lane (lane 0 of a uniform or linear register) — (clobbers rcx for
-    /// ctx homes).
+    /// lane (lane 0 of a uniform or linear register) — (clobbers rcx for a
+    /// pinned one).
     fn write_i(&mut self, r: Reg) {
         if let (Some(l), Some(arr)) = (self.lane, self.lane_array_i(r)) {
             debug_assert!(!self.facts.i[r as usize].narrow, "narrow i{r} is defined packed");
@@ -433,51 +503,100 @@ impl<'a> Emit<'a> {
         match self.alloc.homes_i[r as usize] {
             Home::Gpr(g) => self.a.mov_rr(g, Gpr::Rax),
             Home::Stack(off) => self.a.mov_mr(Mem::base(Gpr::Rsp, off), Gpr::Rax),
-            Home::Ctx => {
-                self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R15, CTX_IPIN));
-                self.a.mov_mr(Mem::base(Gpr::Rcx, r as i32 * 8), Gpr::Rax);
-            }
             _ => unreachable!("i-reg write to {:?}", r),
+        }
+        self.pin_i(Gpr::Rax, r);
+    }
+
+    /// Writes `x`, i-register `r`'s new value, to its pin slot if `r` is
+    /// pinned, for the `Parallel` bodies that read it (clobbers rcx). A
+    /// pinned constant never gets here: its `ConstI` emits nothing.
+    fn pin_i(&mut self, x: Gpr, r: Reg) {
+        if self.facts.i[r as usize].pinned {
+            self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R15, CTX_IPIN));
+            self.a.mov_mr(Mem::base(Gpr::Rcx, r as i32 * 8), x);
         }
     }
 
     /// Reads f-register `r` — in a chunk, its value in the current lane,
     /// which per-lane code finds in the lane array of a varying register —
-    /// into `dst` (clobbers rdx for ctx homes).
+    /// into `dst`.
     fn read_f(&mut self, dst: Xmm, r: Reg) {
+        let x = self.reg_f(r, dst);
+        if x != dst {
+            self.a.movaps_xx(dst, x);
+        }
+    }
+
+    /// An XMM holding f-register `r`'s value in lane 0 ([`Self::read_f`]'s
+    /// value): its XMM home, or `scratch` loaded with it (clobbers rdx for
+    /// a pin read from its pin array).
+    fn reg_f(&mut self, r: Reg, scratch: Xmm) -> Xmm {
         if let (Some(l), Some(shape), Some(lanes)) =
             (self.lane, self.chunk_shape(File::F, r), self.lanes(File::F, r))
         {
             let slot = if shape == Shape::Varying { l } else { 0 };
-            self.a.movss_xm(dst, Mem::base(Gpr::Rsp, lanes.arr + (slot * 4) as i32));
-            return;
+            self.a.movss_xm(scratch, Mem::base(Gpr::Rsp, lanes.arr + (slot * 4) as i32));
+            return scratch;
         }
         match self.alloc.homes_f[r as usize] {
-            Home::Xmm(x) => self.a.movaps_xx(dst, x),
-            Home::Stack(off) => self.a.movss_xm(dst, Mem::base(Gpr::Rsp, off)),
+            Home::Xmm(x) => return x,
+            Home::Stack(off) => self.a.movss_xm(scratch, Mem::base(Gpr::Rsp, off)),
             Home::Ctx => {
-                self.a.mov_rm(Gpr::Rdx, Mem::base(Gpr::R15, runtime::CTX_FPIN));
-                self.a.movss_xm(dst, Mem::base(Gpr::Rdx, r as i32 * 4));
+                self.a.mov_rm(Gpr::Rdx, Mem::base(Gpr::R15, CTX_FPIN));
+                self.a.movss_xm(scratch, Mem::base(Gpr::Rdx, r as i32 * 4));
             }
             _ => unreachable!("f-reg read from {:?}", r),
         }
+        scratch
     }
 
-    /// Writes xmm0 to f-register `r` — in a chunk, to the current lane's
-    /// slot of its lane array if it has one, else (lane 0 of a uniform
-    /// register) to its scalar home — (clobbers rdx for ctx homes).
-    fn write_f(&mut self, r: Reg) {
-        if let (Some(l), Some(lanes)) = (self.lane, self.lanes(File::F, r)) {
-            self.a.movss_mx(Mem::base(Gpr::Rsp, lanes.arr + (l * 4) as i32), Xmm(0));
-            return;
+    /// The XMM home [`Self::write_f_from`] writes f-register `r` in, if it
+    /// has one here: not a lane of a lane array.
+    fn home_xmm(&self, r: Reg) -> Option<Xmm> {
+        if self.lane.is_some() && self.lanes(File::F, r).is_some() {
+            return None;
         }
         match self.alloc.homes_f[r as usize] {
-            Home::Xmm(x) => self.a.movaps_xx(x, Xmm(0)),
-            Home::Stack(off) => self.a.movss_mx(Mem::base(Gpr::Rsp, off), Xmm(0)),
-            Home::Ctx => {
-                self.a.mov_rm(Gpr::Rdx, Mem::base(Gpr::R15, runtime::CTX_FPIN));
-                self.a.movss_mx(Mem::base(Gpr::Rdx, r as i32 * 4), Xmm(0));
+            Home::Xmm(x) => Some(x),
+            _ => None,
+        }
+    }
+
+    /// Writes xmm0 to f-register `r` (see [`Self::write_f_from`]).
+    fn write_f(&mut self, r: Reg) {
+        self.write_f_from(r, Xmm(0));
+    }
+
+    /// Writes lane 0 of `src` to f-register `r` — in a chunk, to the
+    /// current lane's slot of its lane array if it has one, else (lane 0
+    /// of a uniform register) to its scalar home, broadcast to all four
+    /// lanes of an XMM home kept so — and to its pin slot if it is pinned
+    /// (clobbers rdx then).
+    fn write_f_from(&mut self, r: Reg, src: Xmm) {
+        if let (Some(l), Some(lanes)) = (self.lane, self.lanes(File::F, r)) {
+            self.a.movss_mx(Mem::base(Gpr::Rsp, lanes.arr + (l * 4) as i32), src);
+            return;
+        }
+        self.set_home_f(r, src);
+        if self.facts.f[r as usize].pinned {
+            self.a.mov_rm(Gpr::Rdx, Mem::base(Gpr::R15, CTX_FPIN));
+            self.a.movss_mx(Mem::base(Gpr::Rdx, r as i32 * 4), src);
+        }
+    }
+
+    /// Writes lane 0 of `src` to f-register `r`'s scalar home.
+    fn set_home_f(&mut self, r: Reg, src: Xmm) {
+        match self.alloc.homes_f[r as usize] {
+            Home::Xmm(x) => {
+                if x != src {
+                    self.a.movaps_xx(x, src);
+                }
+                if self.alloc.splat[r as usize] {
+                    self.a.shufps(x, x, 0);
+                }
             }
+            Home::Stack(off) => self.a.movss_mx(Mem::base(Gpr::Rsp, off), src),
             _ => unreachable!("f-reg write to {:?}", r),
         }
     }
@@ -513,7 +632,7 @@ impl<'a> Emit<'a> {
     }
 
     /// The GPR two-address code computes i-register `r` in: its home, or
-    /// `None` for rax and [`Self::write_i`] (a stack, pinned or lane-array
+    /// `None` for rax and [`Self::write_i`] (a stack or lane-array
     /// destination).
     fn dst_i(&self, r: Reg) -> Option<Gpr> {
         if self.lane.is_some() && self.lane_array_i(r).is_some() {
@@ -576,6 +695,8 @@ impl<'a> Emit<'a> {
     fn finish_i(&mut self, d: Gpr, r: Reg) {
         if d == Gpr::Rax {
             self.write_i(r);
+        } else {
+            self.pin_i(d, r);
         }
     }
 
@@ -766,13 +887,14 @@ impl<'a> Emit<'a> {
     }
 
     /// `f[dst] = buf[i[idx]]`, behind a bounds check jumping to a deopt
-    /// stub unless proven.
+    /// stub unless proven; loaded into `dst`'s XMM home if it has one.
     fn emit_load(&mut self, dst: Reg, buf: u32, idx: Reg, guard: Option<Kept>) {
         let ix = self.index(idx, guard);
         self.bounds_check(Deopt::LoadOob { buf }, buf, guard);
-        self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
-        self.a.movss_xm(Xmm(0), Mem::sib(Gpr::Rcx, ix, 4, 0));
-        self.write_f(dst);
+        let base = self.base(buf);
+        let x = self.home_xmm(dst).unwrap_or(Xmm(0));
+        self.a.movss_xm(x, Mem::sib(base, ix, 4, 0));
+        self.write_f_from(dst, x);
     }
 
     /// The GPR an access indexes with: the index's home for a proven
@@ -792,9 +914,9 @@ impl<'a> Emit<'a> {
     fn emit_store(&mut self, buf: u32, idx: Reg, val: Reg, guard: Option<Kept>) {
         let ix = self.index(idx, guard);
         self.bounds_check(Deopt::StoreOob { buf }, buf, guard);
-        self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
-        self.read_f(Xmm(0), val);
-        self.a.movss_mx(Mem::sib(Gpr::Rcx, ix, 4, 0), Xmm(0));
+        let base = self.base(buf);
+        let v = self.reg_f(val, Xmm(0));
+        self.a.movss_mx(Mem::sib(base, ix, 4, 0), v);
     }
 
     /// `rax <u len(buf)` or deopt, for an access kept guarded (`guard`
@@ -802,8 +924,7 @@ impl<'a> Emit<'a> {
     fn bounds_check(&mut self, d: Deopt, buf: u32, guard: Option<Kept>) {
         let Some(why) = guard else { return };
         self.a.comment(|| format!("guard: {}", why.why()));
-        self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16 + 8));
-        self.a.cmp_rr(Gpr::Rax, Gpr::Rcx);
+        self.cmp_len(Gpr::Rax, buf);
         let stub = self.trap(d);
         self.a.jcc(Cc::Ae, stub);
     }
@@ -837,8 +958,8 @@ impl<'a> Emit<'a> {
 
     fn emit_inst(&mut self, inst: &Inst) {
         match *inst {
-            // An `imm32` is read as one where it is used.
-            Inst::ConstI { dst, .. } if self.facts.i[dst as usize].imm().is_some() => {}
+            // A rematerialized constant is read as one where it is used.
+            Inst::ConstI { dst, .. } if remat(&self.facts.i[dst as usize]).is_some() => {}
             Inst::ConstI { dst, v } => {
                 let d = self.dst_i(dst).unwrap_or(Gpr::Rax);
                 self.a.mov_ri(d, v);
@@ -1157,7 +1278,7 @@ impl<'a> Emit<'a> {
             self.load_i(Gpr::Rax, a);
             self.a.sub_rr(Gpr::Rax, d);
             self.a.mov_rr(d, Gpr::Rax);
-            return;
+            return self.finish_i(d, dst);
         }
         match op {
             BinOp::Mul => match self.opnd_i(b, Gpr::Rcx) {

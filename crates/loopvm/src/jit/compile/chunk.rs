@@ -341,23 +341,23 @@ impl<'a> Emit<'a> {
     }
 
     /// `dst = op(a, b)` half by half, in place in `dst`'s half: `a`'s
-    /// half is moved there, then `op` applies `b`'s, or xmm1 as the caller
-    /// filled it for no `b`. A uniform `b` is broadcast to xmm1 once for
-    /// both halves; xmm1 stays free for a spilled one otherwise. `i64`
-    /// operands are dword lanes ([`Self::dwords`]).
+    /// half is moved there (nothing to move where `dst` took `a`'s pair),
+    /// then `op` applies `b`'s, or xmm1 as the caller filled it for no
+    /// `b`. A uniform `b` is read from its splat home, or broadcast to
+    /// xmm1 once for both halves; xmm1 stays free for a spilled one
+    /// otherwise. `i64` operands are dword lanes ([`Self::dwords`]).
     fn emit_packed(&mut self, file: File, dst: Reg, a: Reg, b: Option<Reg>, op: PackedOp) {
         let dwords = file == File::F || (self.dwords(a) && b.is_none_or(|b| self.dwords(b)));
         debug_assert!(dwords, "i{dst}: wide operands");
-        let b = match b {
-            Some(b) if self.shape(file, b) == Shape::Uniform => {
-                self.broadcast(file, Xmm(1), b);
-                None
-            }
-            b => b,
-        };
+        let uniform = (b.filter(|&b| self.shape(file, b) == Shape::Uniform))
+            .map(|b| self.splat(file, b, Xmm(1)));
         self.each_half(Some((file, dst)), |e, h, t| {
             e.half_into(file, t, a, h);
-            let src = b.map_or(Xmm(1), |b| e.half(file, b, h, Xmm(1)));
+            let src = match (uniform, b) {
+                (Some(x), _) => x,
+                (None, Some(b)) => e.half(file, b, h, Xmm(1)),
+                (None, None) => Xmm(1),
+            };
             op(&mut e.a, t, src);
         });
     }
@@ -375,14 +375,14 @@ impl<'a> Emit<'a> {
     /// access proven: each lane's dword index is extracted and its element
     /// inserted into `dst`'s half.
     fn emit_gather(&mut self, dst: Reg, buf: u32, idx: Reg) {
-        self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
+        let base = self.base(buf);
         self.each_half(Some((File::F, dst)), |e, h, t| {
             let ix = e.half(File::I, idx, h, Xmm(1));
             for k in 0..4 {
                 // A proven index is non-negative: the zero-extension is
                 // its value.
                 e.a.pextrd(Gpr::Rax, ix, k);
-                let at = Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0);
+                let at = Mem::sib(base, Gpr::Rax, 4, 0);
                 if k == 0 {
                     e.a.movss_xm(t, at);
                 } else {
@@ -442,6 +442,18 @@ impl<'a> Emit<'a> {
         }
     }
 
+    /// Lane 0 of register `r` in all four lanes of an XMM: an `f32` one's
+    /// home if it keeps it so, or `scratch` ([`Self::broadcast`]).
+    fn splat(&mut self, file: File, r: Reg, scratch: Xmm) -> Xmm {
+        if file == File::F && self.alloc.splat[r as usize] {
+            if let Home::Xmm(x) = self.alloc.homes_f[r as usize] {
+                return x;
+            }
+        }
+        self.broadcast(file, scratch, r);
+        scratch
+    }
+
     /// Lane 0 of register `r` in all four lanes of `dst` (an i-register's
     /// as a dword).
     fn broadcast(&mut self, file: File, dst: Xmm, r: Reg) {
@@ -472,7 +484,7 @@ impl<'a> Emit<'a> {
         }
         match self.shape(file, r) {
             Shape::Varying => self.a.movups_xm(scratch, self.lane_array(file, r).half(h)),
-            Shape::Uniform => self.broadcast(file, scratch, r),
+            Shape::Uniform => return self.splat(file, r, scratch),
             Shape::Linear(s) => {
                 self.broadcast(File::I, scratch, r);
                 let steps = self.steps(s)[h];
@@ -501,14 +513,19 @@ impl<'a> Emit<'a> {
         }
     }
 
-    /// Lane 0's index in the returned GPR (its home, or rax) and the data
-    /// pointer in rcx for an access whose index is `Linear(s)`, behind its
-    /// one bounds check unless the access is proven: `idx0 <u len ∧
-    /// idx0 + 7·s <u len` puts every lane in range (`len` is far below
-    /// `2^63`, so neither end wraps). When the check fails some lane is
-    /// out of bounds and the queued per-lane path finds the first; the
-    /// caller binds the returned label after the access.
-    fn range_guard(&mut self, op: MemOp, s: i32, guard: Option<Kept>) -> (Gpr, Option<Label>) {
+    /// Lane 0's index in the first returned GPR (its home, or rax) and the
+    /// data pointer in the second for an access whose index is
+    /// `Linear(s)`, behind its one bounds check unless the access is
+    /// proven: `idx0 <u len ∧ idx0 + 7·s <u len` puts every lane in range
+    /// (`len` is far below `2^63`, so neither end wraps). When the check
+    /// fails some lane is out of bounds and the queued per-lane path finds
+    /// the first; the caller binds the returned label after the access.
+    fn range_guard(
+        &mut self,
+        op: MemOp,
+        s: i32,
+        guard: Option<Kept>,
+    ) -> (Gpr, Gpr, Option<Label>) {
         let (buf, idx, val) = op.parts();
         let ix = self.in_lane(0, |e| e.index(idx, guard));
         let cont = guard.map(|why| {
@@ -524,32 +541,30 @@ impl<'a> Emit<'a> {
                 why,
             });
             self.a.comment(|| format!("guard: {}", why.why()));
-            self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16 + 8));
-            self.a.cmp_rr(Gpr::Rax, Gpr::Rcx);
+            self.cmp_len(Gpr::Rax, buf);
             self.a.jcc(Cc::Ae, entry);
             self.a.mov_rr(Gpr::Rdx, Gpr::Rax);
             self.a.add_ri(Gpr::Rdx, (LANES as i32 - 1) * s);
-            self.a.cmp_rr(Gpr::Rdx, Gpr::Rcx);
+            self.cmp_len(Gpr::Rdx, buf);
             self.a.jcc(Cc::Ae, entry);
             cont
         });
-        self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
-        (ix, cont)
+        (ix, self.base(buf), cont)
     }
 
     /// `f[dst] = buf[i[idx]]` for all lanes, `idx` being `Linear(s)`,
     /// `s > 0`: two `movups` when contiguous, else eight `movss` at static
     /// displacements into the lane array.
     fn emit_linear_load(&mut self, dst: Reg, buf: u32, idx: Reg, s: i32, guard: Option<Kept>) {
-        let (ix, cont) = self.range_guard(MemOp::Load { dst, buf, idx }, s, guard);
+        let (ix, base, cont) = self.range_guard(MemOp::Load { dst, buf, idx }, s, guard);
         if s == 1 {
             self.each_half(Some((File::F, dst)), |e, h, t| {
-                e.a.movups_xm(t, Mem::sib(Gpr::Rcx, ix, 4, Lanes::offset(h)));
+                e.a.movups_xm(t, Mem::sib(base, ix, 4, Lanes::offset(h)));
             });
         } else {
             let out = self.lane_array(File::F, dst).arr;
             for l in 0..LANES as i32 {
-                self.a.movss_xm(Xmm(0), Mem::sib(Gpr::Rcx, ix, 4, 4 * l * s));
+                self.a.movss_xm(Xmm(0), Mem::sib(base, ix, 4, 4 * l * s));
                 self.a.movss_mx(Mem::base(Gpr::Rsp, out + 4 * l), Xmm(0));
             }
             self.reload(dst);
@@ -566,13 +581,13 @@ impl<'a> Emit<'a> {
     fn emit_chunk_store(&mut self, buf: u32, idx: Reg, val: Reg, guard: Option<Kept>) {
         let shape = self.shape(File::I, idx);
         if shape == Shape::Varying && self.dwords(idx) && guard.is_none() {
-            self.a.mov_rm(Gpr::Rcx, Mem::base(Gpr::R13, buf as i32 * 16));
+            let base = self.base(buf);
             return self.each_half(None, |e, h, _| {
                 let ix = e.half(File::I, idx, h, Xmm(1));
                 let v = e.half(File::F, val, h, Xmm(0));
                 for k in 0..4 {
                     e.a.pextrd(Gpr::Rax, ix, k);
-                    e.a.extractps_mx(Mem::sib(Gpr::Rcx, Gpr::Rax, 4, 0), v, k);
+                    e.a.extractps_mx(Mem::sib(base, Gpr::Rax, 4, 0), v, k);
                 }
             });
         }
@@ -584,14 +599,12 @@ impl<'a> Emit<'a> {
             }
             return;
         }
-        let (ix, cont) = self.range_guard(MemOp::Store { buf, idx, val }, 1, guard);
-        let uniform = self.shape(File::F, val) != Shape::Varying;
-        if uniform {
-            self.broadcast(File::F, Xmm(0), val);
-        }
+        let (ix, base, cont) = self.range_guard(MemOp::Store { buf, idx, val }, 1, guard);
+        let uniform =
+            (self.shape(File::F, val) != Shape::Varying).then(|| self.splat(File::F, val, Xmm(0)));
         self.each_half(None, |e, h, _| {
-            let src = if uniform { Xmm(0) } else { e.half(File::F, val, h, Xmm(0)) };
-            e.a.movups_mx(Mem::sib(Gpr::Rcx, ix, 4, Lanes::offset(h)), src);
+            let src = uniform.unwrap_or_else(|| e.half(File::F, val, h, Xmm(0)));
+            e.a.movups_mx(Mem::sib(base, ix, 4, Lanes::offset(h)), src);
         });
         if let Some(cont) = cont {
             self.a.bind(cont);

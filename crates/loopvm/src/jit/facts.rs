@@ -1437,6 +1437,7 @@ mod tests {
             var_names: vec![],
             buf_sizes: vec![],
             stats: OptStats::default(),
+            work: Default::default(),
         };
         let facts = derive(&bc);
         let shapes: Vec<Shape> =
@@ -1690,6 +1691,7 @@ mod tests {
             var_names: vec![],
             buf_sizes: vec![1024],
             stats: OptStats::default(),
+            work: Default::default(),
         }
     }
 

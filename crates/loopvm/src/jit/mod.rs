@@ -61,6 +61,10 @@ pub struct ChunkCost {
     /// Instructions with an `[rsp+…]` operand: the loop counter, spill
     /// slots and lane-array traffic.
     pub stack_refs: usize,
+    /// Instructions with an `[r15+…]` operand, a field of the run's
+    /// context: one per read of the buffer table or a pin array, and per
+    /// write of a pin.
+    pub ctx_refs: usize,
     /// Helper calls.
     pub calls: usize,
 }

@@ -1,4 +1,5 @@
-//! Linear-scan register allocation of bytecode registers over host
+//! Linear-scan register allocation of bytecode registers, and of the
+//! values native code would otherwise fetch again at every use, over host
 //! GPRs/XMMs with spill slots.
 //!
 //! Each native function (the main program plus one body function per
@@ -11,54 +12,69 @@
 //!    register, dominating every use — so a register's interval is
 //!    `[def, last_use]`, extended to the end of any loop it is live into
 //!    (values defined before a loop and read inside it must survive the
-//!    back edge).
+//!    back edge). A loop of one straight-line chunk has no back edge, and
+//!    extends nothing unless its steady copy can restart in its general
+//!    one.
 //! 3. **Scan**: intervals sorted by start are assigned host registers from
 //!    two pools (GPRs for the `i64` file, XMMs for the `f32` file). A
 //!    `Varying` `f32` register of a vector chunk asks for a *pair* of
 //!    XMMs, the halves of its lanes ([`Lanes`]); the scalar-remainder
 //!    loop, disjoint code over the same interval, uses the first one's
-//!    low lane. Intervals crossing a helper call get callee-saved GPRs
-//!    or spill. When the pool is short, the active intervals that weigh
-//!    less than the incoming one give up their registers, lightest first
-//!    and among equals those that end last (Poletto & Sarkar's
-//!    furthest-end rule); otherwise the incoming interval lives in a
-//!    stack slot. Every
-//!    definition and read weighs [`HEAT`] to the power of its depth in
-//!    loops that keep a counter, so in a deep nest the outer loops'
+//!    low lane. A narrow `i64` chunk register (its lanes are packed
+//!    dwords, see [`super::facts`]) keeps the GPR or slot the scan gives
+//!    it for the scalar code, and its dwords ask for a pair as an
+//!    interval of their own over the same span. Intervals crossing a
+//!    helper call get callee-saved GPRs or spill. When the pool is short,
+//!    the active intervals that weigh less than the incoming one give up
+//!    their registers, lightest first and among equals those that end
+//!    last (Poletto & Sarkar's furthest-end rule); otherwise the incoming
+//!    interval spills. Every definition and read weighs [`HEAT`] to the
+//!    power of its depth in loops that keep a counter, twice that for a
+//!    pair, which moves two registers, so in a deep nest the outer loops'
 //!    values and counters spill and the innermost ones stay in registers.
-//! 4. **Narrow pairs**: a narrow `i64` chunk register (its lanes are
-//!    packed dwords, see [`super::facts`]) keeps the GPR or slot the scan
-//!    gave it for the scalar code, and asks a second scan, after the
-//!    first, for a pair: XMMs that no overlapping interval of the first
-//!    scan holds, with the furthest-end rule among narrow intervals.
-//!    The first scan's homes, and so the code of every chunk without
-//!    narrow registers, do not depend on them.
 //!
 //! Every non-parallel loop the emitter keeps a counter for
 //! ([`Facts::has_counter`]) has an interval of its own, from the loop
 //! head to its back edge, scanned like a register's. A bound that is not
 //! a constant is read at the back edge, so its register's interval spans
 //! the loop too; a parallel body's upper bound, an argument, gets an
-//! interval like a counter's. Some registers get no interval: a pinned
-//! one, a constant that fits `i32` (read as an immediate), a `let`'s
-//! value whose frame slot nothing reads, and an `i64` register varying
-//! in both copies of a chunk with no scalar remainder (it lives in its
-//! pair or lane array).
+//! interval like a counter's.
+//!
+//! So do the loop invariants a function reads and never writes: the data
+//! pointer of each buffer it accesses ([`FnAlloc::bases`]), and each
+//! *pinned* register it reads and an enclosing function defines
+//! ([`FnAlloc::pins`]). Registers read inside a `Parallel` loop but
+//! defined outside it are pinned: the defining function also writes them
+//! to the `JitCtx` pin arrays, so worker threads (a different native
+//! frame) see the snapshot the interpreter's workers clone. Both kinds
+//! are loaded once at the function's entry, from the buffer table and the
+//! pin arrays; one the scan spills needs no stack slot and is read from
+//! there at every use ([`Home::Ctx`]). A buffer's length needs no
+//! interval: it is the constant the code was compiled for.
+//!
+//! Some registers get no interval: a constant that fits `i32` (read as an
+//! immediate) or is pinned (materialized where it is read, [`remat`]), a
+//! `let`'s value whose frame slot nothing reads, and an `i64` register
+//! varying in both copies of a chunk with no scalar remainder (it lives in
+//! its pair or lane array). r14 holds the variable frame only in a
+//! function that reads or writes it, and is allocatable in the others.
 //!
 //! A GPR interval that ends where another starts may hand it its
 //! register: the instruction reads its operands before it writes its
-//! result, and the emitter orders two-address code so that holds (an
-//! XMM pair is written half by half, so XMM intervals stay apart).
+//! result, and the emitter orders two-address code so that holds. An XMM
+//! pair is written half by half, after the half of the instruction's
+//! first operand is read, so a lane-wise operation hands the pair of a
+//! first operand that dies there to its result ([`Scan::hand`]); other
+//! XMM intervals stay apart.
+//!
+//! A uniform `f32` register that packed code reads is broadcast to all
+//! four lanes of its XMM home where it is defined ([`FnAlloc::splat`]),
+//! not once per read.
 //!
 //! Chunk registers of the other shapes keep lane 0 in their scalar home.
 //! Only `Varying` ones get a place in the lane file ([`Lanes`]): an
-//! 8-lane stack array, and the pair either scan gave them, recorded the
-//! same way for both register files.
-//!
-//! Registers read inside a `Parallel` loop but defined outside it are
-//! *pinned*: they live in the `JitCtx` spill arrays so worker threads (a
-//! different native frame) can snapshot them, mirroring how the
-//! interpreter's workers clone the register files.
+//! 8-lane stack array, and the pair the scan gave them, recorded the same
+//! way for both register files.
 //!
 //! Shapes and pins are register facts ([`super::facts`]); this module
 //! only linearizes and scans.
@@ -83,8 +99,9 @@ pub(super) enum Home {
     Pair(Xmm, Xmm),
     /// An `[rsp + off]` spill slot in the owning function's frame.
     Stack(i32),
-    /// Slot `reg` of the `JitCtx` pin array for its file (shared with
-    /// worker threads across `Parallel` loops).
+    /// Where the run's context keeps it, read there at every use: a
+    /// buffer's data pointer or a pin that the scan spilled, which needs no
+    /// stack slot.
     Ctx,
     /// Never referenced in this function.
     Unused,
@@ -134,6 +151,18 @@ pub(super) struct FnAlloc {
     pub counters: HashMap<usize, Home>,
     /// A parallel body's upper bound, which arrives as an argument.
     pub par_hi: Home,
+    /// Per buffer: the home of its data pointer, loaded once at the
+    /// function's entry (`Unused`: nothing here accesses it).
+    pub bases: Vec<Home>,
+    /// The pinned registers this function reads and an enclosing one
+    /// defines, loaded once at its entry from the pin arrays.
+    pub pins: Vec<(File, Reg)>,
+    /// Per `f32` register: its XMM home holds its value in all four lanes
+    /// (see [`Collect::splat`]).
+    pub splat: Vec<bool>,
+    /// Whether the function reads or writes the variable frame, whose
+    /// pointer then lives in r14; otherwise r14 is allocatable.
+    pub frame: bool,
     /// Total `sub rsp, _` size (keeps calls 16-byte aligned).
     pub frame_size: i32,
 }
@@ -191,6 +220,23 @@ struct Collect<'f> {
     /// Per interval: how often its home is touched, every definition and
     /// read weighing [`HEAT`] to the power of its loop depth.
     weight: Vec<u64>,
+    /// Per buffer: the interval of its data pointer, once an access here
+    /// reads it.
+    bases: Vec<Option<usize>>,
+    /// Per register: pinned, read here and defined by an enclosing
+    /// function, so loaded at the entry.
+    pin_in: Vec<bool>,
+    /// Per `f32` register: uniform where some packed code reads it, which
+    /// would broadcast it there (`Emit::splat`); it is broadcast where it
+    /// is defined instead, if it gets an XMM.
+    splat: Vec<bool>,
+    /// Per register: the operand of its definition whose XMM pair it may
+    /// take, if that operand's interval ends there (see `Scan::hand`).
+    donor: Vec<Option<usize>>,
+    /// The walk is in the chunk of a lane-grouped loop.
+    in_chunk: bool,
+    /// Some code here reads or writes the variable frame.
+    frame: bool,
 }
 
 /// How much more often code one loop deeper runs, for spill weights.
@@ -217,17 +263,92 @@ impl Collect<'_> {
         k < self.n_regs && self.fact(k).general == Some(Shape::Varying)
     }
 
-    /// Whether flat register `k` has no interval: a pinned one lives in
-    /// the ctx, an `imm32` constant nowhere.
+    /// Whether flat register `k` has no interval: a constant read where it
+    /// is used ([`remat`]).
     fn homeless(&self, k: usize) -> bool {
-        let f = self.fact(k);
-        f.pinned || (k < self.n_iregs && f.imm().is_some())
+        k < self.n_iregs && remat(self.fact(k)).is_some()
     }
 
+    /// A read of register `r` at `pos`. A register read here before any
+    /// definition is pinned and defined by an enclosing function: its
+    /// interval starts at the entry, which loads it.
     fn use_at(&mut self, file: File, r: Reg, pos: u64) {
         let k = self.flat(file, r);
-        if !self.homeless(k) {
-            self.use_flat(k, pos);
+        if self.homeless(k) {
+            return;
+        }
+        if self.def[k].is_none() {
+            debug_assert!(self.fact(k).pinned, "{file:?} register {r} read before its definition");
+            (self.def[k], self.pin_in[k], self.weight[k]) = (Some(0), true, 1);
+        }
+        self.use_flat(k, pos);
+    }
+
+    /// A read of buffer `buf`'s data pointer where the walk stands.
+    fn use_base(&mut self, buf: u32) {
+        let k = match self.bases[buf as usize] {
+            Some(k) => k,
+            None => {
+                let k = self.interval(0, 1);
+                self.bases[buf as usize] = Some(k);
+                k
+            }
+        };
+        self.use_flat(k, self.pos);
+    }
+
+    /// The lane shape of `f32` register `r` in a chunk's general or
+    /// `steady` copy.
+    fn shape_f(&self, r: Reg, steady: bool) -> Shape {
+        let f = &self.facts.f[r as usize];
+        (if steady { f.steady } else { f.general }).unwrap_or(Shape::Uniform)
+    }
+
+    /// Records, for an instruction of a chunk, which uniform `f32`
+    /// operands its packed code broadcasts and which operand's pair its
+    /// result may take: those of `+ − × ÷` and of `sqrt`, `neg`, `abs`,
+    /// which `Emit::emit_packed` computes in place in the result's pair
+    /// after reading the first operand's half, so only that operand may
+    /// hand its pair over.
+    fn packed(&mut self, inst: &Inst) {
+        use crate::expr::UnOp;
+        let (dst, a, b) = match *inst {
+            Inst::BinF { dst, op: BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div, a, b } => {
+                (dst, a, Some(b))
+            }
+            Inst::UnF { dst, op: UnOp::Sqrt | UnOp::Neg | UnOp::Abs, a } => (dst, a, None),
+            _ => return,
+        };
+        for steady in [false, true] {
+            if self.shape_f(dst, steady) == Shape::Varying {
+                for r in std::iter::once(a).chain(b) {
+                    if self.shape_f(r, steady) == Shape::Uniform {
+                        self.splat[r as usize] = true;
+                    }
+                }
+            }
+        }
+        let (d, a) = (self.flat(File::F, dst), self.flat(File::F, a));
+        if self.varying(d) && self.varying(a) {
+            self.donor[d] = Some(a);
+        }
+    }
+
+    /// The store `s` of a chunk: a uniform value is broadcast for its
+    /// packed forms, a contiguous store and a proven scatter
+    /// (`Emit::emit_chunk_store`).
+    fn packed_store(&mut self, s: &BcStmt) {
+        let BcStmt::Store { idx, val, .. } = *s else { return };
+        for steady in [false, true] {
+            let fact = &self.facts.i[idx as usize];
+            let packed = match if steady { fact.steady } else { fact.general } {
+                Some(Shape::Linear(1)) => true,
+                Some(Shape::Varying) => fact.dwords(steady) && self.facts.store(s).is_none(),
+                _ => false,
+            };
+            if packed && self.shape_f(val, steady) == Shape::Uniform {
+                self.splat[val as usize] = true;
+            }
         }
     }
 
@@ -244,29 +365,38 @@ impl Collect<'_> {
 
     /// A new interval (a counter or a bound) defined at `pos`.
     fn fresh(&mut self, pos: u64) -> usize {
+        let k = self.interval(pos, 0);
+        self.touch(k);
+        k
+    }
+
+    /// A new interval that is not a register's, defined at `pos` and
+    /// weighing `weight` so far.
+    fn interval(&mut self, pos: u64, weight: u64) -> usize {
         self.def.push(Some(pos));
         self.last_use.push(pos);
         self.used.push(true);
         self.reread_across_calls.push(false);
-        self.weight.push(0);
-        let k = self.def.len() - 1;
-        self.touch(k);
-        k
+        self.weight.push(weight);
+        self.def.len() - 1
     }
 
     /// A counted loop of `var`: its counter `ctr` (defined at the head,
     /// before `pos`), then the preamble and body, then the back edge,
     /// which reads the counter and, unless it is a constant `i32`, the
-    /// bound `hi`.
+    /// bound `hi`. A loop with no counter is one chunk, which runs its
+    /// code again only when its steady copy restarts in its general one
+    /// (`looping`): only then do values it reads live to its end.
     fn counted(
         &mut self,
         var: u32,
-        ctr: Option<usize>,
+        (ctr, looping): (Option<usize>, bool),
         hi: Option<usize>,
         preamble: &[Inst],
         body: &[BcStmt],
     ) {
         let start = self.pos;
+        self.frame |= self.facts.frame_read[var as usize];
         if let Some(k) = ctr {
             self.open.push((var, k));
             self.depth += 1;
@@ -280,7 +410,9 @@ impl Collect<'_> {
             self.open.pop();
             self.depth -= 1;
         }
-        self.loops.push((start, self.pos));
+        if looping {
+            self.loops.push((start, self.pos));
+        }
         self.pos += 1;
     }
 
@@ -297,11 +429,20 @@ impl Collect<'_> {
                 self.used[k] = true;
                 self.touch(k);
             }
-            if let Inst::ReadVar { var, .. } = *inst {
-                let open = self.open.iter().rev().find(|o| o.0 == var);
-                if let (true, Some(&(_, ctr))) = (self.facts.reads_counter(inst), open) {
-                    self.touch(ctr);
+            match *inst {
+                Inst::ReadVar { var, .. } => {
+                    let open = self.open.iter().rev().find(|o| o.0 == var);
+                    match (self.facts.reads_counter(inst), open) {
+                        (true, Some(&(_, ctr))) => self.touch(ctr),
+                        (true, None) => {}
+                        (false, _) => self.frame = true,
+                    }
                 }
+                Inst::Load { buf, .. } => self.use_base(buf),
+                _ => {}
+            }
+            if self.in_chunk {
+                self.packed(inst);
             }
             let f = self.fact(k);
             let varying = |s: Option<Shape>| s == Some(Shape::Varying);
@@ -354,10 +495,12 @@ impl Collect<'_> {
                     let hi = (self.facts.i[upper.reg as usize].konst.is_none())
                         .then(|| self.flat(File::I, upper.reg))
                         .filter(|&k| !self.homeless(k));
-                    self.chunks_only = lane_grouped(*kind, body)
-                        && self.facts.chunks_only(lower.reg, upper.reg);
-                    self.counted(*var, ctr, hi, preamble, body);
-                    self.chunks_only = false;
+                    self.in_chunk = lane_grouped(*kind, body);
+                    self.chunks_only =
+                        self.in_chunk && self.facts.chunks_only(lower.reg, upper.reg);
+                    let looping = ctr.is_some() || !self.facts.chunk(s).clamps.is_empty();
+                    self.counted(*var, (ctr, looping), hi, preamble, body);
+                    (self.in_chunk, self.chunks_only) = (false, false);
                 }
                 BcStmt::If { code, cond, then, else_ } => {
                     self.insts(code);
@@ -365,10 +508,14 @@ impl Collect<'_> {
                     self.block(then);
                     self.block(else_);
                 }
-                BcStmt::Store { code, idx, val, .. } => {
+                BcStmt::Store { code, buf, idx, val } => {
                     self.insts(code);
                     self.use_at(File::I, *idx, self.pos);
                     self.use_at(File::F, *val, self.pos);
+                    self.use_base(*buf);
+                    if self.in_chunk {
+                        self.packed_store(s);
+                    }
                     self.pos += 1;
                 }
                 BcStmt::Let { code, reg, var } => {
@@ -376,6 +523,7 @@ impl Collect<'_> {
                     // Only a frame slot something reads is written.
                     if self.facts.frame_read[*var as usize] {
                         self.use_at(File::I, *reg, self.pos);
+                        self.frame = true;
                     }
                     self.pos += 1;
                 }
@@ -388,12 +536,25 @@ impl Collect<'_> {
 // Linear scan
 // ---------------------------------------------------------------------------
 
-/// Allocatable GPRs: caller-saved first (cheap, die at helper calls), then
-/// callee-saved (survive calls). rax/rcx/rdx are codegen scratch;
-/// r13/r14/r15 hold the buffer table, frame and ctx pointers.
-const GPR_POOL: [Gpr; 9] =
-    [Gpr::Rsi, Gpr::Rdi, Gpr::R8, Gpr::R9, Gpr::R10, Gpr::R11, Gpr::Rbx, Gpr::Rbp, Gpr::R12];
-const GPR_CALLEE_SAVED: [Gpr; 3] = [Gpr::Rbx, Gpr::Rbp, Gpr::R12];
+/// Allocatable GPRs, which the scan takes from the end of the list:
+/// callee-saved rbx/rbp/r12 first, then the caller-saved ones (they die at
+/// helper calls), r13 and r14 last; r14 only in a function that keeps no
+/// frame pointer in it. rax/rcx/rdx are codegen scratch; r15 holds the
+/// ctx pointer.
+const GPR_POOL: [Gpr; 11] = [
+    Gpr::R14,
+    Gpr::R13,
+    Gpr::Rsi,
+    Gpr::Rdi,
+    Gpr::R8,
+    Gpr::R9,
+    Gpr::R10,
+    Gpr::R11,
+    Gpr::Rbx,
+    Gpr::Rbp,
+    Gpr::R12,
+];
+const GPR_CALLEE_SAVED: [Gpr; 5] = [Gpr::Rbx, Gpr::Rbp, Gpr::R12, Gpr::R13, Gpr::R14];
 
 /// What an interval asks of the scan.
 #[derive(Clone, Copy)]
@@ -451,6 +612,14 @@ impl Scan {
     fn spill(&mut self, k: usize) {
         self.homes[k] = Home::Stack(0); // offset patched by the frame layout
         self.spilled.push(k);
+    }
+
+    /// Gives interval `k`, live until `end`, the pair of the active
+    /// interval `a`, which ends where `k` starts.
+    fn hand(&mut self, a: usize, k: usize, end: u64) {
+        self.active.retain(|&(_, x)| x != a);
+        self.homes[k] = self.homes[a];
+        self.active.push((end, k));
     }
 
     /// Frees the registers of the intervals that end before `start`, and
@@ -524,7 +693,9 @@ impl Scan {
 /// and a pair's halves differ. `placed` holds every home with its
 /// interval, a narrow register's pair beside its scalar home. GPR
 /// intervals are half-open at their ends: one that ends where another
-/// starts may share its register (see [`Scan::expire`]).
+/// starts may share its register (see [`Scan::expire`]), and so may a pair
+/// the scan hands over ([`Scan::hand`]): its receiver is checked from the
+/// position after its start.
 fn check_homes(placed: &[(Home, u64, u64)]) {
     let regs = |h: Home| -> Vec<(bool, u8)> {
         match h {
@@ -551,9 +722,17 @@ fn check_homes(placed: &[(Home, u64, u64)]) {
     }
 }
 
+/// The value of an `i64` register that has no home and is materialized
+/// wherever it is read: a constant that fits `i32`, read as an immediate,
+/// or a pinned constant, which no function then writes to its pin slot.
+pub(super) fn remat(f: &Fact) -> Option<i64> {
+    f.konst.filter(|_| f.pinned || f.imm().is_some())
+}
+
 pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAlloc {
     let n_i = bc.n_iregs as usize;
-    let n_regs = n_i + bc.n_fregs as usize;
+    let n_f = bc.n_fregs as usize;
+    let n_regs = n_i + n_f;
     let mut c = Collect {
         pos: 0,
         def: vec![None; n_regs],
@@ -571,6 +750,12 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
         depth: 0,
         open: Vec::new(),
         weight: vec![0; n_regs],
+        bases: vec![None; bc.buf_sizes.len()],
+        pin_in: vec![false; n_regs],
+        splat: vec![false; n_f],
+        donor: vec![None; n_regs],
+        in_chunk: false,
+        frame: false,
     };
     // A parallel body's own iteration loop: its bounds arrive as
     // arguments and take homes of their own at the function's entry.
@@ -588,7 +773,7 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
             c.counters.push((s as *const BcStmt as usize, ctr));
             par_hi = Some(hi);
             c.pos = 1;
-            c.counted(*var, Some(ctr), Some(hi), preamble, body);
+            c.counted(*var, (Some(ctr), true), Some(hi), preamble, body);
         }
     }
     let n_all = c.def.len();
@@ -617,80 +802,71 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
         }
     }
 
-    // Linear scan.
-    let mut order: Vec<usize> = (0..n_all).filter(|&k| c.used[k]).collect();
-    order.sort_by_key(|&k| (start[k], k));
-    let mut scan = Scan {
-        free_gpr: GPR_POOL.to_vec(),
-        free_xmm: (2..16).map(Xmm).collect(),
-        active: Vec::new(),
-        homes: vec![Home::Unused; n_all],
-        spilled: Vec::new(),
-        weight: c.weight.clone(),
-    };
-    let crosses_call = |k: usize| {
+    let crosses_call = |k: usize, start: &[u64], end: &[u64]| {
         c.reread_across_calls[k] || c.calls.iter().any(|&cp| start[k] < cp && end[k] > cp)
     };
+    // A narrow register keeps its scalar home, and its packed dwords ask
+    // for a pair as an interval of their own over the same span, `n_all`
+    // on; one without a pair lives in its lane array.
+    let narrow: Vec<usize> = (0..n_i)
+        .filter(|&k| c.used[k] && c.facts.i[k].narrow && !crosses_call(k, &start, &end))
+        .collect();
+    let mut weight = c.weight.clone();
+    for &k in &narrow {
+        start.push(start[k]);
+        end.push(end[k]);
+        weight.push(c.weight[k]);
+    }
+    let n_scan = start.len();
+    // A pair moves two registers' worth at every touch, kept or spilled.
+    for k in (n_i..n_regs).filter(|&k| c.varying(k)).chain(n_all..n_scan) {
+        weight[k] = weight[k].saturating_mul(HALVES as u64);
+    }
+    let crosses_call = |k: usize| crosses_call(k, &start, &end);
+
+    // Linear scan.
+    let mut order: Vec<usize> = (0..n_scan).filter(|&k| k >= n_all || c.used[k]).collect();
+    order.sort_by_key(|&k| (start[k], k));
+    let mut scan = Scan {
+        free_gpr: GPR_POOL.into_iter().filter(|&g| g != Gpr::R14 || !c.frame).collect(),
+        free_xmm: (2..16).map(Xmm).collect(),
+        active: Vec::new(),
+        homes: vec![Home::Unused; n_scan],
+        spilled: Vec::new(),
+        weight,
+    };
+    let mut handed = vec![false; n_scan];
     for &k in order.iter().filter(|&&k| k >= n_regs || !c.lanes_only[k]) {
-        let gpr = k < n_i || k >= n_regs;
+        let gpr = k < n_i || (n_regs..n_all).contains(&k);
         scan.expire(start[k], gpr);
         if gpr {
             // Only callee-saved GPRs survive helper calls.
             scan.place(k, end[k], Want::Gpr { callee_saved: crosses_call(k) });
+        } else if k >= n_all {
+            scan.place(k, end[k], Want::Pair);
         } else if crosses_call(k) {
             // XMMs are all caller-saved; call-crossing floats spill.
             scan.spill(k);
         } else {
-            let want = if c.varying(k) { Want::Pair } else { Want::Xmm };
-            scan.place(k, end[k], want);
+            match c.donor[k] {
+                Some(a) if matches!(scan.homes[a], Home::Pair(..)) && end[a] == start[k] => {
+                    scan.hand(a, k, end[k]);
+                    handed[k] = true;
+                }
+                _ => scan.place(k, end[k], if c.varying(k) { Want::Pair } else { Want::Xmm }),
+            }
         }
     }
     let mut homes = scan.homes;
-
-    // Narrow registers keep the scalar home the scan gave them and get a
-    // pair for their packed dwords in a second scan over the XMMs that no
-    // overlapping interval of the first holds, with the same furthest-end
-    // rule among themselves: the first scan's homes do not depend on them.
-    // One without a pair lives in its lane array.
-    let xmms = |k: usize| match homes[k] {
-        Home::Xmm(x) => vec![x],
-        Home::Pair(x, y) => vec![x, y],
-        _ => Vec::new(),
-    };
-    let (start, end) = (&start, &end);
-    let held: Vec<(Xmm, u64, u64)> = (0..n_regs)
-        .flat_map(|k| xmms(k).into_iter().map(move |x| (x, start[k], end[k])))
-        .collect();
     let mut pairs: Vec<Option<[Xmm; HALVES]>> = vec![None; n_regs];
-    let mut active: Vec<usize> = Vec::new();
-    for &k in order.iter().filter(|&&k| k < n_i && c.facts.i[k].narrow && !crosses_call(k)) {
-        active.retain(|&a| end[a] >= start[k] && pairs[a].is_some());
-        let taken: Vec<Xmm> = active.iter().flat_map(|&a| pairs[a].unwrap()).collect();
-        let mut free: Vec<Xmm> = (2..16)
-            .rev()
-            .map(Xmm)
-            .filter(|x| !taken.contains(x))
-            .filter(|&x| held.iter().all(|&(y, s, e)| y != x || e < start[k] || end[k] < s))
-            .collect();
-        // An active interval that ends after this one contains it, so its
-        // pair is free of the first scan's homes here too.
-        let mut victims: Vec<usize> = active.iter().copied().filter(|&a| end[a] > end[k]).collect();
-        victims.sort_unstable_by_key(|&a| std::cmp::Reverse((end[a], a)));
-        for v in victims {
-            if free.len() >= 2 {
-                break;
-            }
-            free.extend(pairs[v].take().expect("active intervals hold a pair"));
-        }
-        if let [x, y, ..] = free[..] {
+    for (j, &k) in narrow.iter().enumerate() {
+        if let Home::Pair(x, y) = homes[n_all + j] {
             pairs[k] = Some([x, y]);
-            active.push(k);
         }
     }
     if cfg!(debug_assertions) {
-        let pair = |k: usize| Some((pairs[k].map(|[x, y]| Home::Pair(x, y))?, start[k], end[k]));
-        let homes = (0..n_all).map(|k| (homes[k], start[k], end[k]));
-        let placed: Vec<_> = homes.chain((0..n_i).filter_map(pair)).collect();
+        let placed: Vec<_> =
+            (0..n_scan).map(|k| (homes[k], start[k] + u64::from(handed[k]), end[k])).collect();
         check_homes(&placed);
     }
 
@@ -698,9 +874,14 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
     // aligned below the frame, and so is every lane array: the `movups` of
     // its halves never split a cache line.
     let mut off: i32 = 0;
-    for &k in &scan.spilled {
-        homes[k] = Home::Stack(off);
-        off += 8;
+    let invariant = |k: usize| if k < n_regs { c.pin_in[k] } else { c.bases.contains(&Some(k)) };
+    for &k in scan.spilled.iter().filter(|&&k| k < n_all) {
+        if invariant(k) {
+            homes[k] = Home::Ctx;
+        } else {
+            homes[k] = Home::Stack(off);
+            off += 8;
+        }
     }
     off = (off + 15) / 16 * 16;
     let mut lanes = vec![None; n_regs];
@@ -716,19 +897,19 @@ pub(super) fn allocate(bc: &BcProgram, code: &FnCode<'_>, facts: &Facts) -> FnAl
         let wide = k < n_i && !c.facts.i[k].narrow;
         off += if wide { 8 } else { 4 } * crate::vm::LANES as i32;
     }
-    for (k, h) in homes.iter_mut().enumerate().take(n_regs) {
-        if c.fact(k).pinned {
-            *h = Home::Ctx;
-        }
-    }
     // Six pushes leave rsp ≡ 8 (mod 16); the frame restores alignment.
     let frame_size = (off + 8 + 15) / 16 * 16 - 8;
+    let file = |k: usize| if k < n_i { (File::I, k as Reg) } else { (File::F, (k - n_i) as Reg) };
     FnAlloc {
         homes_i: homes[..n_i].to_vec(),
         homes_f: homes[n_i..n_regs].to_vec(),
         lanes: [lanes[..n_i].to_vec(), lanes[n_i..].to_vec()],
         counters: c.counters.iter().map(|&(key, k)| (key, homes[k])).collect(),
         par_hi: par_hi.map_or(Home::Unused, |k| homes[k]),
+        bases: c.bases.iter().map(|b| b.map_or(Home::Unused, |k| homes[k])).collect(),
+        pins: (0..n_regs).filter(|&k| c.pin_in[k]).map(file).collect(),
+        splat: (0..n_f).map(|r| c.splat[r] && matches!(homes[n_i + r], Home::Xmm(_))).collect(),
+        frame: c.frame,
         frame_size,
     }
 }

@@ -48,24 +48,19 @@ pub(super) const CTX_DEOPT_A: i32 = 0x20;
 /// Offset of [`JitCtx::deopt_b`].
 pub(super) const CTX_DEOPT_B: i32 = 0x28;
 
-/// Per-buffer `(data pointer, length)` pair the generated code indexes for
-/// loads/stores and their bounds checks. 16-byte stride, `[r13 + buf*16]`.
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct BufDesc {
-    ptr: *mut f32,
-    len: u64,
-}
-
 /// The execution context passed to every native function in `rdi`. Field
 /// order is ABI: generated code addresses fields by the `CTX_*` offsets;
 /// the fields after `deopt_b` are the host's alone.
 #[repr(C)]
 pub(super) struct JitCtx<'scope> {
-    /// Loop-variable frame (`i64` per program variable), loaded into r14.
+    /// Loop-variable frame (`i64` per program variable), loaded into r14 by
+    /// a function that reads or writes it.
     frame: *mut i64,
-    /// Buffer descriptor table, loaded into r13.
-    bufs: *const BufDesc,
+    /// The buffer table: each buffer's data pointer, by buffer index
+    /// (`[table + 8·buf]`), which a function loads once at its entry (the
+    /// code was compiled for the buffers' lengths, see
+    /// [`JitProgram::fits`]).
+    bufs: *const *mut f32,
     /// Pin array for `i64` registers that cross `Parallel` boundaries.
     ipin: *mut i64,
     /// Pin array for `f32` registers that cross `Parallel` boundaries.
@@ -90,14 +85,14 @@ impl<'scope> JitCtx<'scope> {
         frame: &mut [i64],
         ipin: &mut [i64],
         fpin: &mut [f32],
-        descs: &[BufDesc],
+        table: &[*mut f32],
         host: &RunHost,
         threads: usize,
         crew: Option<Crew<'scope, Result<()>>>,
     ) -> Self {
         JitCtx {
             frame: frame.as_mut_ptr(),
-            bufs: descs.as_ptr(),
+            bufs: table.as_ptr(),
             ipin: ipin.as_mut_ptr(),
             fpin: fpin.as_mut_ptr(),
             deopt_a: 0,
@@ -319,12 +314,9 @@ pub(super) extern "C" fn jit_par_dispatch(
                 let (mut frame, mut ipin, mut fpin) =
                     (frame.to_vec(), ipin.to_vec(), fpin.to_vec());
                 Box::new(move || {
-                    let descs: Vec<BufDesc> = bufs
-                        .iter()
-                        .map(|b| BufDesc { ptr: b.data_ptr(), len: b.len() as u64 })
-                        .collect();
+                    let table: Vec<*mut f32> = bufs.iter().map(SharedBuf::data_ptr).collect();
                     let mut sub =
-                        JitCtx::new(&mut frame, &mut ipin, &mut fpin, &descs, host, 1, None);
+                        JitCtx::new(&mut frame, &mut ipin, &mut fpin, &table, host, 1, None);
                     match f(&mut sub, start, end) {
                         0 => Ok(()),
                         code => prog.replay((code - 3) as usize, sub.deopt_a, sub.deopt_b, bufs),
@@ -465,8 +457,7 @@ impl JitProgram {
         }
         let mut ipin = vec![0i64; self.n_iregs];
         let mut fpin = vec![0f32; self.n_fregs];
-        let descs: Vec<BufDesc> =
-            bufs.iter().map(|b| BufDesc { ptr: b.data_ptr(), len: b.len() as u64 }).collect();
+        let table: Vec<*mut f32> = bufs.iter().map(SharedBuf::data_ptr).collect();
         let host = RunHost {
             prog: self,
             bufs: bufs.as_ptr(),
@@ -478,10 +469,10 @@ impl JitProgram {
         let (code, deopt_a, deopt_b) = if threads > 1 && self.may_split {
             std::thread::scope(|s| {
                 let crew = Some(Crew::new(s, threads));
-                self.enter(JitCtx::new(frame, ipin, fpin, &descs, &host, threads, crew))
+                self.enter(JitCtx::new(frame, ipin, fpin, &table, &host, threads, crew))
             })
         } else {
-            self.enter(JitCtx::new(frame, ipin, fpin, &descs, &host, threads, None))
+            self.enter(JitCtx::new(frame, ipin, fpin, &table, &host, threads, None))
         };
         match code {
             0 => Ok(()),

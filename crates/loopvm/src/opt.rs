@@ -87,6 +87,7 @@ pub fn compile_program(p: &Program) -> Result<BcProgram> {
         var_names: p.vars.clone(),
         buf_sizes: p.buf_sizes(),
         stats: em.stats,
+        work: Default::default(),
     };
     dce(&mut bc);
     bc.stats.insts = bc.n_insts();
@@ -123,6 +124,7 @@ pub fn compile_plain(p: &Program) -> Result<BcProgram> {
         var_names: p.vars.clone(),
         buf_sizes: p.buf_sizes(),
         stats: OptStats::default(),
+        work: Default::default(),
     })
 }
 

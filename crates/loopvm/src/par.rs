@@ -33,6 +33,7 @@ use crate::program::{LoopKind, Program};
 use crate::vm::vm_metrics;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::OnceLock;
 use std::thread::{Scope, ScopedJoinHandle};
 
 /// One chunk's work: built on the caller, run on the caller (chunk 0) or
@@ -145,7 +146,7 @@ impl Work {
     /// built it; one that does not compile leaves every loop unbounded.
     pub(crate) fn lowered(p: &Program, plain: &BcProgram) -> Work {
         let in_order = match p.built() {
-            Some(c) => c.par_work().loops.iter().map(|l| l.1).collect(),
+            Some(c) => c.bytecode().par_work().loops.iter().map(|l| l.1).collect(),
             None => crate::opt::compile_program(p)
                 .map(|bc| crate::jit::par_work(&bc))
                 .unwrap_or_default(),
@@ -171,6 +172,32 @@ impl Work {
     /// Whether some dispatch of the program can reach a crew.
     pub(crate) fn may_split(&self) -> bool {
         self.may_split
+    }
+}
+
+/// The [`Work`] of a [`BcProgram`], derived on the first run that asks for
+/// it and kept with the program ([`BcProgram::par_work`]). Not part of the
+/// program's value: the codec writes none, and a clone starts empty, since
+/// the estimates key the original's loops by address.
+#[derive(Default)]
+pub(crate) struct WorkSlot(pub(crate) OnceLock<Work>);
+
+impl WorkSlot {
+    /// The estimates of `bc`, whose slot this is, derived on the first call.
+    pub(crate) fn get(&self, bc: &BcProgram) -> &Work {
+        self.0.get_or_init(|| Work::of(bc))
+    }
+}
+
+impl Clone for WorkSlot {
+    fn clone(&self) -> Self {
+        WorkSlot::default()
+    }
+}
+
+impl std::fmt::Debug for WorkSlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("WorkSlot")
     }
 }
 

@@ -115,21 +115,11 @@ pub struct Compiled {
     /// `Some(None)` records that the JIT declined (or does not exist on
     /// this target), so an unsupported program is not retried per run.
     jit: OnceLock<Option<JitProgram>>,
-    /// The work estimates of the bytecode's `Parallel` loops, derived on
-    /// the first interpreted run on more than one thread.
-    work: OnceLock<crate::par::Work>,
 }
 
 impl Compiled {
     fn new(bc: BcProgram) -> Compiled {
-        Compiled { bc, jit: OnceLock::new(), work: OnceLock::new() }
-    }
-
-    /// The work estimates the interpreter's `Parallel` dispatches decide
-    /// on: the numbers the native code records beside its parallel
-    /// functions.
-    pub(crate) fn par_work(&self) -> &crate::par::Work {
-        self.work.get_or_init(|| crate::par::Work::of(&self.bc))
+        Compiled { bc, jit: OnceLock::new() }
     }
 
     /// The optimized bytecode ([`crate::opt::compile_program`]'s output).

@@ -398,7 +398,7 @@ impl Machine {
         };
         match jit {
             Some(j) => self.run_jit(j),
-            None if self.threads > 1 => self.interpret(code.bytecode(), code.par_work()),
+            None if self.threads > 1 => self.interpret(code.bytecode(), code.bytecode().par_work()),
             None => self.interpret(code.bytecode(), &Work::none()),
         }
     }
@@ -450,15 +450,17 @@ impl Machine {
     /// machine was built for (buffer and variable spaces must match).
     ///
     /// On more than one thread, its `Parallel` loops' work estimates are
-    /// derived for this run; [`Machine::run`] reuses the ones its
-    /// program's compiled form keeps.
+    /// derived on the first such run and kept with `bc`.
     ///
     /// # Errors
     ///
     /// Out-of-bounds accesses at runtime.
     pub fn run_bytecode(&mut self, bc: &BcProgram) -> Result<()> {
-        let work = if self.threads > 1 { Work::of(bc) } else { Work::none() };
-        self.interpret(bc, &work)
+        if self.threads > 1 {
+            self.interpret(bc, bc.par_work())
+        } else {
+            self.interpret(bc, &Work::none())
+        }
     }
 
     /// Runs `bc` on the interpreter, `work` being its `Parallel` loops'
@@ -1395,6 +1397,23 @@ mod tests {
         m.set_exec_mode(ExecMode::TreeWalk);
         m.run(&p).unwrap();
         assert!(h.snapshot().count > direct);
+    }
+
+    /// A bare `BcProgram` run on two threads derives its `Parallel` work
+    /// estimates once, on its first run, and keeps them; a clone starts
+    /// without them, since they key the original's loops.
+    #[test]
+    fn bare_bytecode_derives_its_work_estimates_once() {
+        let (p, _, _) = saxpy_program(LoopKind::Parallel, 64);
+        let bc = crate::opt::compile_program(&p).unwrap();
+        let mut m = Machine::new(&p);
+        m.set_threads(2);
+        assert!(bc.work.0.get().is_none(), "estimates before any run");
+        m.run_bytecode(&bc).unwrap();
+        let first: *const crate::par::Work = bc.work.0.get().expect("estimates after a run");
+        m.run_bytecode(&bc).unwrap();
+        assert!(std::ptr::eq(first, bc.par_work()), "the second run derived them again");
+        assert!(bc.clone().work.0.get().is_none());
     }
 
     #[test]

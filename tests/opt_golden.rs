@@ -236,10 +236,13 @@ fn warp_jit_x86_64_listing_is_pinned() {
 /// update chunk is all packed and nothing in the program divides. Its
 /// loops are lean: the update loop `for c11 = 0..4 { for c13 = 0..8
 /// vectorize(8) }` runs one straight-line chunk per iteration, its integer
-/// ops work on their homes and its counter lives in a register, so one
-/// iteration takes a few dozen instructions and barely touches the stack
-/// (80 and 16 when every operand went through rax and every counter
-/// through the frame).
+/// ops work on their homes and its counter lives in a register, and the
+/// buffers' data pointers, the pinned panel offset and the splat element
+/// of A stay in registers across it, so one iteration takes 26
+/// instructions and never touches the stack (80 and 16 when every operand
+/// went through rax and every counter through the frame, 36 and 0 when
+/// every access fetched its data pointer from the buffer table and every
+/// read of a pin chased it through the context).
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[test]
 fn sgemm_native_code_is_packed_and_division_free() {
@@ -268,13 +271,22 @@ fn sgemm_native_code_is_packed_and_division_free() {
         updates += 1;
         assert!(!body.contains("movups [rsp"), "a lane array in the update loop:\n{body}");
         let n = insts.len();
-        assert!(n <= 48 && refs <= 8, "{n} insts, {refs} stack operands:\n{body}");
+        assert!(n <= 26 && refs == 0, "{n} insts, {refs} stack operands:\n{body}");
         assert!(!body.contains("jae"), "a bounds guard in the update loop:\n{body}");
+        // Nothing is fetched through the context (r15: the buffer table,
+        // the pin arrays), and no GPR is loaded from memory at all, so no
+        // operand goes through a pointer just read from either.
+        let gpr_load = |l: &str| {
+            let (op, args) = l.trim().split_once(' ').unwrap_or_default();
+            op.starts_with("mov") && args.starts_with('r') && args.contains('[')
+        };
+        assert!(!body.contains("[r15"), "a context read in the update loop:\n{body}");
+        assert!(!insts.iter().any(|l| gpr_load(l)), "a GPR loaded from memory:\n{body}");
     }
     assert_eq!(updates, 4, "update loops");
     // The encoder counted the same instructions.
     let cost = jit.footprint().loops;
-    assert_eq!((all_insts, all_refs), (cost.insts, cost.stack_refs), "{cost:?}");
+    assert_eq!((all_insts, all_refs, 0), (cost.insts, cost.stack_refs, cost.ctx_refs), "{cost:?}");
     // The loop bounds prove every access in range: no guard, no stub.
     assert_eq!(jit.n_deopts(), 0, "{:?}", jit.footprint().deopt_reasons);
 }

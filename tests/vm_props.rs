@@ -1983,3 +1983,144 @@ proptest! {
         prop_assert!(p.compiled().unwrap().jit().is_some(), "no native code: {:?}", c);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Loop invariants in native code. A native function loads the data pointer
+// of every buffer it accesses, and every pinned value an enclosing
+// function defined, once at its entry; the scan keeps each in a register
+// or leaves it where the context keeps it. Here a `Parallel` body reads a
+// pinned `i64` `p` and a pinned `f32` `q`, which the enclosing serial loop
+// computes, in an inner loop that touches few buffers or more than the
+// eleven allocatable GPRs hold, so some data pointers stay in the buffer
+// table, and every store is guarded by a shift `sh` the bounds do not
+// know, so a shifted row leaves its buffer and the cold paths run. The
+// upper bound `rows` has no fact either, so on two and three threads
+// every dispatch reaches the crew, whose workers run on copies of the pin
+// arrays. On every thread count, the JIT agrees with the interpreter and
+// the plain lowering on the outcome and every buffer bit.
+// ---------------------------------------------------------------------------
+
+const INV_IN: i64 = 64;
+
+#[derive(Debug, Clone, Copy)]
+struct InvCase {
+    n_in: usize,
+    n_out: usize,
+    rows: i64,
+    m: i64,
+    vector: bool,
+    sh: i64,
+    k: i64,
+}
+
+fn inv_case(
+    n_in: std::ops::RangeInclusive<usize>,
+    n_out: std::ops::RangeInclusive<usize>,
+) -> impl Strategy<Value = InvCase> {
+    let sh = prop_oneof![Just(0i64), Just(0), Just(1), Just(7)];
+    ((n_in, n_out, 0i64..=5), (3i64..=20, any::<bool>(), sh, -40i64..=40)).prop_map(
+        |((n_in, n_out, rows), (m, vector, sh, k))| InvCase { n_in, n_out, rows, m, vector, sh, k },
+    )
+}
+
+/// `for t in 0..2 { for i in 0..rows parallel { for j in 0..m {
+/// out_o[i·m + j + sh] = in_a[j + (i + p) % 8] · q + in_b[32 + j + (2p + o) % 8]
+/// } } }` for each output `o`, with `p = k − 3t` (a subtraction whose
+/// result may take its right operand's register) and `q = t/2 + k/4`
+/// computed in the serial loop; the variables `rows` and `sh` are bound.
+fn inv_program(c: &InvCase) -> (Program, [loopvm::Var; 2]) {
+    let mut p = Program::new();
+    let ins: Vec<_> = (0..c.n_in).map(|b| p.buffer(&format!("in{b}"), INV_IN as usize)).collect();
+    let len = (c.rows * c.m) as usize;
+    let outs: Vec<_> = (0..c.n_out).map(|b| p.buffer(&format!("out{b}"), len)).collect();
+    let (t, i, j) = (p.var("t"), p.var("i"), p.var("j"));
+    let (rows, sh) = (p.var("rows"), p.var("sh"));
+    let pin_i = || V::i64(c.k) - V::var(t) * V::i64(3);
+    let pin_f = || V::to_f32(V::var(t)) * V::f32(0.5) + V::f32(c.k as f32 * 0.25);
+    let body = (outs.iter().enumerate())
+        .map(|(o, &out)| {
+            let a = ins[o % c.n_in];
+            let b = ins[(3 * o + 1) % c.n_in];
+            let at_a = V::var(j) + (V::var(i) + pin_i()) % V::i64(8);
+            let at_b = V::i64(32) + V::var(j) + (pin_i() * V::i64(2) + V::i64(o as i64)) % V::i64(8);
+            let val = V::load(a, at_a) * pin_f() + V::load(b, at_b);
+            Stmt::store(out, V::var(i) * V::i64(c.m) + V::var(j) + V::var(sh), val)
+        })
+        .collect();
+    let kind = if c.vector { LoopKind::Vectorize(8) } else { LoopKind::Serial };
+    let inner = Stmt::for_(j, V::i64(0), V::i64(c.m), kind, body);
+    let par = Stmt::for_(i, V::i64(0), V::var(rows), LoopKind::Parallel, vec![inner]);
+    p.push(Stmt::serial(t, V::i64(0), V::i64(2), vec![par]));
+    (p, [rows, sh])
+}
+
+/// The outcome and every buffer bit of `c`'s program on `mode` and
+/// `threads`.
+fn inv_outcome(c: &InvCase, mode: ExecMode, threads: usize) -> (String, Vec<Vec<u32>>) {
+    let (p, [rows, sh]) = inv_program(c);
+    assert_bytecode_roundtrips(&p);
+    let mut m = Machine::new(&p);
+    m.set_threads(threads);
+    m.set_exec_mode(mode);
+    m.bind(rows, c.rows);
+    m.bind(sh, c.sh);
+    for b in 0..c.n_in {
+        for (x, v) in m.buffer_mut(p.nth_buffer(b)).iter_mut().enumerate() {
+            *v = (b * 64 + x) as f32 * 0.375 - 11.0;
+        }
+    }
+    let outcome = match m.run(&p) {
+        Ok(()) => "ok".to_string(),
+        Err(e) => format!("err: {e}"),
+    };
+    let bits = |b: &[f32]| b.iter().map(|v| v.to_bits()).collect();
+    (outcome, (0..p.n_buffers()).map(|b| bits(m.buffer(p.nth_buffer(b)))).collect())
+}
+
+/// Checks `c` on one, two and three threads: the JIT and the plain
+/// lowering against the interpreter, and an `ok` outcome against one
+/// thread's.
+fn inv_agrees(c: &InvCase) -> Result<(), TestCaseError> {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    {
+        let (p, _) = inv_program(c);
+        let text = loopvm::jit::listing(p.compiled().unwrap().bytecode()).expect("no native code");
+        prop_assert!(text.contains("; pin "), "no pin kept in a register: {:?}:\n{}", c, text);
+        if c.n_in + c.n_out > 11 {
+            let spilled = "mov rcx, [r15+0x8]";
+            prop_assert!(text.contains(spilled), "no data pointer spilled: {:?}:\n{}", c, text);
+        }
+    }
+    let serial = inv_outcome(c, ExecMode::Bytecode, 1);
+    for threads in 1..=3 {
+        let reference = inv_outcome(c, ExecMode::Bytecode, threads);
+        for mode in [ExecMode::Jit, ExecMode::TreeWalk] {
+            let got = inv_outcome(c, mode, threads);
+            prop_assert_eq!(&got.0, &reference.0, "{:?} on {} threads: {:?}", mode, threads, c);
+            prop_assert!(got.1 == reference.1, "{:?} on {} threads: {:?}", mode, threads, c);
+        }
+        if reference.0 == "ok" {
+            prop_assert!(reference == serial, "{} threads differ from one: {:?}", threads, c);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::diff_cases()))]
+
+    /// Twelve to sixteen buffers in the inner loop: more data pointers
+    /// than GPRs, so some are read from the buffer table at every access.
+    #[test]
+    fn spilled_data_pointers_agree_on_every_thread_count(c in inv_case(4..=8, 8..=8)) {
+        inv_agrees(&c)?;
+    }
+
+    /// One to three buffers: the data pointers and pins in registers of
+    /// the `Parallel` body, read by the guarded stores' deopt stubs and
+    /// per-lane slow paths.
+    #[test]
+    fn pinned_values_agree_on_every_thread_count(c in inv_case(1..=3, 1..=3)) {
+        inv_agrees(&c)?;
+    }
+}
