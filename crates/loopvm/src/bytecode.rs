@@ -13,7 +13,9 @@
 //! ids to be in range.
 
 use crate::expr::{BinOp, UnOp};
+use crate::par::Estimate;
 use crate::program::{LoopKind, Program};
+use std::sync::OnceLock;
 
 /// A register index into one of the two register files (which file is
 /// implied by the instruction).
@@ -159,6 +161,10 @@ pub(crate) enum BcStmt {
         upper: BCode,
         /// Execution strategy, mirrored from the source loop.
         kind: LoopKind,
+        /// How many `Parallel` loops begin before this one in source order
+        /// ([`number_loop`]): a `Parallel` loop's index into
+        /// [`BcProgram::estimates`], the same in every lowering of a program.
+        par: u32,
         /// Hoisted per-iteration instructions.
         preamble: Vec<Inst>,
         /// Loop body.
@@ -195,6 +201,14 @@ pub(crate) enum BcStmt {
         /// Value register.
         reg: Reg,
     },
+}
+
+/// The `par` of a loop of `kind` after `seen` `Parallel` loops, counted
+/// into `seen`: each lowering and the decoder call it before the body.
+pub(crate) fn number_loop(seen: &mut u32, kind: LoopKind) -> u32 {
+    let par = *seen;
+    *seen += u32::from(kind == LoopKind::Parallel);
+    par
 }
 
 /// Human-readable labels for the instruction classes of
@@ -307,17 +321,17 @@ pub struct BcProgram {
     pub(crate) buf_sizes: Vec<usize>,
     /// What the optimizer did.
     pub(crate) stats: OptStats,
-    /// The work estimates of its `Parallel` loops, once a run on more
-    /// than one thread asked for them.
-    pub(crate) work: crate::par::WorkSlot,
+    /// The work estimates of its `Parallel` loops once derived (never
+    /// encoded; a clone keeps them).
+    pub(crate) estimates: OnceLock<Box<[Estimate]>>,
 }
 
 impl BcProgram {
-    /// The work estimates the interpreter's `Parallel` dispatches decide
-    /// on — the numbers the native code records beside its parallel
-    /// functions — derived on the first call and kept.
-    pub(crate) fn par_work(&self) -> &crate::par::Work {
-        self.work.get(self)
+    /// The work estimates every tier's `Parallel` dispatches decide on, by
+    /// `par` index: those the JIT recorded when it compiled this program,
+    /// else derived on the first call (`crate::jit::interval_estimates`).
+    pub(crate) fn estimates(&self) -> &[Estimate] {
+        self.estimates.get_or_init(|| crate::jit::interval_estimates(self))
     }
 
     /// Checks that the program is strict SSA: every register has one
@@ -557,7 +571,7 @@ fn disasm_block(body: &[BcStmt], p: &Program, depth: usize, out: &mut String) {
     let pad = "  ".repeat(depth);
     for s in body {
         match s {
-            BcStmt::For { var, lower, upper, kind, preamble, body } => {
+            BcStmt::For { var, lower, upper, kind, preamble, body, .. } => {
                 for i in lower.insts.iter().chain(&upper.insts) {
                     out.push_str(&format!("{pad}{}\n", disasm_inst(i, p)));
                 }

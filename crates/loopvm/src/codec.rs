@@ -17,7 +17,7 @@
 //! [`decode_bc_into`] is the one way to put decoded bytecode back into a
 //! program's slot.
 
-use crate::bytecode::{BCode, BcProgram, BcStmt, Inst, OptStats};
+use crate::bytecode::{number_loop, BCode, BcProgram, BcStmt, Inst, OptStats};
 use crate::expr::{BinOp, Expr, Ty, UnOp, Var};
 use crate::program::{BufId, LoopKind, Program, Stmt};
 use artifacts::wire::{malformed, Reader, Writer};
@@ -393,11 +393,20 @@ pub fn decode_bc(r: &mut Reader<'_>, p: &Program) -> Result<BcProgram> {
     }
     let lim = Limits { n_iregs, n_fregs, n_vars, n_bufs: p.n_buffers() };
     let prologue = decode_insts(r, &lim)?;
-    let body = decode_bc_block(r, &lim)?;
+    let body = decode_bc_block(r, &lim, &mut 0)?;
     let buf_sizes = p.buf_sizes();
-    let work = Default::default();
-    let bc =
-        BcProgram { prologue, body, n_iregs, n_fregs, n_vars, var_names, buf_sizes, stats, work };
+    let estimates = Default::default();
+    let bc = BcProgram {
+        prologue,
+        body,
+        n_iregs,
+        n_fregs,
+        n_vars,
+        var_names,
+        buf_sizes,
+        stats,
+        estimates,
+    };
     bc.check_ssa().map_err(|e| malformed(format!("{e} (bytecode must be strict SSA)")))?;
     Ok(bc)
 }
@@ -637,18 +646,20 @@ fn encode_bc_block(body: &[BcStmt], w: &mut Writer) {
     }
 }
 
-fn decode_bc_block(r: &mut Reader<'_>, lim: &Limits) -> Result<Vec<BcStmt>> {
+/// Decodes a block, numbering its loops after the `pars` `Parallel` loops
+/// decoded before it ([`crate::bytecode::number_loop`]).
+fn decode_bc_block(r: &mut Reader<'_>, lim: &Limits, pars: &mut u32) -> Result<Vec<BcStmt>> {
     let n = r.len(1)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(decode_bc_stmt(r, lim)?);
+        out.push(decode_bc_stmt(r, lim, pars)?);
     }
     Ok(out)
 }
 
 fn encode_bc_stmt(s: &BcStmt, w: &mut Writer) {
     match s {
-        BcStmt::For { var, lower, upper, kind, preamble, body } => {
+        BcStmt::For { var, lower, upper, kind, preamble, body, .. } => {
             w.u8(0);
             w.u32(*var);
             encode_bcode(lower, w);
@@ -680,19 +691,18 @@ fn encode_bc_stmt(s: &BcStmt, w: &mut Writer) {
     }
 }
 
-fn decode_bc_stmt(r: &mut Reader<'_>, lim: &Limits) -> Result<BcStmt> {
+fn decode_bc_stmt(r: &mut Reader<'_>, lim: &Limits, pars: &mut u32) -> Result<BcStmt> {
     Ok(match r.u8()? {
         0 => {
             let var = r.u32()?;
             lim.check_var(var)?;
-            BcStmt::For {
-                var,
-                lower: decode_bcode(r, lim)?,
-                upper: decode_bcode(r, lim)?,
-                kind: decode_loop_kind(r)?,
-                preamble: decode_insts(r, lim)?,
-                body: decode_bc_block(r, lim)?,
-            }
+            let lower = decode_bcode(r, lim)?;
+            let upper = decode_bcode(r, lim)?;
+            let kind = decode_loop_kind(r)?;
+            let par = number_loop(pars, kind);
+            let preamble = decode_insts(r, lim)?;
+            let body = decode_bc_block(r, lim, pars)?;
+            BcStmt::For { var, lower, upper, kind, par, preamble, body }
         }
         1 => {
             let code = decode_insts(r, lim)?;
@@ -701,8 +711,8 @@ fn decode_bc_stmt(r: &mut Reader<'_>, lim: &Limits) -> Result<BcStmt> {
             BcStmt::If {
                 code,
                 cond,
-                then: decode_bc_block(r, lim)?,
-                else_: decode_bc_block(r, lim)?,
+                then: decode_bc_block(r, lim, pars)?,
+                else_: decode_bc_block(r, lim, pars)?,
             }
         }
         2 => {
@@ -867,7 +877,7 @@ mod tests {
             var_names: Vec::new(),
             buf_sizes: p.buf_sizes(),
             stats: OptStats::default(),
-            work: Default::default(),
+            estimates: Default::default(),
         };
         let mut w = Writer::new();
         encode_bc(&bc, &mut w);
@@ -888,7 +898,7 @@ mod tests {
 
     fn serial(kind: LoopKind, preamble: Vec<Inst>, body: Vec<BcStmt>) -> BcStmt {
         let bound = |reg| BCode { insts: Vec::new(), reg };
-        BcStmt::For { var: 0, lower: bound(0), upper: bound(1), kind, preamble, body }
+        BcStmt::For { var: 0, lower: bound(0), upper: bound(1), kind, par: 0, preamble, body }
     }
 
     /// Strict SSA at the trust boundary: a read its definition does not

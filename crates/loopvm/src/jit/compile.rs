@@ -76,9 +76,10 @@ struct Emitted {
     a: Asm,
     main_off: usize,
     /// Per `Parallel` loop, in dispatch-id order: its code offset and the
-    /// work estimate of one iteration (`Facts::estimate`).
+    /// work estimate of one iteration, read from `BcProgram::estimates` by
+    /// the loop's `par` index.
     par_fns: Vec<(usize, u64)>,
-    /// Whether some dispatch can reach a crew (`par::Estimate::may_split`).
+    /// Whether some dispatch can reach a crew (`par::may_split`).
     may_split: bool,
     deopts: Vec<Deopt>,
     footprint: super::Footprint,
@@ -113,19 +114,20 @@ fn emit(bc: &BcProgram, a: Asm) -> Option<Emitted> {
     };
     let main_off = e.a.here();
     e.emit_fn(None);
+    // The program's one store of estimates, filled from these facts
+    // unless an interpreter run filled it first with the same numbers.
+    let est = bc.estimates.get_or_init(|| e.facts.estimates(bc));
     let mut par_fns = Vec::new();
-    let mut may_split = false;
     let mut i = 0;
     while i < e.pending.len() {
         let w = e.pending[i];
         e.alloc = allocate(bc, &FnCode::ParBody(w.stmt), &e.facts);
         let off = e.a.here();
         e.emit_fn(Some((i, w)));
-        let est = e.facts.estimate(w.stmt);
-        par_fns.push((off, est.per_iter));
-        may_split |= est.may_split();
+        par_fns.push((off, est[w.par as usize].per_iter));
         i += 1;
     }
+    let may_split = crate::par::may_split(est);
     // After the code, 16-byte aligned as `paddd`'s memory operand must be.
     if !e.steps.is_empty() {
         e.a.align16();
@@ -152,6 +154,8 @@ struct ParWork<'a> {
     /// The `For` itself.
     stmt: &'a BcStmt,
     var: u32,
+    /// Its index into the program's estimates.
+    par: u32,
     preamble: &'a [Inst],
     body: &'a [BcStmt],
 }
@@ -817,7 +821,7 @@ impl<'a> Emit<'a> {
                     self.a.bind(end);
                 }
             }
-            BcStmt::For { var, lower, upper, kind, preamble, body } => {
+            BcStmt::For { var, lower, upper, kind, preamble, body, .. } => {
                 self.emit_insts(&lower.insts);
                 self.emit_insts(&upper.insts);
                 if *kind == LoopKind::Parallel {
@@ -932,11 +936,11 @@ impl<'a> Emit<'a> {
     /// Evaluates bounds into arg registers and calls the parallel
     /// dispatch trampoline; a nonzero status propagates to the epilogue.
     fn emit_par_call(&mut self, stmt: &'a BcStmt, lo_reg: Reg, hi_reg: Reg) {
-        let BcStmt::For { var, preamble, body, .. } = stmt else { unreachable!("a loop") };
-        let var = *var;
+        let BcStmt::For { var, par, preamble, body, .. } = stmt else { unreachable!("a loop") };
+        let (var, par) = (*var, *par);
         let id = self.next_par_id;
         self.next_par_id += 1;
-        self.pending.push(ParWork { stmt, var, preamble, body });
+        self.pending.push(ParWork { stmt, var, par, preamble, body });
         self.a.comment(|| format!("parallel v{var} -> par{id}"));
         self.read_i(Gpr::Rax, lo_reg);
         self.read_i(Gpr::Rcx, hi_reg);
@@ -1419,10 +1423,11 @@ mod tests {
         assert!(text.contains("sqrtps") && text.contains("movups"), "{text}");
     }
 
-    /// The native code records the interpreter's estimate of every
-    /// `Parallel` loop, in dispatch-id order, so both tiers decide every
-    /// dispatch alike, and opens a crew only for a program some dispatch
-    /// of which can reach it.
+    /// The estimates the JIT fills in from its facts are the ones a first
+    /// run on two threads derives for a fresh copy of the program, and the
+    /// native code records them in dispatch-id order, so both tiers decide
+    /// every dispatch alike and open a crew only for a program some
+    /// dispatch of which can reach it.
     #[test]
     fn par_fns_record_the_interpreters_estimates() {
         let mut p = Program::new();
@@ -1447,11 +1452,17 @@ mod tests {
         p.push(par(Expr::i64(64), 64));
         let check = |p: &Program, may_split: bool| {
             let bc = crate::opt::compile_program(p).unwrap();
-            let want = facts::par_work(&bc);
+            let fresh = bc.clone();
             let emitted = emit(&bc, Asm::new()).unwrap();
+            let mut m = crate::Machine::new(p);
+            m.set_threads(2);
+            m.run_bytecode(&fresh).unwrap();
+            let want = fresh.estimates.get().expect("the run derived the estimates").to_vec();
+            assert_eq!(**bc.estimates.get().expect("the JIT filled the estimates"), *want);
             let got: Vec<u64> = emitted.par_fns.iter().map(|f| f.1).collect();
             assert_eq!(got, want.iter().map(|e| e.per_iter).collect::<Vec<_>>());
             assert_eq!(emitted.may_split, may_split, "{want:?}");
+            assert_eq!(crate::par::may_split(&want), may_split, "{want:?}");
             want
         };
         let want = check(&p, false);

@@ -411,6 +411,12 @@ impl Facts {
         }
     }
 
+    /// The estimate of every `Parallel` loop of `bc`, whose facts these
+    /// are, by `par` index.
+    pub(super) fn estimates(&self, bc: &BcProgram) -> Box<[Estimate]> {
+        crate::par::par_loops(&bc.body).into_iter().map(|s| self.estimate(s)).collect()
+    }
+
     /// Whether a lane-grouped loop runs whole chunks only: its constant
     /// bounds give a multiple of eight iterations, so it has no scalar
     /// remainder.
@@ -444,17 +450,16 @@ pub(super) fn derive(bc: &BcProgram) -> Facts {
     walk(bc, true)
 }
 
-/// The work estimate of every `Parallel` loop of `bc`, in program order
-/// (`crate::par::par_loops`; [`Facts::estimate`]). Intervals only: the
-/// oracle decides guards, not trip bounds, so these are the numbers
+/// The work estimates of `bc`'s `Parallel` loops where the JIT has not
+/// recorded them (`BcProgram::estimates`): from the intervals alone, since
+/// the oracle decides guards, not trip bounds, so these are the numbers
 /// [`derive`]'s facts give. A program that is not strict SSA (the plain
-/// lowering) has no facts, and none of its loops has an estimate.
-pub(crate) fn par_work(bc: &BcProgram) -> Vec<Estimate> {
-    if bc.check_ssa().is_err() {
-        return Vec::new();
+/// lowering) has no facts, and every loop of it is unbounded.
+pub(crate) fn interval_estimates(bc: &BcProgram) -> Box<[Estimate]> {
+    match bc.check_ssa() {
+        Ok(()) => walk(bc, false).estimates(bc),
+        Err(_) => vec![Estimate::UNBOUNDED; crate::par::par_loops(&bc.body).len()].into(),
     }
-    let facts = walk(bc, false);
-    crate::par::par_loops(&bc.body).into_iter().map(|s| facts.estimate(s)).collect()
 }
 
 /// The walk behind [`derive`]; without the `oracle`, every access the
@@ -814,7 +819,7 @@ impl Walk<'_> {
                     }
                 }
             }
-            BcStmt::For { var, lower, upper, kind, preamble, body } => {
+            BcStmt::For { var, lower, upper, kind, preamble, body, .. } => {
                 self.insts(&lower.insts, dead);
                 self.insts(&upper.insts, dead);
                 self.read(File::I, lower.reg);
@@ -1428,6 +1433,7 @@ mod tests {
                 lower: BCode { insts: vec![], reg: 0 },
                 upper: BCode { insts: vec![], reg: 1 },
                 kind: LoopKind::Vectorize(8),
+                par: 0,
                 preamble: outer.iter().chain(&chunk).copied().collect(),
                 body: vec![],
             }],
@@ -1437,7 +1443,7 @@ mod tests {
             var_names: vec![],
             buf_sizes: vec![],
             stats: OptStats::default(),
-            work: Default::default(),
+            estimates: Default::default(),
         };
         let facts = derive(&bc);
         let shapes: Vec<Shape> =
@@ -1691,7 +1697,7 @@ mod tests {
             var_names: vec![],
             buf_sizes: vec![1024],
             stats: OptStats::default(),
-            work: Default::default(),
+            estimates: Default::default(),
         }
     }
 
@@ -1711,13 +1717,14 @@ mod tests {
             lower: bound(0),
             upper: bound(1),
             kind: LoopKind::Parallel,
+            par: 0,
             preamble: pre,
             body,
         };
         let bc = program(prologue, vec![par]);
-        let work = par_work(&bc);
+        let work = interval_estimates(&bc);
         assert_eq!(work.len(), 1, "one parallel loop");
-        assert_eq!(derive(&bc).estimate(&bc.body[0]), work[0], "the oracle moves no estimate");
+        assert_eq!(derive(&bc).estimates(&bc), work, "the oracle moves no estimate");
         assert_eq!(work[0].trips, 4, "registers 0 and 1 hold the bounds 0 and 4");
         work[0].per_iter
     }
@@ -1739,6 +1746,7 @@ mod tests {
             lower: bound(0),
             upper: bound(1),
             kind: LoopKind::Serial,
+            par: 0,
             preamble: vec![
                 Inst::ReadVar { dst: 5, var: 2 },
                 Inst::BinI { dst: 6, op: Add, a: 4, b: 5 },
@@ -1750,6 +1758,7 @@ mod tests {
             lower: bound(0),
             upper: bound(2),
             kind: LoopKind::Serial,
+            par: 0,
             preamble: vec![Inst::ReadVar { dst: 4, var: 1 }],
             body: vec![innermost],
         };
@@ -1800,6 +1809,7 @@ mod tests {
             lower: bound(11),
             upper: bound(upper),
             kind: LoopKind::Serial,
+            par: 0,
             preamble: vec![Inst::ReadVar { dst: 15, var: 1 }],
             body: vec![store(15, 0)],
         };
@@ -1836,6 +1846,7 @@ mod tests {
             lower: bound(0),
             upper: bound(2),
             kind: LoopKind::Serial,
+            par: 0,
             preamble: vec![Inst::ReadVar { dst: 3, var: 2 }],
             body: vec![store(3, 0)],
         };
@@ -1848,16 +1859,17 @@ mod tests {
             lower: bound(0),
             upper: bound(2),
             kind: LoopKind::Parallel,
+            par: 0,
             preamble: vec![],
             body: vec![store(0, 0)],
         };
-        let work = par_work(&program(prologue, vec![par]));
-        assert_eq!(work, [Estimate { per_iter: 2, trips: u64::MAX }]);
-        assert!(work[0].may_split());
+        let work = interval_estimates(&program(prologue, vec![par]));
+        assert_eq!(*work, [Estimate { per_iter: 2, trips: u64::MAX }]);
+        assert!(crate::par::may_split(&work));
     }
 
     /// The plain lowering reuses registers, so it has no facts and its
-    /// loops no estimate: they split as before.
+    /// loops are unbounded: they split as before.
     #[test]
     fn a_program_that_is_not_ssa_has_no_estimate() {
         let mut p = Program::new();
@@ -1870,7 +1882,7 @@ mod tests {
         p.push(Stmt::for_(i, Expr::i64(0), Expr::i64(8), LoopKind::Parallel, body));
         let plain = crate::opt::compile_plain(&p).unwrap();
         assert!(plain.check_ssa().is_err());
-        assert!(par_work(&plain).is_empty());
-        assert_eq!(par_work(&crate::opt::compile_program(&p).unwrap()).len(), 1);
+        assert_eq!(*interval_estimates(&plain), [Estimate::UNBOUNDED]);
+        assert_eq!(interval_estimates(&crate::opt::compile_program(&p).unwrap()).len(), 1);
     }
 }

@@ -37,7 +37,7 @@ mod regalloc;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod runtime;
 
-pub(crate) use facts::par_work;
+pub(crate) use facts::interval_estimates;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub use compile::{compile, listing};
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]

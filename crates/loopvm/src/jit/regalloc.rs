@@ -469,7 +469,7 @@ impl Collect<'_> {
     fn block(&mut self, body: &[BcStmt]) {
         for s in body {
             match s {
-                BcStmt::For { var, lower, upper, kind, preamble, body } => {
+                BcStmt::For { var, lower, upper, kind, preamble, body, .. } => {
                     // Both bounds are read at the loop head, after both
                     // bound blocks ran (as `compile.rs` emits them), so
                     // the lower bound stays live across the upper bound's

@@ -47,7 +47,7 @@
 //! reference the optimized stream is tested against and the stream the
 //! cost model prices.
 
-use crate::bytecode::{BCode, BcProgram, BcStmt, File, Inst, OptStats, Reg};
+use crate::bytecode::{number_loop, BCode, BcProgram, BcStmt, File, Inst, OptStats, Reg};
 use crate::expr::{BinOp, Expr, Ty, UnOp};
 use crate::program::{Program, Stmt};
 use crate::vm::{apply_f, apply_i, apply_un_f, apply_un_i, cmp_f, cmp_i};
@@ -76,6 +76,7 @@ pub fn compile_program(p: &Program) -> Result<BcProgram> {
         n_iregs: 0,
         n_fregs: 0,
         stats: OptStats { tree_nodes: count_body_nodes(body), ..OptStats::default() },
+        pars: 0,
     };
     let bc_body = em.emit_block(body)?;
     let mut bc = BcProgram {
@@ -87,7 +88,7 @@ pub fn compile_program(p: &Program) -> Result<BcProgram> {
         var_names: p.vars.clone(),
         buf_sizes: p.buf_sizes(),
         stats: em.stats,
-        work: Default::default(),
+        estimates: Default::default(),
     };
     dce(&mut bc);
     bc.stats.insts = bc.n_insts();
@@ -113,7 +114,7 @@ pub fn compile_program(p: &Program) -> Result<BcProgram> {
 /// The same [`Error::Type`] and [`Error::Structure`], in the same order,
 /// as [`compile_program`].
 pub fn compile_plain(p: &Program) -> Result<BcProgram> {
-    let mut pl = Plain { code: Vec::new(), next: [0; 2], size: [0; 2] };
+    let mut pl = Plain { code: Vec::new(), next: [0; 2], size: [0; 2], pars: 0 };
     let body = pl.block(p.body())?;
     Ok(BcProgram {
         prologue: Vec::new(),
@@ -124,7 +125,7 @@ pub fn compile_plain(p: &Program) -> Result<BcProgram> {
         var_names: p.vars.clone(),
         buf_sizes: p.buf_sizes(),
         stats: OptStats::default(),
-        work: Default::default(),
+        estimates: Default::default(),
     })
 }
 
@@ -136,6 +137,8 @@ struct Plain {
     next: [Reg; 2],
     /// Register file sizes: the most any statement used.
     size: [Reg; 2],
+    /// `Parallel` loops met so far ([`crate::bytecode::number_loop`]).
+    pars: u32,
 }
 
 impl Plain {
@@ -281,8 +284,10 @@ impl Plain {
                 if tlo != Ty::I64 || thi != Ty::I64 {
                     return Err(Error::Type("loop bounds must be i64".into()));
                 }
+                let par = number_loop(&mut self.pars, *kind);
                 let body = self.block(body)?;
-                BcStmt::For { var: var.0, lower, upper, kind: *kind, preamble: Vec::new(), body }
+                let preamble = Vec::new();
+                BcStmt::For { var: var.0, lower, upper, kind: *kind, par, preamble, body }
             }
         })
     }
@@ -377,6 +382,8 @@ struct Emitter {
     n_iregs: u16,
     n_fregs: u16,
     stats: OptStats,
+    /// `Parallel` loops met so far ([`crate::bytecode::number_loop`]).
+    pars: u32,
 }
 
 impl Emitter {
@@ -811,6 +818,7 @@ impl Emitter {
                 // A nested loop reusing an outer loop's variable slot must
                 // not value-number to the outer loop's per-iteration read.
                 self.vn.remove(&Key::ReadVar(var.0));
+                let par = number_loop(&mut self.pars, *kind);
                 let body_bc = self.emit_block(body)?;
                 let preamble = self.sinks.pop().expect("loop sink");
                 // Registers defined per-iteration die with the loop.
@@ -826,6 +834,7 @@ impl Emitter {
                     lower: BCode { insts: lo_local.code, reg: rlo },
                     upper: BCode { insts: hi_local.code, reg: rhi },
                     kind: *kind,
+                    par,
                     preamble,
                     body: body_bc,
                 })

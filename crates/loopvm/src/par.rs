@@ -6,14 +6,14 @@
 //! into the same contiguous chunks, whatever runs inside them.
 //!
 //! A run with more than one thread, some dispatch of which can pay for a
-//! crew ([`Work::may_split`]), opens one `std::thread::scope` and a
-//! [`Crew`] on it. The crew spawns its workers at the first dispatch that
-//! needs them and keeps them for the rest of the run: every dispatch hands
-//! chunks `1..` to the workers over `std::sync::mpsc`, the caller runs
-//! chunk 0 itself, and the outcomes come back in chunk order. A job owns
-//! the state it mutates (snapshots taken on the caller) and borrows only
-//! what outlives the scope. The workers exit when the crew drops at the
-//! end of the run and the scope joins them, so no thread outlives its run.
+//! crew ([`may_split`]), opens one `std::thread::scope` and a [`Crew`] on
+//! it. The crew spawns its workers at the first dispatch that needs them
+//! and keeps them for the rest of the run: every dispatch hands chunks
+//! `1..` to the workers over `std::sync::mpsc`, the caller runs chunk 0
+//! itself, and the outcomes come back in chunk order. A job owns the state
+//! it mutates (snapshots taken on the caller) and borrows only what
+//! outlives the scope. The workers exit when the crew drops at the end of
+//! the run and the scope joins them, so no thread outlives its run.
 //!
 //! A dispatch fails as a serial run would ([`settle`]): with the failure
 //! of the first failing chunk in chunk order, whether an `Err` or a panic,
@@ -21,19 +21,20 @@
 //!
 //! A dispatch reaches the crew only when its work pays for it ([`takes`]):
 //! its iterations times the static estimate of one iteration's bytecode
-//! instructions ([`Work`]) reach [`GRAIN`]. Below that the loop runs
-//! inline on the caller, as it does on one thread. Every legal `Parallel`
-//! loop gives the same result serially, and a serial run fails at the
-//! first failing iteration, which is in the first failing chunk: the
-//! decision changes neither a legal loop's output nor the failure a run
-//! reports. Every tier decides alike (DESIGN §10).
+//! instructions reach [`GRAIN`]. The estimates live in one place, the
+//! program's [`Estimate`] per `Parallel` loop, indexed by the loop's
+//! `par` number, which every lowering and the decoder assign alike. Below
+//! the grain the loop runs inline on the caller, as it does on one thread.
+//! Every legal `Parallel` loop gives the same result serially, and a
+//! serial run fails at the first failing iteration, which is in the first
+//! failing chunk: the decision changes neither a legal loop's output nor
+//! the failure a run reports. Every tier decides alike (DESIGN §10).
 
-use crate::bytecode::{BcProgram, BcStmt};
-use crate::program::{LoopKind, Program};
+use crate::bytecode::BcStmt;
+use crate::program::LoopKind;
 use crate::vm::vm_metrics;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::OnceLock;
 use std::thread::{Scope, ScopedJoinHandle};
 
 /// One chunk's work: built on the caller, run on the caller (chunk 0) or
@@ -95,7 +96,8 @@ pub(crate) fn takes(threads: usize, lo: i64, hi: i64, per_iter: u64) -> bool {
 }
 
 /// The static work estimate of one `Parallel` loop, from the loop-bound
-/// intervals of `jit::facts` (`crate::jit::par_work`).
+/// intervals of `jit::facts` (`Facts::estimate`), kept by the program at
+/// the loop's `par` index ([`crate::bytecode::BcProgram::estimates`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Estimate {
     /// The bytecode instructions one iteration runs at most.
@@ -105,108 +107,19 @@ pub(crate) struct Estimate {
 }
 
 impl Estimate {
-    /// Whether some dispatch of the loop can reach a crew: [`pays`] grows
-    /// with `n`, and no dispatch has more than `trips` iterations.
-    pub(crate) fn may_split(self) -> bool {
-        pays(2, self.trips, self.per_iter)
-    }
+    /// The estimate of a loop with no facts: unbounded, it always splits.
+    pub(crate) const UNBOUNDED: Estimate = Estimate { per_iter: u64::MAX, trips: u64::MAX };
 }
 
-/// The work estimates of one program's `Parallel` loops. The JIT records
-/// the same numbers beside its parallel functions, so every tier decides
-/// alike. A loop with no estimate is unbounded and always splits.
-#[derive(Debug)]
-pub(crate) struct Work {
-    /// Per `Parallel` loop, in program order: the loop, by address, and
-    /// its estimate.
-    loops: Vec<(usize, Estimate)>,
-    /// Whether some dispatch of the program can reach a crew; a run
-    /// without one opens none.
-    may_split: bool,
+/// Whether some dispatch of a loop with one of `estimates` can reach a
+/// crew: [`pays`] grows with `n`, and no dispatch has more than `trips`
+/// iterations. A run of a program whose loops cannot opens none.
+pub(crate) fn may_split(estimates: &[Estimate]) -> bool {
+    estimates.iter().any(|e| pays(2, e.trips, e.per_iter))
 }
 
-impl Work {
-    /// No estimates: every loop is unbounded. For runs on one thread,
-    /// which have no crew to decide for.
-    pub(crate) fn none() -> Work {
-        Work { loops: Vec::new(), may_split: true }
-    }
-
-    /// The estimates of `bc`'s loops; none for a program that is not
-    /// strict SSA.
-    pub(crate) fn of(bc: &BcProgram) -> Work {
-        Work::keyed(bc, crate::jit::par_work(bc))
-    }
-
-    /// The estimates of `p`'s optimized bytecode, paired with the loops of
-    /// `plain`, its plain lowering. Both lowerings keep `p`'s statements
-    /// one for one, so their `Parallel` loops pair up in program order and
-    /// the reference evaluator decides every dispatch as the other tiers
-    /// do. The optimized form is built for this call when `p` has not
-    /// built it; one that does not compile leaves every loop unbounded.
-    pub(crate) fn lowered(p: &Program, plain: &BcProgram) -> Work {
-        let in_order = match p.built() {
-            Some(c) => c.bytecode().par_work().loops.iter().map(|l| l.1).collect(),
-            None => crate::opt::compile_program(p)
-                .map(|bc| crate::jit::par_work(&bc))
-                .unwrap_or_default(),
-        };
-        Work::keyed(plain, in_order)
-    }
-
-    /// `in_order`, one estimate per `Parallel` loop of `bc` in program
-    /// order, keyed by the loops; loops past its end have none.
-    fn keyed(bc: &BcProgram, in_order: Vec<Estimate>) -> Work {
-        let loops = par_loops(&bc.body);
-        let may_split = loops.len() > in_order.len() || in_order.iter().any(|e| e.may_split());
-        Work { loops: loops.into_iter().map(key).zip(in_order).collect(), may_split }
-    }
-
-    /// The estimate of one iteration of the `Parallel` loop `s` of the
-    /// program.
-    pub(crate) fn per_iter(&self, s: &BcStmt) -> u64 {
-        let k = key(s);
-        self.loops.iter().find(|l| l.0 == k).map_or(u64::MAX, |l| l.1.per_iter)
-    }
-
-    /// Whether some dispatch of the program can reach a crew.
-    pub(crate) fn may_split(&self) -> bool {
-        self.may_split
-    }
-}
-
-/// The [`Work`] of a [`BcProgram`], derived on the first run that asks for
-/// it and kept with the program ([`BcProgram::par_work`]). Not part of the
-/// program's value: the codec writes none, and a clone starts empty, since
-/// the estimates key the original's loops by address.
-#[derive(Default)]
-pub(crate) struct WorkSlot(pub(crate) OnceLock<Work>);
-
-impl WorkSlot {
-    /// The estimates of `bc`, whose slot this is, derived on the first call.
-    pub(crate) fn get(&self, bc: &BcProgram) -> &Work {
-        self.0.get_or_init(|| Work::of(bc))
-    }
-}
-
-impl Clone for WorkSlot {
-    fn clone(&self) -> Self {
-        WorkSlot::default()
-    }
-}
-
-impl std::fmt::Debug for WorkSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("WorkSlot")
-    }
-}
-
-fn key(s: &BcStmt) -> usize {
-    s as *const BcStmt as usize
-}
-
-/// The `Parallel` loops of `body`, nested ones included, in program
-/// order.
+/// The `Parallel` loops of `body`, nested ones included, in source
+/// order: by `par` index.
 pub(crate) fn par_loops(body: &[BcStmt]) -> Vec<&BcStmt> {
     fn walk<'a>(body: &'a [BcStmt], out: &mut Vec<&'a BcStmt>) {
         for s in body {
@@ -329,7 +242,8 @@ pub(crate) fn settle<T>(outcomes: Vec<Outcome<crate::Result<T>>>) -> crate::Resu
 
 #[cfg(test)]
 mod tests {
-    use super::{chunks, pays, settle, takes, Crew, Estimate, Job, LoopKind, Outcome, Work, GRAIN};
+    use super::{chunks, may_split, par_loops, pays, settle, takes, Crew, Estimate, Job, Outcome};
+    use super::{BcStmt, LoopKind, GRAIN};
 
     #[test]
     fn chunks_are_a_contiguous_balanced_cover() {
@@ -412,7 +326,7 @@ mod tests {
     /// A loop may reach a crew exactly when its largest dispatch would.
     #[test]
     fn a_loop_may_split_when_its_largest_dispatch_pays() {
-        let may = |trips, per_iter| Estimate { per_iter, trips }.may_split();
+        let may = |trips, per_iter| may_split(&[Estimate { per_iter, trips }]);
         assert!(may(2, GRAIN / 2) && !may(2, GRAIN / 2 - 1));
         assert!(!may(1, u64::MAX) && !may(0, u64::MAX), "one iteration never splits");
         assert!(may(u64::MAX, 1) && may(u64::MAX, u64::MAX), "unbounded");
@@ -425,9 +339,12 @@ mod tests {
     }
 
     /// A run opens a crew only for a program some dispatch of which can
-    /// reach it; a loop with no estimate always can.
+    /// reach it; a loop with no estimate always can. Both lowerings number
+    /// their `Parallel` loops alike, so the plain lowering's dispatches
+    /// read the optimized bytecode's estimates.
     #[test]
     fn a_program_may_split_when_some_loop_may() {
+        use crate::bytecode::BcProgram;
         use crate::expr::Expr;
         use crate::program::{Program, Stmt};
         let mut p = Program::new();
@@ -435,18 +352,25 @@ mod tests {
         let (i, n) = (p.var("i"), p.var("n"));
         let store = vec![Stmt::store(a, Expr::var(i), Expr::f32(1.0))];
         p.push(Stmt::for_(i, Expr::i64(0), Expr::i64(64), LoopKind::Parallel, store.clone()));
-        let may_split =
-            |p: &Program| Work::of(&crate::opt::compile_program(p).unwrap()).may_split();
-        assert!(!may_split(&p), "64 iterations of a store");
-        let plain = crate::opt::compile_plain(&p).unwrap();
-        assert!(!Work::lowered(&p, &plain).may_split(), "the optimized bytecode's estimates");
-        assert!(Work::of(&plain).may_split(), "no facts");
-        assert!(Work::none().may_split());
+        let may = |bc: &BcProgram| may_split(bc.estimates());
+        let optimized = |p: &Program| crate::opt::compile_program(p).unwrap();
+        assert!(!may(&optimized(&p)), "64 iterations of a store");
+        assert!(may(&crate::opt::compile_plain(&p).unwrap()), "no facts");
+        assert!(!may_split(&[]), "no loops");
         // `n` is a parameter: the second loop has no trip bound.
         p.push(Stmt::for_(i, Expr::i64(0), Expr::var(n), LoopKind::Parallel, store));
-        assert!(may_split(&p));
-        let plain = crate::opt::compile_plain(&p).unwrap();
-        assert!(Work::lowered(&p, &plain).may_split());
+        let opt = optimized(&p);
+        assert!(may(&opt));
+        assert_eq!(opt.estimates()[1].trips, u64::MAX, "no trip bound");
+        let numbers = |bc: &BcProgram| -> Vec<u32> {
+            let par = |s: &BcStmt| match s {
+                BcStmt::For { par, .. } => *par,
+                _ => unreachable!("a loop"),
+            };
+            par_loops(&bc.body).into_iter().map(par).collect()
+        };
+        assert_eq!(numbers(&opt), [0, 1]);
+        assert_eq!(numbers(&crate::opt::compile_plain(&p).unwrap()), [0, 1]);
     }
 
     #[test]

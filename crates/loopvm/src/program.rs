@@ -243,11 +243,6 @@ impl Program {
         (outcome.as_ref().map_err(Clone::clone), built)
     }
 
-    /// The compiled form, if this program (or a clone) has built it.
-    pub(crate) fn built(&self) -> Option<&Compiled> {
-        self.code.get().and_then(|r| r.as_ref().ok())
-    }
-
     /// Installs bytecode decoded and validated against this program as
     /// its compiled form ([`crate::codec::decode_bc_into`]). Like
     /// [`Program::compiled`] this fills the shared slot through `&self`; a

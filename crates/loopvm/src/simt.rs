@@ -394,7 +394,7 @@ pub(crate) fn exec_block<const W: usize, H: WarpHost<W>>(
                     exec_block(else_, &else_mask, ctx)?;
                 }
             }
-            BcStmt::For { var, lower, upper, kind: _, preamble, body } => {
+            BcStmt::For { var, lower, upper, preamble, body, .. } => {
                 run_insts(&lower.insts, mask, ctx)?;
                 run_insts(&upper.insts, mask, ctx)?;
                 let lo = ctx.ir[lower.reg as usize];

@@ -43,7 +43,7 @@
 use crate::bytecode::{BCode, BcProgram, BcStmt, File, Inst, InstClassCounts, Reg};
 use crate::cost::{CacheSim, CostModel};
 use crate::expr::{BinOp, Expr, Ty, UnOp};
-use crate::par::{Crew, Job, Work};
+use crate::par::{Crew, Estimate, Job};
 use crate::program::{BufId, LoopKind, Program};
 use crate::simt::{self, WarpHost};
 use crate::{Error, Result};
@@ -124,9 +124,11 @@ impl std::fmt::Display for RunStats {
 // Buffers (shared across worker threads)
 // ---------------------------------------------------------------------------
 
+/// One buffer, a cell per element: an access touches only its element,
+/// never a reference to the whole buffer while other threads store.
 pub(crate) struct SharedBuf {
     name: String,
-    data: UnsafeCell<Box<[f32]>>,
+    data: Box<[UnsafeCell<f32>]>,
 }
 
 // SAFETY: buffers are raced only inside `Parallel` loops; the compilers
@@ -137,32 +139,35 @@ pub(crate) struct SharedBuf {
 unsafe impl Sync for SharedBuf {}
 
 impl SharedBuf {
+    /// `size` zeroed elements.
+    fn zeroed(name: &str, size: usize) -> SharedBuf {
+        let data = Box::into_raw(vec![0.0f32; size].into_boxed_slice());
+        // SAFETY: `UnsafeCell<f32>` is laid out as `f32`; the box is unique.
+        let data = unsafe { Box::from_raw(data as *mut [UnsafeCell<f32>]) };
+        SharedBuf { name: name.to_string(), data }
+    }
+
+    /// The cell of element `idx`, behind the one bounds check of every
+    /// access (a negative `idx` wraps past the end).
+    #[inline]
+    fn cell(&self, idx: i64) -> Result<&UnsafeCell<f32>> {
+        self.data.get(idx as usize).ok_or_else(|| Error::OutOfBounds {
+            buffer: self.name.clone(),
+            index: idx,
+            size: self.data.len(),
+        })
+    }
+
     #[inline]
     fn get(&self, idx: i64) -> Result<f32> {
-        let data = unsafe { &*self.data.get() };
-        if idx < 0 || idx as usize >= data.len() {
-            return Err(Error::OutOfBounds {
-                buffer: self.name.clone(),
-                index: idx,
-                size: data.len(),
-            });
-        }
-        Ok(unsafe { *data.get_unchecked(idx as usize) })
+        // SAFETY: no other thread writes this element (the `Sync` note).
+        Ok(unsafe { *self.cell(idx)?.get() })
     }
 
     #[inline]
     fn set(&self, idx: i64, v: f32) -> Result<()> {
-        let data = unsafe { &mut *self.data.get() };
-        if idx < 0 || idx as usize >= data.len() {
-            return Err(Error::OutOfBounds {
-                buffer: self.name.clone(),
-                index: idx,
-                size: data.len(),
-            });
-        }
-        unsafe {
-            *data.get_unchecked_mut(idx as usize) = v;
-        }
+        // SAFETY: no other thread touches this element (the `Sync` note).
+        unsafe { *self.cell(idx)?.get() = v };
         Ok(())
     }
 }
@@ -177,13 +182,13 @@ impl SharedBuf {
 
     /// Element count.
     pub(crate) fn len(&self) -> usize {
-        unsafe { &*self.data.get() }.len()
+        self.data.len()
     }
 
     /// Raw element pointer for the JIT's buffer descriptor table. Aliasing
     /// follows the same rules as `get`/`set` (see the `Sync` safety note).
     pub(crate) fn data_ptr(&self) -> *mut f32 {
-        unsafe { &mut *self.data.get() }.as_mut_ptr()
+        UnsafeCell::raw_get(self.data.as_ptr())
     }
 }
 
@@ -289,10 +294,7 @@ impl Machine {
         let bufs: Vec<SharedBuf> = p
             .buffers
             .iter()
-            .map(|(name, size)| SharedBuf {
-                name: name.clone(),
-                data: UnsafeCell::new(vec![0.0f32; *size].into_boxed_slice()),
-            })
+            .map(|(name, size)| SharedBuf::zeroed(name, *size))
             .collect();
         // Distinct, line-aligned modeled base addresses per buffer.
         let mut bases = Vec::with_capacity(bufs.len());
@@ -358,12 +360,17 @@ impl Machine {
 
     /// Read access to a buffer's storage.
     pub fn buffer(&self, b: BufId) -> &[f32] {
-        unsafe { &*self.bufs[b.index()].data.get() }
+        let cells: *const [UnsafeCell<f32>] = &*self.bufs[b.index()].data;
+        // SAFETY: runs borrow the machine mutably, so none stores while
+        // this borrow lives; the cells are laid out as `f32`s.
+        unsafe { &*(cells as *const [f32]) }
     }
 
     /// Mutable access to a buffer's storage (e.g. to set inputs).
     pub fn buffer_mut(&mut self, b: BufId) -> &mut [f32] {
-        unsafe { &mut *self.bufs[b.index()].data.get() }
+        let cells: *mut [UnsafeCell<f32>] = &mut *self.bufs[b.index()].data;
+        // SAFETY: the borrow is exclusive; the cells are laid out as `f32`s.
+        unsafe { &mut *(cells as *mut [f32]) }
     }
 
     /// Runs the program with the configured evaluator (by default the
@@ -398,8 +405,7 @@ impl Machine {
         };
         match jit {
             Some(j) => self.run_jit(j),
-            None if self.threads > 1 => self.interpret(code.bytecode(), code.bytecode().par_work()),
-            None => self.interpret(code.bytecode(), &Work::none()),
+            None => self.run_bytecode(code.bytecode()),
         }
     }
 
@@ -425,18 +431,25 @@ impl Machine {
     /// Runs the program's plain lowering ([`crate::opt::compile_plain`])
     /// on the interpreter regardless of the configured mode: the
     /// differential reference. The lowering is built for this run and
-    /// dropped after it.
+    /// dropped after it. On more than one thread, a program with
+    /// `Parallel` loops builds its [`Program::compiled`] form, if it has
+    /// not, for those loops' work estimates.
     ///
     /// # Errors
     ///
     /// Same as [`Machine::run`].
     pub fn run_tree_walk(&mut self, p: &Program) -> Result<()> {
         let t0 = std::time::Instant::now();
-        // The plain lowering has no facts of its own: its dispatches decide
-        // on the optimized bytecode's estimates.
-        let r = crate::opt::compile_plain(p).and_then(|bc| {
-            let work = if self.threads > 1 { Work::lowered(p, &bc) } else { Work::none() };
-            self.run_unpriced(&bc, &work, None).0
+        let r = crate::opt::compile_plain(p).and_then(|mut bc| {
+            // The plain lowering has no facts of its own. It numbers its
+            // `Parallel` loops as the program's compiled form does, so its
+            // dispatches decide on that form's estimates.
+            if self.threads > 1 && !crate::par::par_loops(&bc.body).is_empty() {
+                if let Ok(code) = p.compiled() {
+                    bc.estimates = Box::<[Estimate]>::from(code.bytecode().estimates()).into();
+                }
+            }
+            self.run_unpriced(&bc, None).0
         });
         vm_metrics().run_tree_walk_us.record_duration(t0.elapsed());
         r
@@ -450,26 +463,17 @@ impl Machine {
     /// machine was built for (buffer and variable spaces must match).
     ///
     /// On more than one thread, its `Parallel` loops' work estimates are
-    /// derived on the first such run and kept with `bc`.
+    /// derived on the first such run, unless the JIT recorded them, and
+    /// kept with `bc`.
     ///
     /// # Errors
     ///
     /// Out-of-bounds accesses at runtime.
     pub fn run_bytecode(&mut self, bc: &BcProgram) -> Result<()> {
-        if self.threads > 1 {
-            self.interpret(bc, bc.par_work())
-        } else {
-            self.interpret(bc, &Work::none())
-        }
-    }
-
-    /// Runs `bc` on the interpreter, `work` being its `Parallel` loops'
-    /// estimates.
-    fn interpret(&mut self, bc: &BcProgram, work: &Work) -> Result<()> {
         let _sp = telemetry::span("vm", "run_bytecode");
         let t0 = std::time::Instant::now();
         let prof = telemetry::profile_enabled().then(Box::<BcProf>::default);
-        let (r, prof) = self.run_unpriced(bc, work, prof);
+        let (r, prof) = self.run_unpriced(bc, prof);
         vm_metrics().run_bytecode_us.record_duration(t0.elapsed());
         if let Some(p) = prof {
             p.emit(&bc.var_names);
@@ -487,21 +491,19 @@ impl Machine {
     /// Same as [`Machine::run`].
     pub fn run_with_stats(&mut self, p: &Program) -> Result<RunStats> {
         let bc = crate::opt::compile_plain(p)?;
-        let none = Work::none();
-        let mut ctx = self.bc_ctx(&bc, &none, Pricing::new(&self.bases), 1, None);
+        let mut ctx = self.bc_ctx(&bc, Pricing::new(&self.bases), 1, None);
         bc_run(&bc, &mut ctx)?;
         Ok(ctx.meter.finish())
     }
 
     /// Runs `bc` unpriced, profiling into `prof` when given; on more than
     /// one thread, when some dispatch can pay for a crew
-    /// ([`Work::may_split`]), inside one `std::thread::scope` whose crew
-    /// every `Parallel` loop of the run whose `work` pays for it dispatches
-    /// to. Returns the outcome and the profile.
+    /// ([`crate::par::may_split`]), inside one `std::thread::scope` whose
+    /// crew every `Parallel` loop of the run whose work pays for it
+    /// dispatches to. Returns the outcome and the profile.
     fn run_unpriced(
         &self,
         bc: &BcProgram,
-        work: &Work,
         prof: Option<Box<BcProf>>,
     ) -> (Result<()>, Option<Box<BcProf>>) {
         fn go<'a>(
@@ -513,23 +515,23 @@ impl Machine {
             let r = bc_run(bc, &mut ctx);
             (r, ctx.prof)
         }
-        if self.threads > 1 && work.may_split() {
+        if self.threads > 1 && crate::par::may_split(bc.estimates()) {
             std::thread::scope(|s| {
                 let crew = Some(Crew::new(s, self.threads));
-                go(bc, self.bc_ctx(bc, work, (), self.threads, crew), prof)
+                go(bc, self.bc_ctx(bc, (), self.threads, crew), prof)
             })
         } else {
-            go(bc, self.bc_ctx(bc, work, (), self.threads, None), prof)
+            go(bc, self.bc_ctx(bc, (), self.threads, None), prof)
         }
     }
 
     /// A fresh interpreter context for `bc` on this machine's buffers,
-    /// dispatching the `Parallel` loops whose `work` pays for it on
-    /// `threads` to `crew` (serial without one).
+    /// dispatching the `Parallel` loops whose work pays for it on
+    /// `threads` to `crew` (serial without one). Only a context on more
+    /// than one thread reads `bc`'s estimates.
     fn bc_ctx<'a, M: Meter>(
         &'a self,
-        bc: &BcProgram,
-        work: &'a Work,
+        bc: &'a BcProgram,
         meter: M,
         threads: usize,
         crew: Option<Crew<'a, ChunkOut>>,
@@ -538,7 +540,7 @@ impl Machine {
             bufs: &self.bufs,
             threads,
             crew,
-            work,
+            estimates: if threads > 1 { bc.estimates() } else { &[] },
             frame: self.frame(bc.n_vars),
             ir: vec![0i64; bc.n_iregs as usize],
             fr: vec![0f32; bc.n_fregs as usize],
@@ -832,8 +834,9 @@ struct BcCtx<'a, M> {
     /// The crew `Parallel` loops dispatch to; `None` where `threads` is 1,
     /// and in a run no dispatch of which can pay for a crew.
     crew: Option<Crew<'a, ChunkOut>>,
-    /// The program's `Parallel` loop estimates the crew decides on.
-    work: &'a Work,
+    /// The program's `Parallel` loop estimates, by `par` index, that a
+    /// dispatch decides on; none where `threads` is 1.
+    estimates: &'a [Estimate],
     frame: Vec<i64>,
     ir: Vec<i64>,
     fr: Vec<f32>,
@@ -1014,7 +1017,7 @@ fn bc_exec_stmt<'a, M: Meter>(s: &'a BcStmt, ctx: &mut BcCtx<'a, M>) -> Result<(
                 bc_exec_block(else_, ctx)
             }
         }
-        BcStmt::For { var, lower, upper, kind, preamble, body } => {
+        BcStmt::For { var, lower, upper, kind, par, preamble, body } => {
             let lo = bc_eval_bound(lower, ctx)?;
             let hi = bc_eval_bound(upper, ctx)?;
             // Per-loop attribution: count every entry and trip, wall-time
@@ -1028,8 +1031,9 @@ fn bc_exec_stmt<'a, M: Meter>(s: &'a BcStmt, ctx: &mut BcCtx<'a, M>) -> Result<(
                 }
                 None => None,
             };
+            let per_iter = || ctx.estimates.get(*par as usize).map_or(u64::MAX, |e| e.per_iter);
             let split = *kind == LoopKind::Parallel
-                && crate::par::takes(ctx.threads, lo, hi, ctx.work.per_iter(s))
+                && crate::par::takes(ctx.threads, lo, hi, per_iter())
                 && ctx.crew.is_some();
             let r = match kind {
                 _ if split => bc_exec_parallel(*var, lo, hi, preamble, body, ctx),
@@ -1075,8 +1079,8 @@ fn bc_exec_parallel<'a, M: Meter>(
     body: &'a [BcStmt],
     ctx: &mut BcCtx<'a, M>,
 ) -> Result<()> {
-    let BcCtx { bufs, crew, work, frame, ir, fr, prof, .. } = ctx;
-    let (bufs, work) = (*bufs, *work);
+    let BcCtx { bufs, crew, frame, ir, fr, prof, .. } = ctx;
+    let bufs = *bufs;
     let profiled = prof.is_some();
     let crew = crew.as_mut().expect("parallel dispatch without a crew");
     // Each chunk runs on a private context whose scalar state (registers
@@ -1091,7 +1095,7 @@ fn bc_exec_parallel<'a, M: Meter>(
                 // Nested parallel loops run serially inside a chunk.
                 threads: 1,
                 crew: None,
-                work,
+                estimates: &[],
                 lanes: Lanes::new(ir.len(), fr.len(), frame.len()),
                 frame,
                 ir,
@@ -1399,21 +1403,24 @@ mod tests {
         assert!(h.snapshot().count > direct);
     }
 
-    /// A bare `BcProgram` run on two threads derives its `Parallel` work
-    /// estimates once, on its first run, and keeps them; a clone starts
-    /// without them, since they key the original's loops.
+    /// A bare `BcProgram` derives its `Parallel` work estimates on its
+    /// first run on more than one thread, never on one thread, and keeps
+    /// them; a clone keeps them too, since they index loops by number.
     #[test]
     fn bare_bytecode_derives_its_work_estimates_once() {
         let (p, _, _) = saxpy_program(LoopKind::Parallel, 64);
         let bc = crate::opt::compile_program(&p).unwrap();
         let mut m = Machine::new(&p);
+        m.set_threads(1);
+        m.run_bytecode(&bc).unwrap();
+        assert!(bc.estimates.get().is_none(), "a one-thread run derived estimates");
         m.set_threads(2);
-        assert!(bc.work.0.get().is_none(), "estimates before any run");
         m.run_bytecode(&bc).unwrap();
-        let first: *const crate::par::Work = bc.work.0.get().expect("estimates after a run");
+        let first: *const [Estimate] = &**bc.estimates.get().expect("estimates after a run");
         m.run_bytecode(&bc).unwrap();
-        assert!(std::ptr::eq(first, bc.par_work()), "the second run derived them again");
-        assert!(bc.clone().work.0.get().is_none());
+        assert!(std::ptr::eq(first, bc.estimates()), "the second run derived them again");
+        let copy = bc.clone();
+        assert_eq!(copy.estimates.get().map(|e| &**e), Some(bc.estimates()), "a clone lost them");
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //! for (`vm.par.dispatches`, whether or not the run opened a crew), those
 //! whose estimated work pays for the run's crew (`vm.par.splits`), and
 //! the crew's workers, spawned once per run, not once per dispatch
-//! (`vm.par.spawns`). Both tiers decide alike. The counters are
-//! process-wide, so this binary holds a single test.
+//! (`vm.par.spawns`). Every tier decides alike: the JIT, the bytecode
+//! interpreter, the reference evaluator, and bare bytecode runs on a clone
+//! and on a decoded copy. The counters are process-wide, so this binary
+//! holds a single test.
 
 #[path = "common/traps.rs"]
 mod traps;
 
-use loopvm::{ExecMode, Machine, Program};
+use loopvm::{BcProgram, ExecMode, Machine, Program};
 
 /// Per-run `(dispatches, splits, spawns)`.
 type Counts = (u64, u64, u64);
@@ -18,11 +20,11 @@ fn counters() -> Counts {
     (c("vm.par.dispatches"), c("vm.par.splits"), c("vm.par.spawns"))
 }
 
-/// The counts of each of three runs of `p` on `m`, after a warm run (the
-/// first run may build the program's compiled form). A run may fail: the
-/// trap programs do, on purpose.
-fn per_run(m: &mut Machine, p: &Program) -> Vec<Counts> {
-    let mut run = || std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.run(p)));
+/// The counts of each of three runs, after a warm run (the first run may
+/// build the program's compiled form). A run may fail: the trap programs
+/// do, on purpose.
+fn per_run(mut run: impl FnMut() -> loopvm::Result<()>) -> Vec<Counts> {
+    let mut run = || std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut run));
     let _ = run();
     (0..3)
         .map(|_| {
@@ -34,16 +36,40 @@ fn per_run(m: &mut Machine, p: &Program) -> Vec<Counts> {
         .collect()
 }
 
-/// `per_run` on a kernel's own machine, on `threads` threads, per tier.
-fn kernel_runs(prep: &kernels::Prepared, threads: usize) -> Vec<(ExecMode, Vec<Counts>)> {
-    [ExecMode::Bytecode, ExecMode::Jit]
-        .map(|mode| {
-            let mut m = prep.machine();
-            m.set_threads(threads);
-            m.set_exec_mode(mode);
-            (mode, per_run(&mut m, &prep.program))
-        })
-        .into()
+/// The tiers a program runs on, the JIT first.
+const TIERS: [ExecMode; 3] = [ExecMode::Jit, ExecMode::Bytecode, ExecMode::TreeWalk];
+
+/// `per_run` of `p` on `threads` threads in `mode`.
+fn mode_runs(p: &Program, m: &mut Machine, threads: usize, mode: ExecMode) -> Vec<Counts> {
+    m.set_threads(threads);
+    m.set_exec_mode(mode);
+    per_run(|| m.run(p))
+}
+
+/// `bc`'s bytes decoded again: a copy that carries no estimates.
+fn round_trip(bc: &BcProgram, p: &Program) -> BcProgram {
+    let mut w = artifacts::wire::Writer::new();
+    loopvm::codec::encode_bc(bc, &mut w);
+    let bytes = w.into_vec();
+    loopvm::codec::decode_bc(&mut artifacts::wire::Reader::new(&bytes), p).expect("decodes")
+}
+
+/// `per_run` on a kernel's own machine, on `threads` threads, per tier
+/// (the JIT first), then as bare bytecode: a clone of the program's
+/// compiled form, and that form encoded and decoded again.
+fn kernel_runs(prep: &kernels::Prepared, threads: usize) -> Vec<(String, Vec<Counts>)> {
+    let p = &prep.program;
+    let mut runs: Vec<_> = TIERS
+        .iter()
+        .map(|&mode| (format!("{mode:?}"), mode_runs(p, &mut prep.machine(), threads, mode)))
+        .collect();
+    let bc = p.compiled().expect("compiles").bytecode();
+    for (name, bc) in [("bare clone", bc.clone()), ("bare decoded", round_trip(bc, p))] {
+        let mut m = prep.machine();
+        m.set_threads(threads);
+        runs.push((name.to_string(), per_run(|| m.run_bytecode(&bc))));
+    }
+    runs
 }
 
 /// sgemm's §VI-A schedule puts the parallel `i0` inside the serial `j0`
@@ -59,8 +85,8 @@ fn a_run_dispatches_per_panel_and_spawns_at_most_threads_minus_one() {
     let small = kernel_runs(&prep, threads);
     for (mode, runs) in &small {
         for (run, &(dispatches, splits, spawns)) in runs.iter().enumerate() {
-            assert_eq!(dispatches as i64, n / tile + 1, "{mode:?} run {run}: dispatches");
-            assert_eq!((splits, spawns), (0, 0), "{mode:?} run {run}: splits, spawns");
+            assert_eq!(dispatches as i64, n / tile + 1, "{mode} run {run}: dispatches");
+            assert_eq!((splits, spawns), (0, 0), "{mode} run {run}: splits, spawns");
         }
     }
 
@@ -70,11 +96,11 @@ fn a_run_dispatches_per_panel_and_spawns_at_most_threads_minus_one() {
     let large = kernel_runs(&prep, threads);
     for (mode, runs) in &large {
         for (run, &(dispatches, splits, spawns)) in runs.iter().enumerate() {
-            assert_eq!(dispatches as i64, n / tile + 1, "{mode:?} run {run}: dispatches");
-            assert_eq!(splits as i64, n / tile, "{mode:?} run {run}: every panel splits");
+            assert_eq!(dispatches as i64, n / tile + 1, "{mode} run {run}: dispatches");
+            assert_eq!(splits as i64, n / tile, "{mode} run {run}: every panel splits");
             assert!(
                 (1..threads as u64).contains(&spawns),
-                "{mode:?} run {run}: {spawns} spawns on {threads} threads"
+                "{mode} run {run}: {spawns} spawns on {threads} threads"
             );
         }
     }
@@ -90,11 +116,8 @@ fn a_run_dispatches_per_panel_and_spawns_at_most_threads_minus_one() {
     let mut trap_runs = Vec::new();
     for (name, p, want) in &traps {
         for threads in [2, 3] {
-            for mode in [ExecMode::Bytecode, ExecMode::Jit] {
-                let mut m = Machine::new(p);
-                m.set_threads(threads);
-                m.set_exec_mode(mode);
-                let runs = per_run(&mut m, p);
+            for mode in TIERS {
+                let runs = mode_runs(p, &mut Machine::new(p), threads, mode);
                 for (run, &(dispatches, splits, _)) in runs.iter().enumerate() {
                     let at = format!("{name} on {threads} threads, {mode:?} run {run}");
                     assert_eq!((dispatches, splits), (1, *want), "{at}: dispatches, splits");
@@ -105,11 +128,23 @@ fn a_run_dispatches_per_panel_and_spawns_at_most_threads_minus_one() {
     }
     std::panic::set_hook(prev_hook);
 
-    // Every count is the same on both tiers.
+    // Every count is the same on every tier as on the JIT.
+    let dispatches_and_splits = |runs: &[Counts]| -> Vec<(u64, u64)> {
+        runs.iter().map(|&(dispatches, splits, _)| (dispatches, splits)).collect()
+    };
     for runs in [&small, &large] {
+        let jit = dispatches_and_splits(&runs[0].1);
+        for (tier, runs) in &runs[1..] {
+            assert_eq!(dispatches_and_splits(runs), jit, "{tier} and JIT counts differ");
+        }
+        // The first tiers' spawns agree too.
         assert_eq!(runs[0].1, runs[1].1, "bytecode and JIT counts differ");
     }
-    for pair in trap_runs.chunks(2) {
-        assert_eq!(pair[0].1, pair[1].1, "{:?}: bytecode and JIT counts differ", pair[0].0);
+    for tiers in trap_runs.chunks(TIERS.len()) {
+        let jit = dispatches_and_splits(&tiers[0].1);
+        for (at, runs) in &tiers[1..] {
+            assert_eq!(dispatches_and_splits(runs), jit, "{at:?}: counts differ from the JIT's");
+        }
+        assert_eq!(tiers[0].1, tiers[1].1, "{:?}: bytecode and JIT counts differ", tiers[1].0);
     }
 }
