@@ -4,6 +4,7 @@
 //! cargo run --release -p bench --bin figures -- all
 //! cargo run --release -p bench --bin figures -- fig1 table1 fig5 fig6 fig7 profile tiers oracle cache
 //! cargo run --release -p bench --bin figures -- check     # perf-regression gate
+//! cargo run --release -p bench --bin figures -- native    # wall clock, not snapshotted
 //! ```
 //!
 //! `all` (or no argument) additionally writes `BENCH_figures.json` at the
@@ -16,6 +17,13 @@
 //! non-zero on any drift. Wall-clock regressions are gated by
 //! `benchmark/` (see `BENCHMARK.json`), not here.
 //!
+//! `native` times every CPU column of Figures 1, 5 and 6 on the default
+//! tier (the warm p50 of 21 `Machine::run` calls each) and the roofline
+//! pair: the JIT's sgemm 192²/32 on one thread against the same loop
+//! order compiled by rustc (`bench::roofline`). Wall clock depends on the
+//! host, so it is printed only: `native` is not part of `all` and writes
+//! nothing.
+//!
 //! `profile` compiles and runs the Figure 1 sgemm Tiramisu schedule
 //! under the profiler and prints the telemetry report; its deterministic
 //! counters (loop trip counts, instruction-class totals) are folded into
@@ -26,6 +34,7 @@
 
 use bench::json::jstr;
 use bench::{default_img, fig1_cpu, fig1_gpu, fig5, fig6, fig7, normalized, render_table, table1};
+use std::time::Instant;
 
 fn jnum(v: f64) -> String {
     if v.is_finite() {
@@ -479,6 +488,114 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
 // Subcommands
 // ---------------------------------------------------------------------------
 
+/// Timed `Machine::run` calls per column, after one warm-up run.
+const RUNS: usize = 21;
+/// Alternating runs of each side of the roofline pair.
+const ROOFLINE_RUNS: usize = 41;
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Milliseconds that `f` takes.
+fn time_ms(f: impl FnOnce()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// The warm p50 of [`RUNS`] `Machine::run` calls of `prep`, in ms.
+fn warm_p50_ms(prep: &kernels::Prepared) -> f64 {
+    let mut m = prep.machine();
+    m.run(&prep.program).expect("kernel runs");
+    median((0..RUNS).map(|_| time_ms(|| m.run(&prep.program).expect("kernel runs"))).collect())
+}
+
+/// `figures -- native`: wall clock of the CPU columns at the snapshot's
+/// sizes, and the roofline pair. Printed only.
+fn run_native() {
+    let ms = |v: f64| format!("{v:.3}");
+    let ratio = |v: f64, base: f64| format!("{:.2}", v / base);
+    let (n, tile) = (192, 32);
+    let roofline = kernels::sgemm::tiramisu_best(n as i64, tile as i64).expect("sgemm compiles");
+    let mut m = roofline.machine();
+    let tier = m.exec_mode();
+    println!("== native: warm p50 of {RUNS} runs per column, {tier:?} tier ==");
+
+    let times: Vec<(String, f64)> =
+        bench::fig1_cpu_columns(96, 32).iter().map(|(n, p)| (n.clone(), warm_p50_ms(p))).collect();
+    let mkl = times[0].1;
+    let rows: Vec<Vec<String>> =
+        times.iter().map(|(n, t)| vec![n.clone(), ms(*t), ratio(*t, mkl)]).collect();
+    print!(
+        "{}",
+        render_table(
+            "Figure 1 (left), native: sgemm CPU, n=96",
+            &["framework", "p50 ms", "vs MKL"],
+            &rows
+        )
+    );
+
+    let rows: Vec<Vec<String>> = bench::fig5_pairs()
+        .iter()
+        .map(|(n, t, r)| {
+            let (t, r) = (warm_p50_ms(t), warm_p50_ms(r));
+            vec![n.clone(), ms(t), ms(r), ratio(r, t)]
+        })
+        .collect();
+    print!(
+        "{}",
+        render_table(
+            "Figure 5, native",
+            &["benchmark", "Tiramisu ms", "Reference/MKL ms", "Reference/Tiramisu"],
+            &rows
+        )
+    );
+
+    let s = default_img();
+    let rows: Vec<Vec<String>> = kernels::image::IMAGE_BENCHMARKS
+        .iter()
+        .map(|name| {
+            let (t, h, p) = bench::fig6_cpu_columns(name, s);
+            let (t, h, p) = (warm_p50_ms(&t), h.map(|h| warm_p50_ms(&h)), warm_p50_ms(&p));
+            let dash = || "-".to_string();
+            vec![
+                name.to_string(),
+                ms(t),
+                h.map_or_else(dash, ms),
+                ms(p),
+                h.map_or_else(dash, |h| ratio(h, t)),
+                ratio(p, t),
+            ]
+        })
+        .collect();
+    print!(
+        "{}",
+        render_table(
+            &format!("Figure 6 (a), native: single-node multicore, {}x{}", s.h, s.w),
+            &["kernel", "Tiramisu ms", "Halide ms", "PENCIL ms", "Halide/T", "PENCIL/T"],
+            &rows
+        )
+    );
+
+    // The JIT's sgemm against the same loop order compiled by rustc, on
+    // one thread, alternating so both sides see the same host state.
+    m.set_threads(1);
+    let ins: Vec<Vec<f32>> = roofline.inputs.iter().map(|&b| m.buffer(b).to_vec()).collect();
+    let rustc = || std::hint::black_box(bench::roofline::sgemm(n, tile, &ins[0], &ins[1], &ins[2]));
+    m.run(&roofline.program).expect("sgemm runs");
+    rustc();
+    let (mut vm, mut native) = (Vec::new(), Vec::new());
+    for _ in 0..ROOFLINE_RUNS {
+        vm.push(time_ms(|| m.run(&roofline.program).expect("sgemm runs")));
+        native.push(time_ms(|| drop(rustc())));
+    }
+    let (vm, native) = (median(vm), median(native));
+    println!("\n== roofline: sgemm {n}²/{tile}, one thread, {ROOFLINE_RUNS} alternating runs ==");
+    println!("  {tier:?} {} ms, rustc {} ms, ratio {:.3}\n", ms(vm), ms(native), vm / native);
+}
+
 /// The perf-regression gate: every section must match the committed
 /// snapshot exactly. Returns the process exit code.
 fn run_check() -> i32 {
@@ -520,6 +637,10 @@ fn main() {
 
     if args.iter().any(|a| a == "check") {
         std::process::exit(run_check());
+    }
+
+    if args.iter().any(|a| a == "native") {
+        run_native();
     }
 
     let all = args.is_empty() || args.iter().any(|a| a == "all");

@@ -3,16 +3,14 @@
 //! `bench` — the harness that regenerates every table and figure of the
 //! paper's evaluation (§VI).
 //!
-//! Two entry points:
-//!
-//! - `cargo run -p bench --bin figures [-- fig1|table1|fig5|fig6|fig7|all]`
-//!   prints the paper-style tables from **modeled** execution (the VM cost
-//!   model, the GPU simulator's cycles, the cluster simulator's
-//!   compute+communication time). Modeled time is machine-independent, so
-//!   the figures come out the same on any host — including single-core
-//!   CI machines.
-//! - `cargo bench -p bench` measures **wall-clock** of the same generated
-//!   programs under criterion (substrate-level, host-dependent).
+//! `cargo run -p bench --bin figures [-- fig1|table1|fig5|fig6|fig7|all]`
+//! prints the paper-style tables from **modeled** execution (the VM cost
+//! model, the GPU simulator's cycles, the cluster simulator's
+//! compute+communication time). Modeled time is machine-independent, so
+//! the figures come out the same on any host — including single-core CI
+//! machines. `figures -- native` runs the same CPU columns
+//! ([`fig1_cpu_columns`], [`fig5_pairs`], [`fig6_cpu_columns`]) for
+//! **wall-clock** time instead (host-dependent, never snapshotted).
 //!
 //! `EXPERIMENTS.md` at the workspace root records paper-reported vs
 //! measured values for each figure.
@@ -125,24 +123,25 @@ pub fn oracle_counts() -> Vec<(String, polyhedral::solve::OracleCounters)> {
         .collect()
 }
 
+/// The Figure 1 CPU columns at `n`/`tile`: Intel MKL, Polly, AlphaZ,
+/// Pluto and Tiramisu's sgemm.
+pub fn fig1_cpu_columns(n: i64, tile: i64) -> Vec<(String, kernels::Prepared)> {
+    use kernels::sgemm::{alphaz_like, pluto_like, polly_like, tiramisu_best, vendor};
+    vec![
+        ("Intel MKL".into(), vendor(n, tile)),
+        ("Polly".into(), polly_like(n).unwrap()),
+        ("AlphaZ".into(), alphaz_like(n, tile).unwrap()),
+        ("Pluto".into(), pluto_like(n).unwrap()),
+        ("Tiramisu".into(), tiramisu_best(n, tile).unwrap()),
+    ]
+}
+
 /// Figure 1 (left): sgemm on CPU, normalized to Intel MKL.
 pub fn fig1_cpu(n: i64, tile: i64) -> Vec<Bar> {
-    let mut bars = vec![Bar {
-        name: "Intel MKL".into(),
-        cycles: kernels::sgemm::vendor(n, tile).run_modeled().unwrap().cycles,
-    }];
-    for (name, prep) in [
-        ("Polly", kernels::sgemm::polly_like(n)),
-        ("AlphaZ", kernels::sgemm::alphaz_like(n, tile)),
-        ("Pluto", kernels::sgemm::pluto_like(n)),
-        ("Tiramisu", kernels::sgemm::tiramisu_best(n, tile)),
-    ] {
-        bars.push(Bar {
-            name: name.into(),
-            cycles: prep.unwrap().run_modeled().unwrap().cycles,
-        });
-    }
-    bars
+    fig1_cpu_columns(n, tile)
+        .into_iter()
+        .map(|(name, prep)| Bar { name, cycles: prep.run_modeled().unwrap().cycles })
+        .collect()
 }
 
 /// Figure 1 (right): sgemm on GPU, normalized to cuBLAS.
@@ -162,51 +161,33 @@ pub fn fig1_gpu(n: i64) -> Vec<Bar> {
     ]
 }
 
-/// Figure 5: deep learning / linear algebra vs reference, normalized to
-/// Tiramisu.
+/// The Figure 5 benchmarks: (name, Tiramisu, reference/MKL).
+pub fn fig5_pairs() -> Vec<(String, kernels::Prepared, kernels::Prepared)> {
+    use kernels::{algebra, dnn, sgemm};
+    let conv_s = dnn::ConvSize::small();
+    let (n, tile) = (96, 32);
+    vec![
+        ("Conv".into(), dnn::conv_tiramisu(conv_s).unwrap(), dnn::conv_generic(conv_s).unwrap()),
+        (
+            "VGG".into(),
+            dnn::vgg(conv_s, true, "Tiramisu").unwrap(),
+            dnn::vgg(conv_s, false, "reference").unwrap(),
+        ),
+        ("Sgemm".into(), sgemm::tiramisu_best(n, tile).unwrap(), sgemm::vendor(n, tile)),
+        ("HPCG".into(), algebra::hpcg_spmv_tiramisu(48).unwrap(), algebra::hpcg_spmv_reference(48)),
+        (
+            "Baryon".into(),
+            algebra::baryon(32, true, "Tiramisu").unwrap(),
+            algebra::baryon(32, false, "reference").unwrap(),
+        ),
+    ]
+}
+
+/// Figure 5: deep learning / linear algebra vs reference, as modeled
+/// cycles (name, Tiramisu, reference).
 pub fn fig5() -> Vec<(String, f64, f64)> {
-    let conv_s = kernels::dnn::ConvSize::small();
-    let mut rows = Vec::new();
-    {
-        let t = kernels::dnn::conv_tiramisu(conv_s).unwrap().run_modeled().unwrap().cycles;
-        let r = kernels::dnn::conv_generic(conv_s).unwrap().run_modeled().unwrap().cycles;
-        rows.push(("Conv".to_string(), t, r));
-    }
-    {
-        let t = kernels::dnn::vgg(conv_s, true, "Tiramisu").unwrap().run_modeled().unwrap().cycles;
-        let r = kernels::dnn::vgg(conv_s, false, "reference")
-            .unwrap()
-            .run_modeled()
-            .unwrap()
-            .cycles;
-        rows.push(("VGG".to_string(), t, r));
-    }
-    {
-        let (n, tile) = (96, 32);
-        let t = kernels::sgemm::tiramisu_best(n, tile).unwrap().run_modeled().unwrap().cycles;
-        let r = kernels::sgemm::vendor(n, tile).run_modeled().unwrap().cycles;
-        rows.push(("Sgemm".to_string(), t, r));
-    }
-    {
-        let n = 48;
-        let t = kernels::algebra::hpcg_spmv_tiramisu(n).unwrap().run_modeled().unwrap().cycles;
-        let r = kernels::algebra::hpcg_spmv_reference(n).run_modeled().unwrap().cycles;
-        rows.push(("HPCG".to_string(), t, r));
-    }
-    {
-        let t = kernels::algebra::baryon(32, true, "Tiramisu")
-            .unwrap()
-            .run_modeled()
-            .unwrap()
-            .cycles;
-        let r = kernels::algebra::baryon(32, false, "reference")
-            .unwrap()
-            .run_modeled()
-            .unwrap()
-            .cycles;
-        rows.push(("Baryon".to_string(), t, r));
-    }
-    rows
+    let cycles = |p: &kernels::Prepared| p.run_modeled().unwrap().cycles;
+    fig5_pairs().into_iter().map(|(name, t, r)| (name, cycles(&t), cycles(&r))).collect()
 }
 
 /// Figure 6: the three-architecture heatmap. Each cell is normalized to
@@ -220,23 +201,35 @@ pub struct Fig6 {
     pub dist: Vec<(String, Vec<Option<f64>>)>,
 }
 
+/// The Figure 6 CPU columns of image kernel `name` at `s`: Tiramisu,
+/// Halide (`None` where Halide cannot express the kernel) and PENCIL.
+pub fn fig6_cpu_columns(
+    name: &str,
+    s: ImgSize,
+) -> (kernels::Prepared, Option<kernels::Prepared>, kernels::Prepared) {
+    use kernels::image::{halide_cpu, pencil_cpu, tiramisu_cpu};
+    (
+        tiramisu_cpu(name, s).unwrap(),
+        halide_cpu(name, s).ok(),
+        pencil_cpu(name, s).unwrap(),
+    )
+}
+
 /// Computes Figure 6 for the given size and rank count.
 pub fn fig6(s: ImgSize, ranks: i64) -> Fig6 {
-    use kernels::image::{halide_cpu, pencil_cpu, tiramisu_cpu, IMAGE_BENCHMARKS};
+    use kernels::image::IMAGE_BENCHMARKS;
     use kernels::image_gpu::{gpu_variant, run_gpu, GpuFlavor};
 
     let mut cpu_t = Vec::new();
     let mut cpu_h = Vec::new();
     let mut cpu_p = Vec::new();
+    let cycles = |p: &kernels::Prepared| p.run_modeled().unwrap().cycles;
     for name in IMAGE_BENCHMARKS {
-        let t = tiramisu_cpu(name, s).unwrap().run_modeled().unwrap().cycles;
+        let (t, h, p) = fig6_cpu_columns(name, s);
+        let t = cycles(&t);
         cpu_t.push(Some(1.0));
-        cpu_h.push(
-            halide_cpu(name, s)
-                .ok()
-                .map(|p| p.run_modeled().unwrap().cycles / t),
-        );
-        cpu_p.push(Some(pencil_cpu(name, s).unwrap().run_modeled().unwrap().cycles / t));
+        cpu_h.push(h.map(|h| cycles(&h) / t));
+        cpu_p.push(Some(cycles(&p) / t));
     }
 
     let mut gpu_t = Vec::new();

@@ -9,7 +9,7 @@
 //! [`Function::store_in`].
 
 use crate::expr::{CompId, Expr};
-use polyhedral::{Aff, BasicMap, BasicSet, Constraint, MapSpace, Space};
+use polyhedral::{Aff, BasicMap, BasicSet, Constraint, Space};
 use std::collections::HashMap;
 
 /// An iterator declaration: a name plus affine bounds (`lo` inclusive,
@@ -433,11 +433,6 @@ impl Function {
             .iter()
             .position(|c| c.name == name)
             .map(|i| CompId(i as u32))
-    }
-
-    /// The map space of a computation's schedule.
-    pub fn sched_space(&self, id: CompId) -> &MapSpace {
-        self.comps[id.index()].sched.space()
     }
 }
 

@@ -21,9 +21,6 @@ use tiramisu::{CompId, CpuOptions, Expr as E, Function};
 // HPCG kernels
 // ---------------------------------------------------------------------
 
-/// Grid side for the HPCG stencil kernels.
-pub const HPCG_PAD: i64 = 1;
-
 /// Tiramisu spmv: `y(i,j) = 4*u(i,j) - u(i±1,j) - u(i,j±1)` over the
 /// interior of an (n+2)² grid.
 ///

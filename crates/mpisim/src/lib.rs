@@ -14,7 +14,8 @@
 //! - `send`/`recv` move `f32` payloads over channels, with synchronous
 //!   (rendezvous) and asynchronous modes,
 //! - every message is accounted: byte counts, message counts, and a
-//!   modeled communication time (`latency + bytes / bandwidth`),
+//!   modeled communication time (`latency + bytes / bandwidth`, plus one
+//!   more `latency` for a synchronous send's acknowledgement),
 //! - per-rank compute cycles come from the VM's cost model; the cluster's
 //!   modeled time is the maximum over ranks of compute + communication.
 //!
@@ -739,18 +740,6 @@ fn run_rank(
     telemetry::set_thread_name(format!("rank {rank}"));
     let mut machine = Machine::new(&dist.program);
     init(rank, &mut machine);
-    // Tier policy: chunks run on the bytecode interpreter even where the
-    // machine defaults to `Jit`. Re-measured in PR 16 (EXPERIMENTS.md
-    // "Rank-chunk tier line"): a chunk JIT-compiles in 0.03 ms and runs a
-    // warm cluster 2.1-2.3x faster natively, but without this line
-    // `request_ms_p95` and `run_ms` @ `figures_modeled` were 5-8 % worse in
-    // ten interleaved pairs (0/10, 2/10 wins) — on `stats_mode` requests
-    // that never reach it, i.e. a code-layout effect. It stays until that
-    // is understood. `TreeWalk` (set by `init` or `LOOPVM_TREEWALK`) still
-    // selects the reference.
-    if machine.exec_mode() == loopvm::ExecMode::Jit {
-        machine.set_exec_mode(loopvm::ExecMode::Bytecode);
-    }
     machine.bind(dist.rank_var, rank as i64);
     let mut compute = RunStats::default();
     let mut counters = RankCounters::default();
@@ -975,6 +964,9 @@ fn transmit(
                         },
                         WaitFail::Cancelled => DistError::Cancelled { rank },
                     })?;
+                    // The rendezvous: the sender also waits out the
+                    // acknowledgement's trip back.
+                    counters.comm_cycles += comm.latency;
                 }
                 false
             }

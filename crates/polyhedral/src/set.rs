@@ -198,13 +198,6 @@ impl BasicSet {
         self.with_constraint(Constraint::eq(aff))
     }
 
-    /// Fixes dimension `d` to value `v` (adds the equality).
-    pub fn fix_dim(&self, d: usize, v: i64) -> BasicSet {
-        let n = self.space.n_cols();
-        let aff = Aff::var(n, self.space.dim_col(d)).add(&Aff::constant(n, -v));
-        self.with_constraint(Constraint::eq(aff))
-    }
-
     /// The negation pieces of this basic set: a list of basic sets whose
     /// union is the complement (used by subtraction).
     fn negation_pieces(&self) -> Vec<BasicSet> {
@@ -425,16 +418,6 @@ impl Set {
             Space::from_names(self.space.name().to_string(), dims, self.space.params().to_vec())
         });
         (Set { space, basics }, exact)
-    }
-
-    /// Applies `f` to every basic set.
-    pub fn map_basics(&self, f: impl Fn(&BasicSet) -> BasicSet) -> Set {
-        let basics: Vec<BasicSet> = self.basics.iter().map(&f).collect();
-        let space = basics
-            .first()
-            .map(|b| b.space().clone())
-            .unwrap_or_else(|| self.space.clone());
-        Set { space, basics }
     }
 
     /// Drops redundant basic sets (those contained in another one).

@@ -104,17 +104,6 @@ impl Space {
         }
     }
 
-    /// Returns a copy with additional dimensions appended.
-    pub fn with_dims_appended(&self, extra: &[&str]) -> Space {
-        let mut dims = self.dims.clone();
-        dims.extend(extra.iter().map(|s| s.to_string()));
-        Space {
-            name: self.name.clone(),
-            dims,
-            params: self.params.clone(),
-        }
-    }
-
     /// True when two spaces have the same dimensionality and parameters
     /// (tuple names may differ; most operations only require structural
     /// compatibility).

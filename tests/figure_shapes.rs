@@ -127,3 +127,38 @@ fn figure7_scaling_shape() {
         }
     }
 }
+
+#[test]
+fn ablations_cost_modeled_cycles() {
+    // The ablation rows no other test pins (EXPERIMENTS "Ablations").
+    // Without full/partial tile separation sgemm costs more. Without array
+    // packing it costs less: the cost model prices the packing loop, but
+    // its two-level cache holds B's panel at these sizes either way, so
+    // the locality packing buys (paper §IV) is not modeled.
+    let sgemm = |packing, separate| {
+        kernels::sgemm::tiramisu_ablated(48, 16, packing, separate)
+            .unwrap()
+            .run_modeled()
+            .unwrap()
+            .cycles
+    };
+    let full = sgemm(true, true);
+    let no_separation = sgemm(true, false);
+    assert!(no_separation > full, "tile separation must pay: {no_separation} vs {full}");
+    let no_packing = sgemm(false, true);
+    assert!(no_packing < full, "packing now pays in the model: {no_packing} vs {full}");
+
+    // Synchronous halo sends serialize the exchange.
+    let halo = |async_send| {
+        kernels::image_dist::tiramisu_dist_opts("conv2D", ImgSize::small(), 4, async_send)
+            .unwrap()
+            .run(true)
+            .unwrap()
+            .modeled_cycles
+    };
+    let (asynchronous, synchronous) = (halo(true), halo(false));
+    assert!(
+        synchronous > asynchronous,
+        "sync sends must cost more: {synchronous} vs {asynchronous}"
+    );
+}

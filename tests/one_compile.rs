@@ -203,13 +203,14 @@ fn dist_runs_execute_the_code_the_module_holds() {
     assert_eq!(served.disasm(), fresh.disasm());
     // Both the bytecode `optimize` built and the bytecode an artifact
     // decode installed are found by every chunk execution (2 ranks x 1
-    // chunk x 2 runs) of the module's first runs: nothing compiles, and
-    // rank chunks stay on the interpreter even when asked for JIT.
+    // chunk x 2 runs) of the module's first runs: no bytecode compiles,
+    // and the chunk asks for native code once, shared by both ranks and
+    // both runs.
     let outs = [&fresh, &served].map(|module| {
         let before = counters();
         let out = run_cluster(&module.dist, 2).expect("run");
         assert_eq!(run_cluster(&module.dist, 2).expect("run again"), out);
-        assert_eq!(delta(before), (4, 0, 0));
+        assert_eq!(delta(before), (4, 0, 1));
         out
     });
     assert_eq!(outs[0], outs[1], "the decoded code computes the same bits");
@@ -220,15 +221,16 @@ fn dist_runs_execute_the_code_the_module_holds() {
 fn bare_rank_programs_compile_each_chunk_once_even_to_an_error() {
     let _g = locked();
     // No `optimize` pass ran: pack (ranks 1..3), unpack (ranks 0..2) and
-    // the pipeline chunk (all ranks) compile on their first execution,
-    // once each however the four rank threads race.
+    // the pipeline chunk (all ranks) compile on their first execution, to
+    // bytecode and then to native code, once each however the four rank
+    // threads race.
     let (dist, ranks) =
         kernels::image_dist::halide_dist("conv2D", kernels::image::ImgSize::small(), 4)
             .expect("halide dist");
     assert_eq!((dist.chunks().len(), ranks), (3, 4));
     let before = counters();
     let first = run_cluster(&dist, ranks).expect("run");
-    assert_eq!(delta(before), (7, 3, 0), "10 chunk executions, 3 builds");
+    assert_eq!(delta(before), (7, 3, 3), "10 chunk executions, 3 builds");
     let before = counters();
     assert_eq!(run_cluster(&dist, ranks).expect("run again"), first);
     assert_eq!(delta(before), (10, 0, 0));

@@ -238,6 +238,69 @@ fn store_in_command_layouts() {
 }
 
 #[test]
+fn buffer_of_command() {
+    // `C.buffer()`: none until `store_in` assigns one.
+    let (mut f, c) = elementwise();
+    assert_eq!(f.buffer_of(c), None);
+    let buf = f.buffer("outbuf", &[E::param("N"), E::param("N")]);
+    f.store_in(c, buf, &[E::iter("i"), E::iter("j")]);
+    assert_eq!(f.buffer_of(c), Some(buf));
+}
+
+#[test]
+fn set_buffer_size_command() {
+    // `b.set_size(...)`: a buffer declared 1×1 is resized to hold the
+    // whole result.
+    let (mut f, c) = elementwise();
+    let buf = f.buffer("outbuf", &[E::i64(1), E::i64(1)]);
+    f.set_buffer_size(buf, &[E::param("N"), E::param("N")]);
+    f.store_in(c, buf, &[E::iter("i"), E::iter("j")]);
+    let module = tiramisu::compile_cpu(&f, &[("N", N)], CpuOptions::default()).unwrap();
+    let mut machine = module.machine();
+    let in_buf = module.vm_buffer("in").unwrap();
+    for (k, v) in machine.buffer_mut(in_buf).iter_mut().enumerate() {
+        *v = k as f32;
+    }
+    machine.run(&module.program).unwrap();
+    assert_eq!(machine.buffer(module.vm_buffer("outbuf").unwrap()), &expected()[..]);
+}
+
+#[test]
+fn host_to_device_and_device_to_host_commands() {
+    // `C.host_to_device()` / `C.device_to_host()`: an intermediate the
+    // automatic copy plan keeps on the device is copied both ways once
+    // asked, once however often it is asked, and the copies are priced.
+    let mut f = Function::new("t", &["N"]);
+    let i = f.var("i", 0, E::param("N"));
+    let input = f.input("in", std::slice::from_ref(&i)).unwrap();
+    let doubled = f.access(input, &[E::iter("i")]) * E::f32(2.0);
+    let tmp = f.computation("tmp", std::slice::from_ref(&i), doubled).unwrap();
+    let plus_one = f.access(tmp, &[E::iter("i")]) + E::f32(1.0);
+    let out = f.computation("out", std::slice::from_ref(&i), plus_one).unwrap();
+    f.after(out, tmp, tiramisu::At::Root).unwrap();
+    for c in [tmp, out] {
+        f.split(c, "i", 8, "i0", "i1").unwrap();
+        f.tag_level_gpu_block(c, "i0", 0).unwrap();
+        f.tag_level_gpu_thread(c, "i1", 0).unwrap();
+    }
+    let mut module =
+        tiramisu::compile_gpu(&f, &[("N", 32)], tiramisu::GpuOptions::default()).unwrap();
+    let names = |plan: &[(String, usize)]| plan.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+    assert_eq!((names(&module.h2d), names(&module.d2h)), (vec!["in".into()], vec!["out".into()]));
+    let model = gpusim::GpuModel::default();
+    let copies =
+        |m: &tiramisu::GpuModule| m.run(&mut m.alloc_buffers(), &model).unwrap().copy_cycles;
+    let before = copies(&module);
+    for _ in 0..2 {
+        tiramisu::backend::gpu::host_to_device(&mut module, &f, tmp);
+        tiramisu::backend::gpu::device_to_host(&mut module, &f, tmp);
+    }
+    assert_eq!(module.h2d, vec![("in".to_string(), 128), ("tmp".to_string(), 128)]);
+    assert_eq!(module.d2h, vec![("out".to_string(), 128), ("tmp".to_string(), 128)]);
+    assert!(copies(&module) > before);
+}
+
+#[test]
 fn buffer_tagging_commands() {
     // tag_gpu_* commands flow through to kernel memory spaces.
     let mut f = Function::new("t", &["N"]);
