@@ -25,12 +25,13 @@
 //! nothing.
 //!
 //! `profile` compiles and runs the Figure 1 sgemm Tiramisu schedule
-//! under the profiler and prints the telemetry report; its deterministic
-//! counters (loop trip counts, instruction-class totals) are folded into
-//! the snapshot. With `TIRAMISU_PROFILE` set it additionally writes the
-//! Chrome trace (`TIRAMISU_PROFILE_OUT` or `figures.trace.json`): every
-//! thread's events, including the compile passes that ran on the global
-//! compile service's workers.
+//! under profiling on the default tier, counts its bytecode's loop trips
+//! and instruction classes (`Machine::run_counted`), and prints the
+//! telemetry report; the counts are folded into the snapshot. With
+//! `TIRAMISU_PROFILE` set it additionally writes the Chrome trace
+//! (`TIRAMISU_PROFILE_OUT` or `figures.trace.json`): every thread's
+//! events, including the compile passes that ran on the global compile
+//! service's workers.
 
 use bench::json::jstr;
 use bench::{default_img, fig1_cpu, fig1_gpu, fig5, fig6, fig7, normalized, render_table, table1};
@@ -201,43 +202,36 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
     }
 
     if want("profile") {
-        // Bytecode profile of the Figure 1 sgemm Tiramisu schedule.
-        // Profiling is forced on through the override (not the
-        // environment) so the section behaves identically under `all`;
-        // only the deterministic counters — loop trip counts and
-        // instruction-class totals — go into the snapshot, never
-        // wall-clock spans, so the committed JSON stays stable across
-        // hosts.
+        // Profile of the Figure 1 sgemm Tiramisu schedule. Profiling is
+        // forced on through the override (not the environment) so the
+        // section behaves identically under `all`. The kernel runs on the
+        // default tier, so the timeline's `vm` spans time the code that
+        // runs; its loop trip totals and instruction-class counts come
+        // from one counting run of its bytecode, go into the timeline as
+        // `vm` counters and, being deterministic, into the snapshot.
         telemetry::set_profiling(Some(true));
         let _ = telemetry::drain();
         let prep = kernels::sgemm::tiramisu_best(96, 32).expect("sgemm compile");
         prep.run_wall().expect("sgemm run");
+        let (loops, classes) = prep.machine().run_counted(&prep.program).expect("sgemm count");
+        let mut counters: std::collections::BTreeMap<String, f64> =
+            std::collections::BTreeMap::new();
+        let loops = loops.into_iter().map(|(v, n)| (format!("loop {v} iters"), n));
+        let classes = classes.iter().filter(|&(_, n)| n > 0).map(|(c, n)| (format!("inst {c}"), n));
+        for (name, n) in loops.chain(classes) {
+            telemetry::counter("vm", name.clone(), n as f64);
+            *counters.entry(name).or_default() += n as f64;
+        }
         let tl = telemetry::drain();
         telemetry::set_profiling(None);
         println!("== profile: sgemm CPU (Tiramisu, n=96, tile=32) ==");
         print!("{}", tl.report());
-        let mut counters: std::collections::BTreeMap<String, f64> =
-            std::collections::BTreeMap::new();
-        for e in &tl.events {
-            if e.cat != "vm" {
-                continue;
-            }
-            let name = e.name.as_ref();
-            if name.ends_with(" iters") || name.starts_with("inst ") {
-                if let telemetry::EventKind::Counter { value } = e.kind {
-                    *counters.entry(name.to_string()).or_default() += value;
-                }
-            }
-        }
         let pairs: Vec<(String, f64)> = counters.into_iter().collect();
         sections.push(format!("  \"profile_sgemm\": {}", jbars(&pairs)));
         if telemetry::env_flag("TIRAMISU_PROFILE") {
-            let path = std::env::var("TIRAMISU_PROFILE_OUT")
-                .ok()
-                .filter(|p| !p.is_empty())
-                .unwrap_or_else(|| "figures.trace.json".to_string());
-            tl.write_chrome(&path).expect("write trace");
-            eprintln!("wrote {path}");
+            if let Some(path) = tl.export("figures.trace.json") {
+                eprintln!("wrote {}", path.display());
+            }
         }
     }
 

@@ -98,7 +98,7 @@ impl Inst {
         )
     }
 
-    /// Coarse class index for the profiler (see [`InstClassCounts`]).
+    /// Coarse class index for instruction counts (see [`InstClassCounts`]).
     pub(crate) fn class(&self) -> usize {
         match *self {
             Inst::ConstI { .. } | Inst::ConstF { .. } => 0,
@@ -215,10 +215,10 @@ pub(crate) fn number_loop(seen: &mut u32, kind: LoopKind) -> u32 {
 /// [`InstClassCounts`], indexed by `Inst::class`.
 const CLASS_NAMES: [&str; 6] = ["const", "readvar", "load", "int-alu", "fp-alu", "cast"];
 
-/// Dynamic per-instruction-class execution counts, gathered by the
-/// profiling interpreters (the CPU bytecode executor and the GPU warp
-/// executor) when `TIRAMISU_PROFILE` is on. Classes are coarse on
-/// purpose — they answer "is this schedule arithmetic-bound or
+/// Dynamic per-instruction-class execution counts: what
+/// [`crate::Machine::run_counted`] counts on the CPU interpreter, and what
+/// the GPU warp executor counts when `TIRAMISU_PROFILE` is on. Classes are
+/// coarse on purpose — they answer "is this schedule arithmetic-bound or
 /// load-bound", not "which opcode ran".
 ///
 /// In vectorized loops and warp execution one count covers one *dispatch*
@@ -235,19 +235,6 @@ impl InstClassCounts {
         for i in insts {
             self.counts[i.class()] += 1;
         }
-    }
-
-    /// Merges another profile (worker threads merge into their parent).
-    pub fn merge(&mut self, o: &InstClassCounts) {
-        for (a, b) in self.counts.iter_mut().zip(&o.counts) {
-            *a += b;
-        }
-    }
-
-    /// Total dispatches across all classes.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
     }
 
     /// Iterates `(class label, count)` pairs in a fixed order.
@@ -311,8 +298,9 @@ pub struct BcProgram {
     pub(crate) n_fregs: u16,
     /// Number of variable frame slots.
     pub(crate) n_vars: usize,
-    /// Source variable names (by frame slot), carried so the profiler can
-    /// label hot loops with their schedule-level names.
+    /// Source variable names (by frame slot), carried so
+    /// [`crate::Machine::run_counted`] can label loops with their
+    /// schedule-level names.
     pub(crate) var_names: Vec<String>,
     /// The element count of every buffer, as declared by the [`Program`]
     /// this code was compiled or decoded against (never encoded). The

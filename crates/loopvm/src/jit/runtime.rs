@@ -515,9 +515,6 @@ impl JitProgram {
         match self.deopts[id] {
             Deopt::LoadOob { buf } | Deopt::StoreOob { buf } => {
                 let sb = &bufs[buf as usize];
-                // The replay produced an `Err` the caller will propagate —
-                // capture the lead-up before the context unwinds.
-                telemetry::flight::dump("jit-deopt");
                 Err(Error::OutOfBounds { buffer: sb.name().to_string(), index: a, size: sb.len() })
             }
             Deopt::DivRem { op } => {

@@ -108,8 +108,9 @@ pub(crate) struct WarpCtx<'a, const W: usize, H: WarpHost<W>> {
     /// Lane variable frame: `ReadVar` reads it, `let` and `for` write it.
     pub(crate) vars: &'a mut [[i64; W]],
     pub(crate) host: &'a mut H,
-    /// Instruction-class profile, when the caller keeps one (one count per
-    /// lane-group dispatch).
+    /// Instruction-class counts, when the caller keeps them (one count per
+    /// lane-group dispatch): a counting CPU run's, or a profiled GPU
+    /// launch's.
     pub(crate) classes: Option<&'a mut InstClassCounts>,
 }
 

@@ -11,7 +11,7 @@
 //! - **register bytecode** ([`ExecMode::Bytecode`],
 //!   [`Machine::run_bytecode`]): the interpreter over
 //!   [`crate::bytecode::BcProgram`] — `crate::opt`'s folded, CSE'd,
-//!   hoisted instruction stream — which also hosts the sampled profiler;
+//!   hoisted instruction stream;
 //! - **reference** ([`ExecMode::TreeWalk`], [`Machine::run_tree_walk`]):
 //!   the same interpreter over the program's *plain lowering*
 //!   ([`crate::opt::compile_plain`]: one instruction per expression node,
@@ -20,7 +20,9 @@
 //!
 //! [`Machine::run_with_stats`] also runs the plain lowering, with a cost
 //! hook (`Meter`) on the interpreter: every modeled cycle count of
-//! [`RunStats`] is charged there, per source operation. An unpriced run is
+//! [`RunStats`] is charged there, per source operation.
+//! [`Machine::run_counted`] runs the compiled bytecode under the same hook,
+//! counting loop trips and instruction classes. An unmetered run is
 //! generic over `()`, whose hook compiles away.
 //!
 //! The interpreter has three loop shapes: **serial**; **parallel**
@@ -395,10 +397,9 @@ impl Machine {
         let traffic = if built { &m.bc_cache_misses } else { &m.bc_cache_hits };
         traffic.inc();
         let code = code?;
-        // The bytecode profiler lives in the interpreter, so profiled
-        // runs stay on bytecode even in Jit mode. Native code whose
-        // bounds proofs assumed other buffer lengths never runs here.
-        let jit = if self.mode == ExecMode::Jit && !telemetry::profile_enabled() {
+        // Native code whose bounds proofs assumed other buffer lengths
+        // never runs here.
+        let jit = if self.mode == ExecMode::Jit {
             code.jit().filter(|j| j.fits(&self.bufs))
         } else {
             None
@@ -449,7 +450,7 @@ impl Machine {
                     bc.estimates = Box::<[Estimate]>::from(code.bytecode().estimates()).into();
                 }
             }
-            self.run_unpriced(&bc, None).0
+            self.run_unpriced(&bc)
         });
         vm_metrics().run_tree_walk_us.record_duration(t0.elapsed());
         r
@@ -472,12 +473,8 @@ impl Machine {
     pub fn run_bytecode(&mut self, bc: &BcProgram) -> Result<()> {
         let _sp = telemetry::span("vm", "run_bytecode");
         let t0 = std::time::Instant::now();
-        let prof = telemetry::profile_enabled().then(Box::<BcProf>::default);
-        let (r, prof) = self.run_unpriced(bc, prof);
+        let r = self.run_unpriced(bc);
         vm_metrics().run_bytecode_us.record_duration(t0.elapsed());
-        if let Some(p) = prof {
-            p.emit(&bc.var_names);
-        }
         r
     }
 
@@ -496,32 +493,41 @@ impl Machine {
         Ok(ctx.meter.finish())
     }
 
-    /// Runs `bc` unpriced, profiling into `prof` when given; on more than
-    /// one thread, when some dispatch can pay for a crew
-    /// ([`crate::par::may_split`]), inside one `std::thread::scope` whose
-    /// crew every `Parallel` loop of the run whose work pays for it
-    /// dispatches to. Returns the outcome and the profile.
-    fn run_unpriced(
-        &self,
-        bc: &BcProgram,
-        prof: Option<Box<BcProf>>,
-    ) -> (Result<()>, Option<Box<BcProf>>) {
-        fn go<'a>(
-            bc: &'a BcProgram,
-            mut ctx: BcCtx<'a, ()>,
-            prof: Option<Box<BcProf>>,
-        ) -> (Result<()>, Option<Box<BcProf>>) {
-            ctx.prof = prof;
-            let r = bc_run(bc, &mut ctx);
-            (r, ctx.prof)
-        }
+    /// Runs the program's compiled bytecode ([`Program::compiled`]) on one
+    /// thread under a counting meter, whatever the mode: `Parallel` loops
+    /// run serially, and `Vectorize` loops in lane groups as on the
+    /// interpreter. Returns every loop the run entered, by source variable
+    /// name in variable order, with its trip total over all its entries,
+    /// and the instruction classes the interpreter dispatched (see
+    /// [`InstClassCounts`]). The counts are sums over iterations, so a
+    /// multi-threaded run of the same bytecode dispatches the same totals.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Machine::run`].
+    pub fn run_counted(&mut self, p: &Program) -> Result<(Vec<(String, u64)>, InstClassCounts)> {
+        let bc = p.compiled()?.bytecode();
+        let mut ctx = self.bc_ctx(bc, Counts::new(bc.n_vars), 1, None);
+        bc_run(bc, &mut ctx)?;
+        let Counts { trips, classes } = ctx.meter;
+        let name = |v: usize| bc.var_names.get(v).cloned().unwrap_or_else(|| format!("v{v}"));
+        let loops = trips.into_iter().enumerate();
+        let loops = loops.filter_map(|(v, t)| Some((name(v), t?))).collect();
+        Ok((loops, classes))
+    }
+
+    /// Runs `bc` unpriced; on more than one thread, when some dispatch can
+    /// pay for a crew ([`crate::par::may_split`]), inside one
+    /// `std::thread::scope` whose crew every `Parallel` loop of the run
+    /// whose work pays for it dispatches to.
+    fn run_unpriced(&self, bc: &BcProgram) -> Result<()> {
         if self.threads > 1 && crate::par::may_split(bc.estimates()) {
             std::thread::scope(|s| {
                 let crew = Some(Crew::new(s, self.threads));
-                go(bc, self.bc_ctx(bc, (), self.threads, crew), prof)
+                bc_run(bc, &mut self.bc_ctx(bc, (), self.threads, crew))
             })
         } else {
-            go(bc, self.bc_ctx(bc, (), self.threads, None), prof)
+            bc_run(bc, &mut self.bc_ctx(bc, (), self.threads, None))
         }
     }
 
@@ -534,7 +540,7 @@ impl Machine {
         bc: &'a BcProgram,
         meter: M,
         threads: usize,
-        crew: Option<Crew<'a, ChunkOut>>,
+        crew: Option<Crew<'a, Result<()>>>,
     ) -> BcCtx<'a, M> {
         BcCtx {
             bufs: &self.bufs,
@@ -545,7 +551,6 @@ impl Machine {
             ir: vec![0i64; bc.n_iregs as usize],
             fr: vec![0f32; bc.n_fregs as usize],
             lanes: Lanes::new(bc.n_iregs as usize, bc.n_fregs as usize, bc.n_vars),
-            prof: None,
             meter,
         }
     }
@@ -708,24 +713,58 @@ fn eval_int(e: &Expr, bindings: &[(crate::expr::Var, i64)]) -> i64 {
 // ---------------------------------------------------------------------------
 
 /// The interpreter's cost hook: a run is generic over its meter, and every
-/// site that can cost something asks it for the [`Pricing`] to charge.
-/// `()` answers `None` at compile time, so an unpriced run compiles to
-/// the interpreter without the hook.
+/// site that can cost or count something asks it for the [`Pricing`] to
+/// charge or the [`Counts`] to tally. A meter answers `None` to the other
+/// at compile time, and `()` to both, so an unmetered run compiles to the
+/// interpreter without the hook.
 trait Meter {
-    fn pricing(&mut self) -> Option<&mut Pricing>;
-}
-
-impl Meter for () {
     #[inline(always)]
     fn pricing(&mut self) -> Option<&mut Pricing> {
         None
     }
+
+    #[inline(always)]
+    fn counts(&mut self) -> Option<&mut Counts> {
+        None
+    }
 }
+
+impl Meter for () {}
 
 impl Meter for Pricing {
     #[inline(always)]
     fn pricing(&mut self) -> Option<&mut Pricing> {
         Some(self)
+    }
+}
+
+impl Meter for Counts {
+    #[inline(always)]
+    fn counts(&mut self) -> Option<&mut Counts> {
+        Some(self)
+    }
+}
+
+/// The counting meter of [`Machine::run_counted`]: each loop's trip total
+/// and the instruction classes dispatched, one count per instruction in
+/// scalar code and one per lane group in vector chunks.
+struct Counts {
+    /// Trip totals by loop variable; `None` for a loop never entered.
+    trips: Vec<Option<u64>>,
+    classes: InstClassCounts,
+}
+
+impl Counts {
+    fn new(n_vars: usize) -> Counts {
+        Counts { trips: vec![None; n_vars], classes: InstClassCounts::default() }
+    }
+
+    /// An entry of loop `var` over `lo..hi`. The difference is taken in
+    /// `i128`: over the whole `i64` line it overflows `i64`.
+    fn enter(&mut self, var: u32, lo: i64, hi: i64) {
+        let n = u64::try_from(i128::from(hi) - i128::from(lo)).unwrap_or(0);
+        let t = self.trips[var as usize].get_or_insert(0);
+        *t = t.saturating_add(n);
     }
 }
 
@@ -824,7 +863,7 @@ impl Pricing {
 
 /// Execution context for the register bytecode: the variable frame, two
 /// scalar register files, the lane state vectorized loops run on, the
-/// run's crew and the run's cost hook.
+/// run's crew and the run's meter.
 struct BcCtx<'a, M> {
     bufs: &'a [SharedBuf],
     /// The threads a `Parallel` dispatch here may split over: the run's
@@ -833,7 +872,7 @@ struct BcCtx<'a, M> {
     threads: usize,
     /// The crew `Parallel` loops dispatch to; `None` where `threads` is 1,
     /// and in a run no dispatch of which can pay for a crew.
-    crew: Option<Crew<'a, ChunkOut>>,
+    crew: Option<Crew<'a, Result<()>>>,
     /// The program's `Parallel` loop estimates, by `par` index, that a
     /// dispatch decides on; none where `threads` is 1.
     estimates: &'a [Estimate],
@@ -841,78 +880,8 @@ struct BcCtx<'a, M> {
     ir: Vec<i64>,
     fr: Vec<f32>,
     lanes: Lanes,
-    /// Bytecode profile, present only under `TIRAMISU_PROFILE` — the off
-    /// path pays one `Option` check per statement block, never an
-    /// allocation.
-    prof: Option<Box<BcProf>>,
     meter: M,
 }
-
-/// Every how many entries of a given loop statement one execution is
-/// wall-timed. Sampling keeps the profiled path from drowning tight
-/// inner loops in clock reads; totals are scaled back up at emission.
-const PROF_SAMPLE_PERIOD: u64 = 16;
-
-/// Per-loop profile: how often a `For` statement was entered, total trip
-/// count, and a sampled wall-time estimate.
-#[derive(Default)]
-struct LoopProf {
-    entries: u64,
-    iters: u64,
-    sampled: u64,
-    sampled_ns: u64,
-}
-
-/// The bytecode profiler state carried by a profiling execution
-/// (per-loop attribution plus instruction-class totals).
-#[derive(Default)]
-struct BcProf {
-    loops: std::collections::HashMap<u32, LoopProf>,
-    classes: InstClassCounts,
-}
-
-impl BcProf {
-    fn merge(&mut self, o: &BcProf) {
-        for (var, lp) in &o.loops {
-            let dst = self.loops.entry(*var).or_default();
-            dst.entries += lp.entries;
-            dst.iters += lp.iters;
-            dst.sampled += lp.sampled;
-            dst.sampled_ns += lp.sampled_ns;
-        }
-        self.classes.merge(&o.classes);
-    }
-
-    /// Emits the profile as telemetry counters, labelling loops with
-    /// their source variable names. `est_us` counters scale the sampled
-    /// wall time back to the full entry count and are inclusive (an
-    /// outer loop's estimate contains its inner loops').
-    fn emit(&self, var_names: &[String]) {
-        let mut loops: Vec<_> = self.loops.iter().collect();
-        loops.sort_by_key(|(v, _)| **v);
-        for (v, lp) in loops {
-            let name = var_names
-                .get(*v as usize)
-                .cloned()
-                .unwrap_or_else(|| format!("v{v}"));
-            telemetry::counter("vm", format!("loop {name} iters"), lp.iters as f64);
-            if lp.sampled > 0 {
-                let est_us = (lp.sampled_ns as f64 / 1000.0)
-                    * (lp.entries as f64 / lp.sampled as f64);
-                telemetry::counter("vm", format!("loop {name} est_us"), est_us);
-            }
-        }
-        for (class, n) in self.classes.iter() {
-            if n > 0 {
-                telemetry::counter("vm", format!("inst {class}"), n as f64);
-            }
-        }
-    }
-}
-
-/// What a `Parallel` chunk of the interpreter hands back: its profile,
-/// when the run is profiled.
-type ChunkOut = Result<Option<Box<BcProf>>>;
 
 /// Runs a whole program: its prologue, then its body.
 fn bc_run<'a, M: Meter>(bc: &'a BcProgram, ctx: &mut BcCtx<'a, M>) -> Result<()> {
@@ -920,8 +889,8 @@ fn bc_run<'a, M: Meter>(bc: &'a BcProgram, ctx: &mut BcCtx<'a, M>) -> Result<()>
 }
 
 fn bc_run_insts<M: Meter>(insts: &[Inst], ctx: &mut BcCtx<'_, M>) -> Result<()> {
-    if let Some(p) = ctx.prof.as_deref_mut() {
-        p.classes.count(insts);
+    if let Some(c) = ctx.meter.counts() {
+        c.classes.count(insts);
     }
     for inst in insts {
         match *inst {
@@ -1020,22 +989,14 @@ fn bc_exec_stmt<'a, M: Meter>(s: &'a BcStmt, ctx: &mut BcCtx<'a, M>) -> Result<(
         BcStmt::For { var, lower, upper, kind, par, preamble, body } => {
             let lo = bc_eval_bound(lower, ctx)?;
             let hi = bc_eval_bound(upper, ctx)?;
-            // Per-loop attribution: count every entry and trip, wall-time
-            // one entry in PROF_SAMPLE_PERIOD.
-            let sample_t0 = match ctx.prof.as_deref_mut() {
-                Some(p) => {
-                    let lp = p.loops.entry(*var).or_default();
-                    lp.entries += 1;
-                    lp.iters += (hi - lo).max(0) as u64;
-                    (lp.entries % PROF_SAMPLE_PERIOD == 1).then(std::time::Instant::now)
-                }
-                None => None,
-            };
+            if let Some(c) = ctx.meter.counts() {
+                c.enter(*var, lo, hi);
+            }
             let per_iter = || ctx.estimates.get(*par as usize).map_or(u64::MAX, |e| e.per_iter);
             let split = *kind == LoopKind::Parallel
                 && crate::par::takes(ctx.threads, lo, hi, per_iter())
                 && ctx.crew.is_some();
-            let r = match kind {
+            match kind {
                 _ if split => bc_exec_parallel(*var, lo, hi, preamble, body, ctx),
                 LoopKind::Vectorize(_) if bc_body_vectorizable(body) => {
                     bc_exec_vector(s, lo, hi, ctx)
@@ -1058,19 +1019,13 @@ fn bc_exec_stmt<'a, M: Meter>(s: &'a BcStmt, ctx: &mut BcCtx<'a, M>) -> Result<(
                     }
                     Ok(())
                 }
-            };
-            if let (Some(t0), Some(p)) = (sample_t0, ctx.prof.as_deref_mut()) {
-                let lp = p.loops.entry(*var).or_default();
-                lp.sampled += 1;
-                lp.sampled_ns += t0.elapsed().as_nanos() as u64;
             }
-            r
         }
     }
 }
 
-/// Runs a `Parallel` loop on the run's crew. Priced runs never get here
-/// (they have no crew), so chunks charge nothing.
+/// Runs a `Parallel` loop on the run's crew. Metered runs never get here
+/// (they have no crew), so chunks charge and count nothing.
 fn bc_exec_parallel<'a, M: Meter>(
     var: u32,
     lo: i64,
@@ -1079,15 +1034,14 @@ fn bc_exec_parallel<'a, M: Meter>(
     body: &'a [BcStmt],
     ctx: &mut BcCtx<'a, M>,
 ) -> Result<()> {
-    let BcCtx { bufs, crew, frame, ir, fr, prof, .. } = ctx;
+    let BcCtx { bufs, crew, frame, ir, fr, .. } = ctx;
     let bufs = *bufs;
-    let profiled = prof.is_some();
     let crew = crew.as_mut().expect("parallel dispatch without a crew");
     // Each chunk runs on a private context whose scalar state (registers
     // computed in outer preambles / the prologue stay readable) is a
     // snapshot taken here, on the caller; buffers are the only shared
     // state.
-    let outcomes = crew.dispatch(lo, hi, |start, end| -> Job<'a, ChunkOut> {
+    let outcomes = crew.dispatch(lo, hi, |start, end| -> Job<'a, Result<()>> {
         let (frame, ir, fr) = (frame.clone(), ir.clone(), fr.clone());
         Box::new(move || {
             let mut sub = BcCtx {
@@ -1100,9 +1054,6 @@ fn bc_exec_parallel<'a, M: Meter>(
                 frame,
                 ir,
                 fr,
-                // Chunks profile into a private state merged into the
-                // caller's once the dispatch succeeds.
-                prof: profiled.then(Box::<BcProf>::default),
                 meter: (),
             };
             for v in start..end {
@@ -1110,15 +1061,10 @@ fn bc_exec_parallel<'a, M: Meter>(
                 bc_run_insts(preamble, &mut sub)?;
                 bc_exec_block(body, &mut sub)?;
             }
-            Ok(sub.prof)
+            Ok(())
         })
     });
-    for p in crate::par::settle(outcomes)?.into_iter().flatten() {
-        if let Some(dst) = prof.as_deref_mut() {
-            dst.merge(&p);
-        }
-    }
-    Ok(())
+    crate::par::settle(outcomes).map(drop)
 }
 
 /// A body is lane-executable when it contains only stores and lets (the
@@ -1183,7 +1129,7 @@ fn bc_exec_chunk<M: Meter>(
     body: &[BcStmt],
     ctx: &mut BcCtx<'_, M>,
 ) -> Result<()> {
-    let BcCtx { bufs, frame, ir, fr, lanes, prof, meter, .. } = ctx;
+    let BcCtx { bufs, frame, ir, fr, lanes, meter, .. } = ctx;
     let Lanes { ir: lane_ir, fr: lane_fr, vars, reads: all_reads } = lanes;
     let reads = &all_reads[reads];
     for &(file, r) in &reads.regs {
@@ -1197,16 +1143,23 @@ fn bc_exec_chunk<M: Meter>(
         vars[v as usize] = [frame[v as usize]; LANES];
     }
     vars[var as usize] = std::array::from_fn(|l| base + l as i64);
+    // A counting run lends its class tally to the lane executor, which
+    // counts one dispatch per lane group.
+    let mut classes = meter.counts().map(|c| c.classes);
     let mut host = CpuHost { bufs, meter };
     let mut w = simt::WarpCtx {
         ir: lane_ir,
         fr: lane_fr,
         vars,
         host: &mut host,
-        classes: prof.as_deref_mut().map(|p| &mut p.classes),
+        classes: classes.as_mut(),
     };
-    simt::run_insts(preamble, &FULL, &mut w)?;
-    simt::exec_block(body, &FULL, &mut w)
+    let r = simt::run_insts(preamble, &FULL, &mut w)
+        .and_then(|()| simt::exec_block(body, &FULL, &mut w));
+    if let (Some(k), Some(c)) = (classes, host.meter.counts()) {
+        c.classes = k;
+    }
+    r
 }
 
 /// The lane state CPU chunks run on: lane register files, a lane
@@ -1728,6 +1681,108 @@ mod tests {
                 let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
                 assert_eq!(bits(m.buffer(a)), bits(&want), "{name}, r = {bound:?}");
             }
+        }
+    }
+
+    /// `for i in 0..3 (outer) { for j in 0..19 (inner) { y[19i + j] = x[19i + j] } }`.
+    fn nest(outer: LoopKind, inner: LoopKind) -> (Program, BufId, BufId) {
+        let mut p = Program::new();
+        let x = p.buffer("x", 57);
+        let y = p.buffer("y", 57);
+        let (i, j) = (p.var("i"), p.var("j"));
+        let at = || Expr::var(i) * Expr::i64(19) + Expr::var(j);
+        p.push(Stmt::for_(
+            i,
+            Expr::i64(0),
+            Expr::i64(3),
+            outer,
+            vec![Stmt::for_(
+                j,
+                Expr::i64(0),
+                Expr::i64(19),
+                inner,
+                vec![Stmt::store(y, at(), Expr::load(x, at()))],
+            )],
+        ));
+        (p, x, y)
+    }
+
+    fn counted(p: &Program, threads: usize) -> (Vec<(String, u64)>, InstClassCounts) {
+        let mut m = Machine::new(p);
+        m.set_threads(threads);
+        m.run_counted(p).unwrap()
+    }
+
+    fn class(c: &InstClassCounts, name: &str) -> u64 {
+        c.iter().find(|&(k, _)| k == name).expect("a class label").1
+    }
+
+    #[test]
+    fn run_counted_counts_a_parallel_loop_as_a_serial_run_would() {
+        let (par, _, _) = nest(LoopKind::Parallel, LoopKind::Serial);
+        let (serial, _, _) = nest(LoopKind::Serial, LoopKind::Serial);
+        let (loops, classes) = counted(&par, 3);
+        assert_eq!(loops, [("i".to_string(), 3), ("j".to_string(), 57)]);
+        // One load per iteration of the innermost loop.
+        assert_eq!(class(&classes, "load"), 57);
+        assert_eq!(counted(&serial, 1), (loops, classes));
+    }
+
+    #[test]
+    fn run_counted_tallies_a_vector_chunk_once_and_its_remainder_per_iteration() {
+        let (vector, _, _) = nest(LoopKind::Serial, LoopKind::Vectorize(8));
+        let (serial, _, _) = nest(LoopKind::Serial, LoopKind::Serial);
+        let (loops, classes) = counted(&vector, 1);
+        // Trips count iterations whatever the loop's shape.
+        assert_eq!(loops, [("i".to_string(), 3), ("j".to_string(), 57)]);
+        // Each entry of `j` dispatches two lane groups and three scalar
+        // iterations: five loads, where the serial run dispatches 19.
+        assert_eq!(class(&classes, "load"), 3 * 5);
+        assert_eq!(class(&counted(&serial, 1).1, "load"), 3 * 19);
+    }
+
+    #[test]
+    fn run_counted_reports_a_zero_trip_loop_and_omits_one_never_entered() {
+        let mut p = Program::new();
+        let y = p.buffer("y", 4);
+        let (k, z) = (p.var("k"), p.var("z"));
+        p.push(Stmt::for_(
+            k,
+            Expr::i64(2),
+            Expr::i64(0),
+            LoopKind::Serial,
+            vec![Stmt::for_(
+                z,
+                Expr::i64(0),
+                Expr::i64(4),
+                LoopKind::Serial,
+                vec![Stmt::store(y, Expr::var(z), Expr::f32(1.0))],
+            )],
+        ));
+        assert_eq!(counted(&p, 1).0, [("k".to_string(), 0)]);
+    }
+
+    #[test]
+    fn run_counted_leaves_the_buffers_a_run_leaves() {
+        for (outer, inner) in [
+            (LoopKind::Parallel, LoopKind::Vectorize(8)),
+            (LoopKind::Serial, LoopKind::Serial),
+        ] {
+            let (p, x, y) = nest(outer, inner);
+            let after = |count: bool| {
+                let mut m = Machine::new(&p);
+                m.set_threads(2);
+                for (n, v) in m.buffer_mut(x).iter_mut().enumerate() {
+                    *v = n as f32 * 0.5;
+                }
+                if count {
+                    m.run_counted(&p).unwrap();
+                } else {
+                    m.run(&p).unwrap();
+                }
+                m.buffer(y).iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+            };
+            assert_eq!(after(true), after(false), "{outer:?}/{inner:?}");
         }
     }
 }

@@ -10,12 +10,12 @@
 //! `capacity` events until a drain has returned it. Every ring is registered when its thread first
 //! records, so a drain reads running, parked and exited threads alike.
 //!
-//! Failure sites — a `DistError::Deadlock`, a rank panic, a JIT deopt
-//! replay that errs, a corrupt disk artifact — call [`dump`], which
-//! merges every thread's ring into one Chrome-trace JSON file (plus a
-//! [`crate::metrics`] snapshot) under `TIRAMISU_DUMP_DIR`, turning "it
-//! hung once" into an attachable artifact. A drain does not empty the
-//! rings, so a dump after a drain still holds each thread's recent past.
+//! Failure sites — a `DistError::Deadlock`, a rank panic, a corrupt disk
+//! artifact — call [`dump`], which merges every thread's ring into one
+//! Chrome-trace JSON file (plus a [`crate::metrics`] snapshot) under
+//! `TIRAMISU_DUMP_DIR`, turning "it hung once" into an attachable
+//! artifact. A drain does not empty the rings, so a dump after a drain
+//! still holds each thread's recent past.
 
 use crate::{jstr, Event, EventKind, Timeline};
 use std::borrow::Cow;
@@ -29,8 +29,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 pub const DEFAULT_RING_CAPACITY: usize = 256;
 
 /// Total dump files one process may write (guards against a failure
-/// storm — e.g. a differential suite provoking hundreds of deopts —
-/// filling the dump directory).
+/// storm — e.g. a suite deadlocking hundreds of runs — filling the dump
+/// directory).
 const MAX_DUMPS: u64 = 32;
 
 /// Registered rings kept after their threads die; beyond this the oldest

@@ -333,6 +333,28 @@ impl Timeline {
         std::fs::write(path, self.to_chrome_json())
     }
 
+    /// Writes the timeline, unless it is empty, as Chrome trace JSON to
+    /// the path in `TIRAMISU_PROFILE_OUT` (or `default_path` when unset).
+    /// Returns the path written to, if any; a failed write is reported on
+    /// stderr.
+    pub fn export(&self, default_path: &str) -> Option<std::path::PathBuf> {
+        if self.is_empty() {
+            return None;
+        }
+        let path = std::env::var("TIRAMISU_PROFILE_OUT")
+            .ok()
+            .filter(|p| !p.is_empty())
+            .unwrap_or_else(|| default_path.to_string());
+        let path = std::path::PathBuf::from(path);
+        match self.write_chrome(&path) {
+            Ok(()) => Some(path),
+            Err(e) => {
+                eprintln!("telemetry: failed to write {}: {e}", path.display());
+                None
+            }
+        }
+    }
+
     /// Renders a human-readable aggregate table: spans grouped by
     /// (category, name) with count/total/mean/max duration columns
     /// sorted by total time (so a 256-case differential run collapses to
@@ -391,30 +413,14 @@ impl Timeline {
     }
 }
 
-/// Drains the timeline and writes it as Chrome trace JSON to the path in
-/// `TIRAMISU_PROFILE_OUT` (or `default_path` when unset) — but only when
-/// profiling is enabled and something was recorded. Returns the path
-/// written to, if any. This is the one-call exit hook examples use.
+/// Drains the timeline and [`Timeline::export`]s it — but only when
+/// profiling is enabled. Returns the path written to, if any. This is the
+/// one-call exit hook examples use.
 pub fn export_if_enabled(default_path: &str) -> Option<std::path::PathBuf> {
     if !profile_enabled() {
         return None;
     }
-    let tl = drain();
-    if tl.is_empty() {
-        return None;
-    }
-    let path = std::env::var("TIRAMISU_PROFILE_OUT")
-        .ok()
-        .filter(|p| !p.is_empty())
-        .unwrap_or_else(|| default_path.to_string());
-    let path = std::path::PathBuf::from(path);
-    match tl.write_chrome(&path) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("telemetry: failed to write {}: {e}", path.display());
-            None
-        }
-    }
+    drain().export(default_path)
 }
 
 /// Finite-number JSON rendering (integers render without a fraction).

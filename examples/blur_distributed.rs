@@ -80,10 +80,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", stats.report());
     println!("cluster modeled time: {:.0} cycles", stats.modeled_cycles);
     // With TIRAMISU_PROFILE=1 the compile passes, per-rank comm spans and
-    // bytecode hot-loop counters all land in one Chrome trace. The stats
-    // run above prices its compute chunks' plain lowering, which the
-    // profiler never sees, so add one fast-path run to profile the rank
-    // bytecode too.
+    // the ranks' `vm` run spans all land in one Chrome trace. The stats
+    // run above prices its compute chunks' plain lowering, not the code
+    // a run executes, so add one fast-path run: its `vm` spans time the
+    // rank chunks on the tier `Machine::run` picks.
     if telemetry::profile_enabled() {
         mpisim::run_with_init(
             &module.dist,

@@ -3,9 +3,10 @@
 //! deadlock must leave a loadable Chrome-trace dump with a metrics
 //! snapshot in the dump directory, with profiling **off** the whole
 //! time (the layer under test is the one that is on in production) —
-//! and a dump taken after a profiling drain keeps the drained events.
+//! a dump taken after a profiling drain keeps the drained events, and an
+//! out-of-bounds error a caller gets back is no failure worth a dump.
 
-use loopvm::{Expr, Program};
+use loopvm::{Error, ExecMode, Expr, LoopKind, Machine, Program, Stmt};
 use mpisim::{CommModel, DistError, DistProgram, DistStmt, RunOptions, WaitingOn};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -273,4 +274,38 @@ fn dump_after_drain_keeps_the_drained_events() {
         events.iter().any(|e| e.get("name").and_then(|n| n.as_str()) == Some("drained then dumped")),
         "the dump lost a drained event"
     );
+}
+
+/// A native run's out-of-bounds store comes back as the interpreter's
+/// `Err`, an ordinary outcome for the caller: it writes no dump, so it
+/// cannot spend the process's dump cap before a real failure.
+#[test]
+fn an_out_of_bounds_error_writes_no_dump() {
+    let _g = locked();
+    let dir = std::env::temp_dir().join(format!("tiramisu-obs-oob-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut p = Program::new();
+    let a = p.buffer("a", 4);
+    let i = p.var("i");
+    p.push(Stmt::for_(
+        i,
+        Expr::i64(0),
+        Expr::i64(8),
+        LoopKind::Serial,
+        vec![Stmt::store(a, Expr::var(i), Expr::f32(1.0))],
+    ));
+    let deopts = telemetry::metrics::counter("jit.deopts_fired");
+    let before = deopts.get();
+    telemetry::flight::set_dump_dir(Some(Some(dir.clone())));
+    let mut m = Machine::new(&p);
+    m.set_exec_mode(ExecMode::Jit);
+    let err = m.run(&p).unwrap_err();
+    telemetry::flight::set_dump_dir(None);
+    assert!(matches!(err, Error::OutOfBounds { index: 4, .. }), "{err:?}");
+    if loopvm::jit::supported() {
+        assert!(deopts.get() > before, "the native code's guard did not fire");
+    }
+    let dumps: Vec<_> = std::fs::read_dir(&dir).map(|d| d.collect()).unwrap_or_default();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(dumps.is_empty(), "an out-of-bounds error wrote a dump: {dumps:?}");
 }

@@ -1,7 +1,9 @@
 //! Telemetry coverage: span nesting, thread interleaving, draining
 //! threads that are still alive, the Chrome trace-event export shape,
-//! and the zero-overhead-when-off guarantee on the Figure 1 sgemm path.
+//! profiling that never changes which code runs, and the
+//! zero-overhead-when-off guarantee on the Figure 1 sgemm path.
 
+use loopvm::{Error, ExecMode, Expr, LoopKind, Machine, Program, Stmt};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 use telemetry::{
@@ -179,6 +181,56 @@ fn chrome_export_is_valid_json_with_monotonic_timestamps() {
     // (metadata aside) are monotonic.
     let ts: Vec<u64> = tl.events.iter().map(|e| e.ts_us).collect();
     assert!(ts.windows(2).all(|w| w[0] <= w[1]), "timestamps not monotonic: {ts:?}");
+}
+
+/// Profiling observes the code that runs: a profiled `Machine::run` stays
+/// on the native tier, writes the same bits, and fails the same way.
+#[test]
+fn profiling_never_steers_machine_run() {
+    let _g = locked();
+    let prep = kernels::sgemm::tiramisu_best(64, 16).expect("sgemm compile");
+    let run = |profiled: bool| {
+        set_profiling(Some(profiled));
+        let mut m = prep.machine();
+        m.set_exec_mode(ExecMode::Jit);
+        m.run(&prep.program).expect("sgemm run");
+        set_profiling(None);
+        m.buffer(prep.output).iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+    };
+    let plain = run(false);
+    let jit_us = telemetry::metrics::histogram("vm.run.jit_us");
+    let bytecode_us = telemetry::metrics::histogram("vm.run.bytecode_us");
+    let (jit_before, bytecode_before) = (jit_us.snapshot().count, bytecode_us.snapshot().count);
+    let profiled = run(true);
+    let _ = drain();
+    if loopvm::jit::supported() {
+        assert_eq!(jit_us.snapshot().count, jit_before + 1, "the profiled run was not native");
+        assert_eq!(bytecode_us.snapshot().count, bytecode_before, "the profiled run interpreted");
+    }
+    assert!(profiled == plain, "profiling changed the output");
+
+    // `for i in i64::MIN..i64::MAX { A[i] = 1 }`: its trip count overflows
+    // `i64`, and its first store is out of bounds.
+    let mut p = Program::new();
+    let a = p.buffer("A", 4);
+    let i = p.var("i");
+    p.push(Stmt::for_(
+        i,
+        Expr::i64(i64::MIN),
+        Expr::i64(i64::MAX),
+        LoopKind::Serial,
+        vec![Stmt::store(a, Expr::var(i), Expr::f32(1.0))],
+    ));
+    let outcome = |profiled: bool| {
+        set_profiling(Some(profiled));
+        let r = Machine::new(&p).run(&p);
+        set_profiling(None);
+        r.expect_err("the store is out of bounds")
+    };
+    let plain = outcome(false);
+    assert!(matches!(plain, Error::OutOfBounds { index: i64::MIN, .. }), "{plain:?}");
+    assert_eq!(outcome(true), plain);
+    assert_eq!(Machine::new(&p).run_counted(&p).expect_err("counted"), plain);
 }
 
 #[test]
