@@ -4,10 +4,10 @@
 //! plus the binary wire primitives the module codecs are written against.
 //!
 //! The store is the persistence tier of the compile service
-//! (`tiramisu::service`): compiled bytecode, disassembly, and compile
-//! traces are serialized into one file per [`ArtifactKey`] and survive
-//! process restart. The serialization format is hand-rolled (the workspace
-//! is std only), following the same policy as the hand-written JSON in
+//! (`tiramisu::service`): each compiled module is encoded into one payload
+//! and written to one file per [`ArtifactKey`], which survives process
+//! restart. The serialization format is hand-rolled (the workspace is std
+//! only), following the same policy as the hand-written JSON in
 //! `BENCH_figures.json`.
 //!
 //! Design points:
@@ -20,11 +20,12 @@
 //!   the same directory and `rename`s it into place, so readers never see
 //!   a half-written artifact and concurrent writers of the same key
 //!   settle on one complete file.
-//! - **Versioned header + checksum.** Every file starts with a magic
-//!   string carrying [`FORMAT_VERSION`] and ends with an FNV-1a checksum
-//!   of everything before it. A version bump, a truncated write, or bit
-//!   rot all surface as a *miss* (never an error, never a panic), and the
-//!   next successful compile overwrites the stale file.
+//! - **Versioned header + checksum.** Every file is a magic string, the
+//!   [`FORMAT_VERSION`], the key, the payload, and an FNV-1a checksum of
+//!   everything before it. A version bump, a truncated write, bit rot, or
+//!   a file under the wrong name all surface as a *miss* (never an error,
+//!   never a panic), and the next successful compile overwrites the stale
+//!   file.
 
 pub mod wire;
 
@@ -38,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Bumped whenever the on-disk layout or any module codec changes shape.
 /// Old files then read back as misses and are overwritten on the next
 /// compile — there is no migration machinery by design.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// File magic: `TIRART` + format version, little-endian.
 const MAGIC: &[u8; 6] = b"TIRART";
@@ -84,43 +85,6 @@ impl std::fmt::Display for ArtifactKey {
     }
 }
 
-/// A deserialized artifact: named byte sections (module payload,
-/// disassembly, compile-trace text, ...).
-#[derive(Debug, Clone)]
-pub struct Artifact {
-    /// The key the artifact was stored under.
-    pub key: ArtifactKey,
-    sections: Vec<(String, Vec<u8>)>,
-}
-
-impl Artifact {
-    /// A section's payload by name.
-    pub fn section(&self, name: &str) -> Option<&[u8]> {
-        self.sections.iter().find(|(n, _)| n == name).map(|(_, b)| b.as_slice())
-    }
-
-    /// All section names, in stored order.
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.iter().map(|(n, _)| n.as_str())
-    }
-}
-
-/// Counters describing what a store instance observed (monotonic,
-/// process-local). `corrupt` counts files rejected for a bad magic,
-/// version, checksum, or malformed body — each of those reads also counts
-/// as a miss.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Successful artifact reads.
-    pub hits: u64,
-    /// Lookups that found no (usable) file.
-    pub misses: u64,
-    /// Artifacts written.
-    pub writes: u64,
-    /// Files rejected as corrupt/truncated/stale-format.
-    pub corrupt: u64,
-}
-
 /// FNV-1a over a byte slice: the integrity checksum trailing every
 /// artifact file. Not cryptographic — it guards against truncation and
 /// bit rot, not adversaries.
@@ -133,6 +97,17 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// What every file stored under `key` starts with: the magic, the
+/// format version, and the key's two halves.
+fn header(key: ArtifactKey) -> Writer {
+    let mut w = Writer::new();
+    w.bytes_raw(MAGIC);
+    w.u32(FORMAT_VERSION);
+    w.u64(key.source);
+    w.u64(key.config);
+    w
+}
+
 /// A directory of content-addressed artifact files.
 ///
 /// The store is safe to share across threads (`&self` methods only) and
@@ -142,10 +117,6 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 #[derive(Debug)]
 pub struct ArtifactStore {
     dir: PathBuf,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    writes: AtomicU64,
-    corrupt: AtomicU64,
     tmp_counter: AtomicU64,
 }
 
@@ -158,14 +129,7 @@ impl ArtifactStore {
     pub fn open(dir: impl AsRef<Path>) -> io::Result<ArtifactStore> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        Ok(ArtifactStore {
-            dir,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            tmp_counter: AtomicU64::new(0),
-        })
+        Ok(ArtifactStore { dir, tmp_counter: AtomicU64::new(0) })
     }
 
     /// Opens the store named by the `TIRAMISU_CACHE_DIR` environment
@@ -179,16 +143,6 @@ impl ArtifactStore {
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Counters observed by this instance.
-    pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-        }
     }
 
     fn path_of(&self, key: ArtifactKey) -> PathBuf {
@@ -219,24 +173,27 @@ impl ArtifactStore {
         self.len() == 0
     }
 
-    /// Serializes and atomically writes an artifact.
+    /// Atomically writes `key`'s payload.
+    ///
+    /// The payload comes as a one-entry list, `&[("module", bytes)]`, the
+    /// shape of the section list artifacts had before format 4; the
+    /// benchmark package still calls it that way. The name is not stored.
     ///
     /// # Errors
     ///
-    /// I/O errors writing or renaming the temp file. Callers treating the
-    /// store as a cache can ignore the error (the artifact is then simply
-    /// recompiled next time).
-    pub fn put(&self, key: ArtifactKey, sections: &[(&str, &[u8])]) -> io::Result<()> {
-        let mut w = Writer::new();
-        w.bytes_raw(MAGIC);
-        w.u32(FORMAT_VERSION);
-        w.u64(key.source);
-        w.u64(key.config);
-        w.u32(sections.len() as u32);
-        for (name, payload) in sections {
-            w.str(name);
-            w.bytes(payload);
-        }
+    /// `InvalidInput` for a list of any other length; I/O errors writing
+    /// or renaming the temp file. Callers treating the store as a cache
+    /// can ignore the error (the artifact is then simply recompiled next
+    /// time).
+    pub fn put(&self, key: ArtifactKey, payload: &[(&str, &[u8])]) -> io::Result<()> {
+        let [(_, payload)] = payload else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "an artifact holds exactly one payload",
+            ));
+        };
+        let mut w = header(key);
+        w.bytes_raw(payload);
         let mut buf = w.into_vec();
         let sum = fnv64(&buf);
         buf.extend_from_slice(&sum.to_le_bytes());
@@ -254,80 +211,33 @@ impl ArtifactStore {
             let _ = fs::remove_file(&tmp);
         }
         r?;
-        self.writes.fetch_add(1, Ordering::Relaxed);
         telemetry::instant("artifacts", "disk write");
         Ok(())
     }
 
-    /// Reads and validates the artifact stored under `key`.
+    /// Reads, validates, and returns the payload stored under `key`.
     ///
     /// Returns `None` on a true miss *and* on any unusable file — wrong
     /// magic, stale [`FORMAT_VERSION`], checksum mismatch (truncation/bit
-    /// rot), or malformed body. Corruption is counted in
-    /// [`StoreStats::corrupt`] but never surfaces as an error: the caller
-    /// falls back to a clean compile, whose `put` overwrites the bad
-    /// file.
-    pub fn get(&self, key: ArtifactKey) -> Option<Artifact> {
-        let bytes = match fs::read(self.path_of(key)) {
-            Ok(b) => b,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match self.parse(key, &bytes) {
-            Some(a) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                telemetry::instant("artifacts", "disk hit");
-                Some(a)
-            }
-            None => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                telemetry::instant("artifacts", "corrupt artifact");
-                None
-            }
+    /// rot), or a key that does not match the file's name. Corruption
+    /// never surfaces as an error: the caller falls back to a clean
+    /// compile, whose `put` overwrites the bad file.
+    pub fn get(&self, key: ArtifactKey) -> Option<Vec<u8>> {
+        let mut bytes = fs::read(self.path_of(key)).ok()?;
+        let head = header(key).into_vec();
+        let body = bytes.len().saturating_sub(8);
+        if body >= head.len()
+            && bytes.starts_with(&head)
+            && bytes[body..] == fnv64(&bytes[..body]).to_le_bytes()
+        {
+            telemetry::instant("artifacts", "disk hit");
+            bytes.truncate(body);
+            bytes.drain(..head.len());
+            Some(bytes)
+        } else {
+            telemetry::instant("artifacts", "corrupt artifact");
+            None
         }
-    }
-
-    /// Strict parse of one artifact file; any deviation is `None`.
-    fn parse(&self, key: ArtifactKey, bytes: &[u8]) -> Option<Artifact> {
-        // Trailing checksum first: it covers the whole header + body.
-        if bytes.len() < 8 {
-            return None;
-        }
-        let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(sum_bytes.try_into().ok()?);
-        if fnv64(body) != stored {
-            return None;
-        }
-        let mut r = Reader::new(body);
-        if r.bytes_raw(MAGIC.len()).ok()? != MAGIC {
-            return None;
-        }
-        if r.u32().ok()? != FORMAT_VERSION {
-            return None;
-        }
-        let (source, config) = (r.u64().ok()?, r.u64().ok()?);
-        if source != key.source || config != key.config {
-            return None;
-        }
-        let n = r.u32().ok()? as usize;
-        // Cap to the remaining bytes: a section needs >= 8 bytes of
-        // framing, so any n that passes this check is honest.
-        if n > r.remaining() / 8 {
-            return None;
-        }
-        let mut sections = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = r.str().ok()?;
-            let payload = r.bytes().ok()?.to_vec();
-            sections.push((name, payload));
-        }
-        if !r.is_empty() {
-            return None;
-        }
-        Some(Artifact { key, sections })
     }
 
     /// Removes the artifact stored under `key`, if present.
@@ -356,21 +266,20 @@ mod tests {
         {
             let store = ArtifactStore::open(&dir).unwrap();
             assert!(store.get(key).is_none());
-            store
-                .put(key, &[("module", b"payload"), ("disasm", b"; text")])
-                .unwrap();
-            let a = store.get(key).unwrap();
-            assert_eq!(a.section("module"), Some(&b"payload"[..]));
-            assert_eq!(a.section("disasm"), Some(&b"; text"[..]));
-            assert_eq!(a.section("nope"), None);
+            store.put(key, &[("module", b"payload")]).unwrap();
+            assert_eq!(store.get(key).as_deref(), Some(&b"payload"[..]));
+            // The file is the header, the payload, and the checksum.
+            let file = fs::read(store.path_of(key)).unwrap();
+            assert_eq!(file.len(), header(key).into_vec().len() + b"payload".len() + 8);
+            // An artifact is one payload: a section list is refused.
+            let two = store.put(key, &[("module", b"a"), ("disasm", b"b")]);
+            assert_eq!(two.unwrap_err().kind(), io::ErrorKind::InvalidInput);
         }
         // A fresh store over the same directory still serves the artifact
         // (process-restart survival).
         let store = ArtifactStore::open(&dir).unwrap();
         assert_eq!(store.len(), 1);
-        let a = store.get(key).unwrap();
-        assert_eq!(a.section("module"), Some(&b"payload"[..]));
-        assert_eq!(store.stats().hits, 1);
+        assert_eq!(store.get(key).as_deref(), Some(&b"payload"[..]));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -382,8 +291,8 @@ mod tests {
         let b = ArtifactKey::new(7, 2);
         store.put(a, &[("module", b"cpu")]).unwrap();
         store.put(b, &[("module", b"gpu")]).unwrap();
-        assert_eq!(store.get(a).unwrap().section("module"), Some(&b"cpu"[..]));
-        assert_eq!(store.get(b).unwrap().section("module"), Some(&b"gpu"[..]));
+        assert_eq!(store.get(a).as_deref(), Some(&b"cpu"[..]));
+        assert_eq!(store.get(b).as_deref(), Some(&b"gpu"[..]));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -396,10 +305,12 @@ mod tests {
         let path = store.path_of(key);
         let full = fs::read(&path).unwrap();
 
-        // Truncation.
-        fs::write(&path, &full[..full.len() / 2]).unwrap();
-        assert!(store.get(key).is_none());
-        // Bit flip in the body.
+        // Truncation, down to less than a header.
+        for cut in [full.len() / 2, 10, 0] {
+            fs::write(&path, &full[..cut]).unwrap();
+            assert!(store.get(key).is_none(), "cut at {cut}");
+        }
+        // Bit flip in the payload.
         let mut flipped = full.clone();
         flipped[40] ^= 0xff;
         fs::write(&path, &flipped).unwrap();
@@ -409,11 +320,15 @@ mod tests {
         bad_magic[0] = b'X';
         fs::write(&path, &bad_magic).unwrap();
         assert!(store.get(key).is_none());
-        assert_eq!(store.stats().corrupt, 3);
+        // A whole, checksum-valid file under another key's name: the key
+        // echo in the header rejects it.
+        let other = ArtifactKey::new(1, 2);
+        fs::write(store.path_of(other), &full).unwrap();
+        assert!(store.get(other).is_none());
 
         // Rewriting heals the entry.
         store.put(key, &[("module", &vec![7u8; 256])]).unwrap();
-        assert!(store.get(key).is_some());
+        assert_eq!(store.get(key), Some(vec![7u8; 256]));
         let _ = fs::remove_dir_all(&dir);
     }
 

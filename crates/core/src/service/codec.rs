@@ -1,4 +1,4 @@
-//! Binary codecs turning compiled backend modules into artifact sections
+//! Binary codecs turning compiled backend modules into artifact payloads
 //! and back.
 //!
 //! One codec per [`crate::backend`] module type, layered on the loopvm
@@ -6,14 +6,13 @@
 //! encoded form captures everything needed to *run* the module without
 //! re-running the pass pipeline: programs, buffer maps, launch geometry,
 //! copy plans, rank bodies, and the optimized bytecode. Compile traces
-//! are not part of the module payload — they travel as rendered text in
-//! a separate artifact section (their pass names are `&'static str` and
-//! cannot be reconstructed), so modules decoded from cache report
+//! are not stored at all, so modules decoded from cache report
 //! `compile_trace() == None`.
 //!
 //! Decoding validates every index against the decoded declarations and
 //! returns [`WireError`] on any mismatch; the service treats that as a
-//! cache miss and recompiles.
+//! cache miss and recompiles. Mutated payloads decode to `Ok` or `Err`,
+//! never a panic (`tests::mutated_modules_decode_or_err`).
 
 use crate::backend::cpu::CpuModule;
 use crate::backend::dist::DistModule;
@@ -110,7 +109,7 @@ fn decode_compiled(r: &mut Reader<'_>, p: &Program) -> Result<()> {
 // CPU
 // ---------------------------------------------------------------------------
 
-/// Serializes a CPU module into the artifact "module" section.
+/// Serializes a CPU module into an artifact payload.
 pub(crate) fn encode_cpu(m: &CpuModule) -> Vec<u8> {
     let mut w = Writer::new();
     vmc::encode_program(&m.program, &mut w);
@@ -225,7 +224,7 @@ fn decode_kernel(r: &mut Reader<'_>) -> Result<Kernel> {
     Ok(k)
 }
 
-/// Serializes a GPU module into the artifact "module" section.
+/// Serializes a GPU module into an artifact payload.
 pub(crate) fn encode_gpu(m: &GpuModule) -> Vec<u8> {
     let mut w = Writer::new();
     vmc::encode_program(&m.program, &mut w);
@@ -330,7 +329,7 @@ fn decode_dist_stmts(r: &mut Reader<'_>, p: &Program, n_chunks: usize) -> Result
     Ok(out)
 }
 
-/// Serializes a distributed module into the artifact "module" section:
+/// Serializes a distributed module into an artifact payload:
 /// declarations, rank variable, preamble, each chunk's own statements,
 /// the rank body, the buffer map, then each chunk's bytecode.
 pub(crate) fn encode_dist(m: &DistModule) -> Vec<u8> {
@@ -380,8 +379,11 @@ pub(crate) fn decode_dist(bytes: &[u8]) -> Result<DistModule> {
 mod tests {
     use super::*;
     use crate::backend::cpu::{compile, CpuOptions};
+    use crate::backend::{dist, gpu};
     use crate::expr::Expr;
-    use crate::function::Function;
+    use crate::function::{Function, Var};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn sample_module() -> CpuModule {
         let mut f = Function::new("scale", &["N"]);
@@ -422,6 +424,120 @@ mod tests {
         let bytes = encode_cpu(&sample_module());
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_cpu(&bytes[..cut]).is_err());
+        }
+    }
+
+    /// `out[i][j] = in[i][j] + 1` on 4x4 GPU tiles.
+    fn gpu_module() -> GpuModule {
+        let mut f = Function::new("gadd", &["N"]);
+        let i = f.var("i", 0, Expr::param("N"));
+        let j = f.var("j", 0, Expr::param("N"));
+        let input = f.input("in", &[i.clone(), j.clone()]).unwrap();
+        let at = f.access(input, &[Expr::iter("i"), Expr::iter("j")]);
+        let c = f.computation("out", &[i, j], at + Expr::f32(1.0)).unwrap();
+        f.tile_gpu(c, "i", "j", 4, 4).unwrap();
+        gpu::compile(&f, &[("N", 8)], gpu::GpuOptions::default()).unwrap()
+    }
+
+    /// `out[i] = in[i] + 1` over four ranks of eight rows, each rank
+    /// receiving the first row of its right neighbour: sends, receives
+    /// and rank guards.
+    fn dist_module() -> DistModule {
+        let mut f = Function::new("halo", &["N"]);
+        let i = f.var("i", 0, Expr::param("N"));
+        let input = f.input("in", std::slice::from_ref(&i)).unwrap();
+        let at = f.access(input, &[Expr::iter("i")]);
+        let c = f.computation("out", &[i], at + Expr::f32(1.0)).unwrap();
+        f.split(c, "i", 8, "i0", "i1").unwrap();
+        f.distribute(c, "i0").unwrap();
+        let is = Var::new("is", Expr::i64(1), Expr::i64(4));
+        let ir = Var::new("ir", Expr::i64(0), Expr::i64(3));
+        let row = |v: &str| Expr::iter(v) * Expr::i64(8);
+        let s = f.send(is, "in", row("is"), Expr::i64(1), Expr::iter("is") - Expr::i64(1), true);
+        let r = f.receive(ir, "in", row("ir") + Expr::i64(8), Expr::i64(1), Expr::iter("ir") + Expr::i64(1));
+        f.comm_before(s, c);
+        f.comm_before(r, c);
+        let m = dist::compile(&f, &[("N", 32)], dist::DistOptions::default()).unwrap();
+        let body = format!("{:?}", m.dist.body());
+        assert!(body.contains("Send") && body.contains("Recv"), "{body}");
+        m
+    }
+
+    /// The encoded modules of one CPU, one GPU and one distributed compile.
+    fn encoded() -> &'static [Vec<u8>; 3] {
+        static ENCODED: OnceLock<[Vec<u8>; 3]> = OnceLock::new();
+        ENCODED.get_or_init(|| {
+            [encode_cpu(&sample_module()), encode_gpu(&gpu_module()), encode_dist(&dist_module())]
+        })
+    }
+
+    /// Cases per property: `TIRAMISU_DIFF_CASES`, else 256, as for the
+    /// workspace's randomized integration tests.
+    fn diff_cases() -> u32 {
+        std::env::var("TIRAMISU_DIFF_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(256)
+    }
+
+    /// One edit of an encoded module, offsets taken modulo its length:
+    /// kind 0 flips the bits `v` of byte `a`, kind 1 keeps the first `a`
+    /// bytes, kind 2 copies up to 16 bytes from offset `b` over offset `a`.
+    fn mutate(bytes: &mut Vec<u8>, (kind, a, b, v): (u8, usize, usize, u8)) {
+        let n = bytes.len();
+        if n == 0 {
+            return;
+        }
+        let (a, b) = (a % n, b % n);
+        match kind {
+            0 => bytes[a] ^= v.max(1),
+            1 => bytes.truncate(a),
+            _ => {
+                let len = (v as usize % 16 + 1).min(n - a).min(n - b);
+                let src = bytes[b..b + len].to_vec();
+                bytes[a..a + len].copy_from_slice(&src);
+            }
+        }
+    }
+
+    /// Decodes `bytes` as module kind `which` (CPU, GPU, dist), reporting
+    /// only whether it decoded.
+    fn decodes(which: usize, bytes: &[u8]) -> bool {
+        match which {
+            0 => decode_cpu(bytes).is_ok(),
+            1 => decode_gpu(bytes).is_ok(),
+            _ => decode_dist(bytes).is_ok(),
+        }
+    }
+
+    /// Regression: this edit turns the sample's vector loop bound
+    /// `const 0` into `i64::MIN`, and the eager JIT compile in
+    /// [`decode_cpu`] overflowed computing where its lane groups end.
+    #[test]
+    fn a_vector_loop_from_i64_min_decodes() {
+        let mut bytes = encoded()[0].clone();
+        mutate(&mut bytes, (0, 559, 0, 0x80));
+        let m = decode_cpu(&bytes).expect("still a well-formed module");
+        assert!(m.disasm().unwrap().contains(&format!("const {}", i64::MIN)), "edit missed");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(diff_cases()))]
+
+        /// A module payload read back from disk is a trust boundary: an
+        /// encoded module with bytes flipped, cut off or spliced decodes
+        /// to `Ok` or `Err`, never a panic.
+        #[test]
+        fn mutated_modules_decode_or_err(
+            which in 0usize..3,
+            edits in proptest::collection::vec(
+                (0u8..3, any::<usize>(), any::<usize>(), any::<u8>()),
+                1..5,
+            ),
+        ) {
+            let mut bytes = encoded()[which].clone();
+            for &e in &edits {
+                mutate(&mut bytes, e);
+            }
+            let decoded = std::panic::catch_unwind(|| decodes(which, &bytes));
+            prop_assert!(decoded.is_ok(), "decoder {} panicked after {:?}", which, &edits);
         }
     }
 }

@@ -1,6 +1,6 @@
-//! Compile-as-a-service: a thread-safe session manager that shards
-//! compile jobs across a worker pool and layers three caches in front of
-//! the pass pipeline.
+//! Compile-as-a-service: a thread-safe session manager that layers two
+//! cache tiers in front of the pass pipeline. It owns no threads: a
+//! request that misses both tiers compiles on the thread that asked.
 //!
 //! Lookup order for every request:
 //!
@@ -10,17 +10,18 @@
 //!    (persistent across processes; enabled by `TIRAMISU_CACHE_DIR` or
 //!    [`ServiceConfig::cache_dir`]). Modules are reconstructed from
 //!    artifacts without re-running the pass pipeline.
-//! 3. **Fresh compile** — the job is enqueued for the worker pool.
+//! 3. **Fresh compile** — the caller runs the pass pipeline itself once
+//!    it holds one of [`ServiceConfig::workers`] compile permits.
 //!
 //! Identical in-flight requests are *single-flighted*: the second caller
-//! blocks on the first caller's job slot instead of compiling again, so
-//! N concurrent sessions asking for the same program cost one compile.
-//! The job queue is bounded; when it is full new work is rejected with
-//! [`Error::Busy`] so callers see back-pressure instead of unbounded
-//! latency.
+//! blocks on the first caller's slot instead of compiling again, so N
+//! concurrent sessions asking for the same program cost one compile.
+//! At most [`ServiceConfig::queue_capacity`] misses wait for a permit;
+//! past that new work is rejected with [`Error::Busy`] so callers see
+//! back-pressure instead of unbounded latency.
 //!
 //! All transitions are counted in always-on [`telemetry::metrics`]
-//! counters ([`ServiceStats`] is a read-only snapshot of them), queue
+//! counters ([`ServiceStats`] is a read-only snapshot of them), permit
 //! wait and compile latency feed `service.*_us` histograms, and the
 //! same values are mirrored into the telemetry timeline (category
 //! `"service"`) when profiling is enabled. A corrupt disk artifact
@@ -33,18 +34,14 @@ use crate::backend::cpu::{self, CpuModule, CpuOptions};
 use crate::backend::dist::{self, DistModule, DistOptions};
 use crate::backend::gpu::{self, GpuModule, GpuOptions};
 use crate::function::{Error, Function, Result};
-use artifacts::{fnv64, Artifact, ArtifactKey, ArtifactStore};
+use artifacts::{fnv64, ArtifactKey, ArtifactStore};
 use lru::Lru;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
 use std::time::Instant;
 use telemetry::metrics::{Counter, Gauge, Histogram};
-
-/// The one artifact section: the serialized module.
-const SEC_MODULE: &str = "module";
 
 // ---------------------------------------------------------------------------
 // Requests and keys
@@ -127,9 +124,11 @@ pub struct ServiceStats {
     pub disk_hits: u64,
     /// Requests that ran the full pass pipeline.
     pub compiles: u64,
-    /// Requests that piggybacked on an identical in-flight job.
+    /// Requests that piggybacked on an identical in-flight request.
     pub dedup_waits: u64,
-    /// Requests rejected with [`Error::Busy`] because the queue was full.
+    /// Requests rejected with [`Error::Busy`] because
+    /// [`ServiceConfig::queue_capacity`] misses already waited for a
+    /// compile permit.
     pub busy_rejections: u64,
     /// Disk artifacts that failed validation and fell back to recompile.
     pub corrupt_artifacts: u64,
@@ -153,7 +152,7 @@ struct ServiceMetrics {
     /// Mirror of the memory-tier LRU's eviction count (the LRU is the
     /// source; the gauge is a registry view refreshed on insert).
     evictions: Arc<Gauge>,
-    /// Microseconds jobs spent queued before a worker picked them up.
+    /// Microseconds a fresh compile waited for its permit.
     queue_wait_us: Arc<Histogram>,
     /// Microseconds per fresh pass-pipeline compile.
     compile_us: Arc<Histogram>,
@@ -201,27 +200,16 @@ impl ServiceMetrics {
 // Service internals
 // ---------------------------------------------------------------------------
 
-/// One queued compile job plus the slot its waiters block on.
-struct Job {
-    key: ArtifactKey,
-    f: Function,
-    params: Vec<(String, i64)>,
-    req: Request,
-    slot: Arc<JobSlot>,
-    /// When the job entered the queue (feeds `service.queue_wait_us`).
-    enqueued: Instant,
-}
-
 /// Rendezvous for single-flight waiters: filled exactly once by the
-/// worker (or by the enqueueing caller on back-pressure rejection).
-struct JobSlot {
+/// request that owns the key.
+struct Slot {
     done: Mutex<Option<Result<CachedModule>>>,
     cv: Condvar,
 }
 
-impl JobSlot {
-    fn new() -> Arc<JobSlot> {
-        Arc::new(JobSlot { done: Mutex::new(None), cv: Condvar::new() })
+impl Slot {
+    fn new() -> Arc<Slot> {
+        Arc::new(Slot { done: Mutex::new(None), cv: Condvar::new() })
     }
 
     fn fill(&self, result: Result<CachedModule>) {
@@ -240,26 +228,11 @@ impl JobSlot {
 
 struct State {
     memory: Lru<ArtifactKey, CachedModule>,
-    inflight: HashMap<ArtifactKey, Arc<JobSlot>>,
-    queue: VecDeque<Job>,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    /// Wakes workers when the queue gains a job (or on shutdown).
-    work_cv: Condvar,
-    store: Option<ArtifactStore>,
-    metrics: ServiceMetrics,
-    queue_capacity: usize,
-}
-
-impl Shared {
-    /// Refreshes the eviction gauge from the memory LRU (called with the
-    /// state lock held, after any insert that may have evicted).
-    fn sync_evictions(&self, st: &State) {
-        self.metrics.evictions.set(st.memory.evictions());
-    }
+    inflight: HashMap<ArtifactKey, Arc<Slot>>,
+    /// Fresh compiles holding a permit (at most `workers`).
+    running: usize,
+    /// Misses waiting for a permit (at most `queue_capacity`).
+    waiting: usize,
 }
 
 // ---------------------------------------------------------------------------
@@ -269,9 +242,9 @@ impl Shared {
 /// Construction parameters for a [`CompileService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads compiling queued jobs.
+    /// Fresh compiles that may run at once, each on its caller's thread.
     pub workers: usize,
-    /// Maximum queued (not yet running) jobs before [`Error::Busy`].
+    /// Misses that may wait for a compile permit before [`Error::Busy`].
     pub queue_capacity: usize,
     /// Capacity of the in-memory module LRU (0 disables the tier).
     pub memory_capacity: usize,
@@ -318,42 +291,37 @@ impl ServiceConfig {
 /// lookup pipeline; construct with [`CompileService::new`] or use the
 /// process-wide [`global`] instance.
 pub struct CompileService {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    state: Mutex<State>,
+    /// Wakes a miss waiting for a compile permit.
+    permit_cv: Condvar,
+    store: Option<ArtifactStore>,
+    metrics: ServiceMetrics,
+    workers: usize,
+    queue_capacity: usize,
 }
 
 impl CompileService {
-    /// Starts the worker pool and (when configured) opens the disk
-    /// store. A store directory that cannot be opened disables the disk
-    /// tier rather than failing construction.
+    /// Opens the disk store when one is configured. A store directory
+    /// that cannot be opened disables the disk tier rather than failing
+    /// construction.
     pub fn new(config: ServiceConfig) -> CompileService {
-        let store = config.cache_dir.as_ref().and_then(|d| ArtifactStore::open(d).ok());
-        let shared = Arc::new(Shared {
+        CompileService {
             state: Mutex::new(State {
                 memory: Lru::new(config.memory_capacity),
                 inflight: HashMap::new(),
-                queue: VecDeque::new(),
-                shutdown: false,
+                running: 0,
+                waiting: 0,
             }),
-            work_cv: Condvar::new(),
-            store,
+            permit_cv: Condvar::new(),
+            store: config.cache_dir.as_ref().and_then(|d| ArtifactStore::open(d).ok()),
             metrics: if config.register_metrics {
                 ServiceMetrics::registered()
             } else {
                 ServiceMetrics::private()
             },
+            workers: config.workers.max(1),
             queue_capacity: config.queue_capacity.max(1),
-        });
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("tiramisu-compile-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn compile worker")
-            })
-            .collect();
-        CompileService { shared, workers }
+        }
     }
 
     /// Compiles for the CPU backend through the cache tiers.
@@ -402,8 +370,8 @@ impl CompileService {
     /// Snapshot of the service counters (read from the live metrics; no
     /// second copy is maintained anywhere).
     pub fn stats(&self) -> ServiceStats {
-        let m = &self.shared.metrics;
-        let evictions = self.shared.state.lock().unwrap().memory.evictions();
+        let m = &self.metrics;
+        let evictions = self.state.lock().unwrap().memory.evictions();
         ServiceStats {
             memory_hits: m.memory_hits.get(),
             disk_hits: m.disk_hits.get(),
@@ -415,32 +383,32 @@ impl CompileService {
         }
     }
 
-    /// Point-in-time `(queue_wait, compile_latency)` histograms in
+    /// Point-in-time `(permit_wait, compile_latency)` histograms in
     /// microseconds, with p50/p95/p99 available on each snapshot.
     pub fn latency_snapshots(
         &self,
     ) -> (telemetry::metrics::HistogramSnapshot, telemetry::metrics::HistogramSnapshot) {
-        (self.shared.metrics.queue_wait_us.snapshot(), self.shared.metrics.compile_us.snapshot())
+        (self.metrics.queue_wait_us.snapshot(), self.metrics.compile_us.snapshot())
     }
 
     /// Drops every module from the memory tier (the disk tier is
     /// untouched). Useful for forcing disk hits in benchmarks and tests.
     pub fn clear_memory(&self) {
-        self.shared.state.lock().unwrap().memory.clear();
+        self.state.lock().unwrap().memory.clear();
     }
 
     /// The disk store directory, when the disk tier is enabled.
     pub fn cache_dir(&self) -> Option<PathBuf> {
-        self.shared.store.as_ref().map(|s| s.dir().to_path_buf())
+        self.store.as_ref().map(|s| s.dir().to_path_buf())
     }
 
     /// Whether `key`'s artifact is present on disk right now.
     #[cfg(test)]
     fn probe_disk(&self, key: ArtifactKey) -> bool {
-        self.shared.store.as_ref().is_some_and(|s| s.contains(key))
+        self.store.as_ref().is_some_and(|s| s.contains(key))
     }
 
-    /// Core lookup: memory -> in-flight -> disk -> enqueue.
+    /// Core lookup: memory -> in-flight -> disk -> compile here.
     fn compile_cached(
         &self,
         f: &Function,
@@ -448,48 +416,41 @@ impl CompileService {
         req: Request,
     ) -> Result<CachedModule> {
         let key = artifact_key(f, params, &req);
-        let shared = &self.shared;
         let _span = telemetry::span("service", format!("request:{}:{}", req.backend(), f.name));
 
-        // Tier 1: memory, and single-flight piggyback on identical jobs.
+        // Tier 1: memory, and single-flight piggyback on identical requests.
         let slot = {
-            let mut st = shared.state.lock().unwrap();
+            let mut st = self.state.lock().unwrap();
             if let Some(m) = st.memory.get(&key) {
                 let m = m.clone();
                 drop(st);
-                shared.metrics.bump(&shared.metrics.memory_hits, "memory_hits");
+                self.metrics.bump(&self.metrics.memory_hits, "memory_hits");
                 return Ok(m);
             }
             if let Some(slot) = st.inflight.get(&key) {
                 let slot = Arc::clone(slot);
                 drop(st);
-                shared.metrics.bump(&shared.metrics.dedup_waits, "dedup_waits");
+                self.metrics.bump(&self.metrics.dedup_waits, "dedup_waits");
                 return slot.wait();
             }
             // We own this key: register the slot before touching disk so
             // concurrent identical requests dedup onto it.
-            let slot = JobSlot::new();
+            let slot = Slot::new();
             st.inflight.insert(key, Arc::clone(&slot));
             slot
         };
 
         // Tier 2: disk. Any decode failure (corrupt, truncated, stale
         // format) is a miss, never an error.
-        if let Some(store) = &shared.store {
-            if let Some(art) = store.get(key) {
-                match decode_artifact(&art, &req) {
+        if let Some(store) = &self.store {
+            if let Some(payload) = store.get(key) {
+                match decode_module(&payload, &req) {
                     Ok(m) => {
-                        shared.metrics.bump(&shared.metrics.disk_hits, "disk_hits");
-                        let mut st = shared.state.lock().unwrap();
-                        st.memory.insert(key, m.clone());
-                        shared.sync_evictions(&st);
-                        st.inflight.remove(&key);
-                        drop(st);
-                        slot.fill(Ok(m.clone()));
-                        return Ok(m);
+                        self.metrics.bump(&self.metrics.disk_hits, "disk_hits");
+                        return self.finish(key, &slot, Ok(m), false);
                     }
                     Err(e) => {
-                        shared.metrics.bump(&shared.metrics.corrupt_artifacts, "corrupt_artifacts");
+                        self.metrics.bump(&self.metrics.corrupt_artifacts, "corrupt_artifacts");
                         telemetry::instant("service", format!("corrupt_artifact:{e}"));
                         store.remove(key);
                         // A corrupt artifact means on-disk state went bad:
@@ -500,141 +461,129 @@ impl CompileService {
             }
         }
 
-        // Tier 3: enqueue for the worker pool, honoring back-pressure.
+        // Tier 3: compile on this thread once a permit is free, honoring
+        // back-pressure.
+        let asked = Instant::now();
         {
-            let mut st = shared.state.lock().unwrap();
-            if st.queue.len() >= shared.queue_capacity {
-                st.inflight.remove(&key);
-                drop(st);
-                shared.metrics.bump(&shared.metrics.busy_rejections, "busy_rejections");
-                let err = Error::Busy(format!(
-                    "queue full ({} jobs) compiling {}",
-                    shared.queue_capacity, f.name
-                ));
-                // Waiters that piggybacked between slot registration and
-                // now ride the same rejection.
-                slot.fill(Err(err.clone()));
-                return Err(err);
-            }
-            st.queue.push_back(Job {
-                key,
-                f: f.clone(),
-                params: params.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-                req,
-                slot: Arc::clone(&slot),
-                enqueued: Instant::now(),
-            });
-            telemetry::counter("service", "queue_depth", st.queue.len() as f64);
-        }
-        shared.work_cv.notify_one();
-        slot.wait()
-    }
-}
-
-impl Drop for CompileService {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-        }
-        self.shared.work_cv.notify_all();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Worker side
-// ---------------------------------------------------------------------------
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if let Some(job) = st.queue.pop_front() {
-                    telemetry::counter("service", "queue_depth", st.queue.len() as f64);
-                    shared.metrics.queue_wait_us.record_duration(job.enqueued.elapsed());
-                    break job;
+            let mut st = self.state.lock().unwrap();
+            if st.running >= self.workers {
+                if st.waiting >= self.queue_capacity {
+                    drop(st);
+                    self.metrics.bump(&self.metrics.busy_rejections, "busy_rejections");
+                    let err = Error::Busy(format!(
+                        "queue full ({} waiting) compiling {}",
+                        self.queue_capacity, f.name
+                    ));
+                    // Waiters that piggybacked between slot registration
+                    // and now ride the same rejection.
+                    return self.finish(key, &slot, Err(err), false);
                 }
-                if st.shutdown {
-                    return;
+                st.waiting += 1;
+                while st.running >= self.workers {
+                    st = self.permit_cv.wait(st).unwrap();
                 }
-                st = shared.work_cv.wait(st).unwrap();
+                st.waiting -= 1;
             }
-        };
-        run_job(shared, job);
+            st.running += 1;
+        }
+        self.metrics.queue_wait_us.record_duration(asked.elapsed());
+        // Let misses that are runnable already reach admission, and meet
+        // back-pressure, before this compile holds the CPU. Without it, on
+        // a loaded host a burst of misses queued behind one CPU runs one
+        // compile at a time, each finding the permit free, and none is
+        // ever refused.
+        std::thread::yield_now();
+        let result = self.compile_fresh(key, f, params, &req);
+        self.finish(key, &slot, result, true)
     }
-}
 
-fn run_job(shared: &Shared, job: Job) {
-    let _span =
-        telemetry::span("service", format!("compile:{}:{}", job.req.backend(), job.f.name));
-    let params: Vec<(&str, i64)> = job.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    shared.metrics.bump(&shared.metrics.compiles, "compiles");
-    // A compile that panics must still answer: an unfilled slot blocks the
-    // requester and every dedup waiter forever, and the unwinding worker
-    // would be gone from the pool.
-    let compiled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let t0 = Instant::now();
-        let result = match &job.req {
-            Request::Cpu(o) => {
-                cpu::compile(&job.f, &params, o.clone()).map(|m| CachedModule::Cpu(Arc::new(m)))
+    /// Runs the pass pipeline and persists the module. A compile that
+    /// panics still answers: an unfilled slot would block the requester
+    /// and every dedup waiter forever, and its permit would be lost.
+    fn compile_fresh(
+        &self,
+        key: ArtifactKey,
+        f: &Function,
+        params: &[(&str, i64)],
+        req: &Request,
+    ) -> Result<CachedModule> {
+        let _span = telemetry::span("service", format!("compile:{}:{}", req.backend(), f.name));
+        self.metrics.bump(&self.metrics.compiles, "compiles");
+        let compiled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let t0 = Instant::now();
+            let result = match req {
+                Request::Cpu(o) => {
+                    cpu::compile(f, params, o.clone()).map(|m| CachedModule::Cpu(Arc::new(m)))
+                }
+                Request::Gpu(o) => {
+                    gpu::compile(f, params, o.clone()).map(|m| CachedModule::Gpu(Arc::new(m)))
+                }
+                Request::Dist(o) => {
+                    dist::compile(f, params, o.clone()).map(|m| CachedModule::Dist(Arc::new(m)))
+                }
+            };
+            self.metrics.compile_us.record_duration(t0.elapsed());
+            if let Ok(m) = &result {
+                self.persist(key, m);
             }
-            Request::Gpu(o) => {
-                gpu::compile(&job.f, &params, o.clone()).map(|m| CachedModule::Gpu(Arc::new(m)))
-            }
-            Request::Dist(o) => {
-                dist::compile(&job.f, &params, o.clone()).map(|m| CachedModule::Dist(Arc::new(m)))
-            }
-        };
-        shared.metrics.compile_us.record_duration(t0.elapsed());
+            result
+        }));
+        compiled.unwrap_or_else(|payload| {
+            let what = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into());
+            Err(Error::Backend(format!("compile panicked: {what}")))
+        })
+    }
+
+    /// Settles `key`: caches a module in memory, takes the key out of
+    /// flight, returns the compile permit when `release` says one is held,
+    /// and answers every waiter on `slot`.
+    fn finish(
+        &self,
+        key: ArtifactKey,
+        slot: &Slot,
+        result: Result<CachedModule>,
+        release: bool,
+    ) -> Result<CachedModule> {
+        let mut st = self.state.lock().unwrap();
         if let Ok(m) = &result {
-            persist(shared, job.key, m);
+            st.memory.insert(key, m.clone());
+            self.metrics.evictions.set(st.memory.evictions());
         }
+        st.inflight.remove(&key);
+        if release {
+            st.running -= 1;
+        }
+        drop(st);
+        if release {
+            self.permit_cv.notify_one();
+        }
+        slot.fill(result.clone());
         result
-    }));
-    let result = compiled.unwrap_or_else(|payload| {
-        let what = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".into());
-        Err(Error::Backend(format!("compile panicked: {what}")))
-    });
-    let mut st = shared.state.lock().unwrap();
-    if let Ok(m) = &result {
-        st.memory.insert(job.key, m.clone());
-        shared.sync_evictions(&st);
     }
-    st.inflight.remove(&job.key);
-    drop(st);
-    job.slot.fill(result);
-}
 
-/// Writes the module to the disk tier (when there is one) as the
-/// artifact's single section.
-fn persist(shared: &Shared, key: ArtifactKey, m: &CachedModule) {
-    if let Some(store) = &shared.store {
-        let module = match m {
-            CachedModule::Cpu(m) => codec::encode_cpu(m),
-            CachedModule::Gpu(m) => codec::encode_gpu(m),
-            CachedModule::Dist(m) => codec::encode_dist(m),
-        };
-        // Disk-tier write failures (full disk, permissions) only cost
-        // future disk hits; the compile itself already succeeded.
-        let _ = store.put(key, &[(SEC_MODULE, &module)]);
+    /// Writes the module to the disk tier, when there is one.
+    fn persist(&self, key: ArtifactKey, m: &CachedModule) {
+        if let Some(store) = &self.store {
+            let module = match m {
+                CachedModule::Cpu(m) => codec::encode_cpu(m),
+                CachedModule::Gpu(m) => codec::encode_gpu(m),
+                CachedModule::Dist(m) => codec::encode_dist(m),
+            };
+            // Disk-tier write failures (full disk, permissions) only cost
+            // future disk hits; the compile itself already succeeded.
+            let _ = store.put(key, &[("module", &module)]);
+        }
     }
 }
 
-fn decode_artifact(
-    art: &Artifact,
+fn decode_module(
+    bytes: &[u8],
     req: &Request,
 ) -> std::result::Result<CachedModule, artifacts::WireError> {
-    let bytes = art
-        .section(SEC_MODULE)
-        .ok_or_else(|| artifacts::wire::malformed("artifact has no module section"))?;
     Ok(match req {
         Request::Cpu(_) => CachedModule::Cpu(Arc::new(codec::decode_cpu(bytes)?)),
         Request::Gpu(_) => CachedModule::Gpu(Arc::new(codec::decode_gpu(bytes)?)),
@@ -732,11 +681,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A cold compile writes the module and nothing else (no rendered
-    /// text nobody reads), traced or not, and that one section is enough
-    /// to serve the module after a restart.
+    /// A cold compile writes the encoded module and nothing else (no
+    /// rendered text nobody reads), traced or not, and that payload is
+    /// enough to serve the module after a restart.
     #[test]
-    fn an_artifact_is_exactly_its_module_section() {
+    fn an_artifact_is_exactly_its_module() {
         let dir = std::env::temp_dir().join(format!("tirasvc-onesec-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config =
@@ -751,8 +700,8 @@ mod tests {
         assert!(cold.compile_trace().is_some());
 
         let svc = CompileService::new(config);
-        let art = svc.shared.store.as_ref().unwrap().get(key).expect("artifact on disk");
-        assert_eq!(art.section_names().collect::<Vec<_>>(), [SEC_MODULE]);
+        let payload = svc.store.as_ref().unwrap().get(key).expect("artifact on disk");
+        assert_eq!(payload, codec::encode_cpu(&cold));
         let warm = svc.compile_cpu(&f, &[("N", 16)], traced).unwrap();
         let st = svc.stats();
         assert_eq!((st.compiles, st.disk_hits), (0, 1));

@@ -1368,6 +1368,23 @@ mod tests {
         }
     }
 
+    /// A vector loop from `i64::MIN` to a constant runs more than
+    /// `i64::MAX` iterations. The end of its lane groups is an `i64`, and
+    /// the distance to it is not: the compile must not overflow.
+    #[test]
+    fn a_vector_loop_wider_than_i64_compiles() {
+        let mut p = Program::new();
+        let a = p.buffer("A", 4);
+        let i = p.var("i");
+        let store = Stmt::store(a, Expr::var(i), Expr::f32(1.0));
+        let (lo, hi) = (Expr::i64(i64::MIN), Expr::i64(8));
+        p.push(Stmt::for_(i, lo, hi, LoopKind::Vectorize(8), vec![store]));
+        let bc = crate::opt::compile_program(&p).unwrap();
+        let jit = compile(&bc).expect("a constant-bound vector loop compiles");
+        let err = Machine::new(&p).run_jit(&jit).expect_err("the first store is out of bounds");
+        assert!(matches!(err, crate::Error::OutOfBounds { index: i64::MIN, .. }), "{err:?}");
+    }
+
     /// Other constant divisors keep `idiv` but need neither guard; only 0
     /// and -1 (and non-constants) can trap.
     #[test]

@@ -88,8 +88,9 @@ impl<'a> Emit<'a> {
             let (chunks, rem) = (n / LANES as u64, n % LANES as u64);
             let ctr = self.facts.has_counter(s).then(|| self.counter(s));
             // The first iteration past the chunks: every value up to `hi`
-            // fits `i64`.
-            let end = lo + (chunks * LANES as u64) as i64;
+            // fits `i64`, but from `lo = i64::MIN` the distance to it may
+            // not.
+            let end = lo.wrapping_add_unsigned(chunks * LANES as u64);
             if chunks == 1 {
                 self.a.count_chunk(true, steady);
                 self.emit_chunk_copies(s, ChunkCtx { var, base: Base::Imm(lo) }, preamble, body);

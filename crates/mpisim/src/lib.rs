@@ -1172,6 +1172,26 @@ mod tests {
         }
     }
 
+    /// Runs `f`, which fails a run on purpose, with flight-recorder dumps
+    /// sent to a directory of its own (the dump directory is process-wide,
+    /// so callers take turns), and asserts that it wrote one `reason` dump.
+    fn dumps_once<R>(reason: &str, f: impl FnOnce() -> R) -> R {
+        static LOCK: Mutex<()> = Mutex::new(());
+        let _g = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let dir = std::env::temp_dir().join(format!("mpisim-dumps-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        telemetry::flight::set_dump_dir(Some(Some(dir.clone())));
+        let out = f();
+        telemetry::flight::set_dump_dir(None);
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .map(|d| d.filter_map(|e| e.ok()?.file_name().into_string().ok()).collect())
+            .unwrap_or_default();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(names.len(), 1, "{names:?}");
+        assert!(names[0].starts_with(&format!("tiramisu-dump-{reason}-")), "{names:?}");
+        out
+    }
+
     /// rank 0 posts a receive that no one will ever satisfy. Statically
     /// validated programs reject this before launch; with validation off
     /// the watchdog converts the hang into a structured deadlock.
@@ -1211,8 +1231,10 @@ mod tests {
         // Pre-hardening this configuration hung forever.
         let prog = orphan_recv_program();
         let opts = RunOptions { validate: false, ..fast_watchdog() };
-        let err = run_with_opts(&prog, 2, &CommModel::default(), &opts, |_, _| {}, |_, _| {})
-            .unwrap_err();
+        let err = dumps_once("deadlock", || {
+            run_with_opts(&prog, 2, &CommModel::default(), &opts, |_, _| {}, |_, _| {})
+        })
+        .unwrap_err();
         assert_eq!(
             err,
             DistError::Deadlock { rank: 0, waiting_on: WaitingOn::RecvFrom(1), step: 1 }
@@ -1245,8 +1267,10 @@ mod tests {
             }],
         );
         let opts = RunOptions { validate: false, ..fast_watchdog() };
-        let err = run_with_opts(&prog, 2, &CommModel::default(), &opts, |_, _| {}, |_, _| {})
-            .unwrap_err();
+        let err = dumps_once("deadlock", || {
+            run_with_opts(&prog, 2, &CommModel::default(), &opts, |_, _| {}, |_, _| {})
+        })
+        .unwrap_err();
         assert_eq!(
             err,
             DistError::Deadlock { rank: 0, waiting_on: WaitingOn::AckFrom(1), step: 1 }
@@ -1291,8 +1315,10 @@ mod tests {
             }],
         );
         let opts = RunOptions { validate: false, ..fast_watchdog() };
-        let err = run_with_opts(&prog, 2, &CommModel::default(), &opts, |_, _| {}, |_, _| {})
-            .unwrap_err();
+        let err = dumps_once("deadlock", || {
+            run_with_opts(&prog, 2, &CommModel::default(), &opts, |_, _| {}, |_, _| {})
+        })
+        .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1455,18 +1481,20 @@ mod tests {
     fn rank_panic_is_captured_not_propagated() {
         let prog = ring_program(4, 1);
         let opts = fast_watchdog();
-        let err = run_with_opts(
-            &prog,
-            4,
-            &CommModel::default(),
-            &opts,
-            |rank, _machine| {
-                if rank == 1 {
-                    panic!("boom on rank 1");
-                }
-            },
-            |_, _| {},
-        )
+        let err = dumps_once("rank-panic", || {
+            run_with_opts(
+                &prog,
+                4,
+                &CommModel::default(),
+                &opts,
+                |rank, _machine| {
+                    if rank == 1 {
+                        panic!("boom on rank 1");
+                    }
+                },
+                |_, _| {},
+            )
+        })
         .unwrap_err();
         match err {
             DistError::Panic { rank, message } => {

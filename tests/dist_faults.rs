@@ -7,6 +7,8 @@
 //! duplicates by sequence-number dedupe) or fails with a **structured**
 //! [`DistError`] — it never hangs and never silently produces wrong data.
 
+mod common;
+
 use mpisim::{CommModel, DistError, FaultPlan, RunOptions, WaitingOn};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -244,7 +246,7 @@ fn missing_send_without_any_static_check_hits_the_watchdog() {
         poll: Duration::from_millis(5),
         ..RunOptions::default()
     };
-    let err = run_snapshot(&module, &opts).unwrap_err();
+    let err = common::dumps_once("deadlock", || run_snapshot(&module, &opts)).unwrap_err();
     assert!(is_deadlock(&err), "expected watchdog deadlock, got: {err}");
 }
 

@@ -1,10 +1,14 @@
 //! Integration tests for the compile service: single-flight dedup under
 //! concurrency, bit-exactness of cache-served modules against direct
 //! compiles, persistence across service restarts,
-//! corruption fallback, queue back-pressure, and a compile that panics.
+//! corruption fallback, the compile permits, queue back-pressure, and a
+//! compile that panics.
+
+mod common;
 
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
+use telemetry::EventKind;
 use tiramisu::{
     CompileService, CpuOptions, Error, Expr as E, Function, GpuOptions, ServiceConfig,
 };
@@ -170,6 +174,7 @@ fn artifacts_survive_service_restart() {
 
 /// Damaged artifacts — truncated files and well-formed files whose module
 /// payload is garbage — must read as misses and recompile, never panic.
+/// The garbage payload leaves one flight-recorder dump.
 #[test]
 fn corrupted_artifacts_fall_back_to_recompile() {
     let dir = temp_store("corrupt");
@@ -202,7 +207,7 @@ fn corrupted_artifacts_fall_back_to_recompile() {
         assert_eq!(run_cpu_bits(&m), expected);
     }
 
-    // Case 2: a checksum-valid artifact whose module section is garbage —
+    // Case 2: a checksum-valid artifact whose module payload is garbage —
     // the store hands it over, module decoding fails, and the service
     // counts the corruption and recompiles.
     let stem = files[0].file_stem().unwrap().to_str().unwrap().to_string();
@@ -215,7 +220,9 @@ fn corrupted_artifacts_fall_back_to_recompile() {
     store.put(key, &[("module", b"not a module at all")]).unwrap();
     {
         let svc = CompileService::new(config);
-        let m = svc.compile_cpu(&f, &[("N", 16)], CpuOptions::default()).unwrap();
+        let m = common::dumps_once("corrupt-artifact", || {
+            svc.compile_cpu(&f, &[("N", 16)], CpuOptions::default()).unwrap()
+        });
         let st = svc.stats();
         assert_eq!((st.compiles, st.corrupt_artifacts), (1, 1), "{st:?}");
         assert_eq!(run_cpu_bits(&m), expected);
@@ -230,6 +237,51 @@ fn corrupted_artifacts_fall_back_to_recompile() {
     let st = svc.stats();
     assert_eq!((st.compiles, st.disk_hits, st.corrupt_artifacts), (0, 1, 0), "{st:?}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One compile permit: eight distinct misses from a barrier all wait for
+/// it (64 may wait), none is refused, and their compiles run one at a
+/// time on the requesting threads.
+#[test]
+fn one_permit_serializes_distinct_misses() {
+    const THREADS: usize = 8;
+    telemetry::set_profiling(Some(true));
+    let svc = Arc::new(CompileService::new(ServiceConfig {
+        workers: 1,
+        queue_capacity: 64,
+        ..Default::default()
+    }));
+    let barrier = Arc::new(Barrier::new(THREADS));
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (svc, barrier) = (Arc::clone(&svc), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                let mut f = scaled(200.0 + t as f32);
+                f.name = format!("permit{t}");
+                barrier.wait();
+                svc.compile_cpu(&f, &[("N", 16)], CpuOptions::default())
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap().expect("a miss that may wait is never refused");
+    }
+    let events = telemetry::drain().events;
+    telemetry::set_profiling(None);
+    assert_eq!(svc.stats().compiles, THREADS as u64);
+    let mut compiles: Vec<(u64, u64)> = events
+        .iter()
+        .filter(|e| e.cat == "service" && e.name.starts_with("compile:cpu:permit"))
+        .map(|e| match e.kind {
+            EventKind::Span { dur_us } => (e.ts_us, e.ts_us + dur_us),
+            k => panic!("expected a span, got {k:?}"),
+        })
+        .collect();
+    assert_eq!(compiles.len(), THREADS, "{compiles:?}");
+    compiles.sort_unstable();
+    for w in compiles.windows(2) {
+        assert!(w[0].1 <= w[1].0, "two compiles overlap: {compiles:?}");
+    }
 }
 
 /// Floods a 1-worker, 1-slot-queue service from a barrier: every request

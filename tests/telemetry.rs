@@ -130,13 +130,13 @@ fn drain_sees_a_parked_thread() {
 }
 
 #[test]
-fn drain_sees_a_live_compile_service_worker() {
+fn drain_sees_every_compile_service_span() {
     let _g = locked();
     set_profiling(Some(true));
     let _ = drain();
-    // One worker: by answering the second request it has closed the
-    // first job's span, so the drain cannot race that span. The worker
-    // stays alive, parked on its queue, across the drain.
+    // The service owns no threads: each request compiles on this one and
+    // has closed its spans before it returns, so the drain cannot race
+    // them.
     let svc = tiramisu::CompileService::new(tiramisu::ServiceConfig {
         workers: 1,
         ..tiramisu::ServiceConfig::default()
@@ -158,6 +158,31 @@ fn drain_sees_a_live_compile_service_worker() {
     let job = format!("compile:cpu:{}", f.name);
     assert!(spans("service").contains(&job), "no {job} span");
     drop(svc);
+}
+
+/// A request that misses both cache tiers runs the pass pipeline on the
+/// thread that asked: its `compile:` span shares the `request:` span's
+/// tid.
+#[test]
+fn a_miss_compiles_on_the_requesting_thread() {
+    let _g = locked();
+    set_profiling(Some(true));
+    let _ = drain();
+    let svc = tiramisu::CompileService::new(tiramisu::ServiceConfig::default());
+    let (f, _, _) = kernels::sgemm::layer1(1.0, 1.0);
+    svc.compile_cpu(&f, &[("N", 12)], tiramisu::CpuOptions::default()).expect("compile");
+    let events = drain().events;
+    set_profiling(None);
+    let tid_of = |name: String| {
+        let mut spans = events.iter().filter(|e| {
+            e.cat == "service" && e.name == name && matches!(e.kind, EventKind::Span { .. })
+        });
+        let span = spans.next().unwrap_or_else(|| panic!("no service span {name}"));
+        assert!(spans.next().is_none(), "two {name} spans");
+        span.tid
+    };
+    let request = tid_of(format!("request:cpu:{}", f.name));
+    assert_eq!(tid_of(format!("compile:cpu:{}", f.name)), request);
 }
 
 #[test]
