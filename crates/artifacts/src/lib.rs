@@ -220,8 +220,8 @@ impl ArtifactStore {
     /// Returns `None` on a true miss *and* on any unusable file — wrong
     /// magic, stale [`FORMAT_VERSION`], checksum mismatch (truncation/bit
     /// rot), or a key that does not match the file's name. Corruption
-    /// never surfaces as an error: the caller falls back to a clean
-    /// compile, whose `put` overwrites the bad file.
+    /// never surfaces as an error: the unusable file is deleted and the
+    /// caller falls back to a clean compile, whose `put` writes it anew.
     pub fn get(&self, key: ArtifactKey) -> Option<Vec<u8>> {
         let mut bytes = fs::read(self.path_of(key)).ok()?;
         let head = header(key).into_vec();
@@ -236,6 +236,7 @@ impl ArtifactStore {
             Some(bytes)
         } else {
             telemetry::instant("artifacts", "corrupt artifact");
+            self.remove(key);
             None
         }
     }
@@ -348,6 +349,62 @@ mod tests {
         body.extend_from_slice(&sum.to_le_bytes());
         fs::write(&path, &body).unwrap();
         assert!(store.get(key).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Whole-file mutations: a stored artifact is flipped, truncated,
+    /// extended or spliced on disk, `TIRAMISU_DIFF_CASES` times (else
+    /// 256). `get` returns the original payload or `None`, never panics,
+    /// and deletes every file it rejects.
+    #[test]
+    fn mutated_files_read_as_the_payload_or_a_miss() {
+        let cases = std::env::var("TIRAMISU_DIFF_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(256u32);
+        // splitmix64: a fixed seed, so a failing case reproduces.
+        let mut state = 0x7469_7261_6d69_7375_u64;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound.max(1) as u64) as usize
+        };
+        let dir = tmpdir("mutate");
+        let store = ArtifactStore::open(&dir).unwrap();
+        for case in 0..cases {
+            let key = ArtifactKey::new(next(usize::MAX) as u64, u64::from(case));
+            let payload: Vec<u8> = (0..next(300)).map(|_| next(256) as u8).collect();
+            store.put(key, &[("module", &payload)]).unwrap();
+            let path = store.path_of(key);
+            let mut file = fs::read(&path).unwrap();
+            let (n, a, b) = (file.len(), next(file.len()), next(file.len()));
+            let edit = match next(4) {
+                0 => {
+                    file[a] ^= 1 + next(255) as u8;
+                    "flip"
+                }
+                1 => {
+                    file.truncate(a);
+                    "truncate"
+                }
+                2 => {
+                    file.extend((0..1 + next(16)).map(|_| next(256) as u8));
+                    "extend"
+                }
+                _ => {
+                    let len = (1 + next(16)).min(n - a).min(n - b);
+                    file.copy_within(b..b + len, a);
+                    "splice"
+                }
+            };
+            fs::write(&path, &file).unwrap();
+            match store.get(key) {
+                Some(got) => assert_eq!(got, payload, "case {case}: {edit} at {a}"),
+                None => assert!(!path.exists(), "case {case}: rejected file kept ({edit})"),
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

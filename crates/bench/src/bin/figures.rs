@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p bench --bin figures -- all
 //! cargo run --release -p bench --bin figures -- fig1 table1 fig5 fig6 fig7 profile tiers oracle cache
-//! cargo run --release -p bench --bin figures -- check     # perf-regression gate
+//! cargo run --release -p bench --bin figures -- check     # snapshot check
 //! cargo run --release -p bench --bin figures -- native    # wall clock, not snapshotted
 //! ```
 //!
@@ -12,10 +12,11 @@
 //! time is deterministic, so the snapshot is stable across hosts and is
 //! committed for drift tracking.
 //!
-//! `check` is the perf-regression gate (run in CI): it recomputes every
-//! section and compares it exactly against the committed snapshot. Exits
-//! non-zero on any drift. Wall-clock regressions are gated by
-//! `benchmark/` (see `BENCHMARK.json`), not here.
+//! `check` (run in CI) builds the text `all` would write and compares it
+//! byte for byte with the committed snapshot. On a difference it names
+//! the section and prints the bytes around it, and exits non-zero.
+//! Wall-clock regressions are gated by `benchmark/` (see
+//! `BENCHMARK.json`), not here.
 //!
 //! `native` times every CPU column of Figures 1, 5 and 6 on the default
 //! tier (the warm p50 of 21 `Machine::run` calls each) and the roofline
@@ -30,8 +31,8 @@
 //! telemetry report; the counts are folded into the snapshot. With
 //! `TIRAMISU_PROFILE` set it additionally writes the Chrome trace
 //! (`TIRAMISU_PROFILE_OUT` or `figures.trace.json`): every thread's
-//! events, including the compile passes that ran on the global compile
-//! service's workers.
+//! events, including the compile passes of the global compile service's
+//! cold compiles.
 
 use bench::json::jstr;
 use bench::{default_img, fig1_cpu, fig1_gpu, fig5, fig6, fig7, normalized, render_table, table1};
@@ -407,7 +408,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
     if want("oracle") {
         // What the emptiness oracle did for one cold CPU compile of each
         // kernel: Omega-test queries, how many the pre-solves settled, and
-        // the solves spent on integer bounds. Exact counts, so the gate
+        // the solves spent on integer bounds. Exact counts, so `check`
         // fails on any of them moving without a re-bless.
         let counts = bench::oracle_counts();
         let rows: Vec<Vec<String>> = counts
@@ -590,39 +591,59 @@ fn run_native() {
     println!("  {tier:?} {} ms, rustc {} ms, ratio {:.3}\n", ms(vm), ms(native), vm / native);
 }
 
-/// The perf-regression gate: every section must match the committed
-/// snapshot exactly. Returns the process exit code.
+/// Bytes of context `check` prints on each side of the first difference.
+const CONTEXT: usize = 40;
+
+/// The snapshot text `all` writes: one `  "key": value` line per section.
+fn snapshot_text(sections: &[String]) -> String {
+    format!("{{\n{}\n}}\n", sections.join(",\n"))
+}
+
+/// Where `fresh` first departs from `committed`: the section key of the
+/// line the first differing byte is on and [`CONTEXT`] bytes of each
+/// side around it, or `None` when the two are byte-identical.
+fn first_difference(committed: &str, fresh: &str) -> Option<String> {
+    let (c, f) = (committed.as_bytes(), fresh.as_bytes());
+    if c == f {
+        return None;
+    }
+    let at = c.iter().zip(f).position(|(a, b)| a != b).unwrap_or(c.len().min(f.len()));
+    let line = c[..at].iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let key = c[line..].split(|&b| b == b'"').nth(1).unwrap_or_default();
+    let around = |s: &[u8]| {
+        String::from_utf8_lossy(&s[at.saturating_sub(CONTEXT)..(at + CONTEXT).min(s.len())])
+            .replace('\n', "\\n")
+    };
+    Some(format!(
+        "section `{}` differs at byte {at}\n  committed: {}\n  fresh:     {}",
+        String::from_utf8_lossy(key),
+        around(c),
+        around(f)
+    ))
+}
+
+/// The snapshot check: the text `all` would write must equal the
+/// committed `BENCH_figures.json` byte for byte. Returns the process exit
+/// code.
 fn run_check() -> i32 {
     let path = snapshot_path();
-    let src = match std::fs::read_to_string(&path) {
+    let committed = match std::fs::read_to_string(&path) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("perf gate: cannot read {}: {e}", path.display());
+            eprintln!("snapshot check: cannot read {}: {e}", path.display());
             return 1;
         }
     };
-    let committed = match bench::json::parse(&src) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("perf gate: {} is not valid JSON: {e}", path.display());
-            return 1;
+    match first_difference(&committed, &snapshot_text(&build_sections(&|_| true))) {
+        None => {
+            println!("snapshot check: OK ({} is byte-identical)", path.display());
+            0
         }
-    };
-
-    let sections = build_sections(&|_| true);
-    let fresh_src = format!("{{\n{}\n}}\n", sections.join(",\n"));
-    let fresh = bench::json::parse(&fresh_src).expect("fresh snapshot serializes");
-
-    let failures = bench::gate::compare_deterministic(&committed, &fresh);
-    if failures.is_empty() {
-        println!("perf gate: OK (deterministic sections match)");
-        0
-    } else {
-        eprintln!("perf gate: FAILED — {} deterministic drift(s):", failures.len());
-        for f in &failures {
-            eprintln!("  - {f}");
+        Some(d) => {
+            eprintln!("snapshot check: FAILED, {d}");
+            eprintln!("(rewrite the snapshot with `figures -- all` if the change is meant)");
+            1
         }
-        1
     }
 }
 
@@ -650,9 +671,26 @@ fn main() {
     );
 
     if all {
-        let json = format!("{{\n{}\n}}\n", sections.join(",\n"));
         let path = snapshot_path();
-        std::fs::write(&path, json).expect("write BENCH_figures.json");
+        std::fs::write(&path, snapshot_text(&sections)).expect("write BENCH_figures.json");
         eprintln!("wrote {}", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn identical_text_passes_and_a_flipped_digit_names_its_section() {
+        let committed = std::fs::read_to_string(snapshot_path()).expect("snapshot is committed");
+        assert_eq!(first_difference(&committed, &committed), None);
+        let line = committed.find("\n  \"exec_tiers\"").expect("exec_tiers section");
+        let digit = line + committed[line..].find(|c: char| c.is_ascii_digit()).unwrap();
+        let mut edited = committed.clone().into_bytes();
+        edited[digit] = if edited[digit] == b'9' { b'0' } else { edited[digit] + 1 };
+        let edited = String::from_utf8(edited).unwrap();
+        let msg = first_difference(&committed, &edited).expect("one byte differs");
+        assert!(msg.starts_with("section `exec_tiers` differs"), "{msg}");
     }
 }

@@ -15,10 +15,9 @@
 //! `EXPERIMENTS.md` at the workspace root records paper-reported vs
 //! measured values for each figure.
 
-pub mod gate;
 pub mod roofline;
 /// The workspace JSON reader ([`telemetry::json`]), under the path the
-/// snapshot gate and the benchmark driver use.
+/// benchmark driver uses.
 pub use telemetry::json;
 
 use kernels::image::ImgSize;

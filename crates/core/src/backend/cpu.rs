@@ -29,8 +29,7 @@ pub struct CpuOptions {
     /// and a remainder loop.
     pub separate_tiles: bool,
     /// Record a [`CompileTrace`] (per-pass timings and IR snapshots),
-    /// retrievable via [`CpuModule::compile_trace`]. The `TIRAMISU_TRACE`
-    /// environment variable enables this globally.
+    /// retrievable via [`CpuModule::compile_trace`].
     pub trace: bool,
 }
 

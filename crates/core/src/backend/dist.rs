@@ -25,8 +25,7 @@ pub struct DistOptions {
     /// matching ([`mpisim::validate_comm`]) when the rank graph is
     /// computable (on by default).
     pub check_comm: bool,
-    /// Record a [`CompileTrace`] ([`DistModule::compile_trace`]); the
-    /// `TIRAMISU_TRACE` environment variable enables this globally.
+    /// Record a [`CompileTrace`] ([`DistModule::compile_trace`]).
     pub trace: bool,
 }
 

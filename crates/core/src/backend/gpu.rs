@@ -29,8 +29,7 @@ pub struct GpuOptions {
     /// Verify the schedule before code generation (on by default).
     pub check_legality: bool,
     /// Record a [`CompileTrace`], retrievable via
-    /// [`GpuModule::compile_trace`]. The `TIRAMISU_TRACE` environment
-    /// variable enables this globally.
+    /// [`GpuModule::compile_trace`].
     pub trace: bool,
 }
 

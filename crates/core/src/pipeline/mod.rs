@@ -151,7 +151,7 @@ pub fn compile_with<T: EmitTarget>(
     trace_opt: bool,
     target: &mut T,
 ) -> Result<(T::Module, Option<CompileTrace>)> {
-    let mut trace = trace::enabled(trace_opt).then(|| CompileTrace::new(target.name(), &f.name));
+    let mut trace = trace_opt.then(|| CompileTrace::new(target.name(), &f.name));
     let param_vals: HashMap<String, i64> =
         params.iter().map(|(k, v)| (k.to_string(), *v)).collect();
 

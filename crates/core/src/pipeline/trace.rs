@@ -1,14 +1,12 @@
 //! Compile tracing: per-pass wall time, statement/node counts, and
 //! pretty-printed IR snapshots.
 //!
-//! Tracing is opt-in — via the `trace` flag on
+//! Tracing is opt-in, per compile, through the `trace` flag on
 //! [`CpuOptions`](crate::CpuOptions) / [`GpuOptions`](crate::GpuOptions) /
-//! [`DistOptions`](crate::DistOptions), or globally with the
-//! `TIRAMISU_TRACE` environment variable (any non-empty value other than
-//! `0`). When tracing is off the pipeline allocates nothing for it: no
-//! [`CompileTrace`] is created, no snapshot is rendered, and no vector
-//! grows (asserted by `tests/compile_trace.rs` through the
-//! [`snapshot_renders`] counter).
+//! [`DistOptions`](crate::DistOptions). When tracing is off the pipeline
+//! allocates nothing for it: no [`CompileTrace`] is created, no snapshot
+//! is rendered, and no vector grows (asserted by `tests/compile_trace.rs`
+//! through the [`snapshot_renders`] counter).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -22,12 +20,6 @@ static SNAPSHOT_RENDERS: AtomicU64 = AtomicU64::new(0);
 /// Compiling with tracing disabled must leave this unchanged.
 pub fn snapshot_renders() -> u64 {
     SNAPSHOT_RENDERS.load(Ordering::Relaxed)
-}
-
-/// Whether tracing is on: the per-compile option, or the `TIRAMISU_TRACE`
-/// environment variable (per [`telemetry::env_flag`] semantics).
-pub(crate) fn enabled(opt: bool) -> bool {
-    opt || telemetry::env_flag("TIRAMISU_TRACE")
 }
 
 /// One pipeline pass as observed by the trace.

@@ -41,12 +41,6 @@ impl DistPrep {
         self.module.disasm()
     }
 
-    /// The compile trace recorded by the pass pipeline, when tracing was
-    /// enabled (`TIRAMISU_TRACE`).
-    pub fn compile_trace(&self) -> Option<&tiramisu::CompileTrace> {
-        self.module.compile_trace()
-    }
-
     /// Runs on the simulated cluster with seeded inputs.
     ///
     /// # Errors

@@ -19,7 +19,7 @@ use std::sync::OnceLock;
 
 /// A register index into one of the two register files (which file is
 /// implied by the instruction).
-pub type Reg = u16;
+pub(crate) type Reg = u16;
 
 /// One register instruction. `dst` always names a fresh (SSA) register.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -165,11 +165,11 @@ pub(super) struct Mem {
 }
 
 impl Mem {
-    pub fn base(base: Gpr, disp: i32) -> Mem {
+    pub(super) fn base(base: Gpr, disp: i32) -> Mem {
         Mem { base, index: None, disp }
     }
 
-    pub fn sib(base: Gpr, index: Gpr, scale: u8, disp: i32) -> Mem {
+    pub(super) fn sib(base: Gpr, index: Gpr, scale: u8, disp: i32) -> Mem {
         Mem { base, index: Some((index, scale)), disp }
     }
 
@@ -222,7 +222,7 @@ pub(super) struct Asm {
 }
 
 impl Asm {
-    pub fn new() -> Asm {
+    pub(super) fn new() -> Asm {
         Asm {
             code: Vec::new(),
             text: None,
@@ -237,12 +237,12 @@ impl Asm {
     }
 
     /// An encoder that also records the listing.
-    pub fn with_listing() -> Asm {
+    pub(super) fn with_listing() -> Asm {
         Asm { text: Some(Vec::new()), ..Asm::new() }
     }
 
     /// The recorded listing (`None` unless built [`Asm::with_listing`]).
-    pub fn listing(&self) -> Option<String> {
+    pub(super) fn listing(&self) -> Option<String> {
         let text = self.text.as_ref()?;
         let mut out = String::new();
         for l in text {
@@ -252,7 +252,7 @@ impl Asm {
         Some(out)
     }
 
-    pub fn here(&self) -> usize {
+    pub(super) fn here(&self) -> usize {
         self.code.len()
     }
 
@@ -266,7 +266,7 @@ impl Asm {
     }
 
     /// Emits a comment-only listing line (no code bytes).
-    pub fn comment(&mut self, f: impl FnOnce() -> String) {
+    pub(super) fn comment(&mut self, f: impl FnOnce() -> String) {
         if let Some(text) = &mut self.text {
             text.push(format!("  ; {}", f()));
         }
@@ -274,13 +274,13 @@ impl Asm {
 
     /// Counts what is emitted from here on as fast-path code of general
     /// chunk copies, of steady ones, both or neither.
-    pub fn count_chunk(&mut self, general: bool, steady: bool) {
+    pub(super) fn count_chunk(&mut self, general: bool, steady: bool) {
         self.counting = (general, steady);
     }
 
     /// Counts what is emitted from here on as a loop's fast path, or not;
     /// returns the previous setting.
-    pub fn count_loop(&mut self, on: bool) -> bool {
+    pub(super) fn count_loop(&mut self, on: bool) -> bool {
         std::mem::replace(&mut self.counting_loop, on)
     }
 
@@ -297,12 +297,12 @@ impl Asm {
         }
     }
 
-    pub fn new_label(&mut self) -> Label {
+    pub(super) fn new_label(&mut self) -> Label {
         self.labels.push(None);
         Label(self.labels.len() - 1)
     }
 
-    pub fn bind(&mut self, l: Label) {
+    pub(super) fn bind(&mut self, l: Label) {
         assert!(self.labels[l.0].is_none(), "label bound twice");
         self.labels[l.0] = Some(self.code.len());
         if let Some(text) = &mut self.text {
@@ -311,7 +311,7 @@ impl Asm {
     }
 
     /// Resolves every pending jump; call once after all code is emitted.
-    pub fn finish(&mut self) {
+    pub(super) fn finish(&mut self) {
         for (at, l) in std::mem::take(&mut self.fixups) {
             let target = self.labels[l.0].expect("unbound label");
             let rel = target as i64 - (at as i64 + 4);
@@ -415,22 +415,22 @@ impl Asm {
 
     // -- GPR moves -----------------------------------------------------------
 
-    pub fn mov_rr(&mut self, dst: Gpr, src: Gpr) {
+    pub(super) fn mov_rr(&mut self, dst: Gpr, src: Gpr) {
         self.op_rr(None, true, &[0x89], src.idx(), dst.idx());
         self.line(|| format!("mov {}, {}", dst.name(), src.name()));
     }
 
-    pub fn mov_rm(&mut self, dst: Gpr, m: Mem) {
+    pub(super) fn mov_rm(&mut self, dst: Gpr, m: Mem) {
         self.op_rm(None, true, &[0x8B], dst.idx(), m);
         self.line(|| format!("mov {}, {}", dst.name(), m.text()));
     }
 
-    pub fn mov_mr(&mut self, m: Mem, src: Gpr) {
+    pub(super) fn mov_mr(&mut self, m: Mem, src: Gpr) {
         self.op_rm(None, true, &[0x89], src.idx(), m);
         self.line(|| format!("mov {}, {}", m.text(), src.name()));
     }
 
-    pub fn mov_ri(&mut self, dst: Gpr, v: i64) {
+    pub(super) fn mov_ri(&mut self, dst: Gpr, v: i64) {
         if let Ok(v32) = i32::try_from(v) {
             // mov r/m64, imm32 (sign-extended).
             self.rex(true, 0, 0, dst.idx());
@@ -447,7 +447,7 @@ impl Asm {
     }
 
     /// `mov r32, imm32` (zero-extends; used to build f32 bit patterns).
-    pub fn mov_ri32(&mut self, dst: Gpr, bits: u32) {
+    pub(super) fn mov_ri32(&mut self, dst: Gpr, bits: u32) {
         self.rex(false, 0, 0, dst.idx());
         self.b(0xB8 + (dst.idx() & 7));
         self.code.extend_from_slice(&bits.to_le_bytes());
@@ -456,7 +456,7 @@ impl Asm {
 
     /// `movabs` of a host function address, listed symbolically so the
     /// golden disassembly stays stable across processes.
-    pub fn mov_ri_sym(&mut self, dst: Gpr, v: u64, sym: &str) {
+    pub(super) fn mov_ri_sym(&mut self, dst: Gpr, v: u64, sym: &str) {
         self.rex(true, 0, 0, dst.idx());
         self.b(0xB8 + (dst.idx() & 7));
         self.code.extend_from_slice(&v.to_le_bytes());
@@ -466,13 +466,13 @@ impl Asm {
     // -- GPR arithmetic ------------------------------------------------------
 
     /// `op dst, src`.
-    pub fn alu_rr(&mut self, op: Alu, dst: Gpr, src: Gpr) {
+    pub(super) fn alu_rr(&mut self, op: Alu, dst: Gpr, src: Gpr) {
         self.op_rr(None, true, &[(op as u8) << 3 | 1], src.idx(), dst.idx());
         self.line(|| format!("{} {}, {}", op.name(), dst.name(), src.name()));
     }
 
     /// `op dst, imm` (sign-extended to 64 bits; `ib` when it fits).
-    pub fn alu_ri(&mut self, op: Alu, dst: Gpr, v: i32) {
+    pub(super) fn alu_ri(&mut self, op: Alu, dst: Gpr, v: i32) {
         self.rex(true, 0, 0, dst.idx());
         if let Ok(v8) = i8::try_from(v) {
             self.b(0x83);
@@ -487,53 +487,53 @@ impl Asm {
     }
 
     /// `op dst, [m]`.
-    pub fn alu_rm(&mut self, op: Alu, dst: Gpr, m: Mem) {
+    pub(super) fn alu_rm(&mut self, op: Alu, dst: Gpr, m: Mem) {
         self.op_rm(None, true, &[(op as u8) << 3 | 3], dst.idx(), m);
         self.line(|| format!("{} {}, {}", op.name(), dst.name(), m.text()));
     }
 
-    pub fn add_rr(&mut self, dst: Gpr, src: Gpr) {
+    pub(super) fn add_rr(&mut self, dst: Gpr, src: Gpr) {
         self.alu_rr(Alu::Add, dst, src);
     }
 
-    pub fn sub_rr(&mut self, dst: Gpr, src: Gpr) {
+    pub(super) fn sub_rr(&mut self, dst: Gpr, src: Gpr) {
         self.alu_rr(Alu::Sub, dst, src);
     }
 
-    pub fn and_rr(&mut self, dst: Gpr, src: Gpr) {
+    pub(super) fn and_rr(&mut self, dst: Gpr, src: Gpr) {
         self.alu_rr(Alu::And, dst, src);
     }
 
-    pub fn or_rr(&mut self, dst: Gpr, src: Gpr) {
+    pub(super) fn or_rr(&mut self, dst: Gpr, src: Gpr) {
         self.alu_rr(Alu::Or, dst, src);
     }
 
-    pub fn xor_rr(&mut self, dst: Gpr, src: Gpr) {
+    pub(super) fn xor_rr(&mut self, dst: Gpr, src: Gpr) {
         self.alu_rr(Alu::Xor, dst, src);
     }
 
-    pub fn cmp_rr(&mut self, a: Gpr, b: Gpr) {
+    pub(super) fn cmp_rr(&mut self, a: Gpr, b: Gpr) {
         self.alu_rr(Alu::Cmp, a, b);
     }
 
-    pub fn test_rr(&mut self, a: Gpr, b: Gpr) {
+    pub(super) fn test_rr(&mut self, a: Gpr, b: Gpr) {
         self.op_rr(None, true, &[0x85], b.idx(), a.idx());
         self.line(|| format!("test {}, {}", a.name(), b.name()));
     }
 
-    pub fn imul_rr(&mut self, dst: Gpr, src: Gpr) {
+    pub(super) fn imul_rr(&mut self, dst: Gpr, src: Gpr) {
         self.op_rr(None, true, &[0x0F, 0xAF], dst.idx(), src.idx());
         self.line(|| format!("imul {}, {}", dst.name(), src.name()));
     }
 
     /// `imul dst, [m]`.
-    pub fn imul_rm(&mut self, dst: Gpr, m: Mem) {
+    pub(super) fn imul_rm(&mut self, dst: Gpr, m: Mem) {
         self.op_rm(None, true, &[0x0F, 0xAF], dst.idx(), m);
         self.line(|| format!("imul {}, {}", dst.name(), m.text()));
     }
 
     /// `imul dst, src, imm` (sign-extended; `ib` when it fits).
-    pub fn imul_rri(&mut self, dst: Gpr, src: Gpr, v: i32) {
+    pub(super) fn imul_rri(&mut self, dst: Gpr, src: Gpr, v: i32) {
         let short = i8::try_from(v).is_ok();
         self.op_rr(None, true, &[if short { 0x6B } else { 0x69 }], dst.idx(), src.idx());
         if short {
@@ -544,24 +544,24 @@ impl Asm {
         self.line(|| format!("imul {}, {}, {v:#x}", dst.name(), src.name()));
     }
 
-    pub fn add_ri(&mut self, dst: Gpr, v: i32) {
+    pub(super) fn add_ri(&mut self, dst: Gpr, v: i32) {
         self.alu_ri(Alu::Add, dst, v);
     }
 
-    pub fn sub_ri(&mut self, dst: Gpr, v: i32) {
+    pub(super) fn sub_ri(&mut self, dst: Gpr, v: i32) {
         self.alu_ri(Alu::Sub, dst, v);
     }
 
-    pub fn cmp_ri(&mut self, a: Gpr, v: i32) {
+    pub(super) fn cmp_ri(&mut self, a: Gpr, v: i32) {
         self.alu_ri(Alu::Cmp, a, v);
     }
 
-    pub fn neg_r(&mut self, r: Gpr) {
+    pub(super) fn neg_r(&mut self, r: Gpr) {
         self.op_rr(None, true, &[0xF7], 3, r.idx());
         self.line(|| format!("neg {}", r.name()));
     }
 
-    pub fn sar_ri(&mut self, r: Gpr, bits: u8) {
+    pub(super) fn sar_ri(&mut self, r: Gpr, bits: u8) {
         self.rex(true, 0, 0, r.idx());
         self.b(0xC1);
         self.modrm(3, 7, r.idx());
@@ -569,25 +569,25 @@ impl Asm {
         self.line(|| format!("sar {}, {bits}", r.name()));
     }
 
-    pub fn cqo(&mut self) {
+    pub(super) fn cqo(&mut self) {
         self.b(0x48);
         self.b(0x99);
         self.line(|| "cqo".to_string());
     }
 
-    pub fn idiv_r(&mut self, r: Gpr) {
+    pub(super) fn idiv_r(&mut self, r: Gpr) {
         self.op_rr(None, true, &[0xF7], 7, r.idx());
         self.line(|| format!("idiv {}", r.name()));
     }
 
-    pub fn cmov_rr(&mut self, cc: Cc, dst: Gpr, src: Gpr) {
+    pub(super) fn cmov_rr(&mut self, cc: Cc, dst: Gpr, src: Gpr) {
         self.op_rr(None, true, &[0x0F, 0x40 | cc as u8], dst.idx(), src.idx());
         self.line(|| format!("cmov{} {}, {}", cc.name(), dst.name(), src.name()));
     }
 
     /// `setcc` on a register's low byte (restricted to rax/rcx/rdx so no
     /// REX ambiguity arises).
-    pub fn setcc_r8(&mut self, cc: Cc, r: Gpr) {
+    pub(super) fn setcc_r8(&mut self, cc: Cc, r: Gpr) {
         assert!(matches!(r, Gpr::Rax | Gpr::Rcx | Gpr::Rdx), "setcc scratch only");
         self.b(0x0F);
         self.b(0x90 | cc as u8);
@@ -597,7 +597,7 @@ impl Asm {
     }
 
     /// `movzx r64, r8` (again scratch-only).
-    pub fn movzx_r64_r8(&mut self, dst: Gpr, src: Gpr) {
+    pub(super) fn movzx_r64_r8(&mut self, dst: Gpr, src: Gpr) {
         assert!(matches!(src, Gpr::Rax | Gpr::Rcx | Gpr::Rdx));
         self.rex_force(dst.idx(), src.idx());
         // With REX.W: 48 0F B6.
@@ -612,19 +612,19 @@ impl Asm {
 
     // -- stack & calls -------------------------------------------------------
 
-    pub fn push_r(&mut self, r: Gpr) {
+    pub(super) fn push_r(&mut self, r: Gpr) {
         self.rex(false, 0, 0, r.idx());
         self.b(0x50 + (r.idx() & 7));
         self.line(|| format!("push {}", r.name()));
     }
 
-    pub fn pop_r(&mut self, r: Gpr) {
+    pub(super) fn pop_r(&mut self, r: Gpr) {
         self.rex(false, 0, 0, r.idx());
         self.b(0x58 + (r.idx() & 7));
         self.line(|| format!("pop {}", r.name()));
     }
 
-    pub fn call_r(&mut self, r: Gpr) {
+    pub(super) fn call_r(&mut self, r: Gpr) {
         self.tally(|c| c.calls += 1);
         self.rex(false, 0, 0, r.idx());
         self.b(0xFF);
@@ -632,14 +632,14 @@ impl Asm {
         self.line(|| format!("call {}", r.name()));
     }
 
-    pub fn ret(&mut self) {
+    pub(super) fn ret(&mut self) {
         self.b(0xC3);
         self.line(|| "ret".to_string());
     }
 
     // -- jumps ---------------------------------------------------------------
 
-    pub fn jmp(&mut self, l: Label) {
+    pub(super) fn jmp(&mut self, l: Label) {
         self.b(0xE9);
         let at = self.code.len();
         self.d32(0);
@@ -647,7 +647,7 @@ impl Asm {
         self.line(|| format!("jmp L{}", l.0));
     }
 
-    pub fn jcc(&mut self, cc: Cc, l: Label) {
+    pub(super) fn jcc(&mut self, cc: Cc, l: Label) {
         self.b(0x0F);
         self.b(0x80 | cc as u8);
         let at = self.code.len();
@@ -658,12 +658,12 @@ impl Asm {
 
     // -- SSE scalar f32 ------------------------------------------------------
 
-    pub fn movss_xm(&mut self, dst: Xmm, m: Mem) {
+    pub(super) fn movss_xm(&mut self, dst: Xmm, m: Mem) {
         self.op_rm(Some(0xF3), false, &[0x0F, 0x10], dst.0, m);
         self.line(|| format!("movss {}, {}", dst.name(), m.text()));
     }
 
-    pub fn movss_mx(&mut self, m: Mem, src: Xmm) {
+    pub(super) fn movss_mx(&mut self, m: Mem, src: Xmm) {
         self.op_rm(Some(0xF3), false, &[0x0F, 0x11], src.0, m);
         self.line(|| format!("movss {}, {}", m.text(), src.name()));
     }
@@ -674,90 +674,90 @@ impl Asm {
         self.line(|| format!("{mnem} {}, {}", dst.name(), src.name()));
     }
 
-    pub fn addss(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn addss(&mut self, dst: Xmm, src: Xmm) {
         self.sse_op(Some(0xF3), 0x58, "addss", dst, src);
     }
 
-    pub fn subss(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn subss(&mut self, dst: Xmm, src: Xmm) {
         self.sse_op(Some(0xF3), 0x5C, "subss", dst, src);
     }
 
-    pub fn mulss(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn mulss(&mut self, dst: Xmm, src: Xmm) {
         self.sse_op(Some(0xF3), 0x59, "mulss", dst, src);
     }
 
-    pub fn divss(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn divss(&mut self, dst: Xmm, src: Xmm) {
         self.sse_op(Some(0xF3), 0x5E, "divss", dst, src);
     }
 
-    pub fn sqrtss(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn sqrtss(&mut self, dst: Xmm, src: Xmm) {
         self.sse_op(Some(0xF3), 0x51, "sqrtss", dst, src);
     }
 
     // -- SSE packed f32 (four lanes; per lane IEEE-identical to `…ss`) -------
 
-    pub fn movups_xm(&mut self, dst: Xmm, m: Mem) {
+    pub(super) fn movups_xm(&mut self, dst: Xmm, m: Mem) {
         self.op_rm(None, false, &[0x0F, 0x10], dst.0, m);
         self.line(|| format!("movups {}, {}", dst.name(), m.text()));
     }
 
-    pub fn movups_mx(&mut self, m: Mem, src: Xmm) {
+    pub(super) fn movups_mx(&mut self, m: Mem, src: Xmm) {
         self.op_rm(None, false, &[0x0F, 0x11], src.0, m);
         self.line(|| format!("movups {}, {}", m.text(), src.name()));
     }
 
     /// `movaps xmm, xmm`: a whole-register copy (no merge with the old
     /// value of `dst`, unlike `movss`).
-    pub fn movaps_xx(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn movaps_xx(&mut self, dst: Xmm, src: Xmm) {
         self.sse_op(None, 0x28, "movaps", dst, src);
     }
 
-    pub fn addps(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn addps(&mut self, dst: Xmm, src: Xmm) {
         self.sse_op(None, 0x58, "addps", dst, src);
     }
 
-    pub fn subps(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn subps(&mut self, dst: Xmm, src: Xmm) {
         self.sse_op(None, 0x5C, "subps", dst, src);
     }
 
-    pub fn mulps(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn mulps(&mut self, dst: Xmm, src: Xmm) {
         self.sse_op(None, 0x59, "mulps", dst, src);
     }
 
-    pub fn divps(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn divps(&mut self, dst: Xmm, src: Xmm) {
         self.sse_op(None, 0x5E, "divps", dst, src);
     }
 
-    pub fn sqrtps(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn sqrtps(&mut self, dst: Xmm, src: Xmm) {
         self.sse_op(None, 0x51, "sqrtps", dst, src);
     }
 
     /// `shufps dst, src, imm8` (`imm8 = 0` with `dst == src` broadcasts
     /// lane 0).
-    pub fn shufps(&mut self, dst: Xmm, src: Xmm, imm: u8) {
+    pub(super) fn shufps(&mut self, dst: Xmm, src: Xmm, imm: u8) {
         self.op_rr(None, false, &[0x0F, 0xC6], dst.0, src.0);
         self.b(imm);
         self.line(|| format!("shufps {}, {}, {imm:#x}", dst.name(), src.name()));
     }
 
-    pub fn ucomiss(&mut self, a: Xmm, b: Xmm) {
+    pub(super) fn ucomiss(&mut self, a: Xmm, b: Xmm) {
         self.op_rr(None, false, &[0x0F, 0x2E], a.0, b.0);
         self.line(|| format!("ucomiss {}, {}", a.name(), b.name()));
     }
 
-    pub fn xorps(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn xorps(&mut self, dst: Xmm, src: Xmm) {
         self.op_rr(None, false, &[0x0F, 0x57], dst.0, src.0);
         self.line(|| format!("xorps {}, {}", dst.name(), src.name()));
     }
 
-    pub fn andps(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn andps(&mut self, dst: Xmm, src: Xmm) {
         self.op_rr(None, false, &[0x0F, 0x54], dst.0, src.0);
         self.line(|| format!("andps {}, {}", dst.name(), src.name()));
     }
 
     /// `cvtsi2ss xmm, r64` (i64 -> f32, rounds per MXCSR: nearest-even,
     /// matching Rust's `as f32`).
-    pub fn cvtsi2ss(&mut self, dst: Xmm, src: Gpr) {
+    pub(super) fn cvtsi2ss(&mut self, dst: Xmm, src: Gpr) {
         self.b(0xF3);
         self.rex(true, dst.0, 0, src.idx());
         self.b(0x0F);
@@ -767,7 +767,7 @@ impl Asm {
     }
 
     /// `movd xmm, r32`.
-    pub fn movd_xr(&mut self, dst: Xmm, src: Gpr) {
+    pub(super) fn movd_xr(&mut self, dst: Xmm, src: Gpr) {
         self.b(0x66);
         self.rex(false, dst.0, 0, src.idx());
         self.b(0x0F);
@@ -778,13 +778,13 @@ impl Asm {
 
     /// `cvttss2si r64, xmm`: truncates toward zero; `i64::MIN` for NaN
     /// and out-of-range values.
-    pub fn cvttss2si(&mut self, dst: Gpr, src: Xmm) {
+    pub(super) fn cvttss2si(&mut self, dst: Gpr, src: Xmm) {
         self.op_rr(Some(0xF3), true, &[0x0F, 0x2C], dst.idx(), src.0);
         self.line(|| format!("cvttss2si {}, {}", dst.name(), src.name()));
     }
 
     /// `movsxd r64, m32`: a sign-extending dword load.
-    pub fn movsxd_rm(&mut self, dst: Gpr, m: Mem) {
+    pub(super) fn movsxd_rm(&mut self, dst: Gpr, m: Mem) {
         self.op_rm(None, true, &[0x63], dst.idx(), m);
         self.line(|| format!("movsxd {}, {}", dst.name(), m.text()));
     }
@@ -797,29 +797,29 @@ impl Asm {
         self.line(|| format!("{mnem} {}, {}", dst.name(), src.name()));
     }
 
-    pub fn paddd(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn paddd(&mut self, dst: Xmm, src: Xmm) {
         self.pd_op(&[0x0F, 0xFE], "paddd", dst, src);
     }
 
-    pub fn psubd(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn psubd(&mut self, dst: Xmm, src: Xmm) {
         self.pd_op(&[0x0F, 0xFA], "psubd", dst, src);
     }
 
-    pub fn pmulld(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn pmulld(&mut self, dst: Xmm, src: Xmm) {
         self.pd_op(&[0x0F, 0x38, 0x40], "pmulld", dst, src);
     }
 
-    pub fn pminsd(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn pminsd(&mut self, dst: Xmm, src: Xmm) {
         self.pd_op(&[0x0F, 0x38, 0x39], "pminsd", dst, src);
     }
 
-    pub fn pmaxsd(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn pmaxsd(&mut self, dst: Xmm, src: Xmm) {
         self.pd_op(&[0x0F, 0x38, 0x3D], "pmaxsd", dst, src);
     }
 
     /// `paddd xmm, [rip + l]`: adds the four dwords [`Asm::dwords`] put
     /// at `l` (which must be 16-byte aligned).
-    pub fn paddd_rip(&mut self, dst: Xmm, l: Label) {
+    pub(super) fn paddd_rip(&mut self, dst: Xmm, l: Label) {
         self.b(0x66);
         self.rex(false, dst.0, 0, 0);
         self.code.extend_from_slice(&[0x0F, 0xFE]);
@@ -832,14 +832,14 @@ impl Asm {
     }
 
     /// Pads with `int3` to a multiple of 16 bytes.
-    pub fn align16(&mut self) {
+    pub(super) fn align16(&mut self) {
         while !self.code.len().is_multiple_of(16) {
             self.b(0xCC);
         }
     }
 
     /// Four dwords of data (not an instruction).
-    pub fn dwords(&mut self, v: [i32; 4]) {
+    pub(super) fn dwords(&mut self, v: [i32; 4]) {
         for d in v {
             self.d32(d);
         }
@@ -849,31 +849,31 @@ impl Asm {
     }
 
     /// `cvttps2dq`: four `f32` truncated toward zero to `i32`.
-    pub fn cvttps2dq(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn cvttps2dq(&mut self, dst: Xmm, src: Xmm) {
         self.sse_op(Some(0xF3), 0x5B, "cvttps2dq", dst, src);
     }
 
     /// `cvtdq2ps`: four `i32` to `f32`, rounded per MXCSR like `cvtsi2ss`.
-    pub fn cvtdq2ps(&mut self, dst: Xmm, src: Xmm) {
+    pub(super) fn cvtdq2ps(&mut self, dst: Xmm, src: Xmm) {
         self.sse_op(None, 0x5B, "cvtdq2ps", dst, src);
     }
 
     /// `pextrd r32, xmm, lane` (zero-extends into the 64-bit register).
-    pub fn pextrd(&mut self, dst: Gpr, src: Xmm, lane: u8) {
+    pub(super) fn pextrd(&mut self, dst: Gpr, src: Xmm, lane: u8) {
         self.op_rr(Some(0x66), false, &[0x0F, 0x3A, 0x16], src.0, dst.idx());
         self.b(lane);
         self.line(|| format!("pextrd {}, {}, {lane}", dst.name32(), src.name()));
     }
 
     /// `insertps xmm, m32, lane << 4`: loads one `f32` into `lane`.
-    pub fn insertps_xm(&mut self, dst: Xmm, m: Mem, lane: u8) {
+    pub(super) fn insertps_xm(&mut self, dst: Xmm, m: Mem, lane: u8) {
         self.op_rm(Some(0x66), false, &[0x0F, 0x3A, 0x21], dst.0, m);
         self.b(lane << 4);
         self.line(|| format!("insertps {}, {}, {:#x}", dst.name(), m.text(), lane << 4));
     }
 
     /// `extractps m32, xmm, lane`: stores one `f32` lane.
-    pub fn extractps_mx(&mut self, m: Mem, src: Xmm, lane: u8) {
+    pub(super) fn extractps_mx(&mut self, m: Mem, src: Xmm, lane: u8) {
         self.op_rm(Some(0x66), false, &[0x0F, 0x3A, 0x17], src.0, m);
         self.b(lane);
         self.line(|| format!("extractps {}, {}, {lane}", m.text(), src.name()));

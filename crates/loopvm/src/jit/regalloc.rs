@@ -126,12 +126,12 @@ pub(super) struct Lanes {
 
 impl Lanes {
     /// Bytes from lane 0 to half `h`.
-    pub fn offset(h: usize) -> i32 {
+    pub(super) fn offset(h: usize) -> i32 {
         h as i32 * 16
     }
 
     /// Half `h` of the lane array.
-    pub fn half(self, h: usize) -> Mem {
+    pub(super) fn half(self, h: usize) -> Mem {
         Mem::base(Gpr::Rsp, self.arr + Self::offset(h))
     }
 }

@@ -195,6 +195,10 @@ impl Drop for ExecBuf {
 
 // SAFETY: the mapping is immutable (RX) after construction.
 unsafe impl Send for ExecBuf {}
+// SAFETY: after `ExecBuf::new` returns, the mapping is read-and-execute
+// only and no method writes it or `map_len`, so threads that share an
+// `&ExecBuf` only read or call its code. `drop` unmaps it through
+// `&mut self`, which no shared reference outlives.
 unsafe impl Sync for ExecBuf {}
 
 // -- deopt ------------------------------------------------------------------

@@ -45,14 +45,14 @@
 //! assert_eq!(m.buffer(out)[3], 6.0);
 //! ```
 
-pub mod bytecode;
+mod bytecode;
 pub mod codec;
 pub mod cost;
-pub mod expr;
+mod expr;
 pub mod jit;
 pub mod opt;
 mod par;
-pub mod program;
+mod program;
 pub mod simt;
 pub mod vm;
 

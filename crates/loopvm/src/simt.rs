@@ -134,6 +134,10 @@ fn bin_lanes<T: Copy, const W: usize>(
     assert!(dst < regs.len() && a < regs.len() && b < regs.len());
     let p = regs.as_mut_ptr();
     for l in 0..W {
+        // SAFETY: `a`, `b` and `dst` are asserted `< regs.len()` above and
+        // `l < W`, so every pointer stays inside `regs`, which `p` borrows
+        // mutably. Both reads finish before the write, so a `dst` that
+        // aliases `a` or `b` is an in-place update.
         unsafe {
             let av = (*p.add(a))[l];
             let bv = (*p.add(b))[l];
@@ -157,6 +161,8 @@ fn bin_lanes_masked<T: Copy, const W: usize>(
     let p = regs.as_mut_ptr();
     for (l, &m) in mask.iter().enumerate() {
         if m {
+            // SAFETY: as in `bin_lanes`: the indices are asserted in
+            // bounds above, `l < W`, and both reads precede the write.
             unsafe {
                 let av = (*p.add(a))[l];
                 let bv = (*p.add(b))[l];
@@ -178,6 +184,9 @@ fn un_lanes<T: Copy, const W: usize>(
     assert!(dst < regs.len() && a < regs.len());
     let p = regs.as_mut_ptr();
     for l in 0..W {
+        // SAFETY: `a` and `dst` are asserted `< regs.len()` above and
+        // `l < W`; the read finishes before the write, so `dst == a` is an
+        // in-place update.
         unsafe {
             let av = (*p.add(a))[l];
             (*p.add(dst))[l] = f(av);

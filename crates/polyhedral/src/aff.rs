@@ -257,7 +257,7 @@ impl Constraint {
 }
 
 /// Greatest common divisor of two non-negative integers.
-pub fn gcd(a: i64, b: i64) -> i64 {
+pub(crate) fn gcd(a: i64, b: i64) -> i64 {
     let (mut a, mut b) = (a.abs(), b.abs());
     while b != 0 {
         let t = a % b;
@@ -278,7 +278,7 @@ pub fn gcd(a: i64, b: i64) -> i64 {
 ///
 /// Returns [`Error::Parse`] for malformed input and [`Error::UnknownDim`]
 /// for names not present in `names`.
-pub fn parse_constraint(text: &str, names: &[String]) -> crate::Result<Constraint> {
+pub(crate) fn parse_constraint(text: &str, names: &[String]) -> crate::Result<Constraint> {
     let n_cols = names.len() + 1;
     let (rel_pos, rel, rel_len) = find_relation(text)?;
     let lhs = parse_linear(&text[..rel_pos], names, n_cols)?;

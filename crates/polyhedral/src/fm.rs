@@ -12,7 +12,7 @@ use crate::aff::{Aff, Constraint, ConstraintKind};
 
 /// Result of eliminating one column.
 #[derive(Debug, Clone)]
-pub struct Elimination {
+pub(crate) struct Elimination {
     /// Constraints over the remaining columns (the eliminated column has
     /// been removed from the coefficient rows).
     pub cons: Vec<Constraint>,
@@ -27,7 +27,7 @@ pub struct Elimination {
 /// scaling (rationally exact, integrally an over-approximation — marked
 /// inexact). Otherwise run Fourier–Motzkin on the inequalities, tracking
 /// per-pair exactness.
-pub fn eliminate_col(cons: &[Constraint], col: usize) -> Elimination {
+pub(crate) fn eliminate_col(cons: &[Constraint], col: usize) -> Elimination {
     // Exact substitution using a unit-coefficient equality.
     if let Some(i) = cons
         .iter()
@@ -118,7 +118,7 @@ fn substitute(cons: &[Constraint], eq_idx: usize, col: usize, unit: bool) -> Vec
 /// Normalizes every constraint, drops trivial ones and syntactic
 /// duplicates. If some constraint is found integrally unsatisfiable the
 /// list is replaced by the canonical contradiction `-1 >= 0`.
-pub fn normalize_in_place(cons: &mut Vec<Constraint>) {
+pub(crate) fn normalize_in_place(cons: &mut Vec<Constraint>) {
     let n_cols = match cons.first() {
         Some(c) => c.aff.n_cols(),
         None => return,
@@ -138,7 +138,7 @@ pub fn normalize_in_place(cons: &mut Vec<Constraint>) {
 }
 
 /// The canonical unsatisfiable constraint `-1 >= 0` over `n_cols` columns.
-pub fn contradiction(n_cols: usize) -> Constraint {
+pub(crate) fn contradiction(n_cols: usize) -> Constraint {
     Constraint::ineq(Aff::constant(n_cols, -1))
 }
 

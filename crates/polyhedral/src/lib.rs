@@ -32,14 +32,14 @@
 //! assert!(!tri.is_empty());
 //! ```
 
-pub mod aff;
+mod aff;
 pub mod astgen;
 pub mod deps;
-pub mod fm;
-pub mod map;
-pub mod set;
+mod fm;
+mod map;
+mod set;
 pub mod solve;
-pub mod space;
+mod space;
 
 pub use aff::{Aff, Constraint, ConstraintKind};
 pub use astgen::{build_ast, interpret, AstBuild, AstExpr, AstNode, QAff, ScheduledStmt};

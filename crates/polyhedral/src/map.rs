@@ -21,11 +21,6 @@ pub struct BasicMap {
 }
 
 impl BasicMap {
-    /// The universe relation of `space`.
-    pub fn universe(space: MapSpace) -> BasicMap {
-        BasicMap { space, cons: Vec::new() }
-    }
-
     /// Builds from constraints over the map columns.
     ///
     /// # Panics
@@ -109,13 +104,6 @@ impl BasicMap {
     /// The constraints.
     pub fn constraints(&self) -> &[Constraint] {
         &self.cons
-    }
-
-    /// Adds a constraint.
-    pub fn add_constraint(&mut self, c: Constraint) {
-        assert_eq!(c.aff.n_cols(), self.space.n_cols());
-        self.cons.push(c);
-        crate::fm::normalize_in_place(&mut self.cons);
     }
 
     /// Converts to a basic set over the wrapped space (pairs flattened).
@@ -551,15 +539,6 @@ impl Map {
     /// equal dimensionality: `{ i → j : i ≺ j }`, as a union over the
     /// depth of the first differing dimension.
     pub fn lex_lt(space: &Space) -> Map {
-        Map::lex_relation(space, true)
-    }
-
-    /// The lexicographic before-or-equal relation `{ i → j : i ⪯ j }`.
-    pub fn lex_le(space: &Space) -> Map {
-        Map::lex_relation(space, false)
-    }
-
-    fn lex_relation(space: &Space, strict: bool) -> Map {
         let out_space = space.with_name(&format!("{}'", space.name()));
         let ms = MapSpace::new(space.clone(), out_space);
         let n = ms.n_cols();
@@ -576,14 +555,6 @@ impl Map {
                 .sub(&Aff::var(n, ms.in_col(k)))
                 .add(&Aff::constant(n, -1));
             cons.push(Constraint::ineq(aff));
-            basics.push(BasicMap::from_constraints(ms.clone(), cons));
-        }
-        if !strict {
-            let mut cons = Vec::with_capacity(d);
-            for eq_dim in 0..d {
-                let aff = Aff::var(n, ms.out_col(eq_dim)).sub(&Aff::var(n, ms.in_col(eq_dim)));
-                cons.push(Constraint::eq(aff));
-            }
             basics.push(BasicMap::from_constraints(ms.clone(), cons));
         }
         Map { space: ms, basics }
@@ -711,16 +682,13 @@ mod tests {
         assert!(img.contains(&[1, 6], &[]));
         assert!(!img.contains(&[1, 5], &[]));
         assert!(!img.contains(&[0, 9], &[]));
-        let le = Map::lex_le(&s);
-        let (img, _) = le.apply(&dom).unwrap();
-        assert!(img.contains(&[1, 5], &[]));
     }
 
     #[test]
     fn map_subtract_removes_pairs() {
         let s = Space::set("S", &["i"], &[]);
         let lt = Map::lex_lt(&s);
-        let le = Map::lex_le(&s);
+        let le = lt.union(&Map::from_basic(BasicMap::identity(&s))).unwrap();
         // le \ lt = identity.
         let diff = le.subtract(&lt).unwrap();
         let dom = Set::from_constraint_strs(&s, &["i = 4"]).unwrap();

@@ -19,11 +19,6 @@ pub struct BasicSet {
 }
 
 impl BasicSet {
-    /// The universe (no constraints) of `space`.
-    pub fn universe(space: Space) -> BasicSet {
-        BasicSet { space, cons: Vec::new() }
-    }
-
     /// Builds from constraints; rows must have `space.n_cols()` columns.
     ///
     /// # Panics
@@ -153,26 +148,6 @@ impl BasicSet {
         (BasicSet::from_constraints(space, cons), exact)
     }
 
-    /// Inserts `names.len()` fresh unconstrained dimensions at `at`.
-    pub fn insert_dims(&self, at: usize, names: &[&str]) -> BasicSet {
-        assert!(at <= self.space.n_dims());
-        let mut dims = self.space.dims().to_vec();
-        for (k, n) in names.iter().enumerate() {
-            dims.insert(at + k, n.to_string());
-        }
-        let space = Space::from_names(
-            self.space.name().to_string(),
-            dims,
-            self.space.params().to_vec(),
-        );
-        let cons = self
-            .cons
-            .iter()
-            .map(|c| Constraint { aff: c.aff.insert_cols(at, names.len()), kind: c.kind })
-            .collect();
-        BasicSet { space, cons }
-    }
-
     /// Renames the tuple.
     pub fn with_name(&self, name: &str) -> BasicSet {
         BasicSet { space: self.space.with_name(name), cons: self.cons.clone() }
@@ -274,11 +249,6 @@ impl Set {
         Set { space, basics: Vec::new() }
     }
 
-    /// The universe of `space`.
-    pub fn universe(space: Space) -> Set {
-        Set { space: space.clone(), basics: vec![BasicSet::universe(space)] }
-    }
-
     /// A set with a single basic set.
     pub fn from_basic(b: BasicSet) -> Set {
         Set { space: b.space().clone(), basics: vec![b] }
@@ -377,15 +347,6 @@ impl Set {
     /// [`Error::SpaceMismatch`] when incompatible.
     pub fn is_subset(&self, other: &Set) -> Result<bool> {
         Ok(self.subtract(other)?.is_empty())
-    }
-
-    /// Set equality (double inclusion).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::SpaceMismatch`] when incompatible.
-    pub fn is_equal(&self, other: &Set) -> Result<bool> {
-        Ok(self.is_subset(other)? && other.is_subset(self)?)
     }
 
     /// Membership for a concrete point.
@@ -536,16 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn is_equal_after_split() {
-        // [0,9] == [0,4] ∪ [5,9]
-        let whole = Set::from_basic(rect(0, 9, 0, 0));
-        let parts = Set::from_basic(rect(0, 4, 0, 0))
-            .union(&Set::from_basic(rect(5, 9, 0, 0)))
-            .unwrap();
-        assert!(whole.is_equal(&parts).unwrap());
-    }
-
-    #[test]
     fn project_out_triangle() {
         // { (i, j) : 0 <= i <= 9, 0 <= j <= i } projected on i: 0 <= i <= 9.
         let t = BasicSet::from_constraint_strs(&sp(), &["i >= 0", "i <= 9", "j >= 0", "j <= i"])
@@ -586,15 +537,6 @@ mod tests {
         let b = Set::from_basic(rect(2, 4, 2, 4));
         let u = a.union(&b).unwrap().coalesce();
         assert_eq!(u.basics().len(), 1);
-    }
-
-    #[test]
-    fn insert_dims_keeps_constraints() {
-        let s = rect(0, 5, 0, 5);
-        let w = s.insert_dims(1, &["k"]);
-        assert_eq!(w.space().n_dims(), 3);
-        assert!(w.contains(&[2, 100, 2], &[0]));
-        assert!(!w.contains(&[6, 0, 2], &[0]));
     }
 
     #[test]

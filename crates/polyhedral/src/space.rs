@@ -68,31 +68,10 @@ impl Space {
         self.dims.len() + self.params.len() + 1
     }
 
-    /// Index of the column holding the coefficient of dimension `i`.
-    pub fn dim_col(&self, i: usize) -> usize {
-        assert!(i < self.dims.len(), "dim index {i} out of range");
-        i
-    }
-
     /// Index of the column holding the coefficient of parameter `i`.
     pub fn param_col(&self, i: usize) -> usize {
         assert!(i < self.params.len(), "param index {i} out of range");
         self.dims.len() + i
-    }
-
-    /// Index of the constant column.
-    pub fn const_col(&self) -> usize {
-        self.dims.len() + self.params.len()
-    }
-
-    /// Looks up a dimension index by name.
-    pub fn dim_index(&self, name: &str) -> Option<usize> {
-        self.dims.iter().position(|d| d == name)
-    }
-
-    /// Looks up a parameter index by name.
-    pub fn param_index(&self, name: &str) -> Option<usize> {
-        self.params.iter().position(|p| p == name)
     }
 
     /// Returns a copy with a different tuple name.
@@ -188,11 +167,6 @@ impl MapSpace {
         self.n_in() + self.n_out() + i
     }
 
-    /// Constant column.
-    pub fn const_col(&self) -> usize {
-        self.n_in() + self.n_out() + self.n_params()
-    }
-
     /// The reversed map space (output becomes input).
     pub fn reversed(&self) -> MapSpace {
         MapSpace {
@@ -241,12 +215,7 @@ mod tests {
     fn set_space_columns() {
         let s = Space::set("S", &["i", "j"], &["N", "M"]);
         assert_eq!(s.n_cols(), 5);
-        assert_eq!(s.dim_col(1), 1);
         assert_eq!(s.param_col(0), 2);
-        assert_eq!(s.const_col(), 4);
-        assert_eq!(s.dim_index("j"), Some(1));
-        assert_eq!(s.param_index("M"), Some(1));
-        assert_eq!(s.dim_index("z"), None);
     }
 
     #[test]
@@ -258,7 +227,6 @@ mod tests {
         assert_eq!(m.in_col(0), 0);
         assert_eq!(m.out_col(1), 2);
         assert_eq!(m.param_col(0), 3);
-        assert_eq!(m.const_col(), 4);
         let r = m.reversed();
         assert_eq!(r.n_in(), 2);
         assert_eq!(r.n_out(), 1);

@@ -381,41 +381,6 @@ pub fn snapshot_json() -> String {
     format!("{{{}}}", parts.join(","))
 }
 
-/// Renders [`snapshot`] as a human-readable table (the metrics analogue
-/// of [`crate::Timeline::report`]).
-#[must_use]
-pub fn render() -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<34} {:>10} {:>12} {:>10} {:>10} {:>10}",
-        "metric", "kind", "count/value", "p50", "p95", "p99"
-    );
-    for (name, v) in snapshot() {
-        match v {
-            MetricValue::Counter(n) => {
-                let _ = writeln!(out, "{name:<34} {:>10} {n:>12}", "counter");
-            }
-            MetricValue::Gauge(n) => {
-                let _ = writeln!(out, "{name:<34} {:>10} {n:>12}", "gauge");
-            }
-            MetricValue::Histogram(h) => {
-                let _ = writeln!(
-                    out,
-                    "{name:<34} {:>10} {:>12} {:>10} {:>10} {:>10}",
-                    "histogram",
-                    h.count,
-                    h.p50(),
-                    h.p95(),
-                    h.p99()
-                );
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,6 +442,5 @@ mod tests {
         let json = snapshot_json();
         assert!(json.contains("\"test.metrics.one\":{\"type\":\"counter\",\"value\":1}"));
         assert!(json.contains("\"test.metrics.hist\""));
-        assert!(render().contains("test.metrics.one"));
     }
 }

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", tiramisu::lowering::dump_layers(&f));
 
     // Compile through the pass pipeline with tracing on and show what
-    // each pass did (also reachable via TIRAMISU_TRACE=1 on any run).
+    // each pass did.
     let module = compile_gpu(
         &f,
         &[("N", 128), ("M", 128)],

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Where compile time itself goes: the pass pipeline's report for the
-    // gemm kernel (TIRAMISU_TRACE=1 gets the same on any run).
+    // gemm kernel.
     let (f, _, _) = kernels::sgemm::layer1(1.0, 1.0);
     let module = tiramisu::compile_cpu(
         &f,

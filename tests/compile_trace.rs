@@ -9,8 +9,7 @@ use tiramisu::{
 };
 
 /// Every test here reads or advances the global `snapshot_renders`
-/// counter (or sets the `TIRAMISU_TRACE` environment variable), so they
-/// all serialize on this.
+/// counter, so they all serialize on this.
 static TRACE_COUNTER: Mutex<()> = Mutex::new(());
 
 fn serialized() -> MutexGuard<'static, ()> {
@@ -330,7 +329,6 @@ fn optimize_snapshot_is_the_summary_and_disasm_is_the_labelled_listing() {
 #[test]
 fn disabled_tracing_materializes_nothing() {
     let _guard = serialized();
-    std::env::remove_var("TIRAMISU_TRACE");
     let before = snapshot_renders();
     for _ in 0..3 {
         let f = blur2();
@@ -342,15 +340,4 @@ fn disabled_tracing_materializes_nothing() {
         before,
         "tracing-disabled compilation materialized trace records"
     );
-}
-
-#[test]
-fn env_var_enables_tracing_globally() {
-    let _guard = serialized();
-    std::env::set_var("TIRAMISU_TRACE", "1");
-    let f = blur2();
-    let module = compile_cpu(&f, &[("N", 8)], CpuOptions::default()).unwrap();
-    std::env::remove_var("TIRAMISU_TRACE");
-    let trace = module.compile_trace().expect("TIRAMISU_TRACE=1 enables tracing");
-    assert_eq!(trace.pass_names(), PASSES);
 }
