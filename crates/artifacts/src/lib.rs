@@ -14,8 +14,10 @@
 //!
 //! - **Content addressing.** Files are named by the key — a structural
 //!   fingerprint of the source plus a hash of backend kind and compile
-//!   options — so CPU/GPU/distributed artifacts of the same function
-//!   never collide ([`ArtifactKey`]).
+//!   options, both built with [`KeyHasher`] — so CPU/GPU/distributed
+//!   artifacts of the same function never collide ([`ArtifactKey`]). A
+//!   change to how keys are computed makes existing directories miss
+//!   once and leaves their old files orphaned (nothing deletes them).
 //! - **Atomic writes.** [`ArtifactStore::put`] writes to a temp file in
 //!   the same directory and `rename`s it into place, so readers never see
 //!   a half-written artifact and concurrent writers of the same key
@@ -54,8 +56,8 @@ pub const CACHE_DIR_ENV: &str = "TIRAMISU_CACHE_DIR";
 /// Identity of one compiled artifact: *what* was compiled and *how*.
 ///
 /// `source` fingerprints the program being compiled (for the compile
-/// service, `tiramisu::Function::fingerprint` folded with the parameter
-/// bindings); `config` hashes the backend kind plus every
+/// service, the walk behind `tiramisu::Function::fingerprint` followed by
+/// the parameter bindings); `config` hashes the backend kind plus every
 /// codegen-relevant compile option. Both halves appear in the file name,
 /// so artifacts for different backends or options of the same source are
 /// distinct files.
@@ -95,6 +97,104 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// Starting state of [`KeyHasher`] (the fractional digits of π).
+const KEY_SEED: u64 = 0x243f_6a88_85a3_08d3;
+
+/// Odd multiplier of [`KeyHasher`]'s round (2⁶⁴ / φ).
+const KEY_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// A deterministic word-at-a-time [`Hasher`](std::hash::Hasher): the
+/// hasher the compile service builds both [`ArtifactKey`] halves with.
+///
+/// Each 8-byte word goes through one multiply–xorshift round, which is
+/// a bijection of the state for a fixed word, so two word sequences
+/// that differ in exactly one word never end in the same state. An
+/// integer written with `write_u8`, `write_u32`, `write_u64`,
+/// `write_usize`, `write_i64` or `write_isize` is one word; a `write`
+/// slice (and so any other integer) is its 8-byte chunks plus, when its
+/// length is not a multiple of 8, one tail word carrying the remaining
+/// bytes and their count. `finish` applies the splitmix64 finalizer, so
+/// every input bit reaches every output bit.
+///
+/// The constants are fixed and there is no per-process seed (unlike
+/// `std`'s `DefaultHasher`), so a value names the same file in every
+/// process. Changing the algorithm changes every key: existing cache
+/// directories then miss once and keep their old files as orphans. Not
+/// cryptographic.
+#[derive(Debug, Clone)]
+pub struct KeyHasher {
+    state: u64,
+}
+
+impl Default for KeyHasher {
+    fn default() -> KeyHasher {
+        KeyHasher { state: KEY_SEED }
+    }
+}
+
+impl KeyHasher {
+    #[inline]
+    fn word(&mut self, w: u64) {
+        let x = (self.state ^ w).wrapping_mul(KEY_MUL);
+        self.state = x ^ (x >> 32);
+    }
+}
+
+impl std::hash::Hasher for KeyHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            w[7] = tail.len() as u8;
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.word(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.word(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.word(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.word(i as u64);
+    }
+
+    #[inline]
+    fn write_i64(&mut self, i: i64) {
+        self.word(i as u64);
+    }
+
+    #[inline]
+    fn write_isize(&mut self, i: isize) {
+        self.word(i as u64);
+    }
+
+    /// The splitmix64 finalizer over the state.
+    fn finish(&self) -> u64 {
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
 }
 
 /// What every file stored under `key` starts with: the magic, the
@@ -258,6 +358,50 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&d);
         d
+    }
+
+    fn key_hash(feed: impl FnOnce(&mut KeyHasher)) -> u64 {
+        use std::hash::Hasher;
+        let mut h = KeyHasher::default();
+        feed(&mut h);
+        h.finish()
+    }
+
+    /// Every persisted key is a `KeyHasher` output: a change to the
+    /// algorithm or its constants fails here, and must be made knowing
+    /// that it orphans every artifact already on disk.
+    #[test]
+    fn key_hasher_outputs_are_pinned() {
+        use std::hash::Hasher;
+        assert_eq!(key_hash(|_| {}), 0xe9e0_033e_3bad_af36);
+        assert_eq!(key_hash(|h| h.write_u64(0x0123_4567_89ab_cdef)), 0x1513_b7ff_5030_5811);
+        assert_eq!(key_hash(|h| h.write(b"tiramisu-key!")), 0x2845_9e21_5a81_b392);
+    }
+
+    #[test]
+    fn key_hasher_words_and_tails_do_not_alias() {
+        use std::hash::Hasher;
+        // A slice is read as little-endian words, so 8 bytes equal one u64.
+        let bytes = 0x0123_4567_89ab_cdefu64.to_le_bytes();
+        assert_eq!(key_hash(|h| h.write(&bytes)), key_hash(|h| h.write_u64(0x0123_4567_89ab_cdef)));
+        // A tail carries its length: trailing zero bytes are seen, and so
+        // is where one write ends and the next begins.
+        let distinct = [
+            key_hash(|h| h.write(b"a")),
+            key_hash(|h| h.write(b"a\0")),
+            key_hash(|h| h.write(b"ab")),
+            key_hash(|h| {
+                h.write(b"a");
+                h.write(b"b");
+            }),
+            key_hash(|h| h.write_u8(b'a')),
+            key_hash(|_| {}),
+        ];
+        for (i, a) in distinct.iter().enumerate() {
+            for b in &distinct[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
     }
 
     #[test]

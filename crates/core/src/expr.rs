@@ -13,6 +13,7 @@
 //! dependence analysis over-approximates them.
 
 use polyhedral::Aff;
+use std::hash::{Hash, Hasher};
 
 /// Identifier of a computation (or input) within a
 /// [`Function`](crate::Function).
@@ -333,6 +334,64 @@ impl From<i64> for Expr {
 impl From<f32> for Expr {
     fn from(v: f32) -> Expr {
         Expr::F32(v)
+    }
+}
+
+/// Hashes the tree structurally, for [`crate::Function::fingerprint`].
+/// Each variant writes its own tag first, so the encoding is
+/// prefix-free. `F32` hashes its bits: `0.0` and `-0.0` (equal under
+/// `==`) and NaNs with different payloads hash apart, as they may
+/// compute different values.
+impl Hash for Expr {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        match self {
+            Expr::F32(v) => {
+                h.write_u8(0);
+                h.write_u32(v.to_bits());
+            }
+            Expr::I64(v) => {
+                h.write_u8(1);
+                h.write_i64(*v);
+            }
+            Expr::Iter(name) => {
+                h.write_u8(2);
+                name.hash(h);
+            }
+            Expr::Param(name) => {
+                h.write_u8(3);
+                name.hash(h);
+            }
+            Expr::Access(comp, idx) => {
+                h.write_u8(4);
+                comp.hash(h);
+                idx.hash(h);
+            }
+            Expr::Bin(op, a, b) => {
+                h.write_u8(5);
+                op.hash(h);
+                a.hash(h);
+                b.hash(h);
+            }
+            Expr::Un(op, a) => {
+                h.write_u8(6);
+                op.hash(h);
+                a.hash(h);
+            }
+            Expr::Select(c, a, b) => {
+                h.write_u8(7);
+                c.hash(h);
+                a.hash(h);
+                b.hash(h);
+            }
+            Expr::CastF32(a) => {
+                h.write_u8(8);
+                a.hash(h);
+            }
+            Expr::CastI64(a) => {
+                h.write_u8(9);
+                a.hash(h);
+            }
+        }
     }
 }
 

@@ -11,10 +11,11 @@
 use crate::expr::{CompId, Expr};
 use polyhedral::{Aff, BasicMap, BasicSet, Constraint, Space};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// An iterator declaration: a name plus affine bounds (`lo` inclusive,
 /// `hi` exclusive), mirroring `Var i(0, N-2)` from the paper's Figure 2.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Var {
     /// Iterator name.
     pub name: String,
@@ -33,7 +34,7 @@ impl Var {
 
 /// Hardware mapping tags for schedule dimensions (the paper's space tags:
 /// `cpu`, `node`, `gpuB`, `gpuT`, `vec(s)`, `unroll`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tag {
     /// `cpu` — iterations spread over shared-memory cores
     /// (`parallelize()`).
@@ -51,7 +52,7 @@ pub enum Tag {
 }
 
 /// GPU memory spaces for buffers (Table II's `tag_gpu_*` commands).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub enum MemSpace {
     /// Host memory (CPU backends) / GPU global memory once copied.
     #[default]
@@ -78,7 +79,7 @@ impl BufId {
 }
 
 /// A multi-dimensional buffer declaration (Layer III).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Buffer {
     /// Buffer name.
     pub name: String,
@@ -89,7 +90,7 @@ pub struct Buffer {
 }
 
 /// What kind of statement a computation is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompKind {
     /// An external input (no expression; backed by a caller-filled buffer).
     Input,
@@ -138,6 +139,47 @@ pub struct Computation {
     /// Store index expressions over the *original* iterators (`None` =
     /// identity).
     pub store_idx: Option<Vec<Expr>>,
+}
+
+/// Hashes every field, for [`Function::fingerprint`]. The pattern names
+/// each field, so a field added later does not compile here until it is
+/// hashed.
+impl Hash for Computation {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let Computation {
+            name,
+            kind,
+            iters,
+            domain,
+            expr,
+            predicate,
+            dyn_names,
+            sched,
+            betas,
+            tags,
+            inlined,
+            redundant,
+            store_buffer,
+            store_idx,
+        } = self;
+        name.hash(h);
+        kind.hash(h);
+        iters.hash(h);
+        domain.hash(h);
+        expr.hash(h);
+        predicate.hash(h);
+        dyn_names.hash(h);
+        sched.hash(h);
+        betas.hash(h);
+        // HashMap iteration order is seeded per process: sort by name.
+        let mut tags: Vec<(&String, &Tag)> = tags.iter().collect();
+        tags.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        tags.hash(h);
+        inlined.hash(h);
+        redundant.hash(h);
+        store_buffer.hash(h);
+        store_idx.hash(h);
+    }
 }
 
 impl Computation {
@@ -214,7 +256,9 @@ impl From<polyhedral::Error> for Error {
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// A Tiramisu function: the unit of compilation.
-#[derive(Debug, Clone)]
+///
+/// Its `Hash` walks every field ([`Function::fingerprint`]).
+#[derive(Debug, Clone, Hash)]
 pub struct Function {
     /// Function name.
     pub name: String,
@@ -246,47 +290,23 @@ impl Function {
     }
 
     /// A 64-bit structural fingerprint of the function: name, parameters,
-    /// every computation's Layer I–III state (domains and schedules in
-    /// their canonical isl text form, tag maps in sorted order), the
-    /// buffer table, and the Layer IV communication ops.
+    /// every computation's Layer I–III state (domains and schedules as
+    /// their constraint rows, tags sorted by name), the buffer table, and
+    /// the Layer IV communication ops.
     ///
-    /// Two structurally identical functions produce the same value in any
-    /// process — FNV-1a over a canonical text rendering, no
-    /// randomly-seeded hashing — so the value can key the persistent
-    /// artifact cache ([`crate::service`]). Any scheduling command, tag,
-    /// store mapping, or expression edit changes it.
+    /// It is one walk of the function's `Hash` into an
+    /// [`artifacts::KeyHasher`], which has no per-process seed: two
+    /// structurally identical functions produce the same value in any
+    /// process, so the value can key the persistent artifact cache
+    /// ([`crate::service`]). Any scheduling command, tag, store mapping,
+    /// or expression edit changes it, an `f32` constant by its bits.
+    /// Changing what is hashed or how changes every key: an existing
+    /// cache directory then misses once and keeps its old files as
+    /// orphans.
     pub fn fingerprint(&self) -> u64 {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = write!(s, "fn {};params {:?};", self.name, self.params);
-        for c in &self.comps {
-            let _ = write!(
-                s,
-                "comp {};{:?};iters {:?};dom {};expr {:?};pred {:?};dyn {:?};sched {};betas {:?};",
-                c.name,
-                c.kind,
-                c.iters,
-                c.domain.to_isl_string(),
-                c.expr,
-                c.predicate,
-                c.dyn_names,
-                c.sched.to_isl_string(),
-                c.betas,
-            );
-            // HashMap iteration order is seeded per process: sort.
-            let mut tags: Vec<_> = c.tags.iter().collect();
-            tags.sort_by(|a, b| a.0.cmp(b.0));
-            let _ = write!(
-                s,
-                "tags {tags:?};inl {};red {};store {:?};idx {:?};",
-                c.inlined, c.redundant, c.store_buffer, c.store_idx
-            );
-        }
-        for b in &self.buffers {
-            let _ = write!(s, "buf {};ext {:?};space {:?};", b.name, b.extents, b.space);
-        }
-        let _ = write!(s, "comm {:?};", self.comm);
-        artifacts::fnv64(s.as_bytes())
+        let mut h = artifacts::KeyHasher::default();
+        self.hash(&mut h);
+        h.finish()
     }
 
     /// Declares an external input over the given iterators. The input's

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 pub struct CommId(pub(crate) u32);
 
 /// Send or receive.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub enum CommKind {
     /// Point-to-point send.
     Send {
@@ -37,7 +37,7 @@ pub enum CommKind {
 }
 
 /// One communication operation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct CommOp {
     /// Send/recv/barrier.
     pub kind: CommKind,

@@ -34,10 +34,10 @@ use crate::backend::cpu::{self, CpuModule, CpuOptions};
 use crate::backend::dist::{self, DistModule, DistOptions};
 use crate::backend::gpu::{self, GpuModule, GpuOptions};
 use crate::function::{Error, Function, Result};
-use artifacts::{fnv64, ArtifactKey, ArtifactStore};
+use artifacts::{ArtifactKey, ArtifactStore, KeyHasher};
 use lru::Lru;
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
@@ -62,17 +62,22 @@ impl Request {
     /// same source never collide; `trace` flags are deliberately
     /// *excluded* — tracing changes what is recorded, not what is
     /// generated, so traced and untraced compiles share one artifact.
+    /// The patterns name every option, so an option added later does not
+    /// compile here until it is hashed or excluded.
     fn config_hash(&self) -> u64 {
-        let s = match self {
-            Request::Cpu(o) => {
-                format!("cpu;check={};separate_tiles={}", o.check_legality, o.separate_tiles)
+        let mut h = KeyHasher::default();
+        match self {
+            Request::Cpu(CpuOptions { check_legality, separate_tiles, trace: _ }) => {
+                (0u8, check_legality, separate_tiles).hash(&mut h);
             }
-            Request::Gpu(o) => format!("gpu;check={}", o.check_legality),
-            Request::Dist(o) => {
-                format!("dist;check={};check_comm={}", o.check_legality, o.check_comm)
+            Request::Gpu(GpuOptions { check_legality, trace: _ }) => {
+                (1u8, check_legality).hash(&mut h);
             }
-        };
-        fnv64(s.as_bytes())
+            Request::Dist(DistOptions { check_legality, check_comm, trace: _ }) => {
+                (2u8, check_legality, check_comm).hash(&mut h);
+            }
+        }
+        h.finish()
     }
 
     fn backend(&self) -> &'static str {
@@ -86,15 +91,17 @@ impl Request {
 
 /// Builds the content-addressed key for one compile request.
 ///
-/// The source half folds the [`Function::fingerprint`] with the
-/// parameter bindings (sorted, so binding order is irrelevant); the
-/// config half comes from [`Request::config_hash`].
+/// The source half is the walk of [`Function::fingerprint`] followed by
+/// the parameter bindings (sorted, so binding order is irrelevant) in
+/// the same [`KeyHasher`]; the config half comes from
+/// [`Request::config_hash`].
 fn artifact_key(f: &Function, params: &[(&str, i64)], req: &Request) -> ArtifactKey {
     let mut ps: Vec<(&str, i64)> = params.to_vec();
-    ps.sort();
-    let mut s = String::new();
-    let _ = write!(s, "{:016x};params {ps:?}", f.fingerprint());
-    ArtifactKey::new(fnv64(s.as_bytes()), req.config_hash())
+    ps.sort_unstable();
+    let mut h = KeyHasher::default();
+    f.hash(&mut h);
+    ps.hash(&mut h);
+    ArtifactKey::new(h.finish(), req.config_hash())
 }
 
 /// A compiled module of any backend, shared between the cache tiers and

@@ -58,12 +58,13 @@ pub fn hpcg_spmv_tiramisu(n: i64) -> tiramisu::Result<Prepared> {
         .unwrap();
     f.vectorize(y, "j", 8)?;
     f.parallelize(y, "i")?;
-    let module = tiramisu::compile_cpu(&f, &[("N", n)], CpuOptions::default())?;
+    let module =
+        tiramisu::service::global().compile_cpu(&f, &[("N", n)], CpuOptions::default())?;
     Ok(Prepared {
         name: "Tiramisu".into(),
         inputs: vec![module.vm_buffer("u").unwrap()],
         output: module.vm_buffer("y").unwrap(),
-        program: module.program,
+        program: module.program.clone(),
     })
 }
 
@@ -121,12 +122,13 @@ pub fn hpcg_waxpby_tiramisu(n: i64, alpha: f32, beta: f32) -> tiramisu::Result<P
         )
         .unwrap();
     f.vectorize(w, "i", 8)?;
-    let module = tiramisu::compile_cpu(&f, &[("N", n)], CpuOptions::default())?;
+    let module =
+        tiramisu::service::global().compile_cpu(&f, &[("N", n)], CpuOptions::default())?;
     Ok(Prepared {
         name: "Tiramisu".into(),
         inputs: vec![module.vm_buffer("x").unwrap(), module.vm_buffer("y").unwrap()],
         output: module.vm_buffer("w").unwrap(),
-        program: module.program,
+        program: module.program.clone(),
     })
 }
 
@@ -152,12 +154,13 @@ pub fn hpcg_dot_tiramisu(n: i64) -> tiramisu::Result<Prepared> {
     assert_eq!(d, dot_id);
     let dbuf = f.buffer("dout", &[E::i64(1)]);
     f.store_in(d, dbuf, &[E::i64(0)]);
-    let module = tiramisu::compile_cpu(&f, &[("N", n)], CpuOptions::default())?;
+    let module =
+        tiramisu::service::global().compile_cpu(&f, &[("N", n)], CpuOptions::default())?;
     Ok(Prepared {
         name: "Tiramisu".into(),
         inputs: vec![module.vm_buffer("x").unwrap(), module.vm_buffer("y").unwrap()],
         output: module.vm_buffer("dout").unwrap(),
-        program: module.program,
+        program: module.program.clone(),
     })
 }
 
@@ -236,7 +239,7 @@ pub fn baryon(t_extent: i64, vectorize: bool, name: &str) -> tiramisu::Result<Pr
         f.vectorize(upd, "t", 8)?;
         f.vectorize(init, "t", 8)?;
     }
-    let module = tiramisu::compile_cpu(
+    let module = tiramisu::service::global().compile_cpu(
         &f,
         &[("T", t_extent), ("CS", BARYON_CS)],
         CpuOptions { check_legality: false, ..Default::default() },
@@ -250,7 +253,7 @@ pub fn baryon(t_extent: i64, vectorize: bool, name: &str) -> tiramisu::Result<Pr
             module.vm_buffer("P3").unwrap(),
         ],
         output: module.vm_buffer("Bout").unwrap(),
-        program: module.program,
+        program: module.program.clone(),
     })
 }
 

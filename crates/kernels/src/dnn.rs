@@ -162,7 +162,7 @@ fn conv_params(s: ConvSize) -> Vec<(&'static str, i64)> {
 }
 
 fn conv_finish(fun: &Function, s: ConvSize, name: &str) -> tiramisu::Result<Prepared> {
-    let module = tiramisu::compile_cpu(
+    let module = tiramisu::service::global().compile_cpu(
         fun,
         &conv_params(s),
         CpuOptions { check_legality: false, ..Default::default() },
@@ -172,7 +172,7 @@ fn conv_finish(fun: &Function, s: ConvSize, name: &str) -> tiramisu::Result<Prep
         .map(|b| module.vm_buffer(b).expect("input buffer"))
         .collect();
     let output = module.vm_buffer("out").expect("output buffer");
-    Ok(Prepared { name: name.to_string(), program: module.program, inputs, output })
+    Ok(Prepared { name: name.to_string(), program: module.program.clone(), inputs, output })
 }
 
 /// The Tiramisu Conv: fixed filter size (expression-unrolled), vectorized
@@ -416,7 +416,7 @@ pub fn vgg(s: ConvSize, fuse: bool, name: &str) -> tiramisu::Result<Prepared> {
         fun.vectorize(relu, "x", 8)?;
         fun.vectorize(c2_upd, "x", 8)?;
     }
-    let module = tiramisu::compile_cpu(
+    let module = tiramisu::service::global().compile_cpu(
         &fun,
         &conv_params(s),
         CpuOptions { check_legality: false, ..Default::default() },
@@ -426,7 +426,7 @@ pub fn vgg(s: ConvSize, fuse: bool, name: &str) -> tiramisu::Result<Prepared> {
         .map(|b| module.vm_buffer(b).expect("input buffer"))
         .collect();
     let output = module.vm_buffer("out").expect("output buffer");
-    Ok(Prepared { name: name.to_string(), program: module.program, inputs, output })
+    Ok(Prepared { name: name.to_string(), program: module.program.clone(), inputs, output })
 }
 
 #[cfg(test)]

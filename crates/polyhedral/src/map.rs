@@ -14,7 +14,7 @@ use crate::{Error, Result};
 
 /// A conjunction of affine constraints relating an input and an output
 /// tuple.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BasicMap {
     space: MapSpace,
     cons: Vec<Constraint>,

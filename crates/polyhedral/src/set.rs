@@ -12,7 +12,7 @@ use crate::space::Space;
 use crate::{Error, Result};
 
 /// A conjunction of affine constraints over a [`Space`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BasicSet {
     space: Space,
     cons: Vec<Constraint>,
