@@ -277,6 +277,7 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             counter.get() - before
         };
         let large = bench::fig_kernels_large();
+        let mut header: Vec<&str> = vec!["kernel"];
         let mut rows: Vec<Vec<String>> = Vec::new();
         let mut cells: Vec<String> = Vec::new();
         for ((name, prep), (_, build_large)) in preps.iter().zip(&large) {
@@ -284,32 +285,29 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             let par_dispatches = count(prep, &dispatches);
             let par_splits = count(&build_large().expect("kernel compiles"), &splits);
             let bc = loopvm::opt::compile_program(p).expect("bytecode compile");
-            let insts = bc.stats().insts;
             let jit = loopvm::jit::compile(&bc);
             let fnv = loopvm::jit::listing(&bc)
                 .map(|text| format!("{:016x}", artifacts::fnv64(text.as_bytes())));
-            // Each JIT column: `-` in the table and `null` in the snapshot
-            // where there is no JIT.
-            let num = |v: Option<usize>| v.map_or("-".to_string(), |v| v.to_string());
-            let (code, fns, deopts) = (
-                num(jit.as_ref().map(|j| j.code_len())),
-                num(jit.as_ref().map(|j| j.n_fns())),
-                num(jit.as_ref().map(|j| j.n_deopts())),
-            );
             let f = jit.as_ref().map(|j| j.footprint());
-            let at = |g: fn(&loopvm::jit::Footprint) -> usize| num(f.as_ref().map(g));
-            let chunk = [
-                at(|f| f.chunk.insts),
-                at(|f| f.chunk.stack_refs),
-                at(|f| f.chunk.ctx_refs),
-                at(|f| f.chunk.calls),
+            // A snapshot member: its key, its JSON value and its table text;
+            // a number is `null` in the snapshot and `-` in the table where
+            // there is no JIT.
+            let num = |key, v: Option<u64>| {
+                let text = |none: &str| v.map_or(none.to_string(), |v| v.to_string());
+                (key, text("null"), text("-"))
+            };
+            let at = |key, g: fn(&loopvm::jit::Footprint) -> usize| {
+                num(key, f.as_ref().map(|f| g(f) as u64))
+            };
+            let on_jit = |key, g: fn(&loopvm::jit::JitProgram) -> usize| {
+                num(key, jit.as_ref().map(|j| g(j) as u64))
+            };
+            let guards = [
+                at("interval", |f| f.proven_by_intervals),
+                at("oracle", |f| f.proven_by_oracle),
+                at("kept", |f| f.kept_guards),
             ];
-            let lp = [at(|f| f.loops.insts), at(|f| f.loops.stack_refs), at(|f| f.loops.ctx_refs)];
-            let steady =
-                [at(|f| f.steady_chunks), at(|f| f.steady.insts), at(|f| f.steady.stack_refs)];
-            let guards =
-                [at(|f| f.proven_by_intervals), at(|f| f.proven_by_oracle), at(|f| f.kept_guards)];
-            let reasons = f.map(|f| {
+            let reasons = f.as_ref().map(|f| {
                 loopvm::jit::DeoptReason::ALL.map(|r| (r.name(), f.deopt_reasons[r.index()]))
             });
             // Compact per-reason listing, only non-zero reasons.
@@ -317,88 +315,70 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
                 .filter(|r| r.1 > 0)
                 .map(|(name, n)| format!("{name}={n}"))
                 .collect();
-            rows.push(vec![
-                name.clone(),
-                insts.to_string(),
-                code.clone(),
-                fnv.clone().unwrap_or_else(|| "-".to_string()),
-                chunk[0].clone(),
-                chunk[1].clone(),
-                chunk[2].clone(),
-                chunk[3].clone(),
-                lp.join("/"),
-                steady.join("/"),
-                fns.clone(),
-                deopts.clone(),
-                if listing.is_empty() { "-".to_string() } else { listing.join(" ") },
-                guards.join("/"),
-                par_dispatches.to_string(),
-                par_splits.to_string(),
-            ]);
-            let jfield = |v: &str| {
-                if v == "-" { "null".to_string() } else { v.to_string() }
-            };
-            let jguards = match f {
-                Some(_) => format!(
-                    "{{\"interval\": {}, \"oracle\": {}, \"kept\": {}}}",
-                    guards[0], guards[1], guards[2]
-                ),
-                None => "null".to_string(),
-            };
-            let jreasons = match reasons {
-                Some(rs) => {
-                    let members: Vec<String> =
-                        rs.iter().map(|(name, n)| format!("{}: {n}", jstr(name))).collect();
-                    format!("{{{}}}", members.join(", "))
-                }
-                None => "null".to_string(),
-            };
-            cells.push(format!(
-                "{}: {{\"bc_insts\": {}, \"jit_code_bytes\": {}, \"jit_listing_fnv\": {}, \"jit_chunk_insts\": {}, \"jit_chunk_stack_refs\": {}, \"jit_chunk_ctx_refs\": {}, \"jit_chunk_calls\": {}, \"jit_loop_insts\": {}, \"jit_loop_stack_refs\": {}, \"jit_loop_ctx_refs\": {}, \"jit_steady_chunks\": {}, \"jit_steady_chunk_insts\": {}, \"jit_steady_chunk_stack_refs\": {}, \"jit_fns\": {}, \"jit_deopts\": {}, \"jit_deopt_reasons\": {}, \"jit_guards\": {}, \"par_dispatches\": {}, \"par_splits\": {}}}",
-                jstr(name),
-                insts,
-                jfield(&code),
-                fnv.as_deref().map_or("null".to_string(), jstr),
-                jfield(&chunk[0]),
-                jfield(&chunk[1]),
-                jfield(&chunk[2]),
-                jfield(&chunk[3]),
-                jfield(&lp[0]),
-                jfield(&lp[1]),
-                jfield(&lp[2]),
-                jfield(&steady[0]),
-                jfield(&steady[1]),
-                jfield(&steady[2]),
-                jfield(&fns),
-                jfield(&deopts),
-                jreasons,
-                jguards,
-                par_dispatches,
-                par_splits
-            ));
+            let object = |members: Vec<String>| format!("{{{}}}", members.join(", "));
+            // The kernel's record: each table column, in order, with the
+            // snapshot members it shows (a grouped column joins their texts
+            // with `/`).
+            let record = [
+                ("bc insts", vec![num("bc_insts", Some(bc.stats().insts as u64))]),
+                ("jit bytes", vec![on_jit("jit_code_bytes", |j| j.code_len())]),
+                ("listing fnv", vec![(
+                    "jit_listing_fnv",
+                    fnv.as_deref().map_or("null".to_string(), jstr),
+                    fnv.clone().unwrap_or_else(|| "-".to_string()),
+                )]),
+                ("chunk insts", vec![at("jit_chunk_insts", |f| f.chunk.insts)]),
+                ("chunk rsp refs", vec![at("jit_chunk_stack_refs", |f| f.chunk.stack_refs)]),
+                ("chunk ctx refs", vec![at("jit_chunk_ctx_refs", |f| f.chunk.ctx_refs)]),
+                ("chunk calls", vec![at("jit_chunk_calls", |f| f.chunk.calls)]),
+                ("loop insts/rsp/ctx refs", vec![
+                    at("jit_loop_insts", |f| f.loops.insts),
+                    at("jit_loop_stack_refs", |f| f.loops.stack_refs),
+                    at("jit_loop_ctx_refs", |f| f.loops.ctx_refs),
+                ]),
+                ("steady chunks/insts/rsp refs", vec![
+                    at("jit_steady_chunks", |f| f.steady_chunks),
+                    at("jit_steady_chunk_insts", |f| f.steady.insts),
+                    at("jit_steady_chunk_stack_refs", |f| f.steady.stack_refs),
+                ]),
+                ("jit fns", vec![on_jit("jit_fns", |j| j.n_fns())]),
+                ("jit deopts", vec![on_jit("jit_deopts", |j| j.n_deopts())]),
+                ("deopt reasons", vec![(
+                    "jit_deopt_reasons",
+                    reasons.map_or("null".to_string(), |rs| {
+                        object(rs.iter().map(|(name, n)| format!("{}: {n}", jstr(name))).collect())
+                    }),
+                    if listing.is_empty() { "-".to_string() } else { listing.join(" ") },
+                )]),
+                ("guards interval/oracle/kept", vec![(
+                    "jit_guards",
+                    match f {
+                        Some(_) => object(
+                            guards.iter().map(|(k, v, _)| format!("\"{k}\": {v}")).collect(),
+                        ),
+                        None => "null".to_string(),
+                    },
+                    guards.iter().map(|g| g.2.as_str()).collect::<Vec<_>>().join("/"),
+                )]),
+                ("par dispatches", vec![num("par_dispatches", Some(par_dispatches))]),
+                ("par splits (large)", vec![num("par_splits", Some(par_splits))]),
+            ];
+            header.truncate(1);
+            header.extend(record.iter().map(|(column, _)| *column));
+            let mut row = vec![name.clone()];
+            let mut members = Vec::new();
+            for (_, group) in &record {
+                row.push(group.iter().map(|m| m.2.as_str()).collect::<Vec<_>>().join("/"));
+                members.extend(group.iter().map(|(key, json, _)| format!("\"{key}\": {json}")));
+            }
+            rows.push(row);
+            cells.push(format!("{}: {}", jstr(name), object(members)));
         }
         print!(
             "{}",
             render_table(
                 "Executor tiers: bytecode and native footprint per kernel",
-                &[
-                    "kernel",
-                    "bc insts",
-                    "jit bytes",
-                    "listing fnv",
-                    "chunk insts",
-                    "chunk rsp refs",
-                    "chunk ctx refs",
-                    "chunk calls",
-                    "loop insts/rsp/ctx refs",
-                    "steady chunks/insts/rsp refs",
-                    "jit fns",
-                    "jit deopts",
-                    "deopt reasons",
-                    "guards interval/oracle/kept",
-                    "par dispatches",
-                    "par splits (large)"
-                ],
+                &header,
                 &rows
             )
         );

@@ -8,9 +8,9 @@
 //! which the paper calls "crucial to enable vectorization, unrolling and
 //! reducing control overhead" in sgemm.
 //!
-//! The shared AST walk lives in [`crate::backend::lowered`]; this module
-//! only contributes the CPU-specific pieces: the tag→loop-kind mapping
-//! and the full/partial tile separation.
+//! The shared AST walk lives in the crate-private `lowered` module; this
+//! module only contributes the CPU-specific pieces: the tag→loop-kind
+//! mapping and the full/partial tile separation.
 
 use crate::backend::lowered::{self, count_vm_stmts, simplify, EmitTarget, LoopNode, LoweredModule};
 use crate::function::{Error, Function, Result, Tag};

@@ -4,9 +4,9 @@
 //! "each distributed loop is converted into a conditional based on the
 //! MPI rank of the executing process"), and Layer IV `send`/`receive`
 //! operations become `mpisim` messages carrying exactly the bytes the
-//! schedule names. The shared AST walk lives in [`crate::backend::lowered`]
-//! and the Layer IV op lowering in [`crate::layer4`]; this module is the
-//! thin [`EmitTarget`] binding.
+//! schedule names. The shared AST walk lives in the crate-private
+//! `lowered` module and the Layer IV op lowering in [`crate::layer4`];
+//! this module is the thin `EmitTarget` binding.
 
 use crate::backend::lowered::{self, EmitTarget, LoopNode, LoweredModule};
 use crate::function::{Error, Function, Result, Tag};

@@ -9,7 +9,7 @@
 //! mirroring the paper's "the reported times are the total execution
 //! times (data copy and kernel execution)".
 //!
-//! The shared AST walk lives in [`crate::backend::lowered`] and the
+//! The shared AST walk lives in the crate-private `lowered` module and the
 //! kernel-nest recognition in the crate-private `gpu_extract` module;
 //! this module contributes the tag→loop-kind mapping (CPU tags degrade
 //! to serial inside kernels), the copy plan, and the module assembly.

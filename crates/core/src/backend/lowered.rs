@@ -10,10 +10,10 @@
 //! steps (loop-kind mapping, tile separation, kernel extraction, rank
 //! decomposition).
 
-use crate::expr::{BinOp, CompId, Expr as TExpr, UnOp};
+use crate::expr::{CompId, Expr as TExpr};
 use crate::function::{Error, Function, Result, Tag};
 use crate::lowering::Lowered;
-use loopvm::{BufId as VmBuf, Expr as VExpr, LoopKind, Program, Stmt, Var as VmVar};
+use loopvm::{BinOp, BufId as VmBuf, Expr as VExpr, LoopKind, Program, Stmt, UnOp, Var as VmVar};
 use polyhedral::{AstExpr, AstNode, Constraint, ConstraintKind, QAff};
 use std::collections::HashMap;
 
@@ -22,7 +22,7 @@ use std::collections::HashMap;
 /// tag. Built once per compile by the `tag-resolve` pass; targets pattern
 /// match on this instead of re-deriving tags from the schedule.
 #[derive(Debug, Clone)]
-pub enum LoopNode {
+pub(crate) enum LoopNode {
     /// A loop over one schedule dimension (inclusive bounds).
     Loop {
         /// Schedule dimension index this loop scans.
@@ -55,7 +55,7 @@ pub enum LoopNode {
 ///
 /// [`Error::Command`] when computations fused under one loop carry
 /// conflicting tags.
-pub fn resolve_tags(lowered: &Lowered, nodes: &[AstNode]) -> Result<Vec<LoopNode>> {
+pub(crate) fn resolve_tags(lowered: &Lowered, nodes: &[AstNode]) -> Result<Vec<LoopNode>> {
     nodes
         .iter()
         .map(|n| match n {
@@ -163,7 +163,7 @@ pub(crate) fn comps_in(node: &LoopNode, lowered: &Lowered) -> Vec<u32> {
 ///   module executes, so the shared `optimize` step can compile them.
 ///
 /// Adding a fourth backend is implementing this trait in one file.
-pub trait EmitTarget {
+pub(crate) trait EmitTarget {
     /// The compiled artifact this target produces.
     type Module;
 
@@ -280,23 +280,23 @@ pub(crate) struct CompInfo {
 /// The shared AST→`loopvm` conversion state: one VM program under
 /// construction, the buffer-binding table, and the variable environment.
 /// Built by the pipeline's emit pass and handed to the [`EmitTarget`].
-pub struct LoweredModule<'f> {
+pub(crate) struct LoweredModule<'f> {
     /// The function being compiled.
-    pub f: &'f Function,
+    pub(crate) f: &'f Function,
     /// The Layer II-complete view (schedules specialized to the bound
     /// parameter values).
-    pub lowered: Lowered,
+    pub(crate) lowered: Lowered,
     /// The VM program under construction (buffer and variable tables).
-    pub program: Program,
+    pub(crate) program: Program,
     /// One VM variable per schedule time dimension (`c0..c{m-1}`).
-    pub time_vars: Vec<VmVar>,
+    pub(crate) time_vars: Vec<VmVar>,
     /// VM variable of each function parameter.
-    pub param_vars: HashMap<String, VmVar>,
+    pub(crate) param_vars: HashMap<String, VmVar>,
     /// Concrete parameter bindings.
-    pub param_vals: HashMap<String, i64>,
+    pub(crate) param_vals: HashMap<String, i64>,
     pub(crate) comp_info: HashMap<u32, CompInfo>,
     /// Tiramisu buffer name → VM buffer id.
-    pub buffer_map: HashMap<String, VmBuf>,
+    pub(crate) buffer_map: HashMap<String, VmBuf>,
 }
 
 impl<'f> LoweredModule<'f> {
@@ -309,7 +309,7 @@ impl<'f> LoweredModule<'f> {
     /// # Errors
     ///
     /// Non-affine or unbounded buffer extents.
-    pub fn new(
+    pub(crate) fn new(
         f: &'f Function,
         lowered: Lowered,
         param_vals: HashMap<String, i64>,
@@ -414,7 +414,7 @@ impl<'f> LoweredModule<'f> {
     /// `let P = value;` bindings for every function parameter, in
     /// declaration order (emitted at the top of programs and kernel
     /// bodies).
-    pub fn param_lets(&self) -> Vec<Stmt> {
+    pub(crate) fn param_lets(&self) -> Vec<Stmt> {
         self.f
             .params
             .iter()
@@ -428,7 +428,7 @@ impl<'f> LoweredModule<'f> {
     /// # Errors
     ///
     /// Unsupported tags and malformed expressions.
-    pub fn convert_nodes<T: EmitTarget + ?Sized>(
+    pub(crate) fn convert_nodes<T: EmitTarget + ?Sized>(
         &mut self,
         nodes: &[LoopNode],
         target: &mut T,
@@ -471,7 +471,7 @@ impl<'f> LoweredModule<'f> {
     ///
     /// Malformed expressions (type errors, unbound iterators, accesses to
     /// inlined computations).
-    pub fn convert_stmt(
+    pub(crate) fn convert_stmt(
         &mut self,
         index: usize,
         iters: &[QAff],
@@ -629,40 +629,19 @@ impl<'f> LoweredModule<'f> {
                     (coerce_f32(va, ta), coerce_f32(vb, tb), VTy::F32)
                 };
                 let out_ty = match op {
-                    BinOp::Lt | BinOp::Le | BinOp::Eq | BinOp::And | BinOp::Or => VTy::I64,
+                    BinOp::Lt | BinOp::Le | BinOp::EqCmp | BinOp::And | BinOp::Or => VTy::I64,
                     _ => ty,
                 };
-                let vop = match op {
-                    BinOp::Add => loopvm::BinOp::Add,
-                    BinOp::Sub => loopvm::BinOp::Sub,
-                    BinOp::Mul => loopvm::BinOp::Mul,
-                    BinOp::Div => loopvm::BinOp::Div,
-                    BinOp::Rem => loopvm::BinOp::Rem,
-                    BinOp::Min => loopvm::BinOp::Min,
-                    BinOp::Max => loopvm::BinOp::Max,
-                    BinOp::Lt => loopvm::BinOp::Lt,
-                    BinOp::Le => loopvm::BinOp::Le,
-                    BinOp::Eq => loopvm::BinOp::EqCmp,
-                    BinOp::And => loopvm::BinOp::And,
-                    BinOp::Or => loopvm::BinOp::Or,
-                };
-                (VExpr::Bin(vop, Box::new(va), Box::new(vb)), out_ty)
+                (VExpr::Bin(*op, Box::new(va), Box::new(vb)), out_ty)
             }
             TExpr::Un(op, a) => {
                 let (va, ta) = self.conv_expr(a, env)?;
-                let vop = match op {
-                    UnOp::Neg => loopvm::UnOp::Neg,
-                    UnOp::Abs => loopvm::UnOp::Abs,
-                    UnOp::Sqrt => loopvm::UnOp::Sqrt,
-                    UnOp::Exp => loopvm::UnOp::Exp,
-                    UnOp::Not => loopvm::UnOp::Not,
-                };
                 let (va, ty) = match op {
                     UnOp::Sqrt | UnOp::Exp => (coerce_f32(va, ta), VTy::F32),
                     UnOp::Not => (va, VTy::I64),
                     _ => (va, ta),
                 };
-                (VExpr::Un(vop, Box::new(va)), ty)
+                (VExpr::Un(*op, Box::new(va)), ty)
             }
             TExpr::Select(c, a, b) => {
                 let (vc, _tc) = self.conv_expr(c, env)?;
@@ -689,7 +668,7 @@ impl<'f> LoweredModule<'f> {
 
     /// Converts a quasi-affine expression (with its divisor/ceil) to a VM
     /// expression over time and parameter variables.
-    pub fn conv_qaff(&self, q: &QAff) -> VExpr {
+    pub(crate) fn conv_qaff(&self, q: &QAff) -> VExpr {
         let num = self.conv_aff(&q.num);
         if q.den == 1 {
             num
@@ -734,7 +713,7 @@ impl<'f> LoweredModule<'f> {
     }
 
     /// Converts an AST bound (a min/max over quasi-affine candidates).
-    pub fn conv_bound(&self, e: &AstExpr) -> VExpr {
+    pub(crate) fn conv_bound(&self, e: &AstExpr) -> VExpr {
         match e {
             AstExpr::Max(v) => v
                 .iter()

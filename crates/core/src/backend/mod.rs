@@ -9,10 +9,10 @@
 //!
 //! All three compile through the shared pass pipeline
 //! ([`crate::pipeline`]); the backend-neutral AST walk and the
-//! [`lowered::EmitTarget`] contract live in [`lowered`].
+//! `EmitTarget` contract live in the crate-private `lowered` module.
 
 pub mod cpu;
 pub mod dist;
 pub mod gpu;
 pub(crate) mod gpu_extract;
-pub mod lowered;
+pub(crate) mod lowered;

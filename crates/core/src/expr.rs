@@ -11,7 +11,11 @@
 //! indices (e.g. `clamp`ed accesses in the image benchmarks) are supported
 //! the way the paper describes (§V-B): they are compiled as-is and
 //! dependence analysis over-approximates them.
+//!
+//! The operators are `loopvm`'s own [`BinOp`] and [`UnOp`]: lowering
+//! passes them through unchanged.
 
+use loopvm::{BinOp, UnOp};
 use polyhedral::Aff;
 use std::hash::{Hash, Hasher};
 
@@ -31,50 +35,6 @@ impl CompId {
     pub fn from_raw(i: u32) -> CompId {
         CompId(i)
     }
-}
-
-/// Binary operators of the expression language.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BinOp {
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication.
-    Mul,
-    /// Division.
-    Div,
-    /// Remainder.
-    Rem,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
-    /// `<` (yields a predicate).
-    Lt,
-    /// `<=` (yields a predicate).
-    Le,
-    /// `==` (yields a predicate).
-    Eq,
-    /// Logical and.
-    And,
-    /// Logical or.
-    Or,
-}
-
-/// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UnOp {
-    /// Negation.
-    Neg,
-    /// Absolute value.
-    Abs,
-    /// Square root.
-    Sqrt,
-    /// Exponential.
-    Exp,
-    /// Logical not.
-    Not,
 }
 
 /// An architecture-independent expression.
@@ -151,7 +111,7 @@ impl Expr {
 
     /// `a == b`.
     pub fn eq(a: Expr, b: Expr) -> Expr {
-        Expr::Bin(BinOp::Eq, Box::new(a), Box::new(b))
+        Expr::Bin(BinOp::EqCmp, Box::new(a), Box::new(b))
     }
 
     /// Logical and.

@@ -9,7 +9,7 @@
 //! computations with [`Function::comm_before`] (the paper's
 //! `s.before(r, root)`).
 
-use crate::expr::{BinOp, CompId, Expr};
+use crate::expr::{CompId, Expr};
 use crate::function::{Error, Function, Result, Var};
 use std::collections::HashMap;
 
@@ -134,22 +134,10 @@ pub(crate) fn static_ranks(
     lm: &crate::backend::lowered::LoweredModule<'_>,
     rank_var: loopvm::Var,
 ) -> Option<usize> {
-    /// `eval_scalar` where it cannot panic: `None` where a division in
-    /// `e` traps. Converted comm expressions are constants, the rank
-    /// variable and binary operations.
-    fn eval(e: &loopvm::Expr) -> Option<i64> {
-        if let loopvm::Expr::Bin(op, a, b) = e {
-            let (a, b) = (eval(a)?, eval(b)?);
-            if matches!(op, loopvm::BinOp::Div | loopvm::BinOp::Rem) {
-                a.checked_rem_euclid(b)?;
-            }
-        }
-        loopvm::eval_scalar(e, &[]).ok()
-    }
     let mut n_ranks = 0;
     for op in lm.f.comm.iter().filter(|op| !matches!(op.kind, CommKind::Barrier)) {
         let hi = conv_comm_expr(lm, &op.iter.hi, &op.iter.name, rank_var).ok()?;
-        n_ranks = n_ranks.max(eval(&hi)?);
+        n_ranks = n_ranks.max(loopvm::try_eval_scalar(&hi, &[])?);
     }
     (n_ranks <= MAX_STATIC_RANKS).then_some(n_ranks as usize)
 }
@@ -305,21 +293,7 @@ fn conv_comm_expr(
         Expr::Bin(op, a, b) => {
             let va = conv_comm_expr(lm, a, iter_name, rank_var)?;
             let vb = conv_comm_expr(lm, b, iter_name, rank_var)?;
-            let vop = match op {
-                BinOp::Add => loopvm::BinOp::Add,
-                BinOp::Sub => loopvm::BinOp::Sub,
-                BinOp::Mul => loopvm::BinOp::Mul,
-                BinOp::Div => loopvm::BinOp::Div,
-                BinOp::Rem => loopvm::BinOp::Rem,
-                BinOp::Min => loopvm::BinOp::Min,
-                BinOp::Max => loopvm::BinOp::Max,
-                BinOp::Lt => loopvm::BinOp::Lt,
-                BinOp::Le => loopvm::BinOp::Le,
-                BinOp::Eq => loopvm::BinOp::EqCmp,
-                BinOp::And => loopvm::BinOp::And,
-                BinOp::Or => loopvm::BinOp::Or,
-            };
-            VExpr::Bin(vop, Box::new(va), Box::new(vb))
+            VExpr::Bin(*op, Box::new(va), Box::new(vb))
         }
         other => {
             return Err(Error::Backend(format!(

@@ -56,7 +56,8 @@ pub mod pipeline;
 pub mod schedule;
 pub mod service;
 
-pub use expr::{BinOp, CompId, Expr, UnOp};
+pub use expr::{CompId, Expr};
+pub use loopvm::{BinOp, UnOp};
 pub use function::{
     BufId, Buffer, CompKind, Computation, Error, Function, MemSpace, Result, Tag, Var,
 };

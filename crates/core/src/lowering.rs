@@ -31,7 +31,7 @@ pub struct Lowered {
 
 impl Lowered {
     /// Tag attached by computation `comp` to time position `pos`.
-    pub fn tag_of(&self, comp: u32, pos: usize) -> Option<Tag> {
+    pub(crate) fn tag_of(&self, comp: u32, pos: usize) -> Option<Tag> {
         self.comp_level_tags.get(&(comp, pos)).copied()
     }
 
@@ -42,7 +42,7 @@ impl Lowered {
     /// # Errors
     ///
     /// [`Error::Command`] on conflicting tags within one loop.
-    pub fn tag_of_node(&self, node: &polyhedral::AstNode) -> Result<Option<Tag>> {
+    pub(crate) fn tag_of_node(&self, node: &polyhedral::AstNode) -> Result<Option<Tag>> {
         let polyhedral::AstNode::For { level, .. } = node else { return Ok(None) };
         let mut stmts = Vec::new();
         collect_stmt_indices(node, &mut stmts);
@@ -66,7 +66,7 @@ impl Lowered {
 }
 
 /// Collects the statement indices under an AST node.
-pub fn collect_stmt_indices(node: &polyhedral::AstNode, out: &mut Vec<usize>) {
+pub(crate) fn collect_stmt_indices(node: &polyhedral::AstNode, out: &mut Vec<usize>) {
     match node {
         polyhedral::AstNode::For { body, .. } => {
             for n in body {

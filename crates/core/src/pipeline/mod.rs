@@ -8,30 +8,31 @@
 //! 3. **astgen** — generate the Cloog-style loop AST
 //!    ([`polyhedral::build_ast`]);
 //! 4. **tag-resolve** — annotate every loop with its conflict-checked
-//!    hardware tag through the single [`crate::lowering::Lowered::tag_of_node`]
-//!    path, producing the backend-neutral [`LoopNode`] tree;
+//!    hardware tag through the single `Lowered::tag_of_node` path,
+//!    producing the backend-neutral `LoopNode` tree;
 //! 5. **emit** — bind buffers, declare variables, and hand the tree to
-//!    the backend's [`EmitTarget`] implementation (the distributed target
+//!    the backend's `EmitTarget` implementation (the distributed target
 //!    also checks the rank program's send/receive matching here);
 //! 6. **optimize** — lower the expression trees of every program the
-//!    emitted module holds ([`EmitTarget::programs`]) to register bytecode
+//!    emitted module holds (`EmitTarget::programs`) to register bytecode
 //!    (constant folding, CSE, loop-invariant hoisting; see
 //!    [`loopvm::opt`]). The code stays in the programs that run it.
 //!
-//! [`compile_with`] is that sequence, written out; the CPU, GPU, and
-//! distributed backends are thin [`EmitTarget`] impls under it, and a
-//! fourth backend would be one more. A [`CompileTrace`] (opt-in, see
-//! [`trace`]) records per-pass wall time, statement/node counts, and IR
-//! snapshots.
+//! The crate-private `compile_with` is that sequence, written out; the
+//! CPU, GPU, and distributed backends are thin `EmitTarget` impls under
+//! it, and a fourth backend would be one more. A [`CompileTrace`]
+//! (opt-in, see [`trace`]) records per-pass wall time, statement/node
+//! counts, and IR snapshots.
 
 pub mod trace;
 
-pub use crate::backend::lowered::{
-    resolve_tags, simplify, EmitTarget, LoopNode, LoweredModule,
-};
+pub use crate::backend::lowered::simplify;
 pub use trace::{CompileTrace, PassTrace};
 
-use crate::backend::lowered::{count_ast_nodes, count_loop_nodes, optimize, pretty_tree};
+use crate::backend::lowered::{
+    count_ast_nodes, count_loop_nodes, optimize, pretty_tree, resolve_tags, EmitTarget,
+    LoweredModule,
+};
 use crate::function::{Error, Function, Result};
 use crate::legality::{self, FlowDep};
 use crate::lowering::{lower, specialize_params, Lowered};
@@ -144,7 +145,7 @@ fn mirror_oracle_counters() {
 ///
 /// Unbound parameters, legality violations, tag conflicts, and
 /// target-specific emission failures.
-pub fn compile_with<T: EmitTarget>(
+pub(crate) fn compile_with<T: EmitTarget>(
     f: &Function,
     params: &[(&str, i64)],
     check_legality: bool,

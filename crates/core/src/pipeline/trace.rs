@@ -75,7 +75,7 @@ impl CompileTrace {
     }
 
     /// Total wall-clock time across all passes.
-    pub fn total_wall(&self) -> Duration {
+    pub(crate) fn total_wall(&self) -> Duration {
         self.passes.iter().map(|p| p.wall).sum()
     }
 

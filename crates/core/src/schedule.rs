@@ -133,12 +133,11 @@ impl Function {
         let li = self.level(comp, i)?;
         let c = &self.comps[comp.index()];
         let names = c.dyn_names.clone();
-        let trans = affine_dim_map(&c.dyn_names, c.param_names(), |k, n, cols| {
+        let trans = affine_dim_map(&c.dyn_names, c.param_names(), |k, cols| {
             let mut a = Aff::var(cols, k);
             if k == li {
                 a = a.add(&Aff::constant(cols, s));
             }
-            let _ = n;
             a
         });
         let betas = c.betas.clone();
@@ -157,7 +156,7 @@ impl Function {
         let lj = self.level(comp, j)?;
         let c = &self.comps[comp.index()];
         let names = c.dyn_names.clone();
-        let trans = affine_dim_map(&c.dyn_names, c.param_names(), |k, _n, cols| {
+        let trans = affine_dim_map(&c.dyn_names, c.param_names(), |k, cols| {
             let a = Aff::var(cols, k);
             if k == lj {
                 a.add(&Aff::var(cols, li).scale(f))
@@ -301,7 +300,7 @@ impl Function {
     }
 
     fn tag(&mut self, comp: CompId, level: &str, tag: Tag) -> Result<()> {
-        let _ = self.level(comp, level)?;
+        self.level(comp, level)?;
         self.comps[comp.index()].tags.insert(level.to_string(), tag);
         Ok(())
     }
@@ -381,7 +380,6 @@ impl Function {
         let target = &self.comps[p.index()];
         let prefix_names: Vec<String> = host.dyn_names[..=l].to_vec();
         let param_refs: Vec<&str> = self.params.iter().map(|s| s.as_str()).collect();
-        let _ = &param_refs;
 
         // 3. New schedule for P: out dims = prefix + P's current dyn dims.
         let mut new_names = prefix_names.clone();
@@ -523,8 +521,6 @@ impl Function {
         let (hull, n_pref) = self.needed_region(p, c, level)?;
         let target = &self.comps[p.index()];
         let n_p = target.domain.space().n_dims();
-        let n_params = self.params.len();
-        let _ = n_params;
 
         // Width per producer dimension: max over (o, p, p') pairs sharing
         // the prefix of |p_k - p'_k| + 1. Constant (parameter-free) widths
@@ -726,39 +722,13 @@ fn strip_mine_map(
     let ms = MapSpace::new(in_space, out_space);
     let n = ms.n_cols();
     let mut cons = Vec::new();
-    // Position mapping: for consecutive splits the out index advances by 2
-    // per split before the level, 1 otherwise. Splits are sorted.
-    let mut out_pos = vec![0usize; old_names.len()];
-    {
-        let mut shift = 0usize;
-        // Number of splits among the out dims: outer dims of split levels
-        // appear contiguously at the original position block.
-        for (k, pos) in out_pos.iter_mut().enumerate() {
-            *pos = k + shift;
-            if splits.iter().any(|(l, _)| *l == k) {
-                shift += 1;
-            }
-        }
-    }
-    // For adjacent tile splits (i, j): out layout is i0, j0, i1, j1 — the
-    // caller encodes that in new_names; here we only need, for each old
-    // level, the columns of its outer and inner new dims, which we find by
-    // name order: outer at position of first new occurrence.
-    // Simpler and robust: match by the caller's guarantee that
-    // `new_names` lists the outer dims in the positions computed above and
-    // inner dims right after all outer dims of the same splice. We instead
-    // use an explicit search: for split level k (old name at k), outer dim
-    // index = position in new_names of the dim that keeps pass-through
-    // alignment. To stay unambiguous we recompute positions directly:
-    // (old dim, new outer dim, optional (new inner dim, factor)).
+    // For each old level: its outer new dim and, when split, its inner
+    // new dim and factor. A run of consecutive split levels lays out its
+    // outer dims first, then its inner dims, in level order: `[i0, i1]`
+    // for a split, `[i0, j0, i1, j1]` for a tile (`new_names` follows).
     type Assignment = (usize, usize, Option<(usize, i64)>);
     let mut assignments: Vec<Assignment> = Vec::new();
     {
-        // Walk old dims in order and new dims in order; a split old dim
-        // consumes 2 new dims *within its splice block*.
-        // For tile (two adjacent splits) the block order is
-        // [i0, j0, i1, j1]; for a single split it is [i0, i1].
-        // We process maximal runs of consecutive split levels.
         let mut new_i = 0usize;
         let mut k = 0usize;
         while k < old_names.len() {
@@ -833,13 +803,13 @@ fn permutation_map(
 fn affine_dim_map(
     names: &[String],
     params: Vec<&str>,
-    build: impl Fn(usize, usize, usize) -> Aff,
+    build: impl Fn(usize, usize) -> Aff,
 ) -> BasicMap {
     let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
     let in_space = Space::set("t", &refs, &params);
     let out_space = Space::set("t'", &refs, &params);
     let n = in_space.n_cols();
-    let affs: Vec<Aff> = (0..names.len()).map(|k| build(k, names.len(), n)).collect();
+    let affs: Vec<Aff> = (0..names.len()).map(|k| build(k, n)).collect();
     BasicMap::from_output_affs(&in_space, &out_space, &affs)
 }
 

@@ -17,7 +17,7 @@
 //! received halo.
 
 use crate::bounds::infer_bounds;
-use crate::lower::{compile, CompiledPipeline, ScheduleOptions};
+use crate::lower::{compile, CompiledPipeline};
 use crate::pipeline::Pipeline;
 use crate::{Error, Result};
 use loopvm::{Expr as VExpr, Stmt};
@@ -100,7 +100,7 @@ pub fn compile_dist(
         let (.., extents) = &mut local_p.inputs[0];
         extents[0] = rows_per_rank + halo_rows.max(base_halo);
     }
-    let mut local = compile(&local_p, &local_extents, &ScheduleOptions::default())?;
+    let mut local = compile(&local_p, &local_extents)?;
 
     // Communication: rank r sends its first `halo_rows` input rows to
     // r-1, which receives them into its input buffer after its own rows.

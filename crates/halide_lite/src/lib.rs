@@ -35,7 +35,7 @@ pub mod pipeline;
 
 pub use bounds::{infer_bounds, Interval};
 pub use dist::{compile_dist, DistCompileOptions};
-pub use lower::{compile, CompiledPipeline, ScheduleOptions};
+pub use lower::{compile, CompiledPipeline};
 pub use pipeline::{Func, FuncId, HExpr, InputId, Pipeline, Placement};
 
 /// Errors of the interval-based compiler.

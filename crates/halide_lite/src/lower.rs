@@ -6,13 +6,6 @@ use crate::{Error, Result};
 use loopvm::{BufId, Expr as VExpr, LoopKind, Program, Stmt, Var};
 use std::collections::HashMap;
 
-/// Schedule-independent compilation options.
-#[derive(Debug, Clone, Default)]
-pub struct ScheduleOptions {
-    /// Reserved for future options.
-    pub _reserved: (),
-}
-
 /// A compiled pipeline.
 #[derive(Debug)]
 pub struct CompiledPipeline {
@@ -36,7 +29,9 @@ impl CompiledPipeline {
 }
 
 /// Compiles a pipeline for the CPU substrate, computing the output over
-/// `output_extents`.
+/// `output_extents`. Every schedule choice is read from the pipeline's
+/// funcs (placement, `tile`, `vectorize`, `parallel`); there are no other
+/// options.
 ///
 /// Placements: `Root` funcs get their own loop nest over their inferred
 /// box; `Inline` funcs are substituted. `At` placements are lowered as
@@ -46,12 +41,10 @@ impl CompiledPipeline {
 ///
 /// # Errors
 ///
-/// Bounds assertions, cyclic graphs, schedule errors.
-pub fn compile(
-    p: &Pipeline,
-    output_extents: &[i64],
-    _opts: &ScheduleOptions,
-) -> Result<CompiledPipeline> {
+/// Bounds assertions, cyclic graphs, and [`Error::Schedule`] for a bad
+/// schedule: a `tile` naming a variable the func lacks, or two variables
+/// that are not adjacent.
+pub fn compile(p: &Pipeline, output_extents: &[i64]) -> Result<CompiledPipeline> {
     let bounds = infer_bounds(p, output_extents)?;
     let order = p.topo_order()?;
     let mut program = Program::new();
@@ -116,59 +109,16 @@ impl Lowerer<'_> {
             .map(|v| (v.clone(), VExpr::var(vars[v])))
             .collect();
         let value = self.conv(&f.def, &mut env)?;
-        let store_index = self.flat_index_func(fid, &f.vars.iter().map(|v| VExpr::var(vars[v])).collect::<Vec<_>>());
+        let coords: Vec<VExpr> = f.vars.iter().map(|v| VExpr::var(vars[v])).collect();
+        let store_index = self.func_index(fid, &coords);
         let inner = vec![Stmt::store(self.func_buffers[fid.index()], store_index, value)];
-
-        // Build the loop order: tiled or plain.
-        let loop_order: Vec<(String, i64, i64, LoopKind)> = match &f.tile {
-            Some((vy, vx, ty, tx)) => {
-                let iy = f.vars.iter().position(|v| v == vy).ok_or_else(|| {
-                    Error::Schedule(format!("tile variable {vy} not found"))
-                })?;
-                let ix = f.vars.iter().position(|v| v == vx).ok_or_else(|| {
-                    Error::Schedule(format!("tile variable {vx} not found"))
-                })?;
-                if ix != iy + 1 {
-                    return Err(Error::Schedule("tile variables must be adjacent".into()));
-                }
-                // [..before.., yo, xo, yi, xi, ..after..]
-                let mut order = Vec::new();
-                for (k, v) in f.vars.iter().enumerate() {
-                    if k == iy {
-                        order.push((format!("{v}__o"), 0, 0, LoopKind::Serial));
-                        order.push((format!("{vx}__o"), 0, 0, LoopKind::Serial));
-                        order.push((format!("{v}__i"), *ty, 0, LoopKind::Serial));
-                        order.push((format!("{vx}__i"), *tx, 0, LoopKind::Serial));
-                    } else if k == ix {
-                        continue;
-                    } else {
-                        order.push((v.clone(), 0, 0, LoopKind::Serial));
-                    }
-                }
-                order
-            }
-            None => f
-                .vars
-                .iter()
-                .map(|v| (v.clone(), 0, 0, LoopKind::Serial))
-                .collect(),
-        };
-        let _ = loop_order;
 
         // Simple path: plain rectangular nest (tiling handled by
         // rewriting var = tile_outer*size + tile_inner below).
         let mut stmts = inner;
-        let wrap = |var_name: &str,
-                    lo: i64,
-                    hi: i64,
-                    kind: LoopKind,
-                    body: Vec<Stmt>,
-                    _program: &mut Program,
-                    vars: &HashMap<String, Var>|
-         -> Vec<Stmt> {
-            let v = vars[var_name];
+        let wrap = |var_name: &str, lo: i64, hi: i64, kind: LoopKind, body: Vec<Stmt>| {
             vec![Stmt::For {
-                var: v,
+                var: vars[var_name],
                 lower: VExpr::i64(lo),
                 upper: VExpr::i64(hi + 1),
                 kind,
@@ -189,12 +139,16 @@ impl Lowerer<'_> {
                             kind = LoopKind::Vectorize(*w);
                         }
                     }
-                    stmts = wrap(v, iv.lo, iv.hi, kind, stmts, program, &vars);
+                    stmts = wrap(v, iv.lo, iv.hi, kind, stmts);
                 }
             }
             Some((vy, vx, ty, tx)) => {
-                let iy = f.vars.iter().position(|v| v == vy).unwrap();
-                let ix = f.vars.iter().position(|v| v == vx).unwrap();
+                let iy = f.vars.iter().position(|v| v == vy).ok_or_else(|| {
+                    Error::Schedule(format!("tile variable {vy} not found"))
+                })?;
+                let ix = f.vars.iter().position(|v| v == vx).ok_or_else(|| {
+                    Error::Schedule(format!("tile variable {vx} not found"))
+                })?;
                 if ix != iy + 1 {
                     return Err(Error::Schedule("tile variables must be adjacent".into()));
                 }
@@ -252,47 +206,19 @@ impl Lowerer<'_> {
                         continue;
                     }
                     let ivv = bx[k];
-                    stmts = wrap(v, ivv.lo, ivv.hi, LoopKind::Serial, stmts, program, &vars);
+                    stmts = wrap(v, ivv.lo, ivv.hi, LoopKind::Serial, stmts);
                 }
             }
         }
         Ok(stmts)
     }
 
-    fn flat_index_func(&self, fid: FuncId, coords: &[VExpr]) -> VExpr {
-        let bx = &self.bounds.func_box[fid.index()];
-        let origin = &self.func_origin[fid.index()];
-        let mut flat: Option<VExpr> = None;
-        let mut stride = 1i64;
-        for k in (0..coords.len()).rev() {
-            let adj = coords[k].clone() - VExpr::i64(origin[k]);
-            let term = if stride == 1 { adj } else { adj * VExpr::i64(stride) };
-            flat = Some(match flat {
-                None => term,
-                Some(acc) => acc + term,
-            });
-            stride *= bx[k].extent().max(1);
-        }
-        flat.unwrap_or(VExpr::i64(0))
-    }
-
-    fn flat_index_input(&self, k: usize, coords: &[VExpr]) -> VExpr {
-        let extents = &self.p.inputs()[k].1;
-        let mut flat: Option<VExpr> = None;
-        let mut stride = 1i64;
-        for d in (0..coords.len()).rev() {
-            let term = if stride == 1 {
-                coords[d].clone()
-            } else {
-                coords[d].clone() * VExpr::i64(stride)
-            };
-            flat = Some(match flat {
-                None => term,
-                Some(acc) => acc + term,
-            });
-            stride *= extents[d].max(1);
-        }
-        flat.unwrap_or(VExpr::i64(0))
+    /// The flat index of `coords` in func `fid`'s buffer, which holds its
+    /// inferred box.
+    fn func_index(&self, fid: FuncId, coords: &[VExpr]) -> VExpr {
+        let extents: Vec<i64> =
+            self.bounds.func_box[fid.index()].iter().map(|iv| iv.extent()).collect();
+        flat_index(coords, &extents, Some(&self.func_origin[fid.index()]))
     }
 
     fn conv(&self, e: &HExpr, env: &mut HashMap<String, VExpr>) -> Result<VExpr> {
@@ -319,7 +245,7 @@ impl Lowerer<'_> {
                 }
                 VExpr::load(
                     self.func_buffers[g.index()],
-                    self.flat_index_func(*g, &coords),
+                    self.func_index(*g, &coords),
                 )
             }
             HExpr::In(k, idx) => {
@@ -327,7 +253,7 @@ impl Lowerer<'_> {
                     idx.iter().map(|ix| self.conv(ix, env)).collect::<Result<_>>()?;
                 VExpr::load(
                     self.input_buffers[k.index()],
-                    self.flat_index_input(k.index(), &coords),
+                    flat_index(&coords, &self.p.inputs()[k.index()].1, None),
                 )
             }
             HExpr::Add(a, b) => self.conv(a, env)? + self.conv(b, env)?,
@@ -351,6 +277,26 @@ impl Lowerer<'_> {
             HExpr::CastI(a) => VExpr::to_i64(self.conv(a, env)?),
         })
     }
+}
+
+/// The row-major flat index of `coords` in a box of the given extents,
+/// each coordinate first shifted by the box's `origin` when it has one.
+fn flat_index(coords: &[VExpr], extents: &[i64], origin: Option<&[i64]>) -> VExpr {
+    let mut flat: Option<VExpr> = None;
+    let mut stride = 1i64;
+    for k in (0..coords.len()).rev() {
+        let adj = match origin {
+            Some(o) => coords[k].clone() - VExpr::i64(o[k]),
+            None => coords[k].clone(),
+        };
+        let term = if stride == 1 { adj } else { adj * VExpr::i64(stride) };
+        flat = Some(match flat {
+            None => term,
+            Some(acc) => acc + term,
+        });
+        stride *= extents[k].max(1);
+    }
+    flat.unwrap_or(VExpr::i64(0))
 }
 
 #[cfg(test)]
@@ -385,7 +331,7 @@ mod tests {
         if tile {
             p.tile(by, "y", "x", 4, 4);
         }
-        let c = compile(&p, &[h - 1, w - 1], &ScheduleOptions::default()).unwrap();
+        let c = compile(&p, &[h - 1, w - 1]).unwrap();
         let inb = c.input_buffers[0];
         let outb = c.func_buffers[by.index()];
         (c, inb, outb)
@@ -450,6 +396,29 @@ mod tests {
         }
     }
 
+    /// A tile over a variable the func lacks, in either position, is a
+    /// schedule error, not a panic.
+    #[test]
+    fn tiling_an_unknown_variable_is_a_schedule_error() {
+        for (y, x, missing) in [("z", "x", "z"), ("y", "z", "z"), ("x", "y", "")] {
+            let mut p = Pipeline::new();
+            let input = p.input("in", &[4, 4]);
+            let at = HExpr::In(input, vec![HExpr::var("y"), HExpr::var("x")]);
+            let f = p.func("f", &["y", "x"], at);
+            p.set_output(f);
+            p.tile(f, y, x, 2, 2);
+            let want = if missing.is_empty() {
+                "tile variables must be adjacent".to_string()
+            } else {
+                format!("tile variable {missing} not found")
+            };
+            match compile(&p, &[4, 4]) {
+                Err(Error::Schedule(msg)) => assert_eq!(msg, want, "tile({y}, {x})"),
+                other => panic!("tile({y}, {x}): {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn inline_substitutes_definition() {
         let mut p = Pipeline::new();
@@ -458,7 +427,7 @@ mod tests {
         let b = p.func("b", &["x"], HExpr::Call(a, vec![HExpr::var("x")]) + HExpr::f(1.0));
         p.set_output(b);
         p.compute_inline(a);
-        let c = compile(&p, &[4], &ScheduleOptions::default()).unwrap();
+        let c = compile(&p, &[4]).unwrap();
         // Only two buffers store data: input and b (a still allocated but
         // unused — matching Halide's inline semantics of not computing a).
         let mut m = c.machine();

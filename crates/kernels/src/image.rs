@@ -540,7 +540,7 @@ fn halide_prepared(
     name: &str,
     out: halide_lite::FuncId,
 ) -> halide_lite::Result<Prepared> {
-    let c = halide_lite::compile(p, out_extents, &halide_lite::ScheduleOptions::default())?;
+    let c = halide_lite::compile(p, out_extents)?;
     Ok(Prepared {
         name: name.to_string(),
         inputs: c.input_buffers.clone(),

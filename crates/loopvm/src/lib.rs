@@ -61,7 +61,7 @@ pub use cost::CostModel;
 pub use expr::{BinOp, Expr, Ty, UnOp, Var};
 pub use program::{BufId, Compiled, LoopKind, Program, Stmt};
 pub use simt::{exec_warp, WarpHost};
-pub use vm::{eval_scalar, ExecMode, Machine, RunStats};
+pub use vm::{eval_scalar, try_eval_scalar, ExecMode, Machine, RunStats};
 
 /// Errors produced when compiling or executing a program.
 #[derive(Debug, Clone, PartialEq)]

@@ -655,13 +655,28 @@ pub fn apply_un_i(op: UnOp, a: i64) -> i64 {
 ///
 /// # Panics
 ///
-/// Division/remainder by zero.
+/// Division/remainder by zero or of `i64::MIN` by `-1`, and (in builds
+/// with overflow checks) `Neg`/`Abs` of `i64::MIN`, as the interpreter
+/// does; [`try_eval_scalar`] answers `None` there instead.
 pub fn eval_scalar(e: &Expr, bindings: &[(crate::expr::Var, i64)]) -> Result<i64> {
+    pure_scalar(e)?;
+    Ok(eval_int(e, bindings, false).expect("an unchecked evaluation panics instead"))
+}
+
+/// [`eval_scalar`] for static checks, which must not panic: the same
+/// value where it returns one, and `None` where it errs or would panic.
+pub fn try_eval_scalar(e: &Expr, bindings: &[(crate::expr::Var, i64)]) -> Option<i64> {
+    pure_scalar(e).ok()?;
+    eval_int(e, bindings, true)
+}
+
+/// [`eval_scalar`]'s validation: an `i64` expression of integer
+/// operations only.
+fn pure_scalar(e: &Expr) -> Result<()> {
     if e.ty()? != Ty::I64 {
         return Err(Error::Type("eval_scalar needs an integer expression".into()));
     }
-    pure_int(e)?;
-    Ok(eval_int(e, bindings))
+    pure_int(e)
 }
 
 /// Checks, in evaluation order, that a well-typed `i64` expression uses
@@ -687,25 +702,40 @@ fn pure_int(e: &Expr) -> Result<()> {
 
 /// Evaluates an expression [`pure_int`] accepted, operands left to right
 /// (both arms of a select included), with the interpreter's semantics.
-fn eval_int(e: &Expr, bindings: &[(crate::expr::Var, i64)]) -> i64 {
-    let ev = |x: &Expr| eval_int(x, bindings);
-    match e {
+/// An operation the interpreter traps on answers `None` when `checked`,
+/// and otherwise panics with the interpreter's own message.
+fn eval_int(e: &Expr, bindings: &[(crate::expr::Var, i64)], checked: bool) -> Option<i64> {
+    let ev = |x: &Expr| eval_int(x, bindings, checked);
+    Some(match e {
         Expr::ConstI(v) => *v,
         Expr::Var(v) => bindings.iter().find(|(var, _)| var == v).map_or(0, |(_, val)| *val),
-        Expr::Bin(op @ (BinOp::Lt | BinOp::Le | BinOp::EqCmp), a, b) => cmp_i(*op, ev(a), ev(b)),
-        Expr::Bin(op, a, b) => apply_i(*op, ev(a), ev(b)),
-        Expr::Un(op, a) => apply_un_i(*op, ev(a)),
+        Expr::Bin(op @ (BinOp::Lt | BinOp::Le | BinOp::EqCmp), a, b) => cmp_i(*op, ev(a)?, ev(b)?),
+        Expr::Bin(op, a, b) => {
+            let (a, b) = (ev(a)?, ev(b)?);
+            if checked && matches!(op, BinOp::Div | BinOp::Rem) {
+                a.checked_rem_euclid(b)?;
+            }
+            apply_i(*op, a, b)
+        }
+        Expr::Un(op, a) => {
+            let a = ev(a)?;
+            let overflows = cfg!(debug_assertions) && a == i64::MIN;
+            if checked && overflows && matches!(op, UnOp::Neg | UnOp::Abs) {
+                return None;
+            }
+            apply_un_i(*op, a)
+        }
         Expr::Select(c, a, b) => {
-            let (c, a, b) = (ev(c), ev(a), ev(b));
+            let (c, a, b) = (ev(c)?, ev(a)?, ev(b)?);
             if c != 0 {
                 a
             } else {
                 b
             }
         }
-        Expr::Cast(_, a) => ev(a),
+        Expr::Cast(_, a) => ev(a)?,
         Expr::ConstF(_) | Expr::Load(..) => unreachable!("rejected by pure_int"),
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1296,7 +1326,7 @@ impl<M: Meter> WarpHost<LANES> for CpuHost<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Expr;
+    use crate::expr::{Expr, Var};
     use crate::program::{Program, Stmt};
 
     fn saxpy_program(kind: LoopKind, n: usize) -> (Program, BufId, BufId) {
@@ -1407,6 +1437,102 @@ mod tests {
         let w = p.var("w");
         let e = Expr::var(v) * Expr::i64(3) + Expr::var(w);
         assert_eq!(eval_scalar(&e, &[(v, 5)]), Ok(15));
+    }
+
+    /// `try_eval_scalar`'s answer to `e`, and `eval_scalar`'s: its value,
+    /// or `None` where it errs or panics.
+    fn both_answers(e: &Expr, bindings: &[(Var, i64)]) -> (Option<i64>, Option<i64>) {
+        let unchecked = std::panic::catch_unwind(|| eval_scalar(e, bindings));
+        (try_eval_scalar(e, bindings), unchecked.ok().and_then(|r| r.ok()))
+    }
+
+    #[test]
+    fn try_eval_scalar_answers_none_where_eval_scalar_traps() {
+        let mut p = Program::new();
+        let b = p.buffer("b", 1);
+        let v = p.var("v");
+        let div = |a: i64, d: i64| Expr::i64(a) / Expr::i64(d);
+        let boom = || div(1, 0);
+        let traps = [
+            ("/0", boom()),
+            ("%0", Expr::i64(1) % Expr::i64(0)),
+            ("MIN / -1", div(i64::MIN, -1)),
+            ("MIN % -1", Expr::i64(i64::MIN) % Expr::i64(-1)),
+            ("in the taken arm", Expr::select(Expr::i64(1), boom(), Expr::i64(2))),
+            ("in the untaken arm", Expr::select(Expr::i64(1), Expr::i64(2), boom())),
+            ("bound variable", Expr::i64(1) / Expr::var(v)),
+            ("before a load", boom() + Expr::to_i64(Expr::load(b, Expr::i64(0)))),
+        ];
+        for (name, e) in &traps {
+            assert_eq!(both_answers(e, &[(v, 0)]), (None, None), "{name}");
+        }
+        assert_eq!(both_answers(&div(i64::MIN, 2), &[]), (Some(i64::MIN / 2), Some(i64::MIN / 2)));
+        assert_eq!(both_answers(&(Expr::i64(-7) % Expr::var(v)), &[(v, 2)]), (Some(1), Some(1)));
+    }
+
+    /// Integer expressions over a bound and an unbound variable, whose
+    /// leaves are often the values that trap (`0`, `-1`, `i64::MIN`), with
+    /// every integer operator and both-arm selects; a quarter of them are
+    /// wrapped in a float constant, a load or a float operator, which
+    /// `eval_scalar` rejects.
+    fn scalar_expr(v: Var, w: Var, b: BufId) -> impl Strategy<Value = Expr> {
+        const BIN: [BinOp; 12] = [
+            BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Rem, BinOp::Min,
+            BinOp::Max, BinOp::Lt, BinOp::Le, BinOp::EqCmp, BinOp::And, BinOp::Or,
+        ];
+        const UN: [UnOp; 3] = [UnOp::Neg, UnOp::Abs, UnOp::Not];
+        let leaf = prop_oneof![
+            (0..TRAPPY.len()).prop_map(|k| Expr::i64(TRAPPY[k])),
+            any::<i8>().prop_map(|k| Expr::i64(k.into())),
+            Just(Expr::var(v)),
+            Just(Expr::var(w)),
+        ];
+        let int = leaf.prop_recursive(3, 24, 2, |inner| {
+            prop_oneof![
+                (0..BIN.len(), inner.clone(), inner.clone())
+                    .prop_map(|(k, a, b)| Expr::Bin(BIN[k], Box::new(a), Box::new(b))),
+                (0..UN.len(), inner.clone()).prop_map(|(k, a)| Expr::Un(UN[k], Box::new(a))),
+                (inner.clone(), inner.clone(), inner.clone())
+                    .prop_map(|(c, x, y)| Expr::select(c, x, y)),
+                inner.prop_map(Expr::to_i64),
+            ]
+        });
+        let rejected = prop_oneof![
+            (int.clone(), int.clone()).prop_map(move |(a, i)| a + Expr::to_i64(Expr::load(b, i))),
+            int.clone().prop_map(|a| a + Expr::to_i64(Expr::f32(0.5))),
+            int.clone().prop_map(|a| Expr::to_i64(Expr::sqrt(Expr::to_f32(a)))),
+        ];
+        prop_oneof![int.clone(), int.clone(), int, rejected]
+    }
+
+    /// The leaf and binding values the interpreter traps on, or next to.
+    const TRAPPY: [i64; 6] = [0, 1, -1, 2, i64::MIN, i64::MAX];
+
+    /// The variables and buffer of [`scalar_expr`]: `v` is bound, `w` is not.
+    fn scalar_names() -> (Var, Var, BufId) {
+        let mut p = Program::new();
+        (p.var("v"), p.var("w"), p.buffer("b", 1))
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `try_eval_scalar` answers `None` exactly where `eval_scalar`
+        /// errs or panics, and `eval_scalar`'s value everywhere else.
+        #[test]
+        fn try_eval_scalar_is_eval_scalar_without_the_panic(
+            e in {
+                let (v, w, b) = scalar_names();
+                scalar_expr(v, w, b)
+            },
+            k in 0..TRAPPY.len(),
+        ) {
+            let (v, _, _) = scalar_names();
+            let (checked, unchecked) = both_answers(&e, &[(v, TRAPPY[k])]);
+            prop_assert_eq!(checked, unchecked, "{:?}", e);
+        }
     }
 
     #[test]

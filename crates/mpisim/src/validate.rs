@@ -21,7 +21,7 @@
 //! runtime watchdog.
 
 use crate::{DistError, DistProgram, DistStmt};
-use loopvm::{eval_scalar, BinOp, BufId, Expr, Var};
+use loopvm::{try_eval_scalar, BufId, Expr};
 use std::collections::BTreeMap;
 
 #[derive(Default)]
@@ -97,7 +97,7 @@ fn walk_rank(
     // Out-of-range partners are skipped at runtime (guarded
     // edge-of-rank-space ops); mirror that.
     let partner = |e: &Expr| {
-        let p = eval_static(e, &bindings)?;
+        let p = try_eval_scalar(e, &bindings)?;
         Some((0..n_ranks as i64).contains(&p).then_some(p as usize))
     };
     let mut frames: Vec<(&[DistStmt], usize)> = vec![(&dist.body, 0)];
@@ -113,7 +113,7 @@ fn walk_rank(
                 continue;
             }
             DistStmt::If { cond, body: inner } => {
-                if eval_static(cond, &bindings)? != 0 {
+                if try_eval_scalar(cond, &bindings)? != 0 {
                     frames.push((inner, 0));
                 }
                 continue;
@@ -131,29 +131,4 @@ fn walk_rank(
         events.buffers.entry(edge).or_insert(*buf);
     }
     Some(())
-}
-
-/// [`eval_scalar`] where it cannot panic: `None` where it errs, and where
-/// a division or remainder by zero (or of `i64::MIN` by `-1`) would trap.
-fn eval_static(e: &Expr, bindings: &[(Var, i64)]) -> Option<i64> {
-    (!traps(e, bindings)).then(|| eval_scalar(e, bindings).ok()).flatten()
-}
-
-/// Whether evaluating `e` reaches a division that traps. Only the
-/// operands of divisions are evaluated, each after its own check.
-fn traps(e: &Expr, bindings: &[(Var, i64)]) -> bool {
-    match e {
-        Expr::Bin(op, a, b) => {
-            traps(a, bindings)
-                || traps(b, bindings)
-                || matches!(op, BinOp::Div | BinOp::Rem)
-                    && matches!(
-                        (eval_scalar(a, bindings), eval_scalar(b, bindings)),
-                        (Ok(a), Ok(b)) if a.checked_rem_euclid(b).is_none()
-                    )
-        }
-        Expr::Un(_, a) | Expr::Cast(_, a) | Expr::Load(_, a) => traps(a, bindings),
-        Expr::Select(c, a, b) => traps(c, bindings) || traps(a, bindings) || traps(b, bindings),
-        Expr::ConstF(_) | Expr::ConstI(_) | Expr::Var(_) => false,
-    }
 }

@@ -128,16 +128,12 @@ pub struct ScheduledStmt {
     pub schedule: BasicMap,
 }
 
-/// AST builder: projection caches plus options.
-#[derive(Debug, Clone)]
-#[derive(Default)]
-pub struct AstBuild {
-    /// Separate full tiles from partial tiles when loop bounds are
-    /// min/max expressions (applied by the consuming backend; recorded here
-    /// for inspection).
-    pub separate_tiles: bool,
-}
-
+/// AST builder options: none. The struct stays, and [`build_ast`] keeps
+/// its parameter, because the separately built `benchmark/` package
+/// passes `&AstBuild::default()`. Separating full from partial tiles is
+/// the CPU backend's option (`tiramisu::CpuOptions::separate_tiles`).
+#[derive(Debug, Clone, Default)]
+pub struct AstBuild {}
 
 struct StmtInfo {
     index: usize,
@@ -165,8 +161,7 @@ struct StmtInfo {
 ///   space.
 /// - [`Error::Inexact`] when a schedule is not invertible (original
 ///   iterators cannot be expressed in schedule coordinates).
-pub fn build_ast(stmts: &[ScheduledStmt], build: &AstBuild) -> Result<Vec<AstNode>> {
-    let _ = build;
+pub fn build_ast(stmts: &[ScheduledStmt], _build: &AstBuild) -> Result<Vec<AstNode>> {
     if stmts.is_empty() {
         return Ok(Vec::new());
     }
@@ -214,7 +209,7 @@ pub fn build_ast(stmts: &[ScheduledStmt], build: &AstBuild) -> Result<Vec<AstNod
             }
         }
         let statics: Vec<Option<i64>> =
-            (0..m).map(|l| static_value(&proj[l], l, n_params)).collect();
+            (0..m).map(|l| static_value(&proj[l], l)).collect();
         let mut info =
             StmtInfo { index, name: s.name.clone(), proj, full, inexact, iters, statics };
         // Fold statically-pinned dimension values into every expression so
@@ -241,7 +236,7 @@ pub fn build_ast(stmts: &[ScheduledStmt], build: &AstBuild) -> Result<Vec<AstNod
     }
 
     let group: Vec<usize> = (0..infos.len()).collect();
-    gen_level(&infos, &group, 0, m, n_params)
+    gen_level(&infos, &group, 0, m)
 }
 
 /// Recursively generates nodes for schedule dimension `level` over the
@@ -251,7 +246,6 @@ fn gen_level(
     group: &[usize],
     level: usize,
     m: usize,
-    n_params: usize,
 ) -> Result<Vec<AstNode>> {
     if group.is_empty() {
         return Ok(Vec::new());
@@ -289,7 +283,7 @@ fn gen_level(
         }
         let mut nodes = Vec::new();
         for (_, bucket) in buckets {
-            nodes.extend(gen_level(infos, &bucket, level + 1, m, n_params)?);
+            nodes.extend(gen_level(infos, &bucket, level + 1, m)?);
         }
         return Ok(nodes);
     }
@@ -305,7 +299,7 @@ fn gen_level(
         q
     };
     for &g in group {
-        let (mut lo, mut up) = bounds_at(&infos[g].proj[level], level, n_params, &infos[g].name)?;
+        let (mut lo, mut up) = bounds_at(&infos[g].proj[level], level, &infos[g].name)?;
         // Context for redundancy pruning: the outer-dimension constraints,
         // obtained by eliminating this dimension (an over-approximated
         // context only prunes less — always sound).
@@ -335,7 +329,7 @@ fn gen_level(
     };
     let needs_guard = !(group.len() == 1 || bounds_agree);
 
-    let body = gen_level(infos, group, level + 1, m, n_params)?;
+    let body = gen_level(infos, group, level + 1, m)?;
     let body = if needs_guard {
         attach_guards(body, infos, level, m)
     } else {
@@ -393,8 +387,7 @@ fn fold_col(aff: &mut Aff, col: usize, v: i64) {
 /// If the constraints pin dimension `level` to an integer constant
 /// (equality involving only that dimension and the constant column),
 /// returns it.
-fn static_value(cons: &[Constraint], level: usize, n_params: usize) -> Option<i64> {
-    let _ = n_params;
+fn static_value(cons: &[Constraint], level: usize) -> Option<i64> {
     for c in cons {
         if c.kind != ConstraintKind::Eq {
             continue;
@@ -465,10 +458,8 @@ fn prune_bounds(cands: &mut Vec<QAff>, ctx: &[Constraint], lower: bool) {
 fn bounds_at(
     cons: &[Constraint],
     level: usize,
-    n_params: usize,
     name: &str,
 ) -> Result<(Vec<QAff>, Vec<QAff>)> {
-    let _ = n_params;
     let mut lowers = Vec::new();
     let mut uppers = Vec::new();
     for c in cons {

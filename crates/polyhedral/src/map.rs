@@ -76,7 +76,6 @@ impl BasicMap {
         let ms = MapSpace::new(in_space.clone(), out_space.clone());
         let n = ms.n_cols();
         let n_in = ms.n_in();
-        let n_out = ms.n_out();
         let mut cons = Vec::with_capacity(affs.len());
         for (j, a) in affs.iter().enumerate() {
             assert_eq!(a.n_cols(), in_space.n_cols(), "output expression width mismatch");
@@ -90,7 +89,6 @@ impl BasicMap {
             }
             row.coeffs_mut()[n - 1] = -a.const_term();
             row.coeffs_mut()[ms.out_col(j)] = 1;
-            let _ = n_out;
             cons.push(Constraint::eq(row));
         }
         BasicMap { space: ms, cons }

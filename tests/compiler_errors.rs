@@ -120,8 +120,7 @@ fn halide_lite_error_messages_name_the_failure() {
         HExpr::In(input, vec![HExpr::var("x") + HExpr::i(10)]),
     );
     p.set_output(out);
-    let err = halide_lite::compile(&p, &[4], &halide_lite::ScheduleOptions::default())
-        .unwrap_err();
+    let err = halide_lite::compile(&p, &[4]).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("img") && msg.contains("bounds"), "got: {msg}");
 }

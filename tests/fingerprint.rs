@@ -439,3 +439,36 @@ fn tag_insertion_order_does_not_matter() {
         }
     }
 }
+
+/// One function whose body uses every `BinOp` and `UnOp` variant, with
+/// its fingerprint pinned: the operators hash by their enum
+/// discriminants, so reordering or renumbering `loopvm`'s operator enums
+/// moves this value, and with it every compile-cache key (each existing
+/// cache directory then keeps its files as orphans).
+#[test]
+fn every_operator_hashes_to_a_pinned_key() {
+    use tiramisu::{BinOp, UnOp};
+    let mut f = Function::new("ops", &["N"]);
+    let i = f.var("i", 0, E::param("N"));
+    let input = f.input("in", std::slice::from_ref(&i)).unwrap();
+    let x = f.access(input, &[E::iter("i")]);
+    let k = E::iter("i");
+    let bin = |op, a: E, b: E| E::Bin(op, Box::new(a), Box::new(b));
+    let un = |op, a: E| E::Un(op, Box::new(a));
+    let cond = E::or(
+        E::and(E::lt(k.clone(), E::i64(3)), E::le(k.clone(), E::i64(4))),
+        un(UnOp::Not, E::eq(k.clone(), E::i64(5))),
+    );
+    let int = bin(BinOp::Rem, bin(BinOp::Div, k.clone(), E::i64(2)), E::i64(3));
+    let float = bin(
+        BinOp::Max,
+        bin(BinOp::Min, x.clone() + E::f32(1.0), x.clone() - E::f32(2.0)),
+        x.clone() * un(UnOp::Exp, un(UnOp::Sqrt, un(UnOp::Abs, -x))),
+    );
+    let body = E::select(cond, float, E::cast_f32(int));
+    f.computation("out", &[i], body).unwrap();
+    assert_eq!(f.fingerprint(), PINNED_OPS_FINGERPRINT);
+}
+
+/// [`every_operator_hashes_to_a_pinned_key`]'s value.
+const PINNED_OPS_FINGERPRINT: u64 = 10_239_466_636_566_458_863;
